@@ -220,8 +220,7 @@ let e12 () =
 
 (* A5 tallies traffic through a per-run [?observer] closure over
    task-local arrays, so the three sizes fan out on the domain pool like
-   every other sweep (the old global Trace/with_observer shim pinned this
-   experiment to one domain). *)
+   every other sweep. *)
 let a5 ~jobs () =
   header "A5 (node congestion)"
     "does any node become a traffic hotspot?  max per-node traffic should stay within polylog of the average";

@@ -4,7 +4,7 @@
    exits nonzero.
 
    [soak] is the crash-recovery counterpart at CI scale: a seeded
-   plan-class x protocol x engine matrix at n=1024 where every leg runs
+   plan-class x protocol x jobs matrix at n=1024 where every leg runs
    hardened with a checkpointed-recovery contract and must land on the
    lossless final states.  A round-limit abort prints the structured
    post-mortem before failing, so a retransmit livelock in CI is
@@ -57,7 +57,6 @@ type soak_leg = {
   sname : string;
   run :
     'a.
-    flat:bool ->
     jobs:int ->
     chaos:Fault.chaos ->
     (masked:bool -> retrans:int -> dropped:int -> 'a) ->
@@ -67,7 +66,7 @@ type soak_leg = {
 let soak () =
   let n = 1024 in
   Format.printf
-    "=== chaos soak: plan class x protocol x engine, crash recovery at \
+    "=== chaos soak: plan class x protocol x jobs, crash recovery at \
      n=%d ===@."
     n;
   let r = Dsf_util.Rng.create 4242 in
@@ -99,9 +98,9 @@ let soak () =
     {
       sname;
       run =
-        (fun ~flat ~jobs ~chaos k ->
+        (fun ~jobs ~chaos k ->
           let states, stats =
-            Fault.sim_run ~max_rounds ~flat ~jobs ~chaos
+            Fault.sim_run ~max_rounds ~jobs ~chaos
               ~recovery:(Fault.immutable ()) g proto
           in
           k ~masked:(states = lossless) ~retrans:stats.Sim.retransmissions
@@ -117,7 +116,7 @@ let soak () =
       mk "leader" (Dsf_congest.Leader.protocol g);
     ]
   in
-  let engines = [ "classic", false, 1; "flat j1", true, 1; "flat j4", true, 4 ] in
+  let engines = [ "jobs 1", 1; "jobs 4", 4 ] in
   let failures = ref 0 in
   List.iter
     (fun (cname, plan) ->
@@ -125,9 +124,9 @@ let soak () =
       List.iter
         (fun leg ->
           List.iter
-            (fun (ename, flat, jobs) ->
+            (fun (ename, jobs) ->
               match
-                leg.run ~flat ~jobs ~chaos
+                leg.run ~jobs ~chaos
                   (fun ~masked ~retrans ~dropped ->
                     Format.printf
                       "%-9s %-14s %-8s %-8s retrans %6d, dropped %6d@."

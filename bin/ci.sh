@@ -32,10 +32,10 @@ fi
 with_timeout 900 dune build
 
 # Static analysis: dsf-lint's repo invariants (no global mutable state in
-# lib/, no deprecated Sim globals outside the differential suites, no
-# nondeterminism sources, CONGEST message discipline, no catch-all
-# handlers, no deprecated Fault.drop_only).  Fails on any finding not in
-# lint.baseline (which ships empty and must stay empty).
+# lib/, the Sim.use_reference_engine shim only in the differential suite,
+# no nondeterminism sources, CONGEST message discipline, no catch-all
+# handlers).  Fails on any finding not in lint.baseline (which ships
+# empty and must stay empty).
 with_timeout 300 dune build @lint
 
 # Typed static analysis: the Typedtree rules over the libraries' .cmt
@@ -54,7 +54,7 @@ mkdir -p "$scratch"
 # divergence, the timeout catches a retransmit livelock.
 with_timeout 300 dune exec bench/main.exe -- chaos
 
-# Chaos soak: the crash-recovery matrix (plan class x protocol x engine)
+# Chaos soak: the crash-recovery matrix (plan class x protocol x jobs)
 # at n=1024 — every leg runs hardened with checkpointed recovery and must
 # land on the lossless final states.  A round-limit abort prints the
 # structured post-mortem before the nonzero exit; the wall-clock timeout
@@ -64,8 +64,8 @@ with_timeout 600 dune exec bench/main.exe -- chaos-soak
 # End-to-end chaos differential: a full det_dsf solve under a seeded
 # maskable chaos plan (drops + duplicates + finite link outages +
 # crash-restart with recovery) must produce the same solution and
-# certificate as the fault-free solve, on both engines.  Only the
-# solution/certificate lines are compared — round counts legitimately
+# certificate as the fault-free solve, at --jobs 1 and --jobs 2.  Only
+# the solution/certificate lines are compared — round counts legitimately
 # differ (the synchronizer pays for the faults).
 chaos_extract() { grep -E '^(solution weight|certified)' "$1"; }
 with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
@@ -73,22 +73,22 @@ with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
   > "$scratch/solve_ff.out"
 with_timeout 600 dune exec bin/dsf_cli.exe -- solve --algo det \
   --topology random --nodes 96 --terminals 12 --components 4 --seed 7 \
-  --chaos 5 > "$scratch/solve_chaos.out"
+  --chaos 5 --jobs 1 > "$scratch/solve_chaos_j1.out"
 with_timeout 600 dune exec bin/dsf_cli.exe -- solve --algo det \
   --topology random --nodes 96 --terminals 12 --components 4 --seed 7 \
-  --chaos 5 --flat --jobs 2 > "$scratch/solve_chaos_flat.out"
+  --chaos 5 --jobs 2 > "$scratch/solve_chaos_j2.out"
 chaos_extract "$scratch/solve_ff.out" > "$scratch/solve_ff.key"
-for leg in solve_chaos solve_chaos_flat; do
+for leg in solve_chaos_j1 solve_chaos_j2; do
   chaos_extract "$scratch/$leg.out" > "$scratch/$leg.key"
   if ! diff -u "$scratch/solve_ff.key" "$scratch/$leg.key"; then
     echo "ci: det_dsf $leg diverged from the fault-free solve" >&2
     exit 1
   fi
 done
-echo "ci: det_dsf chaos differential ok (classic + flat j2, n=96)"
+echo "ci: det_dsf chaos differential ok (jobs 1 + jobs 2, n=96)"
 
 # Flat-engine smoke: stock workloads through the flat-core engine must
-# reproduce the active engine's states, trees and stats exactly (the
+# reproduce run_reference's states, trees and stats exactly (the
 # standalone counterpart of the qcheck differential suite).
 with_timeout 300 dune exec bench/main.exe -- flatcheck
 
@@ -98,7 +98,7 @@ with_timeout 300 dune exec bench/main.exe -- flatcheck
 # must print an achieved causal depth next to the paper bound — all
 # under a hard timeout so a recorder that wedges the barrier (or an
 # inspector that loops on a malformed chain) fails loudly.
-with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det --flat \
+with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
   --jobs 2 --topology path --nodes 1024 --terminals 16 --components 4 \
   --seed 5 --record "$scratch/solve.flightlog" > /dev/null
 with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
@@ -117,28 +117,36 @@ echo "ci: flight-recorder smoke ok (record + inspect, flat n=1024)"
 # n=4096 (a path — the wavefront-dominated worst case) must finish inside
 # the hard timeout; the CLI certifies the forest and dual locally, so a
 # wrong answer fails as loudly as a hang.
-with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det --flat \
+with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
   --jobs 2 --topology path --nodes 4096 --terminals 16 --components 4 \
   --seed 5 > /dev/null
 echo "ci: det_dsf flat e2e smoke ok (path n=4096)"
 
 # Sanitizer-on flat e2e smoke: the same solve at n=1024 with the runtime
 # ownership sanitizer armed (DSF_SANITIZE=1 arms every run_flat in the
-# process).  A cross-partition write, escaped emit closure, or arena
-# leak aborts with Sim.Sanitizer_violation (nonzero exit); a livelock
-# hits the hard timeout; and because every sanitizer check is read-only,
-# the output must be byte-identical to the sanitizer-off run.
-with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det --flat \
-  --jobs 2 --topology path --nodes 1024 --terminals 16 --components 4 \
-  --seed 5 > "$scratch/solve_flat1k.out"
-with_timeout 300 env DSF_SANITIZE=1 dune exec bin/dsf_cli.exe -- solve \
-  --algo det --flat --jobs 2 --topology path --nodes 1024 --terminals 16 \
-  --components 4 --seed 5 > "$scratch/solve_flat1k_sanitized.out"
-if ! diff -u "$scratch/solve_flat1k.out" "$scratch/solve_flat1k_sanitized.out"; then
-  echo "ci: sanitized flat e2e diverged from the unsanitized run" >&2
-  exit 1
-fi
-echo "ci: det_dsf sanitized flat e2e smoke ok (path n=1024, bit-identical)"
+# process), plus a rand solve (pooled trials) and a sublinear solve at
+# n=128.  A cross-partition write, escaped emit closure, or arena leak
+# aborts with Sim.Sanitizer_violation (nonzero exit); a livelock hits the
+# hard timeout; and because every sanitizer check is read-only, each
+# output must be byte-identical to its sanitizer-off run.
+sanitize_leg() {
+  name="$1"; shift
+  with_timeout 300 dune exec bin/dsf_cli.exe -- solve "$@" \
+    > "$scratch/$name.out"
+  with_timeout 300 env DSF_SANITIZE=1 dune exec bin/dsf_cli.exe -- solve \
+    "$@" > "$scratch/${name}_sanitized.out"
+  if ! diff -u "$scratch/$name.out" "$scratch/${name}_sanitized.out"; then
+    echo "ci: sanitized $name diverged from the unsanitized run" >&2
+    exit 1
+  fi
+}
+sanitize_leg solve_flat1k --algo det --jobs 2 --topology path --nodes 1024 \
+  --terminals 16 --components 4 --seed 5
+sanitize_leg solve_rand128 --algo rand --jobs 2 --topology random \
+  --nodes 128 --terminals 16 --components 4 --seed 5
+sanitize_leg solve_sublinear128 --algo sublinear --jobs 1 --topology random \
+  --nodes 128 --terminals 16 --components 4 --seed 5
+echo "ci: sanitized flat e2e smoke ok (det path n=1024, rand + sublinear n=128, bit-identical)"
 
 with_timeout 600 dune exec bench/main.exe -- smoke --jobs 1 --out "$scratch/bench_j1.json"
 with_timeout 600 dune exec bench/main.exe -- smoke --jobs 2 --out "$scratch/bench_j2.json"
@@ -147,7 +155,7 @@ with_timeout 600 dune exec bench/main.exe -- smoke --jobs 2 --out "$scratch/benc
 # (jobs, utc_date); everything left must match exactly.
 strip_timing() {
   sed -E \
-    -e 's/"(ns_per_run|r_square|minor_words_per_run|minor_words_per_round|rounds_per_sec|active_ns|reference_ns|flat_ns|flat_speedup|speedup_vs_j1|speedup_vs_active|speedup|wall_ns|base_wall_ns|rec_wall_ns|overhead_pct|wall_overhead)": [^,}]*/"\1": _/g' \
+    -e 's/"(ns_per_run|r_square|minor_words_per_run|minor_words_per_round|rounds_per_sec|reference_ns|flat_ns|speedup_vs_j1|speedup|wall_ns|base_wall_ns|rec_wall_ns|overhead_pct|wall_overhead)": [^,}]*/"\1": _/g' \
     -e 's/"(utc_date|jobs)": [^,}]*/"\1": _/g' \
     "$1"
 }

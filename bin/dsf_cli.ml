@@ -79,7 +79,7 @@ let write_trace = function
       if path <> "-" then Format.printf "wrote trace to %s@." path
 
 let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
-    flat chaos_seed record trace trace_format =
+    (_flat : bool) chaos_seed record trace trace_format =
   let recorder =
     Option.map (fun _ -> Dsf_congest.Recorder.create ()) record
   in
@@ -134,8 +134,7 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   let weight, solution, ledger =
     match algo with
     | "det" ->
-        let flat = if flat then Some true else None in
-        let r = Dsf_core.Det_dsf.run ?telemetry ?flat ?chaos ~jobs inst in
+        let r = Dsf_core.Det_dsf.run ?telemetry ?chaos ~jobs inst in
         r.Dsf_core.Det_dsf.weight, r.Dsf_core.Det_dsf.solution, Some r.Dsf_core.Det_dsf.ledger
     | "sublinear" ->
         let r = Dsf_core.Det_sublinear.run ?telemetry ~eps_num:1 ~eps_den inst in
@@ -171,11 +170,9 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   let dual =
     match algo with
     | "det" ->
-        let flat = if flat then Some true else None in
         Some
           (Dsf_core.Frac.to_float
-             (Dsf_core.Det_dsf.run ?flat ?chaos ~jobs
-                inst).Dsf_core.Det_dsf.dual)
+             (Dsf_core.Det_dsf.run ?chaos ~jobs inst).Dsf_core.Det_dsf.dual)
     | _ -> None
   in
   (match Dsf_core.Certify.check ?dual inst ~solution with
@@ -405,17 +402,17 @@ let jobs_arg =
     & info [ "jobs"; "j" ]
         ~doc:
           "domains for trial fan-out (repetitions of the randomized \
-           algorithm); default = recommended domain count, capped; results \
-           are identical for any value")
+           algorithm) and for each simulated run of the det algorithm; \
+           default = recommended domain count, capped; results are \
+           identical for any value")
 
 let flat_arg =
   Arg.(
     value & flag
     & info [ "flat" ]
         ~doc:
-          "run the det algorithm's simulated subroutines on the flat-core \
-           engine (native ports + boxed adapter); results are bit-identical \
-           to the classic engines")
+          "deprecated no-op, accepted for compatibility: every simulated \
+           subroutine already runs on the flat-core engine")
 
 let chaos_arg =
   Arg.(

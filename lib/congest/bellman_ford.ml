@@ -105,8 +105,8 @@ let protocol ?weight_of ?radius g ~sources =
    chain is a simple path (a repeated node would have had to accept a
    lexicographically worse label), so hops <= n - 1 and the bound is
    sound.  When the three widths do not fit an immediate int, the
-   constructor declines ([None]) and [run ~flat:true] falls back to the
-   classic protocol through the flat engine's boxed adapter. *)
+   constructor declines ([None]) and [run] falls back to the classic
+   protocol through the flat engine's adapter. *)
 type flat_state = {
   mutable fdist : int;
   mutable fsrc : int;
@@ -228,7 +228,7 @@ let flat_protocol ?weight_of ?radius g ~sources =
     end
   end
 
-let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
+let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?jobs
     ?chaos g ~sources =
   let n = Graph.n g in
   let dist = Array.make n max_int in
@@ -244,7 +244,7 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
     end
   in
   let native =
-    if Option.is_none chaos && flat = Some true then
+    if Option.is_none chaos && Sim.native_ports () then
       flat_protocol ?weight_of ?radius g ~sources
     else None
   in
@@ -263,7 +263,7 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
         let proto = protocol ?weight_of ?radius g ~sources in
         let states, stats =
           Telemetry.span_opt telemetry "bellman_ford" (fun () ->
-              Fault.sim_run ?max_rounds ?observer ?faults ?telemetry ?flat
+              Fault.sim_run ?max_rounds ?observer ?faults ?telemetry
                 ?jobs ?chaos ~recovery:(Fault.immutable ()) g proto)
         in
         Array.iteri
@@ -274,5 +274,5 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
   in
   { dist; src_of; parent; hops; rounds = stats.Sim.rounds }, stats
 
-let sssp ?observer ?telemetry ?flat ?jobs g ~src =
-  run ?observer ?telemetry ?flat ?jobs g ~sources:[ src, 0 ]
+let sssp ?observer ?telemetry ?jobs g ~src =
+  run ?observer ?telemetry ?jobs g ~sources:[ src, 0 ]

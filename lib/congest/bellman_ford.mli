@@ -49,8 +49,8 @@ val flat_protocol :
     incoming edge weights resolve through the CSR view.  Rounds, messages,
     bits, and final labels are bit-identical to {!protocol} (differential
     suite enforced).  Returns [None] when the widths exceed an immediate
-    int; {!run}[ ~flat:true] then falls back to the classic protocol
-    through the flat engine's boxed adapter. *)
+    int; {!run} then falls back to the classic protocol through the flat
+    engine's adapter. *)
 
 val run :
   ?weight_of:(int -> int) ->
@@ -59,7 +59,6 @@ val run :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -70,16 +69,15 @@ val run :
     weights model edges inside contracted moats).  [radius r] discards any
     path of distance > [r].  Ties are broken towards the smaller source id,
     then the smaller parent id.  [telemetry] profiles the run under a
-    ["bellman_ford"] span.  [~flat:true] runs the native {!flat_protocol}
-    on {!Sim.run_flat} with [?jobs] domains (boxed adapter fallback when it
-    declines); [~flat:false] forces the classic active engine; omitting
-    [flat] defers to {!Sim.run}'s engine selection.  [faults] injects a
-    fault plan (active or flat engine only). *)
+    ["bellman_ford"] span.  Runs the native {!flat_protocol} on
+    {!Sim.run_flat} with [?jobs] domains (adapter fallback when it
+    declines); under [chaos], or while {!Sim.use_reference_engine} is set,
+    the classic {!protocol} runs instead.  [faults] injects a fault
+    plan. *)
 
 val sssp :
   ?observer:Sim.observer ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   Dsf_graph.Graph.t ->
   src:int ->

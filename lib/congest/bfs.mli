@@ -43,7 +43,6 @@ val flat_state_parent_depth : n:int -> int -> (int * int) option
 val build :
   ?observer:Sim.observer ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -51,11 +50,11 @@ val build :
   tree * Sim.stats
 (** Raises [Invalid_argument] if the graph is disconnected.  [observer]
     taps this run's messages (per-run, domain-safe); [telemetry] profiles
-    the flood under a ["bfs"] span.  [~flat:true] runs the native
-    {!flat_protocol} on {!Sim.run_flat} (with [?jobs] domains) —
-    bit-identical tree, stats, and observer trace; [~flat:false] forces
-    the classic active engine; omitting [flat] defers to {!Sim.run}'s
-    engine selection (including the deprecated shims). *)
+    the flood under a ["bfs"] span.  Runs the native {!flat_protocol} on
+    {!Sim.run_flat} (with [?jobs] domains) — tree, stats, and observer
+    trace are bit-identical to {!protocol}.  Under [chaos], or while
+    {!Sim.use_reference_engine} is set, the classic {!protocol} runs
+    instead (see {!Sim.native_ports}). *)
 
 val max_id_root : Dsf_graph.Graph.t -> int
 (** The conventional root choice of the paper's appendix: the node with the

@@ -34,9 +34,9 @@ let flat_protocol ~payload_bits : (int, int) Sim.flat_protocol =
     fp_wake = Some Sim.never;
   }
 
-let all_neighbors ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
+let all_neighbors ?observer ?faults ?telemetry ?jobs ?chaos g
     ~payload_bits =
-  if Option.is_none chaos && flat = Some true then
+  if Option.is_none chaos && Sim.native_ports () then
     let _, stats =
       Telemetry.span_opt telemetry "neighbor_exchange" (fun () ->
           Sim.run_flat ?observer ?faults ?telemetry ?jobs g
@@ -46,7 +46,7 @@ let all_neighbors ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
   else
     let _, stats =
       Telemetry.span_opt telemetry "neighbor_exchange" (fun () ->
-          Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+          Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
             ~recovery:(Fault.immutable ()) g (protocol ~payload_bits))
     in
     stats

@@ -17,7 +17,6 @@ val all_neighbors :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -27,8 +26,7 @@ val all_neighbors :
     region announcement: owner id + offset + activity bit).  [observer]
     taps the run per-run (domain-safe); [faults] injects a fault plan
     (see {!Fault}); [telemetry] profiles the run under a
-    ["neighbor_exchange"] span.  [~flat:true] runs the native
-    {!flat_protocol} on {!Sim.run_flat} with [?jobs] domains
-    (bit-identical stats and traces); [~flat:false] forces the classic
-    active engine; omitting [flat] defers to {!Sim.run}'s engine
-    selection. *)
+    ["neighbor_exchange"] span.  Runs the native {!flat_protocol} on
+    {!Sim.run_flat} with [?jobs] domains (stats and traces bit-identical
+    to {!protocol}); under [chaos], or while {!Sim.use_reference_engine}
+    is set, the classic {!protocol} runs instead. *)

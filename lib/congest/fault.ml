@@ -37,7 +37,6 @@ let is_empty p =
   p.drop = 0. && p.duplicate = 0. && p.link_down = [] && p.crashes = []
 
 let maskable ?(with_recovery = false) p = with_recovery || p.crashes = []
-let drop_only p = p.crashes = [] && p.link_down = []
 
 (* Stateless PRF: every (round, src, dst, salt) tuple hashes to an
    independent-looking uniform draw, so fault decisions are deterministic
@@ -507,10 +506,10 @@ type chaos = { cplan : plan; crto : int; crto_cap : int }
 let chaos ?(rto = default_rto) ?(rto_cap = default_rto_cap) cplan =
   { cplan; crto = rto; crto_cap = rto_cap }
 
-let sim_run ?max_rounds ?halt ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+let sim_run ?max_rounds ?halt ?observer ?faults ?telemetry ?jobs ?chaos
     ?recovery g proto =
   match chaos with
-  | None -> Sim.run ?max_rounds ?halt ?observer ?faults ?telemetry ?flat ?jobs g proto
+  | None -> Sim.run ?max_rounds ?halt ?observer ?faults ?telemetry ?jobs g proto
   | Some c ->
       if Option.is_some faults then
         invalid_arg "Fault.sim_run: ?faults and ?chaos are mutually exclusive";
@@ -532,8 +531,8 @@ let sim_run ?max_rounds ?halt ?observer ?faults ?telemetry ?flat ?jobs ?chaos
       in
       Telemetry.span_opt telemetry "hardened" (fun () ->
           let states, stats =
-            Sim.run ?max_rounds ~halt ?observer ?faults ?telemetry ?flat ?jobs
-              g hardened
+            Sim.run ?max_rounds ~halt ?observer ?faults ?telemetry ?jobs g
+              hardened
           in
           let stats = note_hardened telemetry states stats in
           Array.map (fun st -> st.inner) states, stats)

@@ -39,8 +39,7 @@
     of every incident link — a crash window thus degrades into a finite
     all-incident-links outage plus some lost in-flight packets, which the
     reliable layer already rides out.  {!maskable} classifies a plan
-    accordingly; {!drop_only} remains as the historical, strictly
-    narrower class.  Byzantine behavior (corrupted or forged messages) is
+    accordingly.  Byzantine behavior (corrupted or forged messages) is
     outside the model entirely.
 
     {b Determinism argument.}  The inner execution is driven only by the
@@ -105,15 +104,6 @@ val maskable : ?with_recovery:bool -> plan -> bool
     running with a {!recoverable} contract ([~with_recovery:true]).
     Every constructible plan is maskable with recovery (the {!plan}
     validator already forbids drop probability 1 and infinite windows). *)
-
-val drop_only : plan -> bool
-(** Deprecated, strictly narrower predecessor of {!maskable}: no crashes
-    {e and} no link outages.  Kept for callers that want the
-    conservative class masked by PR-3-era hardening; new code should use
-    [maskable ~with_recovery:...].  Every use is flagged by dsf-lint's
-    [deprecated-fault-alias] rule (suppressible with
-    [[@lint.allow "deprecated-fault-alias"]] where the historical
-    semantics are genuinely wanted). *)
 
 val instantiate : plan -> Sim.faults
 (** Compile the plan into the engine's callback record.  Decisions are
@@ -247,7 +237,6 @@ val sim_run :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:chaos ->
   ?recovery:'s recoverable ->
@@ -257,9 +246,10 @@ val sim_run :
 (** The hardened drop-in for {!Sim.run}.  Without [?chaos] it {e is}
     {!Sim.run} (same arguments forwarded verbatim — zero overhead on the
     fault-free path).  With [?chaos] it instantiates the plan, hardens
-    the protocol (with [recovery] when given), runs it on the requested
-    engine ([?flat]/[?jobs] — the hardened protocol goes through the
-    boxed adapter on the flat engine), and halts on {!quiescent} {e or}
+    the protocol (with [recovery] when given), runs the hardened list
+    protocol through {!Sim.run} — the flat engine via
+    {!Sim.flat_of_protocol}, on [?jobs] domains — and halts on
+    {!quiescent} {e or}
     the caller's [halt] evaluated on the inner state vector each physical
     round — so an omniscient early stop (e.g. [Pipeline]'s
     [stop_at_root]) fires on exactly the same inner configuration as on

@@ -47,7 +47,7 @@ type 'k state = {
    at the item/Done wavefront — the classic protocol's [not sent_done]
    wake hook steps every unfinished node every round instead (O(n) per
    round on a path).  The message schedule is unchanged: the extra nodes
-   the classic engine steps are exactly the stalled/drained no-ops, so
+   the classic protocol steps are exactly the stalled/drained no-ops, so
    rounds, messages, bits, observer traces and the accepted list are
    bit-identical (differential suite enforced). *)
 type 'k fstate = {
@@ -185,10 +185,10 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
     fp_wake = Some Sim.never;
   }
 
-let filtered_upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+let filtered_upcast ?observer ?faults ?telemetry ?jobs ?chaos
     ?stop_at_root g ~(tree : Bfs.tree) ~vn ~pre ~items ~cmp ~bits =
   let icmp = item_cmp cmp in
-  if Option.is_none chaos && flat = Some true then begin
+  if Option.is_none chaos && Sim.native_ports () then begin
     let halt =
       Option.map
         (fun pred states -> pred (List.rev states.(tree.root).p_acc))
@@ -353,7 +353,7 @@ let filtered_upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos
   in
   let states, stats =
     Telemetry.span_opt telemetry "filtered_upcast" (fun () ->
-        Fault.sim_run ?halt ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+        Fault.sim_run ?halt ?observer ?faults ?telemetry ?jobs ?chaos
           ~recovery g proto)
   in
   List.rev states.(tree.root).accepted, stats

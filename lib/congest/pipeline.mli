@@ -21,7 +21,6 @@ val filtered_upcast :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   ?stop_at_root:('k item list -> bool) ->
@@ -45,17 +44,17 @@ val filtered_upcast :
     O(D) stop-broadcast to its ledger.  [telemetry] profiles the run under
     a ["filtered_upcast"] span.
 
-    [~flat:true] runs the native flat-engine port on {!Sim.run_flat} with
-    [?jobs] domains: mutable per-node state, array child queues, O(1)
+    Runs a native flat-engine port on {!Sim.run_flat} with [?jobs]
+    domains: mutable per-node state, array child queues, O(1)
     stalled/drained tests, and mail-driven wake (the classic protocol
     sweeps every unfinished node each round).  Items stay boxed — the
     payload is a generic ['k] key plus two endpoints, beyond one immediate
     int — so the port's win is scheduling and bookkeeping, not message
     packing.  Accepted list, rounds, messages, bits, and observer traces
     are bit-identical to the classic protocol (differential suite
-    enforced).  [~flat:false] forces the classic active engine; omitting
-    [flat] defers to {!Sim.run}'s engine selection.  [faults] injects a
-    fault plan (active or flat engine only). *)
+    enforced).  Under [chaos], or while {!Sim.use_reference_engine} is
+    set, the classic protocol runs instead.  [faults] injects a fault
+    plan. *)
 
 val select_forest :
   vn:int -> pre:(int * int) list -> cmp:('k -> 'k -> int) ->

@@ -7,7 +7,7 @@
    domain stages into its own [buf]; the coordinator appends a [Round]
    marker and flushes the buffers in domain = node order at the barrier,
    which makes the serialized log byte-identical for any [jobs] and
-   across the three engines.
+   across both engines.
 
    The read side ([analyze]) replays the stream once, reconstructing
    inboxes exactly as the engines deliver them (round [g] sends with a

@@ -19,7 +19,7 @@
       backtrace answers for the last {e mail-consuming} step at or before
       the queried round;
     - [Send {src; dst; bits; fate}] — one per send, in the global send
-      order all three engines share (sender ascending, outbox order
+      order both engines share (sender ascending, outbox order
       within a sender; the flat engine's barrier merge restores exactly
       this order for any [jobs]).  [fate] is the number of copies the
       fault layer delivered: 0 = dropped in flight, 1 = normal,
@@ -40,8 +40,8 @@
     Events from a domain-partitioned {!Sim.run_flat} are staged in
     per-domain buffers ({!buf}) and flushed at the round barrier in
     domain = node order, exactly like observer calls — the serialized log
-    is byte-identical for any [jobs], and identical to the classic
-    engines' log on the same protocol.  The only nondeterministic datum
+    is byte-identical for any [jobs], and identical to
+    {!Sim.run_reference}'s log on the same protocol.  The only nondeterministic datum
     is the capture timestamp taken at {!create} (this module is on
     dsf-lint's wall-clock allowlist for exactly that read); tests inject
     [~now:0] for byte-stable comparisons.

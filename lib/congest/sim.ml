@@ -47,40 +47,6 @@ let never _ ~round:_ _ = false
 
 type observer = src:int -> dst:int -> bits:int -> unit
 
-(* Deprecated global shim (see the .mli): a process-wide observer kept for
-   existing single-domain callers.  Parallel harness code passes the
-   per-run [?observer] parameter instead and must not touch this ref while
-   a fan-out is running. *)
-(* Process-global by definition: this *is* the deprecated shim the
-   domain-safety contract warns about; dsf-lint keeps anyone else from
-   growing another one. *)
-let observer : observer option ref = ref None [@@lint.allow "global-state"]
-
-let set_observer f = observer := f
-
-let with_observer f body =
-  let prev = !observer in
-  let chained ~src ~dst ~bits =
-    (match prev with Some g -> g ~src ~dst ~bits | None -> ());
-    f ~src ~dst ~bits
-  in
-  observer := Some chained;
-  Fun.protect ~finally:(fun () -> observer := prev) body
-
-(* The observer a run actually uses: the global shim (if set) chained
-   before the per-run one, resolved once at run start so the hot loop
-   reads a local and the run is immune to mid-run shim mutation. *)
-let effective_observer per_run =
-  match !observer, per_run with
-  | None, None -> None
-  | (Some _ as g), None -> g
-  | None, (Some _ as f) -> f
-  | Some g, Some f ->
-      Some
-        (fun ~src ~dst ~bits ->
-          g ~src ~dst ~bits;
-          f ~src ~dst ~bits)
-
 (* The flight recorder a run actually writes: the explicit [?recorder]
    parameter wins; otherwise a recorder attached to the run's telemetry
    ([Telemetry.create ?recorder]) rides along.  Resolved once at run
@@ -117,29 +83,6 @@ let slot_of_msg nbr_slots ~n ~src ~dst =
   | slot -> slot
   | exception Not_found -> invalid_arg "Sim.run: message to non-neighbor"
 
-(* Growable arrival-order inbox buffer.  Replaces the seed's reversed
-   cons-lists: appends are amortized O(1) into a reused array, and the inbox
-   list handed to [step] is built back-to-front in one pass (no List.rev). *)
-type 'm inbox_buf = { mutable data : (int * 'm) array; mutable len : int }
-
-let buf_make () = { data = [||]; len = 0 }
-
-let buf_push b x =
-  let cap = Array.length b.data in
-  if b.len = cap then begin
-    let grown = Array.make (if cap = 0 then 4 else 2 * cap) x in
-    Array.blit b.data 0 grown 0 b.len;
-    b.data <- grown
-  end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1
-
-let buf_drain b =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (b.data.(i) :: acc) in
-  let l = go (b.len - 1) [] in
-  b.len <- 0;
-  l
-
 (* Growable int buffer, shared by the traffic ring below and the flat
    engine's per-domain logs (send log, touched CSR positions,
    undone/recipient candidate lists). *)
@@ -157,7 +100,7 @@ let ibuf_push b x =
   b.ilen <- b.ilen + 1
 
 (* Ring buffer of the last [postmortem_window] rounds of raw (src, dst,
-   bits) traffic, kept by all engines so a {!Round_limit} abort can dump
+   bits) traffic, kept by both engines so a {!Round_limit} abort can dump
    where the messages were flowing when the protocol span out.  Parallel
    flat int buffers — three amortized-O(1) unboxed pushes per message, so
    keeping the ring armed costs the flat engine's steady-state loop no
@@ -229,11 +172,10 @@ let tel_finish tel (s : stats) =
    round ([wake] is ignored), per-round accounting goes through a fresh
    hashtable, quiescence re-scans the full state vector.  The only changes
    from the seed are the slot-based recipient validation and the always-on
-   post-mortem traffic ring.  Fault injection is an active-engine feature;
-   this loop never sees a [faults] record. *)
-let run_reference ?max_rounds ?halt ?observer:per_run ?telemetry ?recorder g
+   post-mortem traffic ring.  Fault injection is a production-engine
+   feature; this loop never sees a [faults] record. *)
+let run_reference ?max_rounds ?halt ?observer:obs ?telemetry ?recorder g
     proto =
-  let obs = effective_observer per_run in
   let rcd = effective_recorder recorder telemetry in
   let rec_on = Option.is_some rcd in
   let rb = Recorder.buf_make () in
@@ -286,7 +228,7 @@ let run_reference ?max_rounds ?halt ?observer:per_run ?telemetry ?recorder g
       delivered := !delivered + List.length inbox;
       inboxes.(v) <- [];
       (* The seed loop steps every node; the recorder stamps only
-         mail-consuming steps, the event all engines share. *)
+         mail-consuming steps, the event both engines share. *)
       if rec_on && inbox <> [] then Recorder.ev_step rb v;
       let state', outbox = proto.step views.(v) ~round:!round states.(v) ~inbox in
       states.(v) <- state';
@@ -340,10 +282,12 @@ let run_reference ?max_rounds ?halt ?observer:per_run ?telemetry ?recorder g
   tel_finish telemetry final;
   states, final
 
-(* Deprecated global shim, same contract as [observer] above: the
-   per-run [?reference] parameter is the domain-safe way to pick the
-   engine. *)
+(* Process-global by definition: the one engine shim left (see the
+   .mli); dsf-lint keeps anyone outside the differential suites from
+   touching it. *)
 let use_reference_engine = ref false [@@lint.allow "global-state"]
+
+let native_ports () = not !use_reference_engine
 
 (* ------------------------------------------------------------------ *)
 (* Flat-core engine: arena message slots over the CSR graph view, with
@@ -362,8 +306,8 @@ let use_reference_engine = ref false [@@lint.allow "global-state"]
      barrier in domain order; because domains own contiguous ascending
      node blocks, the merge restores the exact global send order (sender
      ascending, outbox order within a sender) of the single-threaded
-     engines, which is what makes the engine bit-identical for any
-     [jobs];
+     reference loop, which is what makes the engine bit-identical for
+     any [jobs];
    - observer calls and post-mortem ring pushes are replayed at the
      barrier from per-domain send logs, again in domain = node order. *)
 
@@ -387,8 +331,8 @@ let inbox_msg b i =
 
 let mbuf_make () = { srcs = [||]; msgs = [||]; mlen = 0 }
 
-(* The pushed message seeds the first allocation of [msgs], the same trick
-   [inbox_buf] uses: no dummy 'm value is ever needed. *)
+(* The pushed message seeds the first allocation of [msgs], so no dummy
+   'm value is ever needed. *)
 let mbuf_push b src msg =
   let cap = Array.length b.srcs in
   if b.mlen = cap then begin
@@ -596,9 +540,8 @@ let env_sanitize =
    only ever mask a violation, never invent one. *)
 let state_hash st = Hashtbl.hash_param 128 512 st
 
-let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
+let run_flat ?max_rounds ?halt ?observer:obs ?faults ?telemetry ?recorder
     ?(jobs = 1) ?sanitize g fp =
-  let obs = effective_observer per_run in
   let rcd = effective_recorder recorder telemetry in
   let rec_on = Option.is_some rcd in
   let n = Graph.n g in
@@ -623,8 +566,8 @@ let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
      (the pre-pass) separate from step/send events, flushed fault-first
      across all domains at the barrier — so the serialized stream shows
      all of the round's downs/restarts in node order, then all
-     steps/sends in node order, exactly as the single-threaded engines
-     emit them.  That discipline is what keeps recorder-on output
+     steps/sends in node order, exactly as a single-threaded run (and
+     the reference loop) emits them.  That discipline is what keeps recorder-on output
      byte-identical for any [jobs]. *)
   let rb_fault = Array.init jobs (fun _ -> Recorder.buf_make ()) in
   let rb_step = Array.init jobs (fun _ -> Recorder.buf_make ()) in
@@ -688,9 +631,9 @@ let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
      — the active set is exactly (mail recipients U stepped-and-not-done),
      maintained incrementally, so idle rounds cost O(active) not O(n).
      [sweep_all]: wake is [None] — every node steps every round, no list
-     needed.  Otherwise a full-range criterion sweep per round, matching
-     the active engine (a crash-restart or an arbitrary wake hook can
-     activate any idle node). *)
+     needed.  Otherwise a full-range criterion sweep per round (a
+     crash-restart or an arbitrary wake hook can activate any idle
+     node). *)
   let sparse =
     (not has_faults)
     && (match fp.fp_wake with Some f -> f == never | None -> false)
@@ -785,7 +728,7 @@ let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
     s.s_delivered <- s.s_delivered + ib.mlen;
     (* Mail-consuming steps only: the same sanctioned-write site the
        ownership sanitizer stamps, and the one step event every engine
-       agrees on (idle wake steps differ between engines). *)
+       agrees on (idle wake steps differ between the engines). *)
     if rec_on && ib.mlen > 0 then Recorder.ev_step rb_step.(d) v;
     s.s_cur_src <- v;
     let st' =
@@ -892,7 +835,7 @@ let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
         done
     | None -> ());
     (* Sequential merge at the barrier, in domain = node order, restoring
-       the single-threaded engines' exact global send order. *)
+       the single-threaded global send order. *)
     let bits0 = !total_bits in
     let stepped = ref 0 and delivered = ref 0 and wake_hits = ref 0 in
     let sent_any = ref false in
@@ -1045,257 +988,17 @@ let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
   tel_finish telemetry final;
   states, final
 
-(* Deprecated global shim, same contract as [use_reference_engine]: lets
-   the differential suite and the microbenchmarks drive whole algorithm
-   entry points through the flat engine without threading a parameter. *)
-let use_flat_engine = ref false [@@lint.allow "global-state"]
-
-(* Active-set engine.  Per-round work is proportional to the number of
-   *active* nodes and the messages they send, plus an O(n) sweep of three
-   boolean tests per idle node, instead of the seed's full [step] of every
-   node plus a fresh hashtable and two O(n) state re-scans:
-
-   - a node is stepped only if it has mail, is not done, or its protocol's
-     [wake] hook asks for it (no hook = step every round, the seed behavior);
-   - per-(edge,direction) round bits live in a flat array indexed by
-     precomputed directed-edge slots; only the touched slots are swept for
-     the max/budget accounting and reset afterwards;
-   - [is_done] is evaluated once per state change and folded into a running
-     [done_count], replacing the per-round [Array.for_all] scan;
-   - inboxes are growable arrival-order buffers, so no List.rev per step and
-     no cons-cell churn for the double-buffered delivery arrays.
-
-   Stats, observer calls (order included), exceptions, and final states are
-   bit-for-bit those of [run_reference]; test_sim_equiv enforces this.
-
-   Fault injection ([?faults]) lives here and only here: with no faults
-   record the per-message fast path is exactly the fault-free engine.
-   Semantics (see the .mli): the sender is always charged for a send
-   (messages, bits, observer, edge budget); [Drop] destroys the message
-   in flight, [Replicate k] delivers [k] copies; a [down] node is not
-   stepped and mail arriving at it is destroyed (counted as dropped); on
-   the first round a node is back up, its state is reset to [init]. *)
-let run ?max_rounds ?halt ?observer:per_run ?reference ?faults ?telemetry
-    ?flat ?(jobs = 1) ?recorder g proto =
-  let reference =
-    match reference with Some b -> b | None -> !use_reference_engine
-  in
-  let flat = match flat with Some b -> b | None -> !use_flat_engine in
-  if reference then begin
-    (* Engine precedence: reference > flat > active; [?reference:true]
-       wins over the flat shim so existing differential helpers keep
-       working with either shim set. *)
-    (match faults with
-    | Some _ -> invalid_arg "Sim.run: ?faults requires the active engine"
-    | None -> ());
-    run_reference ?max_rounds ?halt ?observer:per_run ?telemetry ?recorder g
-      proto
-  end
-  else if flat then
-    run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
-      ~jobs g (flat_of_protocol proto)
-  else begin
-    let obs = effective_observer per_run in
-    let rcd = effective_recorder recorder telemetry in
-    let rec_on = Option.is_some rcd in
-    let rb = Recorder.buf_make () in
-    let n = Graph.n g in
-    let m = Graph.m g in
-    let max_rounds =
-      match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
-    in
-    let views =
-      Array.init n (fun node -> { node; n; nbrs = Graph.adj g node })
-    in
-    let states = Array.map proto.init views in
-    let nbr_slots = neighbor_slots g views in
-    let budget = Dsf_util.Bitsize.congest_budget ~n in
-    (* -1 marks an untouched slot, so zero-bit messages still register their
-       slot exactly once per round (matching the hashtable's entry count). *)
-    let edge_bits = Array.make (2 * m) (-1) in
-    let touched = Array.make (2 * m) 0 in
-    let n_touched = ref 0 in
-    let cur = ref (Array.init n (fun _ -> buf_make ())) in
-    let nxt = ref (Array.init n (fun _ -> buf_make ())) in
-    let done_flag = Array.map proto.is_done states in
-    let done_count = ref 0 in
-    Array.iter (fun d -> if d then incr done_count) done_flag;
-    let messages = ref 0 in
-    let total_bits = ref 0 in
-    let max_edge_round_bits = ref 0 in
-    let budget_violations = ref 0 in
-    let dropped = ref 0 in
-    let duplicated = ref 0 in
-    let round = ref 0 in
-    let quiescent = ref false in
-    let ring = ring_make () in
-    (match faults with Some f -> f.retransmissions := 0 | None -> ());
-    let current_stats () =
-      {
-        rounds = !round;
-        messages = !messages;
-        total_bits = !total_bits;
-        max_edge_round_bits = !max_edge_round_bits;
-        budget_violations = !budget_violations;
-        dropped = !dropped;
-        duplicated = !duplicated;
-        retransmissions =
-          (match faults with Some f -> !(f.retransmissions) | None -> 0);
-      }
-    in
-    (* Crash bookkeeping, allocated only when a faults record is present. *)
-    let down_now = match faults with Some _ -> Array.make n false | None -> [||] in
-    let was_down = match faults with Some _ -> Array.make n false | None -> [||] in
-    let wake_is_some = Option.is_some proto.wake in
-    while not !quiescent do
-      if !round >= max_rounds then begin
-        let snapshot = current_stats () in
-        tel_finish telemetry snapshot;
-        abort_run ~round:!round ~snapshot ring
-      end;
-      ring_begin_round ring ~round:!round;
-      let inboxes = !cur and outboxes = !nxt in
-      let sent_any = ref false in
-      (* Round-level series for the telemetry hook.  Maintained as plain
-         branch-free adds so that with [?telemetry:None] the engine pays
-         exactly one extra branch per round (the [match] below). *)
-      let bits0 = !total_bits in
-      let stepped = ref 0 in
-      let delivered = ref 0 in
-      let wake_hits = ref 0 in
-      (match faults with
-      | None -> ()
-      | Some f ->
-          for v = 0 to n - 1 do
-            let d = f.down ~round:!round ~node:v in
-            down_now.(v) <- d;
-            if d then begin
-              (* Mail delivered to a crashed node is lost. *)
-              if rec_on then Recorder.ev_down rb v;
-              if inboxes.(v).len > 0 then begin
-                dropped := !dropped + inboxes.(v).len;
-                inboxes.(v).len <- 0
-              end;
-              was_down.(v) <- true
-            end
-            else if was_down.(v) then begin
-              (* First round back up: restart from a fresh initial state. *)
-              if rec_on then Recorder.ev_restart rb v;
-              was_down.(v) <- false;
-              states.(v) <- proto.init views.(v);
-              let d' = proto.is_done states.(v) in
-              if d' <> done_flag.(v) then begin
-                done_flag.(v) <- d';
-                done_count := !done_count + (if d' then 1 else -1)
-              end
-            end
-          done);
-      for v = 0 to n - 1 do
-        let crashed = match faults with Some _ -> down_now.(v) | None -> false in
-        let has_mail = inboxes.(v).len > 0 in
-        let active =
-          (not crashed)
-          && (has_mail
-             || (not done_flag.(v))
-             ||
-             match proto.wake with
-             | None -> true
-             | Some f -> f views.(v) ~round:!round states.(v))
-        in
-        if active then begin
-          (* An active node that had no mail and reported done can only have
-             been stepped because its wake hook fired. *)
-          if wake_is_some && (not has_mail) && done_flag.(v) then
-            incr wake_hits;
-          incr stepped;
-          delivered := !delivered + inboxes.(v).len;
-          (* Mail-consuming steps only — see [run_flat]'s [step_node]. *)
-          if rec_on && has_mail then Recorder.ev_step rb v;
-          let inbox = buf_drain inboxes.(v) in
-          let state', outbox =
-            proto.step views.(v) ~round:!round states.(v) ~inbox
-          in
-          states.(v) <- state';
-          let d = proto.is_done state' in
-          if d <> done_flag.(v) then begin
-            done_flag.(v) <- d;
-            done_count := !done_count + (if d then 1 else -1)
-          end;
-          List.iter
-            (fun (dst, msg) ->
-              let slot = slot_of_msg nbr_slots ~n ~src:v ~dst in
-              sent_any := true;
-              incr messages;
-              let bits = proto.msg_bits msg in
-              total_bits := !total_bits + bits;
-              (match obs with
-              | Some f -> f ~src:v ~dst ~bits
-              | None -> ());
-              ring_push ring ~round:!round ~src:v ~dst ~bits;
-              let prev = edge_bits.(slot) in
-              if prev < 0 then begin
-                touched.(!n_touched) <- slot;
-                incr n_touched;
-                edge_bits.(slot) <- bits
-              end
-              else edge_bits.(slot) <- prev + bits;
-              match faults with
-              | None ->
-                  if rec_on then
-                    Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
-                  buf_push outboxes.(dst) (v, msg)
-              | Some f -> (
-                  match f.on_send ~round:!round ~src:v ~dst with
-                  | Deliver ->
-                      if rec_on then
-                        Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
-                      buf_push outboxes.(dst) (v, msg)
-                  | Drop ->
-                      if rec_on then
-                        Recorder.ev_send rb ~src:v ~dst ~bits ~fate:0;
-                      incr dropped
-                  | Replicate k ->
-                      if rec_on then
-                        Recorder.ev_send rb ~src:v ~dst ~bits ~fate:k;
-                      for _ = 1 to k do
-                        buf_push outboxes.(dst) (v, msg)
-                      done;
-                      duplicated := !duplicated + (k - 1)))
-            outbox
-        end
-      done;
-      for i = 0 to !n_touched - 1 do
-        let slot = touched.(i) in
-        let bits = edge_bits.(slot) in
-        if bits > !max_edge_round_bits then max_edge_round_bits := bits;
-        if bits > budget then incr budget_violations;
-        edge_bits.(slot) <- -1
-      done;
-      n_touched := 0;
-      (* Every non-empty inbox made its node active (or was emptied by the
-         crash pre-pass), and stepping drains the inbox, so [inboxes] is
-         all-empty here: swapping the double buffers hands next round its
-         deliveries and this round's arrays for reuse. *)
-      cur := outboxes;
-      nxt := inboxes;
-      (match rcd with
-      | Some r ->
-          Recorder.round r !round;
-          Recorder.flush r rb
-      | None -> ());
-      (match telemetry with
-      | Some t ->
-          Telemetry.sim_round t ~stepped:!stepped ~delivered:!delivered
-            ~bits:(!total_bits - bits0) ~wake_hits:!wake_hits
-      | None -> ());
-      incr round;
-      let halted = match halt with Some f -> f states | None -> false in
-      quiescent := halted || ((!done_count = n) && not !sent_any)
-    done;
-    let final = current_stats () in
-    tel_finish telemetry final;
-    states, final
-  end
+(* The production entry point: a list protocol runs on the flat engine
+   through [flat_of_protocol].  The [use_reference_engine] shim reroutes
+   fault-free runs to the seed loop instead, which is how the
+   differential suites drive whole algorithms through the oracle. *)
+let run ?max_rounds ?halt ?observer ?faults ?telemetry ?jobs ?recorder g
+    proto =
+  if !use_reference_engine && Option.is_none faults then
+    run_reference ?max_rounds ?halt ?observer ?telemetry ?recorder g proto
+  else
+    run_flat ?max_rounds ?halt ?observer ?faults ?telemetry ?recorder ?jobs g
+      (flat_of_protocol proto)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -13,20 +13,33 @@
     messages to the same neighbor in one round is allowed but both count
     against that edge-round's bit total.
 
-    {2 The active-set scheduler}
+    {2 Engines}
+
+    There is one production engine, {!run_flat}, and one oracle,
+    {!run_reference}.  {!run} is the list-protocol entry point: it adapts
+    the protocol with {!flat_of_protocol} and runs it on {!run_flat}.
+    Hot primitives ({!Bfs}, {!Bellman_ford}, {!Tree_ops}, ...) also ship a
+    native {!flat_protocol} port, which they use unless a chaos plan asks
+    for the hardened classic protocol or {!use_reference_engine} is set.
+    The classic list protocols stay in the code for two reasons.  They
+    are what {!run_reference} executes, and they are the input to
+    {!Fault.harden}.
+
+    {2 Sparse scheduling}
 
     The paper's protocols are round-efficient precisely because most nodes
     are silent in most rounds (Bellman-Ford wavefronts, pipelined upcasts),
-    so {!run} only steps the nodes that can act: in round [r] a node is
-    stepped iff its inbox is non-empty, it does not report [is_done], or its
-    [wake] hook returns [true].  A protocol with [wake = None] is stepped
-    every round — exactly the original simulator's schedule.  A protocol
-    that declares a sparse [wake] (e.g. [Some never]) promises that stepping
-    a done node with an empty inbox is a no-op: it returns a structurally
-    equal state and an empty outbox.  Under that contract, {!run} and
-    {!run_reference} produce identical stats, observer traces, and final
-    states — the property suite [test_sim_equiv] checks this differentially
-    on randomized graphs and protocols.
+    so the production engine only steps the nodes that can act: in round
+    [r] a node is stepped iff its inbox is non-empty, it does not report
+    [is_done], or its [wake] hook returns [true].  A protocol with
+    [wake = None] is stepped every round — exactly the original
+    simulator's schedule.  A protocol that declares a sparse [wake] (e.g.
+    [Some never]) promises that stepping a done node with an empty inbox
+    is a no-op: it returns a structurally equal state and an empty outbox.
+    Under that contract, {!run} and {!run_reference} produce identical
+    stats, observer traces, and final states — the property suite
+    [test_sim_equiv] checks this differentially on randomized graphs and
+    protocols.
 
     [is_done] and [wake] must be pure functions of the state (and view /
     round): [is_done] is re-evaluated only when a step changes the state.
@@ -86,8 +99,8 @@ type stats = {
 
 (** {2 Fault injection}
 
-    A [faults] record is a set of callbacks the active engine consults
-    while it runs — the simulator stays agnostic of how fault decisions
+    A [faults] record is a set of callbacks the production engine
+    consults while it runs — the simulator stays agnostic of how fault decisions
     are made ({!Fault} builds deterministic seeded records from
     declarative plans).  Semantics:
 
@@ -110,8 +123,9 @@ type stats = {
       hardened runners account resends per node and patch the returned
       stats instead.
 
-    Faults are an active-engine feature: combining [?faults] with
-    [~reference:true] raises [Invalid_argument]. *)
+    {!run_reference} takes no faults, so {!run} keeps a run with
+    [?faults] on the flat engine even while {!use_reference_engine} is
+    set. *)
 
 type fault_action = Deliver | Drop | Replicate of int
 
@@ -159,38 +173,28 @@ type observer = src:int -> dst:int -> bits:int -> unit
 
     {2 Domain-safety contract}
 
-    The simulator holds no per-run mutable state that outlives {!run}, so
+    The simulator holds no per-run mutable state that outlives a run, so
     any number of simulations may run concurrently on separate domains
     (the {!Dsf_util.Pool} trial engine does exactly this) — {e provided}
-    each run's configuration is passed through the per-run [?observer] /
-    [?reference] parameters.  The global shims ({!set_observer},
-    {!with_observer}, {!use_reference_engine}) mutate process-wide state
-    and are kept only for single-domain callers (tests, the lower-bound
-    cut meter, the engine microbenchmarks); never touch them while a
-    parallel fan-out is in flight. *)
-
-val set_observer : observer option -> unit
-(** Deprecated global shim: installs a process-wide observer chained
-    before every run's per-run observer.  Single-domain use only — see
-    the domain-safety contract above; prefer [?observer] on {!run}. *)
-
-val with_observer : observer -> (unit -> 'a) -> 'a
-(** Scoped global observer; nests by chaining — an enclosing observer
-    keeps seeing the traffic — and restores the previous observer on
-    exit.  Single-domain use only; prefer [?observer] on {!run}. *)
+    each run's instrumentation is passed through the per-run
+    [?observer] / [?telemetry] / [?recorder] parameters.  The one global
+    shim, {!use_reference_engine}, mutates process-wide state and is kept
+    only for single-domain callers (the differential suites and the
+    engine microbenchmarks); never touch it while a parallel fan-out is
+    in flight. *)
 
 (** {2 The flat-core engine}
 
-    A third engine built on the {!Dsf_graph.Graph.csr} view: message
-    traffic lives in preallocated {e arena} buffers (parallel
+    The production engine is built on the {!Dsf_graph.Graph.csr} view:
+    message traffic lives in preallocated {e arena} buffers (parallel
     [int array] / ['m array] pairs grown once and recycled by length
     reset), per-round per-(edge, direction) bit accounting is a flat
     array indexed by CSR position, and a protocol whose [wake] is
     physically {!never} is scheduled from an incrementally-maintained
     sorted active list, so an idle round costs O(active nodes) instead of
-    the active engine's O(n) criterion sweep.  For ['m = int] protocols
-    written against the native {!flat_protocol} interface the
-    steady-state round loop allocates nothing.
+    an O(n) criterion sweep.  For ['m = int] protocols written against
+    the native {!flat_protocol} interface the steady-state round loop
+    allocates nothing.
 
     A single run can additionally be partitioned across [jobs] domains of
     the {!Dsf_util.Pool}: each domain owns a contiguous ascending block
@@ -207,15 +211,14 @@ val with_observer : observer -> (unit -> 'a) -> 'a
     (see {!Fault.sim_run}), so the chaos differentials run at [jobs = 4]
     too.
 
-    On an error raised by a step (e.g. a message to a non-neighbor) the
-    flat engine propagates the same exception as the active engine, but
-    observer calls of the failing round are not made (they are replayed
-    at the barrier, which the error never reaches) — engines diverge only
-    on that error path. *)
+    An error raised by a step (e.g. a message to a non-neighbor)
+    propagates out of the run.  Observer calls, post-mortem traffic and
+    recorder events of the failing round are not emitted: they are
+    replayed at the barrier, which the error never reaches. *)
 
 type 'm inbox
 (** The mail delivered to a node this round, in arrival order (identical
-    to the list the active engine would hand [step]).  A read-only view
+    to the list {!run_reference} would hand [step]).  A read-only view
     into a recycled arena buffer: valid only during the [fp_step] call it
     was passed to. *)
 
@@ -227,8 +230,8 @@ val inbox_msg : 'm inbox -> int -> 'm
 (** Payload of the [i]-th message; raises [Invalid_argument] out of range. *)
 
 val inbox_list : 'm inbox -> (int * 'm) list
-(** The inbox as the active engine's [(sender, message)] list (allocates;
-    the convenience bridge for incremental ports). *)
+(** The inbox as a [(sender, message)] list (allocates; the convenience
+    bridge for incremental ports and {!flat_of_protocol}). *)
 
 type ('s, 'm) flat_protocol = {
   fp_init : view -> 's;
@@ -247,10 +250,10 @@ type ('s, 'm) flat_protocol = {
 }
 
 val flat_of_protocol : ('s, 'm) protocol -> ('s, 'm) flat_protocol
-(** Boxed fallback: adapts a list-based protocol to the flat engine by
-    materializing each inbox list and walking each outbox list.  Keeps
-    the per-active-node allocation profile but still gains arena delivery
-    and active-list scheduling. *)
+(** The adapter {!run} uses: runs a list-based protocol on the flat
+    engine by materializing each inbox list and walking each outbox list.
+    It allocates per active node, but still gains arena delivery and
+    active-list scheduling. *)
 
 type sanitizer_violation = {
   sv_kind : string;
@@ -290,8 +293,9 @@ val run_flat :
     to 1; it is clamped to [1 .. n]).  Stats, final states, observer
     traces, round counts, telemetry series, fault semantics, and
     {!Round_limit} behavior are bit-identical to {!run} on the equivalent
-    list protocol — the differential suite enforces this with faults and
-    telemetry both on and off.
+    list protocol, and (faults aside) to {!run_reference} — the
+    differential suite enforces this with faults and telemetry both on
+    and off.
 
     [sanitize] arms the dynamic ownership sanitizer: node-state writes
     and arena slots are tagged with the owning domain and round, and any
@@ -310,42 +314,35 @@ val run_flat :
     [Down]/[Restart] for crash windows.  Events are staged in per-domain
     buffers and flushed at the barrier in domain = node order — crash
     events of the round first, then step/send events — so the serialized
-    log is byte-identical for any [jobs] and identical to the classic
-    engines' log for the same protocol.  When absent, a recorder attached
-    to [?telemetry] ([Telemetry.create ~recorder]) is used; with neither,
-    the engine pays one predictable branch per action and allocates
-    nothing (the bench GC gate pins the off path).  Events of a round
+    log is byte-identical for any [jobs] and identical to
+    {!run_reference}'s log for the same protocol.  When absent, a
+    recorder attached to [?telemetry] ([Telemetry.create ~recorder]) is
+    used; with neither, the engine pays one predictable branch per action
+    and allocates nothing (the bench GC gate pins the off path).  Events of a round
     that raises (protocol error, sanitizer violation) are never flushed —
     the log ends at the last completed round, like observer replay. *)
-
-val use_flat_engine : bool ref
-(** Deprecated global shim, mirror of {!use_reference_engine}: while
-    [true], {!run} (called without an explicit [?flat] or [?reference])
-    routes through the flat engine via {!flat_of_protocol}.  Same
-    single-domain-only contract as the other shims. *)
 
 val run :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
   ?observer:observer ->
-  ?reference:bool ->
   ?faults:faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?recorder:Recorder.t ->
   Dsf_graph.Graph.t ->
   ('s, 'm) protocol ->
   's array * stats
-(** Runs the protocol to quiescence on the active-set engine.  Default
+(** Runs a list protocol to quiescence: [run_flat ?jobs g
+    (flat_of_protocol proto)], with the same arguments.  Default
     [max_rounds] is [10_000 + 200 * n]; raises {!Round_limit} if exceeded
     (a protocol bug — the abort carries a post-mortem, see {!abort}).
     Messages produced in round [r] are delivered in round [r + 1].
 
     [faults] switches on fault injection for this run (see the fault
     semantics above).  Omitting it — or passing a record whose callbacks
-    never fire — leaves the engine bit-identical to the fault-free one:
-    the differential suite checks both.  Requires the active engine.
+    never fire — leaves the run bit-identical to the fault-free one: the
+    differential suite checks both.
 
     [halt] is an omniscient early-termination predicate evaluated on the
     state vector after every round; when it fires the run stops immediately.
@@ -353,15 +350,10 @@ val run :
     broadcasts stop"): the caller is responsible for charging the O(D)
     stop-broadcast to its round ledger.
 
-    [observer] taps this run's messages (in addition to the global shim,
-    which fires first when both are set).  [reference] selects the engine
-    for this run only: [true] delegates to {!run_reference}; it defaults
-    to the {!use_reference_engine} shim (normally [false]).  [flat]
-    routes this run through the flat-core engine (via
-    {!flat_of_protocol}); it defaults to the {!use_flat_engine} shim.
-    Engine precedence is reference > flat > active.  [jobs] partitions a
-    flat run across pool domains (ignored by the other engines;
-    default 1).
+    [observer] taps this run's messages.  [jobs] partitions the run
+    across pool domains (default 1).  While {!use_reference_engine} is
+    set, a run without [faults] goes to {!run_reference} instead and
+    [jobs] is ignored.
 
     [telemetry] attributes the run to the enclosing {!Telemetry} span
     (final stats via [Telemetry.sim_run], including on a {!Round_limit}
@@ -369,12 +361,10 @@ val run :
     delivered, bits this round, wake-hook hits — into its metrics
     registry via [Telemetry.sim_round].  Purely observational: with
     [?telemetry] absent the engine pays a single extra branch per round
-    and runs bit-identically to before (the differential suite checks
-    this).
+    and runs bit-identically (the differential suite checks this).
 
     [recorder] appends flight-recorder events for this run (see
-    {!run_flat} for the event and determinism contract; all three engines
-    produce byte-identical logs on the same protocol).  Defaults to the
+    {!run_flat} for the event and determinism contract).  Defaults to the
     recorder attached to [?telemetry], if any. *)
 
 val run_reference :
@@ -388,17 +378,28 @@ val run_reference :
   's array * stats
 (** The original (seed) simulator loop, kept as the semantic anchor: steps
     every node every round and ignores [wake].  Differential tests assert
-    {!run} matches it exactly; it is also the baseline leg of the
-    [bench/main.exe -- micro] simulator benchmarks.  Not for production
-    use — it pays O(n + m) per round regardless of activity. *)
+    {!run} and {!run_flat} match it exactly; it is also the baseline leg
+    of the [bench/main.exe -- micro] simulator benchmarks.  Not for
+    production use — it pays O(n + m) per round regardless of
+    activity. *)
 
 val use_reference_engine : bool ref
-(** Deprecated global shim for test/benchmark instrumentation: while
-    [true], {!run} (called without an explicit [?reference]) delegates to
-    {!run_reference}.  Lets the differential suite and the microbenchmarks
-    drive whole algorithm entry points (e.g. {!Bellman_ford.sssp}) through
-    both engines without threading an engine parameter through every
-    caller.  Never set this in library code; reset it with [Fun.protect];
-    single-domain use only (see the domain-safety contract). *)
+(** Global shim for test/benchmark instrumentation: while [true], {!run}
+    delegates fault-free runs to {!run_reference}, and the ported
+    primitives run their classic protocol instead of the native port (see
+    {!native_ports}) — under a fault plan that classic protocol stays on
+    the flat engine, which is how the differential suite compares native
+    ports with classic protocols under faults.
+    Lets the differential suite and the microbenchmarks drive whole
+    algorithm entry points (e.g. {!Bellman_ford.sssp}) through the oracle
+    without threading an engine parameter through every caller.  Never
+    set this in library code; reset it with [Fun.protect]; single-domain
+    use only (see the domain-safety contract). *)
+
+val native_ports : unit -> bool
+(** [false] while {!use_reference_engine} is set, [true] otherwise.  A
+    ported primitive runs its native {!flat_protocol} iff this holds and
+    it was given no chaos plan; otherwise it runs its classic protocol
+    through {!run} (or {!Fault.sim_run}). *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -13,16 +13,6 @@ let observer t ~src ~dst ~bits =
   Hashtbl.replace t.per_edge key
     (bits + Option.value ~default:0 (Hashtbl.find_opt t.per_edge key))
 
-(* [record] is the single-domain convenience: the thunk does not take an
-   observer, so the only way to tap the runs inside it is the deprecated
-   process-wide shim.  That dependency is intentional and visible here —
-   pooled callers must use [create] + [observer] with the per-run
-   [?observer] parameter instead. *)
-let record f =
-  let t = create () in
-  let result = (Sim.with_observer [@lint.allow "sim-globals"]) (observer t) f in
-  result, t
-
 let messages t = t.messages
 let bits t = t.bits
 let edge_bits t = t.per_edge

@@ -5,11 +5,9 @@
     congestion analysis (which edges are hot?), for the lower-bound
     experiments, and for the round-profile ablations.
 
-    The domain-safe way to fill a trace is {!create} + {!observer},
-    passing the observer to the runs being measured through the per-run
-    [?observer] parameter (every simulated entry point threads it).
-    {!record} remains as a single-domain convenience built on the
-    deprecated global {!Sim.with_observer} shim. *)
+    Fill a trace with {!create} + {!observer}, passing the observer to
+    the runs being measured through the per-run [?observer] parameter
+    (every simulated entry point threads it). *)
 
 type t
 
@@ -20,13 +18,6 @@ val observer : t -> Sim.observer
 (** The accumulating tap for a trace: pass [~observer:(observer t)] to
     {!Sim.run} or any solver entry point.  Per-run and domain-safe — each
     concurrent trial can own its own trace. *)
-
-val record : (unit -> 'a) -> 'a * t
-(** Run the thunk with recording enabled (composes with an already
-    installed observer: both see the traffic).  Single-domain only: this
-    installs a process-wide observer via the deprecated
-    {!Sim.with_observer} shim for the thunk's duration — never use it
-    inside a {!Dsf_util.Pool} fan-out; use {!create} + {!observer}. *)
 
 val messages : t -> int
 val bits : t -> int

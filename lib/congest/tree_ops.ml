@@ -50,9 +50,9 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
     fp_wake = Some Sim.never;
   }
 
-let upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
+let upcast ?observer ?faults ?telemetry ?jobs ?chaos g
     ~(tree : Bfs.tree) ~items ~bits =
-  if Option.is_none chaos && flat = Some true then begin
+  if Option.is_none chaos && Sim.native_ports () then begin
     let states, stats =
       Telemetry.span_opt telemetry "upcast" (fun () ->
           Sim.run_flat ?observer ?faults ?telemetry ?jobs g
@@ -90,7 +90,7 @@ let upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
   in
   let states, stats =
     Telemetry.span_opt telemetry "upcast" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
           ~recovery:(Fault.immutable ()) g proto)
   in
   let root_state = states.(tree.root) in
@@ -103,7 +103,7 @@ type ('a, 'b) dedup_state = {
   d_received : 'a list;
 }
 
-let upcast_dedup ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+let upcast_dedup ?observer ?faults ?telemetry ?jobs ?chaos
     ?(per_key = 1) g ~(tree : Bfs.tree) ~items ~key ~bits =
   (* Keep an item iff its key has fewer than [per_key] distinct items so
      far and the item itself is new. *)
@@ -150,12 +150,12 @@ let upcast_dedup ?observer ?faults ?telemetry ?flat ?jobs ?chaos
   in
   let states, stats =
     Telemetry.span_opt telemetry "upcast_dedup" (fun () ->
-        (* The per-node seen-table makes this inherently boxed; [~flat:true]
-           still runs it on the flat engine through the adapter (the wake
-           hook is physically [never], so sparse scheduling is preserved).
+        (* The per-node seen-table makes this inherently boxed; it runs on
+           the flat engine through the adapter (the wake hook is
+           physically [never], so sparse scheduling is preserved).
            The seen-table also makes the state mutable, so the recovery
            snapshot must copy it. *)
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
           ~recovery:
             {
               Fault.snapshot =
@@ -176,7 +176,7 @@ type 'a seq_state = {
   s_received : 'a list;  (** root only, reversed *)
 }
 
-let upcast_sequential ?observer ?telemetry ?flat ?jobs g ~(tree : Bfs.tree)
+let upcast_sequential ?observer ?telemetry ?jobs g ~(tree : Bfs.tree)
     ~items ~bits =
   (* Precompute the departure schedule. *)
   let schedule = Hashtbl.create 16 in
@@ -230,7 +230,7 @@ let upcast_sequential ?observer ?telemetry ?flat ?jobs g ~(tree : Bfs.tree)
   in
   let states, stats =
     Telemetry.span_opt telemetry "upcast_sequential" (fun () ->
-        Sim.run ?observer ?telemetry ?flat ?jobs g proto)
+        Sim.run ?observer ?telemetry ?jobs g proto)
   in
   List.rev states.(tree.root).s_received, stats
 
@@ -274,9 +274,9 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
     fp_wake = Some Sim.never;
   }
 
-let broadcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
+let broadcast ?observer ?faults ?telemetry ?jobs ?chaos g
     ~(tree : Bfs.tree) ~items ~bits =
-  if Option.is_none chaos && flat = Some true then begin
+  if Option.is_none chaos && Sim.native_ports () then begin
     let states, stats =
       Telemetry.span_opt telemetry "broadcast" (fun () ->
           Sim.run_flat ?observer ?faults ?telemetry ?jobs g
@@ -316,7 +316,7 @@ let broadcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
   in
   let states, stats =
     Telemetry.span_opt telemetry "broadcast" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
           ~recovery:(Fault.immutable ()) g proto)
   in
   Array.map (fun st -> List.rev st.got) states, stats
@@ -382,9 +382,9 @@ let aggregate_flat ~(tree : Bfs.tree) ~value ~combine ~bits :
     fp_wake = Some Sim.never;
   }
 
-let aggregate ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
+let aggregate ?observer ?faults ?telemetry ?jobs ?chaos g
     ~(tree : Bfs.tree) ~value ~combine ~bits =
-  if Option.is_none chaos && flat = Some true then begin
+  if Option.is_none chaos && Sim.native_ports () then begin
     let states, stats =
       Telemetry.span_opt telemetry "aggregate" (fun () ->
           Sim.run_flat ?observer ?faults ?telemetry ?jobs g
@@ -441,14 +441,14 @@ let aggregate ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
   in
   let states, stats =
     Telemetry.span_opt telemetry "aggregate" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
           ~recovery:(Fault.immutable ()) g proto)
   in
   states.(tree.root).acc, stats
   end
 
-let count_nodes ?observer ?telemetry ?flat ?jobs ?chaos g ~tree =
-  aggregate ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
+let count_nodes ?observer ?telemetry ?jobs ?chaos g ~tree =
+  aggregate ?observer ?telemetry ?jobs ?chaos g ~tree
     ~value:(fun _ -> 1)
     ~combine:( + )
     ~bits:(fun x -> Dsf_util.Bitsize.int_bits (max 1 x))

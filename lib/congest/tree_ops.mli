@@ -12,20 +12,19 @@
     under a span named after the primitive ([upcast], [broadcast],
     [aggregate], ...) nested in the caller's current span.
 
-    [~flat:true] selects the native flat-engine ports of {!upcast},
-    {!broadcast} and {!aggregate} (queue-based in-place states on
-    {!Sim.run_flat}, with [?jobs] domains) — bit-identical stats, results
-    and observer traces; {!upcast_dedup} and {!upcast_sequential} run
-    through the flat engine's boxed adapter instead.  [~flat:false]
-    forces the classic active engine; omitting [flat] defers to
-    {!Sim.run}'s engine selection.  [?faults] injects a deterministic
-    fault plan (active or flat engine only).
+    {!upcast}, {!broadcast} and {!aggregate} run native flat-engine
+    ports (queue-based in-place states on {!Sim.run_flat}, with [?jobs]
+    domains) — stats, results and observer traces bit-identical to the
+    classic protocols, which run instead under [chaos] or while
+    {!Sim.use_reference_engine} is set.  {!upcast_dedup} and
+    {!upcast_sequential} have no native port and run through the flat
+    engine's adapter.  [?faults] injects a deterministic fault plan.
 
     [?chaos] runs the classic protocol hardened under the bundled fault
     plan via {!Fault.sim_run} (each primitive supplies its own
     {!Fault.recoverable} snapshot, so crash-restart plans are masked);
     it overrides the native-flat fast path — under chaos the hardened
-    protocol reaches the flat engine through the boxed adapter.
+    protocol reaches the flat engine through the adapter.
     {!aggregate}'s child-count handshake is duplicate-tolerant (a child's
     report is identified by its sender id — each child reports exactly
     once), so duplication plans cannot corrupt or livelock the count even
@@ -35,7 +34,6 @@ val upcast :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -51,7 +49,6 @@ val upcast_dedup :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   ?per_key:int ->
@@ -70,7 +67,6 @@ val upcast_dedup :
 val upcast_sequential :
   ?observer:Sim.observer ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
@@ -87,7 +83,6 @@ val broadcast :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -102,7 +97,6 @@ val aggregate :
   ?observer:Sim.observer ->
   ?faults:Sim.faults ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -117,7 +111,6 @@ val aggregate :
 val count_nodes :
   ?observer:Sim.observer ->
   ?telemetry:Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Fault.chaos ->
   Dsf_graph.Graph.t ->

@@ -95,12 +95,12 @@ let g_copy gs =
     rad = Array.copy gs.rad;
   }
 
-let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
+let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
   let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
   (* Lemma 2.4's minimalization runs as a real protocol; its rounds join
      the ledger below once it exists. *)
   let minimalized =
-    Transform.minimalize ?observer ?telemetry ?flat ?jobs ?chaos inst0
+    Transform.minimalize ?observer ?telemetry ?jobs ?chaos inst0
   in
   let inst = minimalized.Transform.value in
   let g = inst.Instance.graph in
@@ -134,7 +134,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
       tspan "setup" (fun () ->
           let root = Bfs.max_id_root g in
           let tree, bfs_stats =
-            Bfs.build ?observer ?telemetry ?flat ?jobs ?chaos g ~root
+            Bfs.build ?observer ?telemetry ?jobs ?chaos g ~root
           in
           note_stats "setup: BFS tree" bfs_stats;
           Ledger.add ledger Ledger.Simulated
@@ -147,12 +147,12 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
           in
           let pair_bits (_, _) = 2 * Bitsize.id_bits ~n in
           let collected, up_stats =
-            Tree_ops.upcast ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
+            Tree_ops.upcast ?observer ?telemetry ?jobs ?chaos g ~tree
               ~items:term_items ~bits:pair_bits
           in
           note_stats "setup: collect terminals" up_stats;
           let _, bc_stats =
-            Tree_ops.broadcast ?observer ?telemetry ?flat ?jobs ?chaos g
+            Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g
               ~tree ~items:collected ~bits:pair_bits
           in
           note_stats "setup: broadcast terminals" bc_stats;
@@ -209,7 +209,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
         in
         (* a. Terminal decomposition (Lemma 4.8). *)
         let bf, bf_stats =
-          Region_bf.run ?observer ?telemetry ?flat ?jobs ?chaos g ~sources
+          Region_bf.run ?observer ?telemetry ?jobs ?chaos g ~sources
             ~frozen
         in
         note_stats (tag "decomposition BF") bf_stats;
@@ -217,7 +217,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
         let toffset u = if frozen.(u) then offset.(u) else bf.(u).Region_bf.offset in
         (* b. Candidate merges at region boundaries (Definition 4.11). *)
         let ex_stats =
-            Dsf_congest.Exchange.all_neighbors ?observer ?telemetry ?flat
+            Dsf_congest.Exchange.all_neighbors ?observer ?telemetry
               ?jobs ?chaos g ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
           in
           Ledger.add ledger Ledger.Simulated (tag "boundary exchange") ex_stats.Sim.rounds;
@@ -272,13 +272,13 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
           + (4 * Bitsize.id_bits ~n)
         in
         let accepted, pipe_stats =
-          Pipeline.filtered_upcast ?observer ?telemetry ?flat ?jobs ?chaos
+          Pipeline.filtered_upcast ?observer ?telemetry ?jobs ?chaos
             ~stop_at_root g ~tree ~vn:t ~pre ~items ~cmp:ckey_cmp
             ~bits:ckey_bits
         in
         note_stats (tag "candidate collection") pipe_stats;
         let _, stop_stats =
-          Tree_ops.broadcast ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
+          Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g ~tree
             ~items:[ () ] ~bits:(fun () -> 1)
         in
         note_stats (tag "stop broadcast") stop_stats;
@@ -300,7 +300,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
         in
         (* d. Broadcast the phase's merges; everyone updates locally. *)
         let _, bcast_stats =
-          Tree_ops.broadcast ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
+          Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g ~tree
             ~items:phase_merges ~bits:ckey_bits
         in
         note_stats (tag "merge broadcast") bcast_stats;
@@ -383,7 +383,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
     let solution =
       tspan "final" (fun () ->
           let flood_edges, tf_stats =
-            Select.token_flood ?observer ?telemetry ?flat ?jobs ?chaos g
+            Select.token_flood ?observer ?telemetry ?jobs ?chaos g
               ~parent ~seeds
           in
           note_stats "final: token flood (path selection)" tf_stats;

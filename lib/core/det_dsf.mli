@@ -48,20 +48,22 @@ val run :
   result
 (** Requires a connected graph.  Singleton components are dropped
     (Lemma 2.4; the O(D + k) transform is charged to the ledger).
-    [observer] taps every message of every simulated subroutine —
-    per-run and domain-safe, the replacement for wrapping the call in
-    {!Dsf_congest.Sim.with_observer}.  [telemetry] profiles the run as a
+    [observer] taps every message of every simulated subroutine
+    (per-run and domain-safe).  [telemetry] profiles the run as a
     span tree ([minimalize] / [setup] / [phase] / [final], with the
     simulated primitives nested beneath) and attaches the ledger so every
     charged entry lands in its enclosing span.
 
-    [~flat:true] runs every simulated subroutine on the flat-core engine —
-    native ports where they exist (BFS, Bellman-Ford decomposition,
-    boundary exchange, filtered upcast, tree ops, token flood), the boxed
-    adapter elsewhere — with [?jobs] domains; the result, ledger, stats,
-    and observer traces are bit-identical to the classic engines.
-    [~flat:false] forces the classic active engine; omitting [flat]
-    defers to {!Dsf_congest.Sim.run}'s engine selection.
+    Every simulated subroutine runs on the flat-core engine — native
+    ports where they exist (BFS, Bellman-Ford decomposition, boundary
+    exchange, filtered upcast, tree ops, token flood), the adapter
+    elsewhere — with [?jobs] domains; the result, ledger, stats, and
+    observer traces are bit-identical for any [jobs] and to
+    {!Dsf_congest.Sim.run_reference} (differential suite enforced).
+
+    [flat] is a deprecated no-op, accepted and ignored so existing
+    callers keep compiling: the flat engine is the only production
+    engine.
 
     [chaos] runs every simulated subroutine hardened with checkpointed
     crash recovery under the given chaos plan (see
@@ -69,5 +71,5 @@ val run :
     schedule, and phase count are bit-identical to the fault-free run on
     any engine — only the ledger's round counts (and the recovery
     telemetry) reflect the injected faults.  Native flat ports are
-    bypassed under chaos; with [~flat:true] the hardened classic
-    protocols still run on the flat engine through its boxed adapter. *)
+    bypassed under chaos: the hardened classic protocols run on the flat
+    engine through its adapter. *)

@@ -226,6 +226,11 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
         w_stats.Sim.rounds;
       w, f, vt, trial_ledger, !trial_max_bits
     in
+    (* Every trial's runs go through [Sim.run_flat], which reads the
+       graph's lazily memoized CSR view: build it here on the coordinator
+       so concurrent trials share one view instead of racing to fill the
+       memo. *)
+    ignore (Graph.csr g);
     let trials =
       Dsf_util.Pool.map_chunked ~jobs trial (Array.init repetitions Fun.id)
     in

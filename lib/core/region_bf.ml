@@ -38,7 +38,7 @@ type flat_state = {
   mutable fdirty : bool;
 }
 
-let run ?observer ?faults ?telemetry ?flat ?jobs ?chaos g ~sources ~frozen =
+let run ?observer ?faults ?telemetry ?jobs ?chaos g ~sources ~frozen =
   let n = Graph.n g in
   let init = Hashtbl.create (max 1 (List.length sources)) in
   List.iter
@@ -118,7 +118,7 @@ let run ?observer ?faults ?telemetry ?flat ?jobs ?chaos g ~sources ~frozen =
       fp_wake = Some Sim.never;
     }
   in
-  if Option.is_none chaos && flat = Some true then begin
+  if Option.is_none chaos && Sim.native_ports () then begin
     let states, stats =
       Dsf_congest.Telemetry.span_opt telemetry "region_bf" (fun () ->
           Sim.run_flat ?observer ?faults ?telemetry ?jobs g (flat_proto ()))
@@ -208,7 +208,7 @@ let run ?observer ?faults ?telemetry ?flat ?jobs ?chaos g ~sources ~frozen =
   in
   let states, stats =
     Dsf_congest.Telemetry.span_opt telemetry "region_bf" (fun () ->
-        Dsf_congest.Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs
+        Dsf_congest.Fault.sim_run ?observer ?faults ?telemetry ?jobs
           ?chaos ~recovery:(Dsf_congest.Fault.immutable ()) g proto)
   in
   ( Array.map

@@ -23,7 +23,6 @@ val run :
   ?observer:Dsf_congest.Sim.observer ->
   ?faults:Dsf_congest.Sim.faults ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Dsf_congest.Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -34,15 +33,15 @@ val run :
     Frozen nodes keep [owner = -1] in the result (callers retain their old
     assignment).  [observer] taps the run's messages (per-run, domain-safe).
 
-    [~flat:true] runs the native flat-engine port on
-    {!Dsf_congest.Sim.run_flat} with [?jobs] domains: mutable in-place node
+    Runs a native flat-engine port on {!Dsf_congest.Sim.run_flat} with
+    [?jobs] domains: mutable in-place node
     state, CSR-resolved incoming weights, and one shared boxed [Relax]
     record per send-burst (dyadic distances exceed an immediate int, so
     messages stay boxed by design).  Labels, rounds, messages, bits, and
     observer traces are bit-identical to the classic protocol (differential
-    suite enforced).  [~flat:false] forces the classic active engine;
-    omitting [flat] defers to {!Dsf_congest.Sim.run}'s engine selection.
-    [faults] injects a fault plan (active or flat engine only).  [chaos]
+    suite enforced); the classic protocol runs instead while
+    {!Dsf_congest.Sim.use_reference_engine} is set.  [faults] injects a
+    fault plan.  [chaos]
     instead runs the classic protocol hardened with checkpointed recovery
     under the given chaos plan (exclusive with [faults]; see
     {!Dsf_congest.Fault.sim_run}). *)

@@ -48,9 +48,9 @@ let flat_protocol g ~parent ~seeds :
     fp_wake = Some Sim.never;
   }
 
-let token_flood ?observer ?faults ?telemetry ?flat ?jobs ?chaos g ~parent
+let token_flood ?observer ?faults ?telemetry ?jobs ?chaos g ~parent
     ~seeds =
-  if Option.is_none chaos && flat = Some true then begin
+  if Option.is_none chaos && Sim.native_ports () then begin
     let proto = flat_protocol g ~parent ~seeds in
     let states, stats =
       Dsf_congest.Telemetry.span_opt telemetry "token_flood" (fun () ->
@@ -95,7 +95,7 @@ let token_flood ?observer ?faults ?telemetry ?flat ?jobs ?chaos g ~parent
     in
     let states, stats =
       Dsf_congest.Telemetry.span_opt telemetry "token_flood" (fun () ->
-          Dsf_congest.Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs
+          Dsf_congest.Fault.sim_run ?observer ?faults ?telemetry ?jobs
             ?chaos ~recovery:(Dsf_congest.Fault.immutable ()) g proto)
     in
     let edges =

@@ -10,7 +10,6 @@ val token_flood :
   ?observer:Dsf_congest.Sim.observer ->
   ?faults:Dsf_congest.Sim.faults ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Dsf_congest.Fault.chaos ->
   Dsf_graph.Graph.t ->
@@ -22,16 +21,16 @@ val token_flood :
     the nodes that start with a token.  [observer] taps the run's messages
     (per-run, domain-safe).
 
-    [~flat:true] runs the native flat-engine port on
-    {!Dsf_congest.Sim.run_flat} with [?jobs] domains: node state is one
+    Runs a native flat-engine port on {!Dsf_congest.Sim.run_flat} with
+    [?jobs] domains: node state is one
     immediate int (a {!Dsf_util.Pack} layout of pending, forwarded, and
     marked edge id + 1) and tokens are bare ints, with the sparse scheduler
     tracking the token wavefront instead of the classic full sweep.
     Selected edges, rounds, messages, bits, and observer traces are
     bit-identical to the classic protocol (differential suite enforced).
-    [~flat:false] forces the classic active engine; omitting [flat] defers
-    to {!Dsf_congest.Sim.run}'s engine selection.  [faults] injects a
-    fault plan (active or flat engine only).  [chaos] instead runs the
+    The classic protocol runs instead while
+    {!Dsf_congest.Sim.use_reference_engine} is set.  [faults] injects a
+    fault plan.  [chaos] instead runs the
     classic protocol hardened with checkpointed recovery under the given
     chaos plan (exclusive with [faults]; see
     {!Dsf_congest.Fault.sim_run}). *)

@@ -56,7 +56,7 @@ let khan_hook :
          depend on dsf_baseline or avoid Khan_baseline")
 [@@lint.allow "global-state"]
 
-let solve_ic ?(jobs = 1) ?observer ?telemetry ?flat ?chaos algo inst =
+let solve_ic ?(jobs = 1) ?observer ?telemetry ?chaos algo inst =
   let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
   (match chaos, algo with
   | Some _, (Det_sublinear _ | Rand _ | Khan_baseline _ | Centralized_moat) ->
@@ -64,7 +64,7 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?flat ?chaos algo inst =
   | _ -> ());
   match algo with
   | Det ->
-      let r = Det_dsf.run ?observer ?telemetry ?flat ?chaos ~jobs inst in
+      let r = Det_dsf.run ?observer ?telemetry ?chaos ~jobs inst in
       of_ledger algo inst r.Det_dsf.solution r.Det_dsf.weight
         (Some (Frac.to_float r.Det_dsf.dual))
         (Some r.Det_dsf.ledger)
@@ -91,10 +91,10 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?flat ?chaos algo inst =
         (Some (Frac.to_float r.Moat.dual))
         None
 
-let solve_cr ?jobs ?observer ?telemetry ?flat ?chaos algo cr =
-  let out = Transform.cr_to_ic ?observer ?telemetry ?flat ?jobs ?chaos cr in
+let solve_cr ?jobs ?observer ?telemetry ?chaos algo cr =
+  let out = Transform.cr_to_ic ?observer ?telemetry ?jobs ?chaos cr in
   let report =
-    solve_ic ?jobs ?observer ?telemetry ?flat ?chaos algo out.Transform.value
+    solve_ic ?jobs ?observer ?telemetry ?chaos algo out.Transform.value
   in
   let ledger =
     match report.ledger with
@@ -112,7 +112,7 @@ let solve_cr ?jobs ?observer ?telemetry ?flat ?chaos algo cr =
     ledger;
   }
 
-let compare_all ?jobs ?observer ?telemetry ?flat ?algorithms inst =
+let compare_all ?jobs ?observer ?telemetry ?algorithms inst =
   let algorithms =
     match algorithms with
     | Some l -> l
@@ -124,5 +124,5 @@ let compare_all ?jobs ?observer ?telemetry ?flat ?algorithms inst =
           Khan_baseline { repetitions = 3; seed = 1 };
         ]
   in
-  List.map (fun a -> solve_ic ?jobs ?observer ?telemetry ?flat a inst) algorithms
+  List.map (fun a -> solve_ic ?jobs ?observer ?telemetry a inst) algorithms
   |> List.sort (fun a b -> compare a.weight b.weight)

@@ -34,21 +34,14 @@ val solve_ic :
   ?jobs:int ->
   ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
   ?chaos:Dsf_congest.Fault.chaos ->
   algorithm ->
   Dsf_graph.Instance.ic ->
   report
 (** [jobs] (default 1) parallelizes the trial fan-out of algorithms that
     have one ({!algorithm.Rand}'s repetitions) on the {!Dsf_util.Pool},
-    and sizes the flat engine's domain pool under [~flat:true]; results
-    are bit-identical for every [jobs] value.
-
-    [~flat:true] runs {!algorithm.Det}'s simulated subroutines on the
-    flat-core engine (native ports + boxed adapter, see {!Det_dsf.run});
-    other algorithms currently ignore it.  [~flat:false] forces the
-    classic active engine; omitting [flat] defers to
-    {!Dsf_congest.Sim.run}'s engine selection.
+    and partitions {!algorithm.Det}'s simulated runs across that many
+    domains; results are bit-identical for every [jobs] value.
 
     [chaos] runs {!algorithm.Det}'s simulated subroutines hardened with
     checkpointed crash recovery under the given chaos plan (see
@@ -66,7 +59,6 @@ val solve_cr :
   ?jobs:int ->
   ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
   ?chaos:Dsf_congest.Fault.chaos ->
   algorithm ->
   Dsf_graph.Instance.cr ->
@@ -79,7 +71,6 @@ val compare_all :
   ?jobs:int ->
   ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
   ?algorithms:algorithm list ->
   Dsf_graph.Instance.ic ->
   report list

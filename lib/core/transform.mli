@@ -19,22 +19,20 @@ type 'a outcome = {
 val cr_to_ic :
   ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Dsf_congest.Fault.chaos ->
   Dsf_graph.Instance.cr ->
   Dsf_graph.Instance.ic outcome
 (** The resulting labels are the smallest terminal id in each request
     component, matching the construction in the proof of Lemma 2.3.
-    [flat]/[jobs] select the simulation engine for every subroutine
-    (see {!Dsf_congest.Bfs.build}); results are engine-invariant.
+    [jobs] partitions every subroutine's run across pool domains (see
+    {!Dsf_congest.Bfs.build}); results are jobs-invariant.
     [chaos] runs every subroutine hardened with checkpointed recovery
     under the given chaos plan (see {!Dsf_congest.Fault.sim_run}). *)
 
 val minimalize :
   ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
   ?jobs:int ->
   ?chaos:Dsf_congest.Fault.chaos ->
   Dsf_graph.Instance.ic ->

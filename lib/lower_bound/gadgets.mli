@@ -54,9 +54,7 @@ val cut_bits :
     result plus the total bits that crossed the Alice/Bob cut in every
     simulation [f] threaded the observer through.  The observer is a
     per-run value (pass it as [?observer] to the solver entry points), so
-    concurrent cut measurements on separate domains do not interfere —
-    unlike the old [Sim.with_observer]-based version, which installed a
-    process-wide tap. *)
+    concurrent cut measurements on separate domains do not interfere. *)
 
 type padding = {
   extra_nodes : int;  (** isolated-chain nodes to inflate n *)

@@ -159,9 +159,7 @@ let test_maskable_classifier () =
   Alcotest.(check bool) "drops maskable" true (Fault.maskable drops);
   Alcotest.(check bool) "drops maskable without recovery" true
     (Fault.maskable ~with_recovery:false drops);
-  (* [maskable] is strictly wider than the deprecated [drop_only] (whose
-     remaining uses the deprecated-fault-alias lint rule now flags):
-     finite outages are healed by capped-backoff retransmission alone,
+  (* Finite outages are healed by capped-backoff retransmission alone,
      no recovery contract needed. *)
   Alcotest.(check bool) "outage maskable" true (Fault.maskable outage);
   Alcotest.(check bool) "outage maskable without recovery" true
@@ -254,8 +252,8 @@ let test_det_dsf_chaos_differential () =
   (* The acceptance bullet: a complete det_dsf solve under a seeded
      maskable chaos plan (drops + duplicates + finite link-down +
      crash-restart-with-recovery) is bit-identical to the fault-free
-     solve — solution, weight, dual, merge schedule, phase count — on the
-     classic engine and on the flat engine at jobs 1 and 4.  Ledger round
+     solve — solution, weight, dual, merge schedule, phase count — at
+     jobs 1 and 4.  Ledger round
      counts legitimately differ (the synchronizer pays for the faults), so
      they are excluded from the comparison. *)
   let r = rng 2024 in
@@ -265,8 +263,8 @@ let test_det_dsf_chaos_differential () =
   let base = Dsf_core.Det_dsf.run inst in
   let chaos = Fault.chaos (Fault.chaos_plan ~seed:5 g) in
   List.iter
-    (fun (label, flat, jobs) ->
-      let c = Dsf_core.Det_dsf.run ~flat ~jobs ~chaos inst in
+    (fun (label, jobs) ->
+      let c = Dsf_core.Det_dsf.run ~jobs ~chaos inst in
       Alcotest.(check bool)
         (label ^ ": solution identical")
         true
@@ -286,7 +284,7 @@ let test_det_dsf_chaos_differential () =
       check Alcotest.int
         (label ^ ": phase count")
         base.Dsf_core.Det_dsf.phase_count c.Dsf_core.Det_dsf.phase_count)
-    [ "classic", false, 1; "flat j1", true, 1; "flat j4", true, 4 ]
+    [ "jobs 1", 1; "jobs 4", 4 ]
 
 (* ----------------------------------------------------------- post-mortem *)
 

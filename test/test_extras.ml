@@ -41,8 +41,10 @@ let test_seq_upcast_no_pipelining () =
 
 let test_trace_counts () =
   let g = Gen.path 6 in
-  let (_, stats), trace =
-    Dsf_congest.Trace.record (fun () -> Dsf_congest.Bfs.build g ~root:0)
+  let trace = Dsf_congest.Trace.create () in
+  let _, stats =
+    Dsf_congest.Bfs.build ~observer:(Dsf_congest.Trace.observer trace) g
+      ~root:0
   in
   check Alcotest.int "messages match sim stats" stats.Dsf_congest.Sim.messages
     (Dsf_congest.Trace.messages trace);
@@ -51,10 +53,10 @@ let test_trace_counts () =
 
 let test_trace_per_edge () =
   let g = Gen.path 3 in
-  let _, trace =
-    Dsf_congest.Trace.record (fun () ->
-        Dsf_congest.Bellman_ford.sssp g ~src:0)
-  in
+  let trace = Dsf_congest.Trace.create () in
+  ignore
+    (Dsf_congest.Bellman_ford.sssp ~observer:(Dsf_congest.Trace.observer trace)
+       g ~src:0);
   Alcotest.(check bool) "edge 0->1 carried bits" true
     (Dsf_congest.Trace.bits_between trace ~src:0 ~dst:1 > 0);
   let hottest = Dsf_congest.Trace.hottest_edges trace 2 in
@@ -62,16 +64,6 @@ let test_trace_per_edge () =
   (match hottest with
   | (_, a) :: (_, b) :: _ -> Alcotest.(check bool) "descending" true (a >= b)
   | _ -> Alcotest.fail "expected 2 entries")
-
-let test_trace_nesting_chains () =
-  let g = Gen.path 4 in
-  let (_, inner), outer =
-    Dsf_congest.Trace.record (fun () ->
-        Dsf_congest.Trace.record (fun () -> Dsf_congest.Bfs.build g ~root:0))
-  in
-  check Alcotest.int "outer sees the same traffic"
-    (Dsf_congest.Trace.bits inner)
-    (Dsf_congest.Trace.bits outer)
 
 (* -------------------------------------------------------------------- Dot *)
 
@@ -236,7 +228,6 @@ let suites =
       [
         Alcotest.test_case "counts" `Quick test_trace_counts;
         Alcotest.test_case "per-edge" `Quick test_trace_per_edge;
-        Alcotest.test_case "nesting chains" `Quick test_trace_nesting_chains;
       ] );
     ( "graph.dot",
       [

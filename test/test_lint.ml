@@ -52,21 +52,19 @@ let test_global_state () =
 
 let test_sim_globals () =
   fires ~file:"lib/core/bad.ml" "sim-globals"
-    "let go obs = Sim.set_observer (Some obs)";
-  fires ~file:"lib/core/bad.ml" "sim-globals"
-    "let go obs f = Dsf_congest.Sim.with_observer obs f";
+    "let slow () = Dsf_congest.Sim.use_reference_engine := true";
   fires ~file:"bench/bad.ml" "sim-globals"
     "let slow () = Sim.use_reference_engine := true";
-  fires ~file:"bench/bad.ml" "sim-globals"
-    "let fast () = Sim.use_flat_engine := true";
-  (* the differential suites are the allowlisted consumers of the shims *)
+  fires ~file:"test/test_x.ml" "sim-globals"
+    "let on () = !Sim.use_reference_engine";
+  (* the differential suite is the allowlisted consumer of the shim *)
   quiet ~file:"test/test_sim_equiv.ml"
-    "let go obs f = Sim.with_observer obs f";
+    "let slow () = Sim.use_reference_engine := true";
   quiet ~file:"lib/congest/sim.ml"
-    "let go obs f = Sim.with_observer obs f";
-  (* same function names on other modules are unrelated *)
+    "let on () = !Sim.use_reference_engine";
+  (* the same name on another module is unrelated *)
   quiet ~file:"lib/core/good.ml"
-    "let go obs = Registry.set_observer obs"
+    "let slow () = Registry.use_reference_engine := true"
 
 (* ----------------------------------------------------------------- nondet *)
 
@@ -177,22 +175,6 @@ let test_unsafe_array () =
   fires ~file:"lib/congest/bfs.ml" "unsafe-array"
     "let get a i = Array.unsafe_get a i"
 
-(* ------------------------------------------------- deprecated-fault-alias *)
-
-let test_fault_alias () =
-  fires ~file:"lib/core/bad.ml" "deprecated-fault-alias"
-    "let classify p = Fault.drop_only p";
-  (* deprecation is deprecation in every zone, tests included *)
-  fires ~file:"test/test_x.ml" "deprecated-fault-alias"
-    "let classify p = Dsf_congest.Fault.drop_only p";
-  quiet ~file:"lib/core/good.ml" "let classify p = Fault.maskable p";
-  (* the same name on an unrelated module stays quiet *)
-  quiet ~file:"lib/core/good.ml" "let classify p = Filter.drop_only p";
-  (* pinning the historical semantics under an explicit allow is fine *)
-  quiet ~file:"test/test_x.ml"
-    "let classify p = \
-     (Fault.drop_only [@lint.allow \"deprecated-fault-alias\"]) p"
-
 (* ------------------------------------------------------------ suppression *)
 
 let test_suppression () =
@@ -232,7 +214,7 @@ let test_zones_and_errors () =
   (match Lint.check_string ~file:"lib/core/broken.ml" "let = 3 in" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse error expected");
-  check Alcotest.int "rule catalogue" 7 (List.length Lint.rules);
+  check Alcotest.int "rule catalogue" 6 (List.length Lint.rules);
   check Alcotest.int "typed rule catalogue" 2 (List.length Typed_lint.rules)
 
 (* --------------------------------------------------------------- baseline *)
@@ -350,7 +332,6 @@ let suites =
         Alcotest.test_case "congest-discipline" `Quick test_congest_discipline;
         Alcotest.test_case "catch-all" `Quick test_catch_all;
         Alcotest.test_case "unsafe-array" `Quick test_unsafe_array;
-        Alcotest.test_case "deprecated-fault-alias" `Quick test_fault_alias;
         Alcotest.test_case "suppression" `Quick test_suppression;
         Alcotest.test_case "zones and parse errors" `Quick test_zones_and_errors;
         Alcotest.test_case "baseline" `Quick test_baseline;

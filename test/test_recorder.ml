@@ -7,7 +7,7 @@
    (at any ?jobs) must serialize to the very same dsf-flightlog bytes —
    steps are only recorded for mail-consuming nodes (causally inert empty
    steps would differ between the reference loop, which steps everyone,
-   and the active/flat engines), and the flat engine's per-domain staging
+   and the flat engine), and the flat engine's per-domain staging
    buffers are flushed at the barrier in domain = node order. *)
 
 open Dsf_graph
@@ -101,7 +101,7 @@ let prop_recorder_transparent =
       let g = random_graph seed in
       let n = Graph.n g in
       let root = seed mod n in
-      let active recorder =
+      let adapter recorder =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
         let s, t = Sim.run ~observer ?recorder g (Bfs.protocol ~root) in
@@ -124,13 +124,13 @@ let prop_recorder_transparent =
         s, t, List.rev !log
       in
       let rcd () = Some (Recorder.create ~now:0 ()) in
-      active None = active (rcd ())
+      adapter None = adapter (rcd ())
       && reference None = reference (rcd ())
       && flat None = flat (rcd ()))
 
 (* ------------------------------------------------------- byte identity *)
 
-let record_active ?faults g ~root =
+let record_adapter ?faults g ~root =
   let r = Recorder.create ~now:0 () in
   ignore (Sim.run ?faults ~recorder:r g (Bfs.protocol ~root));
   Recorder.to_string r
@@ -154,7 +154,7 @@ let prop_log_engine_invariant =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      let base = record_active g ~root in
+      let base = record_adapter g ~root in
       String.length base > 0
       && record_reference g ~root = base
       && List.for_all
@@ -169,7 +169,7 @@ let prop_log_engine_invariant =
 let test_log_crash_classic_flat_identical () =
   let g = Gen.path 24 in
   let plan = Fault.plan ~crashes:[ 23, 1, 3; 12, 2, 3 ] ~seed:11 () in
-  let base = record_active ~faults:(Fault.instantiate plan) g ~root:0 in
+  let base = record_adapter ~faults:(Fault.instantiate plan) g ~root:0 in
   (match Recorder.parse base with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok log ->
@@ -260,7 +260,7 @@ let gadget_analysis =
      let r = Recorder.create ~now:0 () in
      let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
      let res =
-       Dsf_core.Det_dsf.run ~flat:true ~telemetry:tel
+       Dsf_core.Det_dsf.run ~telemetry:tel
          gadget.Dsf_lower_bound.Gadgets.ic
      in
      let inst = gadget.Dsf_lower_bound.Gadgets.ic in

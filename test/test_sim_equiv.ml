@@ -1,8 +1,9 @@
-(* Differential tests for the active-set simulator: Sim.run (skip idle
-   nodes, flat-array accounting, incremental done-count) must be
-   observationally identical to Sim.run_reference (the seed loop that steps
-   every node every round) — same stats, same final states, same results —
-   on randomized graphs and the protocols that declare sparse wake-ups. *)
+(* Differential tests for the production engine: Sim.run / Sim.run_flat
+   (skip idle nodes, arena delivery, domain-partitioned rounds) and the
+   native flat ports must be observationally identical to
+   Sim.run_reference (the seed loop that steps every node every round) —
+   same stats, same final states, same results — on randomized graphs and
+   the protocols that declare sparse wake-ups. *)
 
 open Dsf_graph
 open Dsf_congest
@@ -15,8 +16,10 @@ let with_reference f =
   Sim.use_reference_engine := true;
   Fun.protect ~finally:(fun () -> Sim.use_reference_engine := false) f
 
-(* Run the same closure through both engines and hand back both results.
-   The closure must be deterministic (all our protocols are). *)
+(* Run the same closure on the production engine (native ports) and under
+   the reference shim (classic protocols on the seed loop) and hand back
+   both results.  The closure must be deterministic (all our protocols
+   are). *)
 let both f = f (), with_reference f
 
 let stats_eq (a : Sim.stats) (b : Sim.stats) = a = b
@@ -31,7 +34,7 @@ let random_graph seed =
 (* ------------------------------------------------------------- raw protos *)
 
 (* The unit-suite flood protocol, with a sparse wake: exercises run vs
-   run_reference directly (not through the engine flag). *)
+   run_reference directly (not through the engine shim). *)
 type flood_state = { heard : int option; relayed : bool }
 
 let flood_protocol root : (flood_state, unit) Sim.protocol =
@@ -162,8 +165,8 @@ let prop_telemetry_transparent =
       let root = seed mod Graph.n g in
       (* The hook only observes: states, stats and observer traces of an
          instrumented run must be bit-identical to the bare run — on the
-         active-set engine and the reference loop alike. *)
-      let record_active telemetry =
+         production engine and the reference loop alike. *)
+      let record_flat telemetry =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
         let s, t = Sim.run ~observer ?telemetry g (flood_protocol root) in
@@ -178,7 +181,7 @@ let prop_telemetry_transparent =
         s, t, List.rev !log
       in
       let tel () = Some (Telemetry.create ~clock:(fun () -> 0L) ()) in
-      record_active None = record_active (tel ())
+      record_flat None = record_flat (tel ())
       && record_reference None = record_reference (tel ()))
 
 let prop_empty_plan_identity =
@@ -229,12 +232,12 @@ let test_round_limit_equiv () =
     | exception Sim.Round_limit a -> a.Sim.at_round
     | _ -> -1
   in
-  let active = limit_of (fun () -> Sim.run ~max_rounds:7 g chatty) in
+  let flat = limit_of (fun () -> Sim.run ~max_rounds:7 g chatty) in
   let reference =
     limit_of (fun () -> Sim.run_reference ~max_rounds:7 g chatty)
   in
-  check Alcotest.int "same limit" reference active;
-  check Alcotest.int "limit is 7" 7 active
+  check Alcotest.int "same limit" reference flat;
+  check Alcotest.int "limit is 7" 7 flat
 
 let test_halt_equiv () =
   let g = Gen.path 4 in
@@ -257,7 +260,7 @@ let test_halt_equiv () =
 
 let test_scheduler_skips_idle () =
   (* A protocol that is done from the start and never sends: with a sparse
-     wake the active-set engine must not step anyone (states stay at init),
+     wake the production engine must not step anyone (states stay at init),
      while the reference engine steps everyone once.  Stats agree anyway —
      this is exactly the contract boundary the [wake] docs describe. *)
   let g = Gen.grid ~rows:3 ~cols:3 in
@@ -270,11 +273,11 @@ let test_scheduler_skips_idle () =
       wake = Some Sim.never;
     }
   in
-  let s_active, t_active = Sim.run g lazybones in
+  let s_flat, t_flat = Sim.run g lazybones in
   let s_ref, t_ref = Sim.run_reference g lazybones in
-  Array.iter (fun c -> check Alcotest.int "never stepped" 0 c) s_active;
+  Array.iter (fun c -> check Alcotest.int "never stepped" 0 c) s_flat;
   Array.iter (fun c -> check Alcotest.int "stepped once" 1 c) s_ref;
-  Alcotest.(check bool) "stats still equal" true (stats_eq t_active t_ref)
+  Alcotest.(check bool) "stats still equal" true (stats_eq t_flat t_ref)
 
 let test_observer_order_identical () =
   (* The observer must see the same (src, dst, bits) sequence from both
@@ -282,15 +285,12 @@ let test_observer_order_identical () =
   let g = random_graph 424_242 in
   let record f =
     let log = ref [] in
-    Sim.with_observer
-      (fun ~src ~dst ~bits -> log := (src, dst, bits) :: !log)
-      (fun () -> ignore (f ()));
+    ignore (f ~observer:(fun ~src ~dst ~bits -> log := (src, dst, bits) :: !log));
     List.rev !log
   in
-  let l1 = record (fun () -> Bellman_ford.sssp g ~src:0) in
-  let l2 =
-    record (fun () -> with_reference (fun () -> Bellman_ford.sssp g ~src:0))
-  in
+  let sssp ~observer = Bellman_ford.sssp ~observer g ~src:0 in
+  let l1 = record sssp in
+  let l2 = record (fun ~observer -> with_reference (fun () -> sssp ~observer)) in
   check Alcotest.int "same length" (List.length l2) (List.length l1);
   Alcotest.(check bool) "same sequence" true (l1 = l2)
 
@@ -309,16 +309,40 @@ let capture run g proto =
   in
   outcome, List.rev !log
 
+(* A native flat port of [flood_protocol]: the oracle for the adapter
+   (and for the engine's fault path, which the seed loop lacks). *)
+let flood_flat root : (flood_state, unit) Sim.flat_protocol =
+  let p = flood_protocol root in
+  {
+    fp_init = p.init;
+    fp_step =
+      (fun view ~round st ~inbox ~emit ->
+        let st =
+          if st.heard = None && Sim.inbox_len inbox > 0 then
+            { st with heard = Some round }
+          else st
+        in
+        if st.heard <> None && not st.relayed then begin
+          Array.iter (fun (nb, _, _) -> emit ~dst:nb ()) view.Sim.nbrs;
+          { st with relayed = true }
+        end
+        else st);
+    fp_is_done = p.is_done;
+    fp_msg_bits = p.msg_bits;
+    fp_wake = p.wake;
+  }
+
 let prop_flat_equiv_faults_telemetry =
   QCheck.Test.make
-    ~name:"flat = active (faults + telemetry on, incl. stalls)" ~count:30
+    ~name:"adapter = native port (faults + telemetry on, incl. stalls)"
+    ~count:30
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g = random_graph seed in
       let n = Graph.n g in
       let root = seed mod n in
       (* Drops can strand the flood forever (it never retransmits), so a
-         stall is an expected outcome here: both engines must then raise
+         stall is an expected outcome here: every leg must then raise
          Round_limit with the same post-mortem. *)
       let plan =
         Fault.plan ~drop:0.15 ~duplicate:0.1
@@ -326,40 +350,108 @@ let prop_flat_equiv_faults_telemetry =
           ~crashes:[ ((root + 2) mod n, 1, 3) ]
           ~seed ()
       in
-      let leg ~flat ~jobs =
+      let leg run =
         capture
-          (fun ~observer g p ->
+          (fun ~observer g () ->
             let faults = Fault.instantiate plan in
             let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-            Sim.run ~max_rounds:300 ~observer ~faults ~telemetry ~flat ~jobs
-              g p)
-          g (flood_protocol root)
+            run ~observer ~faults ~telemetry g)
+          g ()
       in
-      let active = leg ~flat:false ~jobs:1 in
-      active = leg ~flat:true ~jobs:1 && active = leg ~flat:true ~jobs:3)
+      let adapter jobs =
+        leg (fun ~observer ~faults ~telemetry g ->
+            Sim.run ~max_rounds:300 ~observer ~faults ~telemetry ~jobs g
+              (flood_protocol root))
+      in
+      let native =
+        leg (fun ~observer ~faults ~telemetry g ->
+            Sim.run_flat ~max_rounds:300 ~observer ~faults ~telemetry g
+              (flood_flat root))
+      in
+      let a1 = adapter 1 in
+      a1 = native && a1 = adapter 3)
 
 let prop_flat_equiv_lossless =
   QCheck.Test.make
-    ~name:"flat = active = reference (lossless, telemetry on)" ~count:30
+    ~name:"adapter = native port = reference (lossless, telemetry on)"
+    ~count:30
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
       let leg run =
         capture
-          (fun ~observer g p ->
+          (fun ~observer g () ->
             let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-            run ~observer ~telemetry g p)
-          g (flood_protocol root)
+            run ~observer ~telemetry g)
+          g ()
       in
-      let flat =
-        leg (fun ~observer ~telemetry g p ->
-            Sim.run ~observer ~telemetry ~flat:true g p)
+      let adapter =
+        leg (fun ~observer ~telemetry g ->
+            Sim.run ~observer ~telemetry g (flood_protocol root))
       in
-      flat = leg (fun ~observer ~telemetry g p -> Sim.run ~observer ~telemetry g p)
-      && flat
-         = leg (fun ~observer ~telemetry g p ->
-               Sim.run_reference ~observer ~telemetry g p))
+      adapter
+      = leg (fun ~observer ~telemetry g ->
+            Sim.run_flat ~observer ~telemetry g (flood_flat root))
+      && adapter
+         = leg (fun ~observer ~telemetry g ->
+               Sim.run_reference ~observer ~telemetry g (flood_protocol root)))
+
+(* The seed loop has no fault injection, so the engine's fault accounting
+   is pinned by hand on a 4-node path flood (6 sends lossless): every
+   counter against its definition in sim.mli, on the adapter, the native
+   port and a partitioned run. *)
+let test_fault_accounting () =
+  let g = Gen.path 4 in
+  let faults ?(down = fun ~round:_ ~node:_ -> false) action =
+    { Sim.on_send = (fun ~round:_ ~src:_ ~dst:_ -> action); down;
+      retransmissions = ref 0 }
+  in
+  let legs f =
+    [
+      ( "adapter",
+        fun () ->
+          f (fun faults -> Sim.run ~max_rounds:20 ~faults g (flood_protocol 0))
+      );
+      ( "native",
+        fun () ->
+          f (fun faults -> Sim.run_flat ~max_rounds:20 ~faults g (flood_flat 0))
+      );
+      ( "jobs 2",
+        fun () ->
+          f (fun faults ->
+              Sim.run ~max_rounds:20 ~faults ~jobs:2 g (flood_protocol 0)) );
+    ]
+  in
+  let lossless_states, lossless = Sim.run_reference g (flood_protocol 0) in
+  let counts (t : Sim.stats) = t.messages, t.dropped, t.duplicated in
+  let abort_counts run =
+    match run () with
+    | _ -> Alcotest.fail "expected the flood to stall"
+    | exception Sim.Round_limit a -> counts a.Sim.snapshot
+  in
+  let triple = Alcotest.(triple int int int) in
+  List.iter
+    (fun (leg, run) ->
+      let states, t = run () in
+      Alcotest.(check bool) (leg ^ ": replicated states") true
+        (states = lossless_states);
+      check Alcotest.int (leg ^ ": replicated rounds") lossless.Sim.rounds
+        t.Sim.rounds;
+      check triple (leg ^ ": Replicate 3") (6, 0, 12) (counts t))
+    (legs (fun go -> go (faults (Sim.Replicate 3))));
+  (* Dropping everything strands the flood after the root's one send. *)
+  List.iter
+    (fun (leg, run) ->
+      check triple (leg ^ ": Drop") (1, 1, 0) (abort_counts run))
+    (legs (fun go -> go (faults Sim.Drop)));
+  (* Node 1 is down in rounds 1-2: the root's mail to it is destroyed, and
+     it restarts at round 3 from init, never hearing the flood. *)
+  let down ~round ~node = node = 1 && round >= 1 && round < 3 in
+  List.iter
+    (fun (leg, run) ->
+      check triple (leg ^ ": crash window") (1, 1, 0) (abort_counts run))
+    (legs (fun go -> go (faults ~down Sim.Deliver)))
 
 let prop_flat_jobs_invariant =
   QCheck.Test.make
@@ -374,7 +466,7 @@ let prop_flat_jobs_invariant =
          of the domain count. *)
       let sparse jobs =
         capture
-          (fun ~observer g p -> Sim.run ~observer ~flat:true ~jobs g p)
+          (fun ~observer g p -> Sim.run ~observer ~jobs g p)
           g (flood_protocol root)
       in
       let swept jobs =
@@ -383,7 +475,7 @@ let prop_flat_jobs_invariant =
             let faults =
               Fault.instantiate (Fault.plan ~drop:0.1 ~seed ())
             in
-            Sim.run ~max_rounds:300 ~observer ~faults ~flat:true ~jobs g p)
+            Sim.run ~max_rounds:300 ~observer ~faults ~jobs g p)
           g (flood_protocol root)
       in
       let s1 = sparse 1 and w1 = swept 1 in
@@ -398,7 +490,7 @@ let prop_flat_native_bfs =
       let g = random_graph seed in
       let n = Graph.n g in
       let root = seed mod n in
-      let tree, t_classic = Bfs.build g ~root in
+      let tree, t_classic = with_reference (fun () -> Bfs.build g ~root) in
       let flat jobs = Sim.run_flat ~jobs g (Bfs.flat_protocol ~n ~root) in
       let f1, t1 = flat 1 and f4, t4 = flat 4 in
       let same_tree = ref true in
@@ -416,16 +508,11 @@ let prop_flat_native_bfs =
 
 (* Every primitive ported natively to the flat engine must be bit-identical
    to its classic protocol — result, stats, and observer trace — with
-   telemetry on, under a duplicate-only fault plan (drop/crash plans can
-   legitimately stall an upcast forever, so the lossy legs stick to
-   duplication), and for any domain count.  Legs per primitive:
-   native flat at jobs 1/2/4, the classic active engine, and the classic
-   protocol through the flat engine's boxed adapter (via the deprecated
-   shim, which this file is allowlisted to touch). *)
-let with_flat_shim f =
-  Sim.use_flat_engine := true;
-  Fun.protect ~finally:(fun () -> Sim.use_flat_engine := false) f
-
+   telemetry on, and for any domain count.  The classic legs run under the
+   reference shim ([with_reference]): lossless they run on the seed loop;
+   under a duplicate-only fault plan (drop/crash plans can legitimately
+   stall an upcast forever) the seed loop has no fault injection, so the
+   classic protocol runs on the flat engine through the adapter. *)
 let record_leg f =
   let log = ref [] in
   let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
@@ -434,6 +521,18 @@ let record_leg f =
   r, List.rev !log
 
 let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
+
+(* The shared leg pattern: [leg ?faults ?jobs ()] runs the primitive;
+   native legs at jobs 1/2/4 must equal the classic reference leg, and the
+   native faulty leg at jobs 2 must equal the classic faulty leg. *)
+let native_matches_classic ?(jobs = [ 1; 2; 4 ]) ~seed
+    (leg : ?faults:Sim.faults -> ?jobs:int -> unit -> 'a) =
+  let faulty ?jobs () =
+    leg ~faults:(Fault.instantiate (dup_plan seed)) ?jobs ()
+  in
+  let base = with_reference (fun () -> leg ()) in
+  List.for_all (fun j -> base = leg ~jobs:j ()) jobs
+  && with_reference (fun () -> faulty ()) = faulty ~jobs:2 ()
 
 let prop_flat_native_bellman_ford =
   QCheck.Test.make
@@ -452,20 +551,10 @@ let prop_flat_native_bellman_ford =
         if Dsf_util.Rng.int r 2 = 0 then Some (5 + Dsf_util.Rng.int r 20)
         else None
       in
-      let leg ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Bellman_ford.run ?radius ~observer ?faults ~telemetry ?flat ?jobs
-              g ~sources)
-      in
-      let base = leg ~flat:false () in
-      let faulty ?flat ?jobs () =
-        leg ~faults:(Fault.instantiate (dup_plan seed)) ?flat ?jobs ()
-      in
-      base = leg ~flat:true ~jobs:1 ()
-      && base = leg ~flat:true ~jobs:2 ()
-      && base = leg ~flat:true ~jobs:4 ()
-      && base = with_flat_shim (fun () -> leg ())
-      && faulty ~flat:false () = faulty ~flat:true ~jobs:2 ())
+      native_matches_classic ~seed (fun ?faults ?jobs () ->
+          record_leg (fun ~observer ~telemetry ->
+              Bellman_ford.run ?radius ~observer ?faults ~telemetry ?jobs g
+                ~sources)))
 
 let prop_flat_native_region_bf =
   QCheck.Test.make
@@ -488,20 +577,10 @@ let prop_flat_native_region_bf =
             Dsf_util.Rng.int r 6 = 0
             && not (List.exists (fun (s, _, _) -> s = v) sources))
       in
-      let leg ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Dsf_core.Region_bf.run ~observer ?faults ~telemetry ?flat ?jobs g
-              ~sources ~frozen)
-      in
-      let base = leg ~flat:false () in
-      let faulty ?flat ?jobs () =
-        leg ~faults:(Fault.instantiate (dup_plan seed)) ?flat ?jobs ()
-      in
-      base = leg ~flat:true ~jobs:1 ()
-      && base = leg ~flat:true ~jobs:2 ()
-      && base = leg ~flat:true ~jobs:4 ()
-      && base = with_flat_shim (fun () -> leg ())
-      && faulty ~flat:false () = faulty ~flat:true ~jobs:2 ())
+      native_matches_classic ~seed (fun ?faults ?jobs () ->
+          record_leg (fun ~observer ~telemetry ->
+              Dsf_core.Region_bf.run ~observer ?faults ~telemetry ?jobs g
+                ~sources ~frozen)))
 
 let prop_flat_native_tree_ops =
   QCheck.Test.make
@@ -513,46 +592,26 @@ let prop_flat_native_tree_ops =
       let n = Graph.n g in
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
-      let up ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Tree_ops.upcast ~observer ?faults ~telemetry ?flat ?jobs g ~tree
-              ~items:(fun v -> [ v; v + n ])
-              ~bits)
-      in
-      let bc ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Tree_ops.broadcast ~observer ?faults ~telemetry ?flat ?jobs g
-              ~tree ~items:[ 1; 2; 3 ] ~bits)
-      in
+      let jobs = [ 1; 4 ] in
       (* The child-count handshake of [aggregate] dedups child reports by
          sender id (each child reports exactly once, so the sender is its
          own sequence stamp): duplicate-injecting plans leave the state
          trajectory — and the root's total — untouched, so the lossy legs
-         below compare against each other AND against the lossless sum. *)
-      let ag ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Tree_ops.aggregate ~observer ?faults ~telemetry ?flat ?jobs g
-              ~tree ~value:Fun.id ~combine:( + ) ~bits)
-      in
+         compare against each other AND against the lossless sum. *)
       let dup () = Fault.instantiate (dup_plan seed) in
-      let base_up = up ~flat:false () in
-      let base_bc = bc ~flat:false () in
-      let base_ag = ag ~flat:false () in
-      base_up = up ~flat:true ~jobs:1 ()
-      && base_up = up ~flat:true ~jobs:4 ()
-      && base_up = with_flat_shim (fun () -> up ())
-      && base_bc = bc ~flat:true ~jobs:1 ()
-      && base_bc = bc ~flat:true ~jobs:4 ()
-      && base_bc = with_flat_shim (fun () -> bc ())
-      && base_ag = ag ~flat:true ~jobs:1 ()
-      && base_ag = ag ~flat:true ~jobs:4 ()
-      && base_ag = with_flat_shim (fun () -> ag ())
-      && up ~faults:(dup ()) ~flat:false ()
-         = up ~faults:(dup ()) ~flat:true ~jobs:2 ()
-      && bc ~faults:(dup ()) ~flat:false ()
-         = bc ~faults:(dup ()) ~flat:true ~jobs:2 ()
-      && ag ~faults:(dup ()) ~flat:false ()
-         = ag ~faults:(dup ()) ~flat:true ~jobs:2 ()
+      native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
+          record_leg (fun ~observer ~telemetry ->
+              Tree_ops.upcast ~observer ?faults ~telemetry ?jobs g ~tree
+                ~items:(fun v -> [ v; v + n ])
+                ~bits))
+      && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
+             record_leg (fun ~observer ~telemetry ->
+                 Tree_ops.broadcast ~observer ?faults ~telemetry ?jobs g
+                   ~tree ~items:[ 1; 2; 3 ] ~bits))
+      && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
+             record_leg (fun ~observer ~telemetry ->
+                 Tree_ops.aggregate ~observer ?faults ~telemetry ?jobs g
+                   ~tree ~value:Fun.id ~combine:( + ) ~bits))
       && fst
            (Tree_ops.aggregate ~faults:(dup ()) g ~tree ~value:Fun.id
               ~combine:( + ) ~bits)
@@ -580,24 +639,16 @@ let prop_flat_native_pipeline =
       let items v =
         List.filter (fun (h, _) -> h = v) items_all |> List.map snd
       in
-      let leg ?faults ?flat ?jobs ?stop_at_root () =
+      let leg ?stop_at_root ?faults ?jobs () =
         record_leg (fun ~observer ~telemetry ->
-            Pipeline.filtered_upcast ~observer ?faults ~telemetry ?flat ?jobs
+            Pipeline.filtered_upcast ~observer ?faults ~telemetry ?jobs
               ?stop_at_root g ~tree ~vn ~pre:[] ~items ~cmp:compare
               ~bits:(fun _ -> 16))
       in
-      let base = leg ~flat:false () in
       let stop acc = List.length acc >= 3 in
-      let faulty ?flat ?jobs () =
-        leg ~faults:(Fault.instantiate (dup_plan seed)) ?flat ?jobs ()
-      in
-      base = leg ~flat:true ~jobs:1 ()
-      && base = leg ~flat:true ~jobs:2 ()
-      && base = leg ~flat:true ~jobs:4 ()
-      && base = with_flat_shim (fun () -> leg ())
-      && leg ~flat:false ~stop_at_root:stop ()
-         = leg ~flat:true ~jobs:2 ~stop_at_root:stop ()
-      && faulty ~flat:false () = faulty ~flat:true ~jobs:2 ())
+      native_matches_classic ~seed (leg ?stop_at_root:None)
+      && with_reference (fun () -> leg ~stop_at_root:stop ())
+         = leg ~jobs:2 ~stop_at_root:stop ())
 
 let prop_flat_native_select_exchange =
   QCheck.Test.make
@@ -611,37 +662,26 @@ let prop_flat_native_select_exchange =
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let parent = tree.Bfs.parent in
       let seeds = Array.init n (fun _ -> Dsf_util.Rng.int r 3 = 0) in
-      let tf ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Dsf_core.Select.token_flood ~observer ?faults ~telemetry ?flat
-              ?jobs g ~parent ~seeds)
-      in
-      let ex ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Exchange.all_neighbors ~observer ?faults ~telemetry ?flat ?jobs g
-              ~payload_bits:9)
-      in
-      let base_tf = tf ~flat:false () and base_ex = ex ~flat:false () in
-      let dup () = Fault.instantiate (dup_plan seed) in
-      base_tf = tf ~flat:true ~jobs:1 ()
-      && base_tf = tf ~flat:true ~jobs:4 ()
-      && base_tf = with_flat_shim (fun () -> tf ())
-      && base_ex = ex ~flat:true ~jobs:1 ()
-      && base_ex = ex ~flat:true ~jobs:4 ()
-      && base_ex = with_flat_shim (fun () -> ex ())
-      && tf ~faults:(dup ()) ~flat:false () = tf ~faults:(dup ()) ~flat:true ~jobs:2 ()
-      && ex ~faults:(dup ()) ~flat:false () = ex ~faults:(dup ()) ~flat:true ~jobs:2 ())
+      let jobs = [ 1; 4 ] in
+      native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
+          record_leg (fun ~observer ~telemetry ->
+              Dsf_core.Select.token_flood ~observer ?faults ~telemetry ?jobs g
+                ~parent ~seeds))
+      && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
+             record_leg (fun ~observer ~telemetry ->
+                 Exchange.all_neighbors ~observer ?faults ~telemetry ?jobs g
+                   ~payload_bits:9)))
 
 let test_det_dsf_flat_e2e () =
   (* Full solve: every subroutine on the flat engine (native ports where
-     they exist, the adapter elsewhere) must reproduce the classic result
-     bit for bit, for any domain count. *)
+     they exist, the adapter elsewhere) must reproduce the reference
+     solve bit for bit, for any domain count. *)
   let r = rng 77 in
   let g = Gen.random_connected r ~n:60 ~extra_edges:60 ~max_w:12 in
   let labels = Gen.spread_labels r g ~t:12 ~k:4 in
   let inst = Instance.make_ic g labels in
-  let run ?flat ?jobs () =
-    let res = Dsf_core.Det_dsf.run ?flat ?jobs inst in
+  let run ?jobs () =
+    let res = Dsf_core.Det_dsf.run ?jobs inst in
     ( res.Dsf_core.Det_dsf.solution,
       res.Dsf_core.Det_dsf.weight,
       res.Dsf_core.Det_dsf.dual,
@@ -651,15 +691,15 @@ let test_det_dsf_flat_e2e () =
       Ledger.simulated res.Dsf_core.Det_dsf.ledger,
       Ledger.charged res.Dsf_core.Det_dsf.ledger )
   in
-  let base = run ~flat:false () in
-  Alcotest.(check bool) "flat jobs=1" true (base = run ~flat:true ~jobs:1 ());
-  Alcotest.(check bool) "flat jobs=4" true (base = run ~flat:true ~jobs:4 ())
+  let base = with_reference (fun () -> run ()) in
+  Alcotest.(check bool) "flat jobs=1" true (base = run ~jobs:1 ());
+  Alcotest.(check bool) "flat jobs=4" true (base = run ~jobs:4 ())
 
 let test_flat_adapter_inbox_order () =
   (* The adapter's inbox_list must present arrival order exactly as the
-     classic engines build inboxes: senders ascending, send order within
-     a sender.  A 2-source flood on a path makes node 2 hear 1 and 3 in
-     the same round. *)
+     seed loop builds inboxes: senders ascending, send order within a
+     sender.  A 2-source flood on a path makes node 2 hear 1 and 3 in the
+     same round. *)
   let g = Gen.path 5 in
   let two_roots : (flood_state, unit) Sim.protocol =
     let p = flood_protocol 1 in
@@ -673,8 +713,8 @@ let test_flat_adapter_inbox_order () =
     }
   in
   let (s1, t1), (s2, t2) =
-    ( Sim.run ~flat:true g two_roots,
-      Sim.run g two_roots )
+    ( Sim.run g two_roots,
+      Sim.run_reference g two_roots )
   in
   Alcotest.(check bool) "states" true (s1 = s2);
   Alcotest.(check bool) "stats" true (stats_eq t1 t2)
@@ -699,6 +739,7 @@ let suites =
         qtest prop_flat_native_tree_ops;
         qtest prop_flat_native_pipeline;
         qtest prop_flat_native_select_exchange;
+        Alcotest.test_case "fault accounting" `Quick test_fault_accounting;
         Alcotest.test_case "det_dsf end-to-end on the flat engine" `Quick
           test_det_dsf_flat_e2e;
         Alcotest.test_case "flat adapter inbox order" `Quick
