@@ -65,6 +65,39 @@ let test_trace_per_edge () =
   | (_, a) :: (_, b) :: _ -> Alcotest.(check bool) "descending" true (a >= b)
   | _ -> Alcotest.fail "expected 2 entries")
 
+let test_trace_nesting_chains () =
+  (* One trace threaded through successive runs accumulates all of them:
+     it equals the separate per-run traces added up, edge by edge. *)
+  let g = Gen.path 4 in
+  let traced run =
+    let t = Dsf_congest.Trace.create () in
+    let stats = run (Dsf_congest.Trace.observer t) in
+    (t, stats)
+  in
+  let bfs observer = snd (Dsf_congest.Bfs.build ~observer g ~root:0) in
+  let sssp observer = snd (Dsf_congest.Bellman_ford.sssp ~observer g ~src:0) in
+  let t_bfs, s_bfs = traced bfs and t_sssp, s_sssp = traced sssp in
+  let whole, _ =
+    traced (fun observer -> ignore (bfs observer); sssp observer)
+  in
+  let bits = Dsf_congest.Trace.bits in
+  check Alcotest.int "outer sees the same traffic"
+    (bits t_bfs + bits t_sssp) (bits whole);
+  check Alcotest.int "bits match sim stats"
+    (s_bfs.Dsf_congest.Sim.total_bits + s_sssp.Dsf_congest.Sim.total_bits)
+    (bits whole);
+  check Alcotest.int "messages add up"
+    (Dsf_congest.Trace.messages t_bfs + Dsf_congest.Trace.messages t_sssp)
+    (Dsf_congest.Trace.messages whole);
+  for src = 0 to 3 do
+    for dst = 0 to 3 do
+      check Alcotest.int "per-edge bits add up"
+        (Dsf_congest.Trace.bits_between t_bfs ~src ~dst
+        + Dsf_congest.Trace.bits_between t_sssp ~src ~dst)
+        (Dsf_congest.Trace.bits_between whole ~src ~dst)
+    done
+  done
+
 (* -------------------------------------------------------------------- Dot *)
 
 let test_dot_graph_output () =
@@ -228,6 +261,7 @@ let suites =
       [
         Alcotest.test_case "counts" `Quick test_trace_counts;
         Alcotest.test_case "per-edge" `Quick test_trace_per_edge;
+        Alcotest.test_case "nesting chains" `Quick test_trace_nesting_chains;
       ] );
     ( "graph.dot",
       [

@@ -110,6 +110,19 @@ let test_cut_bits_scale_with_universe () =
   let b8 = measure 8 and b32 = measure 32 in
   Alcotest.(check bool) "bits grow with the universe" true (b32 > 2 * b8)
 
+let test_observer_scoping () =
+  (* A per-run observer taps its own run and nothing after it. *)
+  let count = ref 0 in
+  let g = Gen.path 4 in
+  let observer ~src:_ ~dst:_ ~bits = count := !count + bits in
+  let _, stats = Dsf_congest.Bfs.build ~observer g ~root:0 in
+  let seen = !count in
+  Alcotest.(check bool) "observed inside" true (seen > 0);
+  check Alcotest.int "observer sees the run's bits"
+    stats.Dsf_congest.Sim.total_bits seen;
+  let _ = Dsf_congest.Bfs.build g ~root:0 in
+  check Alcotest.int "not observed outside" seen !count
+
 let prop_ic_gadget_answers =
   QCheck.Test.make
     ~name:"IC gadget: bridge in solution iff sets intersect" ~count:12
@@ -135,6 +148,7 @@ let suites =
         Alcotest.test_case "CR heavy edges = SD answer" `Quick test_cr_heavy_edges_encode_answer;
         Alcotest.test_case "cut bits measured" `Quick test_cut_bits_measured;
         Alcotest.test_case "cut bits scale" `Quick test_cut_bits_scale_with_universe;
+        Alcotest.test_case "observer scoping" `Quick test_observer_scoping;
         qtest prop_ic_gadget_answers;
       ] );
   ]
