@@ -87,6 +87,30 @@ for leg in solve_chaos_j1 solve_chaos_j2; do
 done
 echo "ci: det_dsf chaos differential ok (jobs 1 + jobs 2, n=96)"
 
+# Malformed-input smoke: a bad integer, a self-loop and a disconnected
+# graph must each fail with exit 2 and a PATH:LINE: (or PATH:) location
+# on stderr, never as an uncaught exception.
+printf 'n 3\nedge 0 1 x\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
+  > "$scratch/bad_int.dsf"
+printf 'n 3\nedge 0 1 2\nedge 1 1 2\nlabel 0 0\nlabel 2 0\n' \
+  > "$scratch/bad_selfloop.dsf"
+printf 'n 4\nedge 0 1 2\nedge 2 3 1\nlabel 0 0\nlabel 3 0\n' \
+  > "$scratch/bad_disconnected.dsf"
+for bad in bad_int:2: bad_selfloop:3: bad_disconnected:; do
+  file="$scratch/${bad%%:*}.dsf"
+  prefix="$file:${bad#*:}"
+  status=0
+  with_timeout 60 dune exec bin/dsf_cli.exe -- solve --file "$file" \
+    > /dev/null 2> "$scratch/bad.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -qF "$prefix" "$scratch/bad.err" \
+     || grep -q "uncaught exception" "$scratch/bad.err"; then
+    echo "ci: malformed input $file: want exit 2 and '$prefix', got exit $status:" >&2
+    cat "$scratch/bad.err" >&2
+    exit 1
+  fi
+done
+echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected)"
+
 # Flat-engine smoke: stock workloads through the flat-core engine must
 # reproduce run_reference's states, trees and stats exactly (the
 # standalone counterpart of the qcheck differential suite).

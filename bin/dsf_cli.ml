@@ -28,15 +28,48 @@ let make_graph topology rng n max_w =
         ~bridges:2 ~intra_w:(max 2 (max_w / 8)) ~bridge_w:max_w
   | other -> invalid_arg ("unknown topology: " ^ other)
 
+(* Bad input is a usage error, not a crash: every subcommand that reads an
+   instance file reports problems as PATH:LINE: message (PATH: message when
+   no single line is at fault) on stderr and exits 2. *)
+let input_error path ?(line = 0) msg =
+  if line > 0 then Format.eprintf "%s:%d: %s@." path line msg
+  else Format.eprintf "%s: %s@." path msg;
+  exit 2
+
+(* Parse an instance file and reject disconnected networks up front: every
+   algorithm (and the D/WD/s sweep) assumes one connected CONGEST network. *)
+let read_instance_file path =
+  let parsed =
+    try Dsf_graph.Io.parse_file path with
+    | Dsf_graph.Io.Parse_error (line, msg) -> input_error path ~line msg
+    | Sys_error msg ->
+        Format.eprintf "%s@." msg;
+        exit 2
+  in
+  let g =
+    match parsed with
+    | Dsf_graph.Io.Ic inst -> inst.Instance.graph
+    | Dsf_graph.Io.Cr cr -> cr.Instance.cr_graph
+    | Dsf_graph.Io.Plain g -> g
+  in
+  let comp = Graph.connected_components g in
+  (match Array.find_index (fun c -> c <> comp.(0)) comp with
+  | Some v ->
+      input_error path
+        (Printf.sprintf
+           "graph is disconnected: node %d is unreachable from node 0" v)
+  | None -> ());
+  parsed
+
 let load_or_generate file topology rng n t k max_w =
   match file with
   | Some path -> begin
-      match Dsf_graph.Io.parse_file path with
+      match read_instance_file path with
       | Dsf_graph.Io.Ic inst -> inst
       | Dsf_graph.Io.Cr cr ->
           (Dsf_core.Transform.cr_to_ic cr).Dsf_core.Transform.value
       | Dsf_graph.Io.Plain _ ->
-          invalid_arg "input file has no label/request lines"
+          input_error path "no label or request lines: nothing to solve"
     end
   | None ->
       let g = make_graph topology rng n max_w in
@@ -225,13 +258,19 @@ let compare_cmd topology n t k max_w seed file jobs trace trace_format =
   write_trace sink
 
 let verify_cmd inst_file sol_file dual =
-  match Dsf_graph.Io.parse_file inst_file with
-  | Dsf_graph.Io.Plain _ -> prerr_endline "instance file has no labels/requests"; exit 2
-  | Dsf_graph.Io.Cr _ -> prerr_endline "verify expects a DSF-IC (label) file"; exit 2
+  match read_instance_file inst_file with
+  | Dsf_graph.Io.Plain _ -> input_error inst_file "no label lines: nothing to verify"
+  | Dsf_graph.Io.Cr _ ->
+      input_error inst_file "verify expects a DSF-IC (label) file, not requests"
   | Dsf_graph.Io.Ic inst -> begin
       let g = inst.Instance.graph in
       let text =
-        let ic = open_in sol_file in
+        let ic =
+          try open_in sol_file
+          with Sys_error msg ->
+            Format.eprintf "%s@." msg;
+            exit 2
+        in
         Fun.protect
           ~finally:(fun () -> close_in ic)
           (fun () -> really_input_string ic (in_channel_length ic))

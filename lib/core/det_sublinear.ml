@@ -122,7 +122,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         (Array.to_list (Graph.edges g)
         |> List.map (fun (e : Graph.edge) -> e.u, e.v, e.w * scale))
     in
-    let _, _, s = Paths.parameters g in
+    let _, wd, s = Paths.parameters g in
     let sigma = isqrt (min (s * t) n) in
     let tree =
       tspan "setup" @@ fun () ->
@@ -214,7 +214,9 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
     let merge_phase_count = ref 0 in
     let small_iterations = ref 0 in
     let max_growth_phases =
-      (2 * (ceil_log2 (max 2 (Paths.diameter_weighted g_scaled)) + 2) * (2 * eps_den / eps_num + 2))
+      (* Scaling every weight by [scale] scales every distance by it, so
+         the scaled graph's weighted diameter is exactly [scale * wd]. *)
+      (2 * (ceil_log2 (max 2 (scale * wd)) + 2) * (2 * eps_den / eps_num + 2))
       + 16
     in
     while g_exists_active gs && !growth_phases < max_growth_phases do

@@ -145,6 +145,10 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
   Ledger.add ledger Ledger.Simulated "setup: minimalize instance (Lemma 2.4)"
     minimalized.Transform.rounds;
   let max_bits = ref 0 in
+  (* Before the trial fan-out below: this fills the graph's (D, WD, s)
+     memo (a hit when the caller already swept [g]), so the
+     [Virtual_tree.build] inside every trial reads WD from it instead of
+     re-running the all-sources sweep per trial. *)
   let d, _, s = Paths.parameters g in
   (* The regime test of footnote 2, genuinely simulated: count n by
      convergecast, then run Bellman-Ford for at most sqrt(n) rounds. *)
@@ -228,8 +232,8 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     in
     (* Every trial's runs go through [Sim.run_flat], which reads the
        graph's lazily memoized CSR view: build it here on the coordinator
-       so concurrent trials share one view instead of racing to fill the
-       memo. *)
+       (like the parameter memo above) so concurrent trials share one view
+       instead of racing to fill the memo. *)
     ignore (Graph.csr g);
     let trials =
       Dsf_util.Pool.map_chunked ~jobs trial (Array.init repetitions Fun.id)

@@ -48,7 +48,9 @@ val run :
     domain pool.  Each repetition draws from an rng split off [rng] by
     its trial index and logs rounds into its own ledger, merged back in
     repetition order, so the result — solution, weight, and ledger — is
-    bit-identical for every [jobs] value.
+    bit-identical for every [jobs] value.  The graph's [(D, WD, s)] memo
+    ({!Dsf_graph.Paths.parameters}) and CSR view are forced on the calling
+    domain before the fan-out, so trials only read them.
 
     [observer] taps every simulated run (per-run, not the deprecated
     global shim).  With [jobs > 1] it is invoked concurrently from pool

@@ -28,6 +28,11 @@ type t = {
      wins atomically — but the flat engine still forces it before fanning
      out domains so workers never build it. *)
   mutable csr_memo : csr option;
+  (* Build-once memo of the (D, WD, s) triple, filled only by
+     [Paths.parameters]: its all-sources sweep is O(n·m log n), so each
+     graph pays it at most once per process.  Same benign race as
+     [csr_memo]. *)
+  mutable params_memo : (int * int * int) option;
 }
 
 let build_csr ~n edges adj =
@@ -81,20 +86,32 @@ let build_csr ~n edges adj =
   done;
   { off; dst; wgt; eid; twin; srt }
 
-let make_arr ~n triples =
-  if n <= 0 then invalid_arg "Graph.make: n must be positive";
+let first_invalid_edge ~n triples =
   let m = Array.length triples in
   let seen = Hashtbl.create m in
-  let check (u, v, w) =
-    if u < 0 || u >= n || v < 0 || v >= n then
-      invalid_arg "Graph.make: endpoint out of range";
-    if u = v then invalid_arg "Graph.make: self-loop";
-    if w <= 0 then invalid_arg "Graph.make: non-positive weight";
-    let key = min u v, max u v in
-    if Hashtbl.mem seen key then invalid_arg "Graph.make: duplicate edge";
-    Hashtbl.add seen key ()
+  let rec go i =
+    if i = m then None
+    else begin
+      let u, v, w = triples.(i) in
+      let bad msg = Some (i, "Graph.make: " ^ msg) in
+      if u < 0 || u >= n || v < 0 || v >= n then bad "endpoint out of range"
+      else if u = v then bad "self-loop"
+      else if w <= 0 then bad "non-positive weight"
+      else begin
+        let key = min u v, max u v in
+        if Hashtbl.mem seen key then bad "duplicate edge"
+        else begin
+          Hashtbl.add seen key ();
+          go (i + 1)
+        end
+      end
+    end
   in
-  Array.iter check triples;
+  go 0
+
+let make_arr ~n triples =
+  if n <= 0 then invalid_arg "Graph.make: n must be positive";
+  Option.iter (fun (_, msg) -> invalid_arg msg) (first_invalid_edge ~n triples);
   let edges =
     Array.mapi (fun id (u, v, w) -> { u; v; w; id }) triples
   in
@@ -113,7 +130,7 @@ let make_arr ~n triples =
       adj.(e.v).(fill.(e.v)) <- (e.u, e.w, e.id);
       fill.(e.v) <- fill.(e.v) + 1)
     edges;
-  { n; edges; adj; csr_memo = None }
+  { n; edges; adj; csr_memo = None; params_memo = None }
 
 let make ~n edge_triples = make_arr ~n (Array.of_list edge_triples)
 
@@ -136,6 +153,14 @@ let csr g =
       let c = build_csr ~n:g.n g.edges g.adj in
       g.csr_memo <- Some c;
       c
+
+let params g ~compute =
+  match g.params_memo with
+  | Some p -> p
+  | None ->
+      let p = compute g in
+      g.params_memo <- Some p;
+      p
 
 let pos c ~src ~dst:d =
   if src < 0 || src + 1 >= Array.length c.off then -1

@@ -48,6 +48,11 @@ val make_arr : n:int -> (int * int * int) array -> t
     intermediate lists — the constructor {!Gen} uses so corpus-scale
     instances build in O(m). *)
 
+val first_invalid_edge : n:int -> (int * int * int) array -> (int * string) option
+(** The index of the first triple {!make_arr} rejects, with the message it
+    raises, or [None] if every triple is valid.  Lets a parser map the
+    failure back to the line the triple came from. *)
+
 val unweighted : n:int -> (int * int) list -> t
 (** All edges get weight 1. *)
 
@@ -71,6 +76,14 @@ val csr : t -> csr
     under domains (equal views, atomic pointer store), but callers that fan
     out domains should force it once up front — {!Dsf_congest.Sim.run_flat}
     does. *)
+
+val params : t -> compute:(t -> int * int * int) -> int * int * int
+(** The graph's memo slot for its [(D, WD, s)] triple: returns the stored
+    triple, or runs [compute g] once, stores its result and returns it.  A
+    raising [compute] stores nothing.  Only {!Paths.parameters} fills it,
+    always with its own all-sources sweep, so every later call returns the
+    physically same triple.  The write is the same benign race as {!csr}'s; callers that fan
+    out domains force it first ({!Dsf_core.Rand_dsf.run} does). *)
 
 val csr_pos : t -> src:int -> dst:int -> int
 (** [csr_pos g ~src ~dst] is the directed CSR position of the edge from

@@ -7,9 +7,12 @@ exception Parse_error of int * string
 
 let fail lineno msg = raise (Parse_error (lineno, msg))
 
+(* Every directive keeps its line number, so semantic errors found after
+   the scan (graph validation, out-of-range nodes) still point at the line
+   that caused them. *)
 let parse_string text =
   let lines = String.split_on_char '\n' text in
-  let n = ref (-1) in
+  let n = ref (-1) and n_line = ref 0 in
   let edges = ref [] in
   let labels = ref [] in
   let requests = ref [] in
@@ -35,37 +38,48 @@ let parse_string text =
       | [] -> ()
       | [ "n"; x ] ->
           if !n >= 0 then fail lineno "duplicate n line";
-          n := int_arg x
-      | [ "edge"; u; v; w ] -> edges := (int_arg u, int_arg v, int_arg w) :: !edges
-      | [ "label"; v; l ] -> labels := (int_arg v, int_arg l) :: !labels
-      | [ "request"; u; v ] -> requests := (int_arg u, int_arg v) :: !requests
+          n := int_arg x;
+          n_line := lineno
+      | [ "edge"; u; v; w ] ->
+          edges := (lineno, (int_arg u, int_arg v, int_arg w)) :: !edges
+      | [ "label"; v; l ] -> labels := (lineno, int_arg v, int_arg l) :: !labels
+      | [ "request"; u; v ] ->
+          requests := (lineno, int_arg u, int_arg v) :: !requests
       | w :: _ -> fail lineno (Printf.sprintf "unknown directive %S" w))
     lines;
   if !n < 0 then fail 0 "missing n line";
+  let edge_lines, triples = Array.split (Array.of_list (List.rev !edges)) in
   let g =
-    try Graph.make ~n:!n (List.rev !edges)
-    with Invalid_argument msg -> fail 0 msg
+    try Graph.make_arr ~n:!n triples
+    with Invalid_argument msg -> begin
+      match Graph.first_invalid_edge ~n:!n triples with
+      | Some (i, msg) -> fail edge_lines.(i) msg
+      | None -> fail !n_line msg
+    end
   in
+  let first_line = List.fold_left (fun acc (l, _, _) -> min acc l) max_int in
   match !labels, !requests with
   | [], [] -> Plain g
-  | _ :: _, _ :: _ -> fail 0 "cannot mix label and request lines"
+  | (_ :: _ as ls), (_ :: _ as rs) ->
+      fail (max (first_line ls) (first_line rs))
+        "cannot mix label and request lines"
   | ls, [] ->
-      let arr = Array.make !n (-1) in
       List.iter
-        (fun (v, l) ->
-          if v < 0 || v >= !n then fail 0 "label node out of range";
-          if l < 0 then fail 0 "labels must be non-negative";
-          arr.(v) <- l)
-        ls;
+        (fun (lineno, v, l) ->
+          if v < 0 || v >= !n then fail lineno "label node out of range";
+          if l < 0 then fail lineno "labels must be non-negative")
+        (List.rev ls);
+      let arr = Array.make !n (-1) in
+      List.iter (fun (_, v, l) -> arr.(v) <- l) ls;
       Ic (Instance.make_ic g arr)
   | [], rs ->
-      let arr = Array.make !n [] in
       List.iter
-        (fun (u, v) ->
+        (fun (lineno, u, v) ->
           if u < 0 || u >= !n || v < 0 || v >= !n then
-            fail 0 "request node out of range";
-          arr.(u) <- v :: arr.(u))
-        rs;
+            fail lineno "request node out of range")
+        (List.rev rs);
+      let arr = Array.make !n [] in
+      List.iter (fun (_, u, v) -> arr.(u) <- v :: arr.(u)) rs;
       Cr (Instance.make_cr g arr)
 
 let parse_file path =

@@ -21,7 +21,12 @@ type parsed =
   | Plain of Graph.t
 
 exception Parse_error of int * string
-(** Line number and message. *)
+(** 1-based line number and message.  Semantic errors carry the line of the
+    directive that caused them: an invalid [edge] (self-loop, duplicate,
+    endpoint out of range, non-positive weight), an out-of-range [label] or
+    [request] node, a negative label, the first line that mixes [label]
+    and [request] directives, or the [n] line for a non-positive node
+    count.  Line [0] means the whole file (no [n] line at all). *)
 
 val parse_string : string -> parsed
 val parse_file : string -> parsed

@@ -1,7 +1,31 @@
 (** Centralized shortest-path algorithms and the graph parameters the paper's
     bounds are stated in: unweighted diameter [D], weighted diameter [WD], and
     shortest-path diameter [s] (the maximum, over node pairs, of the minimum
-    hop count among least-weight paths — Section 2). *)
+    hop count among least-weight paths — Section 2).
+
+    {b Kernel.}  Every shortest-path query runs one monomorphic
+    lexicographic [(weight, hops)] Dijkstra over the graph's CSR view
+    ({!Graph.csr}).  Its lazy binary min-heap holds [(d, h, v)] entries in
+    parallel int arrays and applies {!Dsf_util.Heap}'s push, sift-up and
+    sift-down rules under the strict [(d, h)] order, so entries pop in the
+    same order as on that heap, ties included; a node's parent is written at
+    each strict improvement of its key.  [dist], [hops] and [parent] are
+    therefore fully determined by the graph and the source, including which
+    of several equal-weight equal-hop paths is reported.  A sweep allocates
+    one workspace (three [n]-arrays and three [2m + 1]-slot heap arrays) and
+    reuses it for every source.
+
+    {b Memoized parameters.}  {!parameters} runs the all-sources sweep — one
+    BFS plus one kernel run per source, O(n·m log n) — at most once per
+    graph and process: the triple is stored in the graph's memo slot
+    ({!Graph.params}) and every later call, including the three
+    [diameter_*] projections, returns it without sweeping.  A
+    disconnected graph raises on every call and stores nothing.  The memo
+    write is a benign race (equal triples, one atomic pointer store), but
+    code that fans out domains over a graph forces it before the fan-out —
+    {!Dsf_core.Rand_dsf.run} calls [parameters] before its trial pool, so
+    the {!Dsf_embed.Virtual_tree.build} calls inside every trial read the
+    memo. *)
 
 val dijkstra : Graph.t -> src:int -> int array * int array
 (** [dijkstra g ~src] returns [(dist, parent)].  [dist.(v)] is the weighted
@@ -28,19 +52,24 @@ val bfs_multi : Graph.t -> srcs:int list -> int array
 (** Unweighted distance to the nearest source. *)
 
 val all_pairs : Graph.t -> int array array
-(** All-pairs weighted distances (repeated Dijkstra). *)
+(** All-pairs weighted distances (one kernel run per source, one shared
+    workspace). *)
 
 val eccentricity_unweighted : Graph.t -> int -> int
 
 val diameter_unweighted : Graph.t -> int
-(** [D].  Raises [Invalid_argument] if the graph is disconnected. *)
+(** [D], the first component of {!parameters} (memoized).  Raises
+    [Invalid_argument] if the graph is disconnected. *)
 
 val diameter_weighted : Graph.t -> int
-(** [WD]. *)
+(** [WD], the second component of {!parameters} (memoized). *)
 
 val shortest_path_diameter : Graph.t -> int
-(** [s]: max over pairs of the min hop count among least-weight paths.  Uses
-    lexicographic (weight, hops) Dijkstra from every source; O(n·m log n). *)
+(** [s]: max over pairs of the min hop count among least-weight paths — the
+    third component of {!parameters} (memoized). *)
 
 val parameters : Graph.t -> int * int * int
-(** [(d, wd, s)] in one pass over sources. *)
+(** [(d, wd, s)] from one all-sources sweep (O(n·m log n)), computed on the
+    first call for a graph and memoized on it: later calls return the
+    physically same triple.  Raises [Invalid_argument] if the graph is
+    disconnected. *)

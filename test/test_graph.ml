@@ -231,6 +231,138 @@ let prop_dijkstra_edge_bound =
           dist.(e.u) <= dist.(e.v) + e.w && dist.(e.v) <= dist.(e.u) + e.w)
         (Graph.edges g))
 
+(* The original polymorphic implementation, kept verbatim as the oracle for
+   the monomorphic kernel: boxed (d, h, v, par) entries on Dsf_util.Heap,
+   parent written when an entry settles. *)
+let oracle_dijkstra_hops g ~src =
+  let module Heap = Dsf_util.Heap in
+  let inf = max_int in
+  let n = Graph.n g in
+  let dist = Array.make n inf in
+  let hops = Array.make n inf in
+  let parent = Array.make n (-1) in
+  let settled = Array.make n false in
+  let cmp (d1, h1, _, _) (d2, h2, _, _) = compare (d1, h1) (d2, h2) in
+  let heap = Heap.create ~cmp in
+  dist.(src) <- 0;
+  hops.(src) <- 0;
+  Heap.push heap (0, 0, src, -1);
+  let rec loop () =
+    match Heap.pop heap with
+    | None -> ()
+    | Some (d, h, v, par) ->
+        if not settled.(v) then begin
+          settled.(v) <- true;
+          dist.(v) <- d;
+          hops.(v) <- h;
+          parent.(v) <- par;
+          Array.iter
+            (fun (nb, w, _) ->
+              if not settled.(nb) then begin
+                let nd = d + w and nh = h + 1 in
+                if (nd, nh) < (dist.(nb), hops.(nb)) then begin
+                  dist.(nb) <- nd;
+                  hops.(nb) <- nh;
+                  Heap.push heap (nd, nh, nb, v)
+                end
+              end)
+            (Graph.adj g v)
+        end;
+        loop ()
+  in
+  loop ();
+  dist, parent, hops
+
+let agrees_with_oracle g =
+  let ok = ref true in
+  for src = 0 to Graph.n g - 1 do
+    let dist, parent, hops = Paths.dijkstra_hops g ~src in
+    let odist, oparent, ohops = oracle_dijkstra_hops g ~src in
+    if dist <> odist || parent <> oparent || hops <> ohops then ok := false
+  done;
+  !ok
+
+let prop_kernel_matches_oracle =
+  QCheck.Test.make
+    ~name:"dijkstra_hops = seed oracle (dist, hops, parent), tie-heavy"
+    ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 1 3))
+    (fun (seed, max_w) ->
+      let r = rng seed in
+      let n = 2 + Dsf_util.Rng.int r 40 in
+      let g =
+        Gen.random_connected r ~n ~extra_edges:(Dsf_util.Rng.int r (2 * n))
+          ~max_w
+      in
+      agrees_with_oracle g)
+
+let test_kernel_oracle_shapes () =
+  let r = rng 17 in
+  List.iter
+    (fun (name, g) -> check Alcotest.bool name true (agrees_with_oracle g))
+    [
+      "unit path", Gen.path 30;
+      "weighted path", Gen.reweight r ~max_w:3 (Gen.path 40);
+      "unit grid", Gen.grid ~rows:6 ~cols:7;
+      "weighted grid", Gen.reweight r ~max_w:2 (Gen.grid ~rows:7 ~cols:5);
+      "complete", Gen.reweight r ~max_w:2 (Gen.complete 9);
+    ]
+
+let test_kernel_oracle_disconnected () =
+  (* Two triangles and an isolated node: unreachable nodes keep the
+     max_int distance/hops and the -1 parent markers. *)
+  let g =
+    Graph.make ~n:7
+      [ 0, 1, 1; 1, 2, 1; 0, 2, 2; 3, 4, 2; 4, 5, 1; 3, 5, 3 ]
+  in
+  check Alcotest.bool "oracle agrees" true (agrees_with_oracle g);
+  let dist, parent, hops = Paths.dijkstra_hops g ~src:0 in
+  check Alcotest.int "dist unreachable" max_int dist.(4);
+  check Alcotest.int "hops unreachable" max_int hops.(6);
+  check Alcotest.int "parent unreachable" (-1) parent.(5);
+  Alcotest.check_raises "parameters rejects"
+    (Invalid_argument "Paths: disconnected graph") (fun () ->
+      ignore (Paths.parameters g))
+
+let test_parameters_memo () =
+  let g = Gen.random_connected (rng 5) ~n:30 ~extra_edges:30 ~max_w:7 in
+  let p1 = Paths.parameters g in
+  let p2 = Paths.parameters g in
+  check Alcotest.bool "second call is the memoized triple" true (p1 == p2);
+  let d, wd, s = p1 in
+  check Alcotest.int "diameter_unweighted" d (Paths.diameter_unweighted g);
+  check Alcotest.int "diameter_weighted" wd (Paths.diameter_weighted g);
+  check Alcotest.int "shortest_path_diameter" s
+    (Paths.shortest_path_diameter g);
+  (* A fresh graph with the same edges gets its own sweep, equal values. *)
+  let copy =
+    Graph.make ~n:(Graph.n g)
+      (Array.to_list (Graph.edges g)
+      |> List.map (fun (e : Graph.edge) -> e.u, e.v, e.w))
+  in
+  check Alcotest.bool "fresh graph, same triple" true
+    (Paths.parameters copy = p1)
+
+let test_scaled_weighted_diameter () =
+  (* Scaling every weight by k scales every distance by k: the identity
+     Det_sublinear uses instead of sweeping its scaled graph. *)
+  List.iter
+    (fun seed ->
+      let g = Gen.random_connected (rng seed) ~n:25 ~extra_edges:25 ~max_w:9 in
+      List.iter
+        (fun k ->
+          let scaled =
+            Graph.make ~n:(Graph.n g)
+              (Array.to_list (Graph.edges g)
+              |> List.map (fun (e : Graph.edge) -> e.u, e.v, k * e.w))
+          in
+          check Alcotest.int
+            (Printf.sprintf "seed %d, x%d" seed k)
+            (k * Paths.diameter_weighted g)
+            (Paths.diameter_weighted scaled))
+        [ 1; 2; 17 ])
+    [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------- Gen *)
 
 let test_gen_shapes () =
@@ -539,6 +671,14 @@ let suites =
         Alcotest.test_case "s exceeds D" `Quick test_s_vs_d_gap;
         qtest prop_dijkstra_triangle;
         qtest prop_dijkstra_edge_bound;
+        qtest prop_kernel_matches_oracle;
+        Alcotest.test_case "kernel = oracle on paths and grids" `Quick
+          test_kernel_oracle_shapes;
+        Alcotest.test_case "kernel = oracle, disconnected" `Quick
+          test_kernel_oracle_disconnected;
+        Alcotest.test_case "parameters memo" `Quick test_parameters_memo;
+        Alcotest.test_case "scaled weighted diameter" `Quick
+          test_scaled_weighted_diameter;
       ] );
     ( "graph.gen",
       [

@@ -175,6 +175,33 @@ let test_io_errors () =
   expect_error "n 2\nedge 0 1 1\nlabel 0 0\nrequest 0 1\n"
   (* mixed *)
 
+let test_io_error_lines () =
+  let expect_line name line msg text =
+    match Io.parse_string text with
+    | exception Io.Parse_error (l, m) ->
+        check Alcotest.(pair int string) name (line, msg) (l, m)
+    | _ -> Alcotest.fail (name ^ ": expected Parse_error")
+  in
+  expect_line "self-loop" 3 "Graph.make: self-loop"
+    "n 3\nedge 0 1 2\nedge 1 1 2\n";
+  expect_line "duplicate" 4 "Graph.make: duplicate edge"
+    "n 3\n# comment\nedge 0 1 2\nedge 1 0 5\n";
+  expect_line "out of range" 2 "Graph.make: endpoint out of range"
+    "n 3\nedge 0 7 2\nedge 1 1 2\n";
+  expect_line "weight" 3 "Graph.make: non-positive weight"
+    "n 3\nedge 0 1 2\nedge 1 2 0\n";
+  expect_line "n" 2 "Graph.make: n must be positive" "\nn 0\n";
+  expect_line "label node" 4 "label node out of range"
+    "n 2\nedge 0 1 1\nlabel 0 0\nlabel 5 0\nlabel 9 0\n";
+  expect_line "negative label" 3 "labels must be non-negative"
+    "n 2\nedge 0 1 1\nlabel 0 -1\n";
+  expect_line "request node" 3 "request node out of range"
+    "n 2\nedge 0 1 1\nrequest 0 2\nrequest 3 0\n";
+  expect_line "mixed" 4 "cannot mix label and request lines"
+    "n 2\nedge 0 1 1\nlabel 0 0\nrequest 0 1\nlabel 1 0\n";
+  expect_line "bad integer" 2 "expected integer, got \"x\""
+    "n 2\nedge 0 1 x\n"
+
 let test_io_solution_roundtrip () =
   let inst = random_instance 6 in
   let g = inst.Instance.graph in
@@ -262,6 +289,7 @@ let suites =
         Alcotest.test_case "parse CR" `Quick test_io_parse_cr;
         Alcotest.test_case "plain + comments" `Quick test_io_parse_plain_and_comments;
         Alcotest.test_case "errors" `Quick test_io_errors;
+        Alcotest.test_case "error line numbers" `Quick test_io_error_lines;
         Alcotest.test_case "solution roundtrip" `Quick test_io_solution_roundtrip;
         Alcotest.test_case "solution errors" `Quick test_io_solution_errors;
         qtest prop_io_roundtrip;

@@ -16,6 +16,31 @@ let random_instance ?(n = 24) ?(extra = 18) ?(max_w = 8) ?(t = 8) ?(k = 3) seed 
 
 (* ---------------------------------------------------------------- Rand_dsf *)
 
+(* A solve sweeps its graph for (D, WD, s) once: the first sweep fills the
+   graph's memo and every later reader (the trials' Virtual_tree.build,
+   Det_sublinear's scaled bound) must find it there. *)
+let test_solvers_fill_params_memo () =
+  let fresh_sweep g =
+    Paths.parameters
+      (Graph.make ~n:(Graph.n g)
+         (Array.to_list (Graph.edges g)
+         |> List.map (fun (e : Graph.edge) -> e.u, e.v, e.w)))
+  in
+  let filled name g =
+    let p =
+      Graph.params g ~compute:(fun _ ->
+          Alcotest.fail (name ^ ": the (D, WD, s) memo was not filled"))
+    in
+    check Alcotest.(triple int int int) (name ^ ": memo = sweep")
+      (fresh_sweep g) p
+  in
+  let inst = random_instance ~n:30 31 in
+  ignore (Rand_dsf.run ~jobs:2 ~rng:(rng 3) inst);
+  filled "rand_dsf" inst.Instance.graph;
+  let inst = random_instance ~n:30 32 in
+  ignore (Det_sublinear.run ~eps_num:1 ~eps_den:2 inst);
+  filled "det_sublinear" inst.Instance.graph
+
 let test_rand_pair_path () =
   let g = Gen.path 6 in
   let inst = Instance.make_ic g [| 0; -1; -1; -1; -1; 0 |] in
@@ -209,6 +234,8 @@ let suites =
         Alcotest.test_case "both regimes" `Quick test_rand_regimes_agree_on_feasibility;
         Alcotest.test_case "reproducible" `Quick test_rand_deterministic_given_seed;
         Alcotest.test_case "repetitions only help" `Quick test_rand_more_repetitions_no_worse;
+        Alcotest.test_case "one parameter sweep per graph" `Quick
+          test_solvers_fill_params_memo;
         qtest prop_rand_feasible_logn_ratio;
         qtest prop_rand_truncated_feasible;
       ] );
