@@ -288,7 +288,15 @@ let a6 ~jobs () =
               ~seed:(4600 + int_of_float (p *. 100.))
               ()
         in
-        let states, stats = Dsf_congest.Fault.run_hardened ~plan g proto in
+        let states, stats =
+          Dsf_congest.Fault.sim_run
+            ~env:
+              {
+                Dsf_congest.Sim.default_env with
+                network = Dsf_congest.Sim.Chaos (Dsf_congest.Fault.chaos plan);
+              }
+            g proto
+        in
         p, states, stats)
       [| 0.0; 0.05; 0.1; 0.2; 0.3 |]
   in

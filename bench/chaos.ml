@@ -23,7 +23,11 @@ let run () =
   let plan = Fault.plan ~drop:0.15 ~duplicate:0.1 ~seed:4242 () in
   let check name proto =
     let lossless, base = Sim.run g proto in
-    let hardened, stats = Fault.run_hardened ~plan g proto in
+    let hardened, stats =
+      Fault.sim_run
+        ~env:{ Sim.default_env with network = Sim.Chaos (Fault.chaos plan) }
+        g proto
+    in
     let masked = lossless = hardened in
     Format.printf "%-14s %-8s rounds %4d -> %4d, retrans %5d, dropped %5d@."
       name
@@ -100,7 +104,8 @@ let soak () =
       run =
         (fun ~jobs ~chaos k ->
           let states, stats =
-            Fault.sim_run ~max_rounds ~jobs ~chaos
+            Fault.sim_run ~max_rounds
+              ~env:{ Sim.default_env with network = Sim.Chaos chaos; jobs }
               ~recovery:(Fault.immutable ()) g proto
           in
           k ~masked:(states = lossless) ~retrans:stats.Sim.retransmissions
@@ -139,7 +144,7 @@ let soak () =
               | exception Sim.Round_limit a ->
                   Format.eprintf
                     "chaos soak: %s/%s/%s hit the round limit@.%a@." cname
-                    leg.sname ename (Dsf_congest.Trace.pp_postmortem ?recorder:None) a;
+                    leg.sname ename (Dsf_congest.Trace.pp_postmortem ?env:None) a;
                   incr failures)
             engines)
         protocols)

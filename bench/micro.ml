@@ -488,7 +488,7 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
         let g = flat_graph n in
         fun jobs ->
           snd
-            (Sim.run_flat ~jobs g
+            (Sim.run_flat ~env:{ Sim.default_env with jobs } g
                (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n g) ~root:0))
     );
     ( "bellman_ford path",
@@ -496,7 +496,10 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
       fun n ->
         let g = flat_graph n in
         let sources = [ 0, 0; n - 1, 0 ] in
-        fun jobs -> snd (Dsf_congest.Bellman_ford.run ~jobs g ~sources) );
+        fun jobs ->
+          snd
+            (Dsf_congest.Bellman_ford.run ~env:{ Sim.default_env with jobs } g
+               ~sources) );
     ( "region_bf path",
       max_int,
       fun n ->
@@ -505,14 +508,19 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
           [ 0, Dsf_core.Frac.zero, 0; n - 1, Dsf_core.Frac.zero, n - 1 ]
         in
         let frozen = Array.make n false in
-        fun jobs -> snd (Dsf_core.Region_bf.run ~jobs g ~sources ~frozen) );
+        fun jobs ->
+          snd
+            (Dsf_core.Region_bf.run ~env:{ Sim.default_env with jobs } g
+               ~sources ~frozen) );
     ( "upcast path",
       max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items v = if v > 0 && v mod 16 = 0 then [ v ] else [] in
         fun jobs ->
-          snd (Dsf_congest.Tree_ops.upcast ~jobs g ~tree ~items ~bits:item_bits)
+          snd
+            (Dsf_congest.Tree_ops.upcast ~env:{ Sim.default_env with jobs } g
+               ~tree ~items ~bits:item_bits)
     );
     ( "filtered_upcast path",
       4096,
@@ -525,8 +533,9 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
         in
         fun jobs ->
           snd
-            (Dsf_congest.Pipeline.filtered_upcast ~jobs g ~tree ~vn:n ~pre:[]
-               ~items ~cmp:compare ~bits:(fun _ -> 30)) );
+            (Dsf_congest.Pipeline.filtered_upcast
+               ~env:{ Sim.default_env with jobs } g ~tree ~vn:n ~pre:[] ~items
+               ~cmp:compare ~bits:(fun _ -> 30)) );
     ( "token_flood path",
       max_int,
       fun n ->
@@ -534,12 +543,17 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
         let parent = Array.init n (fun v -> v - 1) in
         let seeds = Array.make n false in
         seeds.(n - 1) <- true;
-        fun jobs -> snd (Dsf_core.Select.token_flood ~jobs g ~parent ~seeds) );
+        fun jobs ->
+          snd
+            (Dsf_core.Select.token_flood ~env:{ Sim.default_env with jobs } g
+               ~parent ~seeds) );
     ( "exchange path",
       max_int,
       fun n ->
         let g = flat_graph n in
-        fun jobs -> Dsf_congest.Exchange.all_neighbors ~jobs g ~payload_bits:9
+        fun jobs ->
+          Dsf_congest.Exchange.all_neighbors ~env:{ Sim.default_env with jobs }
+            g ~payload_bits:9
     );
   ]
 
@@ -829,7 +843,15 @@ let fault_overhead () =
         if drop = 0. then Dsf_congest.Fault.empty
         else Dsf_congest.Fault.plan ~drop ~seed:808 ()
       in
-      let states, stats = Dsf_congest.Fault.run_hardened ~plan g proto in
+      let states, stats =
+        Dsf_congest.Fault.sim_run
+          ~env:
+            {
+              Sim.default_env with
+              network = Sim.Chaos (Dsf_congest.Fault.chaos plan);
+            }
+          g proto
+      in
       {
         drop;
         lossless_rounds = base.Sim.rounds;
@@ -878,7 +900,14 @@ let run_profiled_workloads tel =
         (fun (label, plan) ->
           Telemetry.span tel label (fun () ->
               ignore
-                (Dsf_congest.Fault.run_hardened ~telemetry:tel ~plan g proto)))
+                (Dsf_congest.Fault.sim_run
+                   ~env:
+                     {
+                       Sim.default_env with
+                       telemetry = Some tel;
+                       network = Sim.Chaos (Dsf_congest.Fault.chaos plan);
+                     }
+                   g proto)))
         [
           "drop=0.00", Dsf_congest.Fault.empty;
           "drop=0.10", Dsf_congest.Fault.plan ~drop:0.1 ~seed:808 ();
@@ -982,7 +1011,11 @@ let recovery_leader ~windows =
     timed (fun () ->
         Sim.run
           ~halt:(Dsf_congest.Fault.quiescent proto)
-          ~faults:(Dsf_congest.Fault.instantiate plan)
+          ~env:
+            {
+              Sim.default_env with
+              network = Sim.Faults (Dsf_congest.Fault.instantiate plan);
+            }
           g hardened)
   in
   let rs = Dsf_congest.Fault.recovery_of hs in
@@ -1014,20 +1047,19 @@ let recovery_det_dsf ~windows =
           inst)
   in
   (* The recovery counters of the inner hardened primitives land on the
-     "hardened" telemetry spans: the only ledger adds made while such a
-     span is open are the hardened runner's own — retransmissions plus
-     recovery rounds as Simulated, checkpoint bits as Charged (det_dsf's
-     result-ledger adds happen after each primitive's span closes) — so
-     the totals fall out of the profile. *)
-  let retrans = ref 0 and sim = ref 0 and ckpt = ref 0 in
+     "hardened" telemetry spans: the only ledger add made while such a
+     span is open is the hardened runner's own recovery rounds (det_dsf's
+     result-ledger adds happen after each primitive's span closes), and
+     the checkpoint bits go to the metrics registry — so the totals fall
+     out of the profile. *)
+  let retrans = ref 0 and sim = ref 0 in
   List.iter
     (fun row ->
       let p = row.path and s = "/hardened" in
       let lp = String.length p and ls = String.length s in
       if (lp >= ls && String.sub p (lp - ls) ls = s) || p = "hardened" then begin
         retrans := !retrans + row.p_retrans;
-        sim := !sim + row.p_ledger_sim;
-        ckpt := !ckpt + row.p_ledger_charged
+        sim := !sim + row.p_ledger_sim
       end)
     (flatten_profile tel);
   let total l = Dsf_congest.Ledger.total l in
@@ -1038,8 +1070,10 @@ let recovery_det_dsf ~windows =
     rv_rounds = total res.Dsf_core.Det_dsf.ledger;
     rv_retrans = !retrans;
     rv_restores = None;
-    rv_recovery_rounds = !sim - !retrans;
-    rv_checkpoint_bits = !ckpt;
+    rv_recovery_rounds = !sim;
+    rv_checkpoint_bits =
+      Dsf_util.Metrics.counter_value (Telemetry.metrics tel)
+        "fault/checkpoint_bits";
     rv_wall_overhead = wall /. base_wall;
     rv_masked =
       res.Dsf_core.Det_dsf.solution = base.Dsf_core.Det_dsf.solution

@@ -237,7 +237,8 @@ let e6 () =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.cr_side
           (fun ~observer ->
             let ic =
-              (Dsf_core.Transform.cr_to_ic ~observer
+              (Dsf_core.Transform.cr_to_ic
+                 ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
                  gad.Dsf_lower_bound.Gadgets.cr)
                 .Dsf_core.Transform.value
             in
@@ -280,7 +281,8 @@ let e7 () =
             (* The honest pipeline: the distributed minimalization is where
                the per-label information must cross the bridge. *)
             let out =
-              Dsf_core.Transform.minimalize ~observer
+              Dsf_core.Transform.minimalize
+                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
                 gad.Dsf_lower_bound.Gadgets.ic
             in
             Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)

@@ -40,8 +40,9 @@ with_timeout 300 dune build @lint
 
 # Typed static analysis: the Typedtree rules over the libraries' .cmt
 # artifacts — domain-race (every flat fp_step provably mutates only
-# node-local state) and congest-width (every Pack layout and declared
-# fp_msg_bits fits the 62-bit CONGEST word).  Same empty baseline.
+# node-local state), congest-width (every Pack layout and declared
+# fp_msg_bits fits the 62-bit CONGEST word) and env-dropped (no simulated
+# run drops the Sim.env its caller has in scope).  Same empty baseline.
 with_timeout 300 dune build @lint-typed
 
 with_timeout 900 dune runtest
@@ -263,3 +264,24 @@ EOF
 else
   echo "ci: python3 not found; skipping trace JSON validation" >&2
 fi
+
+# Trace-coverage smoke: one run environment reaches every simulated run,
+# so the summed engine rounds of a traced solve's spans must equal the
+# "simulated N" the solve prints.  det and sublinear at n=200 (rand keeps
+# one weight-comparison BFS outside its ledger, so it has no such
+# identity).
+for algo in det sublinear; do
+  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo "$algo" \
+    --topology random --nodes 200 --terminals 20 --components 5 --seed 3 \
+    --jobs 1 --trace "$scratch/cover_$algo.jsonl" --trace-format jsonl \
+    > "$scratch/cover_$algo.out"
+  printed=$(sed -n -E 's/.*\(simulated ([0-9]+),.*/\1/p' "$scratch/cover_$algo.out")
+  traced=$(grep '"type": "span"' "$scratch/cover_$algo.jsonl" \
+    | sed -E 's/.*"rounds": ([0-9]+).*/\1/' \
+    | awk '{ s += $1 } END { print s + 0 }')
+  if [ -z "$printed" ] || [ "$printed" != "$traced" ]; then
+    echo "ci: $algo trace covers $traced rounds, solve simulated '$printed'" >&2
+    exit 1
+  fi
+  echo "ci: $algo trace covers all $traced simulated rounds"
+done

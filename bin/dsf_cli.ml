@@ -309,7 +309,8 @@ let gadget_cmd kind universe seed intersect =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.ic_side
           (fun ~observer ->
             let out =
-              Dsf_core.Transform.minimalize ~observer
+              Dsf_core.Transform.minimalize
+                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
                 gad.Dsf_lower_bound.Gadgets.ic
             in
             Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)
@@ -326,7 +327,8 @@ let gadget_cmd kind universe seed intersect =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.cr_side
           (fun ~observer ->
             let out =
-              Dsf_core.Transform.cr_to_ic ~observer
+              Dsf_core.Transform.cr_to_ic
+                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
                 gad.Dsf_lower_bound.Gadgets.cr
             in
             Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)

@@ -29,8 +29,8 @@ let () =
       ("--json", Arg.Set json, " emit findings as JSON on stdout");
       ( "--typed",
         Arg.Set typed,
-        " run the Typedtree rules (domain-race, congest-width) over .cmt \
-         artifacts instead of parsing sources" );
+        " run the Typedtree rules (domain-race, congest-width, \
+         env-dropped) over .cmt artifacts instead of parsing sources" );
       ( "--baseline",
         Arg.Set_string baseline_file,
         "FILE subtract grandfathered findings recorded in FILE" );

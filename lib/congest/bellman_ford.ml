@@ -228,8 +228,7 @@ let flat_protocol ?weight_of ?radius g ~sources =
     end
   end
 
-let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?jobs
-    ?chaos g ~sources =
+let run ?weight_of ?radius ?max_rounds ?(env = Sim.default_env) g ~sources =
   let n = Graph.n g in
   let dist = Array.make n max_int in
   let src_of = Array.make n (-1) in
@@ -244,17 +243,14 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?jobs
     end
   in
   let native =
-    if Option.is_none chaos && Sim.native_ports () then
-      flat_protocol ?weight_of ?radius g ~sources
+    if Sim.native_ports env then flat_protocol ?weight_of ?radius g ~sources
     else None
   in
   let stats =
+    Sim.span env "bellman_ford" @@ fun () ->
     match native with
     | Some fp ->
-        let states, stats =
-          Telemetry.span_opt telemetry "bellman_ford" (fun () ->
-              Sim.run_flat ?max_rounds ?observer ?faults ?telemetry ?jobs g fp)
-        in
+        let states, stats = Sim.run_flat ?max_rounds ~env g fp in
         Array.iteri
           (fun v st -> fill ~d:st.fdist ~s:st.fsrc ~p:st.fparent ~h:st.fhops v)
           states;
@@ -262,9 +258,7 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?jobs
     | None ->
         let proto = protocol ?weight_of ?radius g ~sources in
         let states, stats =
-          Telemetry.span_opt telemetry "bellman_ford" (fun () ->
-              Fault.sim_run ?max_rounds ?observer ?faults ?telemetry
-                ?jobs ?chaos ~recovery:(Fault.immutable ()) g proto)
+          Fault.sim_run ?max_rounds ~env ~recovery:(Fault.immutable ()) g proto
         in
         Array.iteri
           (fun v (st : state) ->
@@ -274,5 +268,4 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?jobs
   in
   { dist; src_of; parent; hops; rounds = stats.Sim.rounds }, stats
 
-let sssp ?observer ?telemetry ?jobs g ~src =
-  run ?observer ?telemetry ?jobs g ~sources:[ src, 0 ]
+let sssp ?(env = Sim.default_env) g ~src = run ~env g ~sources:[ src, 0 ]

@@ -56,11 +56,7 @@ val run :
   ?weight_of:(int -> int) ->
   ?radius:int ->
   ?max_rounds:int ->
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   sources:(int * int) list ->
   result * Sim.stats
@@ -68,17 +64,12 @@ val run :
     [weight_of eid] overrides the weight of edge [eid] (must be >= 0; zero
     weights model edges inside contracted moats).  [radius r] discards any
     path of distance > [r].  Ties are broken towards the smaller source id,
-    then the smaller parent id.  [telemetry] profiles the run under a
-    ["bellman_ford"] span.  Runs the native {!flat_protocol} on
-    {!Sim.run_flat} with [?jobs] domains (adapter fallback when it
-    declines); under [chaos], or while {!Sim.use_reference_engine} is set,
-    the classic {!protocol} runs instead.  [faults] injects a fault
-    plan. *)
+    then the smaller parent id.  Runs under a ["bellman_ford"] span: the
+    native {!flat_protocol} when {!Sim.native_ports} holds (adapter
+    fallback when it declines), the classic {!protocol} otherwise. *)
 
 val sssp :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   src:int ->
   result * Sim.stats

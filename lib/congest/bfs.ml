@@ -141,48 +141,40 @@ let tree_of_parent_depth ~root ~parent ~depth =
   let height = Array.fold_left max 0 depth in
   { root; parent; depth; children; height }
 
-let build ?observer ?telemetry ?jobs ?chaos g ~root =
+let build ?(env = Sim.default_env) g ~root =
   let n = Graph.n g in
   (* Precondition check: on a disconnected graph the flood never reaches
      everyone and the simulation would spin to its round limit. *)
   if not (Graph.is_connected g) then
     invalid_arg "Bfs.build: disconnected graph";
-  if Option.is_none chaos && Sim.native_ports () then begin
-    (* Native port: run on the flat engine directly and decode the packed
-       states.  Tree and stats are bit-identical to the classic path. *)
-    let states, stats =
-      Telemetry.span_opt telemetry "bfs" (fun () ->
-          Sim.run_flat ?observer ?telemetry ?jobs g (flat_protocol ~n ~root))
-    in
-    let parent = Array.make n (-1) in
-    let depth = Array.make n 0 in
-    Array.iteri
-      (fun v st ->
-        match flat_state_parent_depth ~n st with
-        | None -> invalid_arg "Bfs.build: disconnected graph"
-        | Some (p, d) ->
-            parent.(v) <- p;
-            depth.(v) <- d)
-      states;
-    tree_of_parent_depth ~root ~parent ~depth, stats
-  end
-  else begin
-  let states, stats =
-    Telemetry.span_opt telemetry "bfs" (fun () ->
-        Fault.sim_run ?observer ?telemetry ?jobs ?chaos
-          ~recovery:(Fault.immutable ()) g (protocol ~root))
-  in
   let parent = Array.make n (-1) in
   let depth = Array.make n 0 in
-  Array.iteri
-    (fun v st ->
-      match st.parent with
-      | None -> invalid_arg "Bfs.build: disconnected graph"
-      | Some p ->
-          parent.(v) <- p;
-          depth.(v) <- st.depth)
-    states;
+  let fill v = function
+    | None -> invalid_arg "Bfs.build: disconnected graph"
+    | Some (p, d) ->
+        parent.(v) <- p;
+        depth.(v) <- d
+  in
+  let stats =
+    Sim.span env "bfs" @@ fun () ->
+    if Sim.native_ports env then begin
+      (* Native port: run on the flat engine directly and decode the
+         packed states.  Tree and stats are bit-identical to the classic
+         path. *)
+      let states, stats = Sim.run_flat ~env g (flat_protocol ~n ~root) in
+      Array.iteri (fun v st -> fill v (flat_state_parent_depth ~n st)) states;
+      stats
+    end
+    else begin
+      let states, stats =
+        Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (protocol ~root)
+      in
+      Array.iteri
+        (fun v st -> fill v (Option.map (fun p -> p, st.depth) st.parent))
+        states;
+      stats
+    end
+  in
   tree_of_parent_depth ~root ~parent ~depth, stats
-  end
 
 let max_id_root g = Graph.n g - 1

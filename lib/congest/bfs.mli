@@ -40,21 +40,12 @@ val flat_state_parent_depth : n:int -> int -> (int * int) option
     the node was never reached.  [n] is the node count of the graph the
     state came from. *)
 
-val build :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
-  Dsf_graph.Graph.t ->
-  root:int ->
-  tree * Sim.stats
-(** Raises [Invalid_argument] if the graph is disconnected.  [observer]
-    taps this run's messages (per-run, domain-safe); [telemetry] profiles
-    the flood under a ["bfs"] span.  Runs the native {!flat_protocol} on
-    {!Sim.run_flat} (with [?jobs] domains) — tree, stats, and observer
-    trace are bit-identical to {!protocol}.  Under [chaos], or while
-    {!Sim.use_reference_engine} is set, the classic {!protocol} runs
-    instead (see {!Sim.native_ports}). *)
+val build : ?env:Sim.env -> Dsf_graph.Graph.t -> root:int -> tree * Sim.stats
+(** Raises [Invalid_argument] if the graph is disconnected.  Runs under a
+    ["bfs"] span (see {!Sim} for the run environment): the native
+    {!flat_protocol} when {!Sim.native_ports} holds — tree, stats, and
+    observer trace bit-identical to {!protocol} — and the classic
+    {!protocol} otherwise. *)
 
 val max_id_root : Dsf_graph.Graph.t -> int
 (** The conventional root choice of the paper's appendix: the node with the

@@ -43,7 +43,7 @@ type color_msg = Down of int
      +2  recolor:             the target class picks the least color of
                               {0,1,2} unused by parent (just heard) and
                               children (= own pre-shift color). *)
-let three_color g ~parent =
+let three_color ?(env = Sim.default_env) g ~parent =
   Array.iteri
     (fun v p ->
       if p >= 0 && Graph.find_edge g v p = None then
@@ -121,7 +121,7 @@ let three_color g ~parent =
       wake = None;
     }
   in
-  let states, stats = Sim.run g proto in
+  let states, stats = Sim.run ~env g proto in
   Array.map (fun st -> st.color) states, stats
 
 type match_state = {
@@ -136,8 +136,8 @@ type match_msg = Propose | Accept
 (* Color classes propose to their parents in turn; an unmatched parent
    accepts its smallest proposer.  Accept confirmations are processed
    before the next class proposes, so the matching stays consistent. *)
-let maximal_matching g ~parent =
-  let colors, color_stats = three_color g ~parent in
+let maximal_matching ?(env = Sim.default_env) g ~parent =
+  let colors, color_stats = three_color ~env g ~parent in
   let proto : (match_state, match_msg) Sim.protocol =
     {
       init =
@@ -193,7 +193,7 @@ let maximal_matching g ~parent =
       wake = None;
     }
   in
-  let states, stats = Sim.run g proto in
+  let states, stats = Sim.run ~env g proto in
   let edges = Array.to_list states |> List.concat_map (fun st -> st.accepted) in
   ( edges,
     {

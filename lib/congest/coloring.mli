@@ -10,17 +10,21 @@
     three color classes yields a maximal matching.
 
     Both routines run as real simulated protocols over the tree edges
-    (parent pointers into the communication graph). *)
+    (parent pointers into the communication graph), under the run
+    environment [?env] (see {!Sim}). *)
 
 val three_color :
-  Dsf_graph.Graph.t -> parent:int array -> int array * Sim.stats
+  ?env:Sim.env -> Dsf_graph.Graph.t -> parent:int array -> int array * Sim.stats
 (** [three_color g ~parent] 3-colors the rooted forest given by [parent]
     ([-1] marks roots; every (v, parent v) pair must be an edge of [g]).
     Returns colors in {0, 1, 2} with adjacent tree nodes colored
     differently.  O(log* n + 1) simulated rounds. *)
 
 val maximal_matching :
-  Dsf_graph.Graph.t -> parent:int array -> (int * int) list * Sim.stats
+  ?env:Sim.env ->
+  Dsf_graph.Graph.t ->
+  parent:int array ->
+  (int * int) list * Sim.stats
 (** A maximal matching of the rooted forest's (child, parent) edges: built
     from the 3-coloring by letting each color class propose in turn.
     Returns matched (child, parent) pairs; no node appears twice, and no

@@ -2,7 +2,7 @@ module Graph = Dsf_graph.Graph
 
 type 'a state = { best : 'a option; dirty : bool }
 
-let gossip_extremum ?observer ?telemetry g ~mask ~values ~better ~bits =
+let gossip_extremum ?(env = Sim.default_env) g ~mask ~values ~better ~bits =
   let proto : ('a state, 'a) Sim.protocol =
     {
       init =
@@ -35,14 +35,13 @@ let gossip_extremum ?observer ?telemetry g ~mask ~values ~better ~bits =
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "gossip_extremum" (fun () ->
-        Sim.run ?observer ?telemetry g proto)
+    Sim.span env "gossip_extremum" (fun () -> Sim.run ~env g proto)
   in
   Array.map (fun st -> st.best) states, stats
 
-let leaders ?observer ?telemetry g ~mask =
+let leaders ?(env = Sim.default_env) g ~mask =
   let results, stats =
-    gossip_extremum ?observer ?telemetry g ~mask
+    gossip_extremum ~env g ~mask
       ~values:(fun v -> Some v)
       ~better:(fun a b -> a > b)
       ~bits:(fun _ -> Dsf_util.Bitsize.id_bits ~n:(Graph.n g))
@@ -52,6 +51,6 @@ let leaders ?observer ?telemetry g ~mask =
       results,
     stats )
 
-let component_min_item ?observer ?telemetry g ~mask ~values ~cmp ~bits =
-  gossip_extremum ?observer ?telemetry g ~mask ~values
+let component_min_item ?(env = Sim.default_env) g ~mask ~values ~cmp ~bits =
+  gossip_extremum ~env g ~mask ~values
     ~better:(fun a b -> cmp a b < 0) ~bits

@@ -8,8 +8,7 @@
     stabilizes in ~d rounds, all components in parallel. *)
 
 val gossip_extremum :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   mask:bool array ->
   values:(int -> 'a option) ->
@@ -21,8 +20,7 @@ val gossip_extremum :
     over its mask-component ([None] if no member has a value). *)
 
 val leaders :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   mask:bool array ->
   int array * Sim.stats
@@ -30,8 +28,7 @@ val leaders :
     leader convention of the paper's appendix. *)
 
 val component_min_item :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   mask:bool array ->
   values:(int -> 'a option) ->

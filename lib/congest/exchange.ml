@@ -34,19 +34,11 @@ let flat_protocol ~payload_bits : (int, int) Sim.flat_protocol =
     fp_wake = Some Sim.never;
   }
 
-let all_neighbors ?observer ?faults ?telemetry ?jobs ?chaos g
-    ~payload_bits =
-  if Option.is_none chaos && Sim.native_ports () then
-    let _, stats =
-      Telemetry.span_opt telemetry "neighbor_exchange" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
-            (flat_protocol ~payload_bits))
-    in
-    stats
+let all_neighbors ?(env = Sim.default_env) g ~payload_bits =
+  Sim.span env "neighbor_exchange" @@ fun () ->
+  if Sim.native_ports env then
+    snd (Sim.run_flat ~env g (flat_protocol ~payload_bits))
   else
-    let _, stats =
-      Telemetry.span_opt telemetry "neighbor_exchange" (fun () ->
-          Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
-            ~recovery:(Fault.immutable ()) g (protocol ~payload_bits))
-    in
-    stats
+    snd
+      (Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
+         (protocol ~payload_bits))

@@ -14,19 +14,12 @@ val flat_protocol : payload_bits:int -> (int, int) Sim.flat_protocol
     messages, otherwise identical. *)
 
 val all_neighbors :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   payload_bits:int ->
   Sim.stats
 (** Simulates the exchange; [payload_bits] is the per-message size (for a
-    region announcement: owner id + offset + activity bit).  [observer]
-    taps the run per-run (domain-safe); [faults] injects a fault plan
-    (see {!Fault}); [telemetry] profiles the run under a
-    ["neighbor_exchange"] span.  Runs the native {!flat_protocol} on
-    {!Sim.run_flat} with [?jobs] domains (stats and traces bit-identical
-    to {!protocol}); under [chaos], or while {!Sim.use_reference_engine}
-    is set, the classic {!protocol} runs instead. *)
+    region announcement: owner id + offset + activity bit).  Runs under
+    a ["neighbor_exchange"] span: the native {!flat_protocol} when
+    {!Sim.native_ports} holds (stats and traces bit-identical to
+    {!protocol}), the classic {!protocol} otherwise. *)

@@ -5,7 +5,7 @@ module Bitsize = Dsf_util.Bitsize
 (* Plans: a pure, seeded description of how the network misbehaves.         *)
 (* ----------------------------------------------------------------------- *)
 
-type plan = {
+type plan = Sim.plan = {
   seed : int;
   drop : float;
   duplicate : float;
@@ -87,7 +87,7 @@ let instantiate p : Sim.faults =
   let down ~round ~node =
     List.exists (fun (v, c, r) -> v = node && round >= c && round < r) p.crashes
   in
-  { Sim.on_send; down; retransmissions = ref 0 }
+  { Sim.on_send; down }
 
 (* A ready-made maskable chaos plan: drops, duplications, a few finite
    outage windows on real edges, and a few crash-and-restart windows.  All
@@ -248,7 +248,7 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
      so each slot is only ever touched by its owner — domain-safe at any
      [jobs].  The array belongs to this [harden] instance: a hardened
      protocol with recovery is single-run (build a fresh one per run, as
-     [sim_run] and [run_hardened] do). *)
+     [sim_run] does). *)
   let stable = ref [||] in
   let fresh_init view =
     let deg = Array.length view.Sim.nbrs in
@@ -454,10 +454,12 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
     wake = None;
   }
 
-(* Post-run bookkeeping shared by the hardened runners: fold the per-node
-   retransmission counters into the stats (the engine-level counter was
-   removed — a per-step global bump is not domain-safe at [jobs > 1]) and
-   attribute the recovery work to the enclosing telemetry span. *)
+(* Post-run bookkeeping of a hardened run: fold the per-node
+   retransmission counters into the stats (counted per node because a
+   shared per-step counter is not domain-safe at [jobs > 1]) and attribute
+   the recovery work to the enclosing telemetry span.  Only the
+   resynchronization rounds are rounds; resends are packets and
+   checkpoints are bits, so those two land in the metrics registry. *)
 let note_hardened telemetry states (stats : Sim.stats) =
   let retrans = retransmissions_of states in
   let rs = recovery_of states in
@@ -468,12 +470,14 @@ let note_hardened telemetry states (stats : Sim.stats) =
           ~max_edge_round_bits:0 ~budget_violations:0 ~dropped:0 ~duplicated:0
           ~retransmissions:retrans;
       if retrans > 0 || rs.restores > 0 || rs.checkpoint_bits > 0 then begin
+        let metrics = Telemetry.metrics tel in
+        Dsf_util.Metrics.incr metrics "fault/retransmissions" retrans;
+        Dsf_util.Metrics.incr metrics "fault/checkpoint_bits"
+          rs.checkpoint_bits;
         let l = Ledger.create () in
         Telemetry.attach_ledger tel l;
-        Ledger.add l Ledger.Simulated "fault/retransmissions" retrans;
         Ledger.add l Ledger.Simulated "fault/recovery_rounds"
           rs.recovery_rounds;
-        Ledger.add l Ledger.Charged "fault/checkpoint_bits" rs.checkpoint_bits;
         (* Flight recorder riding on the telemetry: one recovery summary
            event per hardened run with nonzero recovery work. *)
         match Telemetry.recorder tel with
@@ -485,35 +489,21 @@ let note_hardened telemetry states (stats : Sim.stats) =
   | None -> ());
   { stats with Sim.retransmissions = retrans }
 
-let run_hardened ?max_rounds ?rto ?rto_cap ?observer ?telemetry
-    ?(plan = empty) ?recovery g proto =
-  let faults = if is_empty plan then None else Some (instantiate plan) in
-  let hardened = harden ?rto ?rto_cap ?recovery proto in
-  let halt = quiescent proto in
-  let states, stats =
-    Telemetry.span_opt telemetry "hardened" (fun () ->
-        let states, stats =
-          Sim.run ?max_rounds ~halt ?observer ?faults ?telemetry g hardened
-        in
-        states, note_hardened telemetry states stats)
-  in
-  Array.map (fun st -> st.inner) states, stats
-
 (* ----------------------------------------------------------- chaos runs *)
 
-type chaos = { cplan : plan; crto : int; crto_cap : int }
+type chaos = Sim.chaos = { cplan : plan; crto : int; crto_cap : int }
 
 let chaos ?(rto = default_rto) ?(rto_cap = default_rto_cap) cplan =
   { cplan; crto = rto; crto_cap = rto_cap }
 
-let sim_run ?max_rounds ?halt ?observer ?faults ?telemetry ?jobs ?chaos
-    ?recovery g proto =
-  match chaos with
-  | None -> Sim.run ?max_rounds ?halt ?observer ?faults ?telemetry ?jobs g proto
-  | Some c ->
-      if Option.is_some faults then
-        invalid_arg "Fault.sim_run: ?faults and ?chaos are mutually exclusive";
-      let faults = if is_empty c.cplan then None else Some (instantiate c.cplan) in
+let sim_run ?max_rounds ?halt ?(env = Sim.default_env) ?recovery g proto =
+  match env.Sim.network with
+  | Sim.Lossless | Sim.Faults _ -> Sim.run ?max_rounds ?halt ~env g proto
+  | Sim.Chaos c ->
+      let network =
+        if is_empty c.cplan then Sim.Lossless
+        else Sim.Faults (instantiate c.cplan)
+      in
       let hardened = harden ~rto:c.crto ~rto_cap:c.crto_cap ?recovery proto in
       let user_halt = halt in
       let halt hs =
@@ -529,10 +519,9 @@ let sim_run ?max_rounds ?halt ?observer ?faults ?telemetry ?jobs ?chaos
         in
         early || quiescent proto hs
       in
-      Telemetry.span_opt telemetry "hardened" (fun () ->
+      Sim.span env "hardened" (fun () ->
           let states, stats =
-            Sim.run ?max_rounds ~halt ?observer ?faults ?telemetry ?jobs g
-              hardened
+            Sim.run ?max_rounds ~halt ~env:{ env with Sim.network } g hardened
           in
-          let stats = note_hardened telemetry states stats in
+          let stats = note_hardened env.Sim.telemetry states stats in
           Array.map (fun st -> st.inner) states, stats)

@@ -6,8 +6,8 @@
     - {b Plans}: a {!plan} is a pure, seeded description of faults —
       per-message drop/duplication probabilities, per-round link outages,
       node crash-and-restart windows.  {!instantiate} compiles a plan into
-      the callback record {!Sim.faults} that {!Sim.run}'s [?faults]
-      argument consumes.  Decisions are a stateless PRF of
+      the callback record {!Sim.faults} that a [Sim.Faults] network
+      injects.  Decisions are a stateless PRF of
       [(seed, round, src, dst)], so a plan is bit-reproducible and
       independent of send order — the same plan on the same run always
       kills the same messages.
@@ -64,27 +64,21 @@
     repo's usual omniscient-halt convention ({!Sim.run}'s [?halt]); a
     real deployment would detect it with an O(D) termination-detection
     wave, which callers should charge to their ledger.
-    {!run_hardened} and {!sim_run} wire the halt (and the plan) for
-    you. *)
+    {!sim_run} wires the halt (and the plan) for you. *)
 
-type plan = {
+type plan = Sim.plan = {
   seed : int;
-  drop : float;  (** per-message drop probability, in [0, 1) *)
-  duplicate : float;  (** per-message duplication probability, in [0, 1] *)
+  drop : float;
+  duplicate : float;
   link_down : (int * int * int * int) list;
-      (** [(u, v, first, last)]: both directions of edge u-v drop
-          everything in rounds [first..last] (inclusive) *)
   crashes : (int * int * int) list;
-      (** [(node, crash, restart)]: the node is down in rounds
-          [crash..restart-1]; on round [restart] it re-inits — from its
-          checkpoint when the run is hardened with a {!recoverable}
-          contract, from scratch otherwise *)
 }
+(** {!Sim.plan}, re-exported so plans read [Fault.plan ~drop ...]. *)
 
 val empty : plan
-(** No faults at all.  [Sim.run ?faults:(Some (instantiate empty))] is
-    bit-identical to [Sim.run] without faults (the differential suite
-    checks this). *)
+(** No faults at all.  A run on [Sim.Faults (instantiate empty)] is
+    bit-identical to the lossless run (the differential suite checks
+    this). *)
 
 val plan :
   ?drop:float ->
@@ -107,8 +101,7 @@ val maskable : ?with_recovery:bool -> plan -> bool
 
 val instantiate : plan -> Sim.faults
 (** Compile the plan into the engine's callback record.  Decisions are
-    stateless, but use a fresh instance per run anyway (the record is the
-    unit of fault configuration a run consumes). *)
+    stateless, so one record may serve any number of runs. *)
 
 val chaos_plan : seed:int -> Dsf_graph.Graph.t -> plan
 (** A ready-made maskable stress plan for [g], deterministic in [seed]:
@@ -134,11 +127,9 @@ val inner : ('s, 'm) hstate -> 's
 (** The wrapped protocol's state (final inner states after a run). *)
 
 val retransmissions_of : ('s, 'm) hstate array -> int
-(** Total packets retransmitted across all nodes.  The hardened runners
-    ({!run_hardened}, {!sim_run}) fold this into [stats.retransmissions];
-    the engine-level counter in {!Sim.faults} is no longer bumped from
-    inside [step] (a global per-step bump is not domain-safe at
-    [jobs > 1]). *)
+(** Total packets retransmitted across all nodes (counted per node, so
+    domain-safe at any [jobs]).  {!sim_run} folds this into
+    [stats.retransmissions] of a hardened run. *)
 
 type recovery_stats = {
   restores : int;  (** checkpoint restores (crash-restarts survived) *)
@@ -189,10 +180,10 @@ val harden :
     restart) resumes from its checkpoint instead of [Sim.protocol.init].
     A hardened protocol with recovery owns its stable storage and is
     therefore {b single-run}: build a fresh one per run (as {!sim_run}
-    and {!run_hardened} do).
+    does).
 
     The result never goes silent on its own: run it with the
-    {!quiescent} halt (or use {!run_hardened} / {!sim_run}). *)
+    {!quiescent} halt (or use {!sim_run}). *)
 
 val quiescent : ('s, 'm) Sim.protocol -> ('s, 'm) hstate array -> bool
 (** Virtual quiescence of a hardened run of [proto] — the halt predicate:
@@ -200,33 +191,13 @@ val quiescent : ('s, 'm) Sim.protocol -> ('s, 'm) hstate array -> bool
     delivered payload is unconsumed.  When it fires, the inner states are
     exactly the lossless final states. *)
 
-val run_hardened :
-  ?max_rounds:int ->
-  ?rto:int ->
-  ?rto_cap:int ->
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?plan:plan ->
-  ?recovery:'s recoverable ->
-  Dsf_graph.Graph.t ->
-  ('s, 'm) Sim.protocol ->
-  's array * Sim.stats
-(** Convenience wiring: instantiate the plan (default {!empty}), harden
-    the protocol (with [recovery] when given), run it under the faults
-    with the {!quiescent} halt, and unwrap the inner final states.  The
-    stats are the {e hardened} run's (packet traffic, drops,
-    retransmissions); compare with the lossless run's stats to measure
-    the overhead.  [telemetry] profiles the run — fault counters,
-    retransmissions, and [fault/recovery_rounds] / [fault/checkpoint_bits]
-    ledger attributions included — under a ["hardened"] span. *)
-
 (** {2 Chaos runs: hardened drop-in for [Sim.run]} *)
 
-type chaos = { cplan : plan; crto : int; crto_cap : int }
+type chaos = Sim.chaos = { cplan : plan; crto : int; crto_cap : int }
 (** A plan plus the reliable-layer timer configuration — everything a
-    subroutine needs to run hardened, bundled so one [?chaos] argument
-    threads through a whole solve ({!Solver.solve_ic} → {!Det_dsf.run} →
-    every simulated primitive). *)
+    run needs to go hardened, bundled so one [Sim.Chaos] network threads
+    through a whole solve ({!Solver.solve_ic} → {!Det_dsf.run} → every
+    simulated primitive). *)
 
 val chaos : ?rto:int -> ?rto_cap:int -> plan -> chaos
 (** Bundle a plan with timer settings (defaults: rto 3, cap 32). *)
@@ -234,27 +205,30 @@ val chaos : ?rto:int -> ?rto_cap:int -> plan -> chaos
 val sim_run :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:chaos ->
+  ?env:Sim.env ->
   ?recovery:'s recoverable ->
   Dsf_graph.Graph.t ->
   ('s, 'm) Sim.protocol ->
   's array * Sim.stats
-(** The hardened drop-in for {!Sim.run}.  Without [?chaos] it {e is}
-    {!Sim.run} (same arguments forwarded verbatim — zero overhead on the
-    fault-free path).  With [?chaos] it instantiates the plan, hardens
-    the protocol (with [recovery] when given), runs the hardened list
+(** The hardened drop-in for {!Sim.run}.  On a [Lossless] or [Faults]
+    network it {e is} {!Sim.run} (zero overhead on the fault-free path).
+    On a [Chaos c] network it instantiates [c.cplan], hardens the
+    protocol (with [recovery] when given), runs the hardened list
     protocol through {!Sim.run} — the flat engine via
-    {!Sim.flat_of_protocol}, on [?jobs] domains — and halts on
-    {!quiescent} {e or}
-    the caller's [halt] evaluated on the inner state vector each physical
-    round — so an omniscient early stop (e.g. [Pipeline]'s
-    [stop_at_root]) fires on exactly the same inner configuration as on
-    the lossless run.  Final inner states are unwrapped;
-    [stats.retransmissions] is folded from the per-node counters; the
-    run lands under a ["hardened"] telemetry span with recovery
-    attribution as in {!run_hardened}.  [?faults] and [?chaos] are
-    mutually exclusive ([Invalid_argument]). *)
+    {!Sim.flat_of_protocol}, on [env.jobs] domains — and halts on
+    {!quiescent} {e or} the caller's [halt] evaluated on the inner state
+    vector each physical round, so an omniscient early stop (e.g.
+    [Pipeline]'s [stop_at_root]) fires on exactly the same inner
+    configuration as on the lossless run.  Final inner states are
+    unwrapped, and [stats.retransmissions] is folded from the per-node
+    counters.  The stats are the {e hardened} run's (packet traffic,
+    drops, retransmissions); compare with the lossless run's stats to
+    measure the overhead.
+
+    Under [env.telemetry] the hardened run lands in a ["hardened"] span.
+    The span's [ledger_simulated] gains the [fault/recovery_rounds]
+    (physical rounds restarted nodes spent resynchronizing).  The
+    metrics registry gains the counters [fault/retransmissions]
+    (packets) and [fault/checkpoint_bits] (bits written to stable
+    storage).  An attached flight recorder gets one [Recovery] summary
+    event per hardened run with nonzero recovery work. *)

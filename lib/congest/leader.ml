@@ -32,10 +32,9 @@ let protocol g : (state, int) Sim.protocol =
     wake = Some Sim.never;
   }
 
-let elect ?observer ?faults ?chaos g =
+let elect ?(env = Sim.default_env) g =
   let states, stats =
-    Fault.sim_run ?observer ?faults ?chaos ~recovery:(Fault.immutable ()) g
-      (protocol g)
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (protocol g)
   in
   (* Under raw (unhardened) crash-and-restart faults agreement can silently
      break: a node restarted after the max-id wave has passed re-floods its
@@ -44,9 +43,10 @@ let elect ?observer ?faults ?chaos g =
      stale leader.  Surface that instead of asserting: [agreed] reports
      whether every node ended on the same leader.  Fault-free runs must
      agree (the assert), and so must hardened runs under any maskable plan
-     — crash-restart included, since [?chaos] runs with checkpoint
-     recovery — which the chaos suite enforces differentially. *)
+     — crash-restart included, since a [Chaos] network runs with
+     checkpoint recovery — which the chaos suite enforces
+     differentially. *)
   let leader = Array.fold_left (fun acc st -> max acc st.best) min_int states in
   let agreed = Array.for_all (fun st -> st.best = leader) states in
-  (match faults with None -> assert agreed | Some _ -> ());
+  (match env.Sim.network with Sim.Faults _ -> () | _ -> assert agreed);
   { leader; rounds = stats.Sim.rounds; messages = stats.Sim.messages; agreed }

@@ -21,17 +21,12 @@ type state = { best : int; dirty : bool }
 val protocol : Dsf_graph.Graph.t -> (state, int) Sim.protocol
 (** The raw flood protocol, exposed for the chaos differential suite. *)
 
-val elect :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?chaos:Fault.chaos ->
-  Dsf_graph.Graph.t ->
-  result
+val elect : ?env:Sim.env -> Dsf_graph.Graph.t -> result
 (** Requires a connected graph; the elected leader is the maximum node id
     (= {!Bfs.max_id_root}) and, absent faults, every node knows it on
     termination.  [leader] is the maximum of the per-node answers (the
     max-id node always believes in itself, so this is the true winner
-    even when [agreed] is false).  [?chaos] runs the flood hardened with
-    checkpoint recovery ({!Fault.sim_run}): under any plan — crash-restart
-    included — the run reconverges and [agreed] holds (asserted, like the
-    fault-free case). *)
+    even when [agreed] is false).  A [Chaos] network runs the flood
+    hardened with checkpoint recovery ({!Fault.sim_run}): under any plan
+    — crash-restart included — the run reconverges and [agreed] holds
+    (asserted, like the fault-free case). *)

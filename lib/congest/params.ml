@@ -1,21 +1,20 @@
 module Graph = Dsf_graph.Graph
 
-let count_nodes ?observer ?telemetry g =
+let count_nodes ?(env = Sim.default_env) g =
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ?observer ?telemetry g ~root in
-  let n, s2 = Tree_ops.count_nodes ?observer ?telemetry g ~tree in
+  let tree, s1 = Bfs.build ~env g ~root in
+  let n, s2 = Tree_ops.count_nodes ~env g ~tree in
   n, s1.Sim.rounds + s2.Sim.rounds
 
-let diameter_upper_bound ?observer ?telemetry g =
+let diameter_upper_bound ?(env = Sim.default_env) g =
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ?observer ?telemetry g ~root in
+  let tree, s1 = Bfs.build ~env g ~root in
   2 * tree.Bfs.height, s1.Sim.rounds
 
-let estimate_s ?observer ?telemetry ~cap g =
+let estimate_s ?(env = Sim.default_env) ~cap g =
   let root = Bfs.max_id_root g in
   match
-    Bellman_ford.run ~max_rounds:(cap + 1) ?observer ?telemetry g
-      ~sources:[ root, 0 ]
+    Bellman_ford.run ~max_rounds:(cap + 1) ~env g ~sources:[ root, 0 ]
   with
   | res, stats ->
       (* Stabilization is detected O(D) after it happens; charge the
@@ -26,10 +25,10 @@ let estimate_s ?observer ?telemetry ~cap g =
 
 let isqrt = Dsf_util.Intmath.isqrt
 
-let regime ?observer ?telemetry g =
-  Telemetry.span_opt telemetry "regime_test" @@ fun () ->
-  let n, r1 = count_nodes ?observer ?telemetry g in
+let regime ?(env = Sim.default_env) g =
+  Sim.span env "regime_test" @@ fun () ->
+  let n, r1 = count_nodes ~env g in
   let cap = isqrt n in
-  match estimate_s ?observer ?telemetry ~cap g with
+  match estimate_s ~env ~cap g with
   | `Stabilized s, r2 -> `Small_s s, r1 + r2
   | `Exceeded, r2 -> `Large_s, r1 + r2

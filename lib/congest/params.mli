@@ -6,23 +6,20 @@
     All routines genuinely simulate; round counts come from the runs. *)
 
 val count_nodes :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   int * int
 (** [n] by BFS-tree convergecast; returns (n, simulated rounds). *)
 
 val diameter_upper_bound :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   int * int
 (** 2-approximation of D: twice the BFS eccentricity of the max-id root;
     returns (bound, simulated rounds). *)
 
 val estimate_s :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?env:Sim.env ->
   cap:int ->
   Dsf_graph.Graph.t ->
   [ `Stabilized of int | `Exceeded ] * int
@@ -34,8 +31,7 @@ val estimate_s :
     rounds spent (at most cap + O(D) for detection). *)
 
 val regime :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   [ `Small_s of int | `Large_s ] * int
 (** The Section 5 regime test: [`Small_s s] iff s stabilized within

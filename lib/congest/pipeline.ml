@@ -185,19 +185,19 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
     fp_wake = Some Sim.never;
   }
 
-let filtered_upcast ?observer ?faults ?telemetry ?jobs ?chaos
-    ?stop_at_root g ~(tree : Bfs.tree) ~vn ~pre ~items ~cmp ~bits =
+let filtered_upcast ?(env = Sim.default_env) ?stop_at_root g
+    ~(tree : Bfs.tree) ~vn ~pre ~items ~cmp ~bits =
   let icmp = item_cmp cmp in
-  if Option.is_none chaos && Sim.native_ports () then begin
+  Sim.span env "filtered_upcast" @@ fun () ->
+  if Sim.native_ports env then begin
     let halt =
       Option.map
         (fun pred states -> pred (List.rev states.(tree.root).p_acc))
         stop_at_root
     in
     let states, stats =
-      Telemetry.span_opt telemetry "filtered_upcast" (fun () ->
-          Sim.run_flat ?halt ?observer ?faults ?telemetry ?jobs g
-            (filtered_upcast_flat ~tree ~vn ~pre ~items ~icmp ~bits))
+      Sim.run_flat ?halt ~env g
+        (filtered_upcast_flat ~tree ~vn ~pre ~items ~icmp ~bits)
     in
     List.rev states.(tree.root).p_acc, stats
   end
@@ -351,10 +351,6 @@ let filtered_upcast ?observer ?faults ?telemetry ?jobs ?chaos
           63 * (2 + vn + queued + List.length st.own));
     }
   in
-  let states, stats =
-    Telemetry.span_opt telemetry "filtered_upcast" (fun () ->
-        Fault.sim_run ?halt ?observer ?faults ?telemetry ?jobs ?chaos
-          ~recovery g proto)
-  in
+  let states, stats = Fault.sim_run ?halt ~env ~recovery g proto in
   List.rev states.(tree.root).accepted, stats
   end

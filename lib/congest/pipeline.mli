@@ -18,11 +18,7 @@ type 'k item = { key : 'k; a : int; b : int }
 (** Virtual endpoints [a], [b] in [0, vn). *)
 
 val filtered_upcast :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   ?stop_at_root:('k item list -> bool) ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
@@ -41,20 +37,18 @@ val filtered_upcast :
     each acceptance; when it returns [true] the collection is aborted — the
     Corollary 4.16 early stop, where the root detects that a merge changes
     some terminal's activity status.  The caller should charge an extra
-    O(D) stop-broadcast to its ledger.  [telemetry] profiles the run under
-    a ["filtered_upcast"] span.
+    O(D) stop-broadcast to its ledger.  Runs under a ["filtered_upcast"]
+    span.
 
-    Runs a native flat-engine port on {!Sim.run_flat} with [?jobs]
-    domains: mutable per-node state, array child queues, O(1)
+    When {!Sim.native_ports} holds, runs a native flat-engine port on
+    {!Sim.run_flat}: mutable per-node state, array child queues, O(1)
     stalled/drained tests, and mail-driven wake (the classic protocol
     sweeps every unfinished node each round).  Items stay boxed — the
     payload is a generic ['k] key plus two endpoints, beyond one immediate
     int — so the port's win is scheduling and bookkeeping, not message
     packing.  Accepted list, rounds, messages, bits, and observer traces
     are bit-identical to the classic protocol (differential suite
-    enforced).  Under [chaos], or while {!Sim.use_reference_engine} is
-    set, the classic protocol runs instead.  [faults] injects a fault
-    plan. *)
+    enforced).  Otherwise the classic protocol runs. *)
 
 val select_forest :
   vn:int -> pre:(int * int) list -> cmp:('k -> 'k -> int) ->

@@ -32,7 +32,7 @@
       ({!Telemetry.span} cross-links them when a recorder is attached),
       so causal depth can be attributed per phase;
     - [Recovery {...}] — a hardened run's recovery summary
-      ({!Fault.run_hardened} / [sim_run ?chaos]): retransmissions,
+      ({!Fault.sim_run} under a [Sim.Chaos] network): retransmissions,
       checkpoint restores, checkpoint bits.
 
     {2 Determinism}

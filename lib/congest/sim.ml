@@ -30,7 +30,6 @@ type fault_action = Deliver | Drop | Replicate of int
 type faults = {
   on_send : round:int -> src:int -> dst:int -> fault_action;
   down : round:int -> node:int -> bool;
-  retransmissions : int ref;
 }
 
 type abort = {
@@ -47,15 +46,43 @@ let never _ ~round:_ _ = false
 
 type observer = src:int -> dst:int -> bits:int -> unit
 
-(* The flight recorder a run actually writes: the explicit [?recorder]
-   parameter wins; otherwise a recorder attached to the run's telemetry
-   ([Telemetry.create ?recorder]) rides along.  Resolved once at run
-   start, like the observer. *)
-let effective_recorder recorder telemetry =
-  match recorder with
-  | Some _ -> recorder
-  | None -> (
-      match telemetry with Some t -> Telemetry.recorder t | None -> None)
+type plan = {
+  seed : int;
+  drop : float;
+  duplicate : float;
+  link_down : (int * int * int * int) list;
+  crashes : (int * int * int) list;
+}
+
+type chaos = { cplan : plan; crto : int; crto_cap : int }
+
+type network = Lossless | Faults of faults | Chaos of chaos
+
+type env = {
+  observer : observer option;
+  telemetry : Telemetry.t option;
+  network : network;
+  jobs : int;
+  sanitize : bool;
+}
+
+(* Read once at module init so every run in a process agrees; ci.sh's
+   sanitized smoke sets DSF_SANITIZE=1. *)
+let env_sanitize =
+  match Sys.getenv_opt "DSF_SANITIZE" with
+  | Some ("1" | "true" | "on") -> true
+  | _ -> false
+
+let default_env =
+  {
+    observer = None;
+    telemetry = None;
+    network = Lossless;
+    jobs = 1;
+    sanitize = env_sanitize;
+  }
+
+let span env name f = Telemetry.span_opt env.telemetry name f
 
 (* Per-node map from neighbor id to the *directed edge slot* of the edge
    towards that neighbor: edge [eid] sent from its stored [u] endpoint
@@ -173,10 +200,14 @@ let tel_finish tel (s : stats) =
    hashtable, quiescence re-scans the full state vector.  The only changes
    from the seed are the slot-based recipient validation and the always-on
    post-mortem traffic ring.  Fault injection is a production-engine
-   feature; this loop never sees a [faults] record. *)
-let run_reference ?max_rounds ?halt ?observer:obs ?telemetry ?recorder g
-    proto =
-  let rcd = effective_recorder recorder telemetry in
+   feature; this loop runs lossless networks only. *)
+let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
+  (match env.network with
+  | Lossless -> ()
+  | Faults _ | Chaos _ ->
+      invalid_arg "Sim.run_reference: fault injection needs the flat engine");
+  let obs = env.observer and telemetry = env.telemetry in
+  let rcd = Option.bind telemetry Telemetry.recorder in
   let rec_on = Option.is_some rcd in
   let rb = Recorder.buf_make () in
   let n = Graph.n g in
@@ -287,7 +318,9 @@ let run_reference ?max_rounds ?halt ?observer:obs ?telemetry ?recorder g
    touching it. *)
 let use_reference_engine = ref false [@@lint.allow "global-state"]
 
-let native_ports () = not !use_reference_engine
+let native_ports env =
+  (not !use_reference_engine)
+  && match env.network with Chaos _ -> false | Lossless | Faults _ -> true
 
 (* ------------------------------------------------------------------ *)
 (* Flat-core engine: arena message slots over the CSR graph view, with
@@ -528,28 +561,33 @@ let () =
              v.sv_kind v.sv_round v.sv_node v.sv_domain v.sv_detail)
     | _ -> None)
 
-(* Read once at module init so every [run_flat] in a process agrees;
-   ci.sh's sanitized smoke sets DSF_SANITIZE=1. *)
-let env_sanitize =
-  match Sys.getenv_opt "DSF_SANITIZE" with
-  | Some ("1" | "true" | "on") -> true
-  | _ -> false
-
 (* Structural fingerprint of a node state.  [hash_param] with deep limits
    so nested mutable fields (records behind aliases) register; collisions
    only ever mask a violation, never invent one. *)
 let state_hash st = Hashtbl.hash_param 128 512 st
 
-let run_flat ?max_rounds ?halt ?observer:obs ?faults ?telemetry ?recorder
-    ?(jobs = 1) ?sanitize g fp =
-  let rcd = effective_recorder recorder telemetry in
+let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
+  (* The engine takes faults as callbacks only; hardening is the job of
+     [Fault.sim_run], which turns a [Chaos] env into a [Faults] one. *)
+  let faults =
+    match env.network with
+    | Lossless -> None
+    | Faults f -> Some f
+    | Chaos _ ->
+        invalid_arg
+          "Sim.run_flat: a Chaos network needs the hardened runner \
+           (Fault.sim_run)"
+  in
+  let obs = env.observer and telemetry = env.telemetry in
+  (* The flight recorder rides on the telemetry. *)
+  let rcd = Option.bind telemetry Telemetry.recorder in
   let rec_on = Option.is_some rcd in
   let n = Graph.n g in
   let m = Graph.m g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
   in
-  let jobs = max 1 (min jobs n) in
+  let jobs = max 1 (min env.jobs n) in
   (* Force the graph's CSR memo on the coordinator before any domain fan-out
      so workers share the one view instead of racing to build it. *)
   let csr = Graph.csr g in
@@ -583,7 +621,6 @@ let run_flat ?max_rounds ?halt ?observer:obs ?faults ?telemetry ?recorder
   let round = ref 0 in
   let quiescent = ref false in
   let ring = ring_make () in
-  (match faults with Some f -> f.retransmissions := 0 | None -> ());
   let current_stats () =
     {
       rounds = !round;
@@ -593,14 +630,13 @@ let run_flat ?max_rounds ?halt ?observer:obs ?faults ?telemetry ?recorder
       budget_violations = !budget_violations;
       dropped = !dropped;
       duplicated = !duplicated;
-      retransmissions =
-        (match faults with Some f -> !(f.retransmissions) | None -> 0);
+      retransmissions = 0;
     }
   in
   (* Domain [d] owns the contiguous node block [dom_lo.(d), dom_lo.(d+1)). *)
   let dom_lo = Array.init (jobs + 1) (fun d -> d * n / jobs) in
   let dom_ids = Array.init jobs Fun.id in
-  let sanitize = match sanitize with Some b -> b | None -> env_sanitize in
+  let sanitize = env.sanitize in
   let owner_of v =
     (* [jobs] is small and the blocks ascend; a linear scan suffices. *)
     let d = ref 0 in
@@ -992,13 +1028,12 @@ let run_flat ?max_rounds ?halt ?observer:obs ?faults ?telemetry ?recorder
    through [flat_of_protocol].  The [use_reference_engine] shim reroutes
    fault-free runs to the seed loop instead, which is how the
    differential suites drive whole algorithms through the oracle. *)
-let run ?max_rounds ?halt ?observer ?faults ?telemetry ?jobs ?recorder g
-    proto =
-  if !use_reference_engine && Option.is_none faults then
-    run_reference ?max_rounds ?halt ?observer ?telemetry ?recorder g proto
-  else
-    run_flat ?max_rounds ?halt ?observer ?faults ?telemetry ?recorder ?jobs g
-      (flat_of_protocol proto)
+let run ?max_rounds ?halt ?(env = default_env) g proto =
+  match env.network with
+  | Lossless when !use_reference_engine ->
+      run_reference ?max_rounds ?halt ~env g proto
+  | Lossless | Faults _ | Chaos _ ->
+      run_flat ?max_rounds ?halt ~env g (flat_of_protocol proto)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -19,11 +19,10 @@
     {!run_reference}.  {!run} is the list-protocol entry point: it adapts
     the protocol with {!flat_of_protocol} and runs it on {!run_flat}.
     Hot primitives ({!Bfs}, {!Bellman_ford}, {!Tree_ops}, ...) also ship a
-    native {!flat_protocol} port, which they use unless a chaos plan asks
-    for the hardened classic protocol or {!use_reference_engine} is set.
-    The classic list protocols stay in the code for two reasons.  They
-    are what {!run_reference} executes, and they are the input to
-    {!Fault.harden}.
+    native {!flat_protocol} port, which they use whenever {!native_ports}
+    holds for their run environment.  The classic list protocols stay in
+    the code for two reasons.  They are what {!run_reference} executes,
+    and they are the input to {!Fault.harden}.
 
     {2 Sparse scheduling}
 
@@ -86,15 +85,13 @@ type stats = {
       (** edge-rounds exceeding {!Dsf_util.Bitsize.congest_budget} *)
   dropped : int;
       (** messages destroyed by fault injection (at-send drops plus mail
-          arriving at a crashed node); always 0 without [?faults] *)
+          arriving at a crashed node); always 0 on a lossless network *)
   duplicated : int;
-      (** extra copies delivered by fault injection; 0 without [?faults] *)
+      (** extra copies delivered by fault injection; 0 when lossless *)
   retransmissions : int;
-      (** resends performed by a hardened protocol.  The engine itself
-          only copies the faults record's counter (see below); the
-          hardened runners ({!Fault.run_hardened}, {!Fault.sim_run}) fold
-          the per-node resend counters into this field after the run —
-          domain-safe at any [jobs].  0 without hardening. *)
+      (** resends performed by a hardened protocol: the engine reports 0,
+          and {!Fault.sim_run} on a [Chaos] network folds the per-node
+          resend counters in after the run (domain-safe at any [jobs]). *)
 }
 
 (** {2 Fault injection}
@@ -116,23 +113,17 @@ type stats = {
       [init view] — crash-and-restart with total state loss as far as the
       engine is concerned ({!Fault.harden} with a {!Fault.recoverable}
       contract piggybacks on exactly this hook: its [init] consults the
-      node's stable storage and restores the checkpoint instead);
-    - [retransmissions] is reset to 0 at run start and copied into the
-      final stats.  Nothing in this repo bumps it from inside [step] any
-      more (a shared counter is not domain-safe at [jobs > 1]); the
-      hardened runners account resends per node and patch the returned
-      stats instead.
+      node's stable storage and restores the checkpoint instead).
 
-    {!run_reference} takes no faults, so {!run} keeps a run with
-    [?faults] on the flat engine even while {!use_reference_engine} is
-    set. *)
+    {!run_reference} takes no faults, so {!run} keeps a run under a
+    [Faults] network on the flat engine even while
+    {!use_reference_engine} is set. *)
 
 type fault_action = Deliver | Drop | Replicate of int
 
 type faults = {
   on_send : round:int -> src:int -> dst:int -> fault_action;
   down : round:int -> node:int -> bool;
-  retransmissions : int ref;
 }
 
 (** {2 Structured round-limit aborts}
@@ -169,19 +160,92 @@ type observer = src:int -> dst:int -> bits:int -> unit
 (** A message tap: called for every message a run sends, in send order.
     Pure measurement instrumentation (e.g. counting bits across the
     Alice/Bob cut in the Section 3 lower-bound experiments); it never
-    affects execution.
+    affects execution. *)
 
-    {2 Domain-safety contract}
+(** {2 Run environment}
 
-    The simulator holds no per-run mutable state that outlives a run, so
-    any number of simulations may run concurrently on separate domains
-    (the {!Dsf_util.Pool} trial engine does exactly this) — {e provided}
-    each run's instrumentation is passed through the per-run
-    [?observer] / [?telemetry] / [?recorder] parameters.  The one global
-    shim, {!use_reference_engine}, mutates process-wide state and is kept
-    only for single-domain callers (the differential suites and the
-    engine microbenchmarks); never touch it while a parallel fan-out is
-    in flight. *)
+    Every simulating function — the three runners below, {!Fault.sim_run},
+    and each primitive built on them ({!Bfs.build}, {!Tree_ops},
+    {!Bellman_ford.run}, ...) — takes one optional [?env] (default
+    {!default_env}) and hands it unchanged to every run it makes.  The
+    environment says how a run is instrumented and what network it runs
+    on; it never changes what a lossless run computes.
+
+    - [observer] taps every message of every run (see {!observer}).
+    - [telemetry] attributes each run's final stats to the innermost
+      open {!Telemetry} span (also on a {!Round_limit} abort), streams
+      the round-level series (active-set size, messages delivered, bits
+      per round, wake-hook hits) into its metrics registry, and carries
+      the flight recorder, if one was attached with
+      [Telemetry.create ~recorder] ({!Recorder} documents its events
+      and their jobs-invariant order).  Each primitive opens its own
+      span (["bfs"], ["upcast"], ...) once, around whichever leg it
+      runs.  With neither observer nor telemetry the engine pays one
+      predictable branch per action and allocates nothing (the bench GC
+      gate pins this).
+    - [network] is [Lossless], [Faults f] (inject the callback record
+      [f], see the fault semantics above; {!Fault.instantiate} builds one
+      from a plan), or [Chaos c] (run the classic protocol hardened by
+      {!Fault.harden} under the plan [c.cplan]).  Only {!Fault.sim_run}
+      accepts [Chaos]; the three runners raise [Invalid_argument] on it.
+      A record whose callbacks never fire leaves the run bit-identical
+      to the lossless one.
+    - [jobs] partitions each flat-engine run across that many pool
+      domains (clamped to [1 .. n]); results are bit-identical for any
+      value.  Never use [jobs > 1] inside an existing pool fan-out (the
+      per-round batch would raise {!Dsf_util.Pool.Nested_use}).
+    - [sanitize] arms {!run_flat}'s dynamic ownership sanitizer.
+
+    {b Domain-safety contract.}  The simulator holds no per-run mutable
+    state that outlives a run, so any number of simulations may run
+    concurrently on separate domains (the {!Dsf_util.Pool} trial engine
+    does exactly this), {e provided} each concurrent run gets its own
+    instrumentation through its env: a per-trial {!Telemetry.fork} and a
+    domain-safe observer.  The one global shim, {!use_reference_engine},
+    mutates process-wide state and is kept only for single-domain callers
+    (the differential suites and the engine microbenchmarks); never touch
+    it while a parallel fan-out is in flight. *)
+
+type plan = {
+  seed : int;
+  drop : float;  (** per-message drop probability, in [0, 1) *)
+  duplicate : float;  (** per-message duplication probability, in [0, 1] *)
+  link_down : (int * int * int * int) list;
+      (** [(u, v, first, last)]: both directions of edge u-v drop
+          everything in rounds [first..last] (inclusive) *)
+  crashes : (int * int * int) list;
+      (** [(node, crash, restart)]: the node is down in rounds
+          [crash..restart-1]; on round [restart] it re-inits — from its
+          checkpoint when the run is hardened with a
+          {!Fault.recoverable} contract, from scratch otherwise *)
+}
+(** A pure, seeded fault plan.  {!Fault.plan} re-exports the type and
+    adds the validating constructor. *)
+
+type chaos = { cplan : plan; crto : int; crto_cap : int }
+(** A plan plus the reliable-layer timer configuration ({!Fault.chaos}
+    re-exports the type and builds one). *)
+
+type network = Lossless | Faults of faults | Chaos of chaos
+
+type env = {
+  observer : observer option;
+  telemetry : Telemetry.t option;
+  network : network;
+  jobs : int;
+  sanitize : bool;
+}
+
+val default_env : env
+(** Lossless, one domain, no observer, no telemetry.  [sanitize] is read
+    once at module init from the [DSF_SANITIZE] environment variable
+    ([1]/[true]/[on]); that is how ci.sh's sanitized smoke arms every run
+    without touching call sites.  Build other envs by record update:
+    [{ Sim.default_env with observer = Some f }]. *)
+
+val span : env -> string -> (unit -> 'a) -> 'a
+(** [Telemetry.span_opt env.telemetry]: the one span a primitive opens
+    around its run. *)
 
 (** {2 The flat-core engine}
 
@@ -204,9 +268,7 @@ type observer = src:int -> dst:int -> bits:int -> unit
     {e in domain = node order} at the barrier.  Because the merge order
     equals the global send order of the single-threaded engines, results
     are bit-identical for any [jobs] — the jobs-invariance property in
-    [test_sim_equiv] pins this.  Caveat: [jobs > 1] must not be used
-    from inside an existing pool fan-out (the per-round batch would raise
-    {!Dsf_util.Pool.Nested_use}).  Hardened protocols are jobs-safe:
+    [test_sim_equiv] pins this.  Hardened protocols are jobs-safe:
     resends are counted per node and folded into the stats after the run
     (see {!Fault.sim_run}), so the chaos differentials run at [jobs = 4]
     too.
@@ -272,7 +334,7 @@ type sanitizer_violation = {
 }
 
 exception Sanitizer_violation of sanitizer_violation
-(** Raised by {!run_flat} with [~sanitize:true] when a flat protocol (or
+(** Raised by {!run_flat} with [env.sanitize] set when a flat protocol (or
     the engine itself) breaks the ownership contract the typed
     domain-race lint rule checks statically.  A [Printexc] printer is
     registered, so uncaught violations render the full record. *)
@@ -280,69 +342,38 @@ exception Sanitizer_violation of sanitizer_violation
 val run_flat :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:observer ->
-  ?faults:faults ->
-  ?telemetry:Telemetry.t ->
-  ?recorder:Recorder.t ->
-  ?jobs:int ->
-  ?sanitize:bool ->
+  ?env:env ->
   Dsf_graph.Graph.t ->
   ('s, 'm) flat_protocol ->
   's array * stats
-(** Runs a native flat protocol on the flat-core engine ([jobs] defaults
-    to 1; it is clamped to [1 .. n]).  Stats, final states, observer
-    traces, round counts, telemetry series, fault semantics, and
-    {!Round_limit} behavior are bit-identical to {!run} on the equivalent
-    list protocol, and (faults aside) to {!run_reference} — the
-    differential suite enforces this with faults and telemetry both on
-    and off.
+(** Runs a native flat protocol on the flat-core engine.  Stats, final
+    states, observer traces, round counts, telemetry series, fault
+    semantics, and {!Round_limit} behavior are bit-identical to {!run} on
+    the equivalent list protocol, and (faults aside) to {!run_reference}
+    — the differential suite enforces this with faults and telemetry both
+    on and off.
 
-    [sanitize] arms the dynamic ownership sanitizer: node-state writes
-    and arena slots are tagged with the owning domain and round, and any
-    cross-partition write, escaped emit closure, or leaked arena slot
-    aborts the run with {!Sanitizer_violation} (kinds above).  Every
+    [env.sanitize] arms the dynamic ownership sanitizer: node-state
+    writes and arena slots are tagged with the owning domain and round,
+    and any cross-partition write, escaped emit closure, or leaked arena
+    slot aborts the run with {!Sanitizer_violation} (kinds above).  Every
     check is read-only — private hash snapshots and write stamps — so a
     clean sanitized run is bit-identical to an unsanitized one (stats,
     states, observer order); it costs an O(n) structural-hash sweep per
-    round.  Defaults to the [DSF_SANITIZE] environment variable
-    ([1]/[true]/[on], read once at module init), which is how ci.sh's
-    sanitized end-to-end smoke arms it without touching call sites.
-
-    [recorder] appends flight-recorder events (see {!Recorder}): a
-    [Round] marker per executed round, [Step v] for every mail-consuming
-    step, [Send] with the fault layer's verdict as its [fate], and
-    [Down]/[Restart] for crash windows.  Events are staged in per-domain
-    buffers and flushed at the barrier in domain = node order — crash
-    events of the round first, then step/send events — so the serialized
-    log is byte-identical for any [jobs] and identical to
-    {!run_reference}'s log for the same protocol.  When absent, a
-    recorder attached to [?telemetry] ([Telemetry.create ~recorder]) is
-    used; with neither, the engine pays one predictable branch per action
-    and allocates nothing (the bench GC gate pins the off path).  Events of a round
-    that raises (protocol error, sanitizer violation) are never flushed —
-    the log ends at the last completed round, like observer replay. *)
+    round. *)
 
 val run :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:observer ->
-  ?faults:faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?recorder:Recorder.t ->
+  ?env:env ->
   Dsf_graph.Graph.t ->
   ('s, 'm) protocol ->
   's array * stats
-(** Runs a list protocol to quiescence: [run_flat ?jobs g
-    (flat_of_protocol proto)], with the same arguments.  Default
-    [max_rounds] is [10_000 + 200 * n]; raises {!Round_limit} if exceeded
-    (a protocol bug — the abort carries a post-mortem, see {!abort}).
-    Messages produced in round [r] are delivered in round [r + 1].
-
-    [faults] switches on fault injection for this run (see the fault
-    semantics above).  Omitting it — or passing a record whose callbacks
-    never fire — leaves the run bit-identical to the fault-free one: the
-    differential suite checks both.
+(** Runs a list protocol to quiescence: [run_flat ~env g
+    (flat_of_protocol proto)].  Default [max_rounds] is
+    [10_000 + 200 * n]; raises {!Round_limit} if exceeded (a protocol
+    bug — the abort carries a post-mortem, see {!abort}).  Messages
+    produced in round [r] are delivered in round [r + 1].
 
     [halt] is an omniscient early-termination predicate evaluated on the
     state vector after every round; when it fires the run stops immediately.
@@ -350,29 +381,13 @@ val run :
     broadcasts stop"): the caller is responsible for charging the O(D)
     stop-broadcast to its round ledger.
 
-    [observer] taps this run's messages.  [jobs] partitions the run
-    across pool domains (default 1).  While {!use_reference_engine} is
-    set, a run without [faults] goes to {!run_reference} instead and
-    [jobs] is ignored.
-
-    [telemetry] attributes the run to the enclosing {!Telemetry} span
-    (final stats via [Telemetry.sim_run], including on a {!Round_limit}
-    abort) and streams the round-level series — active-set size, messages
-    delivered, bits this round, wake-hook hits — into its metrics
-    registry via [Telemetry.sim_round].  Purely observational: with
-    [?telemetry] absent the engine pays a single extra branch per round
-    and runs bit-identically (the differential suite checks this).
-
-    [recorder] appends flight-recorder events for this run (see
-    {!run_flat} for the event and determinism contract).  Defaults to the
-    recorder attached to [?telemetry], if any. *)
+    While {!use_reference_engine} is set, a run on a [Lossless] network
+    goes to {!run_reference} instead and [env.jobs] is ignored. *)
 
 val run_reference :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:observer ->
-  ?telemetry:Telemetry.t ->
-  ?recorder:Recorder.t ->
+  ?env:env ->
   Dsf_graph.Graph.t ->
   ('s, 'm) protocol ->
   's array * stats
@@ -380,8 +395,10 @@ val run_reference :
     every node every round and ignores [wake].  Differential tests assert
     {!run} and {!run_flat} match it exactly; it is also the baseline leg
     of the [bench/main.exe -- micro] simulator benchmarks.  Not for
-    production use — it pays O(n + m) per round regardless of
-    activity. *)
+    production use — it pays O(n + m) per round regardless of activity.
+    It honours [env]'s observer and telemetry (and so its recorder),
+    ignores [jobs] and [sanitize], and raises [Invalid_argument] on any
+    network but [Lossless]. *)
 
 val use_reference_engine : bool ref
 (** Global shim for test/benchmark instrumentation: while [true], {!run}
@@ -396,10 +413,10 @@ val use_reference_engine : bool ref
     set this in library code; reset it with [Fun.protect]; single-domain
     use only (see the domain-safety contract). *)
 
-val native_ports : unit -> bool
-(** [false] while {!use_reference_engine} is set, [true] otherwise.  A
-    ported primitive runs its native {!flat_protocol} iff this holds and
-    it was given no chaos plan; otherwise it runs its classic protocol
-    through {!run} (or {!Fault.sim_run}). *)
+val native_ports : env -> bool
+(** [true] unless {!use_reference_engine} is set or [env]'s network is
+    [Chaos].  A ported primitive runs its native {!flat_protocol} iff
+    this holds; otherwise it runs its classic protocol through
+    {!Fault.sim_run}. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -3,9 +3,9 @@
    A [Telemetry.t] owns three kinds of state:
 
    - a {b span tree}: [span t "voronoi" (fun () -> ...)] opens a nested
-     phase; everything the engine ({!Sim.run}'s [?telemetry] hook) and the
-     round {!Ledger} ({!attach_ledger}) report while the thunk runs is
-     attributed to that span.  Same-named siblings merge into one node
+     phase; everything the engine (every run whose {!Sim.env} carries
+     this telemetry) and the round {!Ledger} ({!attach_ledger}) report
+     while the thunk runs is attributed to that span.  Same-named siblings merge into one node
      (with a [count]), so a loop of phases profiles as one aggregated
      entry while the event log below still records each occurrence;
 

@@ -4,7 +4,8 @@
     coordinated views of a run:
 
     - a {b span tree} — [span t "voronoi" (fun () -> ...)] opens a nested
-      phase; simulator costs ({!Sim.run}'s [?telemetry] hook) and ledger
+      phase; simulator costs (every run whose {!Sim.env} carries this
+      telemetry) and ledger
       entries ({!attach_ledger}) recorded while the thunk runs are
       attributed to the innermost open span.  Same-named siblings merge
       into one aggregated node (its [count] tracks occurrences);
@@ -52,9 +53,9 @@ val create : ?clock:(unit -> int64) -> ?recorder:Recorder.t -> unit -> t
 (** [?clock] defaults to {!now_ns}.  Tests inject a constant (domain-safe
     across pool fan-outs) or a counter clock for golden output.
     [?recorder] attaches a flight recorder: {!span} emits
-    [Span_open]/[Span_close] cross-link events into it, the engines pick
-    it up through {!recorder} when no explicit [?recorder] run parameter
-    is given, and {!Fault.run_hardened} logs its recovery summary there.
+    [Span_open]/[Span_close] cross-link events into it, every run whose
+    {!Sim.env} carries this telemetry writes its events there, and
+    {!Fault.sim_run} logs a hardened run's recovery summary there.
     {!fork} children detach (a recorder is single-writer state). *)
 
 val recorder : t -> Recorder.t option

@@ -38,7 +38,7 @@ let pp_summary ppf t =
 
 let postmortem_tail = 64
 
-let pp_postmortem ?recorder ppf (a : Sim.abort) =
+let pp_postmortem ?(env = Sim.default_env) ppf (a : Sim.abort) =
   Format.fprintf ppf
     "round limit hit at round %d (%d messages, %d dropped, %d retransmitted \
      in total)@."
@@ -87,7 +87,7 @@ let pp_postmortem ?recorder ppf (a : Sim.abort) =
   (* When the aborted run was flying a flight recorder, append its causal
      tail: unlike the traffic ring this includes steps, crash windows, and
      span boundaries — the events leading into the abort, oldest first. *)
-  match recorder with
+  match Option.bind env.Sim.telemetry Telemetry.recorder with
   | None -> ()
   | Some r -> (
       match Recorder.tail r postmortem_tail with

@@ -6,8 +6,9 @@
     experiments, and for the round-profile ablations.
 
     Fill a trace with {!create} + {!observer}, passing the observer to
-    the runs being measured through the per-run [?observer] parameter
-    (every simulated entry point threads it). *)
+    the runs being measured through their run environment
+    ([{ Sim.default_env with observer = Some (observer t) }]) or the
+    solver entry points' [?observer]. *)
 
 type t
 
@@ -15,8 +16,8 @@ val create : unit -> t
 (** A fresh, empty trace. *)
 
 val observer : t -> Sim.observer
-(** The accumulating tap for a trace: pass [~observer:(observer t)] to
-    {!Sim.run} or any solver entry point.  Per-run and domain-safe — each
+(** The accumulating tap for a trace: put it in a {!Sim.env} or pass
+    [~observer:(observer t)] to a solver entry point.  Per-run and domain-safe — each
     concurrent trial can own its own trace. *)
 
 val messages : t -> int
@@ -34,11 +35,11 @@ val bits_between : t -> src:int -> dst:int -> int
 
 val pp_summary : Format.formatter -> t -> unit
 
-val pp_postmortem : ?recorder:Recorder.t -> Format.formatter -> Sim.abort -> unit
+val pp_postmortem : ?env:Sim.env -> Format.formatter -> Sim.abort -> unit
 (** Full dump of a {!Sim.Round_limit} post-mortem: the abort header,
     per-sender message totals over the retained window (the eternal
     retransmitter tops the list), then the raw round-by-round traffic,
     oldest round first.  Complements the compact {!Sim.pp_abort}.
-    [?recorder] — the recorder the aborted run was writing, if any —
-    appends the recorder's last 64 events (steps, sends with fates, crash
+    [env] — the environment the aborted run used — appends the last 64
+    events of its telemetry's flight recorder, if one is attached (steps, sends with fates, crash
     windows, span boundaries) as a causal tail after the traffic dump. *)

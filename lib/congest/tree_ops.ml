@@ -50,14 +50,10 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
     fp_wake = Some Sim.never;
   }
 
-let upcast ?observer ?faults ?telemetry ?jobs ?chaos g
-    ~(tree : Bfs.tree) ~items ~bits =
-  if Option.is_none chaos && Sim.native_ports () then begin
-    let states, stats =
-      Telemetry.span_opt telemetry "upcast" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
-            (upcast_flat ~tree ~items ~bits))
-    in
+let upcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
+  Sim.span env "upcast" @@ fun () ->
+  if Sim.native_ports env then begin
+    let states, stats = Sim.run_flat ~env g (upcast_flat ~tree ~items ~bits) in
     List.rev states.(tree.root).u_recvd, stats
   end
   else begin
@@ -89,9 +85,7 @@ let upcast ?observer ?faults ?telemetry ?jobs ?chaos g
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "upcast" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
-          ~recovery:(Fault.immutable ()) g proto)
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
   in
   let root_state = states.(tree.root) in
   List.rev root_state.received, stats
@@ -103,8 +97,8 @@ type ('a, 'b) dedup_state = {
   d_received : 'a list;
 }
 
-let upcast_dedup ?observer ?faults ?telemetry ?jobs ?chaos
-    ?(per_key = 1) g ~(tree : Bfs.tree) ~items ~key ~bits =
+let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
+    ~items ~key ~bits =
   (* Keep an item iff its key has fewer than [per_key] distinct items so
      far and the item itself is new. *)
   let admit seen it k =
@@ -149,13 +143,13 @@ let upcast_dedup ?observer ?faults ?telemetry ?jobs ?chaos
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "upcast_dedup" (fun () ->
+    Sim.span env "upcast_dedup" (fun () ->
         (* The per-node seen-table makes this inherently boxed; it runs on
            the flat engine through the adapter (the wake hook is
            physically [never], so sparse scheduling is preserved).
            The seen-table also makes the state mutable, so the recovery
            snapshot must copy it. *)
-        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
+        Fault.sim_run ~env
           ~recovery:
             {
               Fault.snapshot =
@@ -176,8 +170,8 @@ type 'a seq_state = {
   s_received : 'a list;  (** root only, reversed *)
 }
 
-let upcast_sequential ?observer ?telemetry ?jobs g ~(tree : Bfs.tree)
-    ~items ~bits =
+let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
+    ~bits =
   (* Precompute the departure schedule. *)
   let schedule = Hashtbl.create 16 in
   let clock = ref 0 in
@@ -229,8 +223,7 @@ let upcast_sequential ?observer ?telemetry ?jobs g ~(tree : Bfs.tree)
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "upcast_sequential" (fun () ->
-        Sim.run ?observer ?telemetry ?jobs g proto)
+    Sim.span env "upcast_sequential" (fun () -> Sim.run ~env g proto)
   in
   List.rev states.(tree.root).s_received, stats
 
@@ -274,13 +267,11 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
     fp_wake = Some Sim.never;
   }
 
-let broadcast ?observer ?faults ?telemetry ?jobs ?chaos g
-    ~(tree : Bfs.tree) ~items ~bits =
-  if Option.is_none chaos && Sim.native_ports () then begin
+let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
+  Sim.span env "broadcast" @@ fun () ->
+  if Sim.native_ports env then begin
     let states, stats =
-      Telemetry.span_opt telemetry "broadcast" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
-            (broadcast_flat ~tree ~items ~bits))
+      Sim.run_flat ~env g (broadcast_flat ~tree ~items ~bits)
     in
     Array.map (fun st -> List.rev st.d_got) states, stats
   end
@@ -315,9 +306,7 @@ let broadcast ?observer ?faults ?telemetry ?jobs ?chaos g
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "broadcast" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
-          ~recovery:(Fault.immutable ()) g proto)
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
   in
   Array.map (fun st -> List.rev st.got) states, stats
   end
@@ -382,13 +371,12 @@ let aggregate_flat ~(tree : Bfs.tree) ~value ~combine ~bits :
     fp_wake = Some Sim.never;
   }
 
-let aggregate ?observer ?faults ?telemetry ?jobs ?chaos g
-    ~(tree : Bfs.tree) ~value ~combine ~bits =
-  if Option.is_none chaos && Sim.native_ports () then begin
+let aggregate ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~value ~combine
+    ~bits =
+  Sim.span env "aggregate" @@ fun () ->
+  if Sim.native_ports env then begin
     let states, stats =
-      Telemetry.span_opt telemetry "aggregate" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
-            (aggregate_flat ~tree ~value ~combine ~bits))
+      Sim.run_flat ~env g (aggregate_flat ~tree ~value ~combine ~bits)
     in
     states.(tree.root).a_acc, stats
   end
@@ -440,15 +428,13 @@ let aggregate ?observer ?faults ?telemetry ?jobs ?chaos g
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "aggregate" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?jobs ?chaos
-          ~recovery:(Fault.immutable ()) g proto)
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
   in
   states.(tree.root).acc, stats
   end
 
-let count_nodes ?observer ?telemetry ?jobs ?chaos g ~tree =
-  aggregate ?observer ?telemetry ?jobs ?chaos g ~tree
+let count_nodes ?(env = Sim.default_env) g ~tree =
+  aggregate ~env g ~tree
     ~value:(fun _ -> 1)
     ~combine:( + )
     ~bits:(fun x -> Dsf_util.Bitsize.int_bits (max 1 x))

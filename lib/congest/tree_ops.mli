@@ -8,34 +8,25 @@
     crosses one edge per round, so the round counts exhibit the pipelining
     the paper's analysis relies on.
 
-    Every operation takes an optional [?telemetry]: the run is profiled
-    under a span named after the primitive ([upcast], [broadcast],
+    Every operation takes the run environment [?env] (see {!Sim}) and
+    runs under a span named after the primitive ([upcast], [broadcast],
     [aggregate], ...) nested in the caller's current span.
 
     {!upcast}, {!broadcast} and {!aggregate} run native flat-engine
-    ports (queue-based in-place states on {!Sim.run_flat}, with [?jobs]
-    domains) — stats, results and observer traces bit-identical to the
-    classic protocols, which run instead under [chaos] or while
-    {!Sim.use_reference_engine} is set.  {!upcast_dedup} and
-    {!upcast_sequential} have no native port and run through the flat
-    engine's adapter.  [?faults] injects a deterministic fault plan.
-
-    [?chaos] runs the classic protocol hardened under the bundled fault
-    plan via {!Fault.sim_run} (each primitive supplies its own
-    {!Fault.recoverable} snapshot, so crash-restart plans are masked);
-    it overrides the native-flat fast path — under chaos the hardened
-    protocol reaches the flat engine through the adapter.
-    {!aggregate}'s child-count handshake is duplicate-tolerant (a child's
-    report is identified by its sender id — each child reports exactly
-    once), so duplication plans cannot corrupt or livelock the count even
-    {e without} hardening. *)
+    ports (queue-based in-place states on {!Sim.run_flat}) whenever
+    {!Sim.native_ports} holds — stats, results and observer traces
+    bit-identical to the classic protocols, which run otherwise.
+    {!upcast_dedup} and {!upcast_sequential} have no native port and run
+    through the flat engine's adapter.  Under a [Chaos] network the
+    classic protocol runs hardened via {!Fault.sim_run}, each primitive
+    supplying its own {!Fault.recoverable} snapshot, so crash-restart
+    plans are masked.  {!aggregate}'s child-count handshake is
+    duplicate-tolerant (a child's report is identified by its sender id
+    — each child reports exactly once), so duplication plans cannot
+    corrupt or livelock the count even {e without} hardening. *)
 
 val upcast :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   items:(int -> 'a list) ->
@@ -46,11 +37,7 @@ val upcast :
     Rounds ~ height + max path congestion. *)
 
 val upcast_dedup :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   ?per_key:int ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
@@ -65,9 +52,7 @@ val upcast_dedup :
     as values) are never forwarded twice. *)
 
 val upcast_sequential :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   items:(int -> 'a list) ->
@@ -80,11 +65,7 @@ val upcast_sequential :
     behaviour the paper's pipelining (Lemma 4.14, Section 5) eliminates. *)
 
 val broadcast :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   items:'a list ->
@@ -94,11 +75,7 @@ val broadcast :
     full list (in order).  Rounds ~ height + |items|. *)
 
 val aggregate :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   value:(int -> 'a) ->
@@ -109,10 +86,7 @@ val aggregate :
     result over all nodes lands at the root.  Rounds ~ height. *)
 
 val count_nodes :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   int * Sim.stats

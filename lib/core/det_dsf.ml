@@ -95,12 +95,16 @@ let g_copy gs =
     rad = Array.copy gs.rad;
   }
 
-let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
-  let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
+let run ?observer ?telemetry ?flat:_ ?(jobs = 1) ?chaos inst0 =
+  let network =
+    Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
+  in
+  let env = { Sim.default_env with observer; telemetry; network; jobs } in
+  let tspan name f = Sim.span env name f in
   (* Lemma 2.4's minimalization runs as a real protocol; its rounds join
      the ledger below once it exists. *)
   let minimalized =
-    Transform.minimalize ?observer ?telemetry ?jobs ?chaos inst0
+    Transform.minimalize ~env inst0
   in
   let inst = minimalized.Transform.value in
   let g = inst.Instance.graph in
@@ -134,7 +138,7 @@ let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
       tspan "setup" (fun () ->
           let root = Bfs.max_id_root g in
           let tree, bfs_stats =
-            Bfs.build ?observer ?telemetry ?jobs ?chaos g ~root
+            Bfs.build ~env g ~root
           in
           note_stats "setup: BFS tree" bfs_stats;
           Ledger.add ledger Ledger.Simulated
@@ -147,12 +151,12 @@ let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
           in
           let pair_bits (_, _) = 2 * Bitsize.id_bits ~n in
           let collected, up_stats =
-            Tree_ops.upcast ?observer ?telemetry ?jobs ?chaos g ~tree
+            Tree_ops.upcast ~env g ~tree
               ~items:term_items ~bits:pair_bits
           in
           note_stats "setup: collect terminals" up_stats;
           let _, bc_stats =
-            Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g
+            Tree_ops.broadcast ~env g
               ~tree ~items:collected ~bits:pair_bits
           in
           note_stats "setup: broadcast terminals" bc_stats;
@@ -209,7 +213,7 @@ let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
         in
         (* a. Terminal decomposition (Lemma 4.8). *)
         let bf, bf_stats =
-          Region_bf.run ?observer ?telemetry ?jobs ?chaos g ~sources
+          Region_bf.run ~env g ~sources
             ~frozen
         in
         note_stats (tag "decomposition BF") bf_stats;
@@ -217,8 +221,8 @@ let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
         let toffset u = if frozen.(u) then offset.(u) else bf.(u).Region_bf.offset in
         (* b. Candidate merges at region boundaries (Definition 4.11). *)
         let ex_stats =
-            Dsf_congest.Exchange.all_neighbors ?observer ?telemetry
-              ?jobs ?chaos g ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
+            Dsf_congest.Exchange.all_neighbors ~env g
+              ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
           in
           Ledger.add ledger Ledger.Simulated (tag "boundary exchange") ex_stats.Sim.rounds;
         let items u =
@@ -272,13 +276,13 @@ let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
           + (4 * Bitsize.id_bits ~n)
         in
         let accepted, pipe_stats =
-          Pipeline.filtered_upcast ?observer ?telemetry ?jobs ?chaos
-            ~stop_at_root g ~tree ~vn:t ~pre ~items ~cmp:ckey_cmp
+          Pipeline.filtered_upcast ~env ~stop_at_root g ~tree ~vn:t ~pre
+            ~items ~cmp:ckey_cmp
             ~bits:ckey_bits
         in
         note_stats (tag "candidate collection") pipe_stats;
         let _, stop_stats =
-          Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g ~tree
+          Tree_ops.broadcast ~env g ~tree
             ~items:[ () ] ~bits:(fun () -> 1)
         in
         note_stats (tag "stop broadcast") stop_stats;
@@ -300,7 +304,7 @@ let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
         in
         (* d. Broadcast the phase's merges; everyone updates locally. *)
         let _, bcast_stats =
-          Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g ~tree
+          Tree_ops.broadcast ~env g ~tree
             ~items:phase_merges ~bits:ckey_bits
         in
         note_stats (tag "merge broadcast") bcast_stats;
@@ -383,7 +387,7 @@ let run ?observer ?telemetry ?flat:_ ?jobs ?chaos inst0 =
     let solution =
       tspan "final" (fun () ->
           let flood_edges, tf_stats =
-            Select.token_flood ?observer ?telemetry ?jobs ?chaos g
+            Select.token_flood ~env g
               ~parent ~seeds
           in
           note_stats "final: token flood (path selection)" tf_stats;

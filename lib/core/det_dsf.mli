@@ -48,8 +48,9 @@ val run :
   result
 (** Requires a connected graph.  Singleton components are dropped
     (Lemma 2.4; the O(D + k) transform is charged to the ledger).
-    [observer] taps every message of every simulated subroutine
-    (per-run and domain-safe).  [telemetry] profiles the run as a
+    The labelled arguments build one {!Dsf_congest.Sim.env} at entry,
+    and every simulated subroutine runs under it.  [observer] taps every
+    message of every simulated subroutine (per-run and domain-safe).  [telemetry] profiles the run as a
     span tree ([minimalize] / [setup] / [phase] / [final], with the
     simulated primitives nested beneath) and attaches the ledger so every
     charged entry lands in its enclosing span.
@@ -57,7 +58,7 @@ val run :
     Every simulated subroutine runs on the flat-core engine — native
     ports where they exist (BFS, Bellman-Ford decomposition, boundary
     exchange, filtered upcast, tree ops, token flood), the adapter
-    elsewhere — with [?jobs] domains; the result, ledger, stats, and
+    elsewhere — with [jobs] domains (default 1); the result, ledger, stats, and
     observer traces are bit-identical for any [jobs] and to
     {!Dsf_congest.Sim.run_reference} (differential suite enforced).
 

@@ -87,10 +87,11 @@ let isqrt = Dsf_util.Intmath.isqrt
 let ceil_log2 = Dsf_util.Intmath.ceil_log2
 
 let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
+  let env = { Sim.default_env with observer; telemetry } in
   if eps_num <= 0 || eps_den <= 0 || eps_num > eps_den then
     invalid_arg "Det_sublinear.run: need 0 < eps <= 1";
-  let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
-  let minimalized = Transform.minimalize ?observer ?telemetry inst0 in
+  let tspan name f = Sim.span env name f in
+  let minimalized = Transform.minimalize ~env inst0 in
   let inst = minimalized.Transform.value in
   let g = inst.Instance.graph in
   let n = Graph.n g in
@@ -128,17 +129,17 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       tspan "setup" @@ fun () ->
       (* The nodes learn n, t and (an estimate of) s by convergecast plus a
          full Bellman-Ford run (footnote 2's technique), simulated. *)
-      let _, n_rounds = Dsf_congest.Params.count_nodes ?observer ?telemetry g in
+      let _, n_rounds = Dsf_congest.Params.count_nodes ~env g in
       let s_rounds =
         match
-          Dsf_congest.Params.estimate_s ?observer ?telemetry ~cap:(n + 1) g
+          Dsf_congest.Params.estimate_s ~env ~cap:(n + 1) g
         with
         | `Stabilized _, r | `Exceeded, r -> r
       in
       Ledger.add ledger Ledger.Simulated "setup: determine s, t, sigma"
         (n_rounds + s_rounds);
       let root = Bfs.max_id_root g in
-      let tree, bfs_stats = Bfs.build ?observer ?telemetry g_scaled ~root in
+      let tree, bfs_stats = Bfs.build ~env g_scaled ~root in
       Ledger.add ledger Ledger.Simulated "setup: BFS tree" bfs_stats.Sim.rounds;
       Ledger.add ledger Ledger.Simulated
         "setup: minimalize + moat-label bookkeeping (Lemma 2.4)"
@@ -248,13 +249,13 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
           |> List.filter_map Fun.id
         in
         let bf, bf_stats =
-          Region_bf.run ?observer ?telemetry g_scaled ~sources ~frozen
+          Region_bf.run ~env g_scaled ~sources ~frozen
         in
         Ledger.add ledger Ledger.Simulated
           (gtag (Printf.sprintf "phase %d decomposition BF" !phase_in_growth))
           bf_stats.Sim.rounds;
         let ex_stats =
-          Dsf_congest.Exchange.all_neighbors ?observer ?telemetry g_scaled
+          Dsf_congest.Exchange.all_neighbors ~env g_scaled
             ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
         in
         Ledger.add ledger Ledger.Simulated (gtag "boundary exchange") ex_stats.Sim.rounds;
@@ -313,7 +314,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         done;
         (* Min active-inactive candidate via a simulated convergecast. *)
         let _, agg_stats =
-          Tree_ops.aggregate ?observer ?telemetry g_scaled ~tree
+          Tree_ops.aggregate ~env g_scaled ~tree
             ~value:(fun _ -> 1)
             ~combine:min
             ~bits:(fun _ -> 4 * Bitsize.id_bits ~n)
@@ -321,7 +322,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         Ledger.add ledger Ledger.Simulated (gtag "min-candidate convergecast")
           agg_stats.Sim.rounds;
         let _, mb_stats =
-          Tree_ops.broadcast ?observer ?telemetry g_scaled ~tree ~items:[ () ]
+          Tree_ops.broadcast ~env g_scaled ~tree ~items:[ () ]
             ~bits:(fun () -> 1)
         in
         Ledger.add ledger Ledger.Simulated (gtag "min-candidate broadcast")
@@ -422,8 +423,8 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
             None store.(u)
         in
         let gossip, gossip_stats =
-          Dsf_congest.Component_ops.component_min_item ?observer ?telemetry
-            g_scaled ~mask:(moat_mask ()) ~values:node_min
+          Dsf_congest.Component_ops.component_min_item ~env g_scaled
+            ~mask:(moat_mask ()) ~values:node_min
             ~cmp:(fun a b -> ckey_cmp a.Pipeline.key b.Pipeline.key)
             ~bits:item_bits
         in
@@ -519,13 +520,13 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
           + (4 * Bitsize.id_bits ~n)
         in
         let selected, pipe_stats =
-          Pipeline.filtered_upcast ?observer ?telemetry g_scaled ~tree ~vn:t
+          Pipeline.filtered_upcast ~env g_scaled ~tree ~vn:t
             ~pre:(pre_pairs ()) ~items ~cmp:ckey_cmp ~bits
         in
         Ledger.add ledger Ledger.Simulated (gtag "pipelined merge filter")
           pipe_stats.Sim.rounds;
         let _, mb2_stats =
-          Tree_ops.broadcast ?observer ?telemetry g_scaled ~tree ~items:selected
+          Tree_ops.broadcast ~env g_scaled ~tree ~items:selected
             ~bits
         in
         Ledger.add ledger Ledger.Simulated (gtag "merge broadcast")
@@ -557,7 +558,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         if ti >= 0 then [ g_label gs ti, moat_leader ti ] else []
       in
       let witnesses, w_stats =
-        Tree_ops.upcast_dedup ?observer ?telemetry ~per_key:2 g_scaled ~tree
+        Tree_ops.upcast_dedup ~env ~per_key:2 g_scaled ~tree
           ~items:witness_items ~key:fst
           ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
       in
@@ -578,7 +579,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
           leaders_of []
       in
       let _, ab_stats =
-        Tree_ops.broadcast ?observer ?telemetry g_scaled ~tree
+        Tree_ops.broadcast ~env g_scaled ~tree
           ~items:unsatisfied
           ~bits:(fun _ -> Bitsize.id_bits ~n)
       in
@@ -632,7 +633,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
     let solution =
       tspan "final" @@ fun () ->
       let flood_edges, tf_stats =
-        Select.token_flood ?observer ?telemetry g ~parent ~seeds
+        Select.token_flood ~env g ~parent ~seeds
       in
       Ledger.add ledger Ledger.Simulated "final: token flood"
         tf_stats.Sim.rounds;
@@ -640,7 +641,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       (* The merge-level F_min above is not quite edge-minimal (merge paths
          can overlap at Steiner nodes); the fast pruning routine of
          Appendix F.3 finishes the job distributively. *)
-      let pr = Pruning.run inst ~f:solution ~sigma in
+      let pr = Pruning.run ~env inst ~f:solution ~sigma in
       Ledger.merge_into ~dst:ledger pr.Pruning.ledger;
       pr.Pruning.pruned
     in

@@ -44,7 +44,9 @@ val run :
   eps_den:int ->
   Dsf_graph.Instance.ic ->
   result
-(** [observer] taps every simulated run (per-run, domain-safe).
+(** The labelled arguments build one {!Dsf_congest.Sim.env} (one domain)
+    at entry.  [observer] taps every simulated run, the Appendix F.3
+    pruning included (per-run, domain-safe).
     [telemetry] profiles the run as a span tree ([minimalize] / [setup] /
     [growth] with [merge_phase], [small_moats] and [activity] nested per
     growth phase / [final]) and attaches the ledger so charged entries land

@@ -11,7 +11,7 @@ type mark_state = {
   up_marks : (int, unit) Hashtbl.t;  (** classes forwarded on (v, parent) *)
 }
 
-let mark_phase g ~parent ~labels =
+let mark_phase ~env g ~parent ~labels =
   let proto : (mark_state, int) Sim.protocol =
     {
       init =
@@ -62,7 +62,7 @@ let mark_phase g ~parent ~labels =
       wake = None;
     }
   in
-  Sim.run g proto
+  Sim.run ~env g proto
 
 (* -------------------------------------------------------- unmark phase *)
 
@@ -73,7 +73,7 @@ type unmark_state = {
   queues : (int, int Queue.t) Hashtbl.t;  (** per-child pending unmarks *)
 }
 
-let unmark_phase g ~parent ~labels ~mark_states =
+let unmark_phase ~env g ~parent ~labels ~mark_states =
   (* A node peels class c off toward its single witness subtree when no
      second witness exists at or above it. *)
   let decide st c =
@@ -151,16 +151,16 @@ let unmark_phase g ~parent ~labels ~mark_states =
       wake = None;
     }
   in
-  Sim.run g proto
+  Sim.run ~env g proto
 
-let run g ~parent ~labels =
+let run ?(env = Sim.default_env) g ~parent ~labels =
   Array.iteri
     (fun v p ->
       if p >= 0 && Graph.find_edge g v p = None then
         invalid_arg "F6_protocol.run: parent not adjacent")
     parent;
-  let mark_states, s1 = mark_phase g ~parent ~labels in
-  let unmark_states, s2 = unmark_phase g ~parent ~labels ~mark_states in
+  let mark_states, s1 = mark_phase ~env g ~parent ~labels in
+  let unmark_states, s2 = unmark_phase ~env g ~parent ~labels ~mark_states in
   let kept = Array.make (Graph.m g) false in
   Array.iteri
     (fun v (st : unmark_state) ->

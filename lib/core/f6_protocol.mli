@@ -15,10 +15,12 @@
     phases finish in O(depth + #classes) simulated rounds. *)
 
 val run :
+  ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Graph.t ->
   parent:int array ->
   labels:(int -> int list) ->
   bool array * Dsf_congest.Sim.stats
 (** Returns the kept-edge bit set (indexed by edge id; only tree edges can
     be set) and the combined statistics of the two phases.  Every
-    [(v, parent.(v))] pair must be an edge of the graph. *)
+    [(v, parent.(v))] pair must be an edge of the graph.  Both phases run
+    under [env] (see {!Dsf_congest.Sim}). *)

@@ -21,7 +21,7 @@ type route_state = {
   marked : int list;  (** edge ids selected by my sends *)
 }
 
-let route_phase ?observer g vt ~origins =
+let route_phase ?(env = Sim.default_env) g vt ~origins =
   let n = Graph.n g in
   let proto : (route_state, int * int) Sim.protocol =
     {
@@ -74,7 +74,7 @@ let route_phase ?observer g vt ~origins =
       wake = None;
     }
   in
-  Sim.run ?observer g proto
+  Sim.run ~env g proto
 
 (* ----------------------------------------------------------------------- *)
 (* Step 3d: targets send their collected labels back along the recorded     *)
@@ -89,7 +89,7 @@ type back_state = {
   b_l : int list;  (** labels accepted as the new holder *)
 }
 
-let backtrace_phase ?observer g ~tables ~bundles =
+let backtrace_phase ?(env = Sim.default_env) g ~tables ~bundles =
   let n = Graph.n g in
   let proto : (back_state, back_msg) Sim.protocol =
     {
@@ -121,6 +121,6 @@ let backtrace_phase ?observer g ~tables ~bundles =
       wake = None;
     }
   in
-  Sim.run ?observer g proto
+  Sim.run ~env g proto
 
 (* ----------------------------------------------------------------------- *)

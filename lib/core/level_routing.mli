@@ -18,7 +18,7 @@ type route_state = {
 }
 
 val route_phase :
-  ?observer:Dsf_congest.Sim.observer ->
+  ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Graph.t ->
   Dsf_embed.Virtual_tree.t ->
   origins:(int -> (int * int) list) ->
@@ -34,7 +34,7 @@ type back_state = {
 }
 
 val backtrace_phase :
-  ?observer:Dsf_congest.Sim.observer ->
+  ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Graph.t ->
   tables:(int -> (int * int, int) Hashtbl.t) ->
   bundles:(int -> back_msg list) ->

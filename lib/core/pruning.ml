@@ -22,7 +22,7 @@ let ceil_log2 = Dsf_util.Intmath.ceil_log2
 (* number of iterations (each charged O~(sigma) by the caller).        *)
 (* ------------------------------------------------------------------ *)
 
-let grow_clusters g f sigma =
+let grow_clusters ~env g f sigma =
   let n = Graph.n g in
   let uf = Uf.create n in
   let iterations = ref 0 in
@@ -47,7 +47,8 @@ let grow_clusters g f sigma =
       |> function [] -> None | l -> Some (List.fold_left min (List.hd l) l)
     in
     let _, g_stats =
-      Dsf_congest.Component_ops.component_min_item g ~mask ~values ~cmp:compare
+      Dsf_congest.Component_ops.component_min_item ~env g ~mask ~values
+        ~cmp:compare
         ~bits:(fun _ -> Bitsize.id_bits ~n)
     in
     gossip_rounds := !gossip_rounds + g_stats.Sim.rounds;
@@ -224,7 +225,7 @@ type node_state = {
   log : (int * int) list;  (** root: state-changing messages, reversed *)
 }
 
-let label_flood g ~tree ~structure ~initial =
+let label_flood ~env g ~tree ~structure ~initial =
   let n = Graph.n g in
   let proto : (node_state, int * int) Sim.protocol =
     {
@@ -285,23 +286,25 @@ let label_flood g ~tree ~structure ~initial =
       wake = None;
     }
   in
-  let states, stats = Sim.run g proto in
-  states, stats
+  Sim.run ~env g proto
 
 (* ------------------------------------------------------------------ *)
 
-let run inst ~f ~sigma =
+let run ?(env = Sim.default_env) inst ~f ~sigma =
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let m = Graph.m g in
   if not (Instance.is_forest g f) then invalid_arg "Pruning.run: not a forest";
   if not (Instance.is_feasible inst f) then invalid_arg "Pruning.run: infeasible";
   let ledger = Ledger.create () in
+  (* Attributed to the caller's span (its merge_into skips the hook). *)
+  Option.iter (fun t -> Dsf_congest.Telemetry.attach_ledger t ledger)
+    env.Sim.telemetry;
   (* Step 1: BFS tree + make the label set global. *)
-  let tree, bfs_stats = Bfs.build g ~root:(Bfs.max_id_root g) in
+  let tree, bfs_stats = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
   Ledger.add ledger Ledger.Simulated "F.3: BFS tree" bfs_stats.Sim.rounds;
   let label_witnesses, lw_stats =
-    Tree_ops.upcast_dedup g ~tree
+    Tree_ops.upcast_dedup ~env g ~tree
       ~items:(fun v ->
         if inst.Instance.labels.(v) >= 0 then [ inst.Instance.labels.(v) ]
         else [])
@@ -309,13 +312,13 @@ let run inst ~f ~sigma =
       ~bits:(fun _ -> Bitsize.id_bits ~n)
   in
   let _, lb_stats =
-    Tree_ops.broadcast g ~tree ~items:label_witnesses
+    Tree_ops.broadcast ~env g ~tree ~items:label_witnesses
       ~bits:(fun _ -> Bitsize.id_bits ~n)
   in
   Ledger.add ledger Ledger.Simulated "F.3: broadcast label set"
     (lw_stats.Sim.rounds + lb_stats.Sim.rounds);
   (* Step 3: clusters (Lemma F.7). *)
-  let cuf, iterations, gossip_rounds = grow_clusters g f sigma in
+  let cuf, iterations, gossip_rounds = grow_clusters ~env g f sigma in
   Ledger.add ledger Ledger.Simulated
     (Printf.sprintf "F.3: cluster growing, %d iterations: proposal gossip"
        iterations)
@@ -362,7 +365,7 @@ let run inst ~f ~sigma =
       (Array.to_list (Graph.edges g))
   in
   let _, up_stats =
-    Tree_ops.upcast g ~tree ~items:fc_items
+    Tree_ops.upcast ~env g ~tree ~items:fc_items
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
   Ledger.add ledger Ledger.Simulated "F.3: collect cluster forest"
@@ -371,7 +374,7 @@ let run inst ~f ~sigma =
     List.map (fun (e : Graph.edge) -> Uf.find cuf e.u, Uf.find cuf e.v) fc_edges
   in
   let _, fcb_stats =
-    Tree_ops.broadcast g ~tree ~items:fc_pairs
+    Tree_ops.broadcast ~env g ~tree ~items:fc_pairs
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
   Ledger.add ledger Ledger.Simulated "F.3: broadcast cluster forest"
@@ -382,14 +385,14 @@ let run inst ~f ~sigma =
       [ Uf.find cuf v, inst.Instance.labels.(v) ]
     else []
   in
-  let states, flood_stats = label_flood g ~tree ~structure ~initial in
+  let states, flood_stats = label_flood ~env g ~tree ~structure ~initial in
   Ledger.add ledger Ledger.Simulated "F.3: label flood (Lemma F.8)"
     flood_stats.Sim.rounds;
   let root_facts = states.(tree.Bfs.root).mine in
   (* Step 7: broadcast the root's state-changing log (same encoding). *)
   let root_log = List.rev states.(tree.Bfs.root).log in
   let _, bc_stats =
-    Tree_ops.broadcast g ~tree ~items:root_log
+    Tree_ops.broadcast ~env g ~tree ~items:root_log
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
   Ledger.add ledger Ledger.Simulated "F.3: broadcast result" bc_stats.Sim.rounds;
@@ -487,7 +490,7 @@ let run inst ~f ~sigma =
     |> List.sort_uniq compare
   in
   let f6_marked, f6_stats =
-    F6_protocol.run g ~parent:cluster_parent ~labels:class_labels
+    F6_protocol.run ~env g ~parent:cluster_parent ~labels:class_labels
   in
   Ledger.add ledger Ledger.Simulated
     "F.3: intra-cluster mark/unmark selection (Lemma F.6)"

@@ -31,5 +31,12 @@ type result = {
 }
 
 val run :
-  Dsf_graph.Instance.ic -> f:bool array -> sigma:int -> result
-(** [f] must be a feasible forest for the instance. *)
+  ?env:Dsf_congest.Sim.env ->
+  Dsf_graph.Instance.ic ->
+  f:bool array ->
+  sigma:int ->
+  result
+(** [f] must be a feasible forest for the instance.  Every simulated run
+    (BFS, label collection, cluster gossip, the label flood, the Lemma
+    F.6 mark/unmark protocol) uses [env], so its observer and telemetry
+    see the whole routine. *)

@@ -23,18 +23,16 @@ let isqrt = Dsf_util.Intmath.isqrt
 
 
 (* One full first-stage run: returns the selected edge set F. *)
-let first_stage ?observer ?telemetry rng g inst ledger note_stats ~truncate =
-  let tspan name fn = Dsf_congest.Telemetry.span_opt telemetry name fn in
+let first_stage ~env rng g inst ledger note_stats ~truncate =
+  let tspan name fn = Sim.span env name fn in
   let n = Graph.n g in
   let m = Graph.m g in
-  let tree, bfs_stats =
-    Bfs.build ?observer ?telemetry g ~root:(Bfs.max_id_root g)
-  in
+  let tree, bfs_stats = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
   note_stats "stage1: BFS tree" bfs_stats;
   let truncate_at = if truncate then Some (isqrt n) else None in
   let vt, vt_rounds =
     tspan "virtual_tree" (fun () ->
-        Virtual_tree.build ?observer rng ?truncate_at g)
+        Virtual_tree.build ~env rng ?truncate_at g)
   in
   Ledger.add ledger Ledger.Simulated "stage1: virtual tree (LE lists + S Voronoi)"
     vt_rounds;
@@ -51,7 +49,7 @@ let first_stage ?observer ?telemetry rng g inst ledger note_stats ~truncate =
        convergecast + broadcast, as in Lemma 2.4. *)
     let witness_items v = List.map (fun l -> l, v) holders.(v) in
     let witnesses, w_stats =
-      Tree_ops.upcast_dedup ?observer ?telemetry ~per_key:2 g ~tree
+      Tree_ops.upcast_dedup ~env ~per_key:2 g ~tree
         ~items:witness_items
         ~key:fst
         ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
@@ -65,7 +63,7 @@ let first_stage ?observer ?telemetry rng g inst ledger note_stats ~truncate =
       witnesses;
     let live = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
     let _, lb_stats =
-      Tree_ops.broadcast ?observer ?telemetry g ~tree ~items:live
+      Tree_ops.broadcast ~env g ~tree ~items:live
         ~bits:(fun _ -> Bitsize.id_bits ~n)
     in
     note_stats (tag "live-label broadcast") lb_stats;
@@ -78,7 +76,7 @@ let first_stage ?observer ?telemetry rng g inst ledger note_stats ~truncate =
     in
     (* (c) route labels to targets. *)
     let rstates, r_stats =
-      tspan "label_routing" (fun () -> LR.route_phase ?observer g vt ~origins)
+      tspan "label_routing" (fun () -> LR.route_phase ~env g vt ~origins)
     in
     note_stats (tag "label routing") r_stats;
     Array.iter
@@ -123,7 +121,7 @@ let first_stage ?observer ?telemetry rng g inst ledger note_stats ~truncate =
     let tables v = rstates.(v).LR.known in
     let bstates, b_stats =
       tspan "backtrace" (fun () ->
-          LR.backtrace_phase ?observer g ~tables ~bundles)
+          LR.backtrace_phase ~env g ~tables ~bundles)
     in
     note_stats (tag "backtrace") b_stats;
     for v = 0 to n - 1 do
@@ -134,7 +132,11 @@ let first_stage ?observer ?telemetry rng g inst ledger note_stats ~truncate =
 
 let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     ~rng inst0 =
-  let minimalized = Transform.minimalize ?observer ?telemetry inst0 in
+  (* Every simulated run is single-domain: [jobs] drives only the trial
+     fan-out below, and a [jobs > 1] run inside a pool task would raise
+     [Pool.Nested_use]. *)
+  let env = { Sim.default_env with observer; telemetry } in
+  let minimalized = Transform.minimalize ~env inst0 in
   let inst = minimalized.Transform.value in
   let g = inst.Instance.graph in
   let m = Graph.m g in
@@ -153,7 +155,7 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
   (* The regime test of footnote 2, genuinely simulated: count n by
      convergecast, then run Bellman-Ford for at most sqrt(n) rounds. *)
   let regime, regime_rounds =
-    Dsf_congest.Params.regime ?observer ?telemetry g
+    Dsf_congest.Params.regime ~env g
   in
   Ledger.add ledger Ledger.Simulated "determine s vs sqrt(n) (footnote 2)"
     regime_rounds;
@@ -195,7 +197,8 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     let trial i =
       let rep = i + 1 in
       let tel = if i < Array.length trial_tels then Some trial_tels.(i) else None in
-      let tspan name fn = Dsf_congest.Telemetry.span_opt tel name fn in
+      let env = { env with Sim.telemetry = tel } in
+      let tspan name fn = Sim.span env name fn in
       tspan "trial" @@ fun () ->
       let trial_ledger = Ledger.create () in
       Option.iter
@@ -208,7 +211,7 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
           trial_max_bits := stats.Sim.max_edge_round_bits
       in
       let f, vt =
-        first_stage ?observer ?telemetry:tel rep_rngs.(i) g inst trial_ledger
+        first_stage ~env rep_rngs.(i) g inst trial_ledger
           note_stats ~truncate
       in
       let w = Graph.edge_set_weight g f in
@@ -216,8 +219,8 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
          each node contributes half the weight of its selected incident
          edges. *)
       let _, w_stats =
-        let tree, _ = Bfs.build ?observer ?telemetry:tel g ~root:(Bfs.max_id_root g) in
-        Tree_ops.aggregate ?observer ?telemetry:tel g ~tree
+        let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+        Tree_ops.aggregate ~env g ~tree
           ~value:(fun v ->
             Array.fold_left
               (fun acc (_, w', eid) -> if f.(eid) then acc + w' else acc)
@@ -260,8 +263,8 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
       if not truncate then f
       else begin
         let out =
-          Dsf_congest.Telemetry.span_opt telemetry "stage2" (fun () ->
-              Reduced_solver.solve ?observer ?telemetry inst ~f
+          Sim.span env "stage2" (fun () ->
+              Reduced_solver.solve ~env inst ~f
                 ~s_set:vt.Virtual_tree.s_set ~diameter:d)
         in
         Ledger.add ledger Ledger.Simulated "stage2: T_v assignment"

@@ -52,13 +52,17 @@ val run :
     ({!Dsf_graph.Paths.parameters}) and CSR view are forced on the calling
     domain before the fan-out, so trials only read them.
 
-    [observer] taps every simulated run (per-run, not the deprecated
-    global shim).  With [jobs > 1] it is invoked concurrently from pool
+    The labelled arguments build one {!Dsf_congest.Sim.env} at entry;
+    every simulated run is single-domain ([jobs] drives only the trial
+    fan-out).  [observer] taps every simulated run — LE lists, the
+    virtual tree's Voronoi, label routing and backtracing included.
+    With [jobs > 1] it is invoked concurrently from pool
     domains, so it must be domain-safe (e.g. accumulate into atomics, or
     into per-domain state).
 
-    [telemetry] profiles the run ([minimalize] / [regime_test] / [trial]
-    / [stage2]); each repetition gets its own {!Dsf_congest.Telemetry.fork}
+    [telemetry] profiles every simulated run too ([minimalize] /
+    [regime_test] / [trial] / [stage2]); each repetition's runs use their
+    own {!Dsf_congest.Telemetry.fork}
     (split sequentially before the fan-out, like the rng streams) and the
     forks merge back in repetition order, so the profile — wall clock
     aside — is also bit-identical for every [jobs] value. *)

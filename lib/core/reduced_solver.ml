@@ -16,9 +16,9 @@ type outcome = {
 
 let isqrt = Dsf_util.Intmath.isqrt
 
-let solve ?observer ?telemetry ?(spanner_stretch = Some 3) inst ~f ~s_set
+let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
     ~diameter =
-  let tspan name fn = Dsf_congest.Telemetry.span_opt telemetry name fn in
+  let tspan name fn = Sim.span env name fn in
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let m = Graph.m g in
@@ -45,7 +45,7 @@ let solve ?observer ?telemetry ?(spanner_stretch = Some 3) inst ~f ~s_set
       let weight_of eid = if f.(eid) then 1 else big in
       let res, stats =
         tspan "t_v_assignment" (fun () ->
-            Bellman_ford.run ?observer ?telemetry g ~weight_of ~radius:cap
+            Bellman_ford.run ~env g ~weight_of ~radius:cap
               ~sources:(List.map (fun v -> v, 0) s_set))
       in
       let assignment = res.Bellman_ford.src_of in
@@ -134,7 +134,7 @@ let solve ?observer ?telemetry ?(spanner_stretch = Some 3) inst ~f ~s_set
         let label_rounds =
           tspan "label_helper" @@ fun () ->
           let tree, t1 =
-            Dsf_congest.Bfs.build ?observer ?telemetry g
+            Dsf_congest.Bfs.build ~env g
               ~root:(Dsf_congest.Bfs.max_id_root g)
           in
           (* Gossip stays inside each cell: enable only F-edges whose two
@@ -150,7 +150,7 @@ let solve ?observer ?telemetry ?(spanner_stretch = Some 3) inst ~f ~s_set
             else None
           in
           let cell_min, t2 =
-            Dsf_congest.Component_ops.component_min_item ?observer ?telemetry g
+            Dsf_congest.Component_ops.component_min_item ~env g
               ~mask
               ~values
               ~cmp:compare
@@ -170,12 +170,12 @@ let solve ?observer ?telemetry ?(spanner_stretch = Some 3) inst ~f ~s_set
             else []
           in
           let helper_forest, t3 =
-            Dsf_congest.Pipeline.filtered_upcast ?observer ?telemetry g ~tree
+            Dsf_congest.Pipeline.filtered_upcast ~env g ~tree
               ~vn:(List.length all_labels) ~pre:[] ~items ~cmp:compare
               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)
           in
           let _, t4 =
-            Dsf_congest.Tree_ops.broadcast ?observer ?telemetry g ~tree
+            Dsf_congest.Tree_ops.broadcast ~env g ~tree
               ~items:helper_forest
               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)
           in

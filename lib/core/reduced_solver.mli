@@ -32,8 +32,7 @@ type outcome = {
 }
 
 val solve :
-  ?observer:Dsf_congest.Sim.observer ->
-  ?telemetry:Dsf_congest.Telemetry.t ->
+  ?env:Dsf_congest.Sim.env ->
   ?spanner_stretch:int option ->
   Dsf_graph.Instance.ic ->
   f:bool array ->

@@ -38,7 +38,7 @@ type flat_state = {
   mutable fdirty : bool;
 }
 
-let run ?observer ?faults ?telemetry ?jobs ?chaos g ~sources ~frozen =
+let run ?(env = Sim.default_env) g ~sources ~frozen =
   let n = Graph.n g in
   let init = Hashtbl.create (max 1 (List.length sources)) in
   List.iter
@@ -118,11 +118,9 @@ let run ?observer ?faults ?telemetry ?jobs ?chaos g ~sources ~frozen =
       fp_wake = Some Sim.never;
     }
   in
-  if Option.is_none chaos && Sim.native_ports () then begin
-    let states, stats =
-      Dsf_congest.Telemetry.span_opt telemetry "region_bf" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g (flat_proto ()))
-    in
+  Sim.span env "region_bf" @@ fun () ->
+  if Sim.native_ports env then begin
+    let states, stats = Sim.run_flat ~env g (flat_proto ()) in
     ( Array.map
         (fun st ->
           if st.fowner >= 0 then
@@ -207,9 +205,8 @@ let run ?observer ?faults ?telemetry ?jobs ?chaos g ~sources ~frozen =
     }
   in
   let states, stats =
-    Dsf_congest.Telemetry.span_opt telemetry "region_bf" (fun () ->
-        Dsf_congest.Fault.sim_run ?observer ?faults ?telemetry ?jobs
-          ?chaos ~recovery:(Dsf_congest.Fault.immutable ()) g proto)
+    Dsf_congest.Fault.sim_run ~env ~recovery:(Dsf_congest.Fault.immutable ())
+      g proto
   in
   ( Array.map
       (fun st ->

@@ -20,28 +20,21 @@ type node_result = {
 }
 
 val run :
-  ?observer:Dsf_congest.Sim.observer ->
-  ?faults:Dsf_congest.Sim.faults ->
-  ?telemetry:Dsf_congest.Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Graph.t ->
   sources:(int * Frac.t * int) list ->
   frozen:bool array ->
   node_result array * Dsf_congest.Sim.stats
 (** [run g ~sources ~frozen] with [sources = [(node, offset, owner); ...]].
     Frozen nodes keep [owner = -1] in the result (callers retain their old
-    assignment).  [observer] taps the run's messages (per-run, domain-safe).
+    assignment).  Runs under a ["region_bf"] span.
 
-    Runs a native flat-engine port on {!Dsf_congest.Sim.run_flat} with
-    [?jobs] domains: mutable in-place node
+    When {!Dsf_congest.Sim.native_ports} holds, runs a native flat-engine
+    port on {!Dsf_congest.Sim.run_flat}: mutable in-place node
     state, CSR-resolved incoming weights, and one shared boxed [Relax]
     record per send-burst (dyadic distances exceed an immediate int, so
     messages stay boxed by design).  Labels, rounds, messages, bits, and
     observer traces are bit-identical to the classic protocol (differential
-    suite enforced); the classic protocol runs instead while
-    {!Dsf_congest.Sim.use_reference_engine} is set.  [faults] injects a
-    fault plan.  [chaos]
-    instead runs the classic protocol hardened with checkpointed recovery
-    under the given chaos plan (exclusive with [faults]; see
+    suite enforced).  Otherwise the classic protocol runs, hardened with
+    checkpointed recovery under a [Chaos] network (see
     {!Dsf_congest.Fault.sim_run}). *)

@@ -48,13 +48,11 @@ let flat_protocol g ~parent ~seeds :
     fp_wake = Some Sim.never;
   }
 
-let token_flood ?observer ?faults ?telemetry ?jobs ?chaos g ~parent
-    ~seeds =
-  if Option.is_none chaos && Sim.native_ports () then begin
-    let proto = flat_protocol g ~parent ~seeds in
+let token_flood ?(env = Sim.default_env) g ~parent ~seeds =
+  Sim.span env "token_flood" @@ fun () ->
+  if Sim.native_ports env then begin
     let states, stats =
-      Dsf_congest.Telemetry.span_opt telemetry "token_flood" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g proto)
+      Sim.run_flat ~env g (flat_protocol g ~parent ~seeds)
     in
     let f_eid = (Pack.layout [ 1; 1; Pack.width_of_max (Graph.m g) ]).(2) in
     (* Same extraction order as the classic leg: rev_append of each node's
@@ -94,9 +92,8 @@ let token_flood ?observer ?faults ?telemetry ?jobs ?chaos g ~parent
       }
     in
     let states, stats =
-      Dsf_congest.Telemetry.span_opt telemetry "token_flood" (fun () ->
-          Dsf_congest.Fault.sim_run ?observer ?faults ?telemetry ?jobs
-            ?chaos ~recovery:(Dsf_congest.Fault.immutable ()) g proto)
+      Dsf_congest.Fault.sim_run ~env
+        ~recovery:(Dsf_congest.Fault.immutable ()) g proto
     in
     let edges =
       Array.fold_left (fun acc st -> List.rev_append st.marked acc) [] states

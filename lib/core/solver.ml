@@ -1,5 +1,6 @@
 module Instance = Dsf_graph.Instance
 module Ledger = Dsf_congest.Ledger
+module Sim = Dsf_congest.Sim
 
 type algorithm =
   | Det
@@ -92,9 +93,14 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?chaos algo inst =
         None
 
 let solve_cr ?jobs ?observer ?telemetry ?chaos algo cr =
-  let out = Transform.cr_to_ic ?observer ?telemetry ?jobs ?chaos cr in
+  let network =
+    Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
+  in
+  let jobs = Option.value jobs ~default:1 in
+  let env = { Sim.default_env with observer; telemetry; network; jobs } in
+  let out = Transform.cr_to_ic ~env cr in
   let report =
-    solve_ic ?jobs ?observer ?telemetry ?chaos algo out.Transform.value
+    solve_ic ~jobs ?observer ?telemetry ?chaos algo out.Transform.value
   in
   let ledger =
     match report.ledger with

@@ -49,8 +49,10 @@ val solve_ic :
     dual are bit-identical to the fault-free run.  Other algorithms
     reject it with [Invalid_argument].
 
-    [observer] taps every simulated run of the chosen algorithm.
-    [telemetry] profiles it: the distributed algorithms open their own
+    [observer] taps every simulated run of the chosen algorithm, and
+    [telemetry] sees every one of them: each entry point builds one
+    {!Dsf_congest.Sim.env} from these arguments, which all its
+    subroutines inherit.  [telemetry] profiles the run: the distributed algorithms open their own
     phase spans (see each module's docs); the centralized reference and
     the Khan baseline are wrapped in a single [centralized_moat] /
     [khan_baseline] span. *)

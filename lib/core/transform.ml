@@ -13,12 +13,12 @@ type 'a outcome = {
   messages : int;
 }
 
-let cr_to_ic ?observer ?telemetry ?jobs ?chaos (cr : Instance.cr) =
-  Dsf_congest.Telemetry.span_opt telemetry "cr_to_ic" @@ fun () ->
+let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
+  Sim.span env "cr_to_ic" @@ fun () ->
   let g = cr.Instance.cr_graph in
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ?observer ?telemetry ?jobs ?chaos g ~root in
+  let tree, s1 = Bfs.build ~env g ~root in
   (* Convergecast the requests with forest filtering: a request that closes
      a cycle with already-known connectivity is redundant, so at most t - 1
      pairs survive (proof of Lemma 2.3).  The filtered pipelined upcast is
@@ -31,14 +31,14 @@ let cr_to_ic ?observer ?telemetry ?jobs ?chaos (cr : Instance.cr) =
       cr.Instance.requests.(v)
   in
   let surviving, s2 =
-    Pipeline.filtered_upcast ?observer ?telemetry ?jobs ?chaos g
+    Pipeline.filtered_upcast ~env g
       ~tree ~vn:n
       ~pre:[] ~items ~cmp:compare
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
   let pairs = List.map (fun it -> it.Pipeline.a, it.Pipeline.b) surviving in
   let _, s3 =
-    Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g ~tree
+    Tree_ops.broadcast ~env g ~tree
       ~items:pairs
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
@@ -72,12 +72,12 @@ let cr_to_ic ?observer ?telemetry ?jobs ?chaos (cr : Instance.cr) =
     messages = s1.Sim.messages + s2.Sim.messages + s3.Sim.messages;
   }
 
-let minimalize ?observer ?telemetry ?jobs ?chaos (inst : Instance.ic) =
-  Dsf_congest.Telemetry.span_opt telemetry "minimalize" @@ fun () ->
+let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
+  Sim.span env "minimalize" @@ fun () ->
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ?observer ?telemetry ?jobs ?chaos g ~root in
+  let tree, s1 = Bfs.build ~env g ~root in
   (* Each terminal reports (label, id); inner nodes forward at most two
      distinct witnesses per label (Lemma 2.4). *)
   let items v =
@@ -85,7 +85,7 @@ let minimalize ?observer ?telemetry ?jobs ?chaos (inst : Instance.ic) =
     else []
   in
   let witnesses, s2 =
-    Tree_ops.upcast_dedup ?observer ?telemetry ?jobs ?chaos ~per_key:2
+    Tree_ops.upcast_dedup ~env ~per_key:2
       g ~tree
       ~items ~key:fst
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
@@ -97,7 +97,7 @@ let minimalize ?observer ?telemetry ?jobs ?chaos (inst : Instance.ic) =
     witnesses;
   let keep = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
   let _, s3 =
-    Tree_ops.broadcast ?observer ?telemetry ?jobs ?chaos g ~tree
+    Tree_ops.broadcast ~env g ~tree
       ~items:keep
       ~bits:(fun _ -> Bitsize.id_bits ~n)
   in

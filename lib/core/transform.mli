@@ -17,23 +17,17 @@ type 'a outcome = {
 }
 
 val cr_to_ic :
-  ?observer:Dsf_congest.Sim.observer ->
-  ?telemetry:Dsf_congest.Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Instance.cr ->
   Dsf_graph.Instance.ic outcome
 (** The resulting labels are the smallest terminal id in each request
     component, matching the construction in the proof of Lemma 2.3.
-    [jobs] partitions every subroutine's run across pool domains (see
-    {!Dsf_congest.Bfs.build}); results are jobs-invariant.
-    [chaos] runs every subroutine hardened with checkpointed recovery
-    under the given chaos plan (see {!Dsf_congest.Fault.sim_run}). *)
+    Every subroutine runs under [env] (see {!Dsf_congest.Sim}) inside a
+    ["cr_to_ic"] span; results are jobs-invariant, and a [Chaos] network
+    runs them hardened with checkpointed recovery (see
+    {!Dsf_congest.Fault.sim_run}). *)
 
 val minimalize :
-  ?observer:Dsf_congest.Sim.observer ->
-  ?telemetry:Dsf_congest.Telemetry.t ->
-  ?jobs:int ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Instance.ic ->
   Dsf_graph.Instance.ic outcome

@@ -45,7 +45,7 @@ type node_state = {
 
 type msg = Announce of { target : int; dist : int; rank : int }
 
-let build ?observer rng g =
+let build ?(env = Sim.default_env) rng g =
   let n = Graph.n g in
   let ranks = Dsf_util.Rng.permutation rng n in
   let proto : (node_state, msg) Sim.protocol =
@@ -136,7 +136,7 @@ let build ?observer rng g =
       wake = None;
     }
   in
-  let states, stats = Sim.run ?observer g proto in
+  let states, stats = Sim.run ~env g proto in
   {
     ranks;
     lists = Array.map (fun st -> st.list) states;

@@ -32,9 +32,9 @@ type t = {
   stats : Dsf_congest.Sim.stats;
 }
 
-val build :
-  ?observer:Dsf_congest.Sim.observer -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t
-(** Draws ranks from the given RNG and runs the simulated construction. *)
+val build : ?env:Dsf_congest.Sim.env -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t
+(** Draws ranks from the given RNG and runs the simulated construction
+    under the run environment [env] (see {!Dsf_congest.Sim}). *)
 
 val highest_within : t -> int -> int -> entry option
 (** [highest_within t v r]: the highest-ranked node within weighted distance

@@ -18,9 +18,9 @@ let beta_ball t i = t.beta_num * (1 lsl i) / beta_den
 
 let ceil_log2 = Dsf_util.Intmath.ceil_log2
 
-let build ?observer rng ?truncate_at g =
+let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at g =
   let n = Graph.n g in
-  let le = Le_list.build ?observer rng g in
+  let le = Le_list.build ~env rng g in
   let rounds = ref le.Le_list.rounds in
   let beta_num = beta_den + Dsf_util.Rng.int rng beta_den in
   let wd = Paths.diameter_weighted g in
@@ -38,7 +38,7 @@ let build ?observer rng ?truncate_at g =
         in
         let s = List.filteri (fun i _ -> i < size) by_rank in
         let res, stats =
-          Dsf_congest.Bellman_ford.run ?observer g
+          Dsf_congest.Bellman_ford.run ~env g
             ~sources:(List.map (fun v -> v, 0) s)
         in
         rounds := !rounds + stats.Dsf_congest.Sim.rounds;

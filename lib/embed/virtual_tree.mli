@@ -34,14 +34,15 @@ val beta_ball : t -> int -> int
     (distances are integers, so flooring is exact for membership tests). *)
 
 val build :
-  ?observer:Dsf_congest.Sim.observer ->
+  ?env:Dsf_congest.Sim.env ->
   Dsf_util.Rng.t ->
   ?truncate_at:int ->
   Dsf_graph.Graph.t ->
   t * int
 (** [build rng ?truncate_at g] returns the tree and the number of simulated
     rounds spent (LE lists; plus the closest-S Voronoi when truncating).
-    [truncate_at] is |S| (e.g. sqrt n); omit it for the full tree. *)
+    [truncate_at] is |S| (e.g. sqrt n); omit it for the full tree.  Every
+    simulated run uses the run environment [env]. *)
 
 val route_next_hop : t -> int -> int -> int option
 (** [route_next_hop t v target]: next hop from [v] on the recorded

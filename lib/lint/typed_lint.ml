@@ -21,6 +21,7 @@ type rule = Lint.rule = { id : string; synopsis : string; rationale : string }
 
 let rule_domain_race = "domain-race"
 let rule_congest_width = "congest-width"
+let rule_env_dropped = "env-dropped"
 
 let rules =
   [
@@ -42,6 +43,16 @@ let rules =
          provably fit 62 bits and declared per-message bit counts must be \
          O(log n)-representable, or the round/bits experiments measure a \
          protocol the paper's model forbids";
+    };
+    {
+      id = rule_env_dropped;
+      synopsis = "simulating call that drops the Sim.env in scope";
+      rationale =
+        "every simulated run inherits its caller's run environment — \
+         observer, telemetry (and the flight recorder riding on it), \
+         network and domain count; a call that omits ?env while an env is \
+         in scope silently runs lossless, single-domain and \
+         uninstrumented, so traces, flight logs and chaos runs miss it";
     };
   ]
 
@@ -172,23 +183,6 @@ let positional args idx =
   in
   go 0 args
 
-let rec pat_idents : type k. k Typedtree.general_pattern -> Ident.t list =
- fun p ->
-  match p.Typedtree.pat_desc with
-  | Typedtree.Tpat_var (id, _) -> [ id ]
-  | Typedtree.Tpat_alias (q, id, _) -> id :: pat_idents q
-  | Typedtree.Tpat_tuple qs | Typedtree.Tpat_array qs ->
-      List.concat_map pat_idents qs
-  | Typedtree.Tpat_construct (_, _, qs, _) -> List.concat_map pat_idents qs
-  | Typedtree.Tpat_variant (_, Some q, _) -> pat_idents q
-  | Typedtree.Tpat_record (fs, _) ->
-      List.concat_map (fun (_, _, q) -> pat_idents q) fs
-  | Typedtree.Tpat_lazy q -> pat_idents q
-  | Typedtree.Tpat_value v -> pat_idents (v :> Typedtree.pattern)
-  | Typedtree.Tpat_exception q -> pat_idents q
-  | Typedtree.Tpat_or (a, b, _) -> pat_idents a @ pat_idents b
-  | _ -> []
-
 let type_name (e : Typedtree.expression) =
   match Types.get_desc e.Typedtree.exp_type with
   | Types.Tconstr (p, _, _) -> Some (Path.last p)
@@ -225,7 +219,7 @@ type wstate = {
 let bind st p o =
   List.iter
     (fun id -> Hashtbl.replace st.env (Ident.unique_name id) o)
-    (pat_idents p)
+    (Typedtree.pat_bound_idents p)
 
 let lookup st id = Hashtbl.find_opt st.env (Ident.unique_name id)
 
@@ -744,6 +738,45 @@ let check_msg_bits ctx (fexpr : Typedtree.expression) =
       in
       scan body
 
+(* --------------------------------------------------------- env-dropped *)
+
+(* [Sim.env] as the typer resolved it: a type constructor named [env]
+   reached through [Sim] (module aliases, [-open] prefixes and dune's
+   [Lib__Sim] mangling included), or the bare [env] inside sim.ml. *)
+let is_env_type ~file ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> (
+      match List.rev (path_comps p) with
+      | "env" :: m :: _ -> m = "Sim" || String.ends_with ~suffix:"__Sim" m
+      | [ "env" ] -> Filename.basename file = "sim.ml"
+      | _ -> false)
+  | _ -> false
+
+let binds_env ~file p =
+  List.exists
+    (fun (_, _, ty) -> is_env_type ~file ty)
+    (Typedtree.pat_bound_idents_full p)
+
+(* An [?env:Sim.env] argument the caller omitted: the typer fills the
+   eliminated optional with a [None] at [Location.none] (an explicit
+   [?env:None] keeps its source location). *)
+let omits_env ~file args =
+  List.exists
+    (function
+      | Asttypes.Optional "env", Some (a : Typedtree.expression) -> (
+          a.Typedtree.exp_loc = Location.none
+          &&
+          match Types.get_desc a.Typedtree.exp_type with
+          | Types.Tconstr (_, [ ty ], _) -> is_env_type ~file ty
+          | _ -> false)
+      | _ -> false)
+    args
+
+let env_hint =
+  "pass ~env (or the variant you mean, built by record update: { env with \
+   ... }); mark a deliberately fresh environment with [@lint.allow \
+   \"env-dropped\"]"
+
 (* ------------------------------------------------------------ the pass *)
 
 let analyze_structure ~file (str : Typedtree.structure) =
@@ -751,9 +784,34 @@ let analyze_structure ~file (str : Typedtree.structure) =
   let tainted = compute_taint defs in
   let ctx = { f_file = file; defs; tainted; f_allows = []; out = [] } in
   let default = Tast_iterator.default_iterator in
+  (* env-dropped scope: how many enclosing binders (function parameters,
+     let- and match-bound variables) of type [Sim.env] are visible.
+     Toplevel definitions such as [Sim.default_env] do not count. *)
+  let env_scope = ref 0 in
+  let scoped bound f =
+    if bound then begin
+      incr env_scope;
+      f ();
+      decr env_scope
+    end
+    else f ()
+  in
   let expr it (e : Typedtree.expression) =
     let saved = ctx.f_allows in
     ctx.f_allows <- Lint.allow_ids e.Typedtree.exp_attributes @ ctx.f_allows;
+    (match e.Typedtree.exp_desc with
+    | Texp_apply (f, args) when !env_scope > 0 && omits_env ~file args ->
+        let callee =
+          match head_path f with Some p -> path_display p | None -> "<fun>"
+        in
+        femit ctx ~loc:e.Typedtree.exp_loc ~rule:rule_env_dropped
+          ~message:
+            (Printf.sprintf
+               "call to `%s' omits ?env while a Sim.env is in scope — the \
+                run falls back to Sim.default_env"
+               callee)
+          ~hint:env_hint
+    | _ -> ());
     (match e.Typedtree.exp_desc with
     | Texp_record { fields; _ } when type_name e = Some "flat_protocol" ->
         Array.iter
@@ -773,7 +831,18 @@ let analyze_structure ~file (str : Typedtree.structure) =
             check_layout ctx e args
         | _ -> ())
     | _ -> ());
-    default.expr it e;
+    (* A let body is walked in scope of its env binders (function and
+       match cases are scoped by [case] below). *)
+    (match e.Typedtree.exp_desc with
+    | Texp_let (Asttypes.Nonrecursive, vbs, body) ->
+        List.iter (it.Tast_iterator.value_binding it) vbs;
+        scoped
+          (List.exists
+             (fun (vb : Typedtree.value_binding) ->
+               binds_env ~file vb.Typedtree.vb_pat)
+             vbs)
+          (fun () -> it.Tast_iterator.expr it body)
+    | _ -> default.expr it e);
     ctx.f_allows <- saved
   in
   (* Floating [@@@lint.allow] attributes scope over the remainder of the
@@ -789,7 +858,11 @@ let analyze_structure ~file (str : Typedtree.structure) =
       s.Typedtree.str_items;
     ctx.f_allows <- saved
   in
-  let it = { default with expr; structure } in
+  let case : type k. Tast_iterator.iterator -> k Typedtree.case -> unit =
+   fun it c ->
+    scoped (binds_env ~file c.Typedtree.c_lhs) (fun () -> default.case it c)
+  in
+  let it = { default with expr; structure; case } in
   it.structure it str;
   List.sort Finding.compare ctx.out
 

@@ -19,6 +19,14 @@
       (O(log n) by construction), and the constant portion (plus one bit
       per variable field) must not exceed 62.  [fp_msg_bits] bodies
       declaring a constant or literal bit count above 62 are flagged too.
+    - [env-dropped] — an application that omits an optional
+      [?env:Sim.env] argument while a variable of type [Sim.env] is bound
+      by an enclosing function parameter, [let] or [match] case: the
+      run would silently fall back to [Sim.default_env] (lossless, one
+      domain, uninstrumented) instead of inheriting the caller's
+      observer, telemetry, network and domain count.  Toplevel values
+      such as [Sim.default_env] do not put an env in scope, and an
+      explicit [?env:None] is not flagged.
 
     Suppression uses the same [[@lint.allow "rule-id"]] attributes as the
     Parsetree pass (they survive into the Typedtree).
@@ -34,7 +42,7 @@ val rules : Lint.rule list
 (** The typed rule catalogue, in report order. *)
 
 val analyze_structure : file:string -> Typedtree.structure -> Finding.t list
-(** Runs both typed rules over one implementation's Typedtree; [file] is
+(** Runs every typed rule over one implementation's Typedtree; [file] is
     the fallback path reported when a location carries no filename.
     Findings are sorted. *)
 

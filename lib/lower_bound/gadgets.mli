@@ -53,7 +53,8 @@ val cut_bits :
 (** [cut_bits sides f] hands [f] a cut-metering observer and returns [f]'s
     result plus the total bits that crossed the Alice/Bob cut in every
     simulation [f] threaded the observer through.  The observer is a
-    per-run value (pass it as [?observer] to the solver entry points), so
+    per-run value (pass it as [?observer] to the solver entry points, or
+    in the [observer] field of a {!Dsf_congest.Sim.env}), so
     concurrent cut measurements on separate domains do not interfere. *)
 
 type padding = {

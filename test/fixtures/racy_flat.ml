@@ -2,7 +2,7 @@
    This is the seeded cross-domain write the typed domain-race rule must
    flag (test_lint scans this library's .cmt) and the runtime ownership
    sanitizer must abort on (test_sanitizer runs it under
-   [Sim.run_flat ~sanitize:true]).  Do not "fix" it and do not link it
+   [Sim.run_flat] with [env.sanitize]).  Do not "fix" it and do not link it
    outside the test binary.
 
    Two distinct violations live in [fp_step]:

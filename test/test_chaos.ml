@@ -34,10 +34,19 @@ let random_drop_plan seed =
   let duplicate = float_of_int (Dsf_util.Rng.int r 31) /. 100. in
   Fault.plan ~drop ~duplicate ~seed:(Dsf_util.Rng.int r 1_000_000) ()
 
+(* Run environments: the hardened network under [plan] (what
+   [Fault.sim_run] needs to harden a run) and raw, unhardened fault
+   injection of [plan]. *)
+let chaos_env ?rto ?rto_cap plan =
+  { Sim.default_env with network = Sim.Chaos (Fault.chaos ?rto ?rto_cap plan) }
+
+let faults_env plan =
+  { Sim.default_env with network = Sim.Faults (Fault.instantiate plan) }
+
 (* Raw lossless final states vs hardened final states under [plan]. *)
 let masks_plan ?max_rounds g proto plan =
   let lossless, _ = Sim.run g proto in
-  let hardened, _ = Fault.run_hardened ?max_rounds ~plan g proto in
+  let hardened, _ = Fault.sim_run ?max_rounds ~env:(chaos_env plan) g proto in
   lossless = hardened
 
 let prop_harden_bfs =
@@ -80,7 +89,9 @@ let prop_harden_faultfree_identity =
       let g = random_graph seed in
       let root = seed mod Graph.n g in
       let lossless, _ = Sim.run g (Bfs.protocol ~root) in
-      let hardened, stats = Fault.run_hardened g (Bfs.protocol ~root) in
+      let hardened, stats =
+        Fault.sim_run ~env:(chaos_env Fault.empty) g (Bfs.protocol ~root)
+      in
       lossless = hardened && stats.Sim.retransmissions = 0
       && stats.Sim.dropped = 0)
 
@@ -91,7 +102,7 @@ let prop_drops_cost_retransmissions =
       let g = random_graph seed in
       let plan = Fault.plan ~drop:0.3 ~seed () in
       let _, stats =
-        Fault.run_hardened ~plan g (Leader.protocol g)
+        Fault.sim_run ~env:(chaos_env plan) g (Leader.protocol g)
       in
       (* Some packet of the chatty leader flood is dropped with
          overwhelming probability at p = 0.3; each drop must eventually be
@@ -112,8 +123,7 @@ let test_exchange_crash_restart () =
   let v = n / 2 in
   let plan = Fault.plan ~crashes:[ v, 0, 2 ] ~seed:1 () in
   let states, stats =
-    Sim.run ~faults:(Fault.instantiate plan) g
-      (Exchange.protocol ~payload_bits:9)
+    Sim.run ~env:(faults_env plan) g (Exchange.protocol ~payload_bits:9)
   in
   Array.iteri
     (fun u sent ->
@@ -135,7 +145,7 @@ let test_leader_crash_breaks_agreement () =
   let k = 8 in
   let g = Gen.path (k + 1) in
   let plan = Fault.plan ~crashes:[ 0, k - 1, k + 2 ] ~seed:1 () in
-  let res = Leader.elect ~faults:(Fault.instantiate plan) g in
+  let res = Leader.elect ~env:(faults_env plan) g in
   Alcotest.(check bool) "disagreement surfaced" false res.Leader.agreed;
   check Alcotest.int "true winner still reported" k res.Leader.leader
 
@@ -146,7 +156,7 @@ let test_leader_max_node_restart_reconverges () =
   let k = 8 in
   let g = Gen.path (k + 1) in
   let plan = Fault.plan ~crashes:[ k, 1, 3 ] ~seed:1 () in
-  let res = Leader.elect ~faults:(Fault.instantiate plan) g in
+  let res = Leader.elect ~env:(faults_env plan) g in
   Alcotest.(check bool) "agreement restored" true res.Leader.agreed;
   check Alcotest.int "leader" k res.Leader.leader
 
@@ -185,7 +195,8 @@ let prop_recovery_masks_chaos_plans =
       let masks proto =
         let lossless, _ = Sim.run g proto in
         let hardened, _ =
-          Fault.run_hardened ~plan ~recovery:(Fault.immutable ()) g proto
+          Fault.sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ())
+            g proto
         in
         lossless = hardened
       in
@@ -201,15 +212,14 @@ let test_leader_crash_recovery_reconverges () =
   let plan = Fault.plan ~crashes:[ 0, k - 1, k + 2 ] ~seed:1 () in
   let lossless, _ = Sim.run g (Leader.protocol g) in
   let hardened, _ =
-    Fault.run_hardened ~plan ~recovery:(Fault.immutable ()) g
+    Fault.sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ()) g
       (Leader.protocol g)
   in
   Alcotest.(check bool) "crash masked by recovery" true (lossless = hardened);
-  (* Same guarantee through the chaos front door: [Leader.elect ?chaos]
-     runs hardened-with-recovery and asserts agreement internally. *)
-  let res =
-    Leader.elect ~chaos:(Fault.chaos (Fault.chaos_plan ~seed:7 g)) g
-  in
+  (* Same guarantee through the chaos front door: [Leader.elect] on a
+     [Chaos] network runs hardened-with-recovery and asserts agreement
+     internally. *)
+  let res = Leader.elect ~env:(chaos_env (Fault.chaos_plan ~seed:7 g)) g in
   Alcotest.(check bool) "elect under chaos agrees" true res.Leader.agreed;
   check Alcotest.int "elect under chaos: true winner" k res.Leader.leader
 
@@ -223,8 +233,7 @@ let test_recovery_stats_counted () =
   let proto = Leader.protocol g in
   let hardened = Fault.harden ~recovery:(Fault.immutable ()) proto in
   let hs, _ =
-    Sim.run ~halt:(Fault.quiescent proto) ~faults:(Fault.instantiate plan) g
-      hardened
+    Sim.run ~halt:(Fault.quiescent proto) ~env:(faults_env plan) g hardened
   in
   let rs = Fault.recovery_of hs in
   check Alcotest.int "one restore" 1 rs.Fault.restores;
@@ -235,14 +244,57 @@ let test_recovery_stats_counted () =
   Alcotest.(check bool) "inner states lossless" true
     (Array.map Fault.inner hs = lossless)
 
+let test_hardened_units () =
+  (* A drop-only hardened run spends retransmissions (packets) but no
+     recovery rounds: the rounds ledger of its "hardened" span must stay
+     at zero while the packet and checkpoint-bit counts land in the
+     metrics registry. *)
+  let g = random_graph 31 in
+  let tel = Telemetry.create ~clock:(fun () -> 0L) () in
+  let env =
+    { (chaos_env (Fault.plan ~drop:0.3 ~seed:808 ())) with
+      telemetry = Some tel }
+  in
+  let _, stats =
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (Leader.protocol g)
+  in
+  let span = Option.get (Telemetry.find tel [ "hardened" ]) in
+  let metric = Dsf_util.Metrics.counter_value (Telemetry.metrics tel) in
+  Alcotest.(check bool) "retransmissions > 0" true
+    (span.Telemetry.retransmissions > 0);
+  check Alcotest.int "span retransmissions = stats" stats.Sim.retransmissions
+    span.Telemetry.retransmissions;
+  check Alcotest.int "ledger_simulated = 0" 0 span.Telemetry.ledger_simulated;
+  check Alcotest.int "ledger_charged = 0" 0 span.Telemetry.ledger_charged;
+  check Alcotest.int "fault/retransmissions counter" stats.Sim.retransmissions
+    (metric "fault/retransmissions");
+  Alcotest.(check bool) "fault/checkpoint_bits counter" true
+    (metric "fault/checkpoint_bits" > 0)
+
+let test_engines_reject_chaos () =
+  (* Hardening is Fault.sim_run's job: a Chaos env handed straight to an
+     engine is a wiring bug and is rejected up front. *)
+  let g = random_graph 5 in
+  let env = chaos_env (Fault.plan ~drop:0.1 ~seed:1 ()) in
+  let rejects name run =
+    match run () with
+    | _ -> Alcotest.failf "%s accepted a Chaos env" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "Sim.run" (fun () -> Sim.run ~env g (Bfs.protocol ~root:0));
+  rejects "Sim.run_reference" (fun () ->
+      Sim.run_reference ~env g (Bfs.protocol ~root:0));
+  rejects "Sim.run_flat" (fun () ->
+      ignore (Sim.run_flat ~env g (Bfs.flat_protocol ~n:(Graph.n g) ~root:0)))
+
 let test_exchange_chaos_still_stabilizes () =
   (* The raw exchange's self-stabilization (test above) is not disturbed
      by the hardened path: under a full chaos plan every node still ends
      having sent, and the stats come back finite. *)
   let g = random_graph 777 in
   let stats =
-    Exchange.all_neighbors ~chaos:(Fault.chaos (Fault.chaos_plan ~seed:9 g))
-      g ~payload_bits:9
+    Exchange.all_neighbors ~env:(chaos_env (Fault.chaos_plan ~seed:9 g)) g
+      ~payload_bits:9
   in
   Alcotest.(check bool) "positive traffic" true (stats.Sim.messages > 0)
 
@@ -298,7 +350,7 @@ let test_crash_plan_not_masked_postmortem () =
   (* Clamp the backoff so a retransmission lands inside the 8-round
      post-mortem window (the default cap of 32 can out-wait it). *)
   match
-    Fault.run_hardened ~max_rounds ~rto:3 ~rto_cap:4 ~plan g
+    Fault.sim_run ~max_rounds ~env:(chaos_env ~rto:3 ~rto_cap:4 plan) g
       (Leader.protocol g)
   with
   | _ -> Alcotest.fail "expected Round_limit"
@@ -319,7 +371,7 @@ let test_crash_plan_not_masked_postmortem () =
         (String.length via_printexc > String.length "Sim.Round_limit");
       (* The full Trace dump adds per-sender totals and the raw
          round-by-round traffic on top of the compact summary. *)
-      let dump = Format.asprintf "%a" (Trace.pp_postmortem ?recorder:None) a in
+      let dump = Format.asprintf "%a" (Trace.pp_postmortem ?env:None) a in
       let contains hay needle =
         let nl = String.length needle and hl = String.length hay in
         let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -352,6 +404,10 @@ let suites =
           test_leader_crash_recovery_reconverges;
         Alcotest.test_case "recovery work is counted" `Quick
           test_recovery_stats_counted;
+        Alcotest.test_case "hardened run: packets and bits are not rounds"
+          `Quick test_hardened_units;
+        Alcotest.test_case "engines reject a Chaos env" `Quick
+          test_engines_reject_chaos;
         Alcotest.test_case "exchange under chaos still stabilizes" `Quick
           test_exchange_chaos_still_stabilizes;
         Alcotest.test_case "det_dsf chaos differential (engines, jobs)"

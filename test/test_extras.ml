@@ -39,11 +39,13 @@ let test_seq_upcast_no_pipelining () =
 
 (* ------------------------------------------------------------------ Trace *)
 
+let observed observer = { Dsf_congest.Sim.default_env with observer = Some observer }
+
 let test_trace_counts () =
   let g = Gen.path 6 in
   let trace = Dsf_congest.Trace.create () in
   let _, stats =
-    Dsf_congest.Bfs.build ~observer:(Dsf_congest.Trace.observer trace) g
+    Dsf_congest.Bfs.build ~env:(observed (Dsf_congest.Trace.observer trace)) g
       ~root:0
   in
   check Alcotest.int "messages match sim stats" stats.Dsf_congest.Sim.messages
@@ -55,7 +57,8 @@ let test_trace_per_edge () =
   let g = Gen.path 3 in
   let trace = Dsf_congest.Trace.create () in
   ignore
-    (Dsf_congest.Bellman_ford.sssp ~observer:(Dsf_congest.Trace.observer trace)
+    (Dsf_congest.Bellman_ford.sssp
+       ~env:(observed (Dsf_congest.Trace.observer trace))
        g ~src:0);
   Alcotest.(check bool) "edge 0->1 carried bits" true
     (Dsf_congest.Trace.bits_between trace ~src:0 ~dst:1 > 0);
@@ -74,8 +77,12 @@ let test_trace_nesting_chains () =
     let stats = run (Dsf_congest.Trace.observer t) in
     (t, stats)
   in
-  let bfs observer = snd (Dsf_congest.Bfs.build ~observer g ~root:0) in
-  let sssp observer = snd (Dsf_congest.Bellman_ford.sssp ~observer g ~src:0) in
+  let bfs observer =
+    snd (Dsf_congest.Bfs.build ~env:(observed observer) g ~root:0)
+  in
+  let sssp observer =
+    snd (Dsf_congest.Bellman_ford.sssp ~env:(observed observer) g ~src:0)
+  in
   let t_bfs, s_bfs = traced bfs and t_sssp, s_sssp = traced sssp in
   let whole, _ =
     traced (fun observer -> ignore (bfs observer); sssp observer)

@@ -215,7 +215,7 @@ let test_zones_and_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse error expected");
   check Alcotest.int "rule catalogue" 6 (List.length Lint.rules);
-  check Alcotest.int "typed rule catalogue" 2 (List.length Typed_lint.rules)
+  check Alcotest.int "typed rule catalogue" 3 (List.length Typed_lint.rules)
 
 (* --------------------------------------------------------------- baseline *)
 
@@ -289,6 +289,7 @@ let test_typed_fixtures () =
       List.filter (fun (f : Finding.t) -> f.Finding.rule = rule) findings
     in
     let races = by "domain-race" and widths = by "congest-width" in
+    let envs = by "env-dropped" in
     (* racy_flat.ml seeds two distinct races: a toplevel ref and a write
        to another node's slot of the captured storage *)
     check Alcotest.bool "seeded cross-domain writes flagged" true
@@ -305,8 +306,20 @@ let test_typed_fixtures () =
       (List.for_all
          (fun (f : Finding.t) -> Filename.basename f.Finding.file = "wide_pack.ml")
          widths);
+    (* dropped_env.ml seeds exactly two dropped environments (an optional
+       and a labelled env parameter); its threaded, env-free, explicit
+       [?env:None] and suppressed calls must stay quiet *)
+    check
+      Alcotest.(list (pair string int))
+      "env-dropped findings"
+      [ "dropped_env.ml", 15; "dropped_env.ml", 19 ]
+      (List.map
+         (fun (f : Finding.t) ->
+           Filename.basename f.Finding.file, f.Finding.line)
+         envs);
     check Alcotest.int "no other rules fire" 0
-      (List.length findings - List.length races - List.length widths);
+      (List.length findings - List.length races - List.length widths
+     - List.length envs);
     (* the scan output is already in Finding.compare order (stable CI) *)
     check Alcotest.bool "findings sorted" true
       (List.sort Finding.compare findings = findings)

@@ -86,7 +86,9 @@ let test_cut_bits_measured () =
   let _, bits =
     Gadgets.cut_bits gad.Gadgets.cr_side (fun ~observer ->
         let ic =
-          (Dsf_core.Transform.cr_to_ic ~observer gad.Gadgets.cr)
+          (Dsf_core.Transform.cr_to_ic
+             ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+             gad.Gadgets.cr)
             .Dsf_core.Transform.value
         in
         Dsf_core.Det_dsf.run ~observer ic)
@@ -100,7 +102,9 @@ let test_cut_bits_scale_with_universe () =
     let _, bits =
       Gadgets.cut_bits gad.Gadgets.cr_side (fun ~observer ->
           let ic =
-            (Dsf_core.Transform.cr_to_ic ~observer gad.Gadgets.cr)
+            (Dsf_core.Transform.cr_to_ic
+               ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+               gad.Gadgets.cr)
               .Dsf_core.Transform.value
           in
           Dsf_core.Det_dsf.run ~observer ic)
@@ -115,7 +119,11 @@ let test_observer_scoping () =
   let count = ref 0 in
   let g = Gen.path 4 in
   let observer ~src:_ ~dst:_ ~bits = count := !count + bits in
-  let _, stats = Dsf_congest.Bfs.build ~observer g ~root:0 in
+  let _, stats =
+    Dsf_congest.Bfs.build
+      ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+      g ~root:0
+  in
   let seen = !count in
   Alcotest.(check bool) "observed inside" true (seen > 0);
   check Alcotest.int "observer sees the run's bits"
@@ -203,7 +211,9 @@ let test_padding_stays_off_the_cut () =
     snd
       (Gadgets.cut_bits side (fun ~observer ->
            let ic =
-             (Dsf_core.Transform.cr_to_ic ~observer cr)
+             (Dsf_core.Transform.cr_to_ic
+                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+                cr)
                .Dsf_core.Transform.value
            in
            Dsf_core.Det_dsf.run ~observer ic))

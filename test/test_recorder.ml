@@ -4,7 +4,7 @@
 
    The byte-identity suite is the recorder's core promise: the very same
    protocol recorded through Sim.run, Sim.run_reference and Sim.run_flat
-   (at any ?jobs) must serialize to the very same dsf-flightlog bytes —
+   (at any jobs) must serialize to the very same dsf-flightlog bytes —
    steps are only recorded for mail-consuming nodes (causally inert empty
    steps would differ between the reference loop, which steps everyone,
    and the flat engine), and the flat engine's per-domain staging
@@ -20,6 +20,12 @@ let contains s affix =
   let n = String.length s and m = String.length affix in
   let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
   m = 0 || go 0
+
+(* A run environment that records into [r]: the recorder rides on a
+   telemetry, the way `dsf_cli solve --record` attaches it. *)
+let recording ?(network = Sim.Lossless) ?(jobs = 1) ?observer r =
+  let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
+  { Sim.default_env with observer; telemetry = Some tel; network; jobs }
 
 let random_graph seed =
   let r = Dsf_util.Rng.create seed in
@@ -94,34 +100,36 @@ let test_corrupt_rejected () =
    recorded run must be bit-identical to the bare run, on all three
    engines. *)
 let prop_recorder_transparent =
-  QCheck.Test.make ~name:"?recorder never perturbs a run (all engines)"
+  QCheck.Test.make ~name:"a recorder never perturbs a run (all engines)"
     ~count:25
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g = random_graph seed in
       let n = Graph.n g in
       let root = seed mod n in
-      let adapter recorder =
+      (* The bare leg taps the run with the same observer and no
+         telemetry; the recorded leg adds a telemetry carrying [r]. *)
+      let tapped recorder run =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t = Sim.run ~observer ?recorder g (Bfs.protocol ~root) in
+        let env =
+          match recorder with
+          | None -> { Sim.default_env with observer = Some observer }
+          | Some r -> recording ~observer r
+        in
+        let s, t = run env in
         s, t, List.rev !log
+      in
+      let adapter recorder =
+        tapped recorder (fun env -> Sim.run ~env g (Bfs.protocol ~root))
       in
       let reference recorder =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t =
-          Sim.run_reference ~observer ?recorder g (Bfs.protocol ~root)
-        in
-        s, t, List.rev !log
+        tapped recorder (fun env ->
+            Sim.run_reference ~env g (Bfs.protocol ~root))
       in
       let flat recorder =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t =
-          Sim.run_flat ~observer ?recorder g (Bfs.flat_protocol ~n ~root)
-        in
-        s, t, List.rev !log
+        tapped recorder (fun env ->
+            Sim.run_flat ~env g (Bfs.flat_protocol ~n ~root))
       in
       let rcd () = Some (Recorder.create ~now:0 ()) in
       adapter None = adapter (rcd ())
@@ -130,20 +138,22 @@ let prop_recorder_transparent =
 
 (* ------------------------------------------------------- byte identity *)
 
-let record_adapter ?faults g ~root =
+let record_adapter ?network g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run ?faults ~recorder:r g (Bfs.protocol ~root));
+  ignore (Sim.run ~env:(recording ?network r) g (Bfs.protocol ~root));
   Recorder.to_string r
 
 let record_reference g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run_reference ~recorder:r g (Bfs.protocol ~root));
+  ignore (Sim.run_reference ~env:(recording r) g (Bfs.protocol ~root));
   Recorder.to_string r
 
-let record_flat ?faults ~jobs g ~root =
+let record_flat ?network ~jobs g ~root =
   let n = Graph.n g in
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run_flat ?faults ~recorder:r ~jobs g (Bfs.flat_protocol ~n ~root));
+  ignore
+    (Sim.run_flat ~env:(recording ?network ~jobs r) g
+       (Bfs.flat_protocol ~n ~root));
   Recorder.to_string r
 
 let prop_log_engine_invariant =
@@ -169,7 +179,8 @@ let prop_log_engine_invariant =
 let test_log_crash_classic_flat_identical () =
   let g = Gen.path 24 in
   let plan = Fault.plan ~crashes:[ 23, 1, 3; 12, 2, 3 ] ~seed:11 () in
-  let base = record_adapter ~faults:(Fault.instantiate plan) g ~root:0 in
+  let faulted () = Sim.Faults (Fault.instantiate plan) in
+  let base = record_adapter ~network:(faulted ()) g ~root:0 in
   (match Recorder.parse base with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok log ->
@@ -183,7 +194,7 @@ let test_log_crash_classic_flat_identical () =
       check Alcotest.bool
         (Printf.sprintf "flat jobs=%d matches classic" jobs)
         true
-        (record_flat ~faults:(Fault.instantiate plan) ~jobs g ~root:0 = base))
+        (record_flat ~network:(faulted ()) ~jobs g ~root:0 = base))
     [ 1; 2; 4 ]
 
 (* Raw drops can wedge an unhardened protocol below quiescence; the runs
@@ -205,8 +216,11 @@ let prop_log_jobs_invariant_faulted =
         let r = Recorder.create ~now:0 () in
         (try
            ignore
-             (Sim.run_flat ~max_rounds:300 ~faults:(Fault.instantiate plan)
-                ~recorder:r ~jobs g (Bfs.flat_protocol ~n ~root))
+             (Sim.run_flat ~max_rounds:300
+                ~env:
+                  (recording ~network:(Sim.Faults (Fault.instantiate plan))
+                     ~jobs r)
+                g (Bfs.flat_protocol ~n ~root))
          with Sim.Round_limit _ -> ());
         Recorder.to_string r
       in
@@ -224,8 +238,9 @@ let test_spans_in_log_jobs_invariant () =
     let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
     Telemetry.span tel "bfs" (fun () ->
         ignore
-          (Sim.run_flat ~telemetry:tel ~recorder:r ~jobs g
-             (Bfs.flat_protocol ~n ~root:0)));
+          (Sim.run_flat
+             ~env:{ Sim.default_env with telemetry = Some tel; jobs }
+             g (Bfs.flat_protocol ~n ~root:0)));
     Recorder.to_string r
   in
   let base = run 1 in

@@ -1,4 +1,4 @@
-(* Dynamic ownership sanitizer (Sim.run_flat ~sanitize:true): the racy
+(* Dynamic ownership sanitizer (Sim.run_flat with [env.sanitize]): the racy
    fixture's cross-partition write must abort with a structured
    Sanitizer_violation, an emit closure smuggled out of its step must be
    caught, and — the other half of the contract — a clean protocol must
@@ -11,6 +11,8 @@ open Dsf_congest
 module Racy = Dsf_lint_fixtures.Racy_flat
 
 let check = Alcotest.check
+let env ?(jobs = 1) ?(network = Sim.Lossless) sanitize =
+  { Sim.default_env with jobs; network; sanitize }
 
 let test_racy_fixture_trips () =
   let g = Gen.path 4 in
@@ -19,14 +21,14 @@ let test_racy_fixture_trips () =
      0 steps once, mutating idle node 1's aliased state on the way): the
      race is silent data corruption, which is the point of the oracle. *)
   Racy.counter := 0;
-  let states, stats = Sim.run_flat ~sanitize:false g (Racy.racy_protocol ~n) in
+  let states, stats = Sim.run_flat ~env:(env false) g (Racy.racy_protocol ~n) in
   check Alcotest.int "one round unsanitized" 1 stats.Sim.rounds;
   check Alcotest.int "node 0 stepped once" 1 !Racy.counter;
   check Alcotest.int "node 1's state was corrupted" 2 states.(1).Racy.x;
   (* Sanitized, the same run aborts at the first barrier with the victim
      node identified. *)
   Racy.counter := 0;
-  match Sim.run_flat ~sanitize:true g (Racy.racy_protocol ~n) with
+  match Sim.run_flat ~env:(env true) g (Racy.racy_protocol ~n) with
   | exception Sim.Sanitizer_violation v ->
       check Alcotest.string "kind" "idle-state-write" v.Sim.sv_kind;
       check Alcotest.int "victim node" 1 v.Sim.sv_node;
@@ -59,7 +61,7 @@ let test_escaped_emit_trips () =
     (match !stash with Some emit -> emit ~dst:0 0 | None -> ());
     false
   in
-  match Sim.run_flat ~sanitize:true ~halt g fp with
+  match Sim.run_flat ~env:(env true) ~halt g fp with
   | exception Sim.Sanitizer_violation v ->
       check Alcotest.string "kind" "emit-outside-step" v.Sim.sv_kind
   | _ -> Alcotest.fail "sanitizer did not catch the escaped emit closure"
@@ -75,12 +77,12 @@ let test_clean_run_bit_identical () =
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
   let st_off, stats_off =
-    Sim.run_flat ~jobs:1 ~sanitize:false g (Bfs.flat_protocol ~n ~root)
+    Sim.run_flat ~env:(env false) g (Bfs.flat_protocol ~n ~root)
   in
   List.iter
     (fun jobs ->
       let st_on, stats_on =
-        Sim.run_flat ~jobs ~sanitize:true g (Bfs.flat_protocol ~n ~root)
+        Sim.run_flat ~env:(env ~jobs true) g (Bfs.flat_protocol ~n ~root)
       in
       check Alcotest.bool
         (Printf.sprintf "states identical (jobs=%d)" jobs)
@@ -96,13 +98,14 @@ let test_clean_faulted_run_bit_identical () =
      the sanitizer must stay silent and change nothing. *)
   let g = Gen.path 16 in
   let n = Graph.n g in
-  let run ~sanitize =
+  let run sanitize =
     let plan = Fault.plan ~drop:0.3 ~crashes:[ 3, 2, 4 ] ~seed:7 () in
-    Sim.run_flat ~faults:(Fault.instantiate plan) ~sanitize g
-      (Bfs.flat_protocol ~n ~root:0)
+    Sim.run_flat
+      ~env:(env ~network:(Sim.Faults (Fault.instantiate plan)) sanitize)
+      g (Bfs.flat_protocol ~n ~root:0)
   in
-  let off = run ~sanitize:false in
-  let on_ = run ~sanitize:true in
+  let off = run false in
+  let on_ = run true in
   check Alcotest.bool "faulted run identical under sanitizer" true (on_ = off)
 
 let suites =

@@ -24,6 +24,14 @@ let both f = f (), with_reference f
 
 let stats_eq (a : Sim.stats) (b : Sim.stats) = a = b
 
+(* The run environment the differential legs build: an observer, plus
+   optional telemetry, injected faults and domain count. *)
+let env_of ?faults ?telemetry ?(jobs = 1) observer =
+  let network =
+    match faults with Some f -> Sim.Faults f | None -> Sim.Lossless
+  in
+  { Sim.default_env with observer = Some observer; telemetry; network; jobs }
+
 let random_graph seed =
   let r = rng seed in
   let n = 8 + Dsf_util.Rng.int r 20 in
@@ -158,7 +166,7 @@ let prop_bfs_leader_exchange_equiv =
 
 let prop_telemetry_transparent =
   QCheck.Test.make
-    ~name:"?telemetry never perturbs a run (both engines)" ~count:25
+    ~name:"telemetry never perturbs a run (both engines)" ~count:25
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g = random_graph seed in
@@ -169,14 +177,17 @@ let prop_telemetry_transparent =
       let record_flat telemetry =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t = Sim.run ~observer ?telemetry g (flood_protocol root) in
+        let s, t =
+          Sim.run ~env:(env_of ?telemetry observer) g (flood_protocol root)
+        in
         s, t, List.rev !log
       in
       let record_reference telemetry =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
         let s, t =
-          Sim.run_reference ~observer ?telemetry g (flood_protocol root)
+          Sim.run_reference ~env:(env_of ?telemetry observer) g
+            (flood_protocol root)
         in
         s, t, List.rev !log
       in
@@ -186,7 +197,7 @@ let prop_telemetry_transparent =
 
 let prop_empty_plan_identity =
   QCheck.Test.make
-    ~name:"?faults with the empty plan is bit-identical" ~count:25
+    ~name:"faults with the empty plan are bit-identical" ~count:25
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g = random_graph seed in
@@ -197,7 +208,9 @@ let prop_empty_plan_identity =
       let record faults =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t = Sim.run ~observer ?faults g (flood_protocol root) in
+        let s, t =
+          Sim.run ~env:(env_of ?faults observer) g (flood_protocol root)
+        in
         s, t, List.rev !log
       in
       record None = record (Some (Fault.instantiate Fault.empty)))
@@ -288,7 +301,7 @@ let test_observer_order_identical () =
     ignore (f ~observer:(fun ~src ~dst ~bits -> log := (src, dst, bits) :: !log));
     List.rev !log
   in
-  let sssp ~observer = Bellman_ford.sssp ~observer g ~src:0 in
+  let sssp ~observer = Bellman_ford.sssp ~env:(env_of observer) g ~src:0 in
   let l1 = record sssp in
   let l2 = record (fun ~observer -> with_reference (fun () -> sssp ~observer)) in
   check Alcotest.int "same length" (List.length l2) (List.length l1);
@@ -360,13 +373,14 @@ let prop_flat_equiv_faults_telemetry =
       in
       let adapter jobs =
         leg (fun ~observer ~faults ~telemetry g ->
-            Sim.run ~max_rounds:300 ~observer ~faults ~telemetry ~jobs g
-              (flood_protocol root))
+            Sim.run ~max_rounds:300
+              ~env:(env_of ~faults ~telemetry ~jobs observer)
+              g (flood_protocol root))
       in
       let native =
         leg (fun ~observer ~faults ~telemetry g ->
-            Sim.run_flat ~max_rounds:300 ~observer ~faults ~telemetry g
-              (flood_flat root))
+            Sim.run_flat ~max_rounds:300 ~env:(env_of ~faults ~telemetry observer)
+              g (flood_flat root))
       in
       let a1 = adapter 1 in
       a1 = native && a1 = adapter 3)
@@ -388,14 +402,15 @@ let prop_flat_equiv_lossless =
       in
       let adapter =
         leg (fun ~observer ~telemetry g ->
-            Sim.run ~observer ~telemetry g (flood_protocol root))
+            Sim.run ~env:(env_of ~telemetry observer) g (flood_protocol root))
       in
       adapter
       = leg (fun ~observer ~telemetry g ->
-            Sim.run_flat ~observer ~telemetry g (flood_flat root))
+            Sim.run_flat ~env:(env_of ~telemetry observer) g (flood_flat root))
       && adapter
          = leg (fun ~observer ~telemetry g ->
-               Sim.run_reference ~observer ~telemetry g (flood_protocol root)))
+               Sim.run_reference ~env:(env_of ~telemetry observer) g
+                 (flood_protocol root)))
 
 (* The seed loop has no fault injection, so the engine's fault accounting
    is pinned by hand on a 4-node path flood (6 sends lossless): every
@@ -404,23 +419,26 @@ let prop_flat_equiv_lossless =
 let test_fault_accounting () =
   let g = Gen.path 4 in
   let faults ?(down = fun ~round:_ ~node:_ -> false) action =
-    { Sim.on_send = (fun ~round:_ ~src:_ ~dst:_ -> action); down;
-      retransmissions = ref 0 }
+    { Sim.on_send = (fun ~round:_ ~src:_ ~dst:_ -> action); down }
+  in
+  let env ?(jobs = 1) faults =
+    { Sim.default_env with network = Sim.Faults faults; jobs }
   in
   let legs f =
     [
       ( "adapter",
         fun () ->
-          f (fun faults -> Sim.run ~max_rounds:20 ~faults g (flood_protocol 0))
-      );
+          f (fun faults ->
+              Sim.run ~max_rounds:20 ~env:(env faults) g (flood_protocol 0)) );
       ( "native",
         fun () ->
-          f (fun faults -> Sim.run_flat ~max_rounds:20 ~faults g (flood_flat 0))
-      );
+          f (fun faults ->
+              Sim.run_flat ~max_rounds:20 ~env:(env faults) g (flood_flat 0)) );
       ( "jobs 2",
         fun () ->
           f (fun faults ->
-              Sim.run ~max_rounds:20 ~faults ~jobs:2 g (flood_protocol 0)) );
+              Sim.run ~max_rounds:20 ~env:(env ~jobs:2 faults) g
+                (flood_protocol 0)) );
     ]
   in
   let lossless_states, lossless = Sim.run_reference g (flood_protocol 0) in
@@ -466,7 +484,7 @@ let prop_flat_jobs_invariant =
          of the domain count. *)
       let sparse jobs =
         capture
-          (fun ~observer g p -> Sim.run ~observer ~jobs g p)
+          (fun ~observer g p -> Sim.run ~env:(env_of ~jobs observer) g p)
           g (flood_protocol root)
       in
       let swept jobs =
@@ -475,7 +493,7 @@ let prop_flat_jobs_invariant =
             let faults =
               Fault.instantiate (Fault.plan ~drop:0.1 ~seed ())
             in
-            Sim.run ~max_rounds:300 ~observer ~faults ~jobs g p)
+            Sim.run ~max_rounds:300 ~env:(env_of ~faults ~jobs observer) g p)
           g (flood_protocol root)
       in
       let s1 = sparse 1 and w1 = swept 1 in
@@ -491,7 +509,10 @@ let prop_flat_native_bfs =
       let n = Graph.n g in
       let root = seed mod n in
       let tree, t_classic = with_reference (fun () -> Bfs.build g ~root) in
-      let flat jobs = Sim.run_flat ~jobs g (Bfs.flat_protocol ~n ~root) in
+      let flat jobs =
+        Sim.run_flat ~env:{ Sim.default_env with jobs } g
+          (Bfs.flat_protocol ~n ~root)
+      in
       let f1, t1 = flat 1 and f4, t4 = flat 4 in
       let same_tree = ref true in
       Array.iteri
@@ -512,12 +533,13 @@ let prop_flat_native_bfs =
    reference shim ([with_reference]): lossless they run on the seed loop;
    under a duplicate-only fault plan (drop/crash plans can legitimately
    stall an upcast forever) the seed loop has no fault injection, so the
-   classic protocol runs on the flat engine through the adapter. *)
-let record_leg f =
+   classic protocol runs on the flat engine through the adapter.
+   [record_leg ?faults ?jobs f] hands [f] the leg's run environment. *)
+let record_leg ?faults ?jobs f =
   let log = ref [] in
   let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
   let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-  let r = f ~observer ~telemetry in
+  let r = f (env_of ?faults ~telemetry ?jobs observer) in
   r, List.rev !log
 
 let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
@@ -552,9 +574,8 @@ let prop_flat_native_bellman_ford =
         else None
       in
       native_matches_classic ~seed (fun ?faults ?jobs () ->
-          record_leg (fun ~observer ~telemetry ->
-              Bellman_ford.run ?radius ~observer ?faults ~telemetry ?jobs g
-                ~sources)))
+          record_leg ?faults ?jobs (fun env ->
+              Bellman_ford.run ?radius ~env g ~sources)))
 
 let prop_flat_native_region_bf =
   QCheck.Test.make
@@ -578,9 +599,8 @@ let prop_flat_native_region_bf =
             && not (List.exists (fun (s, _, _) -> s = v) sources))
       in
       native_matches_classic ~seed (fun ?faults ?jobs () ->
-          record_leg (fun ~observer ~telemetry ->
-              Dsf_core.Region_bf.run ~observer ?faults ~telemetry ?jobs g
-                ~sources ~frozen)))
+          record_leg ?faults ?jobs (fun env ->
+              Dsf_core.Region_bf.run ~env g ~sources ~frozen)))
 
 let prop_flat_native_tree_ops =
   QCheck.Test.make
@@ -600,21 +620,19 @@ let prop_flat_native_tree_ops =
          compare against each other AND against the lossless sum. *)
       let dup () = Fault.instantiate (dup_plan seed) in
       native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-          record_leg (fun ~observer ~telemetry ->
-              Tree_ops.upcast ~observer ?faults ~telemetry ?jobs g ~tree
-                ~items:(fun v -> [ v; v + n ])
-                ~bits))
+          record_leg ?faults ?jobs (fun env ->
+              Tree_ops.upcast ~env g ~tree ~items:(fun v -> [ v; v + n ]) ~bits))
       && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-             record_leg (fun ~observer ~telemetry ->
-                 Tree_ops.broadcast ~observer ?faults ~telemetry ?jobs g
-                   ~tree ~items:[ 1; 2; 3 ] ~bits))
+             record_leg ?faults ?jobs (fun env ->
+                 Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ] ~bits))
       && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-             record_leg (fun ~observer ~telemetry ->
-                 Tree_ops.aggregate ~observer ?faults ~telemetry ?jobs g
-                   ~tree ~value:Fun.id ~combine:( + ) ~bits))
+             record_leg ?faults ?jobs (fun env ->
+                 Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + )
+                   ~bits))
       && fst
-           (Tree_ops.aggregate ~faults:(dup ()) g ~tree ~value:Fun.id
-              ~combine:( + ) ~bits)
+           (Tree_ops.aggregate
+              ~env:{ Sim.default_env with network = Sim.Faults (dup ()) }
+              g ~tree ~value:Fun.id ~combine:( + ) ~bits)
          = fst
              (Tree_ops.aggregate g ~tree ~value:Fun.id ~combine:( + ) ~bits))
 
@@ -640,10 +658,9 @@ let prop_flat_native_pipeline =
         List.filter (fun (h, _) -> h = v) items_all |> List.map snd
       in
       let leg ?stop_at_root ?faults ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Pipeline.filtered_upcast ~observer ?faults ~telemetry ?jobs
-              ?stop_at_root g ~tree ~vn ~pre:[] ~items ~cmp:compare
-              ~bits:(fun _ -> 16))
+        record_leg ?faults ?jobs (fun env ->
+            Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn ~pre:[]
+              ~items ~cmp:compare ~bits:(fun _ -> 16))
       in
       let stop acc = List.length acc >= 3 in
       native_matches_classic ~seed (leg ?stop_at_root:None)
@@ -664,13 +681,11 @@ let prop_flat_native_select_exchange =
       let seeds = Array.init n (fun _ -> Dsf_util.Rng.int r 3 = 0) in
       let jobs = [ 1; 4 ] in
       native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-          record_leg (fun ~observer ~telemetry ->
-              Dsf_core.Select.token_flood ~observer ?faults ~telemetry ?jobs g
-                ~parent ~seeds))
+          record_leg ?faults ?jobs (fun env ->
+              Dsf_core.Select.token_flood ~env g ~parent ~seeds))
       && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-             record_leg (fun ~observer ~telemetry ->
-                 Exchange.all_neighbors ~observer ?faults ~telemetry ?jobs g
-                   ~payload_bits:9)))
+             record_leg ?faults ?jobs (fun env ->
+                 Exchange.all_neighbors ~env g ~payload_bits:9)))
 
 let test_det_dsf_flat_e2e () =
   (* Full solve: every subroutine on the flat engine (native ports where

@@ -151,6 +151,58 @@ let test_sublinear_phase_tree () =
       [ "final" ];
     ]
 
+(* ------------------------------------------------ instrumentation coverage *)
+
+(* One run environment reaches every simulated run: on one n=200 instance
+   the observer's message count equals the telemetry's summed span
+   messages for all three algorithms — Appendix F.3 pruning (sublinear),
+   LE lists, the virtual tree's Voronoi and label routing (rand)
+   included — and for the deterministic algorithms the engine-measured
+   span rounds add up to the ledger's simulated rounds. *)
+let test_instrumentation_coverage () =
+  let r = Dsf_util.Rng.create 3 in
+  let g = Dsf_graph.Gen.random_connected r ~n:200 ~extra_edges:200 ~max_w:16 in
+  let labels = Dsf_graph.Gen.random_labels r ~n:200 ~t:20 ~k:5 in
+  let inst = Dsf_graph.Instance.make_ic g labels in
+  let rec sum f (s : Telemetry.span) =
+    List.fold_left (fun acc c -> acc + sum f c) (f s) s.Telemetry.children
+  in
+  let totals tel f =
+    List.fold_left (fun acc s -> acc + sum f s) 0 (Telemetry.root_spans tel)
+  in
+  let covered name solve =
+    let seen = ref 0 in
+    let observer ~src:_ ~dst:_ ~bits:_ = incr seen in
+    let tel = Telemetry.create ~clock:const_clock () in
+    let ledger = solve ~observer ~telemetry:tel in
+    check Alcotest.bool (name ^ ": traffic observed") true (!seen > 0);
+    check Alcotest.int
+      (name ^ ": observer messages = span messages")
+      !seen
+      (totals tel (fun s -> s.Telemetry.messages));
+    Option.iter
+      (fun l ->
+        check Alcotest.int
+          (name ^ ": span rounds = ledger simulated")
+          (Ledger.simulated l)
+          (totals tel (fun s -> s.Telemetry.rounds)))
+      ledger
+  in
+  covered "det" (fun ~observer ~telemetry ->
+      Some (Dsf_core.Det_dsf.run ~observer ~telemetry ~jobs:1 inst).ledger);
+  covered "sublinear" (fun ~observer ~telemetry ->
+      Some
+        (Dsf_core.Det_sublinear.run ~observer ~telemetry ~eps_num:1 ~eps_den:2
+           inst)
+          .ledger);
+  (* Rand's ledger leaves the weight-comparison BFS unaccounted, so only
+     the message identity applies. *)
+  covered "rand" (fun ~observer ~telemetry ->
+      ignore
+        (Dsf_core.Rand_dsf.run ~observer ~telemetry ~repetitions:1 ~jobs:1
+           ~rng:(Dsf_util.Rng.create 3) inst);
+      None)
+
 (* ------------------------------------------------------- pooled merging *)
 
 (* The full fork/merge discipline end-to-end: Rand_dsf's repetition
@@ -241,6 +293,8 @@ let suites =
         Alcotest.test_case "det_dsf phase tree" `Quick test_det_phase_tree;
         Alcotest.test_case "det_sublinear phase tree" `Quick
           test_sublinear_phase_tree;
+        Alcotest.test_case "one env taps every simulated run" `Quick
+          test_instrumentation_coverage;
         qtest prop_pool_merge_jobs_invariant;
         qtest prop_metrics_merge_order_independent;
         Alcotest.test_case "telemetry off = seed behavior" `Quick
