@@ -151,6 +151,12 @@ let sweep_random =
        (Gen.random_connected (Dsf_util.Rng.create 44) ~n:512 ~extra_edges:512
           ~max_w:16))
 
+let sweep_random_2048 =
+  lazy
+    (sweep_triples
+       (Gen.random_connected (Dsf_util.Rng.create 46) ~n:2048 ~extra_edges:2048
+          ~max_w:16))
+
 let sweep_path =
   lazy
     (sweep_triples
@@ -166,6 +172,7 @@ let sweep_test name ~n triples =
 let tests =
   [
     sweep_test "paths/parameters random n=512" ~n:512 sweep_random;
+    sweep_test "paths/parameters random n=2048" ~n:2048 sweep_random_2048;
     sweep_test "paths/parameters path n=256" ~n:256 sweep_path;
     Test.make ~name:"moat (Alg 1, n=40)"
       (Staged.stage (fun () ->

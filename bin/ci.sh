@@ -88,6 +88,23 @@ for leg in solve_chaos_j1 solve_chaos_j2; do
 done
 echo "ci: det_dsf chaos differential ok (jobs 1 + jobs 2, n=96)"
 
+# Byte-identity smoke: the full stdout of a det solve on a checked-in
+# instance must match the committed expected output exactly, fault-free at
+# --jobs 1 and hardened at --chaos 5 --jobs 2.  A change that is meant to
+# alter this output must regenerate the .out files and say why.
+identity_leg() {
+  name="$1"; shift
+  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det --verbose \
+    --file test/fixtures/det_small.dsf "$@" > "$scratch/det_small.$name.out"
+  if ! diff -u "test/fixtures/det_small.$name.out" "$scratch/det_small.$name.out"; then
+    echo "ci: det solve stdout ($name) differs from test/fixtures/det_small.$name.out" >&2
+    exit 1
+  fi
+}
+identity_leg jobs1 --jobs 1
+identity_leg chaos5_jobs2 --chaos 5 --jobs 2
+echo "ci: det solve stdout byte-identical (jobs 1 + chaos 5 jobs 2)"
+
 # Malformed-input smoke: a bad integer, a self-loop and a disconnected
 # graph must each fail with exit 2 and a PATH:LINE: (or PATH:) location
 # on stderr, never as an uncaught exception.

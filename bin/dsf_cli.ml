@@ -164,22 +164,29 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
         Dsf_congest.Fault.chaos (Dsf_congest.Fault.chaos_plan ~seed:cs g))
       chaos_seed
   in
-  let weight, solution, ledger =
+  let weight, solution, ledger, dual =
     match algo with
     | "det" ->
         let r = Dsf_core.Det_dsf.run ?telemetry ?chaos ~jobs inst in
-        r.Dsf_core.Det_dsf.weight, r.Dsf_core.Det_dsf.solution, Some r.Dsf_core.Det_dsf.ledger
+        ( r.Dsf_core.Det_dsf.weight,
+          r.Dsf_core.Det_dsf.solution,
+          Some r.Dsf_core.Det_dsf.ledger,
+          Some (Dsf_core.Frac.to_float r.Dsf_core.Det_dsf.dual) )
     | "sublinear" ->
         let r = Dsf_core.Det_sublinear.run ?telemetry ~eps_num:1 ~eps_den inst in
         ( r.Dsf_core.Det_sublinear.weight,
           r.Dsf_core.Det_sublinear.solution,
-          Some r.Dsf_core.Det_sublinear.ledger )
+          Some r.Dsf_core.Det_sublinear.ledger,
+          None )
     | "rand" ->
         let r =
           Dsf_core.Rand_dsf.run ?telemetry ~jobs
             ~rng:(Dsf_util.Rng.split rng 1) inst
         in
-        r.Dsf_core.Rand_dsf.weight, r.Dsf_core.Rand_dsf.solution, Some r.Dsf_core.Rand_dsf.ledger
+        ( r.Dsf_core.Rand_dsf.weight,
+          r.Dsf_core.Rand_dsf.solution,
+          Some r.Dsf_core.Rand_dsf.ledger,
+          None )
     | "khan" ->
         let r =
           Dsf_congest.Telemetry.span_opt telemetry "khan_baseline" (fun () ->
@@ -187,27 +194,22 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
         in
         ( r.Dsf_baseline.Khan_etal.weight,
           r.Dsf_baseline.Khan_etal.solution,
-          Some r.Dsf_baseline.Khan_etal.ledger )
+          Some r.Dsf_baseline.Khan_etal.ledger,
+          None )
     | "moat" ->
         let r =
           Dsf_congest.Telemetry.span_opt telemetry "centralized_moat"
             (fun () -> Dsf_core.Moat.run inst)
         in
-        r.Dsf_core.Moat.weight, r.Dsf_core.Moat.solution, None
+        r.Dsf_core.Moat.weight, r.Dsf_core.Moat.solution, None, None
     | other -> invalid_arg ("unknown algorithm: " ^ other)
   in
   Format.printf "solution weight: %d (feasible: %b)@." weight
     (Instance.is_feasible inst solution);
-  (* Independent re-check of the result (and of the dual certificate when
-     the algorithm provides one). *)
-  let dual =
-    match algo with
-    | "det" ->
-        Some
-          (Dsf_core.Frac.to_float
-             (Dsf_core.Det_dsf.run ?chaos ~jobs inst).Dsf_core.Det_dsf.dual)
-    | _ -> None
-  in
+  (* Independent re-check of the result, and of the dual certificate when
+     the algorithm provides one.  Det's dual is the one its single run
+     returned: Det_dsf.run is deterministic for a given [jobs] and chaos
+     plan (test_chaos pins this), so a second solve would only repeat it. *)
   (match Dsf_core.Certify.check ?dual inst ~solution with
   | Ok report -> Format.printf "certified: %a@." Dsf_core.Certify.pp report
   | Error msg -> Format.printf "CERTIFICATION FAILED: %s@." msg);

@@ -148,21 +148,25 @@ let path_edges g nodes =
   go [] nodes
 
 (* BFS over the CSR rows (same neighbor order as [Graph.adj]) with an
-   int-array queue: each node is enqueued at most once, so n slots do. *)
-let bfs_fill (c : Graph.csr) ~dist ~parent ~queue ~src =
+   int-array queue: each node is enqueued at most once, so n slots do.
+   The parameter sweep passes no [parent] array and records none. *)
+let bfs_fill ?parent (c : Graph.csr) ~dist ~queue ~src =
   Array.fill dist 0 (Array.length dist) inf;
-  Array.fill parent 0 (Array.length parent) (-1);
+  (match parent with
+  | Some parent -> Array.fill parent 0 (Array.length parent) (-1)
+  | None -> ());
   dist.(src) <- 0;
   queue.(0) <- src;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
     let v = queue.(!head) in
     incr head;
+    let dv = dist.(v) + 1 in
     for p = c.off.(v) to c.off.(v + 1) - 1 do
       let nb = c.dst.(p) in
       if dist.(nb) = inf then begin
-        dist.(nb) <- dist.(v) + 1;
-        parent.(nb) <- v;
+        dist.(nb) <- dv;
+        (match parent with Some parent -> parent.(nb) <- v | None -> ());
         queue.(!tail) <- nb;
         incr tail
       end
@@ -172,7 +176,7 @@ let bfs_fill (c : Graph.csr) ~dist ~parent ~queue ~src =
 let bfs g ~src =
   let n = Graph.n g in
   let dist = Array.make n inf and parent = Array.make n (-1) in
-  bfs_fill (Graph.csr g) ~dist ~parent ~queue:(Array.make n 0) ~src;
+  bfs_fill ~parent (Graph.csr g) ~dist ~queue:(Array.make n 0) ~src;
   dist, parent
 
 let bfs_multi g ~srcs =
@@ -211,20 +215,134 @@ let eccentricity_unweighted g v =
       if d = inf then invalid_arg "Paths: disconnected graph" else max acc d)
     0 dist
 
+(* Dial kernel of the parameter sweep.  The sweep reads only [dist] and
+   [hops], never parents, so the order in which equal-distance nodes settle
+   does not matter and a bucket queue can stand in for the heap.  With
+   integer weights in [1, max_w], every entry in flight has a distance in
+   [cur, cur + max_w], so [nbuckets] circular buckets (a power of two
+   above [max_w]) hold one distance each.  An occupancy mask in one int,
+   bit [i] for distance [cur + i], finds the next non-empty bucket with
+   one count-trailing-zeros and moves with a shift.  Every predecessor of
+   a node on a least-weight path lies in a strictly lower bucket, so a
+   node's hop count is final when its bucket is drained: a strict distance
+   improvement pushes the node, an equal-distance relaxation with fewer
+   hops only lowers [hops].  Each bucket is a singly linked list of
+   entries in [enode]/[enext]; a push happens only at a strict improvement
+   along one directed edge out of a settled node (or at the source), so
+   2m + 1 entries never overflow, and an entry whose node now has a
+   smaller distance is stale. *)
+type dial = {
+  dc : Graph.csr;
+  ddist : int array;
+  dhops : int array;
+  bmask : int;  (** bucket count minus one *)
+  head : int array;  (** first entry per bucket, [-1] when empty *)
+  enode : int array;
+  enext : int array;
+}
+
+(* Buckets at most: the mask spans distances [cur, cur + max_w], and
+   [ctz32] reads 32 bits.  Graphs with heavier edges sweep on the heap
+   kernel. *)
+let dial_max_buckets = 32
+
+let dial_queue g ~max_w =
+  let n = Graph.n g and cap = (2 * Graph.m g) + 1 in
+  let nbuckets = ref 1 in
+  while !nbuckets <= max_w do
+    nbuckets := 2 * !nbuckets
+  done;
+  {
+    dc = Graph.csr g;
+    ddist = Array.make n inf;
+    dhops = Array.make n inf;
+    bmask = !nbuckets - 1;
+    head = Array.make !nbuckets (-1);
+    enode = Array.make cap 0;
+    enext = Array.make cap 0;
+  }
+
+(* Count trailing zeros of a non-zero 32-bit value: isolate the lowest set
+   bit and look it up through the de Bruijn sequence 0x077CB531. *)
+let debruijn_ctz =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let ctz32 x =
+  Char.code
+    debruijn_ctz.[(((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27]
+
+(* One source of the Dial kernel; every bucket is empty again on return.
+   The pushes are written out inline so the loop allocates nothing. *)
+let dial_sssp q ~src =
+  let off = q.dc.Graph.off and dst = q.dc.Graph.dst and wgt = q.dc.Graph.wgt in
+  let dist = q.ddist and hops = q.dhops and head = q.head in
+  let enode = q.enode and enext = q.enext in
+  let bmask = q.bmask in
+  Array.fill dist 0 (Array.length dist) inf;
+  Array.fill hops 0 (Array.length hops) inf;
+  dist.(src) <- 0;
+  hops.(src) <- 0;
+  enode.(0) <- src;
+  enext.(0) <- -1;
+  head.(0) <- 0;
+  let size = ref 1 and mask = ref 1 and cur = ref 0 in
+  while !mask <> 0 do
+    let k = ctz32 !mask in
+    let d = !cur + k in
+    cur := d;
+    (* Shift bit 0 to distance [d], then clear it: its bucket drains now. *)
+    mask := (!mask lsr k) lxor 1;
+    let b = d land bmask in
+    let e = ref head.(b) in
+    head.(b) <- -1;
+    while !e >= 0 do
+      let v = enode.(!e) in
+      e := enext.(!e);
+      if dist.(v) = d then begin
+        let h = hops.(v) + 1 in
+        for p = off.(v) to off.(v + 1) - 1 do
+          let u = dst.(p) and w = wgt.(p) in
+          let nd = d + w in
+          let du = dist.(u) in
+          if nd < du then begin
+            dist.(u) <- nd;
+            hops.(u) <- h;
+            let bu = nd land bmask and slot = !size in
+            enode.(slot) <- u;
+            enext.(slot) <- head.(bu);
+            head.(bu) <- slot;
+            size := slot + 1;
+            mask := !mask lor (1 lsl w)
+          end
+          else if nd = du && h < hops.(u) then hops.(u) <- h
+        done
+      end
+    done
+  done
+
 (* The all-sources sweep behind [parameters]: one BFS and one kernel run
-   per source, all sharing one workspace. *)
+   per source, all sharing one workspace — the Dial kernel when every
+   weight fits its buckets, the heap kernel otherwise. *)
 let sweep g =
-  let n = Graph.n g in
-  let ws = workspace g in
-  let bd = Array.make n inf and bp = Array.make n (-1) in
-  let queue = Array.make n 0 in
+  let n = Graph.n g and max_w = Graph.max_weight g in
+  let run, dist, hops =
+    if max_w < dial_max_buckets then
+      let q = dial_queue g ~max_w in
+      (fun src -> dial_sssp q ~src), q.ddist, q.dhops
+    else
+      let ws = workspace g in
+      (fun src -> sssp ws ~src), ws.dist, ws.hops
+  in
+  let c = Graph.csr g in
+  let bd = Array.make n inf and queue = Array.make n 0 in
   let d = ref 0 and wd = ref 0 and s = ref 0 in
   for src = 0 to n - 1 do
-    bfs_fill ws.c ~dist:bd ~parent:bp ~queue ~src;
-    sssp ws ~src;
+    bfs_fill c ~dist:bd ~queue ~src;
+    run src;
     for v = 0 to n - 1 do
       (* Int-typed comparisons: Stdlib.max is polymorphic. *)
-      let bv = bd.(v) and dv = ws.dist.(v) and hv = ws.hops.(v) in
+      let bv = bd.(v) and dv = dist.(v) and hv = hops.(v) in
       if bv = inf then invalid_arg "Paths: disconnected graph";
       if bv > !d then d := bv;
       if dv > !wd then wd := dv;

@@ -3,21 +3,36 @@
     shortest-path diameter [s] (the maximum, over node pairs, of the minimum
     hop count among least-weight paths — Section 2).
 
-    {b Kernel.}  Every shortest-path query runs one monomorphic
-    lexicographic [(weight, hops)] Dijkstra over the graph's CSR view
-    ({!Graph.csr}).  Its lazy binary min-heap holds [(d, h, v)] entries in
-    parallel int arrays and applies {!Dsf_util.Heap}'s push, sift-up and
-    sift-down rules under the strict [(d, h)] order, so entries pop in the
-    same order as on that heap, ties included; a node's parent is written at
-    each strict improvement of its key.  [dist], [hops] and [parent] are
-    therefore fully determined by the graph and the source, including which
-    of several equal-weight equal-hop paths is reported.  A sweep allocates
-    one workspace (three [n]-arrays and three [2m + 1]-slot heap arrays) and
-    reuses it for every source.
+    {b Kernels.}  Two single-source kernels compute lexicographic
+    [(weight, hops)] shortest paths over the graph's CSR view
+    ({!Graph.csr}); a sweep allocates one workspace and reuses it for
+    every source.
+
+    - The {e heap kernel} serves {!dijkstra}, {!dijkstra_hops},
+      {!shortest_path} and {!all_pairs}, and {!parameters} on graphs with
+      a weight of 32 or more.  It is a monomorphic Dijkstra whose lazy
+      binary min-heap holds [(d, h, v)] entries in parallel int arrays and
+      applies {!Dsf_util.Heap}'s push, sift-up and sift-down rules under
+      the strict [(d, h)] order, so entries pop in the same order as on
+      that heap, ties included; a node's parent is written at each strict
+      improvement of its key.  [dist], [hops] and [parent] are therefore
+      fully determined by the graph and the source, including which of
+      several equal-weight equal-hop paths is reported.  Its workspace is
+      three [n]-arrays and three [2m + 1]-slot heap arrays.
+    - The {e Dial kernel} serves {!parameters} when every weight is below
+      32.  It is a bucket queue with one circular bucket per distance in
+      flight (a power of two above the largest weight) and an occupancy
+      mask in one int.  It computes no parents, so the order of ties does
+      not matter: a node's hop count is final when its distance bucket is
+      drained, because every predecessor on a least-weight path lies in a
+      strictly lower bucket.  The mask jumps over empty buckets, so a
+      source costs O(m), with no O(ecc) scan of a plain Dial queue, and
+      allocates nothing.
 
     {b Memoized parameters.}  {!parameters} runs the all-sources sweep — one
-    BFS plus one kernel run per source, O(n·m log n) — at most once per
-    graph and process: the triple is stored in the graph's memo slot
+    BFS plus one kernel run per source, O(n·m) on the Dial kernel and
+    O(n·m log n) on the heap kernel — at most once per graph and
+    process: the triple is stored in the graph's memo slot
     ({!Graph.params}) and every later call, including the three
     [diameter_*] projections, returns it without sweeping.  A
     disconnected graph raises on every call and stores nothing.  The memo
@@ -69,7 +84,7 @@ val shortest_path_diameter : Graph.t -> int
     third component of {!parameters} (memoized). *)
 
 val parameters : Graph.t -> int * int * int
-(** [(d, wd, s)] from one all-sources sweep (O(n·m log n)), computed on the
+(** [(d, wd, s)] from one all-sources sweep (see {b Kernels}), computed on the
     first call for a graph and memoized on it: later calls return the
     physically same triple.  Raises [Invalid_argument] if the graph is
     disconnected. *)

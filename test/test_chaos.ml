@@ -7,7 +7,7 @@
    out.  Also pins down what the RAW protocols do (and do not) guarantee
    under crash-and-restart plans, that an end-to-end det_dsf solve under a
    full chaos plan is bit-identical to the fault-free run (both engines,
-   jobs 1 and 4), and that round-limit aborts carry a usable
+   jobs 1, 2 and 4), and that round-limit aborts carry a usable
    post-mortem. *)
 
 open Dsf_graph
@@ -305,9 +305,11 @@ let test_det_dsf_chaos_differential () =
      maskable chaos plan (drops + duplicates + finite link-down +
      crash-restart-with-recovery) is bit-identical to the fault-free
      solve — solution, weight, dual, merge schedule, phase count — at
-     jobs 1 and 4.  Ledger round
-     counts legitimately differ (the synchronizer pays for the faults), so
-     they are excluded from the comparison. *)
+     jobs 1, 2 and 4.  Fault-free repeats at jobs 1 and 2 must match too:
+     dsf_cli certifies the dual of the one run it prints instead of
+     solving again.  Ledger round counts legitimately differ (the
+     synchronizer pays for the faults), so they are excluded from the
+     comparison. *)
   let r = rng 2024 in
   let g = Gen.random_connected r ~n:26 ~extra_edges:18 ~max_w:10 in
   let labels = Gen.spread_labels r g ~t:8 ~k:3 in
@@ -315,8 +317,8 @@ let test_det_dsf_chaos_differential () =
   let base = Dsf_core.Det_dsf.run inst in
   let chaos = Fault.chaos (Fault.chaos_plan ~seed:5 g) in
   List.iter
-    (fun (label, jobs) ->
-      let c = Dsf_core.Det_dsf.run ~jobs ~chaos inst in
+    (fun (label, jobs, chaos) ->
+      let c = Dsf_core.Det_dsf.run ~jobs ?chaos inst in
       Alcotest.(check bool)
         (label ^ ": solution identical")
         true
@@ -336,7 +338,13 @@ let test_det_dsf_chaos_differential () =
       check Alcotest.int
         (label ^ ": phase count")
         base.Dsf_core.Det_dsf.phase_count c.Dsf_core.Det_dsf.phase_count)
-    [ "jobs 1", 1; "jobs 4", 4 ]
+    [
+      "fault-free jobs 1", 1, None;
+      "fault-free jobs 2", 2, None;
+      "chaos jobs 1", 1, Some chaos;
+      "chaos jobs 2", 2, Some chaos;
+      "chaos jobs 4", 4, Some chaos;
+    ]
 
 (* ----------------------------------------------------------- post-mortem *)
 

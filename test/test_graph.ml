@@ -343,6 +343,75 @@ let test_parameters_memo () =
   check Alcotest.bool "fresh graph, same triple" true
     (Paths.parameters copy = p1)
 
+(* The sweep oracle: (D, WD, s) as the max over sources of the public
+   single-source queries.  Paths.parameters picks its kernel by the
+   largest weight (bucket queue below 32, heap from 32 up), so the weight
+   bounds straddle that threshold and stay small enough for many ties. *)
+let oracle_parameters g =
+  let d = ref 0 and wd = ref 0 and s = ref 0 in
+  for src = 0 to Graph.n g - 1 do
+    let bd, _ = Paths.bfs g ~src in
+    let dist, _, hops = Paths.dijkstra_hops g ~src in
+    Array.iter (fun x -> d := max !d x) bd;
+    Array.iter (fun x -> wd := max !wd x) dist;
+    Array.iter (fun x -> s := max !s x) hops
+  done;
+  !d, !wd, !s
+
+let sweep_weight_bounds = [| 1; 2; 3; 16; 31; 32; 500 |]
+
+(* Random, path, grid, cycle and lollipop graphs, for [n] up to 41. *)
+let sweep_shapes =
+  [
+    (fun r ~n ~max_w ->
+      Gen.random_connected r ~n ~extra_edges:(Dsf_util.Rng.int r (2 * n))
+        ~max_w);
+    (fun r ~n ~max_w -> Gen.reweight r ~max_w (Gen.path n));
+    (fun r ~n:_ ~max_w ->
+      Gen.reweight r ~max_w
+        (Gen.grid ~rows:(1 + Dsf_util.Rng.int r 7)
+           ~cols:(2 + Dsf_util.Rng.int r 6)));
+    (fun r ~n ~max_w -> Gen.reweight r ~max_w (Gen.cycle (max 3 n)));
+    (fun r ~n ~max_w ->
+      Gen.reweight r ~max_w
+        (Gen.lollipop ~clique:(2 + (n / 3)) ~tail:(n / 2)));
+  ]
+
+let prop_parameters_match_oracle =
+  QCheck.Test.make
+    ~name:"parameters = max over sources of bfs and dijkstra_hops, tie-heavy"
+    ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      (* Every shape on both sides of the kernel threshold, every time. *)
+      let r = rng seed in
+      Array.for_all
+        (fun max_w ->
+          List.for_all
+            (fun shape ->
+              let g = shape r ~n:(2 + Dsf_util.Rng.int r 40) ~max_w in
+              Paths.parameters g = oracle_parameters g)
+            sweep_shapes)
+        sweep_weight_bounds)
+
+let test_parameters_single_node () =
+  let g = Graph.make ~n:1 [] in
+  check Alcotest.(triple int int int) "n = 1" (0, 0, 0) (Paths.parameters g)
+
+let test_parameters_disconnected_no_memo () =
+  (* Both kernels: a disconnected graph raises on every call, because the
+     raising sweep stores no memo. *)
+  List.iter
+    (fun w ->
+      let g = Graph.make ~n:5 [ 0, 1, w; 1, 2, 1; 3, 4, 2 ] in
+      for _ = 1 to 2 do
+        Alcotest.check_raises
+          (Printf.sprintf "max weight %d" w)
+          (Invalid_argument "Paths: disconnected graph") (fun () ->
+            ignore (Paths.parameters g))
+      done)
+    [ 1; 31; 32; 500 ]
+
 let test_scaled_weighted_diameter () =
   (* Scaling every weight by k scales every distance by k: the identity
      Det_sublinear uses instead of sweeping its scaled graph. *)
@@ -677,6 +746,11 @@ let suites =
         Alcotest.test_case "kernel = oracle, disconnected" `Quick
           test_kernel_oracle_disconnected;
         Alcotest.test_case "parameters memo" `Quick test_parameters_memo;
+        qtest prop_parameters_match_oracle;
+        Alcotest.test_case "parameters of a single node" `Quick
+          test_parameters_single_node;
+        Alcotest.test_case "parameters of a disconnected graph" `Quick
+          test_parameters_disconnected_no_memo;
         Alcotest.test_case "scaled weighted diameter" `Quick
           test_scaled_weighted_diameter;
       ] );
