@@ -4,7 +4,7 @@
    exits nonzero.
 
    [soak] is the crash-recovery counterpart at CI scale: a seeded
-   plan-class x protocol x jobs matrix at n=1024 where every leg runs
+   plan-class x protocol matrix at n=1024 where every leg runs
    hardened with a checkpointed-recovery contract and must land on the
    lossless final states.  A round-limit abort prints the structured
    post-mortem before failing, so a retransmit livelock in CI is
@@ -56,23 +56,14 @@ let run () =
 
 (* A protocol under soak, with its lossless baseline erased to a
    comparable value (final states are existentially typed per protocol,
-   so each entry closes over its own comparison). *)
-type soak_leg = {
-  sname : string;
-  run :
-    'a.
-    jobs:int ->
-    chaos:Fault.chaos ->
-    (masked:bool -> retrans:int -> dropped:int -> 'a) ->
-    'a;
-}
+   so each entry closes over its own comparison): [run chaos] is whether
+   the hardened run masked the plan, and its stats. *)
+type soak_leg = { sname : string; run : Fault.chaos -> bool * Sim.stats }
 
 let soak () =
   let n = 1024 in
   Format.printf
-    "=== chaos soak: plan class x protocol x jobs, crash recovery at \
-     n=%d ===@."
-    n;
+    "=== chaos soak: plan class x protocol, crash recovery at n=%d ===@." n;
   let r = Dsf_util.Rng.create 4242 in
   let g = Gen.random_connected r ~n ~extra_edges:n ~max_w:8 in
   (* Early, overlapping fault windows on real edges/nodes so every class
@@ -102,14 +93,13 @@ let soak () =
     {
       sname;
       run =
-        (fun ~jobs ~chaos k ->
+        (fun chaos ->
           let states, stats =
             Fault.sim_run ~max_rounds
-              ~env:{ Sim.default_env with network = Sim.Chaos chaos; jobs }
+              ~env:{ Sim.default_env with network = Sim.Chaos chaos }
               ~recovery:(Fault.immutable ()) g proto
           in
-          k ~masked:(states = lossless) ~retrans:stats.Sim.retransmissions
-            ~dropped:stats.Sim.dropped);
+          states = lossless, stats);
     }
   in
   let protocols =
@@ -121,37 +111,30 @@ let soak () =
       mk "leader" (Dsf_congest.Leader.protocol g);
     ]
   in
-  let engines = [ "jobs 1", 1; "jobs 4", 4 ] in
   let failures = ref 0 in
   List.iter
     (fun (cname, plan) ->
       let chaos = Fault.chaos plan in
       List.iter
         (fun leg ->
-          List.iter
-            (fun (ename, jobs) ->
-              match
-                leg.run ~jobs ~chaos
-                  (fun ~masked ~retrans ~dropped ->
-                    Format.printf
-                      "%-9s %-14s %-8s %-8s retrans %6d, dropped %6d@."
-                      cname leg.sname ename
-                      (if masked then "masked" else "DIVERGED")
-                      retrans dropped;
-                    if not masked then incr failures)
-              with
-              | () -> ()
-              | exception Sim.Round_limit a ->
-                  Format.eprintf
-                    "chaos soak: %s/%s/%s hit the round limit@.%a@." cname
-                    leg.sname ename (Dsf_congest.Trace.pp_postmortem ?env:None) a;
-                  incr failures)
-            engines)
+          match leg.run chaos with
+          | masked, stats ->
+              Format.printf "%-9s %-14s %-8s retrans %6d, dropped %6d@." cname
+                leg.sname
+                (if masked then "masked" else "DIVERGED")
+                stats.Sim.retransmissions stats.Sim.dropped;
+              if not masked then incr failures
+          | exception Sim.Round_limit a ->
+              Format.eprintf "chaos soak: %s/%s hit the round limit@.%a@."
+                cname leg.sname
+                (Dsf_congest.Trace.pp_postmortem ?env:None)
+                a;
+              incr failures)
         protocols)
     classes;
   if !failures = 0 then
     Format.printf "chaos soak: all %d legs recovered to lossless states@."
-      (List.length classes * List.length protocols * List.length engines)
+      (List.length classes * List.length protocols)
   else begin
     Format.eprintf "chaos soak: %d legs diverged@." !failures;
     exit 1

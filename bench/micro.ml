@@ -9,15 +9,14 @@
    - [smoke] (the `-- smoke` mode): only the engine head-to-heads at a tiny
      measurement quota — fast enough for every-PR CI (bin/ci.sh).
 
-   Both modes write BENCH_sim.json (schema dsf-bench-sim/9: ns/run, minor GC
+   Both modes write BENCH_sim.json (schema dsf-bench-sim/10: ns/run, minor GC
    words/run, rounds/s, the flat-vs-reference speedups, plus
    provenance — git_rev, utc_date, jobs, cores — a parallel_scaling
-   section timing the pooled fan-outs at jobs = 1 / 2 / max (each row
-   carrying the detected core count and a "saturated" flag on points
-   asking for more domains than cores), a flat_engine section with every
+   section timing the pooled fan-outs at jobs = 1 / 2 / max, capped at
+   the detected core count, a flat_engine section with every
    native flat port's headline numbers (rounds/s and minor words/round on
-   paths at n = 256 / 4096 / 16384, jobs = 1 / 2 / 4 — what bin/ci.sh's
-   per-workload GC gate reads), a flat_e2e
+   paths at n = 256 / 4096 / 16384 — what bin/ci.sh's per-workload GC
+   gate reads), a flat_e2e
    section with end-to-end flat det_dsf solves on path / random / gadget
    instances at the same sizes, a fault_overhead section
    tabulating the round/message/retransmission cost of Fault.harden at
@@ -332,14 +331,19 @@ let print_speedups sp =
 
 (* ------------------------------------------------------- parallel scaling *)
 
-(* Wall-clock the pooled fan-out sites at jobs = 1 / 2 / max.  Every
+(* Wall-clock the pooled fan-out sites at jobs = 1 / 2 / max, skipping
+   points that ask for more domains than the machine has cores (they
+   cannot speed up further; CI containers are often 1-2 cores).  Every
    workload returns a deterministic check value (a weight or round sum);
    results must be identical at every jobs, so a mismatch aborts the
    benchmark — this is the runtime teeth behind the jobs-invariance suite
    in test/test_parallel.ml. *)
 
-let scaling_jmax = max 4 (Dsf_util.Pool.default_jobs ())
-let scaling_points = List.sort_uniq compare [ 1; 2; scaling_jmax ]
+let detected_cores () = Domain.recommended_domain_count ()
+
+let scaling_points =
+  List.sort_uniq compare [ 1; 2; max 4 (Dsf_util.Pool.default_jobs ()) ]
+  |> List.filter (fun j -> j <= detected_cores ())
 
 let scaling_workloads : (string * (jobs:int -> int)) list =
   [
@@ -414,12 +418,6 @@ let measure_scaling () =
       { workload; check = Option.get !check; runs })
     scaling_workloads
 
-(* A scaling point asking for more domains than the machine has cores
-   cannot speed up further — annotate instead of letting a flat curve
-   read as a regression (CI containers are often 1-2 cores). *)
-let detected_cores () = Domain.recommended_domain_count ()
-let saturated ~jobs = jobs > detected_cores ()
-
 let print_scaling scaling =
   Format.printf "@.%-42s %6s %14s %10s   (cores: %d)@." "parallel scaling"
     "jobs" "wall ns" "x vs j=1" (detected_cores ());
@@ -428,24 +426,24 @@ let print_scaling scaling =
       let base = match s.runs with (_, ns) :: _ -> ns | [] -> nan in
       List.iter
         (fun (jobs, ns) ->
-          Format.printf "%-42s %6d %14.0f %10.2f%s@." s.workload jobs ns
-            (base /. ns)
-            (if saturated ~jobs then "  [saturated]" else ""))
+          Format.printf "%-42s %6d %14.0f %10.2f@." s.workload jobs ns
+            (base /. ns))
         s.runs)
     scaling
 
 (* ------------------------------------------------------------- flat engine *)
 
-(* Whole-run wall clock + coordinator-domain GC for every native
-   flat-engine port, each on a path — the highest-diameter,
-   sparsest-activity workload.  Sizes and jobs are fixed so later PRs
-   diff like against like; the jobs=1 minor-words column at n=256 of each
-   workload is what bin/ci.sh's per-workload GC gate reads. *)
+(* Whole-run wall clock + GC for every native flat-engine port, each on
+   a path — the highest-diameter, sparsest-activity workload.  Sizes are
+   fixed so later PRs diff like against like; the minor-words column at
+   n=256 of each workload is what bin/ci.sh's per-workload GC gate reads.
+   Every engine run steps on one domain, so the rows' JSON "jobs" is
+   always 1; the column stays so bench compare's row keys and the GC
+   gate's filter read old and new snapshots alike. *)
 
 type flat_row = {
   fl_workload : string;
   fl_n : int;
-  fl_jobs : int;
   fl_rounds : int;
   fl_wall_ns : float;
   fl_rps : float;
@@ -454,7 +452,6 @@ type flat_row = {
 
 let flat_sizes = [ 256; 4096; 16384 ]
 let flat_smoke_sizes = [ 256; 4096 ]
-let flat_jobs_points = [ 1; 2; 4 ]
 
 (* Shared per-size fixtures, built once outside any timed region (the CSR
    view is a one-time per-graph cost every run shares). *)
@@ -480,22 +477,22 @@ let flat_tree =
         t
 
 (* One entry per ported primitive: name, largest n measured, and a per-n
-   constructor returning the runner (jobs -> stats).  The tree workloads
+   constructor returning the runner.  The tree workloads
    give every 16th node one item, so the pipelined message volume stays
    ~n^2/16 and the rows measure scheduling, not payload shuffling.  The
    filtered upcast keeps a union-find over all [vn = n] virtual nodes at
    every node — n^2 words, about 4 GB at n = 16384 — so its size is capped
    to fit an 8 GB host; the skip is printed, never silent. *)
-let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
+let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
   let item_bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
   [
     ( "bfs path",
       max_int,
       fun n ->
         let g = flat_graph n in
-        fun jobs ->
+        fun () ->
           snd
-            (Sim.run_flat ~env:{ Sim.default_env with jobs } g
+            (Sim.run_flat g
                (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n g) ~root:0))
     );
     ( "bellman_ford path",
@@ -503,9 +500,9 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
       fun n ->
         let g = flat_graph n in
         let sources = [ 0, 0; n - 1, 0 ] in
-        fun jobs ->
+        fun () ->
           snd
-            (Dsf_congest.Bellman_ford.run ~env:{ Sim.default_env with jobs } g
+            (Dsf_congest.Bellman_ford.run g
                ~sources) );
     ( "region_bf path",
       max_int,
@@ -515,18 +512,18 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
           [ 0, Dsf_core.Frac.zero, 0; n - 1, Dsf_core.Frac.zero, n - 1 ]
         in
         let frozen = Array.make n false in
-        fun jobs ->
+        fun () ->
           snd
-            (Dsf_core.Region_bf.run ~env:{ Sim.default_env with jobs } g
+            (Dsf_core.Region_bf.run g
                ~sources ~frozen) );
     ( "upcast path",
       max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items v = if v > 0 && v mod 16 = 0 then [ v ] else [] in
-        fun jobs ->
+        fun () ->
           snd
-            (Dsf_congest.Tree_ops.upcast ~env:{ Sim.default_env with jobs } g
+            (Dsf_congest.Tree_ops.upcast g
                ~tree ~items ~bits:item_bits)
     );
     ( "filtered_upcast path",
@@ -538,10 +535,10 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
             [ { Dsf_congest.Pipeline.key = (1, v); a = v - 1; b = v } ]
           else []
         in
-        fun jobs ->
+        fun () ->
           snd
             (Dsf_congest.Pipeline.filtered_upcast
-               ~env:{ Sim.default_env with jobs } g ~tree ~vn:n ~pre:[] ~items
+               g ~tree ~vn:n ~pre:[] ~items
                ~cmp:compare ~bits:(fun _ -> 30)) );
     ( "token_flood path",
       max_int,
@@ -550,56 +547,51 @@ let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
         let parent = Array.init n (fun v -> v - 1) in
         let seeds = Array.make n false in
         seeds.(n - 1) <- true;
-        fun jobs ->
+        fun () ->
           snd
-            (Dsf_core.Select.token_flood ~env:{ Sim.default_env with jobs } g
+            (Dsf_core.Select.token_flood g
                ~parent ~seeds) );
     ( "exchange path",
       max_int,
       fun n ->
         let g = flat_graph n in
-        fun jobs ->
-          Dsf_congest.Exchange.all_neighbors ~env:{ Sim.default_env with jobs }
+        fun () ->
+          Dsf_congest.Exchange.all_neighbors 
             g ~payload_bits:9
     );
   ]
 
-(* Best-of-reps wall clock and minor words of one workload at one size,
-   for every jobs point. *)
+(* Best-of-reps wall clock and minor words of one workload at one size. *)
 let measure_flat_size workload flat n =
   (* Seconds-long flat runs at the top size are stable enough for a
      single repetition; the small sizes keep best-of-3. *)
   let reps = if n >= 16384 then 1 else 3 in
-  List.map
-    (fun jobs ->
-      let best = ref infinity and words = ref infinity and rounds = ref 0 in
-      for _ = 1 to reps do
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        let stats = flat jobs in
-        let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-        let w = Gc.minor_words () -. w0 in
-        rounds := stats.Sim.rounds;
-        if ns < !best then best := ns;
-        if w < !words then words := w
-      done;
-      {
-        fl_workload = workload;
-        fl_n = n;
-        fl_jobs = jobs;
-        fl_rounds = !rounds;
-        fl_wall_ns = !best;
-        fl_rps = float_of_int !rounds *. 1e9 /. !best;
-        fl_words_per_round = !words /. float_of_int (max 1 !rounds);
-      })
-    flat_jobs_points
+  let best = ref infinity and words = ref infinity and rounds = ref 0 in
+  for _ = 1 to reps do
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    let stats = flat () in
+    let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+    let w = Gc.minor_words () -. w0 in
+    rounds := stats.Sim.rounds;
+    if ns < !best then best := ns;
+    if w < !words then words := w
+  done;
+  {
+    fl_workload = workload;
+    fl_n = n;
+    fl_rounds = !rounds;
+    fl_wall_ns = !best;
+    fl_rps = float_of_int !rounds *. 1e9 /. !best;
+    fl_words_per_round = !words /. float_of_int (max 1 !rounds);
+  }
 
 let measure_flat ~sizes () =
   List.concat_map
     (fun (workload, max_n, make) ->
       List.concat_map
         (fun n ->
-          if n <= max_n then measure_flat_size workload (make n) n
+          if n <= max_n then [ measure_flat_size workload (make n) n ]
           else begin
             Format.printf
               "flat_engine: %S skipped at n=%d (memory cap: n <= %d)@."
@@ -610,13 +602,12 @@ let measure_flat ~sizes () =
     flat_workloads
 
 let print_flat rows =
-  Format.printf "@.%-28s %8s %6s %8s %14s %12s %14s@." "flat engine" "n"
-    "jobs" "rounds" "wall ns" "rounds/s" "words/round";
+  Format.printf "@.%-28s %8s %8s %14s %12s %14s@." "flat engine" "n"
+    "rounds" "wall ns" "rounds/s" "words/round";
   List.iter
     (fun f ->
-      Format.printf "%-28s %8d %6d %8d %14.0f %12.3e %14.1f@." f.fl_workload
-        f.fl_n f.fl_jobs f.fl_rounds f.fl_wall_ns f.fl_rps
-        f.fl_words_per_round)
+      Format.printf "%-28s %8d %8d %14.0f %12.3e %14.1f@." f.fl_workload
+        f.fl_n f.fl_rounds f.fl_wall_ns f.fl_rps f.fl_words_per_round)
     rows
 
 (* --------------------------------------------------------------- flat e2e *)
@@ -627,13 +618,13 @@ let print_flat rows =
    n >= 10^4.  Three instance families: the path (wavefront-dominated
    worst case), a random connected graph (shallow), and the scaled
    Figure-1 set-disjointness gadget.  [e2_rounds] and [e2_weight] are
-   deterministic and jobs-invariant (the differential suite proves the
-   flat solve bit-identical), so bin/ci.sh's jobs-diff covers them. *)
+   deterministic (the differential suite proves the flat solve
+   bit-identical), so bin/ci.sh's jobs-diff covers them; the JSON "jobs"
+   is always 1, as in the flat_engine rows. *)
 
 type e2e_row = {
   e2_workload : string;
   e2_n : int;
-  e2_jobs : int;
   e2_rounds : int;  (* ledger-simulated rounds of the whole solve *)
   e2_weight : int;  (* deterministic check value *)
   e2_wall_ns : float;
@@ -680,7 +671,6 @@ let measure_e2e ~sizes () =
           {
             e2_workload = name;
             e2_n = n;
-            e2_jobs = 1;
             e2_rounds = rounds;
             e2_weight = r.Dsf_core.Det_dsf.weight;
             e2_wall_ns = ns;
@@ -692,14 +682,14 @@ let measure_e2e ~sizes () =
       "det_dsf gadget", `Gadget ]
 
 let print_e2e rows =
-  Format.printf "@.%-28s %8s %6s %10s %10s %14s %12s %14s@."
-    "flat e2e (det_dsf)" "n" "jobs" "rounds" "weight" "wall ns" "rounds/s"
+  Format.printf "@.%-28s %8s %10s %10s %14s %12s %14s@."
+    "flat e2e (det_dsf)" "n" "rounds" "weight" "wall ns" "rounds/s"
     "words/round";
   List.iter
     (fun e ->
-      Format.printf "%-28s %8d %6d %10d %10d %14.0f %12.3e %14.1f@."
-        e.e2_workload e.e2_n e.e2_jobs e.e2_rounds e.e2_weight e.e2_wall_ns
-        e.e2_rps e.e2_words_per_round)
+      Format.printf "%-28s %8d %10d %10d %14.0f %12.3e %14.1f@." e.e2_workload
+        e.e2_n e.e2_rounds e.e2_weight e.e2_wall_ns e.e2_rps
+        e.e2_words_per_round)
     rows
 
 (* ----------------------------------------------------- recorder overhead *)
@@ -711,8 +701,8 @@ let print_e2e rows =
    created at ~now:0 so the serialized header does not embed wall time);
    the wall columns are timing-class noise that bench compare keeps in
    its advisory lane.  The design target is single-digit-percent
-   overhead: every event append is a handful of int stores into a
-   per-domain buffer, and the barrier merge is O(events). *)
+   overhead: every event append is a handful of int stores into the
+   run's staging buffer, and the barrier flush is O(events). *)
 
 type recorder_row = {
   ro_workload : string;
@@ -1176,7 +1166,7 @@ let json_float x =
 let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"schema\": \"dsf-bench-sim/9\",\n  \"mode\": %S,\n" mode;
+  p "{\n  \"schema\": \"dsf-bench-sim/10\",\n  \"mode\": %S,\n" mode;
   p "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ()));
   p "  \"utc_date\": \"%s\",\n" (utc_date ());
   p "  \"jobs\": %d,\n" jobs;
@@ -1218,13 +1208,10 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
         (json_escape s.workload) s.check;
       List.iteri
         (fun j (jobs, ns) ->
-          p
-            "%s{\"jobs\": %d, \"wall_ns\": %s, \"speedup_vs_j1\": %s, \
-             \"saturated\": %b}"
+          p "%s{\"jobs\": %d, \"wall_ns\": %s, \"speedup_vs_j1\": %s}"
             (if j = 0 then "" else ", ")
             jobs (json_float ns)
-            (json_float (base /. ns))
-            (saturated ~jobs))
+            (json_float (base /. ns)))
         s.runs;
       p "]}%s\n" (if i = List.length scaling - 1 then "" else ","))
     scaling;
@@ -1232,10 +1219,10 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
   List.iteri
     (fun i f ->
       p
-        "    {\"workload\": \"%s\", \"n\": %d, \"jobs\": %d, \
+        "    {\"workload\": \"%s\", \"n\": %d, \"jobs\": 1, \
          \"rounds\": %d, \"wall_ns\": %s, \"rounds_per_sec\": %s, \
          \"minor_words_per_round\": %s}%s\n"
-        (json_escape f.fl_workload) f.fl_n f.fl_jobs f.fl_rounds
+        (json_escape f.fl_workload) f.fl_n f.fl_rounds
         (json_float f.fl_wall_ns)
         (json_float f.fl_rps)
         (json_float f.fl_words_per_round)
@@ -1245,10 +1232,10 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
   List.iteri
     (fun i e ->
       p
-        "    {\"workload\": \"%s\", \"n\": %d, \"jobs\": %d, \"rounds\": %d, \
+        "    {\"workload\": \"%s\", \"n\": %d, \"jobs\": 1, \"rounds\": %d, \
          \"weight\": %d, \"wall_ns\": %s, \"rounds_per_sec\": %s, \
          \"minor_words_per_round\": %s}%s\n"
-        (json_escape e.e2_workload) e.e2_n e.e2_jobs e.e2_rounds e.e2_weight
+        (json_escape e.e2_workload) e.e2_n e.e2_rounds e.e2_weight
         (json_float e.e2_wall_ns)
         (json_float e.e2_rps)
         (json_float e.e2_words_per_round)

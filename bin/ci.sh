@@ -55,7 +55,7 @@ mkdir -p "$scratch"
 # divergence, the timeout catches a retransmit livelock.
 with_timeout 300 dune exec bench/main.exe -- chaos
 
-# Chaos soak: the crash-recovery matrix (plan class x protocol x jobs)
+# Chaos soak: the crash-recovery matrix (plan class x protocol)
 # at n=1024 — every leg runs hardened with checkpointed recovery and must
 # land on the lossless final states.  A round-limit abort prints the
 # structured post-mortem before the nonzero exit; the wall-clock timeout
@@ -165,9 +165,9 @@ with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
 echo "ci: det_dsf flat e2e smoke ok (path n=4096)"
 
 # Sanitizer-on flat e2e smoke: the same solve at n=1024 with the runtime
-# ownership sanitizer armed (DSF_SANITIZE=1 arms every run_flat in the
+# node-locality sanitizer armed (DSF_SANITIZE=1 arms every run_flat in the
 # process), plus a rand solve (pooled trials) and a sublinear solve at
-# n=128.  A cross-partition write, escaped emit closure, or arena leak
+# n=128.  A write to another node's state, escaped emit closure, or arena leak
 # aborts with Sim.Sanitizer_violation (nonzero exit); a livelock hits the
 # hard timeout; and because every sanitizer check is read-only, each
 # output must be byte-identical to its sanitizer-off run.

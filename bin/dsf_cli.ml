@@ -167,7 +167,7 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   let weight, solution, ledger, dual =
     match algo with
     | "det" ->
-        let r = Dsf_core.Det_dsf.run ?telemetry ?chaos ~jobs inst in
+        let r = Dsf_core.Det_dsf.run ?telemetry ?chaos inst in
         ( r.Dsf_core.Det_dsf.weight,
           r.Dsf_core.Det_dsf.solution,
           Some r.Dsf_core.Det_dsf.ledger,
@@ -208,8 +208,8 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     (Instance.is_feasible inst solution);
   (* Independent re-check of the result, and of the dual certificate when
      the algorithm provides one.  Det's dual is the one its single run
-     returned: Det_dsf.run is deterministic for a given [jobs] and chaos
-     plan (test_chaos pins this), so a second solve would only repeat it. *)
+     returned: Det_dsf.run is deterministic for a given chaos plan
+     (test_chaos pins this), so a second solve would only repeat it. *)
   (match Dsf_core.Certify.check ?dual inst ~solution with
   | Ok report -> Format.printf "certified: %a@." Dsf_core.Certify.pp report
   | Error msg -> Format.printf "CERTIFICATION FAILED: %s@." msg);
@@ -435,8 +435,8 @@ let record_arg =
         ~doc:
           "record a flight log (dsf-flightlog/1: per-round message sends \
            with fault fates, mail-consuming steps, crash windows, telemetry \
-           span boundaries) of the main solve to this file; query it with \
-           `dsf_cli inspect'.  The certification re-run is not recorded")
+           span boundaries) of the solve to this file; query it with \
+           `dsf_cli inspect'")
 
 let jobs_arg =
   Arg.(
@@ -445,8 +445,9 @@ let jobs_arg =
     & info [ "jobs"; "j" ]
         ~doc:
           "domains for trial fan-out (repetitions of the randomized \
-           algorithm) and for each simulated run of the det algorithm; \
-           default = recommended domain count, capped; results are \
+           algorithm, in solve and compare); accepted and without effect \
+           for the other algorithms, whose simulated runs each step on one \
+           domain; default = recommended domain count, capped; results are \
            identical for any value")
 
 let flat_arg =

@@ -243,10 +243,9 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
   if rto < 3 then invalid_arg "Fault.harden: rto below the 2-round ack latency";
   if rto_cap < rto then invalid_arg "Fault.harden: rto_cap < rto";
   (* Stable storage, one slot per node, lazily sized from the first view.
-     The engines build every initial state on the coordinator before any
-     fan-out and a restarted node is re-inited by the domain that owns it,
-     so each slot is only ever touched by its owner — domain-safe at any
-     [jobs].  The array belongs to this [harden] instance: a hardened
+     The engines build every initial state before the first round and a
+     restart re-inits only the restarted node, so each slot is only ever
+     touched by its own node.  The array belongs to this [harden] instance: a hardened
      protocol with recovery is single-run (build a fresh one per run, as
      [sim_run] does). *)
   let stable = ref [||] in
@@ -455,8 +454,8 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
   }
 
 (* Post-run bookkeeping of a hardened run: fold the per-node
-   retransmission counters into the stats (counted per node because a
-   shared per-step counter is not domain-safe at [jobs > 1]) and attribute
+   retransmission counters into the stats (counted per node, in node
+   state, so a step touches only its own node) and attribute
    the recovery work to the enclosing telemetry span.  Only the
    resynchronization rounds are rounds; resends are packets and
    checkpoints are bits, so those two land in the metrics registry. *)

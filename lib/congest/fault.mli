@@ -50,7 +50,7 @@
     the lossless sequence of inner states, and the final inner states —
     and any halt predicate evaluated on them — are bit-identical to the
     fault-free run.  The end-to-end chaos differential ([det_dsf] under a
-    seeded {!chaos_plan}, both engines, jobs 1 and 4) pins this.
+    seeded {!chaos_plan}, both engines) pins this.
 
     {b Scope of the guarantee.}  The inner protocol must (a) quiesce on a
     lossless network and (b) satisfy the sparse-wake no-op contract of
@@ -127,8 +127,8 @@ val inner : ('s, 'm) hstate -> 's
 (** The wrapped protocol's state (final inner states after a run). *)
 
 val retransmissions_of : ('s, 'm) hstate array -> int
-(** Total packets retransmitted across all nodes (counted per node, so
-    domain-safe at any [jobs]).  {!sim_run} folds this into
+(** Total packets retransmitted across all nodes (counted per node).
+    {!sim_run} folds this into
     [stats.retransmissions] of a hardened run. *)
 
 type recovery_stats = {
@@ -215,7 +215,7 @@ val sim_run :
     On a [Chaos c] network it instantiates [c.cplan], hardens the
     protocol (with [recovery] when given), runs the hardened list
     protocol through {!Sim.run} — the flat engine via
-    {!Sim.flat_of_protocol}, on [env.jobs] domains — and halts on
+    {!Sim.flat_of_protocol} — and halts on
     {!quiescent} {e or} the caller's [halt] evaluated on the inner state
     vector each physical round, so an omniscient early stop (e.g.
     [Pipeline]'s [stop_at_root]) fires on exactly the same inner

@@ -2,12 +2,11 @@
 
    The write side is deliberately dumb — tagged int records appended into
    growable int buffers, so the engines pay a handful of unboxed pushes
-   per recorded action and nothing when the recorder is off.  Domain
-   partitioning mirrors the flat engine's observer discipline: each
-   domain stages into its own [buf]; the coordinator appends a [Round]
-   marker and flushes the buffers in domain = node order at the barrier,
-   which makes the serialized log byte-identical for any [jobs] and
-   across both engines.
+   per recorded action and nothing when the recorder is off.  Each
+   engine stages a round's events into one [buf] and, at the barrier,
+   appends a [Round] marker and flushes the buffer; the flat engine's
+   crash pre-pass runs before any step, so the serialized log is
+   byte-identical across both engines.
 
    The read side ([analyze]) replays the stream once, reconstructing
    inboxes exactly as the engines deliver them (round [g] sends with a

@@ -12,7 +12,7 @@
       run; the inspector assigns each round a monotone {e global} index);
     - [Step v] — node [v] consumed a non-empty inbox this round.  This is
       the {e sanctioned state-write stamp}: it is emitted at exactly the
-      site where the flat engine's ownership sanitizer stamps
+      site where the flat engine's node-locality sanitizer stamps
       [written.(v) <- round], so every recorded state change is one the
       sanitizer would bless.  Steps with an empty inbox are causally
       inert under the wake contract and are not recorded — a [--why]
@@ -20,8 +20,7 @@
       the queried round;
     - [Send {src; dst; bits; fate}] — one per send, in the global send
       order both engines share (sender ascending, outbox order
-      within a sender; the flat engine's barrier merge restores exactly
-      this order for any [jobs]).  [fate] is the number of copies the
+      within a sender).  [fate] is the number of copies the
       fault layer delivered: 0 = dropped in flight, 1 = normal,
       [k > 1] = replicated;
     - [Down v] / [Restart v] — the fault layer's crash window: [Down]
@@ -37,11 +36,12 @@
 
     {2 Determinism}
 
-    Events from a domain-partitioned {!Sim.run_flat} are staged in
-    per-domain buffers ({!buf}) and flushed at the round barrier in
-    domain = node order, exactly like observer calls — the serialized log
-    is byte-identical for any [jobs], and identical to
-    {!Sim.run_reference}'s log on the same protocol.  The only nondeterministic datum
+    Each engine stages a round's events in one buffer ({!buf}) and
+    flushes it after the round marker at the barrier.  {!Sim.run_flat}
+    runs its crash pre-pass before any step, so a round's [Down] /
+    [Restart] events precede its steps and sends, and the serialized log
+    is byte-identical to {!Sim.run_reference}'s log on the same
+    protocol.  The only nondeterministic datum
     is the capture timestamp taken at {!create} (this module is on
     dsf-lint's wall-clock allowlist for exactly that read); tests inject
     [~now:0] for byte-stable comparisons.
@@ -53,8 +53,8 @@ type t
 (** A live recorder: master event log, interned span names, metadata. *)
 
 type buf
-(** A per-domain staging buffer.  Owned by exactly one domain between
-    barriers; the coordinator {!flush}es it into the master log. *)
+(** A run's staging buffer for one round's events; the engine
+    {!flush}es it into the master log at the barrier. *)
 
 val create : ?now:int -> ?meta:(string * int) list -> unit -> t
 (** Fresh recorder.  [now] is the capture timestamp in Unix seconds
@@ -73,9 +73,9 @@ val buf_make : unit -> buf
 
 (** {2 Event appenders}
 
-    The [ev_*] functions stage into a domain-owned {!buf}; [round],
+    The [ev_*] functions stage into a {!buf}; [round],
     [span_open]/[span_close], and [recovery] append straight to the
-    master log and are coordinator-only. *)
+    master log. *)
 
 val ev_step : buf -> int -> unit
 val ev_send : buf -> src:int -> dst:int -> bits:int -> fate:int -> unit
@@ -85,11 +85,11 @@ val ev_restart : buf -> int -> unit
 val round : t -> int -> unit
 (** Append a [Round] marker (run-local round number) to the master log.
     The engines call this at the round barrier, {e before} flushing the
-    round's domain buffers. *)
+    round's buffer. *)
 
 val flush : t -> buf -> unit
-(** Append a domain buffer's staged events to the master log and reset
-    it.  Called at the barrier in domain = node order. *)
+(** Append a buffer's staged events to the master log and reset it.
+    Called at the round barrier. *)
 
 val span_open : t -> string -> unit
 val span_close : t -> string -> unit

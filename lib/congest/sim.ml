@@ -62,7 +62,6 @@ type env = {
   observer : observer option;
   telemetry : Telemetry.t option;
   network : network;
-  jobs : int;
   sanitize : bool;
 }
 
@@ -78,7 +77,6 @@ let default_env =
     observer = None;
     telemetry = None;
     network = Lossless;
-    jobs = 1;
     sanitize = env_sanitize;
   }
 
@@ -111,8 +109,8 @@ let slot_of_msg nbr_slots ~n ~src ~dst =
   | exception Not_found -> invalid_arg "Sim.run: message to non-neighbor"
 
 (* Growable int buffer, shared by the traffic ring below and the flat
-   engine's per-domain logs (send log, touched CSR positions,
-   undone/recipient candidate lists). *)
+   engine's per-round lists (touched CSR positions, undone/recipient
+   candidates). *)
 type ibuf = { mutable ia : int array; mutable ilen : int }
 
 let ibuf_make () = { ia = Array.make 16 0; ilen = 0 }
@@ -323,8 +321,8 @@ let native_ports env =
   && match env.network with Chaos _ -> false | Lossless | Faults _ -> true
 
 (* ------------------------------------------------------------------ *)
-(* Flat-core engine: arena message slots over the CSR graph view, with
-   optional domain-partitioned execution of a single run.
+(* Flat-core engine: arena message slots over the CSR graph view, every
+   run stepped on the calling domain.
 
    Layout (see DESIGN.md, "Engine architecture"):
 
@@ -333,16 +331,13 @@ let native_ports env =
      the length, so the steady-state round loop allocates nothing for
      unboxed ('m = int) protocols;
    - per-round per-(edge, direction) bits live in a flat array indexed by
-     *CSR position* (the sender's directed slot), each position owned by
-     exactly one sender and hence by exactly one domain — race-free;
-   - sends are staged per (destination, domain) and merged at the round
-     barrier in domain order; because domains own contiguous ascending
-     node blocks, the merge restores the exact global send order (sender
-     ascending, outbox order within a sender) of the single-threaded
-     reference loop, which is what makes the engine bit-identical for
-     any [jobs];
-   - observer calls and post-mortem ring pushes are replayed at the
-     barrier from per-domain send logs, again in domain = node order. *)
+     *CSR position* (the sender's directed slot);
+   - sends are staged per destination and delivered at the round
+     barrier; nodes step in ascending order, so every inbox receives its
+     mail in the global send order (sender ascending, outbox order within
+     a sender) of the reference loop;
+   - observer calls and post-mortem ring pushes happen at the send, as in
+     the reference loop. *)
 
 type 'm mbuf = {
   mutable srcs : int array;
@@ -419,63 +414,6 @@ let flat_of_protocol p =
     fp_wake = p.wake;
   }
 
-(* Per-domain accumulators, merged (and reset) at each round barrier. *)
-type scratch = {
-  mutable s_messages : int;
-  mutable s_bits : int;
-  mutable s_dropped : int;
-  mutable s_duplicated : int;
-  mutable s_stepped : int;
-  mutable s_delivered : int;
-  mutable s_wake_hits : int;
-  mutable s_done_delta : int;
-  mutable s_sent_any : bool;
-  mutable s_cur_src : int;  (* node being stepped, read by [emit] *)
-  log_src : ibuf;
-  log_dst : ibuf;
-  log_bits : ibuf;
-  s_touched : ibuf;
-  s_undone : ibuf;
-  s_recip : ibuf;
-}
-
-let scratch_make () =
-  {
-    s_messages = 0;
-    s_bits = 0;
-    s_dropped = 0;
-    s_duplicated = 0;
-    s_stepped = 0;
-    s_delivered = 0;
-    s_wake_hits = 0;
-    s_done_delta = 0;
-    s_sent_any = false;
-    s_cur_src = -1;
-    log_src = ibuf_make ();
-    log_dst = ibuf_make ();
-    log_bits = ibuf_make ();
-    s_touched = ibuf_make ();
-    s_undone = ibuf_make ();
-    s_recip = ibuf_make ();
-  }
-
-let scratch_reset s =
-  s.s_messages <- 0;
-  s.s_bits <- 0;
-  s.s_dropped <- 0;
-  s.s_duplicated <- 0;
-  s.s_stepped <- 0;
-  s.s_delivered <- 0;
-  s.s_wake_hits <- 0;
-  s.s_done_delta <- 0;
-  s.s_sent_any <- false;
-  s.log_src.ilen <- 0;
-  s.log_dst.ilen <- 0;
-  s.log_bits.ilen <- 0;
-  s.s_touched.ilen <- 0;
-  s.s_undone.ilen <- 0;
-  s.s_recip.ilen <- 0
-
 (* In-place ascending sort of [a.(0 .. len - 1)]: insertion sort below a
    small cutoff, median-of-three quicksort above.  Avoids [Array.sort]'s
    whole-array constraint (the candidate buffer has a live prefix) and its
@@ -521,31 +459,21 @@ let sort_int_prefix a len =
   in
   if len > 1 then qsort 0 (len - 1)
 
-(* First index in the sorted prefix [a.(0 .. len - 1)] holding a value
-   >= [x] (the per-domain segment bounds in the active list). *)
-let lower_bound a len x =
-  let lo = ref 0 and hi = ref len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* --- Dynamic ownership sanitizer ------------------------------------- *)
+(* --- Dynamic node-locality sanitizer ---------------------------------- *)
 (* The runtime half of the typed domain-race rule (lib/lint/typed_lint.ml):
    the static pass proves [fp_step] bodies only touch node-local state by
-   construction; the sanitizer catches what escapes the analysis — aliased
-   states smuggled out of [fp_init], emits issued from stashed closures,
-   mail staged for nodes outside the recipient list.  Every check is
-   read-only (private hash snapshots and write stamps), so a clean
-   sanitized run is bit-identical to an unsanitized one; the differential
-   suite pins this. *)
+   construction — a CONGEST node knows only its own state and its mail —
+   and the sanitizer catches what escapes the analysis: aliased states
+   smuggled out of [fp_init], emits issued from stashed closures, mail
+   staged for nodes outside the recipient list.  Every check is read-only
+   (private hash snapshots and write stamps), so a clean sanitized run is
+   bit-identical to an unsanitized one; the differential suite pins
+   this. *)
 
 type sanitizer_violation = {
   sv_kind : string;
   sv_round : int;
   sv_node : int;
-  sv_domain : int;  (** domain owning [sv_node]; [-1] if out of range *)
   sv_detail : string;
 }
 
@@ -557,8 +485,8 @@ let () =
         Some
           (Printf.sprintf
              "Sim.Sanitizer_violation { kind = %S; round = %d; node = %d; \
-              domain = %d; detail = %S }"
-             v.sv_kind v.sv_round v.sv_node v.sv_domain v.sv_detail)
+              detail = %S }"
+             v.sv_kind v.sv_round v.sv_node v.sv_detail)
     | _ -> None)
 
 (* Structural fingerprint of a node state.  [hash_param] with deep limits
@@ -579,17 +507,19 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
            (Fault.sim_run)"
   in
   let obs = env.observer and telemetry = env.telemetry in
-  (* The flight recorder rides on the telemetry. *)
+  (* The flight recorder rides on the telemetry.  One staging buffer,
+     flushed after the round marker at each barrier: the crash pre-pass
+     stages its downs/restarts before any step, so the serialized stream
+     shows them first, then all steps/sends in node order — exactly what
+     the reference loop emits. *)
   let rcd = Option.bind telemetry Telemetry.recorder in
   let rec_on = Option.is_some rcd in
+  let rb = Recorder.buf_make () in
   let n = Graph.n g in
   let m = Graph.m g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
   in
-  let jobs = max 1 (min env.jobs n) in
-  (* Force the graph's CSR memo on the coordinator before any domain fan-out
-     so workers share the one view instead of racing to build it. *)
   let csr = Graph.csr g in
   let views =
     Array.init n (fun node -> { node; n; nbrs = Graph.adj g node })
@@ -598,17 +528,7 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
   let budget = Dsf_util.Bitsize.congest_budget ~n in
   let edge_bits = Array.make (2 * m) (-1) in
   let inboxes = Array.init n (fun _ -> mbuf_make ()) in
-  let stage = Array.init jobs (fun _ -> Array.init n (fun _ -> mbuf_make ())) in
-  let scr = Array.init jobs (fun _ -> scratch_make ()) in
-  (* Per-domain recorder staging, two buffers each: crash-window events
-     (the pre-pass) separate from step/send events, flushed fault-first
-     across all domains at the barrier — so the serialized stream shows
-     all of the round's downs/restarts in node order, then all
-     steps/sends in node order, exactly as a single-threaded run (and
-     the reference loop) emits them.  That discipline is what keeps recorder-on output
-     byte-identical for any [jobs]. *)
-  let rb_fault = Array.init jobs (fun _ -> Recorder.buf_make ()) in
-  let rb_step = Array.init jobs (fun _ -> Recorder.buf_make ()) in
+  let stage = Array.init n (fun _ -> mbuf_make ()) in
   let done_flag = Array.map fp.fp_is_done states in
   let done_count = ref 0 in
   Array.iter (fun d -> if d then incr done_count) done_flag;
@@ -633,28 +553,17 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
       retransmissions = 0;
     }
   in
-  (* Domain [d] owns the contiguous node block [dom_lo.(d), dom_lo.(d+1)). *)
-  let dom_lo = Array.init (jobs + 1) (fun d -> d * n / jobs) in
-  let dom_ids = Array.init jobs Fun.id in
+  (* Per-round counters and candidate lists, reset every round. *)
+  let stepped = ref 0 and delivered = ref 0 and wake_hits = ref 0 in
+  let sent_any = ref false in
+  let cur_src = ref (-1) in (* node being stepped, read by [emit] *)
+  let touched = ibuf_make () in (* CSR positions charged this round *)
+  let undone = ibuf_make () and recip = ibuf_make () in
   let sanitize = env.sanitize in
-  let owner_of v =
-    (* [jobs] is small and the blocks ascend; a linear scan suffices. *)
-    let d = ref 0 in
-    while dom_lo.(!d + 1) <= v do
-      incr d
-    done;
-    !d
-  in
   let violation ~kind ~node ~detail =
     raise
       (Sanitizer_violation
-         {
-           sv_kind = kind;
-           sv_round = !round;
-           sv_node = node;
-           sv_domain = (if node >= 0 && node < n then owner_of node else -1);
-           sv_detail = detail;
-         })
+         { sv_kind = kind; sv_round = !round; sv_node = node; sv_detail = detail })
   in
   (* [snap.(v)]: structural hash of [states.(v)] at the last barrier;
      [written.(v)]: round of the last sanctioned write (step or
@@ -678,7 +587,6 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
   let down_now = if has_faults then Array.make n false else [||] in
   let was_down = if has_faults then Array.make n false else [||] in
   let act = Array.make (max 1 n) 0 in
-  let und = Array.make (max 1 n) 0 in
   let rcp = Array.make (max 1 n) 0 in
   let n_act = ref 0 in
   let cand_stamp = Array.make n (-1) in
@@ -689,146 +597,130 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
         incr n_act
       end
     done;
-  let emit_for d =
-    let s = scr.(d) in
-    let stage_d = stage.(d) in
-    let rbs = rb_step.(d) in
-    let deliver src dst msg =
-      let mb = stage_d.(dst) in
-      if mb.mlen = 0 then ibuf_push s.s_recip dst;
-      mbuf_push mb src msg
-    in
-    fun ~dst msg ->
-      let src = s.s_cur_src in
-      if sanitize then begin
-        (* In sanitize mode [s_cur_src] is reset to -1 after every step,
-           so a stashed emit closure fired outside its step is caught
-           here; in-step, the emitting node must sit in this domain's
-           block (an emit closure smuggled across domains would charge
-           another partition's ledger). *)
-        if src < 0 then
-          violation ~kind:"emit-outside-step" ~node:dst
-            ~detail:
-              (Printf.sprintf
-                 "emit to node %d with no step in progress on domain %d \
-                  (escaped emit closure?)"
-                 dst d);
-        if src < dom_lo.(d) || src >= dom_lo.(d + 1) then
-          violation ~kind:"emit-foreign-node" ~node:src
-            ~detail:
-              (Printf.sprintf
-                 "domain %d emitted on behalf of node %d, which domain %d owns"
-                 d src (owner_of src))
-      end;
-      if dst < 0 || dst >= n then
-        invalid_arg "Sim.run: message to nonexistent node";
-      let p = Graph.pos csr ~src ~dst in
-      if p < 0 then invalid_arg "Sim.run: message to non-neighbor";
-      s.s_sent_any <- true;
-      s.s_messages <- s.s_messages + 1;
-      let bits = fp.fp_msg_bits msg in
-      s.s_bits <- s.s_bits + bits;
-      ibuf_push s.log_src src;
-      ibuf_push s.log_dst dst;
-      ibuf_push s.log_bits bits;
-      let prev = edge_bits.(p) in
-      if prev < 0 then begin
-        ibuf_push s.s_touched p;
-        edge_bits.(p) <- bits
-      end
-      else edge_bits.(p) <- prev + bits;
-      match faults with
-      | None ->
-          if rec_on then Recorder.ev_send rbs ~src ~dst ~bits ~fate:1;
-          deliver src dst msg
-      | Some f -> (
-          match f.on_send ~round:!round ~src ~dst with
-          | Deliver ->
-              if rec_on then Recorder.ev_send rbs ~src ~dst ~bits ~fate:1;
-              deliver src dst msg
-          | Drop ->
-              if rec_on then Recorder.ev_send rbs ~src ~dst ~bits ~fate:0;
-              s.s_dropped <- s.s_dropped + 1
-          | Replicate k ->
-              if rec_on then Recorder.ev_send rbs ~src ~dst ~bits ~fate:k;
-              for _ = 1 to k do
-                deliver src dst msg
-              done;
-              s.s_duplicated <- s.s_duplicated + (k - 1))
+  let deliver src dst msg =
+    let mb = stage.(dst) in
+    if mb.mlen = 0 then ibuf_push recip dst;
+    mbuf_push mb src msg
   in
-  let emits = Array.init jobs emit_for in
-  let step_node d v =
-    let s = scr.(d) in
+  let emit ~dst msg =
+    let src = !cur_src in
+    (* In sanitize mode [cur_src] is reset to -1 after every step, so a
+       stashed emit closure fired outside its step is caught here. *)
+    if sanitize && src < 0 then
+      violation ~kind:"emit-outside-step" ~node:dst
+        ~detail:
+          (Printf.sprintf
+             "emit to node %d with no step in progress (escaped emit \
+              closure?)"
+             dst);
+    if dst < 0 || dst >= n then
+      invalid_arg "Sim.run: message to nonexistent node";
+    let p = Graph.pos csr ~src ~dst in
+    if p < 0 then invalid_arg "Sim.run: message to non-neighbor";
+    sent_any := true;
+    incr messages;
+    let bits = fp.fp_msg_bits msg in
+    total_bits := !total_bits + bits;
+    (match obs with Some f -> f ~src ~dst ~bits | None -> ());
+    ring_push ring ~round:!round ~src ~dst ~bits;
+    let prev = edge_bits.(p) in
+    if prev < 0 then begin
+      ibuf_push touched p;
+      edge_bits.(p) <- bits
+    end
+    else edge_bits.(p) <- prev + bits;
+    match faults with
+    | None ->
+        if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:1;
+        deliver src dst msg
+    | Some f -> (
+        match f.on_send ~round:!round ~src ~dst with
+        | Deliver ->
+            if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:1;
+            deliver src dst msg
+        | Drop ->
+            if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:0;
+            incr dropped
+        | Replicate k ->
+            if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:k;
+            for _ = 1 to k do
+              deliver src dst msg
+            done;
+            duplicated := !duplicated + (k - 1))
+  in
+  let set_done v dn =
+    if dn <> done_flag.(v) then begin
+      done_flag.(v) <- dn;
+      done_count := !done_count + if dn then 1 else -1
+    end
+  in
+  let step_node v =
     let ib = inboxes.(v) in
-    s.s_stepped <- s.s_stepped + 1;
-    s.s_delivered <- s.s_delivered + ib.mlen;
+    incr stepped;
+    delivered := !delivered + ib.mlen;
     (* Mail-consuming steps only: the same sanctioned-write site the
-       ownership sanitizer stamps, and the one step event every engine
+       node-locality sanitizer stamps, and the one step event every engine
        agrees on (idle wake steps differ between the engines). *)
-    if rec_on && ib.mlen > 0 then Recorder.ev_step rb_step.(d) v;
-    s.s_cur_src <- v;
-    let st' =
-      fp.fp_step views.(v) ~round:!round states.(v) ~inbox:ib ~emit:emits.(d)
-    in
+    if rec_on && ib.mlen > 0 then Recorder.ev_step rb v;
+    cur_src := v;
+    let st' = fp.fp_step views.(v) ~round:!round states.(v) ~inbox:ib ~emit in
     ib.mlen <- 0;
     states.(v) <- st';
     if sanitize then begin
       written.(v) <- !round;
       (* Arm the emit-outside-step check until the next step begins. *)
-      s.s_cur_src <- -1
+      cur_src := -1
     end;
     let dn = fp.fp_is_done st' in
-    if dn <> done_flag.(v) then begin
-      done_flag.(v) <- dn;
-      s.s_done_delta <- s.s_done_delta + (if dn then 1 else -1)
-    end;
-    if sparse && not dn then ibuf_push s.s_undone v
+    set_done v dn;
+    if sparse && not dn then ibuf_push undone v
   in
-  let do_domain d =
-    let lo = dom_lo.(d) and hi = dom_lo.(d + 1) in
+  while not !quiescent do
+    if !round >= max_rounds then begin
+      let snapshot = current_stats () in
+      tel_finish telemetry snapshot;
+      abort_run ~round:!round ~snapshot ring
+    end;
+    ring_begin_round ring ~round:!round;
+    let bits0 = !total_bits in
+    stepped := 0;
+    delivered := 0;
+    wake_hits := 0;
+    sent_any := false;
     (match faults with
     | None -> ()
     | Some f ->
-        let s = scr.(d) in
-        for v = lo to hi - 1 do
+        for v = 0 to n - 1 do
           let dn = f.down ~round:!round ~node:v in
           down_now.(v) <- dn;
           if dn then begin
-            if rec_on then Recorder.ev_down rb_fault.(d) v;
+            if rec_on then Recorder.ev_down rb v;
             (* Mail delivered to a crashed node is lost. *)
             if inboxes.(v).mlen > 0 then begin
-              s.s_dropped <- s.s_dropped + inboxes.(v).mlen;
+              dropped := !dropped + inboxes.(v).mlen;
               inboxes.(v).mlen <- 0
             end;
             was_down.(v) <- true
           end
           else if was_down.(v) then begin
             (* First round back up: restart from a fresh initial state. *)
-            if rec_on then Recorder.ev_restart rb_fault.(d) v;
+            if rec_on then Recorder.ev_restart rb v;
             was_down.(v) <- false;
             states.(v) <- fp.fp_init views.(v);
             if sanitize then written.(v) <- !round;
-            let dflag = fp.fp_is_done states.(v) in
-            if dflag <> done_flag.(v) then begin
-              done_flag.(v) <- dflag;
-              s.s_done_delta <- s.s_done_delta + (if dflag then 1 else -1)
-            end
+            set_done v (fp.fp_is_done states.(v))
           end
         done);
-    if sparse then begin
-      let slo = lower_bound act !n_act lo
-      and shi = lower_bound act !n_act hi in
-      for i = slo to shi - 1 do
-        step_node d act.(i)
+    if sparse then
+      for i = 0 to !n_act - 1 do
+        step_node act.(i)
       done
-    end
     else if sweep_all then
-      for v = lo to hi - 1 do
-        step_node d v
+      for v = 0 to n - 1 do
+        step_node v
       done
-    else begin
-      let s = scr.(d) in
-      for v = lo to hi - 1 do
+    else
+      for v = 0 to n - 1 do
         let crashed = has_faults && down_now.(v) in
         let has_mail = inboxes.(v).mlen > 0 in
         let active =
@@ -842,73 +734,31 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
         in
         if active then begin
           if wake_is_some && (not has_mail) && done_flag.(v) then
-            s.s_wake_hits <- s.s_wake_hits + 1;
-          step_node d v
+            incr wake_hits;
+          step_node v
         end
-      done
-    end
-  in
-  while not !quiescent do
-    if !round >= max_rounds then begin
-      let snapshot = current_stats () in
-      tel_finish telemetry snapshot;
-      abort_run ~round:!round ~snapshot ring
-    end;
-    ring_begin_round ring ~round:!round;
-    if jobs = 1 then do_domain 0
-    else ignore (Dsf_util.Pool.map_chunked ~jobs do_domain dom_ids);
-    (* Recorder barrier: round marker, then every domain's crash-window
-       events, then every domain's step/send events, both in domain =
-       node order (see [rb_fault]/[rb_step] above). *)
+      done;
     (match rcd with
     | Some r ->
         Recorder.round r !round;
-        for d = 0 to jobs - 1 do
-          Recorder.flush r rb_fault.(d)
-        done;
-        for d = 0 to jobs - 1 do
-          Recorder.flush r rb_step.(d)
-        done
+        Recorder.flush r rb
     | None -> ());
-    (* Sequential merge at the barrier, in domain = node order, restoring
-       the single-threaded global send order. *)
-    let bits0 = !total_bits in
-    let stepped = ref 0 and delivered = ref 0 and wake_hits = ref 0 in
-    let sent_any = ref false in
-    for d = 0 to jobs - 1 do
-      let s = scr.(d) in
-      for i = 0 to s.log_src.ilen - 1 do
-        let src = s.log_src.ia.(i)
-        and dst = s.log_dst.ia.(i)
-        and bits = s.log_bits.ia.(i) in
-        (match obs with Some f -> f ~src ~dst ~bits | None -> ());
-        ring_push ring ~round:!round ~src ~dst ~bits
-      done;
-      messages := !messages + s.s_messages;
-      total_bits := !total_bits + s.s_bits;
-      dropped := !dropped + s.s_dropped;
-      duplicated := !duplicated + s.s_duplicated;
-      stepped := !stepped + s.s_stepped;
-      delivered := !delivered + s.s_delivered;
-      wake_hits := !wake_hits + s.s_wake_hits;
-      done_count := !done_count + s.s_done_delta;
-      if s.s_sent_any then sent_any := true;
-      for i = 0 to s.s_touched.ilen - 1 do
-        let p = s.s_touched.ia.(i) in
-        let bits = edge_bits.(p) in
-        if bits > !max_edge_round_bits then max_edge_round_bits := bits;
-        if bits > budget then incr budget_violations;
-        edge_bits.(p) <- -1
-      done
+    for i = 0 to touched.ilen - 1 do
+      let p = touched.ia.(i) in
+      let bits = edge_bits.(p) in
+      if bits > !max_edge_round_bits then max_edge_round_bits := bits;
+      if bits > budget then incr budget_violations;
+      edge_bits.(p) <- -1
     done;
-    (* Ownership oracle: between barriers a node's state may change only
-       through its own step (or crash-restart) on the owning domain.  A
-       node not written this round whose structural hash moved was
-       mutated from someone else's step — the aliasing races the static
-       domain-race rule cannot see.  Stepped nodes refresh their
-       snapshot.  The inbox sweep checks an engine invariant: every
-       message delivered at the previous barrier was consumed by a step
-       this round (crashed nodes have their mail dropped above). *)
+    touched.ilen <- 0;
+    (* Node-locality oracle: between barriers a node's state may change
+       only through its own step (or crash-restart).  A node not written
+       this round whose structural hash moved was mutated from another
+       node's step — the aliasing the static domain-race rule cannot see.
+       Stepped nodes refresh their snapshot.  The inbox sweep checks an
+       engine invariant: every message delivered at the previous barrier
+       was consumed by a step this round (crashed nodes have their mail
+       dropped above). *)
     if sanitize then begin
       for v = 0 to n - 1 do
         if written.(v) = !round then snap.(v) <- state_hash states.(v)
@@ -919,8 +769,8 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
               ~detail:
                 (Printf.sprintf
                    "state of node %d changed this round but the node was \
-                    not stepped (structural hash %d -> %d): cross-partition \
-                    write through an aliased state"
+                    not stepped (structural hash %d -> %d): another node's \
+                    step wrote through an aliased state"
                    v snap.(v) h)
         end
       done;
@@ -935,59 +785,45 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
       done
     end;
     (* Deliver staged mail and collect next round's active candidates:
-       the still-undone nodes (already ascending — each domain's list is
-       ascending and domains own ascending blocks) and the mail
-       recipients (stamp-deduplicated, sorted, then merged). *)
-    let nund = ref 0 and nrcp = ref 0 in
-    (* All undone nodes must be stamped before any recipient is examined:
-       a recipient in a *later* domain's undone list would otherwise be
-       double-entered (once as mail recipient, once as undone). *)
+       the still-undone nodes (already ascending — nodes step in order)
+       and the mail recipients (minus the undone ones, sorted, then
+       merged).  All undone nodes are stamped before any recipient is
+       examined, so none is entered twice. *)
+    let nrcp = ref 0 in
     if sparse then
-      for d = 0 to jobs - 1 do
-        let s = scr.(d) in
-        for i = 0 to s.s_undone.ilen - 1 do
-          let v = s.s_undone.ia.(i) in
-          cand_stamp.(v) <- !round;
-          und.(!nund) <- v;
-          incr nund
-        done
+      for i = 0 to undone.ilen - 1 do
+        cand_stamp.(undone.ia.(i)) <- !round
       done;
-    for d = 0 to jobs - 1 do
-      let s = scr.(d) in
-      let stage_d = stage.(d) in
-      for i = 0 to s.s_recip.ilen - 1 do
-        let dst = s.s_recip.ia.(i) in
-        let mb = stage_d.(dst) in
-        mbuf_append ~into:inboxes.(dst) mb;
-        mb.mlen <- 0;
-        if sparse && cand_stamp.(dst) <> !round then begin
-          cand_stamp.(dst) <- !round;
-          rcp.(!nrcp) <- dst;
-          incr nrcp
-        end
-      done;
-      scratch_reset s
+    for i = 0 to recip.ilen - 1 do
+      let dst = recip.ia.(i) in
+      let mb = stage.(dst) in
+      mbuf_append ~into:inboxes.(dst) mb;
+      mb.mlen <- 0;
+      if sparse && cand_stamp.(dst) <> !round then begin
+        cand_stamp.(dst) <- !round;
+        rcp.(!nrcp) <- dst;
+        incr nrcp
+      end
     done;
+    recip.ilen <- 0;
     (* Arena hygiene: after delivery every staged slot must be empty — a
-       populated slot missing from its domain's recipient list means mail
-       was staged behind the engine's back and would silently vanish. *)
+       populated slot missing from the recipient list means mail was
+       staged behind the engine's back and would silently vanish. *)
     if sanitize then
-      for d = 0 to jobs - 1 do
-        let stage_d = stage.(d) in
-        for dst = 0 to n - 1 do
-          if stage_d.(dst).mlen > 0 then
-            violation ~kind:"arena-leak" ~node:dst
-              ~detail:
-                (Printf.sprintf
-                   "domain %d staged %d message(s) for node %d outside its \
-                    recipient list; they would never be delivered"
-                   d stage_d.(dst).mlen dst)
-        done
+      for dst = 0 to n - 1 do
+        if stage.(dst).mlen > 0 then
+          violation ~kind:"arena-leak" ~node:dst
+            ~detail:
+              (Printf.sprintf
+                 "%d message(s) staged for node %d outside the recipient \
+                  list; they would never be delivered"
+                 stage.(dst).mlen dst)
       done;
     if sparse then begin
       sort_int_prefix rcp !nrcp;
+      let und = undone.ia and nund = undone.ilen in
       let i = ref 0 and j = ref 0 and k = ref 0 in
-      while !i < !nund && !j < !nrcp do
+      while !i < nund && !j < !nrcp do
         let x = und.(!i) and y = rcp.(!j) in
         if x < y then begin
           act.(!k) <- x;
@@ -999,7 +835,7 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
         end;
         incr k
       done;
-      while !i < !nund do
+      while !i < nund do
         act.(!k) <- und.(!i);
         incr i;
         incr k
@@ -1009,7 +845,8 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
         incr j;
         incr k
       done;
-      n_act := !k
+      n_act := !k;
+      undone.ilen <- 0
     end;
     (match telemetry with
     | Some t ->

@@ -16,7 +16,8 @@
     {2 Engines}
 
     There is one production engine, {!run_flat}, and one oracle,
-    {!run_reference}.  {!run} is the list-protocol entry point: it adapts
+    {!run_reference}.  Both step a run's nodes one after another on the
+    calling domain.  {!run} is the list-protocol entry point: it adapts
     the protocol with {!flat_of_protocol} and runs it on {!run_flat}.
     Hot primitives ({!Bfs}, {!Bellman_ford}, {!Tree_ops}, ...) also ship a
     native {!flat_protocol} port, which they use whenever {!native_ports}
@@ -91,7 +92,7 @@ type stats = {
   retransmissions : int;
       (** resends performed by a hardened protocol: the engine reports 0,
           and {!Fault.sim_run} on a [Chaos] network folds the per-node
-          resend counters in after the run (domain-safe at any [jobs]). *)
+          resend counters in after the run. *)
 }
 
 (** {2 Fault injection}
@@ -178,7 +179,7 @@ type observer = src:int -> dst:int -> bits:int -> unit
       per round, wake-hook hits) into its metrics registry, and carries
       the flight recorder, if one was attached with
       [Telemetry.create ~recorder] ({!Recorder} documents its events
-      and their jobs-invariant order).  Each primitive opens its own
+      and their order).  Each primitive opens its own
       span (["bfs"], ["upcast"], ...) once, around whichever leg it
       runs.  With neither observer nor telemetry the engine pays one
       predictable branch per action and allocates nothing (the bench GC
@@ -190,11 +191,11 @@ type observer = src:int -> dst:int -> bits:int -> unit
       accepts [Chaos]; the three runners raise [Invalid_argument] on it.
       A record whose callbacks never fire leaves the run bit-identical
       to the lossless one.
-    - [jobs] partitions each flat-engine run across that many pool
-      domains (clamped to [1 .. n]); results are bit-identical for any
-      value.  Never use [jobs > 1] inside an existing pool fan-out (the
-      per-round batch would raise {!Dsf_util.Pool.Nested_use}).
-    - [sanitize] arms {!run_flat}'s dynamic ownership sanitizer.
+    - [sanitize] arms {!run_flat}'s dynamic node-locality sanitizer.
+
+    Every run steps its nodes on the calling domain.  Parallelism lives
+    one level up, over independent runs (randomized trials, benchmark
+    sweeps), through {!Dsf_util.Pool}.
 
     {b Domain-safety contract.}  The simulator holds no per-run mutable
     state that outlives a run, so any number of simulations may run
@@ -232,12 +233,11 @@ type env = {
   observer : observer option;
   telemetry : Telemetry.t option;
   network : network;
-  jobs : int;
   sanitize : bool;
 }
 
 val default_env : env
-(** Lossless, one domain, no observer, no telemetry.  [sanitize] is read
+(** Lossless, no observer, no telemetry.  [sanitize] is read
     once at module init from the [DSF_SANITIZE] environment variable
     ([1]/[true]/[on]); that is how ci.sh's sanitized smoke arms every run
     without touching call sites.  Build other envs by record update:
@@ -260,23 +260,17 @@ val span : env -> string -> (unit -> 'a) -> 'a
     the native {!flat_protocol} interface the steady-state round loop
     allocates nothing.
 
-    A single run can additionally be partitioned across [jobs] domains of
-    the {!Dsf_util.Pool}: each domain owns a contiguous ascending block
-    of nodes, steps its block between two barriers per round, and stages
-    its sends per destination; the coordinator merges staged mail, send
-    logs (observer calls, post-mortem ring), counters, and bit accounting
-    {e in domain = node order} at the barrier.  Because the merge order
-    equals the global send order of the single-threaded engines, results
-    are bit-identical for any [jobs] — the jobs-invariance property in
-    [test_sim_equiv] pins this.  Hardened protocols are jobs-safe:
-    resends are counted per node and folded into the stats after the run
-    (see {!Fault.sim_run}), so the chaos differentials run at [jobs = 4]
-    too.
+    Nodes step in ascending order and sends are staged per destination,
+    so each inbox receives its mail in the global send order of
+    {!run_reference} (sender ascending, outbox order within a sender).
+    The observer and the post-mortem ring are called at each send, as in
+    {!run_reference}.
 
     An error raised by a step (e.g. a message to a non-neighbor)
-    propagates out of the run.  Observer calls, post-mortem traffic and
-    recorder events of the failing round are not emitted: they are
-    replayed at the barrier, which the error never reaches. *)
+    propagates out of the run.  The observer has then seen every valid
+    send before the failing one, exactly the prefix {!run_reference}
+    shows it; recorder events of the failing round are staged until the
+    barrier, which the error never reaches, so they are not emitted. *)
 
 type 'm inbox
 (** The mail delivered to a node this round, in arrival order (identical
@@ -301,8 +295,8 @@ type ('s, 'm) flat_protocol = {
     view -> round:int -> 's -> inbox:'m inbox -> emit:(dst:int -> 'm -> unit)
     -> 's;
       (** Reads mail through the zero-copy [inbox] view and sends by
-          calling [emit] (one closure per domain per run — no outbox list
-          is ever built).  Same delivery semantics as {!protocol.step}:
+          calling [emit] (one closure per run — no outbox list is ever
+          built).  Same delivery semantics as {!protocol.step}:
           messages emitted in round [r] arrive in round [r + 1]. *)
   fp_is_done : 's -> bool;
   fp_msg_bits : 'm -> int;
@@ -320,22 +314,20 @@ val flat_of_protocol : ('s, 'm) protocol -> ('s, 'm) flat_protocol
 type sanitizer_violation = {
   sv_kind : string;
       (** ["idle-state-write"] — a node's state changed in a round it was
-          not stepped (cross-partition write through an aliased state);
-          ["emit-outside-step"] — an emit closure fired with no step in
-          progress on its domain; ["emit-foreign-node"] — an emit issued
-          on behalf of a node owned by another domain; ["arena-leak"] —
-          mail staged outside the recipient list (would silently vanish);
-          ["undelivered-inbox"] — delivered mail never consumed by a
-          step. *)
+          not stepped (another node's step wrote through an aliased
+          state); ["emit-outside-step"] — an emit closure fired with no
+          step in progress; ["arena-leak"] — mail staged outside the
+          recipient list (would silently vanish); ["undelivered-inbox"] —
+          delivered mail never consumed by a step. *)
   sv_round : int;
   sv_node : int;
-  sv_domain : int;  (** domain owning [sv_node]; [-1] if out of range *)
   sv_detail : string;  (** human-readable elaboration *)
 }
 
 exception Sanitizer_violation of sanitizer_violation
 (** Raised by {!run_flat} with [env.sanitize] set when a flat protocol (or
-    the engine itself) breaks the ownership contract the typed
+    the engine itself) breaks the CONGEST node-locality contract — a
+    step may touch only its own node's state — that the typed
     domain-race lint rule checks statically.  A [Printexc] printer is
     registered, so uncaught violations render the full record. *)
 
@@ -353,10 +345,10 @@ val run_flat :
     — the differential suite enforces this with faults and telemetry both
     on and off.
 
-    [env.sanitize] arms the dynamic ownership sanitizer: node-state
-    writes and arena slots are tagged with the owning domain and round,
-    and any cross-partition write, escaped emit closure, or leaked arena
-    slot aborts the run with {!Sanitizer_violation} (kinds above).  Every
+    [env.sanitize] arms the dynamic node-locality sanitizer: node-state
+    writes are stamped with their round, and any write to a node that
+    was not stepped, escaped emit closure, or leaked arena slot aborts
+    the run with {!Sanitizer_violation} (kinds above).  Every
     check is read-only — private hash snapshots and write stamps — so a
     clean sanitized run is bit-identical to an unsanitized one (stats,
     states, observer order); it costs an O(n) structural-hash sweep per
@@ -382,7 +374,7 @@ val run :
     stop-broadcast to its round ledger.
 
     While {!use_reference_engine} is set, a run on a [Lossless] network
-    goes to {!run_reference} instead and [env.jobs] is ignored. *)
+    goes to {!run_reference} instead. *)
 
 val run_reference :
   ?max_rounds:int ->
@@ -397,7 +389,7 @@ val run_reference :
     of the [bench/main.exe -- micro] simulator benchmarks.  Not for
     production use — it pays O(n + m) per round regardless of activity.
     It honours [env]'s observer and telemetry (and so its recorder),
-    ignores [jobs] and [sanitize], and raises [Invalid_argument] on any
+    ignores [sanitize], and raises [Invalid_argument] on any
     network but [Lossless]. *)
 
 val use_reference_engine : bool ref

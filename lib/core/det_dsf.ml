@@ -95,11 +95,11 @@ let g_copy gs =
     rad = Array.copy gs.rad;
   }
 
-let run ?observer ?telemetry ?flat:_ ?(jobs = 1) ?chaos inst0 =
+let run ?observer ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
   let network =
     Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
   in
-  let env = { Sim.default_env with observer; telemetry; network; jobs } in
+  let env = { Sim.default_env with observer; telemetry; network } in
   let tspan name f = Sim.span env name f in
   (* Lemma 2.4's minimalization runs as a real protocol; its rounds join
      the ledger below once it exists. *)

@@ -58,13 +58,13 @@ val run :
     Every simulated subroutine runs on the flat-core engine — native
     ports where they exist (BFS, Bellman-Ford decomposition, boundary
     exchange, filtered upcast, tree ops, token flood), the adapter
-    elsewhere — with [jobs] domains (default 1); the result, ledger, stats, and
-    observer traces are bit-identical for any [jobs] and to
+    elsewhere — on the calling domain; the result, ledger, stats, and
+    observer traces are bit-identical to
     {!Dsf_congest.Sim.run_reference} (differential suite enforced).
 
-    [flat] is a deprecated no-op, accepted and ignored so existing
-    callers keep compiling: the flat engine is the only production
-    engine.
+    [flat] and [jobs] are deprecated no-ops, accepted and ignored so
+    existing callers keep compiling: the flat engine is the only
+    production engine, and it steps every run on one domain.
 
     [chaos] runs every simulated subroutine hardened with checkpointed
     crash recovery under the given chaos plan (see

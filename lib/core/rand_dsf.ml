@@ -132,9 +132,8 @@ let first_stage ~env rng g inst ledger note_stats ~truncate =
 
 let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     ~rng inst0 =
-  (* Every simulated run is single-domain: [jobs] drives only the trial
-     fan-out below, and a [jobs > 1] run inside a pool task would raise
-     [Pool.Nested_use]. *)
+  (* [jobs] drives only the trial fan-out below; every simulated run
+     steps on the domain that calls it. *)
   let env = { Sim.default_env with observer; telemetry } in
   let minimalized = Transform.minimalize ~env inst0 in
   let inst = minimalized.Transform.value in

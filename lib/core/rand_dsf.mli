@@ -53,8 +53,7 @@ val run :
     domain before the fan-out, so trials only read them.
 
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry;
-    every simulated run is single-domain ([jobs] drives only the trial
-    fan-out).  [observer] taps every simulated run — LE lists, the
+    [jobs] drives only the trial fan-out.  [observer] taps every simulated run — LE lists, the
     virtual tree's Voronoi, label routing and backtracing included.
     With [jobs > 1] it is invoked concurrently from pool
     domains, so it must be domain-safe (e.g. accumulate into atomics, or

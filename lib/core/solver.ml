@@ -65,7 +65,7 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?chaos algo inst =
   | _ -> ());
   match algo with
   | Det ->
-      let r = Det_dsf.run ?observer ?telemetry ?chaos ~jobs inst in
+      let r = Det_dsf.run ?observer ?telemetry ?chaos inst in
       of_ledger algo inst r.Det_dsf.solution r.Det_dsf.weight
         (Some (Frac.to_float r.Det_dsf.dual))
         (Some r.Det_dsf.ledger)
@@ -96,11 +96,10 @@ let solve_cr ?jobs ?observer ?telemetry ?chaos algo cr =
   let network =
     Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
   in
-  let jobs = Option.value jobs ~default:1 in
-  let env = { Sim.default_env with observer; telemetry; network; jobs } in
+  let env = { Sim.default_env with observer; telemetry; network } in
   let out = Transform.cr_to_ic ~env cr in
   let report =
-    solve_ic ~jobs ?observer ?telemetry ?chaos algo out.Transform.value
+    solve_ic ?jobs ?observer ?telemetry ?chaos algo out.Transform.value
   in
   let ledger =
     match report.ledger with

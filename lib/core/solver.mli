@@ -39,9 +39,9 @@ val solve_ic :
   Dsf_graph.Instance.ic ->
   report
 (** [jobs] (default 1) parallelizes the trial fan-out of algorithms that
-    have one ({!algorithm.Rand}'s repetitions) on the {!Dsf_util.Pool},
-    and partitions {!algorithm.Det}'s simulated runs across that many
-    domains; results are bit-identical for every [jobs] value.
+    have one ({!algorithm.Rand}'s repetitions) on the {!Dsf_util.Pool};
+    the others ignore it.  Results are bit-identical for every [jobs]
+    value.
 
     [chaos] runs {!algorithm.Det}'s simulated subroutines hardened with
     checkpointed crash recovery under the given chaos plan (see

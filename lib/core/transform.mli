@@ -23,7 +23,7 @@ val cr_to_ic :
 (** The resulting labels are the smallest terminal id in each request
     component, matching the construction in the proof of Lemma 2.3.
     Every subroutine runs under [env] (see {!Dsf_congest.Sim}) inside a
-    ["cr_to_ic"] span; results are jobs-invariant, and a [Chaos] network
+    ["cr_to_ic"] span; a [Chaos] network
     runs them hardened with checkpointed recovery (see
     {!Dsf_congest.Fault.sim_run}). *)
 

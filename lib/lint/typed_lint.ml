@@ -30,10 +30,11 @@ let rules =
       synopsis =
         "flat-protocol step mutating state it does not own (escape analysis)";
       rationale =
-        "Sim.run_flat partitions nodes over domains; a step body may \
-         mutate only state reached from its own arguments (or a captured \
-         per-node slot indexed by the step's own node id) — anything else \
-         is a cross-domain data race the barrier merge cannot order";
+        "CONGEST is node-local: in a round a node knows only its own state \
+         and its mail, so a step body may mutate only state reached from \
+         its own arguments (or a captured per-node slot indexed by the \
+         step's own node id) — anything else lets one node write another's \
+         state behind the simulated network";
     };
     {
       id = rule_congest_width;
@@ -50,9 +51,9 @@ let rules =
       rationale =
         "every simulated run inherits its caller's run environment — \
          observer, telemetry (and the flight recorder riding on it), \
-         network and domain count; a call that omits ?env while an env is \
-         in scope silently runs lossless, single-domain and \
-         uninstrumented, so traces, flight logs and chaos runs miss it";
+         network; a call that omits ?env while an env is in scope \
+         silently runs lossless and uninstrumented, so traces, flight logs \
+         and chaos runs miss it";
     };
   ]
 
@@ -199,7 +200,7 @@ let type_name (e : Typedtree.expression) =
      id can reach a neighbor's slot.
    - [Local]: allocated or computed inside the analyzed function.
    - [Captured]: free variables (including the unit's toplevel) and other
-     modules' state — mutation escapes the node's partition. *)
+     modules' state — mutation escapes the node. *)
 type origin = Owned | SelfIdx | Local | Captured
 
 let join a b =
@@ -607,8 +608,8 @@ let check_protocol_fn ctx ~field (fexpr : Typedtree.expression) =
         femit ctx ~loc ~rule:rule_domain_race
           ~message:
             (Printf.sprintf
-               "%s mutates captured state `%s' (via %s) outside its own \
-                node's partition"
+               "%s mutates captured state `%s' (via %s) that its own node \
+                does not own"
                field name detail)
           ~hint:race_hint)
     ~on_free_ref:(fun ~unique ~name loc ->
@@ -618,7 +619,7 @@ let check_protocol_fn ctx ~field (fexpr : Typedtree.expression) =
             ~message:
               (Printf.sprintf
                  "%s references `%s', which %s — shared mutable state \
-                  escapes the node partition"
+                  escapes the node"
                  field name reason)
             ~hint:race_hint
       | None -> ())

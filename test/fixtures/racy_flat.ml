@@ -1,13 +1,13 @@
 (* NEGATIVE FIXTURE — deliberately racy flat protocol.
-   This is the seeded cross-domain write the typed domain-race rule must
-   flag (test_lint scans this library's .cmt) and the runtime ownership
+   This is the seeded non-local write the typed domain-race rule must
+   flag (test_lint scans this library's .cmt) and the runtime node-locality
    sanitizer must abort on (test_sanitizer runs it under
    [Sim.run_flat] with [env.sanitize]).  Do not "fix" it and do not link it
    outside the test binary.
 
    Two distinct violations live in [fp_step]:
    - [incr counter]: mutation of a toplevel ref captured by the step —
-     shared state across every node and domain;
+     shared state across every node;
    - [other.x <- ...] where [other = cells.((v + 1) mod n)]: indexing the
      captured per-node storage with a key that is *not* the stepping
      node's own id, i.e. writing a neighbor's slot.  (Writing

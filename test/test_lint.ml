@@ -292,7 +292,7 @@ let test_typed_fixtures () =
     let envs = by "env-dropped" in
     (* racy_flat.ml seeds two distinct races: a toplevel ref and a write
        to another node's slot of the captured storage *)
-    check Alcotest.bool "seeded cross-domain writes flagged" true
+    check Alcotest.bool "seeded non-local writes flagged" true
       (List.length races >= 2);
     check Alcotest.bool "race findings name racy_flat.ml" true
       (List.for_all

@@ -1,14 +1,14 @@
 (* Flight recorder: serialization round-trips, engine transparency, the
-   cross-engine / cross-jobs byte-identity contract, and golden causal
+   cross-engine byte-identity contract, and golden causal
    queries on the pinned Figure-1 gadget.
 
    The byte-identity suite is the recorder's core promise: the very same
    protocol recorded through Sim.run, Sim.run_reference and Sim.run_flat
-   (at any jobs) must serialize to the very same dsf-flightlog bytes —
-   steps are only recorded for mail-consuming nodes (causally inert empty
-   steps would differ between the reference loop, which steps everyone,
-   and the flat engine), and the flat engine's per-domain staging
-   buffers are flushed at the barrier in domain = node order. *)
+   must serialize to the very same dsf-flightlog bytes — steps are only
+   recorded for mail-consuming nodes (causally inert empty steps would
+   differ between the reference loop, which steps everyone, and the flat
+   engine), and the flat engine stages a round's crash windows before
+   its steps and sends. *)
 
 open Dsf_graph
 open Dsf_congest
@@ -23,9 +23,9 @@ let contains s affix =
 
 (* A run environment that records into [r]: the recorder rides on a
    telemetry, the way `dsf_cli solve --record` attaches it. *)
-let recording ?(network = Sim.Lossless) ?(jobs = 1) ?observer r =
+let recording ?(network = Sim.Lossless) ?observer r =
   let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
-  { Sim.default_env with observer; telemetry = Some tel; network; jobs }
+  { Sim.default_env with observer; telemetry = Some tel; network }
 
 let random_graph seed =
   let r = Dsf_util.Rng.create seed in
@@ -148,17 +148,17 @@ let record_reference g ~root =
   ignore (Sim.run_reference ~env:(recording r) g (Bfs.protocol ~root));
   Recorder.to_string r
 
-let record_flat ?network ~jobs g ~root =
+let record_flat ?network g ~root =
   let n = Graph.n g in
   let r = Recorder.create ~now:0 () in
   ignore
-    (Sim.run_flat ~env:(recording ?network ~jobs r) g
+    (Sim.run_flat ~env:(recording ?network r) g
        (Bfs.flat_protocol ~n ~root));
   Recorder.to_string r
 
 let prop_log_engine_invariant =
   QCheck.Test.make
-    ~name:"flightlog bytes: run = run_reference = run_flat j1/j2/j4"
+    ~name:"flightlog bytes: run = run_reference = run_flat"
     ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -167,9 +167,7 @@ let prop_log_engine_invariant =
       let base = record_adapter g ~root in
       String.length base > 0
       && record_reference g ~root = base
-      && List.for_all
-           (fun jobs -> record_flat ~jobs g ~root = base)
-           [ 1; 2; 4 ])
+      && record_flat g ~root = base)
 
 (* Crash windows positioned well before the BFS wavefront arrives: the
    crashed nodes restart re-initialized long before any mail reaches
@@ -189,21 +187,20 @@ let test_log_crash_classic_flat_identical () =
         (count (function Recorder.Down _ -> true | _ -> false));
       check Alcotest.int "Restart events" 2
         (count (function Recorder.Restart _ -> true | _ -> false)));
-  List.iter
-    (fun jobs ->
-      check Alcotest.bool
-        (Printf.sprintf "flat jobs=%d matches classic" jobs)
-        true
-        (record_flat ~network:(faulted ()) ~jobs g ~root:0 = base))
-    [ 1; 2; 4 ]
+  check Alcotest.bool "flat matches classic" true
+    (record_flat ~network:(faulted ()) g ~root:0 = base)
 
-(* Raw drops can wedge an unhardened protocol below quiescence; the runs
-   are capped and the abort swallowed — a Round_limit fires at the same
-   deterministic round for every jobs, and only complete rounds are ever
-   flushed, so the logs must still agree byte-for-byte. *)
-let prop_log_jobs_invariant_faulted =
+(* Raw drops can wedge an unhardened protocol below quiescence; the run is
+   capped and the abort swallowed, and only complete rounds are ever
+   flushed.  The flat engine stages a round's crash windows, steps and
+   sends in one buffer: the log must carry every send the observer saw
+   (dropped ones included) in the same order, put each round's
+   Down/Restart events ahead of its steps and sends, and leave the
+   observer trace of the bare run untouched. *)
+let prop_log_faulted_flat =
   QCheck.Test.make
-    ~name:"flightlog bytes: drops+crashes, flat j1 = j2 = j4" ~count:20
+    ~name:"flightlog: drops+crashes, sends = observer, crashes first"
+    ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let g = random_graph seed in
@@ -212,50 +209,64 @@ let prop_log_jobs_invariant_faulted =
       let plan =
         Fault.plan ~drop:0.2 ~crashes:[ seed mod n, 2, 3 ] ~seed:(seed + 1) ()
       in
-      let record jobs =
-        let r = Recorder.create ~now:0 () in
+      let tapped recorder =
+        let log = ref [] in
+        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
+        let network = Sim.Faults (Fault.instantiate plan) in
+        let env =
+          match recorder with
+          | None -> { Sim.default_env with observer = Some observer; network }
+          | Some r -> recording ~network ~observer r
+        in
         (try
            ignore
-             (Sim.run_flat ~max_rounds:300
-                ~env:
-                  (recording ~network:(Sim.Faults (Fault.instantiate plan))
-                     ~jobs r)
-                g (Bfs.flat_protocol ~n ~root))
+             (Sim.run_flat ~max_rounds:300 ~env g (Bfs.flat_protocol ~n ~root))
          with Sim.Round_limit _ -> ());
-        Recorder.to_string r
+        List.rev !log
       in
-      let base = record 1 in
-      String.length base > 0
-      && List.for_all (fun jobs -> record jobs = base) [ 2; 4 ])
+      let r = Recorder.create ~now:0 () in
+      let seen = tapped (Some r) in
+      match Recorder.parse (Recorder.to_string r) with
+      | Error _ -> false
+      | Ok log ->
+          let events = Recorder.log_events log in
+          let sends =
+            List.filter_map
+              (function
+                | Recorder.Send { src; dst; bits; _ } -> Some (src, dst, bits)
+                | _ -> None)
+              events
+          in
+          let rec crashes_first late = function
+            | [] -> true
+            | Recorder.Round _ :: rest -> crashes_first false rest
+            | (Recorder.Step _ | Recorder.Send _) :: rest ->
+                crashes_first true rest
+            | (Recorder.Down _ | Recorder.Restart _) :: rest ->
+                (not late) && crashes_first late rest
+            | _ :: rest -> crashes_first late rest
+          in
+          seen <> []
+          && sends = seen
+          && crashes_first false events
+          && tapped None = seen)
 
-(* Telemetry spans land in the log too, and stay jobs-invariant: the
-   span appenders are coordinator-only, outside the domain fan-out. *)
-let test_spans_in_log_jobs_invariant () =
+(* Telemetry spans land in the log too. *)
+let test_spans_in_log () =
   let g = Gen.path 32 in
   let n = Graph.n g in
-  let run jobs =
-    let r = Recorder.create ~now:0 () in
-    let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
-    Telemetry.span tel "bfs" (fun () ->
-        ignore
-          (Sim.run_flat
-             ~env:{ Sim.default_env with telemetry = Some tel; jobs }
-             g (Bfs.flat_protocol ~n ~root:0)));
-    Recorder.to_string r
-  in
-  let base = run 1 in
-  (match Recorder.parse base with
+  let r = Recorder.create ~now:0 () in
+  let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
+  Telemetry.span tel "bfs" (fun () ->
+      ignore
+        (Sim.run_flat
+           ~env:{ Sim.default_env with telemetry = Some tel }
+           g (Bfs.flat_protocol ~n ~root:0)));
+  match Recorder.parse (Recorder.to_string r) with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok log ->
       check Alcotest.bool "span recorded" true
-        (List.mem (Recorder.Span_open "bfs") (Recorder.log_events log)));
-  List.iter
-    (fun jobs ->
-      check Alcotest.bool
-        (Printf.sprintf "bytes identical at jobs=%d" jobs)
-        true
-        (run jobs = base))
-    [ 2; 4 ]
+        (List.mem (Recorder.Span_open "bfs") (Recorder.log_events log))
 
 (* --------------------------------------- golden queries (Figure 1 gadget) *)
 
@@ -341,9 +352,8 @@ let suites =
         qtest prop_log_engine_invariant;
         Alcotest.test_case "crash plan: classic = flat bytes" `Quick
           test_log_crash_classic_flat_identical;
-        qtest prop_log_jobs_invariant_faulted;
-        Alcotest.test_case "spans in log, jobs-invariant" `Quick
-          test_spans_in_log_jobs_invariant;
+        qtest prop_log_faulted_flat;
+        Alcotest.test_case "spans in log" `Quick test_spans_in_log;
         Alcotest.test_case "golden: gadget summary" `Quick test_golden_summary;
         Alcotest.test_case "golden: gadget --why" `Quick test_golden_why;
         Alcotest.test_case "golden: gadget --critical-path" `Quick

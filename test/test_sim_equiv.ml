@@ -1,9 +1,9 @@
 (* Differential tests for the production engine: Sim.run / Sim.run_flat
-   (skip idle nodes, arena delivery, domain-partitioned rounds) and the
-   native flat ports must be observationally identical to
-   Sim.run_reference (the seed loop that steps every node every round) —
-   same stats, same final states, same results — on randomized graphs and
-   the protocols that declare sparse wake-ups. *)
+   (skip idle nodes, arena delivery) and the native flat ports must be
+   observationally identical to Sim.run_reference (the seed loop that
+   steps every node every round) — same stats, same final states, same
+   results — on randomized graphs and the protocols that declare sparse
+   wake-ups. *)
 
 open Dsf_graph
 open Dsf_congest
@@ -25,12 +25,12 @@ let both f = f (), with_reference f
 let stats_eq (a : Sim.stats) (b : Sim.stats) = a = b
 
 (* The run environment the differential legs build: an observer, plus
-   optional telemetry, injected faults and domain count. *)
-let env_of ?faults ?telemetry ?(jobs = 1) observer =
+   optional telemetry and injected faults. *)
+let env_of ?faults ?telemetry observer =
   let network =
     match faults with Some f -> Sim.Faults f | None -> Sim.Lossless
   in
-  { Sim.default_env with observer = Some observer; telemetry; network; jobs }
+  { Sim.default_env with observer = Some observer; telemetry; network }
 
 let random_graph seed =
   let r = rng seed in
@@ -307,6 +307,46 @@ let test_observer_order_identical () =
   check Alcotest.int "same length" (List.length l2) (List.length l1);
   Alcotest.(check bool) "same sequence" true (l1 = l2)
 
+let test_observer_prefix_on_error () =
+  (* Node 1 sends to both path neighbours, then to node 3, which is not
+     one: the run raises, and the observer has already seen the two valid
+     sends, in the same order on both engines. *)
+  let g = Gen.path 4 in
+  let outbox v = if v = 1 then [ 0, (); 2, (); 3, () ] else [] in
+  let proto : (unit, unit) Sim.protocol =
+    {
+      init = (fun _ -> ());
+      step = (fun view ~round:_ () ~inbox:_ -> (), outbox view.Sim.node);
+      is_done = (fun () -> true);
+      msg_bits = (fun () -> 1);
+      wake = None;
+    }
+  in
+  let native : (unit, unit) Sim.flat_protocol =
+    {
+      fp_init = (fun _ -> ());
+      fp_step =
+        (fun view ~round:_ () ~inbox:_ ~emit ->
+          List.iter (fun (dst, m) -> emit ~dst m) (outbox view.Sim.node));
+      fp_is_done = (fun () -> true);
+      fp_msg_bits = (fun () -> 1);
+      fp_wake = None;
+    }
+  in
+  let trace run =
+    let log = ref [] in
+    let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
+    (match run (env_of observer) with
+    | _ -> Alcotest.fail "expected Invalid_argument"
+    | exception Invalid_argument _ -> ());
+    List.rev !log
+  in
+  let reference = trace (fun env -> Sim.run_reference ~env g proto) in
+  let sends = Alcotest.(list (triple int int int)) in
+  check sends "reference prefix" [ 1, 0, 1; 1, 2, 1 ] reference;
+  check sends "flat prefix" reference
+    (trace (fun env -> Sim.run_flat ~env g native))
+
 (* ------------------------------------------------------------ flat engine *)
 
 (* Capture a run as a comparable value: states, stats and the observer
@@ -371,19 +411,13 @@ let prop_flat_equiv_faults_telemetry =
             run ~observer ~faults ~telemetry g)
           g ()
       in
-      let adapter jobs =
-        leg (fun ~observer ~faults ~telemetry g ->
-            Sim.run ~max_rounds:300
-              ~env:(env_of ~faults ~telemetry ~jobs observer)
-              g (flood_protocol root))
-      in
-      let native =
-        leg (fun ~observer ~faults ~telemetry g ->
-            Sim.run_flat ~max_rounds:300 ~env:(env_of ~faults ~telemetry observer)
-              g (flood_flat root))
-      in
-      let a1 = adapter 1 in
-      a1 = native && a1 = adapter 3)
+      leg (fun ~observer ~faults ~telemetry g ->
+          Sim.run ~max_rounds:300 ~env:(env_of ~faults ~telemetry observer) g
+            (flood_protocol root))
+      = leg (fun ~observer ~faults ~telemetry g ->
+            Sim.run_flat ~max_rounds:300
+              ~env:(env_of ~faults ~telemetry observer)
+              g (flood_flat root)))
 
 let prop_flat_equiv_lossless =
   QCheck.Test.make
@@ -414,16 +448,14 @@ let prop_flat_equiv_lossless =
 
 (* The seed loop has no fault injection, so the engine's fault accounting
    is pinned by hand on a 4-node path flood (6 sends lossless): every
-   counter against its definition in sim.mli, on the adapter, the native
-   port and a partitioned run. *)
+   counter against its definition in sim.mli, on the adapter and the
+   native port. *)
 let test_fault_accounting () =
   let g = Gen.path 4 in
   let faults ?(down = fun ~round:_ ~node:_ -> false) action =
     { Sim.on_send = (fun ~round:_ ~src:_ ~dst:_ -> action); down }
   in
-  let env ?(jobs = 1) faults =
-    { Sim.default_env with network = Sim.Faults faults; jobs }
-  in
+  let env faults = { Sim.default_env with network = Sim.Faults faults } in
   let legs f =
     [
       ( "adapter",
@@ -434,11 +466,6 @@ let test_fault_accounting () =
         fun () ->
           f (fun faults ->
               Sim.run_flat ~max_rounds:20 ~env:(env faults) g (flood_flat 0)) );
-      ( "jobs 2",
-        fun () ->
-          f (fun faults ->
-              Sim.run ~max_rounds:20 ~env:(env ~jobs:2 faults) g
-                (flood_protocol 0)) );
     ]
   in
   let lossless_states, lossless = Sim.run_reference g (flood_protocol 0) in
@@ -471,37 +498,9 @@ let test_fault_accounting () =
       check triple (leg ^ ": crash window") (1, 1, 0) (abort_counts run))
     (legs (fun go -> go (faults ~down Sim.Deliver)))
 
-let prop_flat_jobs_invariant =
-  QCheck.Test.make
-    ~name:"flat engine is jobs-invariant (1 = 2 = 4, observer incl.)"
-    ~count:25
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let g = random_graph seed in
-      let root = seed mod Graph.n g in
-      (* Two scheduling regimes: the sparse fast path (no faults) and the
-         full criterion sweep (faults present) must both be independent
-         of the domain count. *)
-      let sparse jobs =
-        capture
-          (fun ~observer g p -> Sim.run ~env:(env_of ~jobs observer) g p)
-          g (flood_protocol root)
-      in
-      let swept jobs =
-        capture
-          (fun ~observer g p ->
-            let faults =
-              Fault.instantiate (Fault.plan ~drop:0.1 ~seed ())
-            in
-            Sim.run ~max_rounds:300 ~env:(env_of ~faults ~jobs observer) g p)
-          g (flood_protocol root)
-      in
-      let s1 = sparse 1 and w1 = swept 1 in
-      s1 = sparse 2 && s1 = sparse 4 && w1 = swept 2 && w1 = swept 4)
-
 let prop_flat_native_bfs =
   QCheck.Test.make
-    ~name:"Bfs.flat_protocol = Bfs.protocol (tree, stats, jobs sweep)"
+    ~name:"Bfs.flat_protocol = Bfs.protocol (tree, stats)"
     ~count:25
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -509,11 +508,7 @@ let prop_flat_native_bfs =
       let n = Graph.n g in
       let root = seed mod n in
       let tree, t_classic = with_reference (fun () -> Bfs.build g ~root) in
-      let flat jobs =
-        Sim.run_flat ~env:{ Sim.default_env with jobs } g
-          (Bfs.flat_protocol ~n ~root)
-      in
-      let f1, t1 = flat 1 and f4, t4 = flat 4 in
+      let f1, t1 = Sim.run_flat g (Bfs.flat_protocol ~n ~root) in
       let same_tree = ref true in
       Array.iteri
         (fun v packed ->
@@ -523,42 +518,38 @@ let prop_flat_native_bfs =
               if p <> tree.Bfs.parent.(v) || d <> tree.Bfs.depth.(v) then
                 same_tree := false)
         f1;
-      !same_tree && stats_eq t_classic t1 && f1 = f4 && stats_eq t1 t4)
+      !same_tree && stats_eq t_classic t1)
 
 (* ---------------------------------------------------- flat native ports *)
 
 (* Every primitive ported natively to the flat engine must be bit-identical
    to its classic protocol — result, stats, and observer trace — with
-   telemetry on, and for any domain count.  The classic legs run under the
-   reference shim ([with_reference]): lossless they run on the seed loop;
+   telemetry on.  The classic legs run under the reference shim
+   ([with_reference]): lossless they run on the seed loop;
    under a duplicate-only fault plan (drop/crash plans can legitimately
    stall an upcast forever) the seed loop has no fault injection, so the
    classic protocol runs on the flat engine through the adapter.
-   [record_leg ?faults ?jobs f] hands [f] the leg's run environment. *)
-let record_leg ?faults ?jobs f =
+   [record_leg ?faults f] hands [f] the leg's run environment. *)
+let record_leg ?faults f =
   let log = ref [] in
   let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
   let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-  let r = f (env_of ?faults ~telemetry ?jobs observer) in
+  let r = f (env_of ?faults ~telemetry observer) in
   r, List.rev !log
 
 let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
 
-(* The shared leg pattern: [leg ?faults ?jobs ()] runs the primitive;
-   native legs at jobs 1/2/4 must equal the classic reference leg, and the
-   native faulty leg at jobs 2 must equal the classic faulty leg. *)
-let native_matches_classic ?(jobs = [ 1; 2; 4 ]) ~seed
-    (leg : ?faults:Sim.faults -> ?jobs:int -> unit -> 'a) =
-  let faulty ?jobs () =
-    leg ~faults:(Fault.instantiate (dup_plan seed)) ?jobs ()
-  in
-  let base = with_reference (fun () -> leg ()) in
-  List.for_all (fun j -> base = leg ~jobs:j ()) jobs
-  && with_reference (fun () -> faulty ()) = faulty ~jobs:2 ()
+(* The shared leg pattern: [leg ?faults ()] runs the primitive; the
+   native leg must equal the classic reference leg, and the native faulty
+   leg must equal the classic faulty leg. *)
+let native_matches_classic ~seed (leg : ?faults:Sim.faults -> unit -> 'a) =
+  let faulty () = leg ~faults:(Fault.instantiate (dup_plan seed)) () in
+  with_reference (fun () -> leg ()) = leg ()
+  && with_reference faulty = faulty ()
 
 let prop_flat_native_bellman_ford =
   QCheck.Test.make
-    ~name:"Bellman-Ford native flat = classic (faults, telemetry, jobs)"
+    ~name:"Bellman-Ford native flat = classic (faults, telemetry)"
     ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -573,13 +564,13 @@ let prop_flat_native_bellman_ford =
         if Dsf_util.Rng.int r 2 = 0 then Some (5 + Dsf_util.Rng.int r 20)
         else None
       in
-      native_matches_classic ~seed (fun ?faults ?jobs () ->
-          record_leg ?faults ?jobs (fun env ->
+      native_matches_classic ~seed (fun ?faults () ->
+          record_leg ?faults (fun env ->
               Bellman_ford.run ?radius ~env g ~sources)))
 
 let prop_flat_native_region_bf =
   QCheck.Test.make
-    ~name:"Region-BF native flat = classic (faults, telemetry, jobs)"
+    ~name:"Region-BF native flat = classic (faults, telemetry)"
     ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -598,13 +589,13 @@ let prop_flat_native_region_bf =
             Dsf_util.Rng.int r 6 = 0
             && not (List.exists (fun (s, _, _) -> s = v) sources))
       in
-      native_matches_classic ~seed (fun ?faults ?jobs () ->
-          record_leg ?faults ?jobs (fun env ->
+      native_matches_classic ~seed (fun ?faults () ->
+          record_leg ?faults (fun env ->
               Dsf_core.Region_bf.run ~env g ~sources ~frozen)))
 
 let prop_flat_native_tree_ops =
   QCheck.Test.make
-    ~name:"tree ops native flat = classic (faults, telemetry, jobs)"
+    ~name:"tree ops native flat = classic (faults, telemetry)"
     ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -612,21 +603,20 @@ let prop_flat_native_tree_ops =
       let n = Graph.n g in
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
-      let jobs = [ 1; 4 ] in
       (* The child-count handshake of [aggregate] dedups child reports by
          sender id (each child reports exactly once, so the sender is its
          own sequence stamp): duplicate-injecting plans leave the state
          trajectory — and the root's total — untouched, so the lossy legs
          compare against each other AND against the lossless sum. *)
       let dup () = Fault.instantiate (dup_plan seed) in
-      native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-          record_leg ?faults ?jobs (fun env ->
+      native_matches_classic ~seed (fun ?faults () ->
+          record_leg ?faults (fun env ->
               Tree_ops.upcast ~env g ~tree ~items:(fun v -> [ v; v + n ]) ~bits))
-      && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-             record_leg ?faults ?jobs (fun env ->
+      && native_matches_classic ~seed (fun ?faults () ->
+             record_leg ?faults (fun env ->
                  Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ] ~bits))
-      && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-             record_leg ?faults ?jobs (fun env ->
+      && native_matches_classic ~seed (fun ?faults () ->
+             record_leg ?faults (fun env ->
                  Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + )
                    ~bits))
       && fst
@@ -638,7 +628,7 @@ let prop_flat_native_tree_ops =
 
 let prop_flat_native_pipeline =
   QCheck.Test.make
-    ~name:"filtered upcast native flat = classic (faults, stop, jobs)"
+    ~name:"filtered upcast native flat = classic (faults, stop)"
     ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -657,19 +647,19 @@ let prop_flat_native_pipeline =
       let items v =
         List.filter (fun (h, _) -> h = v) items_all |> List.map snd
       in
-      let leg ?stop_at_root ?faults ?jobs () =
-        record_leg ?faults ?jobs (fun env ->
+      let leg ?stop_at_root ?faults () =
+        record_leg ?faults (fun env ->
             Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn ~pre:[]
               ~items ~cmp:compare ~bits:(fun _ -> 16))
       in
       let stop acc = List.length acc >= 3 in
       native_matches_classic ~seed (leg ?stop_at_root:None)
       && with_reference (fun () -> leg ~stop_at_root:stop ())
-         = leg ~jobs:2 ~stop_at_root:stop ())
+         = leg ~stop_at_root:stop ())
 
 let prop_flat_native_select_exchange =
   QCheck.Test.make
-    ~name:"token flood + exchange native flat = classic (faults, jobs)"
+    ~name:"token flood + exchange native flat = classic (faults)"
     ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -679,24 +669,23 @@ let prop_flat_native_select_exchange =
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let parent = tree.Bfs.parent in
       let seeds = Array.init n (fun _ -> Dsf_util.Rng.int r 3 = 0) in
-      let jobs = [ 1; 4 ] in
-      native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-          record_leg ?faults ?jobs (fun env ->
+      native_matches_classic ~seed (fun ?faults () ->
+          record_leg ?faults (fun env ->
               Dsf_core.Select.token_flood ~env g ~parent ~seeds))
-      && native_matches_classic ~jobs ~seed (fun ?faults ?jobs () ->
-             record_leg ?faults ?jobs (fun env ->
+      && native_matches_classic ~seed (fun ?faults () ->
+             record_leg ?faults (fun env ->
                  Exchange.all_neighbors ~env g ~payload_bits:9)))
 
 let test_det_dsf_flat_e2e () =
   (* Full solve: every subroutine on the flat engine (native ports where
      they exist, the adapter elsewhere) must reproduce the reference
-     solve bit for bit, for any domain count. *)
+     solve bit for bit. *)
   let r = rng 77 in
   let g = Gen.random_connected r ~n:60 ~extra_edges:60 ~max_w:12 in
   let labels = Gen.spread_labels r g ~t:12 ~k:4 in
   let inst = Instance.make_ic g labels in
-  let run ?jobs () =
-    let res = Dsf_core.Det_dsf.run ?jobs inst in
+  let run () =
+    let res = Dsf_core.Det_dsf.run inst in
     ( res.Dsf_core.Det_dsf.solution,
       res.Dsf_core.Det_dsf.weight,
       res.Dsf_core.Det_dsf.dual,
@@ -707,8 +696,7 @@ let test_det_dsf_flat_e2e () =
       Ledger.charged res.Dsf_core.Det_dsf.ledger )
   in
   let base = with_reference (fun () -> run ()) in
-  Alcotest.(check bool) "flat jobs=1" true (base = run ~jobs:1 ());
-  Alcotest.(check bool) "flat jobs=4" true (base = run ~jobs:4 ())
+  Alcotest.(check bool) "flat = reference" true (base = run ())
 
 let test_flat_adapter_inbox_order () =
   (* The adapter's inbox_list must present arrival order exactly as the
@@ -747,7 +735,6 @@ let suites =
         qtest prop_empty_plan_identity;
         qtest prop_flat_equiv_faults_telemetry;
         qtest prop_flat_equiv_lossless;
-        qtest prop_flat_jobs_invariant;
         qtest prop_flat_native_bfs;
         qtest prop_flat_native_bellman_ford;
         qtest prop_flat_native_region_bf;
@@ -764,5 +751,7 @@ let suites =
         Alcotest.test_case "halt hook" `Quick test_halt_equiv;
         Alcotest.test_case "skips idle nodes" `Quick test_scheduler_skips_idle;
         Alcotest.test_case "observer order" `Quick test_observer_order_identical;
+        Alcotest.test_case "observer prefix before a send error" `Quick
+          test_observer_prefix_on_error;
       ] );
   ]

@@ -189,7 +189,7 @@ let test_instrumentation_coverage () =
       ledger
   in
   covered "det" (fun ~observer ~telemetry ->
-      Some (Dsf_core.Det_dsf.run ~observer ~telemetry ~jobs:1 inst).ledger);
+      Some (Dsf_core.Det_dsf.run ~observer ~telemetry inst).ledger);
   covered "sublinear" (fun ~observer ~telemetry ->
       Some
         (Dsf_core.Det_sublinear.run ~observer ~telemetry ~eps_num:1 ~eps_den:2
