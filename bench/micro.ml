@@ -477,9 +477,10 @@ let flat_tree =
         t
 
 (* One entry per ported primitive: name, largest n measured, and a per-n
-   constructor returning the runner.  The tree workloads
+   constructor returning the runner.  The upcast workloads
    give every 16th node one item, so the pipelined message volume stays
-   ~n^2/16 and the rows measure scheduling, not payload shuffling.  The
+   ~n^2/16 and the rows measure scheduling, not payload shuffling; the
+   broadcast pipelines 16 root items down the path, 16n messages.  The
    filtered upcast keeps a union-find over all [vn = n] virtual nodes at
    every node — n^2 words, about 4 GB at n = 16384 — so its size is capped
    to fit an 8 GB host; the skip is printed, never silent. *)
@@ -526,6 +527,13 @@ let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
             (Dsf_congest.Tree_ops.upcast g
                ~tree ~items ~bits:item_bits)
     );
+    ( "broadcast path",
+      max_int,
+      fun n ->
+        let g = flat_graph n and tree = flat_tree n in
+        let items = List.init 16 (fun i -> i + 1) in
+        fun () ->
+          Dsf_congest.Tree_ops.broadcast g ~tree ~items ~bits:item_bits );
     ( "filtered_upcast path",
       4096,
       fun n ->

@@ -129,6 +129,51 @@ for bad in bad_int:2: bad_selfloop:3: bad_disconnected:; do
 done
 echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected)"
 
+# Bad generator and solver flags: each case (flag, then the dsf_cli
+# arguments) must fail before anything is generated or solved — exit 2,
+# nothing on stdout, the flag named on stderr, no uncaught exception.
+while read -r flag args; do
+  status=0
+  # shellcheck disable=SC2086 # $args is a word list on purpose
+  with_timeout 60 dune exec bin/dsf_cli.exe -- $args < /dev/null \
+    > "$scratch/flag.out" 2> "$scratch/flag.err" || status=$?
+  if [ "$status" -ne 2 ] || [ -s "$scratch/flag.out" ] \
+     || ! grep -qF -- "$flag" "$scratch/flag.err" \
+     || grep -q "uncaught exception" "$scratch/flag.err"; then
+    echo "ci: dsf_cli $args: want exit 2 naming $flag, got exit $status:" >&2
+    cat "$scratch/flag.out" "$scratch/flag.err" >&2
+    exit 1
+  fi
+done <<'CASES'
+--nodes solve -n 0
+--nodes solve -n 1
+--nodes compare -n 1
+--nodes params -n 0
+--max-weight solve --max-weight 0
+--max-weight params --max-weight 0
+--components solve -k 0
+--terminals solve -t 3 -k 2
+--terminals compare -t 3 -k 2
+--terminals solve -n 50 -t 60
+--eps-den solve --algo sublinear --eps-den 0
+--topology params --topology nosuch
+CASES
+echo "ci: bad-flag smoke ok (nodes, max-weight, components, terminals, eps-den, topology)"
+
+# inspect on a missing log names the path exactly once.
+missing="$scratch/missing.flightlog"
+rm -f "$missing"
+status=0
+with_timeout 60 dune exec bin/dsf_cli.exe -- inspect "$missing" \
+  2> "$scratch/inspect.err" || status=$?
+if [ "$status" -ne 2 ] \
+   || [ "$(grep -oF -- "$missing" "$scratch/inspect.err" | wc -l)" -ne 1 ]; then
+  echo "ci: inspect $missing: want exit 2 naming the path once, got exit $status:" >&2
+  cat "$scratch/inspect.err" >&2
+  exit 1
+fi
+echo "ci: inspect missing-log smoke ok"
+
 # Flat-engine smoke: stock workloads through the flat-core engine must
 # reproduce run_reference's states, trees and stats exactly (the
 # standalone counterpart of the qcheck differential suite).

@@ -12,7 +12,28 @@ module Gen = Dsf_graph.Gen
 module Instance = Dsf_graph.Instance
 module Ledger = Dsf_congest.Ledger
 
+(* Bad input is a usage error, not a crash: every subcommand that reads an
+   instance file reports problems as PATH:LINE: message (PATH: message when
+   no single line is at fault), and a flag value the generator or solver
+   cannot use as --FLAG: message, on stderr with exit 2. *)
+let input_error where ?(line = 0) msg =
+  if line > 0 then Format.eprintf "%s:%d: %s@." where line msg
+  else Format.eprintf "%s: %s@." where msg;
+  exit 2
+
+let flag_error flag fmt = Format.kasprintf (fun msg -> input_error flag msg) fmt
+
 let make_graph topology rng n max_w =
+  let min_n =
+    match topology with
+    | "random" | "geometric" -> 2
+    | "lollipop" -> 6 (* a clique of n / 3 >= 2 nodes *)
+    | _ -> min_int
+  in
+  if n < min_n then
+    flag_error "--nodes" "the %s topology needs at least %d nodes, got %d"
+      topology min_n n;
+  if max_w < 1 then flag_error "--max-weight" "must be at least 1, got %d" max_w;
   match topology with
   | "random" -> Gen.random_connected rng ~n ~extra_edges:n ~max_w
   | "geometric" -> Gen.random_geometric rng ~n ~radius:0.2 ~max_w
@@ -26,15 +47,7 @@ let make_graph topology rng n max_w =
       let cluster_size = max 4 (n / 4) in
       Gen.clustered rng ~clusters:4 ~cluster_size ~intra_extra:(cluster_size / 2)
         ~bridges:2 ~intra_w:(max 2 (max_w / 8)) ~bridge_w:max_w
-  | other -> invalid_arg ("unknown topology: " ^ other)
-
-(* Bad input is a usage error, not a crash: every subcommand that reads an
-   instance file reports problems as PATH:LINE: message (PATH: message when
-   no single line is at fault) on stderr and exits 2. *)
-let input_error path ?(line = 0) msg =
-  if line > 0 then Format.eprintf "%s:%d: %s@." path line msg
-  else Format.eprintf "%s: %s@." path msg;
-  exit 2
+  | other -> flag_error "--topology" "unknown topology %S" other
 
 (* Parse an instance file and reject disconnected networks up front: every
    algorithm (and the D/WD/s sweep) assumes one connected CONGEST network. *)
@@ -72,7 +85,15 @@ let load_or_generate file topology rng n t k max_w =
           input_error path "no label or request lines: nothing to solve"
     end
   | None ->
+      if k < 1 then flag_error "--components" "must be at least 1, got %d" k;
+      if t < 2 * k then
+        flag_error "--terminals"
+          "each of the %d components needs 2 terminals, so at least %d; got %d"
+          k (2 * k) t;
       let g = make_graph topology rng n max_w in
+      if t > Graph.n g then
+        flag_error "--terminals" "%d exceeds the %d nodes of the generated graph"
+          t (Graph.n g);
       let labels = Gen.spread_labels rng g ~t ~k in
       Instance.make_ic g labels
 
@@ -113,6 +134,8 @@ let write_trace = function
 
 let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     (_flat : bool) chaos_seed record trace trace_format =
+  if algo = "sublinear" && eps_den < 1 then
+    flag_error "--eps-den" "must be at least 1 (eps = 1/eps-den), got %d" eps_den;
   let recorder =
     Option.map (fun _ -> Dsf_congest.Recorder.create ()) record
   in
@@ -365,7 +388,7 @@ let parse_why_spec s =
 let inspect_cmd log_path why diff critical hot =
   match Dsf_congest.Recorder.read_file log_path with
   | Error msg ->
-      Format.eprintf "inspect: %s: %s@." log_path msg;
+      Format.eprintf "inspect: %s@." msg;
       exit 2
   | Ok log ->
       let a = Dsf_congest.Recorder.analyze log in

@@ -61,7 +61,7 @@ let run g ~terminals =
       in
       Ledger.add ledger Ledger.Simulated
         "CF/Mehlhorn: pipelined terminal-MST filter" pipe_stats.Sim.rounds;
-      let _, mb_stats =
+      let mb_stats =
         Dsf_congest.Tree_ops.broadcast g ~tree ~items:accepted
           ~bits:(fun _ -> 3 * Bitsize.id_bits ~n)
       in

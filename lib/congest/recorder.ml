@@ -359,8 +359,12 @@ let read_file path =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   with
-  | s -> parse s
-  | exception Sys_error m -> Error m
+  | s -> Result.map_error (fun e -> path ^ ": " ^ e) (parse s)
+  | exception Sys_error m ->
+      (* [open_in_bin]'s message already names the path; a read error's
+         does not. *)
+      let prefix = path ^ ": " in
+      Error (if String.starts_with ~prefix m then m else prefix ^ m)
 
 let log_meta l = l.l_meta
 

@@ -132,6 +132,9 @@ type log
 
 val parse : string -> (log, string) result
 val read_file : string -> (log, string) result
+(** [parse] on a file's contents.  An error message (unreadable file or
+    malformed log) starts with ["PATH: "] and names the path exactly
+    once. *)
 
 val log_meta : log -> (string * int) list
 val log_events : log -> event list

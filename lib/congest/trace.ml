@@ -15,7 +15,6 @@ let observer t ~src ~dst ~bits =
 
 let messages t = t.messages
 let bits t = t.bits
-let edge_bits t = t.per_edge
 
 (* Descending bits, ties broken by ascending (src, dst): hash-fold order
    must never leak into the ranking, or two runs of the same trace render
@@ -29,12 +28,6 @@ let hottest_edges t n =
 
 let bits_between t ~src ~dst =
   Option.value ~default:0 (Hashtbl.find_opt t.per_edge (src, dst))
-
-let pp_summary ppf t =
-  Format.fprintf ppf "messages=%d bits=%d busiest:" t.messages t.bits;
-  List.iter
-    (fun ((s, d), b) -> Format.fprintf ppf " %d->%d:%d" s d b)
-    (hottest_edges t 3)
 
 let postmortem_tail = 64
 

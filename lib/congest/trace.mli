@@ -23,17 +23,12 @@ val observer : t -> Sim.observer
 val messages : t -> int
 val bits : t -> int
 
-val edge_bits : t -> (int * int, int) Hashtbl.t
-(** Directed (src, dst) -> total bits. *)
-
 val hottest_edges : t -> int -> ((int * int) * int) list
 (** The [n] directed edges carrying the most bits, descending; ties
     break on ascending (src, dst) so the ranking is deterministic. *)
 
 val bits_between : t -> src:int -> dst:int -> int
 (** Bits sent from [src] to [dst] (one direction). *)
-
-val pp_summary : Format.formatter -> t -> unit
 
 val pp_postmortem : ?env:Sim.env -> Format.formatter -> Sim.abort -> unit
 (** Full dump of a {!Sim.Round_limit} post-mortem: the abort header,

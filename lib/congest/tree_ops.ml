@@ -227,88 +227,55 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
   in
   List.rev states.(tree.root).s_received, stats
 
-type 'a down_state = {
-  to_send : 'a list;  (** items not yet forwarded to children *)
-  got : 'a list;  (** all items seen, reversed *)
-}
-
-(* Native flat-engine state for {!broadcast}: forward queue plus in-place
-   arrival log, mirroring [up_fstate].  One item leaves the queue per round
-   whether or not the node has children, matching the classic protocol's
-   drain behaviour (and hence its round count) exactly. *)
-type 'a down_fstate = { dq : 'a Queue.t; mutable d_got : 'a list }
-
+(* Native flat-engine state for {!broadcast}: the node's forward queue.
+   One item leaves the queue per round whether or not the node has
+   children, matching the classic protocol's drain behaviour (and hence
+   its round count) exactly. *)
 let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
-    ('a down_fstate, 'a) Sim.flat_protocol =
+    ('a Queue.t, 'a) Sim.flat_protocol =
   {
     fp_init =
       (fun view ->
         let dq = Queue.create () in
-        if view.Sim.node = tree.root then begin
+        if view.Sim.node = tree.root then
           List.iter (fun it -> Queue.add it dq) items;
-          { dq; d_got = List.rev items }
-        end
-        else { dq; d_got = [] });
+        dq);
     fp_step =
-      (fun view ~round:_ st ~inbox ~emit ->
-        let v = view.Sim.node in
-        let k = Sim.inbox_len inbox in
-        for i = 0 to k - 1 do
-          let it = Sim.inbox_msg inbox i in
-          Queue.add it st.dq;
-          st.d_got <- it :: st.d_got
+      (fun view ~round:_ dq ~inbox ~emit ->
+        for i = 0 to Sim.inbox_len inbox - 1 do
+          Queue.add (Sim.inbox_msg inbox i) dq
         done;
-        (match Queue.take_opt st.dq with
-        | Some item -> List.iter (fun c -> emit ~dst:c item) tree.children.(v)
+        (match Queue.take_opt dq with
+        | Some item ->
+            List.iter (fun c -> emit ~dst:c item) tree.children.(view.Sim.node)
         | None -> ());
-        st);
-    fp_is_done = (fun st -> Queue.is_empty st.dq);
+        dq);
+    fp_is_done = Queue.is_empty;
     fp_msg_bits = bits;
     fp_wake = Some Sim.never;
   }
 
 let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
   Sim.span env "broadcast" @@ fun () ->
-  if Sim.native_ports env then begin
-    let states, stats =
-      Sim.run_flat ~env g (broadcast_flat ~tree ~items ~bits)
-    in
-    Array.map (fun st -> List.rev st.d_got) states, stats
-  end
+  if Sim.native_ports env then
+    snd (Sim.run_flat ~env g (broadcast_flat ~tree ~items ~bits))
   else begin
-  let proto : ('a down_state, 'a) Sim.protocol =
+  (* A node's state is the list of items it has yet to forward. *)
+  let proto : ('a list, 'a) Sim.protocol =
     {
-      init =
-        (fun view ->
-          if view.Sim.node = tree.root then
-            { to_send = items; got = List.rev items }
-          else { to_send = []; got = [] });
+      init = (fun view -> if view.Sim.node = tree.root then items else []);
       step =
-        (fun view ~round:_ st ~inbox ->
-          let v = view.Sim.node in
-          let incoming = List.map snd inbox in
-          let st =
-            {
-              to_send = st.to_send @ incoming;
-              got = List.rev_append incoming st.got;
-            }
-          in
-          match st.to_send with
-          | [] -> st, []
+        (fun view ~round:_ to_send ~inbox ->
+          match to_send @ List.map snd inbox with
+          | [] -> [], []
           | item :: rest ->
-              let outbox =
-                List.map (fun c -> c, item) tree.children.(v)
-              in
-              { st with to_send = rest }, outbox);
-      is_done = (fun st -> st.to_send = []);
+              rest, List.map (fun c -> c, item) tree.children.(view.Sim.node));
+      is_done = (fun to_send -> to_send = []);
       msg_bits = bits;
       wake = Some Sim.never;
     }
   in
-  let states, stats =
-    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
-  in
-  Array.map (fun st -> List.rev st.got) states, stats
+  snd (Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto)
   end
 
 type 'a agg_state = {

@@ -70,9 +70,11 @@ val broadcast :
   tree:Bfs.tree ->
   items:'a list ->
   bits:('a -> int) ->
-  'a list array * Sim.stats
-(** Pipeline the root's item list down the tree; every node ends with the
-    full list (in order).  Rounds ~ height + |items|. *)
+  Sim.stats
+(** Pipeline the root's item list down the tree: on a lossless network
+    every non-root node receives the whole list, in order, from its tree
+    parent.  Callers keep the replicated list centrally, so only the cost
+    is returned.  Rounds ~ height + |items|. *)
 
 val aggregate :
   ?env:Sim.env ->

@@ -155,7 +155,7 @@ let run ?observer ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
               ~items:term_items ~bits:pair_bits
           in
           note_stats "setup: collect terminals" up_stats;
-          let _, bc_stats =
+          let bc_stats =
             Tree_ops.broadcast ~env g
               ~tree ~items:collected ~bits:pair_bits
           in
@@ -281,7 +281,7 @@ let run ?observer ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
             ~bits:ckey_bits
         in
         note_stats (tag "candidate collection") pipe_stats;
-        let _, stop_stats =
+        let stop_stats =
           Tree_ops.broadcast ~env g ~tree
             ~items:[ () ] ~bits:(fun () -> 1)
         in
@@ -303,7 +303,7 @@ let run ?observer ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
                  disconnected component)"
         in
         (* d. Broadcast the phase's merges; everyone updates locally. *)
-        let _, bcast_stats =
+        let bcast_stats =
           Tree_ops.broadcast ~env g ~tree
             ~items:phase_merges ~bits:ckey_bits
         in

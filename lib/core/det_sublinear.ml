@@ -321,7 +321,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         in
         Ledger.add ledger Ledger.Simulated (gtag "min-candidate convergecast")
           agg_stats.Sim.rounds;
-        let _, mb_stats =
+        let mb_stats =
           Tree_ops.broadcast ~env g_scaled ~tree ~items:[ () ]
             ~bits:(fun () -> 1)
         in
@@ -525,7 +525,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         in
         Ledger.add ledger Ledger.Simulated (gtag "pipelined merge filter")
           pipe_stats.Sim.rounds;
-        let _, mb2_stats =
+        let mb2_stats =
           Tree_ops.broadcast ~env g_scaled ~tree ~items:selected
             ~bits
         in
@@ -578,7 +578,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
             if List.length leaders >= 2 then cls :: acc else acc)
           leaders_of []
       in
-      let _, ab_stats =
+      let ab_stats =
         Tree_ops.broadcast ~env g_scaled ~tree
           ~items:unsatisfied
           ~bits:(fun _ -> Bitsize.id_bits ~n)

@@ -311,7 +311,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
       ~key:Fun.id
       ~bits:(fun _ -> Bitsize.id_bits ~n)
   in
-  let _, lb_stats =
+  let lb_stats =
     Tree_ops.broadcast ~env g ~tree ~items:label_witnesses
       ~bits:(fun _ -> Bitsize.id_bits ~n)
   in
@@ -373,7 +373,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
   let fc_pairs =
     List.map (fun (e : Graph.edge) -> Uf.find cuf e.u, Uf.find cuf e.v) fc_edges
   in
-  let _, fcb_stats =
+  let fcb_stats =
     Tree_ops.broadcast ~env g ~tree ~items:fc_pairs
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
@@ -391,7 +391,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
   let root_facts = states.(tree.Bfs.root).mine in
   (* Step 7: broadcast the root's state-changing log (same encoding). *)
   let root_log = List.rev states.(tree.Bfs.root).log in
-  let _, bc_stats =
+  let bc_stats =
     Tree_ops.broadcast ~env g ~tree ~items:root_log
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in

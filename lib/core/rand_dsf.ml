@@ -62,7 +62,7 @@ let first_stage ~env rng g inst ledger note_stats ~truncate =
           (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
       witnesses;
     let live = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
-    let _, lb_stats =
+    let lb_stats =
       Tree_ops.broadcast ~env g ~tree ~items:live
         ~bits:(fun _ -> Bitsize.id_bits ~n)
     in

@@ -174,7 +174,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
               ~vn:(List.length all_labels) ~pre:[] ~items ~cmp:compare
               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)
           in
-          let _, t4 =
+          let t4 =
             Dsf_congest.Tree_ops.broadcast ~env g ~tree
               ~items:helper_forest
               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)

@@ -37,7 +37,7 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
   let pairs = List.map (fun it -> it.Pipeline.a, it.Pipeline.b) surviving in
-  let _, s3 =
+  let s3 =
     Tree_ops.broadcast ~env g ~tree
       ~items:pairs
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
@@ -96,7 +96,7 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
       Hashtbl.replace count l (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
     witnesses;
   let keep = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
-  let _, s3 =
+  let s3 =
     Tree_ops.broadcast ~env g ~tree
       ~items:keep
       ~bits:(fun _ -> Bitsize.id_bits ~n)

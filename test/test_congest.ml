@@ -196,10 +196,20 @@ let test_broadcast_reaches_all () =
   let g = Gen.random_connected (rng 4) ~n:25 ~extra_edges:10 ~max_w:5 in
   let tree = tree_of g 3 in
   let payload = [ 10; 20; 30 ] in
-  let all, stats =
-    Tree_ops.broadcast g ~tree ~items:payload ~bits:(fun _ -> 6)
+  (* [~bits:Fun.id] names each sent item; lossless, a send is a delivery. *)
+  let got = Array.make (Graph.n g) [] in
+  let observer ~src ~dst ~bits = got.(dst) <- got.(dst) @ [ src, bits ] in
+  let stats =
+    Tree_ops.broadcast ~env:{ Sim.default_env with observer = Some observer }
+      g ~tree ~items:payload ~bits:Fun.id
   in
-  Array.iter (fun got -> check Alcotest.(list int) "full list" payload got) all;
+  Array.iteri
+    (fun v got ->
+      check Alcotest.(list (pair int int)) "full list, in order, from the parent"
+        (if v = tree.Bfs.root then []
+         else List.map (fun it -> tree.Bfs.parent.(v), it) payload)
+        got)
+    got;
   Alcotest.(check bool) "pipelined rounds" true
     (stats.Sim.rounds <= tree.Bfs.height + List.length payload + 3)
 

@@ -94,6 +94,37 @@ let test_corrupt_rejected () =
   | Ok _ -> Alcotest.fail "truncated log accepted"
   | Error _ -> ()
 
+(* A read_file error names the path exactly once — the OS error for a
+   missing file already carries it, a parse error does not. *)
+let test_read_file_names_path_once () =
+  let occurrences path msg =
+    let pl = String.length path in
+    let count = ref 0 in
+    for i = 0 to String.length msg - pl do
+      if String.sub msg i pl = path then incr count
+    done;
+    !count
+  in
+  let expect_error what path =
+    match Recorder.read_file path with
+    | Ok _ -> Alcotest.failf "%s: read_file accepted %s" what path
+    | Error msg ->
+        Alcotest.(check bool)
+          (what ^ ": starts with the path") true
+          (String.starts_with ~prefix:(path ^ ": ") msg);
+        Alcotest.(check int) (what ^ ": path named once") 1
+          (occurrences path msg)
+  in
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "dsf-no-such.flightlog" in
+  expect_error "missing file" missing;
+  let bad = Filename.temp_file "dsf-bad" ".flightlog" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove bad)
+    (fun () ->
+      Out_channel.with_open_bin bad (fun oc ->
+          Out_channel.output_string oc "not a flightlog");
+      expect_error "malformed log" bad)
+
 (* -------------------------------------------------------- transparency *)
 
 (* A recorder only observes: states, stats and observer traces of a
@@ -348,6 +379,8 @@ let suites =
         Alcotest.test_case "negative meta rejected" `Quick
           test_negative_meta_rejected;
         Alcotest.test_case "corrupt log rejected" `Quick test_corrupt_rejected;
+        Alcotest.test_case "read_file names the path once" `Quick
+          test_read_file_names_path_once;
         qtest prop_recorder_transparent;
         qtest prop_log_engine_invariant;
         Alcotest.test_case "crash plan: classic = flat bytes" `Quick

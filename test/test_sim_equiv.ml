@@ -32,6 +32,28 @@ let env_of ?faults ?telemetry observer =
   in
   { Sim.default_env with observer = Some observer; telemetry; network }
 
+(* [record_leg ?faults f] runs [f] with an observer and telemetry attached
+   and returns its result with the observer trace, in send order. *)
+let record_leg ?faults f =
+  let log = ref [] in
+  let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
+  let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
+  let r = f (env_of ?faults ~telemetry observer) in
+  r, List.rev !log
+
+(* A lossless broadcast's trace (every send a delivery, [~bits] naming
+   the item) shows each non-root node receiving exactly [items], in order,
+   from its tree parent, and the root receiving nothing. *)
+let broadcast_delivered ~(tree : Bfs.tree) ~items log =
+  let got = Array.map (fun _ -> []) tree.Bfs.parent in
+  List.iter (fun (src, dst, bits) -> got.(dst) <- got.(dst) @ [ src, bits ]) log;
+  Array.for_all Fun.id
+    (Array.mapi
+       (fun v got ->
+         got = if v = tree.Bfs.root then []
+               else List.map (fun it -> tree.Bfs.parent.(v), it) items)
+       got)
+
 let random_graph seed =
   let r = rng seed in
   let n = 8 + Dsf_util.Rng.int r 20 in
@@ -137,16 +159,19 @@ let prop_tree_ops_equiv =
         both (fun () ->
             Tree_ops.upcast g ~tree ~items:(fun v -> [ v; v + n ]) ~bits)
       in
-      let (bc1, bt1), (bc2, bt2) =
+      let items = [ 1; 2; 3 ] in
+      let (bt1, bl1), (bt2, bl2) =
         both (fun () ->
-            Tree_ops.broadcast g ~tree ~items:[ 1; 2; 3 ] ~bits)
+            record_leg (fun env ->
+                Tree_ops.broadcast ~env g ~tree ~items ~bits:Fun.id))
       in
       let (ag1, at1), (ag2, at2) =
         both (fun () ->
             Tree_ops.aggregate g ~tree ~value:Fun.id ~combine:( + ) ~bits)
       in
       up1 = up2 && stats_eq ut1 ut2
-      && bc1 = bc2 && stats_eq bt1 bt2
+      && stats_eq bt1 bt2 && bl1 = bl2
+      && broadcast_delivered ~tree ~items bl1
       && ag1 = ag2 && stats_eq at1 at2)
 
 let prop_bfs_leader_exchange_equiv =
@@ -528,15 +553,7 @@ let prop_flat_native_bfs =
    ([with_reference]): lossless they run on the seed loop;
    under a duplicate-only fault plan (drop/crash plans can legitimately
    stall an upcast forever) the seed loop has no fault injection, so the
-   classic protocol runs on the flat engine through the adapter.
-   [record_leg ?faults f] hands [f] the leg's run environment. *)
-let record_leg ?faults f =
-  let log = ref [] in
-  let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-  let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-  let r = f (env_of ?faults ~telemetry observer) in
-  r, List.rev !log
-
+   classic protocol runs on the flat engine through the adapter. *)
 let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
 
 (* The shared leg pattern: [leg ?faults ()] runs the primitive; the
@@ -614,7 +631,8 @@ let prop_flat_native_tree_ops =
               Tree_ops.upcast ~env g ~tree ~items:(fun v -> [ v; v + n ]) ~bits))
       && native_matches_classic ~seed (fun ?faults () ->
              record_leg ?faults (fun env ->
-                 Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ] ~bits))
+                 Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ]
+                   ~bits:Fun.id))
       && native_matches_classic ~seed (fun ?faults () ->
              record_leg ?faults (fun env ->
                  Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + )
