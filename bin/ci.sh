@@ -90,20 +90,22 @@ echo "ci: det_dsf chaos differential ok (jobs 1 + jobs 2, n=96)"
 
 # Byte-identity smoke: the full stdout of a det solve on a checked-in
 # instance must match the committed expected output exactly, fault-free at
-# --jobs 1 and hardened at --chaos 5 --jobs 2.  A change that is meant to
-# alter this output must regenerate the .out files and say why.
+# --jobs 1 and hardened at --chaos 5 --jobs 2; so must a sublinear solve
+# of the same instance.  A change that is meant to alter this output must
+# regenerate the .out files and say why.
 identity_leg() {
-  name="$1"; shift
-  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det --verbose \
+  algo="$1"; name="$2"; shift 2
+  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo "$algo" --verbose \
     --file test/fixtures/det_small.dsf "$@" > "$scratch/det_small.$name.out"
   if ! diff -u "test/fixtures/det_small.$name.out" "$scratch/det_small.$name.out"; then
-    echo "ci: det solve stdout ($name) differs from test/fixtures/det_small.$name.out" >&2
+    echo "ci: $algo solve stdout ($name) differs from test/fixtures/det_small.$name.out" >&2
     exit 1
   fi
 }
-identity_leg jobs1 --jobs 1
-identity_leg chaos5_jobs2 --chaos 5 --jobs 2
-echo "ci: det solve stdout byte-identical (jobs 1 + chaos 5 jobs 2)"
+identity_leg det jobs1 --jobs 1
+identity_leg det chaos5_jobs2 --chaos 5 --jobs 2
+identity_leg sublinear sublinear
+echo "ci: det and sublinear solve stdout byte-identical (det jobs 1 + chaos 5 jobs 2, sublinear)"
 
 # Malformed-input smoke: a bad integer, a self-loop and a disconnected
 # graph must each fail with exit 2 and a PATH:LINE: (or PATH:) location
@@ -129,7 +131,7 @@ for bad in bad_int:2: bad_selfloop:3: bad_disconnected:; do
 done
 echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected)"
 
-# Bad generator and solver flags: each case (flag, then the dsf_cli
+# Bad generator, solver and query flags: each case (flag, then the dsf_cli
 # arguments) must fail before anything is generated or solved — exit 2,
 # nothing on stdout, the flag named on stderr, no uncaught exception.
 while read -r flag args; do
@@ -157,8 +159,13 @@ done <<'CASES'
 --terminals solve -n 50 -t 60
 --eps-den solve --algo sublinear --eps-den 0
 --topology params --topology nosuch
+--algo solve --algo bogus
+--chaos solve --algo rand --chaos 3
+--trace-format solve --trace _build/ci/flag.trace --trace-format xml
+--kind gadget --kind zz
+--why inspect _build/ci/flag.flightlog --why a:b
 CASES
-echo "ci: bad-flag smoke ok (nodes, max-weight, components, terminals, eps-den, topology)"
+echo "ci: bad-flag smoke ok (nodes, max-weight, components, terminals, eps-den, topology, algo, chaos, trace-format, kind, why)"
 
 # inspect on a missing log names the path exactly once.
 missing="$scratch/missing.flightlog"

@@ -23,6 +23,14 @@ let input_error where ?(line = 0) msg =
 
 let flag_error flag fmt = Format.kasprintf (fun msg -> input_error flag msg) fmt
 
+(* A flag whose value names one of [choices]. *)
+let check_choice flag ~what choices v =
+  if not (List.mem v choices) then
+    flag_error flag "unknown %s %S (expected %s)" what v
+      (String.concat " | " choices)
+
+let algos = [ "det"; "sublinear"; "rand"; "khan"; "moat" ]
+
 let make_graph topology rng n max_w =
   let min_n =
     match topology with
@@ -119,7 +127,7 @@ let trace_sink ?recorder trace trace_format =
       in
       match Dsf_congest.Telemetry.sink_format_of_string fmt with
       | Ok format -> Some (Dsf_congest.Telemetry.create ?recorder (), format, path)
-      | Error msg -> invalid_arg msg
+      | Error msg -> flag_error "--trace-format" "%s" msg
     end
 
 let telemetry_of_sink = function
@@ -134,6 +142,9 @@ let write_trace = function
 
 let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     (_flat : bool) chaos_seed record trace trace_format =
+  check_choice "--algo" ~what:"algorithm" algos algo;
+  if chaos_seed <> None && algo <> "det" then
+    flag_error "--chaos" "only supported with --algo det, got --algo %s" algo;
   if algo = "sublinear" && eps_den < 1 then
     flag_error "--eps-den" "must be at least 1 (eps = 1/eps-den), got %d" eps_den;
   let recorder =
@@ -177,8 +188,6 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
         ]
   | None -> ());
   (match chaos_seed with
-  | Some _ when algo <> "det" ->
-      invalid_arg "--chaos is only supported with --algo det"
   | Some cs -> Format.printf "chaos: seed=%d (crash-recovery hardened)@." cs
   | None -> ());
   let chaos =
@@ -225,7 +234,7 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
             (fun () -> Dsf_core.Moat.run inst)
         in
         r.Dsf_core.Moat.weight, r.Dsf_core.Moat.solution, None, None
-    | other -> invalid_arg ("unknown algorithm: " ^ other)
+    | _ -> assert false (* check_choice on entry *)
   in
   Format.printf "solution weight: %d (feasible: %b)@." weight
     (Instance.is_feasible inst solution);
@@ -322,6 +331,7 @@ let params_cmd topology n max_w seed =
     (Graph.m g) (Graph.max_degree g) d wd s (Graph.total_weight g)
 
 let gadget_cmd kind universe seed intersect =
+  check_choice "--kind" ~what:"gadget kind" [ "ic"; "cr" ] kind;
   let rng = Dsf_util.Rng.create seed in
   let a, b =
     Dsf_lower_bound.Gadgets.random_sets rng ~universe ~density:0.5
@@ -368,16 +378,13 @@ let gadget_cmd kind universe seed intersect =
         universe
         (Dsf_lower_bound.Gadgets.disjoint a b)
         heavy bits
-  | other -> invalid_arg ("unknown gadget kind: " ^ other)
+  | _ -> assert false (* check_choice on entry *)
 
 (* inspect: offline queries over a dsf-flightlog/1 file written by
    `solve --record`.  With no query flag, print the summary header. *)
 
 let parse_why_spec s =
-  let bad () =
-    invalid_arg
-      (Printf.sprintf "--why expects NODE or NODE:ROUND, got %S" s)
-  in
+  let bad () = flag_error "--why" "expects NODE or NODE:ROUND, got %S" s in
   let int_of s = match int_of_string_opt s with Some v -> v | None -> bad () in
   match String.index_opt s ':' with
   | None -> int_of s, None
@@ -386,6 +393,7 @@ let parse_why_spec s =
         Some (int_of (String.sub s (i + 1) (String.length s - i - 1))) )
 
 let inspect_cmd log_path why diff critical hot =
+  let why = Option.map parse_why_spec why in
   match Dsf_congest.Recorder.read_file log_path with
   | Error msg ->
       Format.eprintf "inspect: %s@." msg;
@@ -394,9 +402,8 @@ let inspect_cmd log_path why diff critical hot =
       let a = Dsf_congest.Recorder.analyze log in
       let queried = ref false in
       (match why with
-      | Some spec ->
+      | Some (node, round) ->
           queried := true;
-          let node, round = parse_why_spec spec in
           Format.printf "%a" (Dsf_congest.Recorder.pp_why ~node ?round) a
       | None -> ());
       (match diff with
@@ -493,7 +500,7 @@ let chaos_arg =
            solution is bit-identical to the fault-free run")
 
 let solve_term =
-  let algo = Arg.(value & opt string "det" & info [ "algo" ] ~doc:"det | sublinear | rand | khan | moat") in
+  let algo = Arg.(value & opt string "det" & info [ "algo" ] ~doc:(String.concat " | " algos)) in
   let eps_den = Arg.(value & opt int 2 & info [ "eps-den" ] ~doc:"eps = 1/eps-den for sublinear") in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"print ledger and edges") in
   let dot_out =

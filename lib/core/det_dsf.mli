@@ -12,7 +12,7 @@
       convergecast (Corollary 4.16) delivers them in ascending order to the
       root, which stops at the first merge that changes some terminal's
       activity status; the phase's merges are broadcast, and every node
-      locally updates moats, radii, activity, and its region freeze.
+      locally updates moats, labels, activity, and its region freeze.
     + Finally each node locally computes the minimal candidate subforest
       F_min and path edges are marked by tokens climbing the frozen
       region trees (O(s) rounds).

@@ -8,6 +8,7 @@ module Tree_ops = Dsf_congest.Tree_ops
 module Pipeline = Dsf_congest.Pipeline
 module Ledger = Dsf_congest.Ledger
 module Bitsize = Dsf_util.Bitsize
+module C = Moat_common
 
 type result = {
   solution : bool array;
@@ -33,55 +34,6 @@ let ckey_cmp a b =
     if c <> 0 then c else compare (a.pair, a.eid) (b.pair, b.eid)
   end
 
-(* Globally replicated Algorithm-2 moat state.  [tindex] maps node id ->
-   terminal index (-1 for non-terminals): a flat array, because the
-   owner-scan inner loops below look it up per (node, neighbor) pair and
-   hashtable probes dominated the profile. *)
-type gstate = {
-  terms : int array;
-  tindex : int array;
-  labels : int array;
-  moats : Uf.t;
-  label_uf : Uf.t;
-  act : bool array;
-}
-
-let g_label gs ti = Uf.find gs.label_uf gs.labels.(ti)
-let g_active gs ti = gs.act.(Uf.find gs.moats ti)
-
-let g_lone_label gs ti =
-  let rep = Uf.find gs.moats ti in
-  let lbl = g_label gs ti in
-  let lone = ref true in
-  Array.iteri
-    (fun tj _ ->
-      if Uf.find gs.moats tj <> rep && g_label gs tj = lbl then lone := false)
-    gs.terms;
-  !lone
-
-let g_exists_active gs =
-  let found = ref false in
-  Array.iteri (fun ti _ -> if g_active gs ti then found := true) gs.terms;
-  !found
-
-(* Algorithm 2 merge: moats and labels merge, result always active. *)
-let g_apply gs (a, b) =
-  let la = g_label gs a and lb = g_label gs b in
-  ignore (Uf.union gs.moats a b);
-  if la <> lb then ignore (Uf.union gs.label_uf la lb);
-  gs.act.(Uf.find gs.moats a) <- true
-
-let g_recompute_activity gs =
-  let seen = Hashtbl.create 16 in
-  Array.iteri
-    (fun ti _ ->
-      let rep = Uf.find gs.moats ti in
-      if not (Hashtbl.mem seen rep) then begin
-        Hashtbl.add seen rep ();
-        gs.act.(rep) <- not (g_lone_label gs ti)
-      end)
-    gs.terms
-
 let isqrt = Dsf_util.Intmath.isqrt
 
 let ceil_log2 = Dsf_util.Intmath.ceil_log2
@@ -100,8 +52,9 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
   Option.iter
     (fun t -> Dsf_congest.Telemetry.attach_ledger t ledger)
     telemetry;
-  let terms = Array.of_list (Instance.terminals inst) in
-  let t = Array.length terms in
+  (* Algorithm-2 moat state, replicated at every node. *)
+  let ms = C.create inst in
+  let t = Array.length ms.C.terms in
   let scale = ((8 * eps_den) + eps_num - 1) / eps_num in
   if t = 0 then
     {
@@ -146,30 +99,8 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         minimalized.Transform.rounds;
       tree
     in
-    let tindex = Array.make n (-1) in
-    Array.iteri (fun i v -> tindex.(v) <- i) terms;
-    let labels = Array.map (fun v -> inst.Instance.labels.(v)) terms in
-    let max_label = Array.fold_left max 0 labels in
-    let gs =
-      {
-        terms;
-        tindex;
-        labels;
-        moats = Uf.create t;
-        label_uf = Uf.create (max_label + 1);
-        act = Array.make t true;
-      }
-    in
     (* Per-node region state on the scaled graph. *)
-    let owner = Array.make n (-1) in
-    let offset = Array.make n Frac.zero in
-    let parent = Array.make n (-1) in
-    let covered = Array.make n false in
-    Array.iter
-      (fun v ->
-        owner.(v) <- v;
-        covered.(v) <- true)
-      terms;
+    let reg = Region_bf.regions ms in
     (* Omniscient materialization of F (for Definition 4.18 small/large
        classification); the distributed output is built by token flood. *)
     let forest = Array.make m false in
@@ -177,9 +108,10 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
     (* Scratch tables reused across merge phases: component sizes for the
        Definition 4.18 small/large test and the per-moat proposal slots —
        preallocated flat arrays instead of a fresh hashtable per
-       iteration (the other half of the owner-scan hot-path fix). *)
+       iteration: hashtable probes dominated the owner-scan profile. *)
     let comp_size = Array.make n 0 in
     let proposals = Array.make t None in
+    let parent = reg.Region_bf.parents in
     let materialize (key : ckey) =
       let e = Graph.edge g key.eid in
       let add eid =
@@ -202,7 +134,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
     let merge_pairs = ref [] in
     let merge_count = ref 0 in
     let apply_merge (a, b) (key : ckey) =
-      g_apply gs (a, b);
+      C.merge_alg2 ms a b;
       materialize key;
       accepted := ((a, b), key) :: !accepted;
       merge_pairs := key.pair :: !merge_pairs;
@@ -220,7 +152,10 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       (2 * (ceil_log2 (max 2 (scale * wd)) + 2) * (2 * eps_den / eps_num + 2))
       + 16
     in
-    while g_exists_active gs && !growth_phases < max_growth_phases do
+    let key_bits (it : ckey Pipeline.item) =
+      Frac.bits it.Pipeline.key.mu + (4 * Bitsize.id_bits ~n)
+    in
+    while C.exists_active ms && !growth_phases < max_growth_phases do
       tspan "growth" @@ fun () ->
       incr growth_phases;
       let gtag label = Printf.sprintf "growth %d: %s" !growth_phases label in
@@ -234,82 +169,65 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         incr merge_phase_count;
         incr phase_in_growth;
         let j = !merge_phase_count in
-        let owner_active u =
-          owner.(u) >= 0 && g_active gs tindex.(owner.(u))
-        in
-        let frozen =
-          Array.init n (fun u -> covered.(u) && not (owner_active u))
-        in
-        let sources =
-          Array.to_list
-            (Array.init n (fun u ->
-                 if covered.(u) && owner_active u then
-                   Some (u, offset.(u), owner.(u))
-                 else None))
-          |> List.filter_map Fun.id
-        in
-        let bf, bf_stats =
-          Region_bf.run ~env g_scaled ~sources ~frozen
-        in
+        let ph = Region_bf.decompose ~env g_scaled reg ms in
         Ledger.add ledger Ledger.Simulated
           (gtag (Printf.sprintf "phase %d decomposition BF" !phase_in_growth))
-          bf_stats.Sim.rounds;
+          ph.Region_bf.stats.Sim.rounds;
         let ex_stats =
           Dsf_congest.Exchange.all_neighbors ~env g_scaled
             ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
         in
         Ledger.add ledger Ledger.Simulated (gtag "boundary exchange") ex_stats.Sim.rounds;
-        let towner u = if frozen.(u) then owner.(u) else bf.(u).Region_bf.owner in
-        let toffset u = if frozen.(u) then offset.(u) else bf.(u).Region_bf.offset in
+        let towner = Region_bf.owner_at reg ph in
+        let toffset = Region_bf.offset_at reg ph in
         (* Local candidate generation: split by neighbor activity. *)
         let temp_aa = ref [] in
         let min_ai = ref None in
         for u = 0 to n - 1 do
-          if (not frozen.(u)) && towner u >= 0 then begin
+          if ph.Region_bf.growing.(u) then begin
             let ou = towner u in
-            let ti = tindex.(ou) in
-            if g_active gs ti then begin
-              let du = toffset u in
-              Array.iter
-                (fun (nb, w, eid) ->
-                  let onb = towner nb in
-                  if onb >= 0 && onb <> ou then begin
-                    let tj = tindex.(onb) in
-                    if not (Uf.same gs.moats ti tj) then begin
-                      let total =
-                        Frac.add (Frac.add du (Frac.of_int w)) (toffset nb)
-                      in
-                      (* Strictly negative slack means the pair's merge was
-                         already applied (the edge is interior); zero slack
-                         is a pending event — balls touching exactly at a
-                         threshold defer to the next phase with mu = 0. *)
-                      let fully_covered =
-                        covered.(u) && covered.(nb) && Frac.sign total < 0
-                      in
-                      if not fully_covered then begin
-                        let pair = min ou onb, max ou onb in
-                        if g_active gs tj then begin
-                          let key =
-                            { phase = j; mu = Frac.half total; pair; eid }
-                          in
-                          temp_aa :=
-                            (u, { Pipeline.key; a = ti; b = tj }) :: !temp_aa
-                        end
-                        else begin
-                          let key = { phase = j; mu = total; pair; eid } in
-                          let cand = key, ti, tj in
-                          let better =
-                            match !min_ai with
-                            | None -> true
-                            | Some (bk, _, _) -> ckey_cmp key bk < 0
-                          in
-                          if better then min_ai := Some cand
-                        end
+            let ti = ms.C.tindex.(ou) in
+            let du = toffset u in
+            Array.iter
+              (fun (nb, w, eid) ->
+                let onb = towner nb in
+                if onb >= 0 && onb <> ou then begin
+                  let tj = ms.C.tindex.(onb) in
+                  if not (Uf.same ms.C.moats ti tj) then begin
+                    let total =
+                      Frac.add (Frac.add du (Frac.of_int w)) (toffset nb)
+                    in
+                    (* Strictly negative slack means the pair's merge was
+                       already applied (the edge is interior); zero slack
+                       is a pending event — balls touching exactly at a
+                       threshold defer to the next phase with mu = 0. *)
+                    let fully_covered =
+                      reg.Region_bf.covered.(u) && reg.Region_bf.covered.(nb)
+                      && Frac.sign total < 0
+                    in
+                    if not fully_covered then begin
+                      let pair = min ou onb, max ou onb in
+                      if C.active ms tj then begin
+                        let key =
+                          { phase = j; mu = Frac.half total; pair; eid }
+                        in
+                        temp_aa :=
+                          (u, { Pipeline.key; a = ti; b = tj }) :: !temp_aa
+                      end
+                      else begin
+                        let key = { phase = j; mu = total; pair; eid } in
+                        let cand = key, ti, tj in
+                        let better =
+                          match !min_ai with
+                          | None -> true
+                          | Some (bk, _, _) -> ckey_cmp key bk < 0
+                        in
+                        if better then min_ai := Some cand
                       end
                     end
-                  end)
-                (Graph.adj g_scaled u)
-            end
+                  end
+                end)
+              (Graph.adj g_scaled u)
           end
         done;
         (* Min active-inactive candidate via a simulated convergecast. *)
@@ -344,19 +262,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
               store.(u) <- it :: store.(u))
           !temp_aa;
         (* Coverage update for growth mu_j. *)
-        let active_at_start u = (not frozen.(u)) && towner u >= 0
-          && g_active gs tindex.(towner u) in
-        for u = 0 to n - 1 do
-          if active_at_start u then begin
-            if covered.(u) then offset.(u) <- Frac.sub offset.(u) mu_j
-            else if Frac.compare (bf.(u).Region_bf.offset) mu_j <= 0 then begin
-              covered.(u) <- true;
-              owner.(u) <- bf.(u).Region_bf.owner;
-              parent.(u) <- bf.(u).Region_bf.parent;
-              offset.(u) <- Frac.sub bf.(u).Region_bf.offset mu_j
-            end
-          end
-        done;
+        Region_bf.freeze reg ph mu_j;
         total_growth := Frac.add !total_growth mu_j;
         if threshold_hit then continue_3a := false
         else begin
@@ -366,7 +272,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         end
       done;
       (* ---- Steps 3b-3f: deferred active-active merges. ---- *)
-      let moat_rep ti = Uf.find gs.moats ti in
+      let moat_rep ti = Uf.find ms.C.moats ti in
       let component_small () =
         (* Small iff the moat's component in (V, F) has < sigma nodes
            (Definition 4.18).  [comp_size] is indexed by union-find
@@ -376,7 +282,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
           let r = Uf.find uf_nodes u in
           comp_size.(r) <- comp_size.(r) + 1
         done;
-        fun ti -> comp_size.(Uf.find uf_nodes gs.terms.(ti)) < sigma
+        fun ti -> comp_size.(Uf.find uf_nodes ms.C.terms.(ti)) < sigma
       in
       let max_iters = ceil_log2 (max 2 sigma) + 1 in
       let progressing = ref true in
@@ -387,18 +293,13 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       let moat_mask () =
         let mask = Array.copy forest in
         for u = 0 to n - 1 do
-          if covered.(u) && parent.(u) >= 0 then begin
+          if reg.Region_bf.covered.(u) && parent.(u) >= 0 then begin
             match Graph.find_edge g u parent.(u) with
             | Some eid -> mask.(eid) <- true
             | None -> ()
           end
         done;
         mask
-      in
-      let item_bits (it : ckey Pipeline.item) =
-        Bitsize.int_bits (abs it.Pipeline.key.mu.Frac.num)
-        + Bitsize.int_bits (max 1 it.Pipeline.key.mu.Frac.den_pow)
-        + (4 * Bitsize.id_bits ~n)
       in
       while !progressing && !iter < max_iters do
         tspan "small_moats" @@ fun () ->
@@ -408,7 +309,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
         (* Step 3bi: each moat aggregates its minimal live candidate by
            gossip along its forest + region-tree edges (simulated). *)
         let live (it : ckey Pipeline.item) =
-          not (Uf.same gs.moats it.Pipeline.a it.Pipeline.b)
+          not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b)
         in
         let node_min u =
           List.fold_left
@@ -426,7 +327,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
           Dsf_congest.Component_ops.component_min_item ~env g_scaled
             ~mask:(moat_mask ()) ~values:node_min
             ~cmp:(fun a b -> ckey_cmp a.Pipeline.key b.Pipeline.key)
-            ~bits:item_bits
+            ~bits:key_bits
         in
         Ledger.add ledger Ledger.Simulated
           (gtag (Printf.sprintf "small-moat proposal gossip %d (Step 3bi)" !iter))
@@ -439,13 +340,13 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
           (fun ti _ ->
             let rep = moat_rep ti in
             if is_small ti && Option.is_none proposals.(rep) then begin
-              match gossip.(gs.terms.(ti)) with
+              match gossip.(ms.C.terms.(ti)) with
               | Some it when live it ->
                   proposals.(rep) <- Some (it.Pipeline.key, it);
                   incr n_proposals
               | _ -> ()
             end)
-          gs.terms;
+          ms.C.terms;
         if !n_proposals = 0 then progressing := false
         else begin
           (* Greedy maximal matching on small-small proposals, then
@@ -486,7 +387,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
           in
           List.iter
             (fun (it : ckey Pipeline.item) ->
-              if not (Uf.same gs.moats it.Pipeline.a it.Pipeline.b) then
+              if not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b) then
                 apply_merge (it.Pipeline.a, it.Pipeline.b) it.Pipeline.key)
             in_order;
           (* The matching coordination itself (3-coloring of the proposal
@@ -504,36 +405,31 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       let leftover_exists =
         List.exists
           (fun (it : ckey Pipeline.item) ->
-            not (Uf.same gs.moats it.Pipeline.a it.Pipeline.b))
+            not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b))
           (Array.to_list store |> List.concat)
       in
       if leftover_exists then begin
         let items u =
           List.filter
             (fun (it : ckey Pipeline.item) ->
-              not (Uf.same gs.moats it.Pipeline.a it.Pipeline.b))
+              not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b))
             store.(u)
-        in
-        let bits (it : ckey Pipeline.item) =
-          Bitsize.int_bits (abs it.Pipeline.key.mu.Frac.num)
-          + Bitsize.int_bits (max 1 it.Pipeline.key.mu.Frac.den_pow)
-          + (4 * Bitsize.id_bits ~n)
         in
         let selected, pipe_stats =
           Pipeline.filtered_upcast ~env g_scaled ~tree ~vn:t
-            ~pre:(pre_pairs ()) ~items ~cmp:ckey_cmp ~bits
+            ~pre:(pre_pairs ()) ~items ~cmp:ckey_cmp ~bits:key_bits
         in
         Ledger.add ledger Ledger.Simulated (gtag "pipelined merge filter")
           pipe_stats.Sim.rounds;
         let mb2_stats =
           Tree_ops.broadcast ~env g_scaled ~tree ~items:selected
-            ~bits
+            ~bits:key_bits
         in
         Ledger.add ledger Ledger.Simulated (gtag "merge broadcast")
           mb2_stats.Sim.rounds;
         List.iter
           (fun (it : ckey Pipeline.item) ->
-            if not (Uf.same gs.moats it.Pipeline.a it.Pipeline.b) then
+            if not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b) then
               apply_merge (it.Pipeline.a, it.Pipeline.b) it.Pipeline.key)
           selected
       end;
@@ -545,17 +441,17 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       (tspan "activity" @@ fun () ->
       let moat_leader ti =
         (* Largest terminal node id in the moat — the L(M) convention. *)
-        let rep = Uf.find gs.moats ti in
+        let rep = Uf.find ms.C.moats ti in
         let best = ref (-1) in
         Array.iteri
           (fun tj node ->
-            if Uf.find gs.moats tj = rep && node > !best then best := node)
-          gs.terms;
+            if Uf.find ms.C.moats tj = rep && node > !best then best := node)
+          ms.C.terms;
         !best
       in
       let witness_items v =
-        let ti = tindex.(v) in
-        if ti >= 0 then [ g_label gs ti, moat_leader ti ] else []
+        let ti = ms.C.tindex.(v) in
+        if ti >= 0 then [ C.label ms ti, moat_leader ti ] else []
       in
       let witnesses, w_stats =
         Tree_ops.upcast_dedup ~env ~per_key:2 g_scaled ~tree
@@ -586,58 +482,27 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       Ledger.add ledger Ledger.Simulated
         (gtag "activity recomputation: unsatisfied-class broadcast")
         ab_stats.Sim.rounds;
-      (* Everyone updates locally; cross-check against the definitional
-         rule (a moat is active iff it is not alone with its class). *)
-      let seen = Hashtbl.create 16 in
-      Array.iteri
-        (fun ti _ ->
-          let rep = Uf.find gs.moats ti in
-          if not (Hashtbl.mem seen rep) then begin
-            Hashtbl.add seen rep ();
-            gs.act.(rep) <- List.mem (g_label gs ti) unsatisfied
-          end)
-        gs.terms;
-      let from_protocol = Array.copy gs.act in
-      g_recompute_activity gs;
-      assert (from_protocol = gs.act));
+      (* Everyone updates locally: a moat is active iff its class is
+         unsatisfied.  Cross-check against the definitional rule (a moat is
+         active iff it is not alone with its class). *)
+      C.recompute_activity ms;
+      assert (
+        Array.for_all Fun.id
+          (Array.init t (fun ti ->
+               C.active ms ti = List.mem (C.label ms ti) unsatisfied))));
       mu_hat := Moat_rounded.next_threshold ~eps_num ~eps_den !mu_hat
     done;
-    if g_exists_active gs then
+    if C.exists_active ms then
       invalid_arg "Det_sublinear.run: growth-phase budget exhausted (bug)";
     (* ---- Final selection and pruning (Appendix F.3). ---- *)
-    let all_merges = List.rev !accepted in
-    let needed ((a0, b0), _) =
-      let uf = Uf.create t in
-      List.iter
-        (fun ((a, b), _) -> if (a, b) <> (a0, b0) then ignore (Uf.union uf a b))
-        all_merges;
-      let disconnects = ref false in
-      for ti = 0 to t - 1 do
-        for tj = ti + 1 to t - 1 do
-          if labels.(ti) = labels.(tj) && not (Uf.same uf ti tj) then
-            disconnects := true
-        done
-      done;
-      !disconnects
-    in
-    let fmin = List.filter needed all_merges in
-    let seeds = Array.make n false in
-    let solution = Array.make m false in
-    List.iter
-      (fun (_, (key : ckey)) ->
-        let e = Graph.edge g key.eid in
-        solution.(key.eid) <- true;
-        seeds.(e.Graph.u) <- true;
-        seeds.(e.Graph.v) <- true)
-      fmin;
     let solution =
       tspan "final" @@ fun () ->
-      let flood_edges, tf_stats =
-        Select.token_flood ~env g ~parent ~seeds
+      let solution, tf_stats =
+        Select.merge_paths ~env g ~labels:ms.C.init_label ~parent
+          (List.rev_map (fun (pair, (key : ckey)) -> pair, key.eid) !accepted)
       in
       Ledger.add ledger Ledger.Simulated "final: token flood"
         tf_stats.Sim.rounds;
-      List.iter (fun eid -> solution.(eid) <- true) flood_edges;
       (* The merge-level F_min above is not quite edge-minimal (merge paths
          can overlap at Steiner nodes); the fast pruning routine of
          Appendix F.3 finishes the job distributively. *)

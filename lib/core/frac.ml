@@ -59,6 +59,10 @@ let to_int_exn a =
   if a.den_pow <> 0 then invalid_arg "Frac.to_int_exn: not an integer";
   a.num
 
+let bits a =
+  Dsf_util.Bitsize.int_bits (abs a.num)
+  + Dsf_util.Bitsize.int_bits (Stdlib.max 1 a.den_pow)
+
 let to_float a = float_of_int a.num /. float_of_int (1 lsl a.den_pow)
 
 let to_string a =

@@ -34,6 +34,10 @@ val equal : t -> t -> bool
 val sign : t -> int
 val is_int : t -> bool
 val to_int_exn : t -> int
+val bits : t -> int
+(** Wire width of the value in a CONGEST message: the bits of [|num|]
+    plus the bits of [den_pow]. *)
+
 val to_float : t -> float
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

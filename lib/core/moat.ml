@@ -46,35 +46,32 @@ let run inst0 =
       let dual = ref Frac.zero in
       let step = ref 0 in
       let phase = ref 1 in
-      let continue = ref (C.exists_active st) in
+      let ms = st.C.ms in
+      let continue = ref (C.exists_active ms) in
       while !continue do
         incr step;
         match C.next_event st with
         | None -> continue := false
         | Some ev ->
-            let act_count = C.count_active_moats st in
+            let act_count = C.active_count ms in
             dual := Frac.add !dual (Frac.mul_int ev.C.mu act_count);
             C.grow_active st ev.C.mu;
-            let before = C.snapshot_activity st in
-            C.merge_moats st ~forest ~uf_nodes ev;
+            C.add_path st ~forest ~uf_nodes ev;
             (* The merged moat goes inactive iff it is the only moat left
                carrying its (merged) label (Algorithm 1, lines 28-31). *)
-            let rep = Uf.find st.C.moats ev.C.vi in
-            st.C.act.(rep) <- not (C.is_lone_label st ev.C.vi);
-            let after = C.snapshot_activity st in
-            let changed = before <> after in
+            let changed = C.merge_alg1 ms ev.C.vi ev.C.wi in
             merges :=
               {
                 step = !step;
                 mu = ev.C.mu;
                 active_moats = act_count;
-                pair = (st.C.terms.(ev.C.vi), st.C.terms.(ev.C.wi));
+                pair = (ms.C.terms.(ev.C.vi), ms.C.terms.(ev.C.wi));
                 phase = !phase;
                 activity_changed = changed;
               }
               :: !merges;
             if changed then incr phase;
-            continue := C.exists_active st
+            continue := C.exists_active ms
       done;
       let solution = Instance.prune inst forest in
       {
@@ -86,5 +83,5 @@ let run inst0 =
         phase_count = (match !merges with [] -> 0 | last :: _ -> last.phase);
         final_rad =
           Array.to_list
-            (Array.mapi (fun ti _ -> st.C.terms.(ti), st.C.rad.(ti)) st.C.terms);
+            (Array.mapi (fun ti v -> v, st.C.rad.(ti)) ms.C.terms);
       }

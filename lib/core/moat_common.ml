@@ -3,25 +3,105 @@ module Paths = Dsf_graph.Paths
 module Instance = Dsf_graph.Instance
 module Uf = Dsf_util.Union_find
 
+type t = {
+  terms : int array;
+  tindex : int array;
+  init_label : int array;
+  moats : Uf.t;
+  label_uf : Uf.t;
+  act : bool array;
+}
+
+let create inst =
+  let terms = Array.of_list (Instance.terminals inst) in
+  let t = Array.length terms in
+  let tindex = Array.make (Graph.n inst.Instance.graph) (-1) in
+  Array.iteri (fun i v -> tindex.(v) <- i) terms;
+  let init_label = Array.map (fun v -> inst.Instance.labels.(v)) terms in
+  {
+    terms;
+    tindex;
+    init_label;
+    moats = Uf.create t;
+    label_uf = Uf.create (Array.fold_left max 0 init_label + 1);
+    act = Array.make t true;
+  }
+
+let copy ms =
+  {
+    ms with
+    moats = Uf.copy ms.moats;
+    label_uf = Uf.copy ms.label_uf;
+    act = Array.copy ms.act;
+  }
+
+let label ms ti = Uf.find ms.label_uf ms.init_label.(ti)
+
+let active ms ti = ms.act.(Uf.find ms.moats ti)
+
+let is_lone_label ms ti =
+  let rep = Uf.find ms.moats ti in
+  let lbl = label ms ti in
+  let lone = ref true in
+  Array.iteri
+    (fun tj _ ->
+      if Uf.find ms.moats tj <> rep && label ms tj = lbl then lone := false)
+    ms.terms;
+  !lone
+
+(* A moat's representative is one of its terminal indices. *)
+let is_rep ms ti = Uf.find ms.moats ti = ti
+
+let exists_active ms =
+  let found = ref false in
+  Array.iteri (fun ti _ -> if active ms ti then found := true) ms.terms;
+  !found
+
+let active_count ms =
+  let c = ref 0 in
+  Array.iteri (fun ti _ -> if is_rep ms ti && ms.act.(ti) then incr c) ms.terms;
+  !c
+
+(* Union the two moats and their labels; returns the merged moat. *)
+let union ms a b =
+  let la = label ms a and lb = label ms b in
+  ignore (Uf.union ms.moats a b);
+  if la <> lb then ignore (Uf.union ms.label_uf la lb);
+  Uf.find ms.moats a
+
+(* Only the merged moat's status can change, so a flip is a difference
+   from either side's status before the merge. *)
+let merge_alg1 ms a b =
+  let was_a = active ms a and was_b = active ms b in
+  let rep = union ms a b in
+  let now = not (is_lone_label ms a) in
+  ms.act.(rep) <- now;
+  now <> was_a || now <> was_b
+
+let merge_alg2 ms a b = ms.act.(union ms a b) <- true
+
+let recompute_activity ms =
+  Array.iteri
+    (fun ti _ -> if is_rep ms ti then ms.act.(ti) <- not (is_lone_label ms ti))
+    ms.terms
+
 type state = {
   graph : Graph.t;
-  terms : int array;
+  ms : t;
   tdist : int array array;
-  moats : Uf.t;
   rad : Frac.t array;
-  label_uf : Uf.t;
-  init_label : int array;
-  act : bool array;
 }
 
 let setup inst0 ~scale =
   let inst = Instance.minimalize inst0 in
   let g = inst.Instance.graph in
-  let terms = Array.of_list (Instance.terminals inst) in
-  let t = Array.length terms in
+  let ms = create inst in
+  let t = Array.length ms.terms in
   if t = 0 then None
   else begin
-    let node_dist = Array.map (fun v -> fst (Paths.dijkstra g ~src:v)) terms in
+    let node_dist =
+      Array.map (fun v -> fst (Paths.dijkstra g ~src:v)) ms.terms
+    in
     let tdist =
       Array.map
         (fun row ->
@@ -30,69 +110,27 @@ let setup inst0 ~scale =
               if row.(w) = max_int then
                 invalid_arg "Moat: terminals of a component disconnected"
               else row.(w) * scale)
-            terms)
+            ms.terms)
         node_dist
     in
-    let labels = Array.map (fun v -> inst.Instance.labels.(v)) terms in
-    let max_label = Array.fold_left max 0 labels in
-    Some
-      {
-        graph = g;
-        terms;
-        tdist;
-        moats = Uf.create t;
-        rad = Array.make t Frac.zero;
-        label_uf = Uf.create (max_label + 1);
-        init_label = labels;
-        act = Array.make t true;
-      }
+    Some { graph = g; ms; tdist; rad = Array.make t Frac.zero }
   end
-
-let label_of st ti = Uf.find st.label_uf st.init_label.(ti)
-
-let moat_active st ti = st.act.(Uf.find st.moats ti)
-
-let is_lone_label st ti =
-  let rep = Uf.find st.moats ti in
-  let lbl = label_of st ti in
-  let lone = ref true in
-  Array.iteri
-    (fun tj _ ->
-      if Uf.find st.moats tj <> rep && label_of st tj = lbl then lone := false)
-    st.terms;
-  !lone
-
-let count_active_moats st =
-  let seen = Hashtbl.create 16 in
-  Array.iteri
-    (fun ti _ ->
-      let rep = Uf.find st.moats ti in
-      if st.act.(rep) && not (Hashtbl.mem seen rep) then Hashtbl.add seen rep ())
-    st.terms;
-  Hashtbl.length seen
-
-let exists_active st =
-  let found = ref false in
-  Array.iteri
-    (fun ti _ -> if st.act.(Uf.find st.moats ti) then found := true)
-    st.terms;
-  !found
 
 let grow_active st mu =
   Array.iteri
     (fun ti _ ->
-      if moat_active st ti then st.rad.(ti) <- Frac.add st.rad.(ti) mu)
-    st.terms
+      if active st.ms ti then st.rad.(ti) <- Frac.add st.rad.(ti) mu)
+    st.ms.terms
 
 type event = { mu : Frac.t; vi : int; wi : int }
 
 let next_event st =
   let best = ref None in
-  let t = Array.length st.terms in
+  let t = Array.length st.ms.terms in
   for i = 0 to t - 1 do
     for j = i + 1 to t - 1 do
-      if not (Uf.same st.moats i j) then begin
-        let ai = moat_active st i and aj = moat_active st j in
+      if not (Uf.same st.ms.moats i j) then begin
+        let ai = active st.ms i and aj = active st.ms j in
         if ai || aj then begin
           let slack =
             Frac.sub
@@ -115,8 +153,11 @@ let next_event st =
   done;
   !best
 
-let add_path g forest uf_nodes ~src ~dst =
-  match Paths.shortest_path g ~src ~dst with
+let add_path st ~forest ~uf_nodes ev =
+  let g = st.graph in
+  match
+    Paths.shortest_path g ~src:st.ms.terms.(ev.vi) ~dst:st.ms.terms.(ev.wi)
+  with
   | None -> invalid_arg "Moat: terminals disconnected"
   | Some (nodes, _) ->
       List.iter
@@ -124,12 +165,3 @@ let add_path g forest uf_nodes ~src ~dst =
           let u, v = Graph.endpoints g eid in
           if Uf.union uf_nodes u v then forest.(eid) <- true)
         (Paths.path_edges g nodes)
-
-let merge_moats st ~forest ~uf_nodes ev =
-  add_path st.graph forest uf_nodes ~src:st.terms.(ev.vi) ~dst:st.terms.(ev.wi);
-  let lv = label_of st ev.vi and lw = label_of st ev.wi in
-  ignore (Uf.union st.moats ev.vi ev.wi);
-  if lv <> lw then ignore (Uf.union st.label_uf lv lw)
-
-let snapshot_activity st =
-  Array.init (Array.length st.terms) (fun ti -> moat_active st ti)

@@ -1,31 +1,71 @@
-(** Shared machinery of the centralized moat-growing algorithms
-    (Algorithms 1 and 2): terminal indexing, exact radii, moat and label
-    union-find, event computation, and path selection.  Internal to
-    [dsf_core]; the public entry points are {!Moat} and {!Moat_rounded}. *)
+(** The moat bookkeeping shared by all four moat-growing algorithms: the
+    centralized Algorithms 1 and 2 ({!Moat}, {!Moat_rounded}) and their
+    distributed emulations ({!Det_dsf}, {!Det_sublinear}).
+
+    {!t} is the replicated moat/label state — terminal indexing, moat and
+    label union-find, per-moat activity — together with the rule that a
+    moat is inactive iff it is the only moat carrying its label.  It needs
+    no distances, so the distributed algorithms build it with {!create}
+    from what the setup broadcast made global.  The centralized algorithms
+    wrap it in a {!state} that adds exact radii and terminal-terminal
+    distances ({!setup}), event computation and path selection.  Internal
+    to [dsf_core]. *)
+
+type t = {
+  terms : int array;  (** terminal index -> node id *)
+  tindex : int array;  (** node id -> terminal index; [-1] elsewhere *)
+  init_label : int array;  (** per terminal index *)
+  moats : Dsf_util.Union_find.t;  (** over terminal indices *)
+  label_uf : Dsf_util.Union_find.t;  (** label merging (Alg 1 l.24-27) *)
+  act : bool array;  (** per moat, indexed by representative *)
+}
+
+val create : Dsf_graph.Instance.ic -> t
+(** Every terminal of the (already minimalized) instance is its own
+    active moat with its own label. *)
+
+val copy : t -> t
+
+val label : t -> int -> int
+(** Current (merged) label of a terminal index. *)
+
+val active : t -> int -> bool
+(** Activity of the terminal's moat. *)
+
+val is_lone_label : t -> int -> bool
+(** The terminal's moat is the only one carrying its label. *)
+
+val exists_active : t -> bool
+val active_count : t -> int
+(** Number of active moats. *)
+
+val merge_alg1 : t -> int -> int -> bool
+(** Algorithm 1 merge of two terminals' moats (lines 24-31): union the
+    moats and their labels; the merged moat is active iff it is not alone
+    with its label.  Returns whether some terminal's activity flipped. *)
+
+val merge_alg2 : t -> int -> int -> unit
+(** Algorithm 2 merge (line 33): as {!merge_alg1}, but the merged moat is
+    always active. *)
+
+val recompute_activity : t -> unit
+(** Algorithm 2 threshold checkpoint (lines 20-25): every moat is active
+    iff it is not alone with its label. *)
 
 type state = {
   graph : Dsf_graph.Graph.t;
-  terms : int array;  (** terminal index -> node id *)
+  ms : t;
   tdist : int array array;
       (** terminal-terminal weighted distances (possibly pre-scaled) *)
-  moats : Dsf_util.Union_find.t;  (** over terminal indices *)
   rad : Frac.t array;  (** per-terminal radius, exact *)
-  label_uf : Dsf_util.Union_find.t;  (** label merging (Alg 1 l.24-27) *)
-  init_label : int array;
-  act : bool array;  (** per-moat, indexed by representative *)
 }
 
 val setup : Dsf_graph.Instance.ic -> scale:int -> state option
-(** [None] if the (minimalized) instance has no terminals.  Raises
-    [Invalid_argument] if some component's terminals are disconnected.
-    [scale] multiplies all distances (used by Algorithm 2's integer
-    thresholds). *)
+(** Centralized state, after one Dijkstra per terminal.  [None] if the
+    (minimalized) instance has no terminals.  Raises [Invalid_argument] if
+    some component's terminals are disconnected.  [scale] multiplies all
+    distances (used by Algorithm 2's integer thresholds). *)
 
-val label_of : state -> int -> int
-val moat_active : state -> int -> bool
-val is_lone_label : state -> int -> bool
-val count_active_moats : state -> int
-val exists_active : state -> bool
 val grow_active : state -> Frac.t -> unit
 
 type event = { mu : Frac.t; vi : int; wi : int }
@@ -37,10 +77,8 @@ val next_event : state -> event option
     least one active side; ties broken by the terminal-index pair.  [None]
     when no such pair exists. *)
 
-val merge_moats :
+val add_path :
   state -> forest:bool array -> uf_nodes:Dsf_util.Union_find.t -> event -> unit
 (** Adds a least-weight path between the event's terminals to [forest]
-    (skipping cycle-closing edges), merges the moats, and merges labels.
-    Does NOT update activity — the two algorithms differ there. *)
-
-val snapshot_activity : state -> bool array
+    (skipping cycle-closing edges).  Does NOT merge the moats: the caller
+    applies {!merge_alg1} or {!merge_alg2}. *)

@@ -56,20 +56,8 @@ let run ~eps_num ~eps_den inst0 =
       let merge_phases = ref 0 in
       let merge_count = ref 0 in
       let merge_pairs = ref [] in
-      let recompute_activity () =
-        (* Lines 20-25: every moat's status is recomputed; a moat is
-           satisfied (inactive) iff it is the only one with its label. *)
-        let seen = Hashtbl.create 16 in
-        Array.iteri
-          (fun ti _ ->
-            let rep = Uf.find st.C.moats ti in
-            if not (Hashtbl.mem seen rep) then begin
-              Hashtbl.add seen rep ();
-              st.C.act.(rep) <- not (C.is_lone_label st ti)
-            end)
-          st.C.terms
-      in
-      let continue = ref (C.exists_active st) in
+      let ms = st.C.ms in
+      let continue = ref (C.exists_active ms) in
       while !continue do
         let ev = C.next_event st in
         let event_mu = match ev with Some e -> Some e.C.mu | None -> None in
@@ -82,7 +70,7 @@ let run ~eps_num ~eps_den inst0 =
                 (Frac.of_int !mu_hat)
               >= 0
         in
-        let act_count = C.count_active_moats st in
+        let act_count = C.active_count ms in
         if hits_threshold then begin
           (* Checkpoint: grow exactly to µ̂, no merge, refresh activity. *)
           let mu = Frac.sub (Frac.of_int !mu_hat) !total_growth in
@@ -90,7 +78,8 @@ let run ~eps_num ~eps_den inst0 =
           dual := Frac.add !dual (Frac.mul_int mu act_count);
           C.grow_active st mu;
           total_growth := Frac.of_int !mu_hat;
-          recompute_activity ();
+          (* Lines 20-25: every moat's status is recomputed. *)
+          C.recompute_activity ms;
           mu_hat := next_threshold ~eps_num ~eps_den !mu_hat;
           incr growth_phases;
           incr merge_phases
@@ -103,17 +92,15 @@ let run ~eps_num ~eps_den inst0 =
               C.grow_active st e.C.mu;
               total_growth := Frac.add !total_growth e.C.mu;
               let inactive_involved =
-                (not (C.moat_active st e.C.vi)) || not (C.moat_active st e.C.wi)
+                (not (C.active ms e.C.vi)) || not (C.active ms e.C.wi)
               in
-              C.merge_moats st ~forest ~uf_nodes e;
-              (* Line 33: the merged moat is always (re)activated. *)
-              let rep = Uf.find st.C.moats e.C.vi in
-              st.C.act.(rep) <- true;
+              C.add_path st ~forest ~uf_nodes e;
+              C.merge_alg2 ms e.C.vi e.C.wi;
               incr merge_count;
-              merge_pairs := (st.C.terms.(e.C.vi), st.C.terms.(e.C.wi)) :: !merge_pairs;
+              merge_pairs := (ms.C.terms.(e.C.vi), ms.C.terms.(e.C.wi)) :: !merge_pairs;
               if inactive_involved then incr merge_phases
         end;
-        continue := C.exists_active st
+        continue := C.exists_active ms
       done;
       let solution = Instance.prune inst forest in
       {

@@ -52,6 +52,9 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
      owner and offset (Definition 4.7 freezes Reg_{j-1}(v)); it announces its
      label once and ignores relaxations. *)
   let pinned v = Hashtbl.mem init v in
+  let msg_bits (Relax r) =
+    Frac.bits r.dist + Bitsize.id_bits ~n + Bitsize.int_bits (max 1 r.hops)
+  in
   let flat_proto () : (flat_state, msg) Sim.flat_protocol =
     let csr = Graph.csr g in
     let wfrac =
@@ -109,12 +112,7 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
             st
           end);
       fp_is_done = (fun st -> not st.fdirty);
-      fp_msg_bits =
-        (fun (Relax r) ->
-          Bitsize.int_bits (abs r.dist.Frac.num)
-          + Bitsize.int_bits (max 1 r.dist.Frac.den_pow)
-          + Bitsize.id_bits ~n
-          + Bitsize.int_bits (max 1 r.hops));
+      fp_msg_bits = msg_bits;
       fp_wake = Some Sim.never;
     }
   in
@@ -193,12 +191,7 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
             else { st with dirty = false }, []
           end);
       is_done = (fun st -> not st.dirty);
-      msg_bits =
-        (fun (Relax r) ->
-          Bitsize.int_bits (abs r.dist.Frac.num)
-          + Bitsize.int_bits (max 1 r.dist.Frac.den_pow)
-          + Bitsize.id_bits ~n
-          + Bitsize.int_bits (max 1 r.hops));
+      msg_bits;
       (* Same wavefront discipline as {!Dsf_congest.Bellman_ford}: frozen,
          pinned-and-announced, and clean nodes all no-op without mail. *)
       wake = Some Sim.never;
@@ -216,3 +209,75 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
       states,
     stats )
   end
+
+type regions = {
+  owners : int array;
+  offsets : Frac.t array;
+  parents : int array;
+  covered : bool array;
+}
+
+let regions (ms : Moat_common.t) =
+  let n = Array.length ms.Moat_common.tindex in
+  let reg =
+    {
+      owners = Array.make n (-1);
+      offsets = Array.make n Frac.zero;
+      parents = Array.make n (-1);
+      covered = Array.make n false;
+    }
+  in
+  Array.iter
+    (fun v ->
+      reg.owners.(v) <- v;
+      reg.covered.(v) <- true)
+    ms.Moat_common.terms;
+  reg
+
+type phase = {
+  frozen : bool array;
+  growing : bool array;
+  reached : node_result array;
+  stats : Sim.stats;
+}
+
+let decompose ~(env : Sim.env) g reg ms =
+  let n = Array.length reg.owners in
+  let owner_active v =
+    v >= 0 && Moat_common.active ms ms.Moat_common.tindex.(v)
+  in
+  let frozen =
+    Array.init n (fun u -> reg.covered.(u) && not (owner_active reg.owners.(u)))
+  in
+  let sources = ref [] in
+  for u = n - 1 downto 0 do
+    if reg.covered.(u) && not frozen.(u) then
+      sources := (u, reg.offsets.(u), reg.owners.(u)) :: !sources
+  done;
+  let reached, stats = run ~env g ~sources:!sources ~frozen in
+  let growing =
+    Array.init n (fun u ->
+        (not frozen.(u)) && owner_active reached.(u).owner)
+  in
+  { frozen; growing; reached; stats }
+
+let owner_at reg ph u =
+  if ph.frozen.(u) then reg.owners.(u) else ph.reached.(u).owner
+
+let offset_at reg ph u =
+  if ph.frozen.(u) then reg.offsets.(u) else ph.reached.(u).offset
+
+let freeze reg ph mu =
+  Array.iteri
+    (fun u growing ->
+      if growing then begin
+        let r = ph.reached.(u) in
+        if reg.covered.(u) then reg.offsets.(u) <- Frac.sub reg.offsets.(u) mu
+        else if Frac.compare r.offset mu <= 0 then begin
+          reg.covered.(u) <- true;
+          reg.owners.(u) <- r.owner;
+          reg.parents.(u) <- r.parent;
+          reg.offsets.(u) <- Frac.sub r.offset mu
+        end
+      end)
+    ph.growing

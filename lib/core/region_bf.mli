@@ -38,3 +38,51 @@ val run :
     suite enforced).  Otherwise the classic protocol runs, hardened with
     checkpointed recovery under a [Chaos] network (see
     {!Dsf_congest.Fault.sim_run}). *)
+
+(** {1 One merge phase of the distributed emulations}
+
+    The region-growth steps shared by {!Det_dsf} and {!Det_sublinear}:
+    per-node region state, one decomposition per merge phase, and the
+    freeze at the phase's growth.  The callers keep their own ledger
+    entries; these steps open no span beyond {!run}'s. *)
+
+type regions = {
+  owners : int array;  (** owning terminal's node id; [-1] if uncovered *)
+  offsets : Frac.t array;  (** reduced distance to the owner's boundary *)
+  parents : int array;  (** frozen region-tree parent; [-1] at roots *)
+  covered : bool array;  (** inside some moat *)
+}
+
+val regions : Moat_common.t -> regions
+(** Each terminal covers only itself, at offset 0. *)
+
+type phase = {
+  frozen : bool array;  (** covered by a moat inactive at phase start *)
+  growing : bool array;
+      (** not frozen, and reached by a moat active at phase start *)
+  reached : node_result array;  (** {!run}'s labels; stale where frozen *)
+  stats : Dsf_congest.Sim.stats;
+}
+
+val decompose :
+  env:Dsf_congest.Sim.env ->
+  Dsf_graph.Graph.t ->
+  regions ->
+  Moat_common.t ->
+  phase
+(** Terminal decomposition at phase start: freezes the nodes covered by
+    moats inactive in the moat state, and runs {!run} on the graph from
+    the nodes covered by active ones, at their current offsets.  The
+    moat state is only read; [growing] keeps its activity for
+    {!freeze}, so merges may be applied before the freeze. *)
+
+val owner_at : regions -> phase -> int -> int
+(** Node's owner this phase: its frozen owner, else {!run}'s label. *)
+
+val offset_at : regions -> phase -> int -> Frac.t
+
+val freeze : regions -> phase -> Frac.t -> unit
+(** [freeze reg ph mu]: the phase grew every moat active at its start by
+    [mu].  Covered growing nodes shift their offset by [-mu]; uncovered
+    ones within [mu] of their owner join its region, and its frozen tree
+    through {!run}'s parent. *)

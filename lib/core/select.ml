@@ -1,6 +1,7 @@
 module Graph = Dsf_graph.Graph
 module Sim = Dsf_congest.Sim
 module Pack = Dsf_util.Pack
+module Uf = Dsf_util.Union_find
 
 type state = {
   pending : bool;
@@ -100,3 +101,37 @@ let token_flood ?(env = Sim.default_env) g ~parent ~seeds =
     in
     edges, stats
   end
+
+let merge_paths ~(env : Sim.env) g ~(labels : int array) ~parent merges =
+  let t = Array.length labels in
+  (* F_min: a merge is needed iff dropping it leaves two terminals of one
+     input component in different moats. *)
+  let needed (pair0, _) =
+    let uf = Uf.create t in
+    List.iter
+      (fun ((a, b), _) ->
+        if (a, b) <> pair0 then ignore (Uf.union uf a b))
+      merges;
+    let disconnects = ref false in
+    for ti = 0 to t - 1 do
+      for tj = ti + 1 to t - 1 do
+        if labels.(ti) = labels.(tj) && not (Uf.same uf ti tj)
+        then disconnects := true
+      done
+    done;
+    !disconnects
+  in
+  let solution = Array.make (Graph.m g) false in
+  let seeds = Array.make (Graph.n g) false in
+  List.iter
+    (fun ((_, eid) as merge) ->
+      if needed merge then begin
+        let e = Graph.edge g eid in
+        solution.(eid) <- true;
+        seeds.(e.Graph.u) <- true;
+        seeds.(e.Graph.v) <- true
+      end)
+    merges;
+  let flood_edges, stats = token_flood ~env g ~parent ~seeds in
+  List.iter (fun eid -> solution.(eid) <- true) flood_edges;
+  solution, stats

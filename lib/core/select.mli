@@ -4,7 +4,9 @@
     Endpoints of the chosen inducing edges send a token up their frozen
     region-tree parent chain; each node forwards only its first token, and
     every traversed tree edge is selected.  The union over all tokens is
-    exactly the union of the merge paths' tree segments. *)
+    exactly the union of the merge paths' tree segments.  {!merge_paths}
+    is the whole final selection of {!Det_dsf} and {!Det_sublinear}: the
+    F_min filter over their accepted merges, then the flood. *)
 
 val token_flood :
   ?env:Dsf_congest.Sim.env ->
@@ -26,3 +28,19 @@ val token_flood :
     bit-identical to the classic protocol (differential suite enforced).
     Otherwise the classic protocol runs, hardened with checkpointed
     recovery under a [Chaos] network (see {!Dsf_congest.Fault.sim_run}). *)
+
+val merge_paths :
+  env:Dsf_congest.Sim.env ->
+  Dsf_graph.Graph.t ->
+  labels:int array ->
+  parent:int array ->
+  ((int * int) * int) list ->
+  bool array * Dsf_congest.Sim.stats
+(** Final selection of the deterministic algorithms: keep the minimal
+    merge subset F_min, then select the merge paths by {!token_flood}.
+    [merges] are the accepted merges [((ti, tj), eid)] in acceptance
+    order — terminal indices and the inducing edge; [labels] are the
+    terminals' input labels, by terminal index.  F_min keeps each merge
+    whose removal would disconnect two terminals of one label.  Returns the
+    inducing edges of F_min plus the flooded region-tree edges, and the
+    flood's stats. *)

@@ -332,8 +332,13 @@ let prop_det_matches_centralized_dual =
       let inst = random_instance ~n:16 ~t:6 ~k:2 seed in
       let det = Det_dsf.run inst in
       let cen = Moat.run inst in
+      (* The schedule is the sequence of growth increments between
+         merges.  Terminal pairs are not compared: on a growth tie the two
+         may pick different terminals of the same two moats. *)
       Frac.equal det.Det_dsf.dual cen.Moat.dual
-      && List.length det.Det_dsf.merges = List.length cen.Moat.merges
+      && List.equal Frac.equal
+           (List.map (fun m -> m.Det_dsf.mu_increment) det.Det_dsf.merges)
+           (List.map (fun m -> m.Moat.mu) cen.Moat.merges)
       && det.Det_dsf.phase_count = cen.Moat.phase_count)
 
 let prop_det_feasible_two_approx =
