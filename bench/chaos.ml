@@ -126,9 +126,7 @@ let soak () =
               if not masked then incr failures
           | exception Sim.Round_limit a ->
               Format.eprintf "chaos soak: %s/%s hit the round limit@.%a@."
-                cname leg.sname
-                (Dsf_congest.Trace.pp_postmortem ?env:None)
-                a;
+                cname leg.sname Sim.pp_abort a;
               incr failures)
         protocols)
     classes;

@@ -278,14 +278,10 @@ let e7 () =
       let res, bits =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.ic_side
           (fun ~observer ->
-            (* The honest pipeline: the distributed minimalization is where
-               the per-label information must cross the bridge. *)
-            let out =
-              Dsf_core.Transform.minimalize
-                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
-                gad.Dsf_lower_bound.Gadgets.ic
-            in
-            Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)
+            (* The honest pipeline: Det_dsf's own distributed
+               minimalization is where the per-label information must
+               cross the bridge. *)
+            Dsf_core.Det_dsf.run ~observer gad.Dsf_lower_bound.Gadgets.ic)
       in
       let consistent =
         Dsf_lower_bound.Gadgets.ic_answer_consistent gad
@@ -483,10 +479,7 @@ let f1 () =
         "  right gadget (DSF-IC): n=%d m=%d unit weights diameter=%d@."
         (Graph.n g2) (Graph.m g2)
         (Paths.diameter_unweighted g2);
-      let r2 =
-        let out = Dsf_core.Transform.minimalize ig.Dsf_lower_bound.Gadgets.ic in
-        Dsf_core.Det_dsf.run out.Dsf_core.Transform.value
-      in
+      let r2 = Dsf_core.Det_dsf.run ig.Dsf_lower_bound.Gadgets.ic in
       Format.printf "    solved: bridge (a0,b0) used = %b (disjoint = %b)@."
         r2.Dsf_core.Det_dsf.solution.(ig.Dsf_lower_bound.Gadgets.bridge_edge)
         (Dsf_lower_bound.Gadgets.disjoint a b))

@@ -107,29 +107,45 @@ identity_leg det chaos5_jobs2 --chaos 5 --jobs 2
 identity_leg sublinear sublinear
 echo "ci: det and sublinear solve stdout byte-identical (det jobs 1 + chaos 5 jobs 2, sublinear)"
 
-# Malformed-input smoke: a bad integer, a self-loop and a disconnected
-# graph must each fail with exit 2 and a PATH:LINE: (or PATH:) location
-# on stderr, never as an uncaught exception.
+# Malformed-input smoke: a bad integer, a self-loop, a disconnected graph,
+# a negative n followed by a second n line, a node labelled twice, and a
+# verify whose solution file names a non-edge must each fail with exit 2,
+# nothing on stdout, and a PATH:LINE: (or PATH:) location on stderr, never
+# as an uncaught exception.
+expect_input_error() {
+  prefix="$1"; shift
+  status=0
+  with_timeout 60 dune exec bin/dsf_cli.exe -- "$@" \
+    > "$scratch/bad.out" 2> "$scratch/bad.err" || status=$?
+  if [ "$status" -ne 2 ] || [ -s "$scratch/bad.out" ] \
+     || ! grep -qF "$prefix" "$scratch/bad.err" \
+     || grep -q "uncaught exception" "$scratch/bad.err"; then
+    echo "ci: dsf_cli $*: want exit 2, empty stdout and '$prefix', got exit $status:" >&2
+    cat "$scratch/bad.out" "$scratch/bad.err" >&2
+    exit 1
+  fi
+}
 printf 'n 3\nedge 0 1 x\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
   > "$scratch/bad_int.dsf"
 printf 'n 3\nedge 0 1 2\nedge 1 1 2\nlabel 0 0\nlabel 2 0\n' \
   > "$scratch/bad_selfloop.dsf"
 printf 'n 4\nedge 0 1 2\nedge 2 3 1\nlabel 0 0\nlabel 3 0\n' \
   > "$scratch/bad_disconnected.dsf"
-for bad in bad_int:2: bad_selfloop:3: bad_disconnected:; do
+printf 'n -5\nn 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
+  > "$scratch/bad_negative_n.dsf"
+printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 0 1\nlabel 2 1\n' \
+  > "$scratch/bad_relabel.dsf"
+for bad in bad_int:2: bad_selfloop:3: bad_disconnected: bad_negative_n:1: \
+    bad_relabel:5:; do
   file="$scratch/${bad%%:*}.dsf"
-  prefix="$file:${bad#*:}"
-  status=0
-  with_timeout 60 dune exec bin/dsf_cli.exe -- solve --file "$file" \
-    > /dev/null 2> "$scratch/bad.err" || status=$?
-  if [ "$status" -ne 2 ] || ! grep -qF "$prefix" "$scratch/bad.err" \
-     || grep -q "uncaught exception" "$scratch/bad.err"; then
-    echo "ci: malformed input $file: want exit 2 and '$prefix', got exit $status:" >&2
-    cat "$scratch/bad.err" >&2
-    exit 1
-  fi
+  expect_input_error "$file:${bad#*:}" solve --file "$file"
 done
-echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected)"
+printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
+  > "$scratch/ok.dsf"
+printf '0 1\n9 9\n' > "$scratch/bad_solution.sol"
+expect_input_error "$scratch/bad_solution.sol:2:" verify \
+  --file "$scratch/ok.dsf" --solution "$scratch/bad_solution.sol"
+echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, bad solution line)"
 
 # Bad generator, solver and query flags: each case (flag, then the dsf_cli
 # arguments) must fail before anything is generated or solved — exit 2,

@@ -310,7 +310,7 @@ let verify_cmd inst_file sol_file dual =
           (fun () -> really_input_string ic (in_channel_length ic))
       in
       match Dsf_graph.Io.parse_solution g text with
-      | Error e -> Format.printf "solution file error: %s@." e; exit 2
+      | Error (line, msg) -> input_error sol_file ~line msg
       | Ok solution -> begin
           match Dsf_core.Certify.check ?dual inst ~solution with
           | Ok report ->
@@ -343,12 +343,7 @@ let gadget_cmd kind universe seed intersect =
       let (res, bits) =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.ic_side
           (fun ~observer ->
-            let out =
-              Dsf_core.Transform.minimalize
-                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
-                gad.Dsf_lower_bound.Gadgets.ic
-            in
-            Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)
+            Dsf_core.Det_dsf.run ~observer gad.Dsf_lower_bound.Gadgets.ic)
       in
       Format.printf
         "IC gadget (Fig 1 right): universe=%d disjoint=%b bridge_used=%b cut_bits=%d@."

@@ -5,8 +5,8 @@
    - the instance is serialized to the Io text format and re-read (as a
      deployment pipeline would),
    - every algorithm runs via the Solver front end,
-   - the winner's run is re-executed under a communication Trace to find
-     the hottest links,
+   - the winner is re-run with a flight recorder attached to find the
+     hottest links,
    - the solution is exported as Graphviz DOT.
 
    Run with: dune exec examples/cdn_planning.exe [-- seed] *)
@@ -50,7 +50,16 @@ let () =
 
   (* Run the full algorithm portfolio. *)
   Format.printf "%-34s %8s %8s %10s@." "algorithm" "cost" "rounds" "certified";
-  let reports = Solver.compare_all inst in
+  let algorithms =
+    Solver.
+      [
+        Det;
+        Det_sublinear { eps_num = 1; eps_den = 2 };
+        Rand { repetitions = 3; seed = 1 };
+        Khan_baseline { repetitions = 3; seed = 1 };
+      ]
+  in
+  let reports = Solver.compare_all ~algorithms inst in
   List.iter
     (fun (r : Solver.report) ->
       assert r.Solver.feasible;
@@ -64,20 +73,22 @@ let () =
   Format.printf "@.cheapest plan: %s at cost %d@." best.Solver.algorithm
     best.Solver.weight;
 
-  (* Where does the coordination traffic concentrate?  The per-run
-     observer is the domain-safe way to tap the simulator (see the
-     domain-safety contract in lib/congest/sim.mli). *)
-  let trace = Dsf_congest.Trace.create () in
-  let _ =
-    Dsf_core.Det_dsf.run ~observer:(Dsf_congest.Trace.observer trace) inst
+  (* Where does the coordination traffic concentrate?  Re-run the winner
+     with a flight recorder on its telemetry and rank the links by the
+     bits they carried. *)
+  let winner =
+    List.find (fun a -> Solver.name a = best.Solver.algorithm) algorithms
   in
-  Format.printf "@.protocol traffic: %d messages, %d bits; hottest links:@."
-    (Dsf_congest.Trace.messages trace)
-    (Dsf_congest.Trace.bits trace);
-  List.iter
-    (fun ((src, dst), bits) ->
-      Format.printf "  PoP %d -> PoP %d: %d bits@." src dst bits)
-    (Dsf_congest.Trace.hottest_edges trace 5);
+  let recorder = Dsf_congest.Recorder.create () in
+  ignore
+    (Solver.solve_ic
+       ~telemetry:(Dsf_congest.Telemetry.create ~recorder ())
+       winner inst);
+  let log = Result.get_ok Dsf_congest.Recorder.(parse (to_string recorder)) in
+  Format.printf "@.%s re-run under a flight recorder:@.%a"
+    best.Solver.algorithm
+    (Dsf_congest.Recorder.pp_hot_edges ~limit:5)
+    (Dsf_congest.Recorder.analyze log);
 
   (* Export the plan for the network team. *)
   let dot = Filename.temp_file "cdn" ".dot" in

@@ -175,23 +175,6 @@ type event =
   | Span_close of string
   | Recovery of { retransmissions : int; restores : int; checkpoint_bits : int }
 
-let pp_event ppf = function
-  | Round r -> Format.fprintf ppf "round %d" r
-  | Step v -> Format.fprintf ppf "step %d" v
-  | Send { src; dst; bits; fate } ->
-      Format.fprintf ppf "send %d->%d %db%s" src dst bits
-        (match fate with
-        | 0 -> " (dropped)"
-        | 1 -> ""
-        | k -> Printf.sprintf " (x%d)" k)
-  | Down v -> Format.fprintf ppf "down %d" v
-  | Restart v -> Format.fprintf ppf "restart %d" v
-  | Span_open n -> Format.fprintf ppf "span-open %s" n
-  | Span_close n -> Format.fprintf ppf "span-close %s" n
-  | Recovery { retransmissions; restores; checkpoint_bits } ->
-      Format.fprintf ppf "recovery retrans=%d restores=%d ckpt-bits=%d"
-        retransmissions restores checkpoint_bits
-
 (* Decode the record starting at [i] of a raw int stream.  [names] maps
    interned ids back to span names.  Returns the event and the index of
    the next record. *)
@@ -232,23 +215,6 @@ let decode_at ints names i =
   end
 
 let names_array t = Array.of_list (List.rev t.names_rev)
-
-let tail t k =
-  let names = names_array t in
-  let ints = t.master.ra and len = t.master.rlen in
-  (* Ring of the last [k] decoded events; one forward pass. *)
-  let ring = Array.make (max 1 k) (Round (-1)) in
-  let seen = ref 0 in
-  let i = ref 0 in
-  while !i < len do
-    let ev, next = decode_at ints names !i in
-    ring.(!seen mod Array.length ring) <- ev;
-    incr seen;
-    i := next
-  done;
-  let kept = min k !seen in
-  List.init kept (fun j ->
-      ring.((!seen - kept + j) mod Array.length ring))
 
 (* --------------------------------------------- dsf-flightlog/1 format *)
 

@@ -111,12 +111,6 @@ type event =
   | Span_close of string
   | Recovery of { retransmissions : int; restores : int; checkpoint_bits : int }
 
-val pp_event : Format.formatter -> event -> unit
-
-val tail : t -> int -> event list
-(** The last [k] events of the master log, oldest first — what
-    {!Trace.pp_postmortem} appends to a {!Sim.Round_limit} dump. *)
-
 (** {2 The [dsf-flightlog/1] binary format}
 
     A magic line, metadata (length-prefixed keys, unsigned-LEB128
@@ -186,5 +180,6 @@ val pp_critical_path : Format.formatter -> analysis -> unit
 val pp_hot_edges : ?limit:int -> Format.formatter -> analysis -> unit
 (** Directed edges ranked by causal load (total bits, descending; ties on
     ascending (src, dst)), with message counts and the deepest chain that
-    crossed each edge.  Supersedes [Trace.hottest_edges] — same ranking
-    discipline, but computed offline from a log instead of a live tap. *)
+    crossed each edge.  This is the repository's per-edge traffic report:
+    record a run (see {!Telemetry.create}'s [~recorder]), then
+    [pp_hot_edges (analyze (Result.get_ok (parse (to_string r))))]. *)

@@ -880,6 +880,30 @@ let pp_stats ppf s =
     Format.fprintf ppf " dropped=%d duplicated=%d retransmissions=%d" s.dropped
       s.duplicated s.retransmissions
 
+(* Senders among [msgs] with their (message, bit) totals, busiest first;
+   ties break on ascending node id so hash-fold order never reaches the
+   printed ranking. *)
+let rank_senders msgs =
+  let per_node = Hashtbl.create 8 in
+  List.iter
+    (fun (src, _, bits) ->
+      let c, b = Option.value ~default:(0, 0) (Hashtbl.find_opt per_node src) in
+      Hashtbl.replace per_node src (c + 1, b + bits))
+    msgs;
+  Hashtbl.fold (fun v cb acc -> (v, cb) :: acc) per_node []
+  |> List.sort (fun (va, (ca, _)) (vb, (cb, _)) ->
+         let c = compare cb ca in
+         if c <> 0 then c else compare va vb)
+
+let top_senders = 6
+
+let pp_top_senders ppf ranked =
+  List.iteri
+    (fun i (v, (c, b)) ->
+      if i < top_senders then Format.fprintf ppf " [%d: %d msg/%d bits]" v c b)
+    ranked;
+  if List.length ranked > top_senders then Format.fprintf ppf " ..."
+
 let pp_abort ppf a =
   Format.fprintf ppf "@[<v>no quiescence after %d rounds (%a)@," a.at_round
     pp_stats a.snapshot;
@@ -887,31 +911,21 @@ let pp_abort ppf a =
     Format.fprintf ppf
       "budget breached %d time(s); worst edge-round carried %d bits@,"
       a.snapshot.budget_violations a.snapshot.max_edge_round_bits;
-  Format.fprintf ppf "last %d rounds of traffic:@," (List.length a.recent);
+  (* Who was still talking: the window-wide ranking puts the node whose
+     timer never stops firing first. *)
+  let window = List.length a.recent in
+  (match rank_senders (List.concat_map snd a.recent) with
+  | [] -> Format.fprintf ppf "no traffic in the last %d rounds@," window
+  | ranked ->
+      Format.fprintf ppf "senders over the last %d rounds:%a@," window
+        pp_top_senders ranked);
   List.iter
     (fun (r, msgs) ->
-      let per_node = Hashtbl.create 8 in
-      let round_bits = ref 0 in
-      List.iter
-        (fun (src, _, bits) ->
-          round_bits := !round_bits + bits;
-          let c, b =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt per_node src)
-          in
-          Hashtbl.replace per_node src (c + 1, b + bits))
-        msgs;
-      let senders =
-        Hashtbl.fold (fun v cb acc -> (v, cb) :: acc) per_node []
-        |> List.sort compare
-      in
-      Format.fprintf ppf "  round %d: %d msgs/%d bits from %d nodes" r
-        (List.length msgs) !round_bits (List.length senders);
-      List.iteri
-        (fun i (v, (c, b)) ->
-          if i < 6 then Format.fprintf ppf " [%d: %d msg/%d bits]" v c b)
-        senders;
-      if List.length senders > 6 then Format.fprintf ppf " ...";
-      Format.fprintf ppf "@,")
+      let ranked = rank_senders msgs in
+      Format.fprintf ppf "  round %d: %d msgs/%d bits from %d nodes%a@," r
+        (List.length msgs)
+        (List.fold_left (fun acc (_, _, bits) -> acc + bits) 0 msgs)
+        (List.length ranked) pp_top_senders ranked)
     a.recent;
   Format.fprintf ppf "@]"
 

@@ -133,9 +133,8 @@ type faults = {
     post-mortem: the stats at the moment of the abort plus the last
     {!postmortem_window} rounds of raw per-message traffic, oldest round
     first — enough to see who was still talking (or silent) when the
-    protocol span out.  A printer is registered with [Printexc], so an
-    uncaught abort prints the summary; {!Trace.pp_postmortem} renders the
-    full per-node breakdown. *)
+    protocol span out.  {!pp_abort} renders it and is registered with
+    [Printexc], so an uncaught abort prints the same post-mortem. *)
 
 type abort = {
   at_round : int;  (** the exceeded round limit *)
@@ -150,8 +149,12 @@ val postmortem_window : int
 (** Number of trailing rounds of traffic kept for {!abort.recent} (8). *)
 
 val pp_abort : Format.formatter -> abort -> unit
-(** Compact per-round summary of an abort (also what the registered
-    [Printexc] printer emits). *)
+(** The post-mortem of an abort (also what the registered [Printexc]
+    printer emits): the stats at the abort, the budget breaches if any,
+    the senders of the whole window ranked by message count (descending,
+    ties on ascending node id), then one line per retained round with its
+    totals and its busiest senders.  Rankings are capped at six senders;
+    the raw messages stay in {!abort.recent}. *)
 
 val never : view -> round:int -> 's -> bool
 (** [never] ignores its arguments and returns [false]: the canonical [wake]

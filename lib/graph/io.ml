@@ -7,6 +7,17 @@ exception Parse_error of int * string
 
 let fail lineno msg = raise (Parse_error (lineno, msg))
 
+(* The blank-separated words of one line, its [#] comment stripped. *)
+let words_of line =
+  let line =
+    match String.index_opt line '#' with
+    | Some j -> String.sub line 0 j
+    | None -> line
+  in
+  String.split_on_char ' ' line
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun w -> w <> "")
+
 (* Every directive keeps its line number, so semantic errors found after
    the scan (graph validation, out-of-range nodes) still point at the line
    that caused them. *)
@@ -19,26 +30,17 @@ let parse_string text =
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
-      let line =
-        match String.index_opt line '#' with
-        | Some j -> String.sub line 0 j
-        | None -> line
-      in
-      let words =
-        String.split_on_char ' ' line
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.filter (fun w -> w <> "")
-      in
       let int_arg w =
         match int_of_string_opt w with
         | Some x -> x
         | None -> fail lineno (Printf.sprintf "expected integer, got %S" w)
       in
-      match words with
+      match words_of line with
       | [] -> ()
       | [ "n"; x ] ->
-          if !n >= 0 then fail lineno "duplicate n line";
+          if !n_line > 0 then fail lineno "duplicate n line";
           n := int_arg x;
+          if !n <= 0 then fail lineno "n must be positive";
           n_line := lineno
       | [ "edge"; u; v; w ] ->
           edges := (lineno, (int_arg u, int_arg v, int_arg w)) :: !edges
@@ -47,14 +49,15 @@ let parse_string text =
           requests := (lineno, int_arg u, int_arg v) :: !requests
       | w :: _ -> fail lineno (Printf.sprintf "unknown directive %S" w))
     lines;
-  if !n < 0 then fail 0 "missing n line";
+  if !n_line = 0 then fail 0 "missing n line";
   let edge_lines, triples = Array.split (Array.of_list (List.rev !edges)) in
   let g =
     try Graph.make_arr ~n:!n triples
-    with Invalid_argument msg -> begin
+    with Invalid_argument _ as e -> begin
+      (* [n] is positive by now, so an edge is at fault. *)
       match Graph.first_invalid_edge ~n:!n triples with
       | Some (i, msg) -> fail edge_lines.(i) msg
-      | None -> fail !n_line msg
+      | None -> raise e
     end
   in
   let first_line = List.fold_left (fun acc (l, _, _) -> min acc l) max_int in
@@ -64,13 +67,18 @@ let parse_string text =
       fail (max (first_line ls) (first_line rs))
         "cannot mix label and request lines"
   | ls, [] ->
+      let arr = Array.make !n (-1) and labelled_at = Array.make !n 0 in
       List.iter
         (fun (lineno, v, l) ->
           if v < 0 || v >= !n then fail lineno "label node out of range";
-          if l < 0 then fail lineno "labels must be non-negative")
+          if l < 0 then fail lineno "labels must be non-negative";
+          if labelled_at.(v) > 0 then
+            fail lineno
+              (Printf.sprintf "node %d already labelled at line %d" v
+                 labelled_at.(v));
+          labelled_at.(v) <- lineno;
+          arr.(v) <- l)
         (List.rev ls);
-      let arr = Array.make !n (-1) in
-      List.iter (fun (_, v, l) -> arr.(v) <- l) ls;
       Ic (Instance.make_ic g arr)
   | [], rs ->
       List.iter
@@ -120,38 +128,26 @@ let roundtrip_ic inst =
 
 let parse_solution g text =
   let selected = Array.make (Graph.m g) false in
-  let lines = String.split_on_char '\n' text in
+  let n = Graph.n g in
   let error = ref None in
   List.iteri
     (fun i line ->
       if !error = None then begin
-        let line =
-          match String.index_opt line '#' with
-          | Some j -> String.sub line 0 j
-          | None -> line
-        in
-        let words =
-          String.split_on_char ' ' line
-          |> List.concat_map (String.split_on_char '\t')
-          |> List.filter (fun w -> w <> "")
-        in
-        match words with
+        let fail msg = error := Some (i + 1, msg) in
+        match words_of line with
         | [] -> ()
         | [ u; v ] -> begin
             match int_of_string_opt u, int_of_string_opt v with
-            | Some u, Some v
-              when u >= 0 && u < Graph.n g && v >= 0 && v < Graph.n g -> begin
+            | Some u, Some v when u >= 0 && u < n && v >= 0 && v < n -> begin
                 match Graph.find_edge g u v with
                 | Some eid -> selected.(eid) <- true
-                | None ->
-                    error :=
-                      Some (Printf.sprintf "line %d: no edge %d-%d" (i + 1) u v)
+                | None -> fail (Printf.sprintf "no edge %d-%d" u v)
               end
-            | _ -> error := Some (Printf.sprintf "line %d: bad endpoints" (i + 1))
+            | _ -> fail "bad endpoints"
           end
-        | _ -> error := Some (Printf.sprintf "line %d: expected \"u v\"" (i + 1))
+        | _ -> fail "expected \"u v\""
       end)
-    lines;
+    (String.split_on_char '\n' text);
   match !error with Some e -> Error e | None -> Ok selected
 
 let print_solution ppf g selected =

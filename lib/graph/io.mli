@@ -24,9 +24,10 @@ exception Parse_error of int * string
 (** 1-based line number and message.  Semantic errors carry the line of the
     directive that caused them: an invalid [edge] (self-loop, duplicate,
     endpoint out of range, non-positive weight), an out-of-range [label] or
-    [request] node, a negative label, the first line that mixes [label]
-    and [request] directives, or the [n] line for a non-positive node
-    count.  Line [0] means the whole file (no [n] line at all). *)
+    [request] node, a negative label, a second [label] for the same node,
+    the first line that mixes [label] and [request] directives, a second
+    [n] line, or the [n] line for a non-positive node count.  Line [0]
+    means the whole file (no [n] line at all). *)
 
 val parse_string : string -> parsed
 val parse_file : string -> parsed
@@ -38,8 +39,10 @@ val print_graph : Format.formatter -> Graph.t -> unit
 val roundtrip_ic : Instance.ic -> Instance.ic
 (** [parse (print x)] — exposed for tests. *)
 
-val parse_solution : Graph.t -> string -> (bool array, string) Stdlib.result
+val parse_solution :
+  Graph.t -> string -> (bool array, int * string) Stdlib.result
 (** Parse a solution file: one selected edge per line as "u v" (order
-    irrelevant, [#] comments allowed).  Errors on unknown edges. *)
+    irrelevant, [#] comments allowed).  The error is the 1-based line
+    number and message of the first malformed line or unknown edge. *)
 
 val print_solution : Format.formatter -> Graph.t -> bool array -> unit

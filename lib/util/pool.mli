@@ -10,11 +10,11 @@
 
     The pool is a *harness-level* facility: a task must be a pure function
     of its input (see HACKING.md, "Domain-safety contract").  In
-    particular, tasks must not mutate {!Dsf_congest.Sim}'s deprecated
-    global observer/engine shims — pass the per-run parameters instead —
-    and any randomness must come from an {!Rng.t} split deterministically
-    from the task index *before* the fan-out, so results are bit-identical
-    regardless of [jobs]. *)
+    particular, tasks must not flip {!Dsf_congest.Sim}'s one global
+    shim, [use_reference_engine] — pass per-run parameters in a
+    [Sim.env] instead — and any randomness must come from an {!Rng.t}
+    split deterministically from the task index *before* the fan-out, so
+    results are bit-identical regardless of [jobs]. *)
 
 exception Nested_use
 (** Raised by {!map_chunked} when a parallel region is already active —

@@ -1,5 +1,5 @@
 (* Tests for the supporting modules added around the core reproduction:
-   sequential upcast (ablation baseline), communication traces, DOT export,
+   sequential upcast (ablation baseline), the message observer, DOT export,
    extra generators (clustered, broom), the unified Solver front end, and
    the st-path hard family. *)
 
@@ -37,71 +37,60 @@ let test_seq_upcast_no_pipelining () =
   Alcotest.(check bool) "pipelined ~ depth+items" true
     (pipe.Dsf_congest.Sim.rounds <= depth + nitems + 4)
 
-(* ------------------------------------------------------------------ Trace *)
+(* --------------------------------------------------------------- observer *)
 
 let observed observer = { Dsf_congest.Sim.default_env with observer = Some observer }
 
-let test_trace_counts () =
+(* An inline per-edge counter on the message tap: (messages, bits) overall
+   and bits per directed edge. *)
+let counting () =
+  let messages = ref 0 and bits = ref 0 and per_edge = Hashtbl.create 16 in
+  let observer ~src ~dst ~bits:b =
+    incr messages;
+    bits := !bits + b;
+    Hashtbl.replace per_edge (src, dst)
+      (b + Option.value ~default:0 (Hashtbl.find_opt per_edge (src, dst)))
+  in
+  let between src dst =
+    Option.value ~default:0 (Hashtbl.find_opt per_edge (src, dst))
+  in
+  observer, messages, bits, between
+
+let test_observer_counts () =
   let g = Gen.path 6 in
-  let trace = Dsf_congest.Trace.create () in
-  let _, stats =
-    Dsf_congest.Bfs.build ~env:(observed (Dsf_congest.Trace.observer trace)) g
-      ~root:0
-  in
+  let observer, messages, bits, _ = counting () in
+  let _, stats = Dsf_congest.Bfs.build ~env:(observed observer) g ~root:0 in
   check Alcotest.int "messages match sim stats" stats.Dsf_congest.Sim.messages
-    (Dsf_congest.Trace.messages trace);
+    !messages;
   check Alcotest.int "bits match sim stats" stats.Dsf_congest.Sim.total_bits
-    (Dsf_congest.Trace.bits trace)
+    !bits
 
-let test_trace_per_edge () =
-  let g = Gen.path 3 in
-  let trace = Dsf_congest.Trace.create () in
-  ignore
-    (Dsf_congest.Bellman_ford.sssp
-       ~env:(observed (Dsf_congest.Trace.observer trace))
-       g ~src:0);
-  Alcotest.(check bool) "edge 0->1 carried bits" true
-    (Dsf_congest.Trace.bits_between trace ~src:0 ~dst:1 > 0);
-  let hottest = Dsf_congest.Trace.hottest_edges trace 2 in
-  check Alcotest.int "top-2 requested" 2 (List.length hottest);
-  (match hottest with
-  | (_, a) :: (_, b) :: _ -> Alcotest.(check bool) "descending" true (a >= b)
-  | _ -> Alcotest.fail "expected 2 entries")
-
-let test_trace_nesting_chains () =
-  (* One trace threaded through successive runs accumulates all of them:
-     it equals the separate per-run traces added up, edge by edge. *)
+let test_observer_threads_runs () =
+  (* One env's observer threaded through successive runs sees all of
+     them: it equals the separate per-run counts added up, edge by edge. *)
   let g = Gen.path 4 in
-  let traced run =
-    let t = Dsf_congest.Trace.create () in
-    let stats = run (Dsf_congest.Trace.observer t) in
-    (t, stats)
-  in
   let bfs observer =
     snd (Dsf_congest.Bfs.build ~env:(observed observer) g ~root:0)
   in
   let sssp observer =
     snd (Dsf_congest.Bellman_ford.sssp ~env:(observed observer) g ~src:0)
   in
-  let t_bfs, s_bfs = traced bfs and t_sssp, s_sssp = traced sssp in
-  let whole, _ =
-    traced (fun observer -> ignore (bfs observer); sssp observer)
-  in
-  let bits = Dsf_congest.Trace.bits in
-  check Alcotest.int "outer sees the same traffic"
-    (bits t_bfs + bits t_sssp) (bits whole);
+  let o_bfs, m_bfs, b_bfs, e_bfs = counting () in
+  let o_sssp, m_sssp, b_sssp, e_sssp = counting () in
+  let s_bfs = bfs o_bfs and s_sssp = sssp o_sssp in
+  let o_whole, m_whole, b_whole, e_whole = counting () in
+  ignore (bfs o_whole);
+  ignore (sssp o_whole);
+  check Alcotest.int "outer sees the same traffic" (!b_bfs + !b_sssp) !b_whole;
   check Alcotest.int "bits match sim stats"
     (s_bfs.Dsf_congest.Sim.total_bits + s_sssp.Dsf_congest.Sim.total_bits)
-    (bits whole);
-  check Alcotest.int "messages add up"
-    (Dsf_congest.Trace.messages t_bfs + Dsf_congest.Trace.messages t_sssp)
-    (Dsf_congest.Trace.messages whole);
+    !b_whole;
+  check Alcotest.int "messages add up" (!m_bfs + !m_sssp) !m_whole;
   for src = 0 to 3 do
     for dst = 0 to 3 do
       check Alcotest.int "per-edge bits add up"
-        (Dsf_congest.Trace.bits_between t_bfs ~src ~dst
-        + Dsf_congest.Trace.bits_between t_sssp ~src ~dst)
-        (Dsf_congest.Trace.bits_between whole ~src ~dst)
+        (e_bfs src dst + e_sssp src dst)
+        (e_whole src dst)
     done
   done
 
@@ -264,11 +253,11 @@ let suites =
         Alcotest.test_case "delivers" `Quick test_seq_upcast_delivers;
         Alcotest.test_case "no pipelining" `Quick test_seq_upcast_no_pipelining;
       ] );
-    ( "congest.trace",
+    ( "congest.observer",
       [
-        Alcotest.test_case "counts" `Quick test_trace_counts;
-        Alcotest.test_case "per-edge" `Quick test_trace_per_edge;
-        Alcotest.test_case "nesting chains" `Quick test_trace_nesting_chains;
+        Alcotest.test_case "counts" `Quick test_observer_counts;
+        Alcotest.test_case "threads successive runs" `Quick
+          test_observer_threads_runs;
       ] );
     ( "graph.dot",
       [

@@ -190,7 +190,11 @@ let test_io_error_lines () =
     "n 3\nedge 0 7 2\nedge 1 1 2\n";
   expect_line "weight" 3 "Graph.make: non-positive weight"
     "n 3\nedge 0 1 2\nedge 1 2 0\n";
-  expect_line "n" 2 "Graph.make: n must be positive" "\nn 0\n";
+  expect_line "n" 2 "n must be positive" "\nn 0\n";
+  expect_line "negative n" 1 "n must be positive" "n -5\nn 3\nedge 0 1 1\n";
+  expect_line "second n" 2 "duplicate n line" "n 3\nn 3\n";
+  expect_line "label twice" 5 "node 0 already labelled at line 4"
+    "n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 0 1\nlabel 2 1\n";
   expect_line "label node" 4 "label node out of range"
     "n 2\nedge 0 1 1\nlabel 0 0\nlabel 5 0\nlabel 9 0\n";
   expect_line "negative label" 3 "labels must be non-negative"
@@ -212,19 +216,22 @@ let test_io_solution_roundtrip () =
   Format.pp_print_flush ppf ();
   (match Io.parse_solution g (Buffer.contents buf) with
   | Ok back -> check Alcotest.(array bool) "solution roundtrip" sol back
-  | Error e -> Alcotest.fail e)
+  | Error (_, e) -> Alcotest.fail e)
 
 let test_io_solution_errors () =
   let g = Gen.path 3 in
-  (match Io.parse_solution g "0 2\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-edge must be rejected");
-  (match Io.parse_solution g "0 abc\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad integers must be rejected");
+  let expect_error name line msg text =
+    match Io.parse_solution g text with
+    | Error e -> check Alcotest.(pair int string) name (line, msg) e
+    | Ok _ -> Alcotest.fail (name ^ " must be rejected")
+  in
+  expect_error "non-edge" 1 "no edge 0-2" "0 2\n";
+  expect_error "bad integers" 2 "bad endpoints" "# ok\n0 abc\n";
+  expect_error "out of range" 2 "bad endpoints" "0 1\n9 9\n";
+  expect_error "arity" 1 "expected \"u v\"" "0 1 2\n";
   match Io.parse_solution g "# only a comment\n0 1\n" with
   | Ok sol -> check Alcotest.int "one edge" 1 (Array.fold_left (fun a b -> if b then a + 1 else a) 0 sol)
-  | Error e -> Alcotest.fail e
+  | Error (_, e) -> Alcotest.fail e
 
 let prop_io_roundtrip =
   QCheck.Test.make ~name:"Io roundtrip preserves instances" ~count:25

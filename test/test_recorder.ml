@@ -299,6 +299,43 @@ let test_spans_in_log () =
       check Alcotest.bool "span recorded" true
         (List.mem (Recorder.Span_open "bfs") (Recorder.log_events log))
 
+(* ------------------------------------------------------------ hot edges *)
+
+(* The per-edge traffic report: a recorded Bellman-Ford on a 3-path,
+   read back through the printed rows of [pp_hot_edges]. *)
+let test_hot_edges () =
+  let g = Gen.path 3 in
+  let r = Recorder.create ~now:0 () in
+  let _, stats = Bellman_ford.sssp ~env:(recording r) g ~src:0 in
+  let a =
+    Recorder.analyze (Result.get_ok (Recorder.parse (Recorder.to_string r)))
+  in
+  let rows limit =
+    Format.asprintf "%a" (Recorder.pp_hot_edges ~limit) a
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           Scanf.sscanf_opt line " %d -> %d bits=%d msgs=%d max_chain_depth=%d"
+             (fun src dst bits msgs _ -> (src, dst), bits, msgs))
+  in
+  let all = rows max_int in
+  check Alcotest.bool "edge 0->1 carried bits" true
+    (List.exists (fun (e, bits, _) -> e = (0, 1) && bits > 0) all);
+  check Alcotest.bool "ranked by bits desc, then (src, dst)" true
+    (List.sort
+       (fun (ea, ba, _) (eb, bb, _) ->
+         let c = compare bb ba in
+         if c <> 0 then c else compare ea eb)
+       all
+    = all);
+  check Alcotest.bool "more edges than the limit" true (List.length all > 2);
+  check Alcotest.bool "limit honoured" true
+    (rows 2 = List.filteri (fun i _ -> i < 2) all);
+  check Alcotest.int "messages add up to the run's stats"
+    stats.Sim.messages
+    (List.fold_left (fun acc (_, _, m) -> acc + m) 0 all);
+  check Alcotest.int "bits add up to the run's stats" stats.Sim.total_bits
+    (List.fold_left (fun acc (_, b, _) -> acc + b) 0 all)
+
 (* --------------------------------------- golden queries (Figure 1 gadget) *)
 
 (* The pinned set-disjointness gadget from the paper's Figure 1 (universe
@@ -387,6 +424,7 @@ let suites =
           test_log_crash_classic_flat_identical;
         qtest prop_log_faulted_flat;
         Alcotest.test_case "spans in log" `Quick test_spans_in_log;
+        Alcotest.test_case "hot edges" `Quick test_hot_edges;
         Alcotest.test_case "golden: gadget summary" `Quick test_golden_summary;
         Alcotest.test_case "golden: gadget --why" `Quick test_golden_why;
         Alcotest.test_case "golden: gadget --critical-path" `Quick
