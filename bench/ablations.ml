@@ -295,7 +295,8 @@ let a6 ~jobs () =
                 Dsf_congest.Sim.default_env with
                 network = Dsf_congest.Sim.Chaos (Dsf_congest.Fault.chaos plan);
               }
-            g proto
+            g
+            (Dsf_congest.Sim.flat_of_protocol proto)
         in
         p, states, stats)
       [| 0.0; 0.05; 0.1; 0.2; 0.3 |]

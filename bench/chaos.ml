@@ -1,7 +1,8 @@
 (* Chaos smoke for CI: every stock protocol, hardened and run under a
    fixed drop/duplication plan, must reproduce its lossless final states
-   in-process.  bin/ci.sh runs this on every change and any divergence
-   exits nonzero.
+   in-process.  The protocols are the native flat ports the solvers run,
+   so the smoke hardens exactly the code of a lossless solve.  bin/ci.sh
+   runs this on every change and any divergence exits nonzero.
 
    [soak] is the crash-recovery counterpart at CI scale: a seeded
    plan-class x protocol matrix at n=1024 where every leg runs
@@ -21,12 +22,12 @@ let run () =
   let r = Dsf_util.Rng.create 99 in
   let g = Gen.random_connected r ~n:24 ~extra_edges:20 ~max_w:8 in
   let plan = Fault.plan ~drop:0.15 ~duplicate:0.1 ~seed:4242 () in
-  let check name proto =
-    let lossless, base = Sim.run g proto in
+  let check name fp =
+    let lossless, base = Sim.run_flat g fp in
     let hardened, stats =
       Fault.sim_run
         ~env:{ Sim.default_env with network = Sim.Chaos (Fault.chaos plan) }
-        g proto
+        g fp
     in
     let masked = lossless = hardened in
     Format.printf "%-14s %-8s rounds %4d -> %4d, retrans %5d, dropped %5d@."
@@ -38,13 +39,20 @@ let run () =
   in
   (* Explicit lets: list literals evaluate right-to-left, which would
      scramble the printed order. *)
-  let bfs = check "bfs" (Dsf_congest.Bfs.protocol ~root:0) in
+  let bfs =
+    check "bfs" (Dsf_congest.Bfs.flat_protocol ~n:(Graph.n g) ~root:0)
+  in
   let bf =
     check "bellman-ford"
-      (Dsf_congest.Bellman_ford.protocol g ~sources:[ 0, 0; 7, 2 ])
+      (Option.get
+         (Dsf_congest.Bellman_ford.flat_protocol g ~sources:[ 0, 0; 7, 2 ]))
   in
-  let exch = check "exchange" (Dsf_congest.Exchange.protocol ~payload_bits:9) in
-  let leader = check "leader" (Dsf_congest.Leader.protocol g) in
+  let exch =
+    check "exchange" (Dsf_congest.Exchange.flat_protocol ~payload_bits:9)
+  in
+  let leader =
+    check "leader" (Sim.flat_of_protocol (Dsf_congest.Leader.protocol g))
+  in
   let results = [ bfs; bf; exch; leader ] in
   if List.for_all Fun.id results then
     Format.printf "chaos smoke: all protocols masked@."
@@ -86,29 +94,40 @@ let soak () =
     ]
   in
   let max_rounds = 200_000 in
-  let mk sname proto =
-    (* Lossless baseline once per protocol; every hardened leg must
-       reproduce it exactly. *)
-    let lossless, _ = Sim.run g proto in
+  (* [mk sname go]: [go env] runs the protocol and returns what must
+     survive the faults, with the run's stats.  Lossless baseline once per
+     protocol; every hardened leg must reproduce it exactly. *)
+  let mk sname go =
+    let lossless, _ = go Sim.default_env in
     {
       sname;
       run =
         (fun chaos ->
-          let states, stats =
-            Fault.sim_run ~max_rounds
-              ~env:{ Sim.default_env with network = Sim.Chaos chaos }
-              ~recovery:(Fault.immutable ()) g proto
+          let got, stats =
+            go { Sim.default_env with network = Sim.Chaos chaos }
           in
-          states = lossless, stats);
+          got = lossless, stats);
     }
+  in
+  (* The ports with immediate (int or immutable) states checkpoint with
+     the identity snapshot. *)
+  let port sname fp =
+    mk sname (fun env ->
+        Fault.sim_run ~max_rounds ~env ~recovery:(Fault.immutable ()) g fp)
   in
   let protocols =
     [
-      mk "bfs" (Dsf_congest.Bfs.protocol ~root:0);
-      mk "bellman-ford"
-        (Dsf_congest.Bellman_ford.protocol g ~sources:[ 0, 0; n / 2, 2 ]);
-      mk "exchange" (Dsf_congest.Exchange.protocol ~payload_bits:9);
-      mk "leader" (Dsf_congest.Leader.protocol g);
+      port "bfs" (Dsf_congest.Bfs.flat_protocol ~n ~root:0);
+      (* Bellman-Ford's port keeps a mutable state, so it runs through its
+         entry point, which supplies the deep-copying snapshot. *)
+      mk "bellman-ford" (fun env ->
+          let r, stats =
+            Dsf_congest.Bellman_ford.run ~max_rounds ~env g
+              ~sources:[ 0, 0; n / 2, 2 ]
+          in
+          Dsf_congest.Bellman_ford.(r.dist, r.src_of, r.parent, r.hops), stats);
+      port "exchange" (Dsf_congest.Exchange.flat_protocol ~payload_bits:9);
+      port "leader" (Sim.flat_of_protocol (Dsf_congest.Leader.protocol g));
     ]
   in
   let failures = ref 0 in

@@ -65,8 +65,11 @@ let shared_tree =
 (* Engine-pair benchmarks drive whole entry points (Bellman_ford.sssp,
    Det_dsf.run, ...) through both engines; like the differential suite,
    that is only possible via the global engine shim — no engine parameter
-   is threaded through those APIs on purpose.  Single-domain: the bench
-   harness never runs this inside a pool task. *)
+   is threaded through those APIs on purpose.  Under the shim each
+   primitive runs its one port on the seed loop through
+   [Sim.protocol_of_flat], so a pair times the same protocol code on the
+   two engines.  Single-domain: the bench harness never runs this inside
+   a pool task. *)
 let in_reference f =
   Sim.use_reference_engine := true;
   Fun.protect ~finally:(fun () -> Sim.use_reference_engine := false) f
@@ -855,7 +858,7 @@ let fault_overhead () =
               Sim.default_env with
               network = Sim.Chaos (Dsf_congest.Fault.chaos plan);
             }
-          g proto
+          g (Sim.flat_of_protocol proto)
       in
       {
         drop;
@@ -912,7 +915,7 @@ let run_profiled_workloads tel =
                        telemetry = Some tel;
                        network = Sim.Chaos (Dsf_congest.Fault.chaos plan);
                      }
-                   g proto)))
+                   g (Sim.flat_of_protocol proto))))
         [
           "drop=0.00", Dsf_congest.Fault.empty;
           "drop=0.10", Dsf_congest.Fault.plan ~drop:0.1 ~seed:808 ();

@@ -108,8 +108,9 @@ identity_leg sublinear sublinear
 echo "ci: det and sublinear solve stdout byte-identical (det jobs 1 + chaos 5 jobs 2, sublinear)"
 
 # Malformed-input smoke: a bad integer, a self-loop, a disconnected graph,
-# a negative n followed by a second n line, a node labelled twice, and a
-# verify whose solution file names a non-edge must each fail with exit 2,
+# a negative n followed by a second n line, a node labelled twice, a total
+# edge weight over the 2^50 input bound, and a verify whose solution file
+# names a non-edge must each fail with exit 2,
 # nothing on stdout, and a PATH:LINE: (or PATH:) location on stderr, never
 # as an uncaught exception.
 expect_input_error() {
@@ -135,8 +136,11 @@ printf 'n -5\nn 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
   > "$scratch/bad_negative_n.dsf"
 printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 0 1\nlabel 2 1\n' \
   > "$scratch/bad_relabel.dsf"
+# 2^50 - 12, then 5 and 8: the third edge crosses the bound by one.
+printf 'n 4\nedge 0 1 1125899906842612\nedge 1 2 5\nedge 2 3 8\nlabel 0 0\nlabel 3 0\n' \
+  > "$scratch/bad_weight.dsf"
 for bad in bad_int:2: bad_selfloop:3: bad_disconnected: bad_negative_n:1: \
-    bad_relabel:5:; do
+    bad_relabel:5: bad_weight:4:; do
   file="$scratch/${bad%%:*}.dsf"
   expect_input_error "$file:${bad#*:}" solve --file "$file"
 done
@@ -145,7 +149,7 @@ printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
 printf '0 1\n9 9\n' > "$scratch/bad_solution.sol"
 expect_input_error "$scratch/bad_solution.sol:2:" verify \
   --file "$scratch/ok.dsf" --solution "$scratch/bad_solution.sol"
-echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, bad solution line)"
+echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, bad solution line)"
 
 # Bad generator, solver and query flags: each case (flag, then the dsf_cli
 # arguments) must fail before anything is generated or solved — exit 2,
@@ -169,11 +173,14 @@ done <<'CASES'
 --nodes params -n 0
 --max-weight solve --max-weight 0
 --max-weight params --max-weight 0
+--max-weight solve --max-weight 1125899906842625
+--max-weight params -n 50 --max-weight 70368744177664
 --components solve -k 0
 --terminals solve -t 3 -k 2
 --terminals compare -t 3 -k 2
 --terminals solve -n 50 -t 60
 --eps-den solve --algo sublinear --eps-den 0
+--eps-den solve --algo sublinear --eps-den 64
 --topology params --topology nosuch
 --algo solve --algo bogus
 --chaos solve --algo rand --chaos 3
@@ -222,6 +229,23 @@ with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
 with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
   "$scratch/solve.flightlog" --hot-edges 5 > /dev/null
 echo "ci: flight-recorder smoke ok (record + inspect, flat n=1024)"
+
+# Chaos flight-recorder smoke: record a hardened det solve, so the log
+# carries Recovery events (retransmissions, restores, checkpoint bits),
+# and read it back with the summary and --critical-path.
+with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
+  --file test/fixtures/det_small.dsf --chaos 5 \
+  --record "$scratch/chaos.flightlog" > /dev/null
+with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
+  "$scratch/chaos.flightlog" > "$scratch/inspect_chaos.out"
+grep -q "^recovery: " "$scratch/inspect_chaos.out" || {
+  echo "ci: inspect of a chaos log printed no recovery line" >&2; exit 1; }
+with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
+  "$scratch/chaos.flightlog" --critical-path > "$scratch/inspect_chaos_cp.out"
+grep -q "critical path: causal depth" "$scratch/inspect_chaos_cp.out" || {
+  echo "ci: inspect --critical-path of a chaos log printed no causal depth" >&2
+  exit 1; }
+echo "ci: chaos flight-recorder smoke ok (det_small --chaos 5, summary + critical path)"
 
 # Flat end-to-end smoke: a whole det_dsf solve on the flat engine at
 # n=4096 (a path — the wavefront-dominated worst case) must finish inside

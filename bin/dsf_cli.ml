@@ -31,6 +31,18 @@ let check_choice flag ~what choices v =
 
 let algos = [ "det"; "sublinear"; "rand"; "khan"; "moat" ]
 
+(* The certification verdict solve and verify share: print the report
+   (after [prefix]) or the rejection (after [reject]), and say whether the
+   solution passed.  A caller that gets [false] exits 1. *)
+let certified ?dual ~prefix ~reject inst ~solution =
+  match Dsf_core.Certify.check ?dual inst ~solution with
+  | Ok report ->
+      Format.printf "%s%a@." prefix Dsf_core.Certify.pp report;
+      report.Dsf_core.Certify.feasible
+  | Error msg ->
+      Format.printf "%s: %s@." reject msg;
+      false
+
 let make_graph topology rng n max_w =
   let min_n =
     match topology with
@@ -42,20 +54,34 @@ let make_graph topology rng n max_w =
     flag_error "--nodes" "the %s topology needs at least %d nodes, got %d"
       topology min_n n;
   if max_w < 1 then flag_error "--max-weight" "must be at least 1, got %d" max_w;
-  match topology with
-  | "random" -> Gen.random_connected rng ~n ~extra_edges:n ~max_w
-  | "geometric" -> Gen.random_geometric rng ~n ~radius:0.2 ~max_w
-  | "grid" ->
-      let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-      Gen.reweight rng ~max_w (Gen.grid ~rows:side ~cols:side)
-  | "cycle" -> Gen.reweight rng ~max_w (Gen.cycle (max 3 n))
-  | "path" -> Gen.reweight rng ~max_w (Gen.path (max 2 n))
-  | "lollipop" -> Gen.reweight rng ~max_w (Gen.lollipop ~clique:(n / 3) ~tail:(n - (n / 3)))
-  | "clustered" ->
-      let cluster_size = max 4 (n / 4) in
-      Gen.clustered rng ~clusters:4 ~cluster_size ~intra_extra:(cluster_size / 2)
-        ~bridges:2 ~intra_w:(max 2 (max_w / 8)) ~bridge_w:max_w
-  | other -> flag_error "--topology" "unknown topology %S" other
+  if max_w > Graph.max_total_weight then
+    flag_error "--max-weight"
+      "must be at most %d (the total weight bound), got %d"
+      Graph.max_total_weight max_w;
+  let g =
+    match topology with
+    | "random" -> Gen.random_connected rng ~n ~extra_edges:n ~max_w
+    | "geometric" -> Gen.random_geometric rng ~n ~radius:0.2 ~max_w
+    | "grid" ->
+        let side = max 2 (int_of_float (sqrt (float_of_int n))) in
+        Gen.reweight rng ~max_w (Gen.grid ~rows:side ~cols:side)
+    | "cycle" -> Gen.reweight rng ~max_w (Gen.cycle (max 3 n))
+    | "path" -> Gen.reweight rng ~max_w (Gen.path (max 2 n))
+    | "lollipop" -> Gen.reweight rng ~max_w (Gen.lollipop ~clique:(n / 3) ~tail:(n - (n / 3)))
+    | "clustered" ->
+        let cluster_size = max 4 (n / 4) in
+        Gen.clustered rng ~clusters:4 ~cluster_size ~intra_extra:(cluster_size / 2)
+          ~bridges:2 ~intra_w:(max 2 (max_w / 8)) ~bridge_w:max_w
+    | other -> flag_error "--topology" "unknown topology %S" other
+  in
+  let weights =
+    List.map (fun (e : Graph.edge) -> e.w) (Array.to_list (Graph.edges g))
+  in
+  if Graph.over_weight_bound weights <> None then
+    flag_error "--max-weight"
+      "%d gives the generated graph a total edge weight above the bound %d"
+      max_w Graph.max_total_weight;
+  g
 
 (* Parse an instance file and reject disconnected networks up front: every
    algorithm (and the D/WD/s sweep) assumes one connected CONGEST network. *)
@@ -145,8 +171,10 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   check_choice "--algo" ~what:"algorithm" algos algo;
   if chaos_seed <> None && algo <> "det" then
     flag_error "--chaos" "only supported with --algo det, got --algo %s" algo;
-  if algo = "sublinear" && eps_den < 1 then
-    flag_error "--eps-den" "must be at least 1 (eps = 1/eps-den), got %d" eps_den;
+  let max_eps_den = Dsf_core.Det_sublinear.max_eps_den in
+  if algo = "sublinear" && (eps_den < 1 || eps_den > max_eps_den) then
+    flag_error "--eps-den" "must be in 1..%d (eps = 1/eps-den), got %d"
+      max_eps_den eps_den;
   let recorder =
     Option.map (fun _ -> Dsf_congest.Recorder.create ()) record
   in
@@ -242,9 +270,10 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
      the algorithm provides one.  Det's dual is the one its single run
      returned: Det_dsf.run is deterministic for a given chaos plan
      (test_chaos pins this), so a second solve would only repeat it. *)
-  (match Dsf_core.Certify.check ?dual inst ~solution with
-  | Ok report -> Format.printf "certified: %a@." Dsf_core.Certify.pp report
-  | Error msg -> Format.printf "CERTIFICATION FAILED: %s@." msg);
+  let ok =
+    certified ?dual ~prefix:"certified: " ~reject:"CERTIFICATION FAILED" inst
+      ~solution
+  in
   (match ledger with
   | Some l ->
       Format.printf "rounds: %d (simulated %d, charged %d)@." (Ledger.total l)
@@ -265,12 +294,13 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
       Format.printf "wrote %s@." path
   | None -> ());
   write_trace sink;
-  match record, recorder with
+  (match record, recorder with
   | Some path, Some r ->
       Dsf_congest.Recorder.write_file r path;
       Format.printf "wrote flightlog to %s (%d events)@." path
         (Dsf_congest.Recorder.event_count r)
-  | _ -> ()
+  | _ -> ());
+  if not ok then exit 1
 
 let compare_cmd topology n t k max_w seed file jobs trace trace_format =
   let sink = trace_sink trace trace_format in
@@ -311,15 +341,9 @@ let verify_cmd inst_file sol_file dual =
       in
       match Dsf_graph.Io.parse_solution g text with
       | Error (line, msg) -> input_error sol_file ~line msg
-      | Ok solution -> begin
-          match Dsf_core.Certify.check ?dual inst ~solution with
-          | Ok report ->
-              Format.printf "%a@." Dsf_core.Certify.pp report;
-              if not report.Dsf_core.Certify.feasible then exit 1
-          | Error msg ->
-              Format.printf "REJECTED: %s@." msg;
-              exit 1
-        end
+      | Ok solution ->
+          if not (certified ?dual ~prefix:"" ~reject:"REJECTED" inst ~solution)
+          then exit 1
     end
 
 let params_cmd topology n max_w seed =

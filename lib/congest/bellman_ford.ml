@@ -106,7 +106,7 @@ let protocol ?weight_of ?radius g ~sources =
    lexicographically worse label), so hops <= n - 1 and the bound is
    sound.  When the three widths do not fit an immediate int, the
    constructor declines ([None]) and [run] falls back to the classic
-   protocol through the flat engine's adapter. *)
+   protocol, the only implementation for such wide inputs. *)
 type flat_state = {
   mutable fdist : int;
   mutable fsrc : int;
@@ -242,23 +242,31 @@ let run ?weight_of ?radius ?max_rounds ?(env = Sim.default_env) g ~sources =
       hops.(v) <- h
     end
   in
-  let native =
-    if Sim.native_ports env then flat_protocol ?weight_of ?radius g ~sources
-    else None
-  in
+  (* The input alone picks the leg: the packed port whenever its widths
+     fit an immediate int, the classic protocol otherwise. *)
+  let native = flat_protocol ?weight_of ?radius g ~sources in
   let stats =
     Sim.span env "bellman_ford" @@ fun () ->
     match native with
     | Some fp ->
-        let states, stats = Sim.run_flat ?max_rounds ~env g fp in
+        let states, stats =
+          Fault.sim_run ?max_rounds ~env
+            ~recovery:
+              {
+                (Fault.immutable ()) with
+                (* A fresh record; every field holds an immutable value. *)
+                snapshot = (fun st -> { st with fdirty = st.fdirty });
+              }
+            g fp
+        in
         Array.iteri
           (fun v st -> fill ~d:st.fdist ~s:st.fsrc ~p:st.fparent ~h:st.fhops v)
           states;
         stats
     | None ->
-        let proto = protocol ?weight_of ?radius g ~sources in
         let states, stats =
-          Fault.sim_run ?max_rounds ~env ~recovery:(Fault.immutable ()) g proto
+          Fault.sim_run ?max_rounds ~env ~recovery:(Fault.immutable ()) g
+            (Sim.flat_of_protocol (protocol ?weight_of ?radius g ~sources))
         in
         Array.iteri
           (fun v (st : state) ->

@@ -21,7 +21,14 @@ type result = {
   rounds : int;
 }
 
-type state
+type state = {
+  dist : int;
+  src : int;  (** closest source so far; [-1] if unreached *)
+  parent : int;
+  hops : int;
+  dirty : bool;  (** must announce the label next round *)
+}
+
 type msg
 
 val protocol :
@@ -30,8 +37,10 @@ val protocol :
   Dsf_graph.Graph.t ->
   sources:(int * int) list ->
   (state, msg) Sim.protocol
-(** The raw relaxation protocol, exposed for the chaos differential suite
-    (hardened-vs-lossless final-state comparison via {!Fault.harden}). *)
+(** The classic relaxation protocol, with boxed messages.  It is the
+    fallback for inputs whose labels do not pack into an immediate int
+    (where {!flat_protocol} returns [None]), and the only implementation
+    that runs for them. *)
 
 type flat_state
 (** Packed-state type of {!flat_protocol}; decode through {!run}. *)
@@ -49,8 +58,7 @@ val flat_protocol :
     incoming edge weights resolve through the CSR view.  Rounds, messages,
     bits, and final labels are bit-identical to {!protocol} (differential
     suite enforced).  Returns [None] when the widths exceed an immediate
-    int; {!run} then falls back to the classic protocol through the flat
-    engine's adapter. *)
+    int; {!run} then runs {!protocol} instead. *)
 
 val run :
   ?weight_of:(int -> int) ->
@@ -64,9 +72,10 @@ val run :
     [weight_of eid] overrides the weight of edge [eid] (must be >= 0; zero
     weights model edges inside contracted moats).  [radius r] discards any
     path of distance > [r].  Ties are broken towards the smaller source id,
-    then the smaller parent id.  Runs under a ["bellman_ford"] span: the
-    native {!flat_protocol} when {!Sim.native_ports} holds (adapter
-    fallback when it declines), the classic {!protocol} otherwise. *)
+    then the smaller parent id.  Runs through {!Fault.sim_run} under a
+    ["bellman_ford"] span: {!flat_protocol} when it accepts the input,
+    {!protocol} when it declines.  The choice depends on the input
+    alone. *)
 
 val sssp :
   ?env:Sim.env ->

@@ -10,52 +10,6 @@ type tree = {
   height : int;
 }
 
-type state = { parent : int option; depth : int; announced : bool }
-
-type msg = Join of int  (** sender's depth *)
-
-let protocol ~root : (state, msg) Sim.protocol =
-  {
-      init =
-        (fun view ->
-          if view.Sim.node = root then
-            { parent = Some (-1); depth = 0; announced = false }
-          else { parent = None; depth = max_int; announced = false });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          (* Join the tree via the smallest-id neighbor heard from first. *)
-          let st =
-            if st.parent = None then begin
-              let best =
-                List.fold_left
-                  (fun acc (sender, Join d) ->
-                    match acc with
-                    | Some (_, bs) when bs <= sender -> acc
-                    | _ -> Some (d, sender))
-                  None inbox
-              in
-              match best with
-              | Some (d, sender) ->
-                  { parent = Some sender; depth = d + 1; announced = false }
-              | None -> st
-            end
-            else st
-          in
-          match st.parent with
-          | Some _ when not st.announced ->
-              let outbox =
-                Array.to_list view.Sim.nbrs
-                |> List.map (fun (nb, _, _) -> nb, Join st.depth)
-              in
-              { st with announced = true }, outbox
-          | _ -> st, []);
-      is_done = (fun st -> st.parent <> None && st.announced);
-      msg_bits = (fun (Join d) -> Bitsize.int_bits (max d 1));
-      (* Unreached nodes are not done; reached-and-announced nodes only
-         react to mail. *)
-      wake = Some Sim.never;
-  }
-
 (* Packed-state layout for the native port, declared through
    {!Dsf_util.Pack} so the encoding is width-checked and auditable next to
    every other flat port's.  Bit 0 is the announced flag, then the depth
@@ -69,15 +23,13 @@ let flat_fields ~n =
   | [| announced; depth; parent1 |] -> announced, depth, parent1
   | _ -> assert false
 
-(* Native flat-engine BFS (see {!Sim.flat_protocol}): the same wavefront
-   as [protocol], with the whole node state packed into one immediate int
-   (layout above) so the flat engine's steady-state loop allocates
-   nothing.  Unlike [protocol] — whose unreached nodes report not-done
-   and are therefore stepped every round — unreached nodes here report
-   done and are woken by arriving mail, so the sparse scheduler keeps the
-   active list at the wavefront.  Quiescence round, messages, bits, and
-   the resulting tree are unchanged (the differential suite checks this);
-   only the stepped/telemetry series shrink. *)
+(* Native flat-engine BFS (see {!Sim.flat_protocol}), the one
+   implementation: the whole node state packs into one immediate int
+   (layout above), so the flat engine's steady-state loop allocates
+   nothing.  A node joins the tree via the smallest-id neighbor it hears
+   from first.  Unreached nodes report done and are woken by arriving
+   mail, so the sparse scheduler keeps the active list at the
+   wavefront. *)
 let flat_protocol ~n ~root : (int, int) Sim.flat_protocol =
   (* The layout depends only on [n], so it is computed once here — the
      protocol value captures three immutable fields and the hot step
@@ -157,23 +109,12 @@ let build ?(env = Sim.default_env) g ~root =
   in
   let stats =
     Sim.span env "bfs" @@ fun () ->
-    if Sim.native_ports env then begin
-      (* Native port: run on the flat engine directly and decode the
-         packed states.  Tree and stats are bit-identical to the classic
-         path. *)
-      let states, stats = Sim.run_flat ~env g (flat_protocol ~n ~root) in
-      Array.iteri (fun v st -> fill v (flat_state_parent_depth ~n st)) states;
-      stats
-    end
-    else begin
-      let states, stats =
-        Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (protocol ~root)
-      in
-      Array.iteri
-        (fun v st -> fill v (Option.map (fun p -> p, st.depth) st.parent))
-        states;
-      stats
-    end
+    let states, stats =
+      Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
+        (flat_protocol ~n ~root)
+    in
+    Array.iteri (fun v st -> fill v (flat_state_parent_depth ~n st)) states;
+    stats
   in
   tree_of_parent_depth ~root ~parent ~depth, stats
 

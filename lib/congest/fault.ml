@@ -495,14 +495,15 @@ type chaos = Sim.chaos = { cplan : plan; crto : int; crto_cap : int }
 let chaos ?(rto = default_rto) ?(rto_cap = default_rto_cap) cplan =
   { cplan; crto = rto; crto_cap = rto_cap }
 
-let sim_run ?max_rounds ?halt ?(env = Sim.default_env) ?recovery g proto =
+let sim_run ?max_rounds ?halt ?(env = Sim.default_env) ?recovery g fp =
   match env.Sim.network with
-  | Sim.Lossless | Sim.Faults _ -> Sim.run ?max_rounds ?halt ~env g proto
+  | Sim.Lossless | Sim.Faults _ -> Sim.run_flat ?max_rounds ?halt ~env g fp
   | Sim.Chaos c ->
       let network =
         if is_empty c.cplan then Sim.Lossless
         else Sim.Faults (instantiate c.cplan)
       in
+      let proto = Sim.protocol_of_flat fp in
       let hardened = harden ~rto:c.crto ~rto_cap:c.crto_cap ?recovery proto in
       let user_halt = halt in
       let halt hs =

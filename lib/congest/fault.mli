@@ -191,7 +191,7 @@ val quiescent : ('s, 'm) Sim.protocol -> ('s, 'm) hstate array -> bool
     delivered payload is unconsumed.  When it fires, the inner states are
     exactly the lossless final states. *)
 
-(** {2 Chaos runs: hardened drop-in for [Sim.run]} *)
+(** {2 Chaos runs: hardened drop-in for [Sim.run_flat]} *)
 
 type chaos = Sim.chaos = { cplan : plan; crto : int; crto_cap : int }
 (** A plan plus the reliable-layer timer configuration — everything a
@@ -208,14 +208,15 @@ val sim_run :
   ?env:Sim.env ->
   ?recovery:'s recoverable ->
   Dsf_graph.Graph.t ->
-  ('s, 'm) Sim.protocol ->
+  ('s, 'm) Sim.flat_protocol ->
   's array * Sim.stats
-(** The hardened drop-in for {!Sim.run}.  On a [Lossless] or [Faults]
-    network it {e is} {!Sim.run} (zero overhead on the fault-free path).
-    On a [Chaos c] network it instantiates [c.cplan], hardens the
-    protocol (with [recovery] when given), runs the hardened list
-    protocol through {!Sim.run} — the flat engine via
-    {!Sim.flat_of_protocol} — and halts on
+(** The one runner of every simulated primitive, and the hardened drop-in
+    for {!Sim.run_flat}.  On a [Lossless] or [Faults] network it {e is}
+    {!Sim.run_flat} (zero overhead on the fault-free path).  On a
+    [Chaos c] network it instantiates [c.cplan], hardens
+    [Sim.protocol_of_flat fp] (with [recovery] when given), so a chaos
+    run executes the same port as a lossless one, runs the hardened list
+    protocol through {!Sim.run}, and halts on
     {!quiescent} {e or} the caller's [halt] evaluated on the inner state
     vector each physical round, so an omniscient early stop (e.g.
     [Pipeline]'s [stop_at_root]) fires on exactly the same inner
@@ -223,7 +224,8 @@ val sim_run :
     unwrapped, and [stats.retransmissions] is folded from the per-node
     counters.  The stats are the {e hardened} run's (packet traffic,
     drops, retransmissions); compare with the lossless run's stats to
-    measure the overhead.
+    measure the overhead.  A list protocol runs here wrapped in
+    {!Sim.flat_of_protocol}.
 
     Under [env.telemetry] the hardened run lands in a ["hardened"] span.
     The span's [ledger_simulated] gains the [fault/recovery_rounds]

@@ -34,7 +34,8 @@ let protocol g : (state, int) Sim.protocol =
 
 let elect ?(env = Sim.default_env) g =
   let states, stats =
-    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (protocol g)
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
+      (Sim.flat_of_protocol (protocol g))
   in
   (* Under raw (unhardened) crash-and-restart faults agreement can silently
      break: a node restarted after the max-id wave has passed re-floods its

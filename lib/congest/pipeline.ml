@@ -21,16 +21,7 @@ type 'k msg = Item of 'k item | Done
    the node's own output stream is ascending too (inductively).  Cycle-
    closing items are discarded locally; discards are free local computation,
    so several can happen in one round, but at most one item is sent. *)
-type 'k state = {
-  own : 'k item list;  (** ascending *)
-  queues : (int, 'k item Queue.t) Hashtbl.t;  (** per-child FIFO *)
-  open_children : (int, unit) Hashtbl.t;  (** children not yet Done *)
-  uf : Uf.t;
-  accepted : 'k item list;  (** root only; reversed *)
-  sent_done : bool;
-}
-
-(* Native flat-engine state.  Child queues live in a per-node array indexed
+(* Node state.  Child queues live in a per-node array indexed
    through a global child -> index map (each node has one parent, so one
    global array serves every node), and three counters make the per-step
    checks O(1): [p_open] (children not yet Done), [p_empty_open] (open
@@ -39,17 +30,11 @@ type 'k state = {
    all zero).  Everything is mutated in place, so a step allocates only the
    queue cells of newly arrived items.
 
-   The completion test is the key difference from the classic protocol:
-   a node reports done when it is *stalled* or when it is drained and has
+   A node reports done when it is *stalled* or when it is drained and has
    closed its stream ([sent_done], or is the root).  Every configuration
-   reported done really is a no-op on an empty inbox, so the port declares
-   [wake = Some Sim.never] and the sparse scheduler keeps the active list
-   at the item/Done wavefront — the classic protocol's [not sent_done]
-   wake hook steps every unfinished node every round instead (O(n) per
-   round on a path).  The message schedule is unchanged: the extra nodes
-   the classic protocol steps are exactly the stalled/drained no-ops, so
-   rounds, messages, bits, observer traces and the accepted list are
-   bit-identical (differential suite enforced). *)
+   reported done really is a no-op on an empty inbox, so the protocol
+   declares [wake = Some Sim.never] and the sparse scheduler keeps the
+   active list at the item/Done wavefront. *)
 type 'k fstate = {
   mutable p_own : 'k item list;  (** ascending *)
   p_qs : 'k item Queue.t array;  (** per-child FIFO, child scan order *)
@@ -67,11 +52,9 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
     ('k fstate, 'k msg) Sim.flat_protocol =
   let n = Array.length tree.parent in
   (* Global child -> index-in-parent's-arrays map.  The scan order below is
-     the [tree.children] list order; the classic protocol scans a Hashtbl
-     instead, so tie-breaking between *structurally distinct items that
-     compare equal* could differ — no caller produces such items ([cmp]
-     total up to endpoint tie-break), and the differential suite pins the
-     equivalence on that domain. *)
+     the [tree.children] list order, which breaks ties between items that
+     compare equal; no caller produces such items ([cmp] is total up to
+     the endpoint tie-break). *)
   let child_idx = Array.make n (-1) in
   Array.iteri
     (fun _v cs -> List.iteri (fun i c -> child_idx.(c) <- i) cs)
@@ -115,7 +98,7 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
               st.p_queued <- st.p_queued + 1
           | Done ->
               (* Guarded for idempotence: a duplicated Done must not skew
-                 the counters (the classic Hashtbl.remove is idempotent). *)
+                 the counters. *)
               if st.p_openf.(j) then begin
                 st.p_openf.(j) <- false;
                 st.p_open <- st.p_open - 1;
@@ -128,7 +111,7 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
           (* Repeatedly extract the global minimum; discard cycle-closers
              for free; send (or accept, at the root) the first survivor.
              Own head first, then child queue heads, first-found wins
-             ties — the classic scan policy. *)
+             ties. *)
           let nq = Array.length st.p_qs in
           let rec extract () =
             let best_it = ref None and best_j = ref (-1) in
@@ -189,168 +172,32 @@ let filtered_upcast ?(env = Sim.default_env) ?stop_at_root g
     ~(tree : Bfs.tree) ~vn ~pre ~items ~cmp ~bits =
   let icmp = item_cmp cmp in
   Sim.span env "filtered_upcast" @@ fun () ->
-  if Sim.native_ports env then begin
-    let halt =
-      Option.map
-        (fun pred states -> pred (List.rev states.(tree.root).p_acc))
-        stop_at_root
-    in
-    let states, stats =
-      Sim.run_flat ?halt ~env g
-        (filtered_upcast_flat ~tree ~vn ~pre ~items ~icmp ~bits)
-    in
-    List.rev states.(tree.root).p_acc, stats
-  end
-  else begin
-  let proto : ('k state, 'k msg) Sim.protocol =
-    {
-      init =
-        (fun view ->
-          let v = view.Sim.node in
-          let uf = Uf.create vn in
-          List.iter (fun (x, y) -> ignore (Uf.union uf x y)) pre;
-          let queues = Hashtbl.create 4 in
-          let open_children = Hashtbl.create 4 in
-          List.iter
-            (fun c ->
-              Hashtbl.replace queues c (Queue.create ());
-              Hashtbl.replace open_children c ())
-            tree.children.(v);
-          {
-            own = List.sort icmp (items v);
-            queues;
-            open_children;
-            uf;
-            accepted = [];
-            sent_done = false;
-          });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let v = view.Sim.node in
-          List.iter
-            (fun (sender, m) ->
-              match m with
-              | Item it -> Queue.add it (Hashtbl.find st.queues sender)
-              | Done -> Hashtbl.remove st.open_children sender)
-            inbox;
-          (* Is every unfinished child's queue non-empty? *)
-          let stalled =
-            Hashtbl.fold
-              (fun c () acc ->
-                acc || Queue.is_empty (Hashtbl.find st.queues c))
-              st.open_children false
-          in
-          if stalled then st, []
-          else begin
-            (* Repeatedly extract the global minimum; discard cycle-closers
-               for free; send (or accept, at the root) the first survivor. *)
-            let rec extract st =
-              let best = ref None in
-              (match st.own with
-              | it :: _ -> best := Some (it, `Own)
-              | [] -> ());
-              Hashtbl.iter
-                (fun c q ->
-                  match Queue.peek_opt q with
-                  | Some it -> begin
-                      match !best with
-                      | Some (b, _) when icmp b it <= 0 -> ()
-                      | _ -> best := Some (it, `Child c)
-                    end
-                  | None -> ())
-                st.queues;
-              match !best with
-              | None -> st, None
-              | Some (it, origin) ->
-                  let st =
-                    match origin with
-                    | `Own -> { st with own = List.tl st.own }
-                    | `Child c ->
-                        ignore (Queue.pop (Hashtbl.find st.queues c));
-                        st
-                  in
-                  (* Extracting from a child queue may stall us again: only
-                     continue extracting while no open child queue is empty. *)
-                  if Uf.same st.uf it.a it.b then begin
-                    let stalled_now =
-                      Hashtbl.fold
-                        (fun c () acc ->
-                          acc || Queue.is_empty (Hashtbl.find st.queues c))
-                        st.open_children false
-                    in
-                    if stalled_now then st, None else extract st
-                  end
-                  else begin
-                    ignore (Uf.union st.uf it.a it.b);
-                    st, Some it
-                  end
-            in
-            let st, to_send = extract st in
-            match to_send with
-            | Some it ->
-                if v = tree.root then
-                  { st with accepted = it :: st.accepted }, []
-                else st, [ tree.parent.(v), Item it ]
-            | None ->
-                (* Nothing left: if fully drained and all children Done,
-                   close our own stream. *)
-                let drained =
-                  st.own = []
-                  && Hashtbl.length st.open_children = 0
-                  && Hashtbl.fold
-                       (fun _ q acc -> acc && Queue.is_empty q)
-                       st.queues true
-                in
-                if drained && (not st.sent_done) && v <> tree.root then
-                  { st with sent_done = true }, [ tree.parent.(v), Done ]
-                else st, []
-          end);
-      is_done =
-        (fun st ->
-          st.own = []
-          && Hashtbl.length st.open_children = 0
-          && Hashtbl.fold (fun _ q acc -> acc && Queue.is_empty q) st.queues true);
-      msg_bits =
-        (function Item it -> bits it | Done -> 1);
-      (* A drained node still owes its parent a [Done] one round after its
-         last item, which [is_done] does not capture — so wake on
-         [not sent_done] (the root never closes its stream and simply
-         no-ops; every other silent configuration is mail-driven). *)
-      wake = Some (fun _ ~round:_ st -> not st.sent_done);
-    }
-  in
   let halt =
     Option.map
-      (fun pred states -> pred (List.rev states.(tree.root).accepted))
+      (fun pred states -> pred (List.rev states.(tree.root).p_acc))
       stop_at_root
   in
-  (* Recovery contract: the classic state owns mutable structure (child
-     queues, the open-children set, the union-find), so the checkpoint
-     snapshot deep-copies all of it; [own]/[accepted] are immutable
-     lists.  [state_bits] counts the buffered items plus the union-find
-     image, one word each. *)
+  (* Recovery contract: the state owns mutable structure (child queues,
+     the open flags, the union-find), so the checkpoint snapshot
+     deep-copies all of it; [p_own]/[p_acc] are immutable lists.
+     [state_bits] counts the buffered items plus the union-find image,
+     one word each. *)
   let recovery =
     {
       Fault.snapshot =
         (fun st ->
-          let queues = Hashtbl.create (max 4 (Hashtbl.length st.queues)) in
-          Hashtbl.iter
-            (fun c q -> Hashtbl.replace queues c (Queue.copy q))
-            st.queues;
           {
             st with
-            queues;
-            open_children = Hashtbl.copy st.open_children;
-            uf = Uf.copy st.uf;
+            p_qs = Array.map Queue.copy st.p_qs;
+            p_openf = Array.copy st.p_openf;
+            p_uf = Uf.copy st.p_uf;
           });
       state_bits =
-        (fun st ->
-          let queued =
-            Hashtbl.fold (fun _ q acc -> acc + Queue.length q) st.queues 0
-          in
-          63 * (2 + vn + queued + List.length st.own));
+        (fun st -> 63 * (2 + vn + st.p_queued + List.length st.p_own));
     }
   in
-  let states, stats = Fault.sim_run ?halt ~env ~recovery g proto in
-  List.rev states.(tree.root).accepted, stats
-  end
+  let states, stats =
+    Fault.sim_run ?halt ~env ~recovery g
+      (filtered_upcast_flat ~tree ~vn ~pre ~items ~icmp ~bits)
+  in
+  List.rev states.(tree.root).p_acc, stats

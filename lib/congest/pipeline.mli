@@ -40,15 +40,12 @@ val filtered_upcast :
     O(D) stop-broadcast to its ledger.  Runs under a ["filtered_upcast"]
     span.
 
-    When {!Sim.native_ports} holds, runs a native flat-engine port on
-    {!Sim.run_flat}: mutable per-node state, array child queues, O(1)
-    stalled/drained tests, and mail-driven wake (the classic protocol
-    sweeps every unfinished node each round).  Items stay boxed — the
-    payload is a generic ['k] key plus two endpoints, beyond one immediate
-    int — so the port's win is scheduling and bookkeeping, not message
-    packing.  Accepted list, rounds, messages, bits, and observer traces
-    are bit-identical to the classic protocol (differential suite
-    enforced).  Otherwise the classic protocol runs. *)
+    Runs a native flat-engine protocol through {!Fault.sim_run}: mutable
+    per-node state (checkpointed by deep copy under a [Chaos] network),
+    array child queues, O(1) stalled/drained tests, and mail-driven
+    wake.  Items stay boxed — the payload is a generic ['k] key plus two
+    endpoints, beyond one immediate int — so the protocol's speed comes
+    from scheduling and bookkeeping, not message packing. *)
 
 val select_forest :
   vn:int -> pre:(int * int) list -> cmp:('k -> 'k -> int) ->

@@ -316,10 +316,6 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
    touching it. *)
 let use_reference_engine = ref false [@@lint.allow "global-state"]
 
-let native_ports env =
-  (not !use_reference_engine)
-  && match env.network with Chaos _ -> false | Lossless | Faults _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Flat-core engine: arena message slots over the CSR graph view, every
    run stepped on the calling domain.
@@ -414,6 +410,28 @@ let flat_of_protocol p =
     fp_wake = p.wake;
   }
 
+(* The inverse adapter: a flat protocol as a list protocol, for the two
+   list consumers, [run_reference] and [Fault.harden].  Each step copies
+   the inbox list into a fresh buffer and collects the emits into the
+   outbox, in emit order. *)
+let protocol_of_flat fp =
+  {
+    init = fp.fp_init;
+    step =
+      (fun view ~round s ~inbox ->
+        let b = mbuf_make () in
+        List.iter (fun (src, msg) -> mbuf_push b src msg) inbox;
+        let outbox = ref [] in
+        let s' =
+          fp.fp_step view ~round s ~inbox:b ~emit:(fun ~dst msg ->
+              outbox := (dst, msg) :: !outbox)
+        in
+        s', List.rev !outbox);
+    is_done = fp.fp_is_done;
+    msg_bits = fp.fp_msg_bits;
+    wake = fp.fp_wake;
+  }
+
 (* In-place ascending sort of [a.(0 .. len - 1)]: insertion sort below a
    small cutoff, median-of-three quicksort above.  Avoids [Array.sort]'s
    whole-array constraint (the candidate buffer has a live prefix) and its
@@ -494,7 +512,7 @@ let () =
    only ever mask a violation, never invent one. *)
 let state_hash st = Hashtbl.hash_param 128 512 st
 
-let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
+let flat_engine ?max_rounds ?halt ~env g fp =
   (* The engine takes faults as callbacks only; hardening is the job of
      [Fault.sim_run], which turns a [Chaos] env into a [Faults] one. *)
   let faults =
@@ -861,16 +879,17 @@ let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
   tel_finish telemetry final;
   states, final
 
-(* The production entry point: a list protocol runs on the flat engine
-   through [flat_of_protocol].  The [use_reference_engine] shim reroutes
-   fault-free runs to the seed loop instead, which is how the
-   differential suites drive whole algorithms through the oracle. *)
-let run ?max_rounds ?halt ?(env = default_env) g proto =
+(* The production entry point.  The [use_reference_engine] shim reroutes
+   fault-free runs to the seed loop here and nowhere else, which is how
+   the differential suites drive whole algorithms through the oracle. *)
+let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
   match env.network with
   | Lossless when !use_reference_engine ->
-      run_reference ?max_rounds ?halt ~env g proto
-  | Lossless | Faults _ | Chaos _ ->
-      run_flat ?max_rounds ?halt ~env g (flat_of_protocol proto)
+      run_reference ?max_rounds ?halt ~env g (protocol_of_flat fp)
+  | Lossless | Faults _ | Chaos _ -> flat_engine ?max_rounds ?halt ~env g fp
+
+let run ?max_rounds ?halt ?env g proto =
+  run_flat ?max_rounds ?halt ?env g (flat_of_protocol proto)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -19,11 +19,12 @@
     {!run_reference}.  Both step a run's nodes one after another on the
     calling domain.  {!run} is the list-protocol entry point: it adapts
     the protocol with {!flat_of_protocol} and runs it on {!run_flat}.
-    Hot primitives ({!Bfs}, {!Bellman_ford}, {!Tree_ops}, ...) also ship a
-    native {!flat_protocol} port, which they use whenever {!native_ports}
-    holds for their run environment.  The classic list protocols stay in
-    the code for two reasons.  They are what {!run_reference} executes,
-    and they are the input to {!Fault.harden}.
+    Each ported primitive ({!Bfs}, {!Tree_ops}, {!Pipeline}, ...) has one
+    implementation, a native {!flat_protocol}, and it runs that port on
+    every network.  The two list-protocol consumers get it through
+    {!protocol_of_flat}: {!run_reference} (under
+    {!use_reference_engine}) and {!Fault.harden} (under a [Chaos]
+    network).
 
     {2 Sparse scheduling}
 
@@ -116,7 +117,7 @@ type stats = {
       contract piggybacks on exactly this hook: its [init] consults the
       node's stable storage and restores the checkpoint instead).
 
-    {!run_reference} takes no faults, so {!run} keeps a run under a
+    {!run_reference} takes no faults, so {!run_flat} keeps a run under a
     [Faults] network on the flat engine even while
     {!use_reference_engine} is set. *)
 
@@ -189,7 +190,7 @@ type observer = src:int -> dst:int -> bits:int -> unit
       gate pins this).
     - [network] is [Lossless], [Faults f] (inject the callback record
       [f], see the fault semantics above; {!Fault.instantiate} builds one
-      from a plan), or [Chaos c] (run the classic protocol hardened by
+      from a plan), or [Chaos c] (run the protocol hardened by
       {!Fault.harden} under the plan [c.cplan]).  Only {!Fault.sim_run}
       accepts [Chaos]; the three runners raise [Invalid_argument] on it.
       A record whose callbacks never fire leaves the run bit-identical
@@ -314,6 +315,12 @@ val flat_of_protocol : ('s, 'm) protocol -> ('s, 'm) flat_protocol
     It allocates per active node, but still gains arena delivery and
     active-list scheduling. *)
 
+val protocol_of_flat : ('s, 'm) flat_protocol -> ('s, 'm) protocol
+(** The inverse of {!flat_of_protocol}: each step copies the inbox list
+    into a fresh buffer and collects the [emit] calls into the outbox, in
+    emit order.  It is how the list consumers, {!run_reference} and
+    {!Fault.harden}, run a native port. *)
+
 type sanitizer_violation = {
   sv_kind : string;
       (** ["idle-state-write"] — a node's state changed in a round it was
@@ -346,7 +353,9 @@ val run_flat :
     semantics, and {!Round_limit} behavior are bit-identical to {!run} on
     the equivalent list protocol, and (faults aside) to {!run_reference}
     — the differential suite enforces this with faults and telemetry both
-    on and off.
+    on and off.  While {!use_reference_engine} is set, a run on a
+    [Lossless] network goes to [run_reference (protocol_of_flat fp)]
+    instead.
 
     [env.sanitize] arms the dynamic node-locality sanitizer: node-state
     writes are stamped with their round, and any write to a node that
@@ -374,10 +383,7 @@ val run :
     state vector after every round; when it fires the run stops immediately.
     It models a coordinator aborting a subroutine ("the root detects X and
     broadcasts stop"): the caller is responsible for charging the O(D)
-    stop-broadcast to its round ledger.
-
-    While {!use_reference_engine} is set, a run on a [Lossless] network
-    goes to {!run_reference} instead. *)
+    stop-broadcast to its round ledger. *)
 
 val run_reference :
   ?max_rounds:int ->
@@ -396,22 +402,15 @@ val run_reference :
     network but [Lossless]. *)
 
 val use_reference_engine : bool ref
-(** Global shim for test/benchmark instrumentation: while [true], {!run}
-    delegates fault-free runs to {!run_reference}, and the ported
-    primitives run their classic protocol instead of the native port (see
-    {!native_ports}) — under a fault plan that classic protocol stays on
-    the flat engine, which is how the differential suite compares native
-    ports with classic protocols under faults.
+(** Global shim for test/benchmark instrumentation: while [true],
+    {!run_flat} (and so {!run}) delegates fault-free runs to
+    {!run_reference}, through {!protocol_of_flat}.  It is read there and
+    nowhere else, so every protocol, native port or list protocol, runs
+    the same code on the oracle loop.
     Lets the differential suite and the microbenchmarks drive whole
     algorithm entry points (e.g. {!Bellman_ford.sssp}) through the oracle
     without threading an engine parameter through every caller.  Never
     set this in library code; reset it with [Fun.protect]; single-domain
     use only (see the domain-safety contract). *)
-
-val native_ports : env -> bool
-(** [true] unless {!use_reference_engine} is set or [env]'s network is
-    [Chaos].  A ported primitive runs its native {!flat_protocol} iff
-    this holds; otherwise it runs its classic protocol through
-    {!Fault.sim_run}. *)
 
 val pp_stats : Format.formatter -> stats -> unit

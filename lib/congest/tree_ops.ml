@@ -1,16 +1,10 @@
 module ISet = Set.Make (Int)
 
-type 'a up_state = {
-  pending : 'a list;  (** queue of items still to forward to the parent *)
-  received : 'a list;  (** root only: arrival order, reversed *)
-}
-
-(* Native flat-engine state for {!upcast}: the forward queue is an actual
-   Queue (O(1) push/pop instead of the classic list append per step) and
-   the root's arrival log is mutated in place, so a step allocates only
-   the queue cells of newly arrived items.  The semantics — existing
-   pending items first, then arrivals in inbox order, one item to the
-   parent per round — are exactly the classic protocol's. *)
+(* Node state for {!upcast}: the forward queue (O(1) push/pop) and the
+   root's arrival log, both mutated in place, so a step allocates only
+   the queue cells of newly arrived items.  Existing pending items go
+   first, then arrivals in inbox order, one item to the parent per
+   round.  The root's own items need no transport. *)
 type 'a up_fstate = { uq : 'a Queue.t; mutable u_recvd : 'a list }
 
 let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
@@ -52,44 +46,17 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
 
 let upcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
   Sim.span env "upcast" @@ fun () ->
-  if Sim.native_ports env then begin
-    let states, stats = Sim.run_flat ~env g (upcast_flat ~tree ~items ~bits) in
-    List.rev states.(tree.root).u_recvd, stats
-  end
-  else begin
-  let proto : ('a up_state, 'a) Sim.protocol =
-    {
-      init =
-        (fun view ->
-          let mine = items view.Sim.node in
-          if view.Sim.node = tree.root then
-            (* The root's own items need no transport. *)
-            { pending = []; received = List.rev mine }
-          else { pending = mine; received = [] });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let v = view.Sim.node in
-          let incoming = List.map snd inbox in
-          if v = tree.root then
-            { st with received = List.rev_append incoming st.received }, []
-          else begin
-            let pending = st.pending @ incoming in
-            match pending with
-            | [] -> { st with pending = [] }, []
-            | item :: rest ->
-                { st with pending = rest }, [ tree.parent.(v), item ]
-          end);
-      is_done = (fun st -> st.pending = []);
-      msg_bits = bits;
-      wake = Some Sim.never;
-    }
-  in
   let states, stats =
-    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
+    Fault.sim_run ~env
+      ~recovery:
+        {
+          (Fault.immutable ()) with
+          snapshot = (fun st -> { st with uq = Queue.copy st.uq });
+        }
+      g
+      (upcast_flat ~tree ~items ~bits)
   in
-  let root_state = states.(tree.root) in
-  List.rev root_state.received, stats
-  end
+  List.rev states.(tree.root).u_recvd, stats
 
 type ('a, 'b) dedup_state = {
   d_pending : 'a list;
@@ -156,7 +123,7 @@ let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
                 (fun st -> { st with d_seen = Hashtbl.copy st.d_seen });
               state_bits = (fun st -> 63 * (1 + Hashtbl.length st.d_seen));
             }
-          g proto)
+          g (Sim.flat_of_protocol proto))
   in
   let root_state = states.(tree.root) in
   List.rev root_state.d_received, stats
@@ -227,10 +194,8 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
   in
   List.rev states.(tree.root).s_received, stats
 
-(* Native flat-engine state for {!broadcast}: the node's forward queue.
-   One item leaves the queue per round whether or not the node has
-   children, matching the classic protocol's drain behaviour (and hence
-   its round count) exactly. *)
+(* Node state for {!broadcast}: the node's forward queue.  One item
+   leaves the queue per round whether or not the node has children. *)
 let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
     ('a Queue.t, 'a) Sim.flat_protocol =
   {
@@ -257,41 +222,19 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
 
 let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
   Sim.span env "broadcast" @@ fun () ->
-  if Sim.native_ports env then
-    snd (Sim.run_flat ~env g (broadcast_flat ~tree ~items ~bits))
-  else begin
-  (* A node's state is the list of items it has yet to forward. *)
-  let proto : ('a list, 'a) Sim.protocol =
-    {
-      init = (fun view -> if view.Sim.node = tree.root then items else []);
-      step =
-        (fun view ~round:_ to_send ~inbox ->
-          match to_send @ List.map snd inbox with
-          | [] -> [], []
-          | item :: rest ->
-              rest, List.map (fun c -> c, item) tree.children.(view.Sim.node));
-      is_done = (fun to_send -> to_send = []);
-      msg_bits = bits;
-      wake = Some Sim.never;
-    }
-  in
-  snd (Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto)
-  end
+  snd
+    (Fault.sim_run ~env
+       ~recovery:{ (Fault.immutable ()) with snapshot = Queue.copy }
+       g
+       (broadcast_flat ~tree ~items ~bits))
 
-type 'a agg_state = {
-  waiting : int;  (** children not yet heard from *)
-  heard : ISet.t;  (** children already counted (duplicate suppression) *)
-  acc : 'a;
-  sent : bool;
-}
-
-(* Native flat-engine state for {!aggregate}.  The classic protocol uses a
-   round-0 wake hook to kick off the leaves; here the completion test is
-   [waiting = 0 && (sent || root)] instead, so a leaf starts not-done, fires
-   its report on its round-0 step, and everything afterwards is mail-driven
-   — which lets the port declare [wake = Some Sim.never] and ride the
-   sparse active list.  Message schedule and quiescence round are identical
-   to the classic protocol (the extra classic wake steps are no-ops). *)
+(* Node state for {!aggregate}: children not yet heard from, the children
+   already counted (duplicate suppression), the running combination, and
+   whether the report went up.  The completion test is
+   [waiting = 0 && (sent || root)], so a leaf starts not-done, fires its
+   report on its round-0 step, and everything afterwards is mail-driven —
+   which lets the protocol declare [wake = Some Sim.never] and ride the
+   sparse active list. *)
 type 'a agg_fstate = {
   mutable a_waiting : int;
   mutable a_heard : ISet.t;
@@ -341,64 +284,18 @@ let aggregate_flat ~(tree : Bfs.tree) ~value ~combine ~bits :
 let aggregate ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~value ~combine
     ~bits =
   Sim.span env "aggregate" @@ fun () ->
-  if Sim.native_ports env then begin
-    let states, stats =
-      Sim.run_flat ~env g (aggregate_flat ~tree ~value ~combine ~bits)
-    in
-    states.(tree.root).a_acc, stats
-  end
-  else begin
-  let proto : ('a agg_state, 'a) Sim.protocol =
-    {
-      init =
-        (fun view ->
-          let v = view.Sim.node in
-          {
-            waiting = List.length tree.children.(v);
-            heard = ISet.empty;
-            acc = value v;
-            sent = false;
-          });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let v = view.Sim.node in
-          (* Duplicate-tolerant child count: each child reports exactly
-             once, so the sender id is the report's sequence stamp — a
-             repeat sender is a duplicated delivery and is ignored.  On a
-             lossless network no sender ever repeats, so the fold (and the
-             combine order) is unchanged. *)
-          let st =
-            List.fold_left
-              (fun st (sender, x) ->
-                if ISet.mem sender st.heard then st
-                else
-                  {
-                    st with
-                    heard = ISet.add sender st.heard;
-                    waiting = st.waiting - 1;
-                    acc = combine st.acc x;
-                  })
-              st inbox
-          in
-          if st.waiting = 0 && (not st.sent) && v <> tree.root then
-            { st with sent = true }, [ tree.parent.(v), st.acc ]
-          else st, []);
-      (* After any step, waiting = 0 implies the node already reported to its
-         parent (the send fires in the same step that zeroes [waiting]), so
-         [waiting = 0] alone is a sound completion test for root and
-         non-root alike. *)
-      is_done = (fun st -> st.waiting = 0);
-      msg_bits = bits;
-      (* Leaves start with [waiting = 0] (already "done") but must still fire
-         their report in round 0; afterwards everything is mail-driven. *)
-      wake = Some (fun _ ~round _ -> round = 0);
-    }
-  in
   let states, stats =
-    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
+    Fault.sim_run ~env
+      ~recovery:
+        {
+          (Fault.immutable ()) with
+          (* A fresh record; every field holds an immutable value. *)
+          snapshot = (fun st -> { st with a_sent = st.a_sent });
+        }
+      g
+      (aggregate_flat ~tree ~value ~combine ~bits)
   in
-  states.(tree.root).acc, stats
-  end
+  states.(tree.root).a_acc, stats
 
 let count_nodes ?(env = Sim.default_env) g ~tree =
   aggregate ~env g ~tree

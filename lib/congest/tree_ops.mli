@@ -12,15 +12,12 @@
     runs under a span named after the primitive ([upcast], [broadcast],
     [aggregate], ...) nested in the caller's current span.
 
-    {!upcast}, {!broadcast} and {!aggregate} run native flat-engine
-    ports (queue-based in-place states on {!Sim.run_flat}) whenever
-    {!Sim.native_ports} holds — stats, results and observer traces
-    bit-identical to the classic protocols, which run otherwise.
+    {!upcast}, {!broadcast} and {!aggregate} are native flat-engine
+    protocols (queue-based in-place states) run through {!Fault.sim_run}.
     {!upcast_dedup} and {!upcast_sequential} have no native port and run
-    through the flat engine's adapter.  Under a [Chaos] network the
-    classic protocol runs hardened via {!Fault.sim_run}, each primitive
-    supplying its own {!Fault.recoverable} snapshot, so crash-restart
-    plans are masked.  {!aggregate}'s child-count handshake is
+    through the flat engine's adapter.  Under a [Chaos] network every
+    primitive but {!upcast_sequential} runs hardened, supplying its own
+    {!Fault.recoverable} snapshot, so crash-restart plans are masked.  {!aggregate}'s child-count handshake is
     duplicate-tolerant (a child's report is identified by its sender id
     — each child reports exactly once), so duplication plans cannot
     corrupt or livelock the count even {e without} hardening. *)

@@ -71,6 +71,5 @@ val run :
     {!Dsf_congest.Fault.sim_run}): the solution, weight, dual, merge
     schedule, and phase count are bit-identical to the fault-free run on
     any engine — only the ledger's round counts (and the recovery
-    telemetry) reflect the injected faults.  Native flat ports are
-    bypassed under chaos: the hardened classic protocols run on the flat
-    engine through its adapter. *)
+    telemetry) reflect the injected faults.  Each primitive hardens the
+    same native port it runs on a lossless network. *)

@@ -38,10 +38,17 @@ let isqrt = Dsf_util.Intmath.isqrt
 
 let ceil_log2 = Dsf_util.Intmath.ceil_log2
 
+(* The weight scale is at most 8 eps_den, and the scaled distances are
+   added three at a time and halved (2^3 more): 8 * 8 * eps_den times the
+   total weight must stay within max_int. *)
+let max_eps_den = max_int / (64 * Graph.max_total_weight)
+
 let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
   let env = { Sim.default_env with observer; telemetry } in
   if eps_num <= 0 || eps_den <= 0 || eps_num > eps_den then
     invalid_arg "Det_sublinear.run: need 0 < eps <= 1";
+  if eps_den > max_eps_den then
+    invalid_arg "Det_sublinear.run: eps_den above max_eps_den";
   let tspan name f = Sim.span env name f in
   let minimalized = Transform.minimalize ~env inst0 in
   let inst = minimalized.Transform.value in

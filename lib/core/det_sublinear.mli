@@ -37,6 +37,12 @@ type result = {
   small_moat_iterations : int;
 }
 
+val max_eps_den : int
+(** 63: the largest [eps_den] {!run} accepts.  The weight scale
+    [ceil(8 eps_den / eps_num)] multiplies every edge weight, so on an
+    instance within {!Dsf_graph.Graph.max_total_weight} this keeps the
+    scaled arithmetic inside the int range (derived from that bound). *)
+
 val run :
   ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
@@ -50,4 +56,5 @@ val run :
     [telemetry] profiles the run as a span tree ([minimalize] / [setup] /
     [growth] with [merge_phase], [small_moats] and [activity] nested per
     growth phase / [final]) and attaches the ledger so charged entries land
-    in their enclosing span. *)
+    in their enclosing span.  Raises [Invalid_argument] unless
+    0 < eps_num / eps_den <= 1 and [eps_den <= max_eps_den]. *)

@@ -20,9 +20,11 @@ type result = {
    [scale >= 8 * eps_den / eps_num], starting at µ̂ = ceil(scale / 2) and
    stepping to max(µ̂ + 1, floor(µ̂ * (1 + ε/2))) keeps every step within
    growth factor (1, 1 + ε/2]: the + 1 fallback is only ever needed while
-   µ̂ * ε/2 < 2, which the scaling rules out. *)
+   µ̂ * ε/2 < 2, which the scaling rules out.  The floor is taken as
+   µ̂ + floor(µ̂ ε/2) (equal, as µ̂ is an integer), so no intermediate
+   grows with eps_den. *)
 let next_threshold ~eps_num ~eps_den mu_hat =
-  let exact = mu_hat * ((2 * eps_den) + eps_num) / (2 * eps_den) in
+  let exact = mu_hat + (mu_hat * eps_num / (2 * eps_den)) in
   max (mu_hat + 1) exact
 
 let run ~eps_num ~eps_den inst0 =

@@ -356,16 +356,16 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
     done;
     Hashtbl.length seen
   in
-  let fc_items v =
-    List.filter_map
-      (fun (e : Graph.edge) ->
-        if e.u = v && f.(e.id) && Uf.find cuf e.u <> Uf.find cuf e.v then
-          Some (Uf.find cuf e.u, Uf.find cuf e.v)
-        else None)
-      (Array.to_list (Graph.edges g))
-  in
+  (* Each node's forest edges as cluster pairs, held at the edge's [u]
+     endpoint in ascending edge order: one pass over [fc_edges], consing
+     from the back. *)
+  let fc_items = Array.make n [] in
+  List.iter
+    (fun (e : Graph.edge) ->
+      fc_items.(e.u) <- (Uf.find cuf e.u, Uf.find cuf e.v) :: fc_items.(e.u))
+    (List.rev fc_edges);
   let _, up_stats =
-    Tree_ops.upcast ~env g ~tree ~items:fc_items
+    Tree_ops.upcast ~env g ~tree ~items:(Array.get fc_items)
       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
   in
   Ledger.add ledger Ledger.Simulated "F.3: collect cluster forest"

@@ -8,28 +8,18 @@ type node_result = {
   parent : int;
 }
 
-type state = {
-  dist : Frac.t;
-  owner : int;
-  parent : int;
-  hops : int;
-  dirty : bool;
-}
-
 type msg = Relax of { dist : Frac.t; owner : int; hops : int }
 
 let better (d1, o1, h1) (d2, o2, h2) =
   let c = Frac.compare d1 d2 in
   c < 0 || (c = 0 && (o1, h1) < (o2, h2))
 
-(* Native flat-engine port.  Distances are exact dyadic rationals
-   ({!Frac.t}), which do not fit an immediate int, so messages stay boxed —
-   the sanctioned fallback — but only ONE [Relax] record is allocated per
-   send-burst (shared across all neighbor slots), node state is a mutable
-   record updated in place, and incoming edge weights resolve through a
-   per-directed-CSR-position [Frac.t] table instead of a linear scan of the
-   neighbor view per received message.  Wavefront, label order, and the
-   pinned/frozen discipline are exactly those of the classic protocol. *)
+(* Node state of the relaxation protocol.  Distances are exact dyadic
+   rationals ({!Frac.t}), which do not fit an immediate int, so messages
+   stay boxed — the sanctioned fallback — but only ONE [Relax] record is
+   allocated per send-burst (shared across all neighbor slots), node
+   state is a mutable record updated in place, and incoming edge weights
+   resolve through a per-directed-CSR-position [Frac.t] table. *)
 type flat_state = {
   mutable fdist : Frac.t;
   mutable fowner : int;
@@ -117,98 +107,23 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
     }
   in
   Sim.span env "region_bf" @@ fun () ->
-  if Sim.native_ports env then begin
-    let states, stats = Sim.run_flat ~env g (flat_proto ()) in
-    ( Array.map
-        (fun st ->
-          if st.fowner >= 0 then
-            { owner = st.fowner; offset = st.fdist; parent = st.fparent }
-          else { owner = -1; offset = unreached; parent = -1 })
-        states,
-      stats )
-  end
-  else begin
-  let proto : (state, msg) Sim.protocol =
-    {
-      init =
-        (fun view ->
-          let v = view.Sim.node in
-          match Hashtbl.find_opt init v with
-          | Some (off, owner) when not frozen.(v) ->
-              { dist = off; owner; parent = -1; hops = 0; dirty = true }
-          | _ ->
-              { dist = unreached; owner = -1; parent = -1; hops = max_int; dirty = false });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let v = view.Sim.node in
-          if frozen.(v) then st, []
-          else if pinned v then begin
-            if st.dirty then begin
-              let outbox =
-                Array.to_list view.Sim.nbrs
-                |> List.filter_map (fun (nb, _, _) ->
-                       if frozen.(nb) then None
-                       else
-                         Some
-                           ( nb,
-                             Relax { dist = st.dist; owner = st.owner; hops = st.hops } ))
-              in
-              { st with dirty = false }, outbox
-            end
-            else st, []
-          end
-          else begin
-            let st =
-              List.fold_left
-                (fun st (sender, Relax r) ->
-                  let w = ref (-1) in
-                  Array.iter
-                    (fun (nb, wt, _) -> if nb = sender then w := wt)
-                    view.Sim.nbrs;
-                  assert (!w >= 0);
-                  let nd = Frac.add r.dist (Frac.of_int !w) in
-                  let nh = r.hops + 1 in
-                  (* An unreached node (owner < 0) adopts any label; the
-                     sentinel distance is never compared (it would overflow
-                     the dyadic lift). *)
-                  if
-                    st.owner < 0
-                    || better (nd, r.owner, nh) (st.dist, st.owner, st.hops)
-                  then
-                    { dist = nd; owner = r.owner; parent = sender; hops = nh; dirty = true }
-                  else st)
-                st inbox
-            in
-            if st.dirty && st.owner >= 0 then begin
-              let outbox =
-                Array.to_list view.Sim.nbrs
-                |> List.filter_map (fun (nb, _, _) ->
-                       if frozen.(nb) then None
-                       else Some (nb, Relax { dist = st.dist; owner = st.owner; hops = st.hops }))
-              in
-              { st with dirty = false }, outbox
-            end
-            else { st with dirty = false }, []
-          end);
-      is_done = (fun st -> not st.dirty);
-      msg_bits;
-      (* Same wavefront discipline as {!Dsf_congest.Bellman_ford}: frozen,
-         pinned-and-announced, and clean nodes all no-op without mail. *)
-      wake = Some Sim.never;
-    }
-  in
   let states, stats =
-    Dsf_congest.Fault.sim_run ~env ~recovery:(Dsf_congest.Fault.immutable ())
-      g proto
+    Dsf_congest.Fault.sim_run ~env
+      ~recovery:
+        {
+          (Dsf_congest.Fault.immutable ()) with
+          (* A fresh record; every field holds an immutable value. *)
+          snapshot = (fun st -> { st with fdirty = st.fdirty });
+        }
+      g (flat_proto ())
   in
   ( Array.map
       (fun st ->
-        if st.owner >= 0 then
-          { owner = st.owner; offset = st.dist; parent = st.parent }
+        if st.fowner >= 0 then
+          { owner = st.fowner; offset = st.fdist; parent = st.fparent }
         else { owner = -1; offset = unreached; parent = -1 })
       states,
     stats )
-  end
 
 type regions = {
   owners : int array;

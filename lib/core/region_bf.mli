@@ -29,15 +29,12 @@ val run :
     Frozen nodes keep [owner = -1] in the result (callers retain their old
     assignment).  Runs under a ["region_bf"] span.
 
-    When {!Dsf_congest.Sim.native_ports} holds, runs a native flat-engine
-    port on {!Dsf_congest.Sim.run_flat}: mutable in-place node
+    The protocol is native to the flat engine: mutable in-place node
     state, CSR-resolved incoming weights, and one shared boxed [Relax]
     record per send-burst (dyadic distances exceed an immediate int, so
-    messages stay boxed by design).  Labels, rounds, messages, bits, and
-    observer traces are bit-identical to the classic protocol (differential
-    suite enforced).  Otherwise the classic protocol runs, hardened with
-    checkpointed recovery under a [Chaos] network (see
-    {!Dsf_congest.Fault.sim_run}). *)
+    messages stay boxed by design).  It runs through
+    {!Dsf_congest.Fault.sim_run}, hardened with checkpointed recovery
+    under a [Chaos] network. *)
 
 (** {1 One merge phase of the distributed emulations}
 

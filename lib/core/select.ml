@@ -3,22 +3,13 @@ module Sim = Dsf_congest.Sim
 module Pack = Dsf_util.Pack
 module Uf = Dsf_util.Union_find
 
-type state = {
-  pending : bool;
-  forwarded : bool;
-  marked : int list;
-}
-
-(* Native flat-engine port.  The whole node state packs into one immediate
-   int (a {!Dsf_util.Pack} layout of pending flag, forwarded flag, and
-   marked edge id + 1 — a node forwards at most once, so it marks at most
-   one edge), tokens are the bare int 0, and the parent edge resolves
-   through the CSR instead of [Graph.find_edge]'s option.  The classic
-   protocol declares [wake = None] (full sweep): every extra node the sweep
-   steps is a no-op (no mail, not pending — or already forwarded), so the
-   port may declare [wake = Some Sim.never] and let the sparse scheduler
-   track the token wavefront; rounds, messages, bits, and the selected
-   edge set are bit-identical (differential suite enforced). *)
+(* The whole node state packs into one immediate int (a {!Dsf_util.Pack}
+   layout of pending flag, forwarded flag, and marked edge id + 1 — a node
+   forwards at most once, so it marks at most one edge), tokens are the
+   bare int 0, and the parent edge resolves through the CSR.  A node with
+   no mail that is not pending (or already forwarded) has nothing to do,
+   so the protocol declares [wake = Some Sim.never] and the sparse
+   scheduler tracks the token wavefront. *)
 let flat_protocol g ~parent ~seeds :
     (int, int) Sim.flat_protocol =
   let csr = Graph.csr g in
@@ -51,56 +42,21 @@ let flat_protocol g ~parent ~seeds :
 
 let token_flood ?(env = Sim.default_env) g ~parent ~seeds =
   Sim.span env "token_flood" @@ fun () ->
-  if Sim.native_ports env then begin
-    let states, stats =
-      Sim.run_flat ~env g (flat_protocol g ~parent ~seeds)
-    in
-    let f_eid = (Pack.layout [ 1; 1; Pack.width_of_max (Graph.m g) ]).(2) in
-    (* Same extraction order as the classic leg: rev_append of each node's
-       (singleton or empty) marked list over ascending node ids. *)
-    let edges =
-      Array.fold_left
-        (fun acc st ->
-          let e = Pack.get f_eid st in
-          if e > 0 then (e - 1) :: acc else acc)
-        [] states
-    in
-    edges, stats
-  end
-  else begin
-    let proto : (state, unit) Sim.protocol =
-      {
-        init =
-          (fun view ->
-            { pending = seeds.(view.Sim.node); forwarded = false; marked = [] });
-        step =
-          (fun view ~round:_ st ~inbox ->
-            let v = view.Sim.node in
-            let st = if inbox <> [] then { st with pending = true } else st in
-            if st.pending && (not st.forwarded) && parent.(v) >= 0 then begin
-              let eid =
-                match Graph.find_edge g v parent.(v) with
-                | Some id -> id
-                | None -> invalid_arg "Select.token_flood: parent not adjacent"
-              in
-              ( { st with forwarded = true; marked = eid :: st.marked },
-                [ parent.(v), () ] )
-            end
-            else { st with forwarded = st.forwarded || st.pending }, []);
-        is_done = (fun st -> (not st.pending) || st.forwarded);
-        msg_bits = (fun () -> 1);
-        wake = None;
-      }
-    in
-    let states, stats =
-      Dsf_congest.Fault.sim_run ~env
-        ~recovery:(Dsf_congest.Fault.immutable ()) g proto
-    in
-    let edges =
-      Array.fold_left (fun acc st -> List.rev_append st.marked acc) [] states
-    in
-    edges, stats
-  end
+  let states, stats =
+    Dsf_congest.Fault.sim_run ~env
+      ~recovery:(Dsf_congest.Fault.immutable ()) g
+      (flat_protocol g ~parent ~seeds)
+  in
+  let f_eid = (Pack.layout [ 1; 1; Pack.width_of_max (Graph.m g) ]).(2) in
+  (* Marked edges in descending node order. *)
+  let edges =
+    Array.fold_left
+      (fun acc st ->
+        let e = Pack.get f_eid st in
+        if e > 0 then (e - 1) :: acc else acc)
+      [] states
+  in
+  edges, stats
 
 let merge_paths ~(env : Sim.env) g ~(labels : int array) ~parent merges =
   let t = Array.length labels in

@@ -19,15 +19,12 @@ val token_flood :
     the nodes that start with a token.  Runs under a ["token_flood"]
     span.
 
-    When {!Dsf_congest.Sim.native_ports} holds, runs a native flat-engine
-    port on {!Dsf_congest.Sim.run_flat}: node state is one
+    The protocol is native to the flat engine: node state is one
     immediate int (a {!Dsf_util.Pack} layout of pending, forwarded, and
-    marked edge id + 1) and tokens are bare ints, with the sparse scheduler
-    tracking the token wavefront instead of the classic full sweep.
-    Selected edges, rounds, messages, bits, and observer traces are
-    bit-identical to the classic protocol (differential suite enforced).
-    Otherwise the classic protocol runs, hardened with checkpointed
-    recovery under a [Chaos] network (see {!Dsf_congest.Fault.sim_run}). *)
+    marked edge id + 1) and tokens are bare ints, with the sparse
+    scheduler tracking the token wavefront.  It runs through
+    {!Dsf_congest.Fault.sim_run}, hardened with checkpointed recovery
+    under a [Chaos] network. *)
 
 val merge_paths :
   env:Dsf_congest.Sim.env ->

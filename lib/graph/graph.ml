@@ -194,6 +194,17 @@ let total_weight g = Array.fold_left (fun acc e -> acc + e.w) 0 g.edges
 
 let max_weight g = Array.fold_left (fun acc e -> max acc e.w) 0 g.edges
 
+let max_total_weight = 1 lsl 50
+
+(* Count the budget down instead of the total up, so no sum can
+   overflow. *)
+let over_weight_bound ws =
+  let rec go i left = function
+    | [] -> None
+    | w :: rest -> if w > left then Some i else go (i + 1) (left - w) rest
+  in
+  go 0 max_total_weight ws
+
 let endpoints g id =
   let e = g.edges.(id) in
   e.u, e.v

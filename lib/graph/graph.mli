@@ -100,6 +100,28 @@ val max_degree : t -> int
 val total_weight : t -> int
 val max_weight : t -> int
 
+val max_total_weight : int
+(** 2^50: the largest total edge weight an input may carry.  Ints hold 62
+    value bits, and the widest integer quantities the algorithms form are
+    the total weight W times less than 2^12:
+    - the virtual-tree level radii [beta * 2^i] ({!Dsf_embed.Virtual_tree}
+      of the randomized algorithms): beta < 2 in 2^10 fixed point, and
+      2^levels < 2 WD <= 2 W, so radii stay below 2^12 W;
+    - {!Dsf_core.Det_sublinear} multiplies every weight by its scale
+      8 eps_den <= 2^9 ({!Dsf_core.Det_sublinear.max_eps_den} is derived
+      from this bound) and then adds scaled distances three at a time and
+      halves them (2^3 more).
+    The dyadic moat radii ({!Dsf_core.Frac}) stay assertion-guarded: a
+    deep enough merge cascade can still exhaust them below the bound.
+    {!Io} rejects a file over the bound, and the CLI rejects generator
+    flags that could cross it. *)
+
+val over_weight_bound : int list -> int option
+(** [over_weight_bound ws]: the index of the first of the positive
+    weights [ws] at which their running total exceeds
+    {!max_total_weight}, or [None] if the total stays within it.  Never
+    overflows. *)
+
 val endpoints : t -> int -> int * int
 (** Endpoints of an edge by id. *)
 

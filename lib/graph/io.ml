@@ -60,6 +60,13 @@ let parse_string text =
       | None -> raise e
     end
   in
+  let weights = Array.to_list (Array.map (fun (_, _, w) -> w) triples) in
+  (match Graph.over_weight_bound weights with
+  | Some i ->
+      fail edge_lines.(i)
+        (Printf.sprintf "total edge weight exceeds the bound 2^50 = %d"
+           Graph.max_total_weight)
+  | None -> ());
   let first_line = List.fold_left (fun acc (l, _, _) -> min acc l) max_int in
   match !labels, !requests with
   | [], [] -> Plain g

@@ -23,8 +23,10 @@ type parsed =
 exception Parse_error of int * string
 (** 1-based line number and message.  Semantic errors carry the line of the
     directive that caused them: an invalid [edge] (self-loop, duplicate,
-    endpoint out of range, non-positive weight), an out-of-range [label] or
-    [request] node, a negative label, a second [label] for the same node,
+    endpoint out of range, non-positive weight), the [edge] line at which
+    the total edge weight passes {!Graph.max_total_weight}, an
+    out-of-range [label] or [request] node, a negative label, a second
+    [label] for the same node,
     the first line that mixes [label] and [request] directives, a second
     [n] line, or the [n] line for a non-positive node count.  Line [0]
     means the whole file (no [n] line at all). *)

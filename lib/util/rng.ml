@@ -24,9 +24,11 @@ let split t i =
   let fingerprint = Random.State.bits copy in
   { state = Random.State.make [| mix (fingerprint lxor mix i); mix i |] }
 
+(* [full_int] draws exactly as [int] below 2^30 and accepts any positive
+   bound above it. *)
 let int t bound =
   assert (bound > 0);
-  Random.State.int t.state bound
+  Random.State.full_int t.state bound
 
 let int_in t lo hi =
   assert (lo <= hi);

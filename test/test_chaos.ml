@@ -43,10 +43,14 @@ let chaos_env ?rto ?rto_cap plan =
 let faults_env plan =
   { Sim.default_env with network = Sim.Faults (Fault.instantiate plan) }
 
+(* [Fault.sim_run] of a list protocol. *)
+let sim_run ?max_rounds ?recovery ~env g proto =
+  Fault.sim_run ?max_rounds ?recovery ~env g (Sim.flat_of_protocol proto)
+
 (* Raw lossless final states vs hardened final states under [plan]. *)
 let masks_plan ?max_rounds g proto plan =
   let lossless, _ = Sim.run g proto in
-  let hardened, _ = Fault.sim_run ?max_rounds ~env:(chaos_env plan) g proto in
+  let hardened, _ = sim_run ?max_rounds ~env:(chaos_env plan) g proto in
   lossless = hardened
 
 let prop_harden_bfs =
@@ -57,7 +61,7 @@ let prop_harden_bfs =
       let root = seed mod Graph.n g in
       (* BFS parent choice is first-arrival — the synchronizer must
          reproduce the exact lossless timing, not just any BFS tree. *)
-      masks_plan g (Bfs.protocol ~root) (random_drop_plan seed))
+      masks_plan g (Classic.Bfs.protocol ~root) (random_drop_plan seed))
 
 let prop_harden_bellman_ford =
   QCheck.Test.make ~name:"harden masks drops (Bellman-Ford)" ~count:15
@@ -78,7 +82,7 @@ let prop_harden_exchange_leader =
     (fun seed ->
       let g = random_graph seed in
       let plan = random_drop_plan (seed + 7) in
-      masks_plan g (Exchange.protocol ~payload_bits:9) plan
+      masks_plan g (Classic.Exchange.protocol ~payload_bits:9) plan
       && masks_plan g (Leader.protocol g) plan)
 
 let prop_harden_faultfree_identity =
@@ -88,9 +92,9 @@ let prop_harden_faultfree_identity =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      let lossless, _ = Sim.run g (Bfs.protocol ~root) in
+      let lossless, _ = Sim.run g (Classic.Bfs.protocol ~root) in
       let hardened, stats =
-        Fault.sim_run ~env:(chaos_env Fault.empty) g (Bfs.protocol ~root)
+        sim_run ~env:(chaos_env Fault.empty) g (Classic.Bfs.protocol ~root)
       in
       lossless = hardened && stats.Sim.retransmissions = 0
       && stats.Sim.dropped = 0)
@@ -102,7 +106,7 @@ let prop_drops_cost_retransmissions =
       let g = random_graph seed in
       let plan = Fault.plan ~drop:0.3 ~seed () in
       let _, stats =
-        Fault.sim_run ~env:(chaos_env plan) g (Leader.protocol g)
+        sim_run ~env:(chaos_env plan) g (Leader.protocol g)
       in
       (* Some packet of the chatty leader flood is dropped with
          overwhelming probability at p = 0.3; each drop must eventually be
@@ -123,7 +127,7 @@ let test_exchange_crash_restart () =
   let v = n / 2 in
   let plan = Fault.plan ~crashes:[ v, 0, 2 ] ~seed:1 () in
   let states, stats =
-    Sim.run ~env:(faults_env plan) g (Exchange.protocol ~payload_bits:9)
+    Sim.run ~env:(faults_env plan) g (Classic.Exchange.protocol ~payload_bits:9)
   in
   Array.iteri
     (fun u sent ->
@@ -195,12 +199,12 @@ let prop_recovery_masks_chaos_plans =
       let masks proto =
         let lossless, _ = Sim.run g proto in
         let hardened, _ =
-          Fault.sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ())
+          sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ())
             g proto
         in
         lossless = hardened
       in
-      masks (Bfs.protocol ~root) && masks (Leader.protocol g))
+      masks (Classic.Bfs.protocol ~root) && masks (Leader.protocol g))
 
 let test_leader_crash_recovery_reconverges () =
   (* The exact adversarial schedule that breaks the raw protocol above
@@ -212,7 +216,7 @@ let test_leader_crash_recovery_reconverges () =
   let plan = Fault.plan ~crashes:[ 0, k - 1, k + 2 ] ~seed:1 () in
   let lossless, _ = Sim.run g (Leader.protocol g) in
   let hardened, _ =
-    Fault.sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ()) g
+    sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ()) g
       (Leader.protocol g)
   in
   Alcotest.(check bool) "crash masked by recovery" true (lossless = hardened);
@@ -256,7 +260,7 @@ let test_hardened_units () =
       telemetry = Some tel }
   in
   let _, stats =
-    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (Leader.protocol g)
+    sim_run ~env ~recovery:(Fault.immutable ()) g (Leader.protocol g)
   in
   let span = Option.get (Telemetry.find tel [ "hardened" ]) in
   let metric = Dsf_util.Metrics.counter_value (Telemetry.metrics tel) in
@@ -281,9 +285,9 @@ let test_engines_reject_chaos () =
     | _ -> Alcotest.failf "%s accepted a Chaos env" name
     | exception Invalid_argument _ -> ()
   in
-  rejects "Sim.run" (fun () -> Sim.run ~env g (Bfs.protocol ~root:0));
+  rejects "Sim.run" (fun () -> Sim.run ~env g (Classic.Bfs.protocol ~root:0));
   rejects "Sim.run_reference" (fun () ->
-      Sim.run_reference ~env g (Bfs.protocol ~root:0));
+      Sim.run_reference ~env g (Classic.Bfs.protocol ~root:0));
   rejects "Sim.run_flat" (fun () ->
       ignore (Sim.run_flat ~env g (Bfs.flat_protocol ~n:(Graph.n g) ~root:0)))
 
@@ -358,7 +362,7 @@ let test_crash_plan_not_masked_postmortem () =
   (* Clamp the backoff so a retransmission lands inside the 8-round
      post-mortem window (the default cap of 32 can out-wait it). *)
   match
-    Fault.sim_run ~max_rounds ~env:(chaos_env ~rto:3 ~rto_cap:4 plan) g
+    sim_run ~max_rounds ~env:(chaos_env ~rto:3 ~rto_cap:4 plan) g
       (Leader.protocol g)
   with
   | _ -> Alcotest.fail "expected Round_limit"

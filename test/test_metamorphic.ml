@@ -135,6 +135,37 @@ let prop_all_algorithms_agree_on_forced_path =
            .Dsf_core.Rand_dsf.weight
          = expect)
 
+(* The 4-node path whose total edge weight is exactly the input bound
+   (one heavy edge, then 5 and 7), labelled end to end: every algorithm
+   must return the whole path.  Below the bound lie the widest integers
+   the algorithms form — virtual-tree radii (rand, khan) and sublinear's
+   scaled distances, at the default and at the largest accepted eps. *)
+let test_all_algorithms_at_weight_bound () =
+  let bound = Graph.max_total_weight in
+  let g = Graph.make ~n:4 [ 0, 1, bound - 12; 1, 2, 5; 2, 3, 7 ] in
+  let inst = Instance.make_ic g [| 0; -1; -1; 0 |] in
+  let sublinear eps_den =
+    (Dsf_core.Det_sublinear.run ~eps_num:1 ~eps_den inst)
+      .Dsf_core.Det_sublinear.solution
+  in
+  List.iter
+    (fun (name, solution) ->
+      Alcotest.(check bool) (name ^ " feasible") true
+        (Instance.is_feasible inst solution);
+      check Alcotest.int (name ^ " weight") bound
+        (Graph.edge_set_weight g solution))
+    [
+      "det", (Dsf_core.Det_dsf.run inst).Dsf_core.Det_dsf.solution;
+      "sublinear", sublinear 2;
+      "sublinear at max_eps_den", sublinear Dsf_core.Det_sublinear.max_eps_den;
+      ( "rand",
+        (Dsf_core.Rand_dsf.run ~rng:(rng 3) inst).Dsf_core.Rand_dsf.solution );
+      ( "khan",
+        (Dsf_baseline.Khan_etal.run ~rng:(rng 3) inst)
+          .Dsf_baseline.Khan_etal.solution );
+      "moat", (Dsf_core.Moat.run inst).Dsf_core.Moat.solution;
+    ]
+
 (* ------------------------------------------------------------------- Io *)
 
 let test_io_roundtrip_fixed () =
@@ -204,7 +235,12 @@ let test_io_error_lines () =
   expect_line "mixed" 4 "cannot mix label and request lines"
     "n 2\nedge 0 1 1\nlabel 0 0\nrequest 0 1\nlabel 1 0\n";
   expect_line "bad integer" 2 "expected integer, got \"x\""
-    "n 2\nedge 0 1 x\n"
+    "n 2\nedge 0 1 x\n";
+  (* The edge that takes the running total past the bound is at fault. *)
+  let bound = Graph.max_total_weight in
+  expect_line "weight bound" 4
+    (Printf.sprintf "total edge weight exceeds the bound 2^50 = %d" bound)
+    (Printf.sprintf "n 4\nedge 0 1 %d\nedge 1 2 5\nedge 2 3 8\n" (bound - 12))
 
 let test_io_solution_roundtrip () =
   let inst = random_instance 6 in
@@ -289,6 +325,8 @@ let suites =
         qtest prop_extra_singleton_harmless;
         qtest prop_merging_components_weakly_increases;
         qtest prop_all_algorithms_agree_on_forced_path;
+        Alcotest.test_case "all algorithms at the weight bound" `Quick
+          test_all_algorithms_at_weight_bound;
       ] );
     ( "graph.io",
       [

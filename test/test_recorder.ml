@@ -152,11 +152,11 @@ let prop_recorder_transparent =
         s, t, List.rev !log
       in
       let adapter recorder =
-        tapped recorder (fun env -> Sim.run ~env g (Bfs.protocol ~root))
+        tapped recorder (fun env -> Sim.run ~env g (Classic.Bfs.protocol ~root))
       in
       let reference recorder =
         tapped recorder (fun env ->
-            Sim.run_reference ~env g (Bfs.protocol ~root))
+            Sim.run_reference ~env g (Classic.Bfs.protocol ~root))
       in
       let flat recorder =
         tapped recorder (fun env ->
@@ -171,12 +171,12 @@ let prop_recorder_transparent =
 
 let record_adapter ?network g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run ~env:(recording ?network r) g (Bfs.protocol ~root));
+  ignore (Sim.run ~env:(recording ?network r) g (Classic.Bfs.protocol ~root));
   Recorder.to_string r
 
 let record_reference g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run_reference ~env:(recording r) g (Bfs.protocol ~root));
+  ignore (Sim.run_reference ~env:(recording r) g (Classic.Bfs.protocol ~root));
   Recorder.to_string r
 
 let record_flat ?network g ~root =

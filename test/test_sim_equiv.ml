@@ -1,9 +1,10 @@
 (* Differential tests for the production engine: Sim.run / Sim.run_flat
-   (skip idle nodes, arena delivery) and the native flat ports must be
-   observationally identical to Sim.run_reference (the seed loop that
-   steps every node every round) — same stats, same final states, same
-   results — on randomized graphs and the protocols that declare sparse
-   wake-ups. *)
+   (skip idle nodes, arena delivery) must be observationally identical to
+   Sim.run_reference (the seed loop that steps every node every round) —
+   same stats, same final states, same results — on randomized graphs and
+   the protocols that declare sparse wake-ups.  Every native flat port
+   must also match its classic list protocol (the oracle in classic.ml),
+   lossless, under injected faults, and hardened under chaos. *)
 
 open Dsf_graph
 open Dsf_congest
@@ -16,10 +17,9 @@ let with_reference f =
   Sim.use_reference_engine := true;
   Fun.protect ~finally:(fun () -> Sim.use_reference_engine := false) f
 
-(* Run the same closure on the production engine (native ports) and under
-   the reference shim (classic protocols on the seed loop) and hand back
-   both results.  The closure must be deterministic (all our protocols
-   are). *)
+(* Run the same closure on the production engine and under the reference
+   shim (the same protocols on the seed loop) and hand back both results.
+   The closure must be deterministic (all our protocols are). *)
 let both f = f (), with_reference f
 
 let stats_eq (a : Sim.stats) (b : Sim.stats) = a = b
@@ -32,13 +32,16 @@ let env_of ?faults ?telemetry observer =
   in
   { Sim.default_env with observer = Some observer; telemetry; network }
 
-(* [record_leg ?faults f] runs [f] with an observer and telemetry attached
-   and returns its result with the observer trace, in send order. *)
-let record_leg ?faults f =
+(* [record_leg ?network f] runs [f] on [network] with an observer and
+   telemetry attached and returns its result with the observer trace, in
+   send order. *)
+let record_leg ?(network = Sim.Lossless) f =
   let log = ref [] in
   let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-  let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-  let r = f (env_of ?faults ~telemetry observer) in
+  let telemetry = Some (Telemetry.create ~clock:(fun () -> 0L) ()) in
+  let r =
+    f { Sim.default_env with observer = Some observer; telemetry; network }
+  in
   r, List.rev !log
 
 (* A lossless broadcast's trace (every send a delivery, [~bits] naming
@@ -523,6 +526,37 @@ let test_fault_accounting () =
       check triple (leg ^ ": crash window") (1, 1, 0) (abort_counts run))
     (legs (fun go -> go (faults ~down Sim.Deliver)))
 
+(* ---------------------------------------------------- flat native ports *)
+
+(* Every primitive's native flat port must be bit-identical to its
+   classic list protocol (classic.ml) — result, stats, and observer
+   trace — with telemetry on, on three networks:
+   - lossless, the classic leg on the seed loop (under the reference
+     shim) and the port on the flat engine;
+   - a duplicate-only fault plan (drop/crash plans can legitimately stall
+     an unhardened upcast forever), both on the flat engine;
+   - chaos: drops plus one crash window, hardened with each primitive's
+     recovery contract.  The hardened stats (rounds, packets,
+     retransmissions) must agree, and the port's result must also equal
+     its lossless result. *)
+let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
+
+let chaos_plan seed g =
+  Fault.plan ~drop:0.1 ~crashes:[ seed mod Graph.n g, 2, 5 ] ~seed ()
+
+(* [native] and [classic] run the primitive on the env they are given and
+   return its result with the run's stats. *)
+let native_matches_classic ~seed g ~(native : Sim.env -> 'r * Sim.stats)
+    ~(classic : Sim.env -> 'r * Sim.stats) =
+  let dup = Sim.Faults (Fault.instantiate (dup_plan seed)) in
+  let chaos = Sim.Chaos (Fault.chaos (chaos_plan seed g)) in
+  let ((result, _), _) as lossless = record_leg native in
+  let ((hardened, _), _) as chaos_leg = record_leg ~network:chaos native in
+  with_reference (fun () -> record_leg classic) = lossless
+  && record_leg ~network:dup classic = record_leg ~network:dup native
+  && record_leg ~network:chaos classic = chaos_leg
+  && hardened = result
+
 let prop_flat_native_bfs =
   QCheck.Test.make
     ~name:"Bfs.flat_protocol = Bfs.protocol (tree, stats)"
@@ -532,7 +566,9 @@ let prop_flat_native_bfs =
       let g = random_graph seed in
       let n = Graph.n g in
       let root = seed mod n in
-      let tree, t_classic = with_reference (fun () -> Bfs.build g ~root) in
+      let tree, t_classic =
+        with_reference (fun () -> Classic.Bfs.build g ~root)
+      in
       let f1, t1 = Sim.run_flat g (Bfs.flat_protocol ~n ~root) in
       let same_tree = ref true in
       Array.iteri
@@ -543,26 +579,10 @@ let prop_flat_native_bfs =
               if p <> tree.Bfs.parent.(v) || d <> tree.Bfs.depth.(v) then
                 same_tree := false)
         f1;
-      !same_tree && stats_eq t_classic t1)
-
-(* ---------------------------------------------------- flat native ports *)
-
-(* Every primitive ported natively to the flat engine must be bit-identical
-   to its classic protocol — result, stats, and observer trace — with
-   telemetry on.  The classic legs run under the reference shim
-   ([with_reference]): lossless they run on the seed loop;
-   under a duplicate-only fault plan (drop/crash plans can legitimately
-   stall an upcast forever) the seed loop has no fault injection, so the
-   classic protocol runs on the flat engine through the adapter. *)
-let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
-
-(* The shared leg pattern: [leg ?faults ()] runs the primitive; the
-   native leg must equal the classic reference leg, and the native faulty
-   leg must equal the classic faulty leg. *)
-let native_matches_classic ~seed (leg : ?faults:Sim.faults -> unit -> 'a) =
-  let faulty () = leg ~faults:(Fault.instantiate (dup_plan seed)) () in
-  with_reference (fun () -> leg ()) = leg ()
-  && with_reference faulty = faulty ()
+      !same_tree && stats_eq t_classic t1
+      && native_matches_classic ~seed g
+           ~native:(fun env -> Bfs.build ~env g ~root)
+           ~classic:(fun env -> Classic.Bfs.build ~env g ~root))
 
 let prop_flat_native_bellman_ford =
   QCheck.Test.make
@@ -581,9 +601,12 @@ let prop_flat_native_bellman_ford =
         if Dsf_util.Rng.int r 2 = 0 then Some (5 + Dsf_util.Rng.int r 20)
         else None
       in
-      native_matches_classic ~seed (fun ?faults () ->
-          record_leg ?faults (fun env ->
-              Bellman_ford.run ?radius ~env g ~sources)))
+      (* The result's [rounds] is the run's, which chaos changes. *)
+      let labels (r, stats) = { r with Bellman_ford.rounds = 0 }, stats in
+      native_matches_classic ~seed g
+        ~native:(fun env -> labels (Bellman_ford.run ?radius ~env g ~sources))
+        ~classic:(fun env ->
+          labels (Classic.Bellman_ford.run ?radius ~env g ~sources)))
 
 let prop_flat_native_region_bf =
   QCheck.Test.make
@@ -606,9 +629,9 @@ let prop_flat_native_region_bf =
             Dsf_util.Rng.int r 6 = 0
             && not (List.exists (fun (s, _, _) -> s = v) sources))
       in
-      native_matches_classic ~seed (fun ?faults () ->
-          record_leg ?faults (fun env ->
-              Dsf_core.Region_bf.run ~env g ~sources ~frozen)))
+      native_matches_classic ~seed g
+        ~native:(fun env -> Dsf_core.Region_bf.run ~env g ~sources ~frozen)
+        ~classic:(fun env -> Classic.Region_bf.run ~env g ~sources ~frozen))
 
 let prop_flat_native_tree_ops =
   QCheck.Test.make
@@ -626,17 +649,22 @@ let prop_flat_native_tree_ops =
          trajectory — and the root's total — untouched, so the lossy legs
          compare against each other AND against the lossless sum. *)
       let dup () = Fault.instantiate (dup_plan seed) in
-      native_matches_classic ~seed (fun ?faults () ->
-          record_leg ?faults (fun env ->
-              Tree_ops.upcast ~env g ~tree ~items:(fun v -> [ v; v + n ]) ~bits))
-      && native_matches_classic ~seed (fun ?faults () ->
-             record_leg ?faults (fun env ->
-                 Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ]
-                   ~bits:Fun.id))
-      && native_matches_classic ~seed (fun ?faults () ->
-             record_leg ?faults (fun env ->
-                 Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + )
-                   ~bits))
+      let items v = [ v; v + n ] in
+      let broadcast run env =
+        (), run env g ~tree ~items:[ 1; 2; 3 ] ~bits:Fun.id
+      in
+      native_matches_classic ~seed g
+        ~native:(fun env -> Tree_ops.upcast ~env g ~tree ~items ~bits)
+        ~classic:(fun env -> Classic.Tree_ops.upcast ~env g ~tree ~items ~bits)
+      && native_matches_classic ~seed g
+           ~native:(broadcast (fun env -> Tree_ops.broadcast ~env))
+           ~classic:(broadcast (fun env -> Classic.Tree_ops.broadcast ~env))
+      && native_matches_classic ~seed g
+           ~native:(fun env ->
+             Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + ) ~bits)
+           ~classic:(fun env ->
+             Classic.Tree_ops.aggregate ~env g ~tree ~value:Fun.id
+               ~combine:( + ) ~bits)
       && fst
            (Tree_ops.aggregate
               ~env:{ Sim.default_env with network = Sim.Faults (dup ()) }
@@ -665,15 +693,19 @@ let prop_flat_native_pipeline =
       let items v =
         List.filter (fun (h, _) -> h = v) items_all |> List.map snd
       in
-      let leg ?stop_at_root ?faults () =
-        record_leg ?faults (fun env ->
-            Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn ~pre:[]
-              ~items ~cmp:compare ~bits:(fun _ -> 16))
+      let native ?stop_at_root env =
+        Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn ~pre:[]
+          ~items ~cmp:compare ~bits:(fun _ -> 16)
+      and classic ?stop_at_root env =
+        Classic.Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn
+          ~pre:[] ~items ~cmp:compare ~bits:(fun _ -> 16)
       in
       let stop acc = List.length acc >= 3 in
-      native_matches_classic ~seed (leg ?stop_at_root:None)
-      && with_reference (fun () -> leg ~stop_at_root:stop ())
-         = leg ~stop_at_root:stop ())
+      native_matches_classic ~seed g ~native:(native ?stop_at_root:None)
+        ~classic:(classic ?stop_at_root:None)
+      && with_reference (fun () ->
+             record_leg (classic ~stop_at_root:stop))
+         = record_leg (native ~stop_at_root:stop))
 
 let prop_flat_native_select_exchange =
   QCheck.Test.make
@@ -687,17 +719,18 @@ let prop_flat_native_select_exchange =
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let parent = tree.Bfs.parent in
       let seeds = Array.init n (fun _ -> Dsf_util.Rng.int r 3 = 0) in
-      native_matches_classic ~seed (fun ?faults () ->
-          record_leg ?faults (fun env ->
-              Dsf_core.Select.token_flood ~env g ~parent ~seeds))
-      && native_matches_classic ~seed (fun ?faults () ->
-             record_leg ?faults (fun env ->
-                 Exchange.all_neighbors ~env g ~payload_bits:9)))
+      native_matches_classic ~seed g
+        ~native:(fun env -> Dsf_core.Select.token_flood ~env g ~parent ~seeds)
+        ~classic:(fun env -> Classic.Select.token_flood ~env g ~parent ~seeds)
+      && native_matches_classic ~seed g
+           ~native:(fun env ->
+             (), Exchange.all_neighbors ~env g ~payload_bits:9)
+           ~classic:(fun env ->
+             (), Classic.Exchange.all_neighbors ~env g ~payload_bits:9))
 
 let test_det_dsf_flat_e2e () =
-  (* Full solve: every subroutine on the flat engine (native ports where
-     they exist, the adapter elsewhere) must reproduce the reference
-     solve bit for bit. *)
+  (* Full solve: every subroutine on the flat engine must reproduce the
+     same solve on the seed loop bit for bit. *)
   let r = rng 77 in
   let g = Gen.random_connected r ~n:60 ~extra_edges:60 ~max_w:12 in
   let labels = Gen.spread_labels r g ~t:12 ~k:4 in
@@ -715,6 +748,30 @@ let test_det_dsf_flat_e2e () =
   in
   let base = with_reference (fun () -> run ()) in
   Alcotest.(check bool) "flat = reference" true (base = run ())
+
+(* Edge weights near 2^50 on 64 nodes: the packed labels need more than
+   62 bits, so Bellman-Ford's port declines and its classic protocol is
+   the one that runs — lossless and hardened under chaos — and both must
+   land on Dijkstra's distances. *)
+let test_bellman_ford_wide_fallback () =
+  let r = rng 5050 in
+  let g = Gen.random_connected r ~n:64 ~extra_edges:64 ~max_w:12 in
+  let weight_of eid = (1 lsl 50) + (Graph.edge g eid).Graph.w in
+  let sources = [ 0, 0 ] in
+  Alcotest.(check bool) "port declines" true
+    (Option.is_none (Bellman_ford.flat_protocol ~weight_of g ~sources));
+  let wide =
+    Graph.make ~n:(Graph.n g)
+      (Array.to_list (Graph.edges g)
+      |> List.map (fun (e : Graph.edge) -> e.u, e.v, weight_of e.id))
+  in
+  let expected = fst (Paths.dijkstra wide ~src:0) in
+  let dist env = (fst (Bellman_ford.run ~weight_of ~env g ~sources)).dist in
+  check Alcotest.(array int) "lossless = Dijkstra" expected
+    (dist Sim.default_env);
+  let chaos = Fault.chaos (chaos_plan 7 g) in
+  check Alcotest.(array int) "chaos = Dijkstra" expected
+    (dist { Sim.default_env with network = Sim.Chaos chaos })
 
 let test_flat_adapter_inbox_order () =
   (* The adapter's inbox_list must present arrival order exactly as the
@@ -771,5 +828,7 @@ let suites =
         Alcotest.test_case "observer order" `Quick test_observer_order_identical;
         Alcotest.test_case "observer prefix before a send error" `Quick
           test_observer_prefix_on_error;
+        Alcotest.test_case "Bellman-Ford wide-label fallback" `Quick
+          test_bellman_ford_wide_fallback;
       ] );
   ]
