@@ -142,7 +142,8 @@ let rounds_of name =
 
 (* Edge triples of the all-sources-sweep workloads.  Each run rebuilds the
    graph from them, so the (D, WD, s) memo never hits and the row times
-   the BFS + lexicographic-Dijkstra sweep itself. *)
+   the sweep itself: MS-BFS and the Dial kernel, on shallow random graphs
+   and on a deep path. *)
 let sweep_triples g =
   Array.map (fun (e : Dsf_graph.Graph.edge) -> e.u, e.v, e.w)
     (Dsf_graph.Graph.edges g)
@@ -164,17 +165,19 @@ let sweep_path =
     (sweep_triples
        (Gen.reweight (Dsf_util.Rng.create 45) ~max_w:16 (Gen.path 256)))
 
-let sweep_test name ~n triples =
+let sweep_test ?jobs name ~n triples =
   Test.make ~name
     (Staged.stage (fun () ->
          ignore
-           (Dsf_graph.Paths.parameters
+           (Dsf_graph.Paths.parameters ?jobs
               (Dsf_graph.Graph.make_arr ~n (Lazy.force triples)))))
 
 let tests =
   [
     sweep_test "paths/parameters random n=512" ~n:512 sweep_random;
     sweep_test "paths/parameters random n=2048" ~n:2048 sweep_random_2048;
+    sweep_test ~jobs:2 "paths/parameters random n=2048 jobs=2" ~n:2048
+      sweep_random_2048;
     sweep_test "paths/parameters path n=256" ~n:256 sweep_path;
     Test.make ~name:"moat (Alg 1, n=40)"
       (Staged.stage (fun () ->

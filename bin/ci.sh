@@ -16,8 +16,8 @@
 # in lib/congest/sim.mli.
 #
 # Every bench/smoke invocation runs under a hard wall-clock timeout: a
-# hardened run that retransmits forever (or a pool that wedges on a dead
-# worker) must fail CI loudly instead of hanging it.
+# hardened run that retransmits forever (or a pool region whose helper
+# domains never finish) must fail CI loudly instead of hanging it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -107,6 +107,19 @@ identity_leg det chaos5_jobs2 --chaos 5 --jobs 2
 identity_leg sublinear sublinear
 echo "ci: det and sublinear solve stdout byte-identical (det jobs 1 + chaos 5 jobs 2, sublinear)"
 
+# Jobs-invariance of the (D, WD, s) sweep: at n=600 the sources fill 10
+# blocks of 62, so --jobs 2 really splits the sweep over two domains, and
+# the solve's stdout must not change.
+for j in 1 2; do
+  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
+    --topology random -n 600 -t 16 -k 4 --jobs "$j" > "$scratch/sweep_j$j.out"
+done
+if ! diff -u "$scratch/sweep_j1.out" "$scratch/sweep_j2.out"; then
+  echo "ci: det solve stdout differs between --jobs 1 and --jobs 2 (n=600)" >&2
+  exit 1
+fi
+echo "ci: det solve stdout jobs-invariant (n=600, 10 sweep blocks)"
+
 # Malformed-input smoke: a bad integer, a self-loop, a disconnected graph,
 # a negative n followed by a second n line, a node labelled twice, a total
 # edge weight over the 2^50 input bound, and a verify whose solution file
@@ -184,11 +197,15 @@ done <<'CASES'
 --topology params --topology nosuch
 --algo solve --algo bogus
 --chaos solve --algo rand --chaos 3
+--jobs solve --jobs 0
+--jobs solve --jobs=-3
+--jobs compare --jobs 0
+--jobs compare --jobs=-3
 --trace-format solve --trace _build/ci/flag.trace --trace-format xml
 --kind gadget --kind zz
 --why inspect _build/ci/flag.flightlog --why a:b
 CASES
-echo "ci: bad-flag smoke ok (nodes, max-weight, components, terminals, eps-den, topology, algo, chaos, trace-format, kind, why)"
+echo "ci: bad-flag smoke ok (nodes, max-weight, components, terminals, eps-den, topology, algo, chaos, jobs, trace-format, kind, why)"
 
 # inspect on a missing log names the path exactly once.
 missing="$scratch/missing.flightlog"
@@ -246,6 +263,18 @@ grep -q "critical path: causal depth" "$scratch/inspect_chaos_cp.out" || {
   echo "ci: inspect --critical-path of a chaos log printed no causal depth" >&2
   exit 1; }
 echo "ci: chaos flight-recorder smoke ok (det_small --chaos 5, summary + critical path)"
+
+# A centralized solver's log has spans but no messages, so
+# --critical-path must still list its span.
+with_timeout 120 dune exec bin/dsf_cli.exe -- solve --algo khan \
+  --file test/fixtures/det_small.dsf --record "$scratch/khan.flightlog" \
+  > /dev/null
+with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
+  "$scratch/khan.flightlog" --critical-path > "$scratch/inspect_khan_cp.out"
+grep -q "^    khan_baseline " "$scratch/inspect_khan_cp.out" || {
+  echo "ci: inspect --critical-path of a khan log lost its span row" >&2
+  exit 1; }
+echo "ci: message-free flight-recorder smoke ok (khan, critical path spans)"
 
 # Flat end-to-end smoke: a whole det_dsf solve on the flat engine at
 # n=4096 (a path — the wavefront-dominated worst case) must finish inside

@@ -31,6 +31,15 @@ let check_choice flag ~what choices v =
 
 let algos = [ "det"; "sublinear"; "rand"; "khan"; "moat" ]
 
+let check_jobs jobs =
+  if jobs < 1 then flag_error "--jobs" "must be at least 1, got %d" jobs
+
+(* The instance's (D, WD, s), swept over [jobs] domains and memoized on
+   the graph, so the solvers' own [parameters] calls hit the memo. *)
+let parameters ?telemetry ~jobs g =
+  Dsf_congest.Telemetry.span_opt telemetry "paths.parameters" (fun () ->
+      Dsf_graph.Paths.parameters ~jobs g)
+
 (* The certification verdict solve and verify share: print the report
    (after [prefix]) or the rejection (after [reject]), and say whether the
    solution passed.  A caller that gets [false] exits 1. *)
@@ -169,6 +178,7 @@ let write_trace = function
 let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     (_flat : bool) chaos_seed record trace trace_format =
   check_choice "--algo" ~what:"algorithm" algos algo;
+  check_jobs jobs;
   if chaos_seed <> None && algo <> "det" then
     flag_error "--chaos" "only supported with --algo det, got --algo %s" algo;
   let max_eps_den = Dsf_core.Det_sublinear.max_eps_den in
@@ -192,7 +202,7 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   let rng = Dsf_util.Rng.create seed in
   let inst = load_or_generate file topology rng n t k max_w in
   let g = inst.Instance.graph in
-  let d, wd, s = Dsf_graph.Paths.parameters g in
+  let d, wd, s = parameters ?telemetry ~jobs g in
   Format.printf "instance: n=%d m=%d D=%d WD=%d s=%d t=%d k=%d@." (Graph.n g)
     (Graph.m g) d wd s
     (Instance.terminal_count inst)
@@ -303,11 +313,13 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   if not ok then exit 1
 
 let compare_cmd topology n t k max_w seed file jobs trace trace_format =
+  check_jobs jobs;
   let sink = trace_sink trace trace_format in
   let telemetry = telemetry_of_sink sink in
   let rng = Dsf_util.Rng.create seed in
   let inst = load_or_generate file topology rng n t k max_w in
   let g = inst.Instance.graph in
+  ignore (parameters ?telemetry ~jobs g);
   Format.printf "instance: n=%d m=%d t=%d k=%d@." (Graph.n g) (Graph.m g)
     (Instance.terminal_count inst)
     (Instance.component_count inst);
@@ -493,11 +505,11 @@ let jobs_arg =
     & opt int (Dsf_util.Pool.default_jobs ())
     & info [ "jobs"; "j" ]
         ~doc:
-          "domains for trial fan-out (repetitions of the randomized \
-           algorithm, in solve and compare); accepted and without effect \
-           for the other algorithms, whose simulated runs each step on one \
-           domain; default = recommended domain count, capped; results are \
-           identical for any value")
+          "domains for the instance's (D, WD, s) sweep, for every \
+           algorithm, and for the trial fan-out of the randomized \
+           algorithm (in solve and compare); simulated runs each step on \
+           one domain; at least 1; default = recommended domain count, \
+           capped; results are identical for any value")
 
 let flat_arg =
   Arg.(

@@ -389,6 +389,7 @@ type span_row = {
   mutable sp_count : int;
   mutable sp_rounds : int;  (* global rounds covered, summed *)
   mutable sp_max_depth : int;  (* causal depth reached by close *)
+  mutable sp_after_msg : bool;  (* closed once after the first message *)
 }
 
 type analysis = {
@@ -599,7 +600,7 @@ let analyze l =
               | None ->
                   let r =
                     { sp_path = path; sp_count = 0; sp_rounds = 0;
-                      sp_max_depth = 0 }
+                      sp_max_depth = 0; sp_after_msg = false }
                   in
                   Hashtbl.add spans path r;
                   span_order := path :: !span_order;
@@ -608,7 +609,8 @@ let analyze l =
             rowv.sp_count <- rowv.sp_count + 1;
             rowv.sp_rounds <- rowv.sp_rounds + (max 0 (!g - g0));
             if !max_depth > rowv.sp_max_depth then
-              rowv.sp_max_depth <- !max_depth
+              rowv.sp_max_depth <- !max_depth;
+            if Hashtbl.length edges > 0 then rowv.sp_after_msg <- true
         | _ -> () (* unmatched close: tolerate, the writer is stack-shaped *))
     | Recovery { retransmissions; restores = rs; checkpoint_bits } ->
         retrans := !retrans + retransmissions;
@@ -774,7 +776,12 @@ let pp_critical_path ppf a =
   | None ->
       Format.fprintf ppf
         "  paper bound: unavailable (metadata lacks s/t/n/D)@.");
-  match a.a_spans with
+  (* In a log with messages, a span that closed before the first one
+     (the CLI's [paths.parameters] sweep) has no chain to attribute. *)
+  match
+    if a.a_edges = [] then a.a_spans
+    else List.filter (fun sp -> sp.sp_after_msg) a.a_spans
+  with
   | [] -> ()
   | spans ->
       Format.fprintf ppf "  per span (depth reached by close):@.";

@@ -175,7 +175,9 @@ val pp_diff : r1:int -> r2:int -> Format.formatter -> analysis -> unit
 val pp_critical_path : Format.formatter -> analysis -> unit
 (** Longest causal chain whole-run and per telemetry span, printed next
     to the paper bound sqrt(min(s·t, n))·log2(n) + D when the metadata
-    carries [s] (shortest-path diameter), [t] (terminals), [n] and [D]. *)
+    carries [s] (shortest-path diameter), [t] (terminals), [n] and [D].
+    In a log with messages, spans that closed before the first one carry
+    no chain and are left out; a log with no messages lists every span. *)
 
 val pp_hot_edges : ?limit:int -> Format.formatter -> analysis -> unit
 (** Directed edges ranked by causal load (total bits, descending; ties on

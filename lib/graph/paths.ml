@@ -321,10 +321,95 @@ let dial_sssp q ~src =
     done
   done
 
-(* The all-sources sweep behind [parameters]: one BFS and one kernel run
-   per source, all sharing one workspace — the Dial kernel when every
-   weight fits its buckets, the heap kernel otherwise. *)
-let sweep g =
+(* Word-parallel multi-source BFS (MS-BFS: Then et al., "The More the
+   Merrier", VLDB 2014) for the [D] part of the sweep.  A block of up to
+   [block_size] consecutive sources owns one bit each of an int word:
+   [seen.(v)] holds the sources that have reached [v], and the frontier
+   list pairs each node reached at the last level with the bits that
+   reached it there.  One level scans every frontier node's CSR row once
+   for all of its bits, accumulating the bits a neighbor has not seen in
+   [next] (and listing the neighbor the first time its word turns
+   non-zero); the next frontier is read off that list, so a level costs
+   the frontier's degree sum, never n.  The block's largest eccentricity
+   is the index of the last level that reached anything. *)
+type msbfs = {
+  mc : Graph.csr;
+  seen : int array;
+  next : int array;
+  fnode : int array;  (** frontier nodes *)
+  fbits : int array;  (** bits that reached [fnode.(j)] at the last level *)
+  nnode : int array;  (** nodes whose [next] word is non-zero *)
+}
+
+(* 62 bits keep every block word clear of the sign bit. *)
+let block_size = 62
+
+let msbfs_workspace g =
+  let n = Graph.n g in
+  {
+    mc = Graph.csr g;
+    seen = Array.make n 0;
+    next = Array.make n 0;
+    fnode = Array.make n 0;
+    fbits = Array.make n 0;
+    nnode = Array.make n 0;
+  }
+
+(* The largest eccentricity among sources [first .. first + k - 1].
+   Raises on a disconnected graph. *)
+let msbfs_block m ~first ~k =
+  let off = m.mc.Graph.off and dst = m.mc.Graph.dst in
+  let seen = m.seen and next = m.next in
+  let fnode = m.fnode and fbits = m.fbits and nnode = m.nnode in
+  Array.fill seen 0 (Array.length seen) 0;
+  for i = 0 to k - 1 do
+    seen.(first + i) <- 1 lsl i;
+    fnode.(i) <- first + i;
+    fbits.(i) <- 1 lsl i
+  done;
+  let flen = ref k and level = ref 0 in
+  while !flen > 0 do
+    let nlen = ref 0 in
+    for j = 0 to !flen - 1 do
+      let v = fnode.(j) and b = fbits.(j) in
+      for p = off.(v) to off.(v + 1) - 1 do
+        let u = dst.(p) in
+        let nb = b land lnot seen.(u) in
+        if nb <> 0 then begin
+          let x = next.(u) in
+          if x = 0 then begin
+            nnode.(!nlen) <- u;
+            incr nlen
+          end;
+          next.(u) <- x lor nb
+        end
+      done
+    done;
+    (* [seen] moves only here, after the level: every bit above was
+       masked against the words as they stood when the level began. *)
+    for j = 0 to !nlen - 1 do
+      let u = nnode.(j) in
+      let b = next.(u) in
+      next.(u) <- 0;
+      seen.(u) <- seen.(u) lor b;
+      fnode.(j) <- u;
+      fbits.(j) <- b
+    done;
+    flen := !nlen;
+    if !nlen > 0 then incr level
+  done;
+  let full = -1 lsr (63 - k) in
+  Array.iter
+    (fun w -> if w <> full then invalid_arg "Paths: disconnected graph")
+    seen;
+  !level
+
+(* One task of the sweep: it pulls block indices from [next] until none
+   are left, with one workspace for all of them.  Each block takes one
+   MS-BFS for [D] and one kernel run per source for [WD] and [s] — the
+   Dial kernel when every weight fits its buckets, the heap kernel
+   otherwise. *)
+let sweep_task g ~next =
   let n = Graph.n g and max_w = Graph.max_weight g in
   let run, dist, hops =
     if max_w < dial_max_buckets then
@@ -334,24 +419,48 @@ let sweep g =
       let ws = workspace g in
       (fun src -> sssp ws ~src), ws.dist, ws.hops
   in
-  let c = Graph.csr g in
-  let bd = Array.make n inf and queue = Array.make n 0 in
+  let m = msbfs_workspace g in
   let d = ref 0 and wd = ref 0 and s = ref 0 in
-  for src = 0 to n - 1 do
-    bfs_fill c ~dist:bd ~queue ~src;
-    run src;
-    for v = 0 to n - 1 do
-      (* Int-typed comparisons: Stdlib.max is polymorphic. *)
-      let bv = bd.(v) and dv = dist.(v) and hv = hops.(v) in
-      if bv = inf then invalid_arg "Paths: disconnected graph";
-      if bv > !d then d := bv;
-      if dv > !wd then wd := dv;
-      if hv > !s then s := hv
-    done
+  let b = ref (Atomic.fetch_and_add next 1) in
+  while !b * block_size < n do
+    let first = !b * block_size in
+    let k = min block_size (n - first) in
+    let e = msbfs_block m ~first ~k in
+    if e > !d then d := e;
+    for src = first to first + k - 1 do
+      run src;
+      for v = 0 to n - 1 do
+        (* Int-typed comparisons: Stdlib.max is polymorphic. *)
+        let dv = dist.(v) and hv = hops.(v) in
+        if dv > !wd then wd := dv;
+        if hv > !s then s := hv
+      done
+    done;
+    b := Atomic.fetch_and_add next 1
   done;
   !d, !wd, !s
 
-let parameters g = Graph.params g ~compute:sweep
+(* The all-sources sweep behind [parameters]: blocks of sources spread
+   over [jobs] domains, one task per domain, and the per-task triples
+   max-reduced, so the result does not depend on [jobs] or on which task
+   took which block. *)
+let sweep ~jobs g =
+  let n = Graph.n g in
+  (* Forced here, before the fan-out, so no task races on the memo. *)
+  ignore (Graph.csr g);
+  let blocks = (n + block_size - 1) / block_size in
+  let tasks = max 1 (min (min jobs Dsf_util.Pool.hard_cap) blocks) in
+  let next = Atomic.make 0 in
+  Array.fold_left
+    (fun (d, wd, s) (d', wd', s') ->
+      (if d' > d then d' else d), (if wd' > wd then wd' else wd),
+      if s' > s then s' else s)
+    (0, 0, 0)
+    (Dsf_util.Pool.map_chunked ~jobs:tasks
+       (fun () -> sweep_task g ~next)
+       (Array.make tasks ()))
+
+let parameters ?(jobs = 1) g = Graph.params g ~compute:(sweep ~jobs)
 
 let diameter_unweighted g =
   let d, _, _ = parameters g in

@@ -5,8 +5,9 @@
 
     {b Kernels.}  Two single-source kernels compute lexicographic
     [(weight, hops)] shortest paths over the graph's CSR view
-    ({!Graph.csr}); a sweep allocates one workspace and reuses it for
-    every source.
+    ({!Graph.csr}), and one multi-source kernel computes unweighted
+    eccentricities; a sweep allocates one workspace per task and reuses
+    it for every source.
 
     - The {e heap kernel} serves {!dijkstra}, {!dijkstra_hops},
       {!shortest_path} and {!all_pairs}, and {!parameters} on graphs with
@@ -28,12 +29,34 @@
       strictly lower bucket.  The mask jumps over empty buckets, so a
       source costs O(m), with no O(ecc) scan of a plain Dial queue, and
       allocates nothing.
+    - The {e MS-BFS kernel} gives {!parameters} its [D].  It is the
+      word-parallel multi-source BFS of Then et al. ("The More the
+      Merrier", VLDB 2014): a block of 62 consecutive sources owns one bit
+      each of an int word per node, and one pass over a frontier node's
+      CSR row advances every source whose bit reached that node at the
+      last level.  A level costs the frontier's degree sum, and a node
+      enters the frontier once per distinct distance from the block's
+      sources, which on a shallow graph is far fewer than 62 times.  The
+      block's largest eccentricity is the index of the last level that
+      reached a node.
 
-    {b Memoized parameters.}  {!parameters} runs the all-sources sweep — one
-    BFS plus one kernel run per source, O(n·m) on the Dial kernel and
-    O(n·m log n) on the heap kernel — at most once per graph and
-    process: the triple is stored in the graph's memo slot
-    ({!Graph.params}) and every later call, including the three
+    {b The sweep.}  {!parameters} cuts the sources into blocks of 62 and
+    gives each block one MS-BFS for [D] and one heap or Dial kernel run
+    per source for [WD] and [s].  With [~jobs] above 1, one task per
+    domain, at most [min jobs Pool.hard_cap] and at most one per block,
+    pulls blocks from a shared counter on {!Dsf_util.Pool}, each task
+    with its own workspaces.  The triples are max-reduced, so the
+    result is the same for every [jobs] and every schedule.
+
+    On a deep graph such as a path a node enters the MS-BFS frontier at
+    nearly every level, so a block costs about as much as 62 per-source
+    BFS runs (measured within about 5% of them on a 256-node path); on a
+    random graph it costs about a tenth of that.
+
+    {b Memoized parameters.}  {!parameters} runs the all-sources sweep —
+    O(n·m) on the Dial kernel and O(n·m log n) on the heap kernel — at
+    most once per graph and process: the triple is stored in the graph's
+    memo slot ({!Graph.params}) and every later call, including the three
     [diameter_*] projections, returns it without sweeping.  A
     disconnected graph raises on every call and stores nothing.  The memo
     write is a benign race (equal triples, one atomic pointer store), but
@@ -83,8 +106,14 @@ val shortest_path_diameter : Graph.t -> int
 (** [s]: max over pairs of the min hop count among least-weight paths — the
     third component of {!parameters} (memoized). *)
 
-val parameters : Graph.t -> int * int * int
-(** [(d, wd, s)] from one all-sources sweep (see {b Kernels}), computed on the
-    first call for a graph and memoized on it: later calls return the
-    physically same triple.  Raises [Invalid_argument] if the graph is
-    disconnected. *)
+val parameters : ?jobs:int -> Graph.t -> int * int * int
+(** [(d, wd, s)] from one all-sources sweep (see {b The sweep}), computed on
+    the first call for a graph and memoized on it: later calls return the
+    physically same triple.  Raises [Invalid_argument "Paths: disconnected
+    graph"] if the graph is disconnected, at every [jobs].
+
+    [jobs] (default 1) is the number of domains the sweep may use; it
+    changes the wall time only, never the triple, and is ignored once the
+    memo is filled.  The sweep is one {!Dsf_util.Pool} region, so a caller
+    that is itself a Pool task must leave [jobs] at 1, or the sweep raises
+    {!Dsf_util.Pool.Nested_use}. *)

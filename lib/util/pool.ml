@@ -1,95 +1,16 @@
 exception Nested_use
 
-(* The pool is the one deliberately process-global resource in the
-   library: a single fixed set of worker domains plus the handshake state
-   they rendezvous on.  Everything below is guarded by [lock]/[busy] and
-   exists precisely so that *other* modules can stay free of global
-   mutable state. *)
+(* [busy] is the one deliberately process-global value in the library: it
+   makes the single parallel region exclusive and detects nested use.
+   Everything else a region needs lives in [map_chunked]'s frame, so
+   other modules can stay free of global mutable state. *)
 [@@@lint.allow "global-state"]
 
 let hard_cap = 8
 
 let default_jobs () = max 1 (min (Domain.recommended_domain_count ()) hard_cap)
 
-(* One outstanding parallel region ("batch") at a time.  A batch is a
-   chunk counter plus a closure executing one chunk; workers and the
-   calling domain pull indices from the shared counter until exhausted.
-   [completed] (guarded by [lock]) counts finished chunks so the caller
-   knows when every chunk — including ones run by workers — is done. *)
-type batch = {
-  gen : int;  (* distinguishes this batch from the one a worker just ran *)
-  chunks : int;
-  next : int Atomic.t;
-  run : int -> unit;  (* may raise; failures are routed to [on_error] *)
-  on_error : int -> exn -> Printexc.raw_backtrace -> unit;  (* must not raise *)
-  mutable completed : int;  (* guarded by [lock] *)
-}
-
-let lock = Mutex.create ()
-let work_ready = Condition.create ()
-let batch_done = Condition.create ()
-let current : batch option ref = ref None
-let generation = ref 0
-let spawned = ref 0
-
-(* [busy] doubles as the mutual-exclusion flag for the single parallel
-   region and as the nested-use detector: a task calling [map_chunked]
-   with [jobs > 1] finds it set and gets {!Nested_use}. *)
 let busy = Atomic.make false
-
-(* The chunk's completion increment is the pool's liveness invariant: the
-   caller sleeps on [batch_done] until [completed = chunks], so a chunk
-   that raises without being counted would wedge the pool forever.  The
-   [Fun.protect] makes the count unconditional — even if [on_error]
-   itself misbehaves, the batch still completes and only the offending
-   domain unwinds. *)
-let run_chunks b =
-  let rec pull () =
-    let i = Atomic.fetch_and_add b.next 1 in
-    if i < b.chunks then begin
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.lock lock;
-          b.completed <- b.completed + 1;
-          if b.completed = b.chunks then Condition.broadcast batch_done;
-          Mutex.unlock lock)
-        (fun () ->
-          (* Not swallowed: every failure is routed to the batch's
-             [on_error], which records it for deterministic re-raise in
-             the calling domain (see [map_chunked]). *)
-          try b.run i
-          with e [@lint.allow "catch-all"] ->
-            b.on_error i e (Printexc.get_raw_backtrace ()));
-      pull ()
-    end
-  in
-  pull ()
-
-let rec worker_loop last_gen =
-  Mutex.lock lock;
-  let rec await () =
-    match !current with
-    | Some b when b.gen <> last_gen -> b
-    | _ ->
-        Condition.wait work_ready lock;
-        await ()
-  in
-  let b = await () in
-  Mutex.unlock lock;
-  (* A worker must outlive any single batch: swallow whatever escapes
-     [run_chunks] (only possible if an [on_error] callback raised) so the
-     domain returns to [await] instead of dying and silently shrinking
-     the pool. *)
-  (try run_chunks b with _ -> ()) [@lint.allow "catch-all"];
-  worker_loop b.gen
-
-let ensure_workers want =
-  let want = min want (hard_cap - 1) in
-  while !spawned < want do
-    incr spawned;
-    (* Workers live for the whole process; they do not block exit. *)
-    ignore (Domain.spawn (fun () -> worker_loop (-1)))
-  done
 
 let map_chunked ~jobs f arr =
   let len = Array.length arr in
@@ -97,37 +18,35 @@ let map_chunked ~jobs f arr =
   else if not (Atomic.compare_and_set busy false true) then raise Nested_use
   else
     Fun.protect ~finally:(fun () -> Atomic.set busy false) @@ fun () ->
+    (* Each index is written by the one domain that pulled it, and read
+       only after every helper is joined. *)
     let results = Array.make len None in
-    (* Guarded by [lock]; the failure at the smallest index wins, so the
-       propagated exception is deterministic under any schedule. *)
-    let first_error = ref None in
-    let run i = results.(i) <- Some (f arr.(i)) in
-    let on_error i e bt =
-      Mutex.lock lock;
-      (match !first_error with
-      | Some (j, _, _) when j <= i -> ()
-      | _ -> first_error := Some (i, e, bt));
-      Mutex.unlock lock
+    let next = Atomic.make 0 in
+    let rec pull () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < len then begin
+        (results.(i) <-
+           (* Not swallowed: the failure is re-raised below, smallest
+              index first. *)
+           try Some (Ok (f arr.(i)))
+           with e [@lint.allow "catch-all"] ->
+             Some (Error (e, Printexc.get_raw_backtrace ())));
+        pull ()
+      end
     in
-    ensure_workers (jobs - 1);
-    Mutex.lock lock;
-    incr generation;
-    let b =
-      { gen = !generation; chunks = len; next = Atomic.make 0; run; on_error;
-        completed = 0 }
+    (* The helpers live for this region only: joined before returning, so
+       no idle domain outlives it (see pool.mli).  The calling domain
+       pulls tasks too. *)
+    let helpers =
+      List.init (min jobs (min hard_cap len) - 1) (fun _ -> Domain.spawn pull)
     in
-    current := Some b;
-    Condition.broadcast work_ready;
-    Mutex.unlock lock;
-    (* The calling domain is a worker too. *)
-    run_chunks b;
-    Mutex.lock lock;
-    while b.completed < b.chunks do
-      Condition.wait batch_done lock
-    done;
-    current := None;
-    Mutex.unlock lock;
-    (match !first_error with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
+    pull ();
+    List.iter Domain.join helpers;
+    (* In index order, so the failure at the smallest index wins under any
+       schedule. *)
+    Array.map
+      (function
+        | Some (Ok v) -> v
+        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+        | None -> assert false)
+      results

@@ -1,12 +1,19 @@
-(** Fixed-size domain pool for embarrassingly parallel trial fan-out.
+(** Domain fan-out for embarrassingly parallel work.
 
     The repository's wall-clock cost is dominated by *independent trials*:
     the Theorem 5.2 repetitions, the experiment sweeps over seeds and
-    sizes, and the benchmark suites.  This module runs such fan-outs on a
-    small pool of OCaml 5 domains (stdlib [Domain] + [Mutex]/[Condition],
-    no external dependencies).  Worker domains are spawned lazily on first
-    use, capped at {!hard_cap}, and kept alive for the whole process —
-    idle workers block on a condition variable and cost nothing.
+    sizes, the benchmark suites, and the all-sources (D, WD, s) sweep of
+    [Dsf_graph.Paths.parameters].  This module runs such fan-outs on
+    OCaml 5 domains (stdlib [Domain] and [Atomic], no external
+    dependencies).  Each parallel region spawns its helper domains, at
+    most {!hard_cap} - 1 of them, and joins them before it returns.  No
+    domain outlives its region because an idle one is not free: every
+    OCaml 5 minor collection is a stop-the-world rendezvous of all running
+    domains, so a parked worker kept alive for the whole process makes
+    every later minor GC wait on it, which measurably slows the det solve
+    that follows a pooled (D, WD, s) sweep (EXPERIMENTS.md).  A region
+    pays instead for its spawns and joins, and for the fresh minor heap
+    each helper allocates into.
 
     The pool is a *harness-level* facility: a task must be a pure function
     of its input (see HACKING.md, "Domain-safety contract").  In
@@ -23,8 +30,8 @@ exception Nested_use
     degenerate to [Array.map]. *)
 
 val hard_cap : int
-(** Upper bound on pool parallelism (caller + spawned workers); [jobs]
-    beyond it still works, the extra chunks just queue. *)
+(** Upper bound on a region's parallelism (caller + spawned helpers);
+    [jobs] beyond it still works, the extra tasks just queue. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] capped at {!hard_cap} — the
@@ -40,11 +47,10 @@ val map_chunked : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     If one or more tasks raise, every task still runs to completion and
     the exception of the *smallest failing index* is re-raised (with its
     backtrace) — deterministic regardless of scheduling.  A raising task
-    can neither wedge the pool (chunk completion is counted in a
-    [Fun.protect] finalizer, so the caller is always woken) nor shrink it
-    (worker domains survive any exception escaping a batch and return to
-    waiting for the next one).
+    never wedges the region: it is recorded like a result, and the helper
+    domain goes on pulling tasks until none are left.  The next region
+    spawns fresh helpers.
 
     [jobs <= 1] (or arrays of length <= 1) short-circuits to a plain
-    sequential [Array.map] on the calling domain: no pool interaction, no
+    sequential [Array.map] on the calling domain: no domain spawned, no
     {!Nested_use} check. *)

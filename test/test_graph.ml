@@ -432,6 +432,133 @@ let test_scaled_weighted_diameter () =
         [ 1; 2; 17 ])
     [ 1; 2; 3 ]
 
+(* The blocked sweep: sources go 62 to a word, so the sizes straddle one
+   and two block boundaries, and [~jobs:2] splits every sweep with two or
+   more blocks.  Every call rebuilds the graph, so the memo never answers
+   for the kernel under test. *)
+let rebuild g =
+  Graph.make_arr ~n:(Graph.n g)
+    (Array.map (fun (e : Graph.edge) -> e.u, e.v, e.w) (Graph.edges g))
+
+let block_sizes = [ 1; 2; 61; 62; 63; 124; 125; 130 ]
+
+(* Unit-weight shapes on exactly [n] nodes.  A grid takes the largest
+   divisor of [n] up to its square root as its row count. *)
+let block_shapes =
+  let rows n =
+    let best = ref 1 in
+    for d = 1 to n do
+      if d * d <= n && n mod d = 0 then best := d
+    done;
+    !best
+  in
+  [
+    (fun r n ->
+      if n < 2 then Gen.path n
+      else
+        Gen.random_connected r ~n ~extra_edges:(Dsf_util.Rng.int r (2 * n))
+          ~max_w:1);
+    (fun _ n -> Gen.path n);
+    (* A path whose two ends carry the two highest ids, so D is seen
+       only from sources in the last block. *)
+    (fun _ n ->
+      if n < 3 then Gen.path n
+      else
+        let order =
+          Array.concat [ [| n - 2 |]; Array.init (n - 2) Fun.id; [| n - 1 |] ]
+        in
+        Graph.unweighted_arr ~n
+          (Array.init (n - 1) (fun i -> order.(i), order.(i + 1))));
+    (fun _ n -> Gen.grid ~rows:(rows n) ~cols:(n / rows n));
+    (fun _ n -> if n < 2 then Gen.path n else Gen.star n);
+    (fun _ n -> Gen.complete n);
+  ]
+
+(* Tie-heavy weights: all 1, then {1, 2}, then {32, 33}, which sweeps on
+   the heap kernel. *)
+let block_weights =
+  [
+    (fun _ g -> g);
+    (fun r g -> Gen.reweight r ~max_w:2 g);
+    (fun r g ->
+      let g = Gen.reweight r ~max_w:2 g in
+      Graph.make_arr ~n:(Graph.n g)
+        (Array.map (fun (e : Graph.edge) -> e.u, e.v, e.w + 31) (Graph.edges g)));
+  ]
+
+let prop_blocked_sweep_jobs =
+  QCheck.Test.make
+    ~name:"parameters ~jobs:1 = ~jobs:2 = oracle across block boundaries"
+    ~count:2
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let r = rng seed in
+      List.for_all
+        (fun n ->
+          List.for_all
+            (fun shape ->
+              List.for_all
+                (fun weigh ->
+                  let g = weigh r (shape r n) in
+                  let want = oracle_parameters g in
+                  Paths.parameters ~jobs:1 (rebuild g) = want
+                  && Paths.parameters ~jobs:2 (rebuild g) = want)
+                block_weights)
+            block_shapes)
+        block_sizes)
+
+(* Two components of [n1] and [n2] nodes, the second a path (deep) or a
+   random graph (shallow). *)
+let test_blocked_sweep_disconnected () =
+  let r = rng 3 in
+  List.iter
+    (fun (n1, n2, w) ->
+      let a = Gen.random_connected r ~n:n1 ~extra_edges:n1 ~max_w:w in
+      let b =
+        if n2 mod 2 = 0 then Gen.reweight r ~max_w:w (Gen.path n2)
+        else Gen.random_connected r ~n:n2 ~extra_edges:n2 ~max_w:w
+      in
+      let shift off h =
+        Array.map (fun (e : Graph.edge) -> e.u + off, e.v + off, e.w) (Graph.edges h)
+      in
+      let g =
+        Graph.make_arr ~n:(n1 + n2) (Array.append (shift 0 a) (shift n1 b))
+      in
+      List.iter
+        (fun jobs ->
+          Alcotest.check_raises
+            (Printf.sprintf "n=%d+%d, max weight %d, jobs %d" n1 n2 w jobs)
+            (Invalid_argument "Paths: disconnected graph") (fun () ->
+              ignore (Paths.parameters ~jobs g)))
+        [ 1; 2 ])
+    [ 60, 2, 1; 62, 63, 2; 100, 30, 16; 70, 61, 40; 2, 128, 1 ]
+
+(* A sweep is one Pool region: back-to-back sweeps at jobs 2 each get
+   fresh helper domains, and a sweep at jobs 2 inside a Pool task is a
+   nested region. *)
+let test_blocked_sweep_pool () =
+  let g = Gen.random_connected (rng 9) ~n:200 ~extra_edges:200 ~max_w:5 in
+  let want = oracle_parameters g in
+  for i = 1 to 2 do
+    check Alcotest.(triple int int int)
+      (Printf.sprintf "region %d" i) want
+      (Paths.parameters ~jobs:2 (rebuild g))
+  done;
+  check Alcotest.(array int) "plain region after two sweeps" [| 1; 4; 9 |]
+    (Dsf_util.Pool.map_chunked ~jobs:2 (fun i -> i * i) [| 1; 2; 3 |]);
+  match
+    Dsf_util.Pool.map_chunked ~jobs:2
+      (fun g -> Paths.parameters ~jobs:2 g)
+      [| rebuild g; rebuild g |]
+  with
+  | _ -> Alcotest.fail "expected Nested_use"
+  | exception Dsf_util.Pool.Nested_use ->
+      check Alcotest.(array (triple int int int)) "nested sweeps at jobs 1"
+        [| want; want |]
+        (Dsf_util.Pool.map_chunked ~jobs:2
+           (fun g -> Paths.parameters ~jobs:1 g)
+           [| rebuild g; rebuild g |])
+
 (* ------------------------------------------------------------------- Gen *)
 
 let test_gen_shapes () =
@@ -753,6 +880,11 @@ let suites =
           test_parameters_disconnected_no_memo;
         Alcotest.test_case "scaled weighted diameter" `Quick
           test_scaled_weighted_diameter;
+        qtest prop_blocked_sweep_jobs;
+        Alcotest.test_case "blocked sweep, disconnected" `Quick
+          test_blocked_sweep_disconnected;
+        Alcotest.test_case "blocked sweep, pool regions" `Quick
+          test_blocked_sweep_pool;
       ] );
     ( "graph.gen",
       [

@@ -84,11 +84,9 @@ let test_pool_reusable_after_exception () =
 
 let test_pool_survives_failing_batches () =
   (* Repeated failing batches at full parallelism: a chunk that raises on
-     a worker domain must neither wedge the caller on the batch condvar
-     nor kill the worker (a dead worker would silently shrink the pool
-     because the spawn count never decays).  Each failing batch is
-     followed by a clean one that must still come back complete and
-     correctly ordered. *)
+     a helper domain must neither wedge the caller nor leave the region
+     unjoined.  Each failing batch is followed by a clean one that must
+     still come back complete and correctly ordered. *)
   let input = Array.init 32 Fun.id in
   for round = 1 to 5 do
     (match

@@ -282,12 +282,16 @@ let prop_log_faulted_flat =
           && crashes_first false events
           && tapped None = seen)
 
-(* Telemetry spans land in the log too. *)
+(* Telemetry spans land in the log too.  A span that closes before the
+   first message, like the CLI's [paths.parameters] sweep, is in the log
+   and the summary but not in the critical path's per-span rows — unless
+   the log has no messages at all, like a centralized solver's. *)
 let test_spans_in_log () =
   let g = Gen.path 32 in
   let n = Graph.n g in
   let r = Recorder.create ~now:0 () in
   let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
+  Telemetry.span tel "paths.parameters" ignore;
   Telemetry.span tel "bfs" (fun () ->
       ignore
         (Sim.run_flat
@@ -296,8 +300,31 @@ let test_spans_in_log () =
   match Recorder.parse (Recorder.to_string r) with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok log ->
-      check Alcotest.bool "span recorded" true
-        (List.mem (Recorder.Span_open "bfs") (Recorder.log_events log))
+      let events = Recorder.log_events log in
+      check Alcotest.bool "spans recorded" true
+        (List.mem (Recorder.Span_open "bfs") events
+        && List.mem (Recorder.Span_open "paths.parameters") events);
+      let a = Recorder.analyze log in
+      check Alcotest.bool "summary counts both span paths" true
+        (contains (Format.asprintf "%a" Recorder.pp_summary a) "2 span path(s)");
+      let critical = Format.asprintf "%a" Recorder.pp_critical_path a in
+      check Alcotest.bool "critical path lists bfs only" true
+        (contains critical "    bfs"
+        && not (contains critical "paths.parameters"));
+      let r = Recorder.create ~now:0 () in
+      let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
+      Telemetry.span tel "paths.parameters" ignore;
+      Telemetry.span tel "centralized" ignore;
+      (match Recorder.parse (Recorder.to_string r) with
+      | Error e -> Alcotest.failf "parse failed: %s" e
+      | Ok log ->
+          let critical =
+            Format.asprintf "%a" Recorder.pp_critical_path
+              (Recorder.analyze log)
+          in
+          check Alcotest.bool "no messages: every span listed" true
+            (contains critical "    paths.parameters"
+            && contains critical "    centralized"))
 
 (* ------------------------------------------------------------ hot edges *)
 
