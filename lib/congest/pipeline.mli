@@ -33,8 +33,9 @@ val filtered_upcast :
     Lemma 4.14); items closing cycles with [pre] are filtered everywhere.
     [cmp] must be a total order; ties are broken by endpoints.
 
-    [stop_at_root] receives the root's accepted prefix (ascending) after
-    each acceptance; when it returns [true] the collection is aborted — the
+    [stop_at_root] receives the root's accepted prefix (ascending) once
+    after each acceptance; when it returns [true] the collection is
+    aborted — the
     Corollary 4.16 early stop, where the root detects that a merge changes
     some terminal's activity status.  The caller should charge an extra
     O(D) stop-broadcast to its ledger.  Runs under a ["filtered_upcast"]
@@ -43,9 +44,10 @@ val filtered_upcast :
     Runs a native flat-engine protocol through {!Fault.sim_run}: mutable
     per-node state (checkpointed by deep copy under a [Chaos] network),
     array child queues, O(1) stalled/drained tests, and mail-driven
-    wake.  Items stay boxed — the payload is a generic ['k] key plus two
-    endpoints, beyond one immediate int — so the protocol's speed comes
-    from scheduling and bookkeeping, not message packing. *)
+    wake.  [bits] is called once per item, at its holder; the size
+    travels with the item, so [bits] must be a function of the item
+    alone.  [pre] is unioned once into a template union-find, which a
+    node copies when it handles its first item. *)
 
 val select_forest :
   vn:int -> pre:(int * int) list -> cmp:('k -> 'k -> int) ->

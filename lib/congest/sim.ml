@@ -125,11 +125,14 @@ let ibuf_push b x =
   b.ilen <- b.ilen + 1
 
 (* Ring buffer of the last [postmortem_window] rounds of raw (src, dst,
-   bits) traffic, kept by both engines so a {!Round_limit} abort can dump
-   where the messages were flowing when the protocol span out.  Parallel
-   flat int buffers — three amortized-O(1) unboxed pushes per message, so
-   keeping the ring armed costs the flat engine's steady-state loop no
-   allocation; slots are recycled in place. *)
+   bits) traffic, so a {!Round_limit} abort can dump where the messages
+   were flowing when the protocol span out.  Parallel flat int buffers —
+   three amortized-O(1) unboxed pushes per message, no allocation in the
+   steady state; slots are recycled in place.  The reference loop keeps
+   it armed every round.  The flat engine arms it only from round
+   [max_rounds - postmortem_window] on: an abort is raised at round
+   [max_rounds] and dumps only those rounds, so earlier pushes are never
+   read. *)
 type traffic_ring = {
   slot_round : int array; (* round stored in each slot; -1 = empty *)
   r_src : ibuf array;
@@ -329,11 +332,13 @@ let use_reference_engine = ref false [@@lint.allow "global-state"]
    - per-round per-(edge, direction) bits live in a flat array indexed by
      *CSR position* (the sender's directed slot);
    - sends are staged per destination and delivered at the round
-     barrier; nodes step in ascending order, so every inbox receives its
-     mail in the global send order (sender ascending, outbox order within
-     a sender) of the reference loop;
-   - observer calls and post-mortem ring pushes happen at the send, as in
-     the reference loop. *)
+     barrier by swapping the staged buffer with the (empty) inbox; nodes
+     step in ascending order, so every inbox receives its mail in the
+     global send order (sender ascending, outbox order within a sender)
+     of the reference loop;
+   - the observer runs at every send, as in the reference loop; the
+     post-mortem ring records sends only in the last [postmortem_window]
+     rounds before [max_rounds], the only rounds an abort can dump. *)
 
 type 'm mbuf = {
   mutable srcs : int array;
@@ -371,11 +376,6 @@ let mbuf_push b src msg =
   b.srcs.(b.mlen) <- src;
   b.msgs.(b.mlen) <- msg;
   b.mlen <- b.mlen + 1
-
-let mbuf_append ~into b =
-  for i = 0 to b.mlen - 1 do
-    mbuf_push into b.srcs.(i) b.msgs.(i)
-  done
 
 type ('s, 'm) flat_protocol = {
   fp_init : view -> 's;
@@ -559,6 +559,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   let round = ref 0 in
   let quiescent = ref false in
   let ring = ring_make () in
+  let ring_from = max_rounds - postmortem_window in
   let current_stats () =
     {
       rounds = !round;
@@ -640,7 +641,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     let bits = fp.fp_msg_bits msg in
     total_bits := !total_bits + bits;
     (match obs with Some f -> f ~src ~dst ~bits | None -> ());
-    ring_push ring ~round:!round ~src ~dst ~bits;
+    if !round >= ring_from then ring_push ring ~round:!round ~src ~dst ~bits;
     let prev = edge_bits.(p) in
     if prev < 0 then begin
       ibuf_push touched p;
@@ -699,7 +700,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
       tel_finish telemetry snapshot;
       abort_run ~round:!round ~snapshot ring
     end;
-    ring_begin_round ring ~round:!round;
+    if !round >= ring_from then ring_begin_round ring ~round:!round;
     let bits0 = !total_bits in
     stepped := 0;
     delivered := 0;
@@ -806,7 +807,10 @@ let flat_engine ?max_rounds ?halt ~env g fp =
        the still-undone nodes (already ascending — nodes step in order)
        and the mail recipients (minus the undone ones, sorted, then
        merged).  All undone nodes are stamped before any recipient is
-       examined, so none is entered twice. *)
+       examined, so none is entered twice.  Delivery swaps the staged
+       buffer with the recipient's inbox, which is empty here: every
+       inbox was consumed by its node's step this round, or dropped with
+       its crashed node (the sanitizer's undelivered-inbox check). *)
     let nrcp = ref 0 in
     if sparse then
       for i = 0 to undone.ilen - 1 do
@@ -814,9 +818,9 @@ let flat_engine ?max_rounds ?halt ~env g fp =
       done;
     for i = 0 to recip.ilen - 1 do
       let dst = recip.ia.(i) in
-      let mb = stage.(dst) in
-      mbuf_append ~into:inboxes.(dst) mb;
-      mb.mlen <- 0;
+      let ib = inboxes.(dst) in
+      inboxes.(dst) <- stage.(dst);
+      stage.(dst) <- ib;
       if sparse && cand_stamp.(dst) <> !round then begin
         cand_stamp.(dst) <- !round;
         rcp.(!nrcp) <- dst;

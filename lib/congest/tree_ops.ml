@@ -195,15 +195,18 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
   List.rev states.(tree.root).s_received, stats
 
 (* Node state for {!broadcast}: the node's forward queue.  One item
-   leaves the queue per round whether or not the node has children. *)
+   leaves the queue per round whether or not the node has children.
+   Each item is sized once, at the root, and travels with its size, so no
+   hop calls [bits] again. *)
 let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
-    ('a Queue.t, 'a) Sim.flat_protocol =
+    (('a * int) Queue.t, 'a * int) Sim.flat_protocol =
+  let sized = List.map (fun it -> it, bits it) items in
   {
     fp_init =
       (fun view ->
         let dq = Queue.create () in
         if view.Sim.node = tree.root then
-          List.iter (fun it -> Queue.add it dq) items;
+          List.iter (fun it -> Queue.add it dq) sized;
         dq);
     fp_step =
       (fun view ~round:_ dq ~inbox ~emit ->
@@ -216,7 +219,7 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
         | None -> ());
         dq);
     fp_is_done = Queue.is_empty;
-    fp_msg_bits = bits;
+    fp_msg_bits = snd;
     fp_wake = Some Sim.never;
   }
 

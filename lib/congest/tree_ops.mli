@@ -71,7 +71,9 @@ val broadcast :
 (** Pipeline the root's item list down the tree: on a lossless network
     every non-root node receives the whole list, in order, from its tree
     parent.  Callers keep the replicated list centrally, so only the cost
-    is returned.  Rounds ~ height + |items|. *)
+    is returned.  Rounds ~ height + |items|.  [bits] is called once per
+    item, at the root; the size travels with the item, so [bits] must be
+    a function of the item alone. *)
 
 val aggregate :
   ?env:Sim.env ->

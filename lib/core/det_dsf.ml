@@ -91,7 +91,10 @@ let run ?observer ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
               [ v, inst.Instance.labels.(v) ]
             else []
           in
-          let pair_bits (_, _) = 2 * Bitsize.id_bits ~n in
+          let pair_bits =
+            let b = 2 * Bitsize.id_bits ~n in
+            fun (_, _) -> b
+          in
           let collected, up_stats =
             Tree_ops.upcast ~env g ~tree
               ~items:term_items ~bits:pair_bits
@@ -111,8 +114,9 @@ let run ?observer ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
     let merges = ref [] in
     let dual = ref Frac.zero in
     let phase = ref 0 in
-    let key_bits (it : ckey Pipeline.item) =
-      Frac.bits it.Pipeline.key.mu + (4 * Bitsize.id_bits ~n)
+    let key_bits =
+      let ids = 4 * Bitsize.id_bits ~n in
+      fun (it : ckey Pipeline.item) -> Frac.bits it.Pipeline.key.mu + ids
     in
     while C.exists_active ms do
       tspan "phase" (fun () ->

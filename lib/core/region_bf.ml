@@ -42,8 +42,9 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
      owner and offset (Definition 4.7 freezes Reg_{j-1}(v)); it announces its
      label once and ignores relaxations. *)
   let pinned v = Hashtbl.mem init v in
+  let id_bits = Bitsize.id_bits ~n in
   let msg_bits (Relax r) =
-    Frac.bits r.dist + Bitsize.id_bits ~n + Bitsize.int_bits (max 1 r.hops)
+    Frac.bits r.dist + id_bits + Bitsize.int_bits (max 1 r.hops)
   in
   let flat_proto () : (flat_state, msg) Sim.flat_protocol =
     let csr = Graph.csr g in

@@ -19,6 +19,7 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
   let tree, s1 = Bfs.build ~env g ~root in
+  let pair_bits = 2 * Bitsize.id_bits ~n in
   (* Convergecast the requests with forest filtering: a request that closes
      a cycle with already-known connectivity is redundant, so at most t - 1
      pairs survive (proof of Lemma 2.3).  The filtered pipelined upcast is
@@ -34,13 +35,13 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
     Pipeline.filtered_upcast ~env g
       ~tree ~vn:n
       ~pre:[] ~items ~cmp:compare
-      ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
+      ~bits:(fun _ -> pair_bits)
   in
   let pairs = List.map (fun it -> it.Pipeline.a, it.Pipeline.b) surviving in
   let s3 =
     Tree_ops.broadcast ~env g ~tree
       ~items:pairs
-      ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
+      ~bits:(fun _ -> pair_bits)
   in
   (* Everyone now computes components of the request graph locally.  The
      label of a component is its smallest terminal id. *)
@@ -84,11 +85,12 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
     if inst.Instance.labels.(v) >= 0 then [ inst.Instance.labels.(v), v ]
     else []
   in
+  let id_bits = Bitsize.id_bits ~n in
   let witnesses, s2 =
     Tree_ops.upcast_dedup ~env ~per_key:2
       g ~tree
       ~items ~key:fst
-      ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
+      ~bits:(fun _ -> 2 * id_bits)
   in
   let count = Hashtbl.create 16 in
   List.iter
@@ -99,7 +101,7 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
   let s3 =
     Tree_ops.broadcast ~env g ~tree
       ~items:keep
-      ~bits:(fun _ -> Bitsize.id_bits ~n)
+      ~bits:(fun _ -> id_bits)
   in
   let labels =
     Array.mapi

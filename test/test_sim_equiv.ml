@@ -254,31 +254,76 @@ let test_single_node () =
   Alcotest.(check bool) "stats equal" true (stats_eq t1 t2)
 
 let test_round_limit_equiv () =
-  (* Both engines must hit Round_limit at the same round on a protocol that
-     never quiesces. *)
-  let g = Gen.path 3 in
-  let chatty : (unit, unit) Sim.protocol =
+  (* Both engines must raise the same Round_limit on a protocol that never
+     quiesces — round, stats snapshot and post-mortem ring — on both sides
+     of the flat engine's ring window (it records only the last
+     [postmortem_window] rounds before the limit).  Under a drop/duplicate
+     plan, which the reference loop does not run, the flat engine's ring
+     must hold exactly the last rounds of the observer's trace: every send,
+     dropped or not, in send order. *)
+  let g = random_graph 31_337 in
+  let round_now = ref 0 in
+  let chatty : (unit, int) Sim.protocol =
     {
       init = (fun _ -> ());
       step =
-        (fun view ~round:_ st ~inbox:_ ->
-          st, Array.to_list view.Sim.nbrs |> List.map (fun (nb, _, _) -> nb, ()));
+        (fun view ~round st ~inbox:_ ->
+          round_now := round;
+          ( st,
+            Array.to_list view.Sim.nbrs
+            |> List.filter_map (fun (nb, _, _) ->
+                   if (round + view.Sim.node + nb) mod 3 = 0 then None
+                   else Some (nb, round + nb)) ));
       is_done = (fun () -> true);
-      msg_bits = (fun () -> 1);
+      msg_bits = (fun m -> 1 + (m mod 5));
       wake = None;
     }
   in
-  let limit_of run =
-    match run () with
-    | exception Sim.Round_limit a -> a.Sim.at_round
-    | _ -> -1
+  let abort_of run =
+    let log = ref [] in
+    let observer ~src ~dst ~bits = log := (!round_now, (src, dst, bits)) :: !log in
+    match run observer with
+    | exception Sim.Round_limit a -> a, List.rev !log
+    | _ -> Alcotest.fail "expected a round-limit abort"
   in
-  let flat = limit_of (fun () -> Sim.run ~max_rounds:7 g chatty) in
-  let reference =
-    limit_of (fun () -> Sim.run_reference ~max_rounds:7 g chatty)
+  (* The ring the observer trace implies: one entry per round of the
+     window, messages in send order. *)
+  let window_of ~max_rounds log =
+    let lo = max 0 (max_rounds - Sim.postmortem_window) in
+    List.init (max_rounds - lo) (fun i ->
+        let r = lo + i in
+        r, List.filter_map (fun (r', m) -> if r' = r then Some m else None) log)
   in
-  check Alcotest.int "same limit" reference flat;
-  check Alcotest.int "limit is 7" 7 flat
+  let abort = Alcotest.testable (fun ppf a -> Sim.pp_abort ppf a) ( = ) in
+  let faults = Fault.instantiate (Fault.plan ~drop:0.2 ~duplicate:0.2 ~seed:5 ()) in
+  List.iter
+    (fun max_rounds ->
+      let name what = Printf.sprintf "max_rounds=%d: %s" max_rounds what in
+      let flat, log =
+        abort_of (fun observer ->
+            Sim.run ~max_rounds ~env:(env_of observer) g chatty)
+      in
+      let reference, _ =
+        abort_of (fun observer ->
+            Sim.run_reference ~max_rounds ~env:(env_of observer) g chatty)
+      in
+      check abort (name "flat = reference") reference flat;
+      check Alcotest.int (name "limit") max_rounds flat.Sim.at_round;
+      Alcotest.(check bool) (name "ring = observer window") true
+        (flat.Sim.recent = window_of ~max_rounds log);
+      let lossy, log =
+        abort_of (fun observer ->
+            Sim.run ~max_rounds ~env:(env_of ~faults observer) g chatty)
+      in
+      check Alcotest.int (name "faults: limit") max_rounds lossy.Sim.at_round;
+      (* The plan must fire, or this leg is the lossless one again; one
+         round sends too few messages to count on both fates. *)
+      Alcotest.(check bool) (name "faults: drops and copies happen") true
+        (max_rounds < 7
+        || lossy.Sim.snapshot.dropped > 0 && lossy.Sim.snapshot.duplicated > 0);
+      Alcotest.(check bool) (name "faults: ring = observer window") true
+        (lossy.Sim.recent = window_of ~max_rounds log))
+    [ 1; 7; 8; 9; 40 ]
 
 let test_halt_equiv () =
   let g = Gen.path 4 in
@@ -693,19 +738,25 @@ let prop_flat_native_pipeline =
       let items v =
         List.filter (fun (h, _) -> h = v) items_all |> List.map snd
       in
+      (* Pre-connected pairs exercise the shared union-find template, and
+         item-dependent sizes the size each item carries from its holder. *)
+      let pre =
+        List.init (2 + Dsf_util.Rng.int r 2) (fun _ ->
+            Dsf_util.Rng.int r vn, Dsf_util.Rng.int r vn)
+      in
+      let bits (it : int Pipeline.item) = 8 + it.Pipeline.key in
       let native ?stop_at_root env =
-        Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn ~pre:[]
-          ~items ~cmp:compare ~bits:(fun _ -> 16)
+        Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn ~pre ~items
+          ~cmp:compare ~bits
       and classic ?stop_at_root env =
-        Classic.Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn
-          ~pre:[] ~items ~cmp:compare ~bits:(fun _ -> 16)
+        Classic.Pipeline.filtered_upcast ~env ?stop_at_root g ~tree ~vn ~pre
+          ~items ~cmp:compare ~bits
       in
       let stop acc = List.length acc >= 3 in
       native_matches_classic ~seed g ~native:(native ?stop_at_root:None)
         ~classic:(classic ?stop_at_root:None)
-      && with_reference (fun () ->
-             record_leg (classic ~stop_at_root:stop))
-         = record_leg (native ~stop_at_root:stop))
+      && native_matches_classic ~seed g ~native:(native ~stop_at_root:stop)
+           ~classic:(classic ~stop_at_root:stop))
 
 let prop_flat_native_select_exchange =
   QCheck.Test.make

@@ -164,6 +164,37 @@ let test_bitsize () =
   check Alcotest.int "id bits n=2" 1 (Bitsize.id_bits ~n:2);
   check Alcotest.int "id bits n=1024" 10 (Bitsize.id_bits ~n:1024)
 
+(* The bit-by-bit loop [Bitsize.int_bits] used to run: the oracle for its
+   shift-test replacement. *)
+let int_bits_loop x =
+  let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
+  max 1 (go 0 x)
+
+(* 0, max_int and 2^k - 1, 2^k, 2^k + 1 for k = 0..61. *)
+let int_bits_edges =
+  0 :: max_int
+  :: List.concat_map
+       (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+       (List.init 62 Fun.id)
+
+let test_int_bits_edges () =
+  List.iter
+    (fun x ->
+      check Alcotest.int (Printf.sprintf "bits %d" x) (int_bits_loop x)
+        (Bitsize.int_bits x))
+    int_bits_edges;
+  List.iter
+    (fun x ->
+      match Bitsize.int_bits x with
+      | exception Assert_failure _ -> ()
+      | b -> Alcotest.failf "int_bits %d = %d, expected an assertion" x b)
+    [ -1; min_int ]
+
+let prop_int_bits_loop =
+  QCheck.Test.make ~name:"int_bits = bit loop" ~count:1000
+    QCheck.(oneof [ oneofl int_bits_edges; int_bound max_int ])
+    (fun x -> Bitsize.int_bits x = int_bits_loop x)
+
 let test_budget_logarithmic () =
   let b1 = Bitsize.congest_budget ~n:16 in
   let b2 = Bitsize.congest_budget ~n:256 in
@@ -308,6 +339,9 @@ let suites =
     ( "util.bitsize",
       [
         Alcotest.test_case "int bits" `Quick test_bitsize;
+        Alcotest.test_case "int bits at powers of two" `Quick
+          test_int_bits_edges;
+        qtest prop_int_bits_loop;
         Alcotest.test_case "budget logarithmic" `Quick test_budget_logarithmic;
       ] );
     ( "util.stats",
