@@ -9,6 +9,7 @@ module Gen = Dsf_graph.Gen
 module Instance = Dsf_graph.Instance
 module Exact = Dsf_graph.Exact
 module Ledger = Dsf_congest.Ledger
+module Recorder = Dsf_congest.Recorder
 module Stats = Dsf_util.Stats
 module Rng = Dsf_util.Rng
 module Pool = Dsf_util.Pool
@@ -218,9 +219,9 @@ let e12 () =
 
 (* ------------------------------------------------------------------- A5 *)
 
-(* A5 tallies traffic through a per-run [?observer] closure over
-   task-local arrays, so the three sizes fan out on the domain pool like
-   every other sweep. *)
+(* A5 tallies traffic from the [Send] events of a per-run flight
+   recorder into task-local arrays, so the three sizes fan out on the
+   domain pool like every other sweep. *)
 let a5 ~jobs () =
   header "A5 (node congestion)"
     "does any node become a traffic hotspot?  max per-node traffic should stay within polylog of the average";
@@ -233,18 +234,24 @@ let a5 ~jobs () =
         let g = Gen.random_connected r ~n ~extra_edges:n ~max_w:10 in
         let labels = Gen.random_labels r ~n ~t:12 ~k:4 in
         let inst = Instance.make_ic g labels in
+        let recorder = Recorder.create ~now:0 () in
+        let res =
+          Dsf_core.Rand_dsf.run
+            ~telemetry:(Dsf_congest.Telemetry.create ~recorder ())
+            ~repetitions:1 ~rng:(Rng.create n) inst
+        in
         let per_node = Array.make n 0 in
         let messages = ref 0 and total_bits = ref 0 in
-        let observer ~src ~dst ~bits =
-          incr messages;
-          total_bits := !total_bits + bits;
-          per_node.(src) <- per_node.(src) + bits;
-          per_node.(dst) <- per_node.(dst) + bits
-        in
-        let res =
-          Dsf_core.Rand_dsf.run ~observer ~repetitions:1 ~rng:(Rng.create n)
-            inst
-        in
+        let log = Result.get_ok (Recorder.parse (Recorder.to_string recorder)) in
+        List.iter
+          (function
+            | Recorder.Send { src; dst; bits; _ } ->
+                incr messages;
+                total_bits := !total_bits + bits;
+                per_node.(src) <- per_node.(src) + bits;
+                per_node.(dst) <- per_node.(dst) + bits
+            | _ -> ())
+          (Recorder.log_events log);
         let feasible =
           Instance.is_feasible inst res.Dsf_core.Rand_dsf.solution
         in

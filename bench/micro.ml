@@ -9,7 +9,7 @@
    - [smoke] (the `-- smoke` mode): only the engine head-to-heads at a tiny
      measurement quota — fast enough for every-PR CI (bin/ci.sh).
 
-   Both modes write BENCH_sim.json (schema dsf-bench-sim/10: ns/run, minor GC
+   Both modes write BENCH_sim.json (schema dsf-bench-sim/11: ns/run, minor GC
    words/run, rounds/s, the flat-vs-reference speedups, plus
    provenance — git_rev, utc_date, jobs, cores — a parallel_scaling
    section timing the pooled fan-outs at jobs = 1 / 2 / max, capped at
@@ -27,7 +27,8 @@
    telemetry span tree of the E1 and A6 workloads — per-phase rounds,
    messages and bits under an injected constant clock, and a
    recorder_overhead section tabulating the flight recorder's event count,
-   log size and wall-clock cost on flat det_dsf solves at n = 1024) so later PRs can
+   log size, paired wall-clock overhead and ns per event on flat det_dsf
+   solves at n = 1024) so later PRs can
    diff simulator performance against this one.  Each parallel_scaling workload carries a
    deterministic "check" value that must not depend on jobs, and every
    fault_overhead field is PRF-deterministic; bin/ci.sh diffs the
@@ -714,9 +715,16 @@ let print_e2e rows =
    [ro_log_bytes] and [ro_rounds] are deterministic (the recorder is
    created at ~now:0 so the serialized header does not embed wall time);
    the wall columns are timing-class noise that bench compare keeps in
-   its advisory lane.  The design target is single-digit-percent
-   overhead: every event append is a handful of int stores into the
-   run's staging buffer, and the barrier flush is O(events). *)
+   its advisory lane.
+
+   Bare and recorded solves run as [recorder_pairs] adjacent pairs, the
+   order flipped every pair, so a slow stretch on a shared host hits
+   both legs of a pair alike.  [ro_overhead_pct] is the median of the
+   pairs' overheads, [ro_ns_per_event] the median of the pairs' extra
+   wall time divided by the log's events, and the two wall columns are
+   the medians of their legs.  Every event append is a handful of int
+   stores into the run's staging buffer, and the barrier flush is
+   O(events). *)
 
 type recorder_row = {
   ro_workload : string;
@@ -727,47 +735,54 @@ type recorder_row = {
   ro_base_wall_ns : float;
   ro_rec_wall_ns : float;
   ro_overhead_pct : float;
+  ro_ns_per_event : float;
 }
+
+let recorder_pairs = 7
 
 let measure_recorder () =
   List.map
     (fun (name, fam, n) ->
       let inst = e2e_instance fam n in
       ignore (Dsf_graph.Graph.csr inst.Inst.graph);
-      let best f =
-        let b = ref infinity and res = ref None in
-        for _ = 1 to 3 do
-          let t0 = Unix.gettimeofday () in
-          let r = f () in
-          let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-          if ns < !b then begin
-            b := ns;
-            res := Some r
-          end
-        done;
-        (Option.get !res, !b)
+      let timed f =
+        let t0 = Unix.gettimeofday () in
+        let r = f () in
+        r, (Unix.gettimeofday () -. t0) *. 1e9
       in
-      let base, base_ns =
-        best (fun () -> Dsf_core.Det_dsf.run inst)
+      let bare () = Dsf_core.Det_dsf.run inst in
+      let recorded () =
+        let r = Dsf_congest.Recorder.create ~now:0 () in
+        let tel = Dsf_congest.Telemetry.create ~recorder:r () in
+        r, Dsf_core.Det_dsf.run ~telemetry:tel inst
       in
-      let rcd, rec_ns =
-        best (fun () ->
-            let r = Dsf_congest.Recorder.create ~now:0 () in
-            let tel = Dsf_congest.Telemetry.create ~recorder:r () in
-            let res = Dsf_core.Det_dsf.run ~telemetry:tel inst in
+      let pairs =
+        List.init recorder_pairs (fun i ->
+            let (base, base_ns), ((rcd, res), rec_ns) =
+              if i mod 2 = 0 then
+                let b = timed bare in
+                b, timed recorded
+              else
+                let r = timed recorded in
+                timed bare, r
+            in
             if res.Dsf_core.Det_dsf.weight <> base.Dsf_core.Det_dsf.weight
             then failwith "recorder_overhead: recording changed the solve";
-            r)
+            base, rcd, base_ns, rec_ns)
       in
+      let base, rcd, _, _ = List.hd pairs in
+      let events = Dsf_congest.Recorder.event_count rcd in
+      let over f = Dsf_util.Stats.median (List.map (fun (_, _, b, r) -> f b r) pairs) in
       {
         ro_workload = name;
         ro_n = n;
         ro_rounds = Dsf_congest.Ledger.simulated base.Dsf_core.Det_dsf.ledger;
-        ro_events = Dsf_congest.Recorder.event_count rcd;
+        ro_events = events;
         ro_log_bytes = String.length (Dsf_congest.Recorder.to_string rcd);
-        ro_base_wall_ns = base_ns;
-        ro_rec_wall_ns = rec_ns;
-        ro_overhead_pct = (rec_ns -. base_ns) /. base_ns *. 100.;
+        ro_base_wall_ns = over (fun b _ -> b);
+        ro_rec_wall_ns = over (fun _ r -> r);
+        ro_overhead_pct = over (fun b r -> (r -. b) /. b *. 100.);
+        ro_ns_per_event = over (fun b r -> (r -. b) /. float_of_int events);
       })
     [
       "det_dsf path", `Path, 1024;
@@ -776,14 +791,15 @@ let measure_recorder () =
     ]
 
 let print_recorder rows =
-  Format.printf "@.%-28s %8s %10s %10s %12s %12s %12s %10s@."
+  Format.printf "@.%-28s %8s %10s %10s %12s %12s %12s %10s %10s@."
     "recorder overhead" "n" "rounds" "events" "log bytes" "base ns"
-    "recorded ns" "ovh %";
+    "recorded ns" "ovh %" "ns/event";
   List.iter
     (fun r ->
-      Format.printf "%-28s %8d %10d %10d %12d %12.0f %12.0f %10.1f@."
+      Format.printf "%-28s %8d %10d %10d %12d %12.0f %12.0f %10.1f %10.1f@."
         r.ro_workload r.ro_n r.ro_rounds r.ro_events r.ro_log_bytes
-        r.ro_base_wall_ns r.ro_rec_wall_ns r.ro_overhead_pct)
+        r.ro_base_wall_ns r.ro_rec_wall_ns r.ro_overhead_pct
+        r.ro_ns_per_event)
     rows
 
 (* ------------------------------------------------------- flatcheck smoke *)
@@ -1180,7 +1196,7 @@ let json_float x =
 let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"schema\": \"dsf-bench-sim/10\",\n  \"mode\": %S,\n" mode;
+  p "{\n  \"schema\": \"dsf-bench-sim/11\",\n  \"mode\": %S,\n" mode;
   p "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ()));
   p "  \"utc_date\": \"%s\",\n" (utc_date ());
   p "  \"jobs\": %d,\n" jobs;
@@ -1291,12 +1307,13 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
       p
         "    {\"workload\": \"%s\", \"n\": %d, \"rounds\": %d, \"events\": \
          %d, \"log_bytes\": %d, \"base_wall_ns\": %s, \"rec_wall_ns\": %s, \
-         \"overhead_pct\": %s}%s\n"
+         \"overhead_pct\": %s, \"ns_per_event\": %s}%s\n"
         (json_escape r.ro_workload) r.ro_n r.ro_rounds r.ro_events
         r.ro_log_bytes
         (json_float r.ro_base_wall_ns)
         (json_float r.ro_rec_wall_ns)
         (json_float r.ro_overhead_pct)
+        (json_float r.ro_ns_per_event)
         (if i = List.length rcd - 1 then "" else ","))
     rcd;
   p "  ],\n  \"phase_profile\": [\n";

@@ -235,14 +235,16 @@ let e6 () =
       let gad = Dsf_lower_bound.Gadgets.cr_gadget ~universe:u ~rho:2 ~a ~b in
       let res, bits =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.cr_side
-          (fun ~observer ->
+          (fun ~telemetry ->
             let ic =
               (Dsf_core.Transform.cr_to_ic
-                 ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+                 ~env:
+                   { Dsf_congest.Sim.default_env with
+                     telemetry = Some telemetry }
                  gad.Dsf_lower_bound.Gadgets.cr)
                 .Dsf_core.Transform.value
             in
-            Dsf_core.Det_dsf.run ~observer ic)
+            Dsf_core.Det_dsf.run ~telemetry ic)
       in
       let consistent =
         Dsf_lower_bound.Gadgets.cr_answer_consistent gad
@@ -277,11 +279,11 @@ let e7 () =
       let gad = Dsf_lower_bound.Gadgets.ic_gadget ~universe:u ~a ~b in
       let res, bits =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.ic_side
-          (fun ~observer ->
+          (fun ~telemetry ->
             (* The honest pipeline: Det_dsf's own distributed
                minimalization is where the per-label information must
                cross the bridge. *)
-            Dsf_core.Det_dsf.run ~observer gad.Dsf_lower_bound.Gadgets.ic)
+            Dsf_core.Det_dsf.run ~telemetry gad.Dsf_lower_bound.Gadgets.ic)
       in
       let consistent =
         Dsf_lower_bound.Gadgets.ic_answer_consistent gad

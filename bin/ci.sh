@@ -4,7 +4,8 @@
 # under a fixed fault plan), and the fast simulator benchmark smoke path
 # so the bench harness and JSON emission are exercised on every change.
 # A flight-recorder smoke records a flat det_dsf solve and replays every
-# inspect query against the log, and the fresh smoke bench is diffed
+# inspect query against the log, a rand log must be the same at --jobs 1
+# and --jobs 2, and the fresh smoke bench is diffed
 # against the committed BENCH_sim.json with `bench compare` (exact
 # metrics gate, timing advisory).
 #
@@ -276,6 +277,26 @@ grep -q "^    khan_baseline " "$scratch/inspect_khan_cp.out" || {
   exit 1; }
 echo "ci: message-free flight-recorder smoke ok (khan, critical path spans)"
 
+# Pooled-trial flight-recorder smoke: rand's repetitions record into
+# per-trial recorders appended in trial order, so the log, and so its
+# --critical-path, must not depend on --jobs and must carry the trials'
+# spans.
+for j in 1 2; do
+  with_timeout 120 dune exec bin/dsf_cli.exe -- solve --algo rand \
+    --file test/fixtures/det_small.dsf --jobs "$j" \
+    --record "$scratch/rand_j$j.flightlog" > /dev/null
+  with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
+    "$scratch/rand_j$j.flightlog" --critical-path > "$scratch/inspect_rand_j$j.out"
+done
+if ! diff -u "$scratch/inspect_rand_j1.out" "$scratch/inspect_rand_j2.out"; then
+  echo "ci: rand --critical-path differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+fi
+grep -q "^    trial " "$scratch/inspect_rand_j1.out" || {
+  echo "ci: inspect --critical-path of a rand log has no trial span" >&2
+  exit 1; }
+echo "ci: pooled-trial flight-recorder smoke ok (rand det_small, jobs 1 = jobs 2, trial spans)"
+
 # Flat end-to-end smoke: a whole det_dsf solve on the flat engine at
 # n=4096 (a path — the wavefront-dominated worst case) must finish inside
 # the hard timeout; the CLI certifies the forest and dual locally, so a
@@ -318,7 +339,7 @@ with_timeout 600 dune exec bench/main.exe -- smoke --jobs 2 --out "$scratch/benc
 # (jobs, utc_date); everything left must match exactly.
 strip_timing() {
   sed -E \
-    -e 's/"(ns_per_run|r_square|minor_words_per_run|minor_words_per_round|rounds_per_sec|reference_ns|flat_ns|speedup_vs_j1|speedup|wall_ns|base_wall_ns|rec_wall_ns|overhead_pct|wall_overhead)": [^,}]*/"\1": _/g' \
+    -e 's/"(ns_per_run|r_square|minor_words_per_run|minor_words_per_round|rounds_per_sec|reference_ns|flat_ns|speedup_vs_j1|speedup|wall_ns|base_wall_ns|rec_wall_ns|overhead_pct|ns_per_event|wall_overhead)": [^,}]*/"\1": _/g' \
     -e 's/"(utc_date|jobs)": [^,}]*/"\1": _/g' \
     "$1"
 }

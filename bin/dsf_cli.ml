@@ -378,8 +378,8 @@ let gadget_cmd kind universe seed intersect =
       let gad = Dsf_lower_bound.Gadgets.ic_gadget ~universe ~a ~b in
       let (res, bits) =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.ic_side
-          (fun ~observer ->
-            Dsf_core.Det_dsf.run ~observer gad.Dsf_lower_bound.Gadgets.ic)
+          (fun ~telemetry ->
+            Dsf_core.Det_dsf.run ~telemetry gad.Dsf_lower_bound.Gadgets.ic)
       in
       Format.printf
         "IC gadget (Fig 1 right): universe=%d disjoint=%b bridge_used=%b cut_bits=%d@."
@@ -391,13 +391,15 @@ let gadget_cmd kind universe seed intersect =
       let gad = Dsf_lower_bound.Gadgets.cr_gadget ~universe ~rho:2 ~a ~b in
       let (res, bits) =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.cr_side
-          (fun ~observer ->
+          (fun ~telemetry ->
             let out =
               Dsf_core.Transform.cr_to_ic
-                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+                ~env:
+                  { Dsf_congest.Sim.default_env with
+                    telemetry = Some telemetry }
                 gad.Dsf_lower_bound.Gadgets.cr
             in
-            Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)
+            Dsf_core.Det_dsf.run ~telemetry out.Dsf_core.Transform.value)
       in
       let heavy =
         List.exists

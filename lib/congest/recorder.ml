@@ -163,6 +163,23 @@ let recovery t ~retransmissions ~restores ~checkpoint_bits =
 
 let event_count t = t.master.rnev
 
+let merge_into ~dst child =
+  let ids = Array.map (intern dst) (Array.of_list (List.rev child.names_rev)) in
+  let src = child.master and m = dst.master in
+  let i = ref 0 in
+  while !i < src.rlen do
+    let tag = src.ra.(!i) in
+    push m tag;
+    if tag = tag_span_open || tag = tag_span_close then
+      push m ids.(src.ra.(!i + 1))
+    else
+      for j = 1 to arity.(tag) do
+        push m src.ra.(!i + j)
+      done;
+    i := !i + 1 + arity.(tag)
+  done;
+  m.rnev <- m.rnev + src.rnev
+
 (* ------------------------------------------------------ decoded events *)
 
 type event =

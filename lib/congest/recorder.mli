@@ -46,6 +46,12 @@
     dsf-lint's wall-clock allowlist for exactly that read); tests inject
     [~now:0] for byte-stable comparisons.
 
+    Pooled trials (the repetitions of [Rand_dsf.run]) are recorded too:
+    {!Telemetry.fork} gives each trial its own recorder, since a
+    recorder has a single writer, and {!Telemetry.merge_into} appends
+    each trial's events to the parent log ({!merge_into}) in trial
+    order.  The log is therefore byte-identical for any [--jobs].
+
     Recorder-off is the default everywhere and costs the engines one
     branch per action — no allocation, which the bench GC gates pin. *)
 
@@ -98,6 +104,12 @@ val recovery :
 
 val event_count : t -> int
 (** Events in the master log (staged-but-unflushed events not counted). *)
+
+val merge_into : dst:t -> t -> unit
+(** Append the second recorder's master log to [dst]'s, re-interning its
+    span names into [dst]'s table; its metadata is dropped.
+    {!Telemetry.merge_into} calls this once per pooled trial, in trial
+    order. *)
 
 (** {2 Decoded events} *)
 

@@ -44,8 +44,6 @@ let postmortem_window = 8
 
 let never _ ~round:_ _ = false
 
-type observer = src:int -> dst:int -> bits:int -> unit
-
 type plan = {
   seed : int;
   drop : float;
@@ -59,7 +57,6 @@ type chaos = { cplan : plan; crto : int; crto_cap : int }
 type network = Lossless | Faults of faults | Chaos of chaos
 
 type env = {
-  observer : observer option;
   telemetry : Telemetry.t option;
   network : network;
   sanitize : bool;
@@ -74,7 +71,6 @@ let env_sanitize =
 
 let default_env =
   {
-    observer = None;
     telemetry = None;
     network = Lossless;
     sanitize = env_sanitize;
@@ -207,7 +203,7 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
   | Lossless -> ()
   | Faults _ | Chaos _ ->
       invalid_arg "Sim.run_reference: fault injection needs the flat engine");
-  let obs = env.observer and telemetry = env.telemetry in
+  let telemetry = env.telemetry in
   let rcd = Option.bind telemetry Telemetry.recorder in
   let rec_on = Option.is_some rcd in
   let rb = Recorder.buf_make () in
@@ -271,9 +267,6 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
           incr messages;
           let bits = proto.msg_bits msg in
           total_bits := !total_bits + bits;
-          (match obs with
-          | Some f -> f ~src:v ~dst ~bits
-          | None -> ());
           ring_push ring ~round:!round ~src:v ~dst ~bits;
           if rec_on then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
           let key = (v * n) + dst in
@@ -336,9 +329,9 @@ let use_reference_engine = ref false [@@lint.allow "global-state"]
      step in ascending order, so every inbox receives its mail in the
      global send order (sender ascending, outbox order within a sender)
      of the reference loop;
-   - the observer runs at every send, as in the reference loop; the
-     post-mortem ring records sends only in the last [postmortem_window]
-     rounds before [max_rounds], the only rounds an abort can dump. *)
+   - the post-mortem ring records sends only in the last
+     [postmortem_window] rounds before [max_rounds], the only rounds an
+     abort can dump. *)
 
 type 'm mbuf = {
   mutable srcs : int array;
@@ -524,7 +517,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
           "Sim.run_flat: a Chaos network needs the hardened runner \
            (Fault.sim_run)"
   in
-  let obs = env.observer and telemetry = env.telemetry in
+  let telemetry = env.telemetry in
   (* The flight recorder rides on the telemetry.  One staging buffer,
      flushed after the round marker at each barrier: the crash pre-pass
      stages its downs/restarts before any step, so the serialized stream
@@ -640,7 +633,6 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     incr messages;
     let bits = fp.fp_msg_bits msg in
     total_bits := !total_bits + bits;
-    (match obs with Some f -> f ~src ~dst ~bits | None -> ());
     if !round >= ring_from then ring_push ring ~round:!round ~src ~dst ~bits;
     let prev = edge_bits.(p) in
     if prev < 0 then begin

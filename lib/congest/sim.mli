@@ -38,7 +38,7 @@
     [Some never]) promises that stepping a done node with an empty inbox
     is a no-op: it returns a structurally equal state and an empty outbox.
     Under that contract, {!run} and {!run_reference} produce identical
-    stats, observer traces, and final states — the property suite
+    stats, flight logs, and final states — the property suite
     [test_sim_equiv] checks this differentially on randomized graphs and
     protocols.
 
@@ -103,8 +103,9 @@ type stats = {
     are made ({!Fault} builds deterministic seeded records from
     declarative plans).  Semantics:
 
-    - the sender is always charged for a send (messages, bits, observer
-      call, edge budget) — the network misbehaves {e after} the send;
+    - the sender is always charged for a send (messages, bits, recorded
+      [Send] event, edge budget) — the network misbehaves {e after} the
+      send;
     - [on_send] returning [Drop] destroys the message in flight
       ([stats.dropped]); [Replicate k] delivers [k] copies
       ([stats.duplicated] counts the [k - 1] extras);
@@ -161,12 +162,6 @@ val never : view -> round:int -> 's -> bool
 (** [never] ignores its arguments and returns [false]: the canonical [wake]
     for protocols whose activity is entirely message- or progress-driven. *)
 
-type observer = src:int -> dst:int -> bits:int -> unit
-(** A message tap: called for every message a run sends, in send order.
-    Pure measurement instrumentation (e.g. counting bits across the
-    Alice/Bob cut in the Section 3 lower-bound experiments); it never
-    affects execution. *)
-
 (** {2 Run environment}
 
     Every simulating function — the three runners below, {!Fault.sim_run},
@@ -176,18 +171,20 @@ type observer = src:int -> dst:int -> bits:int -> unit
     environment says how a run is instrumented and what network it runs
     on; it never changes what a lossless run computes.
 
-    - [observer] taps every message of every run (see {!observer}).
     - [telemetry] attributes each run's final stats to the innermost
       open {!Telemetry} span (also on a {!Round_limit} abort), streams
       the round-level series (active-set size, messages delivered, bits
       per round, wake-hook hits) into its metrics registry, and carries
       the flight recorder, if one was attached with
       [Telemetry.create ~recorder] ({!Recorder} documents its events
-      and their order).  Each primitive opens its own
-      span (["bfs"], ["upcast"], ...) once, around whichever leg it
-      runs.  With neither observer nor telemetry the engine pays one
-      predictable branch per action and allocates nothing (the bench GC
-      gate pins this).
+      and their order).  The recorder is the per-message tap: its
+      [Send] events carry every message of every run, in send order,
+      whatever its fate (e.g. the bits across the Alice/Bob cut in the
+      Section 3 lower-bound experiments, [Gadgets.cut_bits]).
+      Each primitive opens its own span (["bfs"], ["upcast"], ...) once,
+      around whichever leg it runs.  Without telemetry the engine pays
+      one predictable branch per action and allocates nothing (the bench
+      GC gate pins this).
     - [network] is [Lossless], [Faults f] (inject the callback record
       [f], see the fault semantics above; {!Fault.instantiate} builds one
       from a plan), or [Chaos c] (run the protocol hardened by
@@ -205,8 +202,9 @@ type observer = src:int -> dst:int -> bits:int -> unit
     state that outlives a run, so any number of simulations may run
     concurrently on separate domains (the {!Dsf_util.Pool} trial engine
     does exactly this), {e provided} each concurrent run gets its own
-    instrumentation through its env: a per-trial {!Telemetry.fork} and a
-    domain-safe observer.  The one global shim, {!use_reference_engine},
+    instrumentation through its env: a per-trial {!Telemetry.fork}, which
+    also gives the trial its own flight recorder when the parent has one
+    (a recorder is single-writer state).  The one global shim, {!use_reference_engine},
     mutates process-wide state and is kept only for single-domain callers
     (the differential suites and the engine microbenchmarks); never touch
     it while a parallel fan-out is in flight. *)
@@ -234,18 +232,17 @@ type chaos = { cplan : plan; crto : int; crto_cap : int }
 type network = Lossless | Faults of faults | Chaos of chaos
 
 type env = {
-  observer : observer option;
   telemetry : Telemetry.t option;
   network : network;
   sanitize : bool;
 }
 
 val default_env : env
-(** Lossless, no observer, no telemetry.  [sanitize] is read
+(** Lossless, no telemetry.  [sanitize] is read
     once at module init from the [DSF_SANITIZE] environment variable
     ([1]/[true]/[on]); that is how ci.sh's sanitized smoke arms every run
     without touching call sites.  Build other envs by record update:
-    [{ Sim.default_env with observer = Some f }]. *)
+    [{ Sim.default_env with telemetry = Some t }]. *)
 
 val span : env -> string -> (unit -> 'a) -> 'a
 (** [Telemetry.span_opt env.telemetry]: the one span a primitive opens
@@ -267,14 +264,11 @@ val span : env -> string -> (unit -> 'a) -> 'a
     Nodes step in ascending order and sends are staged per destination,
     so each inbox receives its mail in the global send order of
     {!run_reference} (sender ascending, outbox order within a sender).
-    The observer and the post-mortem ring are called at each send, as in
-    {!run_reference}.
 
     An error raised by a step (e.g. a message to a non-neighbor)
-    propagates out of the run.  The observer has then seen every valid
-    send before the failing one, exactly the prefix {!run_reference}
-    shows it; recorder events of the failing round are staged until the
-    barrier, which the error never reaches, so they are not emitted. *)
+    propagates out of the run, on both engines alike.  Recorder events
+    of the failing round are staged until the barrier, which the error
+    never reaches, so they are not emitted. *)
 
 type 'm inbox
 (** The mail delivered to a node this round, in arrival order (identical
@@ -349,7 +343,7 @@ val run_flat :
   ('s, 'm) flat_protocol ->
   's array * stats
 (** Runs a native flat protocol on the flat-core engine.  Stats, final
-    states, observer traces, round counts, telemetry series, fault
+    states, flight logs, round counts, telemetry series, fault
     semantics, and {!Round_limit} behavior are bit-identical to {!run} on
     the equivalent list protocol, and (faults aside) to {!run_reference}
     — the differential suite enforces this with faults and telemetry both
@@ -363,7 +357,7 @@ val run_flat :
     the run with {!Sanitizer_violation} (kinds above).  Every
     check is read-only — private hash snapshots and write stamps — so a
     clean sanitized run is bit-identical to an unsanitized one (stats,
-    states, observer order); it costs an O(n) structural-hash sweep per
+    states, flight log); it costs an O(n) structural-hash sweep per
     round. *)
 
 val run :
@@ -397,7 +391,7 @@ val run_reference :
     {!run} and {!run_flat} match it exactly; it is also the baseline leg
     of the [bench/main.exe -- micro] simulator benchmarks.  Not for
     production use — it pays O(n + m) per round regardless of activity.
-    It honours [env]'s observer and telemetry (and so its recorder),
+    It honours [env]'s telemetry (and so its recorder),
     ignores [sanitize], and raises [Invalid_argument] on any
     network but [Lossless]. *)
 

@@ -23,11 +23,12 @@
    forbids them elsewhere in lib/) and injectable ([?clock]) so tests and
    pooled trials stay deterministic.
 
-   Domain-safety: a [t] is single-domain mutable state.  Pooled fan-outs
-   give each trial its own {!fork} (created sequentially before the
-   fan-out) and {!merge_into} the parent in trial order afterwards —
-   bit-identical to the single-domain run for any jobs value, the same
-   discipline as per-trial ledgers. *)
+   Domain-safety: a [t] is single-domain mutable state, and so is the
+   flight recorder it carries.  Pooled fan-outs give each trial its own
+   {!fork} (created sequentially before the fan-out, with its own
+   recorder when the parent has one) and {!merge_into} the parent in
+   trial order afterwards — bit-identical to the single-domain run for
+   any jobs value, the same discipline as per-trial ledgers. *)
 
 module Metrics = Dsf_util.Metrics
 module Histogram = Dsf_util.Histogram
@@ -217,10 +218,9 @@ let fork t =
     stack = [ root ];
     events = [];
     metrics = Metrics.create ();
-    (* A recorder is single-writer; pooled trials running concurrently
-       must not share it, so forks detach.  Record single-run flat solves
-       (which parallelize *inside* the engine) instead. *)
-    recorder = None;
+    (* A recorder is single-writer, so concurrent trials each write their
+       own; [merge_into] appends them to the parent's in trial order. *)
+    recorder = Option.map (fun _ -> Recorder.create ~now:0 ()) t.recorder;
   }
 
 let rec copy_span s =
@@ -252,7 +252,10 @@ let merge_into ~dst child =
   let target = cur dst in
   List.iter (graft target) child.root.children;
   dst.events <- child.events @ dst.events;
-  Metrics.merge_into ~dst:dst.metrics child.metrics
+  Metrics.merge_into ~dst:dst.metrics child.metrics;
+  match dst.recorder, child.recorder with
+  | Some d, Some c -> Recorder.merge_into ~dst:d c
+  | _ -> ()
 
 (* -------------------------------------------------------------- sinks *)
 

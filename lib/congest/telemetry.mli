@@ -56,7 +56,8 @@ val create : ?clock:(unit -> int64) -> ?recorder:Recorder.t -> unit -> t
     [Span_open]/[Span_close] cross-link events into it, every run whose
     {!Sim.env} carries this telemetry writes its events there, and
     {!Fault.sim_run} logs a hardened run's recovery summary there.
-    {!fork} children detach (a recorder is single-writer state). *)
+    A recorder is single-writer state, so {!fork} children write their
+    own and {!merge_into} appends them to it. *)
 
 val recorder : t -> Recorder.t option
 (** The attached flight recorder, if any. *)
@@ -109,13 +110,16 @@ val sim_run :
 
 val fork : t -> t
 (** Fresh child telemetry for one pooled trial: empty tree/events/
-    registry, shared clock/epoch, next thread id.  Call sequentially
-    {e before} the fan-out — the ids come from a shared counter. *)
+    registry, shared clock/epoch, next thread id, and — when the parent
+    carries a flight recorder — a fresh recorder of its own
+    ([Recorder.create ~now:0 ()]).  Call sequentially {e before} the
+    fan-out — the ids come from a shared counter. *)
 
 val merge_into : dst:t -> t -> unit
 (** Graft a fork's spans under [dst]'s current span (merging same-named
-    nodes), append its events, and add its metrics.  Call in trial order
-    after the fan-out. *)
+    nodes), append its events, add its metrics, and append its flight
+    log to [dst]'s ({!Recorder.merge_into}).  Call in trial order after
+    the fan-out. *)
 
 (** {2 Sinks} *)
 

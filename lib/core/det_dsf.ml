@@ -34,11 +34,11 @@ let ckey_cmp a b =
   let c = Frac.compare a.mu b.mu in
   if c <> 0 then c else compare (a.pair, a.eid) (b.pair, b.eid)
 
-let run ?observer ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
+let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
   let network =
     Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
   in
-  let env = { Sim.default_env with observer; telemetry; network } in
+  let env = { Sim.default_env with telemetry; network } in
   let tspan name f = Sim.span env name f in
   (* Lemma 2.4's minimalization runs as a real protocol; its rounds join
      the ledger below once it exists. *)

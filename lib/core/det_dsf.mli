@@ -39,7 +39,6 @@ type result = {
 }
 
 val run :
-  ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
   ?flat:bool ->
   ?jobs:int ->
@@ -49,17 +48,17 @@ val run :
 (** Requires a connected graph.  Singleton components are dropped
     (Lemma 2.4; the O(D + k) transform is charged to the ledger).
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry,
-    and every simulated subroutine runs under it.  [observer] taps every
-    message of every simulated subroutine (per-run and domain-safe).  [telemetry] profiles the run as a
-    span tree ([minimalize] / [setup] / [phase] / [final], with the
-    simulated primitives nested beneath) and attaches the ledger so every
-    charged entry lands in its enclosing span.
+    and every simulated subroutine runs under it.  [telemetry] profiles
+    the run as a span tree ([minimalize] / [setup] / [phase] / [final],
+    with the simulated primitives nested beneath) and attaches the ledger
+    so every charged entry lands in its enclosing span; a flight recorder
+    riding on it logs every message of every simulated subroutine.
 
     Every simulated subroutine runs on the flat-core engine — native
     ports where they exist (BFS, Bellman-Ford decomposition, boundary
     exchange, filtered upcast, tree ops, token flood), the adapter
     elsewhere — on the calling domain; the result, ledger, stats, and
-    observer traces are bit-identical to
+    flight logs are bit-identical to
     {!Dsf_congest.Sim.run_reference} (differential suite enforced).
 
     [flat] and [jobs] are deprecated no-ops, accepted and ignored so

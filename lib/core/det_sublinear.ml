@@ -43,8 +43,8 @@ let ceil_log2 = Dsf_util.Intmath.ceil_log2
    total weight must stay within max_int. *)
 let max_eps_den = max_int / (64 * Graph.max_total_weight)
 
-let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
-  let env = { Sim.default_env with observer; telemetry } in
+let run ?telemetry ~eps_num ~eps_den inst0 =
+  let env = { Sim.default_env with telemetry } in
   if eps_num <= 0 || eps_den <= 0 || eps_num > eps_den then
     invalid_arg "Det_sublinear.run: need 0 < eps <= 1";
   if eps_den > max_eps_den then

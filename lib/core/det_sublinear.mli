@@ -44,15 +44,14 @@ val max_eps_den : int
     scaled arithmetic inside the int range (derived from that bound). *)
 
 val run :
-  ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
   eps_num:int ->
   eps_den:int ->
   Dsf_graph.Instance.ic ->
   result
 (** The labelled arguments build one {!Dsf_congest.Sim.env} (one domain)
-    at entry.  [observer] taps every simulated run, the Appendix F.3
-    pruning included (per-run, domain-safe).
+    at entry, so [telemetry] (and a flight recorder riding on it) sees
+    every simulated run, the Appendix F.3 pruning included.
     [telemetry] profiles the run as a span tree ([minimalize] / [setup] /
     [growth] with [merge_phase], [small_moats] and [activity] nested per
     growth phase / [final]) and attaches the ledger so charged entries land

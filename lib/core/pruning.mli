@@ -38,5 +38,5 @@ val run :
   result
 (** [f] must be a feasible forest for the instance.  Every simulated run
     (BFS, label collection, cluster gossip, the label flood, the Lemma
-    F.6 mark/unmark protocol) uses [env], so its observer and telemetry
-    see the whole routine. *)
+    F.6 mark/unmark protocol) uses [env], so its telemetry and flight
+    recorder see the whole routine. *)

@@ -130,11 +130,11 @@ let first_stage ~env rng g inst ledger note_stats ~truncate =
   done;
   f, vt
 
-let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
+let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     ~rng inst0 =
   (* [jobs] drives only the trial fan-out below; every simulated run
      steps on the domain that calls it. *)
-  let env = { Sim.default_env with observer; telemetry } in
+  let env = { Sim.default_env with telemetry } in
   let minimalized = Transform.minimalize ~env inst0 in
   let inst = minimalized.Transform.value in
   let g = inst.Instance.graph in
@@ -185,8 +185,9 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     in
     (* One telemetry fork per repetition, split off sequentially before the
        fan-out (same discipline as the RNG streams): each trial profiles
-       into its own tree on its own thread id, and the forks merge back in
-       repetition order below — bit-identical for any [jobs]. *)
+       into its own tree on its own thread id (and records into its own
+       flight recorder, if any), and the forks merge back in repetition
+       order below — bit-identical for any [jobs]. *)
     let trial_tels =
       match telemetry with
       | None -> [||]

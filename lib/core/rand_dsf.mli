@@ -32,7 +32,6 @@ type result = {
 }
 
 val run :
-  ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
   ?repetitions:int ->
   ?force_truncate:bool ->
@@ -53,15 +52,15 @@ val run :
     domain before the fan-out, so trials only read them.
 
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry;
-    [jobs] drives only the trial fan-out.  [observer] taps every simulated run — LE lists, the
-    virtual tree's Voronoi, label routing and backtracing included.
-    With [jobs > 1] it is invoked concurrently from pool
-    domains, so it must be domain-safe (e.g. accumulate into atomics, or
-    into per-domain state).
+    [jobs] drives only the trial fan-out.
 
-    [telemetry] profiles every simulated run too ([minimalize] /
+    [telemetry] profiles every simulated run — LE lists, the virtual
+    tree's Voronoi, label routing and backtracing included ([minimalize] /
     [regime_test] / [trial] / [stage2]); each repetition's runs use their
     own {!Dsf_congest.Telemetry.fork}
     (split sequentially before the fan-out, like the rng streams) and the
     forks merge back in repetition order, so the profile — wall clock
-    aside — is also bit-identical for every [jobs] value. *)
+    aside — is also bit-identical for every [jobs] value.  A flight
+    recorder riding on [telemetry] gets every trial's events the same
+    way: each fork records into its own recorder, appended to the
+    parent's in repetition order. *)

@@ -57,7 +57,7 @@ let khan_hook :
          depend on dsf_baseline or avoid Khan_baseline")
 [@@lint.allow "global-state"]
 
-let solve_ic ?(jobs = 1) ?observer ?telemetry ?chaos algo inst =
+let solve_ic ?(jobs = 1) ?telemetry ?chaos algo inst =
   let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
   (match chaos, algo with
   | Some _, (Det_sublinear _ | Rand _ | Khan_baseline _ | Centralized_moat) ->
@@ -65,17 +65,17 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?chaos algo inst =
   | _ -> ());
   match algo with
   | Det ->
-      let r = Det_dsf.run ?observer ?telemetry ?chaos inst in
+      let r = Det_dsf.run ?telemetry ?chaos inst in
       of_ledger algo inst r.Det_dsf.solution r.Det_dsf.weight
         (Some (Frac.to_float r.Det_dsf.dual))
         (Some r.Det_dsf.ledger)
   | Det_sublinear { eps_num; eps_den } ->
-      let r = Det_sublinear.run ?observer ?telemetry ~eps_num ~eps_den inst in
+      let r = Det_sublinear.run ?telemetry ~eps_num ~eps_den inst in
       of_ledger algo inst r.Det_sublinear.solution r.Det_sublinear.weight None
         (Some r.Det_sublinear.ledger)
   | Rand { repetitions; seed } ->
       let r =
-        Rand_dsf.run ?observer ?telemetry ~repetitions ~jobs
+        Rand_dsf.run ?telemetry ~repetitions ~jobs
           ~rng:(Dsf_util.Rng.create seed) inst
       in
       of_ledger algo inst r.Rand_dsf.solution r.Rand_dsf.weight None
@@ -92,14 +92,14 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?chaos algo inst =
         (Some (Frac.to_float r.Moat.dual))
         None
 
-let solve_cr ?jobs ?observer ?telemetry ?chaos algo cr =
+let solve_cr ?jobs ?telemetry ?chaos algo cr =
   let network =
     Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
   in
-  let env = { Sim.default_env with observer; telemetry; network } in
+  let env = { Sim.default_env with telemetry; network } in
   let out = Transform.cr_to_ic ~env cr in
   let report =
-    solve_ic ?jobs ?observer ?telemetry ?chaos algo out.Transform.value
+    solve_ic ?jobs ?telemetry ?chaos algo out.Transform.value
   in
   let ledger =
     match report.ledger with
@@ -117,7 +117,7 @@ let solve_cr ?jobs ?observer ?telemetry ?chaos algo cr =
     ledger;
   }
 
-let compare_all ?jobs ?observer ?telemetry ?algorithms inst =
+let compare_all ?jobs ?telemetry ?algorithms inst =
   let algorithms =
     match algorithms with
     | Some l -> l
@@ -129,5 +129,5 @@ let compare_all ?jobs ?observer ?telemetry ?algorithms inst =
           Khan_baseline { repetitions = 3; seed = 1 };
         ]
   in
-  List.map (fun a -> solve_ic ?jobs ?observer ?telemetry a inst) algorithms
+  List.map (fun a -> solve_ic ?jobs ?telemetry a inst) algorithms
   |> List.sort (fun a b -> compare a.weight b.weight)

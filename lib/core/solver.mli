@@ -32,7 +32,6 @@ type report = {
 
 val solve_ic :
   ?jobs:int ->
-  ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
   ?chaos:Dsf_congest.Fault.chaos ->
   algorithm ->
@@ -49,8 +48,8 @@ val solve_ic :
     dual are bit-identical to the fault-free run.  Other algorithms
     reject it with [Invalid_argument].
 
-    [observer] taps every simulated run of the chosen algorithm, and
-    [telemetry] sees every one of them: each entry point builds one
+    [telemetry] sees every simulated run of the chosen algorithm (and so
+    does a flight recorder riding on it): each entry point builds one
     {!Dsf_congest.Sim.env} from these arguments, which all its
     subroutines inherit.  [telemetry] profiles the run: the distributed algorithms open their own
     phase spans (see each module's docs); the centralized reference and
@@ -59,7 +58,6 @@ val solve_ic :
 
 val solve_cr :
   ?jobs:int ->
-  ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
   ?chaos:Dsf_congest.Fault.chaos ->
   algorithm ->
@@ -71,7 +69,6 @@ val solve_cr :
 
 val compare_all :
   ?jobs:int ->
-  ?observer:Dsf_congest.Sim.observer ->
   ?telemetry:Dsf_congest.Telemetry.t ->
   ?algorithms:algorithm list ->
   Dsf_graph.Instance.ic ->

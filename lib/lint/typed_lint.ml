@@ -50,7 +50,7 @@ let rules =
       synopsis = "simulating call that drops the Sim.env in scope";
       rationale =
         "every simulated run inherits its caller's run environment — \
-         observer, telemetry (and the flight recorder riding on it), \
+         telemetry (and the flight recorder riding on it), \
          network; a call that omits ?env while an env is in scope \
          silently runs lossless and uninstrumented, so traces, flight logs \
          and chaos runs miss it";

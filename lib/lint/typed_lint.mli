@@ -22,9 +22,9 @@
     - [env-dropped] — an application that omits an optional
       [?env:Sim.env] argument while a variable of type [Sim.env] is bound
       by an enclosing function parameter, [let] or [match] case: the
-      run would silently fall back to [Sim.default_env] (lossless, one
-      domain, uninstrumented) instead of inheriting the caller's
-      observer, telemetry, network and domain count.  Toplevel values
+      run would silently fall back to [Sim.default_env] (lossless,
+      uninstrumented) instead of inheriting the caller's telemetry and
+      network.  Toplevel values
       such as [Sim.default_env] do not put an env in scope, and an
       explicit [?env:None] is not flagged.
 

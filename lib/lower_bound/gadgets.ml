@@ -108,12 +108,17 @@ let ic_answer_consistent gadget solution =
   solution.(gadget.bridge_edge) = not (disjoint a b)
 
 let cut_bits sides f =
-  let total = ref 0 in
-  let observe ~src ~dst ~bits =
-    if sides.(src) <> sides.(dst) then total := !total + bits
-  in
-  let result = f ~observer:observe in
-  result, !total
+  let module Recorder = Dsf_congest.Recorder in
+  let r = Recorder.create ~now:0 () in
+  let result = f ~telemetry:(Dsf_congest.Telemetry.create ~recorder:r ()) in
+  let log = Result.get_ok (Recorder.parse (Recorder.to_string r)) in
+  ( result,
+    List.fold_left
+      (fun total -> function
+        | Recorder.Send { src; dst; bits; _ } when sides.(src) <> sides.(dst) ->
+            total + bits
+        | _ -> total)
+      0 (Recorder.log_events log) )
 
 type padding = {
   extra_nodes : int;

@@ -49,13 +49,15 @@ val ic_answer_consistent : ic_gadget -> bool array -> bool
 (** The bridge edge is used iff the sets intersect. *)
 
 val cut_bits :
-  side array -> (observer:Dsf_congest.Sim.observer -> 'a) -> 'a * int
-(** [cut_bits sides f] hands [f] a cut-metering observer and returns [f]'s
-    result plus the total bits that crossed the Alice/Bob cut in every
-    simulation [f] threaded the observer through.  The observer is a
-    per-run value (pass it as [?observer] to the solver entry points, or
-    in the [observer] field of a {!Dsf_congest.Sim.env}), so
-    concurrent cut measurements on separate domains do not interfere. *)
+  side array -> (telemetry:Dsf_congest.Telemetry.t -> 'a) -> 'a * int
+(** [cut_bits sides f] hands [f] a telemetry carrying a fresh flight
+    recorder and returns [f]'s result plus the total bits that crossed
+    the Alice/Bob cut in every simulation [f] threaded the telemetry
+    through: the bits of every recorded [Send] whose endpoints lie on
+    different sides, whatever its fate.  The telemetry is a per-call
+    value (pass it as [?telemetry] to the solver entry points, or in the
+    [telemetry] field of a {!Dsf_congest.Sim.env}), so concurrent cut
+    measurements on separate domains do not interfere. *)
 
 type padding = {
   extra_nodes : int;  (** isolated-chain nodes to inflate n *)

@@ -10,7 +10,7 @@ module Sim = Dsf_congest.Sim
 module Bfs = Dsf_congest.Bfs
 
 (* Flagged: the span is attributed, but the BFS inside it runs on
-   Sim.default_env — no observer, no telemetry, lossless. *)
+   Sim.default_env — no telemetry, lossless. *)
 let forgets ?(env = Sim.default_env) g =
   Sim.span env "forgets" (fun () -> Bfs.build g ~root:0)
 

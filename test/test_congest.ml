@@ -197,12 +197,12 @@ let test_broadcast_reaches_all () =
   let tree = tree_of g 3 in
   let payload = [ 10; 20; 30 ] in
   (* [~bits:Fun.id] names each sent item; lossless, a send is a delivery. *)
+  let r, env = Flight.env () in
+  let stats = Tree_ops.broadcast ~env g ~tree ~items:payload ~bits:Fun.id in
   let got = Array.make (Graph.n g) [] in
-  let observer ~src ~dst ~bits = got.(dst) <- got.(dst) @ [ src, bits ] in
-  let stats =
-    Tree_ops.broadcast ~env:{ Sim.default_env with observer = Some observer }
-      g ~tree ~items:payload ~bits:Fun.id
-  in
+  List.iter
+    (fun (src, dst, bits) -> got.(dst) <- got.(dst) @ [ src, bits ])
+    (Flight.sends r);
   Array.iteri
     (fun v got ->
       check Alcotest.(list (pair int int)) "full list, in order, from the parent"

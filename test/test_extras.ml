@@ -1,5 +1,5 @@
 (* Tests for the supporting modules added around the core reproduction:
-   sequential upcast (ablation baseline), the message observer, DOT export,
+   sequential upcast (ablation baseline), the flight log as message tap, DOT export,
    extra generators (clustered, broom), the unified Solver front end, and
    the st-path hard family. *)
 
@@ -37,62 +37,41 @@ let test_seq_upcast_no_pipelining () =
   Alcotest.(check bool) "pipelined ~ depth+items" true
     (pipe.Dsf_congest.Sim.rounds <= depth + nitems + 4)
 
-(* --------------------------------------------------------------- observer *)
+(* ------------------------------------------------------------- send log *)
 
-let observed observer = { Dsf_congest.Sim.default_env with observer = Some observer }
+(* The flight recorder is the message tap: its [Send] events carry
+   every message a run sends. *)
+let bits_of sends = List.fold_left (fun acc (_, _, b) -> acc + b) 0 sends
 
-(* An inline per-edge counter on the message tap: (messages, bits) overall
-   and bits per directed edge. *)
-let counting () =
-  let messages = ref 0 and bits = ref 0 and per_edge = Hashtbl.create 16 in
-  let observer ~src ~dst ~bits:b =
-    incr messages;
-    bits := !bits + b;
-    Hashtbl.replace per_edge (src, dst)
-      (b + Option.value ~default:0 (Hashtbl.find_opt per_edge (src, dst)))
-  in
-  let between src dst =
-    Option.value ~default:0 (Hashtbl.find_opt per_edge (src, dst))
-  in
-  observer, messages, bits, between
-
-let test_observer_counts () =
+let test_log_counts () =
   let g = Gen.path 6 in
-  let observer, messages, bits, _ = counting () in
-  let _, stats = Dsf_congest.Bfs.build ~env:(observed observer) g ~root:0 in
+  let r, env = Flight.env () in
+  let _, stats = Dsf_congest.Bfs.build ~env g ~root:0 in
+  let sends = Flight.sends r in
   check Alcotest.int "messages match sim stats" stats.Dsf_congest.Sim.messages
-    !messages;
+    (List.length sends);
   check Alcotest.int "bits match sim stats" stats.Dsf_congest.Sim.total_bits
-    !bits
+    (bits_of sends)
 
-let test_observer_threads_runs () =
-  (* One env's observer threaded through successive runs sees all of
-     them: it equals the separate per-run counts added up, edge by edge. *)
+let test_log_threads_runs () =
+  (* One env's recorder threaded through successive runs sees all of
+     them: its sends are the separate per-run logs' sends, concatenated
+     in run order. *)
   let g = Gen.path 4 in
-  let bfs observer =
-    snd (Dsf_congest.Bfs.build ~env:(observed observer) g ~root:0)
-  in
-  let sssp observer =
-    snd (Dsf_congest.Bellman_ford.sssp ~env:(observed observer) g ~src:0)
-  in
-  let o_bfs, m_bfs, b_bfs, e_bfs = counting () in
-  let o_sssp, m_sssp, b_sssp, e_sssp = counting () in
-  let s_bfs = bfs o_bfs and s_sssp = sssp o_sssp in
-  let o_whole, m_whole, b_whole, e_whole = counting () in
-  ignore (bfs o_whole);
-  ignore (sssp o_whole);
-  check Alcotest.int "outer sees the same traffic" (!b_bfs + !b_sssp) !b_whole;
+  let bfs env = snd (Dsf_congest.Bfs.build ~env g ~root:0) in
+  let sssp env = snd (Dsf_congest.Bellman_ford.sssp ~env g ~src:0) in
+  let r_bfs, env_bfs = Flight.env () and r_sssp, env_sssp = Flight.env () in
+  let s_bfs = bfs env_bfs and s_sssp = sssp env_sssp in
+  let r_whole, env_whole = Flight.env () in
+  ignore (bfs env_whole);
+  ignore (sssp env_whole);
+  let whole = Flight.sends r_whole in
+  check Alcotest.(list (triple int int int)) "outer sees the same traffic"
+    (Flight.sends r_bfs @ Flight.sends r_sssp)
+    whole;
   check Alcotest.int "bits match sim stats"
     (s_bfs.Dsf_congest.Sim.total_bits + s_sssp.Dsf_congest.Sim.total_bits)
-    !b_whole;
-  check Alcotest.int "messages add up" (!m_bfs + !m_sssp) !m_whole;
-  for src = 0 to 3 do
-    for dst = 0 to 3 do
-      check Alcotest.int "per-edge bits add up"
-        (e_bfs src dst + e_sssp src dst)
-        (e_whole src dst)
-    done
-  done
+    (bits_of whole)
 
 (* -------------------------------------------------------------------- Dot *)
 
@@ -253,11 +232,11 @@ let suites =
         Alcotest.test_case "delivers" `Quick test_seq_upcast_delivers;
         Alcotest.test_case "no pipelining" `Quick test_seq_upcast_no_pipelining;
       ] );
-    ( "congest.observer",
+    ( "congest.send_log",
       [
-        Alcotest.test_case "counts" `Quick test_observer_counts;
+        Alcotest.test_case "counts" `Quick test_log_counts;
         Alcotest.test_case "threads successive runs" `Quick
-          test_observer_threads_runs;
+          test_log_threads_runs;
       ] );
     ( "graph.dot",
       [

@@ -83,14 +83,14 @@ let test_cut_bits_measured () =
   let a, b = Gadgets.random_sets (rng 9) ~universe:12 ~density:0.5 ~force_intersect:false in
   let gad = Gadgets.cr_gadget ~universe:12 ~rho:2 ~a ~b in
   let _, bits =
-    Gadgets.cut_bits gad.Gadgets.cr_side (fun ~observer ->
+    Gadgets.cut_bits gad.Gadgets.cr_side (fun ~telemetry ->
         let ic =
           (Dsf_core.Transform.cr_to_ic
-             ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+             ~env:{ Dsf_congest.Sim.default_env with telemetry = Some telemetry }
              gad.Gadgets.cr)
             .Dsf_core.Transform.value
         in
-        Dsf_core.Det_dsf.run ~observer ic)
+        Dsf_core.Det_dsf.run ~telemetry ic)
   in
   Alcotest.(check bool) "nontrivial communication across the cut" true (bits > 0)
 
@@ -99,36 +99,42 @@ let test_cut_bits_scale_with_universe () =
     let a, b = Gadgets.random_sets (rng u) ~universe:u ~density:0.5 ~force_intersect:false in
     let gad = Gadgets.cr_gadget ~universe:u ~rho:2 ~a ~b in
     let _, bits =
-      Gadgets.cut_bits gad.Gadgets.cr_side (fun ~observer ->
+      Gadgets.cut_bits gad.Gadgets.cr_side (fun ~telemetry ->
           let ic =
             (Dsf_core.Transform.cr_to_ic
-               ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+               ~env:
+                 { Dsf_congest.Sim.default_env with telemetry = Some telemetry }
                gad.Gadgets.cr)
               .Dsf_core.Transform.value
           in
-          Dsf_core.Det_dsf.run ~observer ic)
+          Dsf_core.Det_dsf.run ~telemetry ic)
     in
     bits
   in
   let b8 = measure 8 and b32 = measure 32 in
   Alcotest.(check bool) "bits grow with the universe" true (b32 > 2 * b8)
 
-let test_observer_scoping () =
-  (* A per-run observer taps its own run and nothing after it. *)
-  let count = ref 0 in
+let test_cut_bits_scoping () =
+  (* The cut meter's recorder taps the runs [f] threads its telemetry
+     through and nothing else: with every node on its own side, the cut
+     bits are exactly the run's bits, and a run outside [f] adds none. *)
   let g = Gen.path 4 in
-  let observer ~src:_ ~dst:_ ~bits = count := !count + bits in
-  let _, stats =
-    Dsf_congest.Bfs.build
-      ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
-      g ~root:0
+  let sides =
+    Array.init 4 (fun v -> if v mod 2 = 0 then Gadgets.Alice else Gadgets.Bob)
   in
-  let seen = !count in
-  Alcotest.(check bool) "observed inside" true (seen > 0);
-  check Alcotest.int "observer sees the run's bits"
-    stats.Dsf_congest.Sim.total_bits seen;
-  let _ = Dsf_congest.Bfs.build g ~root:0 in
-  check Alcotest.int "not observed outside" seen !count
+  let stats, bits =
+    Gadgets.cut_bits sides (fun ~telemetry ->
+        let _, stats =
+          Dsf_congest.Bfs.build
+            ~env:{ Dsf_congest.Sim.default_env with telemetry = Some telemetry }
+            g ~root:0
+        in
+        ignore (Dsf_congest.Bfs.build g ~root:0);
+        stats)
+  in
+  Alcotest.(check bool) "recorded inside" true (bits > 0);
+  check Alcotest.int "cut meter sees the run's bits"
+    stats.Dsf_congest.Sim.total_bits bits
 
 let prop_ic_gadget_answers =
   QCheck.Test.make
@@ -155,7 +161,7 @@ let suites =
         Alcotest.test_case "CR heavy edges = SD answer" `Quick test_cr_heavy_edges_encode_answer;
         Alcotest.test_case "cut bits measured" `Quick test_cut_bits_measured;
         Alcotest.test_case "cut bits scale" `Quick test_cut_bits_scale_with_universe;
-        Alcotest.test_case "observer scoping" `Quick test_observer_scoping;
+        Alcotest.test_case "cut meter scoping" `Quick test_cut_bits_scoping;
         qtest prop_ic_gadget_answers;
       ] );
   ]
@@ -208,14 +214,16 @@ let test_padding_stays_off_the_cut () =
   in
   let solve cr side =
     snd
-      (Gadgets.cut_bits side (fun ~observer ->
+      (Gadgets.cut_bits side (fun ~telemetry ->
            let ic =
              (Dsf_core.Transform.cr_to_ic
-                ~env:{ Dsf_congest.Sim.default_env with observer = Some observer }
+                ~env:
+                  { Dsf_congest.Sim.default_env with
+                    telemetry = Some telemetry }
                 cr)
                .Dsf_core.Transform.value
            in
-           Dsf_core.Det_dsf.run ~observer ic))
+           Dsf_core.Det_dsf.run ~telemetry ic))
   in
   let base = Gadgets.cr_gadget ~universe:8 ~rho:2 ~a ~b in
   let padding =

@@ -23,9 +23,9 @@ let contains s affix =
 
 (* A run environment that records into [r]: the recorder rides on a
    telemetry, the way `dsf_cli solve --record` attaches it. *)
-let recording ?(network = Sim.Lossless) ?observer r =
+let recording ?(network = Sim.Lossless) r =
   let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
-  { Sim.default_env with observer; telemetry = Some tel; network }
+  { Sim.default_env with telemetry = Some tel; network }
 
 let random_graph seed =
   let r = Dsf_util.Rng.create seed in
@@ -72,6 +72,50 @@ let test_roundtrip () =
         ]
       in
       check Alcotest.bool "events round-trip" true
+        (Recorder.log_events log = expect)
+
+(* A merged child lands after the parent's own events, every record
+   intact and every span name re-interned into the parent's table (the
+   child interned "trial" as id 0, which the parent gave "setup"); the
+   child's metadata is dropped. *)
+let test_merge_into () =
+  let dst = Recorder.create ~now:0 ~meta:[ "n", 4 ] () in
+  Recorder.span_open dst "setup";
+  Recorder.span_close dst "setup";
+  let child = Recorder.create ~now:7 ~meta:[ "n", 9 ] () in
+  Recorder.span_open child "trial";
+  let b = Recorder.buf_make () in
+  Recorder.ev_step b 1;
+  Recorder.ev_send b ~src:1 ~dst:2 ~bits:5 ~fate:2;
+  Recorder.round child 0;
+  Recorder.flush child b;
+  Recorder.span_open child "setup";
+  Recorder.span_close child "setup";
+  Recorder.span_close child "trial";
+  Recorder.recovery child ~retransmissions:1 ~restores:0 ~checkpoint_bits:3;
+  Recorder.merge_into ~dst child;
+  check Alcotest.int "event count" 10 (Recorder.event_count dst);
+  match Recorder.parse (Recorder.to_string dst) with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok log ->
+      check Alcotest.(list (pair string int)) "parent meta only"
+        [ "captured_unix_s", 0; "n", 4 ]
+        (Recorder.log_meta log);
+      let expect : Recorder.event list =
+        [
+          Span_open "setup";
+          Span_close "setup";
+          Span_open "trial";
+          Round 0;
+          Step 1;
+          Send { src = 1; dst = 2; bits = 5; fate = 2 };
+          Span_open "setup";
+          Span_close "setup";
+          Span_close "trial";
+          Recovery { retransmissions = 1; restores = 0; checkpoint_bits = 3 };
+        ]
+      in
+      check Alcotest.bool "events appended in order" true
         (Recorder.log_events log = expect)
 
 let test_negative_meta_rejected () =
@@ -127,9 +171,8 @@ let test_read_file_names_path_once () =
 
 (* -------------------------------------------------------- transparency *)
 
-(* A recorder only observes: states, stats and observer traces of a
-   recorded run must be bit-identical to the bare run, on all three
-   engines. *)
+(* A recorder only observes: states and stats of a recorded run must be
+   bit-identical to the bare run, on all three engines. *)
 let prop_recorder_transparent =
   QCheck.Test.make ~name:"a recorder never perturbs a run (all engines)"
     ~count:25
@@ -138,18 +181,13 @@ let prop_recorder_transparent =
       let g = random_graph seed in
       let n = Graph.n g in
       let root = seed mod n in
-      (* The bare leg taps the run with the same observer and no
-         telemetry; the recorded leg adds a telemetry carrying [r]. *)
+      (* The bare leg runs with no telemetry; the recorded leg adds a
+         telemetry carrying [r]. *)
       let tapped recorder run =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let env =
-          match recorder with
-          | None -> { Sim.default_env with observer = Some observer }
-          | Some r -> recording ~observer r
-        in
-        let s, t = run env in
-        s, t, List.rev !log
+        run
+          (match recorder with
+          | None -> Sim.default_env
+          | Some r -> recording r)
       in
       let adapter recorder =
         tapped recorder (fun env -> Sim.run ~env g (Classic.Bfs.protocol ~root))
@@ -224,13 +262,14 @@ let test_log_crash_classic_flat_identical () =
 (* Raw drops can wedge an unhardened protocol below quiescence; the run is
    capped and the abort swallowed, and only complete rounds are ever
    flushed.  The flat engine stages a round's crash windows, steps and
-   sends in one buffer: the log must carry every send the observer saw
-   (dropped ones included) in the same order, put each round's
-   Down/Restart events ahead of its steps and sends, and leave the
-   observer trace of the bare run untouched. *)
+   sends in one buffer: the log must carry every send the run charged
+   (dropped ones included: as many, with as many bits, as its stats
+   count) in the global send order (sender ascending within a round),
+   put each round's Down/Restart events ahead of its steps and sends,
+   and leave the stats of the bare run untouched. *)
 let prop_log_faulted_flat =
   QCheck.Test.make
-    ~name:"flightlog: drops+crashes, sends = observer, crashes first"
+    ~name:"flightlog: drops+crashes, sends = stats, crashes first"
     ~count:20
     QCheck.(int_range 0 100_000)
     (fun seed ->
@@ -241,32 +280,32 @@ let prop_log_faulted_flat =
         Fault.plan ~drop:0.2 ~crashes:[ seed mod n, 2, 3 ] ~seed:(seed + 1) ()
       in
       let tapped recorder =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
         let network = Sim.Faults (Fault.instantiate plan) in
         let env =
           match recorder with
-          | None -> { Sim.default_env with observer = Some observer; network }
-          | Some r -> recording ~network ~observer r
+          | None -> { Sim.default_env with network }
+          | Some r -> recording ~network r
         in
-        (try
-           ignore
-             (Sim.run_flat ~max_rounds:300 ~env g (Bfs.flat_protocol ~n ~root))
-         with Sim.Round_limit _ -> ());
-        List.rev !log
+        match
+          Sim.run_flat ~max_rounds:300 ~env g (Bfs.flat_protocol ~n ~root)
+        with
+        | _, stats -> stats
+        | exception Sim.Round_limit a -> a.Sim.snapshot
       in
       let r = Recorder.create ~now:0 () in
-      let seen = tapped (Some r) in
+      let stats = tapped (Some r) in
       match Recorder.parse (Recorder.to_string r) with
       | Error _ -> false
       | Ok log ->
           let events = Recorder.log_events log in
-          let sends =
-            List.filter_map
-              (function
-                | Recorder.Send { src; dst; bits; _ } -> Some (src, dst, bits)
-                | _ -> None)
-              events
+          let sends = Flight.sends_of_events events in
+          (* Sender ascending within each round. *)
+          let rec send_order last = function
+            | [] -> true
+            | Recorder.Round _ :: rest -> send_order (-1) rest
+            | Recorder.Send { src; _ } :: rest ->
+                src >= last && send_order src rest
+            | _ :: rest -> send_order last rest
           in
           let rec crashes_first late = function
             | [] -> true
@@ -277,10 +316,13 @@ let prop_log_faulted_flat =
                 (not late) && crashes_first late rest
             | _ :: rest -> crashes_first late rest
           in
-          seen <> []
-          && sends = seen
+          sends <> []
+          && List.length sends = stats.Sim.messages
+          && List.fold_left (fun acc (_, _, b) -> acc + b) 0 sends
+             = stats.Sim.total_bits
+          && send_order (-1) events
           && crashes_first false events
-          && tapped None = seen)
+          && tapped None = stats)
 
 (* Telemetry spans land in the log too.  A span that closes before the
    first message, like the CLI's [paths.parameters] sweep, is in the log
@@ -440,6 +482,8 @@ let suites =
     ( "recorder",
       [
         Alcotest.test_case "binary round-trip" `Quick test_roundtrip;
+        Alcotest.test_case "merge_into appends a child log" `Quick
+          test_merge_into;
         Alcotest.test_case "negative meta rejected" `Quick
           test_negative_meta_rejected;
         Alcotest.test_case "corrupt log rejected" `Quick test_corrupt_rejected;

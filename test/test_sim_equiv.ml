@@ -24,32 +24,18 @@ let both f = f (), with_reference f
 
 let stats_eq (a : Sim.stats) (b : Sim.stats) = a = b
 
-(* The run environment the differential legs build: an observer, plus
-   optional telemetry and injected faults. *)
-let env_of ?faults ?telemetry observer =
-  let network =
-    match faults with Some f -> Sim.Faults f | None -> Sim.Lossless
-  in
-  { Sim.default_env with observer = Some observer; telemetry; network }
+let faults_network = function
+  | Some f -> Sim.Faults f
+  | None -> Sim.Lossless
 
-(* [record_leg ?network f] runs [f] on [network] with an observer and
-   telemetry attached and returns its result with the observer trace, in
-   send order. *)
-let record_leg ?(network = Sim.Lossless) f =
-  let log = ref [] in
-  let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-  let telemetry = Some (Telemetry.create ~clock:(fun () -> 0L) ()) in
-  let r =
-    f { Sim.default_env with observer = Some observer; telemetry; network }
-  in
-  r, List.rev !log
-
-(* A lossless broadcast's trace (every send a delivery, [~bits] naming
+(* A lossless broadcast's log (every send a delivery, [~bits] naming
    the item) shows each non-root node receiving exactly [items], in order,
    from its tree parent, and the root receiving nothing. *)
 let broadcast_delivered ~(tree : Bfs.tree) ~items log =
   let got = Array.map (fun _ -> []) tree.Bfs.parent in
-  List.iter (fun (src, dst, bits) -> got.(dst) <- got.(dst) @ [ src, bits ]) log;
+  List.iter
+    (fun (src, dst, bits) -> got.(dst) <- got.(dst) @ [ src, bits ])
+    (Flight.sends_of_string log);
   Array.for_all Fun.id
     (Array.mapi
        (fun v got ->
@@ -165,7 +151,7 @@ let prop_tree_ops_equiv =
       let items = [ 1; 2; 3 ] in
       let (bt1, bl1), (bt2, bl2) =
         both (fun () ->
-            record_leg (fun env ->
+            Flight.record (fun env ->
                 Tree_ops.broadcast ~env g ~tree ~items ~bits:Fun.id))
       in
       let (ag1, at1), (ag2, at2) =
@@ -199,25 +185,15 @@ let prop_telemetry_transparent =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      (* The hook only observes: states, stats and observer traces of an
-         instrumented run must be bit-identical to the bare run — on the
-         production engine and the reference loop alike. *)
+      (* The hook only observes: states and stats of an instrumented run
+         must be bit-identical to the bare run — on the production engine
+         and the reference loop alike. *)
+      let env telemetry = { Sim.default_env with telemetry } in
       let record_flat telemetry =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t =
-          Sim.run ~env:(env_of ?telemetry observer) g (flood_protocol root)
-        in
-        s, t, List.rev !log
+        Sim.run ~env:(env telemetry) g (flood_protocol root)
       in
       let record_reference telemetry =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t =
-          Sim.run_reference ~env:(env_of ?telemetry observer) g
-            (flood_protocol root)
-        in
-        s, t, List.rev !log
+        Sim.run_reference ~env:(env telemetry) g (flood_protocol root)
       in
       let tel () = Some (Telemetry.create ~clock:(fun () -> 0L) ()) in
       record_flat None = record_flat (tel ())
@@ -230,16 +206,12 @@ let prop_empty_plan_identity =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      (* States, stats AND observer traces must all coincide: an empty
+      (* States, stats AND flight logs must all coincide: an empty
          plan never fires, so the fault-injecting engine path has to be
          indistinguishable from the fault-free one. *)
       let record faults =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t =
-          Sim.run ~env:(env_of ?faults observer) g (flood_protocol root)
-        in
-        s, t, List.rev !log
+        Flight.record ~network:(faults_network faults) (fun env ->
+            Sim.run ~env g (flood_protocol root))
       in
       record None = record (Some (Fault.instantiate Fault.empty)))
 
@@ -257,18 +229,16 @@ let test_round_limit_equiv () =
   (* Both engines must raise the same Round_limit on a protocol that never
      quiesces — round, stats snapshot and post-mortem ring — on both sides
      of the flat engine's ring window (it records only the last
-     [postmortem_window] rounds before the limit).  Under a drop/duplicate
-     plan, which the reference loop does not run, the flat engine's ring
-     must hold exactly the last rounds of the observer's trace: every send,
-     dropped or not, in send order. *)
+     [postmortem_window] rounds before the limit).  The ring must hold
+     exactly the sends of the flight log's last rounds — every send,
+     dropped or not, in send order — lossless and under a drop/duplicate
+     plan, which the reference loop does not run. *)
   let g = random_graph 31_337 in
-  let round_now = ref 0 in
   let chatty : (unit, int) Sim.protocol =
     {
       init = (fun _ -> ());
       step =
         (fun view ~round st ~inbox:_ ->
-          round_now := round;
           ( st,
             Array.to_list view.Sim.nbrs
             |> List.filter_map (fun (nb, _, _) ->
@@ -279,20 +249,27 @@ let test_round_limit_equiv () =
       wake = None;
     }
   in
-  let abort_of run =
-    let log = ref [] in
-    let observer ~src ~dst ~bits = log := (!round_now, (src, dst, bits)) :: !log in
-    match run observer with
-    | exception Sim.Round_limit a -> a, List.rev !log
+  let abort_of ?faults run =
+    let r, env = Flight.env ~network:(faults_network faults) () in
+    match run env with
+    | exception Sim.Round_limit a -> a, Flight.events r
     | _ -> Alcotest.fail "expected a round-limit abort"
   in
-  (* The ring the observer trace implies: one entry per round of the
-     window, messages in send order. *)
-  let window_of ~max_rounds log =
+  (* The ring the flight log implies: one entry per round of the window,
+     the sends recorded after that round's marker, in send order.  The
+     log holds one run, so its round markers are the run's rounds. *)
+  let window_of ~max_rounds events =
     let lo = max 0 (max_rounds - Sim.postmortem_window) in
-    List.init (max_rounds - lo) (fun i ->
-        let r = lo + i in
-        r, List.filter_map (fun (r', m) -> if r' = r then Some m else None) log)
+    let sent = Array.make max_rounds [] in
+    let round = ref (-1) in
+    List.iter
+      (function
+        | Recorder.Round r -> round := r
+        | Recorder.Send { src; dst; bits; _ } ->
+            sent.(!round) <- (src, dst, bits) :: sent.(!round)
+        | _ -> ())
+      events;
+    List.init (max_rounds - lo) (fun i -> lo + i, List.rev sent.(lo + i))
   in
   let abort = Alcotest.testable (fun ppf a -> Sim.pp_abort ppf a) ( = ) in
   let faults = Fault.instantiate (Fault.plan ~drop:0.2 ~duplicate:0.2 ~seed:5 ()) in
@@ -300,20 +277,18 @@ let test_round_limit_equiv () =
     (fun max_rounds ->
       let name what = Printf.sprintf "max_rounds=%d: %s" max_rounds what in
       let flat, log =
-        abort_of (fun observer ->
-            Sim.run ~max_rounds ~env:(env_of observer) g chatty)
+        abort_of (fun env -> Sim.run ~max_rounds ~env g chatty)
       in
       let reference, _ =
-        abort_of (fun observer ->
-            Sim.run_reference ~max_rounds ~env:(env_of observer) g chatty)
+        abort_of (fun env -> Sim.run_reference ~max_rounds ~env g chatty)
       in
       check abort (name "flat = reference") reference flat;
       check Alcotest.int (name "limit") max_rounds flat.Sim.at_round;
-      Alcotest.(check bool) (name "ring = observer window") true
+      check Alcotest.int (name "log rounds") max_rounds (Flight.rounds log);
+      Alcotest.(check bool) (name "ring = log window") true
         (flat.Sim.recent = window_of ~max_rounds log);
       let lossy, log =
-        abort_of (fun observer ->
-            Sim.run ~max_rounds ~env:(env_of ~faults observer) g chatty)
+        abort_of ~faults (fun env -> Sim.run ~max_rounds ~env g chatty)
       in
       check Alcotest.int (name "faults: limit") max_rounds lossy.Sim.at_round;
       (* The plan must fire, or this leg is the lossless one again; one
@@ -321,7 +296,7 @@ let test_round_limit_equiv () =
       Alcotest.(check bool) (name "faults: drops and copies happen") true
         (max_rounds < 7
         || lossy.Sim.snapshot.dropped > 0 && lossy.Sim.snapshot.duplicated > 0);
-      Alcotest.(check bool) (name "faults: ring = observer window") true
+      Alcotest.(check bool) (name "faults: ring = log window") true
         (lossy.Sim.recent = window_of ~max_rounds log))
     [ 1; 7; 8; 9; 40 ]
 
@@ -365,25 +340,23 @@ let test_scheduler_skips_idle () =
   Array.iter (fun c -> check Alcotest.int "stepped once" 1 c) s_ref;
   Alcotest.(check bool) "stats still equal" true (stats_eq t_flat t_ref)
 
-let test_observer_order_identical () =
-  (* The observer must see the same (src, dst, bits) sequence from both
-     engines — traces and cut meters rely on it. *)
+let test_log_order_identical () =
+  (* Both engines must record the same flight log, so the same
+     (src, dst, bits) sequence — traces and cut meters rely on it. *)
   let g = random_graph 424_242 in
-  let record f =
-    let log = ref [] in
-    ignore (f ~observer:(fun ~src ~dst ~bits -> log := (src, dst, bits) :: !log));
-    List.rev !log
+  let sssp () =
+    snd (Flight.record (fun env -> Bellman_ford.sssp ~env g ~src:0))
   in
-  let sssp ~observer = Bellman_ford.sssp ~env:(env_of observer) g ~src:0 in
-  let l1 = record sssp in
-  let l2 = record (fun ~observer -> with_reference (fun () -> sssp ~observer)) in
-  check Alcotest.int "same length" (List.length l2) (List.length l1);
-  Alcotest.(check bool) "same sequence" true (l1 = l2)
+  let l1 = sssp () in
+  let l2 = with_reference sssp in
+  check Alcotest.int "same sends"
+    (List.length (Flight.sends_of_string l2))
+    (List.length (Flight.sends_of_string l1));
+  check Alcotest.string "same log" l2 l1
 
-let test_observer_prefix_on_error () =
+let test_send_error_both_engines () =
   (* Node 1 sends to both path neighbours, then to node 3, which is not
-     one: the run raises, and the observer has already seen the two valid
-     sends, in the same order on both engines. *)
+     one: the run raises the same error on both engines. *)
   let g = Gen.path 4 in
   let outbox v = if v = 1 then [ 0, (); 2, (); 3, () ] else [] in
   let proto : (unit, unit) Sim.protocol =
@@ -406,34 +379,25 @@ let test_observer_prefix_on_error () =
       fp_wake = None;
     }
   in
-  let trace run =
-    let log = ref [] in
-    let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-    (match run (env_of observer) with
-    | _ -> Alcotest.fail "expected Invalid_argument"
-    | exception Invalid_argument _ -> ());
-    List.rev !log
+  let raises name run =
+    match run () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument msg ->
+        check Alcotest.string name "Sim.run: message to non-neighbor" msg
   in
-  let reference = trace (fun env -> Sim.run_reference ~env g proto) in
-  let sends = Alcotest.(list (triple int int int)) in
-  check sends "reference prefix" [ 1, 0, 1; 1, 2, 1 ] reference;
-  check sends "flat prefix" reference
-    (trace (fun env -> Sim.run_flat ~env g native))
+  raises "reference" (fun () -> Sim.run_reference g proto);
+  raises "flat" (fun () -> Sim.run_flat g native)
 
 (* ------------------------------------------------------------ flat engine *)
 
-(* Capture a run as a comparable value: states, stats and the observer
-   trace on success, the full abort post-mortem on Round_limit (both
-   sides of a differential must stall identically too). *)
-let capture run g proto =
-  let log = ref [] in
-  let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-  let outcome =
-    match run ~observer g proto with
-    | s, t -> Ok (s, t)
-    | exception Sim.Round_limit a -> Error a
-  in
-  outcome, List.rev !log
+(* Capture a run as a comparable value: states, stats and the flight
+   log on success, the full abort post-mortem on Round_limit (both sides
+   of a differential must stall identically too). *)
+let capture ?network run =
+  Flight.record ?network (fun env ->
+      match run env with
+      | s, t -> Ok (s, t)
+      | exception Sim.Round_limit a -> Error a)
 
 (* A native flat port of [flood_protocol]: the oracle for the adapter
    (and for the engine's fault path, which the seed loop lacks). *)
@@ -477,20 +441,11 @@ let prop_flat_equiv_faults_telemetry =
           ~seed ()
       in
       let leg run =
-        capture
-          (fun ~observer g () ->
-            let faults = Fault.instantiate plan in
-            let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-            run ~observer ~faults ~telemetry g)
-          g ()
+        capture ~network:(Sim.Faults (Fault.instantiate plan)) run
       in
-      leg (fun ~observer ~faults ~telemetry g ->
-          Sim.run ~max_rounds:300 ~env:(env_of ~faults ~telemetry observer) g
-            (flood_protocol root))
-      = leg (fun ~observer ~faults ~telemetry g ->
-            Sim.run_flat ~max_rounds:300
-              ~env:(env_of ~faults ~telemetry observer)
-              g (flood_flat root)))
+      leg (fun env -> Sim.run ~max_rounds:300 ~env g (flood_protocol root))
+      = leg (fun env ->
+            Sim.run_flat ~max_rounds:300 ~env g (flood_flat root)))
 
 let prop_flat_equiv_lossless =
   QCheck.Test.make
@@ -500,24 +455,10 @@ let prop_flat_equiv_lossless =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      let leg run =
-        capture
-          (fun ~observer g () ->
-            let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-            run ~observer ~telemetry g)
-          g ()
-      in
-      let adapter =
-        leg (fun ~observer ~telemetry g ->
-            Sim.run ~env:(env_of ~telemetry observer) g (flood_protocol root))
-      in
-      adapter
-      = leg (fun ~observer ~telemetry g ->
-            Sim.run_flat ~env:(env_of ~telemetry observer) g (flood_flat root))
+      let adapter = capture (fun env -> Sim.run ~env g (flood_protocol root)) in
+      adapter = capture (fun env -> Sim.run_flat ~env g (flood_flat root))
       && adapter
-         = leg (fun ~observer ~telemetry g ->
-               Sim.run_reference ~env:(env_of ~telemetry observer) g
-                 (flood_protocol root)))
+         = capture (fun env -> Sim.run_reference ~env g (flood_protocol root)))
 
 (* The seed loop has no fault injection, so the engine's fault accounting
    is pinned by hand on a 4-node path flood (6 sends lossless): every
@@ -574,8 +515,8 @@ let test_fault_accounting () =
 (* ---------------------------------------------------- flat native ports *)
 
 (* Every primitive's native flat port must be bit-identical to its
-   classic list protocol (classic.ml) — result, stats, and observer
-   trace — with telemetry on, on three networks:
+   classic list protocol (classic.ml) — result, stats, and flight log —
+   with telemetry on, on three networks:
    - lossless, the classic leg on the seed loop (under the reference
      shim) and the port on the flat engine;
    - a duplicate-only fault plan (drop/crash plans can legitimately stall
@@ -590,16 +531,22 @@ let chaos_plan seed g =
   Fault.plan ~drop:0.1 ~crashes:[ seed mod Graph.n g, 2, 5 ] ~seed ()
 
 (* [native] and [classic] run the primitive on the env they are given and
-   return its result with the run's stats. *)
+   return its result with the run's stats.  Their flight logs are
+   compared without span markers: the port opens its primitive's span,
+   the classic oracle none. *)
 let native_matches_classic ~seed g ~(native : Sim.env -> 'r * Sim.stats)
     ~(classic : Sim.env -> 'r * Sim.stats) =
   let dup = Sim.Faults (Fault.instantiate (dup_plan seed)) in
   let chaos = Sim.Chaos (Fault.chaos (chaos_plan seed g)) in
-  let ((result, _), _) as lossless = record_leg native in
-  let ((hardened, _), _) as chaos_leg = record_leg ~network:chaos native in
-  with_reference (fun () -> record_leg classic) = lossless
-  && record_leg ~network:dup classic = record_leg ~network:dup native
-  && record_leg ~network:chaos classic = chaos_leg
+  let leg ?network f =
+    let r, log = Flight.record ?network f in
+    r, Flight.unspanned log
+  in
+  let ((result, _), _) as lossless = leg native in
+  let ((hardened, _), _) as chaos_leg = leg ~network:chaos native in
+  with_reference (fun () -> leg classic) = lossless
+  && leg ~network:dup classic = leg ~network:dup native
+  && leg ~network:chaos classic = chaos_leg
   && hardened = result
 
 let prop_flat_native_bfs =
@@ -876,9 +823,10 @@ let suites =
         Alcotest.test_case "round limit" `Quick test_round_limit_equiv;
         Alcotest.test_case "halt hook" `Quick test_halt_equiv;
         Alcotest.test_case "skips idle nodes" `Quick test_scheduler_skips_idle;
-        Alcotest.test_case "observer order" `Quick test_observer_order_identical;
-        Alcotest.test_case "observer prefix before a send error" `Quick
-          test_observer_prefix_on_error;
+        Alcotest.test_case "recorded send order" `Quick
+          test_log_order_identical;
+        Alcotest.test_case "send error on both engines" `Quick
+          test_send_error_both_engines;
         Alcotest.test_case "Bellman-Ford wide-label fallback" `Quick
           test_bellman_ford_wide_fallback;
       ] );

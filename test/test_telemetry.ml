@@ -153,11 +153,13 @@ let test_sublinear_phase_tree () =
 
 (* ------------------------------------------------ instrumentation coverage *)
 
-(* One run environment reaches every simulated run: on one n=200 instance
-   the observer's message count equals the telemetry's summed span
-   messages for all three algorithms — Appendix F.3 pruning (sublinear),
-   LE lists, the virtual tree's Voronoi and label routing (rand)
-   included — and for the deterministic algorithms the engine-measured
+(* One run environment reaches every simulated run, and the flight
+   recorder riding on it sees every one of them: on one n=200 instance
+   the log's Send count equals the telemetry's summed span messages and
+   its Round markers equal the summed span rounds, for all three
+   algorithms — Appendix F.3 pruning (sublinear), LE lists, the virtual
+   tree's Voronoi and label routing (rand) included, rand's pooled
+   trials too — and for the deterministic algorithms the engine-measured
    span rounds add up to the ledger's simulated rounds. *)
 let test_instrumentation_coverage () =
   let r = Dsf_util.Rng.create 3 in
@@ -171,15 +173,19 @@ let test_instrumentation_coverage () =
     List.fold_left (fun acc s -> acc + sum f s) 0 (Telemetry.root_spans tel)
   in
   let covered name solve =
-    let seen = ref 0 in
-    let observer ~src:_ ~dst:_ ~bits:_ = incr seen in
-    let tel = Telemetry.create ~clock:const_clock () in
-    let ledger = solve ~observer ~telemetry:tel in
-    check Alcotest.bool (name ^ ": traffic observed") true (!seen > 0);
+    let r, tel = Flight.telemetry () in
+    let ledger = solve ~telemetry:tel in
+    let events = Flight.events r in
+    let sends = List.length (Flight.sends_of_events events) in
+    check Alcotest.bool (name ^ ": traffic recorded") true (sends > 0);
     check Alcotest.int
-      (name ^ ": observer messages = span messages")
-      !seen
-      (totals tel (fun s -> s.Telemetry.messages));
+      (name ^ ": log sends = span messages")
+      (totals tel (fun s -> s.Telemetry.messages))
+      sends;
+    check Alcotest.int
+      (name ^ ": log rounds = span rounds")
+      (totals tel (fun s -> s.Telemetry.rounds))
+      (Flight.rounds events);
     Option.iter
       (fun l ->
         check Alcotest.int
@@ -188,18 +194,17 @@ let test_instrumentation_coverage () =
           (totals tel (fun s -> s.Telemetry.rounds)))
       ledger
   in
-  covered "det" (fun ~observer ~telemetry ->
-      Some (Dsf_core.Det_dsf.run ~observer ~telemetry inst).ledger);
-  covered "sublinear" (fun ~observer ~telemetry ->
+  covered "det" (fun ~telemetry ->
+      Some (Dsf_core.Det_dsf.run ~telemetry inst).ledger);
+  covered "sublinear" (fun ~telemetry ->
       Some
-        (Dsf_core.Det_sublinear.run ~observer ~telemetry ~eps_num:1 ~eps_den:2
-           inst)
+        (Dsf_core.Det_sublinear.run ~telemetry ~eps_num:1 ~eps_den:2 inst)
           .ledger);
   (* Rand's ledger leaves the weight-comparison BFS unaccounted, so only
-     the message identity applies. *)
-  covered "rand" (fun ~observer ~telemetry ->
+     the log identities apply. *)
+  covered "rand" (fun ~telemetry ->
       ignore
-        (Dsf_core.Rand_dsf.run ~observer ~telemetry ~repetitions:1 ~jobs:1
+        (Dsf_core.Rand_dsf.run ~telemetry ~repetitions:3 ~jobs:2
            ~rng:(Dsf_util.Rng.create 3) inst);
       None)
 
@@ -207,15 +212,16 @@ let test_instrumentation_coverage () =
 
 (* The full fork/merge discipline end-to-end: Rand_dsf's repetition
    fan-out must produce the identical telemetry — span tree, events,
-   metrics, every rendering — for any jobs.  The constant clock removes
-   the one legitimately nondeterministic field. *)
+   metrics, every rendering, and the flight log — for any jobs.  The
+   constant clock and [~now:0] remove the legitimately nondeterministic
+   fields. *)
 let prop_pool_merge_jobs_invariant =
   QCheck.Test.make ~name:"rand_dsf telemetry is jobs-invariant" ~count:4
     QCheck.(int_range 0 1_000)
     (fun seed ->
       let inst = small_instance seed in
       let render jobs =
-        let tel = Telemetry.create ~clock:const_clock () in
+        let recorder, tel = Flight.telemetry () in
         let r =
           Dsf_core.Rand_dsf.run ~telemetry:tel ~repetitions:4 ~jobs
             ~rng:(Dsf_util.Rng.create (seed + 1))
@@ -224,7 +230,8 @@ let prop_pool_merge_jobs_invariant =
         ( r.Dsf_core.Rand_dsf.weight,
           Format.asprintf "%a" Telemetry.pp tel,
           Telemetry.to_jsonl_string tel,
-          Telemetry.to_chrome_string tel )
+          Telemetry.to_chrome_string tel,
+          Recorder.to_string recorder )
       in
       let j1 = render 1 in
       j1 = render 2 && j1 = render 4)
