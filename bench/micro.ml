@@ -16,7 +16,8 @@
    the detected core count, a flat_engine section with every
    native flat port's headline numbers (rounds/s and minor words/round on
    paths at n = 256 / 4096 / 16384 — what bin/ci.sh's per-workload GC
-   gate reads), a flat_e2e
+   gate reads — plus a dense-round broadcast on a random graph at
+   n = 512), a flat_e2e
    section with end-to-end flat det_dsf solves on path / random / gadget
    instances at the same sizes, a fault_overhead section
    tabulating the round/message/retransmission cost of Fault.harden at
@@ -274,21 +275,39 @@ let estimate raw witness =
   in
   v, Option.value ~default:nan (Analyze.OLS.r_square ols)
 
+(* Minor words per run, exact: one warm-up run (lazies forced, caches
+   filled), then the [Gc.minor_words] delta of [minor_word_runs] runs on
+   this domain.  Bechamel's OLS estimate of allocation moved by 35%
+   between runs of unchanged code, too much for the 25% guard of
+   [bench compare]; this figure repeats exactly for single-domain
+   workloads. *)
+let minor_word_runs = 5
+
+let exact_minor_words elt =
+  match Test.Elt.fn elt with
+  | Test.V { fn; kind = Test.Uniq; allocate; free } ->
+      let r = allocate () in
+      let run () = ignore (Sys.opaque_identity (fn `Init (Test.Uniq.prj r))) in
+      run ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to minor_word_runs do
+        run ()
+      done;
+      let words = Gc.minor_words () -. w0 in
+      free r;
+      words /. float_of_int minor_word_runs
+  | Test.V { kind = Test.Multiple; _ } -> nan
+
 let measure ~quota tests =
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second quota) () in
   List.concat_map
     (fun test ->
       List.map
         (fun elt ->
-          let raw =
-            Benchmark.run cfg
-              [ Instance.monotonic_clock; Instance.minor_allocated ]
-              elt
-          in
+          let raw = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
           let ns, r2 = estimate raw Instance.monotonic_clock in
-          let words, _ = estimate raw Instance.minor_allocated in
           let name = Test.Elt.name elt in
-          { name; ns_per_run = ns; r2; minor_words = words;
+          { name; ns_per_run = ns; r2; minor_words = exact_minor_words elt;
             rounds_per_run = rounds_of name })
         (Test.elements test))
     tests
@@ -483,19 +502,27 @@ let flat_tree =
         Hashtbl.replace cache n t;
         t
 
-(* One entry per ported primitive: name, largest n measured, and a per-n
+(* The sizes a workload runs at: the mode's sizes up to a cap, or one
+   fixed size in every mode. *)
+type flat_size = Upto of int | Fixed of int
+
+(* One entry per ported primitive: name, sizes, and a per-n
    constructor returning the runner.  The upcast workloads
    give every 16th node one item, so the pipelined message volume stays
    ~n^2/16 and the rows measure scheduling, not payload shuffling; the
-   broadcast pipelines 16 root items down the path, 16n messages.  The
+   broadcast pipelines 16 root items down the path, 16n messages.
+   [broadcast random] is the dense-round case: 128 items down the BFS
+   tree of a random graph with m ~ 2n, so nearly every node receives
+   mail in every round and the engine rebuilds a long active list each
+   round.  The
    filtered upcast keeps a union-find over all [vn = n] virtual nodes at
    every node — n^2 words, about 4 GB at n = 16384 — so its size is capped
    to fit an 8 GB host; the skip is printed, never silent. *)
-let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
+let flat_workloads : (string * flat_size * (int -> unit -> Sim.stats)) list =
   let item_bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
   [
     ( "bfs path",
-      max_int,
+      Upto max_int,
       fun n ->
         let g = flat_graph n in
         fun () ->
@@ -504,7 +531,7 @@ let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
                (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n g) ~root:0))
     );
     ( "bellman_ford path",
-      max_int,
+      Upto max_int,
       fun n ->
         let g = flat_graph n in
         let sources = [ 0, 0; n - 1, 0 ] in
@@ -513,7 +540,7 @@ let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
             (Dsf_congest.Bellman_ford.run g
                ~sources) );
     ( "region_bf path",
-      max_int,
+      Upto max_int,
       fun n ->
         let g = flat_graph n in
         let sources =
@@ -525,7 +552,7 @@ let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
             (Dsf_core.Region_bf.run g
                ~sources ~frozen) );
     ( "upcast path",
-      max_int,
+      Upto max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items v = if v > 0 && v mod 16 = 0 then [ v ] else [] in
@@ -535,14 +562,26 @@ let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
                ~tree ~items ~bits:item_bits)
     );
     ( "broadcast path",
-      max_int,
+      Upto max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items = List.init 16 (fun i -> i + 1) in
         fun () ->
           Dsf_congest.Tree_ops.broadcast g ~tree ~items ~bits:item_bits );
+    ( "broadcast random",
+      Fixed 512,
+      fun n ->
+        let g =
+          Gen.random_connected (Dsf_util.Rng.create n) ~n ~extra_edges:n
+            ~max_w:16
+        in
+        ignore (Dsf_graph.Graph.csr g);
+        let tree = fst (Dsf_congest.Bfs.build g ~root:0) in
+        let items = List.init 128 (fun i -> i + 1) in
+        fun () ->
+          Dsf_congest.Tree_ops.broadcast g ~tree ~items ~bits:item_bits );
     ( "filtered_upcast path",
-      4096,
+      Upto 4096,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items v =
@@ -556,7 +595,7 @@ let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
                g ~tree ~vn:n ~pre:[] ~items
                ~cmp:compare ~bits:(fun _ -> 30)) );
     ( "token_flood path",
-      max_int,
+      Upto max_int,
       fun n ->
         let g = flat_graph n in
         let parent = Array.init n (fun v -> v - 1) in
@@ -567,7 +606,7 @@ let flat_workloads : (string * int * (int -> unit -> Sim.stats)) list =
             (Dsf_core.Select.token_flood g
                ~parent ~seeds) );
     ( "exchange path",
-      max_int,
+      Upto max_int,
       fun n ->
         let g = flat_graph n in
         fun () ->
@@ -603,17 +642,20 @@ let measure_flat_size workload flat n =
 
 let measure_flat ~sizes () =
   List.concat_map
-    (fun (workload, max_n, make) ->
-      List.concat_map
-        (fun n ->
-          if n <= max_n then [ measure_flat_size workload (make n) n ]
-          else begin
-            Format.printf
-              "flat_engine: %S skipped at n=%d (memory cap: n <= %d)@."
-              workload n max_n;
-            []
-          end)
-        sizes)
+    (fun (workload, size, make) ->
+      match size with
+      | Fixed n -> [ measure_flat_size workload (make n) n ]
+      | Upto max_n ->
+          List.concat_map
+            (fun n ->
+              if n <= max_n then [ measure_flat_size workload (make n) n ]
+              else begin
+                Format.printf
+                  "flat_engine: %S skipped at n=%d (memory cap: n <= %d)@."
+                  workload n max_n;
+                []
+              end)
+            sizes)
     flat_workloads
 
 let print_flat rows =

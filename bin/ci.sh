@@ -42,8 +42,10 @@ with_timeout 300 dune build @lint
 # Typed static analysis: the Typedtree rules over the libraries' .cmt
 # artifacts — domain-race (every flat fp_step provably mutates only
 # node-local state), congest-width (every Pack layout and declared
-# fp_msg_bits fits the 62-bit CONGEST word) and env-dropped (no simulated
-# run drops the Sim.env its caller has in scope).  Same empty baseline.
+# fp_msg_bits fits the 62-bit CONGEST word), env-dropped (no simulated
+# run drops the Sim.env its caller has in scope) and poly-compare (no
+# polymorphic compare at a type ocamlopt cannot inline in lib/congest,
+# lib/embed or lib/core).  Same empty baseline.
 with_timeout 300 dune build @lint-typed
 
 with_timeout 900 dune runtest

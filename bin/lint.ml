@@ -30,7 +30,8 @@ let () =
       ( "--typed",
         Arg.Set typed,
         " run the Typedtree rules (domain-race, congest-width, \
-         env-dropped) over .cmt artifacts instead of parsing sources" );
+         env-dropped, poly-compare) over .cmt artifacts instead of parsing \
+         sources" );
       ( "--baseline",
         Arg.Set_string baseline_file,
         "FILE subtract grandfathered findings recorded in FILE" );

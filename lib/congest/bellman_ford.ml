@@ -24,7 +24,8 @@ let inf = max_int / 4
 
 (* Lexicographic label order: smaller distance first, then smaller source id
    (Definition 4.6 tie-breaking), then fewer hops. *)
-let better (d1, s1, h1) (d2, s2, h2) = (d1, s1, h1) < (d2, s2, h2)
+let better ((d1 : int), (s1 : int), (h1 : int)) (d2, s2, h2) =
+  d1 < d2 || (d1 = d2 && (s1 < s2 || (s1 = s2 && h1 < h2)))
 
 let protocol ?weight_of ?radius g ~sources =
   let n = Graph.n g in

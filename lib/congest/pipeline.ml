@@ -4,7 +4,10 @@ type 'k item = { key : 'k; a : int; b : int }
 
 let item_cmp cmp i1 i2 =
   let c = cmp i1.key i2.key in
-  if c <> 0 then c else compare (i1.a, i1.b) (i2.a, i2.b)
+  if c <> 0 then c
+  else
+    let c = Int.compare i1.a i2.a in
+    if c <> 0 then c else Int.compare i1.b i2.b
 
 let select_forest ~vn ~pre ~cmp items =
   let uf = Uf.create vn in

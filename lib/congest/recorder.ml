@@ -635,9 +635,12 @@ let analyze l =
         ckpt := !ckpt + checkpoint_bits);
   let edges_ranked =
     Hashtbl.fold (fun k (m, b, d) acc -> (k, (!m, !b, !d)) :: acc) edges []
-    |> List.sort (fun (ka, (_, ba, _)) (kb, (_, bb, _)) ->
-           let c = compare bb ba in
-           if c <> 0 then c else compare ka kb)
+    |> List.sort (fun ((sa, da), (_, ba, _)) ((sb, db), (_, bb, _)) ->
+           let c = Int.compare bb ba in
+           if c <> 0 then c
+           else
+             let c = Int.compare sa sb in
+             if c <> 0 then c else Int.compare da db)
   in
   {
     a_meta = log_meta l;

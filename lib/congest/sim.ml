@@ -428,8 +428,11 @@ let protocol_of_flat fp =
 (* In-place ascending sort of [a.(0 .. len - 1)]: insertion sort below a
    small cutoff, median-of-three quicksort above.  Avoids [Array.sort]'s
    whole-array constraint (the candidate buffer has a live prefix) and its
-   closure call per comparison. *)
-let sort_int_prefix a len =
+   closure call per comparison.  The [int] annotation is what makes every
+   [<] and [>] below an inline integer compare: unannotated, the function
+   generalizes to ['a array] and each comparison is a C call into the
+   runtime's polymorphic compare. *)
+let sort_int_prefix (a : int array) len =
   let insertion lo hi =
     for i = lo + 1 to hi do
       let x = a.(i) in
@@ -898,7 +901,7 @@ let pp_stats ppf s =
 (* Senders among [msgs] with their (message, bit) totals, busiest first;
    ties break on ascending node id so hash-fold order never reaches the
    printed ranking. *)
-let rank_senders msgs =
+let rank_senders (msgs : (int * int * int) list) =
   let per_node = Hashtbl.create 8 in
   List.iter
     (fun (src, _, bits) ->
@@ -907,8 +910,8 @@ let rank_senders msgs =
     msgs;
   Hashtbl.fold (fun v cb acc -> (v, cb) :: acc) per_node []
   |> List.sort (fun (va, (ca, _)) (vb, (cb, _)) ->
-         let c = compare cb ca in
-         if c <> 0 then c else compare va vb)
+         let c = Int.compare cb ca in
+         if c <> 0 then c else Int.compare va vb)
 
 let top_senders = 6
 

@@ -4,11 +4,13 @@ module ISet = Set.Make (Int)
    root's arrival log, both mutated in place, so a step allocates only
    the queue cells of newly arrived items.  Existing pending items go
    first, then arrivals in inbox order, one item to the parent per
-   round.  The root's own items need no transport. *)
-type 'a up_fstate = { uq : 'a Queue.t; mutable u_recvd : 'a list }
+   round.  The root's own items need no transport.  Each item is sized
+   once, at its holder, and travels with its size, so no hop calls
+   [bits] again. *)
+type 'a up_fstate = { uq : ('a * int) Queue.t; mutable u_recvd : 'a list }
 
 let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
-    ('a up_fstate, 'a) Sim.flat_protocol =
+    ('a up_fstate, 'a * int) Sim.flat_protocol =
   {
     fp_init =
       (fun view ->
@@ -17,7 +19,7 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
         let uq = Queue.create () in
         if v = tree.root then { uq; u_recvd = List.rev mine }
         else begin
-          List.iter (fun it -> Queue.add it uq) mine;
+          List.iter (fun it -> Queue.add (it, bits it) uq) mine;
           { uq; u_recvd = [] }
         end);
     fp_step =
@@ -26,7 +28,7 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
         let k = Sim.inbox_len inbox in
         if v = tree.root then begin
           for i = 0 to k - 1 do
-            st.u_recvd <- Sim.inbox_msg inbox i :: st.u_recvd
+            st.u_recvd <- fst (Sim.inbox_msg inbox i) :: st.u_recvd
           done;
           st
         end
@@ -40,7 +42,7 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
           st
         end);
     fp_is_done = (fun st -> Queue.is_empty st.uq);
-    fp_msg_bits = bits;
+    fp_msg_bits = snd;
     fp_wake = Some Sim.never;
   }
 
@@ -58,17 +60,22 @@ let upcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
   in
   List.rev states.(tree.root).u_recvd, stats
 
-type ('a, 'b) dedup_state = {
-  d_pending : 'a list;
+(* Node state for {!upcast_dedup}: {!upcast}'s sized forward queue and
+   root log, plus the seen-table of the items kept per key.  An item is
+   admitted (queued, or logged at the root) only on its first arrival
+   while its key has room. *)
+type ('a, 'b) dedup_fstate = {
+  dq : ('a * int) Queue.t;
   d_seen : ('b, 'a list) Hashtbl.t;  (** key -> distinct items kept *)
-  d_received : 'a list;
+  mutable d_recvd : 'a list;
 }
 
-let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
-    ~items ~key ~bits =
+let upcast_dedup_flat ~per_key ~(tree : Bfs.tree) ~items ~key ~bits :
+    (('a, 'b) dedup_fstate, 'a * int) Sim.flat_protocol =
   (* Keep an item iff its key has fewer than [per_key] distinct items so
      far and the item itself is new. *)
-  let admit seen it k =
+  let admit seen it =
+    let k = key it in
     let kept = Option.value ~default:[] (Hashtbl.find_opt seen k) in
     if List.length kept >= per_key || List.mem it kept then false
     else begin
@@ -76,57 +83,64 @@ let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
       true
     end
   in
-  let proto : (('a, 'b) dedup_state, 'a) Sim.protocol =
-    {
-      init =
-        (fun view ->
-          let seen = Hashtbl.create 8 in
-          let mine =
-            List.filter (fun it -> admit seen it (key it)) (items view.Sim.node)
-          in
-          if view.Sim.node = tree.root then
-            { d_pending = []; d_seen = seen; d_received = List.rev mine }
-          else { d_pending = mine; d_seen = seen; d_received = [] });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let v = view.Sim.node in
-          let fresh =
-            List.filter_map
-              (fun (_, it) ->
-                if admit st.d_seen it (key it) then Some it else None)
-              inbox
-          in
-          if v = tree.root then
-            { st with d_received = List.rev_append fresh st.d_received }, []
-          else begin
-            match st.d_pending @ fresh with
-            | [] -> { st with d_pending = [] }, []
-            | item :: rest ->
-                { st with d_pending = rest }, [ tree.parent.(v), item ]
-          end);
-      is_done = (fun st -> st.d_pending = []);
-      msg_bits = bits;
-      wake = Some Sim.never;
-    }
-  in
+  {
+    fp_init =
+      (fun view ->
+        let v = view.Sim.node in
+        let seen = Hashtbl.create 8 in
+        let mine = List.filter (admit seen) (items v) in
+        let dq = Queue.create () in
+        if v = tree.root then { dq; d_seen = seen; d_recvd = List.rev mine }
+        else begin
+          List.iter (fun it -> Queue.add (it, bits it) dq) mine;
+          { dq; d_seen = seen; d_recvd = [] }
+        end);
+    fp_step =
+      (fun view ~round:_ st ~inbox ~emit ->
+        let v = view.Sim.node in
+        let k = Sim.inbox_len inbox in
+        if v = tree.root then begin
+          for i = 0 to k - 1 do
+            let it = fst (Sim.inbox_msg inbox i) in
+            if admit st.d_seen it then st.d_recvd <- it :: st.d_recvd
+          done;
+          st
+        end
+        else begin
+          for i = 0 to k - 1 do
+            let msg = Sim.inbox_msg inbox i in
+            if admit st.d_seen (fst msg) then Queue.add msg st.dq
+          done;
+          (match Queue.take_opt st.dq with
+          | Some item -> emit ~dst:tree.parent.(v) item
+          | None -> ());
+          st
+        end);
+    fp_is_done = (fun st -> Queue.is_empty st.dq);
+    fp_msg_bits = snd;
+    fp_wake = Some Sim.never;
+  }
+
+let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
+    ~items ~key ~bits =
+  Sim.span env "upcast_dedup" @@ fun () ->
   let states, stats =
-    Sim.span env "upcast_dedup" (fun () ->
-        (* The per-node seen-table makes this inherently boxed; it runs on
-           the flat engine through the adapter (the wake hook is
-           physically [never], so sparse scheduling is preserved).
-           The seen-table also makes the state mutable, so the recovery
-           snapshot must copy it. *)
-        Fault.sim_run ~env
-          ~recovery:
-            {
-              Fault.snapshot =
-                (fun st -> { st with d_seen = Hashtbl.copy st.d_seen });
-              state_bits = (fun st -> 63 * (1 + Hashtbl.length st.d_seen));
-            }
-          g (Sim.flat_of_protocol proto))
+    Fault.sim_run ~env
+      ~recovery:
+        {
+          Fault.snapshot =
+            (fun st ->
+              {
+                dq = Queue.copy st.dq;
+                d_seen = Hashtbl.copy st.d_seen;
+                d_recvd = st.d_recvd;
+              });
+          state_bits = (fun st -> 63 * (1 + Hashtbl.length st.d_seen));
+        }
+      g
+      (upcast_dedup_flat ~per_key ~tree ~items ~key ~bits)
   in
-  let root_state = states.(tree.root) in
-  List.rev root_state.d_received, stats
+  List.rev states.(tree.root).d_recvd, stats
 
 (* Sequential (non-pipelined) upcast: a best-case centralized schedule lets
    each item travel to the root alone; the next item departs only after the

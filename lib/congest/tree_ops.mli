@@ -12,9 +12,9 @@
     runs under a span named after the primitive ([upcast], [broadcast],
     [aggregate], ...) nested in the caller's current span.
 
-    {!upcast}, {!broadcast} and {!aggregate} are native flat-engine
-    protocols (queue-based in-place states) run through {!Fault.sim_run}.
-    {!upcast_dedup} and {!upcast_sequential} have no native port and run
+    {!upcast}, {!upcast_dedup}, {!broadcast} and {!aggregate} are native
+    flat-engine protocols (queue-based in-place states) run through
+    {!Fault.sim_run}.  {!upcast_sequential} has no native port and runs
     through the flat engine's adapter.  Under a [Chaos] network every
     primitive but {!upcast_sequential} runs hardened, supplying its own
     {!Fault.recoverable} snapshot, so crash-restart plans are masked.  {!aggregate}'s child-count handshake is
@@ -31,7 +31,9 @@ val upcast :
   'a list * Sim.stats
 (** Collect all items at the root (no filtering, duplicates preserved).
     Returns the root's received list (own items first, then arrival order).
-    Rounds ~ height + max path congestion. *)
+    Rounds ~ height + max path congestion.  [bits] is called once per
+    item, at the node that holds it; the size travels with the item, so
+    [bits] must be a function of the item alone. *)
 
 val upcast_dedup :
   ?env:Sim.env ->
@@ -46,7 +48,8 @@ val upcast_dedup :
     per key (default 1) — the "ignore further messages with this label"
     filtering of Lemmas 2.3/2.4 (which needs [per_key = 2]: a label is
     non-singleton as soon as two witnesses exist).  Duplicate items (equal
-    as values) are never forwarded twice. *)
+    as values) are never forwarded twice.  [bits] is called once per item,
+    at its holder, as in {!upcast}. *)
 
 val upcast_sequential :
   ?env:Sim.env ->

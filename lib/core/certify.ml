@@ -20,7 +20,8 @@ let check ?dual inst ~solution =
       let weight = Instance.solution_weight inst solution in
       let forest = Instance.is_forest g solution in
       let minimal =
-        forest && solution = Instance.prune inst solution
+        forest
+        && Array.for_all2 Bool.equal solution (Instance.prune inst solution)
       in
       match dual with
       | Some d when d > float_of_int weight +. 1e-6 ->

@@ -32,7 +32,10 @@ type ckey = { mu : Frac.t; pair : int * int; eid : int }
 
 let ckey_cmp a b =
   let c = Frac.compare a.mu b.mu in
-  if c <> 0 then c else compare (a.pair, a.eid) (b.pair, b.eid)
+  if c <> 0 then c
+  else
+    let c = Dsf_util.Intmath.compare_pair a.pair b.pair in
+    if c <> 0 then c else Int.compare a.eid b.eid
 
 let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
   let network =

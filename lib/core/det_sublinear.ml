@@ -31,7 +31,10 @@ let ckey_cmp a b =
   if c <> 0 then c
   else begin
     let c = Frac.compare a.mu b.mu in
-    if c <> 0 then c else compare (a.pair, a.eid) (b.pair, b.eid)
+    if c <> 0 then c
+    else
+      let c = Dsf_util.Intmath.compare_pair a.pair b.pair in
+      if c <> 0 then c else Int.compare a.eid b.eid
   end
 
 let isqrt = Dsf_util.Intmath.isqrt

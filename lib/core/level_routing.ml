@@ -71,7 +71,9 @@ let route_phase ?(env = Sim.default_env) g vt ~origins =
           dispatch st);
       is_done = (fun st -> st.unsent = []);
       msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
-      wake = None;
+      (* A node with nothing unsent and no mail returns its state as is
+         and sends nothing, so only mail or a pending entry wakes it. *)
+      wake = Some Sim.never;
     }
   in
   Sim.run ~env g proto
@@ -118,7 +120,8 @@ let backtrace_phase ?(env = Sim.default_env) g ~tables ~bundles =
           dispatch st);
       is_done = (fun st -> st.b_queue = []);
       msg_bits = (fun _ -> 3 * Bitsize.id_bits ~n);
-      wake = None;
+      (* As in [route_phase]: an empty queue and no mail is a no-op. *)
+      wake = Some Sim.never;
     }
   in
   Sim.run ~env g proto

@@ -144,7 +144,7 @@ let next_event st =
             | None -> true
             | Some b ->
                 let c = Frac.compare mu b.mu in
-                c < 0 || (c = 0 && (i, j) < (b.vi, b.wi))
+                c < 0 || (c = 0 && (i < b.vi || (i = b.vi && j < b.wi)))
           in
           if better then best := Some { mu; vi = i; wi = j }
         end

@@ -171,7 +171,8 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
           in
           let helper_forest, t3 =
             Dsf_congest.Pipeline.filtered_upcast ~env g ~tree
-              ~vn:(List.length all_labels) ~pre:[] ~items ~cmp:compare
+              ~vn:(List.length all_labels) ~pre:[] ~items
+              ~cmp:Dsf_util.Intmath.compare_pair
               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)
           in
           let t4 =

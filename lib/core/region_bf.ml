@@ -10,9 +10,9 @@ type node_result = {
 
 type msg = Relax of { dist : Frac.t; owner : int; hops : int }
 
-let better (d1, o1, h1) (d2, o2, h2) =
+let better (d1, (o1 : int), (h1 : int)) (d2, o2, h2) =
   let c = Frac.compare d1 d2 in
-  c < 0 || (c = 0 && (o1, h1) < (o2, h2))
+  c < 0 || (c = 0 && (o1 < o2 || (o1 = o2 && h1 < h2)))
 
 (* Node state of the relaxation protocol.  Distances are exact dyadic
    rationals ({!Frac.t}), which do not fit an immediate int, so messages

@@ -62,11 +62,11 @@ let merge_paths ~(env : Sim.env) g ~(labels : int array) ~parent merges =
   let t = Array.length labels in
   (* F_min: a merge is needed iff dropping it leaves two terminals of one
      input component in different moats. *)
-  let needed (pair0, _) =
+  let needed ((a0, b0), _) =
     let uf = Uf.create t in
     List.iter
       (fun ((a, b), _) ->
-        if (a, b) <> pair0 then ignore (Uf.union uf a b))
+        if a <> a0 || b <> b0 then ignore (Uf.union uf a b))
       merges;
     let disconnects = ref false in
     for ti = 0 to t - 1 do

@@ -34,7 +34,7 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
   let surviving, s2 =
     Pipeline.filtered_upcast ~env g
       ~tree ~vn:n
-      ~pre:[] ~items ~cmp:compare
+      ~pre:[] ~items ~cmp:Dsf_util.Intmath.compare_pair
       ~bits:(fun _ -> pair_bits)
   in
   let pairs = List.map (fun it -> it.Pipeline.a, it.Pipeline.b) surviving in

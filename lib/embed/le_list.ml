@@ -31,7 +31,8 @@ let staircase_insert list (e : entry) =
     let rec insert = function
       | [] -> [ e ]
       | k :: rest ->
-          if (k.dist, k.rank) < (e.dist, e.rank) then k :: insert rest
+          if k.dist < e.dist || (k.dist = e.dist && k.rank < e.rank) then
+            k :: insert rest
           else e :: k :: rest
     in
     Some (insert survivors)
@@ -165,7 +166,8 @@ let verify_against g t =
       List.init n Fun.id
       |> List.filter (fun w -> dist.(w) < max_int)
       |> List.sort (fun a b ->
-             compare (dist.(a), -t.ranks.(a)) (dist.(b), -t.ranks.(b)))
+             let c = Int.compare dist.(a) dist.(b) in
+             if c <> 0 then c else Int.compare t.ranks.(b) t.ranks.(a))
     in
     let expected =
       List.fold_left
@@ -176,6 +178,7 @@ let verify_against g t =
       |> snd |> List.rev
     in
     let actual = List.map (fun e -> e.target, e.dist) t.lists.(v) in
-    if expected <> actual then ok := false
+    let same (w, d) (w', d') = Int.equal w w' && Int.equal d d' in
+    if not (List.equal same expected actual) then ok := false
   done;
   !ok

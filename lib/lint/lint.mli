@@ -30,7 +30,8 @@
       check, marked site-by-site with [[@lint.allow "unsafe-array"]] (the
       flat engine's inbox accessors are the canonical example).
 
-    The typed rules ([domain-race], [congest-width]) live in
+    The typed rules ([domain-race], [congest-width], [env-dropped],
+    [poly-compare]) live in
     {!Typed_lint} and run over [.cmt] artifacts via [lint.exe --typed].
 
     {2 Suppression}

@@ -22,6 +22,7 @@ type rule = Lint.rule = { id : string; synopsis : string; rationale : string }
 let rule_domain_race = "domain-race"
 let rule_congest_width = "congest-width"
 let rule_env_dropped = "env-dropped"
+let rule_poly_compare = "poly-compare"
 
 let rules =
   [
@@ -54,6 +55,18 @@ let rules =
          network; a call that omits ?env while an env is in scope \
          silently runs lossless and uninstrumented, so traces, flight logs \
          and chaos runs miss it";
+    };
+    {
+      id = rule_poly_compare;
+      synopsis =
+        "Stdlib comparison at a type ocamlopt cannot specialize (simulator \
+         libraries)";
+      rationale =
+        "compare, =, <>, <, >, <=, >=, min and max at a type variable, \
+         tuple, record, list, option or array compile to a C call into the \
+         runtime's structural compare; in the engine and protocol code of \
+         lib/congest, lib/embed and lib/core that call runs per message \
+         or per round, where an Int.compare chain is an inline compare";
     };
   ]
 
@@ -778,12 +791,99 @@ let env_hint =
    ... }); mark a deliberately fresh environment with [@lint.allow \
    \"env-dropped\"]"
 
+(* -------------------------------------------------------- poly-compare *)
+
+(* The simulator: engine, embeddings and algorithms, whose comparisons
+   run per message or per round. *)
+let poly_compare_dirs = [ "lib/congest/"; "lib/embed/"; "lib/core/" ]
+
+let in_poly_compare_scope file =
+  let file = Lint.normalize file in
+  List.exists (fun d -> String.starts_with ~prefix:d file) poly_compare_dirs
+
+let poly_compare_ops =
+  [ "compare"; "="; "<>"; "<"; ">"; "<="; ">="; "min"; "max" ]
+
+let is_poly_compare p =
+  match path_comps p with
+  | [ "Stdlib"; op ] -> List.mem op poly_compare_ops
+  | _ -> false
+
+(* ocamlopt compiles [x = C] and [x <> C], for a constant constructor or
+   argument-less variant [C], to an integer test whatever the type. *)
+let is_constant_constructor (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Texp_construct (_, { Types.cstr_tag = Types.Cstr_constant _; _ }, _)
+  | Texp_variant (_, None) ->
+      true
+  | _ -> false
+
+let inline_constant_test f args =
+  match Option.map path_comps (head_path f) with
+  | Some [ "Stdlib"; ("=" | "<>") ] ->
+      List.exists
+        (function _, Some a -> is_constant_constructor a | _, None -> false)
+        args
+  | _ -> false
+
+(* The operand type as ocamlopt's comparison specialization sees it,
+   abbreviations expanded: a type variable, tuple, record, list, option
+   or array keeps the generic C primitive.  A [.cmt] keeps only environment
+   summaries, so the full environment is rebuilt (from the [.cmi] files on
+   the unit's load path, see [check_cmt]) when a type constructor has to
+   be expanded or looked up. *)
+let generic_operand (e : Typedtree.expression) =
+  let classify env ty =
+    match Types.get_desc ty with
+    | Types.Tvar _ | Types.Tunivar _ -> Some "a type variable"
+    | Types.Ttuple _ -> Some "a tuple"
+    | Types.Tconstr (p, _, _) when Path.same p Predef.path_list -> Some "a list"
+    | Types.Tconstr (p, _, _) when Path.same p Predef.path_option ->
+        Some "an option"
+    | Types.Tconstr (p, _, _) when Path.same p Predef.path_array ->
+        Some "an array"
+    | Types.Tconstr (p, _, _) -> (
+        match (Env.find_type p env).Types.type_kind with
+        | Types.Type_record _ -> Some ("the record " ^ path_display p)
+        | _ -> None
+        | exception Not_found -> None)
+    | _ -> None
+  in
+  match Types.get_desc e.Typedtree.exp_type with
+  | Types.Tarrow (_, ty, _, _) -> (
+      match Types.get_desc ty with
+      | Types.Tconstr (Path.Pident id, _, _) when Ident.is_predef id ->
+          classify Env.empty ty
+      | Types.Tconstr _ ->
+          let env = Envaux.env_of_only_summary e.Typedtree.exp_env in
+          classify env (Ctype.expand_head env ty)
+      | _ -> classify Env.empty ty)
+  | _ -> None
+
+let poly_hint =
+  "compare field by field with Int.compare (or give the operand the type \
+   int), or mark a cold site (abort or inspect printing) with [@lint.allow \
+   \"poly-compare\"] and a one-line reason"
+
+let check_poly_compare ctx (e : Typedtree.expression) p =
+  match generic_operand e with
+  | Some kind ->
+      femit ctx ~loc:e.Typedtree.exp_loc ~rule:rule_poly_compare
+        ~message:
+          (Printf.sprintf
+             "polymorphic `%s' at %s: ocamlopt calls the runtime's \
+              structural compare instead of an inline compare"
+             (Path.last p) kind)
+        ~hint:poly_hint
+  | None -> ()
+
 (* ------------------------------------------------------------ the pass *)
 
 let analyze_structure ~file (str : Typedtree.structure) =
   let defs = collect_defs str in
   let tainted = compute_taint defs in
   let ctx = { f_file = file; defs; tainted; f_allows = []; out = [] } in
+  let poly_scope = in_poly_compare_scope file in
   let default = Tast_iterator.default_iterator in
   (* env-dropped scope: how many enclosing binders (function parameters,
      let- and match-bound variables) of type [Sim.env] are visible.
@@ -831,6 +931,8 @@ let analyze_structure ~file (str : Typedtree.structure) =
         | Some p when tail2 (path_comps p) = Some ("Pack", "layout") ->
             check_layout ctx e args
         | _ -> ())
+    | Texp_ident (p, _, _) when poly_scope && is_poly_compare p ->
+        check_poly_compare ctx e p
     | _ -> ());
     (* A let body is walked in scope of its env binders (function and
        match cases are scoped by [case] below). *)
@@ -843,6 +945,8 @@ let analyze_structure ~file (str : Typedtree.structure) =
                binds_env ~file vb.Typedtree.vb_pat)
              vbs)
           (fun () -> it.Tast_iterator.expr it body)
+    | Texp_apply (f, args) when poly_scope && inline_constant_test f args ->
+        List.iter (fun (_, a) -> Option.iter (it.Tast_iterator.expr it) a) args
     | _ -> default.expr it e);
     ctx.f_allows <- saved
   in
@@ -869,16 +973,49 @@ let analyze_structure ~file (str : Typedtree.structure) =
 
 (* -------------------------------------------------------- cmt scanning *)
 
-let check_cmt path : (Finding.t list, string) result =
+(* Points the compiler's load path at the unit's own, so [Envaux] can
+   rebuild its environments from the [.cmi] files it was compiled
+   against.  Relative entries are relative to the build root, which dune
+   records as a placeholder [cmt_builddir]; the root is the nearest
+   ancestor of the [.cmt] holding the unit's source under its recorded
+   relative path (dune copies sources into its build tree). *)
+let init_load_path path (infos : Cmt_format.cmt_infos) =
+  let src = Option.value infos.Cmt_format.cmt_sourcefile ~default:"" in
+  let rec find_root d =
+    if Sys.file_exists (Filename.concat d src) then d
+    else
+      let up = Filename.dirname d in
+      if up = d then infos.Cmt_format.cmt_builddir else find_root up
+  in
+  let dir = Filename.dirname path in
+  let root =
+    find_root
+      (if Filename.is_relative dir then Filename.concat (Sys.getcwd ()) dir
+       else dir)
+  in
+  Load_path.init ~auto_include:Load_path.no_auto_include
+    (List.map
+       (fun d -> if Filename.is_relative d then Filename.concat root d else d)
+       infos.Cmt_format.cmt_loadpath);
+  Envaux.reset_cache ()
+
+let check_cmt ?file path : (Finding.t list, string) result =
   match Cmt_format.read_cmt path with
   | infos -> (
       let file =
-        match infos.Cmt_format.cmt_sourcefile with
-        | Some f -> Lint.normalize f
-        | None -> path
+        match (file, infos.Cmt_format.cmt_sourcefile) with
+        | Some f, _ | None, Some f -> Lint.normalize f
+        | None, None -> path
       in
       match infos.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str -> Ok (analyze_structure ~file str)
+      | Cmt_format.Implementation str -> (
+          init_load_path path infos;
+          match analyze_structure ~file str with
+          | findings -> Ok findings
+          | exception Envaux.Error err ->
+              Error
+                (Format.asprintf "%s: cannot rebuild a typing environment: %a"
+                   path Envaux.report_error err))
       | _ -> Ok [] (* interfaces / partial units: nothing to analyze *))
   (* Intentional firewall, mirroring Lint.check_string: an unreadable or
      version-skewed cmt becomes a per-file error, not a dead scan. *)

@@ -27,6 +27,17 @@
       network.  Toplevel values
       such as [Sim.default_env] do not put an env in scope, and an
       explicit [?env:None] is not flagged.
+    - [poly-compare] — in [lib/congest], [lib/embed] and [lib/core] (the
+      simulator's engine, embeddings and algorithms): an application or
+      first-class use ([List.sort compare], [~cmp:compare]) of Stdlib's
+      [compare], [=], [<>], [<], [>], [<=], [>=], [min] or [max] whose
+      operand type, after [Ctype.expand_head], is a type variable, tuple,
+      record, list, option or array.  There ocamlopt leaves the generic C
+      primitive ([caml_compare], [caml_lessthan], ...) where an
+      [Int.compare] chain or an [int] annotation compiles inline.
+      [x = C] and [x <> C] against a constant constructor [C] are
+      integer tests and are not flagged.  The full typing environment
+      is rebuilt from the [.cmi] files on the unit's recorded load path.
 
     Suppression uses the same [[@lint.allow "rule-id"]] attributes as the
     Parsetree pass (they survive into the Typedtree).
@@ -43,13 +54,16 @@ val rules : Lint.rule list
 
 val analyze_structure : file:string -> Typedtree.structure -> Finding.t list
 (** Runs every typed rule over one implementation's Typedtree; [file] is
-    the fallback path reported when a location carries no filename.
+    the unit's repo-relative source path, which decides the rules' scope
+    ([poly-compare]) and is reported when a location carries no filename.
     Findings are sorted. *)
 
-val check_cmt : string -> (Finding.t list, string) result
-(** Reads one [.cmt] and analyzes it.  Non-implementation artifacts
-    (interfaces, packs) yield [Ok []]; unreadable or version-skewed files
-    yield [Error]. *)
+val check_cmt : ?file:string -> string -> (Finding.t list, string) result
+(** Reads one [.cmt] and analyzes it as [file] (default: the source path
+    recorded in the [.cmt]).  Non-implementation artifacts (interfaces,
+    packs) yield [Ok []]; unreadable or version-skewed files, and
+    environments that cannot be rebuilt from the unit's load path, yield
+    [Error]. *)
 
 val scan : roots:string list -> Finding.t list * string list
 (** Walks each root (directory or single [.cmt]) collecting every [.cmt]

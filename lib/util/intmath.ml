@@ -13,3 +13,7 @@ let ceil_log2 n =
 let ceil_div a b =
   assert (b > 0);
   (a + b - 1) / b
+
+let compare_pair (a1, a2) (b1, b2) =
+  let c = Int.compare a1 b1 in
+  if c <> 0 then c else Int.compare a2 b2

@@ -8,3 +8,8 @@ val ceil_log2 : int -> int
 
 val ceil_div : int -> int -> int
 (** [ceil_div a b] = ceiling of a / b for positive b. *)
+
+val compare_pair : int * int -> int * int -> int
+(** Lexicographic order on int pairs: the sign of [compare] on them, but
+    as two inline integer compares instead of a call into the runtime's
+    polymorphic compare. *)

@@ -135,6 +135,71 @@ module Tree_ops = struct
     let states, stats = sim_run ~env g proto in
     List.rev states.(tree.root).received, stats
 
+  type ('a, 'b) dedup_state = {
+    d_pending : 'a list;
+    d_seen : ('b, 'a list) Hashtbl.t;  (** key -> distinct items kept *)
+    d_received : 'a list;
+  }
+
+  let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g
+      ~(tree : Dsf_congest.Bfs.tree) ~items ~key ~bits =
+    (* Keep an item iff its key has fewer than [per_key] distinct items so
+       far and the item itself is new. *)
+    let admit seen it k =
+      let kept = Option.value ~default:[] (Hashtbl.find_opt seen k) in
+      if List.length kept >= per_key || List.mem it kept then false
+      else begin
+        Hashtbl.replace seen k (it :: kept);
+        true
+      end
+    in
+    let proto : (('a, 'b) dedup_state, 'a) Sim.protocol =
+      {
+        init =
+          (fun view ->
+            let seen = Hashtbl.create 8 in
+            let mine =
+              List.filter (fun it -> admit seen it (key it)) (items view.Sim.node)
+            in
+            if view.Sim.node = tree.root then
+              { d_pending = []; d_seen = seen; d_received = List.rev mine }
+            else { d_pending = mine; d_seen = seen; d_received = [] });
+        step =
+          (fun view ~round:_ st ~inbox ->
+            let v = view.Sim.node in
+            let fresh =
+              List.filter_map
+                (fun (_, it) ->
+                  if admit st.d_seen it (key it) then Some it else None)
+                inbox
+            in
+            if v = tree.root then
+              { st with d_received = List.rev_append fresh st.d_received }, []
+            else begin
+              match st.d_pending @ fresh with
+              | [] -> { st with d_pending = [] }, []
+              | item :: rest ->
+                  { st with d_pending = rest }, [ tree.parent.(v), item ]
+            end);
+        is_done = (fun st -> st.d_pending = []);
+        msg_bits = bits;
+        wake = Some Sim.never;
+      }
+    in
+    let states, stats =
+      (* The seen-table makes the state mutable, so the recovery snapshot
+         must copy it. *)
+      sim_run ~env
+        ~recovery:
+          {
+            Fault.snapshot =
+              (fun st -> { st with d_seen = Hashtbl.copy st.d_seen });
+            state_bits = (fun st -> 63 * (1 + Hashtbl.length st.d_seen));
+          }
+        g proto
+    in
+    List.rev states.(tree.root).d_received, stats
+
   let broadcast ?(env = Sim.default_env) g ~(tree : Dsf_congest.Bfs.tree)
       ~items ~bits =
     (* A node's state is the list of items it has yet to forward. *)

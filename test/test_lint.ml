@@ -215,7 +215,7 @@ let test_zones_and_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse error expected");
   check Alcotest.int "rule catalogue" 6 (List.length Lint.rules);
-  check Alcotest.int "typed rule catalogue" 3 (List.length Typed_lint.rules)
+  check Alcotest.int "typed rule catalogue" 4 (List.length Typed_lint.rules)
 
 (* --------------------------------------------------------------- baseline *)
 
@@ -325,6 +325,38 @@ let test_typed_fixtures () =
       (List.sort Finding.compare findings = findings)
   end
 
+(* poly-compare is scoped to the simulator libraries, so the fixture is
+   analyzed as a lib/congest unit; under its own path (or any other
+   library's) the rule stays silent. *)
+let test_typed_poly_compare () =
+  let cmt =
+    List.fold_left Filename.concat "fixtures"
+      [ ".dsf_lint_fixtures.objs"; "byte"; "dsf_lint_fixtures__Poly_compare.cmt" ]
+  in
+  if Sys.file_exists cmt then begin
+    let found file =
+      match Typed_lint.check_cmt ~file cmt with
+      | Ok fs ->
+          List.map
+            (fun (f : Finding.t) ->
+              Filename.basename f.Finding.file, f.Finding.rule, f.Finding.line)
+            fs
+      | Error e -> Alcotest.fail e
+    in
+    let site line = "poly_compare.ml", "poly-compare", line in
+    check
+      Alcotest.(list (triple string string int))
+      "sort helper, tuple compare, first-class compare at a record"
+      [ site 14; site 22; site 27 ]
+      (found "lib/congest/poly_compare.ml");
+    List.iter
+      (fun file ->
+        check
+          Alcotest.(list (triple string string int))
+          ("out of scope: " ^ file) [] (found file))
+      [ "test/fixtures/poly_compare.ml"; "lib/graph/poly_compare.ml" ]
+  end
+
 let test_typed_repo_clean () =
   let root = Filename.concat ".." "lib" in
   if Sys.file_exists root then begin
@@ -353,5 +385,7 @@ let suites =
           test_typed_fixtures;
         Alcotest.test_case "typed rules clean on shipped libs" `Quick
           test_typed_repo_clean;
+        Alcotest.test_case "poly-compare flags generic comparisons" `Quick
+          test_typed_poly_compare;
       ] );
   ]

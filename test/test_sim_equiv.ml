@@ -460,6 +460,63 @@ let prop_flat_equiv_lossless =
       && adapter
          = capture (fun env -> Sim.run_reference ~env g (flood_protocol root)))
 
+(* Dense rounds: every node that hears mail relays it, with one less
+   hop to live, to a scrambled subset of its neighbours in a scrambled
+   order, so nearly every node is a recipient in every round and the
+   round's recipients reach the engine out of order.  All nodes are done
+   after their round-0 kick-off, so the whole recipient list goes through
+   the sparse active-list rebuild (the sort and merge) each round.  The
+   state folds each inbox in delivery order, so a misordered inbox shows
+   in the final states as well as in the log. *)
+type dense_state = { started : bool; digest : int }
+
+let dense_flat ~ttl : (dense_state, int) Sim.flat_protocol =
+  let mix v round nb = Hashtbl.hash (v, round, nb) in
+  let relay view ~round ~emit hops =
+    let v = view.Sim.node in
+    Array.to_list view.Sim.nbrs
+    |> List.filter_map (fun (nb, _, _) ->
+           let h = mix v round nb in
+           if h land 3 = 0 then None else Some (h, nb))
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (_, nb) -> emit ~dst:nb hops)
+  in
+  {
+    fp_init = (fun _ -> { started = false; digest = 0 });
+    fp_step =
+      (fun view ~round st ~inbox ~emit ->
+        let digest = ref st.digest and hops = ref 0 in
+        for i = 0 to Sim.inbox_len inbox - 1 do
+          let h = Sim.inbox_msg inbox i in
+          digest :=
+            ((!digest * 31) + (Sim.inbox_src inbox i * 7) + h) land 0xFFFFFF;
+          hops := max !hops h
+        done;
+        if not st.started then relay view ~round ~emit ttl
+        else if !hops > 1 then relay view ~round ~emit (!hops - 1);
+        { started = true; digest = !digest });
+    fp_is_done = (fun st -> st.started);
+    fp_msg_bits = (fun h -> Dsf_util.Bitsize.int_bits (max 1 h));
+    fp_wake = Some Sim.never;
+  }
+
+let prop_flat_dense_rounds =
+  QCheck.Test.make
+    ~name:"run_flat = run_reference (dense rounds, scrambled recipients)"
+    ~count:20
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let r = rng seed in
+      let n = 20 + Dsf_util.Rng.int r 100 in
+      let g = Gen.random_connected r ~n ~extra_edges:(3 * n) ~max_w:5 in
+      let p = dense_flat ~ttl:(4 + (seed mod 8)) in
+      let flat = capture (fun env -> Sim.run_flat ~env g p) in
+      (match flat with
+      | Ok (_, t), _ -> t.Sim.messages > 4 * n
+      | Error _, _ -> false)
+      && flat
+         = capture (fun env -> Sim.run_reference ~env g (Sim.protocol_of_flat p)))
+
 (* The seed loop has no fault injection, so the engine's fault accounting
    is pinned by hand on a 4-node path flood (6 sends lossless): every
    counter against its definition in sim.mli, on the adapter and the
@@ -645,9 +702,22 @@ let prop_flat_native_tree_ops =
       let broadcast run env =
         (), run env g ~tree ~items:[ 1; 2; 3 ] ~bits:Fun.id
       in
+      (* Repeated items and shared keys exercise both dedup filters. *)
+      let dedup_items v = [ v mod 5; v mod 3; v mod 5 ] in
+      let key x = x mod 2 in
       native_matches_classic ~seed g
         ~native:(fun env -> Tree_ops.upcast ~env g ~tree ~items ~bits)
         ~classic:(fun env -> Classic.Tree_ops.upcast ~env g ~tree ~items ~bits)
+      && List.for_all
+           (fun per_key ->
+             native_matches_classic ~seed g
+               ~native:(fun env ->
+                 Tree_ops.upcast_dedup ~env ~per_key g ~tree
+                   ~items:dedup_items ~key ~bits)
+               ~classic:(fun env ->
+                 Classic.Tree_ops.upcast_dedup ~env ~per_key g ~tree
+                   ~items:dedup_items ~key ~bits))
+           [ 1; 2 ]
       && native_matches_classic ~seed g
            ~native:(broadcast (fun env -> Tree_ops.broadcast ~env))
            ~classic:(broadcast (fun env -> Classic.Tree_ops.broadcast ~env))
@@ -808,6 +878,7 @@ let suites =
         qtest prop_empty_plan_identity;
         qtest prop_flat_equiv_faults_telemetry;
         qtest prop_flat_equiv_lossless;
+        qtest prop_flat_dense_rounds;
         qtest prop_flat_native_bfs;
         qtest prop_flat_native_bellman_ford;
         qtest prop_flat_native_region_bf;
