@@ -166,7 +166,7 @@ let exact_fields =
     "rounds"; "rounds_per_run"; "base_rounds"; "recovery_rounds";
     "lossless_rounds"; "hardened_rounds"; "hardened_messages"; "messages";
     "bits"; "weight"; "check"; "count"; "max_edge_round_bits";
-    "ledger_simulated"; "ledger_charged"; "dropped"; "retransmissions";
+    "ledger_charged"; "dropped"; "retransmissions";
     "restores"; "checkpoint_bits"; "states_match"; "masked"; "events";
     "log_bytes";
   ]

@@ -990,7 +990,6 @@ type profile_row = {
   p_messages : int;
   p_bits : int;
   p_merb : int;
-  p_ledger_sim : int;
   p_ledger_charged : int;
   p_dropped : int;
   p_retrans : int;
@@ -1011,7 +1010,6 @@ let flatten_profile tel =
         p_messages = s.Telemetry.messages;
         p_bits = s.Telemetry.bits;
         p_merb = s.Telemetry.max_edge_round_bits;
-        p_ledger_sim = s.Telemetry.ledger_simulated;
         p_ledger_charged = s.Telemetry.ledger_charged;
         p_dropped = s.Telemetry.dropped;
         p_retrans = s.Telemetry.retransmissions;
@@ -1045,7 +1043,7 @@ type recovery_row = {
   rv_retrans : int;
   rv_restores : int option;
       (* None for det_dsf legs: restores happen inside the primitives'
-         hardened runs and have no ledger attribution to recover them
+         hardened runs, and telemetry reports no counter to recover them
          from post-hoc (unlike retransmissions / recovery rounds) *)
   rv_recovery_rounds : int;
   rv_checkpoint_bits : int;
@@ -1115,20 +1113,17 @@ let recovery_det_dsf ~windows =
           ~chaos:(Dsf_congest.Fault.chaos plan)
           inst)
   in
-  (* The recovery counters of the inner hardened primitives land on the
-     "hardened" telemetry spans: the only ledger add made while such a
-     span is open is the hardened runner's own recovery rounds (det_dsf's
-     result-ledger adds happen after each primitive's span closes), and
-     the checkpoint bits go to the metrics registry — so the totals fall
-     out of the profile. *)
-  let retrans = ref 0 and sim = ref 0 in
+  (* The retransmissions of the inner hardened primitives land on the
+     "hardened" telemetry spans, and their recovery rounds and checkpoint
+     bits go to the metrics registry — so the totals fall out of the
+     profile. *)
+  let retrans = ref 0 in
   List.iter
     (fun row ->
       let p = row.path and s = "/hardened" in
       let lp = String.length p and ls = String.length s in
       if (lp >= ls && String.sub p (lp - ls) ls = s) || p = "hardened" then begin
-        retrans := !retrans + row.p_retrans;
-        sim := !sim + row.p_ledger_sim
+        retrans := !retrans + row.p_retrans
       end)
     (flatten_profile tel);
   let total l = Dsf_congest.Ledger.total l in
@@ -1139,7 +1134,9 @@ let recovery_det_dsf ~windows =
     rv_rounds = total res.Dsf_core.Det_dsf.ledger;
     rv_retrans = !retrans;
     rv_restores = None;
-    rv_recovery_rounds = !sim;
+    rv_recovery_rounds =
+      Dsf_util.Metrics.counter_value (Telemetry.metrics tel)
+        "fault/recovery_rounds";
     rv_checkpoint_bits =
       Dsf_util.Metrics.counter_value (Telemetry.metrics tel)
         "fault/checkpoint_bits";
@@ -1363,11 +1360,10 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
     (fun i r ->
       p
         "    {\"path\": \"%s\", \"count\": %d, \"rounds\": %d, \"messages\": \
-         %d, \"bits\": %d, \"max_edge_round_bits\": %d, \"ledger_simulated\": \
-         %d, \"ledger_charged\": %d, \"dropped\": %d, \"retransmissions\": \
-         %d}%s\n"
+         %d, \"bits\": %d, \"max_edge_round_bits\": %d, \"ledger_charged\": \
+         %d, \"dropped\": %d, \"retransmissions\": %d}%s\n"
         (json_escape r.path) r.span_count r.p_rounds r.p_messages r.p_bits
-        r.p_merb r.p_ledger_sim r.p_ledger_charged r.p_dropped r.p_retrans
+        r.p_merb r.p_ledger_charged r.p_dropped r.p_retrans
         (if i = List.length profile - 1 then "" else ","))
     profile;
   p "  ]\n}\n";

@@ -237,12 +237,11 @@ let e6 () =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.cr_side
           (fun ~telemetry ->
             let ic =
-              (Dsf_core.Transform.cr_to_ic
-                 ~env:
-                   { Dsf_congest.Sim.default_env with
-                     telemetry = Some telemetry }
-                 gad.Dsf_lower_bound.Gadgets.cr)
-                .Dsf_core.Transform.value
+              Dsf_core.Transform.cr_to_ic
+                ~env:
+                  { Dsf_congest.Sim.default_env with
+                    telemetry = Some telemetry }
+                gad.Dsf_lower_bound.Gadgets.cr
             in
             Dsf_core.Det_dsf.run ~telemetry ic)
       in
@@ -360,6 +359,12 @@ let e9 () =
 
 (* ------------------------------------------------------------------ E10 *)
 
+(* The rounds a transform's runs take, read from a ledger in its env. *)
+let transform_rounds f =
+  let ledger = Ledger.create () in
+  ignore (f { Dsf_congest.Sim.default_env with ledger = Some ledger });
+  Ledger.simulated ledger
+
 let e10 () =
   header "E10 (Lemmas 2.3, 2.4)"
     "CR->IC transform in O(D + t) rounds; minimalization in O(D + k) rounds";
@@ -376,10 +381,10 @@ let e10 () =
         if a <> b then requests.(a) <- b :: requests.(a)
       done;
       let cr = Instance.make_cr g requests in
-      let out = Dsf_core.Transform.cr_to_ic cr in
+      let rounds = transform_rounds (fun env -> Dsf_core.Transform.cr_to_ic ~env cr) in
       let d = Paths.diameter_unweighted g in
-      Format.printf "%6d %6d %10d@." t d out.Dsf_core.Transform.rounds;
-      pts := (float_of_int t, float_of_int out.Dsf_core.Transform.rounds) :: !pts)
+      Format.printf "%6d %6d %10d@." t d rounds;
+      pts := (float_of_int t, float_of_int rounds) :: !pts)
     [ 8; 16; 32; 64 ];
   Format.printf "-- minimalize rounds vs k (grid, D fixed) --@.";
   Format.printf "%6s %10s@." "k" "rounds";
@@ -390,9 +395,11 @@ let e10 () =
       let g = Gen.reweight r ~max_w:5 (Gen.grid ~rows:8 ~cols:8) in
       let labels = Gen.random_labels r ~n:64 ~t:(2 * k) ~k in
       let inst = Instance.make_ic g labels in
-      let out = Dsf_core.Transform.minimalize inst in
-      Format.printf "%6d %10d@." k out.Dsf_core.Transform.rounds;
-      pts2 := (float_of_int k, float_of_int out.Dsf_core.Transform.rounds) :: !pts2)
+      let rounds =
+        transform_rounds (fun env -> Dsf_core.Transform.minimalize ~env inst)
+      in
+      Format.printf "%6d %10d@." k rounds;
+      pts2 := (float_of_int k, float_of_int rounds) :: !pts2)
     [ 2; 4; 8; 16 ];
   (* Rounds = c1 + c2 * t (resp k): linear fits should have modest slopes
      and the constant ~D. *)
@@ -415,7 +422,7 @@ let e11 () =
     (fun n ->
       let r = Rng.create (1300 + n) in
       let g = Gen.random_connected r ~n ~extra_edges:n ~max_w:10 in
-      let vt, _ = Dsf_embed.Virtual_tree.build r g in
+      let vt = Dsf_embed.Virtual_tree.build r g in
       let apsp = Paths.all_pairs g in
       let sum = ref 0.0 and cnt = ref 0 and worst = ref 0.0 in
       for u = 0 to n - 1 do
@@ -461,11 +468,8 @@ let f1 () =
         (Graph.edge g (List.hd cg.Dsf_lower_bound.Gadgets.heavy_edges)).Graph.w
         (Paths.diameter_unweighted g);
       let ic_res =
-        let ic =
+        Dsf_core.Det_dsf.run
           (Dsf_core.Transform.cr_to_ic cg.Dsf_lower_bound.Gadgets.cr)
-            .Dsf_core.Transform.value
-        in
-        Dsf_core.Det_dsf.run ic
       in
       let heavy_used =
         List.exists

@@ -269,15 +269,15 @@ echo "ci: chaos flight-recorder smoke ok (det_small --chaos 5, summary + critica
 
 # A centralized solver's log has spans but no messages, so
 # --critical-path must still list its span.
-with_timeout 120 dune exec bin/dsf_cli.exe -- solve --algo khan \
-  --file test/fixtures/det_small.dsf --record "$scratch/khan.flightlog" \
+with_timeout 120 dune exec bin/dsf_cli.exe -- solve --algo moat \
+  --file test/fixtures/det_small.dsf --record "$scratch/moat.flightlog" \
   > /dev/null
 with_timeout 120 dune exec bin/dsf_cli.exe -- inspect \
-  "$scratch/khan.flightlog" --critical-path > "$scratch/inspect_khan_cp.out"
-grep -q "^    khan_baseline " "$scratch/inspect_khan_cp.out" || {
-  echo "ci: inspect --critical-path of a khan log lost its span row" >&2
+  "$scratch/moat.flightlog" --critical-path > "$scratch/inspect_moat_cp.out"
+grep -q "^    centralized_moat " "$scratch/inspect_moat_cp.out" || {
+  echo "ci: inspect --critical-path of a moat log lost its span row" >&2
   exit 1; }
-echo "ci: message-free flight-recorder smoke ok (khan, critical path spans)"
+echo "ci: message-free flight-recorder smoke ok (moat, critical path spans)"
 
 # Pooled-trial flight-recorder smoke: rand's repetitions record into
 # per-trial recorders appended in trial order, so the log, and so its
@@ -427,11 +427,10 @@ else
 fi
 
 # Trace-coverage smoke: one run environment reaches every simulated run,
-# so the summed engine rounds of a traced solve's spans must equal the
-# "simulated N" the solve prints.  det and sublinear at n=200 (rand keeps
-# one weight-comparison BFS outside its ledger, so it has no such
-# identity).
-for algo in det sublinear; do
+# and the engine counts the printed rounds, so the summed engine rounds
+# of a traced solve's spans must equal the "simulated N" the solve
+# prints.  Every distributed solver at n=200.
+for algo in det sublinear rand khan; do
   with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo "$algo" \
     --topology random --nodes 200 --terminals 20 --components 5 --seed 3 \
     --jobs 1 --trace "$scratch/cover_$algo.jsonl" --trace-format jsonl \

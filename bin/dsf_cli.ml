@@ -122,8 +122,7 @@ let load_or_generate file topology rng n t k max_w =
   | Some path -> begin
       match read_instance_file path with
       | Dsf_graph.Io.Ic inst -> inst
-      | Dsf_graph.Io.Cr cr ->
-          (Dsf_core.Transform.cr_to_ic cr).Dsf_core.Transform.value
+      | Dsf_graph.Io.Cr cr -> Dsf_core.Transform.cr_to_ic cr
       | Dsf_graph.Io.Plain _ ->
           input_error path "no label or request lines: nothing to solve"
     end
@@ -260,7 +259,8 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     | "khan" ->
         let r =
           Dsf_congest.Telemetry.span_opt telemetry "khan_baseline" (fun () ->
-              Dsf_baseline.Khan_etal.run ~rng:(Dsf_util.Rng.split rng 1) inst)
+              Dsf_baseline.Khan_etal.run ?telemetry
+                ~rng:(Dsf_util.Rng.split rng 1) inst)
         in
         ( r.Dsf_baseline.Khan_etal.weight,
           r.Dsf_baseline.Khan_etal.solution,
@@ -392,14 +392,14 @@ let gadget_cmd kind universe seed intersect =
       let (res, bits) =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.cr_side
           (fun ~telemetry ->
-            let out =
+            let inst =
               Dsf_core.Transform.cr_to_ic
                 ~env:
                   { Dsf_congest.Sim.default_env with
                     telemetry = Some telemetry }
                 gad.Dsf_lower_bound.Gadgets.cr
             in
-            Dsf_core.Det_dsf.run ~telemetry out.Dsf_core.Transform.value)
+            Dsf_core.Det_dsf.run ~telemetry inst)
       in
       let heavy =
         List.exists

@@ -34,11 +34,21 @@ let () =
   List.iter (fun (a, b) -> Format.printf "  demand: town %d <-> town %d@." a b) demands;
 
   (* Lemma 2.3: convert requests to input components, distributively. *)
-  let out = Dsf_core.Transform.cr_to_ic cr in
-  let inst = out.Dsf_core.Transform.value in
+  let tel = Dsf_congest.Telemetry.create () in
+  let inst =
+    Dsf_core.Transform.cr_to_ic
+      ~env:{ Dsf_congest.Sim.default_env with telemetry = Some tel }
+      cr
+  in
+  (* Span counts are exclusive, so the transform's cost is its subtree's. *)
+  let rec sum f (s : Dsf_congest.Telemetry.span) =
+    List.fold_left (fun acc c -> acc + sum f c) (f s) s.children
+  in
+  let span = Option.get (Dsf_congest.Telemetry.find tel [ "cr_to_ic" ]) in
   Format.printf
     "@.Lemma 2.3 transform: %d rounds, %d messages -> %d input components@."
-    out.Dsf_core.Transform.rounds out.Dsf_core.Transform.messages
+    (sum (fun s -> s.rounds) span)
+    (sum (fun s -> s.messages) span)
     (Instance.component_count inst);
   List.iter
     (fun (lbl, towns) ->

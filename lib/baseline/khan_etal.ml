@@ -16,7 +16,7 @@ type result = {
    level: holders climb toward their ancestors, the target concentrates the
    label at one holder (we keep the lowest-id holder — the baseline has no
    need for the backtrace subtlety since only one label is in flight). *)
-let route_component g vt ledger ~label ~terminals =
+let route_component ~env g vt ~label ~terminals =
   let f = Array.make (Graph.m g) false in
   let holders = ref terminals in
   for i = 0 to vt.Virtual_tree.levels do
@@ -28,10 +28,7 @@ let route_component g vt ledger ~label ~terminals =
             [ label, vt.Virtual_tree.ancestors.(v).(i) ])
         !holders;
       let origins v = Option.value ~default:[] (Hashtbl.find_opt origin_set v) in
-      let rstates, stats = LR.route_phase g vt ~origins in
-      Ledger.add ledger Ledger.Simulated
-        (Printf.sprintf "component %d level %d routing" label i)
-        stats.Sim.rounds;
+      let rstates, _ = LR.route_phase ~env g vt ~origins in
       Array.iter
         (fun st -> List.iter (fun eid -> f.(eid) <- true) st.LR.marked)
         rstates;
@@ -45,32 +42,29 @@ let route_component g vt ledger ~label ~terminals =
   done;
   f
 
-let one_run rng g inst ledger =
+let one_run ~env rng g inst =
   let tree_rng = Dsf_util.Rng.split rng 0 in
-  let vt, vt_rounds = Virtual_tree.build tree_rng g in
-  Ledger.add ledger Ledger.Simulated "virtual tree construction" vt_rounds;
+  let vt = Virtual_tree.build ~env tree_rng g in
   let f = Array.make (Graph.m g) false in
   let comps = Instance.components inst in
   List.iter
     (fun (label, terminals) ->
       if List.length terminals >= 2 then begin
-        let fc = route_component g vt ledger ~label ~terminals in
+        let fc = route_component ~env g vt ~label ~terminals in
         Array.iteri (fun i b -> if b then f.(i) <- true) fc
       end)
     comps;
   f, List.length comps
 
-let run ?(repetitions = 3) ~rng inst0 =
-  let minimalized = Dsf_core.Transform.minimalize inst0 in
-  let inst = minimalized.Dsf_core.Transform.value in
-  let g = inst.Instance.graph in
+let run ?telemetry ?(repetitions = 3) ~rng inst0 =
   let ledger = Ledger.create () in
-  Ledger.add ledger Ledger.Simulated "setup: minimalize instance (Lemma 2.4)"
-    minimalized.Dsf_core.Transform.rounds;
+  let env = { Sim.default_env with telemetry; ledger = Some ledger } in
+  let inst = Dsf_core.Transform.minimalize ~env inst0 in
+  let g = inst.Instance.graph in
   let best = ref None in
   let routed = ref 0 in
   for rep = 1 to repetitions do
-    let f, k = one_run (Dsf_util.Rng.split rng rep) g inst ledger in
+    let f, k = one_run ~env (Dsf_util.Rng.split rng rep) g inst in
     routed := k;
     let w = Graph.edge_set_weight g f in
     match !best with
@@ -86,6 +80,6 @@ let run ?(repetitions = 3) ~rng inst0 =
    a dependency cycle (dsf_baseline already depends on dsf_core). *)
 let () =
   Dsf_core.Solver.khan_hook :=
-    fun ~repetitions ~rng inst ->
-      let r = run ~repetitions ~rng inst in
+    fun ?telemetry ~repetitions ~rng inst ->
+      let r = run ?telemetry ~repetitions ~rng inst in
       r.solution, r.weight, r.ledger

@@ -18,7 +18,13 @@ type result = {
 }
 
 val run :
+  ?telemetry:Dsf_congest.Telemetry.t ->
   ?repetitions:int ->
   rng:Dsf_util.Rng.t ->
   Dsf_graph.Instance.ic ->
   result
+(** Every simulated run (the minimalization, each repetition's virtual
+    tree, and each component's per-level routing) runs under one
+    {!Dsf_congest.Sim.env} built from [telemetry] and carrying the
+    result's ledger, so the engine counts all of them, and telemetry and
+    an attached flight recorder see every message. *)

@@ -23,8 +23,8 @@ let run g =
   let m = Graph.m g in
   let threshold = isqrt n in
   let ledger = Ledger.create () in
-  let tree, bfs_stats = Bfs.build g ~root:(Bfs.max_id_root g) in
-  Ledger.add ledger Ledger.Simulated "GKP: BFS tree" bfs_stats.Sim.rounds;
+  let env = { Sim.default_env with ledger = Some ledger } in
+  let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
   let uf = Uf.create n in
   let solution = Array.make m false in
   let iterations = ref 0 in
@@ -48,16 +48,12 @@ let run g =
       | [] -> None
       | l -> Some (List.fold_left min (List.hd l) l)
     in
-    let _, gossip_stats =
-      Dsf_congest.Component_ops.component_min_item g ~mask:solution
-        ~values:gossip_values ~cmp:compare
-        ~bits:(fun _ ->
-          Bitsize.id_bits ~n:(Graph.n g)
-          + Bitsize.weight_bits ~max_weight:(Graph.max_weight g))
-    in
-    Ledger.add ledger Ledger.Simulated
-      (Printf.sprintf "GKP: Boruvka iteration %d (fragment gossip)" !iterations)
-      gossip_stats.Dsf_congest.Sim.rounds;
+    ignore
+      (Dsf_congest.Component_ops.component_min_item ~env g ~mask:solution
+         ~values:gossip_values ~cmp:compare
+         ~bits:(fun _ ->
+           Bitsize.id_bits ~n:(Graph.n g)
+           + Bitsize.weight_bits ~max_weight:(Graph.max_weight g)));
     let proposal : (int, Graph.edge) Hashtbl.t = Hashtbl.create 16 in
     Array.iter
       (fun (e : Graph.edge) ->
@@ -107,7 +103,7 @@ let run g =
         end)
       !chosen;
     if !progress then
-      Ledger.add ledger Ledger.Charged
+      Sim.charge env
         (Printf.sprintf "GKP: Boruvka iteration %d matching ([6])" !iterations)
         ((4 * Dsf_util.Intmath.ceil_log2 (max 2 threshold)) + 8)
   done;
@@ -128,14 +124,12 @@ let run g =
                Some { Pipeline.key = (e.w, e.id); a = e.u; b = e.v }
              else None)
     in
-    let accepted, pipe_stats =
-      Pipeline.filtered_upcast g ~tree ~vn:n ~pre ~items ~cmp:compare
+    let accepted, _ =
+      Pipeline.filtered_upcast ~env g ~tree ~vn:n ~pre ~items ~cmp:compare
         ~bits:(fun _ ->
           (2 * Bitsize.id_bits ~n)
           + Bitsize.weight_bits ~max_weight:(Graph.max_weight g))
     in
-    Ledger.add ledger Ledger.Simulated "GKP: pipelined inter-fragment filter"
-      pipe_stats.Sim.rounds;
     List.iter (fun it -> solution.(snd it.Pipeline.key) <- true) accepted
   end;
   {

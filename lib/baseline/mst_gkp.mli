@@ -25,4 +25,6 @@ type result = {
 }
 
 val run : Dsf_graph.Graph.t -> result
-(** Requires a connected graph. *)
+(** Requires a connected graph.  Every simulated run goes under one
+    {!Dsf_congest.Sim.env} carrying the result's ledger, so the engine
+    counts its rounds. *)

@@ -18,25 +18,19 @@ let run g ~terminals =
   let n = Graph.n g in
   let m = Graph.m g in
   let ledger = Ledger.create () in
+  let env = { Sim.default_env with ledger = Some ledger } in
   match terms with
   | [] | [ _ ] ->
       { solution = Array.make m false; weight = 0; ledger }
   | _ ->
-      let tree, bfs_stats = Bfs.build g ~root:(Bfs.max_id_root g) in
-      Ledger.add ledger Ledger.Simulated "CF/Mehlhorn: BFS tree"
-        bfs_stats.Sim.rounds;
+      let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
       (* Voronoi decomposition around the terminals. *)
-      let vor, vor_stats =
-        Bellman_ford.run g ~sources:(List.map (fun v -> v, 0) terms)
+      let vor, _ =
+        Bellman_ford.run ~env g ~sources:(List.map (fun v -> v, 0) terms)
       in
-      Ledger.add ledger Ledger.Simulated "CF/Mehlhorn: terminal Voronoi"
-        vor_stats.Sim.rounds;
-      let ex_stats =
-        Dsf_congest.Exchange.all_neighbors g
-          ~payload_bits:(2 * Bitsize.id_bits ~n)
-      in
-      Ledger.add ledger Ledger.Simulated "CF/Mehlhorn: boundary exchange"
-        ex_stats.Sim.rounds;
+      ignore
+        (Dsf_congest.Exchange.all_neighbors ~env g
+           ~payload_bits:(2 * Bitsize.id_bits ~n));
       (* Boundary edges witness terminal pairs; the pipelined filter selects
          an MST of the witnessed terminal graph (Mehlhorn's graph G'). *)
       let items u =
@@ -52,21 +46,16 @@ let run g ~terminals =
                  Some { Pipeline.key = (d, eid); a = tu; b = tv }
                end)
       in
-      let accepted, pipe_stats =
-        Pipeline.filtered_upcast g ~tree ~vn:n ~pre:[] ~items ~cmp:compare
+      let accepted, _ =
+        Pipeline.filtered_upcast ~env g ~tree ~vn:n ~pre:[] ~items ~cmp:compare
           ~bits:(fun _ ->
             (3 * Bitsize.id_bits ~n)
             + Bitsize.weight_bits
                 ~max_weight:(2 * Dsf_graph.Paths.diameter_weighted g))
       in
-      Ledger.add ledger Ledger.Simulated
-        "CF/Mehlhorn: pipelined terminal-MST filter" pipe_stats.Sim.rounds;
-      let mb_stats =
-        Dsf_congest.Tree_ops.broadcast g ~tree ~items:accepted
-          ~bits:(fun _ -> 3 * Bitsize.id_bits ~n)
-      in
-      Ledger.add ledger Ledger.Simulated "CF/Mehlhorn: merge broadcast"
-        mb_stats.Sim.rounds;
+      ignore
+        (Dsf_congest.Tree_ops.broadcast ~env g ~tree ~items:accepted
+           ~bits:(fun _ -> 3 * Bitsize.id_bits ~n));
       (* Realize each selected boundary edge plus the Voronoi paths of its
          endpoints via a token flood up the Voronoi parent trees. *)
       let solution = Array.make m false in
@@ -79,20 +68,18 @@ let run g ~terminals =
           seeds.(u) <- true;
           seeds.(v) <- true)
         accepted;
-      let flood_edges, tf_stats =
-        Dsf_core.Select.token_flood g ~parent:vor.Bellman_ford.parent ~seeds
+      let flood_edges, _ =
+        Dsf_core.Select.token_flood ~env g ~parent:vor.Bellman_ford.parent
+          ~seeds
       in
-      Ledger.add ledger Ledger.Simulated "CF/Mehlhorn: token flood"
-        tf_stats.Sim.rounds;
       List.iter (fun eid -> solution.(eid) <- true) flood_edges;
       (* Minimal subtree via the F.3 pruning routine (simulated). *)
       let labels = Array.make n (-1) in
       List.iter (fun v -> labels.(v) <- 0) terms;
       let inst = Instance.make_ic g labels in
-      let pr =
-        Dsf_core.Pruning.run inst ~f:solution
-          ~sigma:(Dsf_util.Intmath.isqrt n + 1)
+      let solution =
+        (Dsf_core.Pruning.run ~env inst ~f:solution
+           ~sigma:(Dsf_util.Intmath.isqrt n + 1))
+          .Dsf_core.Pruning.pruned
       in
-      Ledger.merge_into ~dst:ledger pr.Dsf_core.Pruning.ledger;
-      let solution = pr.Dsf_core.Pruning.pruned in
       { solution; weight = Graph.edge_set_weight g solution; ledger }

@@ -22,4 +22,6 @@ type result = {
 }
 
 val run : Dsf_graph.Graph.t -> terminals:int list -> result
-(** Requires a connected graph and at least one terminal. *)
+(** Requires a connected graph and at least one terminal.  Every simulated
+    run (the F.3 pruning included) carries the result's ledger in its
+    {!Dsf_congest.Sim.env}, so the engine counts its rounds. *)

@@ -456,9 +456,9 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
 (* Post-run bookkeeping of a hardened run: fold the per-node
    retransmission counters into the stats (counted per node, in node
    state, so a step touches only its own node) and attribute
-   the recovery work to the enclosing telemetry span.  Only the
-   resynchronization rounds are rounds; resends are packets and
-   checkpoints are bits, so those two land in the metrics registry. *)
+   the recovery work to the telemetry: resends, resynchronization
+   rounds and checkpoint bits land in the metrics registry (the rounds
+   themselves are already part of the run's engine-counted rounds). *)
 let note_hardened telemetry states (stats : Sim.stats) =
   let retrans = retransmissions_of states in
   let rs = recovery_of states in
@@ -471,12 +471,10 @@ let note_hardened telemetry states (stats : Sim.stats) =
       if retrans > 0 || rs.restores > 0 || rs.checkpoint_bits > 0 then begin
         let metrics = Telemetry.metrics tel in
         Dsf_util.Metrics.incr metrics "fault/retransmissions" retrans;
+        Dsf_util.Metrics.incr metrics "fault/recovery_rounds"
+          rs.recovery_rounds;
         Dsf_util.Metrics.incr metrics "fault/checkpoint_bits"
           rs.checkpoint_bits;
-        let l = Ledger.create () in
-        Telemetry.attach_ledger tel l;
-        Ledger.add l Ledger.Simulated "fault/recovery_rounds"
-          rs.recovery_rounds;
         (* Flight recorder riding on the telemetry: one recovery summary
            event per hardened run with nonzero recovery work. *)
         match Telemetry.recorder tel with

@@ -228,9 +228,8 @@ val sim_run :
     {!Sim.flat_of_protocol}.
 
     Under [env.telemetry] the hardened run lands in a ["hardened"] span.
-    The span's [ledger_simulated] gains the [fault/recovery_rounds]
-    (physical rounds restarted nodes spent resynchronizing).  The
-    metrics registry gains the counters [fault/retransmissions]
-    (packets) and [fault/checkpoint_bits] (bits written to stable
-    storage).  An attached flight recorder gets one [Recovery] summary
+    The metrics registry gains the counters [fault/retransmissions]
+    (packets), [fault/recovery_rounds] (physical rounds restarted nodes
+    spent resynchronizing; they are part of the run's rounds already)
+    and [fault/checkpoint_bits] (bits written to stable storage).  An attached flight recorder gets one [Recovery] summary
     event per hardened run with nonzero recovery work. *)

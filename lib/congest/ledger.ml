@@ -1,46 +1,30 @@
-type kind = Simulated | Charged
-
 type t = {
-  mutable entries : (kind * string * int) list; (* reversed *)
-  mutable hook : (kind -> string -> int -> unit) option;
-      (* telemetry tap; see set_hook *)
+  mutable simulated : int;  (* engine-counted rounds, see add_run *)
+  mutable charges : (string * int) list;  (* reversed *)
 }
 
-let create () = { entries = []; hook = None }
+let create () = { simulated = 0; charges = [] }
 
-let set_hook t h = t.hook <- h
+let add_run t rounds = t.simulated <- t.simulated + rounds
 
-let add t kind label rounds =
+let charge t label rounds =
   assert (rounds >= 0);
-  t.entries <- (kind, label, rounds) :: t.entries;
-  match t.hook with Some f -> f kind label rounds | None -> ()
+  t.charges <- (label, rounds) :: t.charges
 
-let sum_kind t k =
-  List.fold_left
-    (fun acc (kind, _, r) -> if kind = k then acc + r else acc)
-    0 t.entries
-
-let simulated t = sum_kind t Simulated
-let charged t = sum_kind t Charged
+let simulated t = t.simulated
+let charged t = List.fold_left (fun acc (_, r) -> acc + r) 0 t.charges
 let total t = simulated t + charged t
 
-let entries t = List.rev t.entries
+let charges t = List.rev t.charges
 
-(* Raw append, bypassing [dst]'s hook: the merged entries were already
-   attributed (to the source ledger's own telemetry) when first added;
-   re-firing the hook here would double-count them in the destination's
-   span tree.  Telemetry merges travel separately via
-   [Telemetry.merge_into]. *)
 let merge_into ~dst t =
-  List.iter (fun e -> dst.entries <- e :: dst.entries) (entries t)
+  dst.simulated <- dst.simulated + t.simulated;
+  dst.charges <- t.charges @ dst.charges
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>total=%d (simulated=%d charged=%d)@," (total t)
     (simulated t) (charged t);
   List.iter
-    (fun (k, l, r) ->
-      Format.fprintf ppf "  %-9s %-40s %d@,"
-        (match k with Simulated -> "simulated" | Charged -> "charged")
-        l r)
-    (entries t);
+    (fun (l, r) -> Format.fprintf ppf "  %-9s %-40s %d@," "charged" l r)
+    (charges t);
   Format.fprintf ppf "@]"

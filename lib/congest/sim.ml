@@ -58,6 +58,7 @@ type network = Lossless | Faults of faults | Chaos of chaos
 
 type env = {
   telemetry : Telemetry.t option;
+  ledger : Ledger.t option;
   network : network;
   sanitize : bool;
 }
@@ -72,11 +73,16 @@ let env_sanitize =
 let default_env =
   {
     telemetry = None;
+    ledger = None;
     network = Lossless;
     sanitize = env_sanitize;
   }
 
 let span env name f = Telemetry.span_opt env.telemetry name f
+
+let charge env label rounds =
+  Option.iter (fun l -> Ledger.charge l label rounds) env.ledger;
+  Option.iter (fun t -> Telemetry.charge t rounds) env.telemetry
 
 (* Per-node map from neighbor id to the *directed edge slot* of the edge
    towards that neighbor: edge [eid] sent from its stored [u] endpoint
@@ -178,12 +184,14 @@ let ring_dump ring =
 let abort_run ~round ~snapshot ring =
   raise (Round_limit { at_round = round; snapshot; recent = ring_dump ring })
 
-(* Credit a finished (or aborting) run's stats to the enclosing telemetry
-   span.  Called exactly once per run, on both the normal and the
-   Round_limit exit, so span round/bit totals match the stats the caller
-   sees (or would have seen) either way. *)
-let tel_finish tel (s : stats) =
-  match tel with
+(* Count a finished (or aborting) run: its rounds go to the env's ledger
+   and its stats to the enclosing telemetry span.  Called exactly once per
+   run, on both the normal and the Round_limit exit, so ledger and span
+   totals match the stats the caller sees (or would have seen) either
+   way. *)
+let finish env (s : stats) =
+  Option.iter (fun l -> Ledger.add_run l s.rounds) env.ledger;
+  match env.telemetry with
   | None -> ()
   | Some t ->
       Telemetry.sim_run t ~rounds:s.rounds ~messages:s.messages
@@ -241,7 +249,7 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
   while not !quiescent do
     if !round >= max_rounds then begin
       let snapshot = current_stats () in
-      tel_finish telemetry snapshot;
+      finish env snapshot;
       abort_run ~round:!round ~snapshot ring
     end;
     ring_begin_round ring ~round:!round;
@@ -304,7 +312,7 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
     quiescent := halted || (all_done && (not inflight) && not !sent_any)
   done;
   let final = current_stats () in
-  tel_finish telemetry final;
+  finish env final;
   states, final
 
 (* Process-global by definition: the one engine shim left (see the
@@ -692,7 +700,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   while not !quiescent do
     if !round >= max_rounds then begin
       let snapshot = current_stats () in
-      tel_finish telemetry snapshot;
+      finish env snapshot;
       abort_run ~round:!round ~snapshot ring
     end;
     if !round >= ring_from then ring_begin_round ring ~round:!round;
@@ -875,7 +883,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     quiescent := halted || ((!done_count = n) && not !sent_any)
   done;
   let final = current_stats () in
-  tel_finish telemetry final;
+  finish env final;
   states, final
 
 (* The production entry point.  The [use_reference_engine] shim reroutes

@@ -47,11 +47,13 @@
 
     Composition convention: the paper's algorithms are towers of subroutines,
     each with its own round bound (Bellman-Ford phases, pipelined upcasts,
-    BFS-tree broadcasts).  We simulate each subroutine for real and add up
-    actual rounds in a {!Ledger}; steps the paper itself performs as "locally
-    compute from globally known data" cost zero rounds, and the few steps the
-    paper delegates to a cited black box are charged their stated bound as a
-    named ledger entry (see DESIGN.md). *)
+    BFS-tree broadcasts).  We simulate each subroutine for real, and the
+    engine counts the rounds: every run adds its executed rounds to the
+    {!Ledger} carried in its {!env}, so an algorithm's simulated total is
+    exactly the rounds its runs took.  Steps the paper itself performs as
+    "locally compute from globally known data" cost zero rounds, and the
+    few steps the paper delegates to a cited black box are charged their
+    stated bound as a named ledger entry ({!charge}; see DESIGN.md). *)
 
 type view = {
   node : int;
@@ -185,6 +187,10 @@ val never : view -> round:int -> 's -> bool
       around whichever leg it runs.  Without telemetry the engine pays
       one predictable branch per action and allocates nothing (the bench
       GC gate pins this).
+    - [ledger] gains every run's executed rounds ({!Ledger.add_run}),
+      once per run, also when the run aborts with {!Round_limit}: the
+      engine is the one counter of simulated rounds.  {!charge} writes
+      the named charges to it.
     - [network] is [Lossless], [Faults f] (inject the callback record
       [f], see the fault semantics above; {!Fault.instantiate} builds one
       from a plan), or [Chaos c] (run the protocol hardened by
@@ -204,7 +210,8 @@ val never : view -> round:int -> 's -> bool
     does exactly this), {e provided} each concurrent run gets its own
     instrumentation through its env: a per-trial {!Telemetry.fork}, which
     also gives the trial its own flight recorder when the parent has one
-    (a recorder is single-writer state).  The one global shim, {!use_reference_engine},
+    (a recorder is single-writer state), and a per-trial ledger, merged
+    back in trial order ({!Ledger.merge_into}).  The one global shim, {!use_reference_engine},
     mutates process-wide state and is kept only for single-domain callers
     (the differential suites and the engine microbenchmarks); never touch
     it while a parallel fan-out is in flight. *)
@@ -233,12 +240,13 @@ type network = Lossless | Faults of faults | Chaos of chaos
 
 type env = {
   telemetry : Telemetry.t option;
+  ledger : Ledger.t option;
   network : network;
   sanitize : bool;
 }
 
 val default_env : env
-(** Lossless, no telemetry.  [sanitize] is read
+(** Lossless, no telemetry, no ledger.  [sanitize] is read
     once at module init from the [DSF_SANITIZE] environment variable
     ([1]/[true]/[on]); that is how ci.sh's sanitized smoke arms every run
     without touching call sites.  Build other envs by record update:
@@ -247,6 +255,12 @@ val default_env : env
 val span : env -> string -> (unit -> 'a) -> 'a
 (** [Telemetry.span_opt env.telemetry]: the one span a primitive opens
     around its run. *)
+
+val charge : env -> string -> int -> unit
+(** [charge env label rounds] records a named analytical charge in
+    [env.ledger] ({!Ledger.charge}) and credits it to the innermost open
+    span of [env.telemetry] ({!Telemetry.charge}).  Each does nothing when
+    absent. *)
 
 (** {2 The flat-core engine}
 

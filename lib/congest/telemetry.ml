@@ -4,8 +4,8 @@
 
    - a {b span tree}: [span t "voronoi" (fun () -> ...)] opens a nested
      phase; everything the engine (every run whose {!Sim.env} carries
-     this telemetry) and the round {!Ledger} ({!attach_ledger}) report
-     while the thunk runs is attributed to that span.  Same-named siblings merge into one node
+     this telemetry) and the ledger charges ({!Sim.charge}) report while
+     the thunk runs is attributed to that span.  Same-named siblings merge into one node
      (with a [count]), so a loop of phases profiles as one aggregated
      entry while the event log below still records each occurrence;
 
@@ -49,7 +49,6 @@ type span = {
   mutable dropped : int;
   mutable duplicated : int;
   mutable retransmissions : int;
-  mutable ledger_simulated : int;
   mutable ledger_charged : int;
   mutable children : span list;  (* first-opened first *)
 }
@@ -88,7 +87,6 @@ let make_span name =
     dropped = 0;
     duplicated = 0;
     retransmissions = 0;
-    ledger_simulated = 0;
     ledger_charged = 0;
     children = [];
   }
@@ -193,14 +191,9 @@ let sim_run t ~rounds ~messages ~bits ~max_edge_round_bits ~budget_violations
   s.duplicated <- s.duplicated + duplicated;
   s.retransmissions <- s.retransmissions + retransmissions
 
-let attach_ledger t ledger =
-  Ledger.set_hook ledger
-    (Some
-       (fun kind _label rounds ->
-         let s = cur t in
-         match kind with
-         | Ledger.Simulated -> s.ledger_simulated <- s.ledger_simulated + rounds
-         | Ledger.Charged -> s.ledger_charged <- s.ledger_charged + rounds))
+let charge t rounds =
+  let s = cur t in
+  s.ledger_charged <- s.ledger_charged + rounds
 
 (* ------------------------------------------------------- fork / merge *)
 
@@ -244,7 +237,6 @@ let rec graft parent s =
       c.dropped <- c.dropped + s.dropped;
       c.duplicated <- c.duplicated + s.duplicated;
       c.retransmissions <- c.retransmissions + s.retransmissions;
-      c.ledger_simulated <- c.ledger_simulated + s.ledger_simulated;
       c.ledger_charged <- c.ledger_charged + s.ledger_charged;
       List.iter (graft c) s.children
 
@@ -269,7 +261,6 @@ type incl = {
   i_dropped : int;
   i_dup : int;
   i_retrans : int;
-  i_lsim : int;
   i_lchg : int;
 }
 
@@ -286,7 +277,6 @@ let rec inclusive s =
         i_dropped = acc.i_dropped + ci.i_dropped;
         i_dup = acc.i_dup + ci.i_dup;
         i_retrans = acc.i_retrans + ci.i_retrans;
-        i_lsim = acc.i_lsim + ci.i_lsim;
         i_lchg = acc.i_lchg + ci.i_lchg;
       })
     {
@@ -298,7 +288,6 @@ let rec inclusive s =
       i_dropped = s.dropped;
       i_dup = s.duplicated;
       i_retrans = s.retransmissions;
-      i_lsim = s.ledger_simulated;
       i_lchg = s.ledger_charged;
     }
     s.children
@@ -316,8 +305,7 @@ let pp ppf t =
       s.name s.count (ms_of_ns s.wall_ns) i.i_rounds i.i_messages i.i_bits;
     if i.i_merb > 0 then Format.fprintf ppf " merb=%d" i.i_merb;
     if i.i_viol > 0 then Format.fprintf ppf " violations=%d" i.i_viol;
-    if i.i_lsim > 0 || i.i_lchg > 0 then
-      Format.fprintf ppf " ledger=%ds+%dc" i.i_lsim i.i_lchg;
+    if i.i_lchg > 0 then Format.fprintf ppf " charged=%d" i.i_lchg;
     if i.i_dropped > 0 || i.i_dup > 0 || i.i_retrans > 0 then
       Format.fprintf ppf " dropped=%d duplicated=%d retransmissions=%d"
         i.i_dropped i.i_dup i.i_retrans;
@@ -374,10 +362,10 @@ let to_jsonl_string t =
             \"wall_ns\": %Ld, \"rounds\": %d, \"messages\": %d, \"bits\": %d, \
             \"max_edge_round_bits\": %d, \"budget_violations\": %d, \
             \"dropped\": %d, \"duplicated\": %d, \"retransmissions\": %d, \
-            \"ledger_simulated\": %d, \"ledger_charged\": %d}\n"
+            \"ledger_charged\": %d}\n"
            (json_escape path) s.count s.wall_ns s.rounds s.messages s.bits
            s.max_edge_round_bits s.budget_violations s.dropped s.duplicated
-           s.retransmissions s.ledger_simulated s.ledger_charged))
+           s.retransmissions s.ledger_charged))
     (profile_rows t);
   List.iter
     (fun (name, v) ->

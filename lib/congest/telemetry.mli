@@ -5,9 +5,8 @@
 
     - a {b span tree} — [span t "voronoi" (fun () -> ...)] opens a nested
       phase; simulator costs (every run whose {!Sim.env} carries this
-      telemetry) and ledger
-      entries ({!attach_ledger}) recorded while the thunk runs are
-      attributed to the innermost open span.  Same-named siblings merge
+      telemetry) and ledger charges ({!Sim.charge}) recorded while the
+      thunk runs are attributed to the innermost open span.  Same-named siblings merge
       into one aggregated node (its [count] tracks occurrences);
     - an {b event log} — one record per span occurrence, replayed by the
       JSONL and Chrome [trace_event] sinks;
@@ -36,8 +35,7 @@ type span = {
   mutable dropped : int;
   mutable duplicated : int;
   mutable retransmissions : int;
-  mutable ledger_simulated : int;  (** self — ledger-attributed *)
-  mutable ledger_charged : int;
+  mutable ledger_charged : int;  (** self — {!Ledger.charge}d rounds *)
   mutable children : span list;  (** first-opened first *)
 }
 
@@ -81,12 +79,9 @@ val find : t -> string list -> span option
 
 val metrics : t -> Dsf_util.Metrics.t
 
-val attach_ledger : t -> Ledger.t -> unit
-(** Tap the ledger so every subsequent entry also lands in the enclosing
-    span ([ledger_simulated] / [ledger_charged]).  [Ledger.merge_into]
-    deliberately bypasses the destination hook — merged entries were
-    attributed on their source ledger already; span trees travel via
-    {!merge_into} instead. *)
+val charge : t -> int -> unit
+(** Credit charged rounds to the innermost open span's [ledger_charged]
+    (what {!Sim.charge} calls beside {!Ledger.charge}). *)
 
 val sim_round :
   t -> stepped:int -> delivered:int -> bits:int -> wake_hits:int -> unit

@@ -41,24 +41,18 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
   let network =
     Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
   in
-  let env = { Sim.default_env with telemetry; network } in
-  let tspan name f = Sim.span env name f in
-  (* Lemma 2.4's minimalization runs as a real protocol; its rounds join
-     the ledger below once it exists. *)
-  let minimalized =
-    Transform.minimalize ~env inst0
+  let ledger = Ledger.create () in
+  let env =
+    { Sim.default_env with telemetry; ledger = Some ledger; network }
   in
-  let inst = minimalized.Transform.value in
+  let tspan name f = Sim.span env name f in
+  (* Lemma 2.4's minimalization runs as a real protocol. *)
+  let inst = Transform.minimalize ~env inst0 in
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let m = Graph.m g in
-  let ledger = Ledger.create () in
-  Option.iter
-    (fun t -> Dsf_congest.Telemetry.attach_ledger t ledger)
-    telemetry;
   let max_bits = ref 0 in
-  let note_stats label (stats : Sim.stats) =
-    Ledger.add ledger Ledger.Simulated label stats.Sim.rounds;
+  let note_bits (stats : Sim.stats) =
     if stats.Sim.max_edge_round_bits > !max_bits then
       max_bits := stats.Sim.max_edge_round_bits
   in
@@ -85,10 +79,7 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
           let tree, bfs_stats =
             Bfs.build ~env g ~root
           in
-          note_stats "setup: BFS tree" bfs_stats;
-          Ledger.add ledger Ledger.Simulated
-            "setup: minimalize instance (Lemma 2.4)"
-            minimalized.Transform.rounds;
+          note_bits bfs_stats;
           let term_items v =
             if inst.Instance.labels.(v) >= 0 then
               [ v, inst.Instance.labels.(v) ]
@@ -102,12 +93,12 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
             Tree_ops.upcast ~env g ~tree
               ~items:term_items ~bits:pair_bits
           in
-          note_stats "setup: collect terminals" up_stats;
+          note_bits up_stats;
           let bc_stats =
             Tree_ops.broadcast ~env g
               ~tree ~items:collected ~bits:pair_bits
           in
-          note_stats "setup: broadcast terminals" bc_stats;
+          note_bits bc_stats;
           tree)
     in
     (* ---- Per-node region state. ---- *)
@@ -125,18 +116,15 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
       tspan "phase" (fun () ->
         incr phase;
         let j = !phase in
-        let tag label = Printf.sprintf "phase %d: %s" j label in
         (* a. Terminal decomposition (Lemma 4.8). *)
         let ph = Region_bf.decompose ~env g reg ms in
-        note_stats (tag "decomposition BF") ph.Region_bf.stats;
+        note_bits ph.Region_bf.stats;
         let towner = Region_bf.owner_at reg ph in
         let toffset = Region_bf.offset_at reg ph in
         (* b. Candidate merges at region boundaries (Definition 4.11). *)
-        let ex_stats =
-            Dsf_congest.Exchange.all_neighbors ~env g
-              ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
-          in
-          Ledger.add ledger Ledger.Simulated (tag "boundary exchange") ex_stats.Sim.rounds;
+        ignore
+          (Dsf_congest.Exchange.all_neighbors ~env g
+             ~payload_bits:((2 * Bitsize.id_bits ~n) + 2));
         let items u =
           if not ph.Region_bf.growing.(u) then []
           else begin
@@ -185,12 +173,12 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
             ~items ~cmp:ckey_cmp
             ~bits:key_bits
         in
-        note_stats (tag "candidate collection") pipe_stats;
+        note_bits pipe_stats;
         let stop_stats =
           Tree_ops.broadcast ~env g ~tree
             ~items:[ () ] ~bits:(fun () -> 1)
         in
-        note_stats (tag "stop broadcast") stop_stats;
+        note_bits stop_stats;
         (* Truncate at the first activity-changing merge. *)
         let phase_merges =
           let rec take acc probe = function
@@ -212,7 +200,7 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
           Tree_ops.broadcast ~env g ~tree
             ~items:phase_merges ~bits:key_bits
         in
-        note_stats (tag "merge broadcast") bcast_stats;
+        note_bits bcast_stats;
         let mu_phase = (List.nth phase_merges (List.length phase_merges - 1)).Pipeline.key.mu in
         let mu_prev = ref Frac.zero in
         List.iter
@@ -244,15 +232,14 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
               ~parent:reg.Region_bf.parents
               (List.rev_map (fun (pair, key) -> pair, key.eid) !accepted_all)
           in
-          note_stats "final: token flood (path selection)" tf_stats;
+          note_bits tf_stats;
           (* Merge-level minimality (F_min) is not quite edge-level
              minimality: two merge paths can overlap at a Steiner node,
              leaving a redundant bridge edge.  A final intra-tree
              label-propagation prune (the Appendix F.3 technique) removes
              those; its O(D + t + depth) rounds are charged. *)
           let solution = Instance.prune inst solution in
-          Ledger.add ledger Ledger.Charged
-            "final: edge-level prune (F.3 style)"
+          Sim.charge env "final: edge-level prune (F.3 style)"
             (tree.Bfs.height + t);
           solution)
     in

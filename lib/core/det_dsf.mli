@@ -46,13 +46,14 @@ val run :
   Dsf_graph.Instance.ic ->
   result
 (** Requires a connected graph.  Singleton components are dropped
-    (Lemma 2.4; the O(D + k) transform is charged to the ledger).
+    (Lemma 2.4, by the simulated O(D + k) transform).
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry,
-    and every simulated subroutine runs under it.  [telemetry] profiles
-    the run as a span tree ([minimalize] / [setup] / [phase] / [final],
-    with the simulated primitives nested beneath) and attaches the ledger
-    so every charged entry lands in its enclosing span; a flight recorder
-    riding on it logs every message of every simulated subroutine.
+    carrying the result's ledger, and every simulated subroutine runs
+    under it, so the engine counts every simulated round.  [telemetry]
+    profiles the run as a span tree ([minimalize] / [setup] / [phase] /
+    [final], with the simulated primitives nested beneath), and every
+    charge lands in its enclosing span; a flight recorder riding on it
+    logs every message of every simulated subroutine.
 
     Every simulated subroutine runs on the flat-core engine — native
     ports where they exist (BFS, Bellman-Ford decomposition, boundary

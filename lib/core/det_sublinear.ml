@@ -47,21 +47,17 @@ let ceil_log2 = Dsf_util.Intmath.ceil_log2
 let max_eps_den = max_int / (64 * Graph.max_total_weight)
 
 let run ?telemetry ~eps_num ~eps_den inst0 =
-  let env = { Sim.default_env with telemetry } in
+  let ledger = Ledger.create () in
+  let env = { Sim.default_env with telemetry; ledger = Some ledger } in
   if eps_num <= 0 || eps_den <= 0 || eps_num > eps_den then
     invalid_arg "Det_sublinear.run: need 0 < eps <= 1";
   if eps_den > max_eps_den then
     invalid_arg "Det_sublinear.run: eps_den above max_eps_den";
   let tspan name f = Sim.span env name f in
-  let minimalized = Transform.minimalize ~env inst0 in
-  let inst = minimalized.Transform.value in
+  let inst = Transform.minimalize ~env inst0 in
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let m = Graph.m g in
-  let ledger = Ledger.create () in
-  Option.iter
-    (fun t -> Dsf_congest.Telemetry.attach_ledger t ledger)
-    telemetry;
   (* Algorithm-2 moat state, replicated at every node. *)
   let ms = C.create inst in
   let t = Array.length ms.C.terms in
@@ -92,22 +88,10 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
       tspan "setup" @@ fun () ->
       (* The nodes learn n, t and (an estimate of) s by convergecast plus a
          full Bellman-Ford run (footnote 2's technique), simulated. *)
-      let _, n_rounds = Dsf_congest.Params.count_nodes ~env g in
-      let s_rounds =
-        match
-          Dsf_congest.Params.estimate_s ~env ~cap:(n + 1) g
-        with
-        | `Stabilized _, r | `Exceeded, r -> r
-      in
-      Ledger.add ledger Ledger.Simulated "setup: determine s, t, sigma"
-        (n_rounds + s_rounds);
+      ignore (Dsf_congest.Params.count_nodes ~env g);
+      ignore (Dsf_congest.Params.estimate_s ~env ~cap:(n + 1) g);
       let root = Bfs.max_id_root g in
-      let tree, bfs_stats = Bfs.build ~env g_scaled ~root in
-      Ledger.add ledger Ledger.Simulated "setup: BFS tree" bfs_stats.Sim.rounds;
-      Ledger.add ledger Ledger.Simulated
-        "setup: minimalize + moat-label bookkeeping (Lemma 2.4)"
-        minimalized.Transform.rounds;
-      tree
+      fst (Bfs.build ~env g_scaled ~root)
     in
     (* Per-node region state on the scaled graph. *)
     let reg = Region_bf.regions ms in
@@ -172,22 +156,15 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
       (* Per-node committed active-active candidates of this growth phase. *)
       let store : ckey Pipeline.item list array = Array.make n [] in
       (* ---- Step 3a: merge phases driven by active-inactive events. ---- *)
-      let phase_in_growth = ref 0 in
       let continue_3a = ref true in
       while !continue_3a do
         tspan "merge_phase" @@ fun () ->
         incr merge_phase_count;
-        incr phase_in_growth;
         let j = !merge_phase_count in
         let ph = Region_bf.decompose ~env g_scaled reg ms in
-        Ledger.add ledger Ledger.Simulated
-          (gtag (Printf.sprintf "phase %d decomposition BF" !phase_in_growth))
-          ph.Region_bf.stats.Sim.rounds;
-        let ex_stats =
-          Dsf_congest.Exchange.all_neighbors ~env g_scaled
-            ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
-        in
-        Ledger.add ledger Ledger.Simulated (gtag "boundary exchange") ex_stats.Sim.rounds;
+        ignore
+          (Dsf_congest.Exchange.all_neighbors ~env g_scaled
+             ~payload_bits:((2 * Bitsize.id_bits ~n) + 2));
         let towner = Region_bf.owner_at reg ph in
         let toffset = Region_bf.offset_at reg ph in
         (* Local candidate generation: split by neighbor activity. *)
@@ -241,20 +218,14 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
           end
         done;
         (* Min active-inactive candidate via a simulated convergecast. *)
-        let _, agg_stats =
-          Tree_ops.aggregate ~env g_scaled ~tree
-            ~value:(fun _ -> 1)
-            ~combine:min
-            ~bits:(fun _ -> 4 * Bitsize.id_bits ~n)
-        in
-        Ledger.add ledger Ledger.Simulated (gtag "min-candidate convergecast")
-          agg_stats.Sim.rounds;
-        let mb_stats =
-          Tree_ops.broadcast ~env g_scaled ~tree ~items:[ () ]
-            ~bits:(fun () -> 1)
-        in
-        Ledger.add ledger Ledger.Simulated (gtag "min-candidate broadcast")
-          mb_stats.Sim.rounds;
+        ignore
+          (Tree_ops.aggregate ~env g_scaled ~tree
+             ~value:(fun _ -> 1)
+             ~combine:min
+             ~bits:(fun _ -> 4 * Bitsize.id_bits ~n));
+        ignore
+          (Tree_ops.broadcast ~env g_scaled ~tree ~items:[ () ]
+             ~bits:(fun () -> 1));
         let remaining = Frac.sub (Frac.of_int !mu_hat) !total_growth in
         let threshold_hit =
           match !min_ai with
@@ -333,15 +304,12 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
               end)
             None store.(u)
         in
-        let gossip, gossip_stats =
+        let gossip, _ =
           Dsf_congest.Component_ops.component_min_item ~env g_scaled
             ~mask:(moat_mask ()) ~values:node_min
             ~cmp:(fun a b -> ckey_cmp a.Pipeline.key b.Pipeline.key)
             ~bits:key_bits
         in
-        Ledger.add ledger Ledger.Simulated
-          (gtag (Printf.sprintf "small-moat proposal gossip %d (Step 3bi)" !iter))
-          gossip_stats.Sim.rounds;
         (* Read each small moat's proposal at one of its terminals; the
            reused [proposals] array is slotted by moat representative. *)
         Array.fill proposals 0 t None;
@@ -404,7 +372,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
              pseudo-forest, routed through the moat trees) is charged at
              the Lemma F.4 bound; the primitive is implemented and tested
              standalone in {!Dsf_congest.Coloring}. *)
-          Ledger.add ledger Ledger.Charged
+          Sim.charge env
             (gtag
                (Printf.sprintf
                   "matching via Cole-Vishkin %d (Lemma F.4, [6])" !iter))
@@ -425,18 +393,13 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
               not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b))
             store.(u)
         in
-        let selected, pipe_stats =
+        let selected, _ =
           Pipeline.filtered_upcast ~env g_scaled ~tree ~vn:t
             ~pre:(pre_pairs ()) ~items ~cmp:ckey_cmp ~bits:key_bits
         in
-        Ledger.add ledger Ledger.Simulated (gtag "pipelined merge filter")
-          pipe_stats.Sim.rounds;
-        let mb2_stats =
-          Tree_ops.broadcast ~env g_scaled ~tree ~items:selected
-            ~bits:key_bits
-        in
-        Ledger.add ledger Ledger.Simulated (gtag "merge broadcast")
-          mb2_stats.Sim.rounds;
+        ignore
+          (Tree_ops.broadcast ~env g_scaled ~tree ~items:selected
+             ~bits:key_bits);
         List.iter
           (fun (it : ckey Pipeline.item) ->
             if not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b) then
@@ -463,14 +426,11 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         let ti = ms.C.tindex.(v) in
         if ti >= 0 then [ C.label ms ti, moat_leader ti ] else []
       in
-      let witnesses, w_stats =
+      let witnesses, _ =
         Tree_ops.upcast_dedup ~env ~per_key:2 g_scaled ~tree
           ~items:witness_items ~key:fst
           ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
       in
-      Ledger.add ledger Ledger.Simulated
-        (gtag "activity recomputation: witness convergecast (Lemma 2.4)")
-        w_stats.Sim.rounds;
       let leaders_of = Hashtbl.create 16 in
       List.iter
         (fun (cls, leader) ->
@@ -484,14 +444,10 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
             if List.length leaders >= 2 then cls :: acc else acc)
           leaders_of []
       in
-      let ab_stats =
-        Tree_ops.broadcast ~env g_scaled ~tree
-          ~items:unsatisfied
-          ~bits:(fun _ -> Bitsize.id_bits ~n)
-      in
-      Ledger.add ledger Ledger.Simulated
-        (gtag "activity recomputation: unsatisfied-class broadcast")
-        ab_stats.Sim.rounds;
+      ignore
+        (Tree_ops.broadcast ~env g_scaled ~tree
+           ~items:unsatisfied
+           ~bits:(fun _ -> Bitsize.id_bits ~n));
       (* Everyone updates locally: a moat is active iff its class is
          unsatisfied.  Cross-check against the definitional rule (a moat is
          active iff it is not alone with its class). *)
@@ -507,18 +463,14 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
     (* ---- Final selection and pruning (Appendix F.3). ---- *)
     let solution =
       tspan "final" @@ fun () ->
-      let solution, tf_stats =
+      let solution, _ =
         Select.merge_paths ~env g ~labels:ms.C.init_label ~parent
           (List.rev_map (fun (pair, (key : ckey)) -> pair, key.eid) !accepted)
       in
-      Ledger.add ledger Ledger.Simulated "final: token flood"
-        tf_stats.Sim.rounds;
       (* The merge-level F_min above is not quite edge-minimal (merge paths
          can overlap at Steiner nodes); the fast pruning routine of
          Appendix F.3 finishes the job distributively. *)
-      let pr = Pruning.run ~env inst ~f:solution ~sigma in
-      Ledger.merge_into ~dst:ledger pr.Pruning.ledger;
-      pr.Pruning.pruned
+      (Pruning.run ~env inst ~f:solution ~sigma).Pruning.pruned
     in
     {
       solution;

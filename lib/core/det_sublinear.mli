@@ -50,10 +50,11 @@ val run :
   Dsf_graph.Instance.ic ->
   result
 (** The labelled arguments build one {!Dsf_congest.Sim.env} (one domain)
-    at entry, so [telemetry] (and a flight recorder riding on it) sees
-    every simulated run, the Appendix F.3 pruning included.
+    at entry, carrying the result's ledger, so the engine counts every
+    simulated run and [telemetry] (and a flight recorder riding on it)
+    sees every one, the Appendix F.3 pruning included.
     [telemetry] profiles the run as a span tree ([minimalize] / [setup] /
     [growth] with [merge_phase], [small_moats] and [activity] nested per
-    growth phase / [final]) and attaches the ledger so charged entries land
-    in their enclosing span.  Raises [Invalid_argument] unless
+    growth phase / [final]), and every charge lands in its enclosing
+    span.  Raises [Invalid_argument] unless
     0 < eps_num / eps_den <= 1 and [eps_den <= max_eps_den]. *)

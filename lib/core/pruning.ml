@@ -4,14 +4,12 @@ module Uf = Dsf_util.Union_find
 module Sim = Dsf_congest.Sim
 module Bfs = Dsf_congest.Bfs
 module Tree_ops = Dsf_congest.Tree_ops
-module Ledger = Dsf_congest.Ledger
 module Bitsize = Dsf_util.Bitsize
 
 type result = {
   pruned : bool array;
   clusters : int;
   cluster_edges : int;
-  ledger : Ledger.t;
 }
 
 let ceil_log2 = Dsf_util.Intmath.ceil_log2
@@ -26,7 +24,6 @@ let grow_clusters ~env g f sigma =
   let n = Graph.n g in
   let uf = Uf.create n in
   let iterations = ref 0 in
-  let gossip_rounds = ref 0 in
   let progress = ref true in
   let max_iter = ceil_log2 (max 2 sigma) + 2 in
   while !progress && !iterations < max_iter do
@@ -46,12 +43,10 @@ let grow_clusters ~env g f sigma =
              if f.(eid) && not (Uf.same uf v nb) then Some eid else None)
       |> function [] -> None | l -> Some (List.fold_left min (List.hd l) l)
     in
-    let _, g_stats =
-      Dsf_congest.Component_ops.component_min_item ~env g ~mask ~values
-        ~cmp:compare
-        ~bits:(fun _ -> Bitsize.id_bits ~n)
-    in
-    gossip_rounds := !gossip_rounds + g_stats.Sim.rounds;
+    ignore
+      (Dsf_congest.Component_ops.component_min_item ~env g ~mask ~values
+         ~cmp:compare
+         ~bits:(fun _ -> Bitsize.id_bits ~n));
     (* Each small cluster proposes one outgoing F-edge. *)
     let proposal = Hashtbl.create 16 in
     Array.iter
@@ -92,7 +87,7 @@ let grow_clusters ~env g f sigma =
         if Uf.union uf e.u e.v then progress := true)
       !selected
   done;
-  uf, !iterations, !gossip_rounds
+  uf, !iterations
 
 (* ------------------------------------------------------------------ *)
 (* The Step 6 fact engine: sets l_C and l_e, closed under the path     *)
@@ -296,14 +291,9 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
   let m = Graph.m g in
   if not (Instance.is_forest g f) then invalid_arg "Pruning.run: not a forest";
   if not (Instance.is_feasible inst f) then invalid_arg "Pruning.run: infeasible";
-  let ledger = Ledger.create () in
-  (* Attributed to the caller's span (its merge_into skips the hook). *)
-  Option.iter (fun t -> Dsf_congest.Telemetry.attach_ledger t ledger)
-    env.Sim.telemetry;
   (* Step 1: BFS tree + make the label set global. *)
-  let tree, bfs_stats = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
-  Ledger.add ledger Ledger.Simulated "F.3: BFS tree" bfs_stats.Sim.rounds;
-  let label_witnesses, lw_stats =
+  let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let label_witnesses, _ =
     Tree_ops.upcast_dedup ~env g ~tree
       ~items:(fun v ->
         if inst.Instance.labels.(v) >= 0 then [ inst.Instance.labels.(v) ]
@@ -311,19 +301,12 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
       ~key:Fun.id
       ~bits:(fun _ -> Bitsize.id_bits ~n)
   in
-  let lb_stats =
-    Tree_ops.broadcast ~env g ~tree ~items:label_witnesses
-      ~bits:(fun _ -> Bitsize.id_bits ~n)
-  in
-  Ledger.add ledger Ledger.Simulated "F.3: broadcast label set"
-    (lw_stats.Sim.rounds + lb_stats.Sim.rounds);
+  ignore
+    (Tree_ops.broadcast ~env g ~tree ~items:label_witnesses
+       ~bits:(fun _ -> Bitsize.id_bits ~n));
   (* Step 3: clusters (Lemma F.7). *)
-  let cuf, iterations, gossip_rounds = grow_clusters ~env g f sigma in
-  Ledger.add ledger Ledger.Simulated
-    (Printf.sprintf "F.3: cluster growing, %d iterations: proposal gossip"
-       iterations)
-    gossip_rounds;
-  Ledger.add ledger Ledger.Charged
+  let cuf, iterations = grow_clusters ~env g f sigma in
+  Sim.charge env
     (Printf.sprintf
        "F.3: cluster growing, %d iterations: matching ([6], Lemma F.7)"
        iterations)
@@ -364,38 +347,28 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
     (fun (e : Graph.edge) ->
       fc_items.(e.u) <- (Uf.find cuf e.u, Uf.find cuf e.v) :: fc_items.(e.u))
     (List.rev fc_edges);
-  let _, up_stats =
-    Tree_ops.upcast ~env g ~tree ~items:(Array.get fc_items)
-      ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
-  in
-  Ledger.add ledger Ledger.Simulated "F.3: collect cluster forest"
-    up_stats.Sim.rounds;
+  ignore
+    (Tree_ops.upcast ~env g ~tree ~items:(Array.get fc_items)
+       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n));
   let fc_pairs =
     List.map (fun (e : Graph.edge) -> Uf.find cuf e.u, Uf.find cuf e.v) fc_edges
   in
-  let fcb_stats =
-    Tree_ops.broadcast ~env g ~tree ~items:fc_pairs
-      ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
-  in
-  Ledger.add ledger Ledger.Simulated "F.3: broadcast cluster forest"
-    fcb_stats.Sim.rounds;
+  ignore
+    (Tree_ops.broadcast ~env g ~tree ~items:fc_pairs
+       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n));
   (* Steps 5-6: the label flood (Lemma F.8), genuinely simulated. *)
   let initial v =
     if inst.Instance.labels.(v) >= 0 then
       [ Uf.find cuf v, inst.Instance.labels.(v) ]
     else []
   in
-  let states, flood_stats = label_flood ~env g ~tree ~structure ~initial in
-  Ledger.add ledger Ledger.Simulated "F.3: label flood (Lemma F.8)"
-    flood_stats.Sim.rounds;
+  let states, _ = label_flood ~env g ~tree ~structure ~initial in
   let root_facts = states.(tree.Bfs.root).mine in
   (* Step 7: broadcast the root's state-changing log (same encoding). *)
   let root_log = List.rev states.(tree.Bfs.root).log in
-  let bc_stats =
-    Tree_ops.broadcast ~env g ~tree ~items:root_log
-      ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
-  in
-  Ledger.add ledger Ledger.Simulated "F.3: broadcast result" bc_stats.Sim.rounds;
+  ignore
+    (Tree_ops.broadcast ~env g ~tree ~items:root_log
+       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n));
   (* Step 8: inter-cluster edges with a nonempty label set. *)
   let pruned = Array.make m false in
   List.iter
@@ -489,12 +462,9 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
     List.map (fun lam -> Uf.find luf lam) (node_labels v)
     |> List.sort_uniq compare
   in
-  let f6_marked, f6_stats =
+  let f6_marked, _ =
     F6_protocol.run ~env g ~parent:cluster_parent ~labels:class_labels
   in
-  Ledger.add ledger Ledger.Simulated
-    "F.3: intra-cluster mark/unmark selection (Lemma F.6)"
-    f6_stats.Sim.rounds;
   let intra =
     Array.to_list (Graph.edges g)
     |> List.filter (fun (e : Graph.edge) ->
@@ -528,4 +498,4 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
       assert (needed = f6_marked.(e.id));
       if needed then pruned.(e.id) <- true)
     intra;
-  { pruned; clusters = cluster_count; cluster_edges = n_fc; ledger }
+  { pruned; clusters = cluster_count; cluster_edges = n_fc }

@@ -27,7 +27,6 @@ type result = {
   pruned : bool array;
   clusters : int;  (** |C| *)
   cluster_edges : int;  (** |F_C| *)
-  ledger : Dsf_congest.Ledger.t;
 }
 
 val run :
@@ -39,4 +38,5 @@ val run :
 (** [f] must be a feasible forest for the instance.  Every simulated run
     (BFS, label collection, cluster gossip, the label flood, the Lemma
     F.6 mark/unmark protocol) uses [env], so its telemetry and flight
-    recorder see the whole routine. *)
+    recorder see the whole routine, and its rounds and its one charge
+    (the Lemma F.7 matchings) land in the caller's [env] ledger. *)

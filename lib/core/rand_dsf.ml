@@ -22,20 +22,18 @@ type result = {
 let isqrt = Dsf_util.Intmath.isqrt
 
 
-(* One full first-stage run: returns the selected edge set F. *)
-let first_stage ~env rng g inst ledger note_stats ~truncate =
+(* One full first-stage run: returns the selected edge set F, the virtual
+   tree and the stage's BFS tree. *)
+let first_stage ~env rng g inst ~truncate =
   let tspan name fn = Sim.span env name fn in
   let n = Graph.n g in
   let m = Graph.m g in
-  let tree, bfs_stats = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
-  note_stats "stage1: BFS tree" bfs_stats;
+  let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
   let truncate_at = if truncate then Some (isqrt n) else None in
-  let vt, vt_rounds =
+  let vt =
     tspan "virtual_tree" (fun () ->
         Virtual_tree.build ~env rng ?truncate_at g)
   in
-  Ledger.add ledger Ledger.Simulated "stage1: virtual tree (LE lists + S Voronoi)"
-    vt_rounds;
   let f = Array.make m false in
   (* Current holders: l(v) as a label list per node. *)
   let holders = Array.make n [] in
@@ -44,17 +42,15 @@ let first_stage ~env rng g inst ledger note_stats ~truncate =
     inst.Instance.labels;
   for i = 0 to vt.Virtual_tree.levels do
     tspan "level" @@ fun () ->
-    let tag label = Printf.sprintf "stage1 level %d: %s" i label in
     (* (a) drop labels with a single holder: simulated two-witness
        convergecast + broadcast, as in Lemma 2.4. *)
     let witness_items v = List.map (fun l -> l, v) holders.(v) in
-    let witnesses, w_stats =
+    let witnesses, _ =
       Tree_ops.upcast_dedup ~env ~per_key:2 g ~tree
         ~items:witness_items
         ~key:fst
         ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
     in
-    note_stats (tag "single-holder check") w_stats;
     let count = Hashtbl.create 16 in
     List.iter
       (fun (l, _) ->
@@ -62,11 +58,9 @@ let first_stage ~env rng g inst ledger note_stats ~truncate =
           (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
       witnesses;
     let live = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
-    let lb_stats =
-      Tree_ops.broadcast ~env g ~tree ~items:live
-        ~bits:(fun _ -> Bitsize.id_bits ~n)
-    in
-    note_stats (tag "live-label broadcast") lb_stats;
+    ignore
+      (Tree_ops.broadcast ~env g ~tree ~items:live
+         ~bits:(fun _ -> Bitsize.id_bits ~n));
     for v = 0 to n - 1 do
       holders.(v) <- List.filter (fun l -> List.mem l live) holders.(v)
     done;
@@ -75,10 +69,9 @@ let first_stage ~env rng g inst ledger note_stats ~truncate =
       List.map (fun l -> l, vt.Virtual_tree.ancestors.(v).(i)) holders.(v)
     in
     (* (c) route labels to targets. *)
-    let rstates, r_stats =
+    let rstates, _ =
       tspan "label_routing" (fun () -> LR.route_phase ~env g vt ~origins)
     in
-    note_stats (tag "label routing") r_stats;
     Array.iter
       (fun st -> List.iter (fun eid -> f.(eid) <- true) st.LR.marked)
       rstates;
@@ -119,33 +112,25 @@ let first_stage ~env rng g inst ledger note_stats ~truncate =
       else []
     in
     let tables v = rstates.(v).LR.known in
-    let bstates, b_stats =
+    let bstates, _ =
       tspan "backtrace" (fun () ->
           LR.backtrace_phase ~env g ~tables ~bundles)
     in
-    note_stats (tag "backtrace") b_stats;
     for v = 0 to n - 1 do
       holders.(v) <- List.sort_uniq compare (bstates.(v).LR.b_l @ self_kept v)
     done
   done;
-  f, vt
+  f, vt, tree
 
 let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     ~rng inst0 =
   (* [jobs] drives only the trial fan-out below; every simulated run
      steps on the domain that calls it. *)
-  let env = { Sim.default_env with telemetry } in
-  let minimalized = Transform.minimalize ~env inst0 in
-  let inst = minimalized.Transform.value in
+  let ledger = Ledger.create () in
+  let env = { Sim.default_env with telemetry; ledger = Some ledger } in
+  let inst = Transform.minimalize ~env inst0 in
   let g = inst.Instance.graph in
   let m = Graph.m g in
-  let ledger = Ledger.create () in
-  Option.iter
-    (fun t -> Dsf_congest.Telemetry.attach_ledger t ledger)
-    telemetry;
-  Ledger.add ledger Ledger.Simulated "setup: minimalize instance (Lemma 2.4)"
-    minimalized.Transform.rounds;
-  let max_bits = ref 0 in
   (* Before the trial fan-out below: this fills the graph's (D, WD, s)
      memo (a hit when the caller already swept [g]), so the
      [Virtual_tree.build] inside every trial reads WD from it instead of
@@ -153,11 +138,7 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
   let d, _, s = Paths.parameters g in
   (* The regime test of footnote 2, genuinely simulated: count n by
      convergecast, then run Bellman-Ford for at most sqrt(n) rounds. *)
-  let regime, regime_rounds =
-    Dsf_congest.Params.regime ~env g
-  in
-  Ledger.add ledger Ledger.Simulated "determine s vs sqrt(n) (footnote 2)"
-    regime_rounds;
+  let regime = Dsf_congest.Params.regime ~env g in
   let truncate =
     match force_truncate with
     | Some b -> b
@@ -177,9 +158,10 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     (* Repeat the first stage; keep the lightest F (algorithm step 1-2).
        The repetitions are independent trials: each draws its randomness
        from a stream split off the caller's rng by trial index *before*
-       the fan-out and accumulates rounds in its own ledger, so running
-       them on the domain pool is bit-identical to the sequential loop —
-       trial ledgers merge back in repetition order below. *)
+       the fan-out and its runs count their rounds into its own ledger,
+       so running them on the domain pool is bit-identical to the
+       sequential loop — trial ledgers merge back in repetition order
+       below. *)
     let rep_rngs =
       Array.init repetitions (fun i -> Dsf_util.Rng.split rng (i + 1))
     in
@@ -195,43 +177,29 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
           Array.init repetitions (fun _ -> Dsf_congest.Telemetry.fork t)
     in
     let trial i =
-      let rep = i + 1 in
       let tel = if i < Array.length trial_tels then Some trial_tels.(i) else None in
-      let env = { env with Sim.telemetry = tel } in
+      let trial_ledger = Ledger.create () in
+      let env =
+        { env with Sim.telemetry = tel; ledger = Some trial_ledger }
+      in
       let tspan name fn = Sim.span env name fn in
       tspan "trial" @@ fun () ->
-      let trial_ledger = Ledger.create () in
-      Option.iter
-        (fun t -> Dsf_congest.Telemetry.attach_ledger t trial_ledger)
-        tel;
-      let trial_max_bits = ref 0 in
-      let note_stats label (stats : Sim.stats) =
-        Ledger.add trial_ledger Ledger.Simulated label stats.Sim.rounds;
-        if stats.Sim.max_edge_round_bits > !trial_max_bits then
-          trial_max_bits := stats.Sim.max_edge_round_bits
-      in
-      let f, vt =
-        first_stage ~env rep_rngs.(i) g inst trial_ledger
-          note_stats ~truncate
+      let f, vt, tree =
+        first_stage ~env rep_rngs.(i) g inst ~truncate
       in
       let w = Graph.edge_set_weight g f in
-      (* Compare candidate forests by a simulated weight convergecast:
-         each node contributes half the weight of its selected incident
-         edges. *)
-      let _, w_stats =
-        let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
-        Tree_ops.aggregate ~env g ~tree
-          ~value:(fun v ->
-            Array.fold_left
-              (fun acc (_, w', eid) -> if f.(eid) then acc + w' else acc)
-              0 (Graph.adj g v))
-          ~combine:( + )
-          ~bits:(fun x -> Bitsize.int_bits (max 1 x))
-      in
-      Ledger.add trial_ledger Ledger.Simulated
-        (Printf.sprintf "stage1 rep %d: weight comparison" rep)
-        w_stats.Sim.rounds;
-      w, f, vt, trial_ledger, !trial_max_bits
+      (* Compare candidate forests by a simulated weight convergecast over
+         stage 1's BFS tree: each node contributes half the weight of its
+         selected incident edges. *)
+      ignore
+        (Tree_ops.aggregate ~env g ~tree
+           ~value:(fun v ->
+             Array.fold_left
+               (fun acc (_, w', eid) -> if f.(eid) then acc + w' else acc)
+               0 (Graph.adj g v))
+           ~combine:( + )
+           ~bits:(fun x -> Bitsize.int_bits (max 1 x)));
+      w, f, vt, trial_ledger
     in
     (* Every trial's runs go through [Sim.run_flat], which reads the
        graph's lazily memoized CSR view: build it here on the coordinator
@@ -244,13 +212,12 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     let best = ref None in
     let phases = ref 0 in
     Array.iteri
-      (fun i (w, f, vt, trial_ledger, trial_max_bits) ->
+      (fun i (w, f, vt, trial_ledger) ->
         Ledger.merge_into ~dst:ledger trial_ledger;
         (match telemetry with
         | Some t ->
             Dsf_congest.Telemetry.merge_into ~dst:t trial_tels.(i)
         | None -> ());
-        if trial_max_bits > !max_bits then max_bits := trial_max_bits;
         phases := vt.Virtual_tree.levels + 1;
         match !best with
         | Some (bw, _, _) when bw <= w -> ()
@@ -267,13 +234,7 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
               Reduced_solver.solve ~env inst ~f
                 ~s_set:vt.Virtual_tree.s_set ~diameter:d)
         in
-        Ledger.add ledger Ledger.Simulated "stage2: T_v assignment"
-          out.Reduced_solver.assignment_rounds;
-        Ledger.add ledger Ledger.Simulated
-          "stage2: label helper graph (Lemma G.12)"
-          out.Reduced_solver.label_rounds;
-        Ledger.add ledger Ledger.Charged
-          "stage2: spanner + central solve ([17] internals)"
+        Sim.charge env "stage2: spanner + central solve ([17] internals)"
           out.Reduced_solver.charged_rounds;
         Array.mapi (fun i b -> b || out.Reduced_solver.extra_edges.(i)) f
       end

@@ -19,7 +19,9 @@
     join F.
 
     The first stage runs [repetitions] times and the lightest F wins (the
-    paper's expectation-to-w.h.p. amplification). *)
+    paper's expectation-to-w.h.p. amplification); each repetition's weight
+    is compared by a simulated convergecast over that repetition's own
+    stage-1 BFS tree. *)
 
 type result = {
   solution : bool array;
@@ -45,8 +47,8 @@ val run :
 
     [jobs] (default 1) runs the repetitions on the {!Dsf_util.Pool}
     domain pool.  Each repetition draws from an rng split off [rng] by
-    its trial index and logs rounds into its own ledger, merged back in
-    repetition order, so the result — solution, weight, and ledger — is
+    its trial index, and its runs count their rounds into its own
+    ledger, merged back in repetition order, so the result — solution, weight, and ledger — is
     bit-identical for every [jobs] value.  The graph's [(D, WD, s)] memo
     ({!Dsf_graph.Paths.parameters}) and CSR view are forced on the calling
     domain before the fan-out, so trials only read them.

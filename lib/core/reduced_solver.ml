@@ -8,8 +8,6 @@ type outcome = {
   extra_edges : bool array;
   reduced_terminal_count : int;
   reduced_label_count : int;
-  assignment_rounds : int;
-  label_rounds : int;
   charged_rounds : int;
   unassigned_terminals : int;
 }
@@ -29,8 +27,6 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
         extra_edges = extra;
         reduced_terminal_count = 0;
         reduced_label_count = 0;
-        assignment_rounds = 0;
-        label_rounds = 0;
         charged_rounds = 0;
         unassigned_terminals = 0;
       }
@@ -43,7 +39,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
       in
       let big = cap + 1 in
       let weight_of eid = if f.(eid) then 1 else big in
-      let res, stats =
+      let res, _ =
         tspan "t_v_assignment" (fun () ->
             Bellman_ford.run ~env g ~weight_of ~radius:cap
               ~sources:(List.map (fun v -> v, 0) s_set))
@@ -71,8 +67,6 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
           extra_edges = extra;
           reduced_terminal_count = 0;
           reduced_label_count = 0;
-          assignment_rounds = stats.Sim.rounds;
-          label_rounds = 0;
           charged_rounds = 0;
           unassigned_terminals = !unassigned;
         }
@@ -131,9 +125,8 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
         in
         let label_index = Hashtbl.create 16 in
         List.iteri (fun i l -> Hashtbl.replace label_index l i) all_labels;
-        let label_rounds =
-          tspan "label_helper" @@ fun () ->
-          let tree, t1 =
+        tspan "label_helper" (fun () ->
+          let tree, _ =
             Dsf_congest.Bfs.build ~env g
               ~root:(Dsf_congest.Bfs.max_id_root g)
           in
@@ -149,7 +142,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
               Some (Hashtbl.find label_index inst.Instance.labels.(v))
             else None
           in
-          let cell_min, t2 =
+          let cell_min, _ =
             Dsf_congest.Component_ops.component_min_item ~env g
               ~mask
               ~values
@@ -169,17 +162,16 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
             end
             else []
           in
-          let helper_forest, t3 =
+          let helper_forest, _ =
             Dsf_congest.Pipeline.filtered_upcast ~env g ~tree
               ~vn:(List.length all_labels) ~pre:[] ~items
               ~cmp:Dsf_util.Intmath.compare_pair
               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)
           in
-          let t4 =
-            Dsf_congest.Tree_ops.broadcast ~env g ~tree
-              ~items:helper_forest
-              ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)
-          in
+          ignore
+            (Dsf_congest.Tree_ops.broadcast ~env g ~tree
+               ~items:helper_forest
+               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n));
           (* Consistency: the protocol's forest spans exactly the same
              label components as the definitional helper graph below. *)
           let proto_uf = Uf.create (List.length all_labels) in
@@ -187,9 +179,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
             (fun (it : (int * int) Dsf_congest.Pipeline.item) ->
               ignore (Uf.union proto_uf it.Dsf_congest.Pipeline.a it.Dsf_congest.Pipeline.b))
             helper_forest;
-          t1.Sim.rounds + t2.Sim.rounds + t3.Sim.rounds + t4.Sim.rounds
-          |> fun r -> proto_check := Some proto_uf; r
-        in
+          proto_check := Some proto_uf);
         let luf = Uf.create (List.length all_labels) in
         Hashtbl.iter
           (fun _ ws ->
@@ -278,8 +268,6 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
           extra_edges = extra;
           reduced_terminal_count = p;
           reduced_label_count = reduced_labels;
-          assignment_rounds = stats.Sim.rounds;
-          label_rounds;
           charged_rounds = isqrt n + diameter;
           unassigned_terminals = !unassigned;
         }

@@ -12,18 +12,16 @@
     contracted round bound to the caller's ledger — the substitution is
     documented in DESIGN.md.
 
-    The T_v assignment is genuinely simulated (hop-limited Bellman-Ford on
-    the F-subgraph). *)
+    The T_v assignment (hop-limited Bellman-Ford on the F-subgraph) and
+    the Lemma G.12 helper-graph construction (per-T_v min-label gossip,
+    pipelined forest upcast, broadcast) are genuinely simulated under
+    [env], whose ledger counts their rounds. *)
 
 type outcome = {
   extra_edges : bool array;
       (** F': selected original-graph edges realizing the reduced solution *)
   reduced_terminal_count : int;  (** t^ <= |S| *)
   reduced_label_count : int;
-  assignment_rounds : int;  (** simulated rounds for the T_v Voronoi *)
-  label_rounds : int;
-      (** simulated rounds for the Lemma G.12 helper-graph construction:
-          per-T_v min-label gossip + pipelined forest upcast + broadcast *)
   charged_rounds : int;
       (** the remaining [17]-internals charge (central spanner solve):
           ~ sqrt n + D *)

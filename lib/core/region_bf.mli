@@ -40,8 +40,8 @@ val run :
 
     The region-growth steps shared by {!Det_dsf} and {!Det_sublinear}:
     per-node region state, one decomposition per merge phase, and the
-    freeze at the phase's growth.  The callers keep their own ledger
-    entries; these steps open no span beyond {!run}'s. *)
+    freeze at the phase's growth.  These steps open no span beyond
+    {!run}'s. *)
 
 type regions = {
   owners : int array;  (** owning terminal's node id; [-1] if uncovered *)

@@ -27,7 +27,6 @@ type report = {
   rounds_simulated : int;
   rounds_charged : int;
   dual_lower_bound : float option;
-  ledger : Ledger.t option;
 }
 
 let of_ledger algo inst solution weight dual ledger =
@@ -39,7 +38,6 @@ let of_ledger algo inst solution weight dual ledger =
     rounds_simulated = (match ledger with Some l -> Ledger.simulated l | None -> 0);
     rounds_charged = (match ledger with Some l -> Ledger.charged l | None -> 0);
     dual_lower_bound = dual;
-    ledger;
   }
 
 (* The Khan baseline lives in dsf_baseline, which depends on dsf_core; to
@@ -48,10 +46,10 @@ let of_ledger algo inst solution weight dual ledger =
    (see Dsf_baseline.Khan_etal).  Process-global by design: written once
    during linking, read-only afterwards — domain-safe in practice. *)
 let khan_hook :
-    (repetitions:int -> rng:Dsf_util.Rng.t -> Instance.ic ->
-     bool array * int * Ledger.t)
+    (?telemetry:Dsf_congest.Telemetry.t -> repetitions:int ->
+     rng:Dsf_util.Rng.t -> Instance.ic -> bool array * int * Ledger.t)
     ref =
-  ref (fun ~repetitions:_ ~rng:_ _ ->
+  ref (fun ?telemetry:_ ~repetitions:_ ~rng:_ _ ->
       failwith
         "Solver: Khan baseline requested but dsf_baseline is not linked; \
          depend on dsf_baseline or avoid Khan_baseline")
@@ -83,7 +81,8 @@ let solve_ic ?(jobs = 1) ?telemetry ?chaos algo inst =
   | Khan_baseline { repetitions; seed } ->
       let solution, weight, ledger =
         tspan "khan_baseline" (fun () ->
-            !khan_hook ~repetitions ~rng:(Dsf_util.Rng.create seed) inst)
+            !khan_hook ?telemetry ~repetitions
+              ~rng:(Dsf_util.Rng.create seed) inst)
       in
       of_ledger algo inst solution weight None (Some ledger)
   | Centralized_moat ->
@@ -96,25 +95,13 @@ let solve_cr ?jobs ?telemetry ?chaos algo cr =
   let network =
     Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
   in
-  let env = { Sim.default_env with telemetry; network } in
-  let out = Transform.cr_to_ic ~env cr in
-  let report =
-    solve_ic ?jobs ?telemetry ?chaos algo out.Transform.value
-  in
-  let ledger =
-    match report.ledger with
-    | Some l ->
-        let merged = Ledger.create () in
-        Ledger.add merged Ledger.Simulated "CR->IC transform (Lemma 2.3)"
-          out.Transform.rounds;
-        Ledger.merge_into ~dst:merged l;
-        Some merged
-    | None -> None
-  in
+  let ledger = Ledger.create () in
+  let env = { Sim.default_env with telemetry; ledger = Some ledger; network } in
+  let inst = Transform.cr_to_ic ~env cr in
+  let report = solve_ic ?jobs ?telemetry ?chaos algo inst in
   {
     report with
-    rounds_simulated = report.rounds_simulated + out.Transform.rounds;
-    ledger;
+    rounds_simulated = report.rounds_simulated + Ledger.simulated ledger;
   }
 
 let compare_all ?jobs ?telemetry ?algorithms inst =

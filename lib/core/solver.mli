@@ -27,7 +27,6 @@ type report = {
   rounds_charged : int;
   dual_lower_bound : float option;
       (** Σ act·µ when the algorithm certifies itself (moat growing) *)
-  ledger : Dsf_congest.Ledger.t option;
 }
 
 val solve_ic :
@@ -51,10 +50,10 @@ val solve_ic :
     [telemetry] sees every simulated run of the chosen algorithm (and so
     does a flight recorder riding on it): each entry point builds one
     {!Dsf_congest.Sim.env} from these arguments, which all its
-    subroutines inherit.  [telemetry] profiles the run: the distributed algorithms open their own
-    phase spans (see each module's docs); the centralized reference and
-    the Khan baseline are wrapped in a single [centralized_moat] /
-    [khan_baseline] span. *)
+    subroutines inherit.  [telemetry] profiles the run: the distributed
+    algorithms open their own phase spans (see each module's docs); the
+    centralized reference and the Khan baseline are wrapped in a single
+    [centralized_moat] / [khan_baseline] span. *)
 
 val solve_cr :
   ?jobs:int ->
@@ -64,8 +63,8 @@ val solve_cr :
   Dsf_graph.Instance.cr ->
   report
 (** Applies the distributed Lemma 2.3 transform first; its rounds are
-    added to the report (and its ledger entry when a ledger exists).
-    Under [telemetry] the transform shows up as a [cr_to_ic] span. *)
+    added to the report's [rounds_simulated].  Under [telemetry] the
+    transform shows up as a [cr_to_ic] span. *)
 
 val compare_all :
   ?jobs:int ->
@@ -79,7 +78,8 @@ val compare_all :
 (**/**)
 
 val khan_hook :
-  (repetitions:int -> rng:Dsf_util.Rng.t -> Dsf_graph.Instance.ic ->
+  (?telemetry:Dsf_congest.Telemetry.t -> repetitions:int ->
+   rng:Dsf_util.Rng.t -> Dsf_graph.Instance.ic ->
    bool array * int * Dsf_congest.Ledger.t)
   ref
 (** Injection point for the Khan et al. baseline (set by [Dsf_baseline];

@@ -7,18 +7,12 @@ module Pipeline = Dsf_congest.Pipeline
 module Sim = Dsf_congest.Sim
 module Bitsize = Dsf_util.Bitsize
 
-type 'a outcome = {
-  value : 'a;
-  rounds : int;
-  messages : int;
-}
-
 let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
   Sim.span env "cr_to_ic" @@ fun () ->
   let g = cr.Instance.cr_graph in
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ~env g ~root in
+  let tree, _ = Bfs.build ~env g ~root in
   let pair_bits = 2 * Bitsize.id_bits ~n in
   (* Convergecast the requests with forest filtering: a request that closes
      a cycle with already-known connectivity is redundant, so at most t - 1
@@ -31,18 +25,15 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
         else Some { Pipeline.key = (min v w, max v w); a = v; b = w })
       cr.Instance.requests.(v)
   in
-  let surviving, s2 =
+  let surviving, _ =
     Pipeline.filtered_upcast ~env g
       ~tree ~vn:n
       ~pre:[] ~items ~cmp:Dsf_util.Intmath.compare_pair
       ~bits:(fun _ -> pair_bits)
   in
   let pairs = List.map (fun it -> it.Pipeline.a, it.Pipeline.b) surviving in
-  let s3 =
-    Tree_ops.broadcast ~env g ~tree
-      ~items:pairs
-      ~bits:(fun _ -> pair_bits)
-  in
+  ignore
+    (Tree_ops.broadcast ~env g ~tree ~items:pairs ~bits:(fun _ -> pair_bits));
   (* Everyone now computes components of the request graph locally.  The
      label of a component is its smallest terminal id. *)
   let uf = Uf.create n in
@@ -67,18 +58,14 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
     Array.init n (fun v ->
         if is_term.(v) then smallest.(Uf.find uf v) else -1)
   in
-  {
-    value = Instance.make_ic g labels;
-    rounds = s1.Sim.rounds + s2.Sim.rounds + s3.Sim.rounds;
-    messages = s1.Sim.messages + s2.Sim.messages + s3.Sim.messages;
-  }
+  Instance.make_ic g labels
 
 let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
   Sim.span env "minimalize" @@ fun () ->
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ~env g ~root in
+  let tree, _ = Bfs.build ~env g ~root in
   (* Each terminal reports (label, id); inner nodes forward at most two
      distinct witnesses per label (Lemma 2.4). *)
   let items v =
@@ -86,7 +73,7 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
     else []
   in
   let id_bits = Bitsize.id_bits ~n in
-  let witnesses, s2 =
+  let witnesses, _ =
     Tree_ops.upcast_dedup ~env ~per_key:2
       g ~tree
       ~items ~key:fst
@@ -98,18 +85,11 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
       Hashtbl.replace count l (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
     witnesses;
   let keep = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
-  let s3 =
-    Tree_ops.broadcast ~env g ~tree
-      ~items:keep
-      ~bits:(fun _ -> id_bits)
-  in
+  ignore
+    (Tree_ops.broadcast ~env g ~tree ~items:keep ~bits:(fun _ -> id_bits));
   let labels =
     Array.mapi
       (fun _ l -> if l >= 0 && List.mem l keep then l else -1)
       inst.Instance.labels
   in
-  {
-    value = Instance.make_ic g labels;
-    rounds = s1.Sim.rounds + s2.Sim.rounds + s3.Sim.rounds;
-    messages = s1.Sim.messages + s2.Sim.messages + s3.Sim.messages;
-  }
+  Instance.make_ic g labels

@@ -8,18 +8,15 @@
     [minimalize] turns a DSF-IC instance into an equivalent minimal one
     (every surviving component has >= 2 terminals) in O(D + k) rounds: each
     label's first two witnesses are convergecast, the root broadcasts the
-    set of non-singleton labels, and singleton terminals drop out. *)
+    set of non-singleton labels, and singleton terminals drop out.
 
-type 'a outcome = {
-  value : 'a;
-  rounds : int;  (** simulated rounds *)
-  messages : int;
-}
+    Both simulate every step under [env] (see {!Dsf_congest.Sim}); the
+    engine counts their rounds into [env]'s ledger. *)
 
 val cr_to_ic :
   ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Instance.cr ->
-  Dsf_graph.Instance.ic outcome
+  Dsf_graph.Instance.ic
 (** The resulting labels are the smallest terminal id in each request
     component, matching the construction in the proof of Lemma 2.3.
     Every subroutine runs under [env] (see {!Dsf_congest.Sim}) inside a
@@ -30,4 +27,4 @@ val cr_to_ic :
 val minimalize :
   ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Instance.ic ->
-  Dsf_graph.Instance.ic outcome
+  Dsf_graph.Instance.ic

@@ -12,7 +12,6 @@ type entry = {
 type t = {
   ranks : int array;
   lists : entry list array;
-  rounds : int;
   stats : Dsf_congest.Sim.stats;
 }
 
@@ -141,7 +140,6 @@ let build ?(env = Sim.default_env) rng g =
   {
     ranks;
     lists = Array.map (fun st -> st.list) states;
-    rounds = stats.Sim.rounds;
     stats;
   }
 

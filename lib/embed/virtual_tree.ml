@@ -21,7 +21,6 @@ let ceil_log2 = Dsf_util.Intmath.ceil_log2
 let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at g =
   let n = Graph.n g in
   let le = Le_list.build ~env rng g in
-  let rounds = ref le.Le_list.rounds in
   let beta_num = beta_den + Dsf_util.Rng.int rng beta_den in
   let wd = Paths.diameter_weighted g in
   let levels = max 1 (ceil_log2 (max 2 wd)) in
@@ -37,11 +36,10 @@ let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at g =
                  compare le.Le_list.ranks.(b) le.Le_list.ranks.(a))
         in
         let s = List.filteri (fun i _ -> i < size) by_rank in
-        let res, stats =
+        let res, _ =
           Dsf_congest.Bellman_ford.run ~env g
             ~sources:(List.map (fun v -> v, 0) s)
         in
-        rounds := !rounds + stats.Dsf_congest.Sim.rounds;
         ( s,
           res.Dsf_congest.Bellman_ford.src_of,
           res.Dsf_congest.Bellman_ford.parent )
@@ -72,17 +70,16 @@ let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at g =
           ancestors.(v).(i) <- (if closest_s.(v) >= 0 then closest_s.(v) else v)
       done
     done;
-  ( {
-      le;
-      beta_num;
-      levels;
-      ancestors;
-      trunc_level;
-      s_set;
-      closest_s;
-      voronoi_parent;
-    },
-    !rounds )
+  {
+    le;
+    beta_num;
+    levels;
+    ancestors;
+    trunc_level;
+    s_set;
+    closest_s;
+    voronoi_parent;
+  }
 
 let route_next_hop t v target =
   if v = target then None

@@ -38,11 +38,11 @@ val build :
   Dsf_util.Rng.t ->
   ?truncate_at:int ->
   Dsf_graph.Graph.t ->
-  t * int
-(** [build rng ?truncate_at g] returns the tree and the number of simulated
-    rounds spent (LE lists; plus the closest-S Voronoi when truncating).
-    [truncate_at] is |S| (e.g. sqrt n); omit it for the full tree.  Every
-    simulated run uses the run environment [env]. *)
+  t
+(** [build rng ?truncate_at g] simulates the LE lists (plus the closest-S
+    Voronoi when truncating) and returns the tree.  [truncate_at] is |S|
+    (e.g. sqrt n); omit it for the full tree.  Every simulated run uses
+    the run environment [env], whose ledger counts their rounds. *)
 
 val route_next_hop : t -> int -> int -> int option
 (** [route_next_hop t v target]: next hop from [v] on the recorded

@@ -102,11 +102,13 @@ let test_st_distributed_ledger_simulated () =
   let g = Gen.random_connected (rng 6) ~n:30 ~extra_edges:25 ~max_w:8 in
   let terms = Dsf_util.Rng.sample_without_replacement (rng 7) 6 30 |> Array.to_list in
   let res = Steiner_tree_distributed.run g ~terminals:terms in
+  let ledger = res.Steiner_tree_distributed.ledger in
   Alcotest.(check bool) "substantial simulated rounds" true
-    (Dsf_congest.Ledger.simulated res.Steiner_tree_distributed.ledger > 10);
-  Alcotest.(check bool) "several phases in the ledger" true
-    (List.length (Dsf_congest.Ledger.entries res.Steiner_tree_distributed.ledger)
-    >= 6)
+    (Dsf_congest.Ledger.simulated ledger > 10);
+  (* The one charge is the F.3 pruning's matchings; everything else is
+     counted by the engine. *)
+  check Alcotest.int "one charge" 1
+    (List.length (Dsf_congest.Ledger.charges ledger))
 
 let prop_st_distributed_two_approx =
   QCheck.Test.make

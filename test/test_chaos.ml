@@ -246,13 +246,27 @@ let test_recovery_stats_counted () =
     (rs.Fault.checkpoint_bits > 0);
   let lossless, _ = Sim.run g proto in
   Alcotest.(check bool) "inner states lossless" true
-    (Array.map Fault.inner hs = lossless)
+    (Array.map Fault.inner hs = lossless);
+  (* The same plan through Fault.sim_run: the telemetry's
+     fault/recovery_rounds counter reports those resync rounds, and the
+     env's ledger counts the hardened run's rounds exactly once. *)
+  let tel = Telemetry.create ~clock:(fun () -> 0L) () in
+  let ledger = Ledger.create () in
+  let env =
+    { (chaos_env plan) with telemetry = Some tel; ledger = Some ledger }
+  in
+  let _, stats = sim_run ~env ~recovery:(Fault.immutable ()) g proto in
+  check Alcotest.int "fault/recovery_rounds counter" rs.Fault.recovery_rounds
+    (Dsf_util.Metrics.counter_value (Telemetry.metrics tel)
+       "fault/recovery_rounds");
+  check Alcotest.int "ledger counts the hardened run once" stats.Sim.rounds
+    (Ledger.simulated ledger)
 
 let test_hardened_units () =
   (* A drop-only hardened run spends retransmissions (packets) but no
-     recovery rounds: the rounds ledger of its "hardened" span must stay
-     at zero while the packet and checkpoint-bit counts land in the
-     metrics registry. *)
+     recovery rounds: its fault/recovery_rounds counter stays at zero
+     while the packet and checkpoint-bit counts land in the metrics
+     registry. *)
   let g = random_graph 31 in
   let tel = Telemetry.create ~clock:(fun () -> 0L) () in
   let env =
@@ -268,8 +282,9 @@ let test_hardened_units () =
     (span.Telemetry.retransmissions > 0);
   check Alcotest.int "span retransmissions = stats" stats.Sim.retransmissions
     span.Telemetry.retransmissions;
-  check Alcotest.int "ledger_simulated = 0" 0 span.Telemetry.ledger_simulated;
   check Alcotest.int "ledger_charged = 0" 0 span.Telemetry.ledger_charged;
+  check Alcotest.int "fault/recovery_rounds counter" 0
+    (metric "fault/recovery_rounds");
   check Alcotest.int "fault/retransmissions counter" stats.Sim.retransmissions
     (metric "fault/retransmissions");
   Alcotest.(check bool) "fault/checkpoint_bits counter" true

@@ -313,15 +313,51 @@ let test_det_congestion_discipline () =
 
 let test_det_ledger_structure () =
   let inst = random_instance 11 in
-  let res = Det_dsf.run inst in
-  let entries = Dsf_congest.Ledger.entries res.Det_dsf.ledger in
-  Alcotest.(check bool) "has entries" true (List.length entries > 3);
+  let tel = Dsf_congest.Telemetry.create () in
+  let res = Det_dsf.run ~telemetry:tel inst in
+  (* The engine counts the simulated rounds; det names one charge, the
+     final edge-level prune. *)
+  check Alcotest.int "simulated = engine rounds"
+    (Dsf_util.Metrics.counter_value (Dsf_congest.Telemetry.metrics tel)
+       "sim/rounds")
+    (Dsf_congest.Ledger.simulated res.Det_dsf.ledger);
+  check
+    Alcotest.(list string)
+    "one charge"
+    [ "final: edge-level prune (F.3 style)" ]
+    (List.map fst (Dsf_congest.Ledger.charges res.Det_dsf.ledger));
   Alcotest.(check bool) "simulated dominates" true
     (Dsf_congest.Ledger.simulated res.Det_dsf.ledger > 0);
   Alcotest.(check bool) "total = sim + charged" true
     (Dsf_congest.Ledger.total res.Det_dsf.ledger
     = Dsf_congest.Ledger.simulated res.Det_dsf.ledger
       + Dsf_congest.Ledger.charged res.Det_dsf.ledger)
+
+(* An instance whose components are all singletons minimalizes to t = 0.
+   The minimalization still runs on the network, so det and sublinear
+   report its rounds, counted by the engine, on that early return. *)
+let test_singletons_report_minimalize_rounds () =
+  let g = Gen.path 6 in
+  let inst = Instance.make_ic g [| 0; -1; 2; -1; -1; 5 |] in
+  let engine_rounds run =
+    let tel = Dsf_congest.Telemetry.create () in
+    let ledger = run tel in
+    let sim = Dsf_congest.Ledger.simulated ledger in
+    check Alcotest.int "simulated = engine rounds"
+      (Dsf_util.Metrics.counter_value (Dsf_congest.Telemetry.metrics tel)
+         "sim/rounds")
+      sim;
+    Alcotest.(check bool) "minimalize rounds reported" true (sim > 0)
+  in
+  engine_rounds (fun tel ->
+      let res = Det_dsf.run ~telemetry:tel inst in
+      check Alcotest.int "det: empty solution" 0 res.Det_dsf.weight;
+      res.Det_dsf.ledger);
+  engine_rounds (fun tel ->
+      let res = Det_sublinear.run ~telemetry:tel ~eps_num:1 ~eps_den:2 inst in
+      check Alcotest.int "sublinear: empty solution" 0
+        res.Det_sublinear.weight;
+      res.Det_sublinear.ledger)
 
 let prop_det_matches_centralized_dual =
   QCheck.Test.make
@@ -385,8 +421,12 @@ let test_transform_cr_to_ic () =
   requests.(2) <- [ 4 ];
   requests.(5) <- [ 1 ];
   let cr = Instance.make_cr g requests in
-  let out = Transform.cr_to_ic cr in
-  let inst = out.Transform.value in
+  let ledger = Dsf_congest.Ledger.create () in
+  let inst =
+    Transform.cr_to_ic
+      ~env:{ Dsf_congest.Sim.default_env with ledger = Some ledger }
+      cr
+  in
   check Alcotest.int "k = 2" 2 (Instance.component_count inst);
   Alcotest.(check bool) "0,2,4 together" true
     (inst.Instance.labels.(0) = inst.Instance.labels.(4));
@@ -394,7 +434,8 @@ let test_transform_cr_to_ic () =
     (inst.Instance.labels.(1) = inst.Instance.labels.(5));
   Alcotest.(check bool) "groups differ" true
     (inst.Instance.labels.(0) <> inst.Instance.labels.(1));
-  Alcotest.(check bool) "rounds ~ O(D + t)" true (out.Transform.rounds <= 40)
+  Alcotest.(check bool) "rounds ~ O(D + t)" true
+    (Dsf_congest.Ledger.simulated ledger <= 40)
 
 let test_transform_cr_matches_centralized () =
   let r = rng 3 in
@@ -406,7 +447,7 @@ let test_transform_cr_matches_centralized () =
       if v <> w then requests.(v) <- w :: requests.(v))
     (List.init 10 Fun.id);
   let cr = Instance.make_cr g requests in
-  let distributed = (Transform.cr_to_ic cr).Transform.value in
+  let distributed = Transform.cr_to_ic cr in
   let centralized = Instance.ic_of_cr cr in
   (* Same partition of terminals, possibly different label names. *)
   let partition inst =
@@ -419,10 +460,16 @@ let test_transform_cr_matches_centralized () =
 let test_transform_minimalize () =
   let g = Gen.path 6 in
   let inst = Instance.make_ic g [| 0; 1; -1; 0; 2; 2 |] in
-  let out = Transform.minimalize inst in
-  check Alcotest.int "k drops to 2" 2 (Instance.component_count out.Transform.value);
-  check Alcotest.int "label 1 dropped" (-1) out.Transform.value.Instance.labels.(1);
-  Alcotest.(check bool) "rounds bounded" true (out.Transform.rounds <= 40)
+  let ledger = Dsf_congest.Ledger.create () in
+  let out =
+    Transform.minimalize
+      ~env:{ Dsf_congest.Sim.default_env with ledger = Some ledger }
+      inst
+  in
+  check Alcotest.int "k drops to 2" 2 (Instance.component_count out);
+  check Alcotest.int "label 1 dropped" (-1) out.Instance.labels.(1);
+  Alcotest.(check bool) "rounds bounded" true
+    (Dsf_congest.Ledger.simulated ledger <= 40)
 
 let prop_transform_minimalize_equiv =
   QCheck.Test.make
@@ -436,7 +483,7 @@ let prop_transform_minimalize_equiv =
             if Dsf_util.Rng.bool r then Dsf_util.Rng.int r 5 else -1)
       in
       let inst = Instance.make_ic g labels in
-      let distributed = (Transform.minimalize inst).Transform.value in
+      let distributed = Transform.minimalize inst in
       let centralized = Instance.minimalize inst in
       distributed.Instance.labels = centralized.Instance.labels)
 
@@ -486,6 +533,8 @@ let suites =
         Alcotest.test_case "two components" `Quick test_det_two_components;
         Alcotest.test_case "congestion discipline" `Quick test_det_congestion_discipline;
         Alcotest.test_case "ledger structure" `Quick test_det_ledger_structure;
+        Alcotest.test_case "singletons report minimalize rounds" `Quick
+          test_singletons_report_minimalize_rounds;
         qtest prop_det_matches_centralized_dual;
         qtest prop_det_feasible_two_approx;
         qtest prop_det_output_minimal;

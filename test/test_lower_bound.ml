@@ -69,7 +69,7 @@ let test_cr_heavy_edges_encode_answer () =
     (fun force ->
       let a, b = Gadgets.random_sets (rng 8) ~universe:8 ~density:0.5 ~force_intersect:force in
       let gad = Gadgets.cr_gadget ~universe:8 ~rho:2 ~a ~b in
-      let ic = (Dsf_core.Transform.cr_to_ic gad.Gadgets.cr).Dsf_core.Transform.value in
+      let ic = Dsf_core.Transform.cr_to_ic gad.Gadgets.cr in
       let res = Dsf_core.Det_dsf.run ic in
       Alcotest.(check bool) "feasible for the requests" true
         (Instance.cr_is_feasible gad.Gadgets.cr res.Dsf_core.Det_dsf.solution);
@@ -85,10 +85,9 @@ let test_cut_bits_measured () =
   let _, bits =
     Gadgets.cut_bits gad.Gadgets.cr_side (fun ~telemetry ->
         let ic =
-          (Dsf_core.Transform.cr_to_ic
+          Dsf_core.Transform.cr_to_ic
              ~env:{ Dsf_congest.Sim.default_env with telemetry = Some telemetry }
-             gad.Gadgets.cr)
-            .Dsf_core.Transform.value
+             gad.Gadgets.cr
         in
         Dsf_core.Det_dsf.run ~telemetry ic)
   in
@@ -101,11 +100,10 @@ let test_cut_bits_scale_with_universe () =
     let _, bits =
       Gadgets.cut_bits gad.Gadgets.cr_side (fun ~telemetry ->
           let ic =
-            (Dsf_core.Transform.cr_to_ic
+            Dsf_core.Transform.cr_to_ic
                ~env:
                  { Dsf_congest.Sim.default_env with telemetry = Some telemetry }
-               gad.Gadgets.cr)
-              .Dsf_core.Transform.value
+               gad.Gadgets.cr
           in
           Dsf_core.Det_dsf.run ~telemetry ic)
     in
@@ -197,7 +195,7 @@ let test_padded_gadget_still_encodes_answer () =
         { Gadgets.extra_nodes = 6; extra_diameter = 3; extra_components = 2 }
       in
       let gad = Gadgets.cr_gadget_padded ~universe:6 ~rho:2 ~a ~b ~padding in
-      let ic = (Dsf_core.Transform.cr_to_ic gad.Gadgets.cr).Dsf_core.Transform.value in
+      let ic = Dsf_core.Transform.cr_to_ic gad.Gadgets.cr in
       let res = Dsf_core.Det_dsf.run ic in
       Alcotest.(check bool) "feasible" true
         (Instance.cr_is_feasible gad.Gadgets.cr res.Dsf_core.Det_dsf.solution);
@@ -216,12 +214,11 @@ let test_padding_stays_off_the_cut () =
     snd
       (Gadgets.cut_bits side (fun ~telemetry ->
            let ic =
-             (Dsf_core.Transform.cr_to_ic
+             Dsf_core.Transform.cr_to_ic
                 ~env:
                   { Dsf_congest.Sim.default_env with
                     telemetry = Some telemetry }
-                cr)
-               .Dsf_core.Transform.value
+                cr
            in
            Dsf_core.Det_dsf.run ~telemetry ic))
   in

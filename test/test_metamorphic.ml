@@ -284,36 +284,43 @@ let prop_io_roundtrip =
 
 let test_params_count_nodes () =
   let g = Gen.grid ~rows:4 ~cols:5 in
-  let n, rounds = Dsf_congest.Params.count_nodes g in
+  let ledger = Dsf_congest.Ledger.create () in
+  let env = { Dsf_congest.Sim.default_env with ledger = Some ledger } in
+  let n = Dsf_congest.Params.count_nodes ~env g in
   check Alcotest.int "n" 20 n;
-  Alcotest.(check bool) "rounds ~ D" true (rounds <= 4 * 7)
+  Alcotest.(check bool) "rounds ~ D" true
+    (Dsf_congest.Ledger.simulated ledger <= 4 * 7)
 
 let test_params_diameter_bound () =
   let g = Gen.path 12 in
-  let bound, _ = Dsf_congest.Params.diameter_upper_bound g in
+  let bound = Dsf_congest.Params.diameter_upper_bound g in
   let d = Paths.diameter_unweighted g in
   Alcotest.(check bool) "sandwiched" true (bound >= d && bound <= 2 * d)
 
 let test_params_estimate_s () =
   let g = Gen.path 20 in
   (match Dsf_congest.Params.estimate_s ~cap:100 g with
-  | `Stabilized s, _ -> Alcotest.(check bool) "close to s" true (s >= 19 && s <= 25)
-  | `Exceeded, _ -> Alcotest.fail "should stabilize");
-  match Dsf_congest.Params.estimate_s ~cap:5 g with
-  | `Exceeded, _ -> ()
-  | `Stabilized _, _ -> Alcotest.fail "cap 5 must be exceeded on a 20-path"
+  | `Stabilized s -> Alcotest.(check bool) "close to s" true (s >= 19 && s <= 25)
+  | `Exceeded -> Alcotest.fail "should stabilize");
+  (* An exceeded run still counts its rounds: all cap + 1 of them. *)
+  let ledger = Dsf_congest.Ledger.create () in
+  let env = { Dsf_congest.Sim.default_env with ledger = Some ledger } in
+  (match Dsf_congest.Params.estimate_s ~env ~cap:5 g with
+  | `Exceeded -> ()
+  | `Stabilized _ -> Alcotest.fail "cap 5 must be exceeded on a 20-path");
+  check Alcotest.int "aborted run counted" 6 (Dsf_congest.Ledger.simulated ledger)
 
 let test_params_regime () =
   (* Star: s = 2 <= sqrt n -> small regime. *)
   let star = Gen.star 30 in
   (match Dsf_congest.Params.regime star with
-  | `Small_s _, _ -> ()
-  | `Large_s, _ -> Alcotest.fail "star should be small-s");
+  | `Small_s _ -> ()
+  | `Large_s -> Alcotest.fail "star should be small-s");
   (* Long path: s = n - 1 > sqrt n -> large regime. *)
   let path = Gen.path 30 in
   match Dsf_congest.Params.regime path with
-  | `Large_s, _ -> ()
-  | `Small_s _, _ -> Alcotest.fail "path should be large-s"
+  | `Large_s -> ()
+  | `Small_s _ -> Alcotest.fail "path should be large-s"
 
 let suites =
   [

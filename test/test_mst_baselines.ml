@@ -249,9 +249,11 @@ let test_select_token_flood_dedup () =
 
 let test_ledger_pp_smoke () =
   let l = Dsf_congest.Ledger.create () in
-  Dsf_congest.Ledger.add l Dsf_congest.Ledger.Simulated "abc" 3;
-  Dsf_congest.Ledger.add l Dsf_congest.Ledger.Charged "def" 4;
+  let env = { Dsf_congest.Sim.default_env with ledger = Some l } in
+  let _, stats = Dsf_congest.Bfs.build ~env (Gen.path 3) ~root:0 in
+  Dsf_congest.Sim.charge env "def" 4;
   let s = Format.asprintf "%a" Dsf_congest.Ledger.pp l in
+  let sim = stats.Dsf_congest.Sim.rounds in
   Alcotest.(check bool) "mentions totals" true
     (String.length s > 10
     &&
@@ -260,7 +262,9 @@ let test_ledger_pp_smoke () =
       let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
       go 0
     in
-    contains "total=7" && contains "abc" && contains "def")
+    contains (Printf.sprintf "total=%d" (sim + 4))
+    && contains (Printf.sprintf "simulated=%d" sim)
+    && contains "def")
 
 (* -------------------------------------------------------- error handling *)
 

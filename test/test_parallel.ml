@@ -111,11 +111,10 @@ let test_pool_default_jobs_bounds () =
 (* -------------------------------------------------------- jobs invariance *)
 
 let ledger_repr l =
-  List.map
-    (fun (kind, label, rounds) ->
-      (match kind with Ledger.Simulated -> "S" | Ledger.Charged -> "C")
-      ^ ":" ^ label ^ ":" ^ string_of_int rounds)
-    (Ledger.entries l)
+  ("S:" ^ string_of_int (Ledger.simulated l))
+  :: List.map
+       (fun (label, rounds) -> "C:" ^ label ^ ":" ^ string_of_int rounds)
+       (Ledger.charges l)
 
 let rand_invariance seed ~repetitions ~force_truncate =
   let inst = random_instance seed in

@@ -56,12 +56,22 @@ let test_pruning_cluster_stats () =
   let labels = Gen.random_labels r ~n:40 ~t:10 ~k:3 in
   let inst = Instance.make_ic g labels in
   let f = Mst.kruskal g in
-  let res = Pruning.run inst ~f ~sigma:5 in
+  let ledger = Dsf_congest.Ledger.create () in
+  let tel = Dsf_congest.Telemetry.create () in
+  let env =
+    { Dsf_congest.Sim.default_env with
+      telemetry = Some tel; ledger = Some ledger }
+  in
+  let res = Pruning.run ~env inst ~f ~sigma:5 in
   Alcotest.(check bool) "some clusters" true (res.Pruning.clusters >= 1);
   Alcotest.(check bool) "clusters bounded by nodes" true (res.Pruning.clusters <= 40);
   Alcotest.(check bool) "fc edges < n" true (res.Pruning.cluster_edges < 40);
   Alcotest.(check bool) "ledger has simulated rounds" true
-    (Dsf_congest.Ledger.simulated res.Pruning.ledger > 0)
+    (Dsf_congest.Ledger.simulated ledger > 0);
+  check Alcotest.int "simulated = engine rounds"
+    (Dsf_util.Metrics.counter_value (Dsf_congest.Telemetry.metrics tel)
+       "sim/rounds")
+    (Dsf_congest.Ledger.simulated ledger)
 
 let prop_pruning_equals_reference =
   QCheck.Test.make

@@ -120,17 +120,21 @@ let test_sublinear_sigma () =
 
 let test_sublinear_ledger_entries () =
   let inst = random_instance 15 in
-  let res = Det_sublinear.run ~eps_num:1 ~eps_den:2 inst in
-  let entries = Dsf_congest.Ledger.entries res.Det_sublinear.ledger in
-  Alcotest.(check bool) "has decomposition entries" true
-    (List.exists (fun (_, l, _) ->
-         let contains s sub =
-           let n = String.length s and m = String.length sub in
-           let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-           go 0
-         in
-         contains l "decomposition BF")
-        entries)
+  let tel = Dsf_congest.Telemetry.create () in
+  let res = Det_sublinear.run ~telemetry:tel ~eps_num:1 ~eps_den:2 inst in
+  (* The decomposition Bellman-Ford runs, and the ledger holds exactly
+     the rounds the engine ran. *)
+  let decomposition =
+    Dsf_congest.Telemetry.find tel [ "growth"; "merge_phase"; "region_bf" ]
+  in
+  Alcotest.(check bool) "decomposition BF ran" true
+    (match decomposition with
+    | Some s -> s.Dsf_congest.Telemetry.rounds > 0
+    | None -> false);
+  check Alcotest.int "simulated = engine rounds"
+    (Dsf_util.Metrics.counter_value (Dsf_congest.Telemetry.metrics tel)
+       "sim/rounds")
+    (Dsf_congest.Ledger.simulated res.Det_sublinear.ledger)
 
 let prop_sublinear_matches_rounded_schedule =
   QCheck.Test.make

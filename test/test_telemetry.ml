@@ -67,8 +67,8 @@ let golden_jsonl =
 {"type": "span", "name": "beta", "tid": 0, "start_ns": 2000000, "dur_ns": 1000000, "rounds": 2, "bits": 12}
 {"type": "span", "name": "alpha", "tid": 0, "start_ns": 1000000, "dur_ns": 3000000, "rounds": 4, "bits": 40}
 {"type": "span", "name": "alpha", "tid": 0, "start_ns": 5000000, "dur_ns": 1000000, "rounds": 0, "bits": 0}
-{"type": "profile", "path": "alpha", "count": 2, "wall_ns": 4000000, "rounds": 4, "messages": 9, "bits": 40, "max_edge_round_bits": 6, "budget_violations": 0, "dropped": 0, "duplicated": 0, "retransmissions": 0, "ledger_simulated": 0, "ledger_charged": 0}
-{"type": "profile", "path": "alpha/beta", "count": 1, "wall_ns": 1000000, "rounds": 2, "messages": 3, "bits": 12, "max_edge_round_bits": 4, "budget_violations": 1, "dropped": 2, "duplicated": 1, "retransmissions": 5, "ledger_simulated": 0, "ledger_charged": 0}
+{"type": "profile", "path": "alpha", "count": 2, "wall_ns": 4000000, "rounds": 4, "messages": 9, "bits": 40, "max_edge_round_bits": 6, "budget_violations": 0, "dropped": 0, "duplicated": 0, "retransmissions": 0, "ledger_charged": 0}
+{"type": "profile", "path": "alpha/beta", "count": 1, "wall_ns": 1000000, "rounds": 2, "messages": 3, "bits": 12, "max_edge_round_bits": 4, "budget_violations": 1, "dropped": 2, "duplicated": 1, "retransmissions": 5, "ledger_charged": 0}
 {"type": "histogram", "name": "sim/bits_per_round", "count": 2, "sum": 14, "min": 4, "max": 10, "buckets": [[3, 1], [4, 1]]}
 {"type": "histogram", "name": "sim/delivered_per_round", "count": 2, "sum": 3, "min": 1, "max": 2, "buckets": [[1, 1], [2, 1]]}
 {"type": "counter", "name": "sim/rounds", "value": 2}
@@ -156,11 +156,12 @@ let test_sublinear_phase_tree () =
 (* One run environment reaches every simulated run, and the flight
    recorder riding on it sees every one of them: on one n=200 instance
    the log's Send count equals the telemetry's summed span messages and
-   its Round markers equal the summed span rounds, for all three
-   algorithms — Appendix F.3 pruning (sublinear), LE lists, the virtual
-   tree's Voronoi and label routing (rand) included, rand's pooled
-   trials too — and for the deterministic algorithms the engine-measured
-   span rounds add up to the ledger's simulated rounds. *)
+   its Round markers equal the summed span rounds, for every distributed
+   solver — Appendix F.3 pruning (sublinear), LE lists, the virtual
+   tree's Voronoi and label routing (rand, khan) included, rand's pooled
+   trials too (jobs 1 and 2).  And the three counts of simulated rounds
+   agree: the ledger's (what dsf_cli prints), the telemetry's sim/rounds
+   counter, and the log's Round markers. *)
 let test_instrumentation_coverage () =
   let r = Dsf_util.Rng.create 3 in
   let g = Dsf_graph.Gen.random_connected r ~n:200 ~extra_edges:200 ~max_w:16 in
@@ -186,27 +187,31 @@ let test_instrumentation_coverage () =
       (name ^ ": log rounds = span rounds")
       (totals tel (fun s -> s.Telemetry.rounds))
       (Flight.rounds events);
-    Option.iter
-      (fun l ->
-        check Alcotest.int
-          (name ^ ": span rounds = ledger simulated")
-          (Ledger.simulated l)
-          (totals tel (fun s -> s.Telemetry.rounds)))
-      ledger
+    check Alcotest.int
+      (name ^ ": ledger simulated = sim/rounds")
+      (Dsf_util.Metrics.counter_value (Telemetry.metrics tel) "sim/rounds")
+      (Ledger.simulated ledger);
+    check Alcotest.int
+      (name ^ ": ledger simulated = log rounds")
+      (Flight.rounds events) (Ledger.simulated ledger)
   in
   covered "det" (fun ~telemetry ->
-      Some (Dsf_core.Det_dsf.run ~telemetry inst).ledger);
+      (Dsf_core.Det_dsf.run ~telemetry inst).ledger);
   covered "sublinear" (fun ~telemetry ->
-      Some
-        (Dsf_core.Det_sublinear.run ~telemetry ~eps_num:1 ~eps_den:2 inst)
-          .ledger);
-  (* Rand's ledger leaves the weight-comparison BFS unaccounted, so only
-     the log identities apply. *)
-  covered "rand" (fun ~telemetry ->
-      ignore
-        (Dsf_core.Rand_dsf.run ~telemetry ~repetitions:3 ~jobs:2
-           ~rng:(Dsf_util.Rng.create 3) inst);
-      None)
+      (Dsf_core.Det_sublinear.run ~telemetry ~eps_num:1 ~eps_den:2 inst)
+        .ledger);
+  List.iter
+    (fun jobs ->
+      covered (Printf.sprintf "rand jobs=%d" jobs) (fun ~telemetry ->
+          (Dsf_core.Rand_dsf.run ~telemetry ~repetitions:3 ~jobs
+             ~rng:(Dsf_util.Rng.create 3) inst)
+            .ledger))
+    [ 1; 2 ];
+  covered "khan" (fun ~telemetry ->
+      Telemetry.span telemetry "khan_baseline" (fun () ->
+          (Dsf_baseline.Khan_etal.run ~telemetry ~repetitions:2
+             ~rng:(Dsf_util.Rng.create 3) inst)
+            .Dsf_baseline.Khan_etal.ledger))
 
 (* ------------------------------------------------------- pooled merging *)
 
