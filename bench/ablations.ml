@@ -242,7 +242,7 @@ let a5 ~jobs () =
         in
         let per_node = Array.make n 0 in
         let messages = ref 0 and total_bits = ref 0 in
-        let log = Result.get_ok (Recorder.parse (Recorder.to_string recorder)) in
+        let log = Recorder.to_log recorder in
         List.iter
           (function
             | Recorder.Send { src; dst; bits; _ } ->

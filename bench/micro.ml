@@ -206,7 +206,7 @@ let tests =
     Test.make ~name:"khan baseline (n=40, 1 rep)"
       (Staged.stage (fun () ->
            ignore
-             (Dsf_baseline.Khan_etal.run ~repetitions:1
+             (Dsf_core.Khan_etal.run ~repetitions:1
                 ~rng:(Dsf_util.Rng.create 8)
                 (Lazy.force shared_instance))));
     Test.make ~name:"LE lists (n=40)"

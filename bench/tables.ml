@@ -313,12 +313,12 @@ let e8 () =
       let labels = Gen.random_labels r ~n ~t:(3 * k) ~k in
       let inst = Instance.make_ic g labels in
       let kh =
-        Dsf_baseline.Khan_etal.run ~repetitions:1 ~rng:(Rng.create k) inst
+        Dsf_core.Khan_etal.run ~repetitions:1 ~rng:(Rng.create k) inst
       in
       let rd =
         Dsf_core.Rand_dsf.run ~repetitions:1 ~rng:(Rng.create (k + 1)) inst
       in
-      let khr = Ledger.total kh.Dsf_baseline.Khan_etal.ledger in
+      let khr = Ledger.total kh.Dsf_core.Khan_etal.ledger in
       let rdr = Ledger.total rd.Dsf_core.Rand_dsf.ledger in
       Format.printf "%4d %14d %14d %8.2f@." k khr rdr
         (float_of_int khr /. float_of_int rdr);
@@ -558,8 +558,8 @@ let e14 ~jobs () =
     (sweep
        (fun (inst, opt, seed) ->
          ratio
-           (Dsf_baseline.Khan_etal.run ~rng:(Rng.create (seed + 1)) inst)
-             .Dsf_baseline.Khan_etal.weight opt));
+           (Dsf_core.Khan_etal.run ~rng:(Rng.create (seed + 1)) inst)
+             .Dsf_core.Khan_etal.weight opt));
   verdict "E14" !ok
 
 (* ------------------------------------------------------------------ E15 *)
@@ -588,8 +588,8 @@ let e15 () =
     (Dsf_core.Rand_dsf.run ~repetitions:1 ~rng:(Rng.create 2) inst)
       .Dsf_core.Rand_dsf.ledger;
   row "Khan et al. (1 rep)"
-    (Dsf_baseline.Khan_etal.run ~repetitions:1 ~rng:(Rng.create 3) inst)
-      .Dsf_baseline.Khan_etal.ledger;
+    (Dsf_core.Khan_etal.run ~repetitions:1 ~rng:(Rng.create 3) inst)
+      .Dsf_core.Khan_etal.ledger;
   row "GKP MST" (Dsf_baseline.Mst_gkp.run g).Dsf_baseline.Mst_gkp.ledger;
   let terms = Instance.terminals inst in
   row "CF/Mehlhorn Steiner tree"

@@ -93,22 +93,34 @@ echo "ci: det_dsf chaos differential ok (jobs 1 + jobs 2, n=96)"
 
 # Byte-identity smoke: the full stdout of a det solve on a checked-in
 # instance must match the committed expected output exactly, fault-free at
-# --jobs 1 and hardened at --chaos 5 --jobs 2; so must a sublinear solve
-# of the same instance.  A change that is meant to alter this output must
-# regenerate the .out files and say why.
+# --jobs 1 and hardened at --chaos 5 --jobs 2; so must a sublinear, rand,
+# khan and moat solve of the same instance, and a compare of all
+# algorithms on it.  On the same graph with connection requests, a det
+# solve and a compare must print the Lemma 2.3 transform's rounds.  A
+# change that is meant to alter this output must regenerate the .out
+# files and say why.
+#
+# identity_leg FIXTURE NAME ARGS...: `dsf_cli ARGS --file
+# test/fixtures/FIXTURE.dsf` prints exactly test/fixtures/FIXTURE.NAME.out.
 identity_leg() {
-  algo="$1"; name="$2"; shift 2
-  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo "$algo" --verbose \
-    --file test/fixtures/det_small.dsf "$@" > "$scratch/det_small.$name.out"
-  if ! diff -u "test/fixtures/det_small.$name.out" "$scratch/det_small.$name.out"; then
-    echo "ci: $algo solve stdout ($name) differs from test/fixtures/det_small.$name.out" >&2
+  fixture="$1"; name="$2"; shift 2
+  with_timeout 300 dune exec bin/dsf_cli.exe -- "$@" \
+    --file "test/fixtures/$fixture.dsf" > "$scratch/$fixture.$name.out"
+  if ! diff -u "test/fixtures/$fixture.$name.out" "$scratch/$fixture.$name.out"; then
+    echo "ci: dsf_cli $* stdout differs from test/fixtures/$fixture.$name.out" >&2
     exit 1
   fi
 }
-identity_leg det jobs1 --jobs 1
-identity_leg det chaos5_jobs2 --chaos 5 --jobs 2
-identity_leg sublinear sublinear
-echo "ci: det and sublinear solve stdout byte-identical (det jobs 1 + chaos 5 jobs 2, sublinear)"
+identity_leg det_small jobs1 solve --algo det --verbose --jobs 1
+identity_leg det_small chaos5_jobs2 solve --algo det --verbose --chaos 5 --jobs 2
+identity_leg det_small sublinear solve --algo sublinear --verbose
+identity_leg det_small rand solve --algo rand --verbose --jobs 2
+identity_leg det_small khan solve --algo khan --verbose
+identity_leg det_small moat solve --algo moat --verbose
+identity_leg det_small compare compare
+identity_leg det_small_cr det solve --algo det --verbose
+identity_leg det_small_cr compare compare
+echo "ci: solve and compare stdout byte-identical (det_small: det jobs 1 + chaos 5 jobs 2, sublinear, rand, khan, moat, compare; det_small_cr: det, compare)"
 
 # Jobs-invariance of the (D, WD, s) sweep: at n=600 the sources fill 10
 # blocks of 62, so --jobs 2 really splits the sweep over two domains, and

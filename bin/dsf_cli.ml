@@ -11,6 +11,7 @@ module Graph = Dsf_graph.Graph
 module Gen = Dsf_graph.Gen
 module Instance = Dsf_graph.Instance
 module Ledger = Dsf_congest.Ledger
+module Solver = Dsf_core.Solver
 
 (* Bad input is a usage error, not a crash: every subcommand that reads an
    instance file reports problems as PATH:LINE: message (PATH: message when
@@ -117,12 +118,14 @@ let read_instance_file path =
   | None -> ());
   parsed
 
+(* The input to solve: a file's labels or requests as parsed, or a
+   generated DSF-IC instance. *)
 let load_or_generate file topology rng n t k max_w =
   match file with
   | Some path -> begin
       match read_instance_file path with
-      | Dsf_graph.Io.Ic inst -> inst
-      | Dsf_graph.Io.Cr cr -> Dsf_core.Transform.cr_to_ic cr
+      | Dsf_graph.Io.Ic inst -> Solver.Ic inst
+      | Dsf_graph.Io.Cr cr -> Solver.Cr cr
       | Dsf_graph.Io.Plain _ ->
           input_error path "no label or request lines: nothing to solve"
     end
@@ -137,7 +140,15 @@ let load_or_generate file topology rng n t k max_w =
         flag_error "--terminals" "%d exceeds the %d nodes of the generated graph"
           t (Graph.n g);
       let labels = Gen.spread_labels rng g ~t ~k in
-      Instance.make_ic g labels
+      Solver.Ic (Instance.make_ic g labels)
+
+(* The DSF-IC instance an input denotes, for the instance line, the
+   certificate and --dot.  For requests it is the centralized Lemma 2.3
+   labelling: it has the distributed transform's partition, so it gives
+   the same t, k and certificate. *)
+let labelled = function
+  | Solver.Ic inst -> inst
+  | Solver.Cr cr -> Instance.ic_of_cr cr
 
 (* --trace plumbing: parse the format up front (so a typo fails before the
    solve, not after), collect into a fresh per-invocation telemetry, write
@@ -199,7 +210,21 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     | None, None -> None
   in
   let rng = Dsf_util.Rng.create seed in
-  let inst = load_or_generate file topology rng n t k max_w in
+  let input = load_or_generate file topology rng n t k max_w in
+  let inst = labelled input in
+  let algorithm =
+    match algo with
+    | "det" -> Solver.Det
+    | "sublinear" -> Solver.Det_sublinear { eps_num = 1; eps_den }
+    | "rand" ->
+        Solver.Rand
+          { repetitions = 3; rng = Dsf_util.Rng.split rng 1 }
+    | "khan" ->
+        Solver.Khan_baseline
+          { repetitions = 3; rng = Dsf_util.Rng.split rng 1 }
+    | "moat" -> Solver.Centralized_moat
+    | _ -> assert false (* check_choice on entry *)
+  in
   let g = inst.Instance.graph in
   let d, wd, s = parameters ?telemetry ~jobs g in
   Format.printf "instance: n=%d m=%d D=%d WD=%d s=%d t=%d k=%d@." (Graph.n g)
@@ -233,58 +258,17 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
         Dsf_congest.Fault.chaos (Dsf_congest.Fault.chaos_plan ~seed:cs g))
       chaos_seed
   in
-  let weight, solution, ledger, dual =
-    match algo with
-    | "det" ->
-        let r = Dsf_core.Det_dsf.run ?telemetry ?chaos inst in
-        ( r.Dsf_core.Det_dsf.weight,
-          r.Dsf_core.Det_dsf.solution,
-          Some r.Dsf_core.Det_dsf.ledger,
-          Some (Dsf_core.Frac.to_float r.Dsf_core.Det_dsf.dual) )
-    | "sublinear" ->
-        let r = Dsf_core.Det_sublinear.run ?telemetry ~eps_num:1 ~eps_den inst in
-        ( r.Dsf_core.Det_sublinear.weight,
-          r.Dsf_core.Det_sublinear.solution,
-          Some r.Dsf_core.Det_sublinear.ledger,
-          None )
-    | "rand" ->
-        let r =
-          Dsf_core.Rand_dsf.run ?telemetry ~jobs
-            ~rng:(Dsf_util.Rng.split rng 1) inst
-        in
-        ( r.Dsf_core.Rand_dsf.weight,
-          r.Dsf_core.Rand_dsf.solution,
-          Some r.Dsf_core.Rand_dsf.ledger,
-          None )
-    | "khan" ->
-        let r =
-          Dsf_congest.Telemetry.span_opt telemetry "khan_baseline" (fun () ->
-              Dsf_baseline.Khan_etal.run ?telemetry
-                ~rng:(Dsf_util.Rng.split rng 1) inst)
-        in
-        ( r.Dsf_baseline.Khan_etal.weight,
-          r.Dsf_baseline.Khan_etal.solution,
-          Some r.Dsf_baseline.Khan_etal.ledger,
-          None )
-    | "moat" ->
-        let r =
-          Dsf_congest.Telemetry.span_opt telemetry "centralized_moat"
-            (fun () -> Dsf_core.Moat.run inst)
-        in
-        r.Dsf_core.Moat.weight, r.Dsf_core.Moat.solution, None, None
-    | _ -> assert false (* check_choice on entry *)
-  in
-  Format.printf "solution weight: %d (feasible: %b)@." weight
-    (Instance.is_feasible inst solution);
+  let report = Solver.solve ~jobs ?telemetry ?chaos algorithm input in
+  let solution = report.Solver.solution in
+  Format.printf "solution weight: %d (feasible: %b)@."
+    report.Solver.weight report.Solver.feasible;
   (* Independent re-check of the result, and of the dual certificate when
-     the algorithm provides one.  Det's dual is the one its single run
-     returned: Det_dsf.run is deterministic for a given chaos plan
-     (test_chaos pins this), so a second solve would only repeat it. *)
+     the algorithm provides one. *)
   let ok =
-    certified ?dual ~prefix:"certified: " ~reject:"CERTIFICATION FAILED" inst
-      ~solution
+    certified ?dual:report.Solver.dual_lower_bound
+      ~prefix:"certified: " ~reject:"CERTIFICATION FAILED" inst ~solution
   in
-  (match ledger with
+  (match report.Solver.ledger with
   | Some l ->
       Format.printf "rounds: %d (simulated %d, charged %d)@." (Ledger.total l)
         (Ledger.simulated l) (Ledger.charged l);
@@ -317,7 +301,8 @@ let compare_cmd topology n t k max_w seed file jobs trace trace_format =
   let sink = trace_sink trace trace_format in
   let telemetry = telemetry_of_sink sink in
   let rng = Dsf_util.Rng.create seed in
-  let inst = load_or_generate file topology rng n t k max_w in
+  let input = load_or_generate file topology rng n t k max_w in
+  let inst = labelled input in
   let g = inst.Instance.graph in
   ignore (parameters ?telemetry ~jobs g);
   Format.printf "instance: n=%d m=%d t=%d k=%d@." (Graph.n g) (Graph.m g)
@@ -326,11 +311,14 @@ let compare_cmd topology n t k max_w seed file jobs trace trace_format =
   Format.printf "%-34s %8s %10s %10s %10s@." "algorithm" "weight" "sim" "charged"
     "feasible";
   List.iter
-    (fun (r : Dsf_core.Solver.report) ->
-      Format.printf "%-34s %8d %10d %10d %10b@." r.Dsf_core.Solver.algorithm
-        r.Dsf_core.Solver.weight r.Dsf_core.Solver.rounds_simulated
-        r.Dsf_core.Solver.rounds_charged r.Dsf_core.Solver.feasible)
-    (Dsf_core.Solver.compare_all ~jobs ?telemetry inst);
+    (fun (r : Solver.report) ->
+      let sim, charged =
+        Option.fold r.Solver.ledger ~none:(0, 0) ~some:(fun l ->
+            Ledger.simulated l, Ledger.charged l)
+      in
+      Format.printf "%-34s %8d %10d %10d %10b@." r.Solver.algorithm
+        r.Solver.weight sim charged r.Solver.feasible)
+    (Solver.compare_all ~jobs ?telemetry input);
   write_trace sink
 
 let verify_cmd inst_file sol_file dual =

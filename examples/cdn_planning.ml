@@ -55,16 +55,16 @@ let () =
       [
         Det;
         Det_sublinear { eps_num = 1; eps_den = 2 };
-        Rand { repetitions = 3; seed = 1 };
-        Khan_baseline { repetitions = 3; seed = 1 };
+        Rand { repetitions = 3; rng = Dsf_util.Rng.create 1 };
+        Khan_baseline { repetitions = 3; rng = Dsf_util.Rng.create 1 };
       ]
   in
-  let reports = Solver.compare_all ~algorithms inst in
+  let reports = Solver.compare_all ~algorithms (Solver.Ic inst) in
   List.iter
     (fun (r : Solver.report) ->
       assert r.Solver.feasible;
       Format.printf "%-34s %8d %8d %10s@." r.Solver.algorithm r.Solver.weight
-        (r.Solver.rounds_simulated + r.Solver.rounds_charged)
+        (Option.fold r.Solver.ledger ~none:0 ~some:Dsf_congest.Ledger.total)
         (match r.Solver.dual_lower_bound with
         | Some d -> Printf.sprintf ">= %.0f" d
         | None -> "-"))
@@ -84,11 +84,10 @@ let () =
     (Solver.solve_ic
        ~telemetry:(Dsf_congest.Telemetry.create ~recorder ())
        winner inst);
-  let log = Result.get_ok Dsf_congest.Recorder.(parse (to_string recorder)) in
   Format.printf "@.%s re-run under a flight recorder:@.%a"
     best.Solver.algorithm
     (Dsf_congest.Recorder.pp_hot_edges ~limit:5)
-    (Dsf_congest.Recorder.analyze log);
+    (Dsf_congest.Recorder.(analyze (to_log recorder)));
 
   (* Export the plan for the network team. *)
   let dot = Filename.temp_file "cdn" ".dot" in

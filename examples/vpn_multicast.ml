@@ -51,9 +51,9 @@ let () =
   row
     (Printf.sprintf "Rand_dsf (truncated=%b)" rnd.Dsf_core.Rand_dsf.truncated)
     rnd.Dsf_core.Rand_dsf.weight rnd.Dsf_core.Rand_dsf.ledger;
-  let khan = Dsf_baseline.Khan_etal.run ~rng:(Dsf_util.Rng.split rng 2) inst in
-  row "Khan et al. [14] baseline" khan.Dsf_baseline.Khan_etal.weight
-    khan.Dsf_baseline.Khan_etal.ledger;
+  let khan = Dsf_core.Khan_etal.run ~rng:(Dsf_util.Rng.split rng 2) inst in
+  row "Khan et al. [14] baseline" khan.Dsf_core.Khan_etal.weight
+    khan.Dsf_core.Khan_etal.ledger;
   Format.printf
     "@.(* ratio is relative to Det_dsf's cost; its dual certificate %s@.   proves every solution costs at least that much. *)@."
     (Dsf_core.Frac.to_string det.Dsf_core.Det_dsf.dual);
@@ -61,5 +61,5 @@ let () =
   assert (Instance.is_feasible inst det.Dsf_core.Det_dsf.solution);
   assert (Instance.is_feasible inst sub.Dsf_core.Det_sublinear.solution);
   assert (Instance.is_feasible inst rnd.Dsf_core.Rand_dsf.solution);
-  assert (Instance.is_feasible inst khan.Dsf_baseline.Khan_etal.solution);
+  assert (Instance.is_feasible inst khan.Dsf_core.Khan_etal.solution);
   Format.printf "@.All four outputs verified feasible.@."

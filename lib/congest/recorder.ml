@@ -349,6 +349,14 @@ let read_file path =
       let prefix = path ^ ": " in
       Error (if String.starts_with ~prefix m then m else prefix ^ m)
 
+(* The live recorder's log, as [parse (to_string t)] would return it. *)
+let to_log t =
+  {
+    l_meta = t.meta;
+    l_names = names_array t;
+    l_ints = Array.sub t.master.ra 0 t.master.rlen;
+  }
+
 let log_meta l = l.l_meta
 
 let iter_log_events l f =

@@ -142,6 +142,10 @@ val read_file : string -> (log, string) result
     malformed log) starts with ["PATH: "] and names the path exactly
     once. *)
 
+val to_log : t -> log
+(** A live recorder's log, copied in memory: equal to
+    [parse (to_string t)] without the serialize-and-parse round trip. *)
+
 val log_meta : log -> (string * int) list
 val log_events : log -> event list
 val log_event_count : log -> int
@@ -196,4 +200,4 @@ val pp_hot_edges : ?limit:int -> Format.formatter -> analysis -> unit
     ascending (src, dst)), with message counts and the deepest chain that
     crossed each edge.  This is the repository's per-edge traffic report:
     record a run (see {!Telemetry.create}'s [~recorder]), then
-    [pp_hot_edges (analyze (Result.get_ok (parse (to_string r))))]. *)
+    [pp_hot_edges (analyze (to_log r))]. *)

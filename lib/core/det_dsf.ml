@@ -23,7 +23,6 @@ type result = {
   merges : merge_info list;
   phase_count : int;
   ledger : Ledger.t;
-  max_edge_round_bits : int;
 }
 
 (* Candidate-merge key: ordered by growth-to-merge, then terminal pair, then
@@ -51,11 +50,6 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let m = Graph.m g in
-  let max_bits = ref 0 in
-  let note_bits (stats : Sim.stats) =
-    if stats.Sim.max_edge_round_bits > !max_bits then
-      max_bits := stats.Sim.max_edge_round_bits
-  in
   (* Algorithm-1 moat state, replicated: after the setup broadcast every
      node can maintain it deterministically from the per-phase merge
      broadcasts, so we keep a single copy. *)
@@ -69,17 +63,13 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
       merges = [];
       phase_count = 0;
       ledger;
-      max_edge_round_bits = 0;
     }
   else begin
     (* ---- Setup: BFS tree; make all (terminal, label) pairs global. ---- *)
     let tree =
       tspan "setup" (fun () ->
           let root = Bfs.max_id_root g in
-          let tree, bfs_stats =
-            Bfs.build ~env g ~root
-          in
-          note_bits bfs_stats;
+          let tree, _ = Bfs.build ~env g ~root in
           let term_items v =
             if inst.Instance.labels.(v) >= 0 then
               [ v, inst.Instance.labels.(v) ]
@@ -89,16 +79,13 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
             let b = 2 * Bitsize.id_bits ~n in
             fun (_, _) -> b
           in
-          let collected, up_stats =
+          let collected, _ =
             Tree_ops.upcast ~env g ~tree
               ~items:term_items ~bits:pair_bits
           in
-          note_bits up_stats;
-          let bc_stats =
-            Tree_ops.broadcast ~env g
-              ~tree ~items:collected ~bits:pair_bits
-          in
-          note_bits bc_stats;
+          ignore
+            (Tree_ops.broadcast ~env g
+               ~tree ~items:collected ~bits:pair_bits);
           tree)
     in
     (* ---- Per-node region state. ---- *)
@@ -118,7 +105,6 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
         let j = !phase in
         (* a. Terminal decomposition (Lemma 4.8). *)
         let ph = Region_bf.decompose ~env g reg ms in
-        note_bits ph.Region_bf.stats;
         let towner = Region_bf.owner_at reg ph in
         let toffset = Region_bf.offset_at reg ph in
         (* b. Candidate merges at region boundaries (Definition 4.11). *)
@@ -168,17 +154,14 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
             !stop_found
           end
         in
-        let accepted, pipe_stats =
+        let accepted, _ =
           Pipeline.filtered_upcast ~env ~stop_at_root g ~tree ~vn:t ~pre
             ~items ~cmp:ckey_cmp
             ~bits:key_bits
         in
-        note_bits pipe_stats;
-        let stop_stats =
-          Tree_ops.broadcast ~env g ~tree
-            ~items:[ () ] ~bits:(fun () -> 1)
-        in
-        note_bits stop_stats;
+        ignore
+          (Tree_ops.broadcast ~env g ~tree
+             ~items:[ () ] ~bits:(fun () -> 1));
         (* Truncate at the first activity-changing merge. *)
         let phase_merges =
           let rec take acc probe = function
@@ -196,11 +179,9 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
                  disconnected component)"
         in
         (* d. Broadcast the phase's merges; everyone updates locally. *)
-        let bcast_stats =
-          Tree_ops.broadcast ~env g ~tree
-            ~items:phase_merges ~bits:key_bits
-        in
-        note_bits bcast_stats;
+        ignore
+          (Tree_ops.broadcast ~env g ~tree
+             ~items:phase_merges ~bits:key_bits);
         let mu_phase = (List.nth phase_merges (List.length phase_merges - 1)).Pipeline.key.mu in
         let mu_prev = ref Frac.zero in
         List.iter
@@ -227,12 +208,11 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
     (* ---- Final selection: minimal candidate subforest + token flood. ---- *)
     let solution =
       tspan "final" (fun () ->
-          let solution, tf_stats =
+          let solution, _ =
             Select.merge_paths ~env g ~labels:ms.C.init_label
               ~parent:reg.Region_bf.parents
               (List.rev_map (fun (pair, key) -> pair, key.eid) !accepted_all)
           in
-          note_bits tf_stats;
           (* Merge-level minimality (F_min) is not quite edge-level
              minimality: two merge paths can overlap at a Steiner node,
              leaving a redundant bridge edge.  A final intra-tree
@@ -250,6 +230,5 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
       merges = List.rev !merges;
       phase_count = !phase;
       ledger;
-      max_edge_round_bits = !max_bits;
     }
   end

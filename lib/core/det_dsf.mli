@@ -35,7 +35,6 @@ type result = {
   merges : merge_info list;
   phase_count : int;
   ledger : Dsf_congest.Ledger.t;  (** full round accounting *)
-  max_edge_round_bits : int;  (** congestion discipline check *)
 }
 
 val run :

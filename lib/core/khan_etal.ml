@@ -3,7 +3,7 @@ module Instance = Dsf_graph.Instance
 module Ledger = Dsf_congest.Ledger
 module Sim = Dsf_congest.Sim
 module Virtual_tree = Dsf_embed.Virtual_tree
-module LR = Dsf_core.Level_routing
+module LR = Level_routing
 
 type result = {
   solution : bool array;
@@ -59,7 +59,8 @@ let one_run ~env rng g inst =
 let run ?telemetry ?(repetitions = 3) ~rng inst0 =
   let ledger = Ledger.create () in
   let env = { Sim.default_env with telemetry; ledger = Some ledger } in
-  let inst = Dsf_core.Transform.minimalize ~env inst0 in
+  Sim.span env "khan_baseline" @@ fun () ->
+  let inst = Transform.minimalize ~env inst0 in
   let g = inst.Instance.graph in
   let best = ref None in
   let routed = ref 0 in
@@ -75,11 +76,3 @@ let run ?telemetry ?(repetitions = 3) ~rng inst0 =
     match !best with Some x -> x | None -> 0, Array.make (Graph.m g) false
   in
   { solution; weight; ledger; components_routed = !routed }
-
-(* Make the baseline available to the algorithm-agnostic front end without
-   a dependency cycle (dsf_baseline already depends on dsf_core). *)
-let () =
-  Dsf_core.Solver.khan_hook :=
-    fun ?telemetry ~repetitions ~rng inst ->
-      let r = run ?telemetry ~repetitions ~rng inst in
-      r.solution, r.weight, r.ledger

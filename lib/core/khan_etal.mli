@@ -27,4 +27,6 @@ val run :
     tree, and each component's per-level routing) runs under one
     {!Dsf_congest.Sim.env} built from [telemetry] and carrying the
     result's ledger, so the engine counts all of them, and telemetry and
-    an attached flight recorder see every message. *)
+    an attached flight recorder see every message.  [telemetry] profiles
+    the run as one [khan_baseline] span, with the simulated primitives
+    nested beneath. *)

@@ -154,7 +154,6 @@ type phase = {
   frozen : bool array;
   growing : bool array;
   reached : node_result array;
-  stats : Sim.stats;
 }
 
 let decompose ~(env : Sim.env) g reg ms =
@@ -170,12 +169,12 @@ let decompose ~(env : Sim.env) g reg ms =
     if reg.covered.(u) && not frozen.(u) then
       sources := (u, reg.offsets.(u), reg.owners.(u)) :: !sources
   done;
-  let reached, stats = run ~env g ~sources:!sources ~frozen in
+  let reached, _ = run ~env g ~sources:!sources ~frozen in
   let growing =
     Array.init n (fun u ->
         (not frozen.(u)) && owner_active reached.(u).owner)
   in
-  { frozen; growing; reached; stats }
+  { frozen; growing; reached }
 
 let owner_at reg ph u =
   if ph.frozen.(u) then reg.owners.(u) else ph.reached.(u).owner

@@ -58,7 +58,6 @@ type phase = {
   growing : bool array;
       (** not frozen, and reached by a moat active at phase start *)
   reached : node_result array;  (** {!run}'s labels; stale where frozen *)
-  stats : Dsf_congest.Sim.stats;
 }
 
 val decompose :

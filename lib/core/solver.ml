@@ -5,8 +5,8 @@ module Sim = Dsf_congest.Sim
 type algorithm =
   | Det
   | Det_sublinear of { eps_num : int; eps_den : int }
-  | Rand of { repetitions : int; seed : int }
-  | Khan_baseline of { repetitions : int; seed : int }
+  | Rand of { repetitions : int; rng : Dsf_util.Rng.t }
+  | Khan_baseline of { repetitions : int; rng : Dsf_util.Rng.t }
   | Centralized_moat
 
 let name = function
@@ -24,8 +24,7 @@ type report = {
   solution : bool array;
   weight : int;
   feasible : bool;
-  rounds_simulated : int;
-  rounds_charged : int;
+  ledger : Ledger.t option;
   dual_lower_bound : float option;
 }
 
@@ -35,28 +34,11 @@ let of_ledger algo inst solution weight dual ledger =
     solution;
     weight;
     feasible = Instance.is_feasible inst solution;
-    rounds_simulated = (match ledger with Some l -> Ledger.simulated l | None -> 0);
-    rounds_charged = (match ledger with Some l -> Ledger.charged l | None -> 0);
+    ledger;
     dual_lower_bound = dual;
   }
 
-(* The Khan baseline lives in dsf_baseline, which depends on dsf_core; to
-   keep the front end in core without a cycle, callers inject it.  The
-   default hook raises; dsf_baseline installs the real one at load time
-   (see Dsf_baseline.Khan_etal).  Process-global by design: written once
-   during linking, read-only afterwards — domain-safe in practice. *)
-let khan_hook :
-    (?telemetry:Dsf_congest.Telemetry.t -> repetitions:int ->
-     rng:Dsf_util.Rng.t -> Instance.ic -> bool array * int * Ledger.t)
-    ref =
-  ref (fun ?telemetry:_ ~repetitions:_ ~rng:_ _ ->
-      failwith
-        "Solver: Khan baseline requested but dsf_baseline is not linked; \
-         depend on dsf_baseline or avoid Khan_baseline")
-[@@lint.allow "global-state"]
-
 let solve_ic ?(jobs = 1) ?telemetry ?chaos algo inst =
-  let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
   (match chaos, algo with
   | Some _, (Det_sublinear _ | Rand _ | Khan_baseline _ | Centralized_moat) ->
       invalid_arg "Solver.solve_ic: ?chaos is only supported for Det"
@@ -71,22 +53,19 @@ let solve_ic ?(jobs = 1) ?telemetry ?chaos algo inst =
       let r = Det_sublinear.run ?telemetry ~eps_num ~eps_den inst in
       of_ledger algo inst r.Det_sublinear.solution r.Det_sublinear.weight None
         (Some r.Det_sublinear.ledger)
-  | Rand { repetitions; seed } ->
-      let r =
-        Rand_dsf.run ?telemetry ~repetitions ~jobs
-          ~rng:(Dsf_util.Rng.create seed) inst
-      in
+  | Rand { repetitions; rng } ->
+      let r = Rand_dsf.run ?telemetry ~repetitions ~jobs ~rng inst in
       of_ledger algo inst r.Rand_dsf.solution r.Rand_dsf.weight None
         (Some r.Rand_dsf.ledger)
-  | Khan_baseline { repetitions; seed } ->
-      let solution, weight, ledger =
-        tspan "khan_baseline" (fun () ->
-            !khan_hook ?telemetry ~repetitions
-              ~rng:(Dsf_util.Rng.create seed) inst)
-      in
-      of_ledger algo inst solution weight None (Some ledger)
+  | Khan_baseline { repetitions; rng } ->
+      let r = Khan_etal.run ?telemetry ~repetitions ~rng inst in
+      of_ledger algo inst r.Khan_etal.solution r.Khan_etal.weight None
+        (Some r.Khan_etal.ledger)
   | Centralized_moat ->
-      let r = tspan "centralized_moat" (fun () -> Moat.run inst) in
+      let r =
+        Dsf_congest.Telemetry.span_opt telemetry "centralized_moat" (fun () ->
+            Moat.run inst)
+      in
       of_ledger algo inst r.Moat.solution r.Moat.weight
         (Some (Frac.to_float r.Moat.dual))
         None
@@ -99,12 +78,19 @@ let solve_cr ?jobs ?telemetry ?chaos algo cr =
   let env = { Sim.default_env with telemetry; ledger = Some ledger; network } in
   let inst = Transform.cr_to_ic ~env cr in
   let report = solve_ic ?jobs ?telemetry ?chaos algo inst in
-  {
-    report with
-    rounds_simulated = report.rounds_simulated + Ledger.simulated ledger;
-  }
+  let with_transform l =
+    Ledger.merge_into ~dst:ledger l;
+    ledger
+  in
+  { report with ledger = Option.map with_transform report.ledger }
 
-let compare_all ?jobs ?telemetry ?algorithms inst =
+type input = Ic of Instance.ic | Cr of Instance.cr
+
+let solve ?jobs ?telemetry ?chaos algo = function
+  | Ic inst -> solve_ic ?jobs ?telemetry ?chaos algo inst
+  | Cr cr -> solve_cr ?jobs ?telemetry ?chaos algo cr
+
+let compare_all ?jobs ?telemetry ?algorithms input =
   let algorithms =
     match algorithms with
     | Some l -> l
@@ -112,9 +98,9 @@ let compare_all ?jobs ?telemetry ?algorithms inst =
         [
           Det;
           Det_sublinear { eps_num = 1; eps_den = 2 };
-          Rand { repetitions = 3; seed = 1 };
-          Khan_baseline { repetitions = 3; seed = 1 };
+          Rand { repetitions = 3; rng = Dsf_util.Rng.create 1 };
+          Khan_baseline { repetitions = 3; rng = Dsf_util.Rng.create 1 };
         ]
   in
-  List.map (fun a -> solve_ic ?jobs ?telemetry a inst) algorithms
+  List.map (fun a -> solve ?jobs ?telemetry a input) algorithms
   |> List.sort (fun a b -> compare a.weight b.weight)

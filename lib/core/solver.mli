@@ -1,18 +1,22 @@
-(** Unified front end over every Steiner Forest algorithm in the
-    repository.  A downstream user picks an {!algorithm} and gets back a
-    uniform {!report} (solution, weight, rounds, optional optimality
-    certificate) for either input convention — input components (DSF-IC)
-    or connection requests (DSF-CR, transformed via Lemma 2.3 first, with
-    the transform's rounds included in the report). *)
+(** The one front end over every Steiner Forest algorithm in the
+    repository: [dsf_cli solve] and [compare], the examples and the tests
+    all dispatch through it.  A caller picks an {!algorithm} and gets back
+    a uniform {!report} (solution, weight, round ledger, optional
+    optimality certificate) for either input convention — input
+    components (DSF-IC) or connection requests (DSF-CR, transformed via
+    Lemma 2.3 first, with the transform's rounds in the report's ledger). *)
 
 type algorithm =
   | Det  (** Section 4.1: deterministic, factor 2, O(ks + t) rounds *)
   | Det_sublinear of { eps_num : int; eps_den : int }
       (** Section 4.2: deterministic, factor 2 + ε, O~(sk + σ) rounds *)
-  | Rand of { repetitions : int; seed : int }
-      (** Section 5: randomized, O(log n) w.h.p., O~(k + min(s,√n) + D) *)
-  | Khan_baseline of { repetitions : int; seed : int }
-      (** prior art [14]: randomized, O(log n), O~(sk) rounds *)
+  | Rand of { repetitions : int; rng : Dsf_util.Rng.t }
+      (** Section 5: randomized, O(log n) w.h.p., O~(k + min(s,√n) + D).
+          The algorithm only splits [rng], so solving the same value twice
+          gives the same report. *)
+  | Khan_baseline of { repetitions : int; rng : Dsf_util.Rng.t }
+      (** prior art [14]: randomized, O(log n), O~(sk) rounds; [rng] as
+          for [Rand] *)
   | Centralized_moat
       (** Algorithm 1 run centrally — the reference, no round accounting *)
 
@@ -23,8 +27,9 @@ type report = {
   solution : bool array;
   weight : int;
   feasible : bool;
-  rounds_simulated : int;
-  rounds_charged : int;
+  ledger : Dsf_congest.Ledger.t option;
+      (** the run's rounds, simulated and charged; [None] for the
+          centralized reference, which has no round accounting *)
   dual_lower_bound : float option;
       (** Σ act·µ when the algorithm certifies itself (moat growing) *)
 }
@@ -52,8 +57,8 @@ val solve_ic :
     {!Dsf_congest.Sim.env} from these arguments, which all its
     subroutines inherit.  [telemetry] profiles the run: the distributed
     algorithms open their own phase spans (see each module's docs); the
-    centralized reference and the Khan baseline are wrapped in a single
-    [centralized_moat] / [khan_baseline] span. *)
+    centralized reference is wrapped in a single [centralized_moat]
+    span. *)
 
 val solve_cr :
   ?jobs:int ->
@@ -62,26 +67,31 @@ val solve_cr :
   algorithm ->
   Dsf_graph.Instance.cr ->
   report
-(** Applies the distributed Lemma 2.3 transform first; its rounds are
-    added to the report's [rounds_simulated].  Under [telemetry] the
-    transform shows up as a [cr_to_ic] span. *)
+(** Applies the distributed Lemma 2.3 transform first, under the same
+    [telemetry] and [chaos]; the report's ledger holds the transform's
+    rounds and then the algorithm's ({!Centralized_moat}'s stays [None]).
+    Under [telemetry] the transform shows up as a [cr_to_ic] span. *)
+
+type input =
+  | Ic of Dsf_graph.Instance.ic  (** input components (DSF-IC) *)
+  | Cr of Dsf_graph.Instance.cr  (** connection requests (DSF-CR) *)
+
+val solve :
+  ?jobs:int ->
+  ?telemetry:Dsf_congest.Telemetry.t ->
+  ?chaos:Dsf_congest.Fault.chaos ->
+  algorithm ->
+  input ->
+  report
+(** {!solve_ic} or {!solve_cr}, by the input's convention. *)
 
 val compare_all :
   ?jobs:int ->
   ?telemetry:Dsf_congest.Telemetry.t ->
   ?algorithms:algorithm list ->
-  Dsf_graph.Instance.ic ->
+  input ->
   report list
-(** Run several algorithms on one instance (default: Det, Det_sublinear
-    ε=1/2, Rand, Khan) and return their reports, best weight first. *)
-
-(**/**)
-
-val khan_hook :
-  (?telemetry:Dsf_congest.Telemetry.t -> repetitions:int ->
-   rng:Dsf_util.Rng.t -> Dsf_graph.Instance.ic ->
-   bool array * int * Dsf_congest.Ledger.t)
-  ref
-(** Injection point for the Khan et al. baseline (set by [Dsf_baseline];
-    avoids a dependency cycle).  Using {!Khan_baseline} requires linking
-    and referencing [dsf_baseline]. *)
+(** Run several algorithms on one input through {!solve} (default: Det,
+    Det_sublinear ε=1/2, Rand, Khan) and return their reports, best
+    weight first.  On connection requests every report's ledger holds
+    the transform's rounds. *)

@@ -111,7 +111,7 @@ let cut_bits sides f =
   let module Recorder = Dsf_congest.Recorder in
   let r = Recorder.create ~now:0 () in
   let result = f ~telemetry:(Dsf_congest.Telemetry.create ~recorder:r ()) in
-  let log = Result.get_ok (Recorder.parse (Recorder.to_string r)) in
+  let log = Recorder.to_log r in
   ( result,
     List.fold_left
       (fun total -> function

@@ -1,5 +1,6 @@
 open Dsf_graph
 open Dsf_baseline
+module Khan_etal = Dsf_core.Khan_etal
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest

@@ -304,12 +304,24 @@ let test_det_two_components () =
   check Alcotest.int "two cheap paths" 2 res.Det_dsf.weight;
   check Alcotest.int "two phases" 2 res.Det_dsf.phase_count
 
+(* The widest edge-round of any run of the solve: the telemetry attached
+   to it sees every simulated run, spanned or not. *)
+let max_edge_round_bits tel =
+  let rec go (s : Dsf_congest.Telemetry.span) =
+    List.fold_left
+      (fun m c -> max m (go c))
+      s.Dsf_congest.Telemetry.max_edge_round_bits s.Dsf_congest.Telemetry.children
+  in
+  go (Dsf_congest.Telemetry.root tel)
+
 let test_det_congestion_discipline () =
   let inst = random_instance ~n:30 ~t:8 ~k:2 7 in
-  let res = Det_dsf.run inst in
+  let tel = Dsf_congest.Telemetry.create () in
+  ignore (Det_dsf.run ~telemetry:tel inst);
   let budget = Dsf_util.Bitsize.congest_budget ~n:30 in
+  let merb = max_edge_round_bits tel in
   Alcotest.(check bool) "per-edge-round bits within O(log n) budget" true
-    (res.Det_dsf.max_edge_round_bits <= budget)
+    (merb > 0 && merb <= budget)
 
 let test_det_ledger_structure () =
   let inst = random_instance 11 in

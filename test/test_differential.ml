@@ -102,13 +102,21 @@ let test_scale_det () =
   let g = Gen.random_connected r ~n ~extra_edges:250 ~max_w:20 in
   let labels = Gen.spread_labels r g ~t:24 ~k:6 in
   let inst = Instance.make_ic g labels in
-  let det = Det_dsf.run inst in
+  let tel = Dsf_congest.Telemetry.create () in
+  let det = Det_dsf.run ~telemetry:tel inst in
   Alcotest.(check bool) "feasible" true (Instance.is_feasible inst det.Det_dsf.solution);
   Alcotest.(check bool) "within 2x dual" true
     (float_of_int det.Det_dsf.weight < 2. *. Frac.to_float det.Det_dsf.dual +. 1e-6);
   let budget = Dsf_util.Bitsize.congest_budget ~n in
+  (* The widest edge-round of any run: the telemetry sees every run. *)
+  let rec merb (s : Dsf_congest.Telemetry.span) =
+    List.fold_left
+      (fun m c -> max m (merb c))
+      s.Dsf_congest.Telemetry.max_edge_round_bits s.Dsf_congest.Telemetry.children
+  in
+  let merb = merb (Dsf_congest.Telemetry.root tel) in
   Alcotest.(check bool) "congestion discipline at scale" true
-    (det.Det_dsf.max_edge_round_bits <= budget)
+    (merb > 0 && merb <= budget)
 
 let test_scale_rand () =
   let r = rng 43 in

@@ -174,7 +174,8 @@ let test_solver_det () =
   let rep = Dsf_core.Solver.solve_ic Dsf_core.Solver.Det inst in
   Alcotest.(check bool) "feasible" true rep.Dsf_core.Solver.feasible;
   Alcotest.(check bool) "has dual" true (rep.Dsf_core.Solver.dual_lower_bound <> None);
-  Alcotest.(check bool) "has rounds" true (rep.Dsf_core.Solver.rounds_simulated > 0);
+  Alcotest.(check bool) "has rounds" true (Option.map Dsf_congest.Ledger.simulated rep.Dsf_core.Solver.ledger
+     > Some 0);
   let det = Dsf_core.Det_dsf.run inst in
   check Alcotest.int "same as direct call" det.Dsf_core.Det_dsf.weight
     rep.Dsf_core.Solver.weight
@@ -190,27 +191,54 @@ let test_solver_all_algorithms () =
     [
       Dsf_core.Solver.Det;
       Dsf_core.Solver.Det_sublinear { eps_num = 1; eps_den = 2 };
-      Dsf_core.Solver.Rand { repetitions = 2; seed = 5 };
-      Dsf_core.Solver.Khan_baseline { repetitions = 2; seed = 5 };
+      Dsf_core.Solver.Rand { repetitions = 2; rng = Dsf_util.Rng.create 5 };
+      Dsf_core.Solver.Khan_baseline
+        { repetitions = 2; rng = Dsf_util.Rng.create 5 };
       Dsf_core.Solver.Centralized_moat;
     ]
 
 let test_solver_compare_all_sorted () =
   let inst = sample_instance 33 in
-  let reports = Dsf_core.Solver.compare_all inst in
+  let reports = Dsf_core.Solver.(compare_all (Ic inst)) in
   check Alcotest.int "four algorithms" 4 (List.length reports);
   let weights = List.map (fun r -> r.Dsf_core.Solver.weight) reports in
   check Alcotest.(list int) "ascending" (List.sort compare weights) weights
 
+(* solve_cr's ledger holds the Lemma 2.3 transform's rounds and then the
+   algorithm's: on a path, more than det's own 7; on dsf_cli's requests
+   fixture, the [cr_to_ic] span's 22 and det's 76 simulated and 11
+   charged, and compare_all counts them the same way. *)
 let test_solver_cr () =
+  let module Solver = Dsf_core.Solver in
+  let module Telemetry = Dsf_congest.Telemetry in
+  let simulated (r : Solver.report) =
+    Option.map Dsf_congest.Ledger.simulated r.Solver.ledger
+  in
   let g = Gen.path 8 in
   let requests = Array.make 8 [] in
   requests.(0) <- [ 7 ];
-  let cr = Instance.make_cr g requests in
-  let rep = Dsf_core.Solver.solve_cr Dsf_core.Solver.Det cr in
-  check Alcotest.int "path weight" 7 rep.Dsf_core.Solver.weight;
-  Alcotest.(check bool) "transform rounds included" true
-    (rep.Dsf_core.Solver.rounds_simulated > 7)
+  let rep = Solver.solve_cr Solver.Det (Instance.make_cr g requests) in
+  check Alcotest.int "path weight" 7 rep.Solver.weight;
+  Alcotest.(check bool) "transform rounds included" true (simulated rep > Some 7);
+  let cr =
+    match Io.parse_file "fixtures/det_small_cr.dsf" with
+    | Io.Cr cr -> cr
+    | _ -> Alcotest.fail "det_small_cr.dsf is a requests file"
+  in
+  let tel = Telemetry.create () in
+  let rep = Solver.solve_cr ~telemetry:tel Solver.Det cr in
+  check Alcotest.(option int) "simulated" (Some 98) (simulated rep);
+  check Alcotest.(option int) "charged" (Some 11)
+    (Option.map Dsf_congest.Ledger.charged rep.Solver.ledger);
+  let rec rounds (s : Telemetry.span) =
+    List.fold_left (fun acc c -> acc + rounds c) s.Telemetry.rounds
+      s.Telemetry.children
+  in
+  check Alcotest.(option int) "cr_to_ic span rounds" (Some 22)
+    (Option.map rounds (Telemetry.find tel [ "cr_to_ic" ]));
+  check Alcotest.(list (option int)) "compare_all" [ Some 98 ]
+    (List.map simulated
+       (Solver.compare_all ~algorithms:[ Solver.Det ] (Solver.Cr cr)))
 
 (* ---------------------------------------------------------------- st_hard *)
 

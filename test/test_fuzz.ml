@@ -120,9 +120,10 @@ let prop_fuzz_solver_reports =
                  [
                    Solver.Det;
                    Solver.Det_sublinear { eps_num = 1; eps_den = 1 };
-                   Solver.Rand { repetitions = 1; seed };
+                   Solver.Rand
+                     { repetitions = 1; rng = Dsf_util.Rng.create seed };
                  ]
-               inst)))
+               (Solver.Ic inst))))
 
 let prop_fuzz_cr_pipeline =
   QCheck.Test.make

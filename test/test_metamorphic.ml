@@ -161,8 +161,8 @@ let test_all_algorithms_at_weight_bound () =
       ( "rand",
         (Dsf_core.Rand_dsf.run ~rng:(rng 3) inst).Dsf_core.Rand_dsf.solution );
       ( "khan",
-        (Dsf_baseline.Khan_etal.run ~rng:(rng 3) inst)
-          .Dsf_baseline.Khan_etal.solution );
+        (Dsf_core.Khan_etal.run ~rng:(rng 3) inst)
+          .Dsf_core.Khan_etal.solution );
       "moat", (Dsf_core.Moat.run inst).Dsf_core.Moat.solution;
     ]
 

@@ -148,15 +148,19 @@ let test_rand_jobs_invariant_truncated () =
 
 let test_solver_jobs_invariant () =
   let inst = random_instance 23 in
-  let algo = Solver.Rand { repetitions = 4; seed = 9 } in
+  let algo = Solver.Rand { repetitions = 4; rng = Dsf_util.Rng.create 9 } in
   let a = Solver.solve_ic ~jobs:1 algo inst in
   let b = Solver.solve_ic ~jobs:4 algo inst in
   check Alcotest.int "weight" a.Solver.weight b.Solver.weight;
   check Alcotest.(array bool) "solution" a.Solver.solution b.Solver.solution;
-  check Alcotest.int "rounds_simulated" a.Solver.rounds_simulated
-    b.Solver.rounds_simulated;
-  check Alcotest.int "rounds_charged" a.Solver.rounds_charged
-    b.Solver.rounds_charged
+  let rounds (r : Solver.report) =
+    Option.map
+      (fun l -> Dsf_congest.Ledger.simulated l, Dsf_congest.Ledger.charged l)
+      r.Solver.ledger
+  in
+  check
+    Alcotest.(option (pair int int))
+    "rounds simulated, charged" (rounds a) (rounds b)
 
 let test_det_via_pool_matches_sequential () =
   (* Deterministic solvers mapped over instances through the pool must

@@ -72,7 +72,9 @@ let test_roundtrip () =
         ]
       in
       check Alcotest.bool "events round-trip" true
-        (Recorder.log_events log = expect)
+        (Recorder.log_events log = expect);
+      check Alcotest.bool "to_log reads the same log in memory" true
+        (Recorder.to_log r = log)
 
 (* A merged child lands after the parent's own events, every record
    intact and every span name re-interned into the parent's table (the

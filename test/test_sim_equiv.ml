@@ -810,7 +810,6 @@ let test_det_dsf_flat_e2e () =
       res.Dsf_core.Det_dsf.dual,
       res.Dsf_core.Det_dsf.merges,
       res.Dsf_core.Det_dsf.phase_count,
-      res.Dsf_core.Det_dsf.max_edge_round_bits,
       Ledger.simulated res.Dsf_core.Det_dsf.ledger,
       Ledger.charged res.Dsf_core.Det_dsf.ledger )
   in

@@ -207,11 +207,11 @@ let test_instrumentation_coverage () =
              ~rng:(Dsf_util.Rng.create 3) inst)
             .ledger))
     [ 1; 2 ];
+  (* Unwrapped: khan opens its own khan_baseline span. *)
   covered "khan" (fun ~telemetry ->
-      Telemetry.span telemetry "khan_baseline" (fun () ->
-          (Dsf_baseline.Khan_etal.run ~telemetry ~repetitions:2
-             ~rng:(Dsf_util.Rng.create 3) inst)
-            .Dsf_baseline.Khan_etal.ledger))
+      (Dsf_core.Khan_etal.run ~telemetry ~repetitions:2
+         ~rng:(Dsf_util.Rng.create 3) inst)
+        .Dsf_core.Khan_etal.ledger)
 
 (* ------------------------------------------------------- pooled merging *)
 
