@@ -122,18 +122,39 @@ identity_leg det_small_cr det solve --algo det --verbose
 identity_leg det_small_cr compare compare
 echo "ci: solve and compare stdout byte-identical (det_small: det jobs 1 + chaos 5 jobs 2, sublinear, rand, khan, moat, compare; det_small_cr: det, compare)"
 
-# Jobs-invariance of the (D, WD, s) sweep: at n=600 the sources fill 10
-# blocks of 62, so --jobs 2 really splits the sweep over two domains, and
-# the solve's stdout must not change.
+# Jobs-invariance of the (D, WD, s) sweep: sublinear still reads the
+# exact triple, so its solve sweeps; at n=600 the sources fill 10 blocks
+# of 62, so --jobs 2 really splits the sweep over two domains, and the
+# solve's stdout must not change.
 for j in 1 2; do
-  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
+  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo sublinear \
     --topology random -n 600 -t 16 -k 4 --jobs "$j" > "$scratch/sweep_j$j.out"
 done
 if ! diff -u "$scratch/sweep_j1.out" "$scratch/sweep_j2.out"; then
-  echo "ci: det solve stdout differs between --jobs 1 and --jobs 2 (n=600)" >&2
+  echo "ci: sublinear solve stdout differs between --jobs 1 and --jobs 2 (n=600)" >&2
   exit 1
 fi
-echo "ci: det solve stdout jobs-invariant (n=600, 10 sweep blocks)"
+echo "ci: sublinear solve stdout jobs-invariant (n=600, 10 sweep blocks)"
+
+# The sweep runs only for the solvers that read it: a traced det solve
+# has no paths.parameters span, a traced sublinear solve has one.  The
+# exact triple stays one command away in `params --file`.
+for algo in det sublinear; do
+  with_timeout 120 dune exec bin/dsf_cli.exe -- solve --algo "$algo" \
+    --file test/fixtures/det_small.dsf --trace - --trace-format console \
+    > "$scratch/sweep_$algo.trace"
+done
+if grep -q "paths.parameters" "$scratch/sweep_det.trace" \
+   || ! grep -q "paths.parameters" "$scratch/sweep_sublinear.trace"; then
+  echo "ci: want a paths.parameters span for sublinear only, not for det" >&2
+  exit 1
+fi
+with_timeout 60 dune exec bin/dsf_cli.exe -- params \
+  --file test/fixtures/det_small.dsf > "$scratch/params.out"
+grep -q " D=5 WD=40 s=8 " "$scratch/params.out" || {
+  echo "ci: params --file det_small.dsf did not print D=5 WD=40 s=8:" >&2
+  cat "$scratch/params.out" >&2; exit 1; }
+echo "ci: sweep only for its readers (det none, sublinear one); params --file ok"
 
 # Malformed-input smoke: a bad integer, a self-loop, a disconnected graph,
 # a negative n followed by a second n line, a node labelled twice, a total
@@ -172,12 +193,14 @@ for bad in bad_int:2: bad_selfloop:3: bad_disconnected: bad_negative_n:1: \
   file="$scratch/${bad%%:*}.dsf"
   expect_input_error "$file:${bad#*:}" solve --file "$file"
 done
+expect_input_error "$scratch/bad_disconnected.dsf:" params \
+  --file "$scratch/bad_disconnected.dsf"
 printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
   > "$scratch/ok.dsf"
 printf '0 1\n9 9\n' > "$scratch/bad_solution.sol"
 expect_input_error "$scratch/bad_solution.sol:2:" verify \
   --file "$scratch/ok.dsf" --solution "$scratch/bad_solution.sol"
-echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, bad solution line)"
+echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, params --file, bad solution line)"
 
 # Bad generator, solver and query flags: each case (flag, then the dsf_cli
 # arguments) must fail before anything is generated or solved — exit 2,

@@ -5,6 +5,7 @@
      dune exec bin/dsf_cli.exe -- solve --algo det --topology random \
        --nodes 50 --terminals 12 --components 4 --seed 7
      dune exec bin/dsf_cli.exe -- params --topology grid --nodes 49
+     dune exec bin/dsf_cli.exe -- params --file test/fixtures/det_small.dsf
      dune exec bin/dsf_cli.exe -- gadget --kind ic --universe 12 *)
 
 module Graph = Dsf_graph.Graph
@@ -34,12 +35,6 @@ let algos = [ "det"; "sublinear"; "rand"; "khan"; "moat" ]
 
 let check_jobs jobs =
   if jobs < 1 then flag_error "--jobs" "must be at least 1, got %d" jobs
-
-(* The instance's (D, WD, s), swept over [jobs] domains and memoized on
-   the graph, so the solvers' own [parameters] calls hit the memo. *)
-let parameters ?telemetry ~jobs g =
-  Dsf_congest.Telemetry.span_opt telemetry "paths.parameters" (fun () ->
-      Dsf_graph.Paths.parameters ~jobs g)
 
 (* The certification verdict solve and verify share: print the report
    (after [prefix]) or the rejection (after [reject]), and say whether the
@@ -93,6 +88,11 @@ let make_graph topology rng n max_w =
       max_w Graph.max_total_weight;
   g
 
+let graph_of = function
+  | Dsf_graph.Io.Ic inst -> inst.Instance.graph
+  | Dsf_graph.Io.Cr cr -> cr.Instance.cr_graph
+  | Dsf_graph.Io.Plain g -> g
+
 (* Parse an instance file and reject disconnected networks up front: every
    algorithm (and the D/WD/s sweep) assumes one connected CONGEST network. *)
 let read_instance_file path =
@@ -103,12 +103,7 @@ let read_instance_file path =
         Format.eprintf "%s@." msg;
         exit 2
   in
-  let g =
-    match parsed with
-    | Dsf_graph.Io.Ic inst -> inst.Instance.graph
-    | Dsf_graph.Io.Cr cr -> cr.Instance.cr_graph
-    | Dsf_graph.Io.Plain g -> g
-  in
+  let g = graph_of parsed in
   let comp = Graph.connected_components g in
   (match Array.find_index (fun c -> c <> comp.(0)) comp with
   | Some v ->
@@ -149,6 +144,14 @@ let load_or_generate file topology rng n t k max_w =
 let labelled = function
   | Solver.Ic inst -> inst
   | Solver.Cr cr -> Instance.ic_of_cr cr
+
+(* The instance line solve and compare print first: sizes only, no
+   sweep (`dsf_cli params` prints the exact D, WD and s). *)
+let print_instance inst =
+  let g = inst.Instance.graph in
+  Format.printf "instance: n=%d m=%d t=%d k=%d@." (Graph.n g) (Graph.m g)
+    (Instance.terminal_count inst)
+    (Instance.component_count inst)
 
 (* --trace plumbing: parse the format up front (so a typo fails before the
    solve, not after), collect into a fresh per-invocation telemetry, write
@@ -226,16 +229,17 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     | _ -> assert false (* check_choice on entry *)
   in
   let g = inst.Instance.graph in
-  let d, wd, s = parameters ?telemetry ~jobs g in
-  Format.printf "instance: n=%d m=%d D=%d WD=%d s=%d t=%d k=%d@." (Graph.n g)
-    (Graph.m g) d wd s
-    (Instance.terminal_count inst)
-    (Instance.component_count inst);
+  print_instance inst;
   (* Instance parameters into the flightlog metadata: `inspect
      --critical-path` renders the paper bound sqrt(min(s*t, n))*log2(n) + D
-     from exactly these keys. *)
+     from exactly these keys.  The exact (D, WD, s) is swept for the log
+     only (memoized, so a solver that reads it finds it there). *)
   (match recorder with
   | Some r ->
+      let d, wd, s =
+        Dsf_congest.Telemetry.span_opt telemetry "paths.parameters" (fun () ->
+            Dsf_graph.Paths.parameters ~jobs g)
+      in
       List.iter
         (fun (key, v) -> if v >= 0 then Dsf_congest.Recorder.meta_add r key v)
         [
@@ -302,12 +306,7 @@ let compare_cmd topology n t k max_w seed file jobs trace trace_format =
   let telemetry = telemetry_of_sink sink in
   let rng = Dsf_util.Rng.create seed in
   let input = load_or_generate file topology rng n t k max_w in
-  let inst = labelled input in
-  let g = inst.Instance.graph in
-  ignore (parameters ?telemetry ~jobs g);
-  Format.printf "instance: n=%d m=%d t=%d k=%d@." (Graph.n g) (Graph.m g)
-    (Instance.terminal_count inst)
-    (Instance.component_count inst);
+  print_instance (labelled input);
   Format.printf "%-34s %8s %10s %10s %10s@." "algorithm" "weight" "sim" "charged"
     "feasible";
   List.iter
@@ -346,9 +345,12 @@ let verify_cmd inst_file sol_file dual =
           then exit 1
     end
 
-let params_cmd topology n max_w seed =
-  let rng = Dsf_util.Rng.create seed in
-  let g = make_graph topology rng n max_w in
+let params_cmd topology n max_w seed file =
+  let g =
+    match file with
+    | Some path -> graph_of (read_instance_file path)
+    | None -> make_graph topology (Dsf_util.Rng.create seed) n max_w
+  in
   let d, wd, s = Dsf_graph.Paths.parameters g in
   Format.printf
     "n=%d m=%d max_degree=%d D=%d WD=%d s=%d total_weight=%d@." (Graph.n g)
@@ -495,11 +497,12 @@ let jobs_arg =
     & opt int (Dsf_util.Pool.default_jobs ())
     & info [ "jobs"; "j" ]
         ~doc:
-          "domains for the instance's (D, WD, s) sweep, for every \
-           algorithm, and for the trial fan-out of the randomized \
-           algorithm (in solve and compare); simulated runs each step on \
-           one domain; at least 1; default = recommended domain count, \
-           capped; results are identical for any value")
+          "domains for the instance's exact (D, WD, s) sweep, run only \
+           for the algorithms that read it (sublinear, rand, khan) and for \
+           --record's log metadata, and for the trial fan-out of the \
+           randomized algorithm (in solve and compare); simulated runs \
+           each step on one domain; at least 1; default = recommended \
+           domain count, capped; results are identical for any value")
 
 let flat_arg =
   Arg.(
@@ -540,7 +543,8 @@ let compare_term =
     const compare_cmd $ topology_arg $ nodes_arg $ t_arg $ k_arg $ maxw_arg
     $ seed_arg $ file_arg $ jobs_arg $ trace_arg $ trace_format_arg)
 
-let params_term = Term.(const params_cmd $ topology_arg $ nodes_arg $ maxw_arg $ seed_arg)
+let params_term =
+  Term.(const params_cmd $ topology_arg $ nodes_arg $ maxw_arg $ seed_arg $ file_arg)
 
 let verify_term =
   let inst_file =
@@ -607,7 +611,12 @@ let inspect_term =
 let () =
   let solve = Cmd.v (Cmd.info "solve" ~doc:"solve a generated or loaded DSF instance") solve_term in
   let compare = Cmd.v (Cmd.info "compare" ~doc:"run all algorithms on one instance") compare_term in
-  let params = Cmd.v (Cmd.info "params" ~doc:"print graph parameters D, WD, s") params_term in
+  let params =
+    Cmd.v
+      (Cmd.info "params"
+         ~doc:"print graph parameters D, WD, s of a generated graph or a --file")
+      params_term
+  in
   let gadget = Cmd.v (Cmd.info "gadget" ~doc:"run a Figure-1 lower-bound gadget") gadget_term in
   let verify = Cmd.v (Cmd.info "verify" ~doc:"re-check a solution file against an instance") verify_term in
   let inspect =

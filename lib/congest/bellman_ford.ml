@@ -86,9 +86,9 @@ let protocol ?weight_of ?radius g ~sources =
       is_done = (fun st -> not st.dirty);
       msg_bits =
         (fun (Relax r) ->
-          Bitsize.int_bits (max 1 r.dist)
+          Bitsize.int_bits (Int.max 1 r.dist)
           + Bitsize.id_bits ~n
-          + Bitsize.int_bits (max 1 r.hops));
+          + Bitsize.int_bits (Int.max 1 r.hops));
       (* Purely wavefront-driven: a clean node with no mail has nothing to
          do, so the simulator may skip it. *)
       wake = Some Sim.never;
@@ -128,7 +128,7 @@ let flat_protocol ?weight_of ?radius g ~sources =
   (* Effective incoming weight per directed CSR position: one array lookup
      per received message (the classic protocol pays a hashtable find). *)
   let wpos = Array.map weight_of csr.Graph.eid in
-  let init_dist = Hashtbl.create (max 1 (List.length sources)) in
+  let init_dist = Hashtbl.create (Int.max 1 (List.length sources)) in
   List.iter
     (fun (v, d0) ->
       assert (d0 >= 0);
@@ -137,18 +137,18 @@ let flat_protocol ?weight_of ?radius g ~sources =
       | _ -> Hashtbl.replace init_dist v d0)
     sources;
   let max_d0 =
-    Hashtbl.fold (fun _ d acc -> if d <= cap then max acc d else acc)
+    Hashtbl.fold (fun _ d acc -> if d <= cap then Int.max acc d else acc)
       init_dist 0
   in
-  let max_w = Array.fold_left max 0 wpos in
+  let max_w = Array.fold_left Int.max 0 wpos in
   (* Overflow-safe distance bound; a blowup here means the widths cannot
      fit anyway, so decline rather than risk wraparound. *)
   if max_w > 0 && n - 1 > (inf - max_d0) / max_w then None
   else begin
-    let dmax = min cap (max_d0 + ((n - 1) * max_w)) in
+    let dmax = Int.min cap (max_d0 + ((n - 1) * max_w)) in
     let wd = Pack.width_of_max dmax in
-    let ws = Pack.width_of_max (max 1 (n - 1)) in
-    let wh = Pack.width_of_max (max 1 (n - 1)) in
+    let ws = Pack.width_of_max (Int.max 1 (n - 1)) in
+    let wh = Pack.width_of_max (Int.max 1 (n - 1)) in
     if wd + ws + wh > 62 then None
     else begin
       let[@warning "-8"] [| f_dist; f_src; f_hops |] =
@@ -219,9 +219,9 @@ let flat_protocol ?weight_of ?radius g ~sources =
           fp_is_done = (fun st -> not st.fdirty);
           fp_msg_bits =
             (fun m ->
-              Bitsize.int_bits (max 1 (Pack.get f_dist m))
+              Bitsize.int_bits (Int.max 1 (Pack.get f_dist m))
               + Bitsize.id_bits ~n
-              + Bitsize.int_bits (max 1 (Pack.get f_hops m)));
+              + Bitsize.int_bits (Int.max 1 (Pack.get f_hops m)));
           fp_wake = Some Sim.never;
         }
       in

@@ -18,7 +18,7 @@ type tree = {
    "unreached" sentinel. *)
 let flat_fields ~n =
   match
-    Pack.layout [ 1; Pack.width_of_max (max 1 (n - 1)); Pack.width_of_max n ]
+    Pack.layout [ 1; Pack.width_of_max (Int.max 1 (n - 1)); Pack.width_of_max n ]
   with
   | [| announced; depth; parent1 |] -> announced, depth, parent1
   | _ -> assert false
@@ -74,7 +74,7 @@ let flat_protocol ~n ~root : (int, int) Sim.flat_protocol =
         end
         else st);
     fp_is_done = (fun st -> st = -1 || st land 1 = 1);
-    fp_msg_bits = (fun d -> Bitsize.int_bits (max d 1));
+    fp_msg_bits = (fun d -> Bitsize.int_bits (Int.max d 1));
     fp_wake = Some Sim.never;
   }
 
@@ -90,7 +90,7 @@ let tree_of_parent_depth ~root ~parent ~depth =
   Array.iteri
     (fun v p -> if p >= 0 then children.(p) <- v :: children.(p))
     parent;
-  let height = Array.fold_left max 0 depth in
+  let height = Array.fold_left Int.max 0 depth in
   { root; parent; depth; children; height }
 
 let build ?(env = Sim.default_env) g ~root =

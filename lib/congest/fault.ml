@@ -59,17 +59,17 @@ let prf ~seed ~round ~src ~dst ~salt =
 let uniform h = float_of_int h /. float_of_int max_int
 
 let instantiate p : Sim.faults =
-  let links = Hashtbl.create (max 4 (List.length p.link_down)) in
+  let links = Hashtbl.create (Int.max 4 (List.length p.link_down)) in
   List.iter
     (fun (u, v, r0, r1) ->
-      let key = (min u v, max u v) in
+      let key = (Int.min u v, Int.max u v) in
       let prev = Option.value ~default:[] (Hashtbl.find_opt links key) in
       Hashtbl.replace links key ((r0, r1) :: prev))
     p.link_down;
   let link_is_down ~round ~src ~dst =
     Hashtbl.length links > 0
     &&
-    match Hashtbl.find_opt links (min src dst, max src dst) with
+    match Hashtbl.find_opt links (Int.min src dst, Int.max src dst) with
     | None -> false
     | Some ws -> List.exists (fun (r0, r1) -> round >= r0 && round <= r1) ws
   in
@@ -101,7 +101,7 @@ let chaos_plan ~seed g =
   let edges = Graph.edges g in
   let m = Array.length edges in
   let draw i salt range = 1 + (prf ~seed ~round:i ~src:0 ~dst:0 ~salt mod range) in
-  let horizon = max 8 (2 * n) in
+  let horizon = Int.max 8 (2 * n) in
   let k = 2 + (n / 512) in
   let link_down =
     if m = 0 then []
@@ -253,7 +253,7 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
     let deg = Array.length view.Sim.nbrs in
     let links = Array.map (fun (nb, _, _) -> nb) view.Sim.nbrs in
     Array.sort compare links;
-    let idx = Hashtbl.create (max 4 deg) in
+    let idx = Hashtbl.create (Int.max 4 deg) in
     Array.iteri (fun i nb -> Hashtbl.replace idx nb i) links;
     {
       inner = proto.Sim.init view;
@@ -298,20 +298,20 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
      step rewrites the node's image, so this is charged per step). *)
   let hstate_bits rc st =
     let item_bits = function
-      | Fin { vround } -> Bitsize.int_bits (max 1 vround)
+      | Fin { vround } -> Bitsize.int_bits (Int.max 1 vround)
       | Payload { vround; body } ->
-          Bitsize.int_bits (max 1 vround) + proto.Sim.msg_bits body
+          Bitsize.int_bits (Int.max 1 vround) + proto.Sim.msg_bits body
     in
-    let b = ref (rc.state_bits st.inner + Bitsize.int_bits (max 1 st.vround)) in
+    let b = ref (rc.state_bits st.inner + Bitsize.int_bits (Int.max 1 st.vround)) in
     let deg = Array.length st.links in
     for j = 0 to deg - 1 do
-      b := !b + (4 * Bitsize.int_bits (max 1 st.next_seq.(j)));
+      b := !b + (4 * Bitsize.int_bits (Int.max 1 st.next_seq.(j)));
       List.iter
-        (fun (s, it) -> b := !b + Bitsize.int_bits (max 1 s) + item_bits it)
+        (fun (s, it) -> b := !b + Bitsize.int_bits (Int.max 1 s) + item_bits it)
         st.outq.(j);
       List.iter
         (fun (vr, m) ->
-          b := !b + Bitsize.int_bits (max 1 vr) + proto.Sim.msg_bits m)
+          b := !b + Bitsize.int_bits (Int.max 1 vr) + proto.Sim.msg_bits m)
         st.pending.(j)
     done;
     !b
@@ -348,7 +348,7 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
        closed it.  The inner inbox is rebuilt exactly as both engines
        deliver it: senders in ascending id order ([links] is sorted), each
        sender's payloads in send order. *)
-    let fresh = Array.make (max deg 1) [] in
+    let fresh = Array.make (Int.max deg 1) [] in
     if Array.for_all (fun f -> f >= st.vround) st.fin_upto then begin
       let r = st.vround in
       let inbox_r = ref [] in
@@ -410,7 +410,7 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
         if timed_out then begin
           let n_re = List.length had in
           st.retrans <- st.retrans + n_re;
-          st.rto.(j) <- min (2 * st.rto.(j)) rto_cap;
+          st.rto.(j) <- Int.min (2 * st.rto.(j)) rto_cap;
           st.outq.(j)
         end
         else fresh.(j)
@@ -433,15 +433,15 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
     st, !packets
   in
   let packet_bits = function
-    | Ack { upto } -> 2 + Bitsize.int_bits (max 1 upto)
+    | Ack { upto } -> 2 + Bitsize.int_bits (Int.max 1 upto)
     | Pkt { seq; item } -> (
         2
-        + Bitsize.int_bits (max 1 seq)
+        + Bitsize.int_bits (Int.max 1 seq)
         +
         match item with
-        | Fin { vround } -> Bitsize.int_bits (max 1 vround)
+        | Fin { vround } -> Bitsize.int_bits (Int.max 1 vround)
         | Payload { vround; body } ->
-            Bitsize.int_bits (max 1 vround) + proto.Sim.msg_bits body)
+            Bitsize.int_bits (Int.max 1 vround) + proto.Sim.msg_bits body)
   in
   {
     Sim.init;

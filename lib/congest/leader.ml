@@ -47,7 +47,7 @@ let elect ?(env = Sim.default_env) g =
      — crash-restart included, since a [Chaos] network runs with
      checkpoint recovery — which the chaos suite enforces
      differentially. *)
-  let leader = Array.fold_left (fun acc st -> max acc st.best) min_int states in
+  let leader = Array.fold_left (fun acc st -> Int.max acc st.best) min_int states in
   let agreed = Array.for_all (fun st -> st.best = leader) states in
   (match env.Sim.network with Sim.Faults _ -> () | _ -> assert agreed);
   { leader; rounds = stats.Sim.rounds; messages = stats.Sim.messages; agreed }

@@ -80,7 +80,7 @@ let create ?now ?(meta = []) () =
       meta = [];
     }
   in
-  meta_add t "captured_unix_s" (max 0 now);
+  meta_add t "captured_unix_s" (Int.max 0 now);
   List.iter (fun (k, v) -> meta_add t k v) meta;
   t
 
@@ -439,7 +439,7 @@ type rows = { mutable rw : round_row array; mutable rwn : int }
 
 let row_push rows r =
   if rows.rwn = Array.length rows.rw then begin
-    let a = Array.make (max 16 (2 * rows.rwn)) r in
+    let a = Array.make (Int.max 16 (2 * rows.rwn)) r in
     Array.blit rows.rw 0 a 0 rows.rwn;
     rows.rw <- a
   end;
@@ -460,14 +460,14 @@ let analyze l =
           if dst > !max_node then max_node := dst
       | _ -> ());
   let n = !max_node + 1 in
-  let depth = Array.make (max 1 n) 0 in
-  let last_rec : step_rec option array = Array.make (max 1 n) None in
-  let steps : step_rec list array = Array.make (max 1 n) [] in
+  let depth = Array.make (Int.max 1 n) 0 in
+  let last_rec : step_rec option array = Array.make (Int.max 1 n) None in
+  let steps : step_rec list array = Array.make (Int.max 1 n) [] in
   (* In-flight mail, per destination: [avail] is deliverable this round,
      [inflight] collects this round's surviving sends.  Touched lists keep
      the per-round reset O(traffic), not O(n). *)
-  let avail : via list array = Array.make (max 1 n) [] in
-  let inflight : via list array = Array.make (max 1 n) [] in
+  let avail : via list array = Array.make (Int.max 1 n) [] in
+  let inflight : via list array = Array.make (Int.max 1 n) [] in
   let avail_touched = ref [] and inflight_touched = ref [] in
   let rows = { rw = [||]; rwn = 0 } in
   let g = ref (-1) in
@@ -557,7 +557,7 @@ let analyze l =
         in
         let d =
           match best with
-          | Some m -> max depth.(v) m.v_msg_depth
+          | Some m -> Int.max depth.(v) m.v_msg_depth
           | None -> depth.(v)
         in
         let rec_ = { sr_node = v; sr_ground = !g; sr_depth = d; sr_via = best } in
@@ -632,7 +632,7 @@ let analyze l =
                   r
             in
             rowv.sp_count <- rowv.sp_count + 1;
-            rowv.sp_rounds <- rowv.sp_rounds + (max 0 (!g - g0));
+            rowv.sp_rounds <- rowv.sp_rounds + (Int.max 0 (!g - g0));
             if !max_depth > rowv.sp_max_depth then
               rowv.sp_max_depth <- !max_depth;
             if Hashtbl.length edges > 0 then rowv.sp_after_msg <- true
@@ -805,7 +805,8 @@ let pp_critical_path ppf a =
       Format.fprintf ppf
         "  paper bound: unavailable (metadata lacks s/t/n/D)@.");
   (* In a log with messages, a span that closed before the first one
-     (the CLI's [paths.parameters] sweep) has no chain to attribute. *)
+     (the [paths.parameters] sweep of a recorded solve) has no chain to
+     attribute. *)
   match
     if a.a_edges = [] then a.a_spans
     else List.filter (fun sp -> sp.sp_after_msg) a.a_spans

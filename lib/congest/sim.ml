@@ -93,7 +93,7 @@ let charge env label rounds =
 let neighbor_slots g views =
   Array.map
     (fun view ->
-      let h = Hashtbl.create (max 4 (Array.length view.nbrs)) in
+      let h = Hashtbl.create (Int.max 4 (Array.length view.nbrs)) in
       Array.iter
         (fun (nb, _, eid) ->
           let e = Graph.edge g eid in
@@ -609,8 +609,8 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   let sweep_all = (not has_faults) && not wake_is_some in
   let down_now = if has_faults then Array.make n false else [||] in
   let was_down = if has_faults then Array.make n false else [||] in
-  let act = Array.make (max 1 n) 0 in
-  let rcp = Array.make (max 1 n) 0 in
+  let act = Array.make (Int.max 1 n) 0 in
+  let rcp = Array.make (Int.max 1 n) 0 in
   let n_act = ref 0 in
   let cand_stamp = Array.make n (-1) in
   if sparse then

@@ -272,7 +272,7 @@ let rec inclusive s =
         i_rounds = acc.i_rounds + ci.i_rounds;
         i_messages = acc.i_messages + ci.i_messages;
         i_bits = acc.i_bits + ci.i_bits;
-        i_merb = max acc.i_merb ci.i_merb;
+        i_merb = Int.max acc.i_merb ci.i_merb;
         i_viol = acc.i_viol + ci.i_viol;
         i_dropped = acc.i_dropped + ci.i_dropped;
         i_dup = acc.i_dup + ci.i_dup;
@@ -301,7 +301,7 @@ let pp ppf t =
     let pad = String.make (2 * depth) ' ' in
     Format.fprintf ppf "%s%-*s count=%-3d wall=%.3fms rounds=%d msgs=%d bits=%d"
       pad
-      (max 1 (36 - (2 * depth)))
+      (Int.max 1 (36 - (2 * depth)))
       s.name s.count (ms_of_ns s.wall_ns) i.i_rounds i.i_messages i.i_bits;
     if i.i_merb > 0 then Format.fprintf ppf " merb=%d" i.i_merb;
     if i.i_viol > 0 then Format.fprintf ppf " violations=%d" i.i_viol;

@@ -318,4 +318,4 @@ let count_nodes ?(env = Sim.default_env) g ~tree =
   aggregate ~env g ~tree
     ~value:(fun _ -> 1)
     ~combine:( + )
-    ~bits:(fun x -> Dsf_util.Bitsize.int_bits (max 1 x))
+    ~bits:(fun x -> Dsf_util.Bitsize.int_bits (Int.max 1 x))

@@ -127,7 +127,7 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
                        let mu =
                          if C.active ms tj then Frac.half total else total
                        in
-                       let pair = min ou onb, max ou onb in
+                       let pair = Int.min ou onb, Int.max ou onb in
                        Some { Pipeline.key = { mu; pair; eid }; a = ti; b = tj }
                      end
                    end)

@@ -83,7 +83,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         |> List.map (fun (e : Graph.edge) -> e.u, e.v, e.w * scale))
     in
     let _, wd, s = Paths.parameters g in
-    let sigma = isqrt (min (s * t) n) in
+    let sigma = isqrt (Int.min (s * t) n) in
     let tree =
       tspan "setup" @@ fun () ->
       (* The nodes learn n, t and (an estimate of) s by convergecast plus a
@@ -143,7 +143,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
     let max_growth_phases =
       (* Scaling every weight by [scale] scales every distance by it, so
          the scaled graph's weighted diameter is exactly [scale * wd]. *)
-      (2 * (ceil_log2 (max 2 (scale * wd)) + 2) * (2 * eps_den / eps_num + 2))
+      (2 * (ceil_log2 (Int.max 2 (scale * wd)) + 2) * (2 * eps_den / eps_num + 2))
       + 16
     in
     let key_bits (it : ckey Pipeline.item) =
@@ -193,7 +193,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
                       && Frac.sign total < 0
                     in
                     if not fully_covered then begin
-                      let pair = min ou onb, max ou onb in
+                      let pair = Int.min ou onb, Int.max ou onb in
                       if C.active ms tj then begin
                         let key =
                           { phase = j; mu = Frac.half total; pair; eid }
@@ -221,7 +221,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         ignore
           (Tree_ops.aggregate ~env g_scaled ~tree
              ~value:(fun _ -> 1)
-             ~combine:min
+             ~combine:Int.min
              ~bits:(fun _ -> 4 * Bitsize.id_bits ~n));
         ignore
           (Tree_ops.broadcast ~env g_scaled ~tree ~items:[ () ]
@@ -265,7 +265,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         done;
         fun ti -> comp_size.(Uf.find uf_nodes ms.C.terms.(ti)) < sigma
       in
-      let max_iters = ceil_log2 (max 2 sigma) + 1 in
+      let max_iters = ceil_log2 (Int.max 2 sigma) + 1 in
       let progressing = ref true in
       let iter = ref 0 in
       (* Communication structure for in-moat aggregation: the selected
@@ -376,7 +376,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
             (gtag
                (Printf.sprintf
                   "matching via Cole-Vishkin %d (Lemma F.4, [6])" !iter))
-            ((4 * ceil_log2 (max 2 sigma)) + 8)
+            ((4 * ceil_log2 (Int.max 2 sigma)) + 8)
         end
       done;
       (* Pipelined Kruskal filter for whatever remains (Lemma 4.14). *)

@@ -25,7 +25,7 @@ let lift x shift =
   v
 
 let add a b =
-  let p = Stdlib.max a.den_pow b.den_pow in
+  let p = Int.max a.den_pow b.den_pow in
   let na = lift a.num (p - a.den_pow) and nb = lift b.num (p - b.den_pow) in
   normalize (na + nb) p
 
@@ -43,7 +43,7 @@ let mul_int a k =
   normalize v a.den_pow
 
 let compare a b =
-  let p = Stdlib.max a.den_pow b.den_pow in
+  let p = Int.max a.den_pow b.den_pow in
   Stdlib.compare (lift a.num (p - a.den_pow)) (lift b.num (p - b.den_pow))
 
 let equal a b = compare a b = 0
@@ -61,7 +61,7 @@ let to_int_exn a =
 
 let bits a =
   Dsf_util.Bitsize.int_bits (abs a.num)
-  + Dsf_util.Bitsize.int_bits (Stdlib.max 1 a.den_pow)
+  + Dsf_util.Bitsize.int_bits (Int.max 1 a.den_pow)
 
 let to_float a = float_of_int a.num /. float_of_int (1 lsl a.den_pow)
 

@@ -23,7 +23,7 @@ let create inst =
     tindex;
     init_label;
     moats = Uf.create t;
-    label_uf = Uf.create (Array.fold_left max 0 init_label + 1);
+    label_uf = Uf.create (Array.fold_left Int.max 0 init_label + 1);
     act = Array.make t true;
   }
 

@@ -25,7 +25,7 @@ type result = {
    grows with eps_den. *)
 let next_threshold ~eps_num ~eps_den mu_hat =
   let exact = mu_hat + (mu_hat * eps_num / (2 * eps_den)) in
-  max (mu_hat + 1) exact
+  Int.max (mu_hat + 1) exact
 
 let run ~eps_num ~eps_den inst0 =
   if eps_num <= 0 || eps_den <= 0 || eps_num > eps_den then

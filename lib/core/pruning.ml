@@ -25,7 +25,7 @@ let grow_clusters ~env g f sigma =
   let uf = Uf.create n in
   let iterations = ref 0 in
   let progress = ref true in
-  let max_iter = ceil_log2 (max 2 sigma) + 2 in
+  let max_iter = ceil_log2 (Int.max 2 sigma) + 2 in
   while !progress && !iterations < max_iter do
     incr iterations;
     progress := false;
@@ -41,7 +41,7 @@ let grow_clusters ~env g f sigma =
       Array.to_list (Graph.adj g v)
       |> List.filter_map (fun (nb, _, eid) ->
              if f.(eid) && not (Uf.same uf v nb) then Some eid else None)
-      |> function [] -> None | l -> Some (List.fold_left min (List.hd l) l)
+      |> function [] -> None | l -> Some (List.fold_left Int.min (List.hd l) l)
     in
     ignore
       (Dsf_congest.Component_ops.component_min_item ~env g ~mask ~values
@@ -310,7 +310,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
     (Printf.sprintf
        "F.3: cluster growing, %d iterations: matching ([6], Lemma F.7)"
        iterations)
-    ((iterations * 4 * ceil_log2 (max 2 sigma)) + 8);
+    ((iterations * 4 * ceil_log2 (Int.max 2 sigma)) + 8);
   (* Step 4: the contracted cluster forest, made global. *)
   let fc_edges =
     Array.to_list (Graph.edges g)
@@ -405,7 +405,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
   (* Label classes: labels identified by the coupling rule must be treated
      as one demand (they share edges of the minimal solution). *)
   let max_label =
-    Array.fold_left max 0 inst.Instance.labels
+    Array.fold_left Int.max 0 inst.Instance.labels
   in
   let luf = Uf.create (max_label + 1) in
   Hashtbl.iter

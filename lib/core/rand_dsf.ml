@@ -198,7 +198,7 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
                (fun acc (_, w', eid) -> if f.(eid) then acc + w' else acc)
                0 (Graph.adj g v))
            ~combine:( + )
-           ~bits:(fun x -> Bitsize.int_bits (max 1 x)));
+           ~bits:(fun x -> Bitsize.int_bits (Int.max 1 x)));
       w, f, vt, trial_ledger
     in
     (* Every trial's runs go through [Sim.run_flat], which reads the

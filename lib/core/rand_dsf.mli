@@ -50,8 +50,9 @@ val run :
     its trial index, and its runs count their rounds into its own
     ledger, merged back in repetition order, so the result — solution, weight, and ledger — is
     bit-identical for every [jobs] value.  The graph's [(D, WD, s)] memo
-    ({!Dsf_graph.Paths.parameters}) and CSR view are forced on the calling
-    domain before the fan-out, so trials only read them.
+    ({!Dsf_graph.Paths.parameters}, a hit when {!Solver} filled it at its
+    [jobs]) and CSR view are forced on the calling domain before the
+    fan-out, so trials only read them.
 
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry;
     [jobs] drives only the trial fan-out.

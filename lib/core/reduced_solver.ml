@@ -35,7 +35,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
          Non-F edges get a weight beyond the radius cap, so they are never
          used; the cap itself is the O~(sqrt n) hop bound of Lemma G.1. *)
       let cap =
-        6 * isqrt n * max 1 (int_of_float (ceil (log (float_of_int (max 2 n)))))
+        6 * isqrt n * Int.max 1 (int_of_float (ceil (log (float_of_int (Int.max 2 n)))))
       in
       let big = cap + 1 in
       let weight_of eid = if f.(eid) then 1 else big in
@@ -97,7 +97,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
           (fun (e : Graph.edge) ->
             let a = node_map.(e.u) and b = node_map.(e.v) in
             if a <> b then begin
-              let key = min a b, max a b in
+              let key = Int.min a b, Int.max a b in
               match Hashtbl.find_opt best key with
               | Some (w, _) when w <= e.w -> ()
               | _ -> Hashtbl.replace best key (e.w, e.id)
@@ -156,7 +156,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
                   let li = Hashtbl.find label_index inst.Instance.labels.(w) in
                   if li = mi then []
                   else
-                    [ { Dsf_congest.Pipeline.key = (min li mi, max li mi);
+                    [ { Dsf_congest.Pipeline.key = (Int.min li mi, Int.max li mi);
                         a = li; b = mi } ]
               | None -> []
             end

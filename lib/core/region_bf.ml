@@ -30,7 +30,7 @@ type flat_state = {
 
 let run ?(env = Sim.default_env) g ~sources ~frozen =
   let n = Graph.n g in
-  let init = Hashtbl.create (max 1 (List.length sources)) in
+  let init = Hashtbl.create (Int.max 1 (List.length sources)) in
   List.iter
     (fun (v, off, owner) ->
       match Hashtbl.find_opt init v with
@@ -44,7 +44,7 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
   let pinned v = Hashtbl.mem init v in
   let id_bits = Bitsize.id_bits ~n in
   let msg_bits (Relax r) =
-    Frac.bits r.dist + id_bits + Bitsize.int_bits (max 1 r.hops)
+    Frac.bits r.dist + id_bits + Bitsize.int_bits (Int.max 1 r.hops)
   in
   let flat_proto () : (flat_state, msg) Sim.flat_protocol =
     let csr = Graph.csr g in

@@ -43,6 +43,14 @@ let solve_ic ?(jobs = 1) ?telemetry ?chaos algo inst =
   | Some _, (Det_sublinear _ | Rand _ | Khan_baseline _ | Centralized_moat) ->
       invalid_arg "Solver.solve_ic: ?chaos is only supported for Det"
   | _ -> ());
+  (* The algorithms that still read the exact (D, WD, s) get it swept over
+     [jobs] domains and memoized on the graph, so their own reads hit the
+     memo.  Det and the moat reference never sweep. *)
+  (match algo with
+  | Det_sublinear _ | Rand _ | Khan_baseline _ ->
+      Dsf_congest.Telemetry.span_opt telemetry "paths.parameters" (fun () ->
+          ignore (Dsf_graph.Paths.parameters ~jobs inst.Instance.graph))
+  | Det | Centralized_moat -> ());
   match algo with
   | Det ->
       let r = Det_dsf.run ?telemetry ?chaos inst in
@@ -70,19 +78,29 @@ let solve_ic ?(jobs = 1) ?telemetry ?chaos algo inst =
         (Some (Frac.to_float r.Moat.dual))
         None
 
-let solve_cr ?jobs ?telemetry ?chaos algo cr =
+(* The distributed Lemma 2.3 transform under its own ledger, and a
+   report whose ledger holds the transform's rounds, then the
+   algorithm's. *)
+let transform ?telemetry ?chaos cr =
   let network =
     Option.fold chaos ~none:Sim.Lossless ~some:(fun c -> Sim.Chaos c)
   in
   let ledger = Ledger.create () in
   let env = { Sim.default_env with telemetry; ledger = Some ledger; network } in
-  let inst = Transform.cr_to_ic ~env cr in
-  let report = solve_ic ?jobs ?telemetry ?chaos algo inst in
-  let with_transform l =
+  ledger, Transform.cr_to_ic ~env cr
+
+let with_transform transform_ledger report =
+  let with_algo l =
+    let ledger = Ledger.create () in
+    Ledger.merge_into ~dst:ledger transform_ledger;
     Ledger.merge_into ~dst:ledger l;
     ledger
   in
-  { report with ledger = Option.map with_transform report.ledger }
+  { report with ledger = Option.map with_algo report.ledger }
+
+let solve_cr ?jobs ?telemetry ?chaos algo cr =
+  let ledger, inst = transform ?telemetry ?chaos cr in
+  with_transform ledger (solve_ic ?jobs ?telemetry ?chaos algo inst)
 
 type input = Ic of Instance.ic | Cr of Instance.cr
 
@@ -102,5 +120,13 @@ let compare_all ?jobs ?telemetry ?algorithms input =
           Khan_baseline { repetitions = 3; rng = Dsf_util.Rng.create 1 };
         ]
   in
-  List.map (fun a -> solve ?jobs ?telemetry a input) algorithms
+  (* On requests the transform runs once; every report gets its rounds. *)
+  let solve_each =
+    match input with
+    | Ic inst -> fun a -> solve_ic ?jobs ?telemetry a inst
+    | Cr cr ->
+        let ledger, inst = transform ?telemetry cr in
+        fun a -> with_transform ledger (solve_ic ?jobs ?telemetry a inst)
+  in
+  List.map solve_each algorithms
   |> List.sort (fun a b -> compare a.weight b.weight)

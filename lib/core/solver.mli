@@ -41,10 +41,15 @@ val solve_ic :
   algorithm ->
   Dsf_graph.Instance.ic ->
   report
-(** [jobs] (default 1) parallelizes the trial fan-out of algorithms that
-    have one ({!algorithm.Rand}'s repetitions) on the {!Dsf_util.Pool};
-    the others ignore it.  Results are bit-identical for every [jobs]
-    value.
+(** {!algorithm.Det_sublinear}, {!algorithm.Rand} and
+    {!algorithm.Khan_baseline} still read the exact [(D, WD, s)]: for
+    them the graph's memo is filled first ({!Dsf_graph.Paths.parameters},
+    under a [paths.parameters] span), so their own reads are memo hits.
+    {!algorithm.Det} and {!algorithm.Centralized_moat} never sweep.
+
+    [jobs] (default 1) splits that sweep, and {!algorithm.Rand}'s trial
+    fan-out, over {!Dsf_util.Pool} domains.  Results are bit-identical
+    for every [jobs] value.
 
     [chaos] runs {!algorithm.Det}'s simulated subroutines hardened with
     checkpointed crash recovery under the given chaos plan (see
@@ -91,7 +96,8 @@ val compare_all :
   ?algorithms:algorithm list ->
   input ->
   report list
-(** Run several algorithms on one input through {!solve} (default: Det,
-    Det_sublinear ε=1/2, Rand, Khan) and return their reports, best
-    weight first.  On connection requests every report's ledger holds
-    the transform's rounds. *)
+(** Run several algorithms on one input (default: Det, Det_sublinear
+    ε=1/2, Rand, Khan) and return their reports, best weight first, each
+    as {!solve} reports it.  On connection requests the transform runs
+    once (one [cr_to_ic] span) and every report's ledger holds its
+    rounds. *)

@@ -22,7 +22,7 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
     List.filter_map
       (fun w ->
         if w = v then None
-        else Some { Pipeline.key = (min v w, max v w); a = v; b = w })
+        else Some { Pipeline.key = (Int.min v w, Int.max v w); a = v; b = w })
       cr.Instance.requests.(v)
   in
   let surviving, _ =

@@ -131,7 +131,7 @@ let build ?(env = Sim.default_env) rng g =
             st.out true);
       msg_bits =
         (fun (Announce a) ->
-          Bitsize.id_bits ~n + Bitsize.int_bits (max 1 a.dist)
+          Bitsize.id_bits ~n + Bitsize.int_bits (Int.max 1 a.dist)
           + Bitsize.id_bits ~n);
       wake = None;
     }
@@ -151,7 +151,7 @@ let highest_within t v r =
   last None t.lists.(v)
 
 let max_list_length t =
-  Array.fold_left (fun acc l -> max acc (List.length l)) 0 t.lists
+  Array.fold_left (fun acc l -> Int.max acc (List.length l)) 0 t.lists
 
 let verify_against g t =
   let n = Graph.n g in

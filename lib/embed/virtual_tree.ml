@@ -23,13 +23,13 @@ let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at g =
   let le = Le_list.build ~env rng g in
   let beta_num = beta_den + Dsf_util.Rng.int rng beta_den in
   let wd = Paths.diameter_weighted g in
-  let levels = max 1 (ceil_log2 (max 2 wd)) in
+  let levels = Int.max 1 (ceil_log2 (Int.max 2 wd)) in
   (* The set S of highest-ranked nodes, when truncating. *)
   let s_set, closest_s, voronoi_parent =
     match truncate_at with
     | None -> [], Array.make n (-1), Array.make n (-1)
     | Some size ->
-        let size = min size n in
+        let size = Int.min size n in
         let by_rank =
           List.init n Fun.id
           |> List.sort (fun a b ->

@@ -62,11 +62,12 @@ let rules =
         "Stdlib comparison at a type ocamlopt cannot specialize (simulator \
          libraries)";
       rationale =
-        "compare, =, <>, <, >, <=, >=, min and max at a type variable, \
-         tuple, record, list, option or array compile to a C call into the \
+        "compare, =, <>, <, >, <= and >= at a type variable, tuple, \
+         record, list, option or array, and min and max at any type (they \
+         are functions, not primitives), compile to a C call into the \
          runtime's structural compare; in the engine and protocol code of \
          lib/congest, lib/embed and lib/core that call runs per message \
-         or per round, where an Int.compare chain is an inline compare";
+         or per round, where an Int.compare chain or Int.max is inline";
     };
   ]
 
@@ -865,17 +866,31 @@ let poly_hint =
    int), or mark a cold site (abort or inspect printing) with [@lint.allow \
    \"poly-compare\"] and a one-line reason"
 
+(* [Stdlib.min] and [max] are functions whose body is a polymorphic
+   compare, so even at [int] the call lands in the runtime's compare. *)
+let min_max_hint =
+  "use Int.min / Int.max (Float.min / Float.max at float), which compile \
+   to one inline compare"
+
 let check_poly_compare ctx (e : Typedtree.expression) p =
-  match generic_operand e with
-  | Some kind ->
+  match Path.last p, generic_operand e with
+  | (("min" | "max") as op), _ ->
+      femit ctx ~loc:e.Typedtree.exp_loc ~rule:rule_poly_compare
+        ~message:
+          (Printf.sprintf
+             "Stdlib.%s is a function, not a primitive: it calls the \
+              runtime's structural compare at every type"
+             op)
+        ~hint:min_max_hint
+  | op, Some kind ->
       femit ctx ~loc:e.Typedtree.exp_loc ~rule:rule_poly_compare
         ~message:
           (Printf.sprintf
              "polymorphic `%s' at %s: ocamlopt calls the runtime's \
               structural compare instead of an inline compare"
-             (Path.last p) kind)
+             op kind)
         ~hint:poly_hint
-  | None -> ()
+  | _, None -> ()
 
 (* ------------------------------------------------------------ the pass *)
 

@@ -30,11 +30,14 @@
     - [poly-compare] — in [lib/congest], [lib/embed] and [lib/core] (the
       simulator's engine, embeddings and algorithms): an application or
       first-class use ([List.sort compare], [~cmp:compare]) of Stdlib's
-      [compare], [=], [<>], [<], [>], [<=], [>=], [min] or [max] whose
-      operand type, after [Ctype.expand_head], is a type variable, tuple,
-      record, list, option or array.  There ocamlopt leaves the generic C
-      primitive ([caml_compare], [caml_lessthan], ...) where an
-      [Int.compare] chain or an [int] annotation compiles inline.
+      [compare], [=], [<>], [<], [>], [<=] or [>=] whose operand type,
+      after [Ctype.expand_head], is a type variable, tuple, record, list,
+      option or array.  There ocamlopt leaves the generic C primitive
+      ([caml_compare], [caml_lessthan], ...) where an [Int.compare] chain
+      or an [int] annotation compiles inline.  Stdlib's [min] and [max]
+      are flagged at every type: they are functions, not primitives, so
+      even at [int] they call [caml_greaterequal]; [Int.min] and
+      [Int.max] compile inline.
       [x = C] and [x <> C] against a constant constructor [C] are
       integer tests and are not flagged.  The full typing environment
       is rebuilt from the [.cmi] files on the unit's recorded load path.

@@ -1,7 +1,7 @@
 (* NEGATIVE FIXTURE — polymorphic comparisons for the typed poly-compare
    rule.  The rule covers lib/congest, lib/embed and lib/core only, so
    test_lint analyzes this unit's .cmt as if it were lib/congest's and
-   pins exactly the three flagged sites below; the int-typed and
+   pins exactly the four flagged sites below; the int-typed and
    suppressed comparisons must stay quiet.  Do not "fix" it and do not
    link it outside the test binary. *)
 
@@ -49,3 +49,10 @@ let is_empty (l : edge list) = l = []
 (* Quiet: suppressed at the call site. *)
 let rank_cold (l : (int * int) list) =
   (List.sort compare l [@lint.allow "poly-compare"])
+
+(* Flagged: Stdlib.max is a function, not a primitive, so even at [int]
+   it calls the runtime's compare. *)
+let widest (a : int) b = Stdlib.max a b
+
+(* Quiet: Int.max is one inline compare. *)
+let widest_int (a : int) b = Int.max a b

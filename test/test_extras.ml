@@ -238,7 +238,66 @@ let test_solver_cr () =
     (Option.map rounds (Telemetry.find tel [ "cr_to_ic" ]));
   check Alcotest.(list (option int)) "compare_all" [ Some 98 ]
     (List.map simulated
-       (Solver.compare_all ~algorithms:[ Solver.Det ] (Solver.Cr cr)))
+       (Solver.compare_all ~algorithms:[ Solver.Det ] (Solver.Cr cr)));
+  (* compare_all runs the transform once for all its algorithms, and each
+     report's ledger still matches that algorithm's own solve_cr. *)
+  let tel = Telemetry.create () in
+  let reports = Solver.compare_all ~telemetry:tel (Solver.Cr cr) in
+  check Alcotest.(option int) "one cr_to_ic span" (Some 1)
+    (Option.map
+       (fun (s : Telemetry.span) -> s.Telemetry.count)
+       (Telemetry.find tel [ "cr_to_ic" ]));
+  List.iter
+    (fun algo ->
+      let own = Solver.solve_cr algo cr in
+      let mine =
+        List.find (fun r -> r.Solver.algorithm = own.Solver.algorithm) reports
+      in
+      check Alcotest.(option (pair int int)) (own.Solver.algorithm ^ " ledger")
+        (Option.map
+           (fun l -> Dsf_congest.Ledger.(simulated l, charged l))
+           own.Solver.ledger)
+        (Option.map
+           (fun l -> Dsf_congest.Ledger.(simulated l, charged l))
+           mine.Solver.ledger))
+    [
+      Solver.Det;
+      Solver.Det_sublinear { eps_num = 1; eps_den = 2 };
+      Solver.Rand { repetitions = 3; rng = Dsf_util.Rng.create 1 };
+      Solver.Khan_baseline { repetitions = 3; rng = Dsf_util.Rng.create 1 };
+    ]
+
+(* Solver sweeps the exact (D, WD, s) only for the algorithms that still
+   read it.  Det leaves the graph's memo empty, so a probe's [compute]
+   still runs; Det_sublinear, Rand and Khan_baseline find it filled, by a
+   [paths.parameters] span. *)
+let test_solver_sweeps_for_readers () =
+  let module Solver = Dsf_core.Solver in
+  let module Telemetry = Dsf_congest.Telemetry in
+  let solve algo =
+    let inst = sample_instance 34 in
+    let tel = Telemetry.create () in
+    ignore (Solver.solve ~telemetry:tel algo (Solver.Ic inst));
+    let probed = ref false in
+    ignore
+      (Graph.params inst.Instance.graph ~compute:(fun _ ->
+           probed := true;
+           0, 0, 0));
+    Telemetry.find tel [ "paths.parameters" ] <> None, not !probed
+  in
+  let swept = Alcotest.(pair bool bool) in
+  check swept "det: no span, memo empty" (false, false) (solve Solver.Det);
+  check swept "moat: no span, memo empty" (false, false)
+    (solve Solver.Centralized_moat);
+  List.iter
+    (fun algo ->
+      check swept (Solver.name algo ^ ": span, memo filled") (true, true)
+        (solve algo))
+    [
+      Solver.Det_sublinear { eps_num = 1; eps_den = 2 };
+      Solver.Rand { repetitions = 2; rng = Dsf_util.Rng.create 5 };
+      Solver.Khan_baseline { repetitions = 2; rng = Dsf_util.Rng.create 5 };
+    ]
 
 (* ---------------------------------------------------------------- st_hard *)
 
@@ -283,6 +342,8 @@ let suites =
         Alcotest.test_case "all algorithms" `Quick test_solver_all_algorithms;
         Alcotest.test_case "compare_all sorted" `Quick test_solver_compare_all_sorted;
         Alcotest.test_case "CR front end" `Quick test_solver_cr;
+        Alcotest.test_case "sweeps only for its readers" `Quick
+          test_solver_sweeps_for_readers;
       ] );
     ( "lower_bound.st_hard",
       [ Alcotest.test_case "structure + solve" `Quick test_st_hard_structure ] );

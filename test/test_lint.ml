@@ -346,8 +346,9 @@ let test_typed_poly_compare () =
     let site line = "poly_compare.ml", "poly-compare", line in
     check
       Alcotest.(list (triple string string int))
-      "sort helper, tuple compare, first-class compare at a record"
-      [ site 14; site 22; site 27 ]
+      "sort helper, tuple compare, first-class compare at a record, max at \
+       int"
+      [ site 14; site 22; site 27; site 55 ]
       (found "lib/congest/poly_compare.ml");
     List.iter
       (fun file ->
