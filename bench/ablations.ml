@@ -1,7 +1,7 @@
 (* Ablation experiments: each isolates one design choice DESIGN.md calls
    out and measures what it buys.  A1 = pipelining, A2 = repetition
    amplification, A3 = forest-level sharing, A4 = the ε knob, A6 = the
-   Fault.harden retransmission overhead, E12 = the Lemma 3.4 consistency
+   hardened runner's retransmission overhead, E12 = the Lemma 3.4 consistency
    check (Ω(s) even at D = 2). *)
 
 module Graph = Dsf_graph.Graph
@@ -276,7 +276,7 @@ let a5 ~jobs () =
 
 let a6 ~jobs () =
   header "A6 (hardening overhead vs drop probability)"
-    "what do the sequence numbers, acks and retransmissions of Fault.harden cost as the network gets lossier?";
+    "what do the sequence numbers, acks and retransmissions of a hardened run cost as the network gets lossier?";
   Format.printf "%8s %10s %10s %10s %10s %10s %8s@." "drop p" "rounds"
     "x rounds" "messages" "x msgs" "retrans" "masked";
   let r = Rng.create 4646 in
@@ -300,7 +300,7 @@ let a6 ~jobs () =
             ~env:
               {
                 Dsf_congest.Sim.default_env with
-                network = Dsf_congest.Sim.Chaos (Dsf_congest.Fault.chaos plan);
+                network = Dsf_congest.Sim.Chaos plan;
               }
             g
             (Dsf_congest.Sim.flat_of_protocol proto)

@@ -26,7 +26,7 @@ let run () =
     let lossless, base = Sim.run_flat g fp in
     let hardened, stats =
       Fault.sim_run
-        ~env:{ Sim.default_env with network = Sim.Chaos (Fault.chaos plan) }
+        ~env:{ Sim.default_env with network = Sim.Chaos plan }
         g fp
     in
     let masked = lossless = hardened in
@@ -64,9 +64,9 @@ let run () =
 
 (* A protocol under soak, with its lossless baseline erased to a
    comparable value (final states are existentially typed per protocol,
-   so each entry closes over its own comparison): [run chaos] is whether
+   so each entry closes over its own comparison): [run plan] is whether
    the hardened run masked the plan, and its stats. *)
-type soak_leg = { sname : string; run : Fault.chaos -> bool * Sim.stats }
+type soak_leg = { sname : string; run : Fault.plan -> bool * Sim.stats }
 
 let soak () =
   let n = 1024 in
@@ -102,9 +102,9 @@ let soak () =
     {
       sname;
       run =
-        (fun chaos ->
+        (fun plan ->
           let got, stats =
-            go { Sim.default_env with network = Sim.Chaos chaos }
+            go { Sim.default_env with network = Sim.Chaos plan }
           in
           got = lossless, stats);
     }
@@ -133,10 +133,9 @@ let soak () =
   let failures = ref 0 in
   List.iter
     (fun (cname, plan) ->
-      let chaos = Fault.chaos plan in
       List.iter
         (fun leg ->
-          match leg.run chaos with
+          match leg.run plan with
           | masked, stats ->
               Format.printf "%-9s %-14s %-8s retrans %6d, dropped %6d@." cname
                 leg.sname

@@ -20,10 +20,10 @@
    n = 512), a flat_e2e
    section with end-to-end flat det_dsf solves on path / random / gadget
    instances at the same sizes, a fault_overhead section
-   tabulating the round/message/retransmission cost of Fault.harden at
+   tabulating the round/message/retransmission cost of a hardened run at
    increasing drop probability, a fault_recovery section tabulating the
-   recovery rounds / retransmissions / checkpoint bits / wall overhead of
-   checkpointed crash recovery at increasing crash-window counts on the E1
+   restores / recovery rounds / retransmissions / checkpoint bits / wall
+   overhead of checkpointed crash recovery at increasing crash-window counts on the E1
    and A6 workloads (fault-free baselines inline), and a phase_profile section with the
    telemetry span tree of the E1 and A6 workloads — per-phase rounds,
    messages and bits under an injected constant clock, and a
@@ -917,7 +917,7 @@ let fault_overhead () =
           ~env:
             {
               Sim.default_env with
-              network = Sim.Chaos (Dsf_congest.Fault.chaos plan);
+              network = Sim.Chaos plan;
             }
           g (Sim.flat_of_protocol proto)
       in
@@ -974,7 +974,7 @@ let run_profiled_workloads tel =
                      {
                        Sim.default_env with
                        telemetry = Some tel;
-                       network = Sim.Chaos (Dsf_congest.Fault.chaos plan);
+                       network = Sim.Chaos plan;
                      }
                    g (Sim.flat_of_protocol proto))))
         [
@@ -1041,10 +1041,7 @@ type recovery_row = {
   rv_base_rounds : int;  (* fault-free baseline *)
   rv_rounds : int;
   rv_retrans : int;
-  rv_restores : int option;
-      (* None for det_dsf legs: restores happen inside the primitives'
-         hardened runs, and telemetry reports no counter to recover them
-         from post-hoc (unlike retransmissions / recovery rounds) *)
+  rv_restores : int;
   rv_recovery_rounds : int;
   rv_checkpoint_bits : int;
   rv_wall_overhead : float;  (* hardened wall / fault-free wall *)
@@ -1065,38 +1062,41 @@ let recovery_plan ~n ~windows ~seed =
   in
   Dsf_congest.Fault.plan ~drop:0.05 ~duplicate:0.02 ~crashes ~seed ()
 
+(* A hardened run's recovery work, read from the [fault/*] counters its
+   telemetry gathered. *)
+let fault_counter tel name =
+  Dsf_util.Metrics.counter_value (Telemetry.metrics tel) name
+
 let recovery_leader ~windows =
   let g = Lazy.force shared_graph in
   let n = Dsf_graph.Graph.n g in
   let proto = Dsf_congest.Leader.protocol g in
   let (lossless, base), base_wall = timed (fun () -> Sim.run g proto) in
   let plan = recovery_plan ~n ~windows ~seed:808 in
-  let hardened =
-    Dsf_congest.Fault.harden ~recovery:(Dsf_congest.Fault.immutable ()) proto
-  in
-  let (hs, stats), wall =
+  let tel = Telemetry.create ~clock:(fun () -> 0L) () in
+  let (states, stats), wall =
     timed (fun () ->
-        Sim.run
-          ~halt:(Dsf_congest.Fault.quiescent proto)
+        Dsf_congest.Fault.sim_run
           ~env:
             {
               Sim.default_env with
-              network = Sim.Faults (Dsf_congest.Fault.instantiate plan);
+              telemetry = Some tel;
+              network = Sim.Chaos plan;
             }
-          g hardened)
+          ~recovery:(Dsf_congest.Fault.immutable ())
+          g (Sim.flat_of_protocol proto))
   in
-  let rs = Dsf_congest.Fault.recovery_of hs in
   {
     rv_workload = "A6 leader";
     rv_crash_windows = windows;
     rv_base_rounds = base.Sim.rounds;
     rv_rounds = stats.Sim.rounds;
-    rv_retrans = Dsf_congest.Fault.retransmissions_of hs;
-    rv_restores = Some rs.Dsf_congest.Fault.restores;
-    rv_recovery_rounds = rs.Dsf_congest.Fault.recovery_rounds;
-    rv_checkpoint_bits = rs.Dsf_congest.Fault.checkpoint_bits;
+    rv_retrans = fault_counter tel "fault/retransmissions";
+    rv_restores = fault_counter tel "fault/restores";
+    rv_recovery_rounds = fault_counter tel "fault/recovery_rounds";
+    rv_checkpoint_bits = fault_counter tel "fault/checkpoint_bits";
     rv_wall_overhead = wall /. base_wall;
-    rv_masked = Array.map Dsf_congest.Fault.inner hs = lossless;
+    rv_masked = states = lossless;
   }
 
 let recovery_det_dsf ~windows =
@@ -1109,37 +1109,18 @@ let recovery_det_dsf ~windows =
   let tel = Telemetry.create ~clock:(fun () -> 0L) () in
   let res, wall =
     timed (fun () ->
-        Dsf_core.Det_dsf.run ~telemetry:tel
-          ~chaos:(Dsf_congest.Fault.chaos plan)
-          inst)
+        Dsf_core.Det_dsf.run ~telemetry:tel ~chaos:plan inst)
   in
-  (* The retransmissions of the inner hardened primitives land on the
-     "hardened" telemetry spans, and their recovery rounds and checkpoint
-     bits go to the metrics registry — so the totals fall out of the
-     profile. *)
-  let retrans = ref 0 in
-  List.iter
-    (fun row ->
-      let p = row.path and s = "/hardened" in
-      let lp = String.length p and ls = String.length s in
-      if (lp >= ls && String.sub p (lp - ls) ls = s) || p = "hardened" then begin
-        retrans := !retrans + row.p_retrans
-      end)
-    (flatten_profile tel);
   let total l = Dsf_congest.Ledger.total l in
   {
     rv_workload = "E1 det_dsf";
     rv_crash_windows = windows;
     rv_base_rounds = total base.Dsf_core.Det_dsf.ledger;
     rv_rounds = total res.Dsf_core.Det_dsf.ledger;
-    rv_retrans = !retrans;
-    rv_restores = None;
-    rv_recovery_rounds =
-      Dsf_util.Metrics.counter_value (Telemetry.metrics tel)
-        "fault/recovery_rounds";
-    rv_checkpoint_bits =
-      Dsf_util.Metrics.counter_value (Telemetry.metrics tel)
-        "fault/checkpoint_bits";
+    rv_retrans = fault_counter tel "fault/retransmissions";
+    rv_restores = fault_counter tel "fault/restores";
+    rv_recovery_rounds = fault_counter tel "fault/recovery_rounds";
+    rv_checkpoint_bits = fault_counter tel "fault/checkpoint_bits";
     rv_wall_overhead = wall /. base_wall;
     rv_masked =
       res.Dsf_core.Det_dsf.solution = base.Dsf_core.Det_dsf.solution
@@ -1160,11 +1141,10 @@ let print_fault_recovery fr =
     "ckpt bits" "wall x" "masked";
   List.iter
     (fun v ->
-      Format.printf "%-14s %7d %9d (%4d) %8d %9s %11d %10d %7.2f %7s@."
+      Format.printf "%-14s %7d %9d (%4d) %8d %9d %11d %10d %7.2f %7s@."
         v.rv_workload v.rv_crash_windows v.rv_rounds v.rv_base_rounds
-        v.rv_retrans
-        (match v.rv_restores with Some r -> string_of_int r | None -> "-")
-        v.rv_recovery_rounds v.rv_checkpoint_bits v.rv_wall_overhead
+        v.rv_retrans v.rv_restores v.rv_recovery_rounds v.rv_checkpoint_bits
+        v.rv_wall_overhead
         (if v.rv_masked then "yes" else "NO"))
     fr
 
@@ -1331,13 +1311,12 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
       in
       p
         "    {\"workload\": \"%s\", \"crash_windows\": %d, \"base_rounds\": \
-         %d, \"rounds\": %d, \"retransmissions\": %d, \"restores\": %s, \
+         %d, \"rounds\": %d, \"retransmissions\": %d, \"restores\": %d, \
          \"recovery_rounds\": %d, \"checkpoint_bits\": %d, \
          \"wall_overhead\": %s, \"masked\": %b}%s\n"
         (json_escape v.rv_workload) v.rv_crash_windows v.rv_base_rounds
-        v.rv_rounds v.rv_retrans
-        (match v.rv_restores with Some r -> string_of_int r | None -> "null")
-        v.rv_recovery_rounds v.rv_checkpoint_bits wall v.rv_masked
+        v.rv_rounds v.rv_retrans v.rv_restores v.rv_recovery_rounds
+        v.rv_checkpoint_bits wall v.rv_masked
         (if i = List.length fr - 1 then "" else ","))
     fr;
   p "  ],\n  \"recorder_overhead\": [\n";

@@ -158,8 +158,10 @@ echo "ci: sweep only for its readers (det none, sublinear one); params --file ok
 
 # Malformed-input smoke: a bad integer, a self-loop, a disconnected graph,
 # a negative n followed by a second n line, a node labelled twice, a total
-# edge weight over the 2^50 input bound, and a verify whose solution file
-# names a non-edge must each fail with exit 2,
+# edge weight over the 2^50 input bound, an n over the 2^24 node bound
+# (rejected before anything is allocated), an edge line with two fields,
+# and a verify whose solution file names a non-edge must each fail with
+# exit 2,
 # nothing on stdout, and a PATH:LINE: (or PATH:) location on stderr, never
 # as an uncaught exception.
 expect_input_error() {
@@ -188,8 +190,12 @@ printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 0 1\nlabel 2 1\n' \
 # 2^50 - 12, then 5 and 8: the third edge crosses the bound by one.
 printf 'n 4\nedge 0 1 1125899906842612\nedge 1 2 5\nedge 2 3 8\nlabel 0 0\nlabel 3 0\n' \
   > "$scratch/bad_weight.dsf"
+printf 'n 99999999999\nedge 0 1 1\nlabel 0 0\nlabel 1 0\n' \
+  > "$scratch/bad_huge_n.dsf"
+printf 'n 3\nedge 0 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
+  > "$scratch/bad_arity.dsf"
 for bad in bad_int:2: bad_selfloop:3: bad_disconnected: bad_negative_n:1: \
-    bad_relabel:5: bad_weight:4:; do
+    bad_relabel:5: bad_weight:4: bad_huge_n:1: bad_arity:2:; do
   file="$scratch/${bad%%:*}.dsf"
   expect_input_error "$file:${bad#*:}" solve --file "$file"
 done
@@ -200,7 +206,7 @@ printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
 printf '0 1\n9 9\n' > "$scratch/bad_solution.sol"
 expect_input_error "$scratch/bad_solution.sol:2:" verify \
   --file "$scratch/ok.dsf" --solution "$scratch/bad_solution.sol"
-echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, params --file, bad solution line)"
+echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, n bound, edge arity, params --file, bad solution line)"
 
 # Bad generator, solver and query flags: each case (flag, then the dsf_cli
 # arguments) must fail before anything is generated or solved — exit 2,

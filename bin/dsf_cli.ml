@@ -257,10 +257,7 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   | Some cs -> Format.printf "chaos: seed=%d (crash-recovery hardened)@." cs
   | None -> ());
   let chaos =
-    Option.map
-      (fun cs ->
-        Dsf_congest.Fault.chaos (Dsf_congest.Fault.chaos_plan ~seed:cs g))
-      chaos_seed
+    Option.map (fun cs -> Dsf_congest.Fault.chaos_plan ~seed:cs g) chaos_seed
   in
   let report = Solver.solve ~jobs ?telemetry ?chaos algorithm input in
   let solution = report.Solver.solution in

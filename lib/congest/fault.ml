@@ -161,7 +161,6 @@ type ('s, 'm) hstate = {
   mutable ckpt_bits : int;  (** total bits written to stable storage *)
 }
 
-let inner st = st.inner
 let retransmissions_of states =
   Array.fold_left (fun acc st -> acc + st.retrans) 0 states
 
@@ -234,14 +233,14 @@ let node_quiescent inner_is_done st =
 let quiescent proto states =
   Array.for_all (node_quiescent proto.Sim.is_done) states
 
-let default_rto = 3
-let default_rto_cap = 32
+(* Retransmit timer, in rounds: the initial per-link timeout covers the
+   2-round send/ack latency and doubles on every timeout up to the cap,
+   resetting on ack progress. *)
+let initial_rto = 3
+let rto_cap = 32
 
-let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
-    (proto : ('s, 'm) Sim.protocol) :
+let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
     (('s, 'm) hstate, 'm packet) Sim.protocol =
-  if rto < 3 then invalid_arg "Fault.harden: rto below the 2-round ack latency";
-  if rto_cap < rto then invalid_arg "Fault.harden: rto_cap < rto";
   (* Stable storage, one slot per node, lazily sized from the first view.
      The engines build every initial state before the first round and a
      restart re-inits only the restarted node, so each slot is only ever
@@ -263,7 +262,7 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
       next_seq = Array.make deg 1;
       outq = Array.make deg [];
       last_tx = Array.make deg (-1);
-      rto = Array.make deg rto;
+      rto = Array.make deg initial_rto;
       in_upto = Array.make deg 0;
       fin_upto = Array.make deg 0;
       pending = Array.make deg [];
@@ -330,7 +329,7 @@ let harden ?(rto = default_rto) ?(rto_cap = default_rto_cap) ?recovery
             let after = List.filter (fun (s, _) -> s > upto) before in
             if List.compare_lengths after before < 0 then begin
               st.outq.(j) <- after;
-              st.rto.(j) <- rto;
+              st.rto.(j) <- initial_rto;
               st.last_tx.(j) <- p
             end
         | Pkt { seq; item } ->
@@ -471,6 +470,7 @@ let note_hardened telemetry states (stats : Sim.stats) =
       if retrans > 0 || rs.restores > 0 || rs.checkpoint_bits > 0 then begin
         let metrics = Telemetry.metrics tel in
         Dsf_util.Metrics.incr metrics "fault/retransmissions" retrans;
+        Dsf_util.Metrics.incr metrics "fault/restores" rs.restores;
         Dsf_util.Metrics.incr metrics "fault/recovery_rounds"
           rs.recovery_rounds;
         Dsf_util.Metrics.incr metrics "fault/checkpoint_bits"
@@ -488,21 +488,15 @@ let note_hardened telemetry states (stats : Sim.stats) =
 
 (* ----------------------------------------------------------- chaos runs *)
 
-type chaos = Sim.chaos = { cplan : plan; crto : int; crto_cap : int }
-
-let chaos ?(rto = default_rto) ?(rto_cap = default_rto_cap) cplan =
-  { cplan; crto = rto; crto_cap = rto_cap }
-
 let sim_run ?max_rounds ?halt ?(env = Sim.default_env) ?recovery g fp =
   match env.Sim.network with
   | Sim.Lossless | Sim.Faults _ -> Sim.run_flat ?max_rounds ?halt ~env g fp
-  | Sim.Chaos c ->
+  | Sim.Chaos plan ->
       let network =
-        if is_empty c.cplan then Sim.Lossless
-        else Sim.Faults (instantiate c.cplan)
+        if is_empty plan then Sim.Lossless else Sim.Faults (instantiate plan)
       in
       let proto = Sim.protocol_of_flat fp in
-      let hardened = harden ~rto:c.crto ~rto_cap:c.crto_cap ?recovery proto in
+      let hardened = harden ?recovery proto in
       let user_halt = halt in
       let halt hs =
         (* Evaluate the caller's halt every physical round, exactly as the

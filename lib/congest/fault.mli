@@ -1,4 +1,4 @@
-(** Deterministic fault injection and a self-healing protocol combinator.
+(** Deterministic fault injection and the hardened runner.
 
     This module answers "what happens when the CONGEST network misbehaves"
     in two pieces:
@@ -12,28 +12,29 @@
       independent of send order — the same plan on the same run always
       kills the same messages.
 
-    - {b Hardening}: {!harden} wraps any protocol in a reliable link layer
-      (per-neighbor sequence numbers, cumulative acks, go-back-N
-      retransmission with bounded timeout and capped exponential backoff,
-      duplicate suppression) plus an alpha-synchronizer: a node executes
-      its inner round [r] only after every neighbor has closed round [r]
-      with a [Fin] marker, and the inner inbox is rebuilt exactly as the
-      lossless engines deliver it (senders ascending, send order within a
-      sender).  Consequently, under any {!maskable} plan the hardened
-      protocol reaches the {e same final states} as the unhardened
-      protocol on a lossless network — timing-sensitive protocols (e.g.
-      {!Bfs}'s first-arrival parent choice) included.  The chaos suite
-      ([test/test_chaos.ml]) enforces this differentially.
+    - {b Hardening}: on a [Sim.Chaos plan] network, {!sim_run} wraps the
+      protocol in a reliable link layer (per-neighbor sequence numbers,
+      cumulative acks, go-back-N retransmission with a retransmit timeout
+      of 3 rounds doubling up to a cap of 32, duplicate suppression) plus
+      an alpha-synchronizer: a node executes its inner round [r] only
+      after every neighbor has closed round [r] with a [Fin] marker, and
+      the inner inbox is rebuilt exactly as the lossless engines deliver
+      it (senders ascending, send order within a sender).  Consequently,
+      under any {!maskable} plan the hardened run reaches the {e same
+      final states} as the unhardened protocol on a lossless network —
+      timing-sensitive protocols (e.g. {!Bfs}'s first-arrival parent
+      choice) included.  The chaos suite ([test/test_chaos.ml]) enforces
+      this differentially.
 
     {b What is maskable.}  Drops (probability < 1) and duplications are
     healed by retransmission and sequence numbers.  {e Finite} link-down
-    windows are healed the same way: the backoff caps at [rto_cap], so
-    the sender keeps probing until the link comes back (an infinite
-    outage is indistinguishable from a partitioned network and cannot be
-    masked by anyone).  Crash-and-restart is masked {e iff} the protocol
-    supplies a {!recoverable} contract: the wrapper then checkpoints the
-    whole hardened state (inner state + link-layer windows) to per-node
-    stable storage after every step, a restarted node resumes from its
+    windows are healed the same way: the backoff caps, so the sender
+    keeps probing until the link comes back (an infinite outage is
+    indistinguishable from a partitioned network and cannot be masked by
+    anyone).  Crash-and-restart is masked {e iff} the protocol supplies a
+    {!recoverable} contract: the wrapper then checkpoints the whole
+    hardened state (inner state + link-layer windows) to per-node stable
+    storage after every step, a restarted node resumes from its
     checkpoint instead of a fresh [init], and the go-back-N machinery
     retransmits from the last acknowledged sequence number on both sides
     of every incident link — a crash window thus degrades into a finite
@@ -58,13 +59,12 @@
     repo's protocols qualify.
 
     {b Termination.}  A hardened network never goes globally silent (Fin
-    markers and timers keep marching), so a hardened run must be stopped
-    by the omniscient {!quiescent} halt — virtual quiescence: every inner
-    state done, no unacked payload, no unconsumed payload.  That is the
-    repo's usual omniscient-halt convention ({!Sim.run}'s [?halt]); a
-    real deployment would detect it with an O(D) termination-detection
-    wave, which callers should charge to their ledger.
-    {!sim_run} wires the halt (and the plan) for you. *)
+    markers and timers keep marching), so {!sim_run} stops a hardened run
+    by an omniscient virtual-quiescence halt: every inner state done, no
+    unacked payload, no unconsumed payload.  That is the repo's usual
+    omniscient-halt convention ({!Sim.run}'s [?halt]); a real deployment
+    would detect it with an O(D) termination-detection wave, which
+    callers should charge to their ledger. *)
 
 type plan = Sim.plan = {
   seed : int;
@@ -93,7 +93,7 @@ val plan :
 val is_empty : plan -> bool
 
 val maskable : ?with_recovery:bool -> plan -> bool
-(** The class of plans {!harden} fully masks: drops, duplications and
+(** The class of plans a hardened run fully masks: drops, duplications and
     finite link outages always; crash-and-restart additionally requires
     running with a {!recoverable} contract ([~with_recovery:true]).
     Every constructible plan is maskable with recovery (the {!plan}
@@ -111,40 +111,6 @@ val chaos_plan : seed:int -> Dsf_graph.Graph.t -> plan
     CLI's [--chaos SEED], the chaos soak in [bin/ci.sh], and the
     end-to-end differential suites. *)
 
-(** {2 Hardening} *)
-
-type 'm item = Payload of { vround : int; body : 'm } | Fin of { vround : int }
-
-type 'm packet = Pkt of { seq : int; item : 'm item } | Ack of { upto : int }
-(** The wire format of a hardened protocol: sequenced stream items
-    (payloads tagged with their virtual round, plus round-closing [Fin]
-    markers) and cumulative acknowledgements. *)
-
-type ('s, 'm) hstate
-(** Hardened per-node state: the inner ['s] plus the link-layer windows. *)
-
-val inner : ('s, 'm) hstate -> 's
-(** The wrapped protocol's state (final inner states after a run). *)
-
-val retransmissions_of : ('s, 'm) hstate array -> int
-(** Total packets retransmitted across all nodes (counted per node).
-    {!sim_run} folds this into
-    [stats.retransmissions] of a hardened run. *)
-
-type recovery_stats = {
-  restores : int;  (** checkpoint restores (crash-restarts survived) *)
-  recovery_rounds : int;
-      (** physical rounds restarted nodes spent resynchronizing (after a
-          restore, before their first inner round executed) *)
-  checkpoint_bits : int;
-      (** total bits written to stable storage (write-through: one full
-          image per node per step) *)
-}
-
-val recovery_of : ('s, 'm) hstate array -> recovery_stats
-(** Aggregate recovery work across all nodes of a hardened run (all zeros
-    when the run was hardened without a {!recoverable} contract). *)
-
 type 's recoverable = {
   snapshot : 's -> 's;
       (** Deep copy of the inner state — everything a restarted node needs
@@ -158,49 +124,14 @@ type 's recoverable = {
       (** Stable-storage footprint of the inner state, for checkpoint
           accounting only (never affects execution). *)
 }
+(** The crash-recovery contract of a protocol: what a hardened run needs
+    to checkpoint it. *)
 
 val immutable : ?state_bits:('s -> int) -> unit -> 's recoverable
 (** The contract for protocols whose per-node state is an immutable value:
     [snapshot] is [Fun.id]; [state_bits] defaults to one word (63). *)
 
-val harden :
-  ?rto:int ->
-  ?rto_cap:int ->
-  ?recovery:'s recoverable ->
-  ('s, 'm) Sim.protocol ->
-  (('s, 'm) hstate, 'm packet) Sim.protocol
-(** Wrap a protocol with the reliable link layer + synchronizer.  [rto]
-    (default 3) is the initial per-link retransmit timeout in rounds —
-    it must cover the 2-round send/ack latency — doubling on every
-    timeout up to [rto_cap] (default 32) and resetting on ack progress.
-
-    [recovery] switches on checkpointed crash recovery: the wrapper
-    writes a deep copy of the whole hardened state to per-node stable
-    storage after every step, and a node the engine re-inits (crash
-    restart) resumes from its checkpoint instead of [Sim.protocol.init].
-    A hardened protocol with recovery owns its stable storage and is
-    therefore {b single-run}: build a fresh one per run (as {!sim_run}
-    does).
-
-    The result never goes silent on its own: run it with the
-    {!quiescent} halt (or use {!sim_run}). *)
-
-val quiescent : ('s, 'm) Sim.protocol -> ('s, 'm) hstate array -> bool
-(** Virtual quiescence of a hardened run of [proto] — the halt predicate:
-    every node's inner state is done, no payload is unacknowledged, no
-    delivered payload is unconsumed.  When it fires, the inner states are
-    exactly the lossless final states. *)
-
 (** {2 Chaos runs: hardened drop-in for [Sim.run_flat]} *)
-
-type chaos = Sim.chaos = { cplan : plan; crto : int; crto_cap : int }
-(** A plan plus the reliable-layer timer configuration — everything a
-    run needs to go hardened, bundled so one [Sim.Chaos] network threads
-    through a whole solve ({!Solver.solve_ic} → {!Det_dsf.run} → every
-    simulated primitive). *)
-
-val chaos : ?rto:int -> ?rto_cap:int -> plan -> chaos
-(** Bundle a plan with timer settings (defaults: rto 3, cap 32). *)
 
 val sim_run :
   ?max_rounds:int ->
@@ -213,11 +144,11 @@ val sim_run :
 (** The one runner of every simulated primitive, and the hardened drop-in
     for {!Sim.run_flat}.  On a [Lossless] or [Faults] network it {e is}
     {!Sim.run_flat} (zero overhead on the fault-free path).  On a
-    [Chaos c] network it instantiates [c.cplan], hardens
+    [Chaos plan] network it instantiates [plan], hardens
     [Sim.protocol_of_flat fp] (with [recovery] when given), so a chaos
     run executes the same port as a lossless one, runs the hardened list
-    protocol through {!Sim.run}, and halts on
-    {!quiescent} {e or} the caller's [halt] evaluated on the inner state
+    protocol through {!Sim.run}, and halts on virtual quiescence
+    {e or} the caller's [halt] evaluated on the inner state
     vector each physical round, so an omniscient early stop (e.g.
     [Pipeline]'s [stop_at_root]) fires on exactly the same inner
     configuration as on the lossless run.  Final inner states are
@@ -227,9 +158,18 @@ val sim_run :
     measure the overhead.  A list protocol runs here wrapped in
     {!Sim.flat_of_protocol}.
 
-    Under [env.telemetry] the hardened run lands in a ["hardened"] span.
-    The metrics registry gains the counters [fault/retransmissions]
-    (packets), [fault/recovery_rounds] (physical rounds restarted nodes
-    spent resynchronizing; they are part of the run's rounds already)
-    and [fault/checkpoint_bits] (bits written to stable storage).  An attached flight recorder gets one [Recovery] summary
-    event per hardened run with nonzero recovery work. *)
+    [recovery] switches on checkpointed crash recovery: the hardened run
+    writes a deep copy of each node's whole hardened state to its stable
+    storage after every step, and a node the engine re-inits (crash
+    restart) resumes from its checkpoint.  Without it a crash restarts
+    the node from scratch, which is not maskable.
+
+    A hardened run's recovery work is read from its telemetry.  Under
+    [env.telemetry] the run lands in a ["hardened"] span, and the metrics
+    registry gains the counters [fault/retransmissions] (packets),
+    [fault/restores] (checkpoint restores, one per crash-restart
+    survived), [fault/recovery_rounds] (physical rounds restarted nodes
+    spent resynchronizing; they are part of the run's rounds already) and
+    [fault/checkpoint_bits] (bits written to stable storage).  An
+    attached flight recorder gets one [Recovery] summary event per
+    hardened run with nonzero recovery work. *)

@@ -4,7 +4,7 @@
    growable int buffers, so the engines pay a handful of unboxed pushes
    per recorded action and nothing when the recorder is off.  Each
    engine stages a round's events into one [buf] and, at the barrier,
-   appends a [Round] marker and flushes the buffer; the flat engine's
+   appends a [Round] marker and then the buffer; the flat engine's
    crash pre-pass runs before any step, so the serialized log is
    byte-identical across both engines.
 
@@ -22,6 +22,10 @@
 type buf = { mutable ra : int array; mutable rlen : int; mutable rnev : int }
 
 let buf_make () = { ra = Array.make 64 0; rlen = 0; rnev = 0 }
+
+let buf_clear b =
+  b.rlen <- 0;
+  b.rnev <- 0
 
 let push b x =
   if b.rlen = Array.length b.ra then begin
@@ -66,8 +70,6 @@ let meta_add t key v =
     invalid_arg
       (Printf.sprintf "Recorder.meta_add: negative value %d for %S" v key);
   t.meta <- t.meta @ [ (key, v) ]
-
-let meta_find t key = List.assoc_opt key t.meta
 
 let create ?now ?(meta = []) () =
   let now = match now with Some s -> s | None -> now_unix_s () in
@@ -114,7 +116,7 @@ let round t r =
   push t.master r;
   t.master.rnev <- t.master.rnev + 1
 
-let flush t b =
+let append t b =
   let m = t.master in
   let need = m.rlen + b.rlen in
   if need > Array.length m.ra then begin
@@ -128,9 +130,20 @@ let flush t b =
   end;
   Array.blit b.ra 0 m.ra m.rlen b.rlen;
   m.rlen <- need;
-  m.rnev <- m.rnev + b.rnev;
-  b.rlen <- 0;
-  b.rnev <- 0
+  m.rnev <- m.rnev + b.rnev
+
+let buf_sends b =
+  let rec go i acc =
+    if i >= b.rlen then List.rev acc
+    else
+      let tag = b.ra.(i) in
+      let acc =
+        if tag = tag_send then (b.ra.(i + 1), b.ra.(i + 2), b.ra.(i + 3)) :: acc
+        else acc
+      in
+      go (i + 1 + arity.(tag)) acc
+  in
+  go 0 []
 
 let intern t name =
   match Hashtbl.find_opt t.names name with
@@ -425,7 +438,6 @@ type analysis = {
   a_events : int;
   a_max_depth : int;
   a_deepest : step_rec option;
-  a_node_depth : int array;
   a_last_rec : step_rec option array;
   a_steps : step_rec list array;  (* per node, newest first *)
   a_spans : span_row list;  (* first-opened order *)
@@ -658,7 +670,6 @@ let analyze l =
     a_events = !events;
     a_max_depth = !max_depth;
     a_deepest = !deepest;
-    a_node_depth = depth;
     a_last_rec = last_rec;
     a_steps = steps;
     a_spans =
@@ -670,9 +681,6 @@ let analyze l =
 let max_depth a = a.a_max_depth
 let total_rounds a = Array.length a.a_rounds
 let run_count a = a.a_runs
-
-let node_depth a v =
-  if v >= 0 && v < a.a_n then a.a_node_depth.(v) else 0
 
 (* --------------------------------------------------------------- queries *)
 

@@ -37,7 +37,7 @@
     {2 Determinism}
 
     Each engine stages a round's events in one buffer ({!buf}) and
-    flushes it after the round marker at the barrier.  {!Sim.run_flat}
+    appends it after the round marker at the barrier.  {!Sim.run_flat}
     runs its crash pre-pass before any step, so a round's [Down] /
     [Restart] events precede its steps and sends, and the serialized log
     is byte-identical to {!Sim.run_reference}'s log on the same
@@ -59,8 +59,10 @@ type t
 (** A live recorder: master event log, interned span names, metadata. *)
 
 type buf
-(** A run's staging buffer for one round's events; the engine
-    {!flush}es it into the master log at the barrier. *)
+(** A staging buffer for one round's events; the engine {!append}s it
+    to the master log at the barrier.  The engines keep one per round of
+    {!Sim.postmortem_window}, so the same buffers also hold the sends a
+    {!Sim.Round_limit} post-mortem reports. *)
 
 val create : ?now:int -> ?meta:(string * int) list -> unit -> t
 (** Fresh recorder.  [now] is the capture timestamp in Unix seconds
@@ -73,9 +75,14 @@ val meta_add : t -> string -> int -> unit
     [t]).  Raises [Invalid_argument] on a negative value — the binary
     format stores unsigned varints. *)
 
-val meta_find : t -> string -> int option
-
 val buf_make : unit -> buf
+
+val buf_clear : buf -> unit
+(** Empty a buffer, keeping its capacity. *)
+
+val buf_sends : buf -> (int * int * int) list
+(** The [(src, dst, bits)] of the buffer's [Send] records, in staging
+    order, whatever their fate. *)
 
 (** {2 Event appenders}
 
@@ -93,9 +100,10 @@ val round : t -> int -> unit
     The engines call this at the round barrier, {e before} flushing the
     round's buffer. *)
 
-val flush : t -> buf -> unit
-(** Append a buffer's staged events to the master log and reset it.
-    Called at the round barrier. *)
+val append : t -> buf -> unit
+(** Append a buffer's staged events to the master log.  The buffer keeps
+    them until it is cleared ({!buf_clear}).  Called at the round
+    barrier. *)
 
 val span_open : t -> string -> unit
 val span_close : t -> string -> unit
@@ -172,9 +180,6 @@ val total_rounds : analysis -> int
 (** Global rounds executed (summed across runs). *)
 
 val run_count : analysis -> int
-
-val node_depth : analysis -> int -> int
-(** Causal depth of a node's final state (0 = never consumed mail). *)
 
 val pp_summary : Format.formatter -> analysis -> unit
 (** Header: events, rounds, runs, spans, metadata, recovery totals. *)

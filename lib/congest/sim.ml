@@ -52,9 +52,7 @@ type plan = {
   crashes : (int * int * int) list;
 }
 
-type chaos = { cplan : plan; crto : int; crto_cap : int }
-
-type network = Lossless | Faults of faults | Chaos of chaos
+type network = Lossless | Faults of faults | Chaos of plan
 
 type env = {
   telemetry : Telemetry.t option;
@@ -110,9 +108,8 @@ let slot_of_msg nbr_slots ~n ~src ~dst =
   | slot -> slot
   | exception Not_found -> invalid_arg "Sim.run: message to non-neighbor"
 
-(* Growable int buffer, shared by the traffic ring below and the flat
-   engine's per-round lists (touched CSR positions, undone/recipient
-   candidates). *)
+(* Growable int buffer for the flat engine's per-round lists (touched
+   CSR positions, undone/recipient candidates). *)
 type ibuf = { mutable ia : int array; mutable ilen : int }
 
 let ibuf_make () = { ia = Array.make 16 0; ilen = 0 }
@@ -126,63 +123,23 @@ let ibuf_push b x =
   b.ia.(b.ilen) <- x;
   b.ilen <- b.ilen + 1
 
-(* Ring buffer of the last [postmortem_window] rounds of raw (src, dst,
-   bits) traffic, so a {!Round_limit} abort can dump where the messages
-   were flowing when the protocol span out.  Parallel flat int buffers —
-   three amortized-O(1) unboxed pushes per message, no allocation in the
-   steady state; slots are recycled in place.  The reference loop keeps
-   it armed every round.  The flat engine arms it only from round
-   [max_rounds - postmortem_window] on: an abort is raised at round
-   [max_rounds] and dumps only those rounds, so earlier pushes are never
-   read. *)
-type traffic_ring = {
-  slot_round : int array; (* round stored in each slot; -1 = empty *)
-  r_src : ibuf array;
-  r_dst : ibuf array;
-  r_bits : ibuf array;
-}
+(* The staging window: one recorder buffer per round modulo
+   [postmortem_window], cleared when its slot is reused.  A recording run
+   stages every round and the recorder appends the round's slot at the
+   barrier; a run that is not recording stages its sends only from round
+   [max_rounds - postmortem_window] on, since an abort is raised at round
+   [max_rounds] and reports only those rounds.  Either way, at the abort
+   the window holds the sends of the last rounds, in send order. *)
+let window_make () = Array.init postmortem_window (fun _ -> Recorder.buf_make ())
 
-let ring_make () =
-  {
-    slot_round = Array.make postmortem_window (-1);
-    r_src = Array.init postmortem_window (fun _ -> ibuf_make ());
-    r_dst = Array.init postmortem_window (fun _ -> ibuf_make ());
-    r_bits = Array.init postmortem_window (fun _ -> ibuf_make ());
-  }
-
-let ring_begin_round ring ~round =
-  let i = round mod postmortem_window in
-  ring.slot_round.(i) <- round;
-  ring.r_src.(i).ilen <- 0;
-  ring.r_dst.(i).ilen <- 0;
-  ring.r_bits.(i).ilen <- 0
-
-let ring_push ring ~round ~src ~dst ~bits =
-  let i = round mod postmortem_window in
-  ibuf_push ring.r_src.(i) src;
-  ibuf_push ring.r_dst.(i) dst;
-  ibuf_push ring.r_bits.(i) bits
-
-let ring_dump ring =
-  let rounds =
-    Array.to_list ring.slot_round
-    |> List.filter (fun r -> r >= 0)
-    |> List.sort compare
+let abort_run ~round ~snapshot window =
+  let lo = Int.max 0 (round - postmortem_window) in
+  let recent =
+    List.init (round - lo) (fun i ->
+        let r = lo + i in
+        r, Recorder.buf_sends window.(r mod postmortem_window))
   in
-  List.map
-    (fun r ->
-      let i = r mod postmortem_window in
-      let srcs = ring.r_src.(i) and dsts = ring.r_dst.(i) in
-      let bits = ring.r_bits.(i) in
-      let msgs = ref [] in
-      for j = srcs.ilen - 1 downto 0 do
-        msgs := (srcs.ia.(j), dsts.ia.(j), bits.ia.(j)) :: !msgs
-      done;
-      r, !msgs)
-    rounds
-
-let abort_run ~round ~snapshot ring =
-  raise (Round_limit { at_round = round; snapshot; recent = ring_dump ring })
+  raise (Round_limit { at_round = round; snapshot; recent })
 
 (* Count a finished (or aborting) run: its rounds go to the env's ledger
    and its stats to the enclosing telemetry span.  Called exactly once per
@@ -203,9 +160,9 @@ let finish env (s : stats) =
    differential test suite (test_sim_equiv): every node is stepped every
    round ([wake] is ignored), per-round accounting goes through a fresh
    hashtable, quiescence re-scans the full state vector.  The only changes
-   from the seed are the slot-based recipient validation and the always-on
-   post-mortem traffic ring.  Fault injection is a production-engine
-   feature; this loop runs lossless networks only. *)
+   from the seed are the slot-based recipient validation and the staging
+   window.  Fault injection is a production-engine feature; this loop runs
+   lossless networks only. *)
 let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
   (match env.network with
   | Lossless -> ()
@@ -214,11 +171,12 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
   let telemetry = env.telemetry in
   let rcd = Option.bind telemetry Telemetry.recorder in
   let rec_on = Option.is_some rcd in
-  let rb = Recorder.buf_make () in
   let n = Graph.n g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
   in
+  let window = window_make () in
+  let window_from = max_rounds - postmortem_window in
   let views =
     Array.init n (fun node -> { node; n; nbrs = Graph.adj g node })
   in
@@ -233,7 +191,6 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
   let budget_violations = ref 0 in
   let round = ref 0 in
   let quiescent = ref false in
-  let ring = ring_make () in
   let current_stats () =
     {
       rounds = !round;
@@ -250,9 +207,11 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
     if !round >= max_rounds then begin
       let snapshot = current_stats () in
       finish env snapshot;
-      abort_run ~round:!round ~snapshot ring
+      abort_run ~round:!round ~snapshot window
     end;
-    ring_begin_round ring ~round:!round;
+    let rb = window.(!round mod postmortem_window) in
+    Recorder.buf_clear rb;
+    let staging = rec_on || !round >= window_from in
     (* bits sent this round per (sender, neighbor-slot); keyed by sender and
        destination since each unordered edge has two directions. *)
     let edge_bits = Hashtbl.create 64 in
@@ -275,8 +234,7 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
           incr messages;
           let bits = proto.msg_bits msg in
           total_bits := !total_bits + bits;
-          ring_push ring ~round:!round ~src:v ~dst ~bits;
-          if rec_on then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
+          if staging then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
           let key = (v * n) + dst in
           let prev = Option.value ~default:0 (Hashtbl.find_opt edge_bits key) in
           let now = prev + bits in
@@ -296,7 +254,7 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
     (match rcd with
     | Some r ->
         Recorder.round r !round;
-        Recorder.flush r rb
+        Recorder.append r rb
     | None -> ());
     (* The one telemetry branch per round; the seed loop steps every node,
        so the active set is all of [n] and wake hooks never fire. *)
@@ -337,9 +295,9 @@ let use_reference_engine = ref false [@@lint.allow "global-state"]
      step in ascending order, so every inbox receives its mail in the
      global send order (sender ascending, outbox order within a sender)
      of the reference loop;
-   - the post-mortem ring records sends only in the last
-     [postmortem_window] rounds before [max_rounds], the only rounds an
-     abort can dump. *)
+   - each round stages its recorder events, and its sends in the last
+     [postmortem_window] rounds before [max_rounds], into the staging
+     window (see [window_make]). *)
 
 type 'm mbuf = {
   mutable srcs : int array;
@@ -412,9 +370,9 @@ let flat_of_protocol p =
   }
 
 (* The inverse adapter: a flat protocol as a list protocol, for the two
-   list consumers, [run_reference] and [Fault.harden].  Each step copies
-   the inbox list into a fresh buffer and collects the emits into the
-   outbox, in emit order. *)
+   list consumers, [run_reference] and [Fault.sim_run]'s hardened runs.
+   Each step copies the inbox list into a fresh buffer and collects the
+   emits into the outbox, in emit order. *)
 let protocol_of_flat fp =
   {
     init = fp.fp_init;
@@ -529,19 +487,23 @@ let flat_engine ?max_rounds ?halt ~env g fp =
            (Fault.sim_run)"
   in
   let telemetry = env.telemetry in
-  (* The flight recorder rides on the telemetry.  One staging buffer,
-     flushed after the round marker at each barrier: the crash pre-pass
-     stages its downs/restarts before any step, so the serialized stream
-     shows them first, then all steps/sends in node order — exactly what
-     the reference loop emits. *)
+  (* The flight recorder rides on the telemetry.  A round's slot of the
+     staging window is appended after the round marker at the barrier:
+     the crash pre-pass stages its downs/restarts before any step, so the
+     serialized stream shows them first, then all steps/sends in node
+     order — exactly what the reference loop emits. *)
   let rcd = Option.bind telemetry Telemetry.recorder in
   let rec_on = Option.is_some rcd in
-  let rb = Recorder.buf_make () in
   let n = Graph.n g in
   let m = Graph.m g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
   in
+  let window = window_make () in
+  let window_from = max_rounds - postmortem_window in
+  (* The current round's slot, and whether this round stages its sends. *)
+  let rb = ref window.(0) in
+  let staging = ref false in
   let csr = Graph.csr g in
   let views =
     Array.init n (fun node -> { node; n; nbrs = Graph.adj g node })
@@ -562,8 +524,6 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   let duplicated = ref 0 in
   let round = ref 0 in
   let quiescent = ref false in
-  let ring = ring_make () in
-  let ring_from = max_rounds - postmortem_window in
   let current_stats () =
     {
       rounds = !round;
@@ -644,7 +604,6 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     incr messages;
     let bits = fp.fp_msg_bits msg in
     total_bits := !total_bits + bits;
-    if !round >= ring_from then ring_push ring ~round:!round ~src ~dst ~bits;
     let prev = edge_bits.(p) in
     if prev < 0 then begin
       ibuf_push touched p;
@@ -653,18 +612,18 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     else edge_bits.(p) <- prev + bits;
     match faults with
     | None ->
-        if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:1;
+        if !staging then Recorder.ev_send !rb ~src ~dst ~bits ~fate:1;
         deliver src dst msg
     | Some f -> (
         match f.on_send ~round:!round ~src ~dst with
         | Deliver ->
-            if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:1;
+            if !staging then Recorder.ev_send !rb ~src ~dst ~bits ~fate:1;
             deliver src dst msg
         | Drop ->
-            if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:0;
+            if !staging then Recorder.ev_send !rb ~src ~dst ~bits ~fate:0;
             incr dropped
         | Replicate k ->
-            if rec_on then Recorder.ev_send rb ~src ~dst ~bits ~fate:k;
+            if !staging then Recorder.ev_send !rb ~src ~dst ~bits ~fate:k;
             for _ = 1 to k do
               deliver src dst msg
             done;
@@ -683,7 +642,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     (* Mail-consuming steps only: the same sanctioned-write site the
        node-locality sanitizer stamps, and the one step event every engine
        agrees on (idle wake steps differ between the engines). *)
-    if rec_on && ib.mlen > 0 then Recorder.ev_step rb v;
+    if rec_on && ib.mlen > 0 then Recorder.ev_step !rb v;
     cur_src := v;
     let st' = fp.fp_step views.(v) ~round:!round states.(v) ~inbox:ib ~emit in
     ib.mlen <- 0;
@@ -701,9 +660,11 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     if !round >= max_rounds then begin
       let snapshot = current_stats () in
       finish env snapshot;
-      abort_run ~round:!round ~snapshot ring
+      abort_run ~round:!round ~snapshot window
     end;
-    if !round >= ring_from then ring_begin_round ring ~round:!round;
+    rb := window.(!round mod postmortem_window);
+    Recorder.buf_clear !rb;
+    staging := rec_on || !round >= window_from;
     let bits0 = !total_bits in
     stepped := 0;
     delivered := 0;
@@ -716,7 +677,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
           let dn = f.down ~round:!round ~node:v in
           down_now.(v) <- dn;
           if dn then begin
-            if rec_on then Recorder.ev_down rb v;
+            if rec_on then Recorder.ev_down !rb v;
             (* Mail delivered to a crashed node is lost. *)
             if inboxes.(v).mlen > 0 then begin
               dropped := !dropped + inboxes.(v).mlen;
@@ -726,7 +687,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
           end
           else if was_down.(v) then begin
             (* First round back up: restart from a fresh initial state. *)
-            if rec_on then Recorder.ev_restart rb v;
+            if rec_on then Recorder.ev_restart !rb v;
             was_down.(v) <- false;
             states.(v) <- fp.fp_init views.(v);
             if sanitize then written.(v) <- !round;
@@ -763,7 +724,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     (match rcd with
     | Some r ->
         Recorder.round r !round;
-        Recorder.flush r rb
+        Recorder.append r !rb
     | None -> ());
     for i = 0 to touched.ilen - 1 do
       let p = touched.ia.(i) in

@@ -23,8 +23,8 @@
     implementation, a native {!flat_protocol}, and it runs that port on
     every network.  The two list-protocol consumers get it through
     {!protocol_of_flat}: {!run_reference} (under
-    {!use_reference_engine}) and {!Fault.harden} (under a [Chaos]
-    network).
+    {!use_reference_engine}) and the hardened runs of {!Fault.sim_run}
+    (under a [Chaos] network).
 
     {2 Sparse scheduling}
 
@@ -116,9 +116,10 @@ type stats = {
       messages it sent earlier still arrive elsewhere;
     - on the first round a node is back up, its state is reset to
       [init view] — crash-and-restart with total state loss as far as the
-      engine is concerned ({!Fault.harden} with a {!Fault.recoverable}
-      contract piggybacks on exactly this hook: its [init] consults the
-      node's stable storage and restores the checkpoint instead).
+      engine is concerned ({!Fault.sim_run} with a {!Fault.recoverable}
+      contract piggybacks on exactly this hook: its hardened [init]
+      consults the node's stable storage and restores the checkpoint
+      instead).
 
     {!run_reference} takes no faults, so {!run_flat} keeps a run under a
     [Faults] network on the flat engine even while
@@ -138,7 +139,14 @@ type faults = {
     {!postmortem_window} rounds of raw per-message traffic, oldest round
     first — enough to see who was still talking (or silent) when the
     protocol span out.  {!pp_abort} renders it and is registered with
-    [Printexc], so an uncaught abort prints the same post-mortem. *)
+    [Printexc], so an uncaught abort prints the same post-mortem.
+
+    The traffic comes from the engine's recorder staging buffers, one
+    per round of the window: a recording run stages every round, and a
+    run that is not recording stages its sends from round
+    [max_rounds - postmortem_window] on.  A recorded run's [recent]
+    therefore equals the [Send] events of its log's last
+    {!postmortem_window} rounds. *)
 
 type abort = {
   at_round : int;  (** the exceeded round limit *)
@@ -193,9 +201,10 @@ val never : view -> round:int -> 's -> bool
       the named charges to it.
     - [network] is [Lossless], [Faults f] (inject the callback record
       [f], see the fault semantics above; {!Fault.instantiate} builds one
-      from a plan), or [Chaos c] (run the protocol hardened by
-      {!Fault.harden} under the plan [c.cplan]).  Only {!Fault.sim_run}
-      accepts [Chaos]; the three runners raise [Invalid_argument] on it.
+      from a plan), or [Chaos p] (run the protocol hardened, with a
+      reliable link layer and a synchronizer, under the plan [p]).  Only
+      {!Fault.sim_run} accepts [Chaos]; the three runners raise
+      [Invalid_argument] on it.
       A record whose callbacks never fire leaves the run bit-identical
       to the lossless one.
     - [sanitize] arms {!run_flat}'s dynamic node-locality sanitizer.
@@ -232,11 +241,7 @@ type plan = {
 (** A pure, seeded fault plan.  {!Fault.plan} re-exports the type and
     adds the validating constructor. *)
 
-type chaos = { cplan : plan; crto : int; crto_cap : int }
-(** A plan plus the reliable-layer timer configuration ({!Fault.chaos}
-    re-exports the type and builds one). *)
-
-type network = Lossless | Faults of faults | Chaos of chaos
+type network = Lossless | Faults of faults | Chaos of plan
 
 type env = {
   telemetry : Telemetry.t option;
@@ -327,7 +332,7 @@ val protocol_of_flat : ('s, 'm) flat_protocol -> ('s, 'm) protocol
 (** The inverse of {!flat_of_protocol}: each step copies the inbox list
     into a fresh buffer and collects the [emit] calls into the outbox, in
     emit order.  It is how the list consumers, {!run_reference} and
-    {!Fault.harden}, run a native port. *)
+    {!Fault.sim_run}'s hardened runs, run a native port. *)
 
 type sanitizer_violation = {
   sv_kind : string;

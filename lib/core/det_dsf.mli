@@ -41,7 +41,7 @@ val run :
   ?telemetry:Dsf_congest.Telemetry.t ->
   ?flat:bool ->
   ?jobs:int ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?chaos:Dsf_congest.Fault.plan ->
   Dsf_graph.Instance.ic ->
   result
 (** Requires a connected graph.  Singleton components are dropped

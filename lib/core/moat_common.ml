@@ -7,6 +7,8 @@ type t = {
   terms : int array;
   tindex : int array;
   init_label : int array;
+  label_id : int array;
+  label_value : int array;
   moats : Uf.t;
   label_uf : Uf.t;
   act : bool array;
@@ -18,12 +20,15 @@ let create inst =
   let tindex = Array.make (Graph.n inst.Instance.graph) (-1) in
   Array.iteri (fun i v -> tindex.(v) <- i) terms;
   let init_label = Array.map (fun v -> inst.Instance.labels.(v)) terms in
+  let label_value, id_of = Instance.label_ids inst in
   {
     terms;
     tindex;
     init_label;
+    label_id = Array.map id_of init_label;
+    label_value;
     moats = Uf.create t;
-    label_uf = Uf.create (Array.fold_left Int.max 0 init_label + 1);
+    label_uf = Uf.create (Array.length label_value);
     act = Array.make t true;
   }
 
@@ -35,7 +40,8 @@ let copy ms =
     act = Array.copy ms.act;
   }
 
-let label ms ti = Uf.find ms.label_uf ms.init_label.(ti)
+let label_root ms ti = Uf.find ms.label_uf ms.label_id.(ti)
+let label ms ti = ms.label_value.(label_root ms ti)
 
 let active ms ti = ms.act.(Uf.find ms.moats ti)
 
@@ -64,7 +70,7 @@ let active_count ms =
 
 (* Union the two moats and their labels; returns the merged moat. *)
 let union ms a b =
-  let la = label ms a and lb = label ms b in
+  let la = label_root ms a and lb = label_root ms b in
   ignore (Uf.union ms.moats a b);
   if la <> lb then ignore (Uf.union ms.label_uf la lb);
   Uf.find ms.moats a

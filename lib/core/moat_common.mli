@@ -15,8 +15,13 @@ type t = {
   terms : int array;  (** terminal index -> node id *)
   tindex : int array;  (** node id -> terminal index; [-1] elsewhere *)
   init_label : int array;  (** per terminal index *)
+  label_id : int array;
+      (** per terminal index: the dense id of its initial label, in label
+          order *)
+  label_value : int array;  (** dense label id -> label *)
   moats : Dsf_util.Union_find.t;  (** over terminal indices *)
-  label_uf : Dsf_util.Union_find.t;  (** label merging (Alg 1 l.24-27) *)
+  label_uf : Dsf_util.Union_find.t;
+      (** label merging (Alg 1 l.24-27), over dense label ids *)
   act : bool array;  (** per moat, indexed by representative *)
 }
 

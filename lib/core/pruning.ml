@@ -403,17 +403,19 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
     own @ Option.value ~default:[] (Hashtbl.find_opt extra_labels v)
   in
   (* Label classes: labels identified by the coupling rule must be treated
-     as one demand (they share edges of the minimal solution). *)
-  let max_label =
-    Array.fold_left Int.max 0 inst.Instance.labels
-  in
-  let luf = Uf.create (max_label + 1) in
+     as one demand (they share edges of the minimal solution).  The
+     union-find runs over dense label ids; [label_class] names a class by
+     its representative label. *)
+  let label_value, label_id = Instance.label_ids inst in
+  let luf = Uf.create (Array.length label_value) in
   Hashtbl.iter
     (fun (e, lam) () ->
       Hashtbl.iter
-        (fun (e', lam') () -> if e = e' then ignore (Uf.union luf lam lam'))
+        (fun (e', lam') () ->
+          if e = e' then ignore (Uf.union luf (label_id lam) (label_id lam')))
         root_facts.le)
     root_facts.le;
+  let label_class lam = label_value.(Uf.find luf (label_id lam)) in
   (* Step 10: minimal intra-cluster subtrees, by the Lemma F.6 mark/unmark
      protocol, genuinely simulated: holders flood their label classes up
      the cluster trees (marking edges); roots then push "unmark" down any
@@ -459,7 +461,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
     cp
   in
   let class_labels v =
-    List.map (fun lam -> Uf.find luf lam) (node_labels v)
+    List.map label_class (node_labels v)
     |> List.sort_uniq compare
   in
   let f6_marked, _ =
@@ -485,7 +487,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
         for v = 0 to n - 1 do
           if Uf.find cuf v = cluster && Uf.same uf2 v u then
             List.iter
-              (fun lam -> Hashtbl.replace acc (Uf.find luf lam) ())
+              (fun lam -> Hashtbl.replace acc (label_class lam) ())
               (node_labels v)
         done;
         acc

@@ -37,7 +37,7 @@ type report = {
 val solve_ic :
   ?jobs:int ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?chaos:Dsf_congest.Fault.plan ->
   algorithm ->
   Dsf_graph.Instance.ic ->
   report
@@ -68,7 +68,7 @@ val solve_ic :
 val solve_cr :
   ?jobs:int ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?chaos:Dsf_congest.Fault.plan ->
   algorithm ->
   Dsf_graph.Instance.cr ->
   report
@@ -84,7 +84,7 @@ type input =
 val solve :
   ?jobs:int ->
   ?telemetry:Dsf_congest.Telemetry.t ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?chaos:Dsf_congest.Fault.plan ->
   algorithm ->
   input ->
   report

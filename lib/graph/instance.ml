@@ -40,6 +40,12 @@ let used_labels inst =
 
 let component_count inst = List.length (used_labels inst)
 
+let label_ids inst =
+  let values = Array.of_list (used_labels inst) in
+  let id_of = Hashtbl.create (Int.max 4 (Array.length values)) in
+  Array.iteri (fun id l -> Hashtbl.replace id_of l id) values;
+  values, Hashtbl.find id_of
+
 let components inst =
   let h = Hashtbl.create 16 in
   Array.iteri
@@ -198,8 +204,3 @@ let prune inst f =
       end)
     !order;
   keep
-
-let check_solution inst f =
-  if Array.length f <> Graph.m inst.graph then Error "edge set size mismatch"
-  else if not (is_feasible inst f) then Error "infeasible: some component disconnected"
-  else Ok (solution_weight inst f)

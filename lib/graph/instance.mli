@@ -25,6 +25,11 @@ val terminal_count : ic -> int
 val component_count : ic -> int
 (** [k]: number of distinct labels in use. *)
 
+val label_ids : ic -> int array * (int -> int)
+(** The labels in use, ascending, and the map from a label in use to its
+    position there: an order-preserving dense label id, so a per-label
+    table is sized by [k], whatever the label values. *)
+
 val components : ic -> (int * int list) list
 (** [(label, members)] for each input component, labels ascending. *)
 
@@ -54,6 +59,3 @@ val prune : ic -> bool array -> bool array
     the goal of the fast pruning routine, Appendix F.3).  Requires [f] to be
     a feasible forest. *)
 
-val check_solution : ic -> bool array -> (int, string) result
-(** Full validation: forest-ness not required, feasibility is; returns the
-    solution weight or a diagnostic. *)

@@ -5,7 +5,17 @@ type parsed =
 
 exception Parse_error of int * string
 
+let max_n = 1 lsl 24
+
 let fail lineno msg = raise (Parse_error (lineno, msg))
+
+(* The integer fields of each directive, for arity errors. *)
+let directive_fields = function
+  | "n" -> Some [ "n" ]
+  | "edge" -> Some [ "u"; "v"; "w" ]
+  | "label" -> Some [ "v"; "l" ]
+  | "request" -> Some [ "u"; "v" ]
+  | _ -> None
 
 (* The blank-separated words of one line, its [#] comment stripped. *)
 let words_of line =
@@ -41,13 +51,23 @@ let parse_string text =
           if !n_line > 0 then fail lineno "duplicate n line";
           n := int_arg x;
           if !n <= 0 then fail lineno "n must be positive";
+          if !n > max_n then
+            fail lineno (Printf.sprintf "n %d exceeds the bound %d" !n max_n);
           n_line := lineno
       | [ "edge"; u; v; w ] ->
           edges := (lineno, (int_arg u, int_arg v, int_arg w)) :: !edges
       | [ "label"; v; l ] -> labels := (lineno, int_arg v, int_arg l) :: !labels
       | [ "request"; u; v ] ->
           requests := (lineno, int_arg u, int_arg v) :: !requests
-      | w :: _ -> fail lineno (Printf.sprintf "unknown directive %S" w))
+      | w :: args -> (
+          match directive_fields w with
+          | Some fields ->
+              let k = List.length fields in
+              fail lineno
+                (Printf.sprintf "%s needs %d integer%s (%s), got %d" w k
+                   (if k = 1 then "" else "s")
+                   (String.concat " " fields) (List.length args))
+          | None -> fail lineno (Printf.sprintf "unknown directive %S" w)))
     lines;
   if !n_line = 0 then fail 0 "missing n line";
   let edge_lines, triples = Array.split (Array.of_list (List.rev !edges)) in
@@ -117,12 +137,6 @@ let print_ic ppf (inst : Instance.ic) =
   Array.iteri
     (fun v l -> if l >= 0 then Format.fprintf ppf "label %d %d@." v l)
     inst.Instance.labels
-
-let print_cr ppf (cr : Instance.cr) =
-  print_graph ppf cr.Instance.cr_graph;
-  Array.iteri
-    (fun u -> List.iter (fun v -> Format.fprintf ppf "request %d %d@." u v))
-    cr.Instance.requests
 
 let roundtrip_ic inst =
   let buf = Buffer.create 256 in

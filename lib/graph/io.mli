@@ -28,14 +28,19 @@ exception Parse_error of int * string
     out-of-range [label] or [request] node, a negative label, a second
     [label] for the same node,
     the first line that mixes [label] and [request] directives, a second
-    [n] line, or the [n] line for a non-positive node count.  Line [0]
-    means the whole file (no [n] line at all). *)
+    [n] line, or the [n] line for a node count that is not positive or
+    exceeds {!max_n}.  A known directive with the wrong number of fields
+    names the fields it needs.  Line [0] means the whole file (no [n]
+    line at all). *)
+
+val max_n : int
+(** The largest node count a file may declare: 2^24 = 16777216.  A
+    larger [n] is rejected on its line, before anything is allocated. *)
 
 val parse_string : string -> parsed
 val parse_file : string -> parsed
 
 val print_ic : Format.formatter -> Instance.ic -> unit
-val print_cr : Format.formatter -> Instance.cr -> unit
 val print_graph : Format.formatter -> Graph.t -> unit
 
 val roundtrip_ic : Instance.ic -> Instance.ic

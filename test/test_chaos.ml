@@ -1,4 +1,4 @@
-(* Chaos differential suite: the Fault.harden combinator must make any
+(* Chaos differential suite: Fault.sim_run's hardening must make any
    maskable fault plan invisible — a hardened protocol on a lossy network
    reaches exactly the final states the raw protocol reaches on a lossless
    one.  With a [Fault.recoverable] contract that extends to
@@ -37,8 +37,7 @@ let random_drop_plan seed =
 (* Run environments: the hardened network under [plan] (what
    [Fault.sim_run] needs to harden a run) and raw, unhardened fault
    injection of [plan]. *)
-let chaos_env ?rto ?rto_cap plan =
-  { Sim.default_env with network = Sim.Chaos (Fault.chaos ?rto ?rto_cap plan) }
+let chaos_env plan = { Sim.default_env with network = Sim.Chaos plan }
 
 let faults_env plan =
   { Sim.default_env with network = Sim.Faults (Fault.instantiate plan) }
@@ -228,37 +227,36 @@ let test_leader_crash_recovery_reconverges () =
   check Alcotest.int "elect under chaos: true winner" k res.Leader.leader
 
 let test_recovery_stats_counted () =
-  (* Recovery work is observable: a crash window inside the run must show
-     up as a restore, resync rounds, and checkpoint bits — and the inner
-     states must still be the lossless ones. *)
+  (* Recovery work is observable through Fault.sim_run's telemetry: a
+     crash window inside the run shows up as one restore in the
+     fault/restores counter, the same count as the recorder's Recovery
+     event, plus resync rounds and checkpoint bits — and the inner states
+     are still the lossless ones.  The env's ledger counts the hardened
+     run's rounds exactly once. *)
   let k = 8 in
   let g = Gen.path (k + 1) in
   let plan = Fault.plan ~crashes:[ 0, 4, 7 ] ~seed:1 () in
   let proto = Leader.protocol g in
-  let hardened = Fault.harden ~recovery:(Fault.immutable ()) proto in
-  let hs, _ =
-    Sim.run ~halt:(Fault.quiescent proto) ~env:(faults_env plan) g hardened
-  in
-  let rs = Fault.recovery_of hs in
-  check Alcotest.int "one restore" 1 rs.Fault.restores;
-  Alcotest.(check bool) "resync rounds counted" true (rs.Fault.recovery_rounds > 0);
-  Alcotest.(check bool) "checkpoint bits counted" true
-    (rs.Fault.checkpoint_bits > 0);
-  let lossless, _ = Sim.run g proto in
-  Alcotest.(check bool) "inner states lossless" true
-    (Array.map Fault.inner hs = lossless);
-  (* The same plan through Fault.sim_run: the telemetry's
-     fault/recovery_rounds counter reports those resync rounds, and the
-     env's ledger counts the hardened run's rounds exactly once. *)
-  let tel = Telemetry.create ~clock:(fun () -> 0L) () in
+  let recorder, tel = Flight.telemetry () in
   let ledger = Ledger.create () in
   let env =
     { (chaos_env plan) with telemetry = Some tel; ledger = Some ledger }
   in
-  let _, stats = sim_run ~env ~recovery:(Fault.immutable ()) g proto in
-  check Alcotest.int "fault/recovery_rounds counter" rs.Fault.recovery_rounds
-    (Dsf_util.Metrics.counter_value (Telemetry.metrics tel)
-       "fault/recovery_rounds");
+  let states, stats = sim_run ~env ~recovery:(Fault.immutable ()) g proto in
+  let counter = Dsf_util.Metrics.counter_value (Telemetry.metrics tel) in
+  check Alcotest.int "one restore" 1 (counter "fault/restores");
+  Alcotest.(check bool) "resync rounds counted" true
+    (counter "fault/recovery_rounds" > 0);
+  Alcotest.(check bool) "checkpoint bits counted" true
+    (counter "fault/checkpoint_bits" > 0);
+  let recorded =
+    List.filter_map
+      (function Recorder.Recovery { restores; _ } -> Some restores | _ -> None)
+      (Flight.events recorder)
+  in
+  check Alcotest.(list int) "fault/restores = the Recovery event" [ 1 ] recorded;
+  let lossless, _ = Sim.run g proto in
+  Alcotest.(check bool) "inner states lossless" true (states = lossless);
   check Alcotest.int "ledger counts the hardened run once" stats.Sim.rounds
     (Ledger.simulated ledger)
 
@@ -334,7 +332,7 @@ let test_det_dsf_chaos_differential () =
   let labels = Gen.spread_labels r g ~t:8 ~k:3 in
   let inst = Instance.make_ic g labels in
   let base = Dsf_core.Det_dsf.run inst in
-  let chaos = Fault.chaos (Fault.chaos_plan ~seed:5 g) in
+  let chaos = Fault.chaos_plan ~seed:5 g in
   List.iter
     (fun (label, jobs, chaos) ->
       let c = Dsf_core.Det_dsf.run ~jobs ?chaos inst in
@@ -373,13 +371,13 @@ let test_crash_plan_not_masked_postmortem () =
      abort with a structured, printable post-mortem. *)
   let g = Gen.path 4 in
   let plan = Fault.plan ~crashes:[ 0, 2, 1_000_000 ] ~seed:1 () in
-  let max_rounds = 60 in
-  (* Clamp the backoff so a retransmission lands inside the 8-round
-     post-mortem window (the default cap of 32 can out-wait it). *)
-  match
-    sim_run ~max_rounds ~env:(chaos_env ~rto:3 ~rto_cap:4 plan) g
-      (Leader.protocol g)
-  with
+  (* Node 1's last send to the dead node 0 goes out in round 2.  It is
+     resent 3, 6, 12 and 24 rounds later, then every 32 rounds once the
+     backoff has reached its cap: rounds 5, 11, 23, 47, 79, 111, ...  A
+     limit of 112 puts the resend of round 111 inside the 8-round
+     window. *)
+  let max_rounds = 112 in
+  match sim_run ~max_rounds ~env:(chaos_env plan) g (Leader.protocol g) with
   | _ -> Alcotest.fail "expected Round_limit"
   | exception Sim.Round_limit a ->
       check Alcotest.int "aborted at the limit" max_rounds a.Sim.at_round;
@@ -400,7 +398,7 @@ let test_crash_plan_not_masked_postmortem () =
         go 0
       in
       Alcotest.(check bool) "post-mortem has the header" true
-        (contains rendered "no quiescence after 60 rounds");
+        (contains rendered "no quiescence after 112 rounds");
       Alcotest.(check bool) "post-mortem ranks senders" true
         (contains rendered "senders over the last");
       (* Busiest sender first, ties on ascending node id, six at most —

@@ -66,6 +66,13 @@ let prop_parallel_heavy_edge_harmless =
           let inst' = Instance.make_ic g' inst.Instance.labels in
           weight_of_det inst' = weight_of_det inst)
 
+(* Det and sublinear: between them they run both label union-finds
+   (the moat state's and the pruning's). *)
+let det_and_sublinear_weights inst =
+  ( weight_of_det inst,
+    (Dsf_core.Det_sublinear.run ~eps_num:1 ~eps_den:2 inst)
+      .Dsf_core.Det_sublinear.weight )
+
 let prop_label_renaming_invariant =
   QCheck.Test.make
     ~name:"renaming component labels does not change the solution weight"
@@ -73,13 +80,20 @@ let prop_label_renaming_invariant =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let inst = random_instance ~k:3 ~t:8 seed in
-      let renamed =
-        Array.map
-          (fun l -> if l >= 0 then 100 + (7 * l) else -1)
-          inst.Instance.labels
-      in
-      let inst' = Instance.make_ic inst.Instance.graph renamed in
-      weight_of_det inst' = weight_of_det inst)
+      let weights = det_and_sublinear_weights inst in
+      (* A spread-out renaming, and one to labels near [max_int], which no
+         per-label table may be sized by. *)
+      List.for_all
+        (fun rename ->
+          let renamed =
+            Array.map
+              (fun l -> if l >= 0 then rename l else -1)
+              inst.Instance.labels
+          in
+          det_and_sublinear_weights
+            (Instance.make_ic inst.Instance.graph renamed)
+          = weights)
+        [ (fun l -> 100 + (7 * l)); (fun l -> max_int - l) ])
 
 let prop_extra_singleton_harmless =
   QCheck.Test.make
@@ -224,6 +238,14 @@ let test_io_error_lines () =
   expect_line "n" 2 "n must be positive" "\nn 0\n";
   expect_line "negative n" 1 "n must be positive" "n -5\nn 3\nedge 0 1 1\n";
   expect_line "second n" 2 "duplicate n line" "n 3\nn 3\n";
+  (* Rejected on its line before anything is sized by it. *)
+  expect_line "n bound" 1 "n 99999999999 exceeds the bound 16777216"
+    "n 99999999999\nedge 0 1 1\n";
+  expect_line "edge arity" 2 "edge needs 3 integers (u v w), got 2"
+    "n 2\nedge 0 1\n";
+  expect_line "label arity" 3 "label needs 2 integers (v l), got 1"
+    "n 2\nedge 0 1 1\nlabel 0\n";
+  expect_line "n arity" 1 "n needs 1 integer (n), got 0" "n\n";
   expect_line "label twice" 5 "node 0 already labelled at line 4"
     "n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 0 1\nlabel 2 1\n";
   expect_line "label node" 4 "label node out of range"

@@ -47,7 +47,14 @@ let test_roundtrip () =
   Recorder.ev_down b 2;
   Recorder.ev_restart b 2;
   Recorder.round r 0;
-  Recorder.flush r b;
+  Recorder.append r b;
+  (* The buffer keeps its records after the append: the engines read a
+     post-mortem's sends back from it. *)
+  check
+    Alcotest.(list (triple int int int))
+    "buf_sends after append"
+    [ 4, 0, 7; 4, 1, 1_000_000 ]
+    (Recorder.buf_sends b);
   Recorder.span_close r "phase";
   Recorder.recovery r ~retransmissions:9 ~restores:1 ~checkpoint_bits:128;
   let s = Recorder.to_string r in
@@ -90,7 +97,7 @@ let test_merge_into () =
   Recorder.ev_step b 1;
   Recorder.ev_send b ~src:1 ~dst:2 ~bits:5 ~fate:2;
   Recorder.round child 0;
-  Recorder.flush child b;
+  Recorder.append child b;
   Recorder.span_open child "setup";
   Recorder.span_close child "setup";
   Recorder.span_close child "trial";
@@ -134,7 +141,7 @@ let test_corrupt_rejected () =
   let b = Recorder.buf_make () in
   Recorder.ev_send b ~src:1 ~dst:2 ~bits:3 ~fate:1;
   Recorder.round r 0;
-  Recorder.flush r b;
+  Recorder.append r b;
   let s = Recorder.to_string r in
   match Recorder.parse (String.sub s 0 (String.length s - 1)) with
   | Ok _ -> Alcotest.fail "truncated log accepted"

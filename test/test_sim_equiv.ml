@@ -227,12 +227,13 @@ let test_single_node () =
 
 let test_round_limit_equiv () =
   (* Both engines must raise the same Round_limit on a protocol that never
-     quiesces — round, stats snapshot and post-mortem ring — on both sides
-     of the flat engine's ring window (it records only the last
-     [postmortem_window] rounds before the limit).  The ring must hold
-     exactly the sends of the flight log's last rounds — every send,
-     dropped or not, in send order — lossless and under a drop/duplicate
-     plan, which the reference loop does not run. *)
+     quiesces — round, stats snapshot and post-mortem window — on both
+     sides of the window (a run that is not recording stages sends only
+     in the last [postmortem_window] rounds before the limit).  The
+     window must hold exactly the sends of the flight log's last rounds —
+     every send, dropped or not, in send order — lossless, under a
+     drop/duplicate plan, which the reference loop does not run, and
+     hardened under the same plan as a chaos network. *)
   let g = random_graph 31_337 in
   let chatty : (unit, int) Sim.protocol =
     {
@@ -249,8 +250,8 @@ let test_round_limit_equiv () =
       wake = None;
     }
   in
-  let abort_of ?faults run =
-    let r, env = Flight.env ~network:(faults_network faults) () in
+  let abort_of ?network run =
+    let r, env = Flight.env ?network () in
     match run env with
     | exception Sim.Round_limit a -> a, Flight.events r
     | _ -> Alcotest.fail "expected a round-limit abort"
@@ -272,7 +273,8 @@ let test_round_limit_equiv () =
     List.init (max_rounds - lo) (fun i -> lo + i, List.rev sent.(lo + i))
   in
   let abort = Alcotest.testable (fun ppf a -> Sim.pp_abort ppf a) ( = ) in
-  let faults = Fault.instantiate (Fault.plan ~drop:0.2 ~duplicate:0.2 ~seed:5 ()) in
+  let plan = Fault.plan ~drop:0.2 ~duplicate:0.2 ~seed:5 () in
+  let faults = Sim.Faults (Fault.instantiate plan) in
   List.iter
     (fun max_rounds ->
       let name what = Printf.sprintf "max_rounds=%d: %s" max_rounds what in
@@ -288,7 +290,7 @@ let test_round_limit_equiv () =
       Alcotest.(check bool) (name "ring = log window") true
         (flat.Sim.recent = window_of ~max_rounds log);
       let lossy, log =
-        abort_of ~faults (fun env -> Sim.run ~max_rounds ~env g chatty)
+        abort_of ~network:faults (fun env -> Sim.run ~max_rounds ~env g chatty)
       in
       check Alcotest.int (name "faults: limit") max_rounds lossy.Sim.at_round;
       (* The plan must fire, or this leg is the lossless one again; one
@@ -297,7 +299,15 @@ let test_round_limit_equiv () =
         (max_rounds < 7
         || lossy.Sim.snapshot.dropped > 0 && lossy.Sim.snapshot.duplicated > 0);
       Alcotest.(check bool) (name "faults: ring = log window") true
-        (lossy.Sim.recent = window_of ~max_rounds log))
+        (lossy.Sim.recent = window_of ~max_rounds log);
+      let hardened, log =
+        abort_of ~network:(Sim.Chaos plan) (fun env ->
+            Fault.sim_run ~max_rounds ~env g (Sim.flat_of_protocol chatty))
+      in
+      check Alcotest.int (name "chaos: limit") max_rounds
+        hardened.Sim.at_round;
+      Alcotest.(check bool) (name "chaos: ring = log window") true
+        (hardened.Sim.recent = window_of ~max_rounds log))
     [ 1; 7; 8; 9; 40 ]
 
 let test_halt_equiv () =
@@ -594,7 +604,7 @@ let chaos_plan seed g =
 let native_matches_classic ~seed g ~(native : Sim.env -> 'r * Sim.stats)
     ~(classic : Sim.env -> 'r * Sim.stats) =
   let dup = Sim.Faults (Fault.instantiate (dup_plan seed)) in
-  let chaos = Sim.Chaos (Fault.chaos (chaos_plan seed g)) in
+  let chaos = Sim.Chaos (chaos_plan seed g) in
   let leg ?network f =
     let r, log = Flight.record ?network f in
     r, Flight.unspanned log
@@ -836,9 +846,8 @@ let test_bellman_ford_wide_fallback () =
   let dist env = (fst (Bellman_ford.run ~weight_of ~env g ~sources)).dist in
   check Alcotest.(array int) "lossless = Dijkstra" expected
     (dist Sim.default_env);
-  let chaos = Fault.chaos (chaos_plan 7 g) in
   check Alcotest.(array int) "chaos = Dijkstra" expected
-    (dist { Sim.default_env with network = Sim.Chaos chaos })
+    (dist { Sim.default_env with network = Sim.Chaos (chaos_plan 7 g) })
 
 let test_flat_adapter_inbox_order () =
   (* The adapter's inbox_list must present arrival order exactly as the
