@@ -31,12 +31,16 @@ let a1 () =
   List.iter
     (fun (depth, nitems) ->
       let g = Gen.path (depth + 1) in
-      let tree, _ = Dsf_congest.Bfs.build g ~root:0 in
+      let tree = Dsf_congest.Bfs.build g ~root:0 in
       let items v = if v = depth then List.init nitems Fun.id else [] in
       let bits _ = 16 in
-      let got_p, sp = Dsf_congest.Tree_ops.upcast g ~tree ~items ~bits in
+      let got_p, sp =
+        Dsf_congest.Sim.measure (fun env ->
+            Dsf_congest.Tree_ops.upcast ~env g ~tree ~items ~bits)
+      in
       let got_s, ss =
-        Dsf_congest.Tree_ops.upcast_sequential g ~tree ~items ~bits
+        Dsf_congest.Sim.measure (fun env ->
+            Dsf_congest.Tree_ops.upcast_sequential ~env g ~tree ~items ~bits)
       in
       assert (List.sort compare got_p = List.sort compare got_s);
       let speedup =
@@ -364,7 +368,7 @@ let e13 ~jobs () =
         || plain.Dsf_baseline.Mst_distributed.weight <> Dsf_graph.Mst.weight g
       then exact := false;
       let gr = Ledger.total gkp.Dsf_baseline.Mst_gkp.ledger in
-      let pr = plain.Dsf_baseline.Mst_distributed.rounds in
+      let pr = Ledger.total plain.Dsf_baseline.Mst_distributed.ledger in
       Format.printf "%6d %6d %12d %14d %12d@." n d gr pr
         gkp.Dsf_baseline.Mst_gkp.fragments_after_phase1;
       pts_gkp := (float_of_int n, float_of_int gr) :: !pts_gkp;

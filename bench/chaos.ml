@@ -122,8 +122,9 @@ let soak () =
          entry point, which supplies the deep-copying snapshot. *)
       mk "bellman-ford" (fun env ->
           let r, stats =
-            Dsf_congest.Bellman_ford.run ~max_rounds ~env g
-              ~sources:[ 0, 0; n / 2, 2 ]
+            Sim.measure ~env (fun env ->
+                Dsf_congest.Bellman_ford.run ~max_rounds ~env g
+                  ~sources:[ 0, 0; n / 2, 2 ])
           in
           Dsf_congest.Bellman_ford.(r.dist, r.src_of, r.parent, r.hops), stats);
       port "exchange" (Dsf_congest.Exchange.flat_protocol ~payload_bits:9);

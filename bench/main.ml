@@ -49,11 +49,6 @@ let usage () =
     \       main.exe compare OLD.json NEW.json [--tol PCT] [--strict-timing]";
   exit 2
 
-let infer_trace_format path =
-  if Filename.check_suffix path ".json" then "chrome"
-  else if Filename.check_suffix path ".jsonl" then "jsonl"
-  else "console"
-
 (* The compare mode has positional operands, which the generic option loop
    below rejects — dispatch it before entering that loop. *)
 let compare_main () =
@@ -109,12 +104,9 @@ let () =
     match !trace with
     | None -> None
     | Some path -> begin
-        let fmt =
-          match !trace_format with
-          | Some f -> f
-          | None -> infer_trace_format path
-        in
-        match Dsf_congest.Telemetry.sink_format_of_string fmt with
+        match
+          Dsf_congest.Telemetry.sink_format_for ?format:!trace_format path
+        with
         | Ok format -> Some (format, path)
         | Error msg -> prerr_endline msg; usage ()
       end

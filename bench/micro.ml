@@ -62,7 +62,7 @@ let shared_graph = lazy (Lazy.force shared_instance).Inst.graph
 let path256 = lazy (Gen.path 256)
 
 let shared_tree =
-  lazy (fst (Dsf_congest.Bfs.build (Lazy.force shared_graph) ~root:0))
+  lazy (Dsf_congest.Bfs.build (Lazy.force shared_graph) ~root:0)
 
 (* Engine-pair benchmarks drive whole entry points (Bellman_ford.sssp,
    Det_dsf.run, ...) through both engines; like the differential suite,
@@ -77,28 +77,31 @@ let in_reference f =
   Fun.protect ~finally:(fun () -> Sim.use_reference_engine := false) f
 [@@lint.allow "sim-globals"]
 
-(* Each case is a sparse-activity CONGEST workload returning its stats; it
-   is benchmarked once on the production flat engine (native ports) and
-   once on the kept seed loop; the speedup column derives from these
+(* Each case is a sparse-activity CONGEST workload run on the env it is
+   given; it is benchmarked once on the production flat engine (native
+   ports) and once on the kept seed loop, both on the default env, so the
+   timings carry no instrumentation; the speedup column derives from these
    pairs. *)
-let sim_cases : (string * (unit -> Sim.stats)) list =
+let sim_cases : (string * (Sim.env -> unit)) list =
   [
     ( "bf random n=40",
-      fun () ->
-        snd (Dsf_congest.Bellman_ford.sssp (Lazy.force shared_graph) ~src:0)
+      fun env ->
+        ignore
+          (Dsf_congest.Bellman_ford.sssp ~env (Lazy.force shared_graph) ~src:0)
     );
     ( "bf path n=256",
-      fun () -> snd (Dsf_congest.Bellman_ford.sssp (Lazy.force path256) ~src:0)
+      fun env ->
+        ignore (Dsf_congest.Bellman_ford.sssp ~env (Lazy.force path256) ~src:0)
     );
     ( "upcast n=40",
-      fun () ->
-        snd
-          (Dsf_congest.Tree_ops.upcast (Lazy.force shared_graph)
+      fun env ->
+        ignore
+          (Dsf_congest.Tree_ops.upcast ~env (Lazy.force shared_graph)
              ~tree:(Lazy.force shared_tree)
              ~items:(fun v -> [ v; v + 100; v + 200 ])
              ~bits:(fun x -> Dsf_util.Bitsize.int_bits (max 1 x))) );
     ( "filtered_upcast n=40",
-      fun () ->
+      fun env ->
         let g = Lazy.force shared_graph in
         let items v =
           Array.to_list (Dsf_graph.Graph.edges g)
@@ -107,8 +110,8 @@ let sim_cases : (string * (unit -> Sim.stats)) list =
                    Some { Dsf_congest.Pipeline.key = (e.w, e.id); a = e.u; b = e.v }
                  else None)
         in
-        snd
-          (Dsf_congest.Pipeline.filtered_upcast g
+        ignore
+          (Dsf_congest.Pipeline.filtered_upcast ~env g
              ~tree:(Lazy.force shared_tree) ~vn:40 ~pre:[] ~items ~cmp:compare
              ~bits:(fun _ -> 30)) );
   ]
@@ -119,17 +122,22 @@ let sim_tests =
       [
         Test.make
           ~name:(Printf.sprintf "sim/%s [reference]" nm)
-          (Staged.stage (fun () -> ignore (in_reference thunk)));
+          (Staged.stage (fun () ->
+               in_reference (fun () -> thunk Sim.default_env)));
         Test.make
           ~name:(Printf.sprintf "sim/%s [flat]" nm)
-          (Staged.stage (fun () -> ignore (thunk ())));
+          (Staged.stage (fun () -> thunk Sim.default_env));
       ])
     sim_cases
 
-(* Rounds per run, for the rounds/s column: one untimed execution per case
-   (both engines execute the same schedule — test_sim_equiv proves it). *)
+(* Rounds per run, for the rounds/s column: one untimed, measured
+   execution per case (both engines execute the same schedule —
+   test_sim_equiv proves it). *)
 let sim_rounds =
-  lazy (List.map (fun (nm, thunk) -> nm, (thunk ()).Sim.rounds) sim_cases)
+  lazy
+    (List.map
+       (fun (nm, thunk) -> nm, (snd (Sim.measure thunk)).Sim.rounds)
+       sim_cases)
 
 let rounds_of name =
   List.find_map
@@ -396,12 +404,16 @@ let scaling_workloads : (string * (jobs:int -> int)) list =
             (Array.init 8 (fun i -> 100 + i))
         in
         Array.fold_left ( + ) 0 weights );
-    (* The CI smoke workloads themselves, one pool task per case. *)
+    (* The CI smoke workloads themselves, one pool task per case, each
+       counting its rounds in its own ledger. *)
     ( "smoke",
       fun ~jobs ->
         let rounds =
           Dsf_util.Pool.map_chunked ~jobs
-            (fun (_, thunk) -> (thunk ()).Sim.rounds)
+            (fun (_, thunk) ->
+              let ledger = Dsf_congest.Ledger.create () in
+              thunk { Sim.default_env with ledger = Some ledger };
+              Dsf_congest.Ledger.simulated ledger)
             (Array.of_list sim_cases)
         in
         Array.fold_left ( + ) 0 rounds );
@@ -498,7 +510,7 @@ let flat_tree =
     match Hashtbl.find_opt cache n with
     | Some t -> t
     | None ->
-        let t = fst (Dsf_congest.Bfs.build (flat_graph n) ~root:0) in
+        let t = Dsf_congest.Bfs.build (flat_graph n) ~root:0 in
         Hashtbl.replace cache n t;
         t
 
@@ -517,17 +529,18 @@ type flat_size = Upto of int | Fixed of int
    round.  The
    filtered upcast keeps a union-find over all [vn = n] virtual nodes at
    every node — n^2 words, about 4 GB at n = 16384 — so its size is capped
-   to fit an 8 GB host; the skip is printed, never silent. *)
-let flat_workloads : (string * flat_size * (int -> unit -> Sim.stats)) list =
+   to fit an 8 GB host; the skip is printed, never silent.  A runner
+   takes the env whose ledger counts its rounds. *)
+let flat_workloads : (string * flat_size * (int -> Sim.env -> unit)) list =
   let item_bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
   [
     ( "bfs path",
       Upto max_int,
       fun n ->
         let g = flat_graph n in
-        fun () ->
-          snd
-            (Sim.run_flat g
+        fun env ->
+          ignore
+            (Sim.run_flat ~env g
                (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n g) ~root:0))
     );
     ( "bellman_ford path",
@@ -535,10 +548,7 @@ let flat_workloads : (string * flat_size * (int -> unit -> Sim.stats)) list =
       fun n ->
         let g = flat_graph n in
         let sources = [ 0, 0; n - 1, 0 ] in
-        fun () ->
-          snd
-            (Dsf_congest.Bellman_ford.run g
-               ~sources) );
+        fun env -> ignore (Dsf_congest.Bellman_ford.run ~env g ~sources) );
     ( "region_bf path",
       Upto max_int,
       fun n ->
@@ -547,27 +557,23 @@ let flat_workloads : (string * flat_size * (int -> unit -> Sim.stats)) list =
           [ 0, Dsf_core.Frac.zero, 0; n - 1, Dsf_core.Frac.zero, n - 1 ]
         in
         let frozen = Array.make n false in
-        fun () ->
-          snd
-            (Dsf_core.Region_bf.run g
-               ~sources ~frozen) );
+        fun env -> ignore (Dsf_core.Region_bf.run ~env g ~sources ~frozen) );
     ( "upcast path",
       Upto max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items v = if v > 0 && v mod 16 = 0 then [ v ] else [] in
-        fun () ->
-          snd
-            (Dsf_congest.Tree_ops.upcast g
-               ~tree ~items ~bits:item_bits)
+        fun env ->
+          ignore
+            (Dsf_congest.Tree_ops.upcast ~env g ~tree ~items ~bits:item_bits)
     );
     ( "broadcast path",
       Upto max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items = List.init 16 (fun i -> i + 1) in
-        fun () ->
-          Dsf_congest.Tree_ops.broadcast g ~tree ~items ~bits:item_bits );
+        fun env ->
+          Dsf_congest.Tree_ops.broadcast ~env g ~tree ~items ~bits:item_bits );
     ( "broadcast random",
       Fixed 512,
       fun n ->
@@ -576,10 +582,10 @@ let flat_workloads : (string * flat_size * (int -> unit -> Sim.stats)) list =
             ~max_w:16
         in
         ignore (Dsf_graph.Graph.csr g);
-        let tree = fst (Dsf_congest.Bfs.build g ~root:0) in
+        let tree = Dsf_congest.Bfs.build g ~root:0 in
         let items = List.init 128 (fun i -> i + 1) in
-        fun () ->
-          Dsf_congest.Tree_ops.broadcast g ~tree ~items ~bits:item_bits );
+        fun env ->
+          Dsf_congest.Tree_ops.broadcast ~env g ~tree ~items ~bits:item_bits );
     ( "filtered_upcast path",
       Upto 4096,
       fun n ->
@@ -589,11 +595,10 @@ let flat_workloads : (string * flat_size * (int -> unit -> Sim.stats)) list =
             [ { Dsf_congest.Pipeline.key = (1, v); a = v - 1; b = v } ]
           else []
         in
-        fun () ->
-          snd
-            (Dsf_congest.Pipeline.filtered_upcast
-               g ~tree ~vn:n ~pre:[] ~items
-               ~cmp:compare ~bits:(fun _ -> 30)) );
+        fun env ->
+          ignore
+            (Dsf_congest.Pipeline.filtered_upcast ~env g ~tree ~vn:n ~pre:[]
+               ~items ~cmp:compare ~bits:(fun _ -> 30)) );
     ( "token_flood path",
       Upto max_int,
       fun n ->
@@ -601,18 +606,12 @@ let flat_workloads : (string * flat_size * (int -> unit -> Sim.stats)) list =
         let parent = Array.init n (fun v -> v - 1) in
         let seeds = Array.make n false in
         seeds.(n - 1) <- true;
-        fun () ->
-          snd
-            (Dsf_core.Select.token_flood g
-               ~parent ~seeds) );
+        fun env -> ignore (Dsf_core.Select.token_flood ~env g ~parent ~seeds) );
     ( "exchange path",
       Upto max_int,
       fun n ->
         let g = flat_graph n in
-        fun () ->
-          Dsf_congest.Exchange.all_neighbors 
-            g ~payload_bits:9
-    );
+        fun env -> Dsf_congest.Exchange.all_neighbors ~env g ~payload_bits:9 );
   ]
 
 (* Best-of-reps wall clock and minor words of one workload at one size. *)
@@ -622,12 +621,14 @@ let measure_flat_size workload flat n =
   let reps = if n >= 16384 then 1 else 3 in
   let best = ref infinity and words = ref infinity and rounds = ref 0 in
   for _ = 1 to reps do
+    let ledger = Dsf_congest.Ledger.create () in
+    let env = { Sim.default_env with ledger = Some ledger } in
     let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
-    let stats = flat () in
+    flat env;
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     let w = Gc.minor_words () -. w0 in
-    rounds := stats.Sim.rounds;
+    rounds := Dsf_congest.Ledger.simulated ledger;
     if ns < !best then best := ns;
     if w < !words then words := w
   done;
@@ -859,10 +860,13 @@ let flat_check () =
   in
   let g40 = Lazy.force shared_graph in
   let p256 = Lazy.force path256 in
-  let bf g = Dsf_congest.Bellman_ford.sssp g ~src:0 in
+  (* Results and measured stats must both match. *)
+  let bf g =
+    Sim.measure (fun env -> Dsf_congest.Bellman_ford.sssp ~env g ~src:0)
+  in
   check "bellman-ford random n=40" (bf g40 = in_reference (fun () -> bf g40));
   check "bellman-ford path n=256" (bf p256 = in_reference (fun () -> bf p256));
-  let bfs g = Dsf_congest.Bfs.build g ~root:0 in
+  let bfs g = Sim.measure (fun env -> Dsf_congest.Bfs.build ~env g ~root:0) in
   check "bfs random n=40" (bfs g40 = in_reference (fun () -> bfs g40));
   (* The raw native protocol must reproduce the reference tree and stats. *)
   let tree, stats = in_reference (fun () -> bfs p256) in
@@ -1029,15 +1033,19 @@ let phase_profile () =
 
 (* Crash-recovery cost vs crash rate: the A6 hardened leader flood and the
    E1 det_dsf solve, each checkpoint-hardened under a fixed drop/duplicate
-   plan with an increasing number of crash-restart windows.  Every counted
-   field (rounds, retransmissions, recovery rounds, checkpoint bits) is
-   driven by the plan's PRF and jobs-invariant; [rv_wall_overhead] is the
-   one measured field, stripped by the ci.sh jobs diff alongside the other
-   wall-clock keys. *)
+   plan with an increasing number of crash-restart windows.  Every
+   hardened run replays the plan from its own round 0, so the windows are
+   per hardened run: the leader row is one run, a det solve many (its
+   primitives each run hardened), and its restores scale with both.
+   Every counted field (runs, rounds, retransmissions, recovery rounds,
+   checkpoint bits) is driven by the plan's PRF and jobs-invariant;
+   [rv_wall_overhead] is the one measured field, stripped by the ci.sh
+   jobs diff alongside the other wall-clock keys. *)
 
 type recovery_row = {
   rv_workload : string;
-  rv_crash_windows : int;
+  rv_crash_windows : int;  (* per hardened run *)
+  rv_hardened_runs : int;
   rv_base_rounds : int;  (* fault-free baseline *)
   rv_rounds : int;
   rv_retrans : int;
@@ -1067,6 +1075,17 @@ let recovery_plan ~n ~windows ~seed =
 let fault_counter tel name =
   Dsf_util.Metrics.counter_value (Telemetry.metrics tel) name
 
+(* The hardened runs a telemetry saw: the occurrences of every
+   ["hardened"] span, wherever in the tree [Fault.sim_run] opened it. *)
+let hardened_runs tel =
+  let rec go (s : Telemetry.span) =
+    List.fold_left
+      (fun acc c -> acc + go c)
+      (if s.name = "hardened" then s.count else 0)
+      s.children
+  in
+  go (Telemetry.root tel)
+
 let recovery_leader ~windows =
   let g = Lazy.force shared_graph in
   let n = Dsf_graph.Graph.n g in
@@ -1089,6 +1108,7 @@ let recovery_leader ~windows =
   {
     rv_workload = "A6 leader";
     rv_crash_windows = windows;
+    rv_hardened_runs = hardened_runs tel;
     rv_base_rounds = base.Sim.rounds;
     rv_rounds = stats.Sim.rounds;
     rv_retrans = fault_counter tel "fault/retransmissions";
@@ -1115,6 +1135,7 @@ let recovery_det_dsf ~windows =
   {
     rv_workload = "E1 det_dsf";
     rv_crash_windows = windows;
+    rv_hardened_runs = hardened_runs tel;
     rv_base_rounds = total base.Dsf_core.Det_dsf.ledger;
     rv_rounds = total res.Dsf_core.Det_dsf.ledger;
     rv_retrans = fault_counter tel "fault/retransmissions";
@@ -1136,13 +1157,14 @@ let fault_recovery () =
   @ List.map (fun w -> recovery_det_dsf ~windows:w) windows
 
 let print_fault_recovery fr =
-  Format.printf "@.%-14s %7s %16s %8s %9s %11s %10s %7s %7s@."
-    "fault recovery" "crashes" "rounds (vs)" "retrans" "restores" "rec rounds"
-    "ckpt bits" "wall x" "masked";
+  Format.printf "@.%-14s %12s %6s %16s %8s %9s %11s %10s %7s %7s@."
+    "fault recovery" "windows/run" "runs" "rounds (vs)" "retrans" "restores"
+    "rec rounds" "ckpt bits" "wall x" "masked";
   List.iter
     (fun v ->
-      Format.printf "%-14s %7d %9d (%4d) %8d %9d %11d %10d %7.2f %7s@."
-        v.rv_workload v.rv_crash_windows v.rv_rounds v.rv_base_rounds
+      Format.printf "%-14s %12d %6d %9d (%4d) %8d %9d %11d %10d %7.2f %7s@."
+        v.rv_workload v.rv_crash_windows v.rv_hardened_runs v.rv_rounds
+        v.rv_base_rounds
         v.rv_retrans v.rv_restores v.rv_recovery_rounds v.rv_checkpoint_bits
         v.rv_wall_overhead
         (if v.rv_masked then "yes" else "NO"))
@@ -1310,13 +1332,14 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
         else Printf.sprintf "%.3f" w
       in
       p
-        "    {\"workload\": \"%s\", \"crash_windows\": %d, \"base_rounds\": \
-         %d, \"rounds\": %d, \"retransmissions\": %d, \"restores\": %d, \
+        "    {\"workload\": \"%s\", \"crash_windows\": %d, \
+         \"hardened_runs\": %d, \"base_rounds\": %d, \"rounds\": %d, \
+         \"retransmissions\": %d, \"restores\": %d, \
          \"recovery_rounds\": %d, \"checkpoint_bits\": %d, \
          \"wall_overhead\": %s, \"masked\": %b}%s\n"
-        (json_escape v.rv_workload) v.rv_crash_windows v.rv_base_rounds
-        v.rv_rounds v.rv_retrans v.rv_restores v.rv_recovery_rounds
-        v.rv_checkpoint_bits wall v.rv_masked
+        (json_escape v.rv_workload) v.rv_crash_windows v.rv_hardened_runs
+        v.rv_base_rounds v.rv_rounds v.rv_retrans v.rv_restores
+        v.rv_recovery_rounds v.rv_checkpoint_bits wall v.rv_masked
         (if i = List.length fr - 1 then "" else ","))
     fr;
   p "  ],\n  \"recorder_overhead\": [\n";

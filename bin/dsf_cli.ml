@@ -156,24 +156,13 @@ let print_instance inst =
 (* --trace plumbing: parse the format up front (so a typo fails before the
    solve, not after), collect into a fresh per-invocation telemetry, write
    the chosen rendering at the end.  With no explicit --trace-format the
-   format is inferred from the file extension: .json is a Chrome
-   trace_event file, .jsonl the JSONL dump, anything else (including
-   stdout) the console tree. *)
-let infer_trace_format path =
-  if Filename.check_suffix path ".json" then "chrome"
-  else if Filename.check_suffix path ".jsonl" then "jsonl"
-  else "console"
-
+   format is inferred from the file extension
+   ([Telemetry.sink_format_for]). *)
 let trace_sink ?recorder trace trace_format =
   match trace with
   | None -> None
   | Some path -> begin
-      let fmt =
-        match trace_format with
-        | Some f -> f
-        | None -> infer_trace_format path
-      in
-      match Dsf_congest.Telemetry.sink_format_of_string fmt with
+      match Dsf_congest.Telemetry.sink_format_for ?format:trace_format path with
       | Ok format -> Some (Dsf_congest.Telemetry.create ?recorder (), format, path)
       | Error msg -> flag_error "--trace-format" "%s" msg
     end

@@ -7,10 +7,11 @@
 type result = {
   solution : bool array;
   weight : int;
-  rounds : int;
-  messages : int;
+  ledger : Dsf_congest.Ledger.t;
 }
 
 val run : Dsf_graph.Graph.t -> result
 (** Requires a connected graph; returns the (unique under edge-id
-    tie-breaking) minimum spanning tree. *)
+    tie-breaking) minimum spanning tree.  Both simulated runs (the BFS
+    tree and the filtered upcast) go under one {!Dsf_congest.Sim.env}
+    carrying the result's ledger, so the engine counts their rounds. *)

@@ -24,7 +24,7 @@ let run g =
   let threshold = isqrt n in
   let ledger = Ledger.create () in
   let env = { Sim.default_env with ledger = Some ledger } in
-  let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
   let uf = Uf.create n in
   let solution = Array.make m false in
   let iterations = ref 0 in
@@ -124,7 +124,7 @@ let run g =
                Some { Pipeline.key = (e.w, e.id); a = e.u; b = e.v }
              else None)
     in
-    let accepted, _ =
+    let accepted =
       Pipeline.filtered_upcast ~env g ~tree ~vn:n ~pre ~items ~cmp:compare
         ~bits:(fun _ ->
           (2 * Bitsize.id_bits ~n)

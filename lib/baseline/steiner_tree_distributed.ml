@@ -23,14 +23,13 @@ let run g ~terminals =
   | [] | [ _ ] ->
       { solution = Array.make m false; weight = 0; ledger }
   | _ ->
-      let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+      let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
       (* Voronoi decomposition around the terminals. *)
-      let vor, _ =
+      let vor =
         Bellman_ford.run ~env g ~sources:(List.map (fun v -> v, 0) terms)
       in
-      ignore
-        (Dsf_congest.Exchange.all_neighbors ~env g
-           ~payload_bits:(2 * Bitsize.id_bits ~n));
+      Dsf_congest.Exchange.all_neighbors ~env g
+        ~payload_bits:(2 * Bitsize.id_bits ~n);
       (* Boundary edges witness terminal pairs; the pipelined filter selects
          an MST of the witnessed terminal graph (Mehlhorn's graph G'). *)
       let items u =
@@ -46,16 +45,15 @@ let run g ~terminals =
                  Some { Pipeline.key = (d, eid); a = tu; b = tv }
                end)
       in
-      let accepted, _ =
+      let accepted =
         Pipeline.filtered_upcast ~env g ~tree ~vn:n ~pre:[] ~items ~cmp:compare
           ~bits:(fun _ ->
             (3 * Bitsize.id_bits ~n)
             + Bitsize.weight_bits
                 ~max_weight:(2 * Dsf_graph.Paths.diameter_weighted g))
       in
-      ignore
-        (Dsf_congest.Tree_ops.broadcast ~env g ~tree ~items:accepted
-           ~bits:(fun _ -> 3 * Bitsize.id_bits ~n));
+      Dsf_congest.Tree_ops.broadcast ~env g ~tree ~items:accepted
+        ~bits:(fun _ -> 3 * Bitsize.id_bits ~n);
       (* Realize each selected boundary edge plus the Voronoi paths of its
          endpoints via a token flood up the Voronoi parent trees. *)
       let solution = Array.make m false in
@@ -68,7 +66,7 @@ let run g ~terminals =
           seeds.(u) <- true;
           seeds.(v) <- true)
         accepted;
-      let flood_edges, _ =
+      let flood_edges =
         Dsf_core.Select.token_flood ~env g ~parent:vor.Bellman_ford.parent
           ~seeds
       in

@@ -246,7 +246,7 @@ let run ?weight_of ?radius ?max_rounds ?(env = Sim.default_env) g ~sources =
   (* The input alone picks the leg: the packed port whenever its widths
      fit an immediate int, the classic protocol otherwise. *)
   let native = flat_protocol ?weight_of ?radius g ~sources in
-  let stats =
+  let rounds =
     Sim.span env "bellman_ford" @@ fun () ->
     match native with
     | Some fp ->
@@ -263,7 +263,7 @@ let run ?weight_of ?radius ?max_rounds ?(env = Sim.default_env) g ~sources =
         Array.iteri
           (fun v st -> fill ~d:st.fdist ~s:st.fsrc ~p:st.fparent ~h:st.fhops v)
           states;
-        stats
+        stats.Sim.rounds
     | None ->
         let states, stats =
           Fault.sim_run ?max_rounds ~env ~recovery:(Fault.immutable ()) g
@@ -273,8 +273,8 @@ let run ?weight_of ?radius ?max_rounds ?(env = Sim.default_env) g ~sources =
           (fun v (st : state) ->
             fill ~d:st.dist ~s:st.src ~p:st.parent ~h:st.hops v)
           states;
-        stats
+        stats.Sim.rounds
   in
-  { dist; src_of; parent; hops; rounds = stats.Sim.rounds }, stats
+  { dist; src_of; parent; hops; rounds }
 
 let sssp ?(env = Sim.default_env) g ~src = run ~env g ~sources:[ src, 0 ]

@@ -19,6 +19,8 @@ type result = {
       (** predecessor towards the source; [-1] at sources / unreached *)
   hops : int array;  (** tree depth in hops; [max_int] if unreached *)
   rounds : int;
+      (** rounds the run took to stabilise (the paper's [s] when run from
+          every node); the run's other costs are read from [env] *)
 }
 
 type state = {
@@ -67,7 +69,7 @@ val run :
   ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   sources:(int * int) list ->
-  result * Sim.stats
+  result
 (** [run g ~sources] with [sources = [(node, initial_dist); ...]].
     [weight_of eid] overrides the weight of edge [eid] (must be >= 0; zero
     weights model edges inside contracted moats).  [radius r] discards any
@@ -81,4 +83,4 @@ val sssp :
   ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   src:int ->
-  result * Sim.stats
+  result

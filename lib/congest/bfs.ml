@@ -107,15 +107,12 @@ let build ?(env = Sim.default_env) g ~root =
         parent.(v) <- p;
         depth.(v) <- d
   in
-  let stats =
-    Sim.span env "bfs" @@ fun () ->
-    let states, stats =
-      Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
-        (flat_protocol ~n ~root)
-    in
-    Array.iteri (fun v st -> fill v (flat_state_parent_depth ~n st)) states;
-    stats
-  in
-  tree_of_parent_depth ~root ~parent ~depth, stats
+  Sim.span env "bfs" (fun () ->
+      let states, _ =
+        Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
+          (flat_protocol ~n ~root)
+      in
+      Array.iteri (fun v st -> fill v (flat_state_parent_depth ~n st)) states);
+  tree_of_parent_depth ~root ~parent ~depth
 
 let max_id_root g = Graph.n g - 1

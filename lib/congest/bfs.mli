@@ -30,7 +30,7 @@ val flat_state_parent_depth : n:int -> int -> (int * int) option
     the node was never reached.  [n] is the node count of the graph the
     state came from. *)
 
-val build : ?env:Sim.env -> Dsf_graph.Graph.t -> root:int -> tree * Sim.stats
+val build : ?env:Sim.env -> Dsf_graph.Graph.t -> root:int -> tree
 (** Raises [Invalid_argument] if the graph is disconnected.  Runs
     {!flat_protocol} through {!Fault.sim_run} under a ["bfs"] span (see
     {!Sim} for the run environment). *)

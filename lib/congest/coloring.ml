@@ -121,8 +121,8 @@ let three_color ?(env = Sim.default_env) g ~parent =
       wake = None;
     }
   in
-  let states, stats = Sim.run ~env g proto in
-  Array.map (fun st -> st.color) states, stats
+  let states, _ = Sim.run ~env g proto in
+  Array.map (fun st -> st.color) states
 
 type match_state = {
   m_color : int;
@@ -137,7 +137,7 @@ type match_msg = Propose | Accept
    accepts its smallest proposer.  Accept confirmations are processed
    before the next class proposes, so the matching stays consistent. *)
 let maximal_matching ?(env = Sim.default_env) g ~parent =
-  let colors, color_stats = three_color ~env g ~parent in
+  let colors = three_color ~env g ~parent in
   let proto : (match_state, match_msg) Sim.protocol =
     {
       init =
@@ -193,12 +193,5 @@ let maximal_matching ?(env = Sim.default_env) g ~parent =
       wake = None;
     }
   in
-  let states, stats = Sim.run ~env g proto in
-  let edges = Array.to_list states |> List.concat_map (fun st -> st.accepted) in
-  ( edges,
-    {
-      stats with
-      Sim.rounds = stats.Sim.rounds + color_stats.Sim.rounds;
-      messages = stats.Sim.messages + color_stats.Sim.messages;
-      total_bits = stats.Sim.total_bits + color_stats.Sim.total_bits;
-    } )
+  let states, _ = Sim.run ~env g proto in
+  Array.to_list states |> List.concat_map (fun st -> st.accepted)

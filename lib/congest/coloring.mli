@@ -14,7 +14,7 @@
     environment [?env] (see {!Sim}). *)
 
 val three_color :
-  ?env:Sim.env -> Dsf_graph.Graph.t -> parent:int array -> int array * Sim.stats
+  ?env:Sim.env -> Dsf_graph.Graph.t -> parent:int array -> int array
 (** [three_color g ~parent] 3-colors the rooted forest given by [parent]
     ([-1] marks roots; every (v, parent v) pair must be an edge of [g]).
     Returns colors in {0, 1, 2} with adjacent tree nodes colored
@@ -24,8 +24,9 @@ val maximal_matching :
   ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   parent:int array ->
-  (int * int) list * Sim.stats
+  (int * int) list
 (** A maximal matching of the rooted forest's (child, parent) edges: built
     from the 3-coloring by letting each color class propose in turn.
     Returns matched (child, parent) pairs; no node appears twice, and no
-    tree edge has both endpoints unmatched. *)
+    tree edge has both endpoints unmatched.  Runs {!three_color}, then the
+    proposal protocol, on [env]. *)

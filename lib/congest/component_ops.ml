@@ -34,22 +34,17 @@ let gossip_extremum ?(env = Sim.default_env) g ~mask ~values ~better ~bits =
       wake = Some Sim.never;
     }
   in
-  let states, stats =
+  let states, _ =
     Sim.span env "gossip_extremum" (fun () -> Sim.run ~env g proto)
   in
-  Array.map (fun st -> st.best) states, stats
+  Array.map (fun st -> st.best) states
 
 let leaders ?(env = Sim.default_env) g ~mask =
-  let results, stats =
-    gossip_extremum ~env g ~mask
-      ~values:(fun v -> Some v)
-      ~better:(fun a b -> a > b)
-      ~bits:(fun _ -> Dsf_util.Bitsize.id_bits ~n:(Graph.n g))
-  in
-  ( Array.mapi
-      (fun v best -> match best with Some l -> l | None -> v)
-      results,
-    stats )
+  gossip_extremum ~env g ~mask
+    ~values:(fun v -> Some v)
+    ~better:(fun a b -> a > b)
+    ~bits:(fun _ -> Dsf_util.Bitsize.id_bits ~n:(Graph.n g))
+  |> Array.mapi (fun v best -> match best with Some l -> l | None -> v)
 
 let component_min_item ?(env = Sim.default_env) g ~mask ~values ~cmp ~bits =
   gossip_extremum ~env g ~mask ~values

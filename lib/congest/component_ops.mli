@@ -14,7 +14,7 @@ val gossip_extremum :
   values:(int -> 'a option) ->
   better:('a -> 'a -> bool) ->
   bits:('a -> int) ->
-  'a option array * Sim.stats
+  'a option array
 (** [gossip_extremum g ~mask ~values ~better ~bits] returns, for every
     node, the extremum (w.r.t. [better x y] = "x beats y") of [values]
     over its mask-component ([None] if no member has a value). *)
@@ -23,7 +23,7 @@ val leaders :
   ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   mask:bool array ->
-  int array * Sim.stats
+  int array
 (** Per-node maximum node id in its mask-component — the moat/cluster
     leader convention of the paper's appendix. *)
 
@@ -34,5 +34,5 @@ val component_min_item :
   values:(int -> 'a option) ->
   cmp:('a -> 'a -> int) ->
   bits:('a -> int) ->
-  'a option array * Sim.stats
+  'a option array
 (** Convenience wrapper of {!gossip_extremum} for a total order. *)

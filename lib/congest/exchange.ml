@@ -19,6 +19,6 @@ let flat_protocol ~payload_bits : (int, int) Sim.flat_protocol =
 
 let all_neighbors ?(env = Sim.default_env) g ~payload_bits =
   Sim.span env "neighbor_exchange" @@ fun () ->
-  snd
+  ignore
     (Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
        (flat_protocol ~payload_bits))

@@ -15,7 +15,7 @@ val all_neighbors :
   ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   payload_bits:int ->
-  Sim.stats
+  unit
 (** Simulates the exchange; [payload_bits] is the per-message size (for a
     region announcement: owner id + offset + activity bit).  Runs
     {!flat_protocol} through {!Fault.sim_run} under a

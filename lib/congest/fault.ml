@@ -188,7 +188,7 @@ let recovery_of states =
    image) and its stable-storage footprint in bits (accounting only). *)
 type 's recoverable = { snapshot : 's -> 's; state_bits : 's -> int }
 
-let immutable ?(state_bits = fun _ -> 63) () = { snapshot = Fun.id; state_bits }
+let immutable () = { snapshot = Fun.id; state_bits = (fun _ -> 63) }
 
 (* A faithful deep copy of the link-layer state.  [links] and [idx] are
    write-once at init, so sharing them is safe; the queues hold immutable

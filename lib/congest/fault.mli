@@ -127,9 +127,11 @@ type 's recoverable = {
 (** The crash-recovery contract of a protocol: what a hardened run needs
     to checkpoint it. *)
 
-val immutable : ?state_bits:('s -> int) -> unit -> 's recoverable
+val immutable : unit -> 's recoverable
 (** The contract for protocols whose per-node state is an immutable value:
-    [snapshot] is [Fun.id]; [state_bits] defaults to one word (63). *)
+    [snapshot] is [Fun.id] and [state_bits] one word (63).  Override a
+    field by record update, e.g. a copying [snapshot] for a mutable
+    state. *)
 
 (** {2 Chaos runs: hardened drop-in for [Sim.run_flat]} *)
 

@@ -3,8 +3,6 @@ module Bitsize = Dsf_util.Bitsize
 
 type result = {
   leader : int;
-  rounds : int;
-  messages : int;
   agreed : bool;
 }
 
@@ -33,7 +31,7 @@ let protocol g : (state, int) Sim.protocol =
   }
 
 let elect ?(env = Sim.default_env) g =
-  let states, stats =
+  let states, _ =
     Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
       (Sim.flat_of_protocol (protocol g))
   in
@@ -50,4 +48,4 @@ let elect ?(env = Sim.default_env) g =
   let leader = Array.fold_left (fun acc st -> Int.max acc st.best) min_int states in
   let agreed = Array.for_all (fun st -> st.best = leader) states in
   (match env.Sim.network with Sim.Faults _ -> () | _ -> assert agreed);
-  { leader; rounds = stats.Sim.rounds; messages = stats.Sim.messages; agreed }
+  { leader; agreed }

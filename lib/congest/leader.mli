@@ -6,8 +6,6 @@
 
 type result = {
   leader : int;
-  rounds : int;
-  messages : int;
   agreed : bool;
       (** every node ended on [leader].  Always [true] without faults
           (asserted).  Under crash-and-restart plans the raw protocol does

@@ -2,12 +2,12 @@ module Graph = Dsf_graph.Graph
 
 let count_nodes ?(env = Sim.default_env) g =
   let root = Bfs.max_id_root g in
-  let tree, _ = Bfs.build ~env g ~root in
-  fst (Tree_ops.count_nodes ~env g ~tree)
+  let tree = Bfs.build ~env g ~root in
+  Tree_ops.count_nodes ~env g ~tree
 
 let diameter_upper_bound ?(env = Sim.default_env) g =
   let root = Bfs.max_id_root g in
-  let tree, _ = Bfs.build ~env g ~root in
+  let tree = Bfs.build ~env g ~root in
   2 * tree.Bfs.height
 
 let estimate_s ?(env = Sim.default_env) ~cap g =
@@ -17,7 +17,7 @@ let estimate_s ?(env = Sim.default_env) ~cap g =
   match
     Bellman_ford.run ~max_rounds:(cap + 1) ~env g ~sources:[ root, 0 ]
   with
-  | res, _ -> `Stabilized res.Bellman_ford.rounds
+  | res -> `Stabilized res.Bellman_ford.rounds
   | exception Sim.Round_limit _ -> `Exceeded
 
 let isqrt = Dsf_util.Intmath.isqrt

@@ -225,8 +225,8 @@ let filtered_upcast ?(env = Sim.default_env) ?stop_at_root g
         (fun st -> 63 * (2 + vn + st.p_queued + List.length st.p_own));
     }
   in
-  let states, stats =
+  let states, _ =
     Fault.sim_run ?halt ~env ~recovery g
       (filtered_upcast_flat ~tree ~vn ~pre ~items ~icmp ~bits)
   in
-  List.rev states.(tree.root).p_acc, stats
+  List.rev states.(tree.root).p_acc

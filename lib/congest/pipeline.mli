@@ -27,7 +27,7 @@ val filtered_upcast :
   items:(int -> 'k item list) ->
   cmp:('k -> 'k -> int) ->
   bits:('k item -> int) ->
-  'k item list * Sim.stats
+  'k item list
 (** Returns the root's accepted items in ascending order.  [pre] lists
     virtual-endpoint pairs already connected (the components of F'_c in
     Lemma 4.14); items closing cycles with [pre] are filtered everywhere.

@@ -71,7 +71,7 @@ let meta_add t key v =
       (Printf.sprintf "Recorder.meta_add: negative value %d for %S" v key);
   t.meta <- t.meta @ [ (key, v) ]
 
-let create ?now ?(meta = []) () =
+let create ?now () =
   let now = match now with Some s -> s | None -> now_unix_s () in
   let t =
     {
@@ -83,7 +83,6 @@ let create ?now ?(meta = []) () =
     }
   in
   meta_add t "captured_unix_s" (Int.max 0 now);
-  List.iter (fun (k, v) -> meta_add t k v) meta;
   t
 
 (* ------------------------------------------------------ event appenders *)

@@ -64,11 +64,11 @@ type buf
     {!Sim.postmortem_window}, so the same buffers also hold the sends a
     {!Sim.Round_limit} post-mortem reports. *)
 
-val create : ?now:int -> ?meta:(string * int) list -> unit -> t
+val create : ?now:int -> unit -> t
 (** Fresh recorder.  [now] is the capture timestamp in Unix seconds
     (default: read from the wall clock — the one sanctioned read in this
-    module); it lands in the metadata as ["captured_unix_s"].  [meta]
-    seeds further metadata entries (values must be non-negative). *)
+    module); it lands in the metadata as ["captured_unix_s"], the first
+    entry.  Add further entries with {!meta_add}. *)
 
 val meta_add : t -> string -> int -> unit
 (** Append a metadata entry (e.g. instance parameters [n], [D], [s],

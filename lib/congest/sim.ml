@@ -82,6 +82,27 @@ let charge env label rounds =
   Option.iter (fun l -> Ledger.charge l label rounds) env.ledger;
   Option.iter (fun t -> Telemetry.charge t rounds) env.telemetry
 
+let measure ?(env = default_env) f =
+  let tel =
+    Telemetry.create
+      ~clock:(fun () -> 0L)
+      ?recorder:(Option.bind env.telemetry Telemetry.recorder)
+      ()
+  in
+  let result = f { env with telemetry = Some tel } in
+  let s = Telemetry.inclusive (Telemetry.root tel) in
+  ( result,
+    {
+      rounds = s.rounds;
+      messages = s.messages;
+      total_bits = s.bits;
+      max_edge_round_bits = s.max_edge_round_bits;
+      budget_violations = s.budget_violations;
+      dropped = s.dropped;
+      duplicated = s.duplicated;
+      retransmissions = s.retransmissions;
+    } )
+
 (* Per-node map from neighbor id to the *directed edge slot* of the edge
    towards that neighbor: edge [eid] sent from its stored [u] endpoint
    occupies slot [2*eid], from its [v] endpoint slot [2*eid + 1].  Built once

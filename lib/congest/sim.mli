@@ -48,9 +48,13 @@
     Composition convention: the paper's algorithms are towers of subroutines,
     each with its own round bound (Bellman-Ford phases, pipelined upcasts,
     BFS-tree broadcasts).  We simulate each subroutine for real, and the
-    engine counts the rounds: every run adds its executed rounds to the
-    {!Ledger} carried in its {!env}, so an algorithm's simulated total is
-    exactly the rounds its runs took.  Steps the paper itself performs as
+    engine counts the cost: every run adds its executed rounds to the
+    {!Ledger} carried in its {!env}, and its full {!stats} to the env's
+    telemetry, so an algorithm's simulated total is exactly the rounds
+    its runs took.  The runners here and {!Fault.sim_run} are the only
+    functions that return a run's {!stats}; a primitive built on them
+    returns only its result, and its cost is read from the env (or, for
+    one call, through {!measure}).  Steps the paper itself performs as
     "locally compute from globally known data" cost zero rounds, and the
     few steps the paper delegates to a cited black box are charged their
     stated bound as a named ledger entry ({!charge}; see DESIGN.md). *)
@@ -179,7 +183,9 @@ val never : view -> round:int -> 's -> bool
     {!Bellman_ford.run}, ...) — takes one optional [?env] (default
     {!default_env}) and hands it unchanged to every run it makes.  The
     environment says how a run is instrumented and what network it runs
-    on; it never changes what a lossless run computes.
+    on; it never changes what a lossless run computes.  It is also where
+    a run's cost goes: the primitives return no stats, so the ledger
+    and the telemetry are the one cost channel.
 
     - [telemetry] attributes each run's final stats to the innermost
       open {!Telemetry} span (also on a {!Round_limit} abort), streams
@@ -266,6 +272,16 @@ val charge : env -> string -> int -> unit
     [env.ledger] ({!Ledger.charge}) and credits it to the innermost open
     span of [env.telemetry] ({!Telemetry.charge}).  Each does nothing when
     absent. *)
+
+val measure : ?env:env -> (env -> 'a) -> 'a * stats
+(** [measure ~env f] runs [f] on [env] with a fresh constant-clock
+    telemetry in place of [env.telemetry] (it carries [env]'s flight
+    recorder, if any; network, ledger and sanitizer are kept) and
+    returns [f]'s result with the summed stats of every run [f] made:
+    rounds, messages, bits, drops and retransmissions add up, and
+    [max_edge_round_bits] is the maximum over the runs.  This is how
+    tests and benchmarks read the cost of a primitive, which returns
+    only its result. *)
 
 (** {2 The flat-core engine}
 

@@ -251,45 +251,25 @@ let merge_into ~dst child =
 
 (* -------------------------------------------------------------- sinks *)
 
-(* Inclusive rollup for the console tree: self plus all descendants. *)
-type incl = {
-  i_rounds : int;
-  i_messages : int;
-  i_bits : int;
-  i_merb : int;
-  i_viol : int;
-  i_dropped : int;
-  i_dup : int;
-  i_retrans : int;
-  i_lchg : int;
-}
-
+(* Inclusive rollup: self plus all descendants, as a childless span. *)
 let rec inclusive s =
   List.fold_left
     (fun acc c ->
       let ci = inclusive c in
       {
-        i_rounds = acc.i_rounds + ci.i_rounds;
-        i_messages = acc.i_messages + ci.i_messages;
-        i_bits = acc.i_bits + ci.i_bits;
-        i_merb = Int.max acc.i_merb ci.i_merb;
-        i_viol = acc.i_viol + ci.i_viol;
-        i_dropped = acc.i_dropped + ci.i_dropped;
-        i_dup = acc.i_dup + ci.i_dup;
-        i_retrans = acc.i_retrans + ci.i_retrans;
-        i_lchg = acc.i_lchg + ci.i_lchg;
+        acc with
+        rounds = acc.rounds + ci.rounds;
+        messages = acc.messages + ci.messages;
+        bits = acc.bits + ci.bits;
+        max_edge_round_bits =
+          Int.max acc.max_edge_round_bits ci.max_edge_round_bits;
+        budget_violations = acc.budget_violations + ci.budget_violations;
+        dropped = acc.dropped + ci.dropped;
+        duplicated = acc.duplicated + ci.duplicated;
+        retransmissions = acc.retransmissions + ci.retransmissions;
+        ledger_charged = acc.ledger_charged + ci.ledger_charged;
       })
-    {
-      i_rounds = s.rounds;
-      i_messages = s.messages;
-      i_bits = s.bits;
-      i_merb = s.max_edge_round_bits;
-      i_viol = s.budget_violations;
-      i_dropped = s.dropped;
-      i_dup = s.duplicated;
-      i_retrans = s.retransmissions;
-      i_lchg = s.ledger_charged;
-    }
+    { s with children = [] }
     s.children
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
@@ -302,13 +282,16 @@ let pp ppf t =
     Format.fprintf ppf "%s%-*s count=%-3d wall=%.3fms rounds=%d msgs=%d bits=%d"
       pad
       (Int.max 1 (36 - (2 * depth)))
-      s.name s.count (ms_of_ns s.wall_ns) i.i_rounds i.i_messages i.i_bits;
-    if i.i_merb > 0 then Format.fprintf ppf " merb=%d" i.i_merb;
-    if i.i_viol > 0 then Format.fprintf ppf " violations=%d" i.i_viol;
-    if i.i_lchg > 0 then Format.fprintf ppf " charged=%d" i.i_lchg;
-    if i.i_dropped > 0 || i.i_dup > 0 || i.i_retrans > 0 then
+      s.name s.count (ms_of_ns s.wall_ns) i.rounds i.messages i.bits;
+    if i.max_edge_round_bits > 0 then
+      Format.fprintf ppf " merb=%d" i.max_edge_round_bits;
+    if i.budget_violations > 0 then
+      Format.fprintf ppf " violations=%d" i.budget_violations;
+    if i.ledger_charged > 0 then
+      Format.fprintf ppf " charged=%d" i.ledger_charged;
+    if i.dropped > 0 || i.duplicated > 0 || i.retransmissions > 0 then
       Format.fprintf ppf " dropped=%d duplicated=%d retransmissions=%d"
-        i.i_dropped i.i_dup i.i_retrans;
+        i.dropped i.duplicated i.retransmissions;
     Format.fprintf ppf "@,";
     List.iter (go (depth + 1)) s.children
   in
@@ -429,6 +412,13 @@ let sink_format_of_string = function
       Error
         (Printf.sprintf
            "unknown trace format %S (expected console | jsonl | chrome)" other)
+
+let sink_format_for ?format path =
+  match format with
+  | Some f -> sink_format_of_string f
+  | None when Filename.check_suffix path ".json" -> Ok Chrome
+  | None when Filename.check_suffix path ".jsonl" -> Ok Jsonl
+  | None -> Ok Console
 
 let write_file t ~format path =
   let write oc =

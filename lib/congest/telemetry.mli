@@ -73,6 +73,10 @@ val span_opt : t option -> string -> (unit -> 'a) -> 'a
 val root : t -> span
 val root_spans : t -> span list
 
+val inclusive : span -> span
+(** The span's costs summed over its whole subtree (maximum for
+    [max_edge_round_bits]), as a childless copy. *)
+
 val find : t -> string list -> span option
 (** Look up a span by path from the root, e.g.
     [find t ["det_dsf"; "phase"; "region_bf"]]. *)
@@ -135,6 +139,13 @@ type sink_format = Console | Jsonl | Chrome
 
 val sink_format_of_string : string -> (sink_format, string) result
 (** Accepts ["console"], ["jsonl"], ["chrome"]. *)
+
+val sink_format_for : ?format:string -> string -> (sink_format, string) result
+(** The format of a trace written to a path: [format] (a
+    [--trace-format] value) through {!sink_format_of_string} when given,
+    else inferred from the path's extension: [.json] is Chrome,
+    [.jsonl] JSONL, anything else (stdout ["-"] included) the console
+    tree. *)
 
 val write_file : t -> format:sink_format -> string -> unit
 (** Write the chosen rendering to a file (["-"] = stdout). *)

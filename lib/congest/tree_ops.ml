@@ -48,7 +48,7 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
 
 let upcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
   Sim.span env "upcast" @@ fun () ->
-  let states, stats =
+  let states, _ =
     Fault.sim_run ~env
       ~recovery:
         {
@@ -58,7 +58,7 @@ let upcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
       g
       (upcast_flat ~tree ~items ~bits)
   in
-  List.rev states.(tree.root).u_recvd, stats
+  List.rev states.(tree.root).u_recvd
 
 (* Node state for {!upcast_dedup}: {!upcast}'s sized forward queue and
    root log, plus the seen-table of the items kept per key.  An item is
@@ -124,7 +124,7 @@ let upcast_dedup_flat ~per_key ~(tree : Bfs.tree) ~items ~key ~bits :
 let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
     ~items ~key ~bits =
   Sim.span env "upcast_dedup" @@ fun () ->
-  let states, stats =
+  let states, _ =
     Fault.sim_run ~env
       ~recovery:
         {
@@ -140,7 +140,7 @@ let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
       g
       (upcast_dedup_flat ~per_key ~tree ~items ~key ~bits)
   in
-  List.rev states.(tree.root).d_recvd, stats
+  List.rev states.(tree.root).d_recvd
 
 (* Sequential (non-pipelined) upcast: a best-case centralized schedule lets
    each item travel to the root alone; the next item departs only after the
@@ -203,10 +203,10 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
       wake = Some Sim.never;
     }
   in
-  let states, stats =
+  let states, _ =
     Sim.span env "upcast_sequential" (fun () -> Sim.run ~env g proto)
   in
-  List.rev states.(tree.root).s_received, stats
+  List.rev states.(tree.root).s_received
 
 (* Node state for {!broadcast}: the node's forward queue.  One item
    leaves the queue per round whether or not the node has children.
@@ -239,7 +239,7 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
 
 let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
   Sim.span env "broadcast" @@ fun () ->
-  snd
+  ignore
     (Fault.sim_run ~env
        ~recovery:{ (Fault.immutable ()) with snapshot = Queue.copy }
        g
@@ -301,7 +301,7 @@ let aggregate_flat ~(tree : Bfs.tree) ~value ~combine ~bits :
 let aggregate ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~value ~combine
     ~bits =
   Sim.span env "aggregate" @@ fun () ->
-  let states, stats =
+  let states, _ =
     Fault.sim_run ~env
       ~recovery:
         {
@@ -312,7 +312,7 @@ let aggregate ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~value ~combine
       g
       (aggregate_flat ~tree ~value ~combine ~bits)
   in
-  states.(tree.root).a_acc, stats
+  states.(tree.root).a_acc
 
 let count_nodes ?(env = Sim.default_env) g ~tree =
   aggregate ~env g ~tree

@@ -28,7 +28,7 @@ val upcast :
   tree:Bfs.tree ->
   items:(int -> 'a list) ->
   bits:('a -> int) ->
-  'a list * Sim.stats
+  'a list
 (** Collect all items at the root (no filtering, duplicates preserved).
     Returns the root's received list (own items first, then arrival order).
     Rounds ~ height + max path congestion.  [bits] is called once per
@@ -43,7 +43,7 @@ val upcast_dedup :
   items:(int -> 'a list) ->
   key:('a -> 'b) ->
   bits:('a -> int) ->
-  'a list * Sim.stats
+  'a list
 (** Like {!upcast}, but each node forwards at most [per_key] distinct items
     per key (default 1) — the "ignore further messages with this label"
     filtering of Lemmas 2.3/2.4 (which needs [per_key = 2]: a label is
@@ -57,7 +57,7 @@ val upcast_sequential :
   tree:Bfs.tree ->
   items:(int -> 'a list) ->
   bits:('a -> int) ->
-  'a list * Sim.stats
+  'a list
 (** The NON-pipelined strawman used by the A1 ablation: items travel to
     the root one at a time under a best-case centralized schedule — each
     item is fully delivered before the next departs, so rounds ~ sum of
@@ -70,13 +70,13 @@ val broadcast :
   tree:Bfs.tree ->
   items:'a list ->
   bits:('a -> int) ->
-  Sim.stats
+  unit
 (** Pipeline the root's item list down the tree: on a lossless network
     every non-root node receives the whole list, in order, from its tree
-    parent.  Callers keep the replicated list centrally, so only the cost
-    is returned.  Rounds ~ height + |items|.  [bits] is called once per
-    item, at the root; the size travels with the item, so [bits] must be
-    a function of the item alone. *)
+    parent.  Callers keep the replicated list centrally, so nothing is
+    returned; the run's cost lands in [env].  Rounds ~ height + |items|.
+    [bits] is called once per item, at the root; the size travels with
+    the item, so [bits] must be a function of the item alone. *)
 
 val aggregate :
   ?env:Sim.env ->
@@ -85,7 +85,7 @@ val aggregate :
   value:(int -> 'a) ->
   combine:('a -> 'a -> 'a) ->
   bits:('a -> int) ->
-  'a * Sim.stats
+  'a
 (** Bottom-up reduction with an associative, commutative [combine]; the
     result over all nodes lands at the root.  Rounds ~ height. *)
 
@@ -93,6 +93,6 @@ val count_nodes :
   ?env:Sim.env ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
-  int * Sim.stats
+  int
 (** Convergecast count of all nodes ([n] as computed in the paper's
     footnote 2). *)

@@ -69,7 +69,7 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
     let tree =
       tspan "setup" (fun () ->
           let root = Bfs.max_id_root g in
-          let tree, _ = Bfs.build ~env g ~root in
+          let tree = Bfs.build ~env g ~root in
           let term_items v =
             if inst.Instance.labels.(v) >= 0 then
               [ v, inst.Instance.labels.(v) ]
@@ -79,13 +79,12 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
             let b = 2 * Bitsize.id_bits ~n in
             fun (_, _) -> b
           in
-          let collected, _ =
+          let collected =
             Tree_ops.upcast ~env g ~tree
               ~items:term_items ~bits:pair_bits
           in
-          ignore
-            (Tree_ops.broadcast ~env g
-               ~tree ~items:collected ~bits:pair_bits);
+          Tree_ops.broadcast ~env g
+            ~tree ~items:collected ~bits:pair_bits;
           tree)
     in
     (* ---- Per-node region state. ---- *)
@@ -108,9 +107,8 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
         let towner = Region_bf.owner_at reg ph in
         let toffset = Region_bf.offset_at reg ph in
         (* b. Candidate merges at region boundaries (Definition 4.11). *)
-        ignore
-          (Dsf_congest.Exchange.all_neighbors ~env g
-             ~payload_bits:((2 * Bitsize.id_bits ~n) + 2));
+        Dsf_congest.Exchange.all_neighbors ~env g
+          ~payload_bits:((2 * Bitsize.id_bits ~n) + 2);
         let items u =
           if not ph.Region_bf.growing.(u) then []
           else begin
@@ -154,14 +152,13 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
             !stop_found
           end
         in
-        let accepted, _ =
+        let accepted =
           Pipeline.filtered_upcast ~env ~stop_at_root g ~tree ~vn:t ~pre
             ~items ~cmp:ckey_cmp
             ~bits:key_bits
         in
-        ignore
-          (Tree_ops.broadcast ~env g ~tree
-             ~items:[ () ] ~bits:(fun () -> 1));
+        Tree_ops.broadcast ~env g ~tree
+          ~items:[ () ] ~bits:(fun () -> 1);
         (* Truncate at the first activity-changing merge. *)
         let phase_merges =
           let rec take acc probe = function
@@ -179,9 +176,8 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
                  disconnected component)"
         in
         (* d. Broadcast the phase's merges; everyone updates locally. *)
-        ignore
-          (Tree_ops.broadcast ~env g ~tree
-             ~items:phase_merges ~bits:key_bits);
+        Tree_ops.broadcast ~env g ~tree
+          ~items:phase_merges ~bits:key_bits;
         let mu_phase = (List.nth phase_merges (List.length phase_merges - 1)).Pipeline.key.mu in
         let mu_prev = ref Frac.zero in
         List.iter
@@ -208,7 +204,7 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
     (* ---- Final selection: minimal candidate subforest + token flood. ---- *)
     let solution =
       tspan "final" (fun () ->
-          let solution, _ =
+          let solution =
             Select.merge_paths ~env g ~labels:ms.C.init_label
               ~parent:reg.Region_bf.parents
               (List.rev_map (fun (pair, key) -> pair, key.eid) !accepted_all)

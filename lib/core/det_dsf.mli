@@ -57,8 +57,8 @@ val run :
     Every simulated subroutine runs on the flat-core engine — native
     ports where they exist (BFS, Bellman-Ford decomposition, boundary
     exchange, filtered upcast, tree ops, token flood), the adapter
-    elsewhere — on the calling domain; the result, ledger, stats, and
-    flight logs are bit-identical to
+    elsewhere — on the calling domain; the result, ledger, telemetry
+    costs and flight logs are bit-identical to
     {!Dsf_congest.Sim.run_reference} (differential suite enforced).
 
     [flat] and [jobs] are deprecated no-ops, accepted and ignored so

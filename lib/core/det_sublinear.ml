@@ -91,7 +91,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
       ignore (Dsf_congest.Params.count_nodes ~env g);
       ignore (Dsf_congest.Params.estimate_s ~env ~cap:(n + 1) g);
       let root = Bfs.max_id_root g in
-      fst (Bfs.build ~env g_scaled ~root)
+      Bfs.build ~env g_scaled ~root
     in
     (* Per-node region state on the scaled graph. *)
     let reg = Region_bf.regions ms in
@@ -162,9 +162,8 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         incr merge_phase_count;
         let j = !merge_phase_count in
         let ph = Region_bf.decompose ~env g_scaled reg ms in
-        ignore
-          (Dsf_congest.Exchange.all_neighbors ~env g_scaled
-             ~payload_bits:((2 * Bitsize.id_bits ~n) + 2));
+        Dsf_congest.Exchange.all_neighbors ~env g_scaled
+          ~payload_bits:((2 * Bitsize.id_bits ~n) + 2);
         let towner = Region_bf.owner_at reg ph in
         let toffset = Region_bf.offset_at reg ph in
         (* Local candidate generation: split by neighbor activity. *)
@@ -223,9 +222,8 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
              ~value:(fun _ -> 1)
              ~combine:Int.min
              ~bits:(fun _ -> 4 * Bitsize.id_bits ~n));
-        ignore
-          (Tree_ops.broadcast ~env g_scaled ~tree ~items:[ () ]
-             ~bits:(fun () -> 1));
+        Tree_ops.broadcast ~env g_scaled ~tree ~items:[ () ]
+          ~bits:(fun () -> 1);
         let remaining = Frac.sub (Frac.of_int !mu_hat) !total_growth in
         let threshold_hit =
           match !min_ai with
@@ -304,7 +302,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
               end)
             None store.(u)
         in
-        let gossip, _ =
+        let gossip =
           Dsf_congest.Component_ops.component_min_item ~env g_scaled
             ~mask:(moat_mask ()) ~values:node_min
             ~cmp:(fun a b -> ckey_cmp a.Pipeline.key b.Pipeline.key)
@@ -393,13 +391,12 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
               not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b))
             store.(u)
         in
-        let selected, _ =
+        let selected =
           Pipeline.filtered_upcast ~env g_scaled ~tree ~vn:t
             ~pre:(pre_pairs ()) ~items ~cmp:ckey_cmp ~bits:key_bits
         in
-        ignore
-          (Tree_ops.broadcast ~env g_scaled ~tree ~items:selected
-             ~bits:key_bits);
+        Tree_ops.broadcast ~env g_scaled ~tree ~items:selected
+          ~bits:key_bits;
         List.iter
           (fun (it : ckey Pipeline.item) ->
             if not (Uf.same ms.C.moats it.Pipeline.a it.Pipeline.b) then
@@ -426,7 +423,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         let ti = ms.C.tindex.(v) in
         if ti >= 0 then [ C.label ms ti, moat_leader ti ] else []
       in
-      let witnesses, _ =
+      let witnesses =
         Tree_ops.upcast_dedup ~env ~per_key:2 g_scaled ~tree
           ~items:witness_items ~key:fst
           ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
@@ -444,10 +441,9 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
             if List.length leaders >= 2 then cls :: acc else acc)
           leaders_of []
       in
-      ignore
-        (Tree_ops.broadcast ~env g_scaled ~tree
-           ~items:unsatisfied
-           ~bits:(fun _ -> Bitsize.id_bits ~n));
+      Tree_ops.broadcast ~env g_scaled ~tree
+        ~items:unsatisfied
+        ~bits:(fun _ -> Bitsize.id_bits ~n);
       (* Everyone updates locally: a moat is active iff its class is
          unsatisfied.  Cross-check against the definitional rule (a moat is
          active iff it is not alone with its class). *)
@@ -463,7 +459,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
     (* ---- Final selection and pruning (Appendix F.3). ---- *)
     let solution =
       tspan "final" @@ fun () ->
-      let solution, _ =
+      let solution =
         Select.merge_paths ~env g ~labels:ms.C.init_label ~parent
           (List.rev_map (fun (pair, (key : ckey)) -> pair, key.eid) !accepted)
       in

@@ -62,7 +62,7 @@ let mark_phase ~env g ~parent ~labels =
       wake = None;
     }
   in
-  Sim.run ~env g proto
+  fst (Sim.run ~env g proto)
 
 (* -------------------------------------------------------- unmark phase *)
 
@@ -151,7 +151,7 @@ let unmark_phase ~env g ~parent ~labels ~mark_states =
       wake = None;
     }
   in
-  Sim.run ~env g proto
+  fst (Sim.run ~env g proto)
 
 let run ?(env = Sim.default_env) g ~parent ~labels =
   Array.iteri
@@ -159,8 +159,8 @@ let run ?(env = Sim.default_env) g ~parent ~labels =
       if p >= 0 && Graph.find_edge g v p = None then
         invalid_arg "F6_protocol.run: parent not adjacent")
     parent;
-  let mark_states, s1 = mark_phase ~env g ~parent ~labels in
-  let unmark_states, s2 = unmark_phase ~env g ~parent ~labels ~mark_states in
+  let mark_states = mark_phase ~env g ~parent ~labels in
+  let unmark_states = unmark_phase ~env g ~parent ~labels ~mark_states in
   let kept = Array.make (Graph.m g) false in
   Array.iteri
     (fun v (st : unmark_state) ->
@@ -170,10 +170,4 @@ let run ?(env = Sim.default_env) g ~parent ~labels =
         | None -> ()
       end)
     unmark_states;
-  ( kept,
-    {
-      s1 with
-      Sim.rounds = s1.Sim.rounds + s2.Sim.rounds;
-      messages = s1.Sim.messages + s2.Sim.messages;
-      total_bits = s1.Sim.total_bits + s2.Sim.total_bits;
-    } )
+  kept

@@ -19,8 +19,8 @@ val run :
   Dsf_graph.Graph.t ->
   parent:int array ->
   labels:(int -> int list) ->
-  bool array * Dsf_congest.Sim.stats
+  bool array
 (** Returns the kept-edge bit set (indexed by edge id; only tree edges can
-    be set) and the combined statistics of the two phases.  Every
-    [(v, parent.(v))] pair must be an edge of the graph.  Both phases run
-    under [env] (see {!Dsf_congest.Sim}). *)
+    be set).  Every [(v, parent.(v))] pair must be an edge of the graph.
+    Both phases run under [env] (see {!Dsf_congest.Sim}), which counts
+    their cost. *)

@@ -28,7 +28,7 @@ let route_component ~env g vt ~label ~terminals =
             [ label, vt.Virtual_tree.ancestors.(v).(i) ])
         !holders;
       let origins v = Option.value ~default:[] (Hashtbl.find_opt origin_set v) in
-      let rstates, _ = LR.route_phase ~env g vt ~origins in
+      let rstates = LR.route_phase ~env g vt ~origins in
       Array.iter
         (fun st -> List.iter (fun eid -> f.(eid) <- true) st.LR.marked)
         rstates;

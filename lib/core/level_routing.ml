@@ -76,7 +76,7 @@ let route_phase ?(env = Sim.default_env) g vt ~origins =
       wake = Some Sim.never;
     }
   in
-  Sim.run ~env g proto
+  fst (Sim.run ~env g proto)
 
 (* ----------------------------------------------------------------------- *)
 (* Step 3d: targets send their collected labels back along the recorded     *)
@@ -124,6 +124,6 @@ let backtrace_phase ?(env = Sim.default_env) g ~tables ~bundles =
       wake = Some Sim.never;
     }
   in
-  Sim.run ~env g proto
+  fst (Sim.run ~env g proto)
 
 (* ----------------------------------------------------------------------- *)

@@ -22,7 +22,7 @@ val route_phase :
   Dsf_graph.Graph.t ->
   Dsf_embed.Virtual_tree.t ->
   origins:(int -> (int * int) list) ->
-  route_state array * Dsf_congest.Sim.stats
+  route_state array
 (** [origins v] is the initial (label, target) list of node [v] (step 3b). *)
 
 type back_msg = { route : int * int; payload : int }
@@ -38,6 +38,6 @@ val backtrace_phase :
   Dsf_graph.Graph.t ->
   tables:(int -> (int * int, int) Hashtbl.t) ->
   bundles:(int -> back_msg list) ->
-  back_state array * Dsf_congest.Sim.stats
+  back_state array
 (** [tables] are the per-node [known] tables from the route phase;
     [bundles v] the back messages node [v] initiates. *)

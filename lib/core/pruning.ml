@@ -292,8 +292,8 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
   if not (Instance.is_forest g f) then invalid_arg "Pruning.run: not a forest";
   if not (Instance.is_feasible inst f) then invalid_arg "Pruning.run: infeasible";
   (* Step 1: BFS tree + make the label set global. *)
-  let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
-  let label_witnesses, _ =
+  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let label_witnesses =
     Tree_ops.upcast_dedup ~env g ~tree
       ~items:(fun v ->
         if inst.Instance.labels.(v) >= 0 then [ inst.Instance.labels.(v) ]
@@ -301,9 +301,8 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
       ~key:Fun.id
       ~bits:(fun _ -> Bitsize.id_bits ~n)
   in
-  ignore
-    (Tree_ops.broadcast ~env g ~tree ~items:label_witnesses
-       ~bits:(fun _ -> Bitsize.id_bits ~n));
+  Tree_ops.broadcast ~env g ~tree ~items:label_witnesses
+    ~bits:(fun _ -> Bitsize.id_bits ~n);
   (* Step 3: clusters (Lemma F.7). *)
   let cuf, iterations = grow_clusters ~env g f sigma in
   Sim.charge env
@@ -353,9 +352,8 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
   let fc_pairs =
     List.map (fun (e : Graph.edge) -> Uf.find cuf e.u, Uf.find cuf e.v) fc_edges
   in
-  ignore
-    (Tree_ops.broadcast ~env g ~tree ~items:fc_pairs
-       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n));
+  Tree_ops.broadcast ~env g ~tree ~items:fc_pairs
+    ~bits:(fun _ -> 2 * Bitsize.id_bits ~n);
   (* Steps 5-6: the label flood (Lemma F.8), genuinely simulated. *)
   let initial v =
     if inst.Instance.labels.(v) >= 0 then
@@ -366,9 +364,8 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
   let root_facts = states.(tree.Bfs.root).mine in
   (* Step 7: broadcast the root's state-changing log (same encoding). *)
   let root_log = List.rev states.(tree.Bfs.root).log in
-  ignore
-    (Tree_ops.broadcast ~env g ~tree ~items:root_log
-       ~bits:(fun _ -> 2 * Bitsize.id_bits ~n));
+  Tree_ops.broadcast ~env g ~tree ~items:root_log
+    ~bits:(fun _ -> 2 * Bitsize.id_bits ~n);
   (* Step 8: inter-cluster edges with a nonempty label set. *)
   let pruned = Array.make m false in
   List.iter
@@ -464,7 +461,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
     List.map label_class (node_labels v)
     |> List.sort_uniq compare
   in
-  let f6_marked, _ =
+  let f6_marked =
     F6_protocol.run ~env g ~parent:cluster_parent ~labels:class_labels
   in
   let intra =

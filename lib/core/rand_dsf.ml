@@ -28,7 +28,7 @@ let first_stage ~env rng g inst ~truncate =
   let tspan name fn = Sim.span env name fn in
   let n = Graph.n g in
   let m = Graph.m g in
-  let tree, _ = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
   let truncate_at = if truncate then Some (isqrt n) else None in
   let vt =
     tspan "virtual_tree" (fun () ->
@@ -45,7 +45,7 @@ let first_stage ~env rng g inst ~truncate =
     (* (a) drop labels with a single holder: simulated two-witness
        convergecast + broadcast, as in Lemma 2.4. *)
     let witness_items v = List.map (fun l -> l, v) holders.(v) in
-    let witnesses, _ =
+    let witnesses =
       Tree_ops.upcast_dedup ~env ~per_key:2 g ~tree
         ~items:witness_items
         ~key:fst
@@ -58,9 +58,8 @@ let first_stage ~env rng g inst ~truncate =
           (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
       witnesses;
     let live = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
-    ignore
-      (Tree_ops.broadcast ~env g ~tree ~items:live
-         ~bits:(fun _ -> Bitsize.id_bits ~n));
+    Tree_ops.broadcast ~env g ~tree ~items:live
+      ~bits:(fun _ -> Bitsize.id_bits ~n);
     for v = 0 to n - 1 do
       holders.(v) <- List.filter (fun l -> List.mem l live) holders.(v)
     done;
@@ -69,7 +68,7 @@ let first_stage ~env rng g inst ~truncate =
       List.map (fun l -> l, vt.Virtual_tree.ancestors.(v).(i)) holders.(v)
     in
     (* (c) route labels to targets. *)
-    let rstates, _ =
+    let rstates =
       tspan "label_routing" (fun () -> LR.route_phase ~env g vt ~origins)
     in
     Array.iter
@@ -112,7 +111,7 @@ let first_stage ~env rng g inst ~truncate =
       else []
     in
     let tables v = rstates.(v).LR.known in
-    let bstates, _ =
+    let bstates =
       tspan "backtrace" (fun () ->
           LR.backtrace_phase ~env g ~tables ~bundles)
     in

@@ -39,7 +39,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
       in
       let big = cap + 1 in
       let weight_of eid = if f.(eid) then 1 else big in
-      let res, _ =
+      let res =
         tspan "t_v_assignment" (fun () ->
             Bellman_ford.run ~env g ~weight_of ~radius:cap
               ~sources:(List.map (fun v -> v, 0) s_set))
@@ -126,7 +126,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
         let label_index = Hashtbl.create 16 in
         List.iteri (fun i l -> Hashtbl.replace label_index l i) all_labels;
         tspan "label_helper" (fun () ->
-          let tree, _ =
+          let tree =
             Dsf_congest.Bfs.build ~env g
               ~root:(Dsf_congest.Bfs.max_id_root g)
           in
@@ -142,7 +142,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
               Some (Hashtbl.find label_index inst.Instance.labels.(v))
             else None
           in
-          let cell_min, _ =
+          let cell_min =
             Dsf_congest.Component_ops.component_min_item ~env g
               ~mask
               ~values
@@ -162,16 +162,15 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
             end
             else []
           in
-          let helper_forest, _ =
+          let helper_forest =
             Dsf_congest.Pipeline.filtered_upcast ~env g ~tree
               ~vn:(List.length all_labels) ~pre:[] ~items
               ~cmp:Dsf_util.Intmath.compare_pair
               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n)
           in
-          ignore
-            (Dsf_congest.Tree_ops.broadcast ~env g ~tree
-               ~items:helper_forest
-               ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n));
+          Dsf_congest.Tree_ops.broadcast ~env g ~tree
+            ~items:helper_forest
+            ~bits:(fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n);
           (* Consistency: the protocol's forest spans exactly the same
              label components as the definitional helper graph below. *)
           let proto_uf = Uf.create (List.length all_labels) in

@@ -108,7 +108,7 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
     }
   in
   Sim.span env "region_bf" @@ fun () ->
-  let states, stats =
+  let states, _ =
     Dsf_congest.Fault.sim_run ~env
       ~recovery:
         {
@@ -118,13 +118,12 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
         }
       g (flat_proto ())
   in
-  ( Array.map
-      (fun st ->
-        if st.fowner >= 0 then
-          { owner = st.fowner; offset = st.fdist; parent = st.fparent }
-        else { owner = -1; offset = unreached; parent = -1 })
-      states,
-    stats )
+  Array.map
+    (fun st ->
+      if st.fowner >= 0 then
+        { owner = st.fowner; offset = st.fdist; parent = st.fparent }
+      else { owner = -1; offset = unreached; parent = -1 })
+    states
 
 type regions = {
   owners : int array;
@@ -169,7 +168,7 @@ let decompose ~(env : Sim.env) g reg ms =
     if reg.covered.(u) && not frozen.(u) then
       sources := (u, reg.offsets.(u), reg.owners.(u)) :: !sources
   done;
-  let reached, _ = run ~env g ~sources:!sources ~frozen in
+  let reached = run ~env g ~sources:!sources ~frozen in
   let growing =
     Array.init n (fun u ->
         (not frozen.(u)) && owner_active reached.(u).owner)

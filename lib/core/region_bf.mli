@@ -24,7 +24,7 @@ val run :
   Dsf_graph.Graph.t ->
   sources:(int * Frac.t * int) list ->
   frozen:bool array ->
-  node_result array * Dsf_congest.Sim.stats
+  node_result array
 (** [run g ~sources ~frozen] with [sources = [(node, offset, owner); ...]].
     Frozen nodes keep [owner = -1] in the result (callers retain their old
     assignment).  Runs under a ["region_bf"] span.

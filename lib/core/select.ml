@@ -42,7 +42,7 @@ let flat_protocol g ~parent ~seeds :
 
 let token_flood ?(env = Sim.default_env) g ~parent ~seeds =
   Sim.span env "token_flood" @@ fun () ->
-  let states, stats =
+  let states, _ =
     Dsf_congest.Fault.sim_run ~env
       ~recovery:(Dsf_congest.Fault.immutable ()) g
       (flat_protocol g ~parent ~seeds)
@@ -56,7 +56,7 @@ let token_flood ?(env = Sim.default_env) g ~parent ~seeds =
         if e > 0 then (e - 1) :: acc else acc)
       [] states
   in
-  edges, stats
+  edges
 
 let merge_paths ~(env : Sim.env) g ~(labels : int array) ~parent merges =
   let t = Array.length labels in
@@ -88,6 +88,7 @@ let merge_paths ~(env : Sim.env) g ~(labels : int array) ~parent merges =
         seeds.(e.Graph.v) <- true
       end)
     merges;
-  let flood_edges, stats = token_flood ~env g ~parent ~seeds in
-  List.iter (fun eid -> solution.(eid) <- true) flood_edges;
-  solution, stats
+  List.iter
+    (fun eid -> solution.(eid) <- true)
+    (token_flood ~env g ~parent ~seeds);
+  solution

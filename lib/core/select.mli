@@ -13,8 +13,8 @@ val token_flood :
   Dsf_graph.Graph.t ->
   parent:int array ->
   seeds:bool array ->
-  int list * Dsf_congest.Sim.stats
-(** Returns the selected edge ids and the simulation stats.  [parent.(v)]
+  int list
+(** Returns the selected edge ids.  [parent.(v)]
     is the frozen region-tree parent (-1 at region roots); [seeds] marks
     the nodes that start with a token.  Runs under a ["token_flood"]
     span.
@@ -32,12 +32,11 @@ val merge_paths :
   labels:int array ->
   parent:int array ->
   ((int * int) * int) list ->
-  bool array * Dsf_congest.Sim.stats
+  bool array
 (** Final selection of the deterministic algorithms: keep the minimal
     merge subset F_min, then select the merge paths by {!token_flood}.
     [merges] are the accepted merges [((ti, tj), eid)] in acceptance
     order — terminal indices and the inducing edge; [labels] are the
     terminals' input labels, by terminal index.  F_min keeps each merge
     whose removal would disconnect two terminals of one label.  Returns the
-    inducing edges of F_min plus the flooded region-tree edges, and the
-    flood's stats. *)
+    inducing edges of F_min plus the flooded region-tree edges. *)

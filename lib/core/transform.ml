@@ -12,7 +12,7 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
   let g = cr.Instance.cr_graph in
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
-  let tree, _ = Bfs.build ~env g ~root in
+  let tree = Bfs.build ~env g ~root in
   let pair_bits = 2 * Bitsize.id_bits ~n in
   (* Convergecast the requests with forest filtering: a request that closes
      a cycle with already-known connectivity is redundant, so at most t - 1
@@ -25,15 +25,14 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
         else Some { Pipeline.key = (Int.min v w, Int.max v w); a = v; b = w })
       cr.Instance.requests.(v)
   in
-  let surviving, _ =
+  let surviving =
     Pipeline.filtered_upcast ~env g
       ~tree ~vn:n
       ~pre:[] ~items ~cmp:Dsf_util.Intmath.compare_pair
       ~bits:(fun _ -> pair_bits)
   in
   let pairs = List.map (fun it -> it.Pipeline.a, it.Pipeline.b) surviving in
-  ignore
-    (Tree_ops.broadcast ~env g ~tree ~items:pairs ~bits:(fun _ -> pair_bits));
+  Tree_ops.broadcast ~env g ~tree ~items:pairs ~bits:(fun _ -> pair_bits);
   (* Everyone now computes components of the request graph locally.  The
      label of a component is its smallest terminal id. *)
   let uf = Uf.create n in
@@ -65,7 +64,7 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
-  let tree, _ = Bfs.build ~env g ~root in
+  let tree = Bfs.build ~env g ~root in
   (* Each terminal reports (label, id); inner nodes forward at most two
      distinct witnesses per label (Lemma 2.4). *)
   let items v =
@@ -73,7 +72,7 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
     else []
   in
   let id_bits = Bitsize.id_bits ~n in
-  let witnesses, _ =
+  let witnesses =
     Tree_ops.upcast_dedup ~env ~per_key:2
       g ~tree
       ~items ~key:fst
@@ -85,8 +84,7 @@ let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
       Hashtbl.replace count l (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
     witnesses;
   let keep = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
-  ignore
-    (Tree_ops.broadcast ~env g ~tree ~items:keep ~bits:(fun _ -> id_bits));
+  Tree_ops.broadcast ~env g ~tree ~items:keep ~bits:(fun _ -> id_bits);
   let labels =
     Array.mapi
       (fun _ l -> if l >= 0 && List.mem l keep then l else -1)

@@ -12,7 +12,6 @@ type entry = {
 type t = {
   ranks : int array;
   lists : entry list array;
-  stats : Dsf_congest.Sim.stats;
 }
 
 (* Staircase insertion: keep (target, dist, rank) iff no kept entry has
@@ -136,12 +135,8 @@ let build ?(env = Sim.default_env) rng g =
       wake = None;
     }
   in
-  let states, stats = Sim.run ~env g proto in
-  {
-    ranks;
-    lists = Array.map (fun st -> st.list) states;
-    stats;
-  }
+  let states, _ = Sim.run ~env g proto in
+  { ranks; lists = Array.map (fun st -> st.list) states }
 
 let highest_within t v r =
   let rec last acc = function

@@ -28,7 +28,6 @@ type t = {
   ranks : int array;  (** rank per node: a permutation of 0..n-1 *)
   lists : entry list array;
       (** per node, ascending distance (and ascending rank) *)
-  stats : Dsf_congest.Sim.stats;
 }
 
 val build : ?env:Dsf_congest.Sim.env -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t

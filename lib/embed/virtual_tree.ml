@@ -36,7 +36,7 @@ let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at g =
                  compare le.Le_list.ranks.(b) le.Le_list.ranks.(a))
         in
         let s = List.filteri (fun i _ -> i < size) by_rank in
-        let res, _ =
+        let res =
           Dsf_congest.Bellman_ford.run ~env g
             ~sources:(List.map (fun v -> v, 0) s)
         in

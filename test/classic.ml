@@ -1,7 +1,9 @@
 (* The classic list protocols of the ported primitives, kept as the test
    oracle.  Each is the list-protocol original that the library's native
    flat port replaced, together with its result decoder and recovery
-   contract, behind the same entry point as the library's.  Every runner
+   contract, behind the same entry point as the library's, except that
+   it also returns the run's stats ([test_sim_equiv] reads the port's
+   through [Sim.measure]).  Every runner
    goes through [Fault.sim_run], so it runs lossless, under injected
    faults, and hardened under a [Chaos] network exactly as the library
    primitive does; [test_sim_equiv] checks each port against it on all

@@ -58,7 +58,8 @@ let test_mst_distributed_rounds () =
   (* Pipelining: rounds ~ D + n, not D * n. *)
   let g = Gen.random_connected (rng 4) ~n:60 ~extra_edges:80 ~max_w:25 in
   let res = Mst_distributed.run g in
-  Alcotest.(check bool) "round bound" true (res.Mst_distributed.rounds <= 4 * 60)
+  Alcotest.(check bool) "round bound" true
+    (Dsf_congest.Ledger.total res.Mst_distributed.ledger <= 4 * 60)
 
 let prop_mst_distributed =
   QCheck.Test.make ~name:"distributed MST = Kruskal" ~count:15

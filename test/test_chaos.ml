@@ -309,9 +309,9 @@ let test_exchange_chaos_still_stabilizes () =
      by the hardened path: under a full chaos plan every node still ends
      having sent, and the stats come back finite. *)
   let g = random_graph 777 in
-  let stats =
-    Exchange.all_neighbors ~env:(chaos_env (Fault.chaos_plan ~seed:9 g)) g
-      ~payload_bits:9
+  let (), stats =
+    Sim.measure ~env:(chaos_env (Fault.chaos_plan ~seed:9 g)) (fun env ->
+        Exchange.all_neighbors ~env g ~payload_bits:9)
   in
   Alcotest.(check bool) "positive traffic" true (stats.Sim.messages > 0)
 

@@ -113,9 +113,9 @@ let test_ledger () =
   let g = Gen.path 11 in
   let l = Ledger.create () in
   let env = { Sim.default_env with ledger = Some l } in
-  let _, s1 = Bfs.build ~env g ~root:0 in
+  let _, s1 = Sim.measure ~env (fun env -> Bfs.build ~env g ~root:0) in
   Sim.charge env "black box" 5;
-  let _, s2 = Bfs.build ~env g ~root:10 in
+  let _, s2 = Sim.measure ~env (fun env -> Bfs.build ~env g ~root:10) in
   check Alcotest.int "simulated" (s1.Sim.rounds + s2.Sim.rounds)
     (Ledger.simulated l);
   check Alcotest.int "charged" 5 (Ledger.charged l);
@@ -131,7 +131,7 @@ let test_ledger () =
 
 let test_bfs_tree_depths () =
   let g = Gen.grid ~rows:4 ~cols:4 in
-  let tree, _ = Bfs.build g ~root:0 in
+  let tree = Bfs.build g ~root:0 in
   let dist, _ = Paths.bfs g ~src:0 in
   check Alcotest.(array int) "depths = BFS distances" dist tree.Bfs.depth;
   check Alcotest.int "height = ecc(root)" (Paths.eccentricity_unweighted g 0)
@@ -139,7 +139,7 @@ let test_bfs_tree_depths () =
 
 let test_bfs_tree_parents_consistent () =
   let g = Gen.random_connected (rng 1) ~n:40 ~extra_edges:40 ~max_w:5 in
-  let tree, _ = Bfs.build g ~root:7 in
+  let tree = Bfs.build g ~root:7 in
   Array.iteri
     (fun v p ->
       if v <> 7 then begin
@@ -152,18 +152,18 @@ let test_bfs_tree_parents_consistent () =
 
 let test_bfs_rounds_close_to_depth () =
   let g = Gen.path 20 in
-  let tree, stats = Bfs.build g ~root:0 in
+  let tree, stats = Sim.measure (fun env -> Bfs.build ~env g ~root:0) in
   Alcotest.(check bool) "rounds within constant of height" true
     (stats.Sim.rounds <= tree.Bfs.height + 3)
 
 (* -------------------------------------------------------------- Tree_ops *)
 
-let tree_of g root = fst (Bfs.build g ~root)
+let tree_of g root = Bfs.build g ~root
 
 let test_upcast_collects_all () =
   let g = Gen.grid ~rows:3 ~cols:3 in
   let tree = tree_of g 0 in
-  let items, _ =
+  let items =
     Tree_ops.upcast g ~tree
       ~items:(fun v -> [ v; v + 100 ])
       ~bits:(fun x -> Dsf_util.Bitsize.int_bits (max 1 x))
@@ -183,7 +183,8 @@ let test_upcast_pipelining_rounds () =
   let tree = tree_of g 0 in
   let items v = if v = l then List.init nitems Fun.id else [] in
   let _, stats =
-    Tree_ops.upcast g ~tree ~items ~bits:(fun _ -> 4)
+    Sim.measure (fun env ->
+        Tree_ops.upcast ~env g ~tree ~items ~bits:(fun _ -> 4))
   in
   Alcotest.(check bool) "pipelined"
     true
@@ -194,7 +195,7 @@ let test_upcast_dedup () =
   let tree = tree_of g 0 in
   (* Every leaf holds the same two keyed items. *)
   let items v = if v = 0 then [] else [ "a", v; "b", v ] in
-  let got, _ =
+  let got =
     Tree_ops.upcast_dedup g ~tree ~items ~key:fst ~bits:(fun _ -> 8)
   in
   check Alcotest.int "one per key" 2 (List.length got)
@@ -205,7 +206,10 @@ let test_broadcast_reaches_all () =
   let payload = [ 10; 20; 30 ] in
   (* [~bits:Fun.id] names each sent item; lossless, a send is a delivery. *)
   let r, env = Flight.env () in
-  let stats = Tree_ops.broadcast ~env g ~tree ~items:payload ~bits:Fun.id in
+  let (), stats =
+    Sim.measure ~env (fun env ->
+        Tree_ops.broadcast ~env g ~tree ~items:payload ~bits:Fun.id)
+  in
   let got = Array.make (Graph.n g) [] in
   List.iter
     (fun (src, dst, bits) -> got.(dst) <- got.(dst) @ [ src, bits ])
@@ -223,20 +227,20 @@ let test_broadcast_reaches_all () =
 let test_aggregate_sum_and_count () =
   let g = Gen.grid ~rows:4 ~cols:5 in
   let tree = tree_of g 0 in
-  let total, _ =
+  let total =
     Tree_ops.aggregate g ~tree
       ~value:(fun v -> v)
       ~combine:( + )
       ~bits:(fun _ -> 10)
   in
   check Alcotest.int "sum of ids" (19 * 20 / 2) total;
-  let n, _ = Tree_ops.count_nodes g ~tree in
+  let n = Tree_ops.count_nodes g ~tree in
   check Alcotest.int "count = n" 20 n
 
 let test_aggregate_min () =
   let g = Gen.cycle 9 in
   let tree = tree_of g 4 in
-  let m, _ =
+  let m =
     Tree_ops.aggregate g ~tree
       ~value:(fun v -> 100 - v)
       ~combine:min
@@ -248,13 +252,13 @@ let test_aggregate_min () =
 
 let test_bf_matches_dijkstra () =
   let g = Gen.random_connected (rng 6) ~n:30 ~extra_edges:40 ~max_w:12 in
-  let res, _ = Bellman_ford.sssp g ~src:0 in
+  let res = Bellman_ford.sssp g ~src:0 in
   let dist, _ = Paths.dijkstra g ~src:0 in
   check Alcotest.(array int) "distances agree" dist res.Bellman_ford.dist
 
 let test_bf_voronoi_assignment () =
   let g = Gen.path 7 in
-  let res, _ = Bellman_ford.run g ~sources:[ 0, 0; 6, 0 ] in
+  let res = Bellman_ford.run g ~sources:[ 0, 0; 6, 0 ] in
   (* Node 3 is equidistant; tie goes to smaller source id 0. *)
   check Alcotest.int "tie to smaller source" 0 res.Bellman_ford.src_of.(3);
   check Alcotest.int "left side" 0 res.Bellman_ford.src_of.(1);
@@ -264,33 +268,33 @@ let test_bf_initial_distances () =
   (* Source 6 starts handicapped by 10: source 0 captures the whole path,
      including node 6 itself (dist 6 < handicap 10). *)
   let g = Gen.path 7 in
-  let res, _ = Bellman_ford.run g ~sources:[ 0, 0; 6, 10 ] in
+  let res = Bellman_ford.run g ~sources:[ 0, 0; 6, 10 ] in
   check Alcotest.int "node 5 closer to 0" 0 res.Bellman_ford.src_of.(5);
   check Alcotest.int "source 6 itself captured" 0 res.Bellman_ford.src_of.(6);
   check Alcotest.int "dist via relaxation" 6 res.Bellman_ford.dist.(6);
   (* A mild handicap of 2 shifts the boundary by one node instead. *)
-  let res2, _ = Bellman_ford.run g ~sources:[ 0, 0; 6, 2 ] in
+  let res2 = Bellman_ford.run g ~sources:[ 0, 0; 6, 2 ] in
   check Alcotest.int "node 4 to 0 under mild handicap" 0
     res2.Bellman_ford.src_of.(4);
   check Alcotest.int "node 5 still to 6" 6 res2.Bellman_ford.src_of.(5)
 
 let test_bf_radius_cap () =
   let g = Gen.path 10 in
-  let res, _ = Bellman_ford.run g ~radius:3 ~sources:[ 0, 0 ] in
+  let res = Bellman_ford.run g ~radius:3 ~sources:[ 0, 0 ] in
   check Alcotest.int "inside" 0 res.Bellman_ford.src_of.(3);
   check Alcotest.int "outside unreached" (-1) res.Bellman_ford.src_of.(4)
 
 let test_bf_weight_override () =
   (* Zero out the heavy edge: distances collapse. *)
   let g = Graph.make ~n:3 [ 0, 1, 10; 1, 2, 1 ] in
-  let res, _ =
+  let res =
     Bellman_ford.run g ~weight_of:(fun _ -> 0) ~sources:[ 0, 0 ]
   in
   check Alcotest.(array int) "all zero" [| 0; 0; 0 |] res.Bellman_ford.dist
 
 let test_bf_parent_tree () =
   let g = Gen.random_connected (rng 8) ~n:25 ~extra_edges:20 ~max_w:9 in
-  let res, _ = Bellman_ford.sssp g ~src:5 in
+  let res = Bellman_ford.sssp g ~src:5 in
   Array.iteri
     (fun v p ->
       if v <> 5 then begin
@@ -309,7 +313,7 @@ let test_bf_parent_tree () =
 let test_bf_rounds_near_s () =
   (* On an unweighted path, BF stabilizes in ~s rounds. *)
   let g = Gen.path 30 in
-  let res, _ = Bellman_ford.sssp g ~src:0 in
+  let res = Bellman_ford.sssp g ~src:0 in
   Alcotest.(check bool) "rounds close to s" true
     (res.Bellman_ford.rounds >= 29 && res.Bellman_ford.rounds <= 35)
 
@@ -318,7 +322,7 @@ let prop_bf_equals_dijkstra =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let g = Gen.random_connected (rng seed) ~n:20 ~extra_edges:15 ~max_w:8 in
-      let res, _ = Bellman_ford.sssp g ~src:0 in
+      let res = Bellman_ford.sssp g ~src:0 in
       let dist, _ = Paths.dijkstra g ~src:0 in
       res.Bellman_ford.dist = dist)
 
@@ -347,7 +351,7 @@ let test_filtered_upcast_mst () =
              Some { Pipeline.key = (e.w, e.id); a = e.u; b = e.v }
            else None)
   in
-  let accepted, _ =
+  let accepted =
     Pipeline.filtered_upcast g ~tree ~vn:25 ~pre:[] ~items ~cmp:compare
       ~bits:(fun _ -> 30)
   in
@@ -367,7 +371,7 @@ let test_filtered_upcast_respects_pre () =
       ]
     else []
   in
-  let accepted, _ =
+  let accepted =
     Pipeline.filtered_upcast g ~tree ~vn:3 ~pre:[ 0, 1 ] ~items ~cmp:compare
       ~bits:(fun _ -> 8)
   in
@@ -378,7 +382,7 @@ let test_filtered_upcast_ascending_at_root () =
   let g = Gen.star 8 in
   let tree = tree_of g 0 in
   let items v = if v = 0 then [] else [ { Pipeline.key = 100 - v; a = 0; b = v } ] in
-  let accepted, _ =
+  let accepted =
     Pipeline.filtered_upcast g ~tree ~vn:8 ~pre:[] ~items ~cmp:compare
       ~bits:(fun _ -> 8)
   in
@@ -396,8 +400,9 @@ let test_filtered_upcast_pipelining_rounds () =
     else []
   in
   let accepted, stats =
-    Pipeline.filtered_upcast g ~tree ~vn:(2 * nitems) ~pre:[] ~items
-      ~cmp:compare ~bits:(fun _ -> 8)
+    Sim.measure (fun env ->
+        Pipeline.filtered_upcast ~env g ~tree ~vn:(2 * nitems) ~pre:[] ~items
+          ~cmp:compare ~bits:(fun _ -> 8))
   in
   check Alcotest.int "all items" nitems (List.length accepted);
   Alcotest.(check bool) "rounds ~ depth + items" true
@@ -415,10 +420,11 @@ let test_filtered_upcast_early_stop () =
     else []
   in
   let accepted, stats =
-    Pipeline.filtered_upcast
-      ~stop_at_root:(fun acc -> List.length acc >= 2)
-      g ~tree ~vn:40 ~pre:[] ~items ~cmp:compare
-      ~bits:(fun _ -> 8)
+    Sim.measure (fun env ->
+        Pipeline.filtered_upcast ~env
+          ~stop_at_root:(fun acc -> List.length acc >= 2)
+          g ~tree ~vn:40 ~pre:[] ~items ~cmp:compare
+          ~bits:(fun _ -> 8))
   in
   check Alcotest.int "stopped at two" 2 (List.length accepted);
   Alcotest.(check bool) "aborted early" true
@@ -442,7 +448,7 @@ let prop_filtered_upcast_matches_centralized =
       in
       let items v = List.filter (fun (h, _) -> h = v) items_all |> List.map snd in
       let tree = tree_of g 0 in
-      let accepted, _ =
+      let accepted =
         Pipeline.filtered_upcast g ~tree ~vn ~pre:[] ~items ~cmp:compare
           ~bits:(fun _ -> 16)
       in

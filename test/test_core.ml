@@ -195,7 +195,7 @@ let prop_rounded_dual_bound =
 let test_region_bf_basic_voronoi () =
   let g = Gen.path 7 in
   let frozen = Array.make 7 false in
-  let res, _ =
+  let res =
     Region_bf.run g ~frozen
       ~sources:[ 0, Frac.zero, 0; 6, Frac.zero, 6 ]
   in
@@ -208,7 +208,7 @@ let test_region_bf_negative_offsets () =
      wins the whole path despite symmetric distances. *)
   let g = Gen.path 7 in
   let frozen = Array.make 7 false in
-  let res, _ =
+  let res =
     Region_bf.run g ~frozen
       ~sources:[ 0, Frac.zero, 0; 6, Frac.of_int (-3), 6 ]
   in
@@ -220,7 +220,7 @@ let test_region_bf_frozen_blocks () =
   (* Frozen middle node: the right side is unreachable from source 0. *)
   let g = Gen.path 5 in
   let frozen = [| false; false; true; false; false |] in
-  let res, _ = Region_bf.run g ~frozen ~sources:[ 0, Frac.zero, 0 ] in
+  let res = Region_bf.run g ~frozen ~sources:[ 0, Frac.zero, 0 ] in
   check Alcotest.int "reached" 0 res.(1).Region_bf.owner;
   check Alcotest.int "frozen unowned" (-1) res.(2).Region_bf.owner;
   check Alcotest.int "blocked" (-1) res.(3).Region_bf.owner
@@ -229,7 +229,7 @@ let test_region_bf_pinned_sources () =
   (* A pinned source keeps its own (worse) label rather than adopting. *)
   let g = Gen.path 3 in
   let frozen = Array.make 3 false in
-  let res, _ =
+  let res =
     Region_bf.run g ~frozen
       ~sources:[ 0, Frac.zero, 0; 2, Frac.of_int 10, 2 ]
   in
@@ -241,7 +241,7 @@ let test_region_bf_pinned_sources () =
 let test_region_bf_fractional_halves () =
   let g = Gen.path 4 in
   let frozen = Array.make 4 false in
-  let res, _ =
+  let res =
     Region_bf.run g ~frozen
       ~sources:[ 0, Frac.make 1 1, 0 ]
   in
@@ -262,7 +262,7 @@ let prop_region_bf_equals_centralized_voronoi =
         |> List.map (fun v -> v, Frac.zero, v)
       in
       let frozen = Array.make n false in
-      let res, _ = Region_bf.run g ~sources ~frozen in
+      let res = Region_bf.run g ~sources ~frozen in
       (* Centralized reference: per-source Dijkstra, lexicographic
          (distance, source id) assignment. *)
       let dists =

@@ -13,9 +13,9 @@ let rng seed = Dsf_util.Rng.create seed
 
 let test_seq_upcast_delivers () =
   let g = Gen.grid ~rows:3 ~cols:3 in
-  let tree, _ = Dsf_congest.Bfs.build g ~root:0 in
+  let tree = Dsf_congest.Bfs.build g ~root:0 in
   let items v = [ v; v + 10 ] in
-  let got, _ =
+  let got =
     Dsf_congest.Tree_ops.upcast_sequential g ~tree ~items ~bits:(fun _ -> 8)
   in
   check Alcotest.int "all items" 18 (List.length got);
@@ -26,12 +26,17 @@ let test_seq_upcast_delivers () =
 let test_seq_upcast_no_pipelining () =
   let depth = 20 and nitems = 10 in
   let g = Gen.path (depth + 1) in
-  let tree, _ = Dsf_congest.Bfs.build g ~root:0 in
+  let tree = Dsf_congest.Bfs.build g ~root:0 in
   let items v = if v = depth then List.init nitems Fun.id else [] in
   let _, seq =
-    Dsf_congest.Tree_ops.upcast_sequential g ~tree ~items ~bits:(fun _ -> 8)
+    Dsf_congest.Sim.measure (fun env ->
+        Dsf_congest.Tree_ops.upcast_sequential ~env g ~tree ~items
+          ~bits:(fun _ -> 8))
   in
-  let _, pipe = Dsf_congest.Tree_ops.upcast g ~tree ~items ~bits:(fun _ -> 8) in
+  let _, pipe =
+    Dsf_congest.Sim.measure (fun env ->
+        Dsf_congest.Tree_ops.upcast ~env g ~tree ~items ~bits:(fun _ -> 8))
+  in
   Alcotest.(check bool) "sequential ~ depth*items" true
     (seq.Dsf_congest.Sim.rounds >= depth * (nitems - 1));
   Alcotest.(check bool) "pipelined ~ depth+items" true
@@ -46,7 +51,10 @@ let bits_of sends = List.fold_left (fun acc (_, _, b) -> acc + b) 0 sends
 let test_log_counts () =
   let g = Gen.path 6 in
   let r, env = Flight.env () in
-  let _, stats = Dsf_congest.Bfs.build ~env g ~root:0 in
+  let _, stats =
+    Dsf_congest.Sim.measure ~env (fun env ->
+        Dsf_congest.Bfs.build ~env g ~root:0)
+  in
   let sends = Flight.sends r in
   check Alcotest.int "messages match sim stats" stats.Dsf_congest.Sim.messages
     (List.length sends);
@@ -58,8 +66,16 @@ let test_log_threads_runs () =
      them: its sends are the separate per-run logs' sends, concatenated
      in run order. *)
   let g = Gen.path 4 in
-  let bfs env = snd (Dsf_congest.Bfs.build ~env g ~root:0) in
-  let sssp env = snd (Dsf_congest.Bellman_ford.sssp ~env g ~src:0) in
+  let bfs env =
+    snd
+      (Dsf_congest.Sim.measure ~env (fun env ->
+           Dsf_congest.Bfs.build ~env g ~root:0))
+  in
+  let sssp env =
+    snd
+      (Dsf_congest.Sim.measure ~env (fun env ->
+           Dsf_congest.Bellman_ford.sssp ~env g ~src:0))
+  in
   let r_bfs, env_bfs = Flight.env () and r_sssp, env_sssp = Flight.env () in
   let s_bfs = bfs env_bfs and s_sssp = sssp env_sssp in
   let r_whole, env_whole = Flight.env () in

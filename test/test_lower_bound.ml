@@ -123,9 +123,9 @@ let test_cut_bits_scoping () =
   let stats, bits =
     Gadgets.cut_bits sides (fun ~telemetry ->
         let _, stats =
-          Dsf_congest.Bfs.build
+          Dsf_congest.Sim.measure
             ~env:{ Dsf_congest.Sim.default_env with telemetry = Some telemetry }
-            g ~root:0
+            (fun env -> Dsf_congest.Bfs.build ~env g ~root:0)
         in
         ignore (Dsf_congest.Bfs.build g ~root:0);
         stats)

@@ -38,7 +38,10 @@ let prop_isqrt =
 
 let test_exchange_counts () =
   let g = Gen.grid ~rows:3 ~cols:3 in
-  let stats = Dsf_congest.Exchange.all_neighbors g ~payload_bits:5 in
+  let (), stats =
+    Dsf_congest.Sim.measure (fun env ->
+        Dsf_congest.Exchange.all_neighbors ~env g ~payload_bits:5)
+  in
   (* One message per edge direction. *)
   check Alcotest.int "messages = 2m" (2 * Graph.m g) stats.Dsf_congest.Sim.messages;
   check Alcotest.int "bits" (5 * 2 * Graph.m g) stats.Dsf_congest.Sim.total_bits;

@@ -41,7 +41,7 @@ let test_gkp_beats_pipelined_at_scale () =
     gkp.Dsf_baseline.Mst_gkp.weight;
   Alcotest.(check bool) "GKP needs fewer rounds" true
     (Dsf_congest.Ledger.total gkp.Dsf_baseline.Mst_gkp.ledger
-    < plain.Dsf_baseline.Mst_distributed.rounds)
+    < Dsf_congest.Ledger.total plain.Dsf_baseline.Mst_distributed.ledger)
 
 let prop_gkp_equals_kruskal =
   QCheck.Test.make ~name:"GKP MST = Kruskal on random graphs" ~count:25
@@ -64,11 +64,13 @@ let test_leader_elects_max_id () =
 
 let test_leader_rounds_near_diameter () =
   let g = Gen.path 30 in
-  let res = Dsf_congest.Leader.elect g in
+  let _, stats =
+    Dsf_congest.Sim.measure (fun env -> Dsf_congest.Leader.elect ~env g)
+  in
   (* Information from node 29 must reach node 0: >= D rounds. *)
-  Alcotest.(check bool) "at least D" true (res.Dsf_congest.Leader.rounds >= 29);
+  Alcotest.(check bool) "at least D" true (stats.Dsf_congest.Sim.rounds >= 29);
   Alcotest.(check bool) "within constant of D" true
-    (res.Dsf_congest.Leader.rounds <= 29 + 4)
+    (stats.Dsf_congest.Sim.rounds <= 29 + 4)
 
 let prop_leader_on_random_graphs =
   QCheck.Test.make ~name:"leader election agrees everywhere" ~count:20
@@ -85,7 +87,7 @@ let test_gossip_per_component () =
   let g = Gen.path 5 in
   let mask = [| true; true; false; true |] in
   let values v = Some (10 * (v + 1)) in
-  let results, _ =
+  let results =
     Dsf_congest.Component_ops.component_min_item g ~mask ~values ~cmp:compare
       ~bits:(fun _ -> 8)
   in
@@ -95,7 +97,7 @@ let test_gossip_per_component () =
 let test_gossip_none_values () =
   let g = Gen.path 3 in
   let mask = [| true; true |] in
-  let results, _ =
+  let results =
     Dsf_congest.Component_ops.component_min_item g ~mask
       ~values:(fun _ -> None)
       ~cmp:compare
@@ -106,7 +108,7 @@ let test_gossip_none_values () =
 let test_component_leaders () =
   let g = Gen.path 6 in
   let mask = [| true; true; false; false; true |] in
-  let leaders, _ = Dsf_congest.Component_ops.leaders g ~mask in
+  let leaders = Dsf_congest.Component_ops.leaders g ~mask in
   check Alcotest.(array int) "leaders" [| 2; 2; 2; 3; 5; 5 |] leaders
 
 let prop_gossip_matches_central =
@@ -121,7 +123,7 @@ let prop_gossip_matches_central =
         Array.init (Graph.m g) (fun _ -> Dsf_util.Rng.float r 1.0 < 0.5)
       in
       let values v = if v mod 3 = 0 then Some (100 - v) else None in
-      let results, _ =
+      let results =
         Dsf_congest.Component_ops.component_min_item g ~mask ~values
           ~cmp:compare
           ~bits:(fun _ -> 8)
@@ -154,7 +156,10 @@ let tree_of g root = snd (Paths.bfs g ~src:root)
 let test_cv_three_colors_path () =
   let g = Gen.path 20 in
   let parent = tree_of g 0 in
-  let colors, stats = Dsf_congest.Coloring.three_color g ~parent in
+  let colors, stats =
+    Dsf_congest.Sim.measure (fun env ->
+        Dsf_congest.Coloring.three_color ~env g ~parent)
+  in
   Array.iteri
     (fun v p ->
       if p >= 0 then
@@ -170,10 +175,30 @@ let test_cv_star () =
   (* A star stresses the shift-down: many children of one node. *)
   let g = Gen.star 30 in
   let parent = tree_of g 0 in
-  let colors, _ = Dsf_congest.Coloring.three_color g ~parent in
+  let colors = Dsf_congest.Coloring.three_color g ~parent in
   for v = 1 to 29 do
     Alcotest.(check bool) "leaf differs from hub" true (colors.(v) <> colors.(0))
   done
+
+(* The matching's cost covers both of its runs: the 3-coloring's color
+   messages are wider than the 2-bit proposals, so the measured maximum
+   edge-round load is the coloring's. *)
+let test_matching_cost_covers_coloring () =
+  let g = Gen.path 40 in
+  let parent = tree_of g 0 in
+  let _, col =
+    Dsf_congest.Sim.measure (fun env ->
+        Dsf_congest.Coloring.three_color ~env g ~parent)
+  in
+  let _, all =
+    Dsf_congest.Sim.measure (fun env ->
+        Dsf_congest.Coloring.maximal_matching ~env g ~parent)
+  in
+  check Alcotest.int "max edge-round bits" 4
+    all.Dsf_congest.Sim.max_edge_round_bits;
+  check Alcotest.int "= the coloring's"
+    col.Dsf_congest.Sim.max_edge_round_bits
+    all.Dsf_congest.Sim.max_edge_round_bits
 
 let prop_cv_proper_and_matching_maximal =
   QCheck.Test.make
@@ -185,14 +210,14 @@ let prop_cv_proper_and_matching_maximal =
       let n = 5 + Dsf_util.Rng.int r 40 in
       let g = Gen.random_connected r ~n ~extra_edges:n ~max_w:5 in
       let parent = tree_of g (Dsf_util.Rng.int r n) in
-      let colors, _ = Dsf_congest.Coloring.three_color g ~parent in
+      let colors = Dsf_congest.Coloring.three_color g ~parent in
       let proper = ref true in
       Array.iteri
         (fun v p ->
           if p >= 0 && colors.(v) = colors.(p) then proper := false;
           if colors.(v) < 0 || colors.(v) > 2 then proper := false)
         parent;
-      let matching, _ = Dsf_congest.Coloring.maximal_matching g ~parent in
+      let matching = Dsf_congest.Coloring.maximal_matching g ~parent in
       let used = Array.make n false in
       let valid = ref true in
       List.iter
@@ -235,7 +260,7 @@ let test_select_token_flood_direct () =
   let g = Gen.path 4 in
   let parent = [| -1; 0; 1; 2 |] in
   let seeds = [| false; false; false; true |] in
-  let edges, _ = Dsf_core.Select.token_flood g ~parent ~seeds in
+  let edges = Dsf_core.Select.token_flood g ~parent ~seeds in
   check Alcotest.int "three edges" 3 (List.length (List.sort_uniq compare edges))
 
 let test_select_token_flood_dedup () =
@@ -243,14 +268,17 @@ let test_select_token_flood_dedup () =
   let g = Gen.path 4 in
   let parent = [| -1; 0; 1; 2 |] in
   let seeds = [| false; false; true; true |] in
-  let edges, _ = Dsf_core.Select.token_flood g ~parent ~seeds in
+  let edges = Dsf_core.Select.token_flood g ~parent ~seeds in
   check Alcotest.int "still three edges" 3
     (List.length (List.sort_uniq compare edges))
 
 let test_ledger_pp_smoke () =
   let l = Dsf_congest.Ledger.create () in
   let env = { Dsf_congest.Sim.default_env with ledger = Some l } in
-  let _, stats = Dsf_congest.Bfs.build ~env (Gen.path 3) ~root:0 in
+  let _, stats =
+    Dsf_congest.Sim.measure ~env (fun env ->
+        Dsf_congest.Bfs.build ~env (Gen.path 3) ~root:0)
+  in
   Dsf_congest.Sim.charge env "def" 4;
   let s = Format.asprintf "%a" Dsf_congest.Ledger.pp l in
   let sim = stats.Dsf_congest.Sim.rounds in
@@ -313,6 +341,8 @@ let suites =
       [
         Alcotest.test_case "path 3-colored" `Quick test_cv_three_colors_path;
         Alcotest.test_case "star shift-down" `Quick test_cv_star;
+        Alcotest.test_case "matching cost covers the coloring" `Quick
+          test_matching_cost_covers_coloring;
         qtest prop_cv_proper_and_matching_maximal;
       ] );
     ( "congest.sim_corners",

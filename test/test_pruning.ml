@@ -127,7 +127,7 @@ let test_f6_path_chain () =
   let g = Gen.path 5 in
   let parent = [| -1; 0; 1; 2; 3 |] in
   let labels v = if v = 1 || v = 3 then [ 9 ] else [] in
-  let kept, _ = F6_protocol.run g ~parent ~labels in
+  let kept = F6_protocol.run g ~parent ~labels in
   let expect = Array.init 4 (fun eid -> eid = 1 || eid = 2) in
   check Alcotest.(array bool) "middle chain kept" expect kept
 
@@ -135,7 +135,7 @@ let test_f6_single_holder_nothing () =
   let g = Gen.path 4 in
   let parent = [| -1; 0; 1; 2 |] in
   let labels v = if v = 2 then [ 5 ] else [] in
-  let kept, _ = F6_protocol.run g ~parent ~labels in
+  let kept = F6_protocol.run g ~parent ~labels in
   Alcotest.(check bool) "no edges kept" true (Array.for_all not kept)
 
 let test_f6_junction () =
@@ -144,7 +144,7 @@ let test_f6_junction () =
   let g = Gen.star 5 in
   let parent = [| -1; 0; 0; 0; 0 |] in
   let labels v = if v = 1 || v = 2 then [ 7 ] else if v = 3 then [ 8 ] else [] in
-  let kept, _ = F6_protocol.run g ~parent ~labels in
+  let kept = F6_protocol.run g ~parent ~labels in
   let spoke leaf = match Graph.find_edge g 0 leaf with Some e -> e | None -> -1 in
   Alcotest.(check bool) "spoke 1 kept" true kept.(spoke 1);
   Alcotest.(check bool) "spoke 2 kept" true kept.(spoke 2);
@@ -157,7 +157,7 @@ let test_f6_root_holder () =
   let g = Gen.path 4 in
   let parent = [| -1; 0; 1; 2 |] in
   let labels v = if v = 0 || v = 3 then [ 2 ] else [] in
-  let kept, _ = F6_protocol.run g ~parent ~labels in
+  let kept = F6_protocol.run g ~parent ~labels in
   Alcotest.(check bool) "all kept" true (Array.for_all Fun.id kept)
 
 let f6_suites =

@@ -37,7 +37,9 @@ let random_graph seed =
 (* ------------------------------------------------------- serialization *)
 
 let test_roundtrip () =
-  let r = Recorder.create ~now:0 ~meta:[ "n", 5; "D", 2 ] () in
+  let r = Recorder.create ~now:0 () in
+  Recorder.meta_add r "n" 5;
+  Recorder.meta_add r "D" 2;
   Recorder.meta_add r "t" 3;
   Recorder.span_open r "phase";
   let b = Recorder.buf_make () in
@@ -88,10 +90,12 @@ let test_roundtrip () =
    child interned "trial" as id 0, which the parent gave "setup"); the
    child's metadata is dropped. *)
 let test_merge_into () =
-  let dst = Recorder.create ~now:0 ~meta:[ "n", 4 ] () in
+  let dst = Recorder.create ~now:0 () in
+  Recorder.meta_add dst "n" 4;
   Recorder.span_open dst "setup";
   Recorder.span_close dst "setup";
-  let child = Recorder.create ~now:7 ~meta:[ "n", 9 ] () in
+  let child = Recorder.create ~now:7 () in
+  Recorder.meta_add child "n" 9;
   Recorder.span_open child "trial";
   let b = Recorder.buf_make () in
   Recorder.ev_step b 1;
@@ -384,7 +388,9 @@ let test_spans_in_log () =
 let test_hot_edges () =
   let g = Gen.path 3 in
   let r = Recorder.create ~now:0 () in
-  let _, stats = Bellman_ford.sssp ~env:(recording r) g ~src:0 in
+  let _, stats =
+    Sim.measure ~env:(recording r) (fun env -> Bellman_ford.sssp ~env g ~src:0)
+  in
   let a =
     Recorder.analyze (Result.get_ok (Recorder.parse (Recorder.to_string r)))
   in

@@ -19,7 +19,7 @@ let test_route_delivers_to_target () =
      target: use node 0's top ancestor (reachable by construction). *)
   let target = vt.Dsf_embed.Virtual_tree.ancestors.(0).(vt.Dsf_embed.Virtual_tree.levels) in
   let origins v = if v = 0 then [ 7, target ] else [] in
-  let states, _ = Level_routing.route_phase g vt ~origins in
+  let states = Level_routing.route_phase g vt ~origins in
   check Alcotest.(list int) "label arrived" [ 7 ]
     states.(target).Level_routing.lhat
 
@@ -30,7 +30,10 @@ let test_route_filters_duplicates () =
   let vt = vt_of 2 g in
   let target = vt.Dsf_embed.Virtual_tree.ancestors.(1).(vt.Dsf_embed.Virtual_tree.levels) in
   let origins v = if v >= 1 then [ 3, target ] else [] in
-  let states, stats = Level_routing.route_phase g vt ~origins in
+  let states, stats =
+    Dsf_congest.Sim.measure (fun env ->
+        Level_routing.route_phase ~env g vt ~origins)
+  in
   check Alcotest.(list int) "delivered once" [ 3 ]
     states.(target).Level_routing.lhat;
   (* At most one message per (pair, node): star has 7 leaves + hub. *)
@@ -41,7 +44,7 @@ let test_route_marks_shortest_path_edges () =
   let vt = vt_of 3 g in
   let target = vt.Dsf_embed.Virtual_tree.ancestors.(0).(vt.Dsf_embed.Virtual_tree.levels) in
   let origins v = if v = 0 then [ 1, target ] else [] in
-  let states, _ = Level_routing.route_phase g vt ~origins in
+  let states = Level_routing.route_phase g vt ~origins in
   let marked =
     Array.to_list states
     |> List.concat_map (fun st -> st.Level_routing.marked)
@@ -54,7 +57,10 @@ let test_route_self_target_free () =
   let g = Gen.path 4 in
   let vt = vt_of 4 g in
   let origins v = if v = 2 then [ 9, 2 ] else [] in
-  let states, stats = Level_routing.route_phase g vt ~origins in
+  let states, stats =
+    Dsf_congest.Sim.measure (fun env ->
+        Level_routing.route_phase ~env g vt ~origins)
+  in
   check Alcotest.(list int) "self-delivery" [ 9 ] states.(2).Level_routing.lhat;
   check Alcotest.int "no messages" 0 stats.Dsf_congest.Sim.messages
 
@@ -65,7 +71,7 @@ let test_backtrace_returns_to_origin () =
   let vt = vt_of 5 g in
   let target = vt.Dsf_embed.Virtual_tree.ancestors.(0).(vt.Dsf_embed.Virtual_tree.levels) in
   let origins v = if v = 0 then [ 4, target ] else [] in
-  let rstates, _ = Level_routing.route_phase g vt ~origins in
+  let rstates = Level_routing.route_phase g vt ~origins in
   (* The target ships payload labels 10 and 11 back down the chain. *)
   let bundles v =
     if v = target && rstates.(v).Level_routing.lhat <> [] then
@@ -76,7 +82,7 @@ let test_backtrace_returns_to_origin () =
     else []
   in
   let tables v = rstates.(v).Level_routing.known in
-  let bstates, _ = Level_routing.backtrace_phase g ~tables ~bundles in
+  let bstates = Level_routing.backtrace_phase g ~tables ~bundles in
   check
     Alcotest.(list int)
     "origin got the payloads" [ 10; 11 ]

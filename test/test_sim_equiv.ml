@@ -104,7 +104,8 @@ let prop_bellman_ford_equiv =
             Dsf_util.Rng.int r n, Dsf_util.Rng.int r 5)
       in
       let (res1, t1), (res2, t2) =
-        both (fun () -> Bellman_ford.run g ~sources)
+        both (fun () ->
+            Sim.measure (fun env -> Bellman_ford.run ~env g ~sources))
       in
       res1 = res2 && stats_eq t1 t2)
 
@@ -116,7 +117,7 @@ let prop_pipeline_equiv =
       let g = random_graph seed in
       let n = Graph.n g in
       let r = rng (seed + 2) in
-      let tree = fst (Bfs.build g ~root:(Dsf_util.Rng.int r n)) in
+      let tree = Bfs.build g ~root:(Dsf_util.Rng.int r n) in
       let vn = 10 in
       let items_all =
         List.init 20 (fun i ->
@@ -130,8 +131,9 @@ let prop_pipeline_equiv =
       in
       let (acc1, t1), (acc2, t2) =
         both (fun () ->
-            Pipeline.filtered_upcast g ~tree ~vn ~pre:[] ~items ~cmp:compare
-              ~bits:(fun _ -> 16))
+            Sim.measure (fun env ->
+                Pipeline.filtered_upcast ~env g ~tree ~vn ~pre:[] ~items
+                  ~cmp:compare ~bits:(fun _ -> 16)))
       in
       acc1 = acc2 && stats_eq t1 t2)
 
@@ -142,21 +144,26 @@ let prop_tree_ops_equiv =
     (fun seed ->
       let g = random_graph seed in
       let n = Graph.n g in
-      let tree = fst (Bfs.build g ~root:(seed mod n)) in
+      let tree = Bfs.build g ~root:(seed mod n) in
       let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
       let (up1, ut1), (up2, ut2) =
         both (fun () ->
-            Tree_ops.upcast g ~tree ~items:(fun v -> [ v; v + n ]) ~bits)
+            Sim.measure (fun env ->
+                Tree_ops.upcast ~env g ~tree ~items:(fun v -> [ v; v + n ])
+                  ~bits))
       in
       let items = [ 1; 2; 3 ] in
-      let (bt1, bl1), (bt2, bl2) =
+      let (((), bt1), bl1), (((), bt2), bl2) =
         both (fun () ->
             Flight.record (fun env ->
-                Tree_ops.broadcast ~env g ~tree ~items ~bits:Fun.id))
+                Sim.measure ~env (fun env ->
+                    Tree_ops.broadcast ~env g ~tree ~items ~bits:Fun.id)))
       in
       let (ag1, at1), (ag2, at2) =
         both (fun () ->
-            Tree_ops.aggregate g ~tree ~value:Fun.id ~combine:( + ) ~bits)
+            Sim.measure (fun env ->
+                Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + )
+                  ~bits))
       in
       up1 = up2 && stats_eq ut1 ut2
       && stats_eq bt1 bt2 && bl1 = bl2
@@ -170,13 +177,20 @@ let prop_bfs_leader_exchange_equiv =
     (fun seed ->
       let g = random_graph seed in
       let (tr1, bt1), (tr2, bt2) =
-        both (fun () -> Bfs.build g ~root:(seed mod Graph.n g))
+        both (fun () ->
+            Sim.measure (fun env ->
+                Bfs.build ~env g ~root:(seed mod Graph.n g)))
       in
-      let le1, le2 = both (fun () -> Leader.elect g) in
-      let ex1, ex2 =
-        both (fun () -> Exchange.all_neighbors g ~payload_bits:9)
+      let (le1, lt1), (le2, lt2) =
+        both (fun () -> Sim.measure (fun env -> Leader.elect ~env g))
       in
-      tr1 = tr2 && stats_eq bt1 bt2 && le1 = le2 && stats_eq ex1 ex2)
+      let ((), ex1), ((), ex2) =
+        both (fun () ->
+            Sim.measure (fun env ->
+                Exchange.all_neighbors ~env g ~payload_bits:9))
+      in
+      tr1 = tr2 && stats_eq bt1 bt2 && le1 = le2 && stats_eq lt1 lt2
+      && stats_eq ex1 ex2)
 
 let prop_telemetry_transparent =
   QCheck.Test.make
@@ -597,14 +611,16 @@ let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
 let chaos_plan seed g =
   Fault.plan ~drop:0.1 ~crashes:[ seed mod Graph.n g, 2, 5 ] ~seed ()
 
-(* [native] and [classic] run the primitive on the env they are given and
-   return its result with the run's stats.  Their flight logs are
-   compared without span markers: the port opens its primitive's span,
-   the classic oracle none. *)
-let native_matches_classic ~seed g ~(native : Sim.env -> 'r * Sim.stats)
+(* [native] and [classic] run the primitive on the env they are given;
+   [native] returns its result, whose stats {!Sim.measure} reads from the
+   env, and [classic] its result with the run's stats.  Their flight logs
+   are compared without span markers: the port opens its primitive's
+   span (and the measurement its own), the classic oracle none. *)
+let native_matches_classic ~seed g ~(native : Sim.env -> 'r)
     ~(classic : Sim.env -> 'r * Sim.stats) =
   let dup = Sim.Faults (Fault.instantiate (dup_plan seed)) in
   let chaos = Sim.Chaos (chaos_plan seed g) in
+  let native env = Sim.measure ~env native in
   let leg ?network f =
     let r, log = Flight.record ?network f in
     r, Flight.unspanned log
@@ -661,11 +677,12 @@ let prop_flat_native_bellman_ford =
         else None
       in
       (* The result's [rounds] is the run's, which chaos changes. *)
-      let labels (r, stats) = { r with Bellman_ford.rounds = 0 }, stats in
+      let labels r = { r with Bellman_ford.rounds = 0 } in
       native_matches_classic ~seed g
         ~native:(fun env -> labels (Bellman_ford.run ?radius ~env g ~sources))
         ~classic:(fun env ->
-          labels (Classic.Bellman_ford.run ?radius ~env g ~sources)))
+          let r, stats = Classic.Bellman_ford.run ?radius ~env g ~sources in
+          labels r, stats))
 
 let prop_flat_native_region_bf =
   QCheck.Test.make
@@ -700,7 +717,7 @@ let prop_flat_native_tree_ops =
     (fun seed ->
       let g = random_graph seed in
       let n = Graph.n g in
-      let tree = fst (Bfs.build g ~root:(seed mod n)) in
+      let tree = Bfs.build g ~root:(seed mod n) in
       let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
       (* The child-count handshake of [aggregate] dedups child reports by
          sender id (each child reports exactly once, so the sender is its
@@ -709,9 +726,7 @@ let prop_flat_native_tree_ops =
          compare against each other AND against the lossless sum. *)
       let dup () = Fault.instantiate (dup_plan seed) in
       let items v = [ v; v + n ] in
-      let broadcast run env =
-        (), run env g ~tree ~items:[ 1; 2; 3 ] ~bits:Fun.id
-      in
+      let broadcast run env = run env g ~tree ~items:[ 1; 2; 3 ] ~bits:Fun.id in
       (* Repeated items and shared keys exercise both dedup filters. *)
       let dedup_items v = [ v mod 5; v mod 3; v mod 5 ] in
       let key x = x mod 2 in
@@ -730,19 +745,18 @@ let prop_flat_native_tree_ops =
            [ 1; 2 ]
       && native_matches_classic ~seed g
            ~native:(broadcast (fun env -> Tree_ops.broadcast ~env))
-           ~classic:(broadcast (fun env -> Classic.Tree_ops.broadcast ~env))
+           ~classic:(fun env ->
+             (), broadcast (fun env -> Classic.Tree_ops.broadcast ~env) env)
       && native_matches_classic ~seed g
            ~native:(fun env ->
              Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + ) ~bits)
            ~classic:(fun env ->
              Classic.Tree_ops.aggregate ~env g ~tree ~value:Fun.id
                ~combine:( + ) ~bits)
-      && fst
-           (Tree_ops.aggregate
-              ~env:{ Sim.default_env with network = Sim.Faults (dup ()) }
-              g ~tree ~value:Fun.id ~combine:( + ) ~bits)
-         = fst
-             (Tree_ops.aggregate g ~tree ~value:Fun.id ~combine:( + ) ~bits))
+      && Tree_ops.aggregate
+           ~env:{ Sim.default_env with network = Sim.Faults (dup ()) }
+           g ~tree ~value:Fun.id ~combine:( + ) ~bits
+         = Tree_ops.aggregate g ~tree ~value:Fun.id ~combine:( + ) ~bits)
 
 let prop_flat_native_pipeline =
   QCheck.Test.make
@@ -753,7 +767,7 @@ let prop_flat_native_pipeline =
       let g = random_graph seed in
       let n = Graph.n g in
       let r = rng (seed + 17) in
-      let tree = fst (Bfs.build g ~root:(Dsf_util.Rng.int r n)) in
+      let tree = Bfs.build g ~root:(Dsf_util.Rng.int r n) in
       let vn = 10 in
       let items_all =
         List.init 20 (fun i ->
@@ -794,15 +808,14 @@ let prop_flat_native_select_exchange =
       let g = random_graph seed in
       let n = Graph.n g in
       let r = rng (seed + 19) in
-      let tree = fst (Bfs.build g ~root:(seed mod n)) in
+      let tree = Bfs.build g ~root:(seed mod n) in
       let parent = tree.Bfs.parent in
       let seeds = Array.init n (fun _ -> Dsf_util.Rng.int r 3 = 0) in
       native_matches_classic ~seed g
         ~native:(fun env -> Dsf_core.Select.token_flood ~env g ~parent ~seeds)
         ~classic:(fun env -> Classic.Select.token_flood ~env g ~parent ~seeds)
       && native_matches_classic ~seed g
-           ~native:(fun env ->
-             (), Exchange.all_neighbors ~env g ~payload_bits:9)
+           ~native:(fun env -> Exchange.all_neighbors ~env g ~payload_bits:9)
            ~classic:(fun env ->
              (), Classic.Exchange.all_neighbors ~env g ~payload_bits:9))
 
@@ -843,7 +856,7 @@ let test_bellman_ford_wide_fallback () =
       |> List.map (fun (e : Graph.edge) -> e.u, e.v, weight_of e.id))
   in
   let expected = fst (Paths.dijkstra wide ~src:0) in
-  let dist env = (fst (Bellman_ford.run ~weight_of ~env g ~sources)).dist in
+  let dist env = (Bellman_ford.run ~weight_of ~env g ~sources).dist in
   check Alcotest.(array int) "lossless = Dijkstra" expected
     (dist Sim.default_env);
   check Alcotest.(array int) "chaos = Dijkstra" expected

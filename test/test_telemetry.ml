@@ -161,7 +161,11 @@ let test_sublinear_phase_tree () =
    tree's Voronoi and label routing (rand, khan) included, rand's pooled
    trials too (jobs 1 and 2).  And the three counts of simulated rounds
    agree: the ledger's (what dsf_cli prints), the telemetry's sim/rounds
-   counter, and the log's Round markers. *)
+   counter, and the log's Round markers.  Each simulated primitive alone,
+   on the same graph, passes the same test through {!Sim.measure}, the
+   one way to read a primitive's cost: its measured messages, bits and
+   rounds are its log's Send events, summed Send bits and Round
+   markers. *)
 let test_instrumentation_coverage () =
   let r = Dsf_util.Rng.create 3 in
   let g = Dsf_graph.Gen.random_connected r ~n:200 ~extra_edges:200 ~max_w:16 in
@@ -211,7 +215,102 @@ let test_instrumentation_coverage () =
   covered "khan" (fun ~telemetry ->
       (Dsf_core.Khan_etal.run ~telemetry ~repetitions:2
          ~rng:(Dsf_util.Rng.create 3) inst)
-        .Dsf_core.Khan_etal.ledger)
+        .Dsf_core.Khan_etal.ledger);
+  let measured name f =
+    let r, env = Flight.env () in
+    let _, (s : Sim.stats) = Sim.measure ~env f in
+    let events = Flight.events r in
+    let sends = Flight.sends_of_events events in
+    check Alcotest.bool (name ^ ": traffic recorded") true (sends <> []);
+    check Alcotest.int (name ^ ": messages = log sends") (List.length sends)
+      s.messages;
+    check Alcotest.int
+      (name ^ ": bits = log bits")
+      (List.fold_left (fun acc (_, _, b) -> acc + b) 0 sends)
+      s.total_bits;
+    check Alcotest.int (name ^ ": rounds = log rounds") (Flight.rounds events)
+      s.rounds
+  in
+  let n = Dsf_graph.Graph.n g and m = Dsf_graph.Graph.m g in
+  let tree = Bfs.build g ~root:(Bfs.max_id_root g) in
+  let parent = tree.Bfs.parent in
+  let bits x = Dsf_util.Bitsize.int_bits (Int.max 1 x) in
+  let mask = Array.init m (fun eid -> eid mod 2 = 0) in
+  let vt = Dsf_embed.Virtual_tree.build (Dsf_util.Rng.create 5) g in
+  let target = vt.Dsf_embed.Virtual_tree.ancestors.(0).(vt.levels) in
+  let origins v = if v = 0 then [ 7, target ] else [] in
+  let rstates = Dsf_core.Level_routing.route_phase g vt ~origins in
+  let bundles v =
+    if v = target then
+      [ { Dsf_core.Level_routing.route = 7, target; payload = 1 } ]
+    else []
+  in
+  let edge = Dsf_graph.Graph.edge g 0 in
+  measured "bfs" (fun env -> Bfs.build ~env g ~root:0);
+  measured "upcast" (fun env ->
+      Tree_ops.upcast ~env g ~tree ~items:(fun v -> [ v ]) ~bits);
+  measured "upcast_dedup" (fun env ->
+      Tree_ops.upcast_dedup ~env ~per_key:2 g ~tree
+        ~items:(fun v -> [ v mod 7 ])
+        ~key:Fun.id ~bits);
+  measured "upcast_sequential" (fun env ->
+      Tree_ops.upcast_sequential ~env g ~tree
+        ~items:(fun v -> if v mod 20 = 0 then [ v ] else [])
+        ~bits);
+  measured "broadcast" (fun env ->
+      Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ] ~bits);
+  measured "aggregate" (fun env ->
+      Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + ) ~bits);
+  measured "count_nodes" (fun env -> Tree_ops.count_nodes ~env g ~tree);
+  measured "exchange" (fun env ->
+      Exchange.all_neighbors ~env g ~payload_bits:9);
+  measured "filtered_upcast" (fun env ->
+      Pipeline.filtered_upcast ~env g ~tree ~vn:n ~pre:[]
+        ~items:(fun v ->
+          Array.to_list (Dsf_graph.Graph.edges g)
+          |> List.filter_map (fun (e : Dsf_graph.Graph.edge) ->
+                 if Int.min e.u e.v = v then
+                   Some { Pipeline.key = (e.w, e.id); a = e.u; b = e.v }
+                 else None))
+        ~cmp:compare
+        ~bits:(fun _ -> 30));
+  measured "bellman_ford" (fun env ->
+      Bellman_ford.run ~env g ~sources:[ 0, 0; 5, 2 ]);
+  measured "sssp" (fun env -> Bellman_ford.sssp ~env g ~src:0);
+  measured "three_color" (fun env -> Coloring.three_color ~env g ~parent);
+  measured "maximal_matching" (fun env ->
+      Coloring.maximal_matching ~env g ~parent);
+  measured "gossip_extremum" (fun env ->
+      Component_ops.gossip_extremum ~env g ~mask
+        ~values:(fun v -> Some v)
+        ~better:( > ) ~bits);
+  measured "leaders" (fun env -> Component_ops.leaders ~env g ~mask);
+  measured "component_min_item" (fun env ->
+      Component_ops.component_min_item ~env g ~mask
+        ~values:(fun v -> Some (v mod 13))
+        ~cmp:compare ~bits);
+  measured "leader" (fun env -> Leader.elect ~env g);
+  measured "le_list" (fun env ->
+      Dsf_embed.Le_list.build ~env (Dsf_util.Rng.create 5) g);
+  measured "f6" (fun env ->
+      Dsf_core.F6_protocol.run ~env g ~parent
+        ~labels:(fun v -> if v mod 10 = 0 then [ v mod 3 ] else []));
+  measured "region_bf" (fun env ->
+      Dsf_core.Region_bf.run ~env g
+        ~sources:[ 0, Dsf_core.Frac.zero, 0; 100, Dsf_core.Frac.zero, 100 ]
+        ~frozen:(Array.make n false));
+  measured "route_phase" (fun env ->
+      Dsf_core.Level_routing.route_phase ~env g vt ~origins);
+  measured "backtrace_phase" (fun env ->
+      Dsf_core.Level_routing.backtrace_phase ~env g
+        ~tables:(fun v -> rstates.(v).Dsf_core.Level_routing.known)
+        ~bundles);
+  measured "token_flood" (fun env ->
+      Dsf_core.Select.token_flood ~env g ~parent
+        ~seeds:(Array.init n (fun v -> v mod 17 = 0)));
+  measured "merge_paths" (fun env ->
+      Dsf_core.Select.merge_paths ~env g ~labels:[| 0; 0 |] ~parent
+        [ (0, 1), edge.Dsf_graph.Graph.id ])
 
 (* ------------------------------------------------------- pooled merging *)
 
