@@ -17,8 +17,11 @@ module Pool = Dsf_util.Pool
 let header title claim =
   Format.printf "@.=== %s ===@.question: %s@." title claim
 
+(* Prints the verdict line and hands the verdict back, so [run_all] can
+   count the failures. *)
 let verdict name ok =
-  Format.printf "--> %s: %s@." name (if ok then "PASS" else "FAIL")
+  Format.printf "--> %s: %s@." name (if ok then "PASS" else "FAIL");
+  ok
 
 (* ------------------------------------------------------------------- A1 *)
 
@@ -286,7 +289,7 @@ let a6 ~jobs () =
   let r = Rng.create 4646 in
   let g = Gen.random_connected r ~n:28 ~extra_edges:24 ~max_w:8 in
   let proto = Dsf_congest.Leader.protocol g in
-  let lossless, base = Dsf_congest.Sim.run g proto in
+  let lossless, base = Dsf_congest.Sim.run_flat g proto in
   (* The plan's PRF makes every point deterministic, so the sweep fans
      out on the pool and still prints in p order. *)
   let rows =
@@ -307,7 +310,7 @@ let a6 ~jobs () =
                 network = Dsf_congest.Sim.Chaos plan;
               }
             g
-            (Dsf_congest.Sim.flat_of_protocol proto)
+            proto
         in
         p, states, stats)
       [| 0.0; 0.05; 0.1; 0.2; 0.3 |]
@@ -380,12 +383,10 @@ let e13 ~jobs () =
     sg sp !exact;
   verdict "E13" (!exact && sg < 0.75 && sp > 0.85)
 
+(* Runs every experiment in order and returns how many verdicts
+   FAILed. *)
 let run_all ~jobs () =
-  a1 ();
-  a2 ~jobs ();
-  a3 ();
-  a4 ();
-  a5 ~jobs ();
-  a6 ~jobs ();
-  e12 ();
-  e13 ~jobs ()
+  List.fold_left
+    (fun failed experiment -> if experiment () then failed else failed + 1)
+    0
+    [ a1; a2 ~jobs; a3; a4; a5 ~jobs; a6 ~jobs; e12; e13 ~jobs ]

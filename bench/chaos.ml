@@ -51,7 +51,7 @@ let run () =
     check "exchange" (Dsf_congest.Exchange.flat_protocol ~payload_bits:9)
   in
   let leader =
-    check "leader" (Sim.flat_of_protocol (Dsf_congest.Leader.protocol g))
+    check "leader" (Dsf_congest.Leader.protocol g)
   in
   let results = [ bfs; bf; exch; leader ] in
   if List.for_all Fun.id results then
@@ -128,7 +128,7 @@ let soak () =
           in
           Dsf_congest.Bellman_ford.(r.dist, r.src_of, r.parent, r.hops), stats);
       port "exchange" (Dsf_congest.Exchange.flat_protocol ~payload_bits:9);
-      port "leader" (Sim.flat_of_protocol (Dsf_congest.Leader.protocol g));
+      port "leader" (Dsf_congest.Leader.protocol g);
     ]
   in
   let failures = ref 0 in

@@ -1,8 +1,12 @@
 (* Benchmark / experiment harness.
 
    dune exec bench/main.exe                -- run everything
-   dune exec bench/main.exe -- tables      -- per-theorem experiments (E1-E11, F1)
-   dune exec bench/main.exe -- ablations   -- design-choice ablations (A1-A6, E12)
+   dune exec bench/main.exe -- tables      -- per-theorem experiments (E1-E11,
+                                              E14, E15, F1; exits nonzero if
+                                              any verdict FAILs)
+   dune exec bench/main.exe -- ablations   -- design-choice ablations (A1-A6,
+                                              E12, E13; exits nonzero if any
+                                              verdict FAILs)
    dune exec bench/main.exe -- micro       -- bechamel microbenchmarks
                                               (writes BENCH_sim.json)
    dune exec bench/main.exe -- smoke       -- fast simulator-only benchmarks
@@ -115,8 +119,11 @@ let () =
     "Distributed Steiner Forest — experiment harness (Lenzen & Patt-Shamir, PODC 2014)@.";
   Format.printf "jobs=%d (recommended domains: %d)@." jobs
     (Domain.recommended_domain_count ());
-  if what = "all" || what = "tables" then Tables.run_all ~jobs ();
-  if what = "all" || what = "ablations" then Ablations.run_all ~jobs ();
+  let failed_verdicts =
+    (if what = "all" || what = "tables" then Tables.run_all ~jobs () else 0)
+    + if what = "all" || what = "ablations" then Ablations.run_all ~jobs ()
+      else 0
+  in
   if what = "all" || what = "micro" then Micro.run ~jobs ~out ();
   if what = "smoke" then Micro.smoke ~jobs ~out ();
   if what = "all" || what = "chaos" then Chaos.run ();
@@ -125,4 +132,8 @@ let () =
   (match trace_sink with
   | Some (format, path) -> Micro.write_trace ~format path
   | None -> ());
-  Format.printf "@.done.@."
+  Format.printf "@.done.@.";
+  if failed_verdicts > 0 then begin
+    Format.eprintf "%d experiment verdict(s) FAILed@." failed_verdicts;
+    exit 1
+  end

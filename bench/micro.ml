@@ -68,9 +68,8 @@ let shared_tree =
    Det_dsf.run, ...) through both engines; like the differential suite,
    that is only possible via the global engine shim — no engine parameter
    is threaded through those APIs on purpose.  Under the shim each
-   primitive runs its one port on the seed loop through
-   [Sim.protocol_of_flat], so a pair times the same protocol code on the
-   two engines.  Single-domain: the bench harness never runs this inside
+   primitive runs its one protocol on the seed loop, so a pair times the
+   same protocol code on the two engines.  Single-domain: the bench harness never runs this inside
    a pool task. *)
 let in_reference f =
   Sim.use_reference_engine := true;
@@ -909,7 +908,7 @@ type fault_row = {
 let fault_overhead () =
   let g = Lazy.force shared_graph in
   let proto = Dsf_congest.Leader.protocol g in
-  let lossless, base = Sim.run g proto in
+  let lossless, base = Sim.run_flat g proto in
   List.map
     (fun drop ->
       let plan =
@@ -923,7 +922,7 @@ let fault_overhead () =
               Sim.default_env with
               network = Sim.Chaos plan;
             }
-          g (Sim.flat_of_protocol proto)
+          g proto
       in
       {
         drop;
@@ -980,7 +979,7 @@ let run_profiled_workloads tel =
                        telemetry = Some tel;
                        network = Sim.Chaos plan;
                      }
-                   g (Sim.flat_of_protocol proto))))
+                   g proto)))
         [
           "drop=0.00", Dsf_congest.Fault.empty;
           "drop=0.10", Dsf_congest.Fault.plan ~drop:0.1 ~seed:808 ();
@@ -1090,7 +1089,7 @@ let recovery_leader ~windows =
   let g = Lazy.force shared_graph in
   let n = Dsf_graph.Graph.n g in
   let proto = Dsf_congest.Leader.protocol g in
-  let (lossless, base), base_wall = timed (fun () -> Sim.run g proto) in
+  let (lossless, base), base_wall = timed (fun () -> Sim.run_flat g proto) in
   let plan = recovery_plan ~n ~windows ~seed:808 in
   let tel = Telemetry.create ~clock:(fun () -> 0L) () in
   let (states, stats), wall =
@@ -1103,7 +1102,7 @@ let recovery_leader ~windows =
               network = Sim.Chaos plan;
             }
           ~recovery:(Dsf_congest.Fault.immutable ())
-          g (Sim.flat_of_protocol proto))
+          g proto)
   in
   {
     rv_workload = "A6 leader";

@@ -17,8 +17,11 @@ module Pool = Dsf_util.Pool
 let header title claim =
   Format.printf "@.=== %s ===@.claim: %s@." title claim
 
+(* Prints the verdict line and hands the verdict back, so [run_all] can
+   count the failures. *)
 let verdict name ok =
-  Format.printf "--> %s: %s@." name (if ok then "PASS" else "FAIL")
+  Format.printf "--> %s: %s@." name (if ok then "PASS" else "FAIL");
+  ok
 
 let random_instance ?(n = 40) ?(extra = 30) ?(max_w = 10) ~t ~k seed =
   let r = Rng.create seed in
@@ -597,18 +600,10 @@ let e15 () =
       .Dsf_baseline.Steiner_tree_distributed.ledger;
   verdict "E15" !ok
 
+(* Runs every experiment in order and returns how many verdicts
+   FAILed. *)
 let run_all ~jobs () =
-  e1 ~jobs ();
-  e2 ();
-  e3 ();
-  e4 ();
-  e5 ();
-  e6 ();
-  e7 ();
-  e8 ();
-  e9 ();
-  e10 ();
-  e11 ();
-  e14 ~jobs ();
-  e15 ();
-  f1 ()
+  List.fold_left
+    (fun failed experiment -> if experiment () then failed else failed + 1)
+    0
+    [ e1 ~jobs; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e14 ~jobs; e15; f1 ]

@@ -5,7 +5,8 @@
 # so the bench harness and JSON emission are exercised on every change.
 # A flight-recorder smoke records a flat det_dsf solve and replays every
 # inspect query against the log, a rand log must be the same at --jobs 1
-# and --jobs 2, and the fresh smoke bench is diffed
+# and --jobs 2, every experiment verdict of `tables` and `ablations`
+# must PASS, and the fresh smoke bench is diffed
 # against the committed BENCH_sim.json with `bench compare` (exact
 # metrics gate, timing advisory).
 #
@@ -57,6 +58,19 @@ mkdir -p "$scratch"
 # reproduce its lossless final states; main.exe exits nonzero on
 # divergence, the timeout catches a retransmit livelock.
 with_timeout 300 dune exec bench/main.exe -- chaos
+
+# Experiment verdicts: every paper experiment (E1-E11, E14, E15, F1) and
+# every ablation (A1-A6, E12, E13) prints a PASS/FAIL verdict on its
+# claimed shape, and main.exe exits nonzero if any FAILs.
+for mode in tables ablations; do
+  if ! with_timeout 300 dune exec bench/main.exe -- "$mode" \
+      > "$scratch/$mode.out"; then
+    grep -E -- "--> .*: FAIL" "$scratch/$mode.out" >&2 || true
+    echo "ci: an experiment verdict FAILed in bench/main.exe -- $mode" >&2
+    exit 1
+  fi
+done
+echo "ci: experiment verdicts all PASS (tables, ablations)"
 
 # Chaos soak: the crash-recovery matrix (plan class x protocol)
 # at n=1024 — every leg runs hardened with checkpointed recovery and must

@@ -53,48 +53,42 @@ let protocol ?weight_of ?radius g ~sources =
       | Some d when d <= d0 -> ()
       | _ -> Hashtbl.replace init_dist v d0)
     sources;
-  let proto : (state, msg) Sim.protocol =
-    {
-      init =
-        (fun view ->
-          match Hashtbl.find_opt init_dist view.Sim.node with
-          | Some d0 when d0 <= cap ->
-              { dist = d0; src = view.Sim.node; parent = -1; hops = 0; dirty = true }
-          | _ -> { dist = inf; src = -1; parent = -1; hops = inf; dirty = false });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let st =
-            List.fold_left
-              (fun st (sender, Relax r) ->
-                let w = Hashtbl.find nbr_weight.(view.Sim.node) sender in
-                let nd = r.dist + w and nh = r.hops + 1 in
-                if nd <= cap && better (nd, r.src, nh) (st.dist, st.src, st.hops)
-                then
-                  { dist = nd; src = r.src; parent = sender; hops = nh; dirty = true }
-                else st)
-              st inbox
-          in
-          if st.dirty && st.src >= 0 then begin
-            let outbox =
-              Array.to_list view.Sim.nbrs
-              |> List.map (fun (nb, _, _) ->
-                     nb, Relax { dist = st.dist; src = st.src; hops = st.hops })
-            in
-            { st with dirty = false }, outbox
-          end
-          else { st with dirty = false }, []);
-      is_done = (fun st -> not st.dirty);
-      msg_bits =
-        (fun (Relax r) ->
-          Bitsize.int_bits (Int.max 1 r.dist)
-          + Bitsize.id_bits ~n
-          + Bitsize.int_bits (Int.max 1 r.hops));
-      (* Purely wavefront-driven: a clean node with no mail has nothing to
-         do, so the simulator may skip it. *)
-      wake = Some Sim.never;
-    }
-  in
-  proto
+  {
+    Sim.fp_init =
+      (fun view ->
+        match Hashtbl.find_opt init_dist view.Sim.node with
+        | Some d0 when d0 <= cap ->
+            { dist = d0; src = view.Sim.node; parent = -1; hops = 0; dirty = true }
+        | _ -> { dist = inf; src = -1; parent = -1; hops = inf; dirty = false });
+    fp_step =
+      (fun view ~round:_ st ~inbox ~emit ->
+        let st = ref st in
+        for i = 0 to Sim.inbox_len inbox - 1 do
+          let sender = Sim.inbox_src inbox i in
+          let (Relax r) = Sim.inbox_msg inbox i in
+          let w = Hashtbl.find nbr_weight.(view.Sim.node) sender in
+          let nd = r.dist + w and nh = r.hops + 1 in
+          if nd <= cap && better (nd, r.src, nh) (!st.dist, !st.src, !st.hops)
+          then
+            st := { dist = nd; src = r.src; parent = sender; hops = nh; dirty = true }
+        done;
+        let st = !st in
+        if st.dirty && st.src >= 0 then
+          Array.iter
+            (fun (nb, _, _) ->
+              emit ~dst:nb (Relax { dist = st.dist; src = st.src; hops = st.hops }))
+            view.Sim.nbrs;
+        { st with dirty = false });
+    fp_is_done = (fun st -> not st.dirty);
+    fp_msg_bits =
+      (fun (Relax r) ->
+        Bitsize.int_bits (Int.max 1 r.dist)
+        + Bitsize.id_bits ~n
+        + Bitsize.int_bits (Int.max 1 r.hops));
+    (* Purely wavefront-driven: a clean node with no mail has nothing to
+       do, so the simulator may skip it. *)
+    fp_wake = Some Sim.never;
+  }
 
 (* Native flat-engine port.  Same wavefront, same messages, same label
    order as [protocol], with the whole message packed into one immediate
@@ -106,8 +100,8 @@ let protocol ?weight_of ?radius g ~sources =
    chain is a simple path (a repeated node would have had to accept a
    lexicographically worse label), so hops <= n - 1 and the bound is
    sound.  When the three widths do not fit an immediate int, the
-   constructor declines ([None]) and [run] falls back to the classic
-   protocol, the only implementation for such wide inputs. *)
+   constructor declines ([None]) and [run] falls back to the boxed
+   [protocol], the only implementation for such wide inputs. *)
 type flat_state = {
   mutable fdist : int;
   mutable fsrc : int;
@@ -126,7 +120,7 @@ let flat_protocol ?weight_of ?radius g ~sources =
   let cap = match radius with Some r -> r | None -> inf in
   let csr = Graph.csr g in
   (* Effective incoming weight per directed CSR position: one array lookup
-     per received message (the classic protocol pays a hashtable find). *)
+     per received message (the boxed protocol pays a hashtable find). *)
   let wpos = Array.map weight_of csr.Graph.eid in
   let init_dist = Hashtbl.create (Int.max 1 (List.length sources)) in
   List.iter
@@ -244,7 +238,7 @@ let run ?weight_of ?radius ?max_rounds ?(env = Sim.default_env) g ~sources =
     end
   in
   (* The input alone picks the leg: the packed port whenever its widths
-     fit an immediate int, the classic protocol otherwise. *)
+     fit an immediate int, the boxed protocol otherwise. *)
   let native = flat_protocol ?weight_of ?radius g ~sources in
   let rounds =
     Sim.span env "bellman_ford" @@ fun () ->
@@ -267,7 +261,7 @@ let run ?weight_of ?radius ?max_rounds ?(env = Sim.default_env) g ~sources =
     | None ->
         let states, stats =
           Fault.sim_run ?max_rounds ~env ~recovery:(Fault.immutable ()) g
-            (Sim.flat_of_protocol (protocol ?weight_of ?radius g ~sources))
+            (protocol ?weight_of ?radius g ~sources)
         in
         Array.iteri
           (fun v (st : state) ->

@@ -38,11 +38,11 @@ val protocol :
   ?radius:int ->
   Dsf_graph.Graph.t ->
   sources:(int * int) list ->
-  (state, msg) Sim.protocol
-(** The classic relaxation protocol, with boxed messages.  It is the
-    fallback for inputs whose labels do not pack into an immediate int
-    (where {!flat_protocol} returns [None]), and the only implementation
-    that runs for them. *)
+  (state, msg) Sim.flat_protocol
+(** The relaxation protocol with boxed messages and an immutable state
+    record.  It is the fallback for inputs whose labels do not pack into
+    an immediate int (where {!flat_protocol} returns [None]), and the only
+    implementation that runs for them. *)
 
 type flat_state
 (** Packed-state type of {!flat_protocol}; decode through {!run}. *)

@@ -54,9 +54,9 @@ let three_color ?(env = Sim.default_env) g ~parent =
   Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
   let reduction_start = cv_iterations in
   let limit = reduction_start + 9 in
-  let proto : (color_state, color_msg) Sim.protocol =
+  let proto : (color_state, color_msg) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           {
             color = view.Sim.node;
@@ -64,17 +64,20 @@ let three_color ?(env = Sim.default_env) g ~parent =
             parent_color = -1;
             finished = false;
           });
-      step =
-        (fun view ~round st ~inbox ->
+      fp_step =
+        (fun view ~round st ~inbox ~emit ->
           let v = view.Sim.node in
-          let heard_parent =
-            List.fold_left
-              (fun acc (sender, Down c) ->
-                if sender = parent.(v) then Some c else acc)
-              None inbox
-          in
+          (* The parent's last message this round, if any. *)
+          let heard_parent = ref None in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            if Sim.inbox_src inbox i = parent.(v) then begin
+              let (Down c) = Sim.inbox_msg inbox i in
+              heard_parent := Some c
+            end
+          done;
+          let heard_parent = !heard_parent in
           let send_down color =
-            List.map (fun c -> c, Down color) children.(v)
+            List.iter (fun c -> emit ~dst:c (Down color)) children.(v)
           in
           if round < cv_iterations then begin
             let color =
@@ -85,13 +88,15 @@ let three_color ?(env = Sim.default_env) g ~parent =
                 | None -> cv_root st.color
               end
             in
-            { st with color }, send_down color
+            send_down color;
+            { st with color }
           end
           else if round < limit then begin
             match (round - reduction_start) mod 3 with
             | 0 ->
                 (* Shift-broadcast; remember our pre-shift color. *)
-                { st with pre_shift = st.color }, send_down st.color
+                send_down st.color;
+                { st with pre_shift = st.color }
             | 1 ->
                 (* Adopt the parent's color; roots take a fresh one. *)
                 let color =
@@ -99,7 +104,8 @@ let three_color ?(env = Sim.default_env) g ~parent =
                   | Some c -> c
                   | None -> root_shift_color st.color
                 in
-                { st with color }, send_down color
+                send_down color;
+                { st with color }
             | _ ->
                 let stage = (round - reduction_start) / 3 in
                 let target = 5 - stage in
@@ -113,15 +119,17 @@ let three_color ?(env = Sim.default_env) g ~parent =
                       [ 0; 1; 2 ]
                   else st.color
                 in
-                { st with color; parent_color }, []
+                { st with color; parent_color }
           end
-          else { st with finished = true }, []);
-      is_done = (fun st -> st.finished);
-      msg_bits = (fun _ -> Bitsize.int_bits 8);
-      wake = None;
+          else { st with finished = true });
+      fp_is_done = (fun st -> st.finished);
+      fp_msg_bits = (fun _ -> Bitsize.int_bits 8);
+      fp_wake = None;
     }
   in
-  let states, _ = Sim.run ~env g proto in
+  let states, _ =
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
+  in
   Array.map (fun st -> st.color) states
 
 type match_state = {
@@ -138,9 +146,9 @@ type match_msg = Propose | Accept
    before the next class proposes, so the matching stays consistent. *)
 let maximal_matching ?(env = Sim.default_env) g ~parent =
   let colors = three_color ~env g ~parent in
-  let proto : (match_state, match_msg) Sim.protocol =
+  let proto : (match_state, match_msg) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           {
             m_color = colors.(view.Sim.node);
@@ -148,50 +156,53 @@ let maximal_matching ?(env = Sim.default_env) g ~parent =
             accepted = [];
             m_done = false;
           });
-      step =
-        (fun view ~round st ~inbox ->
+      fp_step =
+        (fun view ~round st ~inbox ~emit ->
           let v = view.Sim.node in
-          (* Accept confirmations first: they settle our earlier proposal. *)
-          let st =
-            List.fold_left
-              (fun st (sender, msg) ->
-                match msg with
-                | Accept when st.matched_with = -1 ->
+          (* Accept confirmations settle our earlier proposal; a node
+             still unmatched after them takes its smallest proposer. *)
+          let st = ref st and proposer = ref (-1) in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            let sender = Sim.inbox_src inbox i in
+            match Sim.inbox_msg inbox i with
+            | Accept ->
+                if !st.matched_with = -1 then
+                  st :=
                     {
-                      st with
+                      !st with
                       matched_with = sender;
-                      accepted = (v, sender) :: st.accepted;
+                      accepted = (v, sender) :: !st.accepted;
                     }
-                | _ -> st)
-              st inbox
+            | Propose ->
+                if !proposer < 0 || sender < !proposer then proposer := sender
+          done;
+          let st =
+            if !proposer >= 0 && !st.matched_with = -1 then begin
+              emit ~dst:!proposer Accept;
+              { !st with matched_with = !proposer }
+            end
+            else !st
           in
-          (* Then incoming proposals: an unmatched node takes the smallest. *)
-          let proposals =
-            List.filter_map
-              (fun (sender, msg) ->
-                match msg with Propose -> Some sender | Accept -> None)
-              inbox
-            |> List.sort compare
-          in
-          let st, accept_out =
-            match proposals, st.matched_with with
-            | p :: _, -1 -> { st with matched_with = p }, [ p, Accept ]
-            | _ -> st, []
-          in
-          let propose_out =
-            if
-              round mod 2 = 0
-              && round / 2 = st.m_color
-              && st.matched_with = -1
-              && parent.(v) >= 0
-            then [ parent.(v), Propose ]
-            else []
-          in
-          { st with m_done = round >= 7 }, accept_out @ propose_out);
-      is_done = (fun st -> st.m_done);
-      msg_bits = (fun _ -> 2);
-      wake = None;
+          if
+            round mod 2 = 0
+            && round / 2 = st.m_color
+            && st.matched_with = -1
+            && parent.(v) >= 0
+          then emit ~dst:parent.(v) Propose;
+          { st with m_done = round >= 7 });
+      fp_is_done = (fun st -> st.m_done);
+      fp_msg_bits = (fun _ -> 2);
+      fp_wake = None;
     }
   in
-  let states, _ = Sim.run ~env g proto in
+  let states, _ =
+    Fault.sim_run ~env
+      ~recovery:
+        {
+          (Fault.immutable ()) with
+          (* One word for the scalars, two per confirmed edge. *)
+          state_bits = (fun st -> 63 * (1 + (2 * List.length st.accepted)));
+        }
+      g proto
+  in
   Array.to_list states |> List.concat_map (fun st -> st.accepted)

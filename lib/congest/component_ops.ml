@@ -3,39 +3,38 @@ module Graph = Dsf_graph.Graph
 type 'a state = { best : 'a option; dirty : bool }
 
 let gossip_extremum ?(env = Sim.default_env) g ~mask ~values ~better ~bits =
-  let proto : ('a state, 'a) Sim.protocol =
+  let proto : ('a state, 'a) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           match values view.Sim.node with
           | Some v -> { best = Some v; dirty = true }
           | None -> { best = None; dirty = false });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let st =
-            List.fold_left
-              (fun st (_, v) ->
-                match st.best with
-                | Some b when not (better v b) -> st
-                | _ -> { best = Some v; dirty = true })
-              st inbox
-          in
-          match st.best, st.dirty with
+      fp_step =
+        (fun view ~round:_ st ~inbox ~emit ->
+          let st = ref st in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            let v = Sim.inbox_msg inbox i in
+            match !st.best with
+            | Some b when not (better v b) -> ()
+            | _ -> st := { best = Some v; dirty = true }
+          done;
+          let st = !st in
+          (match st.best, st.dirty with
           | Some v, true ->
-              let outbox =
-                Array.to_list view.Sim.nbrs
-                |> List.filter_map (fun (nb, _, eid) ->
-                       if mask.(eid) then Some (nb, v) else None)
-              in
-              { st with dirty = false }, outbox
-          | _ -> { st with dirty = false }, []);
-      is_done = (fun st -> not st.dirty);
-      msg_bits = bits;
-      wake = Some Sim.never;
+              Array.iter
+                (fun (nb, _, eid) -> if mask.(eid) then emit ~dst:nb v)
+                view.Sim.nbrs
+          | _ -> ());
+          { st with dirty = false });
+      fp_is_done = (fun st -> not st.dirty);
+      fp_msg_bits = bits;
+      fp_wake = Some Sim.never;
     }
   in
   let states, _ =
-    Sim.span env "gossip_extremum" (fun () -> Sim.run ~env g proto)
+    Sim.span env "gossip_extremum" (fun () ->
+        Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto)
   in
   Array.map (fun st -> st.best) states
 

@@ -230,8 +230,8 @@ let node_quiescent inner_is_done st =
        st.outq
   && Array.for_all (fun l -> l = []) st.pending
 
-let quiescent proto states =
-  Array.for_all (node_quiescent proto.Sim.is_done) states
+let quiescent fp states =
+  Array.for_all (node_quiescent fp.Sim.fp_is_done) states
 
 (* Retransmit timer, in rounds: the initial per-link timeout covers the
    2-round send/ack latency and doubles on every timeout up to the cap,
@@ -239,8 +239,13 @@ let quiescent proto states =
 let initial_rto = 3
 let rto_cap = 32
 
-let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
-    (('s, 'm) hstate, 'm packet) Sim.protocol =
+(* [harden] is a protocol *combinator*, the one sanctioned direct use of
+   a protocol's [fp_init] and [fp_step] outside the simulator (each call
+   carries its own lint allowance): the inner hooks run inside the
+   wrapper's own accounted hooks, and every bit the inner protocol emits
+   is re-sent (and charged) through the wrapper's own [emit]. *)
+let harden ?recovery
+    (fp : ('s, 'm) Sim.flat_protocol) : (('s, 'm) hstate, 'm packet) Sim.flat_protocol =
   (* Stable storage, one slot per node, lazily sized from the first view.
      The engines build every initial state before the first round and a
      restart re-inits only the restarted node, so each slot is only ever
@@ -255,7 +260,7 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
     let idx = Hashtbl.create (Int.max 4 deg) in
     Array.iteri (fun i nb -> Hashtbl.replace idx nb i) links;
     {
-      inner = proto.Sim.init view;
+      inner = (fp.Sim.fp_init view [@lint.allow "congest-discipline"]);
       vround = 0;
       links;
       idx;
@@ -299,7 +304,7 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
     let item_bits = function
       | Fin { vround } -> Bitsize.int_bits (Int.max 1 vround)
       | Payload { vround; body } ->
-          Bitsize.int_bits (Int.max 1 vround) + proto.Sim.msg_bits body
+          Bitsize.int_bits (Int.max 1 vround) + fp.Sim.fp_msg_bits body
     in
     let b = ref (rc.state_bits st.inner + Bitsize.int_bits (Int.max 1 st.vround)) in
     let deg = Array.length st.links in
@@ -310,39 +315,38 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
         st.outq.(j);
       List.iter
         (fun (vr, m) ->
-          b := !b + Bitsize.int_bits (Int.max 1 vr) + proto.Sim.msg_bits m)
+          b := !b + Bitsize.int_bits (Int.max 1 vr) + fp.Sim.fp_msg_bits m)
         st.pending.(j)
     done;
     !b
   in
-  let step view ~round:p st ~inbox =
+  let step view ~round:p st ~inbox ~emit =
     let deg = Array.length st.links in
     (* 1. Ingest packets: cumulative acks shrink the go-back-N windows;
        in-order data advances the stream; duplicates and gaps are dropped
        (gaps heal when the sender's timer resends the whole window). *)
-    List.iter
-      (fun (sender, pkt) ->
-        let j = Hashtbl.find st.idx sender in
-        match pkt with
-        | Ack { upto } ->
-            let before = st.outq.(j) in
-            let after = List.filter (fun (s, _) -> s > upto) before in
-            if List.compare_lengths after before < 0 then begin
-              st.outq.(j) <- after;
-              st.rto.(j) <- initial_rto;
-              st.last_tx.(j) <- p
-            end
-        | Pkt { seq; item } ->
-            st.need_ack.(j) <- true;
-            if seq = st.in_upto.(j) + 1 then begin
-              st.in_upto.(j) <- seq;
-              match item with
-              | Payload { vround; body } ->
-                  st.pending.(j) <- st.pending.(j) @ [ (vround, body) ]
-              | Fin { vround } ->
-                  if vround > st.fin_upto.(j) then st.fin_upto.(j) <- vround
-            end)
-      inbox;
+    for i = 0 to Sim.inbox_len inbox - 1 do
+      let j = Hashtbl.find st.idx (Sim.inbox_src inbox i) in
+      match Sim.inbox_msg inbox i with
+      | Ack { upto } ->
+          let before = st.outq.(j) in
+          let after = List.filter (fun (s, _) -> s > upto) before in
+          if List.compare_lengths after before < 0 then begin
+            st.outq.(j) <- after;
+            st.rto.(j) <- initial_rto;
+            st.last_tx.(j) <- p
+          end
+      | Pkt { seq; item } ->
+          st.need_ack.(j) <- true;
+          if seq = st.in_upto.(j) + 1 then begin
+            st.in_upto.(j) <- seq;
+            match item with
+            | Payload { vround; body } ->
+                st.pending.(j) <- st.pending.(j) @ [ (vround, body) ]
+            | Fin { vround } ->
+                if vround > st.fin_upto.(j) then st.fin_upto.(j) <- vround
+          end
+    done;
     (* 2. Execute at most one inner (virtual) round, once every link has
        closed it.  The inner inbox is rebuilt exactly as both engines
        deliver it: senders in ascending id order ([links] is sorted), each
@@ -359,29 +363,24 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
             (fun (_, body) acc -> (st.links.(j), body) :: acc)
             mine !inbox_r
       done;
-      (* The one sanctioned direct [step] call outside the simulator:
-         [harden] is a protocol *combinator* — the inner step runs inside
-         the wrapper's own accounted step, and every bit the inner
-         protocol emits is re-sent (and charged) through the wrapper's
-         outbox below. *)
-      let inner', outbox =
-        (proto.Sim.step view ~round:r st.inner ~inbox:!inbox_r)
-        [@lint.allow "congest-discipline"]
+      (* Each inner send becomes the next payload item of its link, in
+         emit order. *)
+      let inner_emit ~dst body =
+        let j =
+          match Hashtbl.find_opt st.idx dst with
+          | Some j -> j
+          | None -> invalid_arg "Fault.harden: message to non-neighbor"
+        in
+        let s = st.next_seq.(j) in
+        st.next_seq.(j) <- s + 1;
+        fresh.(j) <- fresh.(j) @ [ (s, Payload { vround = r + 1; body }) ]
       in
-      st.inner <- inner';
+      st.inner <-
+        (fp.Sim.fp_step view ~round:r st.inner
+           ~inbox:(Sim.inbox_of_list !inbox_r) ~emit:inner_emit
+         [@lint.allow "congest-discipline"]);
       st.vround <- r + 1;
       st.recovering <- false;
-      List.iter
-        (fun (dst, body) ->
-          let j =
-            match Hashtbl.find_opt st.idx dst with
-            | Some j -> j
-            | None -> invalid_arg "Fault.harden: message to non-neighbor"
-          in
-          let s = st.next_seq.(j) in
-          st.next_seq.(j) <- s + 1;
-          fresh.(j) <- fresh.(j) @ [ (s, Payload { vround = r + 1; body }) ])
-        outbox;
       for j = 0 to deg - 1 do
         let s = st.next_seq.(j) in
         st.next_seq.(j) <- s + 1;
@@ -392,14 +391,11 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
        the whole unacked window (in order, so go-back-N reception heals any
        gap) with exponential backoff.  The backoff caps at [rto_cap], so
        resends keep firing forever — that is what rides out finite link
-       outages and crash windows instead of merely probabilistic drops. *)
-    let packets = ref [] in
-    for j = deg - 1 downto 0 do
+       outages and crash windows instead of merely probabilistic drops.
+       Links go in ascending order, each link's data packets first, then
+       its ack. *)
+    for j = 0 to deg - 1 do
       let dst = st.links.(j) in
-      if st.need_ack.(j) then begin
-        st.need_ack.(j) <- false;
-        packets := (dst, Ack { upto = st.in_upto.(j) }) :: !packets
-      end;
       let had = st.outq.(j) in
       let timed_out =
         had <> [] && st.last_tx.(j) >= 0 && p - st.last_tx.(j) >= st.rto.(j)
@@ -415,9 +411,11 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
         else fresh.(j)
       in
       if to_send <> [] then st.last_tx.(j) <- p;
-      List.iter
-        (fun (s, item) -> packets := (dst, Pkt { seq = s; item }) :: !packets)
-        (List.rev to_send)
+      List.iter (fun (s, item) -> emit ~dst (Pkt { seq = s; item })) to_send;
+      if st.need_ack.(j) then begin
+        st.need_ack.(j) <- false;
+        emit ~dst (Ack { upto = st.in_upto.(j) })
+      end
     done;
     (* 4. Checkpoint (write-through): every step ends by persisting a deep
        copy of the whole hardened state, so a crash at any later round
@@ -429,7 +427,7 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
         if st.recovering then st.resync <- st.resync + 1;
         st.ckpt_bits <- st.ckpt_bits + hstate_bits rc st;
         !stable.(view.Sim.node) <- Some (copy_hstate rc st));
-    st, !packets
+    st
   in
   let packet_bits = function
     | Ack { upto } -> 2 + Bitsize.int_bits (Int.max 1 upto)
@@ -440,16 +438,16 @@ let harden ?recovery (proto : ('s, 'm) Sim.protocol) :
         match item with
         | Fin { vround } -> Bitsize.int_bits (Int.max 1 vround)
         | Payload { vround; body } ->
-            Bitsize.int_bits (Int.max 1 vround) + proto.Sim.msg_bits body)
+            Bitsize.int_bits (Int.max 1 vround) + fp.Sim.fp_msg_bits body)
   in
   {
-    Sim.init;
-    step;
-    is_done = node_quiescent proto.Sim.is_done;
-    msg_bits = packet_bits;
+    Sim.fp_init = init;
+    fp_step = step;
+    fp_is_done = node_quiescent fp.Sim.fp_is_done;
+    fp_msg_bits = packet_bits;
     (* The synchronizer marches every physical round (timers, Fin markers),
        so there is no sparse-activity story to declare. *)
-    wake = None;
+    fp_wake = None;
   }
 
 (* Post-run bookkeeping of a hardened run: fold the per-node
@@ -495,8 +493,7 @@ let sim_run ?max_rounds ?halt ?(env = Sim.default_env) ?recovery g fp =
       let network =
         if is_empty plan then Sim.Lossless else Sim.Faults (instantiate plan)
       in
-      let proto = Sim.protocol_of_flat fp in
-      let hardened = harden ?recovery proto in
+      let hardened = harden ?recovery fp in
       let user_halt = halt in
       let halt hs =
         (* Evaluate the caller's halt every physical round, exactly as the
@@ -509,11 +506,12 @@ let sim_run ?max_rounds ?halt ?(env = Sim.default_env) ?recovery g fp =
           | None -> false
           | Some h -> h (Array.map (fun st -> st.inner) hs)
         in
-        early || quiescent proto hs
+        early || quiescent fp hs
       in
       Sim.span env "hardened" (fun () ->
           let states, stats =
-            Sim.run ?max_rounds ~halt ~env:{ env with Sim.network } g hardened
+            Sim.run_flat ?max_rounds ~halt ~env:{ env with Sim.network } g
+              hardened
           in
           let stats = note_hardened env.Sim.telemetry states stats in
           Array.map (fun st -> st.inner) states, stats)

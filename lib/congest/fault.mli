@@ -62,7 +62,7 @@
     markers and timers keep marching), so {!sim_run} stops a hardened run
     by an omniscient virtual-quiescence halt: every inner state done, no
     unacked payload, no unconsumed payload.  That is the repo's usual
-    omniscient-halt convention ({!Sim.run}'s [?halt]); a real deployment
+    omniscient-halt convention ({!Sim.run_flat}'s [?halt]); a real deployment
     would detect it with an O(D) termination-detection wave, which
     callers should charge to their ledger. *)
 
@@ -146,10 +146,12 @@ val sim_run :
 (** The one runner of every simulated primitive, and the hardened drop-in
     for {!Sim.run_flat}.  On a [Lossless] or [Faults] network it {e is}
     {!Sim.run_flat} (zero overhead on the fault-free path).  On a
-    [Chaos plan] network it instantiates [plan], hardens
-    [Sim.protocol_of_flat fp] (with [recovery] when given), so a chaos
-    run executes the same port as a lossless one, runs the hardened list
-    protocol through {!Sim.run}, and halts on virtual quiescence
+    [Chaos plan] network it instantiates [plan], wraps [fp] in the
+    hardening combinator (with [recovery] when given) — itself a
+    {!Sim.flat_protocol} that steps [fp.fp_step] with an inbox built by
+    {!Sim.inbox_of_list} and re-sends its emits in order, so a chaos run
+    executes the same protocol code as a lossless one — runs it through
+    {!Sim.run_flat}, and halts on virtual quiescence
     {e or} the caller's [halt] evaluated on the inner state
     vector each physical round, so an omniscient early stop (e.g.
     [Pipeline]'s [stop_at_root]) fires on exactly the same inner
@@ -157,8 +159,7 @@ val sim_run :
     unwrapped, and [stats.retransmissions] is folded from the per-node
     counters.  The stats are the {e hardened} run's (packet traffic,
     drops, retransmissions); compare with the lossless run's stats to
-    measure the overhead.  A list protocol runs here wrapped in
-    {!Sim.flat_of_protocol}.
+    measure the overhead.
 
     [recovery] switches on checkpointed crash recovery: the hardened run
     writes a deep copy of each node's whole hardened state to its stable

@@ -8,32 +8,31 @@ type result = {
 
 type state = { best : int; dirty : bool }
 
-let protocol g : (state, int) Sim.protocol =
+let protocol g : (state, int) Sim.flat_protocol =
   let n = Graph.n g in
   {
-    init = (fun view -> { best = view.Sim.node; dirty = true });
-    step =
-      (fun view ~round:_ st ~inbox ->
-        let st =
-          List.fold_left
-            (fun st (_, cand) ->
-              if cand > st.best then { best = cand; dirty = true } else st)
-            st inbox
-        in
-        if st.dirty then
-          ( { st with dirty = false },
-            Array.to_list view.Sim.nbrs
-            |> List.map (fun (nb, _, _) -> nb, st.best) )
-        else st, []);
-    is_done = (fun st -> not st.dirty);
-    msg_bits = (fun _ -> Bitsize.id_bits ~n);
-    wake = Some Sim.never;
+    fp_init = (fun view -> { best = view.Sim.node; dirty = true });
+    fp_step =
+      (fun view ~round:_ st ~inbox ~emit ->
+        let st = ref st in
+        for i = 0 to Sim.inbox_len inbox - 1 do
+          let cand = Sim.inbox_msg inbox i in
+          if cand > !st.best then st := { best = cand; dirty = true }
+        done;
+        let st = !st in
+        if st.dirty then begin
+          Array.iter (fun (nb, _, _) -> emit ~dst:nb st.best) view.Sim.nbrs;
+          { st with dirty = false }
+        end
+        else st);
+    fp_is_done = (fun st -> not st.dirty);
+    fp_msg_bits = (fun _ -> Bitsize.id_bits ~n);
+    fp_wake = Some Sim.never;
   }
 
 let elect ?(env = Sim.default_env) g =
   let states, _ =
-    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
-      (Sim.flat_of_protocol (protocol g))
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (protocol g)
   in
   (* Under raw (unhardened) crash-and-restart faults agreement can silently
      break: a node restarted after the max-id wave has passed re-floods its

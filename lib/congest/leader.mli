@@ -16,8 +16,9 @@ type result = {
 
 type state = { best : int; dirty : bool }
 
-val protocol : Dsf_graph.Graph.t -> (state, int) Sim.protocol
-(** The raw flood protocol, exposed for the chaos differential suite. *)
+val protocol : Dsf_graph.Graph.t -> (state, int) Sim.flat_protocol
+(** The raw flood protocol, exposed for the chaos differential suite and
+    the hardening benchmarks. *)
 
 val elect : ?env:Sim.env -> Dsf_graph.Graph.t -> result
 (** Requires a connected graph; the elected leader is the maximum node id

@@ -4,7 +4,7 @@
 
     {2 What gets recorded}
 
-    The engines ({!Sim.run}, {!Sim.run_reference}, {!Sim.run_flat}) append
+    The engines ({!Sim.run_flat}, {!Sim.run_reference}) append
     one event per observable action into the log:
 
     - [Round r] — one per executed round, carrying the run-local round

@@ -6,14 +6,6 @@ type view = {
   nbrs : (int * int * int) array;
 }
 
-type ('s, 'm) protocol = {
-  init : view -> 's;
-  step : view -> round:int -> 's -> inbox:(int * 'm) list -> 's * (int * 'm) list;
-  is_done : 's -> bool;
-  msg_bits : 'm -> int;
-  wake : (view -> round:int -> 's -> bool) option;
-}
-
 type stats = {
   rounds : int;
   messages : int;
@@ -124,10 +116,10 @@ let neighbor_slots g views =
 
 let slot_of_msg nbr_slots ~n ~src ~dst =
   if dst < 0 || dst >= n then
-    invalid_arg "Sim.run: message to nonexistent node";
+    invalid_arg "Sim.run_flat: message to nonexistent node";
   match Hashtbl.find nbr_slots.(src) dst with
   | slot -> slot
-  | exception Not_found -> invalid_arg "Sim.run: message to non-neighbor"
+  | exception Not_found -> invalid_arg "Sim.run_flat: message to non-neighbor"
 
 (* Growable int buffer for the flat engine's per-round lists (touched
    CSR positions, undone/recipient candidates). *)
@@ -177,149 +169,8 @@ let finish env (s : stats) =
         ~budget_violations:s.budget_violations ~dropped:s.dropped
         ~duplicated:s.duplicated ~retransmissions:s.retransmissions
 
-(* The seed simulator's loop, kept verbatim as the semantic anchor for the
-   differential test suite (test_sim_equiv): every node is stepped every
-   round ([wake] is ignored), per-round accounting goes through a fresh
-   hashtable, quiescence re-scans the full state vector.  The only changes
-   from the seed are the slot-based recipient validation and the staging
-   window.  Fault injection is a production-engine feature; this loop runs
-   lossless networks only. *)
-let run_reference ?max_rounds ?halt ?(env = default_env) g proto =
-  (match env.network with
-  | Lossless -> ()
-  | Faults _ | Chaos _ ->
-      invalid_arg "Sim.run_reference: fault injection needs the flat engine");
-  let telemetry = env.telemetry in
-  let rcd = Option.bind telemetry Telemetry.recorder in
-  let rec_on = Option.is_some rcd in
-  let n = Graph.n g in
-  let max_rounds =
-    match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
-  in
-  let window = window_make () in
-  let window_from = max_rounds - postmortem_window in
-  let views =
-    Array.init n (fun node -> { node; n; nbrs = Graph.adj g node })
-  in
-  let states = Array.map proto.init views in
-  let nbr_slots = neighbor_slots g views in
-  let inboxes : (int * 'm) list array = Array.make n [] in
-  let next_inboxes : (int * 'm) list array = Array.make n [] in
-  let budget = Dsf_util.Bitsize.congest_budget ~n in
-  let messages = ref 0 in
-  let total_bits = ref 0 in
-  let max_edge_round_bits = ref 0 in
-  let budget_violations = ref 0 in
-  let round = ref 0 in
-  let quiescent = ref false in
-  let current_stats () =
-    {
-      rounds = !round;
-      messages = !messages;
-      total_bits = !total_bits;
-      max_edge_round_bits = !max_edge_round_bits;
-      budget_violations = !budget_violations;
-      dropped = 0;
-      duplicated = 0;
-      retransmissions = 0;
-    }
-  in
-  while not !quiescent do
-    if !round >= max_rounds then begin
-      let snapshot = current_stats () in
-      finish env snapshot;
-      abort_run ~round:!round ~snapshot window
-    end;
-    let rb = window.(!round mod postmortem_window) in
-    Recorder.buf_clear rb;
-    let staging = rec_on || !round >= window_from in
-    (* bits sent this round per (sender, neighbor-slot); keyed by sender and
-       destination since each unordered edge has two directions. *)
-    let edge_bits = Hashtbl.create 64 in
-    let sent_any = ref false in
-    let bits0 = !total_bits in
-    let delivered = ref 0 in
-    for v = 0 to n - 1 do
-      let inbox = List.rev inboxes.(v) in
-      delivered := !delivered + List.length inbox;
-      inboxes.(v) <- [];
-      (* The seed loop steps every node; the recorder stamps only
-         mail-consuming steps, the event both engines share. *)
-      if rec_on && inbox <> [] then Recorder.ev_step rb v;
-      let state', outbox = proto.step views.(v) ~round:!round states.(v) ~inbox in
-      states.(v) <- state';
-      List.iter
-        (fun (dst, msg) ->
-          ignore (slot_of_msg nbr_slots ~n ~src:v ~dst);
-          sent_any := true;
-          incr messages;
-          let bits = proto.msg_bits msg in
-          total_bits := !total_bits + bits;
-          if staging then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
-          let key = (v * n) + dst in
-          let prev = Option.value ~default:0 (Hashtbl.find_opt edge_bits key) in
-          let now = prev + bits in
-          Hashtbl.replace edge_bits key now;
-          next_inboxes.(dst) <- (v, msg) :: next_inboxes.(dst))
-        outbox
-    done;
-    Hashtbl.iter
-      (fun _ bits ->
-        if bits > !max_edge_round_bits then max_edge_round_bits := bits;
-        if bits > budget then incr budget_violations)
-      edge_bits;
-    for v = 0 to n - 1 do
-      inboxes.(v) <- next_inboxes.(v);
-      next_inboxes.(v) <- []
-    done;
-    (match rcd with
-    | Some r ->
-        Recorder.round r !round;
-        Recorder.append r rb
-    | None -> ());
-    (* The one telemetry branch per round; the seed loop steps every node,
-       so the active set is all of [n] and wake hooks never fire. *)
-    (match telemetry with
-    | Some t ->
-        Telemetry.sim_round t ~stepped:n ~delivered:!delivered
-          ~bits:(!total_bits - bits0) ~wake_hits:0
-    | None -> ());
-    incr round;
-    let all_done = Array.for_all proto.is_done states in
-    let inflight = Array.exists (fun l -> l <> []) inboxes in
-    let halted = match halt with Some f -> f states | None -> false in
-    quiescent := halted || (all_done && (not inflight) && not !sent_any)
-  done;
-  let final = current_stats () in
-  finish env final;
-  states, final
-
-(* Process-global by definition: the one engine shim left (see the
-   .mli); dsf-lint keeps anyone outside the differential suites from
-   touching it. *)
-let use_reference_engine = ref false [@@lint.allow "global-state"]
-
-(* ------------------------------------------------------------------ *)
-(* Flat-core engine: arena message slots over the CSR graph view, every
-   run stepped on the calling domain.
-
-   Layout (see DESIGN.md, "Engine architecture"):
-
-   - messages live in [mbuf] arenas: parallel (srcs : int array,
-     msgs : 'm array) pairs that grow once and are recycled by resetting
-     the length, so the steady-state round loop allocates nothing for
-     unboxed ('m = int) protocols;
-   - per-round per-(edge, direction) bits live in a flat array indexed by
-     *CSR position* (the sender's directed slot);
-   - sends are staged per destination and delivered at the round
-     barrier by swapping the staged buffer with the (empty) inbox; nodes
-     step in ascending order, so every inbox receives its mail in the
-     global send order (sender ascending, outbox order within a sender)
-     of the reference loop;
-   - each round stages its recorder events, and its sends in the last
-     [postmortem_window] rounds before [max_rounds], into the staging
-     window (see [window_make]). *)
-
+(* Inboxes are [mbuf] arenas (see the flat-core layout below); a step
+   reads its mail through the accessors and never sees the buffer. *)
 type 'm mbuf = {
   mutable srcs : int array;
   mutable msgs : 'm array;
@@ -367,50 +218,161 @@ type ('s, 'm) flat_protocol = {
   fp_wake : (view -> round:int -> 's -> bool) option;
 }
 
-let inbox_list b =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) ((b.srcs.(i), b.msgs.(i)) :: acc)
+let inbox_of_list l =
+  let b = mbuf_make () in
+  List.iter (fun (src, msg) -> mbuf_push b src msg) l;
+  b
+
+(* The seed simulator's loop, kept verbatim as the semantic anchor for the
+   differential test suite (test_sim_equiv): every node is stepped every
+   round ([fp_wake] is ignored), per-round accounting goes through a fresh
+   hashtable, quiescence re-scans the full state vector.  The only changes
+   from the seed are the slot-based recipient validation, the staging
+   window, and the one protocol type: mail is still delivered as lists,
+   and each step reads its list through [inbox_of_list].  Fault injection is a production-engine feature; this loop runs
+   lossless networks only. *)
+let run_reference ?max_rounds ?halt ?(env = default_env) g fp =
+  (match env.network with
+  | Lossless -> ()
+  | Faults _ | Chaos _ ->
+      invalid_arg "Sim.run_reference: fault injection needs the flat engine");
+  let telemetry = env.telemetry in
+  let rcd = Option.bind telemetry Telemetry.recorder in
+  let rec_on = Option.is_some rcd in
+  let n = Graph.n g in
+  let max_rounds =
+    match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
   in
-  go (b.mlen - 1) []
+  let window = window_make () in
+  let window_from = max_rounds - postmortem_window in
+  let views =
+    Array.init n (fun node -> { node; n; nbrs = Graph.adj g node })
+  in
+  let states = Array.map fp.fp_init views in
+  let nbr_slots = neighbor_slots g views in
+  let inboxes : (int * 'm) list array = Array.make n [] in
+  let next_inboxes : (int * 'm) list array = Array.make n [] in
+  let budget = Dsf_util.Bitsize.congest_budget ~n in
+  let messages = ref 0 in
+  let total_bits = ref 0 in
+  let max_edge_round_bits = ref 0 in
+  let budget_violations = ref 0 in
+  let round = ref 0 in
+  let quiescent = ref false in
+  let current_stats () =
+    {
+      rounds = !round;
+      messages = !messages;
+      total_bits = !total_bits;
+      max_edge_round_bits = !max_edge_round_bits;
+      budget_violations = !budget_violations;
+      dropped = 0;
+      duplicated = 0;
+      retransmissions = 0;
+    }
+  in
+  while not !quiescent do
+    if !round >= max_rounds then begin
+      let snapshot = current_stats () in
+      finish env snapshot;
+      abort_run ~round:!round ~snapshot window
+    end;
+    let rb = window.(!round mod postmortem_window) in
+    Recorder.buf_clear rb;
+    let staging = rec_on || !round >= window_from in
+    (* bits sent this round per (sender, neighbor-slot); keyed by sender and
+       destination since each unordered edge has two directions. *)
+    let edge_bits = Hashtbl.create 64 in
+    let sent_any = ref false in
+    let bits0 = !total_bits in
+    let delivered = ref 0 in
+    for v = 0 to n - 1 do
+      let inbox = List.rev inboxes.(v) in
+      delivered := !delivered + List.length inbox;
+      inboxes.(v) <- [];
+      (* The seed loop steps every node; the recorder stamps only
+         mail-consuming steps, the event both engines share. *)
+      if rec_on && inbox <> [] then Recorder.ev_step rb v;
+      (* The step's emits are collected, in emit order, into the outbox
+         the seed walked. *)
+      let outbox = ref [] in
+      let state' =
+        fp.fp_step views.(v) ~round:!round states.(v)
+          ~inbox:(inbox_of_list inbox)
+          ~emit:(fun ~dst msg -> outbox := (dst, msg) :: !outbox)
+      in
+      states.(v) <- state';
+      List.iter
+        (fun (dst, msg) ->
+          ignore (slot_of_msg nbr_slots ~n ~src:v ~dst);
+          sent_any := true;
+          incr messages;
+          let bits = fp.fp_msg_bits msg in
+          total_bits := !total_bits + bits;
+          if staging then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
+          let key = (v * n) + dst in
+          let prev = Option.value ~default:0 (Hashtbl.find_opt edge_bits key) in
+          let now = prev + bits in
+          Hashtbl.replace edge_bits key now;
+          next_inboxes.(dst) <- (v, msg) :: next_inboxes.(dst))
+        (List.rev !outbox)
+    done;
+    Hashtbl.iter
+      (fun _ bits ->
+        if bits > !max_edge_round_bits then max_edge_round_bits := bits;
+        if bits > budget then incr budget_violations)
+      edge_bits;
+    for v = 0 to n - 1 do
+      inboxes.(v) <- next_inboxes.(v);
+      next_inboxes.(v) <- []
+    done;
+    (match rcd with
+    | Some r ->
+        Recorder.round r !round;
+        Recorder.append r rb
+    | None -> ());
+    (* The one telemetry branch per round; the seed loop steps every node,
+       so the active set is all of [n] and wake hooks never fire. *)
+    (match telemetry with
+    | Some t ->
+        Telemetry.sim_round t ~stepped:n ~delivered:!delivered
+          ~bits:(!total_bits - bits0) ~wake_hits:0
+    | None -> ());
+    incr round;
+    let all_done = Array.for_all fp.fp_is_done states in
+    let inflight = Array.exists (fun l -> l <> []) inboxes in
+    let halted = match halt with Some f -> f states | None -> false in
+    quiescent := halted || (all_done && (not inflight) && not !sent_any)
+  done;
+  let final = current_stats () in
+  finish env final;
+  states, final
 
-(* Boxed fallback: adapts a list-based protocol to the flat engine.  Each
-   step rebuilds the inbox list and walks the outbox list, so it keeps the
-   seed's allocation profile per *active* node — polymorphic-message
-   protocols still gain the active-list and arena-delivery savings. *)
-let flat_of_protocol p =
-  {
-    fp_init = p.init;
-    fp_step =
-      (fun view ~round s ~inbox ~emit ->
-        let s', outbox = p.step view ~round s ~inbox:(inbox_list inbox) in
-        List.iter (fun (dst, msg) -> emit ~dst msg) outbox;
-        s');
-    fp_is_done = p.is_done;
-    fp_msg_bits = p.msg_bits;
-    fp_wake = p.wake;
-  }
+(* Process-global by definition: the one engine shim left (see the
+   .mli); dsf-lint keeps anyone outside the differential suites from
+   touching it. *)
+let use_reference_engine = ref false [@@lint.allow "global-state"]
 
-(* The inverse adapter: a flat protocol as a list protocol, for the two
-   list consumers, [run_reference] and [Fault.sim_run]'s hardened runs.
-   Each step copies the inbox list into a fresh buffer and collects the
-   emits into the outbox, in emit order. *)
-let protocol_of_flat fp =
-  {
-    init = fp.fp_init;
-    step =
-      (fun view ~round s ~inbox ->
-        let b = mbuf_make () in
-        List.iter (fun (src, msg) -> mbuf_push b src msg) inbox;
-        let outbox = ref [] in
-        let s' =
-          fp.fp_step view ~round s ~inbox:b ~emit:(fun ~dst msg ->
-              outbox := (dst, msg) :: !outbox)
-        in
-        s', List.rev !outbox);
-    is_done = fp.fp_is_done;
-    msg_bits = fp.fp_msg_bits;
-    wake = fp.fp_wake;
-  }
+(* ------------------------------------------------------------------ *)
+(* Flat-core engine: arena message slots over the CSR graph view, every
+   run stepped on the calling domain.
+
+   Layout (see DESIGN.md, "Engine architecture"):
+
+   - messages live in [mbuf] arenas: parallel (srcs : int array,
+     msgs : 'm array) pairs that grow once and are recycled by resetting
+     the length, so the steady-state round loop allocates nothing for
+     unboxed ('m = int) protocols;
+   - per-round per-(edge, direction) bits live in a flat array indexed by
+     *CSR position* (the sender's directed slot);
+   - sends are staged per destination and delivered at the round
+     barrier by swapping the staged buffer with the (empty) inbox; nodes
+     step in ascending order, so every inbox receives its mail in the
+     global send order (sender ascending, emit order within a sender)
+     of the reference loop;
+   - each round stages its recorder events, and its sends in the last
+     [postmortem_window] rounds before [max_rounds], into the staging
+     window (see [window_make]). *)
 
 (* In-place ascending sort of [a.(0 .. len - 1)]: insertion sort below a
    small cutoff, median-of-three quicksort above.  Avoids [Array.sort]'s
@@ -618,9 +580,9 @@ let flat_engine ?max_rounds ?halt ~env g fp =
               closure?)"
              dst);
     if dst < 0 || dst >= n then
-      invalid_arg "Sim.run: message to nonexistent node";
+      invalid_arg "Sim.run_flat: message to nonexistent node";
     let p = Graph.pos csr ~src ~dst in
-    if p < 0 then invalid_arg "Sim.run: message to non-neighbor";
+    if p < 0 then invalid_arg "Sim.run_flat: message to non-neighbor";
     sent_any := true;
     incr messages;
     let bits = fp.fp_msg_bits msg in
@@ -874,11 +836,8 @@ let flat_engine ?max_rounds ?halt ~env g fp =
 let run_flat ?max_rounds ?halt ?(env = default_env) g fp =
   match env.network with
   | Lossless when !use_reference_engine ->
-      run_reference ?max_rounds ?halt ~env g (protocol_of_flat fp)
+      run_reference ?max_rounds ?halt ~env g fp
   | Lossless | Faults _ | Chaos _ -> flat_engine ?max_rounds ?halt ~env g fp
-
-let run ?max_rounds ?halt ?env g proto =
-  run_flat ?max_rounds ?halt ?env g (flat_of_protocol proto)
 
 let pp_stats ppf s =
   Format.fprintf ppf

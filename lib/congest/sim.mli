@@ -1,30 +1,31 @@
 (** Synchronous CONGEST(log n) round simulator (the model of Section 2).
 
-    A protocol is a pair of callbacks: [init] builds each node's local state
-    from its local {!view} (its id, its incident edges, and [n] — everything
-    the model grants initially), and [step] consumes the inbox delivered at
-    the start of a round and produces messages for neighbors.  The simulator
-    executes rounds until the protocol is quiescent (every node reports done
-    and no message is in flight) or [max_rounds] is reached.
+    A protocol is one record of callbacks, a {!flat_protocol}: [fp_init]
+    builds each node's local state from its local {!view} (its id, its
+    incident edges, and [n] — everything the model grants initially), and
+    [fp_step] consumes the inbox delivered at the start of a round and
+    sends messages to neighbors through an [emit] callback.  The
+    simulator executes rounds until the protocol is quiescent (every node
+    reports done and no message is in flight) or [max_rounds] is
+    reached.
 
-    Message sizes are accounted in bits via [msg_bits]; the simulator records
-    the maximum bits sent over any (edge, direction) in any single round so
-    experiments can verify the O(log n) congestion discipline.  Sending two
-    messages to the same neighbor in one round is allowed but both count
-    against that edge-round's bit total.
+    Message sizes are accounted in bits via [fp_msg_bits]; the simulator
+    records the maximum bits sent over any (edge, direction) in any single
+    round so experiments can verify the O(log n) congestion discipline.
+    Sending two messages to the same neighbor in one round is allowed but
+    both count against that edge-round's bit total.
 
     {2 Engines}
 
     There is one production engine, {!run_flat}, and one oracle,
-    {!run_reference}.  Both step a run's nodes one after another on the
-    calling domain.  {!run} is the list-protocol entry point: it adapts
-    the protocol with {!flat_of_protocol} and runs it on {!run_flat}.
-    Each ported primitive ({!Bfs}, {!Tree_ops}, {!Pipeline}, ...) has one
-    implementation, a native {!flat_protocol}, and it runs that port on
-    every network.  The two list-protocol consumers get it through
-    {!protocol_of_flat}: {!run_reference} (under
-    {!use_reference_engine}) and the hardened runs of {!Fault.sim_run}
-    (under a [Chaos] network).
+    {!run_reference}.  Both run the same protocol record and step a run's
+    nodes one after another on the calling domain.  Every primitive
+    ({!Bfs}, {!Tree_ops}, {!Pipeline}, ...) has one implementation, a
+    native {!flat_protocol}, and runs it on every network: {!run_flat} on
+    a lossless or faulty one, {!run_reference} under
+    {!use_reference_engine}, and {!Fault.sim_run}'s hardening wrapper
+    (itself a {!flat_protocol}) under a [Chaos] network.  There are no
+    adapters: the type system admits no other protocol shape.
 
     {2 Sparse scheduling}
 
@@ -32,18 +33,19 @@
     are silent in most rounds (Bellman-Ford wavefronts, pipelined upcasts),
     so the production engine only steps the nodes that can act: in round
     [r] a node is stepped iff its inbox is non-empty, it does not report
-    [is_done], or its [wake] hook returns [true].  A protocol with
-    [wake = None] is stepped every round — exactly the original
-    simulator's schedule.  A protocol that declares a sparse [wake] (e.g.
-    [Some never]) promises that stepping a done node with an empty inbox
-    is a no-op: it returns a structurally equal state and an empty outbox.
-    Under that contract, {!run} and {!run_reference} produce identical
-    stats, flight logs, and final states — the property suite
-    [test_sim_equiv] checks this differentially on randomized graphs and
-    protocols.
+    [fp_is_done], or its [fp_wake] hook returns [true].  A protocol with
+    [fp_wake = None] is stepped every round — exactly the original
+    simulator's schedule.  A protocol that declares a sparse [fp_wake]
+    (e.g. [Some never]) promises that stepping a done node with an empty
+    inbox is a no-op: it returns a structurally equal state and emits
+    nothing.  Under that contract, {!run_flat} and {!run_reference}
+    produce identical stats, flight logs, and final states — the property
+    suite [test_sim_equiv] checks this differentially on randomized
+    graphs and protocols.
 
-    [is_done] and [wake] must be pure functions of the state (and view /
-    round): [is_done] is re-evaluated only when a step changes the state.
+    [fp_is_done] and [fp_wake] must be pure functions of the state (and
+    view / round): [fp_is_done] is re-evaluated only when a step changes
+    the state.
 
     Composition convention: the paper's algorithms are towers of subroutines,
     each with its own round bound (Bellman-Ford phases, pipelined upcasts,
@@ -64,23 +66,6 @@ type view = {
   n : int;  (** number of nodes in the network *)
   nbrs : (int * int * int) array;
       (** (neighbor id, edge weight, edge id), as in {!Dsf_graph.Graph.adj} *)
-}
-
-type ('s, 'm) protocol = {
-  init : view -> 's;
-  step : view -> round:int -> 's -> inbox:(int * 'm) list -> 's * (int * 'm) list;
-      (** [inbox] is the list of (sender, message) delivered this round;
-          returns the new state and the outbox of (neighbor, message). *)
-  is_done : 's -> bool;
-  msg_bits : 'm -> int;
-  wake : (view -> round:int -> 's -> bool) option;
-      (** Scheduling hook. [None]: step the node every round (the default
-          behavior protocols get if they have no sparse-activity story).
-          [Some f]: the node is stepped in a round iff it received a message,
-          is not [is_done], or [f] returns [true] — use [Some never] for
-          purely message/progress-driven protocols, or a round predicate
-          (e.g. [fun _ ~round _ -> round = 0]) for clock-driven kick-offs.
-          Only consulted for nodes that are idle by the first two tests. *)
 }
 
 type stats = {
@@ -119,9 +104,9 @@ type stats = {
       and mail arriving at it is destroyed (counted in [dropped]);
       messages it sent earlier still arrive elsewhere;
     - on the first round a node is back up, its state is reset to
-      [init view] — crash-and-restart with total state loss as far as the
+      [fp_init view] — crash-and-restart with total state loss as far as the
       engine is concerned ({!Fault.sim_run} with a {!Fault.recoverable}
-      contract piggybacks on exactly this hook: its hardened [init]
+      contract piggybacks on exactly this hook: its hardened [fp_init]
       consults the node's stable storage and restores the checkpoint
       instead).
 
@@ -173,8 +158,9 @@ val pp_abort : Format.formatter -> abort -> unit
     the raw messages stay in {!abort.recent}. *)
 
 val never : view -> round:int -> 's -> bool
-(** [never] ignores its arguments and returns [false]: the canonical [wake]
-    for protocols whose activity is entirely message- or progress-driven. *)
+(** [never] ignores its arguments and returns [false]: the canonical
+    [fp_wake] for protocols whose activity is entirely message- or
+    progress-driven. *)
 
 (** {2 Run environment}
 
@@ -289,16 +275,16 @@ val measure : ?env:env -> (env -> 'a) -> 'a * stats
     message traffic lives in preallocated {e arena} buffers (parallel
     [int array] / ['m array] pairs grown once and recycled by length
     reset), per-round per-(edge, direction) bit accounting is a flat
-    array indexed by CSR position, and a protocol whose [wake] is
+    array indexed by CSR position, and a protocol whose [fp_wake] is
     physically {!never} is scheduled from an incrementally-maintained
     sorted active list, so an idle round costs O(active nodes) instead of
     an O(n) criterion sweep.  For ['m = int] protocols written against
-    the native {!flat_protocol} interface the steady-state round loop
-    allocates nothing.
+    the {!flat_protocol} interface the steady-state round loop allocates
+    nothing.
 
     Nodes step in ascending order and sends are staged per destination,
     so each inbox receives its mail in the global send order of
-    {!run_reference} (sender ascending, outbox order within a sender).
+    {!run_reference} (sender ascending, emit order within a sender).
 
     An error raised by a step (e.g. a message to a non-neighbor)
     propagates out of the run, on both engines alike.  Recorder events
@@ -306,10 +292,10 @@ val measure : ?env:env -> (env -> 'a) -> 'a * stats
     never reaches, so they are not emitted. *)
 
 type 'm inbox
-(** The mail delivered to a node this round, in arrival order (identical
-    to the list {!run_reference} would hand [step]).  A read-only view
-    into a recycled arena buffer: valid only during the [fp_step] call it
-    was passed to. *)
+(** The mail delivered to a node this round, in arrival order: senders
+    ascending, send order within a sender.  A read-only view into a
+    recycled arena buffer: valid only during the [fp_step] call it was
+    passed to. *)
 
 val inbox_len : 'm inbox -> int
 val inbox_src : 'm inbox -> int -> int
@@ -318,9 +304,11 @@ val inbox_src : 'm inbox -> int -> int
 val inbox_msg : 'm inbox -> int -> 'm
 (** Payload of the [i]-th message; raises [Invalid_argument] out of range. *)
 
-val inbox_list : 'm inbox -> (int * 'm) list
-(** The inbox as a [(sender, message)] list (allocates; the convenience
-    bridge for incremental ports and {!flat_of_protocol}). *)
+val inbox_of_list : (int * 'm) list -> 'm inbox
+(** A fresh inbox holding the [(sender, message)] list in list order.  It
+    is how a step is fed mail that was not delivered by the engine's
+    arena: {!run_reference}'s list delivery, and the inner step of
+    {!Fault.sim_run}'s hardening wrapper. *)
 
 type ('s, 'm) flat_protocol = {
   fp_init : view -> 's;
@@ -329,26 +317,23 @@ type ('s, 'm) flat_protocol = {
     -> 's;
       (** Reads mail through the zero-copy [inbox] view and sends by
           calling [emit] (one closure per run — no outbox list is ever
-          built).  Same delivery semantics as {!protocol.step}:
-          messages emitted in round [r] arrive in round [r + 1]. *)
+          built); returns the new state.  Messages emitted in round [r]
+          arrive in round [r + 1], in emit order. *)
   fp_is_done : 's -> bool;
   fp_msg_bits : 'm -> int;
   fp_wake : (view -> round:int -> 's -> bool) option;
-      (** Same contract as {!protocol.wake}.  Pass [Some never] (that
-          exact closure) to opt into the sparse active-list scheduler. *)
+      (** Scheduling hook. [None]: step the node every round (the default
+          behavior protocols get if they have no sparse-activity story).
+          [Some f]: the node is stepped in a round iff it received a
+          message, is not [fp_is_done], or [f] returns [true] — use
+          [Some never] for purely message/progress-driven protocols, or a
+          round predicate (e.g. [fun _ ~round _ -> round = 0]) for
+          clock-driven kick-offs.  Only consulted for nodes that are idle
+          by the first two tests.  Pass [Some never] (that exact closure)
+          to opt into the sparse active-list scheduler. *)
 }
-
-val flat_of_protocol : ('s, 'm) protocol -> ('s, 'm) flat_protocol
-(** The adapter {!run} uses: runs a list-based protocol on the flat
-    engine by materializing each inbox list and walking each outbox list.
-    It allocates per active node, but still gains arena delivery and
-    active-list scheduling. *)
-
-val protocol_of_flat : ('s, 'm) flat_protocol -> ('s, 'm) protocol
-(** The inverse of {!flat_of_protocol}: each step copies the inbox list
-    into a fresh buffer and collects the [emit] calls into the outbox, in
-    emit order.  It is how the list consumers, {!run_reference} and
-    {!Fault.sim_run}'s hardened runs, run a native port. *)
+(** The one protocol type.  The typed lint rules [domain-race] and
+    [congest-width] check every record literal of it. *)
 
 type sanitizer_violation = {
   sv_kind : string;
@@ -377,14 +362,21 @@ val run_flat :
   Dsf_graph.Graph.t ->
   ('s, 'm) flat_protocol ->
   's array * stats
-(** Runs a native flat protocol on the flat-core engine.  Stats, final
-    states, flight logs, round counts, telemetry series, fault
-    semantics, and {!Round_limit} behavior are bit-identical to {!run} on
-    the equivalent list protocol, and (faults aside) to {!run_reference}
-    — the differential suite enforces this with faults and telemetry both
-    on and off.  While {!use_reference_engine} is set, a run on a
-    [Lossless] network goes to [run_reference (protocol_of_flat fp)]
-    instead.
+(** Runs a protocol to quiescence on the flat-core engine.  Default
+    [max_rounds] is [10_000 + 200 * n]; raises {!Round_limit} if exceeded
+    (a protocol bug — the abort carries a post-mortem, see {!abort}).
+    Messages emitted in round [r] are delivered in round [r + 1].
+    Stats, final states, flight logs, round counts and telemetry series
+    are bit-identical (faults aside) to {!run_reference} — the
+    differential suite enforces this with faults and telemetry both on
+    and off.  While {!use_reference_engine} is set, a run on a
+    [Lossless] network goes to {!run_reference} instead.
+
+    [halt] is an omniscient early-termination predicate evaluated on the
+    state vector after every round; when it fires the run stops immediately.
+    It models a coordinator aborting a subroutine ("the root detects X and
+    broadcasts stop"): the caller is responsible for charging the O(D)
+    stop-broadcast to its round ledger.
 
     [env.sanitize] arms the dynamic node-locality sanitizer: node-state
     writes are stamped with their round, and any write to a node that
@@ -395,47 +387,29 @@ val run_flat :
     states, flight log); it costs an O(n) structural-hash sweep per
     round. *)
 
-val run :
-  ?max_rounds:int ->
-  ?halt:('s array -> bool) ->
-  ?env:env ->
-  Dsf_graph.Graph.t ->
-  ('s, 'm) protocol ->
-  's array * stats
-(** Runs a list protocol to quiescence: [run_flat ~env g
-    (flat_of_protocol proto)].  Default [max_rounds] is
-    [10_000 + 200 * n]; raises {!Round_limit} if exceeded (a protocol
-    bug — the abort carries a post-mortem, see {!abort}).  Messages
-    produced in round [r] are delivered in round [r + 1].
-
-    [halt] is an omniscient early-termination predicate evaluated on the
-    state vector after every round; when it fires the run stops immediately.
-    It models a coordinator aborting a subroutine ("the root detects X and
-    broadcasts stop"): the caller is responsible for charging the O(D)
-    stop-broadcast to its round ledger. *)
-
 val run_reference :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
   ?env:env ->
   Dsf_graph.Graph.t ->
-  ('s, 'm) protocol ->
+  ('s, 'm) flat_protocol ->
   's array * stats
 (** The original (seed) simulator loop, kept as the semantic anchor: steps
-    every node every round and ignores [wake].  Differential tests assert
-    {!run} and {!run_flat} match it exactly; it is also the baseline leg
-    of the [bench/main.exe -- micro] simulator benchmarks.  Not for
-    production use — it pays O(n + m) per round regardless of activity.
-    It honours [env]'s telemetry (and so its recorder),
-    ignores [sanitize], and raises [Invalid_argument] on any
+    every node every round and ignores [fp_wake], delivers mail as
+    per-node lists (each step reads its list through {!inbox_of_list}),
+    and walks each step's sends in emit order after the step returns.
+    Differential tests assert {!run_flat} matches it exactly; it is also
+    the baseline leg of the [bench/main.exe -- micro] simulator
+    benchmarks.  Not for production use — it pays O(n + m) per round
+    regardless of activity.  It honours [env]'s telemetry (and so its
+    recorder), ignores [sanitize], and raises [Invalid_argument] on any
     network but [Lossless]. *)
 
 val use_reference_engine : bool ref
 (** Global shim for test/benchmark instrumentation: while [true],
-    {!run_flat} (and so {!run}) delegates fault-free runs to
-    {!run_reference}, through {!protocol_of_flat}.  It is read there and
-    nowhere else, so every protocol, native port or list protocol, runs
-    the same code on the oracle loop.
+    {!run_flat} delegates fault-free runs to {!run_reference}.  It is
+    read there and nowhere else, so every protocol runs the same code on
+    the oracle loop.
     Lets the differential suite and the microbenchmarks drive whole
     algorithm entry points (e.g. {!Bellman_ford.sssp}) through the oracle
     without threading an engine parameter through every caller.  Never

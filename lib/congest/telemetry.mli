@@ -104,7 +104,7 @@ val sim_run :
   duplicated:int ->
   retransmissions:int ->
   unit
-(** Engine hook, fired once at the end (or abort) of a {!Sim.run}:
+(** Engine hook, fired once at the end (or abort) of every engine run:
     credits the run's stats to the innermost open span. *)
 
 val fork : t -> t

@@ -168,9 +168,9 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
         end)
       (items v)
   done;
-  let proto : ('a seq_state, 'a) Sim.protocol =
+  let proto : ('a seq_state, 'a) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           let v = view.Sim.node in
           {
@@ -178,33 +178,50 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
               List.rev (Option.value ~default:[] (Hashtbl.find_opt schedule v));
             s_received = (if v = tree.root then !root_items else []);
           });
-      step =
-        (fun view ~round st ~inbox ->
+      fp_step =
+        (fun view ~round st ~inbox ~emit ->
           let v = view.Sim.node in
-          if v = tree.root then
-            { st with s_received = List.rev_append (List.map snd inbox) st.s_received },
-            []
+          let k = Sim.inbox_len inbox in
+          if v = tree.root then begin
+            let received = ref st.s_received in
+            for i = 0 to k - 1 do
+              received := Sim.inbox_msg inbox i :: !received
+            done;
+            { st with s_received = !received }
+          end
           else begin
             (* Forward anything received, plus any item scheduled now. *)
-            let forward = List.map snd inbox in
+            for i = 0 to k - 1 do
+              emit ~dst:tree.parent.(v) (Sim.inbox_msg inbox i)
+            done;
             let due, later =
               List.partition (fun (r, _) -> r <= round) st.departures
             in
-            let out =
-              List.map (fun it -> tree.parent.(v), it) forward
-              @ List.map (fun (_, it) -> tree.parent.(v), it) due
-            in
-            { st with departures = later }, out
+            List.iter (fun (_, it) -> emit ~dst:tree.parent.(v) it) due;
+            { st with departures = later }
           end);
-      is_done = (fun st -> st.departures = []);
-      msg_bits = bits;
+      fp_is_done = (fun st -> st.departures = []);
+      fp_msg_bits = bits;
       (* Scheduled departures keep the node not-done until they are sent, so
          progress-driven waking suffices even for this clock-driven variant. *)
-      wake = Some Sim.never;
+      fp_wake = Some Sim.never;
     }
   in
   let states, _ =
-    Sim.span env "upcast_sequential" (fun () -> Sim.run ~env g proto)
+    Sim.span env "upcast_sequential" (fun () ->
+        Fault.sim_run ~env
+          ~recovery:
+            {
+              (Fault.immutable ()) with
+              (* One word per pending departure and per item the root
+                 holds: the lists grow with the schedule. *)
+              state_bits =
+                (fun st ->
+                  63
+                  * (1 + List.length st.departures
+                    + List.length st.s_received));
+            }
+          g proto)
   in
   List.rev states.(tree.root).s_received
 

@@ -12,12 +12,10 @@
     runs under a span named after the primitive ([upcast], [broadcast],
     [aggregate], ...) nested in the caller's current span.
 
-    {!upcast}, {!upcast_dedup}, {!broadcast} and {!aggregate} are native
-    flat-engine protocols (queue-based in-place states) run through
-    {!Fault.sim_run}.  {!upcast_sequential} has no native port and runs
-    through the flat engine's adapter.  Under a [Chaos] network every
-    primitive but {!upcast_sequential} runs hardened, supplying its own
-    {!Fault.recoverable} snapshot, so crash-restart plans are masked.  {!aggregate}'s child-count handshake is
+    Every operation is a {!Sim.flat_protocol} run through
+    {!Fault.sim_run}.  Under a [Chaos] network each runs hardened,
+    supplying its own {!Fault.recoverable} snapshot, so crash-restart
+    plans are masked.  {!aggregate}'s child-count handshake is
     duplicate-tolerant (a child's report is identified by its sender id
     — each child reports exactly once), so duplication plans cannot
     corrupt or livelock the count even {e without} hardening. *)

@@ -54,10 +54,8 @@ val run :
     charge lands in its enclosing span; a flight recorder riding on it
     logs every message of every simulated subroutine.
 
-    Every simulated subroutine runs on the flat-core engine — native
-    ports where they exist (BFS, Bellman-Ford decomposition, boundary
-    exchange, filtered upcast, tree ops, token flood), the adapter
-    elsewhere — on the calling domain; the result, ledger, telemetry
+    Every simulated subroutine runs its flat protocol on the flat-core
+    engine, on the calling domain; the result, ledger, telemetry
     costs and flight logs are bit-identical to
     {!Dsf_congest.Sim.run_reference} (differential suite enforced).
 

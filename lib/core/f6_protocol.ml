@@ -1,5 +1,6 @@
 module Graph = Dsf_graph.Graph
 module Sim = Dsf_congest.Sim
+module Fault = Dsf_congest.Fault
 module Bitsize = Dsf_util.Bitsize
 
 (* ---------------------------------------------------------- mark phase *)
@@ -12,9 +13,9 @@ type mark_state = {
 }
 
 let mark_phase ~env g ~parent ~labels =
-  let proto : (mark_state, int) Sim.protocol =
+  let proto : (mark_state, int) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           let seen = Hashtbl.create 8 in
           let mine =
@@ -33,36 +34,35 @@ let mark_phase ~env g ~parent ~labels =
             senders = Hashtbl.create 8;
             up_marks = Hashtbl.create 8;
           });
-      step =
-        (fun view ~round:_ st ~inbox ->
+      fp_step =
+        (fun view ~round:_ st ~inbox ~emit ->
           let v = view.Sim.node in
-          let fresh =
-            List.filter_map
-              (fun (sender, c) ->
-                Hashtbl.replace st.senders c
-                  (sender
-                  :: Option.value ~default:[] (Hashtbl.find_opt st.senders c));
-                if Hashtbl.mem st.seen c then None
-                else begin
-                  Hashtbl.add st.seen c ();
-                  Some c
-                end)
-              inbox
-          in
-          match st.pending @ fresh with
-          | [] -> { st with pending = [] }, []
+          let fresh = ref [] in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            let sender = Sim.inbox_src inbox i and c = Sim.inbox_msg inbox i in
+            Hashtbl.replace st.senders c
+              (sender :: Option.value ~default:[] (Hashtbl.find_opt st.senders c));
+            if not (Hashtbl.mem st.seen c) then begin
+              Hashtbl.add st.seen c ();
+              fresh := c :: !fresh
+            end
+          done;
+          match st.pending @ List.rev !fresh with
+          | [] -> { st with pending = [] }
           | c :: rest ->
               if parent.(v) >= 0 then begin
                 Hashtbl.replace st.up_marks c ();
-                { st with pending = rest }, [ parent.(v), c ]
-              end
-              else { st with pending = rest }, []);
-      is_done = (fun st -> st.pending = []);
-      msg_bits = (fun _ -> Bitsize.id_bits ~n:(Graph.n g));
-      wake = None;
+                emit ~dst:parent.(v) c
+              end;
+              { st with pending = rest });
+      fp_is_done = (fun st -> st.pending = []);
+      fp_msg_bits = (fun _ -> Bitsize.id_bits ~n:(Graph.n g));
+      fp_wake = None;
     }
   in
-  fst (Sim.run ~env g proto)
+  (* Both phases keep mutable tables and take no recovery contract, so a
+     hardened run masks crash-free plans only. *)
+  fst (Fault.sim_run ~env g proto)
 
 (* -------------------------------------------------------- unmark phase *)
 
@@ -81,9 +81,9 @@ let unmark_phase ~env g ~parent ~labels ~mark_states =
     | [ only ] when not (Hashtbl.mem st.u_own c) -> Some only
     | _ -> None
   in
-  let proto : (unmark_state, int) Sim.protocol =
+  let proto : (unmark_state, int) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           let v = view.Sim.node in
           let (ms : mark_state) = mark_states.(v) in
@@ -115,26 +115,28 @@ let unmark_phase ~env g ~parent ~labels ~mark_states =
                 | None -> ())
               st.u_senders;
           st);
-      step =
-        (fun _view ~round:_ st ~inbox ->
+      fp_step =
+        (fun _view ~round:_ st ~inbox ~emit ->
           (* An incoming unmark removes the class from our up-edge and may
              continue down our single witness branch. *)
-          List.iter
-            (fun (_, c) ->
-              Hashtbl.remove st.u_marks c;
-              match decide st c with
-              | Some child ->
-                  let q =
-                    match Hashtbl.find_opt st.queues child with
-                    | Some q -> q
-                    | None ->
-                        let q = Queue.create () in
-                        Hashtbl.replace st.queues child q;
-                        q
-                  in
-                  Queue.add c q
-              | None -> ())
-            inbox;
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            let c = Sim.inbox_msg inbox i in
+            Hashtbl.remove st.u_marks c;
+            match decide st c with
+            | Some child ->
+                let q =
+                  match Hashtbl.find_opt st.queues child with
+                  | Some q -> q
+                  | None ->
+                      let q = Queue.create () in
+                      Hashtbl.replace st.queues child q;
+                      q
+                in
+                Queue.add c q
+            | None -> ()
+          done;
+          (* One unmark per child queue, collected by prepending in table
+             order, so the sends go out in reverse table order. *)
           let outbox =
             Hashtbl.fold
               (fun child q acc ->
@@ -143,15 +145,16 @@ let unmark_phase ~env g ~parent ~labels ~mark_states =
                 | None -> acc)
               st.queues []
           in
-          st, outbox);
-      is_done =
+          List.iter (fun (child, c) -> emit ~dst:child c) outbox;
+          st);
+      fp_is_done =
         (fun st ->
           Hashtbl.fold (fun _ q acc -> acc && Queue.is_empty q) st.queues true);
-      msg_bits = (fun _ -> Bitsize.id_bits ~n:(Graph.n g));
-      wake = None;
+      fp_msg_bits = (fun _ -> Bitsize.id_bits ~n:(Graph.n g));
+      fp_wake = None;
     }
   in
-  fst (Sim.run ~env g proto)
+  fst (Fault.sim_run ~env g proto)
 
 let run ?(env = Sim.default_env) g ~parent ~labels =
   Array.iteri

@@ -4,6 +4,7 @@
 
 module Graph = Dsf_graph.Graph
 module Sim = Dsf_congest.Sim
+module Fault = Dsf_congest.Fault
 module Bitsize = Dsf_util.Bitsize
 module Virtual_tree = Dsf_embed.Virtual_tree
 
@@ -23,33 +24,31 @@ type route_state = {
 
 let route_phase ?(env = Sim.default_env) g vt ~origins =
   let n = Graph.n g in
-  let proto : (route_state, int * int) Sim.protocol =
+  let proto : (route_state, int * int) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           let v = view.Sim.node in
           let known = Hashtbl.create 8 in
           let mine = origins v in
           List.iter (fun lw -> Hashtbl.replace known lw (-1)) mine;
           { known; unsent = mine; lhat = []; marked = [] });
-      step =
-        (fun view ~round:_ st ~inbox ->
+      fp_step =
+        (fun view ~round:_ st ~inbox ~emit ->
           let v = view.Sim.node in
-          let st =
-            List.fold_left
-              (fun st (sender, ((_, _) as lw)) ->
-                if Hashtbl.mem st.known lw then st
-                else begin
-                  Hashtbl.replace st.known lw sender;
-                  { st with unsent = st.unsent @ [ lw ] }
-                end)
-              st inbox
-          in
+          let unsent = ref st.unsent in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            let lw = Sim.inbox_msg inbox i in
+            if not (Hashtbl.mem st.known lw) then begin
+              Hashtbl.replace st.known lw (Sim.inbox_src inbox i);
+              unsent := !unsent @ [ lw ]
+            end
+          done;
           (* Deliver-to-self entries are free; handle them all, then send
              at most one remote entry. *)
           let rec dispatch st =
             match st.unsent with
-            | [] -> st, []
+            | [] -> st
             | ((lam, w) as lw) :: rest ->
                 if w = v then
                   dispatch { st with unsent = rest; lhat = lam :: st.lhat }
@@ -64,19 +63,21 @@ let route_phase ?(env = Sim.default_env) g vt ~origins =
                         | Some id -> id
                         | None -> invalid_arg "Rand_dsf: next hop not adjacent"
                       in
-                      ( { st with unsent = rest; marked = eid :: st.marked },
-                        [ nb, lw ] )
+                      emit ~dst:nb lw;
+                      { st with unsent = rest; marked = eid :: st.marked }
                 end
           in
-          dispatch st);
-      is_done = (fun st -> st.unsent = []);
-      msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
+          dispatch { st with unsent = !unsent });
+      fp_is_done = (fun st -> st.unsent = []);
+      fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
       (* A node with nothing unsent and no mail returns its state as is
          and sends nothing, so only mail or a pending entry wakes it. *)
-      wake = Some Sim.never;
+      fp_wake = Some Sim.never;
     }
   in
-  fst (Sim.run ~env g proto)
+  (* The [known] tables are mutable, and a hardened run takes no recovery
+     contract for them, so only crash-free plans are masked. *)
+  fst (Fault.sim_run ~env g proto)
 
 (* ----------------------------------------------------------------------- *)
 (* Step 3d: targets send their collected labels back along the recorded     *)
@@ -93,37 +94,48 @@ type back_state = {
 
 let backtrace_phase ?(env = Sim.default_env) g ~tables ~bundles =
   let n = Graph.n g in
-  let proto : (back_state, back_msg) Sim.protocol =
+  let proto : (back_state, back_msg) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           let v = view.Sim.node in
           { b_known = tables v; b_queue = bundles v; b_l = [] });
-      step =
-        (fun _view ~round:_ st ~inbox ->
-          let st =
-            List.fold_left
-              (fun st (_, msg) -> { st with b_queue = st.b_queue @ [ msg ] })
-              st inbox
-          in
+      fp_step =
+        (fun _view ~round:_ st ~inbox ~emit ->
+          let queue = ref st.b_queue in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            queue := !queue @ [ Sim.inbox_msg inbox i ]
+          done;
           let rec dispatch st =
             match st.b_queue with
-            | [] -> st, []
+            | [] -> st
             | msg :: rest -> begin
                 match Hashtbl.find_opt st.b_known msg.route with
                 | Some (-1) | None ->
                     (* We originated this chain: accept the label. *)
                     dispatch { st with b_queue = rest; b_l = msg.payload :: st.b_l }
-                | Some sender -> { st with b_queue = rest }, [ sender, msg ]
+                | Some sender ->
+                    emit ~dst:sender msg;
+                    { st with b_queue = rest }
               end
           in
-          dispatch st);
-      is_done = (fun st -> st.b_queue = []);
-      msg_bits = (fun _ -> 3 * Bitsize.id_bits ~n);
+          dispatch { st with b_queue = !queue });
+      fp_is_done = (fun st -> st.b_queue = []);
+      fp_msg_bits = (fun _ -> 3 * Bitsize.id_bits ~n);
       (* As in [route_phase]: an empty queue and no mail is a no-op. *)
-      wake = Some Sim.never;
+      fp_wake = Some Sim.never;
     }
   in
-  fst (Sim.run ~env g proto)
+  (* The route tables are only read here (and rebuilt by [fp_init] on a
+     restart), so the state is immutable; the checkpoint charges three
+     words per queued message and one per accepted label. *)
+  let recovery =
+    {
+      (Fault.immutable ()) with
+      Fault.state_bits =
+        (fun st -> 63 * (1 + (3 * List.length st.b_queue) + List.length st.b_l));
+    }
+  in
+  fst (Fault.sim_run ~env ~recovery g proto)
 
 (* ----------------------------------------------------------------------- *)

@@ -2,6 +2,7 @@ module Graph = Dsf_graph.Graph
 module Instance = Dsf_graph.Instance
 module Uf = Dsf_util.Union_find
 module Sim = Dsf_congest.Sim
+module Fault = Dsf_congest.Fault
 module Bfs = Dsf_congest.Bfs
 module Tree_ops = Dsf_congest.Tree_ops
 module Bitsize = Dsf_util.Bitsize
@@ -220,11 +221,11 @@ type node_state = {
   log : (int * int) list;  (** root: state-changing messages, reversed *)
 }
 
-let label_flood ~env g ~tree ~structure ~initial =
+let label_flood ?(env = Sim.default_env) g ~tree ~structure ~initial =
   let n = Graph.n g in
-  let proto : (node_state, int * int) Sim.protocol =
+  let proto : (node_state, int * int) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           let v = view.Sim.node in
           let mine = facts_create () in
@@ -239,19 +240,16 @@ let label_flood ~env g ~tree ~structure ~initial =
             shadow = facts_create ();
             log = !log;
           });
-      step =
-        (fun view ~round:_ st ~inbox ->
+      fp_step =
+        (fun view ~round:_ st ~inbox ~emit ->
           let v = view.Sim.node in
-          let st =
-            List.fold_left
-              (fun st (_, fact) ->
-                if facts_apply structure st.mine fact then
-                  { st with log = fact :: st.log }
-                else st)
-              st inbox
-          in
-          if v = tree.Bfs.root then st, []
-          else begin
+          let log = ref st.log in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            let fact = Sim.inbox_msg inbox i in
+            if facts_apply structure st.mine fact then log := fact :: !log
+          done;
+          let st = { st with log = !log } in
+          if v <> tree.Bfs.root then begin
             (* Send one message that would still change the parent's
                view of our contribution. *)
             let candidate =
@@ -267,21 +265,24 @@ let label_flood ~env g ~tree ~structure ~initial =
             match candidate with
             | Some fact ->
                 ignore (facts_apply structure st.shadow fact);
-                st, [ tree.Bfs.parent.(v), fact ]
-            | None -> st, []
-          end);
-      is_done =
+                emit ~dst:tree.Bfs.parent.(v) fact
+            | None -> ()
+          end;
+          st);
+      fp_is_done =
         (fun st ->
           st.is_root
           || Hashtbl.fold
                (fun (c, lam) () acc ->
                  acc && Hashtbl.mem st.shadow.lc (c, lam))
                st.mine.lc true);
-      msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
-      wake = None;
+      fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
+      fp_wake = None;
     }
   in
-  Sim.run ~env g proto
+  (* The fact tables are mutable and take no recovery contract, so a
+     hardened run masks crash-free plans only. *)
+  fst (Fault.sim_run ~env g proto)
 
 (* ------------------------------------------------------------------ *)
 
@@ -360,7 +361,7 @@ let run ?(env = Sim.default_env) inst ~f ~sigma =
       [ Uf.find cuf v, inst.Instance.labels.(v) ]
     else []
   in
-  let states, _ = label_flood ~env g ~tree ~structure ~initial in
+  let states = label_flood ~env g ~tree ~structure ~initial in
   let root_facts = states.(tree.Bfs.root).mine in
   (* Step 7: broadcast the root's state-changing log (same encoding). *)
   let root_log = List.rev states.(tree.Bfs.root).log in

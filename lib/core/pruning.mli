@@ -40,3 +40,49 @@ val run :
     F.6 mark/unmark protocol) uses [env], so its telemetry and flight
     recorder see the whole routine, and its rounds and its one charge
     (the Lemma F.7 matchings) land in the caller's [env] ledger. *)
+
+(** {2 The Lemma F.8 label flood}
+
+    The one simulated run of the label-propagation step, exposed with the
+    fact engine it drives so the differential suite can check it against
+    its list-protocol original. *)
+
+type facts = {
+  lc : (int * int, unit) Hashtbl.t;  (** (cluster, label) *)
+  le : (int * int, unit) Hashtbl.t;  (** (fc-edge index, label) *)
+}
+
+type structure = {
+  fc_adj : (int, (int * int) list) Hashtbl.t;
+      (** cluster -> (neighbor cluster, fc-edge index) *)
+  n_fc : int;  (** number of cluster-forest edges *)
+}
+
+val facts_create : unit -> facts
+
+val facts_apply : structure -> facts -> int * int -> bool
+(** [facts_apply s facts (cluster, label)] adds the fact and closes the
+    sets under the path rule (a label in two clusters marks the
+    cluster-forest path between them) and the coupling rule (labels that
+    share an edge are identified); returns whether anything changed. *)
+
+type node_state = {
+  is_root : bool;
+  mine : facts;
+  shadow : facts;  (** what the parent has learned from this node *)
+  log : (int * int) list;  (** root: state-changing messages, reversed *)
+}
+
+val label_flood :
+  ?env:Dsf_congest.Sim.env ->
+  Dsf_graph.Graph.t ->
+  tree:Dsf_congest.Bfs.tree ->
+  structure:structure ->
+  initial:(int -> (int * int) list) ->
+  node_state array
+(** Every node floods its [(cluster, label)] facts (seeded by [initial])
+    up [tree], one message per round, sending only a fact that still
+    changes its parent's view of this node (tracked in [shadow]).  The
+    root's [mine] ends with the closed fact sets.  The fact tables are
+    mutable and carry no recovery contract, so under a [Chaos] network
+    only crash-free plans are masked. *)

@@ -1,5 +1,6 @@
 module Graph = Dsf_graph.Graph
 module Sim = Dsf_congest.Sim
+module Fault = Dsf_congest.Fault
 module Bitsize = Dsf_util.Bitsize
 
 type entry = {
@@ -47,9 +48,9 @@ type msg = Announce of { target : int; dist : int; rank : int }
 let build ?(env = Sim.default_env) rng g =
   let n = Graph.n g in
   let ranks = Dsf_util.Rng.permutation rng n in
-  let proto : (node_state, msg) Sim.protocol =
+  let proto : (node_state, msg) Sim.flat_protocol =
     {
-      init =
+      fp_init =
         (fun view ->
           let v = view.Sim.node in
           let self = { target = v; dist = 0; rank = ranks.(v); next_hop = -1 } in
@@ -61,9 +62,8 @@ let build ?(env = Sim.default_env) rng g =
               Hashtbl.replace out nb q)
             view.Sim.nbrs;
           { list = [ self ]; out });
-      step =
-        (fun view ~round:_ st ~inbox ->
-          let v = view.Sim.node in
+      fp_step =
+        (fun view ~round:_ st ~inbox ~emit ->
           let weight_to sender =
             let w = ref (-1) in
             Array.iter
@@ -73,25 +73,28 @@ let build ?(env = Sim.default_env) rng g =
             !w
           in
           (* Absorb announcements. *)
-          let st =
-            List.fold_left
-              (fun st (sender, Announce a) ->
-                let cand =
-                  {
-                    target = a.target;
-                    dist = a.dist + weight_to sender;
-                    rank = a.rank;
-                    next_hop = sender;
-                  }
-                in
-                match staircase_insert st.list cand with
-                | None -> st
-                | Some list ->
-                    Hashtbl.iter (fun _ q -> Queue.add cand q) st.out;
-                    { st with list })
-              st inbox
-          in
-          (* Send one (still live) queued entry per neighbor. *)
+          let list = ref st.list in
+          for i = 0 to Sim.inbox_len inbox - 1 do
+            let sender = Sim.inbox_src inbox i in
+            let (Announce a) = Sim.inbox_msg inbox i in
+            let cand =
+              {
+                target = a.target;
+                dist = a.dist + weight_to sender;
+                rank = a.rank;
+                next_hop = sender;
+              }
+            in
+            match staircase_insert !list cand with
+            | None -> ()
+            | Some l ->
+                Hashtbl.iter (fun _ q -> Queue.add cand q) st.out;
+                list := l
+          done;
+          let st = { st with list = !list } in
+          (* Send one (still live) queued entry per neighbor.  The sends
+             are collected by prepending in table order, so they go out in
+             reverse table order. *)
           let outbox = ref [] in
           Hashtbl.iter
             (fun nb q ->
@@ -112,9 +115,9 @@ let build ?(env = Sim.default_env) rng g =
               in
               next ())
             st.out;
-          ignore v;
-          st, !outbox);
-      is_done =
+          List.iter (fun (nb, m) -> emit ~dst:nb m) !outbox;
+          st);
+      fp_is_done =
         (fun st ->
           Hashtbl.fold
             (fun _ q acc ->
@@ -128,14 +131,16 @@ let build ?(env = Sim.default_env) rng g =
                              st.list))
                    true q)
             st.out true);
-      msg_bits =
+      fp_msg_bits =
         (fun (Announce a) ->
           Bitsize.id_bits ~n + Bitsize.int_bits (Int.max 1 a.dist)
           + Bitsize.id_bits ~n);
-      wake = None;
+      fp_wake = None;
     }
   in
-  let states, _ = Sim.run ~env g proto in
+  (* The per-neighbor queues are mutable, and a hardened run takes no
+     recovery contract for them, so only crash-free plans are masked. *)
+  let states, _ = Fault.sim_run ~env g proto in
   { ranks; lists = Array.map (fun st -> st.list) states }
 
 let highest_within t v r =

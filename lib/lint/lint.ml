@@ -109,6 +109,11 @@ let pack_allowlist = [ "lib/util/pack.ml" ]
    invoke protocol [step] fields: the simulator itself. *)
 let congest_exempt = [ "lib/congest/sim.ml" ]
 
+(* The protocol hooks only the engine may call: a flat protocol's state
+   constructor and step, and the [step] of any list-style protocol
+   record. *)
+let protocol_hooks = [ "fp_init"; "fp_step"; "step" ]
+
 type ctx = {
   file : string;
   zone : zone;
@@ -426,18 +431,21 @@ let check_expr ctx (e : Parsetree.expression) =
               simulator"
              (last_comp txt))
         ~hint:
-          "all traffic must flow through Sim.run's accounted send path so \
-           per-edge bit counts stay honest"
+          "all traffic must flow through the engine's accounted send path \
+           so per-edge bit counts stay honest"
   | Pexp_apply ({ pexp_desc = Pexp_field (_, { txt; loc }); _ }, _)
-    when last_comp txt = "step" && not (List.mem ctx.file congest_exempt) ->
+    when List.mem (last_comp txt) protocol_hooks
+         && not (List.mem ctx.file congest_exempt) ->
       emit ctx ~loc ~rule:rule_congest
         ~message:
-          "direct invocation of a protocol's `step' field bypasses the \
-           simulator's accounting"
+          (Printf.sprintf
+             "direct invocation of a protocol's `%s' field bypasses the \
+              simulator's accounting"
+             (last_comp txt))
         ~hint:
-          "run protocols through Sim.run; combinators that wrap an inner \
-           step inside their own accounted step may use [@lint.allow \
-           \"congest-discipline\"]"
+          "run protocols through Sim.run_flat or Fault.sim_run; \
+           combinators that wrap an inner protocol inside their own \
+           accounted one may use [@lint.allow \"congest-discipline\"]"
   | _ -> ()
 
 (* --------------------------------------------------------- traversal *)

@@ -20,9 +20,10 @@
       [Random.*] API (the seeded [Random.State] / [Dsf_util.Rng] paths are
       fine), wall-clock reads in [lib/] or [bin/] (allowed in [bench/]),
       and [Domain.self] used as data in [lib/].
-    - [congest-discipline] — message traffic bypassing the accounted
-      [Sim.run] send path: invoking a protocol's [step] field directly, or
-      mutating inbox/outbox structures, outside [lib/congest/sim.ml].
+    - [congest-discipline] — message traffic bypassing the engine's
+      accounted send path: invoking a protocol's [fp_init], [fp_step] (or
+      a list-style [step]) field directly, or mutating inbox/outbox
+      structures, outside [lib/congest/sim.ml].
     - [catch-all] — [try ... with _ ->] handlers that can silently swallow
       [Pool.Nested_use] or [Sim.Round_limit].
     - [unsafe-array] — bounds-unchecked accessors ([Array.unsafe_get],

@@ -42,14 +42,10 @@ let chaos_env plan = { Sim.default_env with network = Sim.Chaos plan }
 let faults_env plan =
   { Sim.default_env with network = Sim.Faults (Fault.instantiate plan) }
 
-(* [Fault.sim_run] of a list protocol. *)
-let sim_run ?max_rounds ?recovery ~env g proto =
-  Fault.sim_run ?max_rounds ?recovery ~env g (Sim.flat_of_protocol proto)
-
 (* Raw lossless final states vs hardened final states under [plan]. *)
 let masks_plan ?max_rounds g proto plan =
-  let lossless, _ = Sim.run g proto in
-  let hardened, _ = sim_run ?max_rounds ~env:(chaos_env plan) g proto in
+  let lossless, _ = Sim.run_flat g proto in
+  let hardened, _ = Fault.sim_run ?max_rounds ~env:(chaos_env plan) g proto in
   lossless = hardened
 
 let prop_harden_bfs =
@@ -60,7 +56,7 @@ let prop_harden_bfs =
       let root = seed mod Graph.n g in
       (* BFS parent choice is first-arrival — the synchronizer must
          reproduce the exact lossless timing, not just any BFS tree. *)
-      masks_plan g (Classic.Bfs.protocol ~root) (random_drop_plan seed))
+      masks_plan g (Classic.to_flat (Classic.Bfs.protocol ~root)) (random_drop_plan seed))
 
 let prop_harden_bellman_ford =
   QCheck.Test.make ~name:"harden masks drops (Bellman-Ford)" ~count:15
@@ -81,7 +77,7 @@ let prop_harden_exchange_leader =
     (fun seed ->
       let g = random_graph seed in
       let plan = random_drop_plan (seed + 7) in
-      masks_plan g (Classic.Exchange.protocol ~payload_bits:9) plan
+      masks_plan g (Classic.to_flat (Classic.Exchange.protocol ~payload_bits:9)) plan
       && masks_plan g (Leader.protocol g) plan)
 
 let prop_harden_faultfree_identity =
@@ -91,9 +87,10 @@ let prop_harden_faultfree_identity =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      let lossless, _ = Sim.run g (Classic.Bfs.protocol ~root) in
+      let lossless, _ = Sim.run_flat g (Classic.to_flat (Classic.Bfs.protocol ~root)) in
       let hardened, stats =
-        sim_run ~env:(chaos_env Fault.empty) g (Classic.Bfs.protocol ~root)
+        Fault.sim_run ~env:(chaos_env Fault.empty) g
+          (Classic.to_flat (Classic.Bfs.protocol ~root))
       in
       lossless = hardened && stats.Sim.retransmissions = 0
       && stats.Sim.dropped = 0)
@@ -105,7 +102,7 @@ let prop_drops_cost_retransmissions =
       let g = random_graph seed in
       let plan = Fault.plan ~drop:0.3 ~seed () in
       let _, stats =
-        sim_run ~env:(chaos_env plan) g (Leader.protocol g)
+        Fault.sim_run ~env:(chaos_env plan) g (Leader.protocol g)
       in
       (* Some packet of the chatty leader flood is dropped with
          overwhelming probability at p = 0.3; each drop must eventually be
@@ -126,7 +123,7 @@ let test_exchange_crash_restart () =
   let v = n / 2 in
   let plan = Fault.plan ~crashes:[ v, 0, 2 ] ~seed:1 () in
   let states, stats =
-    Sim.run ~env:(faults_env plan) g (Classic.Exchange.protocol ~payload_bits:9)
+    Sim.run_flat ~env:(faults_env plan) g (Classic.to_flat (Classic.Exchange.protocol ~payload_bits:9))
   in
   Array.iteri
     (fun u sent ->
@@ -196,14 +193,14 @@ let prop_recovery_masks_chaos_plans =
       let plan = Fault.chaos_plan ~seed g in
       let root = seed mod Graph.n g in
       let masks proto =
-        let lossless, _ = Sim.run g proto in
+        let lossless, _ = Sim.run_flat g proto in
         let hardened, _ =
-          sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ())
+          Fault.sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ())
             g proto
         in
         lossless = hardened
       in
-      masks (Classic.Bfs.protocol ~root) && masks (Leader.protocol g))
+      masks (Classic.to_flat (Classic.Bfs.protocol ~root)) && masks (Leader.protocol g))
 
 let test_leader_crash_recovery_reconverges () =
   (* The exact adversarial schedule that breaks the raw protocol above
@@ -213,9 +210,9 @@ let test_leader_crash_recovery_reconverges () =
   let k = 8 in
   let g = Gen.path (k + 1) in
   let plan = Fault.plan ~crashes:[ 0, k - 1, k + 2 ] ~seed:1 () in
-  let lossless, _ = Sim.run g (Leader.protocol g) in
+  let lossless, _ = Sim.run_flat g (Leader.protocol g) in
   let hardened, _ =
-    sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ()) g
+    Fault.sim_run ~env:(chaos_env plan) ~recovery:(Fault.immutable ()) g
       (Leader.protocol g)
   in
   Alcotest.(check bool) "crash masked by recovery" true (lossless = hardened);
@@ -242,7 +239,7 @@ let test_recovery_stats_counted () =
   let env =
     { (chaos_env plan) with telemetry = Some tel; ledger = Some ledger }
   in
-  let states, stats = sim_run ~env ~recovery:(Fault.immutable ()) g proto in
+  let states, stats = Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto in
   let counter = Dsf_util.Metrics.counter_value (Telemetry.metrics tel) in
   check Alcotest.int "one restore" 1 (counter "fault/restores");
   Alcotest.(check bool) "resync rounds counted" true
@@ -255,7 +252,7 @@ let test_recovery_stats_counted () =
       (Flight.events recorder)
   in
   check Alcotest.(list int) "fault/restores = the Recovery event" [ 1 ] recorded;
-  let lossless, _ = Sim.run g proto in
+  let lossless, _ = Sim.run_flat g proto in
   Alcotest.(check bool) "inner states lossless" true (states = lossless);
   check Alcotest.int "ledger counts the hardened run once" stats.Sim.rounds
     (Ledger.simulated ledger)
@@ -272,7 +269,7 @@ let test_hardened_units () =
       telemetry = Some tel }
   in
   let _, stats =
-    sim_run ~env ~recovery:(Fault.immutable ()) g (Leader.protocol g)
+    Fault.sim_run ~env ~recovery:(Fault.immutable ()) g (Leader.protocol g)
   in
   let span = Option.get (Telemetry.find tel [ "hardened" ]) in
   let metric = Dsf_util.Metrics.counter_value (Telemetry.metrics tel) in
@@ -298,9 +295,9 @@ let test_engines_reject_chaos () =
     | _ -> Alcotest.failf "%s accepted a Chaos env" name
     | exception Invalid_argument _ -> ()
   in
-  rejects "Sim.run" (fun () -> Sim.run ~env g (Classic.Bfs.protocol ~root:0));
-  rejects "Sim.run_reference" (fun () ->
-      Sim.run_reference ~env g (Classic.Bfs.protocol ~root:0));
+  rejects "Classic.run" (fun () -> Classic.run ~env g (Classic.Bfs.protocol ~root:0));
+  rejects "Classic.run_reference" (fun () ->
+      Classic.run_reference ~env g (Classic.Bfs.protocol ~root:0));
   rejects "Sim.run_flat" (fun () ->
       ignore (Sim.run_flat ~env g (Bfs.flat_protocol ~n:(Graph.n g) ~root:0)))
 
@@ -377,7 +374,7 @@ let test_crash_plan_not_masked_postmortem () =
      limit of 112 puts the resend of round 111 inside the 8-round
      window. *)
   let max_rounds = 112 in
-  match sim_run ~max_rounds ~env:(chaos_env plan) g (Leader.protocol g) with
+  match Fault.sim_run ~max_rounds ~env:(chaos_env plan) g (Leader.protocol g) with
   | _ -> Alcotest.fail "expected Round_limit"
   | exception Sim.Round_limit a ->
       check Alcotest.int "aborted at the limit" max_rounds a.Sim.at_round;

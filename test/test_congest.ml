@@ -11,7 +11,7 @@ let rng seed = Dsf_util.Rng.create seed
    round they first heard it.  Checks round accounting = BFS depth. *)
 type flood_state = { heard : int option; relayed : bool }
 
-let flood_protocol root : (flood_state, unit) Sim.protocol =
+let flood_protocol root : (flood_state, unit) Classic.protocol =
   {
     init =
       (fun view ->
@@ -35,7 +35,7 @@ let flood_protocol root : (flood_state, unit) Sim.protocol =
 
 let test_sim_flood_rounds () =
   let g = Gen.path 6 in
-  let states, stats = Sim.run g (flood_protocol 0) in
+  let states, stats = Classic.run g (flood_protocol 0) in
   Array.iteri
     (fun v st ->
       match st.heard with
@@ -49,7 +49,7 @@ let test_sim_flood_rounds () =
 
 let test_sim_rejects_non_neighbor () =
   let g = Gen.path 3 in
-  let bad : (unit, unit) Sim.protocol =
+  let bad : (unit, unit) Classic.protocol =
     {
       init = (fun _ -> ());
       step =
@@ -61,12 +61,12 @@ let test_sim_rejects_non_neighbor () =
     }
   in
   Alcotest.check_raises "non-neighbor send"
-    (Invalid_argument "Sim.run: message to non-neighbor") (fun () ->
-      ignore (Sim.run g bad))
+    (Invalid_argument "Sim.run_flat: message to non-neighbor") (fun () ->
+      ignore (Classic.run g bad))
 
 let test_sim_round_limit () =
   let g = Gen.path 2 in
-  let chatty : (unit, unit) Sim.protocol =
+  let chatty : (unit, unit) Classic.protocol =
     {
       init = (fun _ -> ());
       step =
@@ -77,7 +77,7 @@ let test_sim_round_limit () =
       wake = None;
     }
   in
-  (match Sim.run ~max_rounds:10 g chatty with
+  (match Classic.run ~max_rounds:10 g chatty with
   | exception Sim.Round_limit a ->
       check Alcotest.int "limit" 10 a.Sim.at_round;
       check Alcotest.int "snapshot rounds" 10 a.Sim.snapshot.Sim.rounds;
@@ -88,7 +88,7 @@ let test_sim_round_limit () =
 
 let test_sim_bit_accounting () =
   let g = Gen.path 2 in
-  let once : (bool, unit) Sim.protocol =
+  let once : (bool, unit) Classic.protocol =
     {
       init = (fun view -> view.Sim.node <> 0);
       step =
@@ -99,7 +99,7 @@ let test_sim_bit_accounting () =
       wake = None;
     }
   in
-  let _, stats = Sim.run g once in
+  let _, stats = Classic.run g once in
   check Alcotest.int "one message" 1 stats.Sim.messages;
   check Alcotest.int "seven bits" 7 stats.Sim.total_bits;
   check Alcotest.int "max edge-round bits" 7 stats.Sim.max_edge_round_bits;

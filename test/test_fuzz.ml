@@ -143,6 +143,90 @@ let prop_fuzz_cr_pipeline =
       let rep = Solver.solve_cr Solver.Det cr in
       Instance.cr_is_feasible cr rep.Solver.solution)
 
+(* Mutation fuzzing of the input parser and the solvers behind it: the two
+   checked-in instance files, cut short, with bytes flipped, and with
+   lines duplicated, deleted and swapped.  A mutated file either parses
+   or raises [Io.Parse_error] (any other exception escapes and fails the
+   property), and every connected instance that parses must solve under
+   all five algorithms without an exception. *)
+
+let read_fixture path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let fixtures =
+  lazy
+    (List.map read_fixture
+       [ "fixtures/det_small.dsf"; "fixtures/det_small_cr.dsf" ])
+
+(* Replacement bytes lean towards what keeps a line parseable. *)
+let flip_bytes = "0123456789 -\n#nedglabrqust"
+
+let mutate r text =
+  let len = String.length text in
+  let lines () = Array.of_list (String.split_on_char '\n' text) in
+  let join a = String.concat "\n" (Array.to_list a) in
+  match Dsf_util.Rng.int r 5 with
+  | 0 -> String.sub text 0 (Dsf_util.Rng.int r (len + 1))
+  | 1 when len > 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (Dsf_util.Rng.int r len)
+        flip_bytes.[Dsf_util.Rng.int r (String.length flip_bytes)];
+      Bytes.to_string b
+  | 2 ->
+      let a = lines () in
+      let i = Dsf_util.Rng.int r (Array.length a) in
+      join (Array.concat [ Array.sub a 0 (i + 1); Array.sub a i (Array.length a - i) ])
+  | 3 ->
+      let a = lines () in
+      let i = Dsf_util.Rng.int r (Array.length a) in
+      join (Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1)))
+  | _ ->
+      let a = lines () in
+      let i = Dsf_util.Rng.int r (Array.length a)
+      and j = Dsf_util.Rng.int r (Array.length a) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t;
+      join a
+
+let prop_fuzz_mutated_inputs =
+  QCheck.Test.make
+    ~name:"fuzz: mutated instance files parse or fail cleanly, and solve"
+    ~count:150
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let r = rng seed in
+      let base = List.nth (Lazy.force fixtures) (Dsf_util.Rng.int r 2) in
+      let text = ref base in
+      for _ = 0 to Dsf_util.Rng.int r 3 do
+        text := mutate r !text
+      done;
+      match Io.parse_string !text with
+      | exception Io.Parse_error _ -> true
+      | Io.Plain _ -> true
+      | (Io.Ic _ | Io.Cr _) as parsed ->
+          let input, g =
+            match parsed with
+            | Io.Ic inst -> Solver.Ic inst, inst.Instance.graph
+            | Io.Cr cr -> Solver.Cr cr, cr.Instance.cr_graph
+            | Io.Plain _ -> assert false
+          in
+          (not (Graph.is_connected g))
+          || List.for_all
+               (fun algorithm ->
+                 ignore (Solver.solve algorithm input : Solver.report);
+                 true)
+               [
+                 Solver.Det;
+                 Solver.Det_sublinear { eps_num = 1; eps_den = 2 };
+                 Solver.Rand { repetitions = 1; rng = rng (seed + 1) };
+                 Solver.Khan_baseline { repetitions = 1; rng = rng (seed + 2) };
+                 Solver.Centralized_moat;
+               ])
+
 let suites =
   [
     ( "fuzz",
@@ -153,5 +237,6 @@ let suites =
         qtest prop_fuzz_pruning_fixpoint;
         qtest prop_fuzz_solver_reports;
         qtest prop_fuzz_cr_pipeline;
+        qtest prop_fuzz_mutated_inputs;
       ] );
   ]

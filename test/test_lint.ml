@@ -106,6 +106,22 @@ let test_congest_discipline () =
   (* the simulator itself is the one place allowed to drive [step] *)
   quiet ~file:"lib/congest/sim.ml"
     "let tick proto view st inbox = proto.Sim.step view st ~inbox";
+  (* a flat protocol's hooks are guarded the same way *)
+  fires ~file:"lib/core/bad.ml" "congest-discipline"
+    "let tick fp view st inbox emit = fp.Sim.fp_step view ~round:0 st ~inbox ~emit";
+  fires ~file:"lib/congest/bad.ml" "congest-discipline"
+    "let boot fp view = fp.Sim.fp_init view";
+  quiet ~file:"lib/congest/sim.ml"
+    "let tick fp view st inbox emit = fp.fp_step view ~round:0 st ~inbox ~emit";
+  quiet ~file:"lib/congest/sim.ml" "let boot fp view = fp.fp_init view";
+  (* a wrapping combinator (Fault.harden) opts out at its binding or at
+     the call *)
+  quiet ~file:"lib/congest/fault.ml"
+    "let[@lint.allow \"congest-discipline\"] wrap fp view = fp.Sim.fp_init view";
+  quiet ~file:"lib/core/wrap.ml"
+    "let tick fp view st inbox emit =\n\
+    \  (fp.Sim.fp_step view ~round:0 st ~inbox ~emit)\n\
+    \  [@lint.allow \"congest-discipline\"]";
   (* unrelated fields and functions stay quiet *)
   quiet ~file:"lib/core/good.ml" "let clear st = st.items <- []";
   quiet ~file:"lib/core/good.ml" "let tick m = m.advance ()"

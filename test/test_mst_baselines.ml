@@ -236,7 +236,7 @@ let prop_cv_proper_and_matching_maximal =
 let test_sim_halt_hook () =
   (* A counting protocol halted externally at a specific state. *)
   let g = Gen.path 2 in
-  let proto : (int, unit) Dsf_congest.Sim.protocol =
+  let proto : (int, unit) Classic.protocol =
     {
       init = (fun _ -> 0);
       step =
@@ -250,7 +250,7 @@ let test_sim_halt_hook () =
     }
   in
   let states, stats =
-    Dsf_congest.Sim.run ~halt:(fun sts -> sts.(0) >= 5) g proto
+    Classic.run ~halt:(fun sts -> sts.(0) >= 5) g proto
   in
   Alcotest.(check bool) "halted at the hook" true (states.(0) >= 5 && states.(0) <= 6);
   Alcotest.(check bool) "did not hit the limit" true (stats.Dsf_congest.Sim.rounds < 100)

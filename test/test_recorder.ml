@@ -3,8 +3,9 @@
    queries on the pinned Figure-1 gadget.
 
    The byte-identity suite is the recorder's core promise: the very same
-   protocol recorded through Sim.run, Sim.run_reference and Sim.run_flat
-   must serialize to the very same dsf-flightlog bytes — steps are only
+   protocol recorded on the flat engine (through the list-protocol
+   adapter Classic.to_flat and natively) and on Sim.run_reference must
+   serialize to the very same dsf-flightlog bytes — steps are only
    recorded for mail-consuming nodes (causally inert empty steps would
    differ between the reference loop, which steps everyone, and the flat
    engine), and the flat engine stages a round's crash windows before
@@ -203,11 +204,11 @@ let prop_recorder_transparent =
           | Some r -> recording r)
       in
       let adapter recorder =
-        tapped recorder (fun env -> Sim.run ~env g (Classic.Bfs.protocol ~root))
+        tapped recorder (fun env -> Classic.run ~env g (Classic.Bfs.protocol ~root))
       in
       let reference recorder =
         tapped recorder (fun env ->
-            Sim.run_reference ~env g (Classic.Bfs.protocol ~root))
+            Classic.run_reference ~env g (Classic.Bfs.protocol ~root))
       in
       let flat recorder =
         tapped recorder (fun env ->
@@ -222,12 +223,12 @@ let prop_recorder_transparent =
 
 let record_adapter ?network g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run ~env:(recording ?network r) g (Classic.Bfs.protocol ~root));
+  ignore (Classic.run ~env:(recording ?network r) g (Classic.Bfs.protocol ~root));
   Recorder.to_string r
 
 let record_reference g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run_reference ~env:(recording r) g (Classic.Bfs.protocol ~root));
+  ignore (Classic.run_reference ~env:(recording r) g (Classic.Bfs.protocol ~root));
   Recorder.to_string r
 
 let record_flat ?network g ~root =
@@ -492,6 +493,83 @@ let test_golden_critical_path () =
        (fun affix -> contains out affix)
        [ "minimalize"; "setup"; "phase/broadcast"; "final" ])
 
+(* ------------------------------------------------- det_small flight logs *)
+
+(* The flight log `dsf_cli solve --record` writes for det_small.dsf,
+   built the way the CLI builds it (instance metadata from the exact
+   (D, WD, s) sweep, then the solve on the recorder's telemetry), with
+   the capture timestamp at 0 so the bytes do not depend on the clock.
+   The seed is the CLI's default --seed 1, which the randomized solvers
+   draw from through one split. *)
+let det_small_flightlog ?chaos_seed ~jobs algorithm =
+  let r = Recorder.create ~now:0 () in
+  let telemetry = Telemetry.create ~recorder:r () in
+  let inst =
+    match Io.parse_file "fixtures/det_small.dsf" with
+    | Io.Ic inst -> inst
+    | _ -> Alcotest.fail "det_small.dsf is not a DSF-IC file"
+  in
+  let g = inst.Instance.graph in
+  let d, wd, s =
+    Telemetry.span telemetry "paths.parameters" (fun () ->
+        Paths.parameters ~jobs g)
+  in
+  List.iter
+    (fun (key, v) -> if v >= 0 then Recorder.meta_add r key v)
+    [
+      "n", Graph.n g;
+      "m", Graph.m g;
+      "D", d;
+      "WD", wd;
+      "s", s;
+      "t", Instance.terminal_count inst;
+      "k", Instance.component_count inst;
+      "seed", 1;
+    ];
+  let rng () = Dsf_util.Rng.split (Dsf_util.Rng.create 1) 1 in
+  let algorithm =
+    let open Dsf_core.Solver in
+    match algorithm with
+    | `Det -> Det
+    | `Sublinear -> Det_sublinear { eps_num = 1; eps_den = 2 }
+    | `Rand -> Rand { repetitions = 3; rng = rng () }
+    | `Khan -> Khan_baseline { repetitions = 3; rng = rng () }
+  in
+  let chaos = Option.map (fun seed -> Fault.chaos_plan ~seed g) chaos_seed in
+  ignore
+    (Dsf_core.Solver.solve ~jobs ~telemetry ?chaos algorithm
+       (Dsf_core.Solver.Ic inst));
+  Recorder.to_string r
+
+(* The five det_small logs (det at jobs 1 and hardened under chaos seed 5
+   at jobs 2, sublinear, rand at jobs 2, khan) must keep the digest and
+   length committed in fixtures/det_small.flightlogs.digest, so a
+   refactor that moves a single recorded send, step or span fails here.
+   A change meant to alter a log regenerates that file and says why. *)
+let test_det_small_flightlogs () =
+  let expected =
+    In_channel.with_open_text "fixtures/det_small.flightlogs.digest"
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let leg name ?chaos_seed ~jobs algorithm =
+    let log = det_small_flightlog ?chaos_seed ~jobs algorithm in
+    Printf.sprintf "%s %s %d" name
+      (Digest.to_hex (Digest.string log))
+      (String.length log)
+  in
+  check
+    Alcotest.(list string)
+    "det_small flight logs" expected
+    [
+      leg "det_j1" ~jobs:1 `Det;
+      leg "det_chaos5_j2" ~chaos_seed:5 ~jobs:2 `Det;
+      leg "sublinear" ~jobs:1 `Sublinear;
+      leg "rand_j2" ~jobs:2 `Rand;
+      leg "khan" ~jobs:1 `Khan;
+    ]
+
 let suites =
   [
     ( "recorder",
@@ -515,5 +593,7 @@ let suites =
         Alcotest.test_case "golden: gadget --why" `Quick test_golden_why;
         Alcotest.test_case "golden: gadget --critical-path" `Quick
           test_golden_critical_path;
+        Alcotest.test_case "det_small flight logs match their digests" `Quick
+          test_det_small_flightlogs;
       ] );
   ]

@@ -1,5 +1,5 @@
-(* Differential tests for the production engine: Sim.run / Sim.run_flat
-   (skip idle nodes, arena delivery) must be observationally identical to
+(* Differential tests for the production engine: Sim.run_flat (skip idle
+   nodes, arena delivery) must be observationally identical to
    Sim.run_reference (the seed loop that steps every node every round) —
    same stats, same final states, same results — on randomized graphs and
    the protocols that declare sparse wake-ups.  Every native flat port
@@ -56,7 +56,7 @@ let random_graph seed =
    run_reference directly (not through the engine shim). *)
 type flood_state = { heard : int option; relayed : bool }
 
-let flood_protocol root : (flood_state, unit) Sim.protocol =
+let flood_protocol root : (flood_state, unit) Classic.protocol =
   {
     init =
       (fun view ->
@@ -84,8 +84,8 @@ let prop_flood_equiv =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      let s1, t1 = Sim.run g (flood_protocol root) in
-      let s2, t2 = Sim.run_reference g (flood_protocol root) in
+      let s1, t1 = Classic.run g (flood_protocol root) in
+      let s2, t2 = Classic.run_reference g (flood_protocol root) in
       s1 = s2 && stats_eq t1 t2)
 
 (* ------------------------------------------------- library entry points *)
@@ -204,10 +204,10 @@ let prop_telemetry_transparent =
          and the reference loop alike. *)
       let env telemetry = { Sim.default_env with telemetry } in
       let record_flat telemetry =
-        Sim.run ~env:(env telemetry) g (flood_protocol root)
+        Classic.run ~env:(env telemetry) g (flood_protocol root)
       in
       let record_reference telemetry =
-        Sim.run_reference ~env:(env telemetry) g (flood_protocol root)
+        Classic.run_reference ~env:(env telemetry) g (flood_protocol root)
       in
       let tel () = Some (Telemetry.create ~clock:(fun () -> 0L) ()) in
       record_flat None = record_flat (tel ())
@@ -225,7 +225,7 @@ let prop_empty_plan_identity =
          indistinguishable from the fault-free one. *)
       let record faults =
         Flight.record ~network:(faults_network faults) (fun env ->
-            Sim.run ~env g (flood_protocol root))
+            Classic.run ~env g (flood_protocol root))
       in
       record None = record (Some (Fault.instantiate Fault.empty)))
 
@@ -233,7 +233,7 @@ let prop_empty_plan_identity =
 
 let test_single_node () =
   let g = Graph.make ~n:1 [] in
-  let (s1, t1), (s2, t2) = both (fun () -> Sim.run g (flood_protocol 0)) in
+  let (s1, t1), (s2, t2) = both (fun () -> Classic.run g (flood_protocol 0)) in
   ignore s1;
   ignore s2;
   check Alcotest.int "rounds" t2.Sim.rounds t1.Sim.rounds;
@@ -249,7 +249,7 @@ let test_round_limit_equiv () =
      drop/duplicate plan, which the reference loop does not run, and
      hardened under the same plan as a chaos network. *)
   let g = random_graph 31_337 in
-  let chatty : (unit, int) Sim.protocol =
+  let chatty : (unit, int) Classic.protocol =
     {
       init = (fun _ -> ());
       step =
@@ -293,10 +293,10 @@ let test_round_limit_equiv () =
     (fun max_rounds ->
       let name what = Printf.sprintf "max_rounds=%d: %s" max_rounds what in
       let flat, log =
-        abort_of (fun env -> Sim.run ~max_rounds ~env g chatty)
+        abort_of (fun env -> Classic.run ~max_rounds ~env g chatty)
       in
       let reference, _ =
-        abort_of (fun env -> Sim.run_reference ~max_rounds ~env g chatty)
+        abort_of (fun env -> Classic.run_reference ~max_rounds ~env g chatty)
       in
       check abort (name "flat = reference") reference flat;
       check Alcotest.int (name "limit") max_rounds flat.Sim.at_round;
@@ -304,7 +304,7 @@ let test_round_limit_equiv () =
       Alcotest.(check bool) (name "ring = log window") true
         (flat.Sim.recent = window_of ~max_rounds log);
       let lossy, log =
-        abort_of ~network:faults (fun env -> Sim.run ~max_rounds ~env g chatty)
+        abort_of ~network:faults (fun env -> Classic.run ~max_rounds ~env g chatty)
       in
       check Alcotest.int (name "faults: limit") max_rounds lossy.Sim.at_round;
       (* The plan must fire, or this leg is the lossless one again; one
@@ -316,7 +316,7 @@ let test_round_limit_equiv () =
         (lossy.Sim.recent = window_of ~max_rounds log);
       let hardened, log =
         abort_of ~network:(Sim.Chaos plan) (fun env ->
-            Fault.sim_run ~max_rounds ~env g (Sim.flat_of_protocol chatty))
+            Fault.sim_run ~max_rounds ~env g (Classic.to_flat chatty))
       in
       check Alcotest.int (name "chaos: limit") max_rounds
         hardened.Sim.at_round;
@@ -326,7 +326,7 @@ let test_round_limit_equiv () =
 
 let test_halt_equiv () =
   let g = Gen.path 4 in
-  let counting : (int, unit) Sim.protocol =
+  let counting : (int, unit) Classic.protocol =
     {
       init = (fun _ -> 0);
       step =
@@ -339,7 +339,7 @@ let test_halt_equiv () =
     }
   in
   let halt sts = sts.(0) >= 4 in
-  let (s1, t1), (s2, t2) = both (fun () -> Sim.run ~halt g counting) in
+  let (s1, t1), (s2, t2) = both (fun () -> Classic.run ~halt g counting) in
   check Alcotest.(array int) "states" s2 s1;
   Alcotest.(check bool) "stats equal" true (stats_eq t1 t2)
 
@@ -349,7 +349,7 @@ let test_scheduler_skips_idle () =
      while the reference engine steps everyone once.  Stats agree anyway —
      this is exactly the contract boundary the [wake] docs describe. *)
   let g = Gen.grid ~rows:3 ~cols:3 in
-  let lazybones : (int, unit) Sim.protocol =
+  let lazybones : (int, unit) Classic.protocol =
     {
       init = (fun _ -> 0);
       step = (fun _ ~round:_ c ~inbox:_ -> c + 1, []);
@@ -358,8 +358,8 @@ let test_scheduler_skips_idle () =
       wake = Some Sim.never;
     }
   in
-  let s_flat, t_flat = Sim.run g lazybones in
-  let s_ref, t_ref = Sim.run_reference g lazybones in
+  let s_flat, t_flat = Classic.run g lazybones in
+  let s_ref, t_ref = Classic.run_reference g lazybones in
   Array.iter (fun c -> check Alcotest.int "never stepped" 0 c) s_flat;
   Array.iter (fun c -> check Alcotest.int "stepped once" 1 c) s_ref;
   Alcotest.(check bool) "stats still equal" true (stats_eq t_flat t_ref)
@@ -383,7 +383,7 @@ let test_send_error_both_engines () =
      one: the run raises the same error on both engines. *)
   let g = Gen.path 4 in
   let outbox v = if v = 1 then [ 0, (); 2, (); 3, () ] else [] in
-  let proto : (unit, unit) Sim.protocol =
+  let proto : (unit, unit) Classic.protocol =
     {
       init = (fun _ -> ());
       step = (fun view ~round:_ () ~inbox:_ -> (), outbox view.Sim.node);
@@ -407,9 +407,9 @@ let test_send_error_both_engines () =
     match run () with
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
     | exception Invalid_argument msg ->
-        check Alcotest.string name "Sim.run: message to non-neighbor" msg
+        check Alcotest.string name "Sim.run_flat: message to non-neighbor" msg
   in
-  raises "reference" (fun () -> Sim.run_reference g proto);
+  raises "reference" (fun () -> Classic.run_reference g proto);
   raises "flat" (fun () -> Sim.run_flat g native)
 
 (* ------------------------------------------------------------ flat engine *)
@@ -467,7 +467,7 @@ let prop_flat_equiv_faults_telemetry =
       let leg run =
         capture ~network:(Sim.Faults (Fault.instantiate plan)) run
       in
-      leg (fun env -> Sim.run ~max_rounds:300 ~env g (flood_protocol root))
+      leg (fun env -> Classic.run ~max_rounds:300 ~env g (flood_protocol root))
       = leg (fun env ->
             Sim.run_flat ~max_rounds:300 ~env g (flood_flat root)))
 
@@ -479,10 +479,10 @@ let prop_flat_equiv_lossless =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      let adapter = capture (fun env -> Sim.run ~env g (flood_protocol root)) in
+      let adapter = capture (fun env -> Classic.run ~env g (flood_protocol root)) in
       adapter = capture (fun env -> Sim.run_flat ~env g (flood_flat root))
       && adapter
-         = capture (fun env -> Sim.run_reference ~env g (flood_protocol root)))
+         = capture (fun env -> Classic.run_reference ~env g (flood_protocol root)))
 
 (* Dense rounds: every node that hears mail relays it, with one less
    hop to live, to a scrambled subset of its neighbours in a scrambled
@@ -539,7 +539,7 @@ let prop_flat_dense_rounds =
       | Ok (_, t), _ -> t.Sim.messages > 4 * n
       | Error _, _ -> false)
       && flat
-         = capture (fun env -> Sim.run_reference ~env g (Sim.protocol_of_flat p)))
+         = capture (fun env -> Sim.run_reference ~env g p))
 
 (* The seed loop has no fault injection, so the engine's fault accounting
    is pinned by hand on a 4-node path flood (6 sends lossless): every
@@ -556,14 +556,14 @@ let test_fault_accounting () =
       ( "adapter",
         fun () ->
           f (fun faults ->
-              Sim.run ~max_rounds:20 ~env:(env faults) g (flood_protocol 0)) );
+              Classic.run ~max_rounds:20 ~env:(env faults) g (flood_protocol 0)) );
       ( "native",
         fun () ->
           f (fun faults ->
               Sim.run_flat ~max_rounds:20 ~env:(env faults) g (flood_flat 0)) );
     ]
   in
-  let lossless_states, lossless = Sim.run_reference g (flood_protocol 0) in
+  let lossless_states, lossless = Classic.run_reference g (flood_protocol 0) in
   let counts (t : Sim.stats) = t.messages, t.dropped, t.duplicated in
   let abort_counts run =
     match run () with
@@ -603,23 +603,30 @@ let test_fault_accounting () =
    - a duplicate-only fault plan (drop/crash plans can legitimately stall
      an unhardened upcast forever), both on the flat engine;
    - chaos: drops plus one crash window, hardened with each primitive's
-     recovery contract.  The hardened stats (rounds, packets,
-     retransmissions) must agree, and the port's result must also equal
-     its lossless result. *)
+     recovery contract, or drops and duplicates without crashes for the
+     ports whose mutable tables carry no recovery contract.  The hardened
+     stats (rounds, packets, retransmissions) must agree, and the port's
+     result must also equal its lossless result. *)
 let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
 
 let chaos_plan seed g =
   Fault.plan ~drop:0.1 ~crashes:[ seed mod Graph.n g, 2, 5 ] ~seed ()
+
+(* The crash-free chaos plan, for ports whose states hold mutable tables
+   and so carry no recovery contract ([~crash:false] below). *)
+let lossy_plan seed = Fault.plan ~drop:0.1 ~duplicate:0.05 ~seed ()
 
 (* [native] and [classic] run the primitive on the env they are given;
    [native] returns its result, whose stats {!Sim.measure} reads from the
    env, and [classic] its result with the run's stats.  Their flight logs
    are compared without span markers: the port opens its primitive's
    span (and the measurement its own), the classic oracle none. *)
-let native_matches_classic ~seed g ~(native : Sim.env -> 'r)
+let native_matches_classic ?(crash = true) ~seed g ~(native : Sim.env -> 'r)
     ~(classic : Sim.env -> 'r * Sim.stats) =
   let dup = Sim.Faults (Fault.instantiate (dup_plan seed)) in
-  let chaos = Sim.Chaos (chaos_plan seed g) in
+  let chaos =
+    Sim.Chaos (if crash then chaos_plan seed g else lossy_plan seed)
+  in
   let native env = Sim.measure ~env native in
   let leg ?network f =
     let r, log = Flight.record ?network f in
@@ -819,6 +826,232 @@ let prop_flat_native_select_exchange =
            ~classic:(fun env ->
              (), Classic.Exchange.all_neighbors ~env g ~payload_bits:9))
 
+(* Sorted bindings of a table: a comparable image of a mutable state. *)
+let bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let prop_flat_native_le_list =
+  QCheck.Test.make ~name:"LE lists native flat = classic (faults)" ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      native_matches_classic ~crash:false ~seed g
+        ~native:(fun env -> Dsf_embed.Le_list.build ~env (rng seed) g)
+        ~classic:(fun env -> Classic.Le_list.build ~env (rng seed) g))
+
+let prop_flat_native_level_routing =
+  QCheck.Test.make
+    ~name:"level routing + backtrace native flat = classic (faults)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module LR = Dsf_core.Level_routing in
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let vt = Dsf_embed.Virtual_tree.build (rng seed) g in
+      let r = rng (seed + 23) in
+      (* A few labels per holder, each routed to one of the holder's
+         virtual-tree ancestors; label collisions exercise the filter. *)
+      let origins_tbl =
+        Array.init n (fun v ->
+            if Dsf_util.Rng.int r 3 = 0 then []
+            else
+              List.init (1 + Dsf_util.Rng.int r 2) (fun _ ->
+                  let lvl = Dsf_util.Rng.int r (vt.levels + 1) in
+                  Dsf_util.Rng.int r 4, vt.ancestors.(v).(lvl)))
+      in
+      let origins v = origins_tbl.(v) in
+      let route states =
+        Array.map
+          (fun (st : LR.route_state) ->
+            bindings st.known, st.unsent, st.lhat, st.marked)
+          states
+      in
+      let rstates = LR.route_phase g vt ~origins in
+      let tables v = rstates.(v).LR.known in
+      (* Each target ships its labels back along its smallest received
+         chain. *)
+      let bundles v =
+        let st = rstates.(v) in
+        match
+          List.filter_map
+            (fun (((_, w) as lw), sender) ->
+              if w = v && sender >= 0 then Some lw else None)
+            (bindings st.known)
+        with
+        | lw :: _ -> List.map (fun l -> { LR.route = lw; payload = l }) st.lhat
+        | [] -> []
+      in
+      let back states =
+        Array.map (fun (st : LR.back_state) -> st.b_queue, st.b_l) states
+      in
+      native_matches_classic ~crash:false ~seed g
+        ~native:(fun env -> route (LR.route_phase ~env g vt ~origins))
+        ~classic:(fun env ->
+          let states, stats =
+            Classic.Level_routing.route_phase ~env g vt ~origins
+          in
+          route states, stats)
+      && native_matches_classic ~seed g
+           ~native:(fun env -> back (LR.backtrace_phase ~env g ~tables ~bundles))
+           ~classic:(fun env ->
+             let states, stats =
+               Classic.Level_routing.backtrace_phase ~env g ~tables ~bundles
+             in
+             back states, stats))
+
+let prop_flat_native_f6 =
+  QCheck.Test.make ~name:"F6 mark/unmark native flat = classic (faults)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let r = rng (seed + 29) in
+      let parent = (Bfs.build g ~root:(seed mod n)).Bfs.parent in
+      let labels_tbl =
+        Array.init n (fun _ ->
+            List.filter (fun _ -> Dsf_util.Rng.int r 3 = 0) [ 0; 1; 2; 3 ])
+      in
+      let labels v = labels_tbl.(v) in
+      native_matches_classic ~crash:false ~seed g
+        ~native:(fun env -> Dsf_core.F6_protocol.run ~env g ~parent ~labels)
+        ~classic:(fun env -> Classic.F6.run ~env g ~parent ~labels))
+
+let prop_flat_native_label_flood =
+  QCheck.Test.make ~name:"pruning label flood native flat = classic (faults)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module P = Dsf_core.Pruning in
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let r = rng (seed + 31) in
+      let tree = Bfs.build g ~root:(seed mod n) in
+      (* Nodes in [nc] clusters joined by a random cluster tree: cluster
+         [i > 0] hangs off a smaller one through forest edge [i - 1]. *)
+      let nc = 2 + Dsf_util.Rng.int r 4 in
+      let fc_adj = Hashtbl.create 8 in
+      let link c c' i =
+        Hashtbl.replace fc_adj c
+          ((c', i) :: Option.value ~default:[] (Hashtbl.find_opt fc_adj c))
+      in
+      for i = 1 to nc - 1 do
+        let j = Dsf_util.Rng.int r i in
+        link i j (i - 1);
+        link j i (i - 1)
+      done;
+      let structure = { P.fc_adj; n_fc = nc - 1 } in
+      let initial_tbl =
+        Array.init n (fun v ->
+            if Dsf_util.Rng.int r 2 = 0 then []
+            else [ v mod nc, Dsf_util.Rng.int r 4 ])
+      in
+      let initial v = initial_tbl.(v) in
+      let facts (f : P.facts) = bindings f.lc, bindings f.le in
+      let decode states =
+        Array.map
+          (fun (st : P.node_state) -> facts st.mine, facts st.shadow, st.log)
+          states
+      in
+      native_matches_classic ~crash:false ~seed g
+        ~native:(fun env ->
+          decode (P.label_flood ~env g ~tree ~structure ~initial))
+        ~classic:(fun env ->
+          let states, stats =
+            Classic.Pruning.label_flood ~env g ~tree ~structure ~initial
+          in
+          decode states, stats))
+
+let prop_flat_native_coloring =
+  QCheck.Test.make
+    ~name:"three-coloring + matching native flat = classic (faults)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let parent = (Bfs.build g ~root:(seed mod Graph.n g)).Bfs.parent in
+      native_matches_classic ~seed g
+        ~native:(fun env -> Coloring.three_color ~env g ~parent)
+        ~classic:(fun env -> Classic.Coloring.three_color ~env g ~parent)
+      && native_matches_classic ~seed g
+           ~native:(fun env -> Coloring.maximal_matching ~env g ~parent)
+           ~classic:(fun env -> Classic.Coloring.maximal_matching ~env g ~parent))
+
+let prop_flat_native_gossip_leader =
+  QCheck.Test.make ~name:"gossip + leader native flat = classic (faults)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let r = rng (seed + 37) in
+      let mask = Array.init (Graph.m g) (fun _ -> Dsf_util.Rng.int r 3 > 0) in
+      let values_tbl =
+        Array.init n (fun _ ->
+            if Dsf_util.Rng.int r 2 = 0 then None
+            else Some (Dsf_util.Rng.int r 50))
+      in
+      let values v = values_tbl.(v) in
+      let better a b = a < b in
+      let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
+      let elected (res : Leader.result) = res.leader, res.agreed in
+      native_matches_classic ~seed g
+        ~native:(fun env ->
+          Component_ops.gossip_extremum ~env g ~mask ~values ~better ~bits)
+        ~classic:(fun env ->
+          Classic.Component_ops.gossip_extremum ~env g ~mask ~values ~better
+            ~bits)
+      && native_matches_classic ~seed g
+           ~native:(fun env -> elected (Leader.elect ~env g))
+           ~classic:(fun env ->
+             let res, stats = Classic.Leader.elect ~env g in
+             elected res, stats))
+
+let prop_flat_native_upcast_sequential =
+  QCheck.Test.make ~name:"sequential upcast native flat = classic (faults)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let tree = Bfs.build g ~root:(seed mod n) in
+      let items v = if v mod 3 = 0 then [ v; v + n ] else [] in
+      let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
+      native_matches_classic ~seed g
+        ~native:(fun env -> Tree_ops.upcast_sequential ~env g ~tree ~items ~bits)
+        ~classic:(fun env ->
+          Classic.Tree_ops.upcast_sequential ~env g ~tree ~items ~bits))
+
+let prop_flat_native_bellman_ford_boxed =
+  QCheck.Test.make ~name:"Bellman-Ford boxed native flat = classic (faults)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let r = rng (seed + 41) in
+      let sources =
+        List.init (1 + Dsf_util.Rng.int r 3) (fun _ ->
+            Dsf_util.Rng.int r n, Dsf_util.Rng.int r 5)
+      in
+      let labels states =
+        Array.map
+          (fun (st : Bellman_ford.state) -> st.dist, st.src, st.parent, st.hops)
+          states
+      in
+      let run env proto =
+        let states, stats =
+          Fault.sim_run ~env ~recovery:(Fault.immutable ()) g proto
+        in
+        labels states, stats
+      in
+      native_matches_classic ~seed g
+        ~native:(fun env ->
+          fst (run env (Bellman_ford.protocol g ~sources)))
+        ~classic:(fun env ->
+          run env (Classic.to_flat (Classic.Bellman_ford.protocol g ~sources))))
+
 let test_det_dsf_flat_e2e () =
   (* Full solve: every subroutine on the flat engine must reproduce the
      same solve on the seed loop bit for bit. *)
@@ -863,12 +1096,12 @@ let test_bellman_ford_wide_fallback () =
     (dist { Sim.default_env with network = Sim.Chaos (chaos_plan 7 g) })
 
 let test_flat_adapter_inbox_order () =
-  (* The adapter's inbox_list must present arrival order exactly as the
-     seed loop builds inboxes: senders ascending, send order within a
+  (* The list adapter (Classic.to_flat) must present arrival order exactly
+     as the seed loop builds inboxes: senders ascending, send order within a
      sender.  A 2-source flood on a path makes node 2 hear 1 and 3 in the
      same round. *)
   let g = Gen.path 5 in
-  let two_roots : (flood_state, unit) Sim.protocol =
+  let two_roots : (flood_state, unit) Classic.protocol =
     let p = flood_protocol 1 in
     {
       p with
@@ -880,8 +1113,8 @@ let test_flat_adapter_inbox_order () =
     }
   in
   let (s1, t1), (s2, t2) =
-    ( Sim.run g two_roots,
-      Sim.run_reference g two_roots )
+    ( Classic.run g two_roots,
+      Classic.run_reference g two_roots )
   in
   Alcotest.(check bool) "states" true (s1 = s2);
   Alcotest.(check bool) "stats" true (stats_eq t1 t2)
@@ -906,6 +1139,14 @@ let suites =
         qtest prop_flat_native_tree_ops;
         qtest prop_flat_native_pipeline;
         qtest prop_flat_native_select_exchange;
+        qtest prop_flat_native_le_list;
+        qtest prop_flat_native_level_routing;
+        qtest prop_flat_native_f6;
+        qtest prop_flat_native_label_flood;
+        qtest prop_flat_native_coloring;
+        qtest prop_flat_native_gossip_leader;
+        qtest prop_flat_native_upcast_sequential;
+        qtest prop_flat_native_bellman_ford_boxed;
         Alcotest.test_case "fault accounting" `Quick test_fault_accounting;
         Alcotest.test_case "det_dsf end-to-end on the flat engine" `Quick
           test_det_dsf_flat_e2e;
