@@ -528,8 +528,11 @@ type flat_size = Upto of int | Fixed of int
    round.  The
    filtered upcast keeps a union-find over all [vn = n] virtual nodes at
    every node — n^2 words, about 4 GB at n = 16384 — so its size is capped
-   to fit an 8 GB host; the skip is printed, never silent.  A runner
-   takes the env whose ledger counts its rounds. *)
+   to fit an 8 GB host; the skip is printed, never silent.  [le_list
+   random] is the randomized algorithm's LE-list construction (one build
+   per run, ranks from a fixed seed) on the same random-graph family;
+   it stops at n = 4096 to keep the micro run short.  A runner takes
+   the env whose ledger counts its rounds. *)
 let flat_workloads : (string * flat_size * (int -> Sim.env -> unit)) list =
   let item_bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
   [
@@ -611,6 +614,16 @@ let flat_workloads : (string * flat_size * (int -> Sim.env -> unit)) list =
       fun n ->
         let g = flat_graph n in
         fun env -> Dsf_congest.Exchange.all_neighbors ~env g ~payload_bits:9 );
+    ( "le_list random",
+      Upto 4096,
+      fun n ->
+        let g =
+          Gen.random_connected (Dsf_util.Rng.create n) ~n ~extra_edges:n
+            ~max_w:16
+        in
+        ignore (Dsf_graph.Graph.csr g);
+        fun env ->
+          ignore (Dsf_embed.Le_list.build ~env (Dsf_util.Rng.create 1) g) );
   ]
 
 (* Best-of-reps wall clock and minor words of one workload at one size. *)
@@ -651,7 +664,7 @@ let measure_flat ~sizes () =
               if n <= max_n then [ measure_flat_size workload (make n) n ]
               else begin
                 Format.printf
-                  "flat_engine: %S skipped at n=%d (memory cap: n <= %d)@."
+                  "flat_engine: %S skipped at n=%d (size cap: n <= %d)@."
                   workload n max_n;
                 []
               end)

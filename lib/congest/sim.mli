@@ -41,7 +41,13 @@
     nothing.  Under that contract, {!run_flat} and {!run_reference}
     produce identical stats, flight logs, and final states — the property
     suite [test_sim_equiv] checks this differentially on randomized
-    graphs and protocols.
+    graphs and protocols, and re-steps the final states of the ports
+    with an empty inbox to check the contract on the step itself.
+    Every protocol in [lib/] declares [Some never] except three that
+    step every node every round ([fp_wake = None]): {!Coloring}'s
+    three-coloring and maximal matching, whose stages are scheduled by
+    the round number, and {!Fault.sim_run}'s hardening wrapper, whose
+    retransmit timers and Fin markers march every physical round.
 
     [fp_is_done] and [fp_wake] must be pure functions of the state (and
     view / round): [fp_is_done] is re-evaluated only when a step changes

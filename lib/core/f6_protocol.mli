@@ -24,3 +24,23 @@ val run :
     be set).  Every [(v, parent.(v))] pair must be an edge of the graph.
     Both phases run under [env] (see {!Dsf_congest.Sim}), which counts
     their cost. *)
+
+type mark_state
+type unmark_state
+
+val mark_protocol :
+  Dsf_graph.Graph.t ->
+  parent:int array ->
+  labels:(int -> int list) ->
+  (mark_state, int) Dsf_congest.Sim.flat_protocol
+(** The mark phase, as {!run} runs it first. *)
+
+val unmark_protocol :
+  Dsf_graph.Graph.t ->
+  parent:int array ->
+  labels:(int -> int list) ->
+  mark_states:mark_state array ->
+  (unmark_state, int) Dsf_congest.Sim.flat_protocol
+(** The unmark phase on the mark phase's final states, as {!run} runs
+    it second.  Both phases step only nodes with mail or work left
+    ([fp_wake = Some Sim.never]). *)

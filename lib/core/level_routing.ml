@@ -36,12 +36,12 @@ let route_phase ?(env = Sim.default_env) g vt ~origins =
       fp_step =
         (fun view ~round:_ st ~inbox ~emit ->
           let v = view.Sim.node in
-          let unsent = ref st.unsent in
+          let fresh = ref [] in
           for i = 0 to Sim.inbox_len inbox - 1 do
             let lw = Sim.inbox_msg inbox i in
             if not (Hashtbl.mem st.known lw) then begin
               Hashtbl.replace st.known lw (Sim.inbox_src inbox i);
-              unsent := !unsent @ [ lw ]
+              fresh := lw :: !fresh
             end
           done;
           (* Deliver-to-self entries are free; handle them all, then send
@@ -67,7 +67,7 @@ let route_phase ?(env = Sim.default_env) g vt ~origins =
                       { st with unsent = rest; marked = eid :: st.marked }
                 end
           in
-          dispatch { st with unsent = !unsent });
+          dispatch { st with unsent = st.unsent @ List.rev !fresh });
       fp_is_done = (fun st -> st.unsent = []);
       fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
       (* A node with nothing unsent and no mail returns its state as is
@@ -102,9 +102,9 @@ let backtrace_phase ?(env = Sim.default_env) g ~tables ~bundles =
           { b_known = tables v; b_queue = bundles v; b_l = [] });
       fp_step =
         (fun _view ~round:_ st ~inbox ~emit ->
-          let queue = ref st.b_queue in
+          let fresh = ref [] in
           for i = 0 to Sim.inbox_len inbox - 1 do
-            queue := !queue @ [ Sim.inbox_msg inbox i ]
+            fresh := Sim.inbox_msg inbox i :: !fresh
           done;
           let rec dispatch st =
             match st.b_queue with
@@ -119,7 +119,7 @@ let backtrace_phase ?(env = Sim.default_env) g ~tables ~bundles =
                     { st with b_queue = rest }
               end
           in
-          dispatch { st with b_queue = !queue });
+          dispatch { st with b_queue = st.b_queue @ List.rev !fresh });
       fp_is_done = (fun st -> st.b_queue = []);
       fp_msg_bits = (fun _ -> 3 * Bitsize.id_bits ~n);
       (* As in [route_phase]: an empty queue and no mail is a no-op. *)

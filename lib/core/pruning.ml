@@ -221,68 +221,71 @@ type node_state = {
   log : (int * int) list;  (** root: state-changing messages, reversed *)
 }
 
-let label_flood ?(env = Sim.default_env) g ~tree ~structure ~initial =
+let label_flood_protocol g ~tree ~structure ~initial :
+    (node_state, int * int) Sim.flat_protocol =
   let n = Graph.n g in
-  let proto : (node_state, int * int) Sim.flat_protocol =
-    {
-      fp_init =
-        (fun view ->
-          let v = view.Sim.node in
-          let mine = facts_create () in
-          let log = ref [] in
-          List.iter
-            (fun fact ->
-              if facts_apply structure mine fact then log := fact :: !log)
-            (initial v);
-          {
-            is_root = v = tree.Bfs.root;
-            mine;
-            shadow = facts_create ();
-            log = !log;
-          });
-      fp_step =
-        (fun view ~round:_ st ~inbox ~emit ->
-          let v = view.Sim.node in
-          let log = ref st.log in
-          for i = 0 to Sim.inbox_len inbox - 1 do
-            let fact = Sim.inbox_msg inbox i in
-            if facts_apply structure st.mine fact then log := fact :: !log
-          done;
-          let st = { st with log = !log } in
-          if v <> tree.Bfs.root then begin
-            (* Send one message that would still change the parent's
-               view of our contribution. *)
-            let candidate =
-              Hashtbl.fold
-                (fun (c, lam) () acc ->
-                  match acc with
-                  | Some _ -> acc
-                  | None ->
-                      if Hashtbl.mem st.shadow.lc (c, lam) then None
-                      else Some (c, lam))
-                st.mine.lc None
-            in
-            match candidate with
-            | Some fact ->
-                ignore (facts_apply structure st.shadow fact);
-                emit ~dst:tree.Bfs.parent.(v) fact
-            | None -> ()
-          end;
-          st);
-      fp_is_done =
-        (fun st ->
-          st.is_root
-          || Hashtbl.fold
-               (fun (c, lam) () acc ->
-                 acc && Hashtbl.mem st.shadow.lc (c, lam))
-               st.mine.lc true);
-      fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
-      fp_wake = None;
-    }
-  in
+  {
+    fp_init =
+      (fun view ->
+        let v = view.Sim.node in
+        let mine = facts_create () in
+        let log = ref [] in
+        List.iter
+          (fun fact ->
+            if facts_apply structure mine fact then log := fact :: !log)
+          (initial v);
+        {
+          is_root = v = tree.Bfs.root;
+          mine;
+          shadow = facts_create ();
+          log = !log;
+        });
+    fp_step =
+      (fun view ~round:_ st ~inbox ~emit ->
+        let v = view.Sim.node in
+        let log = ref st.log in
+        for i = 0 to Sim.inbox_len inbox - 1 do
+          let fact = Sim.inbox_msg inbox i in
+          if facts_apply structure st.mine fact then log := fact :: !log
+        done;
+        let st = { st with log = !log } in
+        if v <> tree.Bfs.root then begin
+          (* Send one message that would still change the parent's
+             view of our contribution. *)
+          let candidate =
+            Hashtbl.fold
+              (fun (c, lam) () acc ->
+                match acc with
+                | Some _ -> acc
+                | None ->
+                    if Hashtbl.mem st.shadow.lc (c, lam) then None
+                    else Some (c, lam))
+              st.mine.lc None
+          in
+          match candidate with
+          | Some fact ->
+              ignore (facts_apply structure st.shadow fact);
+              emit ~dst:tree.Bfs.parent.(v) fact
+          | None -> ()
+        end;
+        st);
+    fp_is_done =
+      (fun st ->
+        st.is_root
+        || Hashtbl.fold
+             (fun (c, lam) () acc ->
+               acc && Hashtbl.mem st.shadow.lc (c, lam))
+             st.mine.lc true);
+    fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
+    (* A done node has no fact its parent lacks (the root sends none),
+       so a step with no mail sends nothing and keeps the state. *)
+    fp_wake = Some Sim.never;
+  }
+
+let label_flood ?(env = Sim.default_env) g ~tree ~structure ~initial =
   (* The fact tables are mutable and take no recovery contract, so a
      hardened run masks crash-free plans only. *)
-  fst (Fault.sim_run ~env g proto)
+  fst (Fault.sim_run ~env g (label_flood_protocol g ~tree ~structure ~initial))
 
 (* ------------------------------------------------------------------ *)
 

@@ -73,6 +73,15 @@ type node_state = {
   log : (int * int) list;  (** root: state-changing messages, reversed *)
 }
 
+val label_flood_protocol :
+  Dsf_graph.Graph.t ->
+  tree:Dsf_congest.Bfs.tree ->
+  structure:structure ->
+  initial:(int -> (int * int) list) ->
+  (node_state, int * int) Dsf_congest.Sim.flat_protocol
+(** The flood {!label_flood} runs.  It steps only nodes with mail or a
+    fact left to send ([fp_wake = Some Sim.never]). *)
+
 val label_flood :
   ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Graph.t ->

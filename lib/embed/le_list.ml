@@ -15,133 +15,167 @@ type t = {
   lists : entry list array;
 }
 
-(* Staircase insertion: keep (target, dist, rank) iff no kept entry has
-   dist <= its dist and rank >= its rank; inserting evicts entries it
-   dominates.  Lists are ascending in (dist, rank). *)
-let staircase_insert list (e : entry) =
-  let dominated =
-    List.exists (fun k -> k.dist <= e.dist && k.rank >= e.rank) list
-  in
-  if dominated then None
-  else begin
-    let survivors =
-      List.filter (fun k -> not (k.dist >= e.dist && k.rank <= e.rank)) list
-    in
-    let rec insert = function
-      | [] -> [ e ]
-      | k :: rest ->
-          if k.dist < e.dist || (k.dist = e.dist && k.rank < e.rank) then
-            k :: insert rest
-          else e :: k :: rest
-    in
-    Some (insert survivors)
-  end
-
-type node_state = {
-  list : entry list;
-  (* Per-neighbor outgoing queues of entries still to announce. *)
-  out : (int, entry Queue.t) Hashtbl.t;
+(* One accepted entry of a node's log.  [live] drops to false when a
+   later insertion evicts the entry from the staircase; an entry never
+   comes back, since whatever evicted it dominates every later copy. *)
+type slot = {
+  entry : entry;
+  msg : msg;  (** the announcement every neighbor is sent *)
+  mutable live : bool;
 }
 
-type msg = Announce of { target : int; dist : int; rank : int }
+and msg = Announce of { target : int; dist : int; rank : int }
+
+(* Staircase insertion: keep (target, dist, rank) iff no kept entry has
+   dist <= its dist and rank >= its rank; inserting evicts (flags dead)
+   the entries it dominates.  Lists are ascending in (dist, rank), and
+   no kept entry dominates another, so both dist and rank strictly
+   increase along a list: the dominating candidates are a prefix and
+   the evicted entries a contiguous run.  [staircase_insert] takes an
+   entry that is not [dominated]. *)
+let rec dominated ~dist ~rank = function
+  | [] -> false
+  | k :: rest ->
+      k.entry.dist <= dist
+      && (k.entry.rank >= rank || dominated ~dist ~rank rest)
+
+let staircase_insert list s =
+  let e = s.entry in
+  let rec evict = function
+    | k :: rest when k.entry.rank <= e.rank ->
+        k.live <- false;
+        evict rest
+    | rest -> rest
+  in
+  let rec place = function
+    | k :: rest when k.entry.dist < e.dist -> k :: place rest
+    | rest -> s :: evict rest
+  in
+  place list
+
+(* A node's accepted entries in one append-only log, [log.(0 .. len-1)],
+   read by one cursor per neighbor: the entries a neighbor has still to
+   hear are the live ones at or after its cursor.  After every step each
+   cursor sits on a live entry or at [len], and [behind] counts the
+   cursors short of [len], so the node is done iff [behind = 0].  The
+   neighbors are kept in send order. *)
+type node_state = {
+  mutable list : slot list;  (** the staircase *)
+  mutable log : slot array;
+  mutable len : int;
+  nbr : int array;  (** neighbor ids, in send order *)
+  wt : int array;  (** weight of the edge to [nbr.(j)] *)
+  cursor : int array;
+  mutable behind : int;
+}
+
+let append st s =
+  if st.len = Array.length st.log then begin
+    let log = Array.make (2 * st.len) s in
+    Array.blit st.log 0 log 0 st.len;
+    st.log <- log
+  end;
+  st.log.(st.len) <- s;
+  st.len <- st.len + 1
+
+(* The first live entry at or after [c], or [len]. *)
+let rec park st c =
+  if c < st.len && not st.log.(c).live then park st (c + 1) else c
+
+let slot_of (entry : entry) =
+  {
+    entry;
+    msg =
+      Announce { target = entry.target; dist = entry.dist; rank = entry.rank };
+    live = true;
+  }
+
+let flat_protocol ~ranks : (node_state, msg) Sim.flat_protocol =
+  let n = Array.length ranks in
+  {
+    fp_init =
+      (fun view ->
+        let v = view.Sim.node in
+        let self =
+          slot_of { target = v; dist = 0; rank = ranks.(v); next_hop = -1 }
+        in
+        (* Sends go out in the reverse of a [Hashtbl.iter] walk over the
+           neighbors, the order of the original list protocol; arrival
+           order breaks next-hop ties, so it is part of the output. *)
+        let table = Hashtbl.create 4 in
+        Array.iter
+          (fun (nb, wt, _) -> Hashtbl.replace table nb wt)
+          view.Sim.nbrs;
+        let order = Hashtbl.fold (fun nb wt acc -> (nb, wt) :: acc) table [] in
+        let deg = List.length order in
+        {
+          list = [ self ];
+          log = Array.make 4 self;
+          len = 1;
+          nbr = Array.of_list (List.map fst order);
+          wt = Array.of_list (List.map snd order);
+          cursor = Array.make deg 0;
+          behind = deg;
+        });
+    fp_step =
+      (fun _view ~round:_ st ~inbox ~emit ->
+        let weight_to sender =
+          let j = ref 0 in
+          while st.nbr.(!j) <> sender do
+            incr j
+          done;
+          st.wt.(!j)
+        in
+        (* Absorb announcements. *)
+        for i = 0 to Sim.inbox_len inbox - 1 do
+          let sender = Sim.inbox_src inbox i in
+          let (Announce a) = Sim.inbox_msg inbox i in
+          let dist = a.dist + weight_to sender in
+          if not (dominated ~dist ~rank:a.rank st.list) then begin
+            let s =
+              slot_of
+                { target = a.target; dist; rank = a.rank; next_hop = sender }
+            in
+            st.list <- staircase_insert st.list s;
+            append st s
+          end
+        done;
+        (* Send each neighbor the next live entry it has not heard,
+           then park its cursor on the following live one. *)
+        let behind = ref 0 in
+        for j = 0 to Array.length st.nbr - 1 do
+          let c = park st st.cursor.(j) in
+          let c =
+            if c < st.len then begin
+              emit ~dst:st.nbr.(j) st.log.(c).msg;
+              park st (c + 1)
+            end
+            else c
+          in
+          st.cursor.(j) <- c;
+          if c < st.len then incr behind
+        done;
+        st.behind <- !behind;
+        st);
+    fp_is_done = (fun st -> st.behind = 0);
+    fp_msg_bits =
+      (fun (Announce a) ->
+        Bitsize.id_bits ~n + Bitsize.int_bits (Int.max 1 a.dist)
+        + Bitsize.id_bits ~n);
+    (* A done node's cursors all sit at the log's end, so a step with
+       no mail sends nothing and changes nothing. *)
+    fp_wake = Some Sim.never;
+  }
 
 let build ?(env = Sim.default_env) rng g =
-  let n = Graph.n g in
-  let ranks = Dsf_util.Rng.permutation rng n in
-  let proto : (node_state, msg) Sim.flat_protocol =
-    {
-      fp_init =
-        (fun view ->
-          let v = view.Sim.node in
-          let self = { target = v; dist = 0; rank = ranks.(v); next_hop = -1 } in
-          let out = Hashtbl.create 4 in
-          Array.iter
-            (fun (nb, _, _) ->
-              let q = Queue.create () in
-              Queue.add self q;
-              Hashtbl.replace out nb q)
-            view.Sim.nbrs;
-          { list = [ self ]; out });
-      fp_step =
-        (fun view ~round:_ st ~inbox ~emit ->
-          let weight_to sender =
-            let w = ref (-1) in
-            Array.iter
-              (fun (nb, wt, _) -> if nb = sender then w := wt)
-              view.Sim.nbrs;
-            assert (!w >= 0);
-            !w
-          in
-          (* Absorb announcements. *)
-          let list = ref st.list in
-          for i = 0 to Sim.inbox_len inbox - 1 do
-            let sender = Sim.inbox_src inbox i in
-            let (Announce a) = Sim.inbox_msg inbox i in
-            let cand =
-              {
-                target = a.target;
-                dist = a.dist + weight_to sender;
-                rank = a.rank;
-                next_hop = sender;
-              }
-            in
-            match staircase_insert !list cand with
-            | None -> ()
-            | Some l ->
-                Hashtbl.iter (fun _ q -> Queue.add cand q) st.out;
-                list := l
-          done;
-          let st = { st with list = !list } in
-          (* Send one (still live) queued entry per neighbor.  The sends
-             are collected by prepending in table order, so they go out in
-             reverse table order. *)
-          let outbox = ref [] in
-          Hashtbl.iter
-            (fun nb q ->
-              let rec next () =
-                match Queue.take_opt q with
-                | None -> ()
-                | Some e ->
-                    (* Skip entries we no longer hold (superseded). *)
-                    if
-                      List.exists
-                        (fun k -> k.target = e.target && k.dist = e.dist)
-                        st.list
-                    then
-                      outbox :=
-                        (nb, Announce { target = e.target; dist = e.dist; rank = e.rank })
-                        :: !outbox
-                    else next ()
-              in
-              next ())
-            st.out;
-          List.iter (fun (nb, m) -> emit ~dst:nb m) !outbox;
-          st);
-      fp_is_done =
-        (fun st ->
-          Hashtbl.fold
-            (fun _ q acc ->
-              acc
-              && Queue.fold
-                   (fun acc e ->
-                     acc
-                     && not
-                          (List.exists
-                             (fun k -> k.target = e.target && k.dist = e.dist)
-                             st.list))
-                   true q)
-            st.out true);
-      fp_msg_bits =
-        (fun (Announce a) ->
-          Bitsize.id_bits ~n + Bitsize.int_bits (Int.max 1 a.dist)
-          + Bitsize.id_bits ~n);
-      fp_wake = None;
-    }
-  in
-  (* The per-neighbor queues are mutable, and a hardened run takes no
+  let ranks = Dsf_util.Rng.permutation rng (Graph.n g) in
+  (* The logs and cursors are mutable, and a hardened run takes no
      recovery contract for them, so only crash-free plans are masked. *)
-  let states, _ = Fault.sim_run ~env g proto in
-  { ranks; lists = Array.map (fun st -> st.list) states }
+  let states, _ = Fault.sim_run ~env g (flat_protocol ~ranks) in
+  {
+    ranks;
+    lists = Array.map (fun st -> List.map (fun s -> s.entry) st.list) states;
+  }
 
 let highest_within t v r =
   let rec last acc = function

@@ -30,6 +30,17 @@ type t = {
       (** per node, ascending distance (and ascending rank) *)
 }
 
+type node_state
+type msg
+
+val flat_protocol :
+  ranks:int array -> (node_state, msg) Dsf_congest.Sim.flat_protocol
+(** The construction for the given ranks (one per node, a permutation of
+    0..n-1), as {!build} runs it.  Each node keeps its accepted entries
+    in one append-only log read by one cursor per neighbor, and is done
+    once no cursor has a live entry left ahead of it; only nodes with
+    mail or a pending entry are stepped ([fp_wake = Some Sim.never]). *)
+
 val build : ?env:Dsf_congest.Sim.env -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t
 (** Draws ranks from the given RNG and runs the simulated construction
     under the run environment [env] (see {!Dsf_congest.Sim}). *)

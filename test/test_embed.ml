@@ -82,6 +82,45 @@ let prop_le_list_logarithmic =
       (* log2 60 ~ 5.9; whp lists are within a small multiple. *)
       Le_list.max_list_length t <= 24)
 
+(* [verify_against] checks only (target, dist); the routing of Section 5
+   also needs the next hops: walking them from [v] toward a listed target
+   meets, at every node on the way, an entry for that target whose dist
+   plus the weight walked so far is the listed dist, and ends at the
+   target after exactly that weight. *)
+let prop_le_list_next_hops_reach_targets =
+  QCheck.Test.make ~name:"next hops reach every listed target at its dist"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let r = rng seed in
+      let g = Gen.random_connected r ~n:40 ~extra_edges:40 ~max_w:9 in
+      let t = Le_list.build r g in
+      let weight u w =
+        Array.find_map
+          (fun (nb, wt, _) -> if nb = w then Some wt else None)
+          (Graph.adj g u)
+      in
+      let rec walk (e : Le_list.entry) u walked hops =
+        match
+          List.find_opt
+            (fun (k : Le_list.entry) -> k.target = e.target)
+            t.Le_list.lists.(u)
+        with
+        | None -> false
+        | Some k when k.dist + walked <> e.dist -> false
+        | Some k when u = e.target -> k.next_hop = -1
+        | Some k -> (
+            hops < Graph.n g
+            &&
+            match weight u k.next_hop with
+            | Some wt -> walk e k.next_hop (walked + wt) (hops + 1)
+            | None -> false)
+      in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun v l -> List.for_all (fun e -> walk e v 0 0) l)
+           t.Le_list.lists))
+
 (* ----------------------------------------------------------- Virtual_tree *)
 
 let test_vt_ancestors_monotone_rank () =
@@ -214,6 +253,7 @@ let suites =
         Alcotest.test_case "highest_within" `Quick test_highest_within;
         qtest prop_le_list_distributed_correct;
         qtest prop_le_list_logarithmic;
+        qtest prop_le_list_next_hops_reach_targets;
       ] );
     ( "embed.virtual_tree",
       [

@@ -963,6 +963,88 @@ let prop_flat_native_label_flood =
           in
           decode states, stats))
 
+(* The sparse-wake contract of sim.mli, checked on the step itself: a
+   protocol that declares [fp_wake = Some Sim.never] promises that a done
+   node stepped with an empty inbox emits nothing and keeps its state.
+   After a lossless run every final state is done; re-step each one with
+   an empty inbox and compare the state's structural hash (the
+   sanitizer's) before and after.  Hands back the final states. *)
+let wake_contract g (p : ('s, 'm) Sim.flat_protocol) =
+  let states, stats = Sim.run_flat g p in
+  let hash st = Hashtbl.hash_param 128 512 st in
+  let holds v st =
+    let before = hash st and sent = ref 0 in
+    let view = { Sim.node = v; n = Graph.n g; nbrs = Graph.adj g v } in
+    let st' =
+      p.fp_step view ~round:stats.Sim.rounds st
+        ~inbox:(Sim.inbox_of_list [])
+        ~emit:(fun ~dst:_ _ -> incr sent)
+    in
+    p.fp_is_done st && !sent = 0 && hash st' = before
+  in
+  let sparse = match p.fp_wake with Some f -> f == Sim.never | None -> false in
+  sparse && Array.for_all Fun.id (Array.mapi holds states), states
+
+let prop_wake_contract_le_list =
+  QCheck.Test.make ~name:"LE lists keep the sparse-wake contract" ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let ranks = Dsf_util.Rng.permutation (rng seed) (Graph.n g) in
+      fst (wake_contract g (Dsf_embed.Le_list.flat_protocol ~ranks)))
+
+let prop_wake_contract_label_flood =
+  QCheck.Test.make ~name:"pruning label flood keeps the sparse-wake contract"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module P = Dsf_core.Pruning in
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let r = rng (seed + 31) in
+      let tree = Bfs.build g ~root:(seed mod n) in
+      (* [nc] clusters joined in a path by forest edges 0 .. nc-2. *)
+      let nc = 2 + Dsf_util.Rng.int r 4 in
+      let fc_adj = Hashtbl.create 8 in
+      for i = 0 to nc - 1 do
+        Hashtbl.replace fc_adj i
+          (List.filter
+             (fun (c, _) -> c >= 0 && c < nc)
+             [ i - 1, i - 1; i + 1, i ])
+      done;
+      let structure = { P.fc_adj; n_fc = nc - 1 } in
+      let initial_tbl =
+        Array.init n (fun v ->
+            if Dsf_util.Rng.int r 2 = 0 then []
+            else [ v mod nc, Dsf_util.Rng.int r 4 ])
+      in
+      let initial v = initial_tbl.(v) in
+      fst
+        (wake_contract g (P.label_flood_protocol g ~tree ~structure ~initial)))
+
+let prop_wake_contract_f6 =
+  QCheck.Test.make ~name:"F6 mark and unmark keep the sparse-wake contract"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module F6 = Dsf_core.F6_protocol in
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let r = rng (seed + 29) in
+      let parent = (Bfs.build g ~root:(seed mod n)).Bfs.parent in
+      let labels_tbl =
+        Array.init n (fun _ ->
+            List.filter (fun _ -> Dsf_util.Rng.int r 3 = 0) [ 0; 1; 2; 3 ])
+      in
+      let labels v = labels_tbl.(v) in
+      let marked, mark_states =
+        wake_contract g (F6.mark_protocol g ~parent ~labels)
+      in
+      marked
+      && fst
+           (wake_contract g
+              (F6.unmark_protocol g ~parent ~labels ~mark_states)))
+
 let prop_flat_native_coloring =
   QCheck.Test.make
     ~name:"three-coloring + matching native flat = classic (faults)"
@@ -1143,6 +1225,9 @@ let suites =
         qtest prop_flat_native_level_routing;
         qtest prop_flat_native_f6;
         qtest prop_flat_native_label_flood;
+        qtest prop_wake_contract_le_list;
+        qtest prop_wake_contract_label_flood;
+        qtest prop_wake_contract_f6;
         qtest prop_flat_native_coloring;
         qtest prop_flat_native_gossip_leader;
         qtest prop_flat_native_upcast_sequential;
