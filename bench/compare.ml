@@ -21,8 +21,11 @@
    modes (a `micro` baseline against a `smoke` CI run) the NEW file is a
    declared subset, so missing rows downgrade to notes — only rows
    measured by both gate.  Rows or fields only in NEW are notes — a
-   widened benchmark suite is not a regression.  Exit status: 0 clean,
-   1 regression, 2 parse/I-O error. *)
+   widened benchmark suite is not a regression.  Guarded and timing
+   metrics that moved past [tol] in the better direction are listed
+   under a heading of their own after the diff and counted in the
+   summary line; an improvement never changes the exit status.  Exit
+   status: 0 clean, 1 regression, 2 parse/I-O error. *)
 
 (* ------------------------------------------------------------- tiny JSON *)
 
@@ -224,6 +227,7 @@ type tally = {
   mutable regressions : int;
   mutable advisories : int;
   mutable notes : int;
+  mutable improved : string list;  (** one line per improvement; reversed *)
 }
 
 let breach_pct ~old_v ~new_v ~better_high =
@@ -232,6 +236,15 @@ let breach_pct ~old_v ~new_v ~better_high =
   else
     let delta = (new_v -. old_v) /. Float.abs old_v *. 100. in
     if better_high then -.delta else delta
+
+(* Record a metric that got better by more than [tol] percent ([pct] is
+   negative when NEW is better). *)
+let improved t ~tol ~section ~key ~field old_v new_v pct =
+  if -.pct > tol then
+    t.improved <-
+      Printf.sprintf "%s [%s]: %s %s -> %s (%.1f%% better)" section key field
+        (fstr old_v) (fstr new_v) (-.pct)
+      :: t.improved
 
 let rec compare_rows t ~strict ~tol ~subset ~section ~key old_fields new_fields
     =
@@ -266,6 +279,7 @@ let rec compare_rows t ~strict ~tol ~subset ~section ~key old_fields new_fields
                 end
             | Num a, Num b, Guarded ->
                 let pct = breach_pct ~old_v:a ~new_v:b ~better_high:false in
+                improved t ~tol ~section ~key ~field old_v new_v pct;
                 if pct > tol then
                   if subset then begin
                     (* cross-mode: amortization over different run counts *)
@@ -283,6 +297,7 @@ let rec compare_rows t ~strict ~tol ~subset ~section ~key old_fields new_fields
                   breach_pct ~old_v:a ~new_v:b
                     ~better_high:(higher_is_better field)
                 in
+                improved t ~tol ~section ~key ~field old_v new_v pct;
                 if pct > tol then
                   if strict then begin
                     t.regressions <- t.regressions + 1;
@@ -364,7 +379,9 @@ let run ~old_path ~new_path ~tol ~strict =
       (scalar new_j "mode") (scalar new_j "git_rev") (scalar new_j "utc_date");
     Format.printf "  tolerance %.0f%%, timing %s@." tol
       (if strict then "strict" else "advisory");
-    let t = { compared = 0; regressions = 0; advisories = 0; notes = 0 } in
+    let t =
+      { compared = 0; regressions = 0; advisories = 0; notes = 0; improved = [] }
+    in
     let subset = scalar old_j "mode" <> scalar new_j "mode" in
     if subset then
       Format.printf
@@ -400,12 +417,20 @@ let run ~old_path ~new_path ~tol ~strict =
             | _ -> ())
           new_fields
     | _ -> raise (Bad "top level is not an object"));
+    let improvements = List.length t.improved in
+    if improvements > 0 then begin
+      Format.printf "  improvements (better by more than %.0f%%):@." tol;
+      List.iter (Format.printf "    improved   %s@.") (List.rev t.improved)
+    end;
     Format.printf
-      "  %d metrics compared: %d regression%s, %d advisor%s, %d note%s@."
+      "  %d metrics compared: %d regression%s, %d advisor%s, %d improvement%s, \
+       %d note%s@."
       t.compared t.regressions
       (if t.regressions = 1 then "" else "s")
       t.advisories
       (if t.advisories = 1 then "y" else "ies")
+      improvements
+      (if improvements = 1 then "" else "s")
       t.notes
       (if t.notes = 1 then "" else "s");
     if t.regressions > 0 then begin

@@ -28,7 +28,10 @@
                                               (rounds/s, words/round, phase
                                               profile) with a tolerance-based
                                               regression verdict (exits
-                                              nonzero on regression)
+                                              nonzero on regression); the
+                                              metrics that got better by
+                                              more than the tolerance are
+                                              listed under their own heading
 
    Options (after the mode):
      --jobs N, -j N   domains for the pooled sweeps and trial fan-outs

@@ -16,10 +16,17 @@ let select_forest ~vn ~pre ~cmp items =
   List.filter (fun it -> Uf.union uf it.a it.b) sorted
 
 (* An item with its message size, computed once when the item enters the
-   pipeline at its holder; every hop forwards the same record. *)
+   pipeline at its holder.  Nodes buffer the [Item] message an item
+   arrived in, so every hop forwards the same value and none boxes a new
+   one. *)
 type 'k sized = { item : 'k item; ibits : int }
 
 type 'k msg = Item of 'k sized | Done
+
+(* The item of a buffered message; buffers hold [Item]s only. *)
+let item_of = function
+  | Item it -> it.item
+  | Done -> invalid_arg "Pipeline: Done in an item buffer"
 
 (* Each child delivers its items in ascending order and closes its stream
    with [Done].  A node may emit the minimum across its own remaining items
@@ -35,9 +42,12 @@ type 'k msg = Item of 'k sized | Done
    children whose queue is empty — the node is stalled iff > 0), and
    [p_queued] (total buffered items — drained iff own, open and queued are
    all zero).  Everything is mutated in place, so a step allocates only the
-   queue cells of newly arrived items.  The union-find starts as the
-   shared [pre] template and is copied on the node's first extraction,
-   so a node that never handles an item never builds one.
+   queue cells of newly arrived items.  The union-find is one parent
+   array: the [pre] template compressed to its roots, copied on the
+   node's first extraction (so a node that never handles an item never
+   builds one), then linked root to root with path halving.  Only its
+   connectivity answers are read, so they and every accept/discard
+   decision are those of a rank-balanced union-find.
 
    A node reports done when it is *stalled* or when it is drained and has
    closed its stream ([sent_done], or is the root).  Every configuration
@@ -45,17 +55,27 @@ type 'k msg = Item of 'k sized | Done
    declares [wake = Some Sim.never] and the sparse scheduler keeps the
    active list at the item/Done wavefront. *)
 type 'k fstate = {
-  mutable p_own : 'k sized list;  (** ascending *)
-  p_qs : 'k sized Queue.t array;  (** per-child FIFO, child scan order *)
+  mutable p_own : 'k msg list;  (** ascending *)
+  p_qs : 'k msg Queue.t array;  (** per-child FIFO, child scan order *)
   p_openf : bool array;  (** child not yet Done *)
   mutable p_open : int;
   mutable p_empty_open : int;
   mutable p_queued : int;
-  mutable p_uf : Uf.t option;  (** [None] until the first extraction *)
+  mutable p_uf : int array;  (** parents; empty until the first extraction *)
   mutable p_acc : 'k item list;  (** root only; reversed *)
   mutable p_sent_done : bool;
   p_root : bool;
 }
+
+(* Root of [x] in a parent array, halving the path on the way. *)
+let rec uf_root (p : int array) x =
+  let q = p.(x) in
+  if q = x then x
+  else begin
+    let g = p.(q) in
+    p.(x) <- g;
+    if g = q then q else uf_root p g
+  end
 
 let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
     ('k fstate, 'k msg) Sim.flat_protocol =
@@ -70,59 +90,64 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
     tree.children;
   let template = Uf.create vn in
   List.iter (fun (x, y) -> ignore (Uf.union template x y)) pre;
+  let roots = Array.init vn (Uf.find template) in
   let uf_of st =
-    match st.p_uf with
-    | Some uf -> uf
-    | None ->
-        let uf = Uf.copy template in
-        st.p_uf <- Some uf;
-        uf
+    if Array.length st.p_uf = 0 then st.p_uf <- Array.copy roots;
+    st.p_uf
   in
   let stalled st = st.p_empty_open > 0 in
   let drained st =
     (match st.p_own with [] -> true | _ :: _ -> false)
     && st.p_open = 0 && st.p_queued = 0
   in
-  (* Repeatedly extract the global minimum; discard cycle-closers for
-     free; return the first survivor, to be sent (or accepted, at the
-     root).  Own head first, then child queue heads, first-found wins
-     ties. *)
+  (* Items are named by their source: [-1] for the own head, [j] for the
+     head of child queue [j]. *)
+  let head st j =
+    if j < 0 then List.hd st.p_own else Queue.peek st.p_qs.(j)
+  in
+  let pop st j =
+    if j < 0 then st.p_own <- List.tl st.p_own
+    else begin
+      let q = st.p_qs.(j) in
+      ignore (Queue.pop q);
+      st.p_queued <- st.p_queued - 1;
+      if Queue.is_empty q && st.p_openf.(j) then
+        st.p_empty_open <- st.p_empty_open + 1
+    end
+  in
+  (* Repeatedly extract the global minimum and discard cycle-closers for
+     free; return the source of the first survivor, left at its head to
+     be sent (or accepted, at the root), with its endpoints already
+     joined; or [-2] if none survives.  Own head first, then child queue
+     heads, first-found wins ties. *)
   let rec extract st =
-    let best_it = ref None and best_j = ref (-1) in
-    (match st.p_own with
-    | it :: _ -> best_it := Some it
-    | [] -> ());
+    let best = ref (match st.p_own with _ :: _ -> -1 | [] -> -2) in
     for j = 0 to Array.length st.p_qs - 1 do
       let q = st.p_qs.(j) in
-      if not (Queue.is_empty q) then begin
-        let it = Queue.peek q in
-        match !best_it with
-        | Some b when icmp b.item it.item <= 0 -> ()
-        | _ ->
-            best_it := Some it;
-            best_j := j
-      end
+      if
+        (not (Queue.is_empty q))
+        && (!best = -2
+           || icmp (item_of (head st !best)) (item_of (Queue.peek q)) > 0)
+      then best := j
     done;
-    match !best_it with
-    | None -> None
-    | Some it ->
-        if !best_j < 0 then st.p_own <- List.tl st.p_own
-        else begin
-          let q = st.p_qs.(!best_j) in
-          ignore (Queue.pop q);
-          st.p_queued <- st.p_queued - 1;
-          if Queue.is_empty q && st.p_openf.(!best_j) then
-            st.p_empty_open <- st.p_empty_open + 1
-        end;
-        let uf = uf_of st and { a; b; _ } = it.item in
-        if Uf.same uf a b then
-          (* Extracting from a child queue may stall us again: only
-             continue while no open child queue is empty. *)
-          if stalled st then None else extract st
-        else begin
-          ignore (Uf.union uf a b);
-          Some it
-        end
+    let j = !best in
+    if j = -2 then j
+    else begin
+      let { a; b; _ } = item_of (head st j) in
+      let uf = uf_of st in
+      let ra = uf_root uf a in
+      let rb = uf_root uf b in
+      if ra = rb then begin
+        pop st j;
+        (* Extracting from a child queue may stall us again: only
+           continue while no open child queue is empty. *)
+        if stalled st then -2 else extract st
+      end
+      else begin
+        uf.(rb) <- ra;
+        j
+      end
+    end
   in
   {
     fp_init =
@@ -132,13 +157,13 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
         {
           p_own =
             List.sort icmp (items v)
-            |> List.map (fun item -> { item; ibits = bits item });
+            |> List.map (fun item -> Item { item; ibits = bits item });
           p_qs = Array.init nc (fun _ -> Queue.create ());
           p_openf = Array.make nc true;
           p_open = nc;
           p_empty_open = nc;
           p_queued = 0;
-          p_uf = None;
+          p_uf = [||];
           p_acc = [];
           p_sent_done = false;
           p_root = v = tree.root;
@@ -150,11 +175,11 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
         for i = 0 to k - 1 do
           let j = child_idx.(Sim.inbox_src inbox i) in
           match Sim.inbox_msg inbox i with
-          | Item it ->
+          | Item _ as m ->
               let q = st.p_qs.(j) in
               if Queue.is_empty q && st.p_openf.(j) then
                 st.p_empty_open <- st.p_empty_open - 1;
-              Queue.add it q;
+              Queue.add m q;
               st.p_queued <- st.p_queued + 1
           | Done ->
               (* Guarded for idempotence: a duplicated Done must not skew
@@ -168,17 +193,20 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
         done;
         if stalled st then st
         else begin
-          (match extract st with
-          | Some it ->
-              if st.p_root then st.p_acc <- it.item :: st.p_acc
-              else emit ~dst:tree.parent.(v) (Item it)
-          | None ->
-              (* Nothing left: if fully drained and all children Done,
-                 close our own stream. *)
-              if drained st && (not st.p_sent_done) && not st.p_root then begin
-                st.p_sent_done <- true;
-                emit ~dst:tree.parent.(v) Done
-              end);
+          let j = extract st in
+          if j <> -2 then begin
+            let m = head st j in
+            pop st j;
+            if st.p_root then st.p_acc <- item_of m :: st.p_acc
+            else emit ~dst:tree.parent.(v) m
+          end
+          else if drained st && (not st.p_sent_done) && not st.p_root
+          then begin
+            (* Nothing left, fully drained and all children Done: close
+               our own stream. *)
+            st.p_sent_done <- true;
+            emit ~dst:tree.parent.(v) Done
+          end;
           st
         end);
     fp_is_done =
@@ -219,7 +247,7 @@ let filtered_upcast ?(env = Sim.default_env) ?stop_at_root g
             st with
             p_qs = Array.map Queue.copy st.p_qs;
             p_openf = Array.copy st.p_openf;
-            p_uf = Option.map Uf.copy st.p_uf;
+            p_uf = Array.copy st.p_uf;
           });
       state_bits =
         (fun st -> 63 * (2 + vn + st.p_queued + List.length st.p_own));

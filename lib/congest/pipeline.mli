@@ -46,8 +46,9 @@ val filtered_upcast :
     array child queues, O(1) stalled/drained tests, and mail-driven
     wake.  [bits] is called once per item, at its holder; the size
     travels with the item, so [bits] must be a function of the item
-    alone.  [pre] is unioned once into a template union-find, which a
-    node copies when it handles its first item. *)
+    alone.  [pre] is unioned once into a template and compressed to a
+    root array, which a node copies (one [int array]) when it handles
+    its first item. *)
 
 val select_forest :
   vn:int -> pre:(int * int) list -> cmp:('k -> 'k -> int) ->

@@ -278,15 +278,15 @@ val measure : ?env:env -> (env -> 'a) -> 'a * stats
 (** {2 The flat-core engine}
 
     The production engine is built on the {!Dsf_graph.Graph.csr} view:
-    message traffic lives in preallocated {e arena} buffers (parallel
-    [int array] / ['m array] pairs grown once and recycled by length
-    reset), per-round per-(edge, direction) bit accounting is a flat
+    message traffic lives in {e arena} buffers (parallel [int array] /
+    ['m array] pairs, grown from empty in every run and recycled by
+    length reset), per-round per-(edge, direction) bit accounting is a flat
     array indexed by CSR position, and a protocol whose [fp_wake] is
     physically {!never} is scheduled from an incrementally-maintained
     sorted active list, so an idle round costs O(active nodes) instead of
     an O(n) criterion sweep.  For ['m = int] protocols written against
     the {!flat_protocol} interface the steady-state round loop allocates
-    nothing.
+    nothing (test_congest's "steady state allocates nothing" pins it).
 
     Nodes step in ascending order and sends are staged per destination,
     so each inbox receives its mail in the global send order of

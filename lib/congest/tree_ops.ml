@@ -36,9 +36,8 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
           for i = 0 to k - 1 do
             Queue.add (Sim.inbox_msg inbox i) st.uq
           done;
-          (match Queue.take_opt st.uq with
-          | Some item -> emit ~dst:tree.parent.(v) item
-          | None -> ());
+          if not (Queue.is_empty st.uq) then
+            emit ~dst:tree.parent.(v) (Queue.take st.uq);
           st
         end);
     fp_is_done = (fun st -> Queue.is_empty st.uq);
@@ -111,9 +110,8 @@ let upcast_dedup_flat ~per_key ~(tree : Bfs.tree) ~items ~key ~bits :
             let msg = Sim.inbox_msg inbox i in
             if admit st.d_seen (fst msg) then Queue.add msg st.dq
           done;
-          (match Queue.take_opt st.dq with
-          | Some item -> emit ~dst:tree.parent.(v) item
-          | None -> ());
+          if not (Queue.is_empty st.dq) then
+            emit ~dst:tree.parent.(v) (Queue.take st.dq);
           st
         end);
     fp_is_done = (fun st -> Queue.is_empty st.dq);
@@ -225,6 +223,13 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
   in
   List.rev states.(tree.root).s_received
 
+(* [emit] of [msg] to each of [dsts] in order, with no closure per call. *)
+let rec emit_to_all ~emit msg = function
+  | [] -> ()
+  | dst :: rest ->
+      emit ~dst msg;
+      emit_to_all ~emit msg rest
+
 (* Node state for {!broadcast}: the node's forward queue.  One item
    leaves the queue per round whether or not the node has children.
    Each item is sized once, at the root, and travels with its size, so no
@@ -244,10 +249,8 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
         for i = 0 to Sim.inbox_len inbox - 1 do
           Queue.add (Sim.inbox_msg inbox i) dq
         done;
-        (match Queue.take_opt dq with
-        | Some item ->
-            List.iter (fun c -> emit ~dst:c item) tree.children.(view.Sim.node)
-        | None -> ());
+        if not (Queue.is_empty dq) then
+          emit_to_all ~emit (Queue.take dq) tree.children.(view.Sim.node);
         dq);
     fp_is_done = Queue.is_empty;
     fp_msg_bits = snd;

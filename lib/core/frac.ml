@@ -29,6 +29,10 @@ let add a b =
   let na = lift a.num (p - a.den_pow) and nb = lift b.num (p - b.den_pow) in
   normalize (na + nb) p
 
+(* [add a (of_int w)] without building [of_int w]: the common
+   denominator is [a]'s own. *)
+let add_int a w = normalize (a.num + lift w a.den_pow) a.den_pow
+
 let neg a = { a with num = -a.num }
 
 let sub a b = add a (neg b)

@@ -21,6 +21,9 @@ val make : int -> int -> t
 (** [make num den_pow] = num / 2^den_pow, normalized. *)
 
 val add : t -> t -> t
+val add_int : t -> int -> t
+(** [add_int a w] = [add a (of_int w)]. *)
+
 val sub : t -> t -> t
 val neg : t -> t
 val half : t -> t

@@ -10,7 +10,10 @@ type node_result = {
 
 type msg = Relax of { dist : Frac.t; owner : int; hops : int }
 
-let better (d1, (o1 : int), (h1 : int)) (d2, o2, h2) =
+(* Whether label (d1, o1, h1) beats (d2, o2, h2): distance, then owner,
+   then hops.  Six arguments, not two triples, so a per-message
+   comparison builds nothing. *)
+let better d1 (o1 : int) (h1 : int) d2 o2 h2 =
   let c = Frac.compare d1 d2 in
   c < 0 || (c = 0 && (o1 < o2 || (o1 = o2 && h1 < h2)))
 
@@ -19,7 +22,8 @@ let better (d1, (o1 : int), (h1 : int)) (d2, o2, h2) =
    stay boxed — the sanctioned fallback — but only ONE [Relax] record is
    allocated per send-burst (shared across all neighbor slots), node
    state is a mutable record updated in place, and incoming edge weights
-   resolve through a per-directed-CSR-position [Frac.t] table. *)
+   are read as ints from the CSR view and added with [Frac.add_int], so
+   no run builds a weight table. *)
 type flat_state = {
   mutable fdist : Frac.t;
   mutable fowner : int;
@@ -30,58 +34,57 @@ type flat_state = {
 
 let run ?(env = Sim.default_env) g ~sources ~frozen =
   let n = Graph.n g in
-  let init = Hashtbl.create (Int.max 1 (List.length sources)) in
-  List.iter
-    (fun (v, off, owner) ->
-      match Hashtbl.find_opt init v with
-      | Some (o, ow) when better (o, ow, 0) (off, owner, 0) -> ()
-      | _ -> Hashtbl.replace init v (off, owner))
-    sources;
-  let unreached = Frac.of_int max_int in
   (* Sources are pinned: a node already covered by an active moat keeps its
      owner and offset (Definition 4.7 freezes Reg_{j-1}(v)); it announces its
-     label once and ignores relaxations. *)
-  let pinned v = Hashtbl.mem init v in
+     label once and ignores relaxations.  A node listed twice keeps its
+     better label. *)
+  let pinned = Array.make n false in
+  let src_off = Array.make n Frac.zero and src_owner = Array.make n (-1) in
+  List.iter
+    (fun (v, off, owner) ->
+      if not (pinned.(v) && better src_off.(v) src_owner.(v) 0 off owner 0)
+      then begin
+        pinned.(v) <- true;
+        src_off.(v) <- off;
+        src_owner.(v) <- owner
+      end)
+    sources;
+  let unreached = Frac.of_int max_int in
   let id_bits = Bitsize.id_bits ~n in
   let msg_bits (Relax r) =
     Frac.bits r.dist + id_bits + Bitsize.int_bits (Int.max 1 r.hops)
   in
   let flat_proto () : (flat_state, msg) Sim.flat_protocol =
     let csr = Graph.csr g in
-    let wfrac =
-      Array.map (fun eid -> Frac.of_int (Graph.edge g eid).Graph.w)
-        csr.Graph.eid
-    in
     {
       fp_init =
         (fun view ->
           let v = view.Sim.node in
-          match Hashtbl.find_opt init v with
-          | Some (off, owner) when not frozen.(v) ->
-              { fdist = off; fowner = owner; fparent = -1; fhops = 0;
-                fdirty = true }
-          | _ ->
-              { fdist = unreached; fowner = -1; fparent = -1;
-                fhops = max_int; fdirty = false });
+          if pinned.(v) && not frozen.(v) then
+            { fdist = src_off.(v); fowner = src_owner.(v); fparent = -1;
+              fhops = 0; fdirty = true }
+          else
+            { fdist = unreached; fowner = -1; fparent = -1;
+              fhops = max_int; fdirty = false });
       fp_step =
         (fun view ~round:_ st ~inbox ~emit ->
           let v = view.Sim.node in
           if frozen.(v) then st
           else begin
-            if not (pinned v) then begin
+            if not pinned.(v) then begin
               let k = Sim.inbox_len inbox in
               for i = 0 to k - 1 do
                 let sender = Sim.inbox_src inbox i in
                 let (Relax r) = Sim.inbox_msg inbox i in
-                let w = wfrac.(Graph.pos csr ~src:v ~dst:sender) in
-                let nd = Frac.add r.dist w in
+                let w = csr.Graph.wgt.(Graph.pos csr ~src:v ~dst:sender) in
+                let nd = Frac.add_int r.dist w in
                 let nh = r.hops + 1 in
                 (* An unreached node (owner < 0) adopts any label; the
                    sentinel distance is never compared (it would overflow
                    the dyadic lift). *)
                 if
                   st.fowner < 0
-                  || better (nd, r.owner, nh) (st.fdist, st.fowner, st.fhops)
+                  || better nd r.owner nh st.fdist st.fowner st.fhops
                 then begin
                   st.fdist <- nd;
                   st.fowner <- r.owner;
@@ -95,9 +98,11 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
               let m =
                 Relax { dist = st.fdist; owner = st.fowner; hops = st.fhops }
               in
-              Array.iter
-                (fun (nb, _, _) -> if not frozen.(nb) then emit ~dst:nb m)
-                view.Sim.nbrs
+              let nbrs = view.Sim.nbrs in
+              for i = 0 to Array.length nbrs - 1 do
+                let nb, _, _ = nbrs.(i) in
+                if not frozen.(nb) then emit ~dst:nb m
+              done
             end;
             st.fdirty <- false;
             st

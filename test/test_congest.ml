@@ -105,6 +105,54 @@ let test_sim_bit_accounting () =
   check Alcotest.int "max edge-round bits" 7 stats.Sim.max_edge_round_bits;
   check Alcotest.int "no violations" 0 stats.Sim.budget_violations
 
+(* An int-message relay down a path: node 0 injects one token every
+   [gap] rounds until its count runs out (its state is the rounds left),
+   every other node forwards what it receives to its successor.  States
+   and messages are immediate ints. *)
+let relay_protocol ~tokens ~gap : (int, int) Sim.flat_protocol =
+  {
+    fp_init = (fun view -> if view.Sim.node = 0 then tokens * gap else 0);
+    fp_step =
+      (fun view ~round:_ st ~inbox ~emit ->
+        let v = view.Sim.node in
+        if v = 0 then begin
+          if st mod gap = 0 then emit ~dst:1 st;
+          st - 1
+        end
+        else begin
+          if v + 1 < view.Sim.n then
+            for i = 0 to Sim.inbox_len inbox - 1 do
+              emit ~dst:(v + 1) (Sim.inbox_msg inbox i)
+            done;
+          st
+        end);
+    fp_is_done = (fun st -> st = 0);
+    fp_msg_bits = (fun _ -> 8);
+    fp_wake = Some Sim.never;
+  }
+
+let test_sim_steady_state_allocates_nothing () =
+  (* The engine's per-run setup (views, states, arenas, each node's first
+     inbox buffers, and its round buffers grown to the peak of 8 tokens
+     in flight) is the same for both runs; only the number of rounds
+     differs.  A steady-state round that allocated anything would show up
+     in the difference, one word or more per extra round. *)
+  let g = Gen.path 256 in
+  let run tokens =
+    let proto = relay_protocol ~tokens ~gap:32 in
+    let w0 = Gc.minor_words () in
+    let _, stats = Sim.run_flat g proto in
+    Gc.minor_words () -. w0, stats.Sim.rounds
+  in
+  ignore (run 8);
+  let w8, r8 = run 8 in
+  let w64, r64 = run 64 in
+  check Alcotest.int "extra rounds" (56 * 32) (r64 - r8);
+  if w64 -. w8 >= float_of_int (r64 - r8) then
+    Alcotest.failf
+      "steady state allocates: %.0f minor words for %d rounds vs %.0f for %d"
+      w64 r64 w8 r8
+
 (* ---------------------------------------------------------------- Ledger *)
 
 let test_ledger () =
@@ -447,13 +495,20 @@ let prop_filtered_upcast_matches_centralized =
         |> List.filter_map Fun.id
       in
       let items v = List.filter (fun (h, _) -> h = v) items_all |> List.map snd in
+      (* A random non-empty template of pre-joined virtual nodes (pairs
+         may repeat or close cycles among themselves). *)
+      let pre =
+        List.init
+          (1 + Dsf_util.Rng.int r 5)
+          (fun _ -> Dsf_util.Rng.int r vn, Dsf_util.Rng.int r vn)
+      in
       let tree = tree_of g 0 in
       let accepted =
-        Pipeline.filtered_upcast g ~tree ~vn ~pre:[] ~items ~cmp:compare
+        Pipeline.filtered_upcast g ~tree ~vn ~pre ~items ~cmp:compare
           ~bits:(fun _ -> 16)
       in
       let reference =
-        Pipeline.select_forest ~vn ~pre:[] ~cmp:compare (List.map snd items_all)
+        Pipeline.select_forest ~vn ~pre ~cmp:compare (List.map snd items_all)
       in
       accepted = reference)
 
@@ -465,6 +520,8 @@ let suites =
         Alcotest.test_case "rejects non-neighbor" `Quick test_sim_rejects_non_neighbor;
         Alcotest.test_case "round limit" `Quick test_sim_round_limit;
         Alcotest.test_case "bit accounting" `Quick test_sim_bit_accounting;
+        Alcotest.test_case "steady state allocates nothing" `Quick
+          test_sim_steady_state_allocates_nothing;
       ] );
     ("congest.ledger", [ Alcotest.test_case "ledger" `Quick test_ledger ]);
     ( "congest.bfs",
