@@ -150,9 +150,8 @@ let rounds_of name =
 (* ------------------------------------------------------- algorithm suite *)
 
 (* Edge triples of the all-sources-sweep workloads.  Each run rebuilds the
-   graph from them, so the (D, WD, s) memo never hits and the row times
-   the sweep itself: MS-BFS and the Dial kernel, on shallow random graphs
-   and on a deep path. *)
+   graph from them, CSR view included, and sweeps it: MS-BFS and the Dial
+   kernel, on shallow random graphs and on a deep path. *)
 let sweep_triples g =
   Array.map (fun (e : Dsf_graph.Graph.edge) -> e.u, e.v, e.w)
     (Dsf_graph.Graph.edges g)

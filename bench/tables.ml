@@ -425,8 +425,11 @@ let e11 () =
     (fun n ->
       let r = Rng.create (1300 + n) in
       let g = Gen.random_connected r ~n ~extra_edges:n ~max_w:10 in
-      let vt = Dsf_embed.Virtual_tree.build r g in
       let apsp = Paths.all_pairs g in
+      let wd_bound =
+        Array.fold_left (Array.fold_left Int.max) 0 apsp
+      in
+      let vt = Dsf_embed.Virtual_tree.build r ~wd_bound g in
       let sum = ref 0.0 and cnt = ref 0 and worst = ref 0.0 in
       for u = 0 to n - 1 do
         for v = u + 1 to n - 1 do

@@ -140,39 +140,37 @@ identity_leg rand_1k rand solve --algo rand --verbose
 identity_leg rand_1k khan solve --algo khan --verbose
 echo "ci: solve and compare stdout byte-identical (det_small: det jobs 1 + chaos 5 jobs 2, sublinear, rand, khan, moat, compare; det_small_cr: det, compare; rand_1k: rand, khan)"
 
-# Jobs-invariance of the (D, WD, s) sweep: sublinear still reads the
-# exact triple, so its solve sweeps; at n=600 the sources fill 10 blocks
-# of 62, so --jobs 2 really splits the sweep over two domains, and the
-# solve's stdout must not change.
+# Jobs-invariance: rand's trial fan-out is the only part of a solve that
+# --jobs affects (no algorithm sweeps the exact (D, WD, s)), so a rand
+# solve's stdout must not change between --jobs 1 and --jobs 2.
 for j in 1 2; do
-  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo sublinear \
-    --topology random -n 600 -t 16 -k 4 --jobs "$j" > "$scratch/sweep_j$j.out"
+  with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo rand \
+    --topology random -n 600 -t 16 -k 4 --jobs "$j" > "$scratch/jobs_j$j.out"
 done
-if ! diff -u "$scratch/sweep_j1.out" "$scratch/sweep_j2.out"; then
-  echo "ci: sublinear solve stdout differs between --jobs 1 and --jobs 2 (n=600)" >&2
+if ! diff -u "$scratch/jobs_j1.out" "$scratch/jobs_j2.out"; then
+  echo "ci: rand solve stdout differs between --jobs 1 and --jobs 2 (n=600)" >&2
   exit 1
 fi
-echo "ci: sublinear solve stdout jobs-invariant (n=600, 10 sweep blocks)"
+echo "ci: rand solve stdout jobs-invariant (n=600)"
 
-# The sweep runs only for the solvers that read it: a traced det solve
-# has no paths.parameters span, a traced sublinear solve has one.  The
-# exact triple stays one command away in `params --file`.
-for algo in det sublinear; do
+# No algorithm sweeps the exact (D, WD, s): a traced solve opens no
+# paths.parameters span, whichever algorithm runs.  The exact triple
+# stays one command away in `params --file`.
+for algo in det sublinear rand khan moat; do
   with_timeout 120 dune exec bin/dsf_cli.exe -- solve --algo "$algo" \
     --file test/fixtures/det_small.dsf --trace - --trace-format console \
     > "$scratch/sweep_$algo.trace"
+  if grep -q "paths.parameters" "$scratch/sweep_$algo.trace"; then
+    echo "ci: a traced $algo solve has a paths.parameters span" >&2
+    exit 1
+  fi
 done
-if grep -q "paths.parameters" "$scratch/sweep_det.trace" \
-   || ! grep -q "paths.parameters" "$scratch/sweep_sublinear.trace"; then
-  echo "ci: want a paths.parameters span for sublinear only, not for det" >&2
-  exit 1
-fi
 with_timeout 60 dune exec bin/dsf_cli.exe -- params \
   --file test/fixtures/det_small.dsf > "$scratch/params.out"
 grep -q " D=5 WD=40 s=8 " "$scratch/params.out" || {
   echo "ci: params --file det_small.dsf did not print D=5 WD=40 s=8:" >&2
   cat "$scratch/params.out" >&2; exit 1; }
-echo "ci: sweep only for its readers (det none, sublinear one); params --file ok"
+echo "ci: no algorithm sweeps (det, sublinear, rand, khan, moat traced); params --file ok"
 
 # Malformed-input smoke: a bad integer, a self-loop, a disconnected graph,
 # a negative n followed by a second n line, a node labelled twice, a total

@@ -222,12 +222,12 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   (* Instance parameters into the flightlog metadata: `inspect
      --critical-path` renders the paper bound sqrt(min(s*t, n))*log2(n) + D
      from exactly these keys.  The exact (D, WD, s) is swept for the log
-     only (memoized, so a solver that reads it finds it there). *)
+     only; no solver reads it. *)
   (match recorder with
   | Some r ->
       let d, wd, s =
         Dsf_congest.Telemetry.span_opt telemetry "paths.parameters" (fun () ->
-            Dsf_graph.Paths.parameters ~jobs g)
+            Dsf_graph.Paths.parameters ~jobs g [@lint.allow "central-oracle"])
       in
       List.iter
         (fun (key, v) -> if v >= 0 then Dsf_congest.Recorder.meta_add r key v)
@@ -337,7 +337,10 @@ let params_cmd topology n max_w seed file =
     | Some path -> graph_of (read_instance_file path)
     | None -> make_graph topology (Dsf_util.Rng.create seed) n max_w
   in
-  let d, wd, s = Dsf_graph.Paths.parameters g in
+  (* The exact triple is this command's whole purpose. *)
+  let d, wd, s =
+    Dsf_graph.Paths.parameters g [@lint.allow "central-oracle"]
+  in
   Format.printf
     "n=%d m=%d max_degree=%d D=%d WD=%d s=%d total_weight=%d@." (Graph.n g)
     (Graph.m g) (Graph.max_degree g) d wd s (Graph.total_weight g)
@@ -483,12 +486,12 @@ let jobs_arg =
     & opt int (Dsf_util.Pool.default_jobs ())
     & info [ "jobs"; "j" ]
         ~doc:
-          "domains for the instance's exact (D, WD, s) sweep, run only \
-           for the algorithms that read it (sublinear, rand, khan) and for \
-           --record's log metadata, and for the trial fan-out of the \
-           randomized algorithm (in solve and compare); simulated runs \
-           each step on one domain; at least 1; default = recommended \
-           domain count, capped; results are identical for any value")
+          "domains for the trial fan-out of the randomized algorithm (in \
+           solve and compare) and for the exact (D, WD, s) sweep of \
+           --record's log metadata; no algorithm sweeps, and simulated \
+           runs each step on one domain; at least 1; default = \
+           recommended domain count, capped; results are identical for \
+           any value")
 
 let flat_arg =
   Arg.(

@@ -45,12 +45,18 @@ let run g ~terminals =
                  Some { Pipeline.key = (d, eid); a = tu; b = tv }
                end)
       in
+      (* One width for every key, sized by 2 WD: the baseline reads WD
+         centrally, once (the key bound only sets the message width). *)
+      let key_bits =
+        (3 * Bitsize.id_bits ~n)
+        + Bitsize.weight_bits
+            ~max_weight:
+              (2 * Dsf_graph.Paths.diameter_weighted g
+               [@lint.allow "central-oracle"])
+      in
       let accepted =
         Pipeline.filtered_upcast ~env g ~tree ~vn:n ~pre:[] ~items ~cmp:compare
-          ~bits:(fun _ ->
-            (3 * Bitsize.id_bits ~n)
-            + Bitsize.weight_bits
-                ~max_weight:(2 * Dsf_graph.Paths.diameter_weighted g))
+          ~bits:(fun _ -> key_bits)
       in
       Dsf_congest.Tree_ops.broadcast ~env g ~tree ~items:accepted
         ~bits:(fun _ -> 3 * Bitsize.id_bits ~n);

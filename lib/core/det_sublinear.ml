@@ -1,8 +1,8 @@
 module Graph = Dsf_graph.Graph
 module Instance = Dsf_graph.Instance
-module Paths = Dsf_graph.Paths
 module Uf = Dsf_util.Union_find
 module Sim = Dsf_congest.Sim
+module Params = Dsf_congest.Params
 module Bfs = Dsf_congest.Bfs
 module Tree_ops = Dsf_congest.Tree_ops
 module Pipeline = Dsf_congest.Pipeline
@@ -82,17 +82,15 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         (Array.to_list (Graph.edges g)
         |> List.map (fun (e : Graph.edge) -> e.u, e.v, e.w * scale))
     in
-    let _, wd, s = Paths.parameters g in
-    let sigma = isqrt (Int.min (s * t) n) in
-    let tree =
+    let { Params.tree; s; wd_bound; _ } =
       tspan "setup" @@ fun () ->
-      (* The nodes learn n, t and (an estimate of) s by convergecast plus a
-         full Bellman-Ford run (footnote 2's technique), simulated. *)
-      ignore (Dsf_congest.Params.count_nodes ~env g);
-      ignore (Dsf_congest.Params.estimate_s ~env ~cap:(n + 1) g);
-      let root = Bfs.max_id_root g in
-      Bfs.build ~env g_scaled ~root
+      (* The nodes learn n, t, an estimate of s and a bound on WD by
+         convergecast plus a full Bellman-Ford run (footnote 2's
+         technique), simulated.  Its BFS tree serves the scaled graph too:
+         the topology and the edge ids are the same. *)
+      Params.estimate ~env ~cap:(n + 1) g
     in
+    let sigma = isqrt (Int.min (Option.value s ~default:n * t) n) in
     (* Per-node region state on the scaled graph. *)
     let reg = Region_bf.regions ms in
     (* Omniscient materialization of F (for Definition 4.18 small/large
@@ -142,8 +140,8 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
     let small_iterations = ref 0 in
     let max_growth_phases =
       (* Scaling every weight by [scale] scales every distance by it, so
-         the scaled graph's weighted diameter is exactly [scale * wd]. *)
-      (2 * (ceil_log2 (Int.max 2 (scale * wd)) + 2) * (2 * eps_den / eps_num + 2))
+         [scale * wd_bound] bounds the scaled graph's weighted diameter. *)
+      (2 * (ceil_log2 (Int.max 2 (scale * wd_bound)) + 2) * (2 * eps_den / eps_num + 2))
       + 16
     in
     let key_bits (it : ckey Pipeline.item) =

@@ -3,6 +3,16 @@
     Algorithm 2 achieving factor (2 + ε) in O~(sk + σ) rounds, where
     σ = sqrt(min(st, n)).
 
+    The setup learns the parameters by footnote 2's technique, simulated
+    ({!Dsf_congest.Params.estimate}): n by convergecast over the BFS tree
+    from the max-id root, then Bellman-Ford from that root to
+    stabilization.  σ is isqrt(min(s' t, n)) for the run's stabilization
+    round s' (a lower bound on s, and in practice close to it).  The
+    growth-phase cap uses the WD bound read off the same run (twice the
+    root's weighted eccentricity, spread by one aggregate and one
+    broadcast over the tree).  That BFS tree also carries every later
+    convergecast and broadcast.
+
     Per growth phase (threshold µ̂, (1+ε/2)µ̂, ...):
 
     + Step 3a — merge phases: each runs a terminal-decomposition
@@ -29,7 +39,7 @@ type result = {
   solution : bool array;
   weight : int;
   ledger : Dsf_congest.Ledger.t;
-  sigma : int;
+  sigma : int;  (** isqrt(min(s' t, n)), s' the simulated estimate of s *)
   growth_phases : int;
   merge_phase_count : int;  (** sum of k_g: decompositions computed *)
   merge_count : int;

@@ -44,7 +44,13 @@ let route_component ~env g vt ~label ~terminals =
 
 let one_run ~env rng g inst =
   let tree_rng = Dsf_util.Rng.split rng 0 in
-  let vt = Virtual_tree.build ~env tree_rng g in
+  (* The input's weight bound, which every node knows, bounds WD.  Levels
+     above the one whose balls cover the graph cost no rounds here:
+     [route_component] stops once a component's labels meet at one
+     holder, the top-ranked node.  So the baseline learns no WD. *)
+  let vt =
+    Virtual_tree.build ~env tree_rng ~wd_bound:Graph.max_total_weight g
+  in
   let f = Array.make (Graph.m g) false in
   let comps = Instance.components inst in
   List.iter

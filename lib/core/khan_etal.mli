@@ -29,4 +29,10 @@ val run :
     result's ledger, so the engine counts all of them, and telemetry and
     an attached flight recorder see every message.  [telemetry] profiles
     the run as one [khan_baseline] span, with the simulated primitives
-    nested beneath. *)
+    nested beneath.
+
+    The virtual trees are sized by the input's weight bound
+    ({!Dsf_graph.Graph.max_total_weight}), which bounds WD and which every
+    node knows, so the baseline learns no parameter: a component's routing
+    stops once its labels meet at one holder, and the levels above the
+    one whose balls cover the graph cost no rounds. *)

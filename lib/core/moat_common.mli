@@ -60,8 +60,14 @@ val recompute_activity : t -> unit
 type state = {
   graph : Dsf_graph.Graph.t;
   ms : t;
-  tdist : int array array;
-      (** terminal-terminal weighted distances (possibly pre-scaled) *)
+  scale : int;  (** the factor every distance below is multiplied by *)
+  ndist : int array array;
+      (** terminal index -> node -> weighted distance; [max_int] if
+          unreachable *)
+  tdist : int array array;  (** terminal-terminal weighted distances *)
+  owner : int array;
+      (** node -> terminal index of the moat that covered it first; [-1]
+          while uncovered *)
   rad : Frac.t array;  (** per-terminal radius, exact *)
 }
 
@@ -72,6 +78,9 @@ val setup : Dsf_graph.Instance.ic -> scale:int -> state option
     distances (used by Algorithm 2's integer thresholds). *)
 
 val grow_active : state -> Frac.t -> unit
+(** Grows every active moat by the given amount.  The nodes the growth
+    covers join the active moat that reaches them first (least reduced
+    distance, then least terminal index). *)
 
 type event = { mu : Frac.t; vi : int; wi : int }
 (** [vi], [wi] are terminal indices; [mu] the growth until their moats
@@ -79,7 +88,11 @@ type event = { mu : Frac.t; vi : int; wi : int }
 
 val next_event : state -> event option
 (** Minimal next touching event over moat pairs in distinct moats with at
-    least one active side; ties broken by the terminal-index pair.  [None]
+    least one active side; ties broken by the terminal-index pair.  Two
+    active moats whose every touching point is a node inside a third,
+    inactive moat do not touch there: growth does not pass through an
+    inactive moat, so each of them reaches that moat at the same growth
+    instead, as in the distributed emulations' frozen regions.  [None]
     when no such pair exists. *)
 
 val add_path :

@@ -1,7 +1,7 @@
 module Graph = Dsf_graph.Graph
 module Instance = Dsf_graph.Instance
-module Paths = Dsf_graph.Paths
 module Sim = Dsf_congest.Sim
+module Params = Dsf_congest.Params
 module Bfs = Dsf_congest.Bfs
 module Tree_ops = Dsf_congest.Tree_ops
 module Ledger = Dsf_congest.Ledger
@@ -22,17 +22,16 @@ type result = {
 let isqrt = Dsf_util.Intmath.isqrt
 
 
-(* One full first-stage run: returns the selected edge set F, the virtual
-   tree and the stage's BFS tree. *)
-let first_stage ~env rng g inst ~truncate =
+(* One full first-stage run over the regime test's BFS tree: returns the
+   selected edge set F and the virtual tree. *)
+let first_stage ~env rng g inst ~truncate ~tree ~wd_bound =
   let tspan name fn = Sim.span env name fn in
   let n = Graph.n g in
   let m = Graph.m g in
-  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
   let truncate_at = if truncate then Some (isqrt n) else None in
   let vt =
     tspan "virtual_tree" (fun () ->
-        Virtual_tree.build ~env rng ?truncate_at g)
+        Virtual_tree.build ~env rng ?truncate_at ~wd_bound g)
   in
   let f = Array.make m false in
   (* Current holders: l(v) as a label list per node. *)
@@ -40,29 +39,8 @@ let first_stage ~env rng g inst ~truncate =
   Array.iteri
     (fun v l -> if l >= 0 then holders.(v) <- [ l ])
     inst.Instance.labels;
-  for i = 0 to vt.Virtual_tree.levels do
-    tspan "level" @@ fun () ->
-    (* (a) drop labels with a single holder: simulated two-witness
-       convergecast + broadcast, as in Lemma 2.4. *)
-    let witness_items v = List.map (fun l -> l, v) holders.(v) in
-    let witnesses =
-      Tree_ops.upcast_dedup ~env ~per_key:2 g ~tree
-        ~items:witness_items
-        ~key:fst
-        ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
-    in
-    let count = Hashtbl.create 16 in
-    List.iter
-      (fun (l, _) ->
-        Hashtbl.replace count l
-          (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
-      witnesses;
-    let live = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
-    Tree_ops.broadcast ~env g ~tree ~items:live
-      ~bits:(fun _ -> Bitsize.id_bits ~n);
-    for v = 0 to n - 1 do
-      holders.(v) <- List.filter (fun l -> List.mem l live) holders.(v)
-    done;
+  (* Steps (b)-(d) of level [i] for the live labels' holders. *)
+  let route_level i =
     (* (b) build the per-node origin lists. *)
     let origins v =
       List.map (fun l -> l, vt.Virtual_tree.ancestors.(v).(i)) holders.(v)
@@ -118,8 +96,36 @@ let first_stage ~env rng g inst ~truncate =
     for v = 0 to n - 1 do
       holders.(v) <- List.sort_uniq compare (bstates.(v).LR.b_l @ self_kept v)
     done
+  in
+  (* Once no label has two holders, every later level moves nothing; the
+     live-label broadcast tells every node so, and the walk stops. *)
+  let concentrated = ref false in
+  for i = 0 to vt.Virtual_tree.levels do
+    if not !concentrated then tspan "level" @@ fun () ->
+    (* (a) drop labels with a single holder: simulated two-witness
+       convergecast + broadcast, as in Lemma 2.4. *)
+    let witness_items v = List.map (fun l -> l, v) holders.(v) in
+    let witnesses =
+      Tree_ops.upcast_dedup ~env ~per_key:2 g ~tree
+        ~items:witness_items
+        ~key:fst
+        ~bits:(fun _ -> 2 * Bitsize.id_bits ~n)
+    in
+    let count = Hashtbl.create 16 in
+    List.iter
+      (fun (l, _) ->
+        Hashtbl.replace count l
+          (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
+      witnesses;
+    let live = Hashtbl.fold (fun l c acc -> if c >= 2 then l :: acc else acc) count [] in
+    Tree_ops.broadcast ~env g ~tree ~items:live
+      ~bits:(fun _ -> Bitsize.id_bits ~n);
+    for v = 0 to n - 1 do
+      holders.(v) <- List.filter (fun l -> List.mem l live) holders.(v)
+    done;
+    if live = [] then concentrated := true else route_level i
   done;
-  f, vt, tree
+  f, vt
 
 let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     ~rng inst0 =
@@ -130,19 +136,14 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
   let inst = Transform.minimalize ~env inst0 in
   let g = inst.Instance.graph in
   let m = Graph.m g in
-  (* Before the trial fan-out below: this fills the graph's (D, WD, s)
-     memo (a hit when the caller already swept [g]), so the
-     [Virtual_tree.build] inside every trial reads WD from it instead of
-     re-running the all-sources sweep per trial. *)
-  let d, _, s = Paths.parameters g in
   (* The regime test of footnote 2, genuinely simulated: count n by
-     convergecast, then run Bellman-Ford for at most sqrt(n) rounds. *)
-  let regime = Dsf_congest.Params.regime ~env g in
-  let truncate =
-    match force_truncate with
-    | Some b -> b
-    | None -> (match regime with `Large_s -> true | `Small_s _ -> false)
-  in
+     convergecast, then run Bellman-Ford for at most sqrt(n) rounds.  Its
+     BFS tree serves every trial, twice its height bounds D, and its WD
+     bound sizes the virtual tree: all known to every node before the
+     trial fan-out. *)
+  let { Params.n; tree; s; wd_bound } = Params.regime ~env g in
+  let s_param = Option.value s ~default:(isqrt n + 1) in
+  let truncate = Option.value force_truncate ~default:(Option.is_none s) in
   if Instance.component_count inst = 0 then
     {
       solution = Array.make m false;
@@ -150,7 +151,7 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
       ledger;
       truncated = truncate;
       repetitions;
-      s_param = s;
+      s_param;
       phases = 0;
     }
   else begin
@@ -183,12 +184,10 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
       in
       let tspan name fn = Sim.span env name fn in
       tspan "trial" @@ fun () ->
-      let f, vt, tree =
-        first_stage ~env rep_rngs.(i) g inst ~truncate
-      in
+      let f, vt = first_stage ~env rep_rngs.(i) g inst ~truncate ~tree ~wd_bound in
       let w = Graph.edge_set_weight g f in
       (* Compare candidate forests by a simulated weight convergecast over
-         stage 1's BFS tree: each node contributes half the weight of its
+         the BFS tree: each node contributes half the weight of its
          selected incident edges. *)
       ignore
         (Tree_ops.aggregate ~env g ~tree
@@ -202,8 +201,8 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
     in
     (* Every trial's runs go through [Sim.run_flat], which reads the
        graph's lazily memoized CSR view: build it here on the coordinator
-       (like the parameter memo above) so concurrent trials share one view
-       instead of racing to fill the memo. *)
+       so concurrent trials share one view instead of racing to fill the
+       memo. *)
     ignore (Graph.csr g);
     let trials =
       Dsf_util.Pool.map_chunked ~jobs trial (Array.init repetitions Fun.id)
@@ -231,7 +230,7 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
         let out =
           Sim.span env "stage2" (fun () ->
               Reduced_solver.solve ~env inst ~f
-                ~s_set:vt.Virtual_tree.s_set ~diameter:d)
+                ~s_set:vt.Virtual_tree.s_set ~diameter:(2 * tree.Bfs.height))
         in
         Sim.charge env "stage2: spanner + central solve ([17] internals)"
           out.Reduced_solver.charged_rounds;
@@ -244,7 +243,7 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
       ledger;
       truncated = truncate;
       repetitions;
-      s_param = s;
+      s_param;
       phases = !phases;
     }
   end

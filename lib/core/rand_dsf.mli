@@ -20,8 +20,15 @@
 
     The first stage runs [repetitions] times and the lightest F wins (the
     paper's expectation-to-w.h.p. amplification); each repetition's weight
-    is compared by a simulated convergecast over that repetition's own
-    stage-1 BFS tree. *)
+    is compared by a simulated convergecast over the BFS tree.
+
+    Every parameter comes from the regime test
+    ({!Dsf_congest.Params.regime}), run once before the repetitions: its
+    BFS tree from the max-id root serves every repetition; twice its height
+    bounds D (the second stage's charge); and its WD bound sizes the
+    virtual tree, at most ceil(log2 WD) + 1 levels when Bellman-Ford
+    stabilized (twice the root's weighted eccentricity), else
+    ceil(log2 (min(n - 1, 2 height) max_w)). *)
 
 type result = {
   solution : bool array;
@@ -29,7 +36,10 @@ type result = {
   ledger : Dsf_congest.Ledger.t;
   truncated : bool;  (** did the s > sqrt(n) regime apply? *)
   repetitions : int;
-  s_param : int;  (** shortest-path diameter used for the regime choice *)
+  s_param : int;
+      (** the regime test's estimate of s: the round at which Bellman-Ford
+          from the max-id root stabilized, or floor(sqrt n) + 1 when it did
+          not within floor(sqrt n) rounds (s is then above sqrt n) *)
   phases : int;  (** virtual-tree levels walked per repetition *)
 }
 
@@ -48,11 +58,10 @@ val run :
     [jobs] (default 1) runs the repetitions on the {!Dsf_util.Pool}
     domain pool.  Each repetition draws from an rng split off [rng] by
     its trial index, and its runs count their rounds into its own
-    ledger, merged back in repetition order, so the result — solution, weight, and ledger — is
-    bit-identical for every [jobs] value.  The graph's [(D, WD, s)] memo
-    ({!Dsf_graph.Paths.parameters}, a hit when {!Solver} filled it at its
-    [jobs]) and CSR view are forced on the calling domain before the
-    fan-out, so trials only read them.
+    ledger, merged back in repetition order, so the result — solution,
+    weight, and ledger — is bit-identical for every [jobs] value.  The
+    regime test's tree and bound, and the graph's CSR view, are built on
+    the calling domain before the fan-out, so trials only read them.
 
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry;
     [jobs] drives only the trial fan-out.

@@ -43,14 +43,6 @@ let solve_ic ?(jobs = 1) ?telemetry ?chaos algo inst =
   | Some _, (Det_sublinear _ | Rand _ | Khan_baseline _ | Centralized_moat) ->
       invalid_arg "Solver.solve_ic: ?chaos is only supported for Det"
   | _ -> ());
-  (* The algorithms that still read the exact (D, WD, s) get it swept over
-     [jobs] domains and memoized on the graph, so their own reads hit the
-     memo.  Det and the moat reference never sweep. *)
-  (match algo with
-  | Det_sublinear _ | Rand _ | Khan_baseline _ ->
-      Dsf_congest.Telemetry.span_opt telemetry "paths.parameters" (fun () ->
-          ignore (Dsf_graph.Paths.parameters ~jobs inst.Instance.graph))
-  | Det | Centralized_moat -> ());
   match algo with
   | Det ->
       let r = Det_dsf.run ?telemetry ?chaos inst in

@@ -41,15 +41,14 @@ val solve_ic :
   algorithm ->
   Dsf_graph.Instance.ic ->
   report
-(** {!algorithm.Det_sublinear}, {!algorithm.Rand} and
-    {!algorithm.Khan_baseline} still read the exact [(D, WD, s)]: for
-    them the graph's memo is filled first ({!Dsf_graph.Paths.parameters},
-    under a [paths.parameters] span), so their own reads are memo hits.
-    {!algorithm.Det} and {!algorithm.Centralized_moat} never sweep.
+(** No algorithm reads the exact [(D, WD, s)]: each reads n, s, WD and D
+    only as bounds its own simulated runs computed (footnote 2, see
+    {!Dsf_congest.Params.estimate}), so no solve runs the centralized
+    all-sources sweep ({!Dsf_graph.Paths.parameters}).
 
-    [jobs] (default 1) splits that sweep, and {!algorithm.Rand}'s trial
-    fan-out, over {!Dsf_util.Pool} domains.  Results are bit-identical
-    for every [jobs] value.
+    [jobs] (default 1) splits {!algorithm.Rand}'s trial fan-out over
+    {!Dsf_util.Pool} domains; it is the only part of a solve it affects.
+    Results are bit-identical for every [jobs] value.
 
     [chaos] runs {!algorithm.Det}'s simulated subroutines hardened with
     checkpointed crash recovery under the given chaos plan (see

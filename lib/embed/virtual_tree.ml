@@ -1,5 +1,4 @@
 module Graph = Dsf_graph.Graph
-module Paths = Dsf_graph.Paths
 
 type t = {
   le : Le_list.t;
@@ -18,12 +17,11 @@ let beta_ball t i = t.beta_num * (1 lsl i) / beta_den
 
 let ceil_log2 = Dsf_util.Intmath.ceil_log2
 
-let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at g =
+let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at ~wd_bound g =
   let n = Graph.n g in
   let le = Le_list.build ~env rng g in
   let beta_num = beta_den + Dsf_util.Rng.int rng beta_den in
-  let wd = Paths.diameter_weighted g in
-  let levels = Int.max 1 (ceil_log2 (Int.max 2 wd)) in
+  let levels = Int.max 1 (ceil_log2 (Int.max 2 wd_bound)) in
   (* The set S of highest-ranked nodes, when truncating. *)
   let s_set, closest_s, voronoi_parent =
     match truncate_at with

@@ -1,7 +1,9 @@
 (** The randomized virtual-tree embedding of Khan et al. as used in
     Section 5: each graph node is a leaf with ancestors v_0, ..., v_L, where
     v_i is the highest-ranked node within weighted distance beta * 2^i of v,
-    beta drawn uniformly from [1, 2], and L = ceil(log2 WD).  The virtual
+    beta drawn uniformly from [1, 2], and L = ceil(log2 WD) — here
+    ceil(log2) of a simulated upper bound on WD, which only adds levels
+    whose balls already cover the graph.  The virtual
     edge (v_{i-1}, v_i) has weight beta * 2^i.
 
     The optional truncation at a set S (the sqrt(n) highest-ranked nodes)
@@ -37,12 +39,18 @@ val build :
   ?env:Dsf_congest.Sim.env ->
   Dsf_util.Rng.t ->
   ?truncate_at:int ->
+  wd_bound:int ->
   Dsf_graph.Graph.t ->
   t
-(** [build rng ?truncate_at g] simulates the LE lists (plus the closest-S
-    Voronoi when truncating) and returns the tree.  [truncate_at] is |S|
-    (e.g. sqrt n); omit it for the full tree.  Every simulated run uses
-    the run environment [env], whose ledger counts their rounds. *)
+(** [build rng ?truncate_at ~wd_bound g] simulates the LE lists (plus the
+    closest-S Voronoi when truncating) and returns the tree.
+    [truncate_at] is |S| (e.g. sqrt n); omit it for the full tree.
+    [wd_bound] is an upper bound on WD that every node already knows (the
+    algorithms take it from {!Dsf_congest.Params.estimate}); the tree has
+    L = ceil(log2 wd_bound) levels (at least 1), so its top ball covers
+    the graph.  With the estimate's bound of at most 2 WD, L is at most
+    ceil(log2 WD) + 1.  Every simulated run uses the run environment
+    [env], whose ledger counts their rounds. *)
 
 val route_next_hop : t -> int -> int -> int option
 (** [route_next_hop t v target]: next hop from [v] on the recorded

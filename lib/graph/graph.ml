@@ -28,11 +28,6 @@ type t = {
      wins atomically — but the flat engine still forces it before fanning
      out domains so workers never build it. *)
   mutable csr_memo : csr option;
-  (* Build-once memo of the (D, WD, s) triple, filled only by
-     [Paths.parameters]: its all-sources sweep is O(n·m log n), so each
-     graph pays it at most once per process.  Same benign race as
-     [csr_memo]. *)
-  mutable params_memo : (int * int * int) option;
 }
 
 let build_csr ~n edges adj =
@@ -130,7 +125,7 @@ let make_arr ~n triples =
       adj.(e.v).(fill.(e.v)) <- (e.u, e.w, e.id);
       fill.(e.v) <- fill.(e.v) + 1)
     edges;
-  { n; edges; adj; csr_memo = None; params_memo = None }
+  { n; edges; adj; csr_memo = None }
 
 let make ~n edge_triples = make_arr ~n (Array.of_list edge_triples)
 
@@ -153,14 +148,6 @@ let csr g =
       let c = build_csr ~n:g.n g.edges g.adj in
       g.csr_memo <- Some c;
       c
-
-let params g ~compute =
-  match g.params_memo with
-  | Some p -> p
-  | None ->
-      let p = compute g in
-      g.params_memo <- Some p;
-      p
 
 let pos c ~src ~dst:d =
   if src < 0 || src + 1 >= Array.length c.off then -1

@@ -77,14 +77,6 @@ val csr : t -> csr
     out domains should force it once up front — {!Dsf_congest.Sim.run_flat}
     does. *)
 
-val params : t -> compute:(t -> int * int * int) -> int * int * int
-(** The graph's memo slot for its [(D, WD, s)] triple: returns the stored
-    triple, or runs [compute g] once, stores its result and returns it.  A
-    raising [compute] stores nothing.  Only {!Paths.parameters} fills it,
-    always with its own all-sources sweep, so every later call returns the
-    physically same triple.  The write is the same benign race as {!csr}'s; callers that fan
-    out domains force it first ({!Dsf_core.Rand_dsf.run} does). *)
-
 val csr_pos : t -> src:int -> dst:int -> int
 (** [csr_pos g ~src ~dst] is the directed CSR position of the edge from
     [src] to [dst], or [-1] if no such edge exists (or [src] is out of

@@ -440,13 +440,12 @@ let sweep_task g ~next =
   done;
   !d, !wd, !s
 
-(* The all-sources sweep behind [parameters]: blocks of sources spread
-   over [jobs] domains, one task per domain, and the per-task triples
-   max-reduced, so the result does not depend on [jobs] or on which task
-   took which block. *)
-let sweep ~jobs g =
+(* The all-sources sweep: blocks of sources spread over [jobs] domains,
+   one task per domain, and the per-task triples max-reduced, so the
+   result does not depend on [jobs] or on which task took which block. *)
+let parameters ?(jobs = 1) g =
   let n = Graph.n g in
-  (* Forced here, before the fan-out, so no task races on the memo. *)
+  (* Forced here, before the fan-out, so no task races on the CSR memo. *)
   ignore (Graph.csr g);
   let blocks = (n + block_size - 1) / block_size in
   let tasks = max 1 (min (min jobs Dsf_util.Pool.hard_cap) blocks) in
@@ -459,8 +458,6 @@ let sweep ~jobs g =
     (Dsf_util.Pool.map_chunked ~jobs:tasks
        (fun () -> sweep_task g ~next)
        (Array.make tasks ()))
-
-let parameters ?(jobs = 1) g = Graph.params g ~compute:(sweep ~jobs)
 
 let diameter_unweighted g =
   let d, _, _ = parameters g in

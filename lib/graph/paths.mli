@@ -53,17 +53,14 @@
     BFS runs (measured within about 5% of them on a 256-node path); on a
     random graph it costs about a tenth of that.
 
-    {b Memoized parameters.}  {!parameters} runs the all-sources sweep —
-    O(n·m) on the Dial kernel and O(n·m log n) on the heap kernel — at
-    most once per graph and process: the triple is stored in the graph's
-    memo slot ({!Graph.params}) and every later call, including the three
-    [diameter_*] projections, returns it without sweeping.  A
-    disconnected graph raises on every call and stores nothing.  The memo
-    write is a benign race (equal triples, one atomic pointer store), but
-    code that fans out domains over a graph forces it before the fan-out —
-    {!Dsf_core.Rand_dsf.run} calls [parameters] before its trial pool, so
-    the {!Dsf_embed.Virtual_tree.build} calls inside every trial read the
-    memo. *)
+    {b Cost.}  Every {!parameters} call, and every [diameter_*]
+    projection, runs the whole sweep — O(n·m) on the Dial kernel and
+    O(n·m log n) on the heap kernel — and nothing is stored on the
+    graph.  The simulated algorithms never call it: they bound n, D, WD
+    and s by their own simulated runs ({!Dsf_congest.Params.estimate}).
+    The callers are the [params] command, [solve --record]'s log
+    metadata, the experiment tables, the centralized baselines and the
+    tests, and each sweeps a given graph at most once. *)
 
 val dijkstra : Graph.t -> src:int -> int array * int array
 (** [dijkstra g ~src] returns [(dist, parent)].  [dist.(v)] is the weighted
@@ -96,24 +93,22 @@ val all_pairs : Graph.t -> int array array
 val eccentricity_unweighted : Graph.t -> int -> int
 
 val diameter_unweighted : Graph.t -> int
-(** [D], the first component of {!parameters} (memoized).  Raises
-    [Invalid_argument] if the graph is disconnected. *)
+(** [D], the first component of {!parameters} (one sweep per call).
+    Raises [Invalid_argument] if the graph is disconnected. *)
 
 val diameter_weighted : Graph.t -> int
-(** [WD], the second component of {!parameters} (memoized). *)
+(** [WD], the second component of {!parameters} (one sweep per call). *)
 
 val shortest_path_diameter : Graph.t -> int
 (** [s]: max over pairs of the min hop count among least-weight paths — the
-    third component of {!parameters} (memoized). *)
+    third component of {!parameters} (one sweep per call). *)
 
 val parameters : ?jobs:int -> Graph.t -> int * int * int
-(** [(d, wd, s)] from one all-sources sweep (see {b The sweep}), computed on
-    the first call for a graph and memoized on it: later calls return the
-    physically same triple.  Raises [Invalid_argument "Paths: disconnected
-    graph"] if the graph is disconnected, at every [jobs].
+(** [(d, wd, s)] from one all-sources sweep (see {b The sweep}).  Raises
+    [Invalid_argument "Paths: disconnected graph"] if the graph is
+    disconnected, at every [jobs].
 
     [jobs] (default 1) is the number of domains the sweep may use; it
-    changes the wall time only, never the triple, and is ignored once the
-    memo is filled.  The sweep is one {!Dsf_util.Pool} region, so a caller
-    that is itself a Pool task must leave [jobs] at 1, or the sweep raises
-    {!Dsf_util.Pool.Nested_use}. *)
+    changes the wall time only, never the triple.  The sweep is one
+    {!Dsf_util.Pool} region, so a caller that is itself a Pool task must
+    leave [jobs] at 1, or the sweep raises {!Dsf_util.Pool.Nested_use}. *)

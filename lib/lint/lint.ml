@@ -32,6 +32,7 @@ let rule_nondet = "nondet"
 let rule_congest = "congest-discipline"
 let rule_catch_all = "catch-all"
 let rule_unsafe = "unsafe-array"
+let rule_central_oracle = "central-oracle"
 
 let rules =
   [
@@ -82,6 +83,18 @@ let rules =
          an exception; every use must sit behind an explicit bounds check \
          and carry an inline [@lint.allow \"unsafe-array\"] pointing at it";
     };
+    {
+      id = rule_central_oracle;
+      synopsis =
+        "centralized shortest-path oracle (Paths.parameters, diameter_*, \
+         dijkstra, ...) in simulated-algorithm code";
+      rationale =
+        "a CONGEST node cannot learn the exact D, WD or s, nor a \
+         shortest-path tree, for free: the algorithms must read such \
+         quantities only as their simulated runs computed them \
+         (Params.estimate, footnote 2), or the measured rounds omit the \
+         cost of knowing them";
+    };
   ]
 
 (* Files allowed to touch the engine shim: the defining module and the
@@ -104,6 +117,38 @@ let wall_clock_allowlist = [ "lib/congest/telemetry.ml"; "lib/congest/recorder.m
    protocol code manipulates fields through its width-checked API instead
    of hand-rolled masks. *)
 let pack_allowlist = [ "lib/util/pack.ml" ]
+
+(* central-oracle's scope: the simulator, the embeddings, the algorithms
+   and the baselines, and the CLI's solve path. *)
+let central_oracle_dirs =
+  [ "lib/congest/"; "lib/embed/"; "lib/core/"; "lib/baseline/" ]
+
+let central_oracle_files = [ "bin/dsf_cli.ml" ]
+
+(* The centralized shortest-path queries of [Dsf_graph.Paths].  Its pure
+   helpers ([path_edges]) are not oracles. *)
+let central_oracles =
+  [
+    "parameters"; "diameter_unweighted"; "diameter_weighted";
+    "shortest_path_diameter"; "eccentricity_unweighted"; "all_pairs";
+    "dijkstra"; "dijkstra_hops"; "shortest_path"; "bfs"; "bfs_multi";
+  ]
+
+(* Files in scope that are centralized by design: the shared setup of the
+   centralized references Algorithms 1 and 2 ([Moat], [Moat_rounded]),
+   and the centralized KMB Steiner-tree baseline.  The other sanctioned
+   sites carry an inline [@lint.allow "central-oracle"] with a reason:
+   [Reduced_solver]'s charged central solve, [Le_list.verify_against]
+   (a test oracle), the bit width of [Steiner_tree_distributed]'s
+   messages, and dsf_cli's [params] command and [solve --record]'s log
+   metadata. *)
+let central_oracle_allowlist =
+  [ "lib/core/moat_common.ml"; "lib/baseline/steiner_tree.ml" ]
+
+let in_central_oracle_scope file =
+  (List.exists (fun d -> String.starts_with ~prefix:d file) central_oracle_dirs
+  || List.mem file central_oracle_files)
+  && not (List.mem file central_oracle_allowlist)
 
 (* The one file that may construct and mutate inbox/outbox structures and
    invoke protocol [step] fields: the simulator itself. *)
@@ -284,6 +329,22 @@ let check_ident ctx ~loc lid =
          bounds check and mark the proven site with [@lint.allow \
          \"unsafe-array\"] — or route the bit manipulation through \
          Dsf_util.Pack, the sanctioned packing site";
+  (* central-oracle: [Paths.<oracle>] under any module path. *)
+  (match List.rev comps with
+  | f :: "Paths" :: _
+    when List.mem f central_oracles && in_central_oracle_scope ctx.file ->
+      emit ctx ~loc ~rule:rule_central_oracle
+        ~message:
+          (Printf.sprintf
+             "centralized shortest-path oracle `%s' in simulated-algorithm \
+              code"
+             p)
+        ~hint:
+          "read n, D, WD and s from the simulated Dsf_congest.Params.estimate \
+           (or another simulated run); a deliberately central site (a \
+           reference, a test oracle, a charged stand-in) carries \
+           [@lint.allow \"central-oracle\"] and a one-line reason"
+  | _ -> ());
   (* nondet: seeding/IO-free determinism contract. *)
   (match p with
   | "Random.self_init" | "Random.init" | "Random.full_init" ->

@@ -30,6 +30,19 @@
       [Bytes.unsafe_set], ...): allowed only behind an explicit bounds
       check, marked site-by-site with [[@lint.allow "unsafe-array"]] (the
       flat engine's inbox accessors are the canonical example).
+    - [central-oracle] — the centralized shortest-path queries of
+      [Dsf_graph.Paths] ([parameters], the [diameter_*] projections,
+      [shortest_path_diameter], [eccentricity_unweighted], [all_pairs],
+      [dijkstra], [dijkstra_hops], [shortest_path], [bfs], [bfs_multi])
+      under [lib/congest], [lib/embed], [lib/core], [lib/baseline] and in
+      [bin/dsf_cli.ml].  The algorithms read n, D, WD and s only as their
+      simulated runs computed them ([Dsf_congest.Params.estimate]).  The
+      allowlist: the files [lib/core/moat_common.ml] (the centralized
+      Algorithms 1 and 2) and [lib/baseline/steiner_tree.ml] (the
+      centralized KMB baseline); and, by inline allow with a reason,
+      [Reduced_solver]'s charged central solve, [Le_list.verify_against],
+      the message width of [Steiner_tree_distributed], and dsf_cli's
+      [params] command and [solve --record] log metadata.
 
     The typed rules ([domain-race], [congest-width], [env-dropped],
     [poly-compare]) live in

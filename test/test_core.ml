@@ -389,6 +389,30 @@ let prop_det_matches_centralized_dual =
            (List.map (fun m -> m.Moat.mu) cen.Moat.merges)
       && det.Det_dsf.phase_count = cen.Moat.phase_count)
 
+(* Seeds where two active moats touch at a node of an inactive third moat
+   at the same growth as each reaches that moat: Det_dsf sees the two
+   active-inactive merges (its frozen regions do not relay), so Moat must
+   not take the active-active touch through the inactive moat first. *)
+let test_det_schedule_touch_through_inactive () =
+  List.iter
+    (fun seed ->
+      let inst = random_instance ~n:16 ~t:6 ~k:2 seed in
+      let det = Det_dsf.run inst in
+      let cen = Moat.run inst in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check Alcotest.bool (name "dual") true
+        (Frac.equal det.Det_dsf.dual cen.Moat.dual);
+      check
+        Alcotest.(list string)
+        (name "growth increments")
+        (List.map (fun m -> Frac.to_string m.Moat.mu) cen.Moat.merges)
+        (List.map
+           (fun m -> Frac.to_string m.Det_dsf.mu_increment)
+           det.Det_dsf.merges);
+      check Alcotest.int (name "phases") cen.Moat.phase_count
+        det.Det_dsf.phase_count)
+    [ 84918; 14922; 17401 ]
+
 let prop_det_feasible_two_approx =
   QCheck.Test.make
     ~name:"det_dsf: feasible and within 2*OPT (Thm 4.17)" ~count:25
@@ -547,6 +571,8 @@ let suites =
         Alcotest.test_case "ledger structure" `Quick test_det_ledger_structure;
         Alcotest.test_case "singletons report minimalize rounds" `Quick
           test_singletons_report_minimalize_rounds;
+        Alcotest.test_case "schedule: touch through an inactive moat" `Quick
+          test_det_schedule_touch_through_inactive;
         qtest prop_det_matches_centralized_dual;
         qtest prop_det_feasible_two_approx;
         qtest prop_det_output_minimal;

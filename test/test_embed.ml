@@ -125,7 +125,7 @@ let prop_le_list_next_hops_reach_targets =
 
 let test_vt_ancestors_monotone_rank () =
   let g = Gen.random_connected (rng 7) ~n:30 ~extra_edges:25 ~max_w:8 in
-  let vt = Virtual_tree.build (rng 8) g in
+  let vt = Virtual_tree.build (rng 8) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   let ranks = vt.Virtual_tree.le.Le_list.ranks in
   Array.iter
     (fun ancs ->
@@ -137,7 +137,7 @@ let test_vt_ancestors_monotone_rank () =
 
 let test_vt_root_is_global_max () =
   let g = Gen.random_connected (rng 9) ~n:30 ~extra_edges:25 ~max_w:8 in
-  let vt = Virtual_tree.build (rng 10) g in
+  let vt = Virtual_tree.build (rng 10) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   let ranks = vt.Virtual_tree.le.Le_list.ranks in
   let top = ref 0 in
   Array.iteri (fun v r -> if r > ranks.(!top) then top := v) ranks;
@@ -148,7 +148,7 @@ let test_vt_root_is_global_max () =
 
 let test_vt_dominating_metric () =
   let g = Gen.random_connected (rng 11) ~n:25 ~extra_edges:20 ~max_w:6 in
-  let vt = Virtual_tree.build (rng 12) g in
+  let vt = Virtual_tree.build (rng 12) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   let apsp = Paths.all_pairs g in
   for u = 0 to 24 do
     for v = u + 1 to 24 do
@@ -160,7 +160,7 @@ let test_vt_dominating_metric () =
 
 let test_vt_beta_range () =
   let g = Gen.path 8 in
-  let vt = Virtual_tree.build (rng 13) g in
+  let vt = Virtual_tree.build (rng 13) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   Alcotest.(check bool) "beta in [1, 2)" true
     (vt.Virtual_tree.beta_num >= 1024 && vt.Virtual_tree.beta_num < 2048);
   Alcotest.(check bool) "ball radius grows" true
@@ -168,7 +168,7 @@ let test_vt_beta_range () =
 
 let test_vt_truncation () =
   let g = Gen.random_connected (rng 14) ~n:40 ~extra_edges:30 ~max_w:8 in
-  let vt = Virtual_tree.build (rng 15) ~truncate_at:6 g in
+  let vt = Virtual_tree.build (rng 15) ~truncate_at:6 ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   check Alcotest.int "S size" 6 (List.length vt.Virtual_tree.s_set);
   (* Every node's closest S node is set, and truncated levels point at it. *)
   Array.iteri
@@ -188,7 +188,7 @@ let test_vt_truncation () =
 
 let test_vt_routing_reaches_target () =
   let g = Gen.random_connected (rng 16) ~n:30 ~extra_edges:25 ~max_w:8 in
-  let vt = Virtual_tree.build (rng 17) g in
+  let vt = Virtual_tree.build (rng 17) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   let apsp = Paths.all_pairs g in
   (* From each node, walking next hops toward each ancestor must arrive,
      along a path of exactly the shortest-path weight. *)
@@ -221,7 +221,7 @@ let test_vt_routing_reaches_target () =
 
 let test_vt_ball_and_ancestor_distance () =
   let g = Gen.random_connected (rng 21) ~n:20 ~extra_edges:15 ~max_w:6 in
-  let vt = Virtual_tree.build (rng 22) g in
+  let vt = Virtual_tree.build (rng 22) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   (* Ball radii double per level (up to integer flooring). *)
   for i = 0 to vt.Virtual_tree.levels - 1 do
     let r0 = Virtual_tree.beta_ball vt i and r1 = Virtual_tree.beta_ball vt (i + 1) in
@@ -239,7 +239,7 @@ let prop_vt_congestion_logarithmic =
     (fun seed ->
       let r = rng seed in
       let g = Gen.random_connected r ~n:50 ~extra_edges:45 ~max_w:8 in
-      let vt = Virtual_tree.build r g in
+      let vt = Virtual_tree.build r ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
       let ppn = Virtual_tree.paths_per_node vt in
       Array.for_all (fun c -> c <= 30) ppn)
 

@@ -324,17 +324,17 @@ let test_kernel_oracle_disconnected () =
     (Invalid_argument "Paths: disconnected graph") (fun () ->
       ignore (Paths.parameters g))
 
-let test_parameters_memo () =
+let test_parameters_projections () =
   let g = Gen.random_connected (rng 5) ~n:30 ~extra_edges:30 ~max_w:7 in
   let p1 = Paths.parameters g in
-  let p2 = Paths.parameters g in
-  check Alcotest.bool "second call is the memoized triple" true (p1 == p2);
+  check Alcotest.(triple int int int) "a second sweep, the same triple" p1
+    (Paths.parameters g);
   let d, wd, s = p1 in
   check Alcotest.int "diameter_unweighted" d (Paths.diameter_unweighted g);
   check Alcotest.int "diameter_weighted" wd (Paths.diameter_weighted g);
   check Alcotest.int "shortest_path_diameter" s
     (Paths.shortest_path_diameter g);
-  (* A fresh graph with the same edges gets its own sweep, equal values. *)
+  (* A fresh graph with the same edges: equal values. *)
   let copy =
     Graph.make ~n:(Graph.n g)
       (Array.to_list (Graph.edges g)
@@ -398,9 +398,8 @@ let test_parameters_single_node () =
   let g = Graph.make ~n:1 [] in
   check Alcotest.(triple int int int) "n = 1" (0, 0, 0) (Paths.parameters g)
 
-let test_parameters_disconnected_no_memo () =
-  (* Both kernels: a disconnected graph raises on every call, because the
-     raising sweep stores no memo. *)
+let test_parameters_disconnected () =
+  (* Both kernels: a disconnected graph raises on every call. *)
   List.iter
     (fun w ->
       let g = Graph.make ~n:5 [ 0, 1, w; 1, 2, 1; 3, 4, 2 ] in
@@ -434,8 +433,8 @@ let test_scaled_weighted_diameter () =
 
 (* The blocked sweep: sources go 62 to a word, so the sizes straddle one
    and two block boundaries, and [~jobs:2] splits every sweep with two or
-   more blocks.  Every call rebuilds the graph, so the memo never answers
-   for the kernel under test. *)
+   more blocks.  Every call rebuilds the graph, so each sweep also builds
+   its own CSR view. *)
 let rebuild g =
   Graph.make_arr ~n:(Graph.n g)
     (Array.map (fun (e : Graph.edge) -> e.u, e.v, e.w) (Graph.edges g))
@@ -872,12 +871,13 @@ let suites =
           test_kernel_oracle_shapes;
         Alcotest.test_case "kernel = oracle, disconnected" `Quick
           test_kernel_oracle_disconnected;
-        Alcotest.test_case "parameters memo" `Quick test_parameters_memo;
+        Alcotest.test_case "parameters and projections" `Quick
+          test_parameters_projections;
         qtest prop_parameters_match_oracle;
         Alcotest.test_case "parameters of a single node" `Quick
           test_parameters_single_node;
         Alcotest.test_case "parameters of a disconnected graph" `Quick
-          test_parameters_disconnected_no_memo;
+          test_parameters_disconnected;
         Alcotest.test_case "scaled weighted diameter" `Quick
           test_scaled_weighted_diameter;
         qtest prop_blocked_sweep_jobs;

@@ -230,7 +230,7 @@ let test_zones_and_errors () =
   (match Lint.check_string ~file:"lib/core/broken.ml" "let = 3 in" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parse error expected");
-  check Alcotest.int "rule catalogue" 6 (List.length Lint.rules);
+  check Alcotest.int "rule catalogue" 7 (List.length Lint.rules);
   check Alcotest.int "typed rule catalogue" 4 (List.length Typed_lint.rules)
 
 (* --------------------------------------------------------------- baseline *)
@@ -374,6 +374,47 @@ let test_typed_poly_compare () =
       [ "test/fixtures/poly_compare.ml"; "lib/graph/poly_compare.ml" ]
   end
 
+(* central-oracle is scoped to the simulator libraries, the baselines and
+   dsf_cli, so the fixture is linted as a lib/core unit: exactly its one
+   unallowed oracle call fires.  Under its own path the rule is silent. *)
+let test_central_oracle () =
+  let src =
+    In_channel.with_open_text "fixtures/central_oracle.ml" In_channel.input_all
+  in
+  let found file =
+    match Lint.check_string ~file src with
+    | Ok fs ->
+        List.map (fun (f : Finding.t) -> f.Finding.rule, f.Finding.line) fs
+    | Error e -> Alcotest.fail e
+  in
+  check
+    Alcotest.(list (pair string int))
+    "the flagged site, not the allowed one"
+    [ "central-oracle", 9 ]
+    (found "lib/core/central_oracle.ml");
+  check
+    Alcotest.(list (pair string int))
+    "out of scope" []
+    (found "test/fixtures/central_oracle.ml");
+  (* The scope: the solve path of dsf_cli, the baselines, the embeddings
+     and the simulator, under any module alias ending in [Paths]. *)
+  fires ~file:"bin/dsf_cli.ml" "central-oracle"
+    "let d g = Dsf_graph.Paths.diameter_unweighted g";
+  fires ~file:"lib/baseline/x.ml" "central-oracle"
+    "let s g = Paths.shortest_path_diameter g";
+  fires ~file:"lib/embed/x.ml" "central-oracle"
+    "let d g = Paths.dijkstra g ~src:0";
+  fires ~file:"lib/congest/x.ml" "central-oracle"
+    "let p g = Paths.parameters g";
+  (* The centralized references' shared setup is allowlisted; pure path
+     helpers, other modules' [parameters] and other directories are not
+     oracles in scope. *)
+  quiet ~file:"lib/core/moat_common.ml" "let d g = Paths.dijkstra g ~src:0";
+  quiet ~file:"lib/core/x.ml" "let e g ns = Paths.path_edges g ns";
+  quiet ~file:"lib/core/x.ml" "let p g = Model.parameters g";
+  quiet ~file:"bench/tables.ml" "let p g = Paths.parameters g";
+  quiet ~file:"bin/lint.ml" "let p g = Paths.parameters g"
+
 let test_typed_repo_clean () =
   let root = Filename.concat ".." "lib" in
   if Sys.file_exists root then begin
@@ -397,6 +438,7 @@ let suites =
         Alcotest.test_case "suppression" `Quick test_suppression;
         Alcotest.test_case "zones and parse errors" `Quick test_zones_and_errors;
         Alcotest.test_case "baseline" `Quick test_baseline;
+        Alcotest.test_case "central-oracle" `Quick test_central_oracle;
         Alcotest.test_case "repo is lint-clean" `Quick test_repo_clean;
         Alcotest.test_case "typed rules flag the fixtures" `Quick
           test_typed_fixtures;

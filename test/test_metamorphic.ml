@@ -321,28 +321,52 @@ let test_params_diameter_bound () =
 
 let test_params_estimate_s () =
   let g = Gen.path 20 in
-  (match Dsf_congest.Params.estimate_s ~cap:100 g with
-  | `Stabilized s -> Alcotest.(check bool) "close to s" true (s >= 19 && s <= 25)
-  | `Exceeded -> Alcotest.fail "should stabilize");
-  (* An exceeded run still counts its rounds: all cap + 1 of them. *)
+  let est = Dsf_congest.Params.estimate ~cap:100 g in
+  check Alcotest.int "n by convergecast" 20 est.Dsf_congest.Params.n;
+  (match est.Dsf_congest.Params.s with
+  | Some s -> Alcotest.(check bool) "close to s" true (s >= 19 && s <= 25)
+  | None -> Alcotest.fail "should stabilize");
+  (* The max-id root is an end of the unit-weight path: its eccentricity
+     is 19 = WD, and the bound is twice it. *)
+  check Alcotest.int "WD bound = 2 ecc(root)" 38
+    est.Dsf_congest.Params.wd_bound;
+  (* An exceeded run still counts its rounds: all cap + 1 of them, after
+     the BFS and the count, and before the WD bound's aggregate and
+     broadcast. *)
   let ledger = Dsf_congest.Ledger.create () in
   let env = { Dsf_congest.Sim.default_env with ledger = Some ledger } in
-  (match Dsf_congest.Params.estimate_s ~env ~cap:5 g with
-  | `Exceeded -> ()
-  | `Stabilized _ -> Alcotest.fail "cap 5 must be exceeded on a 20-path");
-  check Alcotest.int "aborted run counted" 6 (Dsf_congest.Ledger.simulated ledger)
+  let tel = Dsf_congest.Telemetry.create () in
+  let est =
+    Dsf_congest.Params.estimate
+      ~env:{ env with Dsf_congest.Sim.telemetry = Some tel }
+      ~cap:5 g
+  in
+  (match est.Dsf_congest.Params.s with
+  | None -> ()
+  | Some _ -> Alcotest.fail "cap 5 must be exceeded on a 20-path");
+  (match Dsf_congest.Telemetry.find tel [ "bellman_ford" ] with
+  | Some span ->
+      check Alcotest.int "aborted run counted" 6
+        span.Dsf_congest.Telemetry.rounds
+  | None -> Alcotest.fail "no bellman_ford span");
+  (* Without a stabilized run the bound is min(n - 1, 2 height) times the
+     largest weight: 19 x 1. *)
+  check Alcotest.int "WD bound from the tree" 19
+    est.Dsf_congest.Params.wd_bound;
+  check Alcotest.int "ledger = engine rounds"
+    (Dsf_util.Metrics.counter_value (Dsf_congest.Telemetry.metrics tel)
+       "sim/rounds")
+    (Dsf_congest.Ledger.simulated ledger)
 
 let test_params_regime () =
   (* Star: s = 2 <= sqrt n -> small regime. *)
   let star = Gen.star 30 in
-  (match Dsf_congest.Params.regime star with
-  | `Small_s _ -> ()
-  | `Large_s -> Alcotest.fail "star should be small-s");
+  if (Dsf_congest.Params.regime star).Dsf_congest.Params.s = None then
+    Alcotest.fail "star should be small-s";
   (* Long path: s = n - 1 > sqrt n -> large regime. *)
   let path = Gen.path 30 in
-  match Dsf_congest.Params.regime path with
-  | `Large_s -> ()
-  | `Small_s _ -> Alcotest.fail "path should be large-s"
+  if (Dsf_congest.Params.regime path).Dsf_congest.Params.s <> None then
+    Alcotest.fail "path should be large-s"
 
 let suites =
   [

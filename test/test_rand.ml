@@ -16,30 +16,43 @@ let random_instance ?(n = 24) ?(extra = 18) ?(max_w = 8) ?(t = 8) ?(k = 3) seed 
 
 (* ---------------------------------------------------------------- Rand_dsf *)
 
-(* A solve sweeps its graph for (D, WD, s) once: the first sweep fills the
-   graph's memo and every later reader (the trials' Virtual_tree.build,
-   Det_sublinear's scaled bound) must find it there. *)
-let test_solvers_fill_params_memo () =
-  let fresh_sweep g =
-    Paths.parameters
-      (Graph.make ~n:(Graph.n g)
-         (Array.to_list (Graph.edges g)
-         |> List.map (fun (e : Graph.edge) -> e.u, e.v, e.w)))
-  in
-  let filled name g =
-    let p =
-      Graph.params g ~compute:(fun _ ->
-          Alcotest.fail (name ^ ": the (D, WD, s) memo was not filled"))
-    in
-    check Alcotest.(triple int int int) (name ^ ": memo = sweep")
-      (fresh_sweep g) p
-  in
-  let inst = random_instance ~n:30 31 in
-  ignore (Rand_dsf.run ~jobs:2 ~rng:(rng 3) inst);
-  filled "rand_dsf" inst.Instance.graph;
-  let inst = random_instance ~n:30 32 in
-  ignore (Det_sublinear.run ~eps_num:1 ~eps_den:2 inst);
-  filled "det_sublinear" inst.Instance.graph
+(* The solvers read only what they simulated.  Det_sublinear's sigma is
+   isqrt(min(s' t, n)) for the footnote-2 estimate s' (the stabilization
+   round of Bellman-Ford from the max-id root), and Rand_dsf's virtual
+   tree has at most ceil(log2 WD) + 1 levels: its WD bound is twice the
+   root's eccentricity, read off the regime test's Bellman-Ford run. *)
+let test_parameters_from_simulation () =
+  List.iter
+    (fun seed ->
+      let inst = random_instance ~n:30 seed in
+      let g = inst.Instance.graph in
+      let n = Graph.n g in
+      let est = Dsf_congest.Params.estimate ~cap:(n + 1) g in
+      let s' = Option.get est.Dsf_congest.Params.s in
+      let t = Instance.terminal_count (Instance.minimalize inst) in
+      let res = Det_sublinear.run ~eps_num:1 ~eps_den:2 inst in
+      check Alcotest.int
+        (Printf.sprintf "seed %d: sigma from the estimate %d" seed s')
+        (Dsf_util.Intmath.isqrt (Int.min (s' * t) n))
+        res.Det_sublinear.sigma)
+    [ 31; 32; 33 ];
+  (* Dense graphs: s stays below sqrt n, so the regime test's run
+     stabilizes. *)
+  List.iter
+    (fun seed ->
+      let inst = random_instance ~n:30 ~extra:150 seed in
+      let g = inst.Instance.graph in
+      let res = Rand_dsf.run ~rng:(rng seed) inst in
+      let wd = Paths.diameter_weighted g in
+      let name = Printf.sprintf "seed %d" seed in
+      check Alcotest.bool (name ^ ": small-s regime") false
+        res.Rand_dsf.truncated;
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d levels <= ceil(log2 %d) + 1" name
+           (res.Rand_dsf.phases - 1) wd)
+        true
+        (res.Rand_dsf.phases - 1 <= Dsf_util.Intmath.ceil_log2 wd + 1))
+    [ 31; 32; 33 ]
 
 let test_rand_pair_path () =
   let g = Gen.path 6 in
@@ -238,8 +251,8 @@ let suites =
         Alcotest.test_case "both regimes" `Quick test_rand_regimes_agree_on_feasibility;
         Alcotest.test_case "reproducible" `Quick test_rand_deterministic_given_seed;
         Alcotest.test_case "repetitions only help" `Quick test_rand_more_repetitions_no_worse;
-        Alcotest.test_case "one parameter sweep per graph" `Quick
-          test_solvers_fill_params_memo;
+        Alcotest.test_case "parameters come from simulated runs" `Quick
+          test_parameters_from_simulation;
         qtest prop_rand_feasible_logn_ratio;
         qtest prop_rand_truncated_feasible;
       ] );

@@ -8,7 +8,7 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let rng seed = Dsf_util.Rng.create seed
 
-let vt_of seed g = Dsf_embed.Virtual_tree.build (rng seed) g
+let vt_of seed g = Dsf_embed.Virtual_tree.build (rng seed) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g
 
 (* ----------------------------------------------------------- route_phase *)
 

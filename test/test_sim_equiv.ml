@@ -848,7 +848,7 @@ let prop_flat_native_level_routing =
       let module LR = Dsf_core.Level_routing in
       let g = random_graph seed in
       let n = Graph.n g in
-      let vt = Dsf_embed.Virtual_tree.build (rng seed) g in
+      let vt = Dsf_embed.Virtual_tree.build (rng seed) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
       let r = rng (seed + 23) in
       (* A few labels per holder, each routed to one of the holder's
          virtual-tree ancestors; label collisions exercise the filter. *)

@@ -236,7 +236,7 @@ let test_instrumentation_coverage () =
   let parent = tree.Bfs.parent in
   let bits x = Dsf_util.Bitsize.int_bits (Int.max 1 x) in
   let mask = Array.init m (fun eid -> eid mod 2 = 0) in
-  let vt = Dsf_embed.Virtual_tree.build (Dsf_util.Rng.create 5) g in
+  let vt = Dsf_embed.Virtual_tree.build (Dsf_util.Rng.create 5) ~wd_bound:(Dsf_graph.Paths.diameter_weighted g) g in
   let target = vt.Dsf_embed.Virtual_tree.ancestors.(0).(vt.levels) in
   let origins v = if v = 0 then [ 7, target ] else [] in
   let rstates = Dsf_core.Level_routing.route_phase g vt ~origins in
