@@ -222,7 +222,36 @@ printf 'n 3\nedge 0 1 1\nedge 1 2 1\nlabel 0 0\nlabel 2 0\n' \
 printf '0 1\n9 9\n' > "$scratch/bad_solution.sol"
 expect_input_error "$scratch/bad_solution.sol:2:" verify \
   --file "$scratch/ok.dsf" --solution "$scratch/bad_solution.sol"
-echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, n bound, edge arity, params --file, bad solution line)"
+# A flight log whose int count (2^55) exceeds the bytes left: 27 bytes
+# of magic, no meta, no names, the forged count and one byte.
+printf 'dsf-flightlog/1\n\000\000\200\200\200\200\200\200\200\100\000' \
+  > "$scratch/bad_count.flightlog"
+expect_input_error "$scratch/bad_count.flightlog: corrupt flightlog" inspect \
+  "$scratch/bad_count.flightlog"
+# A directory where a file is read (verify --solution, solve --file) or
+# written (--dot, --record, --trace): exit 2 with PATH: reason on stderr.
+# The output cases print the solve before they write, so only the input
+# cases require an empty stdout.
+mkdir -p "$scratch/a_dir"
+expect_input_error "$scratch/a_dir: " verify --file "$scratch/ok.dsf" \
+  --solution "$scratch/a_dir"
+expect_input_error "$scratch/a_dir: " solve --file "$scratch/a_dir"
+expect_output_error() {
+  status=0
+  with_timeout 60 dune exec bin/dsf_cli.exe -- "$@" \
+    > "$scratch/bad.out" 2> "$scratch/bad.err" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -qF "$scratch/a_dir: " "$scratch/bad.err" \
+     || grep -q "uncaught exception" "$scratch/bad.err"; then
+    echo "ci: dsf_cli $*: want exit 2 and '$scratch/a_dir: ', got exit $status:" >&2
+    cat "$scratch/bad.err" >&2
+    exit 1
+  fi
+}
+for flag in --dot --record --trace; do
+  expect_output_error solve --file "$scratch/ok.dsf" "$flag" "$scratch/a_dir"
+done
+expect_output_error compare --file "$scratch/ok.dsf" --trace "$scratch/a_dir"
+echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, n bound, edge arity, params --file, bad solution line, forged flightlog count, directory paths)"
 
 # Bad generator, solver and query flags: each case (flag, then the dsf_cli
 # arguments) must fail before anything is generated or solved — exit 2,
@@ -368,8 +397,9 @@ echo "ci: det_dsf flat e2e smoke ok (path n=4096)"
 # Sanitizer-on flat e2e smoke: the same solve at n=1024 with the runtime
 # node-locality sanitizer armed (DSF_SANITIZE=1 arms every run_flat in the
 # process), plus a rand solve (pooled trials) and a sublinear solve at
-# n=128.  A write to another node's state, escaped emit closure, or arena leak
-# aborts with Sim.Sanitizer_violation (nonzero exit); a livelock hits the
+# n=128, and a hardened det solve with crashes at n=96.  A write to
+# another node's state, escaped emit closure, or arena leak aborts with
+# Sim.Sanitizer_violation (nonzero exit); a livelock hits the
 # hard timeout; and because every sanitizer check is read-only, each
 # output must be byte-identical to its sanitizer-off run.
 sanitize_leg() {
@@ -389,7 +419,11 @@ sanitize_leg solve_rand128 --algo rand --jobs 2 --topology random \
   --nodes 128 --terminals 16 --components 4 --seed 5
 sanitize_leg solve_sublinear128 --algo sublinear --jobs 1 --topology random \
   --nodes 128 --terminals 16 --components 4 --seed 5
-echo "ci: sanitized flat e2e smoke ok (det path n=1024, rand + sublinear n=128, bit-identical)"
+# A hardened det solve under crash-restart: the undelivered-inbox and
+# arena-leak checks run on the active list's restart merge.
+sanitize_leg solve_chaos96 --algo det --chaos 5 --jobs 1 --topology random \
+  --nodes 96 --terminals 12 --components 4 --seed 7
+echo "ci: sanitized flat e2e smoke ok (det path n=1024, rand + sublinear n=128, hardened det n=96, bit-identical)"
 
 with_timeout 600 dune exec bench/main.exe -- smoke --jobs 1 --out "$scratch/bench_j1.json"
 with_timeout 600 dune exec bench/main.exe -- smoke --jobs 2 --out "$scratch/bench_j2.json"

@@ -25,6 +25,20 @@ let input_error where ?(line = 0) msg =
 
 let flag_error flag fmt = Format.kasprintf (fun msg -> input_error flag msg) fmt
 
+(* A file the command cannot read or write (missing, a directory, no
+   permission) is reported the same way, as PATH: reason.  The OS message
+   of a failed open already names the path; a failed read's or write's
+   does not. *)
+let with_file path f =
+  try f ()
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    input_error path
+      (if String.starts_with ~prefix msg then
+         String.sub msg (String.length prefix)
+           (String.length msg - String.length prefix)
+       else msg)
+
 (* A flag whose value names one of [choices]. *)
 let check_choice flag ~what choices v =
   if not (List.mem v choices) then
@@ -97,11 +111,8 @@ let graph_of = function
    algorithm (and the D/WD/s sweep) assumes one connected CONGEST network. *)
 let read_instance_file path =
   let parsed =
-    try Dsf_graph.Io.parse_file path with
-    | Dsf_graph.Io.Parse_error (line, msg) -> input_error path ~line msg
-    | Sys_error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2
+    try with_file path (fun () -> Dsf_graph.Io.parse_file path)
+    with Dsf_graph.Io.Parse_error (line, msg) -> input_error path ~line msg
   in
   let g = graph_of parsed in
   let comp = Graph.connected_components g in
@@ -174,7 +185,8 @@ let telemetry_of_sink = function
 let write_trace = function
   | None -> ()
   | Some (tel, format, path) ->
-      Dsf_congest.Telemetry.write_file tel ~format path;
+      with_file path (fun () ->
+          Dsf_congest.Telemetry.write_file tel ~format path);
       if path <> "-" then Format.printf "wrote trace to %s@." path
 
 let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
@@ -272,15 +284,16 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   end;
   (match dot_out with
   | Some path ->
-      Dsf_graph.Dot.to_file path
-        (fun ppf () -> Dsf_graph.Dot.instance ~solution ppf inst)
-        ();
+      with_file path (fun () ->
+          Dsf_graph.Dot.to_file path
+            (fun ppf () -> Dsf_graph.Dot.instance ~solution ppf inst)
+            ());
       Format.printf "wrote %s@." path
   | None -> ());
   write_trace sink;
   (match record, recorder with
   | Some path, Some r ->
-      Dsf_congest.Recorder.write_file r path;
+      with_file path (fun () -> Dsf_congest.Recorder.write_file r path);
       Format.printf "wrote flightlog to %s (%d events)@." path
         (Dsf_congest.Recorder.event_count r)
   | _ -> ());
@@ -314,15 +327,11 @@ let verify_cmd inst_file sol_file dual =
   | Dsf_graph.Io.Ic inst -> begin
       let g = inst.Instance.graph in
       let text =
-        let ic =
-          try open_in sol_file
-          with Sys_error msg ->
-            Format.eprintf "%s@." msg;
-            exit 2
-        in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
+        with_file sol_file (fun () ->
+            let ic = open_in sol_file in
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () -> really_input_string ic (in_channel_length ic)))
       in
       match Dsf_graph.Io.parse_solution g text with
       | Error (line, msg) -> input_error sol_file ~line msg

@@ -79,15 +79,14 @@ let protocol ?weight_of ?radius g ~sources =
               emit ~dst:nb (Relax { dist = st.dist; src = st.src; hops = st.hops }))
             view.Sim.nbrs;
         { st with dirty = false });
+    (* Purely wavefront-driven: a clean node with no mail has nothing to
+       do, so the simulator may skip it. *)
     fp_is_done = (fun st -> not st.dirty);
     fp_msg_bits =
       (fun (Relax r) ->
         Bitsize.int_bits (Int.max 1 r.dist)
         + Bitsize.id_bits ~n
         + Bitsize.int_bits (Int.max 1 r.hops));
-    (* Purely wavefront-driven: a clean node with no mail has nothing to
-       do, so the simulator may skip it. *)
-    fp_wake = Some Sim.never;
   }
 
 (* Native flat-engine port.  Same wavefront, same messages, same label
@@ -216,7 +215,6 @@ let flat_protocol ?weight_of ?radius g ~sources =
               Bitsize.int_bits (Int.max 1 (Pack.get f_dist m))
               + Bitsize.id_bits ~n
               + Bitsize.int_bits (Int.max 1 (Pack.get f_hops m)));
-          fp_wake = Some Sim.never;
         }
       in
       Some fp

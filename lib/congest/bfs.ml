@@ -75,7 +75,6 @@ let flat_protocol ~n ~root : (int, int) Sim.flat_protocol =
         else st);
     fp_is_done = (fun st -> st = -1 || st land 1 = 1);
     fp_msg_bits = (fun d -> Bitsize.int_bits (Int.max d 1));
-    fp_wake = Some Sim.never;
   }
 
 let flat_state_parent_depth ~n st =

@@ -124,7 +124,6 @@ let three_color ?(env = Sim.default_env) g ~parent =
           else { st with finished = true });
       fp_is_done = (fun st -> st.finished);
       fp_msg_bits = (fun _ -> Bitsize.int_bits 8);
-      fp_wake = None;
     }
   in
   let states, _ =
@@ -192,7 +191,6 @@ let maximal_matching ?(env = Sim.default_env) g ~parent =
           { st with m_done = round >= 7 });
       fp_is_done = (fun st -> st.m_done);
       fp_msg_bits = (fun _ -> 2);
-      fp_wake = None;
     }
   in
   let states, _ =

@@ -29,7 +29,6 @@ let gossip_extremum ?(env = Sim.default_env) g ~mask ~values ~better ~bits =
           { st with dirty = false });
       fp_is_done = (fun st -> not st.dirty);
       fp_msg_bits = bits;
-      fp_wake = Some Sim.never;
     }
   in
   let states, _ =

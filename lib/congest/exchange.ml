@@ -1,7 +1,8 @@
 module Graph = Dsf_graph.Graph
 
 (* State is a bare immediate int (0 = not sent, 1 = sent) and the payload
-   placeholder is the int 0: the protocol is mail-free and wake-never. *)
+   placeholder is the int 0: the protocol is mail-free, and a
+   node is done once it has sent. *)
 let flat_protocol ~payload_bits : (int, int) Sim.flat_protocol =
   {
     fp_init = (fun _ -> 0);
@@ -14,7 +15,6 @@ let flat_protocol ~payload_bits : (int, int) Sim.flat_protocol =
         end);
     fp_is_done = (fun sent -> sent = 1);
     fp_msg_bits = (fun _ -> payload_bits);
-    fp_wake = Some Sim.never;
   }
 
 let all_neighbors ?(env = Sim.default_env) g ~payload_bits =

@@ -218,7 +218,7 @@ let copy_hstate rc st =
    no unacknowledged payload (nothing of consequence in flight), and it has
    consumed every payload delivered to it.  When this holds at *every*
    node, the inner execution has reached exactly the lossless fixpoint
-   (under the sparse-wake no-op contract, see the .mli), so the omniscient
+   (under the done-step no-op contract, see the .mli), so the omniscient
    [halt] below may stop the run. *)
 let node_quiescent inner_is_done st =
   inner_is_done st.inner
@@ -443,11 +443,11 @@ let harden ?recovery
   {
     Sim.fp_init = init;
     fp_step = step;
-    fp_is_done = node_quiescent fp.Sim.fp_is_done;
+    (* Never done: the synchronizer marches every physical round (timers,
+       Fin markers), so every up node steps every round, and [sim_run]'s
+       quiescence halt ends the run. *)
+    fp_is_done = (fun _ -> false);
     fp_msg_bits = packet_bits;
-    (* The synchronizer marches every physical round (timers, Fin markers),
-       so there is no sparse-activity story to declare. *)
-    fp_wake = None;
   }
 
 (* Post-run bookkeeping of a hardened run: fold the per-node

@@ -54,9 +54,14 @@
     seeded {!chaos_plan}, both engines) pins this.
 
     {b Scope of the guarantee.}  The inner protocol must (a) quiesce on a
-    lossless network and (b) satisfy the sparse-wake no-op contract of
-    {!Sim} (stepping a done node with an empty inbox is a no-op) — all the
-    repo's protocols qualify.
+    lossless network and (b) keep the no-op contract of {!Sim}'s one
+    scheduling rule (stepping a done node with an empty inbox is a
+    no-op), which every protocol must keep anyway.  It matters here
+    because the wrapper's inner execution steps every node in every
+    virtual round, done or not, as the reference loop does, while the
+    lossless run it must reproduce skips those steps.  The wrapper itself reports no node done: its Fin markers and
+    retransmit timers act every physical round, so every up node steps
+    every round, and the run ends by the quiescence halt below.
 
     {b Termination.}  A hardened network never goes globally silent (Fin
     markers and timers keep marching), so {!sim_run} stops a hardened run

@@ -27,7 +27,6 @@ let protocol g : (state, int) Sim.flat_protocol =
         else st);
     fp_is_done = (fun st -> not st.dirty);
     fp_msg_bits = (fun _ -> Bitsize.id_bits ~n);
-    fp_wake = Some Sim.never;
   }
 
 let elect ?(env = Sim.default_env) g =

@@ -51,9 +51,8 @@ let item_of = function
 
    A node reports done when it is *stalled* or when it is drained and has
    closed its stream ([sent_done], or is the root).  Every configuration
-   reported done really is a no-op on an empty inbox, so the protocol
-   declares [wake = Some Sim.never] and the sparse scheduler keeps the
-   active list at the item/Done wavefront. *)
+   reported done really is a no-op on an empty inbox, so the engine's
+   active list stays at the item/Done wavefront. *)
 type 'k fstate = {
   mutable p_own : 'k msg list;  (** ascending *)
   p_qs : 'k msg Queue.t array;  (** per-child FIFO, child scan order *)
@@ -212,7 +211,6 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
     fp_is_done =
       (fun st -> stalled st || (drained st && (st.p_sent_done || st.p_root)));
     fp_msg_bits = (function Item it -> it.ibits | Done -> 1);
-    fp_wake = Some Sim.never;
   }
 
 let filtered_upcast ?(env = Sim.default_env) ?stop_at_root g

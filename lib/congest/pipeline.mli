@@ -43,8 +43,8 @@ val filtered_upcast :
 
     Runs a native flat-engine protocol through {!Fault.sim_run}: mutable
     per-node state (checkpointed by deep copy under a [Chaos] network),
-    array child queues, O(1) stalled/drained tests, and mail-driven
-    wake.  [bits] is called once per item, at its holder; the size
+    array child queues, O(1) stalled/drained tests, and a done test
+    that leaves only the item/Done wavefront stepping.  [bits] is called once per item, at its holder; the size
     travels with the item, so [bits] must be a function of the item
     alone.  [pre] is unioned once into a template and compressed to a
     root array, which a node copies (one [int array]) when it handles

@@ -310,9 +310,18 @@ let parse s =
     done;
     !v
   in
-  let get_string () =
+  (* A count of meta entries, names, ints or string bytes: every element
+     takes at least one byte, so a count beyond the bytes left (or a
+     negative one, from an overflowing varint) is corrupt — rejected here,
+     before it sizes an allocation. *)
+  let get_count what =
     let n = get_varint () in
-    if !pos + n > len then raise (Corrupt "truncated string");
+    if n < 0 || n > len - !pos then
+      raise (Corrupt (what ^ " count exceeds the bytes left"));
+    n
+  in
+  let get_string () =
+    let n = get_count "string" in
     let r = String.sub s !pos n in
     pos := !pos + n;
     r
@@ -322,16 +331,16 @@ let parse s =
     then Error "not a dsf-flightlog/1 file (bad magic)"
     else begin
       pos := String.length magic;
-      let n_meta = get_varint () in
+      let n_meta = get_count "meta" in
       let meta =
         List.init n_meta (fun _ ->
             let k = get_string () in
             let v = get_varint () in
             k, v)
       in
-      let n_names = get_varint () in
+      let n_names = get_count "name" in
       let names = Array.init n_names (fun _ -> get_string ()) in
-      let n_ints = get_varint () in
+      let n_ints = get_count "int" in
       let ints = Array.init n_ints (fun _ -> get_varint ()) in
       (* Validate record structure once here so every later walk can
          assume well-formed (tag, args) framing. *)

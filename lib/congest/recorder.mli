@@ -15,7 +15,7 @@
       site where the flat engine's node-locality sanitizer stamps
       [written.(v) <- round], so every recorded state change is one the
       sanitizer would bless.  Steps with an empty inbox are causally
-      inert under the wake contract and are not recorded — a [--why]
+      inert under the no-op contract of {!Sim}'s scheduling rule and are not recorded — a [--why]
       backtrace answers for the last {e mail-consuming} step at or before
       the queried round;
     - [Send {src; dst; bits; fate}] — one per send, in the global send

@@ -34,8 +34,6 @@ exception Round_limit of abort
 
 let postmortem_window = 8
 
-let never _ ~round:_ _ = false
-
 type plan = {
   seed : int;
   drop : float;
@@ -224,7 +222,6 @@ type ('s, 'm) flat_protocol = {
     -> 's;
   fp_is_done : 's -> bool;
   fp_msg_bits : 'm -> int;
-  fp_wake : (view -> round:int -> 's -> bool) option;
 }
 
 let inbox_of_list l =
@@ -234,7 +231,7 @@ let inbox_of_list l =
 
 (* The seed simulator's loop, kept verbatim as the semantic anchor for the
    differential test suite (test_sim_equiv): every node is stepped every
-   round ([fp_wake] is ignored), per-round accounting goes through a fresh
+   round, done or not, per-round accounting goes through a fresh
    hashtable, quiescence re-scans the full state vector.  The only changes
    from the seed are the slot-based recipient validation, the staging
    window, and the one protocol type: mail is still delivered as lists,
@@ -341,11 +338,11 @@ let run_reference ?max_rounds ?halt ?(env = default_env) g fp =
         Recorder.append r rb
     | None -> ());
     (* The one telemetry branch per round; the seed loop steps every node,
-       so the active set is all of [n] and wake hooks never fire. *)
+       so the active set is all of [n]. *)
     (match telemetry with
     | Some t ->
         Telemetry.sim_round t ~stepped:n ~delivered:!delivered
-          ~bits:(!total_bits - bits0) ~wake_hits:0
+          ~bits:(!total_bits - bits0)
     | None -> ());
     incr round;
     let all_done = Array.for_all fp.fp_is_done states in
@@ -432,6 +429,38 @@ let rec quicksort (a : int array) lo hi =
   end
 
 let sort_int_prefix a len = if len > 1 then quicksort a 0 (len - 1)
+
+(* Merge the ascending, disjoint prefixes [a.(0 .. na - 1)] and
+   [b.(0 .. nb - 1)] into [dst], which must be neither; returns the
+   merged length.  The barrier builds the next active list with it. *)
+let merge_sorted (a : int array) na (b : int array) nb (dst : int array) =
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < na && !j < nb do
+    let x = a.(!i) and y = b.(!j) in
+    if x < y then begin
+      dst.(!k) <- x;
+      incr i
+    end
+    else begin
+      dst.(!k) <- y;
+      incr j
+    end;
+    incr k
+  done;
+  (* Plain loops, not [Array.blit]: on a major-heap destination the
+     runtime's blit cannot tell these are ints and writes each element
+     through the write barrier. *)
+  while !i < na do
+    dst.(!k) <- a.(!i);
+    incr i;
+    incr k
+  done;
+  while !j < nb do
+    dst.(!k) <- b.(!j);
+    incr j;
+    incr k
+  done;
+  !k
 
 (* --- Dynamic node-locality sanitizer ---------------------------------- *)
 (* The runtime half of the typed domain-race rule (lib/lint/typed_lint.ml):
@@ -531,7 +560,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     }
   in
   (* Per-round counters and candidate lists, reset every round. *)
-  let stepped = ref 0 and delivered = ref 0 and wake_hits = ref 0 in
+  let stepped = ref 0 and delivered = ref 0 in
   let sent_any = ref false in
   let cur_src = ref (-1) in (* node being stepped, read by [emit] *)
   let touched = ibuf_make () in (* CSR positions charged this round *)
@@ -547,33 +576,24 @@ let flat_engine ?max_rounds ?halt ~env g fp =
      crash-restart).  Both are private to the sanitizer. *)
   let snap = if sanitize then Array.map state_hash states else [||] in
   let written = if sanitize then Array.make n (-1) else [||] in
-  let has_faults = Option.is_some faults in
-  let wake_is_some = Option.is_some fp.fp_wake in
-  (* Scheduling modes.  [sparse]: wake is physically [never] and no faults
-     — the active set is exactly (mail recipients U stepped-and-not-done),
-     maintained incrementally, so idle rounds cost O(active) not O(n).
-     [sweep_all]: wake is [None] — every node steps every round, no list
-     needed.  Otherwise a full-range criterion sweep per round (a
-     crash-restart or an arbitrary wake hook can activate any idle
-     node). *)
-  let sparse =
-    (not has_faults)
-    && (match fp.fp_wake with Some f -> f == never | None -> false)
-  in
-  let sweep_all = (not has_faults) && not wake_is_some in
-  let down_now = if has_faults then Array.make n false else [||] in
-  let was_down = if has_faults then Array.make n false else [||] in
-  let act = Array.make (Int.max 1 n) 0 in
-  let rcp = Array.make (Int.max 1 n) 0 in
+  let was_down = if Option.is_some faults then Array.make n false else [||] in
+  (* The active list [act.(0 .. n_act - 1)], ascending: the nodes that
+     step this round.  It is exactly the up nodes with mail or not done
+     (see sim.mli), maintained incrementally, so idle rounds cost
+     O(active) not O(n).  [rcp] is the barrier's recipient scratch and
+     the array the crash pre-pass rebuilds the list into (the two then
+     swap); [cand_stamp.(v) = r] marks [v] as entered into round
+     [r + 1]'s list at barrier [r]. *)
+  let act = ref (Array.make (Int.max 1 n) 0) in
+  let rcp = ref (Array.make (Int.max 1 n) 0) in
   let n_act = ref 0 in
   let cand_stamp = Array.make n (-1) in
-  if sparse then
-    for v = 0 to n - 1 do
-      if not done_flag.(v) then begin
-        act.(!n_act) <- v;
-        incr n_act
-      end
-    done;
+  for v = 0 to n - 1 do
+    if not done_flag.(v) then begin
+      !act.(!n_act) <- v;
+      incr n_act
+    end
+  done;
   let deliver src dst msg =
     let mb = stage.(dst) in
     if mb.mlen = 0 then ibuf_push recip dst;
@@ -635,7 +655,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     delivered := !delivered + ib.mlen;
     (* Mail-consuming steps only: the same sanctioned-write site the
        node-locality sanitizer stamps, and the one step event every engine
-       agrees on (idle wake steps differ between the engines). *)
+       agrees on (the reference loop also steps idle done nodes). *)
     if rec_on && ib.mlen > 0 then Recorder.ev_step !rb v;
     cur_src := v;
     let st' = fp.fp_step views.(v) ~round:!round states.(v) ~inbox:ib ~emit in
@@ -648,7 +668,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     end;
     let dn = fp.fp_is_done st' in
     set_done v dn;
-    if sparse && not dn then ibuf_push undone v
+    if not dn then ibuf_push undone v
   in
   while not !quiescent do
     if !round >= max_rounds then begin
@@ -662,15 +682,20 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     let bits0 = !total_bits in
     stepped := 0;
     delivered := 0;
-    wake_hits := 0;
     sent_any := false;
+    (* The crash pre-pass walks every node and the active list together,
+       both ascending, and rebuilds the list: down nodes lose their mail
+       and leave it, and nodes back up restart from a fresh initial state
+       and join it unless that state is done (a restarted node with mail
+       is on it already). *)
     (match faults with
     | None -> ()
     | Some f ->
+        let a = !act and b = !rcp and i = ref 0 and k = ref 0 in
         for v = 0 to n - 1 do
-          let dn = f.down ~round:!round ~node:v in
-          down_now.(v) <- dn;
-          if dn then begin
+          let listed = !i < !n_act && a.(!i) = v in
+          if listed then incr i;
+          if f.down ~round:!round ~node:v then begin
             if rec_on then Recorder.ev_down !rb v;
             (* Mail delivered to a crashed node is lost. *)
             if inboxes.(v).mlen > 0 then begin
@@ -679,42 +704,29 @@ let flat_engine ?max_rounds ?halt ~env g fp =
             end;
             was_down.(v) <- true
           end
-          else if was_down.(v) then begin
-            (* First round back up: restart from a fresh initial state. *)
-            if rec_on then Recorder.ev_restart !rb v;
-            was_down.(v) <- false;
-            states.(v) <- fp.fp_init views.(v);
-            if sanitize then written.(v) <- !round;
-            set_done v (fp.fp_is_done states.(v))
+          else begin
+            let restarts = was_down.(v) in
+            if restarts then begin
+              (* First round back up: restart from a fresh initial state. *)
+              if rec_on then Recorder.ev_restart !rb v;
+              was_down.(v) <- false;
+              states.(v) <- fp.fp_init views.(v);
+              if sanitize then written.(v) <- !round;
+              set_done v (fp.fp_is_done states.(v))
+            end;
+            if listed || (restarts && not done_flag.(v)) then begin
+              b.(!k) <- v;
+              incr k
+            end
           end
-        done);
-    if sparse then
-      for i = 0 to !n_act - 1 do
-        step_node act.(i)
-      done
-    else if sweep_all then
-      for v = 0 to n - 1 do
-        step_node v
-      done
-    else
-      for v = 0 to n - 1 do
-        let crashed = has_faults && down_now.(v) in
-        let has_mail = inboxes.(v).mlen > 0 in
-        let active =
-          (not crashed)
-          && (has_mail
-             || (not done_flag.(v))
-             ||
-             match fp.fp_wake with
-             | None -> true
-             | Some f -> f views.(v) ~round:!round states.(v))
-        in
-        if active then begin
-          if wake_is_some && (not has_mail) && done_flag.(v) then
-            incr wake_hits;
-          step_node v
-        end
-      done;
+        done;
+        n_act := !k;
+        act := b;
+        rcp := a);
+    let a = !act in
+    for i = 0 to !n_act - 1 do
+      step_node a.(i)
+    done;
     (match rcd with
     | Some r ->
         Recorder.round r !round;
@@ -761,27 +773,26 @@ let flat_engine ?max_rounds ?halt ~env g fp =
                  inboxes.(v).mlen v)
       done
     end;
-    (* Deliver staged mail and collect next round's active candidates:
-       the still-undone nodes (already ascending — nodes step in order)
-       and the mail recipients (minus the undone ones, sorted, then
-       merged).  All undone nodes are stamped before any recipient is
-       examined, so none is entered twice.  Delivery swaps the staged
-       buffer with the recipient's inbox, which is empty here: every
-       inbox was consumed by its node's step this round, or dropped with
-       its crashed node (the sanitizer's undelivered-inbox check). *)
-    let nrcp = ref 0 in
-    if sparse then
-      for i = 0 to undone.ilen - 1 do
-        cand_stamp.(undone.ia.(i)) <- !round
-      done;
+    (* Deliver staged mail and collect next round's active list: the
+       still-undone nodes (already ascending — nodes step in order) and
+       the mail recipients (minus the undone ones, sorted, then merged).
+       All undone nodes are stamped before any recipient is examined, so
+       none is entered twice.  Delivery swaps the staged buffer with the
+       recipient's inbox, which is empty here: every inbox was consumed by
+       its node's step this round, or dropped with its crashed node (the
+       sanitizer's undelivered-inbox check). *)
+    let r = !rcp and nrcp = ref 0 in
+    for i = 0 to undone.ilen - 1 do
+      cand_stamp.(undone.ia.(i)) <- !round
+    done;
     for i = 0 to recip.ilen - 1 do
       let dst = recip.ia.(i) in
       let ib = inboxes.(dst) in
       inboxes.(dst) <- stage.(dst);
       stage.(dst) <- ib;
-      if sparse && cand_stamp.(dst) <> !round then begin
+      if cand_stamp.(dst) <> !round then begin
         cand_stamp.(dst) <- !round;
-        rcp.(!nrcp) <- dst;
+        r.(!nrcp) <- dst;
         incr nrcp
       end
     done;
@@ -799,39 +810,13 @@ let flat_engine ?max_rounds ?halt ~env g fp =
                   list; they would never be delivered"
                  stage.(dst).mlen dst)
       done;
-    if sparse then begin
-      sort_int_prefix rcp !nrcp;
-      let und = undone.ia and nund = undone.ilen in
-      let i = ref 0 and j = ref 0 and k = ref 0 in
-      while !i < nund && !j < !nrcp do
-        let x = und.(!i) and y = rcp.(!j) in
-        if x < y then begin
-          act.(!k) <- x;
-          incr i
-        end
-        else begin
-          act.(!k) <- y;
-          incr j
-        end;
-        incr k
-      done;
-      while !i < nund do
-        act.(!k) <- und.(!i);
-        incr i;
-        incr k
-      done;
-      while !j < !nrcp do
-        act.(!k) <- rcp.(!j);
-        incr j;
-        incr k
-      done;
-      n_act := !k;
-      undone.ilen <- 0
-    end;
+    sort_int_prefix r !nrcp;
+    n_act := merge_sorted undone.ia undone.ilen r !nrcp !act;
+    undone.ilen <- 0;
     (match telemetry with
     | Some t ->
         Telemetry.sim_round t ~stepped:!stepped ~delivered:!delivered
-          ~bits:(!total_bits - bits0) ~wake_hits:!wake_hits
+          ~bits:(!total_bits - bits0)
     | None -> ());
     incr round;
     let halted = match halt with Some f -> f states | None -> false in

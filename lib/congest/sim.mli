@@ -31,27 +31,26 @@
 
     The paper's protocols are round-efficient precisely because most nodes
     are silent in most rounds (Bellman-Ford wavefronts, pipelined upcasts),
-    so the production engine only steps the nodes that can act: in round
-    [r] a node is stepped iff its inbox is non-empty, it does not report
-    [fp_is_done], or its [fp_wake] hook returns [true].  A protocol with
-    [fp_wake = None] is stepped every round — exactly the original
-    simulator's schedule.  A protocol that declares a sparse [fp_wake]
-    (e.g. [Some never]) promises that stepping a done node with an empty
-    inbox is a no-op: it returns a structurally equal state and emits
-    nothing.  Under that contract, {!run_flat} and {!run_reference}
-    produce identical stats, flight logs, and final states — the property
-    suite [test_sim_equiv] checks this differentially on randomized
-    graphs and protocols, and re-steps the final states of the ports
-    with an empty inbox to check the contract on the step itself.
-    Every protocol in [lib/] declares [Some never] except three that
-    step every node every round ([fp_wake = None]): {!Coloring}'s
-    three-coloring and maximal matching, whose stages are scheduled by
-    the round number, and {!Fault.sim_run}'s hardening wrapper, whose
-    retransmit timers and Fin markers march every physical round.
+    so one rule schedules every run of the production engine: {b in
+    round [r] a node is stepped iff it is up and either its inbox is
+    non-empty or it does not report [fp_is_done]} (every node is up on a
+    lossless network; see the fault semantics below for down nodes).  Every protocol
+    promises in return that stepping a done node with an empty inbox is
+    a no-op: the step returns a structurally equal state and emits
+    nothing.  Under that contract {!run_flat} and {!run_reference}, which
+    steps every node every round, produce identical stats, flight logs,
+    and final states — the property suite [test_sim_equiv] checks this
+    differentially on randomized graphs and protocols, and re-steps the
+    final states of the ports with an empty inbox to check the contract
+    on the step itself.  A protocol that acts by the clock rather than by
+    its mail stays not-done until its last scheduled action: {!Coloring}'s
+    stages report done only after their last round, and
+    {!Fault.sim_run}'s hardening wrapper, whose retransmit timers and Fin
+    markers march every physical round, is never done (its run ends by
+    the wrapper's quiescence halt).
 
-    [fp_is_done] and [fp_wake] must be pure functions of the state (and
-    view / round): [fp_is_done] is re-evaluated only when a step changes
-    the state.
+    [fp_is_done] must be a pure function of the state: it is re-evaluated
+    only when a step (or a crash-restart) changes the state.
 
     Composition convention: the paper's algorithms are towers of subroutines,
     each with its own round bound (Bellman-Ford phases, pipelined upcasts,
@@ -163,11 +162,6 @@ val pp_abort : Format.formatter -> abort -> unit
     totals and its busiest senders.  Rankings are capped at six senders;
     the raw messages stay in {!abort.recent}. *)
 
-val never : view -> round:int -> 's -> bool
-(** [never] ignores its arguments and returns [false]: the canonical
-    [fp_wake] for protocols whose activity is entirely message- or
-    progress-driven. *)
-
 (** {2 Run environment}
 
     Every simulating function — the three runners below, {!Fault.sim_run},
@@ -182,7 +176,7 @@ val never : view -> round:int -> 's -> bool
     - [telemetry] attributes each run's final stats to the innermost
       open {!Telemetry} span (also on a {!Round_limit} abort), streams
       the round-level series (active-set size, messages delivered, bits
-      per round, wake-hook hits) into its metrics registry, and carries
+      per round) into its metrics registry, and carries
       the flight recorder, if one was attached with
       [Telemetry.create ~recorder] ({!Recorder} documents its events
       and their order).  The recorder is the per-message tap: its
@@ -281,10 +275,14 @@ val measure : ?env:env -> (env -> 'a) -> 'a * stats
     message traffic lives in {e arena} buffers (parallel [int array] /
     ['m array] pairs, grown from empty in every run and recycled by
     length reset), per-round per-(edge, direction) bit accounting is a flat
-    array indexed by CSR position, and a protocol whose [fp_wake] is
-    physically {!never} is scheduled from an incrementally-maintained
-    sorted active list, so an idle round costs O(active nodes) instead of
-    an O(n) criterion sweep.  For ['m = int] protocols written against
+    array indexed by CSR position, and every run is scheduled from one
+    incrementally-maintained sorted active list — the nodes the
+    scheduling rule above steps — so an idle round costs O(active nodes),
+    not O(n).  At each barrier the list becomes the stepped nodes that
+    are still not done, merged with the mail recipients; under a
+    [Faults] network the crash pre-pass, which visits every node anyway,
+    walks the list alongside and rebuilds it: down nodes leave it, and
+    restarted nodes whose fresh state is not done join it.  For ['m = int] protocols written against
     the {!flat_protocol} interface the steady-state round loop allocates
     nothing (test_congest's "steady state allocates nothing" pins it).
 
@@ -326,17 +324,11 @@ type ('s, 'm) flat_protocol = {
           built); returns the new state.  Messages emitted in round [r]
           arrive in round [r + 1], in emit order. *)
   fp_is_done : 's -> bool;
+      (** Whether the node has nothing left to do without mail.  A done
+          node with an empty inbox is not stepped (see "Sparse
+          scheduling"), and a run is quiescent once every node is done and
+          no message is in flight. *)
   fp_msg_bits : 'm -> int;
-  fp_wake : (view -> round:int -> 's -> bool) option;
-      (** Scheduling hook. [None]: step the node every round (the default
-          behavior protocols get if they have no sparse-activity story).
-          [Some f]: the node is stepped in a round iff it received a
-          message, is not [fp_is_done], or [f] returns [true] — use
-          [Some never] for purely message/progress-driven protocols, or a
-          round predicate (e.g. [fun _ ~round _ -> round = 0]) for
-          clock-driven kick-offs.  Only consulted for nodes that are idle
-          by the first two tests.  Pass [Some never] (that exact closure)
-          to opt into the sparse active-list scheduler. *)
 }
 (** The one protocol type.  The typed lint rules [domain-race] and
     [congest-width] check every record literal of it. *)
@@ -372,8 +364,8 @@ val run_flat :
     [max_rounds] is [10_000 + 200 * n]; raises {!Round_limit} if exceeded
     (a protocol bug — the abort carries a post-mortem, see {!abort}).
     Messages emitted in round [r] are delivered in round [r + 1].
-    Stats, final states, flight logs, round counts and telemetry series
-    are bit-identical (faults aside) to {!run_reference} — the
+    Stats, final states, flight logs and round counts are bit-identical
+    (faults aside) to {!run_reference} — the
     differential suite enforces this with faults and telemetry both on
     and off.  While {!use_reference_engine} is set, a run on a
     [Lossless] network goes to {!run_reference} instead.
@@ -401,7 +393,9 @@ val run_reference :
   ('s, 'm) flat_protocol ->
   's array * stats
 (** The original (seed) simulator loop, kept as the semantic anchor: steps
-    every node every round and ignores [fp_wake], delivers mail as
+    every node every round, done or not — so it agrees with {!run_flat}
+    exactly when the protocol keeps the no-op contract of "Sparse
+    scheduling" — delivers mail as
     per-node lists (each step reads its list through {!inbox_of_list}),
     and walks each step's sends in emit order after the step returns.
     Differential tests assert {!run_flat} matches it exactly; it is also

@@ -15,7 +15,7 @@
 
    - a {b metrics registry} ({!Dsf_util.Metrics}): deterministic counters
      and histograms of the engine's per-round series (active-set size,
-     delivered messages, bits per round, wake-hook hits).
+     delivered messages, bits per round).
 
    Attribution is to the {e innermost} open span ("self" numbers); the
    console sink rolls children up into their parents, so the tree reads
@@ -170,9 +170,8 @@ let span_opt tel name f =
 
 (* ------------------------------------------------- engine attribution *)
 
-let sim_round t ~stepped ~delivered ~bits ~wake_hits =
+let sim_round t ~stepped ~delivered ~bits =
   Metrics.incr t.metrics "sim/rounds" 1;
-  if wake_hits > 0 then Metrics.incr t.metrics "sim/wake_hits" wake_hits;
   Metrics.observe t.metrics "sim/stepped_per_round" stepped;
   Metrics.observe t.metrics "sim/delivered_per_round" delivered;
   Metrics.observe t.metrics "sim/bits_per_round" bits

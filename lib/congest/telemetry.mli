@@ -87,11 +87,10 @@ val charge : t -> int -> unit
 (** Credit charged rounds to the innermost open span's [ledger_charged]
     (what {!Sim.charge} calls beside {!Ledger.charge}). *)
 
-val sim_round :
-  t -> stepped:int -> delivered:int -> bits:int -> wake_hits:int -> unit
+val sim_round : t -> stepped:int -> delivered:int -> bits:int -> unit
 (** Engine hook, fired once per simulated round: nodes stepped (active-set
-    size), messages delivered, bits sent this round, wake-hook hits.
-    Feeds the [sim/*] histograms and counters. *)
+    size), messages delivered, bits sent this round.  Feeds the [sim/*]
+    histograms and the [sim/rounds] counter. *)
 
 val sim_run :
   t ->

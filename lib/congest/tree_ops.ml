@@ -42,7 +42,6 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
         end);
     fp_is_done = (fun st -> Queue.is_empty st.uq);
     fp_msg_bits = snd;
-    fp_wake = Some Sim.never;
   }
 
 let upcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
@@ -116,7 +115,6 @@ let upcast_dedup_flat ~per_key ~(tree : Bfs.tree) ~items ~key ~bits :
         end);
     fp_is_done = (fun st -> Queue.is_empty st.dq);
     fp_msg_bits = snd;
-    fp_wake = Some Sim.never;
   }
 
 let upcast_dedup ?(env = Sim.default_env) ?(per_key = 1) g ~(tree : Bfs.tree)
@@ -198,11 +196,10 @@ let upcast_sequential ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items
             List.iter (fun (_, it) -> emit ~dst:tree.parent.(v) it) due;
             { st with departures = later }
           end);
+      (* Scheduled departures keep the node not-done until they are sent, so
+         the node steps in every round it may send, clock-driven as it is. *)
       fp_is_done = (fun st -> st.departures = []);
       fp_msg_bits = bits;
-      (* Scheduled departures keep the node not-done until they are sent, so
-         progress-driven waking suffices even for this clock-driven variant. *)
-      fp_wake = Some Sim.never;
     }
   in
   let states, _ =
@@ -254,7 +251,6 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
         dq);
     fp_is_done = Queue.is_empty;
     fp_msg_bits = snd;
-    fp_wake = Some Sim.never;
   }
 
 let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
@@ -269,9 +265,8 @@ let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
    already counted (duplicate suppression), the running combination, and
    whether the report went up.  The completion test is
    [waiting = 0 && (sent || root)], so a leaf starts not-done, fires its
-   report on its round-0 step, and everything afterwards is mail-driven —
-   which lets the protocol declare [wake = Some Sim.never] and ride the
-   sparse active list. *)
+   report on its round-0 step, and everything afterwards is mail-driven,
+   so the active list stays at the report wavefront. *)
 type 'a agg_fstate = {
   mutable a_waiting : int;
   mutable a_heard : ISet.t;
@@ -315,7 +310,6 @@ let aggregate_flat ~(tree : Bfs.tree) ~value ~combine ~bits :
         st);
     fp_is_done = (fun st -> st.a_waiting = 0 && (st.a_sent || st.a_root));
     fp_msg_bits = bits;
-    fp_wake = Some Sim.never;
   }
 
 let aggregate ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~value ~combine

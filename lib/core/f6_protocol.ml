@@ -54,11 +54,10 @@ let mark_protocol g ~parent ~labels : (mark_state, int) Sim.flat_protocol =
               emit ~dst:parent.(v) c
             end;
             { st with pending = rest });
-    fp_is_done = (fun st -> st.pending = []);
-    fp_msg_bits = (fun _ -> Bitsize.id_bits ~n:(Graph.n g));
     (* A done node has nothing pending, so a step with no mail sends
        nothing and returns an equal state. *)
-    fp_wake = Some Sim.never;
+    fp_is_done = (fun st -> st.pending = []);
+    fp_msg_bits = (fun _ -> Bitsize.id_bits ~n:(Graph.n g));
   }
 
 (* -------------------------------------------------------- unmark phase *)
@@ -144,13 +143,12 @@ let unmark_protocol g ~parent ~labels ~mark_states :
         in
         List.iter (fun (child, c) -> emit ~dst:child c) outbox;
         st);
+    (* As in the mark phase: with every child queue empty and no mail,
+       a step sends nothing and changes nothing. *)
     fp_is_done =
       (fun st ->
         Hashtbl.fold (fun _ q acc -> acc && Queue.is_empty q) st.queues true);
     fp_msg_bits = (fun _ -> Bitsize.id_bits ~n:(Graph.n g));
-    (* As in the mark phase: with every child queue empty and no mail,
-       a step sends nothing and changes nothing. *)
-    fp_wake = Some Sim.never;
   }
 
 let run ?(env = Sim.default_env) g ~parent ~labels =

@@ -42,5 +42,4 @@ val unmark_protocol :
   mark_states:mark_state array ->
   (unmark_state, int) Dsf_congest.Sim.flat_protocol
 (** The unmark phase on the mark phase's final states, as {!run} runs
-    it second.  Both phases step only nodes with mail or work left
-    ([fp_wake = Some Sim.never]). *)
+    it second.  Both phases step only nodes with mail or work left. *)

@@ -68,11 +68,10 @@ let route_phase ?(env = Sim.default_env) g vt ~origins =
                 end
           in
           dispatch { st with unsent = st.unsent @ List.rev !fresh });
-      fp_is_done = (fun st -> st.unsent = []);
-      fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
       (* A node with nothing unsent and no mail returns its state as is
          and sends nothing, so only mail or a pending entry wakes it. *)
-      fp_wake = Some Sim.never;
+      fp_is_done = (fun st -> st.unsent = []);
+      fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
     }
   in
   (* The [known] tables are mutable, and a hardened run takes no recovery
@@ -120,10 +119,9 @@ let backtrace_phase ?(env = Sim.default_env) g ~tables ~bundles =
               end
           in
           dispatch { st with b_queue = st.b_queue @ List.rev !fresh });
+      (* As in [route_phase]: an empty queue and no mail is a no-op. *)
       fp_is_done = (fun st -> st.b_queue = []);
       fp_msg_bits = (fun _ -> 3 * Bitsize.id_bits ~n);
-      (* As in [route_phase]: an empty queue and no mail is a no-op. *)
-      fp_wake = Some Sim.never;
     }
   in
   (* The route tables are only read here (and rebuilt by [fp_init] on a

@@ -269,6 +269,8 @@ let label_flood_protocol g ~tree ~structure ~initial :
           | None -> ()
         end;
         st);
+    (* A done node has no fact its parent lacks (the root sends none),
+       so a step with no mail sends nothing and keeps the state. *)
     fp_is_done =
       (fun st ->
         st.is_root
@@ -277,9 +279,6 @@ let label_flood_protocol g ~tree ~structure ~initial :
                acc && Hashtbl.mem st.shadow.lc (c, lam))
              st.mine.lc true);
     fp_msg_bits = (fun _ -> 2 * Bitsize.id_bits ~n);
-    (* A done node has no fact its parent lacks (the root sends none),
-       so a step with no mail sends nothing and keeps the state. *)
-    fp_wake = Some Sim.never;
   }
 
 let label_flood ?(env = Sim.default_env) g ~tree ~structure ~initial =

@@ -80,7 +80,7 @@ val label_flood_protocol :
   initial:(int -> (int * int) list) ->
   (node_state, int * int) Dsf_congest.Sim.flat_protocol
 (** The flood {!label_flood} runs.  It steps only nodes with mail or a
-    fact left to send ([fp_wake = Some Sim.never]). *)
+    fact left to send. *)
 
 val label_flood :
   ?env:Dsf_congest.Sim.env ->

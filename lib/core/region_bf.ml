@@ -109,7 +109,6 @@ let run ?(env = Sim.default_env) g ~sources ~frozen =
           end);
       fp_is_done = (fun st -> not st.fdirty);
       fp_msg_bits = msg_bits;
-      fp_wake = Some Sim.never;
     }
   in
   Sim.span env "region_bf" @@ fun () ->

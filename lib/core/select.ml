@@ -8,8 +8,8 @@ module Uf = Dsf_util.Union_find
    forwards at most once, so it marks at most one edge), tokens are the
    bare int 0, and the parent edge resolves through the CSR.  A node with
    no mail that is not pending (or already forwarded) has nothing to do,
-   so the protocol declares [wake = Some Sim.never] and the sparse
-   scheduler tracks the token wavefront. *)
+   so it reports done and the engine's active list tracks the token
+   wavefront. *)
 let flat_protocol g ~parent ~seeds :
     (int, int) Sim.flat_protocol =
   let csr = Graph.csr g in
@@ -37,7 +37,6 @@ let flat_protocol g ~parent ~seeds :
         else st);
     fp_is_done = (fun st -> Pack.get f_pend st = 0 || Pack.get f_fwd st = 1);
     fp_msg_bits = (fun _ -> 1);
-    fp_wake = Some Sim.never;
   }
 
 let token_flood ?(env = Sim.default_env) g ~parent ~seeds =

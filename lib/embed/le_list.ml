@@ -157,14 +157,13 @@ let flat_protocol ~ranks : (node_state, msg) Sim.flat_protocol =
         done;
         st.behind <- !behind;
         st);
+    (* A done node's cursors all sit at the log's end, so a step with
+       no mail sends nothing and changes nothing. *)
     fp_is_done = (fun st -> st.behind = 0);
     fp_msg_bits =
       (fun (Announce a) ->
         Bitsize.id_bits ~n + Bitsize.int_bits (Int.max 1 a.dist)
         + Bitsize.id_bits ~n);
-    (* A done node's cursors all sit at the log's end, so a step with
-       no mail sends nothing and changes nothing. *)
-    fp_wake = Some Sim.never;
   }
 
 let build ?(env = Sim.default_env) rng g =

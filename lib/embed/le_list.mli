@@ -39,7 +39,7 @@ val flat_protocol :
     0..n-1), as {!build} runs it.  Each node keeps its accepted entries
     in one append-only log read by one cursor per neighbor, and is done
     once no cursor has a live entry left ahead of it; only nodes with
-    mail or a pending entry are stepped ([fp_wake = Some Sim.never]). *)
+    mail or a pending entry are stepped. *)
 
 val build : ?env:Dsf_congest.Sim.env -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t
 (** Draws ranks from the given RNG and runs the simulated construction

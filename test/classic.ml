@@ -32,7 +32,6 @@ type ('s, 'm) protocol = {
           returns the new state and the outbox of (neighbor, message). *)
   is_done : 's -> bool;
   msg_bits : 'm -> int;
-  wake : (Sim.view -> round:int -> 's -> bool) option;
 }
 
 let to_flat p =
@@ -49,7 +48,6 @@ let to_flat p =
         s');
     fp_is_done = p.is_done;
     fp_msg_bits = p.msg_bits;
-    fp_wake = p.wake;
   }
 
 let run ?max_rounds ?halt ?env g p =
@@ -104,11 +102,10 @@ module Bfs = struct
               in
               { st with announced = true }, outbox
           | _ -> st, []);
-      is_done = (fun st -> st.parent <> None && st.announced);
-      msg_bits = (fun (Join d) -> Dsf_util.Bitsize.int_bits (max d 1));
       (* Unreached nodes are not done; reached-and-announced nodes only
          react to mail. *)
-      wake = Some Sim.never;
+      is_done = (fun st -> st.parent <> None && st.announced);
+      msg_bits = (fun (Join d) -> Dsf_util.Bitsize.int_bits (max d 1));
     }
 
   let build ?(env = Sim.default_env) g ~root =
@@ -138,7 +135,6 @@ module Exchange = struct
               |> List.map (fun (nb, _, _) -> nb, ()) ));
       is_done = Fun.id;
       msg_bits = (fun () -> payload_bits);
-      wake = Some Sim.never;
     }
 
   let all_neighbors ?(env = Sim.default_env) g ~payload_bits =
@@ -177,7 +173,6 @@ module Tree_ops = struct
             end);
         is_done = (fun st -> st.pending = []);
         msg_bits = bits;
-        wake = Some Sim.never;
       }
     in
     let states, stats = sim_run ~env g proto in
@@ -231,7 +226,6 @@ module Tree_ops = struct
             end);
         is_done = (fun st -> st.d_pending = []);
         msg_bits = bits;
-        wake = Some Sim.never;
       }
     in
     let states, stats =
@@ -262,7 +256,6 @@ module Tree_ops = struct
                 rest, List.map (fun c -> c, item) tree.children.(view.Sim.node));
         is_done = (fun to_send -> to_send = []);
         msg_bits = bits;
-        wake = Some Sim.never;
       }
     in
     snd (sim_run ~env g proto)
@@ -272,6 +265,7 @@ module Tree_ops = struct
     heard : ISet.t;  (** children already counted (duplicate suppression) *)
     acc : 'a;
     sent : bool;
+    root : bool;
   }
 
   let aggregate ?(env = Sim.default_env) g ~(tree : Dsf_congest.Bfs.tree)
@@ -286,6 +280,7 @@ module Tree_ops = struct
               heard = ISet.empty;
               acc = value v;
               sent = false;
+              root = v = tree.root;
             });
         step =
           (fun view ~round:_ st ~inbox ->
@@ -307,13 +302,11 @@ module Tree_ops = struct
             if st.waiting = 0 && (not st.sent) && v <> tree.root then
               { st with sent = true }, [ tree.parent.(v), st.acc ]
             else st, []);
-        (* The send fires in the step that zeroes [waiting], so
-           [waiting = 0] alone is a sound completion test. *)
-        is_done = (fun st -> st.waiting = 0);
+        (* The send fires in the step that zeroes [waiting]; a leaf starts
+           with [waiting = 0] and fires its report in round 0, so it is not
+           done until it has sent. *)
+        is_done = (fun st -> st.waiting = 0 && (st.sent || st.root));
         msg_bits = bits;
-        (* Leaves start done but must still fire their report in round 0;
-           afterwards everything is mail-driven. *)
-        wake = Some (fun _ ~round _ -> round = 0);
       }
     in
     let states, stats = sim_run ~env g proto in
@@ -369,7 +362,6 @@ module Tree_ops = struct
             end);
         is_done = (fun st -> st.departures = []);
         msg_bits = bits;
-        wake = Some Sim.never;
       }
     in
     let recovery =
@@ -396,6 +388,7 @@ module Pipeline = struct
     uf : Uf.t;
     accepted : 'k item list;  (** root only; reversed *)
     sent_done : bool;
+    is_root : bool;
   }
 
   let item_cmp cmp i1 i2 =
@@ -436,6 +429,7 @@ module Pipeline = struct
               uf;
               accepted = [];
               sent_done = false;
+              is_root = v = tree.root;
             });
         step =
           (fun view ~round:_ st ~inbox ->
@@ -494,11 +488,10 @@ module Pipeline = struct
                     { st with sent_done = true }, [ tree.parent.(v), Done ]
                   else st, []
             end);
-        is_done = drained;
-        msg_bits = (function Item it -> bits it | Done -> 1);
         (* A drained node still owes its parent a [Done] one round after
-           its last item, which [is_done] does not capture. *)
-        wake = Some (fun _ ~round:_ st -> not st.sent_done);
+           its last item. *)
+        is_done = (fun st -> drained st && (st.sent_done || st.is_root));
+        msg_bits = (function Item it -> bits it | Done -> 1);
       }
     in
     let halt =
@@ -557,7 +550,6 @@ module Select = struct
             else { st with forwarded = st.forwarded || st.pending }, []);
         is_done = (fun st -> (not st.pending) || st.forwarded);
         msg_bits = (fun () -> 1);
-        wake = None;
       }
     in
     let states, stats = sim_run ~env g proto in
@@ -659,7 +651,6 @@ module Region_bf = struct
             Frac.bits r.dist
             + Dsf_util.Bitsize.id_bits ~n
             + Dsf_util.Bitsize.int_bits (max 1 r.hops));
-        wake = Some Sim.never;
       }
     in
     let states, stats = sim_run ~env g proto in
@@ -742,7 +733,6 @@ module Bellman_ford = struct
           Dsf_util.Bitsize.int_bits (Int.max 1 r.dist)
           + Dsf_util.Bitsize.id_bits ~n
           + Dsf_util.Bitsize.int_bits (Int.max 1 r.hops));
-      wake = Some Sim.never;
     }
 
   (* The library keeps a boxed port of this protocol as its fallback for
@@ -789,7 +779,6 @@ module Leader = struct
           else st, []);
       is_done = (fun st -> not st.dirty);
       msg_bits = (fun _ -> Dsf_util.Bitsize.id_bits ~n);
-      wake = Some Sim.never;
     }
 
   (* [Leader.elect]'s decode, without its agreement assertion. *)
@@ -834,7 +823,6 @@ module Component_ops = struct
             | _ -> { st with dirty = false }, []);
         is_done = (fun st -> not st.dirty);
         msg_bits = bits;
-        wake = Some Sim.never;
       }
     in
     let states, stats = sim_run ~env g proto in
@@ -933,7 +921,6 @@ module Coloring = struct
             else { st with finished = true }, []);
         is_done = (fun st -> st.finished);
         msg_bits = (fun _ -> Dsf_util.Bitsize.int_bits 8);
-        wake = None;
       }
     in
     let states, stats = sim_run ~env g proto in
@@ -1003,7 +990,6 @@ module Coloring = struct
             { st with m_done = round >= 7 }, accept_out @ propose_out);
         is_done = (fun st -> st.m_done);
         msg_bits = (fun _ -> 2);
-        wake = None;
       }
     in
     let recovery =
@@ -1131,7 +1117,6 @@ module Le_list = struct
             Dsf_util.Bitsize.id_bits ~n
             + Dsf_util.Bitsize.int_bits (Int.max 1 a.dist)
             + Dsf_util.Bitsize.id_bits ~n);
-        wake = None;
       }
     in
     let states, stats = sim_run_mutable ~env g proto in
@@ -1188,7 +1173,6 @@ module Level_routing = struct
             dispatch st);
         is_done = (fun st -> st.unsent = []);
         msg_bits = (fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n);
-        wake = Some Sim.never;
       }
     in
     sim_run_mutable ~env g proto
@@ -1222,7 +1206,6 @@ module Level_routing = struct
             dispatch st);
         is_done = (fun st -> st.b_queue = []);
         msg_bits = (fun _ -> 3 * Dsf_util.Bitsize.id_bits ~n);
-        wake = Some Sim.never;
       }
     in
     let recovery =
@@ -1292,7 +1275,6 @@ module F6 = struct
                 else { st with pending = rest }, []);
         is_done = (fun st -> st.pending = []);
         msg_bits = (fun _ -> Dsf_util.Bitsize.id_bits ~n:(Graph.n g));
-        wake = None;
       }
     in
     fst (sim_run_mutable ~env g proto)
@@ -1367,7 +1349,6 @@ module F6 = struct
           (fun st ->
             Hashtbl.fold (fun _ q acc -> acc && Queue.is_empty q) st.queues true);
         msg_bits = (fun _ -> Dsf_util.Bitsize.id_bits ~n:(Graph.n g));
-        wake = None;
       }
     in
     fst (sim_run_mutable ~env g proto)
@@ -1449,7 +1430,6 @@ module Pruning = struct
                    acc && Hashtbl.mem st.shadow.lc (c, lam))
                  st.mine.lc true);
         msg_bits = (fun _ -> 2 * Dsf_util.Bitsize.id_bits ~n);
-        wake = None;
       }
     in
     sim_run_mutable ~env g proto

@@ -25,10 +25,10 @@ type cell = { mutable x : int }
 
 let counter = ref 0
 
-(* Node 0 starts not-done and steps once; everyone else is born done and
-   never steps (wake is [never], so the sparse scheduler applies).  The
-   single step pushes node 0 to done without sending mail, so the
-   unsanitized run terminates after one round. *)
+(* Node 0 starts not-done and steps once; everyone else is born done and,
+   with no mail ever sent, is never stepped (a node steps iff it has mail
+   or is not done).  The single step pushes node 0 to done without
+   sending mail, so the unsanitized run terminates after one round. *)
 let racy_protocol ~n : (cell, int) Sim.flat_protocol =
   let cells = Array.init n (fun i -> { x = (if i = 0 then 0 else 1) }) in
   {
@@ -43,5 +43,4 @@ let racy_protocol ~n : (cell, int) Sim.flat_protocol =
         st);
     fp_is_done = (fun st -> st.x > 0);
     fp_msg_bits = (fun _ -> 1);
-    fp_wake = Some Sim.never;
   }

@@ -23,5 +23,4 @@ let chatty : (int, int) Sim.flat_protocol =
     fp_step = (fun _ ~round:_ st ~inbox:_ ~emit:_ -> st);
     fp_is_done = (fun _ -> true);
     fp_msg_bits = (fun _ -> 200);
-    fp_wake = None;
   }

@@ -30,7 +30,6 @@ let flood_protocol root : (flood_state, unit) Classic.protocol =
         else st, []);
     is_done = (fun st -> st.heard <> None && st.relayed);
     msg_bits = (fun () -> 1);
-    wake = Some Sim.never;
   }
 
 let test_sim_flood_rounds () =
@@ -55,9 +54,8 @@ let test_sim_rejects_non_neighbor () =
       step =
         (fun view ~round st ~inbox:_ ->
           if view.Sim.node = 0 && round = 0 then st, [ 2, () ] else st, []);
-      is_done = (fun () -> true);
+      is_done = (fun () -> false);
       msg_bits = (fun () -> 1);
-      wake = None;
     }
   in
   Alcotest.check_raises "non-neighbor send"
@@ -72,9 +70,8 @@ let test_sim_round_limit () =
       step =
         (fun view ~round:_ st ~inbox:_ ->
           st, Array.to_list view.Sim.nbrs |> List.map (fun (nb, _, _) -> nb, ()));
-      is_done = (fun () -> true);
+      is_done = (fun () -> false);
       msg_bits = (fun () -> 1);
-      wake = None;
     }
   in
   (match Classic.run ~max_rounds:10 g chatty with
@@ -96,7 +93,6 @@ let test_sim_bit_accounting () =
           if not sent then true, [ 1, () ] else true, []);
       is_done = Fun.id;
       msg_bits = (fun () -> 7);
-      wake = None;
     }
   in
   let _, stats = Classic.run g once in
@@ -128,7 +124,6 @@ let relay_protocol ~tokens ~gap : (int, int) Sim.flat_protocol =
         end);
     fp_is_done = (fun st -> st = 0);
     fp_msg_bits = (fun _ -> 8);
-    fp_wake = Some Sim.never;
   }
 
 let test_sim_steady_state_allocates_nothing () =

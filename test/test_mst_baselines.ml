@@ -246,7 +246,6 @@ let test_sim_halt_hook () =
             |> List.map (fun (nb, _, _) -> nb, ()) ));
       is_done = (fun _ -> false);
       msg_bits = (fun () -> 1);
-      wake = None;
     }
   in
   let states, stats =

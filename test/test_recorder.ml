@@ -148,9 +148,30 @@ let test_corrupt_rejected () =
   Recorder.round r 0;
   Recorder.append r b;
   let s = Recorder.to_string r in
-  match Recorder.parse (String.sub s 0 (String.length s - 1)) with
+  (match Recorder.parse (String.sub s 0 (String.length s - 1)) with
   | Ok _ -> Alcotest.fail "truncated log accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* Forged counts: each is larger than the bytes that follow, so it must
+     be rejected as corrupt before it sizes an allocation (2^55 is an
+     8-byte varint; 8 bytes of 0xff then 0x7f overflow into -1). *)
+  let magic = String.sub s 0 (String.index s '\n' + 1) in
+  let huge = "\x80\x80\x80\x80\x80\x80\x80\x40" in
+  let negative = String.make 8 '\xff' ^ "\x7f" in
+  List.iter
+    (fun (what, body) ->
+      match Recorder.parse (magic ^ body) with
+      | Ok _ -> Alcotest.failf "%s: forged count accepted" what
+      | Error e ->
+          Alcotest.(check bool)
+            (what ^ ": reported as corrupt") true
+            (String.starts_with ~prefix:"corrupt flightlog: " e))
+    [
+      "ints 2^55", "\x00\x00" ^ huge ^ "\x00";
+      "names 2^55", "\x00" ^ huge ^ "\x00";
+      "meta 2^55", huge ^ "\x00";
+      "string 2^55", "\x01" ^ huge ^ "k\x00";
+      "negative ints", "\x00\x00" ^ negative;
+    ]
 
 (* A read_file error names the path exactly once — the OS error for a
    missing file already carries it, a parse error does not. *)

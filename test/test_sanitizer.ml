@@ -53,7 +53,6 @@ let test_escaped_emit_trips () =
           st);
       fp_is_done = (fun _ -> false);
       fp_msg_bits = (fun _ -> 1);
-      fp_wake = None;
     }
   in
   let halt _ =

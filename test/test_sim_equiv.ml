@@ -2,7 +2,7 @@
    nodes, arena delivery) must be observationally identical to
    Sim.run_reference (the seed loop that steps every node every round) —
    same stats, same final states, same results — on randomized graphs and
-   the protocols that declare sparse wake-ups.  Every native flat port
+   protocols that keep the done-step no-op contract.  Every native flat port
    must also match its classic list protocol (the oracle in classic.ml),
    lossless, under injected faults, and hardened under chaos. *)
 
@@ -52,8 +52,8 @@ let random_graph seed =
 
 (* ------------------------------------------------------------- raw protos *)
 
-(* The unit-suite flood protocol, with a sparse wake: exercises run vs
-   run_reference directly (not through the engine shim). *)
+(* The unit-suite flood protocol, done once it has relayed: exercises run
+   vs run_reference directly (not through the engine shim). *)
 type flood_state = { heard : int option; relayed : bool }
 
 let flood_protocol root : (flood_state, unit) Classic.protocol =
@@ -75,7 +75,6 @@ let flood_protocol root : (flood_state, unit) Classic.protocol =
         else st, []);
     is_done = (fun st -> st.heard <> None && st.relayed);
     msg_bits = (fun () -> 1);
-    wake = Some Sim.never;
   }
 
 let prop_flood_equiv =
@@ -170,6 +169,28 @@ let prop_tree_ops_equiv =
       && broadcast_delivered ~tree ~items bl1
       && ag1 = ag2 && stats_eq at1 at2)
 
+(* Coloring's two phases act by the round number and report done only
+   after their last scheduled round, so the flat engine steps every node
+   the reference loop's steps change: colors, matching, stats and flight
+   log must all agree, on random graphs and on a path. *)
+let prop_coloring_equiv =
+  QCheck.Test.make
+    ~name:"run = run_reference (three-coloring / matching)" ~count:20
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let agree g =
+        let parent = (Bfs.build g ~root:(seed mod Graph.n g)).Bfs.parent in
+        let leg f () = Flight.record (fun env -> Sim.measure ~env f) in
+        let c1, c2 =
+          both (leg (fun env -> Coloring.three_color ~env g ~parent))
+        in
+        let m1, m2 =
+          both (leg (fun env -> Coloring.maximal_matching ~env g ~parent))
+        in
+        c1 = c2 && m1 = m2
+      in
+      agree (random_graph seed) && agree (Gen.path (2 + (seed mod 40))))
+
 let prop_bfs_leader_exchange_equiv =
   QCheck.Test.make
     ~name:"run = run_reference (BFS / leader / exchange)" ~count:20
@@ -259,9 +280,8 @@ let test_round_limit_equiv () =
             |> List.filter_map (fun (nb, _, _) ->
                    if (round + view.Sim.node + nb) mod 3 = 0 then None
                    else Some (nb, round + nb)) ));
-      is_done = (fun () -> true);
+      is_done = (fun () -> false);
       msg_bits = (fun m -> 1 + (m mod 5));
-      wake = None;
     }
   in
   let abort_of ?network run =
@@ -335,7 +355,6 @@ let test_halt_equiv () =
             Array.to_list view.Sim.nbrs |> List.map (fun (nb, _, _) -> nb, ()) ));
       is_done = (fun _ -> false);
       msg_bits = (fun () -> 1);
-      wake = None;
     }
   in
   let halt sts = sts.(0) >= 4 in
@@ -344,10 +363,10 @@ let test_halt_equiv () =
   Alcotest.(check bool) "stats equal" true (stats_eq t1 t2)
 
 let test_scheduler_skips_idle () =
-  (* A protocol that is done from the start and never sends: with a sparse
-     wake the production engine must not step anyone (states stay at init),
-     while the reference engine steps everyone once.  Stats agree anyway —
-     this is exactly the contract boundary the [wake] docs describe. *)
+  (* A protocol that is done from the start and never sends: the
+     production engine must not step anyone (states stay at init), while
+     the reference engine steps everyone once.  Stats agree anyway — this
+     is exactly the contract boundary the scheduling rule describes. *)
   let g = Gen.grid ~rows:3 ~cols:3 in
   let lazybones : (int, unit) Classic.protocol =
     {
@@ -355,7 +374,6 @@ let test_scheduler_skips_idle () =
       step = (fun _ ~round:_ c ~inbox:_ -> c + 1, []);
       is_done = (fun _ -> true);
       msg_bits = (fun () -> 1);
-      wake = Some Sim.never;
     }
   in
   let s_flat, t_flat = Classic.run g lazybones in
@@ -387,9 +405,8 @@ let test_send_error_both_engines () =
     {
       init = (fun _ -> ());
       step = (fun view ~round:_ () ~inbox:_ -> (), outbox view.Sim.node);
-      is_done = (fun () -> true);
+      is_done = (fun () -> false);
       msg_bits = (fun () -> 1);
-      wake = None;
     }
   in
   let native : (unit, unit) Sim.flat_protocol =
@@ -398,9 +415,8 @@ let test_send_error_both_engines () =
       fp_step =
         (fun view ~round:_ () ~inbox:_ ~emit ->
           List.iter (fun (dst, m) -> emit ~dst m) (outbox view.Sim.node));
-      fp_is_done = (fun () -> true);
+      fp_is_done = (fun () -> false);
       fp_msg_bits = (fun () -> 1);
-      fp_wake = None;
     }
   in
   let raises name run =
@@ -443,7 +459,6 @@ let flood_flat root : (flood_state, unit) Sim.flat_protocol =
         else st);
     fp_is_done = p.is_done;
     fp_msg_bits = p.msg_bits;
-    fp_wake = p.wake;
   }
 
 let prop_flat_equiv_faults_telemetry =
@@ -521,7 +536,6 @@ let dense_flat ~ttl : (dense_state, int) Sim.flat_protocol =
         { started = true; digest = !digest });
     fp_is_done = (fun st -> st.started);
     fp_msg_bits = (fun h -> Dsf_util.Bitsize.int_bits (max 1 h));
-    fp_wake = Some Sim.never;
   }
 
 let prop_flat_dense_rounds =
@@ -963,9 +977,9 @@ let prop_flat_native_label_flood =
           in
           decode states, stats))
 
-(* The sparse-wake contract of sim.mli, checked on the step itself: a
-   protocol that declares [fp_wake = Some Sim.never] promises that a done
-   node stepped with an empty inbox emits nothing and keeps its state.
+(* The no-op contract of sim.mli's scheduling rule, checked on the step
+   itself: every protocol promises that a done node stepped with an empty
+   inbox emits nothing and keeps its state.
    After a lossless run every final state is done; re-step each one with
    an empty inbox and compare the state's structural hash (the
    sanitizer's) before and after.  Hands back the final states. *)
@@ -982,8 +996,7 @@ let wake_contract g (p : ('s, 'm) Sim.flat_protocol) =
     in
     p.fp_is_done st && !sent = 0 && hash st' = before
   in
-  let sparse = match p.fp_wake with Some f -> f == Sim.never | None -> false in
-  sparse && Array.for_all Fun.id (Array.mapi holds states), states
+  Array.for_all Fun.id (Array.mapi holds states), states
 
 let prop_wake_contract_le_list =
   QCheck.Test.make ~name:"LE lists keep the sparse-wake contract" ~count:15
@@ -1209,6 +1222,7 @@ let suites =
         qtest prop_bellman_ford_equiv;
         qtest prop_pipeline_equiv;
         qtest prop_tree_ops_equiv;
+        qtest prop_coloring_equiv;
         qtest prop_bfs_leader_exchange_equiv;
         qtest prop_telemetry_transparent;
         qtest prop_empty_plan_identity;

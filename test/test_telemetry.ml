@@ -27,12 +27,12 @@ let const_clock () = 0L
 let synthetic () =
   let tel = Telemetry.create ~clock:(counter_clock ()) () in
   Telemetry.span tel "alpha" (fun () ->
-      Telemetry.sim_round tel ~stepped:3 ~delivered:2 ~bits:10 ~wake_hits:1;
+      Telemetry.sim_round tel ~stepped:3 ~delivered:2 ~bits:10;
       Telemetry.sim_run tel ~rounds:4 ~messages:9 ~bits:40
         ~max_edge_round_bits:6 ~budget_violations:0 ~dropped:0 ~duplicated:0
         ~retransmissions:0;
       Telemetry.span tel "beta" (fun () ->
-          Telemetry.sim_round tel ~stepped:1 ~delivered:1 ~bits:4 ~wake_hits:0;
+          Telemetry.sim_round tel ~stepped:1 ~delivered:1 ~bits:4;
           Telemetry.sim_run tel ~rounds:2 ~messages:3 ~bits:12
             ~max_edge_round_bits:4 ~budget_violations:1 ~dropped:2
             ~duplicated:1 ~retransmissions:5));
@@ -59,8 +59,7 @@ metrics:
   sim/delivered_per_round          count=2 sum=3 min=1 max=2 [1]:1 [2..3]:1
   sim/rounds                       2
   sim/runs                         2
-  sim/stepped_per_round            count=2 sum=4 min=1 max=3 [1]:1 [2..3]:1
-  sim/wake_hits                    1|golden}
+  sim/stepped_per_round            count=2 sum=4 min=1 max=3 [1]:1 [2..3]:1|golden}
 
 let golden_jsonl =
   {golden|{"type": "meta", "schema": "dsf-telemetry/1", "events": 3}
@@ -74,7 +73,6 @@ let golden_jsonl =
 {"type": "counter", "name": "sim/rounds", "value": 2}
 {"type": "counter", "name": "sim/runs", "value": 2}
 {"type": "histogram", "name": "sim/stepped_per_round", "count": 2, "sum": 4, "min": 1, "max": 3, "buckets": [[1, 1], [2, 1]]}
-{"type": "counter", "name": "sim/wake_hits", "value": 1}
 |golden}
 
 let golden_chrome =
