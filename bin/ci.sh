@@ -425,6 +425,28 @@ sanitize_leg solve_chaos96 --algo det --chaos 5 --jobs 1 --topology random \
   --nodes 96 --terminals 12 --components 4 --seed 7
 echo "ci: sanitized flat e2e smoke ok (det path n=1024, rand + sublinear n=128, hardened det n=96, bit-identical)"
 
+# No solve busy-waits: with the sanitizer armed, a lossless run counts
+# each idle step (a not-done node stepped with an empty inbox that emits
+# nothing and keeps its state; sim.mli, "Sparse scheduling") into
+# sim/idle_steps, so no traced solve of any algorithm, nor a requests
+# solve, may print that counter.
+idle_leg() {
+  name="$1"; shift
+  with_timeout 120 env DSF_SANITIZE=1 dune exec bin/dsf_cli.exe -- solve \
+    "$@" --trace - --trace-format console > "$scratch/idle_$name.trace"
+  if grep -q "sim/idle_steps" "$scratch/idle_$name.trace"; then
+    echo "ci: a sanitized $name solve has idle steps:" >&2
+    grep "sim/idle_steps" "$scratch/idle_$name.trace" >&2
+    exit 1
+  fi
+}
+for algo in det sublinear rand khan; do
+  idle_leg "$algo" --algo "$algo" --topology random --nodes 128 \
+    --terminals 16 --components 4 --seed 5
+done
+idle_leg det_cr --algo det --file test/fixtures/det_small_cr.dsf
+echo "ci: no idle steps (det, sublinear, rand, khan n=128; det on requests)"
+
 with_timeout 600 dune exec bench/main.exe -- smoke --jobs 1 --out "$scratch/bench_j1.json"
 with_timeout 600 dune exec bench/main.exe -- smoke --jobs 2 --out "$scratch/bench_j2.json"
 

@@ -576,6 +576,10 @@ let flat_engine ?max_rounds ?halt ~env g fp =
      crash-restart).  Both are private to the sanitizer. *)
   let snap = if sanitize then Array.map state_hash states else [||] in
   let written = if sanitize then Array.make n (-1) else [||] in
+  (* [quiet.(v)]: v's last lossless step had an empty inbox and emitted
+     nothing; if it also left the state's hash unchanged, it was an idle
+     step of a not-done node, counted into [sim/idle_steps]. *)
+  let quiet = if sanitize then Array.make n false else [||] in
   let was_down = if Option.is_some faults then Array.make n false else [||] in
   (* The active list [act.(0 .. n_act - 1)], ascending: the nodes that
      step this round.  It is exactly the up nodes with mail or not done
@@ -651,18 +655,20 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   in
   let step_node v =
     let ib = inboxes.(v) in
+    let mail = ib.mlen and sent0 = !messages in
     incr stepped;
-    delivered := !delivered + ib.mlen;
+    delivered := !delivered + mail;
     (* Mail-consuming steps only: the same sanctioned-write site the
        node-locality sanitizer stamps, and the one step event every engine
        agrees on (the reference loop also steps idle done nodes). *)
-    if rec_on && ib.mlen > 0 then Recorder.ev_step !rb v;
+    if rec_on && mail > 0 then Recorder.ev_step !rb v;
     cur_src := v;
     let st' = fp.fp_step views.(v) ~round:!round states.(v) ~inbox:ib ~emit in
     ib.mlen <- 0;
     states.(v) <- st';
     if sanitize then begin
       written.(v) <- !round;
+      quiet.(v) <- mail = 0 && !messages = sent0 && Option.is_none faults;
       (* Arm the emit-outside-step check until the next step begins. *)
       cur_src := -1
     end;
@@ -749,8 +755,13 @@ let flat_engine ?max_rounds ?halt ~env g fp =
        was consumed by a step this round (crashed nodes have their mail
        dropped above). *)
     if sanitize then begin
+      let idle = ref 0 in
       for v = 0 to n - 1 do
-        if written.(v) = !round then snap.(v) <- state_hash states.(v)
+        if written.(v) = !round then begin
+          let h = state_hash states.(v) in
+          if quiet.(v) && h = snap.(v) then incr idle;
+          snap.(v) <- h
+        end
         else begin
           let h = state_hash states.(v) in
           if h <> snap.(v) then
@@ -763,6 +774,10 @@ let flat_engine ?max_rounds ?halt ~env g fp =
                    v snap.(v) h)
         end
       done;
+      (match telemetry with
+      | Some t when !idle > 0 ->
+          Dsf_util.Metrics.incr (Telemetry.metrics t) "sim/idle_steps" !idle
+      | _ -> ());
       for v = 0 to n - 1 do
         if inboxes.(v).mlen > 0 then
           violation ~kind:"undelivered-inbox" ~node:v

@@ -264,7 +264,8 @@ let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
 (* Node state for {!aggregate}: children not yet heard from, the children
    already counted (duplicate suppression), the running combination, and
    whether the report went up.  The completion test is
-   [waiting = 0 && (sent || root)], so a leaf starts not-done, fires its
+   [waiting > 0 || sent || root]: a node waiting on a child sleeps until
+   the child's report arrives, a leaf starts not-done and fires its
    report on its round-0 step, and everything afterwards is mail-driven,
    so the active list stays at the report wavefront. *)
 type 'a agg_fstate = {
@@ -308,7 +309,7 @@ let aggregate_flat ~(tree : Bfs.tree) ~value ~combine ~bits :
           emit ~dst:tree.parent.(v) st.a_acc
         end;
         st);
-    fp_is_done = (fun st -> st.a_waiting = 0 && (st.a_sent || st.a_root));
+    fp_is_done = (fun st -> st.a_waiting > 0 || st.a_sent || st.a_root);
     fp_msg_bits = bits;
   }
 

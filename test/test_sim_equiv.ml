@@ -1058,6 +1058,146 @@ let prop_wake_contract_f6 =
            (wake_contract g
               (F6.unmark_protocol g ~parent ~labels ~mark_states)))
 
+(* The converse of the no-op contract (sim.mli, "Sparse scheduling"): a
+   not-done node stepped with an empty inbox does work.  With the
+   sanitizer armed, a lossless run adds each step that breaks it (empty
+   inbox, nothing emitted, state hash unchanged) to [sim/idle_steps].
+   Three protocols act by the clock instead, and are the stated
+   exceptions: Coloring's fixed-schedule stages and
+   Tree_ops.upcast_sequential's departure schedule (the ablation
+   baseline), both counted below, which also shows the counter is live;
+   and Fault.harden's wrapper, whose timers march every round and whose
+   runs are never lossless, so nothing of theirs is counted. *)
+let idle_steps run =
+  let t = Telemetry.create () in
+  run { Sim.default_env with telemetry = Some t; sanitize = true };
+  Dsf_util.Metrics.counter_value (Telemetry.metrics t) "sim/idle_steps"
+
+let prop_no_idle_steps =
+  QCheck.Test.make ~name:"no lib protocol busy-waits (sim/idle_steps = 0)"
+    ~count:15
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module P = Dsf_core.Pruning in
+      let module LR = Dsf_core.Level_routing in
+      let g = random_graph seed in
+      let n = Graph.n g in
+      let r = rng (seed + 43) in
+      let root = seed mod n in
+      let tree = Bfs.build g ~root in
+      let parent = tree.Bfs.parent in
+      let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
+      let some = Array.init n (fun _ -> Dsf_util.Rng.int r 3 = 0) in
+      let mask = Array.init (Graph.m g) (fun _ -> Dsf_util.Rng.int r 3 > 0) in
+      let sources = [ root, 0; Dsf_util.Rng.int r n, 3 ] in
+      let values v = if some.(v) then Some (v mod 7) else None in
+      let labels v = if some.(v) then [ v mod 3 ] else [] in
+      let pipeline_items v =
+        if some.(v) then [ { Pipeline.key = v; a = v mod 4; b = (v + 1) mod 4 } ]
+        else []
+      in
+      let structure =
+        let fc_adj = Hashtbl.create 2 in
+        Hashtbl.replace fc_adj 0 [ 1, 0 ];
+        Hashtbl.replace fc_adj 1 [ 0, 0 ];
+        { P.fc_adj; n_fc = 1 }
+      in
+      let vt =
+        Dsf_embed.Virtual_tree.build (rng seed)
+          ~wd_bound:(Paths.diameter_weighted g) g
+      in
+      let origins v =
+        if some.(v) then [ v mod 4, vt.ancestors.(v).(vt.levels) ] else []
+      in
+      let rstates = LR.route_phase g vt ~origins in
+      let runs =
+        [
+          ("bfs", fun env -> ignore (Bfs.build ~env g ~root));
+          ("exchange", fun env -> Exchange.all_neighbors ~env g ~payload_bits:9);
+          ("bellman_ford", fun env -> ignore (Bellman_ford.run ~env g ~sources));
+          ( "bellman_ford boxed",
+            fun env ->
+              ignore
+                (Fault.sim_run ~env ~recovery:(Fault.immutable ()) g
+                   (Bellman_ford.protocol g ~sources)) );
+          ("upcast", fun env -> ignore (Tree_ops.upcast ~env g ~tree ~items:labels ~bits));
+          ( "upcast_dedup",
+            fun env ->
+              ignore
+                (Tree_ops.upcast_dedup ~env ~per_key:2 g ~tree ~items:labels
+                   ~key:Fun.id ~bits) );
+          ( "broadcast",
+            fun env -> Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ] ~bits );
+          ( "aggregate",
+            fun env ->
+              ignore
+                (Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + ) ~bits) );
+          ( "filtered_upcast",
+            fun env ->
+              ignore
+                (Pipeline.filtered_upcast ~env g ~tree ~vn:4 ~pre:[]
+                   ~items:pipeline_items ~cmp:compare ~bits:(fun _ -> 8)) );
+          ( "gossip_extremum",
+            fun env ->
+              ignore
+                (Component_ops.gossip_extremum ~env g ~mask ~values
+                   ~better:( < ) ~bits) );
+          ("leader", fun env -> ignore (Leader.elect ~env g));
+          ("le_list", fun env -> ignore (Dsf_embed.Le_list.build ~env (rng seed) g));
+          ( "token_flood",
+            fun env ->
+              ignore (Dsf_core.Select.token_flood ~env g ~parent ~seeds:some) );
+          ( "f6 mark/unmark",
+            fun env -> ignore (Dsf_core.F6_protocol.run ~env g ~parent ~labels) );
+          ( "region_bf",
+            fun env ->
+              let frac_sources =
+                List.mapi (fun i (v, d) -> v, Dsf_core.Frac.of_int d, i) sources
+              in
+              ignore
+                (Dsf_core.Region_bf.run ~env g ~sources:frac_sources
+                   ~frozen:(Array.make n false)) );
+          ( "level routing",
+            fun env -> ignore (LR.route_phase ~env g vt ~origins) );
+          ( "backtrace",
+            fun env ->
+              ignore
+                (LR.backtrace_phase ~env g
+                   ~tables:(fun v -> rstates.(v).LR.known)
+                   ~bundles:(fun v ->
+                     List.map
+                       (fun l -> { LR.route = l, v; payload = l })
+                       rstates.(v).LR.lhat)) );
+          ( "label flood",
+            fun env ->
+              ignore
+                (P.label_flood ~env g ~tree ~structure ~initial:(fun v ->
+                     if some.(v) then [ v mod 2, v mod 3 ] else [])) );
+        ]
+      in
+      List.for_all
+        (fun (name, run) ->
+          match idle_steps run with
+          | 0 -> true
+          | k -> QCheck.Test.fail_reportf "%s: %d idle steps" name k)
+        runs)
+
+let test_clock_driven_idle_steps () =
+  (* The clock-driven exceptions keep their nodes not-done until their
+     last scheduled round, so their idle steps show. *)
+  let g = Gen.path 12 in
+  let tree = Bfs.build g ~root:0 in
+  let parent = tree.Bfs.parent in
+  let items v = if v mod 4 = 3 then [ v ] else [] in
+  Alcotest.(check bool)
+    "three_color has idle steps" true
+    (idle_steps (fun env -> ignore (Coloring.three_color ~env g ~parent)) > 0);
+  Alcotest.(check bool)
+    "upcast_sequential has idle steps" true
+    (idle_steps (fun env ->
+         ignore (Tree_ops.upcast_sequential ~env g ~tree ~items ~bits:Fun.id))
+    > 0)
+
 let prop_flat_native_coloring =
   QCheck.Test.make
     ~name:"three-coloring + matching native flat = classic (faults)"
@@ -1242,6 +1382,9 @@ let suites =
         qtest prop_wake_contract_le_list;
         qtest prop_wake_contract_label_flood;
         qtest prop_wake_contract_f6;
+        qtest prop_no_idle_steps;
+        Alcotest.test_case "clock-driven protocols' idle steps" `Quick
+          test_clock_driven_idle_steps;
         qtest prop_flat_native_coloring;
         qtest prop_flat_native_gossip_leader;
         qtest prop_flat_native_upcast_sequential;
