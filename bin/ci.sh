@@ -172,6 +172,31 @@ grep -q " D=5 WD=40 s=8 " "$scratch/params.out" || {
   cat "$scratch/params.out" >&2; exit 1; }
 echo "ci: no algorithm sweeps (det, sublinear, rand, khan, moat traced); params --file ok"
 
+# One BFS tree per algorithm run: each run builds it as its first
+# simulated step and hands it to every stage, so the traced det_small
+# solves above have exactly one bfs span each, and a det solve of the
+# requests file two: Transform.cr_to_ic's, run before the algorithm, and
+# the run's.
+bfs_spans() {
+  awk '$1 == "bfs" { sub("count=", "", $2); n += $2 } END { print n + 0 }' "$1"
+}
+for algo in det sublinear rand khan; do
+  spans=$(bfs_spans "$scratch/sweep_$algo.trace")
+  if [ "$spans" -ne 1 ]; then
+    echo "ci: a traced $algo solve of det_small.dsf has $spans bfs spans, want 1" >&2
+    exit 1
+  fi
+done
+with_timeout 120 dune exec bin/dsf_cli.exe -- solve --algo det \
+  --file test/fixtures/det_small_cr.dsf --trace - --trace-format console \
+  > "$scratch/bfs_cr.trace"
+spans=$(bfs_spans "$scratch/bfs_cr.trace")
+if [ "$spans" -ne 2 ]; then
+  echo "ci: a traced det solve of det_small_cr.dsf has $spans bfs spans, want 2" >&2
+  exit 1
+fi
+echo "ci: one BFS tree per run (det_small: det, sublinear, rand, khan 1 bfs span; det_small_cr: det 2)"
+
 # Malformed-input smoke: a bad integer, a self-loop, a disconnected graph,
 # a negative n followed by a second n line, a node labelled twice, a total
 # edge weight over the 2^50 input bound, an n over the 2^24 node bound
@@ -229,29 +254,23 @@ printf 'dsf-flightlog/1\n\000\000\200\200\200\200\200\200\200\100\000' \
 expect_input_error "$scratch/bad_count.flightlog: corrupt flightlog" inspect \
   "$scratch/bad_count.flightlog"
 # A directory where a file is read (verify --solution, solve --file) or
-# written (--dot, --record, --trace): exit 2 with PATH: reason on stderr.
-# The output cases print the solve before they write, so only the input
-# cases require an empty stdout.
+# written (--dot, --record, --trace) exits 2 with "PATH: is a directory"
+# on stderr.  Outputs are checked before the solve, so every case prints
+# nothing on stdout; so does an output in a missing directory.
 mkdir -p "$scratch/a_dir"
-expect_input_error "$scratch/a_dir: " verify --file "$scratch/ok.dsf" \
-  --solution "$scratch/a_dir"
-expect_input_error "$scratch/a_dir: " solve --file "$scratch/a_dir"
-expect_output_error() {
-  status=0
-  with_timeout 60 dune exec bin/dsf_cli.exe -- "$@" \
-    > "$scratch/bad.out" 2> "$scratch/bad.err" || status=$?
-  if [ "$status" -ne 2 ] || ! grep -qF "$scratch/a_dir: " "$scratch/bad.err" \
-     || grep -q "uncaught exception" "$scratch/bad.err"; then
-    echo "ci: dsf_cli $*: want exit 2 and '$scratch/a_dir: ', got exit $status:" >&2
-    cat "$scratch/bad.err" >&2
-    exit 1
-  fi
-}
+expect_input_error "$scratch/a_dir: is a directory" verify \
+  --file "$scratch/ok.dsf" --solution "$scratch/a_dir"
+expect_input_error "$scratch/a_dir: is a directory" solve \
+  --file "$scratch/a_dir"
 for flag in --dot --record --trace; do
-  expect_output_error solve --file "$scratch/ok.dsf" "$flag" "$scratch/a_dir"
+  expect_input_error "$scratch/a_dir: is a directory" solve \
+    --file "$scratch/ok.dsf" "$flag" "$scratch/a_dir"
 done
-expect_output_error compare --file "$scratch/ok.dsf" --trace "$scratch/a_dir"
-echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, n bound, edge arity, params --file, bad solution line, forged flightlog count, directory paths)"
+expect_input_error "$scratch/a_dir: is a directory" compare \
+  --file "$scratch/ok.dsf" --trace "$scratch/a_dir"
+expect_input_error "/nonexistent/dir/x.log: " solve --file "$scratch/ok.dsf" \
+  --record /nonexistent/dir/x.log
+echo "ci: malformed-input smoke ok (bad integer, self-loop, disconnected, second n, label twice, weight bound, n bound, edge arity, params --file, bad solution line, forged flightlog count, directory paths, output in a missing directory)"
 
 # Bad generator, solver and query flags: each case (flag, then the dsf_cli
 # arguments) must fail before anything is generated or solved — exit 2,

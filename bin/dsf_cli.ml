@@ -39,6 +39,20 @@ let with_file path f =
            (String.length msg - String.length prefix)
        else msg)
 
+(* A directory where a file is read or written fails late and obscurely
+   (reading one fails with EOVERFLOW from [in_channel_length]): name it. *)
+let check_not_directory path =
+  if Sys.file_exists path && Sys.is_directory path then
+    input_error path "is a directory"
+
+(* Outputs written after the solve (--dot, --record, --trace) are opened
+   before it, creating a missing file but leaving an existing one's bytes
+   until the real write, so a bad path fails before the solve runs. *)
+let check_output path =
+  check_not_directory path;
+  with_file path (fun () ->
+      close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 path))
+
 (* A flag whose value names one of [choices]. *)
 let check_choice flag ~what choices v =
   if not (List.mem v choices) then
@@ -110,6 +124,7 @@ let graph_of = function
 (* Parse an instance file and reject disconnected networks up front: every
    algorithm (and the D/WD/s sweep) assumes one connected CONGEST network. *)
 let read_instance_file path =
+  check_not_directory path;
   let parsed =
     try with_file path (fun () -> Dsf_graph.Io.parse_file path)
     with Dsf_graph.Io.Parse_error (line, msg) -> input_error path ~line msg
@@ -178,6 +193,12 @@ let trace_sink ?recorder trace trace_format =
       | Error msg -> flag_error "--trace-format" "%s" msg
     end
 
+(* The trace file, checked before the solve like every output; "-" is
+   stdout. *)
+let check_trace_output = function
+  | Some (_, _, path) when path <> "-" -> check_output path
+  | _ -> ()
+
 let telemetry_of_sink = function
   | None -> None
   | Some (tel, _, _) -> Some tel
@@ -215,6 +236,9 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   in
   let rng = Dsf_util.Rng.create seed in
   let input = load_or_generate file topology rng n t k max_w in
+  Option.iter check_output dot_out;
+  Option.iter check_output record;
+  check_trace_output sink;
   let inst = labelled input in
   let algorithm =
     match algo with
@@ -305,6 +329,7 @@ let compare_cmd topology n t k max_w seed file jobs trace trace_format =
   let telemetry = telemetry_of_sink sink in
   let rng = Dsf_util.Rng.create seed in
   let input = load_or_generate file topology rng n t k max_w in
+  check_trace_output sink;
   print_instance (labelled input);
   Format.printf "%-34s %8s %10s %10s %10s@." "algorithm" "weight" "sim" "charged"
     "feasible";
@@ -326,6 +351,7 @@ let verify_cmd inst_file sol_file dual =
       input_error inst_file "verify expects a DSF-IC (label) file, not requests"
   | Dsf_graph.Io.Ic inst -> begin
       let g = inst.Instance.graph in
+      check_not_directory sol_file;
       let text =
         with_file sol_file (fun () ->
             let ic = open_in sol_file in

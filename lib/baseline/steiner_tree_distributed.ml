@@ -82,7 +82,7 @@ let run g ~terminals =
       List.iter (fun v -> labels.(v) <- 0) terms;
       let inst = Instance.make_ic g labels in
       let solution =
-        (Dsf_core.Pruning.run ~env inst ~f:solution
+        (Dsf_core.Pruning.run ~env inst ~tree ~f:solution
            ~sigma:(Dsf_util.Intmath.isqrt n + 1))
           .Dsf_core.Pruning.pruned
       in

@@ -1,36 +1,29 @@
 module Graph = Dsf_graph.Graph
 module Bitsize = Dsf_util.Bitsize
 
-let count_nodes ?(env = Sim.default_env) g =
-  let root = Bfs.max_id_root g in
-  let tree = Bfs.build ~env g ~root in
-  Tree_ops.count_nodes ~env g ~tree
-
-let diameter_upper_bound ?(env = Sim.default_env) g =
-  let root = Bfs.max_id_root g in
-  let tree = Bfs.build ~env g ~root in
-  2 * tree.Bfs.height
-
 let isqrt = Dsf_util.Intmath.isqrt
 
 type estimate = {
   n : int;
-  tree : Bfs.tree;
   s : int option;
   wd_bound : int;
 }
 
 let value_bits x = Bitsize.int_bits (Int.max 1 x)
 
-let estimate ?(env = Sim.default_env) ?cap g =
-  let root = Bfs.max_id_root g in
-  let tree = Bfs.build ~env g ~root in
-  let n = Tree_ops.count_nodes ~env g ~tree in
+let estimate ?(env = Sim.default_env) ?cap g ~(tree : Bfs.tree) =
+  (* n by convergecast. *)
+  let n =
+    Tree_ops.aggregate ~env g ~tree ~value:(fun _ -> 1) ~combine:( + )
+      ~bits:value_bits
+  in
   let cap = Option.value cap ~default:(isqrt n) in
   (* Stabilization is detected O(D) after it happens; quiescence already
      includes that tail, so the run's own rounds are the estimate. *)
   let bf =
-    match Bellman_ford.run ~max_rounds:(cap + 1) ~env g ~sources:[ root, 0 ] with
+    match
+      Bellman_ford.run ~max_rounds:(cap + 1) ~env g ~sources:[ tree.root, 0 ]
+    with
     | res -> Some res
     | exception Sim.Round_limit _ -> None
   in
@@ -50,7 +43,7 @@ let estimate ?(env = Sim.default_env) ?cap g =
               Array.fold_left (fun acc (_, w, _) -> Int.max acc w) 0 (Graph.adj g v))
   in
   Tree_ops.broadcast ~env g ~tree ~items:[ wd_bound ] ~bits:value_bits;
-  { n; tree; s = Option.map (fun r -> r.Bellman_ford.rounds) bf; wd_bound }
+  { n; s = Option.map (fun r -> r.Bellman_ford.rounds) bf; wd_bound }
 
-let regime ?(env = Sim.default_env) g =
-  Sim.span env "regime_test" @@ fun () -> estimate ~env g
+let regime ?(env = Sim.default_env) g ~tree =
+  Sim.span env "regime_test" @@ fun () -> estimate ~env g ~tree

@@ -576,9 +576,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
      crash-restart).  Both are private to the sanitizer. *)
   let snap = if sanitize then Array.map state_hash states else [||] in
   let written = if sanitize then Array.make n (-1) else [||] in
-  (* [quiet.(v)]: v's last lossless step had an empty inbox and emitted
-     nothing; if it also left the state's hash unchanged, it was an idle
-     step of a not-done node, counted into [sim/idle_steps]. *)
+  (* [quiet.(v)]: v's last lossless step read no mail and sent nothing. *)
   let quiet = if sanitize then Array.make n false else [||] in
   let was_down = if Option.is_some faults then Array.make n false else [||] in
   (* The active list [act.(0 .. n_act - 1)], ascending: the nodes that
@@ -755,11 +753,15 @@ let flat_engine ?max_rounds ?halt ~env g fp =
        was consumed by a step this round (crashed nodes have their mail
        dropped above). *)
     if sanitize then begin
-      let idle = ref 0 in
       for v = 0 to n - 1 do
         if written.(v) = !round then begin
           let h = state_hash states.(v) in
-          if quiet.(v) && h = snap.(v) then incr idle;
+          (* An idle step: quiet, and the state did not change. *)
+          if quiet.(v) && h = snap.(v) then
+            Option.iter
+              (fun t ->
+                Dsf_util.Metrics.incr (Telemetry.metrics t) "sim/idle_steps" 1)
+              telemetry;
           snap.(v) <- h
         end
         else begin
@@ -774,10 +776,6 @@ let flat_engine ?max_rounds ?halt ~env g fp =
                    v snap.(v) h)
         end
       done;
-      (match telemetry with
-      | Some t when !idle > 0 ->
-          Dsf_util.Metrics.incr (Telemetry.metrics t) "sim/idle_steps" !idle
-      | _ -> ());
       for v = 0 to n - 1 do
         if inboxes.(v).mlen > 0 then
           violation ~kind:"undelivered-inbox" ~node:v

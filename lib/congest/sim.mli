@@ -47,13 +47,10 @@
     stages report done only after their last round, and
     {!Fault.sim_run}'s hardening wrapper, whose retransmit timers and Fin
     markers march every physical round, is never done (its run ends by
-    the wrapper's quiescence halt).  Those two, and the departure
-    schedule of {!Tree_ops.upcast_sequential} (the non-pipelined
-    ablation baseline), are the only exceptions to the converse promise: a not-done node stepped with an empty inbox
-    does work — it emits or changes its state — so a node waiting on its
-    mail reports done until the mail arrives.  The sanitizer counts the
-    lossless steps that break this into the [sim/idle_steps] telemetry
-    counter, and [test_sim_equiv] requires it to stay 0.
+    the wrapper's quiescence halt).  Bar those two and
+    {!Tree_ops.upcast_sequential}'s departure schedule, the converse
+    holds too: a not-done node stepped with an empty inbox emits or
+    changes its state, so a node waiting on mail reports done.
 
     [fp_is_done] must be a pure function of the state: it is re-evaluated
     only when a step (or a crash-restart) changes the state.
@@ -385,9 +382,9 @@ val run_flat :
     [env.sanitize] arms the dynamic node-locality sanitizer: node-state
     writes are stamped with their round, and any write to a node that
     was not stepped, escaped emit closure, or leaked arena slot aborts
-    the run with {!Sanitizer_violation} (kinds above).  On a [Lossless]
-    network it also adds each idle step (see "Sparse scheduling") to the
-    [sim/idle_steps] counter of [env.telemetry].  Every
+    the run with {!Sanitizer_violation} (kinds above).  A [Lossless] run
+    also counts steps that break the converse promise of "Sparse
+    scheduling" into [env.telemetry]'s [sim/idle_steps].  Every
     check is read-only — private hash snapshots and write stamps — so a
     clean sanitized run is bit-identical to an unsanitized one (stats,
     states, flight log); it costs an O(n) structural-hash sweep per

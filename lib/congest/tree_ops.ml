@@ -328,9 +328,3 @@ let aggregate ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~value ~combine
       (aggregate_flat ~tree ~value ~combine ~bits)
   in
   states.(tree.root).a_acc
-
-let count_nodes ?(env = Sim.default_env) g ~tree =
-  aggregate ~env g ~tree
-    ~value:(fun _ -> 1)
-    ~combine:( + )
-    ~bits:(fun x -> Dsf_util.Bitsize.int_bits (Int.max 1 x))

@@ -86,11 +86,3 @@ val aggregate :
   'a
 (** Bottom-up reduction with an associative, commutative [combine]; the
     result over all nodes lands at the root.  Rounds ~ height. *)
-
-val count_nodes :
-  ?env:Sim.env ->
-  Dsf_graph.Graph.t ->
-  tree:Bfs.tree ->
-  int
-(** Convergecast count of all nodes ([n] as computed in the paper's
-    footnote 2). *)

@@ -45,9 +45,10 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
     { Sim.default_env with telemetry; ledger = Some ledger; network }
   in
   let tspan name f = Sim.span env name f in
-  (* Lemma 2.4's minimalization runs as a real protocol. *)
-  let inst = Transform.minimalize ~env inst0 in
-  let g = inst.Instance.graph in
+  let g = inst0.Instance.graph in
+  (* The run's one BFS tree: every convergecast and broadcast runs on it. *)
+  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let inst = Transform.minimalize ~env ~tree inst0 in
   let n = Graph.n g in
   let m = Graph.m g in
   (* Algorithm-1 moat state, replicated: after the setup broadcast every
@@ -65,28 +66,21 @@ let run ?telemetry ?flat:_ ?jobs:_ ?chaos inst0 =
       ledger;
     }
   else begin
-    (* ---- Setup: BFS tree; make all (terminal, label) pairs global. ---- *)
-    let tree =
-      tspan "setup" (fun () ->
-          let root = Bfs.max_id_root g in
-          let tree = Bfs.build ~env g ~root in
-          let term_items v =
-            if inst.Instance.labels.(v) >= 0 then
-              [ v, inst.Instance.labels.(v) ]
-            else []
-          in
-          let pair_bits =
-            let b = 2 * Bitsize.id_bits ~n in
-            fun (_, _) -> b
-          in
-          let collected =
-            Tree_ops.upcast ~env g ~tree
-              ~items:term_items ~bits:pair_bits
-          in
-          Tree_ops.broadcast ~env g
-            ~tree ~items:collected ~bits:pair_bits;
-          tree)
-    in
+    (* ---- Setup: make all (terminal, label) pairs global. ---- *)
+    tspan "setup" (fun () ->
+        let term_items v =
+          if inst.Instance.labels.(v) >= 0 then
+            [ v, inst.Instance.labels.(v) ]
+          else []
+        in
+        let pair_bits =
+          let b = 2 * Bitsize.id_bits ~n in
+          fun (_, _) -> b
+        in
+        let collected =
+          Tree_ops.upcast ~env g ~tree ~items:term_items ~bits:pair_bits
+        in
+        Tree_ops.broadcast ~env g ~tree ~items:collected ~bits:pair_bits);
     (* ---- Per-node region state. ---- *)
     let reg = Region_bf.regions ms in
     let accepted_all = ref [] in

@@ -4,7 +4,9 @@
 
     Structure (Appendix E.1), all phases genuinely simulated:
 
-    + BFS tree; collect and broadcast all (terminal, label) pairs —
+    + One BFS tree from the max-id root, built first: Lemma 2.4's
+      minimalization and every convergecast and broadcast below run on
+      it.  Collect and broadcast all (terminal, label) pairs over it —
       O(D + t) rounds, pipelined.
     + Per merge phase j: compute the terminal decomposition with a
       reduced-weight multi-source Bellman-Ford (Lemma 4.8, O(s) rounds);
@@ -49,9 +51,9 @@ val run :
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry,
     carrying the result's ledger, and every simulated subroutine runs
     under it, so the engine counts every simulated round.  [telemetry]
-    profiles the run as a span tree ([minimalize] / [setup] / [phase] /
-    [final], with the simulated primitives nested beneath), and every
-    charge lands in its enclosing span; a flight recorder riding on it
+    profiles the run as a span tree ([bfs] / [minimalize] / [setup] /
+    [phase] / [final], with the simulated primitives nested beneath), and
+    every charge lands in its enclosing span; a flight recorder riding on it
     logs every message of every simulated subroutine.
 
     Every simulated subroutine runs its flat protocol on the flat-core

@@ -54,8 +54,11 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
   if eps_den > max_eps_den then
     invalid_arg "Det_sublinear.run: eps_den above max_eps_den";
   let tspan name f = Sim.span env name f in
-  let inst = Transform.minimalize ~env inst0 in
-  let g = inst.Instance.graph in
+  let g = inst0.Instance.graph in
+  (* The run's one BFS tree; it serves the scaled graph too (same
+     topology and edge ids). *)
+  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let inst = Transform.minimalize ~env ~tree inst0 in
   let n = Graph.n g in
   let m = Graph.m g in
   (* Algorithm-2 moat state, replicated at every node. *)
@@ -82,13 +85,12 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
         (Array.to_list (Graph.edges g)
         |> List.map (fun (e : Graph.edge) -> e.u, e.v, e.w * scale))
     in
-    let { Params.tree; s; wd_bound; _ } =
+    let { Params.s; wd_bound; _ } =
       tspan "setup" @@ fun () ->
       (* The nodes learn n, t, an estimate of s and a bound on WD by
          convergecast plus a full Bellman-Ford run (footnote 2's
-         technique), simulated.  Its BFS tree serves the scaled graph too:
-         the topology and the edge ids are the same. *)
-      Params.estimate ~env ~cap:(n + 1) g
+         technique), simulated. *)
+      Params.estimate ~env ~cap:(n + 1) g ~tree
     in
     let sigma = isqrt (Int.min (Option.value s ~default:n * t) n) in
     (* Per-node region state on the scaled graph. *)
@@ -464,7 +466,7 @@ let run ?telemetry ~eps_num ~eps_den inst0 =
       (* The merge-level F_min above is not quite edge-minimal (merge paths
          can overlap at Steiner nodes); the fast pruning routine of
          Appendix F.3 finishes the job distributively. *)
-      (Pruning.run ~env inst ~f:solution ~sigma).Pruning.pruned
+      (Pruning.run ~env inst ~tree ~f:solution ~sigma).Pruning.pruned
     in
     {
       solution;

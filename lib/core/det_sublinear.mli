@@ -3,15 +3,16 @@
     Algorithm 2 achieving factor (2 + ε) in O~(sk + σ) rounds, where
     σ = sqrt(min(st, n)).
 
-    The setup learns the parameters by footnote 2's technique, simulated
-    ({!Dsf_congest.Params.estimate}): n by convergecast over the BFS tree
-    from the max-id root, then Bellman-Ford from that root to
+    The run first builds one BFS tree from the max-id root; it carries
+    minimalization and every later convergecast and broadcast, the final
+    pruning's included.  The setup learns the parameters by footnote 2's
+    technique, simulated ({!Dsf_congest.Params.estimate}): n by
+    convergecast over that tree, then Bellman-Ford from its root to
     stabilization.  σ is isqrt(min(s' t, n)) for the run's stabilization
     round s' (a lower bound on s, and in practice close to it).  The
     growth-phase cap uses the WD bound read off the same run (twice the
     root's weighted eccentricity, spread by one aggregate and one
-    broadcast over the tree).  That BFS tree also carries every later
-    convergecast and broadcast.
+    broadcast over the tree).
 
     Per growth phase (threshold µ̂, (1+ε/2)µ̂, ...):
 
@@ -63,8 +64,8 @@ val run :
     at entry, carrying the result's ledger, so the engine counts every
     simulated run and [telemetry] (and a flight recorder riding on it)
     sees every one, the Appendix F.3 pruning included.
-    [telemetry] profiles the run as a span tree ([minimalize] / [setup] /
-    [growth] with [merge_phase], [small_moats] and [activity] nested per
-    growth phase / [final]), and every charge lands in its enclosing
-    span.  Raises [Invalid_argument] unless
+    [telemetry] profiles the run as a span tree ([bfs] / [minimalize] /
+    [setup] / [growth] with [merge_phase], [small_moats] and [activity]
+    nested per growth phase / [final]), and every charge lands in its
+    enclosing span.  Raises [Invalid_argument] unless
     0 < eps_num / eps_den <= 1 and [eps_den <= max_eps_den]. *)

@@ -1,6 +1,7 @@
 module Graph = Dsf_graph.Graph
 module Instance = Dsf_graph.Instance
 module Ledger = Dsf_congest.Ledger
+module Bfs = Dsf_congest.Bfs
 module Sim = Dsf_congest.Sim
 module Virtual_tree = Dsf_embed.Virtual_tree
 module LR = Level_routing
@@ -66,8 +67,9 @@ let run ?telemetry ?(repetitions = 3) ~rng inst0 =
   let ledger = Ledger.create () in
   let env = { Sim.default_env with telemetry; ledger = Some ledger } in
   Sim.span env "khan_baseline" @@ fun () ->
-  let inst = Transform.minimalize ~env inst0 in
-  let g = inst.Instance.graph in
+  let g = inst0.Instance.graph in
+  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let inst = Transform.minimalize ~env ~tree inst0 in
   let best = ref None in
   let routed = ref 0 in
   for rep = 1 to repetitions do

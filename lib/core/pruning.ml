@@ -288,14 +288,13 @@ let label_flood ?(env = Sim.default_env) g ~tree ~structure ~initial =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(env = Sim.default_env) inst ~f ~sigma =
+let run ?(env = Sim.default_env) inst ~tree ~f ~sigma =
   let g = inst.Instance.graph in
   let n = Graph.n g in
   let m = Graph.m g in
   if not (Instance.is_forest g f) then invalid_arg "Pruning.run: not a forest";
   if not (Instance.is_feasible inst f) then invalid_arg "Pruning.run: infeasible";
-  (* Step 1: BFS tree + make the label set global. *)
-  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  (* Step 1: make the label set global over the caller's BFS tree. *)
   let label_witnesses =
     Tree_ops.upcast_dedup ~env g ~tree
       ~items:(fun v ->

@@ -32,13 +32,14 @@ type result = {
 val run :
   ?env:Dsf_congest.Sim.env ->
   Dsf_graph.Instance.ic ->
+  tree:Dsf_congest.Bfs.tree ->
   f:bool array ->
   sigma:int ->
   result
-(** [f] must be a feasible forest for the instance.  Every simulated run
-    (BFS, label collection, cluster gossip, the label flood, the Lemma
-    F.6 mark/unmark protocol) uses [env], so its telemetry and flight
-    recorder see the whole routine, and its rounds and its one charge
+(** [f] must be a feasible forest for the instance; [tree] is the
+    caller's BFS tree.  Every simulated run (label collection, cluster
+    gossip, the label flood, the Lemma F.6 mark/unmark protocol) uses
+    [env], so its telemetry and flight recorder see the whole routine, and its rounds and its one charge
     (the Lemma F.7 matchings) land in the caller's [env] ledger. *)
 
 (** {2 The Lemma F.8 label flood}

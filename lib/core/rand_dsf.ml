@@ -133,15 +133,17 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
      steps on the domain that calls it. *)
   let ledger = Ledger.create () in
   let env = { Sim.default_env with telemetry; ledger = Some ledger } in
-  let inst = Transform.minimalize ~env inst0 in
-  let g = inst.Instance.graph in
+  let g = inst0.Instance.graph in
   let m = Graph.m g in
+  (* The run's one BFS tree: every stage runs on it, and twice its height
+     bounds D. *)
+  let tree = Bfs.build ~env g ~root:(Bfs.max_id_root g) in
+  let inst = Transform.minimalize ~env ~tree inst0 in
   (* The regime test of footnote 2, genuinely simulated: count n by
      convergecast, then run Bellman-Ford for at most sqrt(n) rounds.  Its
-     BFS tree serves every trial, twice its height bounds D, and its WD
-     bound sizes the virtual tree: all known to every node before the
+     WD bound sizes the virtual tree: all known to every node before the
      trial fan-out. *)
-  let { Params.n; tree; s; wd_bound } = Params.regime ~env g in
+  let { Params.n; s; wd_bound } = Params.regime ~env g ~tree in
   let s_param = Option.value s ~default:(isqrt n + 1) in
   let truncate = Option.value force_truncate ~default:(Option.is_none s) in
   if Instance.component_count inst = 0 then
@@ -229,8 +231,8 @@ let run ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
       else begin
         let out =
           Sim.span env "stage2" (fun () ->
-              Reduced_solver.solve ~env inst ~f
-                ~s_set:vt.Virtual_tree.s_set ~diameter:(2 * tree.Bfs.height))
+              Reduced_solver.solve ~env inst ~tree ~f
+                ~s_set:vt.Virtual_tree.s_set)
         in
         Sim.charge env "stage2: spanner + central solve ([17] internals)"
           out.Reduced_solver.charged_rounds;

@@ -22,11 +22,12 @@
     paper's expectation-to-w.h.p. amplification); each repetition's weight
     is compared by a simulated convergecast over the BFS tree.
 
-    Every parameter comes from the regime test
-    ({!Dsf_congest.Params.regime}), run once before the repetitions: its
-    BFS tree from the max-id root serves every repetition; twice its height
-    bounds D (the second stage's charge); and its WD bound sizes the
-    virtual tree, at most ceil(log2 WD) + 1 levels when Bellman-Ford
+    The run builds one BFS tree from the max-id root, as its first
+    simulated step; minimalization, the regime test, every repetition and
+    the second stage run on it, and twice its height bounds D (the second
+    stage's charge).  Every other parameter comes from the regime test
+    ({!Dsf_congest.Params.regime}), run once on that tree before the
+    repetitions: its WD bound sizes the virtual tree, at most ceil(log2 WD) + 1 levels when Bellman-Ford
     stabilized (twice the root's weighted eccentricity), else
     ceil(log2 (min(n - 1, 2 height) max_w)). *)
 
@@ -60,15 +61,15 @@ val run :
     its trial index, and its runs count their rounds into its own
     ledger, merged back in repetition order, so the result — solution,
     weight, and ledger — is bit-identical for every [jobs] value.  The
-    regime test's tree and bound, and the graph's CSR view, are built on
+    run's tree, the regime test's bound and the graph's CSR view are built on
     the calling domain before the fan-out, so trials only read them.
 
     The labelled arguments build one {!Dsf_congest.Sim.env} at entry;
     [jobs] drives only the trial fan-out.
 
     [telemetry] profiles every simulated run — LE lists, the virtual
-    tree's Voronoi, label routing and backtracing included ([minimalize] /
-    [regime_test] / [trial] / [stage2]); each repetition's runs use their
+    tree's Voronoi, label routing and backtracing included ([bfs] /
+    [minimalize] / [regime_test] / [trial] / [stage2]); each repetition's runs use their
     own {!Dsf_congest.Telemetry.fork}
     (split sequentially before the fan-out, like the rng streams) and the
     forks merge back in repetition order, so the profile — wall clock

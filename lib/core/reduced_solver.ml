@@ -14,8 +14,8 @@ type outcome = {
 
 let isqrt = Dsf_util.Intmath.isqrt
 
-let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
-    ~diameter =
+let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~tree ~f
+    ~s_set =
   let tspan name fn = Sim.span env name fn in
   let g = inst.Instance.graph in
   let n = Graph.n g in
@@ -126,10 +126,6 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
         let label_index = Hashtbl.create 16 in
         List.iteri (fun i l -> Hashtbl.replace label_index l i) all_labels;
         tspan "label_helper" (fun () ->
-          let tree =
-            Dsf_congest.Bfs.build ~env g
-              ~root:(Dsf_congest.Bfs.max_id_root g)
-          in
           (* Gossip stays inside each cell: enable only F-edges whose two
              endpoints share an assignment. *)
           let mask =
@@ -272,7 +268,7 @@ let solve ?(env = Sim.default_env) ?(spanner_stretch = Some 3) inst ~f ~s_set
           extra_edges = extra;
           reduced_terminal_count = p;
           reduced_label_count = reduced_labels;
-          charged_rounds = isqrt n + diameter;
+          charged_rounds = isqrt n + (2 * tree.Dsf_congest.Bfs.height);
           unassigned_terminals = !unassigned;
         }
       end

@@ -24,7 +24,7 @@ type outcome = {
   reduced_label_count : int;
   charged_rounds : int;
       (** the remaining [17]-internals charge (central spanner solve):
-          ~ sqrt n + D *)
+          sqrt n + 2 height, the tree's bound on D *)
   unassigned_terminals : int;
       (** terminals in no T_v (rely on F already connecting them, w.h.p.) *)
 }
@@ -33,12 +33,13 @@ val solve :
   ?env:Dsf_congest.Sim.env ->
   ?spanner_stretch:int option ->
   Dsf_graph.Instance.ic ->
+  tree:Dsf_congest.Bfs.tree ->
   f:bool array ->
   s_set:int list ->
-  diameter:int ->
   outcome
-(** [f] is the first-stage edge set; [s_set] the sqrt(n) highest-ranked
-    nodes.  [diameter] is D (for the charge).
+(** [tree] is the caller's BFS tree (twice its height stands for D in the
+    charge); [f] the first-stage edge set; [s_set] the sqrt(n)
+    highest-ranked nodes.
 
     [spanner_stretch] (default [Some 3]) follows the [17] recipe: a greedy
     spanner of the super-terminal metric is built ({!Dsf_graph.Spanner}),

@@ -59,12 +59,10 @@ let cr_to_ic ?(env = Sim.default_env) (cr : Instance.cr) =
   in
   Instance.make_ic g labels
 
-let minimalize ?(env = Sim.default_env) (inst : Instance.ic) =
+let minimalize ?(env = Sim.default_env) ~tree (inst : Instance.ic) =
   Sim.span env "minimalize" @@ fun () ->
   let g = inst.Instance.graph in
   let n = Graph.n g in
-  let root = Bfs.max_id_root g in
-  let tree = Bfs.build ~env g ~root in
   (* Each terminal reports (label, id); inner nodes forward at most two
      distinct witnesses per label (Lemma 2.4). *)
   let items v =

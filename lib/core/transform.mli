@@ -7,8 +7,9 @@
 
     [minimalize] turns a DSF-IC instance into an equivalent minimal one
     (every surviving component has >= 2 terminals) in O(D + k) rounds: each
-    label's first two witnesses are convergecast, the root broadcasts the
-    set of non-singleton labels, and singleton terminals drop out.
+    label's first two witnesses are convergecast over [tree] (the BFS tree
+    the calling algorithm built first), the root broadcasts the set of
+    non-singleton labels, and singleton terminals drop out.
 
     Both simulate every step under [env] (see {!Dsf_congest.Sim}); the
     engine counts their rounds into [env]'s ledger. *)
@@ -26,5 +27,6 @@ val cr_to_ic :
 
 val minimalize :
   ?env:Dsf_congest.Sim.env ->
+  tree:Dsf_congest.Bfs.tree ->
   Dsf_graph.Instance.ic ->
   Dsf_graph.Instance.ic

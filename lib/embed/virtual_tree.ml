@@ -22,18 +22,18 @@ let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at ~wd_bound g =
   let le = Le_list.build ~env rng g in
   let beta_num = beta_den + Dsf_util.Rng.int rng beta_den in
   let levels = Int.max 1 (ceil_log2 (Int.max 2 wd_bound)) in
-  (* The set S of highest-ranked nodes, when truncating. *)
+  let ranks = le.Le_list.ranks in
+  (* S, the [size] highest-ranked nodes, when truncating: the ranks are a
+     permutation of 0 .. n-1, so v is in S iff rank(v) >= n - size.  The
+     list holds S in descending rank, off the inverse permutation. *)
   let s_set, closest_s, voronoi_parent =
     match truncate_at with
     | None -> [], Array.make n (-1), Array.make n (-1)
     | Some size ->
         let size = Int.min size n in
-        let by_rank =
-          List.init n Fun.id
-          |> List.sort (fun a b ->
-                 compare le.Le_list.ranks.(b) le.Le_list.ranks.(a))
-        in
-        let s = List.filteri (fun i _ -> i < size) by_rank in
+        let node_of_rank = Array.make n 0 in
+        Array.iteri (fun v r -> node_of_rank.(r) <- v) ranks;
+        let s = List.init size (fun i -> node_of_rank.(n - 1 - i)) in
         let res =
           Dsf_congest.Bellman_ford.run ~env g
             ~sources:(List.map (fun v -> v, 0) s)
@@ -42,8 +42,8 @@ let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at ~wd_bound g =
           res.Dsf_congest.Bellman_ford.src_of,
           res.Dsf_congest.Bellman_ford.parent )
   in
-  let in_s = Array.make n false in
-  List.iter (fun v -> in_s.(v) <- true) s_set;
+  let s_floor = n - List.length s_set in
+  let in_s v = ranks.(v) >= s_floor in
   let trunc_level = Array.make n (levels + 1) in
   let ancestors =
     Array.init n (fun v ->
@@ -56,7 +56,7 @@ let build ?(env = Dsf_congest.Sim.default_env) rng ?truncate_at ~wd_bound g =
             in
             (* Truncation: the first level whose ball meets S cuts the
                chain; beyond it the leaf connects to its closest S node. *)
-            if s_set <> [] && in_s.(anc) && trunc_level.(v) > i then
+            if in_s anc && trunc_level.(v) > i then
               trunc_level.(v) <- i;
             anc))
   in

@@ -25,7 +25,9 @@ type t = {
           With truncation, entries at levels >= i_v repeat the closest
           S-node. *)
   trunc_level : int array;  (** i_v; [levels + 1] when no truncation *)
-  s_set : int list;  (** the set S, empty when not truncated *)
+  s_set : int list;
+      (** S in descending rank, empty when not truncated; v is in S iff
+          its rank is at least n - |S| *)
   closest_s : int array;  (** closest S node per node; -1 when S empty *)
   voronoi_parent : int array;
       (** next hop towards the closest S node; -1 when S empty *)

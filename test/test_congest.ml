@@ -277,7 +277,10 @@ let test_aggregate_sum_and_count () =
       ~bits:(fun _ -> 10)
   in
   check Alcotest.int "sum of ids" (19 * 20 / 2) total;
-  let n = Tree_ops.count_nodes g ~tree in
+  let n =
+    Tree_ops.aggregate g ~tree ~value:(fun _ -> 1) ~combine:( + )
+      ~bits:(fun _ -> 10)
+  in
   check Alcotest.int "count = n" 20 n
 
 let test_aggregate_min () =

@@ -497,11 +497,11 @@ let test_transform_minimalize () =
   let g = Gen.path 6 in
   let inst = Instance.make_ic g [| 0; 1; -1; 0; 2; 2 |] in
   let ledger = Dsf_congest.Ledger.create () in
-  let out =
-    Transform.minimalize
-      ~env:{ Dsf_congest.Sim.default_env with ledger = Some ledger }
-      inst
+  let env = { Dsf_congest.Sim.default_env with ledger = Some ledger } in
+  let tree =
+    Dsf_congest.Bfs.build ~env g ~root:(Dsf_congest.Bfs.max_id_root g)
   in
+  let out = Transform.minimalize ~env ~tree inst in
   check Alcotest.int "k drops to 2" 2 (Instance.component_count out);
   check Alcotest.int "label 1 dropped" (-1) out.Instance.labels.(1);
   Alcotest.(check bool) "rounds bounded" true
@@ -519,7 +519,10 @@ let prop_transform_minimalize_equiv =
             if Dsf_util.Rng.bool r then Dsf_util.Rng.int r 5 else -1)
       in
       let inst = Instance.make_ic g labels in
-      let distributed = Transform.minimalize inst in
+      let tree =
+        Dsf_congest.Bfs.build g ~root:(Dsf_congest.Bfs.max_id_root g)
+      in
+      let distributed = Transform.minimalize ~tree inst in
       let centralized = Instance.minimalize inst in
       distributed.Instance.labels = centralized.Instance.labels)
 

@@ -222,7 +222,7 @@ let test_solver_compare_all_sorted () =
 
 (* solve_cr's ledger holds the Lemma 2.3 transform's rounds and then the
    algorithm's: on a path, more than det's own 7; on dsf_cli's requests
-   fixture, the [cr_to_ic] span's 22 and det's 76 simulated and 11
+   fixture, the [cr_to_ic] span's 22 and det's 70 simulated and 11
    charged, and compare_all counts them the same way. *)
 let test_solver_cr () =
   let module Solver = Dsf_core.Solver in
@@ -243,7 +243,7 @@ let test_solver_cr () =
   in
   let tel = Telemetry.create () in
   let rep = Solver.solve_cr ~telemetry:tel Solver.Det cr in
-  check Alcotest.(option int) "simulated" (Some 98) (simulated rep);
+  check Alcotest.(option int) "simulated" (Some 92) (simulated rep);
   check Alcotest.(option int) "charged" (Some 11)
     (Option.map Dsf_congest.Ledger.charged rep.Solver.ledger);
   let rec rounds (s : Telemetry.span) =
@@ -252,7 +252,7 @@ let test_solver_cr () =
   in
   check Alcotest.(option int) "cr_to_ic span rounds" (Some 22)
     (Option.map rounds (Telemetry.find tel [ "cr_to_ic" ]));
-  check Alcotest.(list (option int)) "compare_all" [ Some 98 ]
+  check Alcotest.(list (option int)) "compare_all" [ Some 92 ]
     (List.map simulated
        (Solver.compare_all ~algorithms:[ Solver.Det ] (Solver.Cr cr)));
   (* compare_all runs the transform once for all its algorithms, and each

@@ -97,7 +97,11 @@ let prop_fuzz_pruning_fixpoint =
           let f = Mst.kruskal inst.Instance.graph in
           if not (Instance.is_feasible inst f) then true
           else begin
-            let res = Pruning.run inst ~f ~sigma:4 in
+            let g = inst.Instance.graph in
+            let tree =
+              Dsf_congest.Bfs.build g ~root:(Dsf_congest.Bfs.max_id_root g)
+            in
+            let res = Pruning.run inst ~tree ~f ~sigma:4 in
             res.Pruning.pruned = Instance.prune inst f
           end))
 

@@ -304,24 +304,41 @@ let prop_io_roundtrip =
 
 (* ----------------------------------------------------------------- Params *)
 
+(* The BFS tree every algorithm builds first and hands to the estimate. *)
+let max_id_tree g = Dsf_congest.Bfs.build g ~root:(Dsf_congest.Bfs.max_id_root g)
+
 let test_params_count_nodes () =
   let g = Gen.grid ~rows:4 ~cols:5 in
-  let ledger = Dsf_congest.Ledger.create () in
-  let env = { Dsf_congest.Sim.default_env with ledger = Some ledger } in
-  let n = Dsf_congest.Params.count_nodes ~env g in
-  check Alcotest.int "n" 20 n;
+  let tel = Dsf_congest.Telemetry.create () in
+  let env = { Dsf_congest.Sim.default_env with telemetry = Some tel } in
+  let tree =
+    Dsf_congest.Bfs.build ~env g ~root:(Dsf_congest.Bfs.max_id_root g)
+  in
+  let est = Dsf_congest.Params.estimate ~env g ~tree in
+  check Alcotest.int "n" 20 est.Dsf_congest.Params.n;
+  (* The tree and the estimate's two convergecasts over it (the count
+     and the WD bound's maximum) each take O(D) rounds, D = 7. *)
+  let rounds path =
+    match Dsf_congest.Telemetry.find tel [ path ] with
+    | Some span -> span.Dsf_congest.Telemetry.rounds
+    | None -> Alcotest.failf "no %s span" path
+  in
   Alcotest.(check bool) "rounds ~ D" true
-    (Dsf_congest.Ledger.simulated ledger <= 4 * 7)
+    (rounds "bfs" + rounds "aggregate" <= 4 * 7)
 
 let test_params_diameter_bound () =
   let g = Gen.path 12 in
-  let bound = Dsf_congest.Params.diameter_upper_bound g in
+  let tree = max_id_tree g in
+  let est = Dsf_congest.Params.estimate g ~tree in
+  check Alcotest.int "n" 12 est.Dsf_congest.Params.n;
+  let bound = 2 * tree.Dsf_congest.Bfs.height in
   let d = Paths.diameter_unweighted g in
   Alcotest.(check bool) "sandwiched" true (bound >= d && bound <= 2 * d)
 
 let test_params_estimate_s () =
   let g = Gen.path 20 in
-  let est = Dsf_congest.Params.estimate ~cap:100 g in
+  let tree = max_id_tree g in
+  let est = Dsf_congest.Params.estimate ~cap:100 g ~tree in
   check Alcotest.int "n by convergecast" 20 est.Dsf_congest.Params.n;
   (match est.Dsf_congest.Params.s with
   | Some s -> Alcotest.(check bool) "close to s" true (s >= 19 && s <= 25)
@@ -331,15 +348,14 @@ let test_params_estimate_s () =
   check Alcotest.int "WD bound = 2 ecc(root)" 38
     est.Dsf_congest.Params.wd_bound;
   (* An exceeded run still counts its rounds: all cap + 1 of them, after
-     the BFS and the count, and before the WD bound's aggregate and
-     broadcast. *)
+     the count, and before the WD bound's aggregate and broadcast. *)
   let ledger = Dsf_congest.Ledger.create () in
   let env = { Dsf_congest.Sim.default_env with ledger = Some ledger } in
   let tel = Dsf_congest.Telemetry.create () in
   let est =
     Dsf_congest.Params.estimate
       ~env:{ env with Dsf_congest.Sim.telemetry = Some tel }
-      ~cap:5 g
+      ~cap:5 g ~tree
   in
   (match est.Dsf_congest.Params.s with
   | None -> ()
@@ -360,12 +376,13 @@ let test_params_estimate_s () =
 
 let test_params_regime () =
   (* Star: s = 2 <= sqrt n -> small regime. *)
+  let regime g = Dsf_congest.Params.regime g ~tree:(max_id_tree g) in
   let star = Gen.star 30 in
-  if (Dsf_congest.Params.regime star).Dsf_congest.Params.s = None then
+  if (regime star).Dsf_congest.Params.s = None then
     Alcotest.fail "star should be small-s";
   (* Long path: s = n - 1 > sqrt n -> large regime. *)
   let path = Gen.path 30 in
-  if (Dsf_congest.Params.regime path).Dsf_congest.Params.s <> None then
+  if (regime path).Dsf_congest.Params.s <> None then
     Alcotest.fail "path should be large-s"
 
 let suites =

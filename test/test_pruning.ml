@@ -7,12 +7,18 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let rng seed = Dsf_util.Rng.create seed
 
+(* The instance graph's BFS tree from the max-id root: the tree every
+   algorithm builds first and hands to its stages. *)
+let tree_of (inst : Instance.ic) =
+  let g = inst.Instance.graph in
+  Dsf_congest.Bfs.build g ~root:(Dsf_congest.Bfs.max_id_root g)
+
 let test_pruning_path () =
   (* Terminals 0, 2 on a 5-path with the full path as F: edges 2-3, 3-4 go. *)
   let g = Gen.path 5 in
   let inst = Instance.make_ic g [| 0; -1; 0; -1; -1 |] in
   let f = Array.make (Graph.m g) true in
-  let res = Pruning.run inst ~f ~sigma:2 in
+  let res = Pruning.run inst ~tree:(tree_of inst) ~f ~sigma:2 in
   check Alcotest.int "weight" 2 (Instance.solution_weight inst res.Pruning.pruned);
   Alcotest.(check bool) "feasible" true (Instance.is_feasible inst res.Pruning.pruned)
 
@@ -25,7 +31,7 @@ let test_pruning_keeps_shared_bridge () =
   in
   let inst = Instance.make_ic g [| 0; 1; -1; -1; 0; 1 |] in
   let f = Array.make (Graph.m g) true in
-  let res = Pruning.run inst ~f ~sigma:2 in
+  let res = Pruning.run inst ~tree:(tree_of inst) ~f ~sigma:2 in
   check Alcotest.int "everything needed" 9
     (Instance.solution_weight inst res.Pruning.pruned)
 
@@ -34,7 +40,7 @@ let test_pruning_drops_whole_subtree () =
   let g = Gen.star 6 in
   let inst = Instance.make_ic g [| -1; 0; 0; -1; -1; -1 |] in
   let f = Array.make (Graph.m g) true in
-  let res = Pruning.run inst ~f ~sigma:2 in
+  let res = Pruning.run inst ~tree:(tree_of inst) ~f ~sigma:2 in
   check Alcotest.int "two spokes" 2
     (Instance.solution_weight inst res.Pruning.pruned)
 
@@ -44,11 +50,11 @@ let test_pruning_rejects_bad_input () =
   let all = Array.make (Graph.m g) true in
   Alcotest.check_raises "cycle rejected"
     (Invalid_argument "Pruning.run: not a forest") (fun () ->
-      ignore (Pruning.run inst ~f:all ~sigma:2));
+      ignore (Pruning.run inst ~tree:(tree_of inst) ~f:all ~sigma:2));
   let none = Array.make (Graph.m g) false in
   Alcotest.check_raises "infeasible rejected"
     (Invalid_argument "Pruning.run: infeasible") (fun () ->
-      ignore (Pruning.run inst ~f:none ~sigma:2))
+      ignore (Pruning.run inst ~tree:(tree_of inst) ~f:none ~sigma:2))
 
 let test_pruning_cluster_stats () =
   let r = rng 3 in
@@ -62,7 +68,7 @@ let test_pruning_cluster_stats () =
     { Dsf_congest.Sim.default_env with
       telemetry = Some tel; ledger = Some ledger }
   in
-  let res = Pruning.run ~env inst ~f ~sigma:5 in
+  let res = Pruning.run ~env inst ~tree:(tree_of inst) ~f ~sigma:5 in
   Alcotest.(check bool) "some clusters" true (res.Pruning.clusters >= 1);
   Alcotest.(check bool) "clusters bounded by nodes" true (res.Pruning.clusters <= 40);
   Alcotest.(check bool) "fc edges < n" true (res.Pruning.cluster_edges < 40);
@@ -84,7 +90,7 @@ let prop_pruning_equals_reference =
       let labels = Gen.random_labels r ~n ~t:8 ~k:3 in
       let inst = Instance.make_ic g labels in
       let f = Mst.kruskal g in
-      let res = Pruning.run inst ~f ~sigma in
+      let res = Pruning.run inst ~tree:(tree_of inst) ~f ~sigma in
       res.Pruning.pruned = Instance.prune inst f)
 
 let prop_pruning_on_partial_forests =
@@ -101,7 +107,7 @@ let prop_pruning_on_partial_forests =
          its leftovers before pruning is emulated by pruning the solution
          itself (a fixpoint). *)
       let det = Det_dsf.run inst in
-      let res = Pruning.run inst ~f:det.Det_dsf.solution ~sigma:4 in
+      let res = Pruning.run inst ~tree:(tree_of inst) ~f:det.Det_dsf.solution ~sigma:4 in
       res.Pruning.pruned = det.Det_dsf.solution)
 
 let suites =

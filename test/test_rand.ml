@@ -8,6 +8,12 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let rng seed = Dsf_util.Rng.create seed
 
+(* The instance graph's BFS tree from the max-id root: the tree every
+   algorithm builds first and hands to its stages. *)
+let tree_of (inst : Instance.ic) =
+  let g = inst.Instance.graph in
+  Dsf_congest.Bfs.build g ~root:(Dsf_congest.Bfs.max_id_root g)
+
 let random_instance ?(n = 24) ?(extra = 18) ?(max_w = 8) ?(t = 8) ?(k = 3) seed =
   let r = rng seed in
   let g = Gen.random_connected r ~n ~extra_edges:extra ~max_w in
@@ -27,7 +33,7 @@ let test_parameters_from_simulation () =
       let inst = random_instance ~n:30 seed in
       let g = inst.Instance.graph in
       let n = Graph.n g in
-      let est = Dsf_congest.Params.estimate ~cap:(n + 1) g in
+      let est = Dsf_congest.Params.estimate ~cap:(n + 1) g ~tree:(tree_of inst) in
       let s' = Option.get est.Dsf_congest.Params.s in
       let t = Instance.terminal_count (Instance.minimalize inst) in
       let res = Det_sublinear.run ~eps_num:1 ~eps_den:2 inst in
@@ -193,7 +199,7 @@ let prop_sublinear_growth_phase_bound =
 let test_reduced_solver_empty_s () =
   let inst = random_instance 21 in
   let f = Array.make (Graph.m inst.Instance.graph) false in
-  let out = Reduced_solver.solve inst ~f ~s_set:[] ~diameter:3 in
+  let out = Reduced_solver.solve inst ~tree:(tree_of inst) ~f ~s_set:[] in
   check Alcotest.int "no extras" 0
     (Array.fold_left (fun a b -> if b then a + 1 else a) 0
        out.Reduced_solver.extra_edges)
@@ -210,7 +216,7 @@ let test_reduced_solver_completes_partial () =
   set 1 2;
   set 3 4;
   set 4 5;
-  let out = Reduced_solver.solve inst ~f ~s_set:[ 2; 3 ] ~diameter:5 in
+  let out = Reduced_solver.solve inst ~tree:(tree_of inst) ~f ~s_set:[ 2; 3 ] in
   let union = Array.mapi (fun i b -> b || out.Reduced_solver.extra_edges.(i)) f in
   Alcotest.(check bool) "union feasible" true (Instance.is_feasible inst union);
   check Alcotest.int "two super-terminals" 2 out.Reduced_solver.reduced_terminal_count
@@ -233,7 +239,7 @@ let prop_reduced_solver_union_feasible =
       let s_set =
         Dsf_util.Rng.sample_without_replacement r 5 24 |> Array.to_list
       in
-      let out = Reduced_solver.solve inst ~f ~s_set ~diameter:5 in
+      let out = Reduced_solver.solve inst ~tree:(tree_of inst) ~f ~s_set in
       let union = Array.mapi (fun i b -> b || out.Reduced_solver.extra_edges.(i)) f in
       (* The reduced instance only guarantees feasibility when every
          terminal is in some T_v (otherwise only w.h.p. through F); with a

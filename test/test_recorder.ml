@@ -479,7 +479,7 @@ let test_golden_summary () =
       (Recorder.run_count a) (Recorder.max_depth a)
   in
   check Alcotest.string "gadget summary"
-    "weight=5 rounds=61 runs=12 depth=25" got
+    "weight=5 rounds=56 runs=11 depth=25" got
 
 let test_golden_why () =
   let _, a = Lazy.force gadget_analysis in
@@ -490,11 +490,11 @@ let test_golden_why () =
      empty chain) still fails. *)
   check Alcotest.bool "header pins the final state" true
     (contains out
-       "why node 0 (as of global round 60): last state change at round 57, \
+       "why node 0 (as of global round 55): last state change at round 52, \
         causal depth 24");
   check Alcotest.bool "deepest hop pinned" true
     (contains out
-       "r57    node 0 consumed 23-bit message from node 9 (sent r56, chain \
+       "r52    node 0 consumed 23-bit message from node 9 (sent r51, chain \
         depth 24)");
   check Alcotest.bool "chain reaches an origin step" true
     (contains out "origin: node 17 sent from its initial state (depth 0)")
@@ -503,10 +503,10 @@ let test_golden_critical_path () =
   let _, a = Lazy.force gadget_analysis in
   let out = Format.asprintf "%a" Recorder.pp_critical_path a in
   check Alcotest.bool "headline depth pinned" true
-    (contains out "critical path: causal depth 25 over 61 global round(s), \
-                   12 run(s)");
+    (contains out "critical path: causal depth 25 over 56 global round(s), \
+                   11 run(s)");
   check Alcotest.bool "deepest chain endpoint pinned" true
-    (contains out "deepest chain ends at node 1, round 52");
+    (contains out "deepest chain ends at node 1, round 47");
   check Alcotest.bool "prints the paper bound" true
     (contains out "paper bound");
   check Alcotest.bool "span attribution covers the solve phases" true

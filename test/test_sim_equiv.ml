@@ -1382,9 +1382,6 @@ let suites =
         qtest prop_wake_contract_le_list;
         qtest prop_wake_contract_label_flood;
         qtest prop_wake_contract_f6;
-        qtest prop_no_idle_steps;
-        Alcotest.test_case "clock-driven protocols' idle steps" `Quick
-          test_clock_driven_idle_steps;
         qtest prop_flat_native_coloring;
         qtest prop_flat_native_gossip_leader;
         qtest prop_flat_native_upcast_sequential;
@@ -1404,5 +1401,8 @@ let suites =
           test_send_error_both_engines;
         Alcotest.test_case "Bellman-Ford wide-label fallback" `Quick
           test_bellman_ford_wide_fallback;
+        qtest prop_no_idle_steps;
+        Alcotest.test_case "clock-driven protocols' idle steps" `Quick
+          test_clock_driven_idle_steps;
       ] );
   ]

@@ -80,13 +80,14 @@ let prop_reduced_solver_spanner_vs_direct =
           if Dsf_util.Rng.float r 1.0 < 0.45 then f.(e.id) <- true)
         (Graph.edges g);
       let s_set = Dsf_util.Rng.sample_without_replacement r 5 n |> Array.to_list in
+      let tree =
+        Dsf_congest.Bfs.build g ~root:(Dsf_congest.Bfs.max_id_root g)
+      in
       let via_spanner =
-        Dsf_core.Reduced_solver.solve ~spanner_stretch:(Some 3) inst ~f ~s_set
-          ~diameter:5
+        Dsf_core.Reduced_solver.solve ~spanner_stretch:(Some 3) inst ~tree ~f ~s_set
       in
       let direct =
-        Dsf_core.Reduced_solver.solve ~spanner_stretch:None inst ~f ~s_set
-          ~diameter:5
+        Dsf_core.Reduced_solver.solve ~spanner_stretch:None inst ~tree ~f ~s_set
       in
       let weight_of o =
         Graph.edge_set_weight g o.Dsf_core.Reduced_solver.extra_edges

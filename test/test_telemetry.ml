@@ -259,7 +259,7 @@ let test_instrumentation_coverage () =
       Tree_ops.broadcast ~env g ~tree ~items:[ 1; 2; 3 ] ~bits);
   measured "aggregate" (fun env ->
       Tree_ops.aggregate ~env g ~tree ~value:Fun.id ~combine:( + ) ~bits);
-  measured "count_nodes" (fun env -> Tree_ops.count_nodes ~env g ~tree);
+  measured "estimate" (fun env -> Params.estimate ~env g ~tree);
   measured "exchange" (fun env ->
       Exchange.all_neighbors ~env g ~payload_bits:9);
   measured "filtered_upcast" (fun env ->
