@@ -21,7 +21,9 @@
 
 type buf = { mutable ra : int array; mutable rlen : int; mutable rnev : int }
 
-let buf_make () = { ra = Array.make 64 0; rlen = 0; rnev = 0 }
+(* Capacity comes with the first event, so a buffer nothing is staged
+   into costs one small record. *)
+let buf_make () = { ra = [||]; rlen = 0; rnev = 0 }
 
 let buf_clear b =
   b.rlen <- 0;
@@ -29,7 +31,7 @@ let buf_clear b =
 
 let push b x =
   if b.rlen = Array.length b.ra then begin
-    let a = Array.make (2 * b.rlen) 0 in
+    let a = Array.make (Int.max 64 (2 * b.rlen)) 0 in
     Array.blit b.ra 0 a 0 b.rlen;
     b.ra <- a
   end;
@@ -119,7 +121,7 @@ let append t b =
   let m = t.master in
   let need = m.rlen + b.rlen in
   if need > Array.length m.ra then begin
-    let cap = ref (Array.length m.ra) in
+    let cap = ref (Int.max 64 (Array.length m.ra)) in
     while !cap < need do
       cap := 2 * !cap
     done;

@@ -373,13 +373,13 @@ let use_reference_engine = ref false [@@lint.allow "global-state"]
    - per-round per-(edge, direction) bits live in a flat array indexed by
      *CSR position* (the sender's directed slot);
    - sends are staged per destination and delivered at the round
-     barrier by swapping the staged buffer with the (empty) inbox; nodes
-     step in ascending order, so every inbox receives its mail in the
-     global send order (sender ascending, emit order within a sender)
-     of the reference loop;
+     barrier by swapping the staging array with the (all empty) inbox
+     array; nodes step in ascending order, so every inbox receives its
+     mail in the global send order (sender ascending, emit order within
+     a sender) of the reference loop;
    - each round stages its recorder events, and its sends in the last
      [postmortem_window] rounds before [max_rounds], into the staging
-     window (see [window_make]). *)
+     window (see [window_make]), built on the first staged round. *)
 
 (* In-place ascending sort of [a.(0 .. len - 1)]: insertion sort below a
    small cutoff, median-of-three quicksort above.  Avoids [Array.sort]'s
@@ -522,10 +522,13 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   let max_rounds =
     match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
   in
-  let window = window_make () in
+  (* Built on the first staged round: round 0 when recording, else
+     [window_from], which a run that quiesces earlier never reaches. *)
+  let window = ref [||] in
   let window_from = max_rounds - postmortem_window in
-  (* The current round's slot, and whether this round stages its sends. *)
-  let rb = ref window.(0) in
+  (* The current round's slot, and whether this round stages its sends.
+     [rb] is only read while [staging] holds. *)
+  let rb = ref (Recorder.buf_make ()) in
   let staging = ref false in
   let csr = Graph.csr g in
   let views =
@@ -534,8 +537,9 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   let states = Array.map fp.fp_init views in
   let budget = Dsf_util.Bitsize.congest_budget ~n in
   let edge_bits = Array.make (2 * m) (-1) in
-  let inboxes = Array.init n (fun _ -> mbuf_make ()) in
-  let stage = Array.init n (fun _ -> mbuf_make ()) in
+  (* Swapped as whole arrays at each barrier (see the delivery below). *)
+  let inboxes = ref (Array.init n (fun _ -> mbuf_make ())) in
+  let stage = ref (Array.init n (fun _ -> mbuf_make ())) in
   let done_flag = Array.map fp.fp_is_done states in
   let done_count = ref 0 in
   Array.iter (fun d -> if d then incr done_count) done_flag;
@@ -578,6 +582,8 @@ let flat_engine ?max_rounds ?halt ~env g fp =
   let written = if sanitize then Array.make n (-1) else [||] in
   (* [quiet.(v)]: v's last lossless step read no mail and sent nothing. *)
   let quiet = if sanitize then Array.make n false else [||] in
+  (* [listed.(v) = r]: v is on round [r]'s recipient list. *)
+  let listed = if sanitize then Array.make n (-1) else [||] in
   let was_down = if Option.is_some faults then Array.make n false else [||] in
   (* The active list [act.(0 .. n_act - 1)], ascending: the nodes that
      step this round.  It is exactly the up nodes with mail or not done
@@ -597,7 +603,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     end
   done;
   let deliver src dst msg =
-    let mb = stage.(dst) in
+    let mb = !stage.(dst) in
     if mb.mlen = 0 then ibuf_push recip dst;
     mbuf_push mb src msg
   in
@@ -652,7 +658,7 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     end
   in
   let step_node v =
-    let ib = inboxes.(v) in
+    let ib = !inboxes.(v) in
     let mail = ib.mlen and sent0 = !messages in
     incr stepped;
     delivered := !delivered + mail;
@@ -661,9 +667,12 @@ let flat_engine ?max_rounds ?halt ~env g fp =
        agrees on (the reference loop also steps idle done nodes). *)
     if rec_on && mail > 0 then Recorder.ev_step !rb v;
     cur_src := v;
-    let st' = fp.fp_step views.(v) ~round:!round states.(v) ~inbox:ib ~emit in
+    let st = states.(v) in
+    let st' = fp.fp_step views.(v) ~round:!round st ~inbox:ib ~emit in
     ib.mlen <- 0;
-    states.(v) <- st';
+    (* In-place protocols return the state they were given; skipping the
+       store spares a write-barriered store per step. *)
+    if st' != st then states.(v) <- st';
     if sanitize then begin
       written.(v) <- !round;
       quiet.(v) <- mail = 0 && !messages = sent0 && Option.is_none faults;
@@ -678,11 +687,14 @@ let flat_engine ?max_rounds ?halt ~env g fp =
     if !round >= max_rounds then begin
       let snapshot = current_stats () in
       finish env snapshot;
-      abort_run ~round:!round ~snapshot window
+      abort_run ~round:!round ~snapshot !window
     end;
-    rb := window.(!round mod postmortem_window);
-    Recorder.buf_clear !rb;
     staging := rec_on || !round >= window_from;
+    if !staging then begin
+      if Array.length !window = 0 then window := window_make ();
+      rb := !window.(!round mod postmortem_window);
+      Recorder.buf_clear !rb
+    end;
     let bits0 = !total_bits in
     stepped := 0;
     delivered := 0;
@@ -702,9 +714,10 @@ let flat_engine ?max_rounds ?halt ~env g fp =
           if f.down ~round:!round ~node:v then begin
             if rec_on then Recorder.ev_down !rb v;
             (* Mail delivered to a crashed node is lost. *)
-            if inboxes.(v).mlen > 0 then begin
-              dropped := !dropped + inboxes.(v).mlen;
-              inboxes.(v).mlen <- 0
+            let ib = !inboxes.(v) in
+            if ib.mlen > 0 then begin
+              dropped := !dropped + ib.mlen;
+              ib.mlen <- 0
             end;
             was_down.(v) <- true
           end
@@ -777,54 +790,74 @@ let flat_engine ?max_rounds ?halt ~env g fp =
         end
       done;
       for v = 0 to n - 1 do
-        if inboxes.(v).mlen > 0 then
+        if !inboxes.(v).mlen > 0 then
           violation ~kind:"undelivered-inbox" ~node:v
             ~detail:
               (Printf.sprintf
                  "%d message(s) delivered to node %d at the previous \
                   barrier were never consumed by a step"
-                 inboxes.(v).mlen v)
-      done
-    end;
-    (* Deliver staged mail and collect next round's active list: the
-       still-undone nodes (already ascending — nodes step in order) and
-       the mail recipients (minus the undone ones, sorted, then merged).
-       All undone nodes are stamped before any recipient is examined, so
-       none is entered twice.  Delivery swaps the staged buffer with the
-       recipient's inbox, which is empty here: every inbox was consumed by
-       its node's step this round, or dropped with its crashed node (the
-       sanitizer's undelivered-inbox check). *)
-    let r = !rcp and nrcp = ref 0 in
-    for i = 0 to undone.ilen - 1 do
-      cand_stamp.(undone.ia.(i)) <- !round
-    done;
-    for i = 0 to recip.ilen - 1 do
-      let dst = recip.ia.(i) in
-      let ib = inboxes.(dst) in
-      inboxes.(dst) <- stage.(dst);
-      stage.(dst) <- ib;
-      if cand_stamp.(dst) <> !round then begin
-        cand_stamp.(dst) <- !round;
-        r.(!nrcp) <- dst;
-        incr nrcp
-      end
-    done;
-    recip.ilen <- 0;
-    (* Arena hygiene: after delivery every staged slot must be empty — a
-       populated slot missing from the recipient list means mail was
-       staged behind the engine's back and would silently vanish. *)
-    if sanitize then
+                 !inboxes.(v).mlen v)
+      done;
+      (* Arena hygiene, checked before delivery: every staged slot with
+         mail must be on the recipient list.  After the swap a stray slot
+         would become the inbox of a node that may never be scheduled to
+         read it. *)
+      for i = 0 to recip.ilen - 1 do
+        listed.(recip.ia.(i)) <- !round
+      done;
       for dst = 0 to n - 1 do
-        if stage.(dst).mlen > 0 then
+        if !stage.(dst).mlen > 0 && listed.(dst) <> !round then
           violation ~kind:"arena-leak" ~node:dst
             ~detail:
               (Printf.sprintf
                  "%d message(s) staged for node %d outside the recipient \
-                  list; they would never be delivered"
-                 stage.(dst).mlen dst)
+                  list; no step would ever read them"
+                 !stage.(dst).mlen dst)
+      done
+    end;
+    (* Deliver staged mail by swapping the two mailbox arrays: every inbox
+       is empty here (consumed by its node's step this round, or dropped
+       with its crashed node: the sanitizer's undelivered-inbox check), so
+       the old inboxes become the next round's empty staging slots. *)
+    let ib = !inboxes in
+    inboxes := !stage;
+    stage := ib;
+    (* Collect next round's active list: the still-undone nodes (already
+       ascending, since nodes step in order) and the mail recipients.  All
+       undone nodes are stamped before any recipient is examined, so none
+       is entered twice.  A dense round (recipients at least n / 8) rebuilds
+       the list by one ascending scan of the stamps; a sparse one sorts
+       the unstamped recipients and merges them with the undone list. *)
+    for i = 0 to undone.ilen - 1 do
+      cand_stamp.(undone.ia.(i)) <- !round
+    done;
+    if 8 * recip.ilen >= n then begin
+      for i = 0 to recip.ilen - 1 do
+        cand_stamp.(recip.ia.(i)) <- !round
       done;
-    sort_int_prefix r !nrcp;
-    n_act := merge_sorted undone.ia undone.ilen r !nrcp !act;
+      let a = !act and k = ref 0 in
+      for v = 0 to n - 1 do
+        if cand_stamp.(v) = !round then begin
+          a.(!k) <- v;
+          incr k
+        end
+      done;
+      n_act := !k
+    end
+    else begin
+      let r = !rcp and nrcp = ref 0 in
+      for i = 0 to recip.ilen - 1 do
+        let dst = recip.ia.(i) in
+        if cand_stamp.(dst) <> !round then begin
+          cand_stamp.(dst) <- !round;
+          r.(!nrcp) <- dst;
+          incr nrcp
+        end
+      done;
+      sort_int_prefix r !nrcp;
+      n_act := merge_sorted undone.ia undone.ilen r !nrcp !act
+    end;
+    recip.ilen <- 0;
     undone.ilen <- 0;
     (match telemetry with
     | Some t ->

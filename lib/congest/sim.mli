@@ -282,7 +282,9 @@ val measure : ?env:env -> (env -> 'a) -> 'a * stats
     incrementally-maintained sorted active list — the nodes the
     scheduling rule above steps — so an idle round costs O(active nodes),
     not O(n).  At each barrier the list becomes the stepped nodes that
-    are still not done, merged with the mail recipients; under a
+    are still not done, merged with the mail recipients (by a sort and
+    merge when the recipients are fewer than n / 8, by one ascending
+    scan of all n otherwise); under a
     [Faults] network the crash pre-pass, which visits every node anyway,
     walks the list alongside and rebuilds it: down nodes leave it, and
     restarted nodes whose fresh state is not done join it.  For ['m = int] protocols written against
@@ -292,6 +294,8 @@ val measure : ?env:env -> (env -> 'a) -> 'a * stats
     Nodes step in ascending order and sends are staged per destination,
     so each inbox receives its mail in the global send order of
     {!run_reference} (sender ascending, emit order within a sender).
+    Delivery swaps the staging array with the (all empty) inbox array,
+    once per round.
 
     An error raised by a step (e.g. a message to a non-neighbor)
     propagates out of the run, on both engines alike.  Recorder events
@@ -342,7 +346,9 @@ type sanitizer_violation = {
           not stepped (another node's step wrote through an aliased
           state); ["emit-outside-step"] — an emit closure fired with no
           step in progress; ["arena-leak"] — mail staged outside the
-          recipient list (would silently vanish); ["undelivered-inbox"] —
+          recipient list, checked at the barrier before delivery swaps
+          the staging and inbox arrays (after the swap it would sit in
+          the inbox of a node no step may read); ["undelivered-inbox"] —
           delivered mail never consumed by a step. *)
   sv_round : int;
   sv_node : int;

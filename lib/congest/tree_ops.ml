@@ -227,37 +227,74 @@ let rec emit_to_all ~emit msg = function
       emit ~dst msg;
       emit_to_all ~emit msg rest
 
-(* Node state for {!broadcast}: the node's forward queue.  One item
-   leaves the queue per round whether or not the node has children.
-   Each item is sized once, at the root, and travels with its size, so no
-   hop calls [bits] again. *)
+(* Node state for {!broadcast}: the node's forward queue, an int ring
+   holding [blen] items from [bq.(bhead)] on, positions wrapping by the
+   power-of-two capacity mask.  An item travels as its index in the
+   root's list, an immediate int, sized by a table built once at the
+   root, so a hop allocates nothing once the node's ring has grown to its
+   peak.  One item leaves the queue per round whether or not the node has
+   children. *)
+type bring = { mutable bq : int array; mutable bhead : int; mutable blen : int }
+
+(* The first push allocates four slots as a literal, which is cheaper
+   than [Array.make] (see [Sim.mbuf_push]); a full ring doubles,
+   unwrapping its items to the front. *)
+let ring_push r x =
+  let cap = Array.length r.bq in
+  if r.blen = cap then begin
+    if cap = 0 then r.bq <- [| 0; 0; 0; 0 |]
+    else begin
+      let a = Array.make (2 * cap) 0 in
+      for i = 0 to cap - 1 do
+        a.(i) <- r.bq.((r.bhead + i) land (cap - 1))
+      done;
+      r.bq <- a
+    end;
+    r.bhead <- 0
+  end;
+  r.bq.((r.bhead + r.blen) land (Array.length r.bq - 1)) <- x;
+  r.blen <- r.blen + 1
+
+let ring_pop r =
+  let x = r.bq.(r.bhead) in
+  r.bhead <- (r.bhead + 1) land (Array.length r.bq - 1);
+  r.blen <- r.blen - 1;
+  x
+
 let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
-    (('a * int) Queue.t, 'a * int) Sim.flat_protocol =
-  let sized = List.map (fun it -> it, bits it) items in
+    (bring, int) Sim.flat_protocol =
+  let sizes = Array.make (List.length items) 0 in
+  List.iteri (fun i it -> sizes.(i) <- bits it) items;
   {
     fp_init =
       (fun view ->
-        let dq = Queue.create () in
+        let q = { bq = [||]; bhead = 0; blen = 0 } in
         if view.Sim.node = tree.root then
-          List.iter (fun it -> Queue.add it dq) sized;
-        dq);
+          for i = 0 to Array.length sizes - 1 do
+            ring_push q i
+          done;
+        q);
     fp_step =
-      (fun view ~round:_ dq ~inbox ~emit ->
+      (fun view ~round:_ q ~inbox ~emit ->
         for i = 0 to Sim.inbox_len inbox - 1 do
-          Queue.add (Sim.inbox_msg inbox i) dq
+          ring_push q (Sim.inbox_msg inbox i)
         done;
-        if not (Queue.is_empty dq) then
-          emit_to_all ~emit (Queue.take dq) tree.children.(view.Sim.node);
-        dq);
-    fp_is_done = Queue.is_empty;
-    fp_msg_bits = snd;
+        if q.blen > 0 then
+          emit_to_all ~emit (ring_pop q) tree.children.(view.Sim.node);
+        q);
+    fp_is_done = (fun q -> q.blen = 0);
+    fp_msg_bits = (fun i -> sizes.(i));
   }
 
 let broadcast ?(env = Sim.default_env) g ~(tree : Bfs.tree) ~items ~bits =
   Sim.span env "broadcast" @@ fun () ->
   ignore
     (Fault.sim_run ~env
-       ~recovery:{ (Fault.immutable ()) with snapshot = Queue.copy }
+       ~recovery:
+         {
+           (Fault.immutable ()) with
+           snapshot = (fun q -> { q with bq = Array.copy q.bq });
+         }
        g
        (broadcast_flat ~tree ~items ~bits))
 

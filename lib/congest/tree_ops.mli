@@ -73,8 +73,10 @@ val broadcast :
     every non-root node receives the whole list, in order, from its tree
     parent.  Callers keep the replicated list centrally, so nothing is
     returned; the run's cost lands in [env].  Rounds ~ height + |items|.
-    [bits] is called once per item, at the root; the size travels with
-    the item, so [bits] must be a function of the item alone. *)
+    [bits] is called once per item, at the root, in list order.  Since
+    nothing reads a payload, each message is the item's index in the
+    root's list and is charged the size [bits] gave that item; so [bits]
+    must be a function of the item alone. *)
 
 val aggregate :
   ?env:Sim.env ->

@@ -148,6 +148,35 @@ let test_sim_steady_state_allocates_nothing () =
       "steady state allocates: %.0f minor words for %d rounds vs %.0f for %d"
       w64 r64 w8 r8
 
+let test_broadcast_steady_state_allocates_nothing () =
+  (* A broadcast hop is an index message pushed onto the receiver's int
+     ring and popped by its next step.  What the two runs allocate
+     differently is per-run setup that grows with the item count: the
+     root's size table and ring, and the engine's per-round lists, grown
+     to the peak number of items in flight (a few words per item).  A
+     hop that allocated anything (a queue cell, a boxed pair) would cost
+     at least two words per extra message. *)
+  let g = Gen.path 256 in
+  let tree = Bfs.build g ~root:(Bfs.max_id_root g) in
+  let run k =
+    let items = List.init k Fun.id in
+    let l = Ledger.create () in
+    let env = { Sim.default_env with ledger = Some l } in
+    let w0 = Gc.minor_words () in
+    Tree_ops.broadcast ~env g ~tree ~items ~bits:(fun _ -> 8);
+    Gc.minor_words () -. w0, Ledger.simulated l
+  in
+  ignore (run 8);
+  let w8, r8 = run 8 in
+  let w64, r64 = run 64 in
+  check Alcotest.int "extra rounds" 56 (r64 - r8);
+  let extra_messages = 56 * 255 in
+  if w64 -. w8 >= float_of_int extra_messages then
+    Alcotest.failf
+      "broadcast hops allocate: %.0f minor words for 64 items vs %.0f for 8 \
+       (%d extra messages)"
+      w64 w8 extra_messages
+
 (* ---------------------------------------------------------------- Ledger *)
 
 let test_ledger () =
@@ -520,6 +549,8 @@ let suites =
         Alcotest.test_case "bit accounting" `Quick test_sim_bit_accounting;
         Alcotest.test_case "steady state allocates nothing" `Quick
           test_sim_steady_state_allocates_nothing;
+        Alcotest.test_case "broadcast steady state allocates nothing" `Quick
+          test_broadcast_steady_state_allocates_nothing;
       ] );
     ("congest.ledger", [ Alcotest.test_case "ledger" `Quick test_ledger ]);
     ( "congest.bfs",

@@ -503,10 +503,11 @@ let prop_flat_equiv_lossless =
    hop to live, to a scrambled subset of its neighbours in a scrambled
    order, so nearly every node is a recipient in every round and the
    round's recipients reach the engine out of order.  All nodes are done
-   after their round-0 kick-off, so the whole recipient list goes through
-   the sparse active-list rebuild (the sort and merge) each round.  The
-   state folds each inbox in delivery order, so a misordered inbox shows
-   in the final states as well as in the log. *)
+   after their round-0 kick-off, so the next active list is exactly the
+   recipients, rebuilt by the dense scan in the busy rounds and by the
+   sort and merge as the relay dies out.  The state folds each inbox in
+   delivery order, so a misordered inbox shows in the final states as
+   well as in the log. *)
 type dense_state = { started : bool; digest : int }
 
 let dense_flat ~ttl : (dense_state, int) Sim.flat_protocol =
@@ -554,6 +555,125 @@ let prop_flat_dense_rounds =
       | Error _, _ -> false)
       && flat
          = capture (fun env -> Sim.run_reference ~env g p))
+
+(* Both barrier regimes: the flat engine rebuilds the next active list by
+   one scan of its stamps when a round's recipients reach n / 8, and by a
+   sort and merge below that.  A pipelined broadcast from a lollipop's
+   clique crosses the threshold within one run: while the root sends,
+   every clique node receives each round (dense), and once its queue is
+   empty only the wavefront down the tail does (sparse).  Each node folds
+   its inbox into a digest in delivery order, so a node left off the
+   active list, or stepped twice, shows in the final states. *)
+type pipe_state = { pending : int list; digest : int }
+
+let pipe_flat ~(tree : Bfs.tree) ~items : (pipe_state, int) Sim.flat_protocol =
+  {
+    fp_init =
+      (fun view ->
+        let root = view.Sim.node = tree.root in
+        { pending = (if root then List.init items Fun.id else []); digest = 0 });
+    fp_step =
+      (fun view ~round:_ st ~inbox ~emit ->
+        let digest = ref st.digest and got = ref [] in
+        for i = 0 to Sim.inbox_len inbox - 1 do
+          let x = Sim.inbox_msg inbox i in
+          digest :=
+            ((!digest * 31) + (Sim.inbox_src inbox i * 7) + x) land 0xFFFFFF;
+          got := x :: !got
+        done;
+        match st.pending @ List.rev !got with
+        | [] -> { pending = []; digest = !digest }
+        | x :: rest ->
+            List.iter (fun c -> emit ~dst:c x) tree.Bfs.children.(view.Sim.node);
+            { pending = rest; digest = !digest });
+    fp_is_done = (fun st -> st.pending = []);
+    fp_msg_bits = (fun x -> Dsf_util.Bitsize.int_bits (max 1 x));
+  }
+
+(* The distinct recipients of each round of a recorded run. *)
+let recipients_per_round log =
+  let rounds = ref [] and cur = ref None in
+  let close () = Option.iter (fun s -> rounds := s :: !rounds) !cur in
+  List.iter
+    (function
+      | Recorder.Round _ ->
+          close ();
+          cur := Some []
+      | Recorder.Send { dst; _ } ->
+          cur :=
+            Option.map
+              (fun s -> if List.mem dst s then s else dst :: s)
+              !cur
+      | _ -> ())
+    (Flight.events_of_string log);
+  close ();
+  List.rev_map List.length !rounds
+
+let test_barrier_regimes () =
+  let lollipop = Gen.lollipop ~clique:64 ~tail:64 in
+  let random =
+    Gen.random_connected (rng 7) ~n:96 ~extra_edges:96 ~max_w:5
+  in
+  List.iter
+    (fun (name, g, items) ->
+      let n = Graph.n g in
+      let tree = Bfs.build g ~root:0 in
+      let p = pipe_flat ~tree ~items in
+      let flat = capture (fun env -> Sim.run_flat ~env g p) in
+      check Alcotest.bool (name ^ ": flat = reference") true
+        (flat = capture (fun env -> Sim.run_reference ~env g p));
+      let counts = recipients_per_round (snd flat) in
+      check Alcotest.bool (name ^ ": some round is dense") true
+        (List.exists (fun c -> 8 * c >= n) counts);
+      check Alcotest.bool (name ^ ": some round is sparse") true
+        (List.exists (fun c -> c > 0 && 8 * c < n) counts))
+    [ "lollipop, 8 items", lollipop, 8; "lollipop, 3 items", lollipop, 3;
+      "random, 12 items", random, 12 ];
+  (* A crash plan that drops the down node's mail, on the flat engine,
+     against the reference loop running the same crash by hand: while
+     down, the node discards its inbox, sends nothing and holds a fresh
+     initial state, which is what the engine restarts it from.  The tail's
+     first node is down in rounds 2-4, so it and the tail below it miss
+     the items that reach it then, in dense rounds of the run. *)
+  let g = lollipop in
+  let tree = Bfs.build g ~root:0 in
+  let p = pipe_flat ~tree ~items:8 in
+  let crashed = 64 and lo = 2 and hi = 5 in
+  let is_down ~round ~node = node = crashed && round >= lo && round < hi in
+  let emulated : (pipe_state * int, int) Sim.flat_protocol =
+    {
+      fp_init = (fun view -> p.fp_init view, 0);
+      fp_step =
+        (fun view ~round (st, lost) ~inbox ~emit ->
+          if is_down ~round ~node:view.Sim.node then
+            p.fp_init view, lost + Sim.inbox_len inbox
+          else p.fp_step view ~round st ~inbox ~emit, lost);
+      fp_is_done = (fun (st, _) -> p.fp_is_done st);
+      fp_msg_bits = p.fp_msg_bits;
+    }
+  in
+  let sends log =
+    List.filter
+      (function Recorder.Round _ | Recorder.Send _ -> true | _ -> false)
+      (Flight.events_of_string log)
+  in
+  let faults =
+    { Sim.on_send = (fun ~round:_ ~src:_ ~dst:_ -> Sim.Deliver);
+      down = is_down }
+  in
+  match
+    ( capture ~network:(Sim.Faults faults) (fun env -> Sim.run_flat ~env g p),
+      capture (fun env -> Sim.run_reference ~env g emulated) )
+  with
+  | (Ok (states, t), flat_log), (Ok (emu, e), emu_log) ->
+      check Alcotest.bool "crash: states" true (states = Array.map fst emu);
+      let lost = Array.fold_left (fun acc (_, l) -> acc + l) 0 emu in
+      check Alcotest.bool "crash: mail was dropped" true (lost > 0);
+      check Alcotest.bool "crash: stats" true
+        (t = { e with Sim.dropped = lost });
+      check Alcotest.bool "crash: sends, round by round" true
+        (sends flat_log = sends emu_log)
+  | _ -> Alcotest.fail "crash: a run hit its round limit"
 
 (* The seed loop has no fault injection, so the engine's fault accounting
    is pinned by hand on a 4-node path flood (6 sends lossless): every
@@ -1404,5 +1524,7 @@ let suites =
         qtest prop_no_idle_steps;
         Alcotest.test_case "clock-driven protocols' idle steps" `Quick
           test_clock_driven_idle_steps;
+        Alcotest.test_case "barrier regimes: dense scan and sparse merge"
+          `Quick test_barrier_regimes;
       ] );
   ]
